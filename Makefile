@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench linearize
+.PHONY: build test check bench linearize benchmark-smoke
 
 build:
 	$(GO) build ./...
@@ -13,14 +13,21 @@ test:
 # matrix (every supported structure x technique x source combination).
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
 # obs itself plus obs/promparse, obs/series and obs/trace.
-check:
+check: benchmark-smoke
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/...
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
+
+# benchmark-smoke compiles and runs the repository benchmark's own tests.
+# benchmark/ is a separate module, so `go test ./...` at the root never
+# builds it: a rename in obs.WALStats, wal.FS or the trace snapshot would
+# otherwise surface only at the next benchmark run.
+benchmark-smoke:
+	cd benchmark && $(GO) test ./...
 
 # linearize runs the full-load linearizability matrix under the race
 # detector. Reproduce a failure with:

@@ -54,3 +54,49 @@ func TestPooledUpdatePathAllocFree(t *testing.T) {
 		t.Fatalf("pooled insert+delete pair allocates %.2f objects, want 0", n)
 	}
 }
+
+// TestEBRRangeQueryAllocFree: an EBR-RQ range query collects straight
+// into the caller's buffer. With capacity for the result it allocates
+// nothing — no accumulator map, no closure on the limbo walk, no sort
+// scratch — on all three EBR-RQ structures, flat and sharded, with
+// retired nodes sitting in limbo to be walked.
+func TestEBRRangeQueryAllocFree(t *testing.T) {
+	build := map[string]func(s tscds.Structure, cfg tscds.Config) (tscds.Map, error){
+		"flat": func(s tscds.Structure, cfg tscds.Config) (tscds.Map, error) {
+			return tscds.New(s, tscds.EBRRQ, cfg)
+		},
+		"sharded": func(s tscds.Structure, cfg tscds.Config) (tscds.Map, error) {
+			return tscds.NewSharded(s, tscds.EBRRQ, 4, cfg)
+		},
+	}
+	for _, s := range []tscds.Structure{tscds.BST, tscds.Citrus, tscds.SkipList} {
+		for shape, mk := range build {
+			m, err := mk(s, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th, err := m.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 4000; i++ {
+				m.Insert(th, i*7919%4000, i)
+			}
+			for i := uint64(0); i < 4000; i += 3 {
+				m.Delete(th, i) // leaves a limbo population behind
+			}
+			buf := make([]tscds.KV, 0, 1024)
+			var got int
+			n := testing.AllocsPerRun(200, func() {
+				got = len(m.RangeQuery(th, 1000, 1999, buf))
+			})
+			if got < 600 {
+				t.Fatalf("%v %s: range query returned %d pairs, want about 666", s, shape, got)
+			}
+			if n != 0 {
+				t.Errorf("%v %s: RangeQuery into a caller buffer allocates %.1f objects, want 0", s, shape, n)
+			}
+			th.Release()
+		}
+	}
+}

@@ -249,13 +249,13 @@ func snapshotPlain(at rangeQueryAt, prov *ebrrq.Provider, src core.Source, peek 
 	}
 }
 
-// insert is the durable update path: apply, stamp and append under the
-// WAL shard's mutex (so log order is linearization order), then wait
-// for the group commit outside it (so concurrent updaters share the
-// fsync). Failed in-memory ops log nothing — per key the log holds
-// only effective updates, which is what makes redundant replay over a
-// snapshot converge.
-func (d *durable) insert(th *core.Thread, ikey, val uint64) (bool, error) {
+// update is the durable update path: apply, stamp and append under the
+// WAL shard's mutex (so log order is linearization order), then commit
+// outside it (so concurrent updaters share the fsync). op selects
+// Insert or Delete (val is ignored for a delete). Failed in-memory ops
+// log nothing — per key the log holds only effective updates, which is
+// what makes redundant replay over a snapshot converge.
+func (d *durable) update(th *core.Thread, op wal.OpKind, ikey, val uint64) (bool, error) {
 	sh := int(ikey % d.n)
 	var mark uint64
 	if d.tr != nil {
@@ -263,40 +263,18 @@ func (d *durable) insert(th *core.Thread, ikey, val uint64) (bool, error) {
 	}
 	mu := &d.mus[sh]
 	mu.Lock()
-	ok := d.inner.Insert(th, ikey, val)
+	var ok bool
+	if op == wal.OpInsert {
+		ok = d.inner.Insert(th, ikey, val)
+	} else {
+		ok = d.inner.Delete(th, ikey)
+	}
 	if !ok {
 		mu.Unlock()
 		return false, nil
 	}
 	lsn, err := d.log.Append(sh, wal.Record{
-		TS: d.src.Peek(), Op: wal.OpInsert, Key: ikey - d.shift, Val: val,
-	})
-	mu.Unlock()
-	if err == nil {
-		err = d.log.WaitDurable(sh, lsn)
-	}
-	if d.tr != nil {
-		d.tr.Span(th.ID, trace.PhaseWALAppend, mark)
-	}
-	return true, err
-}
-
-// delete mirrors insert.
-func (d *durable) delete(th *core.Thread, ikey uint64) (bool, error) {
-	sh := int(ikey % d.n)
-	var mark uint64
-	if d.tr != nil {
-		mark = d.tr.Now()
-	}
-	mu := &d.mus[sh]
-	mu.Lock()
-	ok := d.inner.Delete(th, ikey)
-	if !ok {
-		mu.Unlock()
-		return false, nil
-	}
-	lsn, err := d.log.Append(sh, wal.Record{
-		TS: d.src.Peek(), Op: wal.OpDelete, Key: ikey - d.shift,
+		TS: d.src.Peek(), Op: op, Key: ikey - d.shift, Val: val,
 	})
 	mu.Unlock()
 	if err == nil {
@@ -410,7 +388,7 @@ func (w *wrap) applyInsert(th *Thread, ikey, val uint64) (bool, error) {
 	if w.dur == nil {
 		return w.m.Insert(th, ikey, val), nil
 	}
-	return w.dur.insert(th, ikey, val)
+	return w.dur.update(th, wal.OpInsert, ikey, val)
 }
 
 // applyDelete mirrors applyInsert.
@@ -418,7 +396,7 @@ func (w *wrap) applyDelete(th *Thread, ikey uint64) (bool, error) {
 	if w.dur == nil {
 		return w.m.Delete(th, ikey), nil
 	}
-	return w.dur.delete(th, ikey)
+	return w.dur.update(th, wal.OpDelete, ikey, 0)
 }
 
 // InsertDurable implements DurableMap.

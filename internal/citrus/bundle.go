@@ -19,6 +19,7 @@ type bnode struct {
 	key, val uint64
 	mu       sync.Mutex
 	marked   bool
+	tag      atomic.Uint32 // see citrus.go: bumped when a child link goes back to nil
 	child    [2]atomic.Pointer[bnode]
 	bnd      [2]bundle.Bundle[bnode]
 }
@@ -34,8 +35,12 @@ func newBnode(key, val uint64) *bnode {
 // with one Source.Advance — with a logical source this is the
 // fetch-and-add each update pays; with TSC it is a core-local read, the
 // difference Figure 3's Bundle vs Bundle-RDTSCP series measures. tid is
-// the updating thread's slot and only routes pool allocations.
+// the updating thread's slot and only routes pool allocations. A link
+// going back to nil bumps the node's tag.
 func (t *BundleTree) setChild(n *bnode, dir int, target *bnode, tid int) {
+	if target == nil {
+		n.tag.Add(1)
+	}
 	if t.tr != nil {
 		// The Prepare..Finalize window is bundling's labeling phase: the
 		// span readers can block on (pending-entry spins).
@@ -69,7 +74,7 @@ func NewBundle(src core.Source, reg *core.Registry) *BundleTree {
 	return &BundleTree{
 		src:  src,
 		reg:  reg,
-		rcu:  rcu.New(reg.Cap()),
+		rcu:  rcu.New(reg),
 		root: newBnode(sentinelKey, 0),
 	}
 }
@@ -131,7 +136,9 @@ func (t *BundleTree) noteRetries(th *core.Thread, retries uint64) {
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 }
 
-func (t *BundleTree) traverse(tid int, key uint64) (prev, curr *bnode) {
+// traverse returns the node holding key (nil if absent), its parent, and
+// the parent's tag, read inside the same RCU read-side section.
+func (t *BundleTree) traverse(tid int, key uint64) (prev, curr *bnode, tag uint32) {
 	t.rcu.ReadLock(tid)
 	prev = t.root
 	curr = prev.child[dirOf(key, prev.key)].Load()
@@ -139,19 +146,20 @@ func (t *BundleTree) traverse(tid int, key uint64) (prev, curr *bnode) {
 		prev = curr
 		curr = curr.child[dirOf(key, curr.key)].Load()
 	}
+	tag = prev.tag.Load()
 	t.rcu.ReadUnlock(tid)
-	return prev, curr
+	return prev, curr, tag
 }
 
 // Contains reports whether key is present.
 func (t *BundleTree) Contains(th *core.Thread, key uint64) bool {
-	_, curr := t.traverse(th.ID, key)
+	_, curr, _ := t.traverse(th.ID, key)
 	return curr != nil
 }
 
 // Get returns the value stored at key.
 func (t *BundleTree) Get(th *core.Thread, key uint64) (uint64, bool) {
-	_, curr := t.traverse(th.ID, key)
+	_, curr, _ := t.traverse(th.ID, key)
 	if curr == nil {
 		return 0, false
 	}
@@ -162,6 +170,12 @@ func (t *BundleTree) validateLink(prev *bnode, dir int, curr *bnode) bool {
 	return !prev.marked && prev.child[dir].Load() == curr
 }
 
+// validateInsert is validateLink for an empty slot found with the given
+// tag: still empty, and never refilled and emptied in between.
+func (t *BundleTree) validateInsert(prev *bnode, dir int, tag uint32) bool {
+	return t.validateLink(prev, dir, nil) && prev.tag.Load() == tag
+}
+
 // Insert adds key with val; it returns false if already present.
 func (t *BundleTree) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
@@ -169,14 +183,14 @@ func (t *BundleTree) Insert(th *core.Thread, key, val uint64) bool {
 	}
 	var retries uint64
 	for {
-		prev, curr := t.traverse(th.ID, key)
+		prev, curr, tag := t.traverse(th.ID, key)
 		if curr != nil {
 			t.noteRetries(th, retries)
 			return false
 		}
 		dir := dirOf(key, prev.key)
 		prev.mu.Lock()
-		if !t.validateLink(prev, dir, nil) {
+		if !t.validateInsert(prev, dir, tag) {
 			prev.mu.Unlock()
 			retries++
 			continue
@@ -199,7 +213,7 @@ func (t *BundleTree) Delete(th *core.Thread, key uint64) bool {
 	}
 	var retries uint64
 	for {
-		prev, curr := t.traverse(th.ID, key)
+		prev, curr, _ := t.traverse(th.ID, key)
 		if curr == nil {
 			t.noteRetries(th, retries)
 			return false

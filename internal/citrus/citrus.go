@@ -17,6 +17,21 @@
 //	             EBR-RQ's global readers-writer lock (or DCSS), and
 //	             range queries additionally scan the EBR limbo lists.
 //
+// Every node carries a tag, after the original algorithm's per-child
+// tags. An insert finds its slot — a nil child of prev — inside an RCU
+// read-side section and validates it only after locking prev, and "still
+// nil" does not mean "still the place for this key": in between, the key
+// may have been inserted into that very slot and then relocated upwards
+// as the successor copy of a two-children delete, which leaves the slot
+// nil again with the key living elsewhere. Without the tag the stale
+// insert would validate and link a second node for the key. So every
+// write that sets one of a node's child links back to nil bumps the
+// node's tag under its lock, the search reads the tag inside its
+// read-side section (the relocating delete's grace period keeps the bump
+// after it), and insert validation requires the tag unchanged. One tag
+// serves both links: it fits the padding the node already had, and a
+// bump for the other side costs a stale insert one retry.
+//
 // Two-child deletion briefly exposes the successor's key both at its old
 // node and at the replacement copy; snapshot traversals deduplicate by
 // key, which is sound because keys are unique in the abstract state.

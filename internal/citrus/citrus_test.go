@@ -2,12 +2,14 @@ package citrus
 
 import (
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
+	"tscds/internal/ebrrq/limbotest"
 )
 
 // mapLike is the common surface of the three variants.
@@ -440,5 +442,150 @@ func TestEBRLimboBounded(t *testing.T) {
 	}
 	if n := tr.LimboLen(); n > 5000 {
 		t.Fatalf("limbo grew unbounded: %d nodes", n)
+	}
+}
+
+// The ordered early exit of the limbo walk (limboOrdered) rests on
+// deletion labels never increasing down a thread's limbo list. Check it
+// on the lists a contended run leaves behind, for both labeling
+// variants: no bound may exist at which the early exit loses a node the
+// full walk finds.
+func TestEBRLimboListsOrdered(t *testing.T) {
+	for _, variant := range []ebrrq.Variant{ebrrq.LockBased, ebrrq.LockFree} {
+		reg := core.NewRegistry(8)
+		tr, err := NewEBR(core.New(core.Logical), reg, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limbotest.Churn(tr, reg, 4, 1500)
+		if tr.LimboLen() < 500 {
+			t.Fatalf("variant %v: only %d limbo nodes; the reservation should have kept them all", variant, tr.LimboLen())
+		}
+		lost := limbotest.Lost(tr.em, func(n *enode) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
+			return n.key, n.val, &n.itime, &n.dtime
+		})
+		if len(lost) != 0 {
+			t.Fatalf("variant %v: limbo lists are not ordered, %d losses, first: %s", variant, len(lost), lost[0])
+		}
+	}
+}
+
+// The nil-child ABA the per-child tags exist for (see the package
+// comment): an insert of 72 finds its slot, 90's nil left child, and is
+// delayed before it locks 90; 72 is inserted there by someone else; a
+// delete of 50, whose successor 72 now is, relocates 72 to 50's place
+// and sets 90's left child back to nil. The delayed insert must not
+// validate — 72 is in the tree, just no longer under 90 — or the tree
+// ends up with two nodes for one key. The delayed insert is played here
+// by its two halves: the search, and after the interference the
+// validation Insert performs under prev's lock.
+func TestStaleInsertAfterSuccessorRelocation(t *testing.T) {
+	type half struct {
+		search   func(th *core.Thread, key uint64) (prevKey uint64, found bool)
+		validate func() bool
+	}
+	for _, v := range variants(t) {
+		m, reg := v.make(core.Logical, 4)
+		a, b := reg.MustRegister(), reg.MustRegister()
+		for _, k := range []uint64{50, 30, 90} {
+			m.Insert(a, k, k)
+		}
+		var h half
+		switch tr := m.(type) {
+		case *VcasTree:
+			var prev *vnode
+			var tag uint32
+			h.search = func(th *core.Thread, key uint64) (uint64, bool) {
+				var curr *vnode
+				prev, curr, tag = tr.traverse(th.ID, key)
+				return prev.key, curr != nil
+			}
+			h.validate = func() bool {
+				prev.mu.Lock()
+				defer prev.mu.Unlock()
+				return tr.validateInsert(prev, 0, tag)
+			}
+		case *BundleTree:
+			var prev *bnode
+			var tag uint32
+			h.search = func(th *core.Thread, key uint64) (uint64, bool) {
+				var curr *bnode
+				prev, curr, tag = tr.traverse(th.ID, key)
+				return prev.key, curr != nil
+			}
+			h.validate = func() bool {
+				prev.mu.Lock()
+				defer prev.mu.Unlock()
+				return tr.validateInsert(prev, 0, tag)
+			}
+		case *EBRTree:
+			var prev *enode
+			var tag uint32
+			h.search = func(th *core.Thread, key uint64) (uint64, bool) {
+				var curr *enode
+				prev, curr, tag = tr.traverse(th.ID, key)
+				return prev.key, curr != nil
+			}
+			h.validate = func() bool {
+				prev.mu.Lock()
+				defer prev.mu.Unlock()
+				return validateEInsert(prev, 0, tag)
+			}
+		default:
+			t.Fatalf("%s: unknown variant type %T", v.name, m)
+		}
+		if prevKey, found := h.search(a, 72); found || prevKey != 90 {
+			t.Fatalf("%s: search for 72 ended at parent %d (found %v), want a nil slot under 90", v.name, prevKey, found)
+		}
+		if !h.validate() {
+			t.Fatalf("%s: an undisturbed insert must validate", v.name)
+		}
+		if !m.Insert(b, 72, 72) || !m.Delete(b, 50) {
+			t.Fatalf("%s: interference failed", v.name)
+		}
+		if !m.Contains(a, 72) || m.Len() != 3 {
+			t.Fatalf("%s: after the relocation the tree must hold 30, 72, 90", v.name)
+		}
+		if h.validate() {
+			t.Fatalf("%s: the delayed insert of 72 validates although 72 is in the tree: it would link a duplicate under 90", v.name)
+		}
+	}
+}
+
+// A range query whose upper bound is the key a two-children delete is
+// relocating. The snapshot is taken before the delete; the query then
+// meets the successor's copy (labeled after the snapshot, so invisible)
+// where the deleted node was, while the original successor — still
+// alive, not yet retired — hangs leftmost under the copy's right child.
+// Pruning that subtree because hi == the copy's key lost the key from
+// both the tree walk and the limbo walk.
+func TestEBRRangeFindsSuccessorBehindItsCopy(t *testing.T) {
+	reg := core.NewRegistry(4)
+	tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := reg.MustRegister(), reg.MustRegister(), reg.MustRegister()
+	for _, k := range []uint64{3, 2, 8, 6, 9} {
+		tr.Insert(a, k, k*10)
+	}
+	a.BeginRQ()
+	s := tr.provider.Snapshot()
+	tr.rcu.ReadLock(c.ID) // holds Delete(3) inside its grace period
+	done := make(chan bool)
+	go func() { done <- tr.Delete(b, 3) }()
+	for tr.root.child[0].Load().key != 6 { // until the copy is linked
+		runtime.Gosched()
+	}
+	got := tr.RangeQueryAt(a, 4, 6, s, nil)
+	tr.rcu.ReadUnlock(c.ID)
+	if !<-done {
+		t.Fatal("Delete(3) failed")
+	}
+	if len(got) != 1 || got[0] != (core.KV{Key: 6, Val: 60}) {
+		t.Fatalf("snapshot of [4,6] taken before the delete = %v, want key 6", got)
+	}
+	if after := tr.RangeQuery(a, 0, 10, nil); len(after) != 4 {
+		t.Fatalf("after the delete the tree holds %v, want 2, 6, 8, 9", after)
 	}
 }

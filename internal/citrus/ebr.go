@@ -18,6 +18,7 @@ type enode struct {
 	key, val     uint64
 	mu           sync.Mutex
 	marked       bool
+	tag          atomic.Uint32 // see citrus.go: bumped when a child link goes back to nil
 	child        [2]atomic.Pointer[enode]
 	itime, dtime ebrrq.Label
 }
@@ -67,12 +68,11 @@ func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRTre
 		src:      src,
 		provider: provider,
 		reg:      reg,
-		rcu:      rcu.New(reg.Cap()),
+		rcu:      rcu.New(reg),
 		root:     newEnode(sentinelKey, 0),
 	}
-	t.em = epoch.NewManager[*enode](reg.Cap(),
-		func(n *enode, min core.TS) bool { return n.dtime.Get() >= min },
-		reg.MinActiveRQ)
+	t.em = epoch.NewManager[*enode](reg,
+		func(n *enode, min core.TS) bool { return n.dtime.Get() >= min })
 	return t, nil
 }
 
@@ -122,21 +122,6 @@ func (t *EBRTree) SetTrace(tr *trace.Recorder) {
 	t.em.SetTrace(tr)
 }
 
-// SetReadBound routes the epoch pruner's minimum-bound through a
-// retention watermark: with a non-zero window, limbo nodes whose
-// deletion timestamps are inside the window survive pruning (and
-// DrainAll) even with no range query in flight. A zero window keeps
-// classic EBR-RQ behavior. EBR-RQ retains no per-key version history,
-// so this extends limbo lifetimes only; it does not enable time-travel
-// reads on this technique. Call before the tree sees traffic.
-func (t *EBRTree) SetReadBound(rb *core.ReadBound) {
-	if rb == nil || rb.Window() == 0 {
-		return
-	}
-	reg := t.reg
-	t.em.SetMinRQ(func() core.TS { return rb.PruneBound(reg) })
-}
-
 func (t *EBRTree) noteRetries(th *core.Thread, retries uint64) {
 	if t.tr == nil {
 		return
@@ -154,7 +139,9 @@ func (t *EBRTree) LimboLen() int { return t.em.LimboLen() }
 // Quiescent use only, like Len.
 func (t *EBRTree) Drain() { t.em.DrainAll() }
 
-func (t *EBRTree) traverse(tid int, key uint64) (prev, curr *enode) {
+// traverse returns the node holding key (nil if absent), its parent, and
+// the parent's tag, read inside the same RCU read-side section.
+func (t *EBRTree) traverse(tid int, key uint64) (prev, curr *enode, tag uint32) {
 	t.rcu.ReadLock(tid)
 	prev = t.root
 	curr = prev.child[dirOf(key, prev.key)].Load()
@@ -162,14 +149,15 @@ func (t *EBRTree) traverse(tid int, key uint64) (prev, curr *enode) {
 		prev = curr
 		curr = curr.child[dirOf(key, curr.key)].Load()
 	}
+	tag = prev.tag.Load()
 	t.rcu.ReadUnlock(tid)
-	return prev, curr
+	return prev, curr, tag
 }
 
 // Contains reports whether key is present.
 func (t *EBRTree) Contains(th *core.Thread, key uint64) bool {
 	t.em.Pin(th.ID)
-	_, curr := t.traverse(th.ID, key)
+	_, curr, _ := t.traverse(th.ID, key)
 	t.em.Unpin(th.ID)
 	return curr != nil
 }
@@ -177,7 +165,7 @@ func (t *EBRTree) Contains(th *core.Thread, key uint64) bool {
 // Get returns the value stored at key.
 func (t *EBRTree) Get(th *core.Thread, key uint64) (uint64, bool) {
 	t.em.Pin(th.ID)
-	_, curr := t.traverse(th.ID, key)
+	_, curr, _ := t.traverse(th.ID, key)
 	t.em.Unpin(th.ID)
 	if curr == nil {
 		return 0, false
@@ -189,6 +177,21 @@ func validateELink(prev *enode, dir int, curr *enode) bool {
 	return !prev.marked && prev.child[dir].Load() == curr
 }
 
+// validateEInsert is validateELink for an empty slot found with the
+// given tag: still empty, and never refilled and emptied in between.
+func validateEInsert(prev *enode, dir int, tag uint32) bool {
+	return validateELink(prev, dir, nil) && prev.tag.Load() == tag
+}
+
+// setEChild stores prev's child link under prev's lock, bumping the
+// node's tag when the link goes back to nil.
+func setEChild(prev *enode, dir int, target *enode) {
+	prev.child[dir].Store(target)
+	if target == nil {
+		prev.tag.Add(1)
+	}
+}
+
 // Insert adds key with val; it returns false if already present.
 func (t *EBRTree) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
@@ -198,14 +201,14 @@ func (t *EBRTree) Insert(th *core.Thread, key, val uint64) bool {
 	defer t.em.Unpin(th.ID)
 	var retries uint64
 	for {
-		prev, curr := t.traverse(th.ID, key)
+		prev, curr, tag := t.traverse(th.ID, key)
 		if curr != nil {
 			t.noteRetries(th, retries)
 			return false
 		}
 		dir := dirOf(key, prev.key)
 		prev.mu.Lock()
-		if !validateELink(prev, dir, nil) {
+		if !validateEInsert(prev, dir, tag) {
 			prev.mu.Unlock()
 			retries++
 			continue
@@ -230,7 +233,7 @@ func (t *EBRTree) Delete(th *core.Thread, key uint64) bool {
 	defer t.em.Unpin(th.ID)
 	var retries uint64
 	for {
-		prev, curr := t.traverse(th.ID, key)
+		prev, curr, _ := t.traverse(th.ID, key)
 		if curr == nil {
 			t.noteRetries(th, retries)
 			return false
@@ -254,7 +257,7 @@ func (t *EBRTree) Delete(th *core.Thread, key uint64) bool {
 			t.provider.Label(&curr.dtime) // linearization of the delete
 			curr.marked = true
 			t.em.Retire(th.ID, curr) // limbo before unlink: never invisible
-			prev.child[dir].Store(repl)
+			setEChild(prev, dir, repl)
 			curr.mu.Unlock()
 			prev.mu.Unlock()
 			t.noteRetries(th, retries)
@@ -322,9 +325,9 @@ func (t *EBRTree) deleteTwoChildren(th *core.Thread, prev *enode, dir int, curr,
 	t.em.Retire(th.ID, succ)
 	succRight := succ.child[1].Load()
 	if succPrev == curr {
-		n.child[1].Store(succRight)
+		setEChild(n, 1, succRight)
 	} else {
-		succPrev.child[0].Store(succRight)
+		setEChild(succPrev, 0, succRight)
 	}
 
 	n.mu.Unlock()
@@ -334,6 +337,13 @@ func (t *EBRTree) deleteTwoChildren(th *core.Thread, prev *enode, dir int, curr,
 	}
 	return true
 }
+
+// limboOrdered: every Retire here follows the retiring thread's own
+// Label of that node's dtime, both under the node's lock, so deletion
+// labels never increase down a thread's limbo list and range queries
+// may end a list at the first node deleted at or before their bound
+// (ebrrq.Collector.AddLimbo). Pruning relies on the same order.
+const limboOrdered = true
 
 // RangeQuery appends every pair with lo <= key <= hi as of one
 // linearizable snapshot: nodes inserted at or before the bound and not
@@ -386,17 +396,14 @@ func (t *EBRTree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []
 	}
 	th.AnnounceRQ(s)
 
-	acc := make(map[uint64]uint64)
-	t.collect(t.root.child[0].Load(), lo, hi, s, acc)
+	c := ebrrq.NewCollector(out, lo, hi, s)
+	ebrCollect(t.root.child[0].Load(), &c, lo, hi)
 	if tr != nil {
 		tr.Span(th.ID, trace.PhaseTraverse, mark)
 		mark = tr.Now()
 	}
-	t.em.ForEachRetired(func(n *enode) bool {
-		if n.key >= lo && n.key <= hi && ebrrq.VisibleAt(n.itime.Get(), n.dtime.Get(), s) {
-			acc[n.key] = n.val
-		}
-		return true
+	t.em.WalkLimbo(func(n *enode) bool {
+		return c.AddLimbo(n.key, n.val, &n.itime, &n.dtime, limboOrdered)
 	})
 	if tr != nil {
 		tr.Span(th.ID, trace.PhaseLimboScan, mark)
@@ -404,24 +411,26 @@ func (t *EBRTree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []
 
 	t.em.Unpin(th.ID)
 	th.DoneRQ()
-	for k, v := range acc {
-		out = append(out, core.KV{Key: k, Val: v})
-	}
-	return out
+	return c.Finish()
 }
 
-func (t *EBRTree) collect(n *enode, lo, hi uint64, s core.TS, acc map[uint64]uint64) {
+// ebrCollect offers the subtree under n to c in key order, descending
+// only into children that can hold keys of [lo, hi]. The right subtree
+// can hold n's own key: while a two-children delete is between linking
+// the successor's copy and unlinking the original, the original is the
+// leftmost node under the copy's right child — and it is the one a
+// snapshot taken before the copy was labeled must find, not yet being
+// in limbo. Hence hi >= n.key, not >.
+func ebrCollect(n *enode, c *ebrrq.Collector, lo, hi uint64) {
 	if n == nil {
 		return
 	}
 	if lo < n.key {
-		t.collect(n.child[0].Load(), lo, hi, s, acc)
+		ebrCollect(n.child[0].Load(), c, lo, hi)
 	}
-	if n.key >= lo && n.key <= hi && ebrrq.VisibleAt(n.itime.Get(), n.dtime.Get(), s) {
-		acc[n.key] = n.val
-	}
-	if hi > n.key {
-		t.collect(n.child[1].Load(), lo, hi, s, acc)
+	c.Add(n.key, n.val, &n.itime, &n.dtime)
+	if hi >= n.key {
+		ebrCollect(n.child[1].Load(), c, lo, hi)
 	}
 }
 

@@ -2,6 +2,7 @@ package citrus
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"tscds/internal/core"
 	"tscds/internal/obs"
@@ -18,6 +19,7 @@ type vnode struct {
 	key, val uint64
 	mu       sync.Mutex
 	marked   bool
+	tag      atomic.Uint32 // see citrus.go: bumped when a child link goes back to nil
 	child    [2]vcas.Object[*vnode]
 }
 
@@ -46,7 +48,7 @@ func NewVcas(src core.Source, reg *core.Registry) *VcasTree {
 	return &VcasTree{
 		src:  src,
 		reg:  reg,
-		rcu:  rcu.New(reg.Cap()),
+		rcu:  rcu.New(reg),
 		root: newVnode(sentinelKey, 0),
 	}
 }
@@ -107,7 +109,9 @@ func (t *VcasTree) noteRetries(th *core.Thread, retries uint64) {
 
 // traverse returns (prev, curr) where curr.key == key, or curr == nil
 // with prev the would-be parent. Runs inside an RCU read section.
-func (t *VcasTree) traverse(tid int, key uint64) (prev, curr *vnode) {
+// traverse returns the node holding key (nil if absent), its parent, and
+// the parent's tag, read inside the same RCU read-side section.
+func (t *VcasTree) traverse(tid int, key uint64) (prev, curr *vnode, tag uint32) {
 	t.rcu.ReadLock(tid)
 	prev = t.root
 	curr = prev.child[dirOf(key, prev.key)].Read(t.src)
@@ -115,19 +119,20 @@ func (t *VcasTree) traverse(tid int, key uint64) (prev, curr *vnode) {
 		prev = curr
 		curr = curr.child[dirOf(key, curr.key)].Read(t.src)
 	}
+	tag = prev.tag.Load()
 	t.rcu.ReadUnlock(tid)
-	return prev, curr
+	return prev, curr, tag
 }
 
 // Contains reports whether key is present.
 func (t *VcasTree) Contains(th *core.Thread, key uint64) bool {
-	_, curr := t.traverse(th.ID, key)
+	_, curr, _ := t.traverse(th.ID, key)
 	return curr != nil
 }
 
 // Get returns the value stored at key.
 func (t *VcasTree) Get(th *core.Thread, key uint64) (uint64, bool) {
-	_, curr := t.traverse(th.ID, key)
+	_, curr, _ := t.traverse(th.ID, key)
 	if curr == nil {
 		return 0, false
 	}
@@ -140,6 +145,12 @@ func (t *VcasTree) validateLink(prev *vnode, dir int, curr *vnode) bool {
 	return !prev.marked && prev.child[dir].Read(t.src) == curr
 }
 
+// validateInsert is validateLink for an empty slot found with the given
+// tag: still empty, and never refilled and emptied in between.
+func (t *VcasTree) validateInsert(prev *vnode, dir int, tag uint32) bool {
+	return t.validateLink(prev, dir, nil) && prev.tag.Load() == tag
+}
+
 // Insert adds key with val; it returns false if already present.
 func (t *VcasTree) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
@@ -147,14 +158,14 @@ func (t *VcasTree) Insert(th *core.Thread, key, val uint64) bool {
 	}
 	var retries uint64
 	for {
-		prev, curr := t.traverse(th.ID, key)
+		prev, curr, tag := t.traverse(th.ID, key)
 		if curr != nil {
 			t.noteRetries(th, retries)
 			return false
 		}
 		dir := dirOf(key, prev.key)
 		prev.mu.Lock()
-		if !t.validateLink(prev, dir, nil) {
+		if !t.validateInsert(prev, dir, tag) {
 			prev.mu.Unlock()
 			retries++
 			continue
@@ -177,7 +188,7 @@ func (t *VcasTree) Delete(th *core.Thread, key uint64) bool {
 	}
 	var retries uint64
 	for {
-		prev, curr := t.traverse(th.ID, key)
+		prev, curr, _ := t.traverse(th.ID, key)
 		if curr == nil {
 			t.noteRetries(th, retries)
 			return false
@@ -200,7 +211,7 @@ func (t *VcasTree) Delete(th *core.Thread, key uint64) bool {
 				repl = right
 			}
 			curr.marked = true
-			prev.child[dir].WriteIn(t.src, t.vp, th.ID, repl)
+			t.setChild(prev, dir, repl, th.ID)
 			t.maybeTruncate(prev, key)
 			curr.mu.Unlock()
 			prev.mu.Unlock()
@@ -217,6 +228,15 @@ func (t *VcasTree) Delete(th *core.Thread, key uint64) bool {
 		prev.mu.Unlock()
 		retries++
 	}
+}
+
+// setChild writes n's child link under n's lock on behalf of a delete,
+// bumping the node's tag when the link goes back to nil.
+func (t *VcasTree) setChild(n *vnode, dir int, target *vnode, tid int) {
+	if target == nil {
+		n.tag.Add(1)
+	}
+	n.child[dir].WriteIn(t.src, t.vp, tid, target)
 }
 
 // deleteTwoChildren performs Citrus's successor relocation. Caller holds
@@ -267,9 +287,9 @@ func (t *VcasTree) deleteTwoChildren(tid int, prev *vnode, dir int, curr, left, 
 	succ.marked = true
 	succRight := succ.child[1].Read(t.src)
 	if succPrev == curr {
-		n.child[1].WriteIn(t.src, t.vp, tid, succRight)
+		t.setChild(n, 1, succRight, tid)
 	} else {
-		succPrev.child[0].WriteIn(t.src, t.vp, tid, succRight)
+		t.setChild(succPrev, 0, succRight, tid)
 	}
 	t.maybeTruncate(prev, succ.key)
 

@@ -14,8 +14,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // TS is a timestamp. Logical sources produce small dense integers;
@@ -41,7 +42,7 @@ type KV struct {
 // shard- or structure-order results; the facade's Scan and the
 // durability layer's snapshot writer both need key order.
 func SortKVs(kvs []KV) {
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
+	slices.SortFunc(kvs, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
 }
 
 // Kind identifies a timestamp source implementation.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Registry tracks the threads operating on a data structure and the
@@ -14,9 +15,12 @@ import (
 // Each slot sits on its own cache line pair so announcements never
 // contend with one another or with the logical timestamp.
 type Registry struct {
-	mu    sync.Mutex
-	free  []int
-	next  int
+	mu   sync.Mutex
+	free []int
+	// live is the high-water mark of slots ever handed out: IDs below it
+	// have been registered at least once, IDs at or above it never.
+	// Written under mu, read lock-free by the per-slot scans (see Live).
+	live  atomic.Int64
 	slots []PaddedUint64 // Pending = no active range query
 }
 
@@ -38,6 +42,18 @@ func NewRegistry(maxThreads int) *Registry {
 
 // Cap returns the registry capacity.
 func (r *Registry) Cap() int { return len(r.slots) }
+
+// Live returns the number of slots ever handed out. Every per-slot scan
+// (MinActiveRQ here, epoch advance/limbo walks, RCU grace periods)
+// stops at it instead of Cap: a slot at or above the mark has never
+// announced, pinned or retired anything. The mark only grows, and
+// Register raises it before returning the handle, so a registration
+// racing a scan is indistinguishable from the scan having read that
+// slot a moment before the thread's first BeginRQ/Pin/ReadLock — a
+// window every scanning protocol already tolerates (BeginRQ precedes
+// the timestamp read, Pin republishes until its epoch is current, a
+// reader entering after a grace period starts does not delay it).
+func (r *Registry) Live() int { return int(r.live.Load()) }
 
 // Thread is a per-goroutine handle. Handles are not safe for concurrent
 // use by multiple goroutines; each worker registers its own.
@@ -81,9 +97,9 @@ func (r *Registry) Register() (*Thread, error) {
 	case len(r.free) > 0:
 		id = r.free[len(r.free)-1]
 		r.free = r.free[:len(r.free)-1]
-	case r.next < len(r.slots):
-		id = r.next
-		r.next++
+	case r.Live() < len(r.slots):
+		id = r.Live()
+		r.live.Store(int64(id + 1))
 	default:
 		return nil, fmt.Errorf("core: registry full (%d threads)", len(r.slots))
 	}
@@ -156,7 +172,7 @@ func (t *Thread) Registry() *Registry { return t.reg }
 // returns, because future snapshots only receive larger timestamps.
 func (r *Registry) MinActiveRQ() TS {
 	min := Pending
-	for i := range r.slots {
+	for i := range r.slots[:r.Live()] {
 		if v := r.slots[i].Load(); v < min {
 			min = v
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -287,4 +288,84 @@ func TestShardedRegistryChurnRace(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Live is the bound every slot scan stops at: it counts the slots ever
+// handed out, grows only when the free list is empty, and never moves
+// back on Release.
+func TestLiveHighWaterMark(t *testing.T) {
+	r := NewRegistry(4)
+	if r.Live() != 0 {
+		t.Fatalf("fresh registry Live = %d", r.Live())
+	}
+	a, b := r.MustRegister(), r.MustRegister()
+	if r.Live() != 2 {
+		t.Fatalf("Live after two registrations = %d", r.Live())
+	}
+	a.Release()
+	b.Release()
+	if r.Live() != 2 {
+		t.Fatalf("Live moved to %d on Release", r.Live())
+	}
+	c := r.MustRegister() // reuses a released slot
+	if r.Live() != 2 || c.ID >= 2 {
+		t.Fatalf("re-registration got slot %d with Live = %d, want a reused slot below 2", c.ID, r.Live())
+	}
+}
+
+// A scan bounded by Live must never miss an announcement that was made
+// before the scan started, however the announcing slot was obtained:
+// fresh (raising the mark) or reused. Workers register, announce a
+// bound, check that their own MinActiveRQ scan honours it, and release,
+// while scanners run concurrently (run with -race).
+func TestLiveBoundedScanSeesEveryAnnouncement(t *testing.T) {
+	const workers = 6
+	r := NewRegistry(workers)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func() { // scanners racing the registrations
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					_ = r.MinActiveRQ()
+				}
+			}
+		}()
+	}
+	var failed atomic.Bool
+	var workersWG sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		workersWG.Add(1)
+		go func(w int) {
+			defer workersWG.Done()
+			for i := 0; i < 2000 && !failed.Load(); i++ {
+				th, err := r.Register()
+				if err != nil {
+					t.Errorf("Register: %v", err)
+					return
+				}
+				if th.ID >= r.Live() {
+					failed.Store(true)
+					t.Errorf("handle %d handed out above Live = %d", th.ID, r.Live())
+				}
+				bound := TS(100 + w)
+				th.BeginRQ()
+				th.AnnounceRQ(bound)
+				if min := r.MinActiveRQ(); min > bound {
+					failed.Store(true)
+					t.Errorf("scan after AnnounceRQ(%d) on slot %d returned %d: the slot was skipped", bound, th.ID, min)
+				}
+				th.DoneRQ()
+				th.Release()
+			}
+		}(w)
+	}
+	workersWG.Wait()
+	close(done)
+	wg.Wait()
 }

@@ -36,7 +36,7 @@
 //     cannot both detach — and thus double-recycle — the same suffix.
 //     The claim holder is also the only writer of the pruned/len stats
 //     for that detach, which keeps the accounting single-owner.
-//   - ForEachRetired (the EBR-RQ limbo scan) registers in a scan count;
+//   - WalkLimbo (the EBR-RQ limbo scan) registers in a scan count;
 //     a detached suffix is handed to the Recycle hook only when no scan
 //     is active, and is otherwise parked on a claim-guarded deferred
 //     chain until a later prune observes zero scans. A scanner can
@@ -95,15 +95,16 @@ type slot[T any] struct {
 	_        [32]byte
 }
 
-// Manager coordinates epochs and limbo lists for up to a fixed number of
-// threads (indexed by core.Thread.ID).
+// Manager coordinates epochs and limbo lists for the threads of one
+// core.Registry (indexed by core.Thread.ID).
 type Manager[T any] struct {
 	global core.PaddedUint64
+	// reg supplies the minimum active range-query timestamp and the
+	// high-water mark of registered slots that bounds every slot scan.
+	reg *core.Registry
 	// retain reports whether an item must stay visible given the current
 	// minimum active range-query timestamp (core.Pending when none).
 	retain func(item T, minRQ core.TS) bool
-	// minRQ supplies the current minimum active range-query timestamp.
-	minRQ func() core.TS
 	// recycle, when set, receives every pruned item exactly once, on the
 	// pruning thread, after the scan guard proves no limbo scan can
 	// still observe it. tid is the pruning thread's slot id, or -1 when
@@ -115,7 +116,7 @@ type Manager[T any] struct {
 	// tr, when set, receives pin republications and failed advance
 	// attempts — the stall phases of epoch management. Nil disables it.
 	tr *trace.Recorder
-	// scans counts in-flight ForEachRetired walks; see release.
+	// scans counts in-flight WalkLimbo walks; see release.
 	scans atomic.Int64
 	// wrappers recycles limboNode shells once a Recycle hook is set, so
 	// pooled mode does not trade one allocation per retire (the node)
@@ -130,14 +131,14 @@ type Manager[T any] struct {
 	pinHook func()
 }
 
-// NewManager creates a manager for maxThreads threads. retain and minRQ
-// configure range-query-aware retention; passing nil for retain yields
-// plain EBR behaviour (epoch condition only).
-func NewManager[T any](maxThreads int, retain func(T, core.TS) bool, minRQ func() core.TS) *Manager[T] {
+// NewManager creates a manager for reg's threads. retain configures
+// range-query-aware retention against reg.MinActiveRQ; passing nil
+// yields plain EBR behaviour (epoch condition only).
+func NewManager[T any](reg *core.Registry, retain func(T, core.TS) bool) *Manager[T] {
 	m := &Manager[T]{
+		reg:    reg,
 		retain: retain,
-		minRQ:  minRQ,
-		slots:  make([]slot[T], maxThreads),
+		slots:  make([]slot[T], reg.Cap()),
 	}
 	m.global.Store(2) // leave room below for "before all epochs"
 	for i := range m.slots {
@@ -161,12 +162,11 @@ func (m *Manager[T]) SetTrace(tr *trace.Recorder) { m.tr = tr }
 // recycled.
 func (m *Manager[T]) SetRecycle(fn func(item T, tid int)) { m.recycle = fn }
 
-// SetMinRQ replaces the minimum-active-range-query bound the pruner
-// consults (nil disables the bound). Used to route pruning through a
-// core.ReadBound watermark so retention windows extend limbo lifetimes
-// and historical reads can refuse truncated timestamps. Call before
-// the manager sees concurrent traffic.
-func (m *Manager[T]) SetMinRQ(fn func() core.TS) { m.minRQ = fn }
+// live returns the slots a scan must visit: those ever registered. See
+// core.Registry.Live for why skipping a slot whose registration races
+// the scan is safe — for tryAdvance it is the window Pin's republish
+// loop closes, and a slot never registered has never retired anything.
+func (m *Manager[T]) live() []slot[T] { return m.slots[:m.reg.Live()] }
 
 // Pin enters an epoch-protected region for thread tid. Every data
 // structure operation (including range queries) runs pinned.
@@ -239,7 +239,7 @@ func (m *Manager[T]) DrainAll() {
 	for round := 0; round < drainRounds; round++ {
 		m.tryAdvance()
 		empty := true
-		for tid := range m.slots {
+		for tid := range m.live() {
 			s := &m.slots[tid]
 			if s.head.Load() != nil || s.deferred.Load() != nil {
 				m.prune(tid, -1)
@@ -294,8 +294,9 @@ func (m *Manager[T]) Retire(tid int, item T) {
 // the current one.
 func (m *Manager[T]) tryAdvance() {
 	g := m.global.Load()
-	for i := range m.slots {
-		if l := m.slots[i].local.Load(); l != quiescent && l < g {
+	live := m.live()
+	for i := range live {
+		if l := live[i].local.Load(); l != quiescent && l < g {
 			// A pinned thread lags; the epoch cannot move. tryAdvance has
 			// no thread identity (it runs from Retire/Unpin/Drain on any
 			// thread), so the stall lands in the shared aggregates.
@@ -335,8 +336,8 @@ func (m *Manager[T]) prune(tid, ctx int) {
 	// unreachability by one epoch. See the package comment.
 	safe := g - 3
 	min := core.Pending
-	if m.minRQ != nil {
-		min = m.minRQ()
+	if m.retain != nil {
+		min = m.reg.MinActiveRQ()
 	}
 retry:
 	var prev *limboNode[T]
@@ -436,21 +437,23 @@ func (m *Manager[T]) recycleChain(chain *limboNode[T], ctx int) {
 	}
 }
 
-// ForEachRetired visits every item currently on any thread's limbo list.
+// WalkLimbo visits the items on every registered thread's limbo list,
+// each list newest retirement first. Returning false ends the CURRENT
+// list — the walk moves on to the next thread's — which is what lets a
+// range query stop at the first item too old for its snapshot when a
+// list's deletion labels are ordered (see ebrrq.Collector.AddLimbo).
+//
 // It is safe to run concurrently with retirements and pruning; the
 // visitor may observe items being pruned concurrently (they are, by the
 // retention protocol, items no active range query needs) but never an
 // item already handed to a Recycle hook — the scan count defers
-// recycling while any walk is in flight. Returning false stops the
-// scan.
-func (m *Manager[T]) ForEachRetired(fn func(item T) bool) {
+// recycling while any walk is in flight.
+func (m *Manager[T]) WalkLimbo(fn func(item T) bool) {
 	m.scans.Add(1)
 	defer m.scans.Add(-1)
-	for i := range m.slots {
-		for n := m.slots[i].head.Load(); n != nil; n = n.next.Load() {
-			if !fn(n.item) {
-				return
-			}
+	live := m.live()
+	for i := range live {
+		for n := live[i].head.Load(); n != nil && fn(n.item); n = n.next.Load() {
 		}
 	}
 }
@@ -459,6 +462,6 @@ func (m *Manager[T]) ForEachRetired(fn func(item T) bool) {
 // (tests and heap-boundedness checks).
 func (m *Manager[T]) LimboLen() int {
 	total := 0
-	m.ForEachRetired(func(T) bool { total++; return true })
+	m.WalkLimbo(func(T) bool { total++; return true })
 	return total
 }

@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,13 +17,28 @@ type item struct {
 
 func retainByDtime(it item, minRQ core.TS) bool { return it.dtime >= minRQ }
 
+// newManager builds a manager over a registry whose first n slots are
+// registered, so tests can use raw tids 0..n-1. A minRQ other than
+// core.Pending is announced on one further slot, standing in for an
+// active range query at that bound.
+func newManager[T any](n int, retain func(T, core.TS) bool, minRQ core.TS) *Manager[T] {
+	reg := core.NewRegistry(n + 1)
+	for i := 0; i < n; i++ {
+		reg.MustRegister()
+	}
+	if minRQ != core.Pending {
+		reg.MustRegister().AnnounceRQ(minRQ)
+	}
+	return NewManager[T](reg, retain)
+}
+
 func TestRetireAndScan(t *testing.T) {
-	m := NewManager[item](4, nil, nil)
+	m := newManager[item](4, nil, core.Pending)
 	m.Retire(0, item{key: 1})
 	m.Retire(1, item{key: 2})
 	m.Retire(0, item{key: 3})
 	var keys []uint64
-	m.ForEachRetired(func(it item) bool { keys = append(keys, it.key); return true })
+	m.WalkLimbo(func(it item) bool { keys = append(keys, it.key); return true })
 	if len(keys) != 3 {
 		t.Fatalf("scanned %d items, want 3: %v", len(keys), keys)
 	}
@@ -31,20 +47,27 @@ func TestRetireAndScan(t *testing.T) {
 	}
 }
 
-func TestForEachEarlyStop(t *testing.T) {
-	m := NewManager[item](2, nil, nil)
+// Returning false ends the current thread's list only: the walk goes on
+// with the next thread's, newest retirement first.
+func TestWalkLimboStopEndsOneList(t *testing.T) {
+	m := newManager[item](3, nil, core.Pending)
 	for i := 0; i < 10; i++ {
 		m.Retire(0, item{key: uint64(i)})
+		m.Retire(2, item{key: uint64(100 + i)})
 	}
-	count := 0
-	m.ForEachRetired(func(item) bool { count++; return count < 4 })
-	if count != 4 {
-		t.Fatalf("early stop visited %d, want 4", count)
+	var seen []uint64
+	m.WalkLimbo(func(it item) bool {
+		seen = append(seen, it.key)
+		return it.key%100 != 8 // stop each list at its second-newest item
+	})
+	want := []uint64{9, 8, 109, 108}
+	if !slices.Equal(seen, want) {
+		t.Fatalf("walk visited %v, want %v", seen, want)
 	}
 }
 
 func TestEpochAdvancesWhenQuiescent(t *testing.T) {
-	m := NewManager[item](2, nil, nil)
+	m := newManager[item](2, nil, core.Pending)
 	g0 := m.GlobalEpoch()
 	// No thread pinned: enough retirements should advance the epoch.
 	for i := 0; i < 3*pruneInterval; i++ {
@@ -56,7 +79,7 @@ func TestEpochAdvancesWhenQuiescent(t *testing.T) {
 }
 
 func TestEpochBlockedByPinnedThread(t *testing.T) {
-	m := NewManager[item](2, nil, nil)
+	m := newManager[item](2, nil, core.Pending)
 	m.Pin(1) // thread 1 parks inside an old epoch
 	g0 := m.GlobalEpoch()
 	for i := 0; i < 2*pruneInterval; i++ {
@@ -77,7 +100,7 @@ func TestEpochBlockedByPinnedThread(t *testing.T) {
 }
 
 func TestPruneDropsOldItems(t *testing.T) {
-	m := NewManager[item](2, retainByDtime, func() core.TS { return core.Pending })
+	m := newManager[item](2, retainByDtime, core.Pending)
 	for i := 0; i < 10*pruneInterval; i++ {
 		m.Retire(0, item{key: uint64(i), dtime: core.TS(i)})
 	}
@@ -92,13 +115,13 @@ func TestRetentionHoldsItemsForActiveRQ(t *testing.T) {
 	// Active RQ at ts=5: items deleted at or after 5 must survive
 	// arbitrary pruning pressure.
 	minRQ := core.TS(5)
-	m := NewManager[item](2, retainByDtime, func() core.TS { return minRQ })
+	m := newManager[item](2, retainByDtime, minRQ)
 	for i := 0; i < 4*pruneInterval; i++ {
 		m.Retire(0, item{key: uint64(i), dtime: core.TS(i % 10)})
 	}
 	m.Prune(0)
 	held := map[uint64]bool{}
-	m.ForEachRetired(func(it item) bool {
+	m.WalkLimbo(func(it item) bool {
 		if it.dtime < minRQ {
 			// Allowed to remain (pruning is lazy) but must not be
 			// required; nothing to assert for them.
@@ -110,7 +133,7 @@ func TestRetentionHoldsItemsForActiveRQ(t *testing.T) {
 	// The most recent retirements with dtime >= 5 must all be present:
 	// check the newest 10 such items are reachable.
 	found := 0
-	m.ForEachRetired(func(it item) bool {
+	m.WalkLimbo(func(it item) bool {
 		if it.dtime >= minRQ {
 			found++
 		}
@@ -129,7 +152,7 @@ func TestRetentionHoldsItemsForActiveRQ(t *testing.T) {
 // the thread was about to traverse. Fixed Pin re-reads the global and
 // loops until the published value is current.
 func TestPinPublicationRace(t *testing.T) {
-	m := NewManager[item](2, nil, nil)
+	m := newManager[item](2, nil, core.Pending)
 	fired := false
 	m.pinHook = func() {
 		if fired {
@@ -152,7 +175,7 @@ func TestPinPublicationRace(t *testing.T) {
 // concurrent retirement-driven advancement (meaningful under -race and
 // on the pre-fix Pin).
 func TestPinnedThreadNeverTrailsByTwo(t *testing.T) {
-	m := NewManager[item](4, nil, nil)
+	m := newManager[item](4, nil, core.Pending)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -187,7 +210,7 @@ func TestPinnedThreadNeverTrailsByTwo(t *testing.T) {
 // Regression for unbounded limbo growth: once updates cease, read-only
 // traffic (pin/unpin) must still drain the limbo lists to zero.
 func TestLimboDrainsAfterUpdatesCease(t *testing.T) {
-	m := NewManager[item](2, retainByDtime, func() core.TS { return core.Pending })
+	m := newManager[item](2, retainByDtime, core.Pending)
 	for i := 0; i < 100; i++ {
 		m.Pin(0)
 		m.Retire(0, item{key: uint64(i), dtime: core.TS(i)})
@@ -206,14 +229,14 @@ func TestLimboDrainsAfterUpdatesCease(t *testing.T) {
 }
 
 func TestDrainEmptiesLimboImmediately(t *testing.T) {
-	m := NewManager[item](2, retainByDtime, func() core.TS { return core.Pending })
+	m := newManager[item](2, retainByDtime, core.Pending)
 	for i := 0; i < 10; i++ {
 		m.Retire(0, item{key: uint64(i), dtime: core.TS(i)})
 		m.Retire(1, item{key: uint64(100 + i), dtime: core.TS(i)})
 	}
 	m.Drain(0)
 	perThread := 0
-	m.ForEachRetired(func(it item) bool {
+	m.WalkLimbo(func(it item) bool {
 		if it.key < 100 {
 			perThread++
 		}
@@ -232,13 +255,13 @@ func TestDrainEmptiesLimboImmediately(t *testing.T) {
 // survive it.
 func TestDrainRespectsActiveRQ(t *testing.T) {
 	minRQ := core.TS(5)
-	m := NewManager[item](2, retainByDtime, func() core.TS { return minRQ })
+	m := newManager[item](2, retainByDtime, minRQ)
 	for i := 0; i < 10; i++ {
 		m.Retire(0, item{key: uint64(i), dtime: core.TS(i)})
 	}
 	m.Drain(0)
 	held := 0
-	m.ForEachRetired(func(it item) bool {
+	m.WalkLimbo(func(it item) bool {
 		if it.dtime >= minRQ {
 			held++
 		}
@@ -250,7 +273,7 @@ func TestDrainRespectsActiveRQ(t *testing.T) {
 }
 
 func TestConcurrentRetireAndScan(t *testing.T) {
-	m := NewManager[item](8, retainByDtime, func() core.TS { return 0 }) // retain all
+	m := newManager[item](8, retainByDtime, core.ReservedRQ) // retain all
 	var wg sync.WaitGroup
 	for tid := 0; tid < 4; tid++ {
 		wg.Add(1)
@@ -269,7 +292,7 @@ func TestConcurrentRetireAndScan(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				m.Pin(tid)
-				m.ForEachRetired(func(it item) bool { return true })
+				m.WalkLimbo(func(it item) bool { return true })
 				m.Unpin(tid)
 			}
 		}(r)
@@ -289,7 +312,7 @@ func TestConcurrentRetireAndScan(t *testing.T) {
 // balance exactly once everything drains.
 func TestLimboAccountingUnderConcurrentDrain(t *testing.T) {
 	const total = 60 * pruneInterval
-	m := NewManager[item](2, retainByDtime, func() core.TS { return core.Pending })
+	m := newManager[item](2, retainByDtime, core.Pending)
 	gc := &obs.GC{}
 	m.SetGC(gc)
 
@@ -341,7 +364,7 @@ func TestLimboAccountingUnderConcurrentDrain(t *testing.T) {
 func TestRecycleExactlyOnceUnderConcurrentDrain(t *testing.T) {
 	const threads = 4
 	const perThread = 3000
-	m := NewManager[*item](threads, nil, nil)
+	m := newManager[*item](threads, nil, core.Pending)
 	counts := make([]atomic.Int32, threads*perThread)
 	m.SetRecycle(func(it *item, tid int) {
 		if c := counts[it.key].Add(1); c > 1 {
@@ -389,17 +412,17 @@ func TestRecycleExactlyOnceUnderConcurrentDrain(t *testing.T) {
 	}
 }
 
-// Regression for the scan/recycle window: a ForEachRetired walk that
+// Regression for the scan/recycle window: a WalkLimbo walk that
 // loaded a list head before a prune detached it may still be reading
 // those nodes, so handing them to a pool mid-scan would let the scan
 // observe recycled memory. The manager must defer recycling until no
 // scan is active. The recycle hook poisons items, so without the scan
 // guard the blocked scanner below resumes into poisoned nodes and the
 // test fails.
-func TestForEachRetiredNeverObservesRecycled(t *testing.T) {
+func TestWalkLimboNeverObservesRecycled(t *testing.T) {
 	const total = 5
 	const poison = ^uint64(0)
-	m := NewManager[*item](1, nil, nil)
+	m := newManager[*item](1, nil, core.Pending)
 	var recycled atomic.Int32
 	m.SetRecycle(func(it *item, tid int) {
 		it.key = poison
@@ -416,7 +439,7 @@ func TestForEachRetiredNeverObservesRecycled(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		first := true
-		m.ForEachRetired(func(it *item) bool {
+		m.WalkLimbo(func(it *item) bool {
 			if first {
 				first = false
 				close(started)
@@ -452,7 +475,7 @@ func TestForEachRetiredNeverObservesRecycled(t *testing.T) {
 // re-initialized at a lower level while such a reader was validating
 // through it.
 func TestRecycleWaitsThreeEpochs(t *testing.T) {
-	m := NewManager[item](2, nil, nil)
+	m := newManager[item](2, nil, core.Pending)
 	var recycled []uint64
 	m.SetRecycle(func(it item, tid int) { recycled = append(recycled, it.key) })
 	m.Retire(0, item{key: 7})
@@ -468,5 +491,72 @@ func TestRecycleWaitsThreeEpochs(t *testing.T) {
 	m.Prune(0)
 	if len(recycled) != 1 || recycled[0] != 7 {
 		t.Fatalf("item not recycled three epochs past its tag: %v", recycled)
+	}
+}
+
+// Slot scans stop at the registry's high-water mark, so registration
+// races them. Workers register, pin, retire, unpin and release in a loop
+// — fresh slots raise the mark, released ones are reused — while a
+// drainer runs tryAdvance, prunes and limbo walks. Two things must hold:
+// a pinned thread, however new its slot, never sees the global epoch
+// move two past it (the margin pruning depends on), and no retirement
+// into a slot the scans had not reached yet is lost: once everything
+// drains, retired == pruned. Run with -race.
+func TestSlotScansUnderRegistrationChurn(t *testing.T) {
+	const workers = 6
+	const rounds = 400
+	reg := core.NewRegistry(workers)
+	m := NewManager[item](reg, retainByDtime)
+	gc := &obs.GC{}
+	m.SetGC(gc)
+
+	done := make(chan struct{})
+	var drainer sync.WaitGroup
+	drainer.Add(1)
+	go func() {
+		defer drainer.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				m.tryAdvance()
+				m.DrainAll()
+				m.LimboLen()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				th, err := reg.Register()
+				if err != nil {
+					t.Errorf("Register: %v", err)
+					return
+				}
+				m.Pin(th.ID)
+				l := m.slots[th.ID].local.Load()
+				m.Retire(th.ID, item{key: uint64(w*rounds + i), dtime: core.TS(i)})
+				if g := m.global.Load(); g > l+1 {
+					t.Errorf("slot %d pinned at %d but global reached %d", th.ID, l, g)
+				}
+				m.Unpin(th.ID)
+				th.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	drainer.Wait()
+
+	for i := 0; i < 2*drainRounds && m.LimboLen() > 0; i++ {
+		m.DrainAll()
+	}
+	retired, pruned := gc.LimboRetired.Load(), gc.LimboPruned.Load()
+	if retired != workers*rounds || pruned != retired || m.LimboLen() != 0 {
+		t.Fatalf("retired %d (want %d), pruned %d, %d left in limbo", retired, workers*rounds, pruned, m.LimboLen())
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
+	"tscds/internal/ebrrq/limbotest"
 )
 
 func newEBRTree(t *testing.T, kind core.Kind, variant ebrrq.Variant, threads int) (*EBRTree, *core.Registry) {
@@ -261,5 +262,38 @@ func TestEBRBSTLimboBounded(t *testing.T) {
 	}
 	if n := tr.LimboLen(); n > 5000 {
 		t.Fatalf("limbo grew unbounded: %d", n)
+	}
+}
+
+func ebrFields(n *enode) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
+	return n.key, n.val, &n.itime, &n.dtime
+}
+
+// The failed-delete-attempt case, under contention: Delete retires its
+// leaf before the flag CAS, the attempt fails, the leaf survives in the
+// tree with an entry in limbo. What the comment on limboOrdered builds
+// on is checked here: by the time a Delete call returns, every leaf it
+// retired has its deletion label (failed attempts retry until someone
+// labels the leaf), so no Pending entry survives in limbo at quiescence,
+// and the lists of a contended run come out ordered although helpers on
+// other threads wrote many of the labels. The tree keeps the full walk
+// regardless.
+func TestEBRBSTLimboLabeledAtQuiescence(t *testing.T) {
+	for name, mk := range map[string]ebrrq.Variant{"lock": ebrrq.LockBased, "lockfree": ebrrq.LockFree} {
+		tr, reg := newEBRTree(t, core.Logical, mk, 12)
+		limbotest.Churn(tr, reg, 6, 1000)
+		pending := 0
+		tr.em.WalkLimbo(func(n *enode) bool {
+			if !n.dtime.Assigned() {
+				pending++
+			}
+			return true
+		})
+		if pending != 0 {
+			t.Fatalf("%s: %d limbo leaves still unlabeled after every Delete returned", name, pending)
+		}
+		if lost := limbotest.Lost(tr.em, ebrFields); len(lost) != 0 {
+			t.Fatalf("%s: logical-source limbo lists out of order, %d losses, first: %s", name, len(lost), lost[0])
+		}
 	}
 }

@@ -93,9 +93,12 @@ const (
 	// update-path time to the allocator.
 	PhaseAlloc
 	// PhaseWALAppend is the durability tax on an acknowledged update:
-	// appending the record to the shard's WAL buffer and waiting for
-	// the group commit that covers it (span). In sync mode this is
-	// dominated by the shared fsync; in batched mode by the write.
+	// appending the record to the shard's WAL buffer and committing it
+	// — the updater writes the batch holding its record itself unless
+	// another updater's flush is in progress, in which case it waits
+	// for the next one (span; there is no committer goroutine to hand
+	// off to). In sync mode this is dominated by the shared fsync; in
+	// batched mode by the write.
 	PhaseWALAppend
 	// PhaseSnapshotFlush is one whole snapshot flush: collecting the
 	// map at a single timestamp via RangeQueryAt (writers running),

@@ -15,9 +15,10 @@ import (
 	"tscds/internal/core"
 )
 
-// RCU coordinates up to a fixed number of reader threads, indexed by
+// RCU coordinates the reader threads of one core.Registry, indexed by
 // core.Thread.ID.
 type RCU struct {
+	reg *core.Registry
 	// gp is the grace-period counter; always even when quiescent.
 	gp core.PaddedUint64
 	// readers[i] holds 0 when thread i is outside a read-side section,
@@ -25,9 +26,9 @@ type RCU struct {
 	readers []core.PaddedUint64
 }
 
-// New creates an RCU domain for maxThreads threads.
-func New(maxThreads int) *RCU {
-	r := &RCU{readers: make([]core.PaddedUint64, maxThreads)}
+// New creates an RCU domain for reg's threads.
+func New(reg *core.Registry) *RCU {
+	r := &RCU{reg: reg, readers: make([]core.PaddedUint64, reg.Cap())}
 	r.gp.Store(2)
 	return r
 }
@@ -45,10 +46,13 @@ func (r *RCU) ReadUnlock(tid int) {
 
 // Synchronize waits until every read-side critical section that was
 // running when it was called has completed. Readers that begin after the
-// grace period starts observe the new counter value and do not delay it.
+// grace period starts observe the new counter value and do not delay it
+// — which is also why only slots registered so far are waited on: a
+// thread registering now can only enter after the grace period started
+// (core.Registry.Live).
 func (r *RCU) Synchronize() {
 	newGP := r.gp.Add(2)
-	for i := range r.readers {
+	for i := range r.readers[:r.reg.Live()] {
 		for {
 			v := r.readers[i].Load()
 			if v&1 == 0 || v >= newGP {

@@ -69,9 +69,8 @@ func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRLis
 		head:     head,
 		rngs:     make([]core.PaddedUint64, reg.Cap()),
 	}
-	t.em = epoch.NewManager[*eskipNode](reg.Cap(),
-		func(n *eskipNode, min core.TS) bool { return n.dtime.Get() >= min },
-		reg.MinActiveRQ)
+	t.em = epoch.NewManager[*eskipNode](reg,
+		func(n *eskipNode, min core.TS) bool { return n.dtime.Get() >= min })
 	return t, nil
 }
 
@@ -127,21 +126,6 @@ func (t *EBRList) SetTrace(tr *trace.Recorder) {
 	t.tr = tr
 	t.provider.SetTrace(tr)
 	t.em.SetTrace(tr)
-}
-
-// SetReadBound routes the epoch pruner's minimum-bound through a
-// retention watermark: with a non-zero window, limbo nodes whose
-// deletion timestamps are inside the window survive pruning (and
-// DrainAll) even with no range query in flight. A zero window keeps
-// classic EBR-RQ behavior. EBR-RQ retains no per-key version history,
-// so this extends limbo lifetimes only; it does not enable time-travel
-// reads on this technique. Call before the list sees traffic.
-func (t *EBRList) SetReadBound(rb *core.ReadBound) {
-	if rb == nil || rb.Window() == 0 {
-		return
-	}
-	reg := t.reg
-	t.em.SetMinRQ(func() core.TS { return rb.PruneBound(reg) })
 }
 
 // noteRetries reports an update's validation-failure retries.
@@ -366,6 +350,14 @@ func (t *EBRList) Delete(th *core.Thread, key uint64) bool {
 	}
 }
 
+// limboOrdered: Delete retires the victim and then labels its dtime
+// itself, holding victim.mu, before it can retire anything else — so
+// below a possibly still Pending head, deletion labels never increase
+// down a thread's limbo list, and range queries may end a list at the
+// first node deleted at or before their bound
+// (ebrrq.Collector.AddLimbo). Pruning relies on the same order.
+const limboOrdered = true
+
 // RangeQuery appends every pair in [lo,hi] as of one linearizable
 // snapshot: live-list nodes passing the visibility predicate plus limbo
 // nodes deleted after the bound.
@@ -408,7 +400,7 @@ func (t *EBRList) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []
 	tr := t.tr
 	th.AnnounceRQ(s)
 
-	acc := make(map[uint64]uint64)
+	c := ebrrq.NewCollector(out, lo, hi, s)
 	// Current-state walk: position via the index, then sweep level 0.
 	mark := tr.Now()
 	pred := t.head
@@ -420,26 +412,18 @@ func (t *EBRList) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []
 		}
 	}
 	for cur := pred.next[0].Load(); cur != nil && cur.key <= hi; cur = cur.next[0].Load() {
-		if cur.key >= lo && ebrrq.VisibleAt(cur.itime.Get(), cur.dtime.Get(), s) {
-			acc[cur.key] = cur.val
-		}
+		c.Add(cur.key, cur.val, &cur.itime, &cur.dtime)
 	}
 	tr.Span(th.ID, trace.PhaseTraverse, mark)
 	mark = tr.Now()
-	t.em.ForEachRetired(func(n *eskipNode) bool {
-		if n.key >= lo && n.key <= hi && ebrrq.VisibleAt(n.itime.Get(), n.dtime.Get(), s) {
-			acc[n.key] = n.val
-		}
-		return true
+	t.em.WalkLimbo(func(n *eskipNode) bool {
+		return c.AddLimbo(n.key, n.val, &n.itime, &n.dtime, limboOrdered)
 	})
 	tr.Span(th.ID, trace.PhaseLimboScan, mark)
 
 	t.em.Unpin(th.ID)
 	th.DoneRQ()
-	for k, v := range acc {
-		out = append(out, core.KV{Key: k, Val: v})
-	}
-	return out
+	return c.Finish()
 }
 
 // Len counts present keys; quiescent use only.

@@ -8,6 +8,7 @@ import (
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
+	"tscds/internal/ebrrq/limbotest"
 )
 
 func newList(kind core.Kind, threads int) (*List, *core.Registry) {
@@ -665,5 +666,30 @@ func TestVariantMidRangeUnderChurn(t *testing.T) {
 			close(stop)
 			wg.Wait()
 		})
+	}
+}
+
+// The ordered early exit of the limbo walk (limboOrdered) rests on
+// deletion labels never increasing down a thread's limbo list. Check it
+// on the lists a contended run leaves behind, for both labeling
+// variants: no bound may exist at which the early exit loses a node the
+// full walk finds.
+func TestEBRLimboListsOrdered(t *testing.T) {
+	for _, variant := range []ebrrq.Variant{ebrrq.LockBased, ebrrq.LockFree} {
+		reg := core.NewRegistry(8)
+		l, err := NewEBR(core.New(core.Logical), reg, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		limbotest.Churn(l, reg, 4, 1500)
+		if l.LimboLen() < 500 {
+			t.Fatalf("variant %v: only %d limbo nodes; the reservation should have kept them all", variant, l.LimboLen())
+		}
+		lost := limbotest.Lost(l.em, func(n *eskipNode) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
+			return n.key, n.val, &n.itime, &n.dtime
+		})
+		if len(lost) != 0 {
+			t.Fatalf("variant %v: limbo lists are not ordered, %d losses, first: %s", variant, len(lost), lost[0])
+		}
 	}
 }

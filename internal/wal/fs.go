@@ -6,10 +6,14 @@
 //
 // Every update that succeeds in memory appends one fixed-size record
 // carrying the op's source timestamp and a CRC32C. Records are group-
-// committed: appenders buffer under the facade's per-shard mutex and a
-// per-shard committer goroutine writes and fsyncs batches, so
-// concurrent appenders share fsyncs (bounded latency, not one fsync
-// per op). Snapshots are written to a temp file and renamed into
+// committed without a goroutine of the log's own: appenders buffer
+// under the facade's per-shard mutex, and the first one to wait for its
+// acknowledgment while no flush is in progress writes and fsyncs
+// everything buffered so far; appenders that arrive meanwhile wait and
+// are covered by the next such leader's batch, so concurrent appenders
+// share fsyncs (bounded latency, not one fsync per op) and a lone
+// appender pays no hand-off. Rotation and Close run the same flusher
+// step inline. Snapshots are written to a temp file and renamed into
 // place, so a crash mid-flush leaves the previous snapshot intact.
 //
 // Recovery tolerates exactly the damage a crash can cause — a torn

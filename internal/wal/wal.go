@@ -76,43 +76,45 @@ type Log struct {
 }
 
 // shardLog is one shard's append stream. Appenders buffer encoded
-// records under mu and a dedicated committer goroutine drains the
-// buffer to the active segment file, so every write/fsync batch covers
-// every record buffered while the previous batch was in flight (group
-// commit).
+// records under mu; there is no committer goroutine. The first waiter
+// that finds no flush in progress becomes the flusher: it takes the
+// buffered batch, writes (and fsyncs) it with mu released, acknowledges
+// it and wakes everyone. Appenders arriving meanwhile buffer behind it
+// and wait; one of them leads the next batch, which covers every record
+// buffered while the previous one was in flight (group commit).
 type shardLog struct {
 	log *Log
 	id  int
 
 	mu       sync.Mutex
-	work     *sync.Cond // committer waits: buffered work or control flags
-	ackd     *sync.Cond // appenders wait: acked advanced or err set
-	buf      []byte
+	ackd     *sync.Cond // waiters: a flush finished (acked, err, flushing changed)
+	buf      []byte     // records appended since the last batch was taken
+	spare    []byte     // the previous batch's buffer, reused for the next
 	bufRecs  uint64
 	bufMaxTS uint64
 	appended uint64 // LSN of the newest buffered record
 	acked    uint64 // LSN through which appends are acknowledged
 	err      error  // sticky; set on persistent I/O failure
-	rotate   bool
+	flushing bool   // someone owns the flusher state below
 	closing  bool
 	closed   []segMeta // segments this run closed, awaiting pruning
 
-	// Committer-owned state (no locking needed).
+	// Flusher-owned state: touched only between flushing going true and
+	// going false again (or before the log is published by Open), so no
+	// two writes or syncs on one file ever overlap.
 	f         File
 	seq       uint64
 	name      string
 	fileRecs  int
 	fileMaxTS uint64
 	sinceSync int
-
-	done chan struct{}
 }
 
 // Open scans dir, recovers the surviving image (newest valid snapshot
 // + replayable records), assigns this run's generation, opens fresh
-// active segments and starts the committers. The returned Recovered
-// holds everything the caller must replay into its in-memory structure
-// before directing traffic at the log.
+// active segments. The returned Recovered holds everything the caller
+// must replay into its in-memory structure before directing traffic at
+// the log.
 func Open(opts Options) (*Log, *Recovered, error) {
 	if opts.Shards < 1 {
 		opts.Shards = 1
@@ -147,23 +149,30 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	}
 	l.runID = maxRun + 1
 
-	l.shards = make([]*shardLog, opts.Shards)
-	for i := range l.shards {
-		sl := &shardLog{log: l, id: i, seq: nextSeq[i], done: make(chan struct{})}
-		sl.work = sync.NewCond(&sl.mu)
+	l.shards = make([]*shardLog, 0, opts.Shards)
+	for i := 0; i < opts.Shards; i++ {
+		sl := &shardLog{log: l, id: i, seq: nextSeq[i]}
 		sl.ackd = sync.NewCond(&sl.mu)
 		if err := sl.openSegment(); err != nil {
+			l.closeSegments()
 			return nil, nil, err
 		}
-		l.shards[i] = sl
+		l.shards = append(l.shards, sl)
 	}
 	if err := l.fs.SyncDir(l.dir); err != nil {
+		l.closeSegments()
 		return nil, nil, fmt.Errorf("wal: sync dir: %w", err)
 	}
-	for _, sl := range l.shards {
-		go sl.run()
-	}
 	return l, rec, nil
+}
+
+// closeSegments releases the segment files a failing Open had already
+// created. Their headers may be on disk; recovery treats a header-only
+// segment as empty.
+func (l *Log) closeSegments() {
+	for _, sl := range l.shards {
+		_ = sl.f.Close()
+	}
 }
 
 // RunID reports this run's generation.
@@ -208,7 +217,6 @@ func (l *Log) Append(sh int, r Record) (uint64, error) {
 	}
 	sl.appended++
 	lsn := sl.appended
-	sl.work.Signal()
 	sl.mu.Unlock()
 	if l.stats != nil {
 		l.stats.Appends.Inc()
@@ -220,12 +228,19 @@ func (l *Log) Append(sh int, r Record) (uint64, error) {
 // WaitDurable blocks until the record at lsn on shard sh is
 // acknowledged (synced in full-durability mode, written in bounded-
 // loss mode) or the log failed. A record acknowledged before a later
-// failure still reports success.
+// failure still reports success. The caller commits the batch holding
+// its record itself unless a flush is already in progress, in which
+// case it waits and is covered by that flush or leads (or follows) the
+// next.
 func (l *Log) WaitDurable(sh int, lsn uint64) error {
 	sl := l.shards[sh]
 	sl.mu.Lock()
 	for sl.acked < lsn && sl.err == nil {
-		sl.ackd.Wait()
+		if sl.flushing {
+			sl.ackd.Wait()
+		} else {
+			sl.flush(nil)
+		}
 	}
 	err := sl.err
 	if sl.acked >= lsn {
@@ -235,16 +250,18 @@ func (l *Log) WaitDurable(sh int, lsn uint64) error {
 	return err
 }
 
-// RotateAll asks every shard's committer to close its active segment
-// and continue on a fresh one. Rotation is asynchronous: it takes
-// effect after the committer drains records buffered before the call.
-// The snapshot flusher rotates before writing a snapshot so segments
-// fully covered by it become prunable.
+// RotateAll commits what every shard has buffered, seals its active
+// segment and continues on a fresh one, before returning: every record
+// appended before the call is in a sealed segment. The snapshot flusher
+// rotates before writing a snapshot so segments fully covered by it
+// become prunable. A failed or closed shard is left alone.
 func (l *Log) RotateAll() {
 	for _, sl := range l.shards {
 		sl.mu.Lock()
-		sl.rotate = true
-		sl.work.Signal()
+		sl.awaitFlusher()
+		if sl.err == nil && !sl.closing {
+			sl.flush(sl.rotate)
+		}
 		sl.mu.Unlock()
 	}
 }
@@ -353,25 +370,26 @@ func (l *Log) PruneUpTo(ts uint64) {
 	}
 }
 
-// Close drains and fsyncs every shard (so a clean shutdown is fully
-// durable even in bounded-loss mode), stops the committers and closes
-// the files. It returns the sticky error, if any.
+// Close commits and fsyncs what every shard has buffered (so a clean
+// shutdown is fully durable even in bounded-loss mode) and closes the
+// files. Appends fail with ErrClosed from here on. It returns the
+// sticky error, if any; closing twice is harmless.
 func (l *Log) Close() error {
 	for _, sl := range l.shards {
 		sl.mu.Lock()
-		sl.closing = true
-		sl.work.Signal()
+		sl.awaitFlusher()
+		if sl.err == nil && !sl.closing {
+			sl.closing = true
+			sl.flush(sl.seal)
+		}
 		sl.mu.Unlock()
-	}
-	for _, sl := range l.shards {
-		<-sl.done
 	}
 	return l.Err()
 }
 
 // openSegment creates the next segment file for sl and writes its
-// header. Called by Open (before the committer starts) and by the
-// committer on rotation.
+// header. Called by Open (before the log is published) and by the
+// flusher on rotation.
 func (sl *shardLog) openSegment() error {
 	sl.seq++
 	sl.name = segName(sl.id, sl.seq)
@@ -390,96 +408,88 @@ func (sl *shardLog) openSegment() error {
 	return nil
 }
 
-// run is the committer loop: drain buffered records, write them as one
-// batch, fsync per the durability mode, acknowledge, and handle
-// rotation and shutdown. A persistent I/O failure makes the shard's
-// error sticky and wakes every waiter.
-func (sl *shardLog) run() {
-	defer close(sl.done)
-	for {
-		sl.mu.Lock()
-		for len(sl.buf) == 0 && !sl.rotate && !sl.closing {
-			sl.work.Wait()
-		}
-		batch := sl.buf
-		nrecs := sl.bufRecs
-		maxTS := sl.bufMaxTS
-		doRotate := sl.rotate
-		closing := sl.closing
-		sl.buf = nil
-		sl.bufRecs = 0
-		sl.rotate = false
-		sl.mu.Unlock()
-
-		if len(batch) > 0 {
-			if err := sl.log.writeRetry(sl.f, batch); err != nil {
-				sl.fail(fmt.Errorf("wal: append %s: %w", sl.name, err))
-				return
-			}
-			if sl.log.stats != nil {
-				sl.log.stats.Batches.Inc()
-			}
-			needSync := sl.log.sync <= 1
-			if !needSync {
-				sl.sinceSync += int(nrecs)
-				needSync = sl.sinceSync >= sl.log.sync
-			}
-			if needSync {
-				if err := sl.log.syncRetry(sl.f); err != nil {
-					sl.fail(fmt.Errorf("wal: fsync %s: %w", sl.name, err))
-					return
-				}
-				sl.sinceSync = 0
-			}
-			sl.fileRecs += int(nrecs)
-			if maxTS > sl.fileMaxTS {
-				sl.fileMaxTS = maxTS
-			}
-			sl.mu.Lock()
-			sl.acked += nrecs
-			sl.ackd.Broadcast()
-			sl.mu.Unlock()
-		}
-
-		if doRotate && !closing {
-			if err := sl.doRotate(); err != nil {
-				sl.fail(err)
-				return
-			}
-		}
-
-		if closing {
-			sl.mu.Lock()
-			drained := len(sl.buf) == 0
-			sl.mu.Unlock()
-			if !drained {
-				continue
-			}
-			if err := sl.log.syncRetry(sl.f); err != nil {
-				sl.fail(fmt.Errorf("wal: fsync %s: %w", sl.name, err))
-				return
-			}
-			if err := sl.f.Close(); err != nil {
-				sl.fail(fmt.Errorf("wal: close %s: %w", sl.name, err))
-				return
-			}
-			return
-		}
+// awaitFlusher blocks until no flush is in progress. Caller holds mu.
+func (sl *shardLog) awaitFlusher() {
+	for sl.flushing {
+		sl.ackd.Wait()
 	}
 }
 
-// doRotate seals the active segment and opens the next one.
-func (sl *shardLog) doRotate() error {
+// flush is one turn as the shard's exclusive flusher. The caller holds
+// mu and has seen flushing false; flush returns with mu held again. It
+// takes the buffered batch, and with mu released writes it, fsyncs per
+// the durability mode and runs then (rotation or the final seal; nil on
+// the commit path). The outcome is published under mu: the batch is
+// acknowledged, or the failure becomes sticky and the file is closed —
+// a record written before a failing then step stays unacknowledged,
+// which errs on the safe side. Every waiter is woken either way.
+func (sl *shardLog) flush(then func() error) {
+	sl.flushing = true
+	batch, nrecs, maxTS := sl.buf, sl.bufRecs, sl.bufMaxTS
+	sl.buf, sl.bufRecs, sl.bufMaxTS = sl.spare[:0], 0, 0
+	sl.mu.Unlock()
+
+	err := sl.writeBatch(batch, nrecs, maxTS)
+	if err == nil && then != nil {
+		err = then()
+	}
+	if err != nil {
+		if sl.log.stats != nil {
+			sl.log.stats.Errors.Inc()
+		}
+		_ = sl.f.Close()
+	}
+
+	sl.mu.Lock()
+	sl.spare = batch
+	if err != nil {
+		sl.err = err
+	} else {
+		sl.acked += nrecs
+	}
+	sl.flushing = false
+	sl.ackd.Broadcast()
+}
+
+// writeBatch appends one batch to the active segment and fsyncs it when
+// the durability mode says so. Flusher only.
+func (sl *shardLog) writeBatch(batch []byte, nrecs, maxTS uint64) error {
+	if len(batch) == 0 {
+		return nil
+	}
+	if err := sl.log.writeRetry(sl.f, batch); err != nil {
+		return fmt.Errorf("wal: append %s: %w", sl.name, err)
+	}
+	if sl.log.stats != nil {
+		sl.log.stats.Batches.Inc()
+	}
+	needSync := sl.log.sync <= 1
+	if !needSync {
+		sl.sinceSync += int(nrecs)
+		needSync = sl.sinceSync >= sl.log.sync
+	}
+	if needSync {
+		if err := sl.log.syncRetry(sl.f); err != nil {
+			return fmt.Errorf("wal: fsync %s: %w", sl.name, err)
+		}
+		sl.sinceSync = 0
+	}
+	sl.fileRecs += int(nrecs)
+	if maxTS > sl.fileMaxTS {
+		sl.fileMaxTS = maxTS
+	}
+	return nil
+}
+
+// rotate seals the active segment and opens the next one. Flusher only.
+func (sl *shardLog) rotate() error {
 	if sl.fileRecs == 0 {
 		return nil // empty segment: nothing to seal
 	}
-	if err := sl.log.syncRetry(sl.f); err != nil {
-		return fmt.Errorf("wal: fsync %s: %w", sl.name, err)
-	}
-	if err := sl.f.Close(); err != nil {
-		return fmt.Errorf("wal: close %s: %w", sl.name, err)
-	}
 	sealed := segMeta{name: sl.name, runID: sl.log.runID, maxTS: sl.fileMaxTS, recs: sl.fileRecs}
+	if err := sl.seal(); err != nil {
+		return err
+	}
 	if err := sl.openSegment(); err != nil {
 		return err
 	}
@@ -492,20 +502,15 @@ func (sl *shardLog) doRotate() error {
 	return nil
 }
 
-// fail makes err sticky and wakes every waiter; the committer exits.
-func (sl *shardLog) fail(err error) {
-	if sl.log.stats != nil {
-		sl.log.stats.Errors.Inc()
+// seal fsyncs and closes the active segment. Flusher only.
+func (sl *shardLog) seal() error {
+	if err := sl.log.syncRetry(sl.f); err != nil {
+		return fmt.Errorf("wal: fsync %s: %w", sl.name, err)
 	}
-	sl.mu.Lock()
-	if sl.err == nil {
-		sl.err = err
+	if err := sl.f.Close(); err != nil {
+		return fmt.Errorf("wal: close %s: %w", sl.name, err)
 	}
-	sl.ackd.Broadcast()
-	sl.mu.Unlock()
-	if sl.f != nil {
-		_ = sl.f.Close()
-	}
+	return nil
 }
 
 // writeRetry writes b in full, retrying transient errors with

@@ -2,7 +2,11 @@ package wal_test
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -213,13 +217,9 @@ func TestRotateAndPrune(t *testing.T) {
 		appendWait(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts})
 	}
 	l.RotateAll()
-	// Rotation is asynchronous: wait for the next segment to appear.
-	deadline := time.Now().Add(5 * time.Second)
-	for fs.Size(dir+"/wal-0000-000000000002.log") < 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("rotation did not produce a new segment")
-		}
-		time.Sleep(time.Millisecond)
+	// Rotation is synchronous: the next segment exists on return.
+	if fs.Size(dir+"/wal-0000-000000000002.log") < 0 {
+		t.Fatal("rotation did not produce a new segment")
 	}
 	if err := l.WriteSnapshot(3, []wal.Pair{{Key: 1, Val: 1}, {Key: 2, Val: 2}, {Key: 3, Val: 3}}); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
@@ -365,4 +365,184 @@ func copyInto(t *testing.T, src, dst *faultfs.FS) {
 			t.Fatalf("sync %s: %v", p, err)
 		}
 	}
+}
+
+// watchFS wraps a wal.FS and watches every file it creates: how many
+// bytes were written and how many of them a successful Sync covered, and
+// whether two Write/Sync calls on one file were ever in flight at once.
+type watchFS struct {
+	wal.FS
+	mu       sync.Mutex
+	files    map[string]*watchFile
+	overlaps atomic.Int64
+}
+
+type watchFile struct {
+	wal.File
+	fs              *watchFS
+	busy            atomic.Int32
+	written, synced atomic.Int64
+}
+
+func (w *watchFS) Create(path string) (wal.File, error) {
+	f, err := w.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	wf := &watchFile{File: f, fs: w}
+	w.mu.Lock()
+	if w.files == nil {
+		w.files = map[string]*watchFile{}
+	}
+	w.files[path] = wf
+	w.mu.Unlock()
+	return wf, nil
+}
+
+func (w *watchFS) file(path string) *watchFile {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.files[path]
+}
+
+// enter marks one I/O call in flight, yielding inside it so that a
+// second caller, if the log let one in, would get there.
+func (f *watchFile) enter() {
+	if f.busy.Add(1) != 1 {
+		f.fs.overlaps.Add(1)
+	}
+	runtime.Gosched()
+}
+
+func (f *watchFile) Write(p []byte) (int, error) {
+	f.enter()
+	defer f.busy.Add(-1)
+	n, err := f.File.Write(p)
+	f.written.Add(int64(n))
+	return n, err
+}
+
+func (f *watchFile) Sync() error {
+	f.enter()
+	defer f.busy.Add(-1)
+	covered := f.written.Load()
+	err := f.File.Sync()
+	if err == nil {
+		f.synced.Store(covered)
+	}
+	return err
+}
+
+// The commit has no goroutine of its own: whichever appender finds no
+// flush in progress writes the batch. With N appenders per shard, in
+// both durability modes: an acknowledged LSN is on the file (and, with
+// SyncEvery 1, covered by a completed fsync) at the moment WaitDurable
+// returns; no two Write/Sync calls on one file overlap; concurrent
+// appenders share fsyncs; and neither Open nor Close changes the
+// goroutine count.
+func TestLeaderFollowerCommit(t *testing.T) {
+	const shards, appenders, each = 2, 6, 200
+	for _, syncEvery := range []int{1, 64} {
+		fs := &watchFS{FS: faultfs.New(faultfs.Fault{})}
+		var stats obs.WALStats
+		before := runtime.NumGoroutine()
+		l, _ := openLog(t, fs, shards, syncEvery, &stats)
+		// (> rather than !=: a goroutine left over from an earlier test may
+		// still be exiting, which can only lower the count.)
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("SyncEvery %d: Open raised the goroutine count %d -> %d", syncEvery, before, n)
+		}
+		segs := make([]*watchFile, shards)
+		for sh := range segs {
+			segs[sh] = fs.file(fmt.Sprintf("%s/wal-%04d-%012d.log", dir, sh, 1))
+			if segs[sh] == nil {
+				t.Fatalf("no first segment for shard %d", sh)
+			}
+		}
+		var wg sync.WaitGroup
+		for a := 0; a < appenders; a++ {
+			wg.Add(1)
+			go func(a int) {
+				defer wg.Done()
+				sh := a % shards
+				for i := 0; i < each; i++ {
+					lsn, err := l.Append(sh, wal.Record{TS: uint64(i + 1), Op: wal.OpInsert, Key: uint64(a), Val: uint64(i)})
+					if err != nil {
+						t.Errorf("Append: %v", err)
+						return
+					}
+					if err := l.WaitDurable(sh, lsn); err != nil {
+						t.Errorf("WaitDurable: %v", err)
+						return
+					}
+					need := int64(segHdrSize + lsn*recordSize)
+					if got := segs[sh].written.Load(); got < need {
+						t.Errorf("SyncEvery %d shard %d: LSN %d acknowledged with %d bytes written, needs %d", syncEvery, sh, lsn, got, need)
+					}
+					if got := segs[sh].synced.Load(); syncEvery <= 1 && got < need {
+						t.Errorf("shard %d: LSN %d acknowledged with %d bytes synced, needs %d", sh, lsn, got, need)
+					}
+				}
+			}(a)
+		}
+		wg.Wait()
+		if err := l.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("SyncEvery %d: goroutine count %d after Close, %d before Open", syncEvery, n, before)
+		}
+		total := int64(segHdrSize + appenders/shards*each*recordSize)
+		for sh, f := range segs {
+			if w, s := f.written.Load(), f.synced.Load(); w != total || s != total {
+				t.Fatalf("SyncEvery %d shard %d after Close: %d written, %d synced, want %d both", syncEvery, sh, w, s, total)
+			}
+		}
+		if n := fs.overlaps.Load(); n != 0 {
+			t.Fatalf("SyncEvery %d: %d overlapping Write/Sync calls on one file", syncEvery, n)
+		}
+		if a, f := stats.Appends.Load(), stats.Fsyncs.Load(); syncEvery <= 1 && f >= a {
+			t.Fatalf("%d fsyncs for %d appends from %d concurrent appenders: no group commit", f, a, appenders)
+		}
+	}
+}
+
+// A segment file created for an earlier shard must not be leaked when a
+// later shard's segment cannot be created.
+func TestOpenClosesSegmentsOnFailure(t *testing.T) {
+	// Ops 1-2 create shard 0's segment and write its header, op 3
+	// creates shard 1's, whose header write then fails.
+	inner := faultfs.New(faultfs.Fault{AtOp: 3, Kind: faultfs.KindENOSPC})
+	fs := &closeCountFS{FS: inner}
+	_, _, err := wal.Open(wal.Options{Dir: dir, Shards: 2, FS: fs, RetryBackoff: time.Microsecond})
+	if !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("Open = %v, want the injected error", err)
+	}
+	if fs.created.Load() != 2 || fs.closed.Load() != 2 {
+		t.Fatalf("failed Open created %d files and closed %d, want 2 and 2", fs.created.Load(), fs.closed.Load())
+	}
+}
+
+type closeCountFS struct {
+	wal.FS
+	created, closed atomic.Int64
+}
+
+type closeCountFile struct {
+	wal.File
+	fs *closeCountFS
+}
+
+func (c *closeCountFS) Create(path string) (wal.File, error) {
+	f, err := c.FS.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	c.created.Add(1)
+	return &closeCountFile{File: f, fs: c}, nil
+}
+
+func (f *closeCountFile) Close() error {
+	f.fs.closed.Add(1)
+	return f.File.Close()
 }

@@ -130,7 +130,7 @@ func TestTimeTravelExactBoundary(t *testing.T) {
 // TestTimeTravelUnsupported: EBR-RQ cells retain no per-key version
 // history, so every time-travel entry point refuses with
 // ErrHistoryUnsupported — even when a retention window is configured
-// (there it only extends limbo lifetimes).
+// (it has no effect on them; see TestRetentionIgnoredOnEBRRQ).
 func TestTimeTravelUnsupported(t *testing.T) {
 	for _, c := range allCombos() {
 		if c.T == VCAS || c.T == Bundle {
@@ -164,6 +164,48 @@ func TestTimeTravelUnsupported(t *testing.T) {
 				t.Fatalf("Get after refusal = (%d,%v), want (10,true)", v, ok)
 			}
 		})
+	}
+}
+
+// TestRetentionIgnoredOnEBRRQ: Config.Retention is accepted on EBR-RQ
+// maps and changes nothing — in particular it does not hold retired
+// nodes in limbo, which every range query and every prune would then
+// have to walk for a history the technique refuses to serve. A map with
+// a retain-everything window drains to the same limbo population as one
+// without.
+func TestRetentionIgnoredOnEBRRQ(t *testing.T) {
+	for _, s := range []Structure{BST, Citrus, SkipList} {
+		limbo := func(retention uint64) (mid, drained int64) {
+			reg := NewMetrics()
+			m, err := NewSharded(s, EBRRQ, 2, Config{Source: Logical, MaxThreads: 2, Metrics: reg, Retention: retention})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th, err := m.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer th.Release()
+			for i := uint64(0); i < 3000; i++ {
+				m.Insert(th, i%500, i)
+				m.Delete(th, i%500)
+				if i%100 == 0 {
+					m.RangeQuery(th, 0, 10, nil) // moves the logical clock
+				}
+			}
+			mid = reg.Snapshot().GC.LimboLen
+			m.Drain()
+			return mid, reg.Snapshot().GC.LimboLen
+		}
+		plainMid, plain := limbo(0)
+		keptMid, kept := limbo(retainAll)
+		if kept != plain || keptMid != plainMid {
+			t.Errorf("%v: limbo with Retention = %d (%d after Drain), without = %d (%d after Drain); the window must not matter",
+				s, keptMid, kept, plainMid, plain)
+		}
+		if plain != 0 {
+			t.Errorf("%v: %d nodes left in limbo after Drain", s, plain)
+		}
 	}
 }
 

@@ -212,14 +212,14 @@ type Config struct {
 	// below the window return ErrTruncatedHistory. Zero (the default)
 	// makes no retention promise: pruning behaves as before, and only
 	// not-yet-pruned timestamps resolve. On EBR-RQ maps — which retain
-	// no per-key version history and refuse time travel outright — a
-	// non-zero window still extends limbo-node lifetimes at the epoch
-	// prune points, but cannot enable historical reads. Wider windows
-	// hold proportionally more memory on update-heavy workloads: the
-	// version chains ARE the history. The window is measured in ticks
-	// of the current source generation (an Adaptive switch eventually
-	// expires prior-generation history; within the window after a
-	// switch, pre-switch timestamps still resolve).
+	// no per-key version history and refuse time travel outright — the
+	// field is accepted and has no effect: limbo nodes are released as
+	// soon as no in-flight range query needs them, whatever the window.
+	// Wider windows hold proportionally more memory on update-heavy
+	// workloads: the version chains ARE the history. The window is
+	// measured in ticks of the current source generation (an Adaptive
+	// switch eventually expires prior-generation history; within the
+	// window after a switch, pre-switch timestamps still resolve).
 	Retention uint64
 }
 
@@ -429,7 +429,8 @@ func newSource(cfg Config) core.Source {
 
 // wireSinks attaches the metrics GC counters, the flight recorder, the
 // allocation mode and the retention watermark to an inner that supports
-// them. Call before the structure sees traffic.
+// them (the EBR-RQ structures take no watermark: they keep no history
+// for it to protect). Call before the structure sees traffic.
 func wireSinks(m inner, metrics *Metrics, tr *trace.Recorder, alloc AllocMode, rb *core.ReadBound) {
 	if rb != nil {
 		if b, ok := m.(interface{ SetReadBound(*core.ReadBound) }); ok {
