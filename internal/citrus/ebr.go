@@ -338,13 +338,6 @@ func (t *EBRTree) deleteTwoChildren(th *core.Thread, prev *enode, dir int, curr,
 	return true
 }
 
-// limboOrdered: every Retire here follows the retiring thread's own
-// Label of that node's dtime, both under the node's lock, so deletion
-// labels never increase down a thread's limbo list and range queries
-// may end a list at the first node deleted at or before their bound
-// (ebrrq.Collector.AddLimbo). Pruning relies on the same order.
-const limboOrdered = true
-
 // RangeQuery appends every pair with lo <= key <= hi as of one
 // linearizable snapshot: nodes inserted at or before the bound and not
 // deleted at or before it, found in the live tree or — for nodes removed
@@ -403,7 +396,7 @@ func (t *EBRTree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []
 		mark = tr.Now()
 	}
 	t.em.WalkLimbo(func(n *enode) bool {
-		return c.AddLimbo(n.key, n.val, &n.itime, &n.dtime, limboOrdered)
+		return c.AddLimbo(n.key, n.val, &n.itime, &n.dtime)
 	})
 	if tr != nil {
 		tr.Span(th.ID, trace.PhaseLimboScan, mark)

@@ -53,19 +53,17 @@ func (c *Collector) Add(key, val uint64, itime, dtime *Label) {
 // AddLimbo offers a retired node during epoch.Manager.WalkLimbo and
 // returns the walk's verdict: false ends the current thread's list.
 //
-// ordered is a fixed property of the calling structure, not a tunable:
-// it states that deletion labels never increase down one thread's limbo
-// list (newest retirement first), which holds when the retiring thread
-// itself assigns the node's dtime before its next Retire. Then the first
-// node deleted at or before the bound ends the list — everything older
-// was deleted earlier still. A dtime still Pending (retired, label not
-// yet written) proves nothing about older nodes and keeps the walk
-// going. Structures whose lists are not ordered pass false and pay for
-// the full walk.
-func (c *Collector) AddLimbo(key, val uint64, itime, dtime *Label, ordered bool) bool {
+// Deletion labels never increase down one thread's limbo list (newest
+// retirement first): every structure sees a node it retired labeled
+// before it retires the next, and epoch's prune drops whole suffixes on
+// the same ground. So the first node deleted at or before the bound ends
+// the list — everything older was deleted earlier still. A dtime still
+// Pending (retired, label not yet written) proves nothing about older
+// nodes and keeps the walk going.
+func (c *Collector) AddLimbo(key, val uint64, itime, dtime *Label) bool {
 	d := dtime.Get()
 	if d != core.Pending && d <= c.s {
-		return !ordered
+		return false
 	}
 	if key >= c.lo && key <= c.hi && VisibleAt(itime.Get(), d, c.s) {
 		c.out = append(c.out, core.KV{Key: key, Val: val})

@@ -107,7 +107,7 @@ func TestAddLimboEarlyExitMatchesFullWalk(t *testing.T) {
 			visited := 0
 			em.WalkLimbo(func(nd *node) bool {
 				visited++
-				return c.AddLimbo(nd.key, nd.val, &nd.itime, &nd.dtime, true)
+				return c.AddLimbo(nd.key, nd.val, &nd.itime, &nd.dtime)
 			})
 			if got := c.Finish(); !slices.Equal(got, want) {
 				t.Fatalf("round %d bound %d: early-exit walk collected %v, full predicate accepts %v", round, s, got, want)
@@ -181,7 +181,7 @@ func TestCollectorMatchesMapReference(t *testing.T) {
 			l := labels[rng.Intn(len(labels))]
 			nd := lab.newNode(uint64(rng.Intn(100)), l[0], l[1])
 			refAdd(nd)
-			c.AddLimbo(nd.key, nd.val, &nd.itime, &nd.dtime, false)
+			c.AddLimbo(nd.key, nd.val, &nd.itime, &nd.dtime)
 		}
 		got := c.Finish()
 		if !slices.Equal(got[:len(prefix)], prefix) {

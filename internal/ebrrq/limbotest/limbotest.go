@@ -1,6 +1,6 @@
 // Package limbotest is test support for the EBR-RQ structures: it checks
-// on a real limbo population what ebrrq.Collector.AddLimbo's ordered
-// early exit assumes about it.
+// on a real limbo population what ebrrq.Collector.AddLimbo's early exit
+// assumes about it.
 package limbotest
 
 import (
@@ -16,7 +16,7 @@ import (
 )
 
 // Lost walks em's limbo lists twice for every assigned deletion label
-// taken as the snapshot bound, once with the ordered early exit and once
+// taken as the snapshot bound, once with AddLimbo's early exit and once
 // in full, and describes every node the early exit loses. The result is
 // empty iff deletion labels never increase down any thread's list: an
 // older node deleted later than a newer one is exactly what the early
@@ -34,11 +34,13 @@ func Lost[T any](em *epoch.Manager[T], fields func(T) (key, val uint64, itime, d
 	slices.Sort(bounds)
 	bounds = slices.Compact(bounds)
 
-	collect := func(s core.TS, ordered bool) []core.KV {
+	// collect gathers the limbo hits at bound s: with AddLimbo's early
+	// exit, or offering every node to the visibility predicate.
+	collect := func(s core.TS, earlyExit bool) []core.KV {
 		c := ebrrq.NewCollector(nil, 0, ^uint64(0), s)
 		em.WalkLimbo(func(n T) bool {
 			key, val, itime, dtime := fields(n)
-			return c.AddLimbo(key, val, itime, dtime, ordered)
+			return c.AddLimbo(key, val, itime, dtime) || !earlyExit
 		})
 		return c.Finish()
 	}

@@ -440,8 +440,8 @@ func (m *Manager[T]) recycleChain(chain *limboNode[T], ctx int) {
 // WalkLimbo visits the items on every registered thread's limbo list,
 // each list newest retirement first. Returning false ends the CURRENT
 // list — the walk moves on to the next thread's — which is what lets a
-// range query stop at the first item too old for its snapshot when a
-// list's deletion labels are ordered (see ebrrq.Collector.AddLimbo).
+// range query stop at the first item too old for its snapshot (see
+// ebrrq.Collector.AddLimbo).
 //
 // It is safe to run concurrently with retirements and pruning; the
 // visitor may observe items being pruned concurrently (they are, by the
@@ -453,7 +453,10 @@ func (m *Manager[T]) WalkLimbo(fn func(item T) bool) {
 	defer m.scans.Add(-1)
 	live := m.live()
 	for i := range live {
-		for n := live[i].head.Load(); n != nil && fn(n.item); n = n.next.Load() {
+		for n := live[i].head.Load(); n != nil; n = n.next.Load() {
+			if !fn(n.item) {
+				break
+			}
 		}
 	}
 }

@@ -356,6 +356,12 @@ func (t *EBRTree) Delete(th *core.Thread, key uint64) bool {
 		// membership, and range queries deduplicate. A retry can meet a
 		// different leaf (the key was deleted and re-inserted between
 		// two attempts); that one needs its own limbo entry.
+		//
+		// Limbo order (ebrrq.Collector.AddLimbo, epoch's prune): this loop
+		// is left only once the retired leaf is labeled — by this thread
+		// or a helper — and the leaf retired next is marked, hence
+		// labeled, after that, so labels never increase down the list
+		// (TestEBRBSTLimboLabeledAtQuiescence).
 		if retired != r.l {
 			if t.np != nil {
 				r.l.limboRefs.Add(1)
@@ -440,20 +446,6 @@ func (t *EBRTree) casChild(parent, old, new *enode) bool {
 	return parent.right.CompareAndSwap(old, new)
 }
 
-// limboOrdered is false here, conservatively. In the Citrus tree and the
-// skip list the order of a limbo list follows from one thread's program
-// order: it labels a node itself before it retires the next. Here a
-// leaf's dtime is written by whichever helper gets there first, and a
-// leaf can sit in several threads' lists (Delete retires before its flag
-// CAS, and a failed attempt retries), so order would rest on a
-// cross-thread argument: a label is read only after the parent is
-// marked, the mark follows every Retire of the leaf, and no Delete call
-// returns before the leaf it retired is labeled. That argument holds up
-// in TestEBRBSTLimboLabeledAtQuiescence, but nothing measures this
-// tree's range queries, so they keep the full walk that needs no
-// argument at all.
-const limboOrdered = false
-
 // RangeQuery appends every pair with lo <= key <= hi as of one
 // linearizable snapshot: live leaves satisfying the visibility predicate
 // plus limbo leaves deleted after the snapshot bound.
@@ -510,7 +502,7 @@ func (t *EBRTree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []
 		mark = tr.Now()
 	}
 	t.em.WalkLimbo(func(n *enode) bool {
-		return c.AddLimbo(n.key, n.val, &n.itime, &n.dtime, limboOrdered)
+		return c.AddLimbo(n.key, n.val, &n.itime, &n.dtime)
 	})
 	if tr != nil {
 		tr.Span(th.ID, trace.PhaseLimboScan, mark)

@@ -271,13 +271,14 @@ func ebrFields(n *enode) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
 
 // The failed-delete-attempt case, under contention: Delete retires its
 // leaf before the flag CAS, the attempt fails, the leaf survives in the
-// tree with an entry in limbo. What the comment on limboOrdered builds
-// on is checked here: by the time a Delete call returns, every leaf it
-// retired has its deletion label (failed attempts retry until someone
-// labels the leaf), so no Pending entry survives in limbo at quiescence,
-// and the lists of a contended run come out ordered although helpers on
-// other threads wrote many of the labels. The tree keeps the full walk
-// regardless.
+// tree with an entry in limbo. The early exit of the limbo walk
+// (ebrrq.Collector.AddLimbo) and epoch's suffix pruning need deletion
+// labels that never increase down a list all the same, and here helpers
+// on other threads write many of them. What keeps the order is checked:
+// by the time a Delete call returns, every leaf it retired has its
+// deletion label (failed attempts retry until someone labels the leaf),
+// so no Pending entry survives in limbo at quiescence, and at no bound
+// does the early exit lose a leaf the full walk finds.
 func TestEBRBSTLimboLabeledAtQuiescence(t *testing.T) {
 	for name, mk := range map[string]ebrrq.Variant{"lock": ebrrq.LockBased, "lockfree": ebrrq.LockFree} {
 		tr, reg := newEBRTree(t, core.Logical, mk, 12)

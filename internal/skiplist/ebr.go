@@ -350,14 +350,6 @@ func (t *EBRList) Delete(th *core.Thread, key uint64) bool {
 	}
 }
 
-// limboOrdered: Delete retires the victim and then labels its dtime
-// itself, holding victim.mu, before it can retire anything else — so
-// below a possibly still Pending head, deletion labels never increase
-// down a thread's limbo list, and range queries may end a list at the
-// first node deleted at or before their bound
-// (ebrrq.Collector.AddLimbo). Pruning relies on the same order.
-const limboOrdered = true
-
 // RangeQuery appends every pair in [lo,hi] as of one linearizable
 // snapshot: live-list nodes passing the visibility predicate plus limbo
 // nodes deleted after the bound.
@@ -417,7 +409,7 @@ func (t *EBRList) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []
 	tr.Span(th.ID, trace.PhaseTraverse, mark)
 	mark = tr.Now()
 	t.em.WalkLimbo(func(n *eskipNode) bool {
-		return c.AddLimbo(n.key, n.val, &n.itime, &n.dtime, limboOrdered)
+		return c.AddLimbo(n.key, n.val, &n.itime, &n.dtime)
 	})
 	tr.Span(th.ID, trace.PhaseLimboScan, mark)
 

@@ -669,7 +669,7 @@ func TestVariantMidRangeUnderChurn(t *testing.T) {
 	}
 }
 
-// The ordered early exit of the limbo walk (limboOrdered) rests on
+// The early exit of the limbo walk (ebrrq.Collector.AddLimbo) rests on
 // deletion labels never increasing down a thread's limbo list. Check it
 // on the lists a contended run leaves behind, for both labeling
 // variants: no bound may exist at which the early exit loses a node the

@@ -437,7 +437,10 @@ func (sl *shardLog) flush(then func() error) {
 		if sl.log.stats != nil {
 			sl.log.stats.Errors.Inc()
 		}
-		_ = sl.f.Close()
+		if sl.f != nil { // then may have closed it already
+			_ = sl.f.Close()
+			sl.f = nil
+		}
 	}
 
 	sl.mu.Lock()
@@ -502,12 +505,15 @@ func (sl *shardLog) rotate() error {
 	return nil
 }
 
-// seal fsyncs and closes the active segment. Flusher only.
+// seal fsyncs and closes the active segment; sl.f is nil from the Close
+// on, whatever it returned, so no file is closed twice. Flusher only.
 func (sl *shardLog) seal() error {
 	if err := sl.log.syncRetry(sl.f); err != nil {
 		return fmt.Errorf("wal: fsync %s: %w", sl.name, err)
 	}
-	if err := sl.f.Close(); err != nil {
+	f := sl.f
+	sl.f = nil
+	if err := f.Close(); err != nil {
 		return fmt.Errorf("wal: close %s: %w", sl.name, err)
 	}
 	return nil

@@ -523,6 +523,35 @@ func TestOpenClosesSegmentsOnFailure(t *testing.T) {
 	}
 }
 
+// A rotation that fails after sealing the old segment must not close the
+// sealed file a second time on the flusher's error path.
+func TestFailedRotationClosesEachFileOnce(t *testing.T) {
+	inner := faultfs.New(faultfs.Fault{})
+	fs := &closeCountFS{FS: inner}
+	l, _, err := wal.Open(wal.Options{Dir: dir, Shards: 1, FS: fs, RetryBackoff: time.Microsecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := l.Append(0, wal.Record{Op: wal.OpInsert, Key: 1, Val: 1, TS: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WaitDurable(0, lsn); err != nil {
+		t.Fatal(err)
+	}
+	// The seal's fsync and Close go through; the next segment's header
+	// write does not.
+	inner.Arm(faultfs.Fault{AtOp: inner.Ops() + 1, Kind: faultfs.KindENOSPC})
+	l.RotateAll()
+	if !errors.Is(l.Err(), faultfs.ErrInjected) {
+		t.Fatalf("Err after the failed rotation = %v, want the injected error", l.Err())
+	}
+	_ = l.Close()
+	if fs.created.Load() != 2 || fs.closed.Load() != 2 {
+		t.Fatalf("created %d files, %d Close calls; want 2 and 2", fs.created.Load(), fs.closed.Load())
+	}
+}
+
 type closeCountFS struct {
 	wal.FS
 	created, closed atomic.Int64
