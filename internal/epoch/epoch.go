@@ -76,9 +76,28 @@ type limboNode[T any] struct {
 	next  atomic.Pointer[limboNode[T]]
 }
 
+// cacheLine is the assumed cache line size; see core's padding policy.
+const cacheLine = 64
+
+// slot is one thread's epoch state, laid out by who writes what, each
+// half on its own cache-line pair.
+//
+// The owner's line — the published epoch and the two amortization
+// counters — is written by the owner on every Pin, Unpin and Retire and
+// read by others only when an advance is attempted. The list line is
+// written on a retirement or a prune and read by every limbo walk, so
+// it must not hold anything the owner writes per operation: with the
+// counters beside head, as they used to be, each range query missed on
+// every list it looked at and the owner on its next operation, a cost
+// that exists only while the threads really run in parallel.
 type slot[T any] struct {
-	local core.PaddedUint64 // epoch observed while pinned; quiescent otherwise
-	head  atomic.Pointer[limboNode[T]]
+	_       [cacheLine]byte
+	local   atomic.Uint64 // epoch observed while pinned; quiescent otherwise
+	retires int           // owner-local counter
+	unpins  int           // owner-local counter
+	_       [cacheLine - 24]byte
+
+	head atomic.Pointer[limboNode[T]]
 	// claim serializes pruners of this slot: the owner's amortized
 	// prune and Drain/DrainAll race to CAS it 0→1, and only the winner
 	// walks, detaches, accounts, and recycles. Everything the claim
@@ -90,9 +109,7 @@ type slot[T any] struct {
 	// because a limbo scan was in flight. Mutated only under claim;
 	// atomic so triggers can peek at emptiness without claiming.
 	deferred atomic.Pointer[limboNode[T]]
-	retires  int // owner-local counter
-	unpins   int // owner-local counter
-	_        [32]byte
+	_        [2*cacheLine - 24]byte
 }
 
 // Manager coordinates epochs and limbo lists for the threads of one

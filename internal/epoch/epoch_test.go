@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"tscds/internal/core"
 	"tscds/internal/obs"
@@ -30,6 +31,36 @@ func newManager[T any](n int, retain func(T, core.TS) bool, minRQ core.TS) *Mana
 		reg.MustRegister().AnnounceRQ(minRQ)
 	}
 	return NewManager[T](reg, retain)
+}
+
+// TestSlotLayout pins what the slot comment promises: what the owner
+// writes on every operation shares no cache line with what limbo walks
+// read, and neighbouring slots share none at all.
+func TestSlotLayout(t *testing.T) {
+	var s slot[item]
+	line := func(off uintptr) uintptr { return off / cacheLine }
+	owner := line(unsafe.Offsetof(s.local))
+	list := line(unsafe.Offsetof(s.head))
+	for name, off := range map[string]uintptr{
+		"retires": unsafe.Offsetof(s.retires), "unpins": unsafe.Offsetof(s.unpins),
+	} {
+		if line(off) != owner {
+			t.Errorf("%s is on line %d, the owner's is %d", name, line(off), owner)
+		}
+	}
+	for name, off := range map[string]uintptr{
+		"claim": unsafe.Offsetof(s.claim), "deferred": unsafe.Offsetof(s.deferred),
+	} {
+		if line(off) != list {
+			t.Errorf("%s is on line %d, the list's is %d", name, line(off), list)
+		}
+	}
+	if owner/2 == list/2 {
+		t.Errorf("owner line %d and list line %d are one prefetch pair", owner, list)
+	}
+	if size := unsafe.Sizeof(s); size%(2*cacheLine) != 0 {
+		t.Errorf("slot is %d bytes, not a whole number of line pairs", size)
+	}
 }
 
 func TestRetireAndScan(t *testing.T) {
