@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench linearize benchmark-smoke
+.PHONY: build test check bench linearize benchmark-smoke loc
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,14 @@ check: benchmark-smoke
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
+
+# loc prints the non-test Go lines of every package outside benchmark/ and
+# their total: ROADMAP asks that the number go down over the round, so CI
+# puts it in every PR's log.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 # benchmark-smoke compiles and runs the repository benchmark's own tests.
 # benchmark/ is a separate module, so `go test ./...` at the root never

@@ -1,6 +1,8 @@
 package tscds_test
 
 import (
+	"errors"
+	"fmt"
 	"runtime/debug"
 	"testing"
 
@@ -55,23 +57,33 @@ func TestPooledUpdatePathAllocFree(t *testing.T) {
 	}
 }
 
-// TestEBRRangeQueryAllocFree: an EBR-RQ range query collects straight
-// into the caller's buffer. With capacity for the result it allocates
-// nothing — no accumulator map, no closure on the limbo walk, no sort
-// scratch — on all three EBR-RQ structures, flat and sharded, with
-// retired nodes sitting in limbo to be walked.
-func TestEBRRangeQueryAllocFree(t *testing.T) {
-	build := map[string]func(s tscds.Structure, cfg tscds.Config) (tscds.Map, error){
-		"flat": func(s tscds.Structure, cfg tscds.Config) (tscds.Map, error) {
-			return tscds.New(s, tscds.EBRRQ, cfg)
-		},
-		"sharded": func(s tscds.Structure, cfg tscds.Config) (tscds.Map, error) {
-			return tscds.NewSharded(s, tscds.EBRRQ, 4, cfg)
-		},
+// TestRangeQueryAllocFree: a range query collects straight into the
+// caller's buffer. With capacity for the result it allocates nothing — no
+// per-query slice of parts or escaping closure in the snapshot-read
+// protocol, no accumulator map, closure on the limbo walk or sort scratch
+// in the EBR-RQ collection — on all 11 variants, flat and across 4 shards,
+// live and as of a past timestamp, with deleted keys behind (in limbo, or
+// as version history) to be walked.
+func TestRangeQueryAllocFree(t *testing.T) {
+	cells := []struct {
+		s tscds.Structure
+		t tscds.Technique
+	}{
+		{tscds.BST, tscds.VCAS}, {tscds.BST, tscds.EBRRQ}, {tscds.NMBST, tscds.VCAS},
+		{tscds.Citrus, tscds.VCAS}, {tscds.Citrus, tscds.Bundle}, {tscds.Citrus, tscds.EBRRQ},
+		{tscds.SkipList, tscds.Bundle}, {tscds.SkipList, tscds.VCAS}, {tscds.SkipList, tscds.EBRRQ},
+		{tscds.LazyList, tscds.VCAS}, {tscds.LazyList, tscds.Bundle},
 	}
-	for _, s := range []tscds.Structure{tscds.BST, tscds.Citrus, tscds.SkipList} {
-		for shape, mk := range build {
-			m, err := mk(s, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
+	for _, c := range cells {
+		for _, shards := range []int{0, 4} {
+			cfg := tscds.Config{Source: tscds.Logical, MaxThreads: 4}
+			var m tscds.Map
+			var err error
+			if shards == 0 {
+				m, err = tscds.New(c.s, c.t, cfg)
+			} else {
+				m, err = tscds.NewSharded(c.s, c.t, shards, cfg)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -83,18 +95,35 @@ func TestEBRRangeQueryAllocFree(t *testing.T) {
 				m.Insert(th, i*7919%4000, i)
 			}
 			for i := uint64(0); i < 4000; i += 3 {
-				m.Delete(th, i) // leaves a limbo population behind
+				m.Delete(th, i)
 			}
+			name := fmt.Sprintf("%v/%v shards=%d", c.s, c.t, shards)
 			buf := make([]tscds.KV, 0, 1024)
 			var got int
 			n := testing.AllocsPerRun(200, func() {
 				got = len(m.RangeQuery(th, 1000, 1999, buf))
 			})
 			if got < 600 {
-				t.Fatalf("%v %s: range query returned %d pairs, want about 666", s, shape, got)
+				t.Fatalf("%s: range query returned %d pairs, want about 666", name, got)
 			}
 			if n != 0 {
-				t.Errorf("%v %s: RangeQuery into a caller buffer allocates %.1f objects, want 0", s, shape, n)
+				t.Errorf("%s: RangeQuery into a caller buffer allocates %.1f objects, want 0", name, n)
+			}
+			ts := m.Now()
+			var gotAt int
+			n = testing.AllocsPerRun(200, func() {
+				kvs, err := m.RangeQueryAt(th, 1000, 1999, ts, buf)
+				if c.t == tscds.EBRRQ && errors.Is(err, tscds.ErrHistoryUnsupported) {
+					gotAt = got // refused, as it must be; the refusal is free too
+				} else if err == nil {
+					gotAt = len(kvs)
+				}
+			})
+			if gotAt != got {
+				t.Fatalf("%s: RangeQueryAt(Now()) returned %d pairs, RangeQuery %d", name, gotAt, got)
+			}
+			if n != 0 {
+				t.Errorf("%s: RangeQueryAt into a caller buffer allocates %.1f objects, want 0", name, n)
 			}
 			th.Release()
 		}

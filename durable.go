@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tscds/internal/core"
-	"tscds/internal/ebrrq"
 	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
 	"tscds/internal/wal"
@@ -105,13 +104,11 @@ type durable struct {
 	mus   []padMutex // one per WAL shard; serializes apply+stamp+append
 	n     uint64
 	inner inner
+	rd    *core.Reader // collects the whole map at one bound
 	src   core.Source
 	shift uint64
-	obs   *obs.Registry
 	tr    *trace.Recorder
 
-	// snapAll collects the whole map at one bound (bound returned).
-	snapAll func(out []core.KV) ([]core.KV, core.TS)
 	snapMu  sync.Mutex // serializes Checkpoint with the flusher
 	snapBuf []core.KV
 
@@ -130,16 +127,6 @@ type durable struct {
 // ordered by the per-shard serialization insert/delete add below.
 func (w *wrap) enableDurability(cfg Config, shards int) error {
 	d := cfg.Durability
-	if d.Dir == "" {
-		return errors.New("tscds: Durability.Dir is required")
-	}
-	// The snapshot flusher needs a collect-at-bound primitive: the
-	// sharded fan-out provides its own; an unsharded structure must
-	// expose RangeQueryAt.
-	at, plainOK := w.m.(rangeQueryAt)
-	if _, sharded := w.m.(*shardedInner); !sharded && !plainOK {
-		return fmt.Errorf("tscds: %v/%v does not support durability (no RangeQueryAt)", w.s, w.t)
-	}
 	var stats *obs.WALStats
 	if cfg.Metrics != nil {
 		stats = &cfg.Metrics.WAL
@@ -190,28 +177,14 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 		mus:      make([]padMutex, shards),
 		n:        uint64(shards),
 		inner:    w.m,
+		rd:       w.rd,
 		src:      w.srcImpl,
 		shift:    w.shift,
-		obs:      cfg.Metrics,
 		tr:       w.tr,
 		th:       th,
 		recovery: recov.Stats,
 		every:    d.SnapshotEvery,
 		stop:     make(chan struct{}),
-	}
-	if sh, ok := w.m.(*shardedInner); ok {
-		dd.snapAll = func(out []core.KV) ([]core.KV, core.TS) {
-			return sh.SnapshotAll(th, w.shift, MaxKey+w.shift, out)
-		}
-	} else {
-		peek := w.t == Bundle
-		var prov *ebrrq.Provider
-		if p, ok := w.m.(provided); ok {
-			prov = p.Provider()
-		}
-		dd.snapAll = func(out []core.KV) ([]core.KV, core.TS) {
-			return snapshotPlain(at, prov, w.srcImpl, peek, th, w.shift, MaxKey+w.shift, out)
-		}
 	}
 	w.dur = dd
 	if dd.every > 0 {
@@ -219,34 +192,6 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 		go dd.flushLoop()
 	}
 	return nil
-}
-
-// snapshotPlain is an unsharded map's collect-everything-at-one-bound:
-// the per-structure RangeQuery prologue (announce, provider lock for
-// EBR-RQ, read the source) followed by RangeQueryAt, retried if an
-// adaptive source switched generations under the bound — exactly the
-// sharded fan-out protocol with one shard.
-func snapshotPlain(at rangeQueryAt, prov *ebrrq.Provider, src core.Source, peek bool, th *core.Thread, lo, hi uint64, out []core.KV) ([]core.KV, core.TS) {
-	base := len(out)
-	for {
-		th.BeginRQ()
-		var s core.TS
-		switch {
-		case prov != nil:
-			prov.RQLock()
-			s = src.Snapshot()
-			prov.RQUnlock()
-		case peek:
-			s = src.Peek()
-		default:
-			s = src.Snapshot()
-		}
-		out = at.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(src, s) {
-			return out, s
-		}
-		out = out[:base]
-	}
 }
 
 // update is the durable update path: apply, stamp and append under the
@@ -286,66 +231,32 @@ func (d *durable) update(th *core.Thread, op wal.OpKind, ikey, val uint64) (bool
 	return true, err
 }
 
-// checkpoint is one snapshot flush: collect at a single bound with
-// writers running, sort, write atomically, then rotate and prune the
-// segments the snapshot covers.
-func (d *durable) checkpoint() error {
+// checkpoint is one snapshot flush: collect the whole map at a single
+// bound with writers running — a fresh one when live, else the past
+// timestamp ts through the retained version history GetAt reads — sort,
+// write atomically, then prune the segments the bound covers. Newer
+// records stay, so replay over a historical snapshot still converges to
+// the log's final state.
+func (d *durable) checkpoint(ts uint64, live bool) error {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
-	var mark uint64
-	if d.tr != nil {
-		mark = d.tr.Now()
-	}
+	mark := d.tr.Now()
 	// Rotate first: every record buffered before this point lands in a
 	// sealed segment whose maxTS the prune below can compare against
 	// the snapshot bound.
 	d.log.RotateAll()
-	kvs, s := d.snapAll(d.snapBuf[:0])
+	kvs, ts, err := d.rd.Read(d.th, d.shift, MaxKey+d.shift, ts, live, d.snapBuf[:0])
 	d.snapBuf = kvs[:0]
+	if err != nil {
+		return err
+	}
 	core.SortKVs(kvs)
 	pairs := make([]wal.Pair, len(kvs))
 	for i, kv := range kvs {
 		pairs[i] = wal.Pair{Key: kv.Key - d.shift, Val: kv.Val}
 	}
-	err := d.log.WriteSnapshot(uint64(s), pairs)
-	if d.tr != nil {
-		d.tr.SharedSpan(trace.PhaseSnapshotFlush, mark)
-	}
-	if err != nil {
-		return err
-	}
-	d.log.PruneUpTo(uint64(s))
-	return nil
-}
-
-// checkpointAt is checkpoint with the collection pointed at a past
-// timestamp: the facade's validate-and-walk historical read (user
-// keys, full range) instead of a fresh bound. Only segments whose
-// records the past bound covers are pruned — newer records stay, so
-// replay over the historical snapshot still converges to the log's
-// final state.
-func (d *durable) checkpointAt(w *wrap, ts uint64) error {
-	d.snapMu.Lock()
-	defer d.snapMu.Unlock()
-	var mark uint64
-	if d.tr != nil {
-		mark = d.tr.Now()
-	}
-	d.log.RotateAll()
-	kvs, err := w.rangeQueryAt(d.th, 0, MaxKey, ts, d.snapBuf[:0])
-	d.snapBuf = kvs[:0]
-	if err != nil {
-		return err
-	}
-	core.SortKVs(kvs)
-	pairs := make([]wal.Pair, len(kvs))
-	for i, kv := range kvs {
-		pairs[i] = wal.Pair{Key: kv.Key, Val: kv.Val} // already user keys
-	}
 	err = d.log.WriteSnapshot(ts, pairs)
-	if d.tr != nil {
-		d.tr.SharedSpan(trace.PhaseSnapshotFlush, mark)
-	}
+	d.tr.SharedSpan(trace.PhaseSnapshotFlush, mark)
 	if err != nil {
 		return err
 	}
@@ -363,7 +274,7 @@ func (d *durable) flushLoop() {
 		case <-d.stop:
 			return
 		case <-t.C:
-			_ = d.checkpoint() // failures counted in obs; next tick retries
+			_ = d.checkpoint(0, true) // failures counted in obs; next tick retries
 		}
 	}
 }
@@ -434,7 +345,7 @@ func (w *wrap) Checkpoint() error {
 	if w.dur == nil {
 		return errNotDurable
 	}
-	return w.dur.checkpoint()
+	return w.dur.checkpoint(0, true)
 }
 
 // CheckpointAt implements DurableMap.
@@ -445,7 +356,7 @@ func (w *wrap) CheckpointAt(ts uint64) error {
 	if !w.hist {
 		return ErrHistoryUnsupported
 	}
-	return w.dur.checkpointAt(w, ts)
+	return w.dur.checkpoint(ts, false)
 }
 
 // WALError implements DurableMap.

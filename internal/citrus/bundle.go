@@ -66,44 +66,41 @@ type BundleTree struct {
 	np   *pool.Pool[bnode]
 	ep   *pool.Pool[bundle.Entry[bnode]]
 	rb   *core.ReadBound
+	rd   *core.Reader
 	root *bnode
 }
 
 // NewBundle builds an empty tree over the given source and registry.
 func NewBundle(src core.Source, reg *core.Registry) *BundleTree {
-	return &BundleTree{
+	t := &BundleTree{
 		src:  src,
 		reg:  reg,
 		rcu:  rcu.New(reg),
 		root: newBnode(sentinelKey, 0),
 	}
+	t.rd = core.NewReader(src, core.QueryReads, t)
+	return t
 }
 
 // Source returns the tree's timestamp source.
 func (t *BundleTree) Source() core.Source { return t.src }
 
-// SetGC wires reclamation reporting to g (nil disables it). Call before
+// Reader returns the tree's snapshot-read protocol.
+func (t *BundleTree) Reader() *core.Reader { return t.rd }
+
+// SetHooks wires the tree's sinks: GC counters, the flight recorder
+// (label spans, validation retries, range-query spans, bundle-dereference
+// depth, pending-entry waits), the retention watermark entry truncation
+// respects, and the allocation mode of nodes and bundle entries. Every
+// node is published under locks after validation and truncated entry
+// tails stay reachable to snapshot readers, so nothing ever flows back to
+// the pools — they supply arena chunking and batching only. Call before
 // the tree sees concurrent traffic.
-func (t *BundleTree) SetGC(g *obs.GC) { t.gc = g }
-
-// SetTrace wires the flight recorder (nil disables it): label spans on
-// updates, validation retries, range-query timestamp/traverse spans,
-// bundle-dereference depth and pending-entry waits. Call before the tree
-// sees concurrent traffic.
-func (t *BundleTree) SetTrace(tr *trace.Recorder) { t.tr = tr }
-
-// SetReadBound routes bundle-entry truncation through a retention
-// watermark (time-travel reads). Call before the tree sees traffic.
-func (t *BundleTree) SetReadBound(rb *core.ReadBound) { t.rb = rb }
-
-// SetAlloc selects the allocation mode for nodes and bundle entries (see
-// Config.Alloc). Every node is published under locks after validation
-// and truncated entry tails stay reachable to snapshot readers, so
-// nothing ever flows back to the pools — they supply arena chunking and
-// batching only. Call before the tree sees concurrent traffic.
-func (t *BundleTree) SetAlloc(mode pool.Mode, ps *obs.PoolStats) {
-	t.np = pool.New[bnode](t.reg.Cap(), mode, ps)
-	t.ep = pool.New[bundle.Entry[bnode]](t.reg.Cap(), mode, ps)
+func (t *BundleTree) SetHooks(h core.Hooks) {
+	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
+	t.rd.SetHooks(h)
+	t.np = pool.New[bnode](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.ep = pool.New[bundle.Entry[bnode]](t.reg.Cap(), h.Alloc, h.PoolStats)
 }
 
 // newBnodeIn is newBnode drawing the node and its two seed entries from
@@ -320,40 +317,13 @@ func (t *BundleTree) maybeTruncate(n *bnode, key uint64) {
 }
 
 // RangeQuery appends every pair with lo <= key <= hi as of one
-// linearizable snapshot. Bundling's range queries only READ the
-// timestamp (updates advance it), so with a logical source a read-only
-// workload shows no benefit from TSC — Figure 3a's flat pair of Bundle
-// curves — while update-heavy mixes do.
+// linearizable snapshot.
 func (t *BundleTree) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	tr := t.tr
-	base := len(out)
-	for {
-		th.BeginRQ()
-		var mark uint64
-		if tr != nil {
-			mark = tr.Now()
-		}
-		s := t.src.Peek()
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseTimestamp, mark)
-		}
-		out = t.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(t.src, s) {
-			return out
-		}
-		// Source generation switched under the query; the result may
-		// tear the snapshot. Discard and retry with a fresh bound.
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		}
-		out = out[:base]
-	}
+	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the caller-provided bound s. The
-// caller must have called th.BeginRQ before obtaining s; the reservation
-// keeps bundle entries labeled at or below s from being truncated before
-// the announcement lands here.
+// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
+// reservation (DESIGN.md, "Snapshot reads").
 func (t *BundleTree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if hi > MaxKey {
 		hi = MaxKey

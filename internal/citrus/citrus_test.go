@@ -570,7 +570,9 @@ func TestEBRRangeFindsSuccessorBehindItsCopy(t *testing.T) {
 		tr.Insert(a, k, k*10)
 	}
 	a.BeginRQ()
-	s := tr.provider.Snapshot()
+	tr.provider.RQLock()
+	s := tr.src.Snapshot()
+	tr.provider.RQUnlock()
 	tr.rcu.ReadLock(c.ID) // holds Delete(3) inside its grace period
 	done := make(chan bool)
 	go func() { done <- tr.Delete(b, 3) }()

@@ -7,7 +7,6 @@ import (
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/epoch"
-	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
 	"tscds/internal/pool"
 	"tscds/internal/rcu"
@@ -46,6 +45,7 @@ type EBRTree struct {
 	em       *epoch.Manager[*enode]
 	tr       *trace.Recorder
 	np       *pool.Pool[enode] // nil in GC mode
+	rd       *core.Reader
 	root     *enode
 }
 
@@ -73,23 +73,32 @@ func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRTre
 	}
 	t.em = epoch.NewManager[*enode](reg,
 		func(n *enode, min core.TS) bool { return n.dtime.Get() >= min })
+	t.rd = core.NewReader(src, core.QueryAdvancesLocked(provider), t)
 	return t, nil
 }
 
 // Source returns the tree's timestamp source.
 func (t *EBRTree) Source() core.Source { return t.src }
 
-// SetGC wires limbo-list reporting to g (nil disables it). Call before
-// the tree sees concurrent traffic.
-func (t *EBRTree) SetGC(g *obs.GC) { t.em.SetGC(g) }
+// Reader returns the tree's snapshot-read protocol.
+func (t *EBRTree) Reader() *core.Reader { return t.rd }
 
-// SetAlloc switches node allocation to the pooled/arena facade and
-// recycles pruned limbo nodes back into it. Citrus retires each node
-// exactly once (the marked flag flips under the node's lock before the
-// only Retire it will ever see), so unlike the lock-free BST no limbo
-// reference count is needed. Call before the tree sees traffic.
-func (t *EBRTree) SetAlloc(mode pool.Mode, ps *obs.PoolStats) {
-	t.np = pool.New[enode](t.reg.Cap(), mode, ps)
+// SetHooks wires the tree's sinks: limbo-list counters, the flight
+// recorder — through the tree, its timestamp provider (lock-wait/label
+// spans) and its epoch manager (pin/advance stalls) — and the allocation
+// mode, with pruned limbo nodes recycled into the pool. Citrus retires
+// each node exactly once (the marked flag flips under the node's lock
+// before the only Retire it will ever see), so unlike the lock-free BST no
+// limbo reference count is needed. The retention watermark is not used:
+// limbo holds deleted nodes, not history. Call before the tree sees
+// traffic.
+func (t *EBRTree) SetHooks(h core.Hooks) {
+	t.tr = h.Trace
+	t.rd.SetHooks(h)
+	t.provider.SetTrace(h.Trace)
+	t.em.SetTrace(h.Trace)
+	t.em.SetGC(h.GC)
+	t.np = pool.New[enode](t.reg.Cap(), h.Alloc, h.PoolStats)
 	if t.np != nil {
 		t.em.SetRecycle(func(n *enode, tid int) { t.np.Put(tid, n) })
 	}
@@ -113,24 +122,12 @@ func (t *EBRTree) newNode(tid int, key, val uint64) *enode {
 	return n
 }
 
-// SetTrace wires the flight recorder (nil disables it) through the tree,
-// its timestamp provider (lock-wait/label spans) and its epoch manager
-// (pin/advance stalls). Call before the tree sees concurrent traffic.
-func (t *EBRTree) SetTrace(tr *trace.Recorder) {
-	t.tr = tr
-	t.provider.SetTrace(tr)
-	t.em.SetTrace(tr)
-}
-
 func (t *EBRTree) noteRetries(th *core.Thread, retries uint64) {
 	if t.tr == nil {
 		return
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 }
-
-// Provider exposes the timestamp provider (tests).
-func (t *EBRTree) Provider() *ebrrq.Provider { return t.provider }
 
 // LimboLen reports retained limbo nodes (tests).
 func (t *EBRTree) LimboLen() int { return t.em.LimboLen() }
@@ -343,40 +340,12 @@ func (t *EBRTree) deleteTwoChildren(th *core.Thread, prev *enode, dir int, curr,
 // deleted at or before it, found in the live tree or — for nodes removed
 // during the traversal — in the EBR limbo lists.
 func (t *EBRTree) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	tr := t.tr
-	base := len(out)
-	for {
-		th.BeginRQ()
-		var mark uint64
-		if tr != nil {
-			mark = tr.Now()
-		}
-		s := t.provider.Snapshot()
-		if tr != nil {
-			// Includes the exclusive acquisition of the provider's RW lock in
-			// the lock-based variant; the wait alone also lands in the shared
-			// lock-wait phase.
-			tr.Span(th.ID, trace.PhaseTimestamp, mark)
-		}
-		out = t.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(t.provider.Source(), s) {
-			return out
-		}
-		// Source generation switched under the query; the result may
-		// tear the snapshot. Discard and retry with a fresh bound.
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		}
-		out = out[:base]
-	}
+	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the caller-provided bound s. The
-// caller must have called th.BeginRQ before obtaining s, and — for the
-// lock-based variant — must have obtained s while holding this tree's
-// Provider RQLock, so every in-flight (read, label) pair on this shard
-// settled at or below s. The reservation keeps limbo nodes with
-// deletion labels at or below s scannable until the announcement lands.
+// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
+// reservation and took s under the provider's RQLock (DESIGN.md,
+// "Snapshot reads").
 func (t *EBRTree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if hi > MaxKey {
 		hi = MaxKey

@@ -40,44 +40,41 @@ type VcasTree struct {
 	np   *pool.Pool[vnode]
 	vp   *pool.Pool[vcas.Version[*vnode]]
 	rb   *core.ReadBound
+	rd   *core.Reader
 	root *vnode
 }
 
 // NewVcas builds an empty tree over the given source and registry.
 func NewVcas(src core.Source, reg *core.Registry) *VcasTree {
-	return &VcasTree{
+	t := &VcasTree{
 		src:  src,
 		reg:  reg,
 		rcu:  rcu.New(reg),
 		root: newVnode(sentinelKey, 0),
 	}
+	t.rd = core.NewReader(src, core.QueryAdvances, t)
+	return t
 }
 
 // Source returns the tree's timestamp source.
 func (t *VcasTree) Source() core.Source { return t.src }
 
-// SetGC wires reclamation reporting to g (nil disables it). Call before
-// the tree sees concurrent traffic.
-func (t *VcasTree) SetGC(g *obs.GC) { t.gc = g }
+// Reader returns the tree's snapshot-read protocol.
+func (t *VcasTree) Reader() *core.Reader { return t.rd }
 
-// SetTrace wires the flight recorder (nil disables it): validation-retry
-// counts on updates, range-query timestamp/traverse spans and
-// version-walk lengths. Call before the tree sees concurrent traffic.
-func (t *VcasTree) SetTrace(tr *trace.Recorder) { t.tr = tr }
-
-// SetReadBound routes version-chain truncation through a retention
-// watermark (time-travel reads). Call before the tree sees traffic.
-func (t *VcasTree) SetReadBound(rb *core.ReadBound) { t.rb = rb }
-
-// SetAlloc selects the allocation mode for nodes and vCAS versions (see
-// Config.Alloc). Every node this tree creates is published (creation
-// happens under locks after validation), and published memory stays
-// reachable to snapshot readers, so nothing ever flows back to the
-// pools — they supply arena chunking and batching only. Call before the
-// tree sees concurrent traffic.
-func (t *VcasTree) SetAlloc(mode pool.Mode, ps *obs.PoolStats) {
-	t.np = pool.New[vnode](t.reg.Cap(), mode, ps)
-	t.vp = pool.New[vcas.Version[*vnode]](t.reg.Cap(), mode, ps)
+// SetHooks wires the tree's sinks: GC counters, the flight recorder
+// (validation retries, range-query spans, version-walk lengths), the
+// retention watermark version truncation respects, and the allocation
+// mode of nodes and vCAS versions. Every node this tree creates is
+// published (creation happens under locks after validation), and
+// published memory stays reachable to snapshot readers, so nothing ever
+// flows back to the pools — they supply arena chunking and batching
+// only. Call before the tree sees concurrent traffic.
+func (t *VcasTree) SetHooks(h core.Hooks) {
+	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
+	t.rd.SetHooks(h)
+	t.np = pool.New[vnode](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.vp = pool.New[vcas.Version[*vnode]](t.reg.Cap(), h.Alloc, h.PoolStats)
 }
 
 // newVnodeIn is newVnode drawing the node and its two seed versions from
@@ -313,39 +310,13 @@ func (t *VcasTree) maybeTruncate(n *vnode, key uint64) {
 }
 
 // RangeQuery appends every pair with lo <= key <= hi as of one
-// linearizable snapshot. vCAS range queries advance the timestamp
-// (Source.Snapshot) — the fetch-and-add that dominates read-heavy
-// workloads in Figure 3 until TSC removes it.
+// linearizable snapshot.
 func (t *VcasTree) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	tr := t.tr
-	base := len(out)
-	for {
-		th.BeginRQ()
-		var mark uint64
-		if tr != nil {
-			mark = tr.Now()
-		}
-		s := t.src.Snapshot()
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseTimestamp, mark)
-		}
-		out = t.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(t.src, s) {
-			return out
-		}
-		// Source generation switched under the query; the result may
-		// tear the snapshot. Discard and retry with a fresh bound.
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		}
-		out = out[:base]
-	}
+	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the caller-provided bound s. The
-// caller must have called th.BeginRQ before obtaining s; the reservation
-// keeps versions labeled at or below s from being truncated before the
-// announcement lands here.
+// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
+// reservation (DESIGN.md, "Snapshot reads").
 func (t *VcasTree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if hi > MaxKey {
 		hi = MaxKey

@@ -86,8 +86,8 @@ func (l *Label) Get() core.TS {
 // Assigned reports whether the label has been set.
 func (l *Label) Assigned() bool { return l.Get() != core.Pending }
 
-// Provider issues snapshot bounds to range queries and labels nodes on
-// behalf of updates, with the variant's atomicity discipline.
+// Provider labels nodes on behalf of updates and holds range queries'
+// side of the variant's atomicity discipline.
 type Provider struct {
 	variant Variant
 	src     core.Source
@@ -124,16 +124,6 @@ func (p *Provider) Variant() Variant { return p.variant }
 // Source reports the underlying timestamp source.
 func (p *Provider) Source() core.Source { return p.src }
 
-// Snapshot returns the range query's linearization bound s. Labels
-// assigned by updates that linearize later are strictly greater than s
-// (up to the theoretical TSC tie of §III-A).
-func (p *Provider) Snapshot() core.TS {
-	p.RQLock()
-	s := p.src.Snapshot()
-	p.RQUnlock()
-	return s
-}
-
 // RQLock acquires the range-query side of the labeling discipline: in
 // the lock-based variant the exclusive half of the readers-writer lock,
 // which waits out every in-flight (read, label) pair so that labels
@@ -141,12 +131,11 @@ func (p *Provider) Snapshot() core.TS {
 // bound. A no-op in the lock-free variant, whose DCSS validates the
 // bound at its address instead.
 //
-// Cross-shard range queries use the split pair directly: they RQLock
-// every overlapping shard's provider (in shard order, so concurrent
-// fan-outs cannot deadlock), read one shared timestamp, and RQUnlock —
-// extending the single-structure atomicity argument to a common
-// snapshot instant. Single-shard queries use Snapshot, which wraps the
-// pair around its own source read.
+// core.Reader takes a range query's bound between RQLock and RQUnlock:
+// labels assigned by updates that linearize later are strictly greater
+// than it (up to the theoretical TSC tie of §III-A). A cross-shard query
+// locks every overlapping shard's provider, in shard order, around one
+// read of the shared source.
 func (p *Provider) RQLock() {
 	if p.variant != LockBased {
 		return

@@ -46,6 +46,13 @@ func providers(t *testing.T) map[string]*Provider {
 	}
 }
 
+// snapshot takes a range query's bound the way core.Reader does.
+func snapshot(p *Provider) core.TS {
+	p.RQLock()
+	defer p.RQUnlock()
+	return p.Source().Snapshot()
+}
+
 // The invariant every variant must provide: a label assigned after a
 // snapshot bound was taken is strictly greater than the bound (modulo
 // the theoretical TSC tie, which cannot occur here because the snapshot
@@ -54,7 +61,7 @@ func TestLabelAfterSnapshotIsNewer(t *testing.T) {
 	for name, p := range providers(t) {
 		t.Run(name, func(t *testing.T) {
 			for i := 0; i < 2000; i++ {
-				s := p.Snapshot()
+				s := snapshot(p)
 				var l Label
 				l.Init()
 				ts := p.Label(&l)
@@ -74,7 +81,7 @@ func TestSnapshotAfterLabelCoversIt(t *testing.T) {
 				var l Label
 				l.Init()
 				ts := p.Label(&l)
-				s := p.Snapshot()
+				s := snapshot(p)
 				if ts > s {
 					t.Fatalf("snapshot %d below earlier label %d", s, ts)
 				}
@@ -103,9 +110,9 @@ func TestConcurrentSnapshotLabelOrdering(t *testing.T) {
 						}
 						var l Label
 						l.Init()
-						before := p.Snapshot()
+						before := snapshot(p)
 						ts := p.Label(&l)
-						after := p.Snapshot()
+						after := snapshot(p)
 						if ts <= before || ts > after {
 							t.Errorf("label %d outside (%d, %d]", ts, before, after)
 							return
@@ -114,7 +121,7 @@ func TestConcurrentSnapshotLabelOrdering(t *testing.T) {
 				}()
 			}
 			for i := 0; i < 2000; i++ {
-				p.Snapshot()
+				snapshot(p)
 			}
 			close(stop)
 			wg.Wait()
@@ -140,7 +147,7 @@ func TestLockFreeLabelUnderSnapshotStorm(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				p.Snapshot()
+				snapshot(p)
 			}
 		}
 	}()

@@ -51,6 +51,7 @@ type BundleList struct {
 	np   *pool.Pool[bnode]
 	ep   *pool.Pool[bundle.Entry[bnode]]
 	rb   *core.ReadBound
+	rd   *core.Reader
 	head *bnode
 }
 
@@ -58,32 +59,29 @@ type BundleList struct {
 func NewBundle(src core.Source, reg *core.Registry) *BundleList {
 	h := &bnode{}
 	h.bnd.Init(nil)
-	return &BundleList{src: src, reg: reg, head: h}
+	t := &BundleList{src: src, reg: reg, head: h}
+	t.rd = core.NewReader(src, core.QueryReads, t)
+	return t
 }
 
 // Source returns the list's timestamp source.
 func (t *BundleList) Source() core.Source { return t.src }
 
-// SetGC wires reclamation reporting to g (nil disables it). Call before
-// the list sees concurrent traffic.
-func (t *BundleList) SetGC(g *obs.GC) { t.gc = g }
+// Reader returns the list's snapshot-read protocol.
+func (t *BundleList) Reader() *core.Reader { return t.rd }
 
-// SetTrace attaches a flight recorder (nil disables it). Call before the
-// list sees concurrent traffic.
-func (t *BundleList) SetTrace(tr *trace.Recorder) { t.tr = tr }
-
-// SetReadBound routes bundle-entry truncation through a retention
-// watermark (time-travel reads). Call before the list sees traffic.
-func (t *BundleList) SetReadBound(rb *core.ReadBound) { t.rb = rb }
-
-// SetAlloc selects the allocation mode for nodes and bundle entries (see
-// Config.Alloc). The lazy list has no reclamation scheme — unlinked
-// nodes and truncated entry tails stay reachable to in-flight readers —
-// so pooling is allocation-side only (arena chunking, batching); nothing
-// published is recycled. Call before the list sees concurrent traffic.
-func (t *BundleList) SetAlloc(mode pool.Mode, ps *obs.PoolStats) {
-	t.np = pool.New[bnode](t.reg.Cap(), mode, ps)
-	t.ep = pool.New[bundle.Entry[bnode]](t.reg.Cap(), mode, ps)
+// SetHooks wires the list's sinks: GC counters, the flight recorder, the
+// retention watermark entry truncation respects, and the allocation mode
+// of nodes and bundle entries. The lazy list has no reclamation scheme —
+// unlinked nodes and truncated entry tails stay reachable to in-flight
+// readers — so pooling is allocation-side only (arena chunking,
+// batching); nothing published is recycled. Call before the list sees
+// concurrent traffic.
+func (t *BundleList) SetHooks(h core.Hooks) {
+	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
+	t.rd.SetHooks(h)
+	t.np = pool.New[bnode](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.ep = pool.New[bundle.Entry[bnode]](t.reg.Cap(), h.Alloc, h.PoolStats)
 }
 
 // newBnode allocates an insertable node, from the pool when configured.
@@ -240,28 +238,11 @@ func (t *BundleList) maybeTruncate(n *bnode, key uint64) {
 // exactly why the paper saw no TSC gain here — the O(n) walk dwarfs the
 // timestamp access.
 func (t *BundleList) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	tr := t.tr
-	base := len(out)
-	for {
-		th.BeginRQ()
-		mark := tr.Now()
-		s := t.src.Peek()
-		tr.Span(th.ID, trace.PhaseTimestamp, mark)
-		out = t.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(t.src, s) {
-			return out
-		}
-		// Source generation switched under the query; the result may
-		// tear the snapshot. Discard and retry with a fresh bound.
-		tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		out = out[:base]
-	}
+	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the caller-provided bound s. The
-// caller must have called th.BeginRQ before obtaining s; the reservation
-// keeps bundle entries labeled at or below s from being truncated before
-// the announcement lands here.
+// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
+// reservation (DESIGN.md, "Snapshot reads").
 func (t *BundleList) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if lo == 0 {
 		lo = 1
@@ -327,38 +308,35 @@ type VcasList struct {
 	vp   *pool.Pool[vcas.Version[*vnode]]
 	bp   *pool.Pool[vcas.Version[bool]]
 	rb   *core.ReadBound
+	rd   *core.Reader
 	head *vnode
 }
 
 // NewVcas creates an empty vCAS lazy list.
 func NewVcas(src core.Source, reg *core.Registry) *VcasList {
-	return &VcasList{src: src, reg: reg, head: newVnode(0, 0, nil)}
+	t := &VcasList{src: src, reg: reg, head: newVnode(0, 0, nil)}
+	t.rd = core.NewReader(src, core.QueryAdvances, t)
+	return t
 }
 
 // Source returns the list's timestamp source.
 func (t *VcasList) Source() core.Source { return t.src }
 
-// SetGC wires reclamation reporting to g (nil disables it). Call before
-// the list sees concurrent traffic.
-func (t *VcasList) SetGC(g *obs.GC) { t.gc = g }
+// Reader returns the list's snapshot-read protocol.
+func (t *VcasList) Reader() *core.Reader { return t.rd }
 
-// SetTrace attaches a flight recorder (nil disables it). Call before the
-// list sees concurrent traffic.
-func (t *VcasList) SetTrace(tr *trace.Recorder) { t.tr = tr }
-
-// SetReadBound routes version-chain truncation through a retention
-// watermark (time-travel reads). Call before the list sees traffic.
-func (t *VcasList) SetReadBound(rb *core.ReadBound) { t.rb = rb }
-
-// SetAlloc selects the allocation mode for nodes and vCAS versions (see
-// Config.Alloc). As with the bundled variant, nothing published is ever
-// recycled — versions detached by Truncate stay readable to snapshot
-// readers — so the pools supply arena chunking and batching only. Call
-// before the list sees concurrent traffic.
-func (t *VcasList) SetAlloc(mode pool.Mode, ps *obs.PoolStats) {
-	t.np = pool.New[vnode](t.reg.Cap(), mode, ps)
-	t.vp = pool.New[vcas.Version[*vnode]](t.reg.Cap(), mode, ps)
-	t.bp = pool.New[vcas.Version[bool]](t.reg.Cap(), mode, ps)
+// SetHooks wires the list's sinks: GC counters, the flight recorder, the
+// retention watermark version truncation respects, and the allocation
+// mode of nodes and vCAS versions. As with the bundled variant, nothing
+// published is ever recycled — versions detached by Truncate stay
+// readable to snapshot readers — so the pools supply arena chunking and
+// batching only. Call before the list sees concurrent traffic.
+func (t *VcasList) SetHooks(h core.Hooks) {
+	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
+	t.rd.SetHooks(h)
+	t.np = pool.New[vnode](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.vp = pool.New[vcas.Version[*vnode]](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.bp = pool.New[vcas.Version[bool]](t.reg.Cap(), h.Alloc, h.PoolStats)
 }
 
 // newVnodeIn is newVnode drawing the node and its seed versions from the
@@ -483,31 +461,13 @@ func (t *VcasList) maybeTruncate(n *vnode, key uint64) {
 	}
 }
 
-// RangeQuery appends every pair in [lo,hi] as of one snapshot (vCAS
-// style: the query advances the camera).
+// RangeQuery appends every pair in [lo,hi] as of one snapshot.
 func (t *VcasList) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	tr := t.tr
-	base := len(out)
-	for {
-		th.BeginRQ()
-		mark := tr.Now()
-		s := t.src.Snapshot()
-		tr.Span(th.ID, trace.PhaseTimestamp, mark)
-		out = t.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(t.src, s) {
-			return out
-		}
-		// Source generation switched under the query; the result may
-		// tear the snapshot. Discard and retry with a fresh bound.
-		tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		out = out[:base]
-	}
+	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the caller-provided bound s. The
-// caller must have called th.BeginRQ before obtaining s; the reservation
-// keeps versions labeled at or below s from being truncated before the
-// announcement lands here.
+// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
+// reservation (DESIGN.md, "Snapshot reads").
 func (t *VcasList) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if lo == 0 {
 		lo = 1

@@ -113,6 +113,7 @@ type Tree struct {
 	np   *pool.Pool[node]
 	vp   *pool.Pool[vcas.Version[*node]]
 	rb   *core.ReadBound
+	rd   *core.Reader
 	root *node
 }
 
@@ -120,36 +121,33 @@ type Tree struct {
 // registry.
 func New(src core.Source, reg *core.Registry) *Tree {
 	root := newInternal(inf2, newLeaf(inf1, 0), newLeaf(inf2, 0))
-	return &Tree{src: src, reg: reg, root: root}
+	t := &Tree{src: src, reg: reg, root: root}
+	t.rd = core.NewReader(src, core.QueryAdvances, t)
+	return t
 }
 
 // Source returns the tree's timestamp source.
 func (t *Tree) Source() core.Source { return t.src }
 
-// SetGC wires reclamation reporting to g (nil disables it). Call before
-// the tree sees concurrent traffic.
-func (t *Tree) SetGC(g *obs.GC) { t.gc = g }
+// Reader returns the tree's snapshot-read protocol.
+func (t *Tree) Reader() *core.Reader { return t.rd }
 
-// SetTrace wires the flight recorder (nil disables it): update retry and
-// helping counts, range-query timestamp/traverse spans, and version-walk
-// lengths. Call before the tree sees concurrent traffic.
-func (t *Tree) SetTrace(tr *trace.Recorder) { t.tr = tr }
-
-// SetReadBound routes version-chain truncation through a retention
-// watermark (time-travel reads). Call before the tree sees traffic.
-func (t *Tree) SetReadBound(rb *core.ReadBound) { t.rb = rb }
-
-// SetAlloc selects the allocation mode for tree nodes and vCAS versions
-// (see Config.Alloc). The vCAS tree has no reclamation scheme — spliced-
-// out nodes and truncated version tails stay reachable to snapshot
-// readers — so only never-published memory (a leaf or internal node that
-// lost its CAS, a version that lost the head race) flows back; the pools
-// otherwise supply arena chunking and batching. updateRec descriptors
-// are deliberately NOT pooled: their pointer identity is what makes the
-// EFRB (state, info) CAS ABA-safe. Call before concurrent traffic.
-func (t *Tree) SetAlloc(mode pool.Mode, ps *obs.PoolStats) {
-	t.np = pool.New[node](t.reg.Cap(), mode, ps)
-	t.vp = pool.New[vcas.Version[*node]](t.reg.Cap(), mode, ps)
+// SetHooks wires the tree's sinks: GC counters, the flight recorder
+// (update retry and helping counts, range-query spans, version-walk
+// lengths), the retention watermark version truncation respects, and the
+// allocation mode of tree nodes and vCAS versions. The vCAS tree has no
+// reclamation scheme — spliced-out nodes and truncated version tails stay
+// reachable to snapshot readers — so only never-published memory (a leaf
+// or internal node that lost its CAS, a version that lost the head race)
+// flows back; the pools otherwise supply arena chunking and batching.
+// updateRec descriptors are deliberately NOT pooled: their pointer
+// identity is what makes the EFRB (state, info) CAS ABA-safe. Call before
+// concurrent traffic.
+func (t *Tree) SetHooks(h core.Hooks) {
+	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
+	t.rd.SetHooks(h)
+	t.np = pool.New[node](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.vp = pool.New[vcas.Version[*node]](t.reg.Cap(), h.Alloc, h.PoolStats)
 }
 
 // newLeafIn is newLeaf drawing from the node pool. A pooled node may
@@ -403,45 +401,14 @@ func (t *Tree) maybeTruncate(n *node, key uint64) {
 }
 
 // RangeQuery appends to out every pair with lo <= key <= hi as of one
-// linearizable snapshot, and returns the extended slice. The snapshot
-// bound comes from Source.Snapshot: with a logical source this is the
-// camera fetch-and-add that Figure 2 shows dominating at scale; with TSC
-// it is a fenced core-local read.
+// linearizable snapshot, and returns the extended slice.
 func (t *Tree) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	tr := t.tr
-	base := len(out)
-	for {
-		th.BeginRQ()
-		var mark uint64
-		if tr != nil {
-			mark = tr.Now()
-		}
-		s := t.src.Snapshot()
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseTimestamp, mark)
-		}
-		out = t.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(t.src, s) {
-			return out
-		}
-		// The source switched generations under us: the bound orders
-		// correctly only against labels of its own generation, so the
-		// collected result could tear the snapshot. Discard and retry
-		// against a fresh bound.
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		}
-		out = out[:base]
-	}
+	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the caller-provided snapshot
-// bound s, announcing it on th and withdrawing the announcement before
-// returning. The caller must have called th.BeginRQ before obtaining s
-// (cross-shard queries reserve every shard, then read one shared
-// timestamp); the reservation is what keeps version chains with labels
-// at or below s from being truncated in the window before s is
-// announced here.
+// RangeQueryAt collects [lo, hi] as of the bound s, announcing it on th
+// and withdrawing the announcement before returning; the caller holds
+// th's reservation (DESIGN.md, "Snapshot reads").
 func (t *Tree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if hi > MaxKey {
 		hi = MaxKey

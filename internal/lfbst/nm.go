@@ -67,6 +67,7 @@ type NMTree struct {
 	np  *pool.Pool[nmNode]
 	ep  *pool.Pool[vcas.Version[edgeVal]]
 	rb  *core.ReadBound
+	rd  *core.Reader
 	r   *nmNode // sentinel root, key inf2
 	s   *nmNode // sentinel child, key inf1
 }
@@ -78,34 +79,30 @@ const MaxNMKey = ^uint64(0) - 3
 func NewNM(src core.Source, reg *core.Registry) *NMTree {
 	s := nmInternal(nmInf1, nmLeaf(nmInf0, 0), nmLeaf(nmInf1, 0))
 	r := nmInternal(nmInf2, s, nmLeaf(nmInf2, 0))
-	return &NMTree{src: src, reg: reg, r: r, s: s}
+	t := &NMTree{src: src, reg: reg, r: r, s: s}
+	t.rd = core.NewReader(src, core.QueryAdvances, t)
+	return t
 }
 
 // Source returns the tree's timestamp source.
 func (t *NMTree) Source() core.Source { return t.src }
 
-// SetGC wires reclamation reporting to g (nil disables it). Call before
-// the tree sees concurrent traffic.
-func (t *NMTree) SetGC(g *obs.GC) { t.gc = g }
+// Reader returns the tree's snapshot-read protocol.
+func (t *NMTree) Reader() *core.Reader { return t.rd }
 
-// SetTrace wires the flight recorder (nil disables it). NM helping is
-// implicit (cleanup of flagged/tagged edges), so cleanup calls made on
-// behalf of another operation count as help. Call before the tree sees
+// SetHooks wires the tree's sinks: GC counters, the flight recorder (NM
+// helping is implicit — cleanup of flagged/tagged edges — so cleanup calls
+// made on behalf of another operation count as help), the retention
+// watermark edge-version truncation respects, and the allocation mode of
+// tree nodes and edge versions. As with the EFRB tree, nothing published
+// is ever recycled — only CAS losers and never-linked nodes flow back; the
+// pools otherwise supply arena chunking and batching. Call before
 // concurrent traffic.
-func (t *NMTree) SetTrace(tr *trace.Recorder) { t.tr = tr }
-
-// SetReadBound routes edge-version truncation through a retention
-// watermark (time-travel reads). Call before the tree sees traffic.
-func (t *NMTree) SetReadBound(rb *core.ReadBound) { t.rb = rb }
-
-// SetAlloc selects the allocation mode for tree nodes and edge versions
-// (see Config.Alloc). As with the EFRB tree, nothing published is ever
-// recycled — only CAS losers and never-linked nodes flow back; the pools
-// otherwise supply arena chunking and batching. Call before concurrent
-// traffic.
-func (t *NMTree) SetAlloc(mode pool.Mode, ps *obs.PoolStats) {
-	t.np = pool.New[nmNode](t.reg.Cap(), mode, ps)
-	t.ep = pool.New[vcas.Version[edgeVal]](t.reg.Cap(), mode, ps)
+func (t *NMTree) SetHooks(h core.Hooks) {
+	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
+	t.rd.SetHooks(h)
+	t.np = pool.New[nmNode](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.ep = pool.New[vcas.Version[edgeVal]](t.reg.Cap(), h.Alloc, h.PoolStats)
 }
 
 // nmLeafIn is nmLeaf drawing from the node pool. Stale child version
@@ -353,34 +350,11 @@ func (t *NMTree) maybeTruncate(n *nmNode, key uint64) {
 // RangeQuery appends every pair with lo <= key <= hi as of one
 // linearizable snapshot, traversing edge versions and ignoring marks.
 func (t *NMTree) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	tr := t.tr
-	base := len(out)
-	for {
-		th.BeginRQ()
-		var mark uint64
-		if tr != nil {
-			mark = tr.Now()
-		}
-		s := t.src.Snapshot()
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseTimestamp, mark)
-		}
-		out = t.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(t.src, s) {
-			return out
-		}
-		// Source generation switched under the query; the result may
-		// tear the snapshot. Discard and retry with a fresh bound.
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		}
-		out = out[:base]
-	}
+	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the caller-provided bound s. The
-// caller must have called th.BeginRQ before obtaining s; see
-// Tree.RangeQueryAt.
+// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
+// reservation (DESIGN.md, "Snapshot reads").
 func (t *NMTree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if hi > MaxNMKey {
 		hi = MaxNMKey

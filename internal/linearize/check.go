@@ -21,6 +21,12 @@ const maxReported = 8
 // guards against pathological interval overlap.
 const orderBudget = 1 << 20
 
+// maxOrders bounds how many admissible orders of one key's updates are
+// held against that key's reads. Two orders exist only where an insert, a
+// delete and another insert of one key all overlap in real time, which
+// takes a stalled thread; several such knots on one key are rarer still.
+const maxOrders = 64
+
 // upd is one successful update in a per-key replay.
 type upd struct {
 	e      *Event
@@ -126,12 +132,14 @@ func (c *checker) findVersion(key, val uint64) *version {
 	return nil
 }
 
-// orderUpdates finds a witness linearization order for one key's
-// successful updates: alternating insert/delete starting from absent,
-// consistent with real time (an op wholly preceding another in wall
-// clock must precede it in the order). It prefers invocation order and
-// backtracks only where intervals overlap.
-func orderUpdates(ops []upd) ([]upd, bool) {
+// eachOrder calls visit with every linearization order of one key's
+// successful updates — alternating insert/delete starting from absent,
+// consistent with real time (an op wholly preceding another in wall clock
+// must precede it in the order) — until visit returns true or the search
+// budget is spent, and reports whether visit accepted one. Invocation
+// order comes first; alternatives exist only where intervals overlap.
+// visit must not keep the slice.
+func eachOrder(ops []upd, visit func(order []upd) bool) bool {
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].e.Inv < ops[j].e.Inv })
 	n := len(ops)
 	used := make([]bool, n)
@@ -140,7 +148,7 @@ func orderUpdates(ops []upd) ([]upd, bool) {
 	var rec func(present bool) bool
 	rec = func(present bool) bool {
 		if len(order) == n {
-			return true
+			return visit(order)
 		}
 		if budget <= 0 {
 			return false
@@ -169,8 +177,45 @@ func orderUpdates(ops []upd) ([]upd, bool) {
 		}
 		return false
 	}
-	ok := rec(false)
-	return order, ok
+	return rec(false)
+}
+
+// timelines returns the version timelines of up to maxOrders admissible
+// orders of one key's successful updates, invocation order first; none
+// means the updates admit no sequential execution at all.
+func timelines(ops []upd) [][]version {
+	var out [][]version
+	eachOrder(ops, func(order []upd) bool {
+		if vs, ok := versionsOf(order); ok {
+			out = append(out, vs)
+		}
+		return len(out) == maxOrders
+	})
+	return out
+}
+
+// explains reports whether c's timeline of key justifies ev, one of the
+// key's reads. A range query is held to its projection on the key — the
+// pair it reported for it, or its absence — which every order that the
+// full snapshot test could accept must pass.
+func (c *checker) explains(key uint64, ev *Event) bool {
+	if ev.Op != OpRange && ev.Op != OpRangeAt {
+		return c.checkEvent(ev) == ""
+	}
+	a, b := ev.Inv, ev.Ret
+	if ev.Op == OpRangeAt {
+		if ev.Trunc {
+			return true
+		}
+		a, b = ev.TSInv, ev.TSRet
+	}
+	for _, kv := range ev.KVs {
+		if kv.Key == key {
+			v := c.findVersion(key, kv.Val)
+			return v != nil && v.possiblyIn(a, b)
+		}
+	}
+	return possiblyAbsentIn(c.versions[key], a, b)
 }
 
 // versionsOf converts a witness order into version lifetimes with
@@ -239,22 +284,22 @@ func Check(h *History) error {
 	}
 
 	c := &checker{versions: make(map[uint64][]version, len(perKey))}
+	ambiguous := make(map[uint64][][]version) // keys whose updates admit several orders
 	for key, ops := range perKey {
-		order, ok := orderUpdates(ops)
-		if ok {
-			var vs []version
-			if vs, ok = versionsOf(order); ok {
-				c.versions[key] = vs
-			}
-		}
-		if !ok {
+		cands := timelines(ops)
+		if len(cands) == 0 {
 			report("key %d: %d successful updates admit no real-time-consistent insert/delete alternation",
 				key, len(ops))
 			continue
 		}
+		c.versions[key] = cands[0]
+		if len(cands) > 1 {
+			ambiguous[key] = cands
+		}
 		c.keys = append(c.keys, key)
 	}
 	sort.Slice(c.keys, func(i, j int) bool { return c.keys[i] < c.keys[j] })
+	c.settle(h, ambiguous)
 
 	for _, log := range h.Threads {
 		for i := range log {
@@ -271,6 +316,56 @@ func Check(h *History) error {
 	return fmt.Errorf("%w (seed %d): %d violation(s):\n  %s",
 		ErrNotLinearizable, h.Cfg.Seed, len(violations),
 		strings.Join(violations, "\n  "))
+}
+
+// settle picks, for every key whose updates admit several orders, the
+// first order that explains all of the key's own reads (invocation order
+// stays when none does, and the violations below say why). The orders
+// differ in which insert's value survives a knot of overlapping updates,
+// so the reads of that key are what tells them apart; committing to the
+// first one rejected linearizable histories whenever a thread stalled
+// inside an update.
+func (c *checker) settle(h *History, ambiguous map[uint64][][]version) {
+	if len(ambiguous) == 0 {
+		return
+	}
+	reads := make(map[uint64][]*Event, len(ambiguous))
+	for _, log := range h.Threads {
+		for i := range log {
+			ev := &log[i]
+			switch ev.Op {
+			case OpRange, OpRangeAt:
+				for key := range ambiguous {
+					if ev.Lo <= key && key <= ev.Hi {
+						reads[key] = append(reads[key], ev)
+					}
+				}
+			default:
+				if _, ok := ambiguous[ev.Key]; ok && !((ev.Op == OpInsert || ev.Op == OpDelete) && ev.OK) {
+					reads[ev.Key] = append(reads[ev.Key], ev)
+				}
+			}
+		}
+	}
+	for key, cands := range ambiguous {
+		for _, vs := range cands {
+			if explainsAll(key, vs, reads[key]) {
+				c.versions[key] = vs
+				break
+			}
+		}
+	}
+}
+
+// explainsAll reports whether timeline vs of key justifies all of reads.
+func explainsAll(key uint64, vs []version, reads []*Event) bool {
+	one := checker{versions: map[uint64][]version{key: vs}}
+	for _, ev := range reads {
+		if !one.explains(key, ev) {
+			return false
+		}
+	}
+	return true
 }
 
 // describe renders an event for violation reports.

@@ -31,10 +31,12 @@
 //     interval-overlap argument.
 //
 // The checker is sound against false alarms up to one caveat: when
-// several successful updates to the same key overlap in real time it
-// commits to a single real-time-consistent witness order (preferring
-// invocation order) rather than exploring all of them. With nanosecond
-// stamps and per-key contention this ambiguity is vanishingly rare; a
+// several successful updates to the same key overlap in real time they
+// admit several witness orders, and it holds up to 64 of them against
+// that key's own reads (invocation order first), keeping the first that
+// explains them all — not every combination across keys. A stalled thread
+// makes such a knot about once in twenty matrix runs on a 2-CPU host;
+// several on one key, beyond the bound, remain vanishingly rare. A
 // reported violation includes the seed so the run can be replayed.
 //
 // Config.HistPct extends the same oracle to MVCC time travel: workers

@@ -159,15 +159,59 @@ func TestOrderUpdatesRespectsRealTime(t *testing.T) {
 	ia := uev(OpInsert, 1, 100, 0, 10, true)
 	d := uev(OpDelete, 1, 0, 5, 6, true)
 	ib := uev(OpInsert, 1, 101, 7, 20, true)
-	order, ok := orderUpdates([]upd{
+	var order []upd
+	orders := 0
+	eachOrder([]upd{
 		{e: &ib, insert: true}, {e: &d, insert: false}, {e: &ia, insert: true},
+	}, func(o []upd) bool {
+		order = append([]upd(nil), o...)
+		orders++
+		return false
 	})
-	if !ok {
-		t.Fatal("no witness order found")
+	if orders != 1 {
+		t.Fatalf("%d witness orders found, want exactly one", orders)
 	}
 	got := []uint64{order[0].e.Val, order[2].e.Val}
 	if got[0] != 100 || order[1].e.Op != OpDelete || got[1] != 101 {
 		t.Fatalf("witness order wrong: %v", got)
+	}
+}
+
+// TestCheckTriesEveryAdmissibleOrder: two successful inserts of one key
+// that overlap each other and a delete admit two orders with different
+// surviving values (a 1 ms stall inside an update makes such a knot). The
+// key's reads decide between them; committing to invocation order used to
+// reject whichever history the scheduler happened to produce.
+func TestCheckTriesEveryAdmissibleOrder(t *testing.T) {
+	const k, a, b = 7, 0xa, 0xb
+	knot := []Event{
+		uev(OpInsert, k, a, 10, 100, true),
+		uev(OpInsert, k, b, 20, 90, true),
+		uev(OpDelete, k, 0, 85, 95, true),
+	}
+	get := func(val uint64, inv int64) Event { return uev(OpGet, k, val, inv, inv+1, true) }
+	with := func(reads ...Event) *History { return hist(append(append([]Event(nil), knot...), reads...)...) }
+
+	for name, h := range map[string]*History{
+		"a survives (b, delete, a)": with(get(a, 200)),
+		"b survives (a, delete, b)": with(get(b, 200)),
+		"a survives, seen by a range query": with(
+			rqev(0, 10, 200, 201, tscds.KV{Key: k, Val: a}), uev(OpContains, k, 0, 300, 301, true)),
+		"b survives, a seen inside the knot": with(get(a, 50), get(b, 200)),
+	} {
+		if err := Check(h); err != nil {
+			t.Errorf("%s: linearizable history rejected: %v", name, err)
+		}
+	}
+	for name, h := range map[string]*History{
+		"both survive":               with(get(a, 200), get(b, 300)),
+		"both survive, one by range": with(get(b, 200), rqev(0, 10, 300, 301, tscds.KV{Key: k, Val: a})),
+		"neither survives":           with(uev(OpContains, k, 0, 200, 201, false)),
+		"range misses the survivor":  with(get(a, 200), rqev(0, 10, 300, 301)),
+	} {
+		if err := Check(h); !errors.Is(err, ErrNotLinearizable) {
+			t.Errorf("%s: accepted, but no order of the knot explains it (err %v)", name, err)
+		}
 	}
 }
 

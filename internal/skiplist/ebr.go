@@ -7,7 +7,6 @@ import (
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/epoch"
-	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
 	"tscds/internal/pool"
 )
@@ -43,6 +42,7 @@ type EBRList struct {
 	em       *epoch.Manager[*eskipNode]
 	tr       *trace.Recorder
 	np       *pool.Pool[eskipNode] // nil in GC mode
+	rd       *core.Reader
 	head     *eskipNode
 	rngs     []core.PaddedUint64
 }
@@ -71,23 +71,32 @@ func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRLis
 	}
 	t.em = epoch.NewManager[*eskipNode](reg,
 		func(n *eskipNode, min core.TS) bool { return n.dtime.Get() >= min })
+	t.rd = core.NewReader(src, core.QueryAdvancesLocked(provider), t)
 	return t, nil
 }
 
 // Source returns the list's timestamp source.
 func (t *EBRList) Source() core.Source { return t.src }
 
-// SetGC wires limbo-list reporting to g (nil disables it). Call before
-// the list sees concurrent traffic.
-func (t *EBRList) SetGC(g *obs.GC) { t.em.SetGC(g) }
+// Reader returns the list's snapshot-read protocol.
+func (t *EBRList) Reader() *core.Reader { return t.rd }
 
-// SetAlloc switches node allocation to the pooled/arena facade and —
-// this being an EBR structure, where every traversal is pinned and the
-// two-epoch prune margin therefore proves unreachability — closes the
-// loop: pruned limbo nodes are recycled into the pool's free lists
-// instead of dropped for the GC. Call before the list sees traffic.
-func (t *EBRList) SetAlloc(mode pool.Mode, ps *obs.PoolStats) {
-	t.np = pool.New[eskipNode](t.reg.Cap(), mode, ps)
+// SetHooks wires the list's sinks: limbo-list counters, the flight
+// recorder — through the list, its labeling provider (lock-wait and label
+// spans) and its epoch manager (pin/advance stalls) — and the allocation
+// mode. This being an EBR structure, where every traversal is pinned and
+// the epoch prune margin therefore proves unreachability, pooling closes
+// the loop: pruned limbo nodes are recycled into the pool's free lists
+// instead of dropped for the GC. The retention watermark is not used:
+// limbo holds deleted nodes, not history. Call before the list sees
+// traffic.
+func (t *EBRList) SetHooks(h core.Hooks) {
+	t.tr = h.Trace
+	t.rd.SetHooks(h)
+	t.provider.SetTrace(h.Trace)
+	t.em.SetTrace(h.Trace)
+	t.em.SetGC(h.GC)
+	t.np = pool.New[eskipNode](t.reg.Cap(), h.Alloc, h.PoolStats)
 	if t.np != nil {
 		t.em.SetRecycle(func(n *eskipNode, tid int) { t.np.Put(tid, n) })
 	}
@@ -119,15 +128,6 @@ func (t *EBRList) newNode(tid int, key, val uint64, topLevel int) *eskipNode {
 	return n
 }
 
-// SetTrace attaches a flight recorder to the list, its labeling provider
-// (lock-wait and label spans) and its epoch manager (pin/advance stalls).
-// Call before the list sees concurrent traffic.
-func (t *EBRList) SetTrace(tr *trace.Recorder) {
-	t.tr = tr
-	t.provider.SetTrace(tr)
-	t.em.SetTrace(tr)
-}
-
 // noteRetries reports an update's validation-failure retries.
 func (t *EBRList) noteRetries(th *core.Thread, retries uint64) {
 	if t.tr == nil || retries == 0 {
@@ -142,10 +142,6 @@ func (t *EBRList) LimboLen() int { return t.em.LimboLen() }
 // Drain eagerly advances the epoch and prunes every limbo list.
 // Quiescent use only, like Len.
 func (t *EBRList) Drain() { t.em.DrainAll() }
-
-// Provider exposes the timestamp provider (cross-shard snapshot
-// coordination and tests).
-func (t *EBRList) Provider() *ebrrq.Provider { return t.provider }
 
 func (t *EBRList) randLevel(tid int) int {
 	x := t.rngs[tid].Load()
@@ -354,33 +350,12 @@ func (t *EBRList) Delete(th *core.Thread, key uint64) bool {
 // snapshot: live-list nodes passing the visibility predicate plus limbo
 // nodes deleted after the bound.
 func (t *EBRList) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	tr := t.tr
-	base := len(out)
-	for {
-		th.BeginRQ()
-		// The snapshot span covers the provider's exclusive-lock acquisition
-		// (lock-based variant); the wait alone also lands in the shared
-		// lock-wait aggregate.
-		mark := tr.Now()
-		s := t.provider.Snapshot()
-		tr.Span(th.ID, trace.PhaseTimestamp, mark)
-		out = t.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(t.provider.Source(), s) {
-			return out
-		}
-		// Source generation switched under the query; the result may
-		// tear the snapshot. Discard and retry with a fresh bound.
-		tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		out = out[:base]
-	}
+	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the caller-provided bound s. The
-// caller must have called th.BeginRQ before obtaining s, and — for the
-// lock-based variant — must have obtained s while holding this list's
-// Provider RQLock, so every in-flight (read, label) pair on this shard
-// settled at or below s. The reservation keeps limbo nodes with
-// deletion labels at or below s scannable until the announcement lands.
+// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
+// reservation and took s under the provider's RQLock (DESIGN.md,
+// "Snapshot reads").
 func (t *EBRList) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if lo == 0 {
 		lo = 1

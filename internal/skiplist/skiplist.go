@@ -68,6 +68,7 @@ type List struct {
 	np   *pool.Pool[node]
 	ep   *pool.Pool[bundle.Entry[node]]
 	rb   *core.ReadBound
+	rd   *core.Reader
 	head *node
 	rngs []core.PaddedUint64 // per-thread xorshift state for level draws
 }
@@ -78,38 +79,35 @@ func New(src core.Source, reg *core.Registry) *List {
 	head.its.Store(0)
 	head.fullyLinked.Store(true)
 	head.bnd.Init(nil)
-	return &List{
+	t := &List{
 		src:  src,
 		reg:  reg,
 		head: head,
 		rngs: make([]core.PaddedUint64, reg.Cap()),
 	}
+	t.rd = core.NewReader(src, core.QueryReads, t)
+	return t
 }
 
 // Source returns the list's timestamp source.
 func (t *List) Source() core.Source { return t.src }
 
-// SetGC wires reclamation reporting to g (nil disables it). Call before
-// the list sees concurrent traffic.
-func (t *List) SetGC(g *obs.GC) { t.gc = g }
+// Reader returns the list's snapshot-read protocol.
+func (t *List) Reader() *core.Reader { return t.rd }
 
-// SetTrace attaches a flight recorder (nil disables it). Call before the
-// list sees concurrent traffic.
-func (t *List) SetTrace(tr *trace.Recorder) { t.tr = tr }
-
-// SetReadBound routes bundle-entry truncation through a retention
-// watermark (time-travel reads). Call before the list sees traffic.
-func (t *List) SetReadBound(rb *core.ReadBound) { t.rb = rb }
-
-// SetAlloc selects the allocation mode for nodes and bundle entries (see
-// Config.Alloc). The bundled list has no reclamation scheme for nodes —
-// unlinked nodes and truncated entry tails stay reachable to in-flight
-// readers and are dropped to the GC — so pooling here is allocation-side
-// only: arena chunking and sync.Pool batching, never recycling of
-// published memory. Call before the list sees concurrent traffic.
-func (t *List) SetAlloc(mode pool.Mode, ps *obs.PoolStats) {
-	t.np = pool.New[node](t.reg.Cap(), mode, ps)
-	t.ep = pool.New[bundle.Entry[node]](t.reg.Cap(), mode, ps)
+// SetHooks wires the list's sinks: GC counters, the flight recorder, the
+// retention watermark entry truncation respects, and the allocation mode
+// of nodes and bundle entries. The bundled list has no reclamation scheme
+// for nodes — unlinked nodes and truncated entry tails stay reachable to
+// in-flight readers and are dropped to the GC — so pooling here is
+// allocation-side only: arena chunking and sync.Pool batching, never
+// recycling of published memory. Call before the list sees concurrent
+// traffic.
+func (t *List) SetHooks(h core.Hooks) {
+	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
+	t.rd.SetHooks(h)
+	t.np = pool.New[node](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.ep = pool.New[bundle.Entry[node]](t.reg.Cap(), h.Alloc, h.PoolStats)
 }
 
 // newNodeIn is newNode drawing from the node pool when one is configured.
@@ -385,28 +383,11 @@ func visibleAt(n *node, s core.TS) bool {
 // linearizable snapshot. The upper levels (untimestamped) only position
 // the query near lo; the walk itself follows bottom-level bundles.
 func (t *List) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	tr := t.tr
-	base := len(out)
-	for {
-		th.BeginRQ()
-		mark := tr.Now()
-		s := t.src.Peek()
-		tr.Span(th.ID, trace.PhaseTimestamp, mark)
-		out = t.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(t.src, s) {
-			return out
-		}
-		// Source generation switched under the query; the result may
-		// tear the snapshot. Discard and retry with a fresh bound.
-		tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		out = out[:base]
-	}
+	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the caller-provided bound s. The
-// caller must have called th.BeginRQ before obtaining s; the reservation
-// keeps bundle entries labeled at or below s from being truncated before
-// the announcement lands here.
+// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
+// reservation (DESIGN.md, "Snapshot reads").
 func (t *List) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if lo == 0 {
 		lo = 1

@@ -63,6 +63,7 @@ type VcasList struct {
 	vp   *pool.Pool[vcas.Version[*vskipNode]]
 	bp   *pool.Pool[vcas.Version[bool]]
 	rb   *core.ReadBound
+	rd   *core.Reader
 	head *vskipNode
 	rngs []core.PaddedUint64
 }
@@ -72,38 +73,35 @@ func NewVcas(src core.Source, reg *core.Registry) *VcasList {
 	head := newVskipNode(0, 0, maxLevel)
 	head.dead.Init(false) // head is in every snapshot
 	head.linked.Store(true)
-	return &VcasList{
+	t := &VcasList{
 		src:  src,
 		reg:  reg,
 		head: head,
 		rngs: make([]core.PaddedUint64, reg.Cap()),
 	}
+	t.rd = core.NewReader(src, core.QueryAdvances, t)
+	return t
 }
 
 // Source returns the list's timestamp source.
 func (t *VcasList) Source() core.Source { return t.src }
 
-// SetGC wires reclamation reporting to g (nil disables it). Call before
-// the list sees concurrent traffic.
-func (t *VcasList) SetGC(g *obs.GC) { t.gc = g }
+// Reader returns the list's snapshot-read protocol.
+func (t *VcasList) Reader() *core.Reader { return t.rd }
 
-// SetTrace attaches a flight recorder (nil disables it). Call before the
-// list sees concurrent traffic.
-func (t *VcasList) SetTrace(tr *trace.Recorder) { t.tr = tr }
-
-// SetReadBound routes version-chain truncation through a retention
-// watermark (time-travel reads). Call before the list sees traffic.
-func (t *VcasList) SetReadBound(rb *core.ReadBound) { t.rb = rb }
-
-// SetAlloc selects the allocation mode for nodes and vCAS versions (see
-// Config.Alloc). Versions detached by Truncate stay readable to snapshot
-// readers holding chain pointers, and unlinked nodes have no reclamation
-// scheme, so nothing published is ever recycled here — the pools provide
-// arena chunking and batching only. Call before concurrent traffic.
-func (t *VcasList) SetAlloc(mode pool.Mode, ps *obs.PoolStats) {
-	t.np = pool.New[vskipNode](t.reg.Cap(), mode, ps)
-	t.vp = pool.New[vcas.Version[*vskipNode]](t.reg.Cap(), mode, ps)
-	t.bp = pool.New[vcas.Version[bool]](t.reg.Cap(), mode, ps)
+// SetHooks wires the list's sinks: GC counters, the flight recorder, the
+// retention watermark version truncation respects, and the allocation
+// mode of nodes and vCAS versions. Versions detached by Truncate stay
+// readable to snapshot readers holding chain pointers, and unlinked nodes
+// have no reclamation scheme, so nothing published is ever recycled here
+// — the pools provide arena chunking and batching only. Call before
+// concurrent traffic.
+func (t *VcasList) SetHooks(h core.Hooks) {
+	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
+	t.rd.SetHooks(h)
+	t.np = pool.New[vskipNode](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.vp = pool.New[vcas.Version[*vskipNode]](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.bp = pool.New[vcas.Version[bool]](t.reg.Cap(), h.Alloc, h.PoolStats)
 }
 
 // newVskipNodeIn is newVskipNode drawing from the node pool when one is
@@ -334,31 +332,13 @@ func (t *VcasList) maybeTruncate(n *vskipNode, key uint64) {
 	}
 }
 
-// RangeQuery appends every pair in [lo,hi] as of one snapshot (vCAS
-// style: the query advances the camera).
+// RangeQuery appends every pair in [lo,hi] as of one snapshot.
 func (t *VcasList) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	tr := t.tr
-	base := len(out)
-	for {
-		th.BeginRQ()
-		mark := tr.Now()
-		s := t.src.Snapshot()
-		tr.Span(th.ID, trace.PhaseTimestamp, mark)
-		out = t.RangeQueryAt(th, lo, hi, s, out)
-		if core.SnapshotValid(t.src, s) {
-			return out
-		}
-		// Source generation switched under the query; the result may
-		// tear the snapshot. Discard and retry with a fresh bound.
-		tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		out = out[:base]
-	}
+	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the caller-provided bound s. The
-// caller must have called th.BeginRQ before obtaining s; the reservation
-// keeps versions labeled at or below s from being truncated before the
-// announcement lands here.
+// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
+// reservation (DESIGN.md, "Snapshot reads").
 func (t *VcasList) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if lo == 0 {
 		lo = 1

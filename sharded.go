@@ -1,12 +1,8 @@
 package tscds
 
 import (
-	"fmt"
-
 	"tscds/internal/core"
-	"tscds/internal/ebrrq"
 	"tscds/internal/obs"
-	"tscds/internal/obs/trace"
 )
 
 // This file implements ShardedMap: a key-space-partitioned front end
@@ -14,31 +10,13 @@ import (
 // accepts) behind ONE shared timestamp source. Point operations touch
 // only the owning shard — S independent structures mean S-way less
 // structural contention — while range queries stay linearizable across
-// shards by obtaining a single timestamp and collecting every
-// overlapping shard at that instant:
-//
-//  1. Reserve an announcement slot (BeginRQ) on every overlapping
-//     shard. The ReservedRQ sentinel pins each shard's MinActiveRQ at
-//     zero, so no shard can prune state the eventual bound could need.
-//  2. Lock-based EBR-RQ only: exclusively acquire every overlapping
-//     shard's provider lock, in ascending shard order (concurrent
-//     fan-outs order locks identically, so they cannot deadlock). This
-//     waits out every in-flight (read timestamp, write label) pair on
-//     those shards.
-//  3. Read the shared source once. Because the source is shared, this
-//     one value bounds all shards: any update that linearizes after
-//     this instant — on any shard — labels with a strictly greater
-//     timestamp (up to the §III-A hardware-tie corner the paper
-//     already accepts for TSC).
-//  4. Release the provider locks and run each shard's RangeQueryAt
-//     collection at the common bound.
-//
-// Steps 1–3 are the per-structure RangeQuery prologue hoisted out of
-// the structure and fanned across shards; RangeQueryAt is the
-// remainder. The argument that (bound, collection) is a linearizable
-// snapshot is therefore the same per shard as in the unsharded
-// structure, and the shared bound makes the union of the per-shard
-// snapshots a snapshot of the whole map at that instant.
+// shards by running the one snapshot-read protocol (core.Reader; DESIGN.md
+// "Snapshot reads") with one part per shard: a single bound from the
+// shared source, every overlapping shard collected at it. The argument
+// that (bound, collection) is a linearizable snapshot is the same per
+// shard as in the unsharded structure, and the shared bound makes the
+// union of the per-shard snapshots a snapshot of the whole map at that
+// instant.
 //
 // The cost is that every range query re-serializes on the shared
 // source: with a Logical source, sharding point updates S ways still
@@ -47,19 +25,6 @@ import (
 // flatten as S grows. A hardware (TSC) source has no shared line to
 // contend on, so sharded TSC keeps scaling — the re-serialization
 // cliff rqbench's "shard" figure reproduces.
-
-// rangeQueryAt is the collect-at-bound half of every structure's range
-// query, used by the cross-shard fan-out after it has obtained the
-// common snapshot bound.
-type rangeQueryAt interface {
-	RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV
-}
-
-// provided is implemented by the EBR-RQ structures, whose labeling
-// discipline the fan-out must coordinate with (step 2 above).
-type provided interface {
-	Provider() *ebrrq.Provider
-}
 
 // ShardedMap is a Map partitioned across independent per-shard
 // structures behind one shared timestamp source; see NewSharded.
@@ -93,76 +58,14 @@ func NewSharded(s Structure, t Technique, shards int, cfg Config) (*ShardedMap, 
 		shards = 1
 	}
 	reg := core.NewShardedRegistry(shards, cfg.MaxThreads)
-	src := newSource(cfg)
-	if cfg.Metrics != nil {
-		cfg.Metrics.SetSourceKind(cfg.Source.String())
-		cfg.Metrics.SetSourceActual(core.Actual(src).String())
-		cfg.Metrics.SetStructure(s.String() + "/" + t.String())
-		cfg.Metrics.EnsureShards(shards)
-		src = core.InstrumentSource(src, &cfg.Metrics.Source)
-	}
-	rb := core.NewReadBound(src, cfg.Retention)
-	sh := &shardedInner{
-		src:    src,
-		rb:     rb,
-		peek:   t == Bundle,
-		inners: make([]inner, shards),
-		ats:    make([]rangeQueryAt, shards),
-	}
-	if t == EBRRQ || t == EBRRQLockFree {
-		sh.provs = make([]*ebrrq.Provider, shards)
-	}
-	if cfg.Metrics != nil {
-		sh.stats = make([]*obs.ShardStats, shards)
-		for i := range sh.stats {
-			sh.stats[i] = cfg.Metrics.Shard(i)
-		}
-	}
-	var shift uint64
-	for i := 0; i < shards; i++ {
-		m, ks, err := buildInner(s, t, cfg.Source, src, reg.Shard(i))
-		if err != nil {
-			return nil, err
-		}
-		shift = ks
-		sh.inners[i] = m
-		at, ok := m.(rangeQueryAt)
-		if !ok {
-			return nil, fmt.Errorf("tscds: %v/%v does not support sharding", s, t)
-		}
-		sh.ats[i] = at
-		if sh.provs != nil {
-			sh.provs[i] = m.(provided).Provider()
-		}
-		// Per-shard sinks: GC counters and allocation mode, but never the
-		// recorder (its rings are single-writer per thread, which
-		// per-shard handles do not guarantee). Pool stats aggregate
-		// across shards like the GC counters do.
-		// One SHARED retention watermark across the shards: the source is
-		// shared, so a single prune intent covers every shard's truncation
-		// and one CheckAt validates a cross-shard historical bound.
-		wireSinks(m, cfg.Metrics, nil, cfg.Alloc, rb)
-	}
-	var tr *trace.Recorder
-	if cfg.Trace != nil {
-		tr = trace.NewRecorder(reg.Cap(), cfg.Trace.RingSize)
-	}
-	sh.tr = tr
-	sm := &ShardedMap{
-		wrap: wrap{
-			m: sh, reg: reg, s: s, t: t, src: cfg.Source, srcImpl: src,
-			shift: shift, obs: cfg.Metrics, tr: tr,
-			rb: rb, hist: t == VCAS || t == Bundle,
-		},
-		n: shards,
-	}
-	if cfg.Durability != nil {
-		// The WAL shards by the same internal-key residue as the map,
-		// so each shard's log is ordered by that shard's update
-		// serialization.
-		if err := sm.enableDurability(cfg, shards); err != nil {
-			return nil, err
-		}
+	sm := &ShardedMap{n: shards}
+	// The WAL shards by the same internal-key residue as the map, so each
+	// shard's log is ordered by that shard's update serialization.
+	err := sm.wrap.init(s, t, cfg, reg, shards, func(src core.Source) (inner, uint64, error) {
+		return newShardedInner(s, t, cfg, src, reg)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return sm, nil
 }
@@ -173,14 +76,49 @@ func NewSharded(s Structure, t Technique, shards int, cfg Config) (*ShardedMap, 
 // partition as any (the facade's shift is a constant).
 type shardedInner struct {
 	inners []inner
-	ats    []rangeQueryAt    // inners, pre-asserted for the fan-out
-	provs  []*ebrrq.Provider // per-shard providers; nil unless EBR-RQ
 	stats  []*obs.ShardStats // per-shard routing counts; nil without metrics
-	src    core.Source       // the one shared source
-	rb     *core.ReadBound   // the one shared retention watermark
-	peek   bool              // bound via Peek (bundles) rather than Snapshot
-	tr     *trace.Recorder   // fan-out spans only; never forwarded to shards
+	rd     *core.Reader      // the cross-shard fan-out over inners' readers
 }
+
+// newShardedInner builds one (s, t) structure per shard registry of reg,
+// all over src, and the fan-out reader across them.
+func newShardedInner(s Structure, t Technique, cfg Config, src core.Source, reg *core.ShardedRegistry) (inner, uint64, error) {
+	sh := &shardedInner{inners: make([]inner, reg.Shards())}
+	if cfg.Metrics != nil {
+		cfg.Metrics.EnsureShards(len(sh.inners))
+		sh.stats = make([]*obs.ShardStats, len(sh.inners))
+		for i := range sh.stats {
+			sh.stats[i] = cfg.Metrics.Shard(i)
+		}
+	}
+	readers := make([]*core.Reader, len(sh.inners))
+	var shift uint64
+	for i := range sh.inners {
+		m, ks, err := buildInner(s, t, cfg.Source, src, reg.Shard(i))
+		if err != nil {
+			return nil, 0, err
+		}
+		sh.inners[i], readers[i], shift = m, m.Reader(), ks
+	}
+	sh.rd = core.NewFanout(readers, sh.stats)
+	return sh, shift, nil
+}
+
+// SetHooks wires every shard and the fan-out. GC and pool counters
+// aggregate across shards, and the ONE retention watermark is shared like
+// the source: a single prune intent covers every shard's truncation and
+// one CheckAt validates a cross-shard historical bound. The recorder stays
+// with the fan-out (the "shard-fanout" phase): its rings are single-writer
+// per thread, which per-shard handles do not guarantee.
+func (sh *shardedInner) SetHooks(h core.Hooks) {
+	sh.rd.SetHooks(h)
+	h.Trace = nil
+	for _, m := range sh.inners {
+		m.SetHooks(h)
+	}
+}
+
+func (sh *shardedInner) Reader() *core.Reader { return sh.rd }
 
 func (sh *shardedInner) shard(key uint64) int { return int(key % uint64(len(sh.inners))) }
 
@@ -214,125 +152,6 @@ func (sh *shardedInner) Get(th *core.Thread, key uint64) (uint64, bool) {
 		sh.stats[i].Ops.Inc()
 	}
 	return sh.inners[i].Get(th.Shard(i), key)
-}
-
-// RangeQuery collects [lo, hi] across every overlapping shard at one
-// shared-source instant; see the file comment for the protocol and its
-// linearizability argument.
-func (sh *shardedInner) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	n := len(sh.inners)
-	if n == 1 {
-		if sh.stats != nil {
-			sh.stats[0].RQs.Inc()
-		}
-		return sh.inners[0].RangeQuery(th.Shard(0), lo, hi, out)
-	}
-	// Shard i holds a key in [lo, hi] iff the interval covers a full
-	// residue cycle, or i's residue distance from lo's shard is within
-	// the interval's width.
-	all := hi-lo >= uint64(n-1)
-	first := lo % uint64(n)
-	width := hi - lo
-	hit := func(i int) bool {
-		return all || (uint64(i)+uint64(n)-first)%uint64(n) <= width
-	}
-
-	tr := sh.tr
-	base := len(out)
-	for {
-		var mark uint64
-		if tr != nil {
-			mark = tr.Now()
-		}
-		for i := 0; i < n; i++ {
-			if hit(i) {
-				th.Shard(i).BeginRQ()
-			}
-		}
-		var s core.TS
-		switch {
-		case sh.provs != nil:
-			for i := 0; i < n; i++ {
-				if hit(i) {
-					sh.provs[i].RQLock()
-				}
-			}
-			s = sh.src.Snapshot()
-			for i := 0; i < n; i++ {
-				if hit(i) {
-					sh.provs[i].RQUnlock()
-				}
-			}
-		case sh.peek:
-			s = sh.src.Peek()
-		default:
-			s = sh.src.Snapshot()
-		}
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseShardFanout, mark)
-		}
-		for i := 0; i < n; i++ {
-			if !hit(i) {
-				continue
-			}
-			out = sh.ats[i].RangeQueryAt(th.Shard(i), lo, hi, s, out)
-		}
-		if core.SnapshotValid(sh.src, s) {
-			if sh.stats != nil {
-				for i := 0; i < n; i++ {
-					if hit(i) {
-						sh.stats[i].RQs.Inc()
-					}
-				}
-			}
-			return out
-		}
-		// The shared source switched generations mid-fan-out: the common
-		// bound can no longer order against post-switch labels, so a
-		// partially post-switch collection could tear the cross-shard
-		// snapshot. Discard everything and redo the whole fan-out.
-		if tr != nil {
-			tr.Span(th.ID, trace.PhaseSourceSwitch, mark)
-		}
-		out = out[:base]
-	}
-}
-
-// SnapshotAll collects every pair in [lo, hi] (internal keys) from
-// every shard at one shared-source bound and returns the bound with
-// the collection — the snapshot flusher's primitive. It is RangeQuery
-// with every shard hit, the bound exposed, and the same generation-
-// revalidation retry.
-func (sh *shardedInner) SnapshotAll(th *core.Thread, lo, hi uint64, out []core.KV) ([]core.KV, core.TS) {
-	n := len(sh.inners)
-	base := len(out)
-	for {
-		for i := 0; i < n; i++ {
-			th.Shard(i).BeginRQ()
-		}
-		var s core.TS
-		switch {
-		case sh.provs != nil:
-			for i := 0; i < n; i++ {
-				sh.provs[i].RQLock()
-			}
-			s = sh.src.Snapshot()
-			for i := 0; i < n; i++ {
-				sh.provs[i].RQUnlock()
-			}
-		case sh.peek:
-			s = sh.src.Peek()
-		default:
-			s = sh.src.Snapshot()
-		}
-		for i := 0; i < n; i++ {
-			out = sh.ats[i].RangeQueryAt(th.Shard(i), lo, hi, s, out)
-		}
-		if core.SnapshotValid(sh.src, s) {
-			return out, s
-		}
-		out = out[:base]
-	}
 }
 
 // Len sums the shards; quiescent use only, like the structures' own Len.

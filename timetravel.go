@@ -2,11 +2,8 @@ package tscds
 
 import (
 	"errors"
-	"time"
 
 	"tscds/internal/core"
-	"tscds/internal/obs"
-	"tscds/internal/obs/trace"
 )
 
 // This file implements MVCC time-travel reads: GetAt, RangeQueryAt and
@@ -19,11 +16,12 @@ import (
 // (core.ReadBound) that makes "truncation passed it" a typed error
 // instead of a silently-too-new value:
 //
-//   - The reader reserves its announcement slot (BeginRQ), then
-//     validates ts against the watermark (CheckAt), then announces ts
-//     and collects. Pruners publish their intended bound BEFORE
-//     scanning the slots, so every read either refuses or is protected
-//     by its announcement — never racing a truncation past its ts.
+//   - A historical read is the snapshot-read protocol (core.Reader.Read;
+//     DESIGN.md "Snapshot reads") with the bound validated against the
+//     watermark instead of taken from the source. Pruners publish their
+//     intended bound BEFORE scanning the announcement slots, so every
+//     read either refuses or is protected by its reservation — never
+//     racing a truncation past its ts.
 //   - Config.Retention widens the watermark: versions younger than
 //     Peek()-Retention are never offered to truncation, so reads
 //     inside the window always resolve.
@@ -60,12 +58,6 @@ func (w *wrap) Now() uint64 { return uint64(w.srcImpl.Snapshot()) }
 // boundary rule (a version labeled exactly ts is included, a delete
 // labeled exactly ts excludes the key).
 func (w *wrap) GetAt(th *Thread, key, ts uint64) (uint64, bool, error) {
-	if !w.hist {
-		return 0, false, ErrHistoryUnsupported
-	}
-	if key > MaxKey {
-		return 0, false, nil
-	}
 	var tmp [1]KV
 	kvs, err := w.RangeQueryAt(th, key, key, ts, tmp[:0])
 	if err != nil || len(kvs) == 0 {
@@ -81,118 +73,15 @@ func (w *wrap) RangeQueryAt(th *Thread, lo, hi, ts uint64, buf []KV) ([]KV, erro
 	if !w.hist {
 		return buf, ErrHistoryUnsupported
 	}
-	if hi < lo || lo > MaxKey {
-		return buf, nil
-	}
-	if hi > MaxKey {
-		hi = MaxKey
-	}
-	if w.obs == nil && w.tr == nil {
-		return w.rangeQueryAt(th, lo, hi, ts, buf)
-	}
-	w.tr.OpBegin(th.ID, trace.OpRange)
-	start := time.Now()
-	buf, err := w.rangeQueryAt(th, lo, hi, ts, buf)
-	w.observe(th, obs.OpRange, trace.OpRange, start)
-	if w.obs != nil {
-		switch {
-		case err == nil:
-			w.obs.History.Reads.Inc()
-		case errors.Is(err, ErrTruncatedHistory):
-			w.obs.History.Truncations.Inc()
-		}
-	}
-	return buf, err
-}
-
-// rangeQueryAt is RangeQueryAt after clamping and instrumentation: the
-// reserve-validate-collect protocol over the internal key space.
-func (w *wrap) rangeQueryAt(th *Thread, lo, hi, ts uint64, buf []KV) ([]KV, error) {
-	base := len(buf)
-	lo, hi = lo+w.shift, hi+w.shift
-	var err error
-	if sh, ok := w.m.(*shardedInner); ok {
-		buf, err = sh.rangeQueryAtBound(th, lo, hi, core.TS(ts), buf)
-	} else {
-		// Reserve the slot FIRST: from here until the structure's
-		// RangeQueryAt announces ts, MinActiveRQ is pinned at zero, so
-		// no pruner that CheckAt has not already accounted for can pass
-		// ts. The structure's collection announces and releases.
-		th.BeginRQ()
-		if err = w.rb.CheckAt(core.TS(ts)); err != nil {
-			th.DoneRQ()
-			return buf, err
-		}
-		buf = w.m.(rangeQueryAt).RangeQueryAt(th, lo, hi, core.TS(ts), buf)
-	}
-	if err != nil {
-		return buf, err
-	}
-	if w.shift != 0 {
-		for i := base; i < len(buf); i++ {
-			buf[i].Key -= w.shift
-		}
-	}
-	return buf, nil
+	return w.read(th, lo, hi, ts, false, buf)
 }
 
 // ScanAt streams the snapshot at ts in ascending key order; see
 // Map.ScanAt.
 func (w *wrap) ScanAt(th *Thread, lo, hi, ts uint64, fn func(KV) bool) error {
 	kvs, err := w.RangeQueryAt(th, lo, hi, ts, nil)
-	if err != nil {
-		return err
+	if err == nil {
+		emit(kvs, fn)
 	}
-	core.SortKVs(kvs)
-	for _, kv := range kvs {
-		if !fn(kv) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// rangeQueryAtBound is the cross-shard historical fan-out: reserve
-// every overlapping shard, validate ts once against the shared
-// watermark, then collect each shard at ts. Unlike the live fan-out
-// there is no generation-revalidation retry loop — ts is a fixed
-// number, so the cut "labels <= ts" is stable across an adaptive
-// generation switch (later generations are numerically greater, and a
-// version still Pending can only resolve to a label at or after the
-// present, which CheckAt already placed above ts).
-func (sh *shardedInner) rangeQueryAtBound(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) ([]core.KV, error) {
-	n := len(sh.inners)
-	all := hi-lo >= uint64(n-1)
-	first := lo % uint64(n)
-	width := hi - lo
-	hit := func(i int) bool {
-		return all || (uint64(i)+uint64(n)-first)%uint64(n) <= width
-	}
-	for i := 0; i < n; i++ {
-		if hit(i) {
-			th.Shard(i).BeginRQ()
-		}
-	}
-	if err := sh.rb.CheckAt(s); err != nil {
-		for i := 0; i < n; i++ {
-			if hit(i) {
-				th.Shard(i).DoneRQ()
-			}
-		}
-		return out, err
-	}
-	for i := 0; i < n; i++ {
-		if !hit(i) {
-			continue
-		}
-		out = sh.ats[i].RangeQueryAt(th.Shard(i), lo, hi, s, out)
-	}
-	if sh.stats != nil {
-		for i := 0; i < n; i++ {
-			if hit(i) {
-				sh.stats[i].RQs.Inc()
-			}
-		}
-	}
-	return out, nil
+	return err
 }

@@ -34,6 +34,7 @@
 package tscds
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -383,82 +384,89 @@ func NewBatchStore(cfg Config) (*BatchStore, *Registry) {
 // explicit registry (NewBatchStore).
 type Registry = core.Registry
 
+// ConfigError is the error New and NewSharded return for a Config they
+// cannot honour; errors.As against it tells a misconfiguration from an
+// unsupported (structure, technique, source) combination or an I/O error.
+type ConfigError struct {
+	Field  string // the Config field at fault, e.g. "Alloc"
+	Reason string
+}
+
+func (e *ConfigError) Error() string { return "tscds: Config." + e.Field + ": " + e.Reason }
+
+// validate rejects the Config values that would otherwise misbehave
+// quietly (an unknown Alloc ran as AllocGC under its bogus name) or from
+// deep inside construction (an unknown Source panicked in core.New).
+func validate(cfg Config) error {
+	if cfg.Source < Logical || cfg.Source > Adaptive {
+		return &ConfigError{"Source", fmt.Sprintf("unknown kind %d", int(cfg.Source))}
+	}
+	if cfg.Alloc < AllocGC || cfg.Alloc > AllocArena {
+		return &ConfigError{"Alloc", fmt.Sprintf("unknown mode %d", int(cfg.Alloc))}
+	}
+	if cfg.Durability != nil && cfg.Durability.Dir == "" {
+		return &ConfigError{"Durability", "Dir is required"}
+	}
+	return nil
+}
+
 // New builds a Map from a (structure, technique, source) combination,
 // rejecting combinations the paper shows are unsupported.
 func New(s Structure, t Technique, cfg Config) (Map, error) {
 	reg := core.NewRegistry(cfg.MaxThreads)
-	src := newSource(cfg)
-	if cfg.Metrics != nil {
-		cfg.Metrics.SetSourceKind(cfg.Source.String())
-		cfg.Metrics.SetSourceActual(core.Actual(src).String())
-		cfg.Metrics.SetStructure(s.String() + "/" + t.String())
-		src = core.InstrumentSource(src, &cfg.Metrics.Source)
-	}
-	m, shift, err := buildInner(s, t, cfg.Source, src, reg)
+	w := &wrap{}
+	err := w.init(s, t, cfg, reg, 1, func(src core.Source) (inner, uint64, error) {
+		return buildInner(s, t, cfg.Source, src, reg)
+	})
 	if err != nil {
 		return nil, err
-	}
-	var tr *trace.Recorder
-	if cfg.Trace != nil {
-		tr = trace.NewRecorder(reg.Cap(), cfg.Trace.RingSize)
-	}
-	rb := core.NewReadBound(src, cfg.Retention)
-	w := &wrap{
-		m: m, reg: reg, s: s, t: t, src: cfg.Source, srcImpl: src,
-		shift: shift, obs: cfg.Metrics, tr: tr,
-		rb: rb, hist: t == VCAS || t == Bundle,
-	}
-	wireSinks(m, cfg.Metrics, tr, cfg.Alloc, rb)
-	if cfg.Durability != nil {
-		if err := w.enableDurability(cfg, 1); err != nil {
-			return nil, err
-		}
 	}
 	return w, nil
 }
 
-// newSource builds the timestamp source for a Config: an Adaptive
-// source gets the configured health monitor wired in; every other kind
-// is core.New.
-func newSource(cfg Config) core.Source {
+// init is the constructor New and NewSharded share: validate cfg, build
+// the timestamp source (instrumented and named on cfg.Metrics when set),
+// build the structure over it, wire its hooks before it sees traffic, and
+// arm durability over shards WAL streams.
+func (w *wrap) init(s Structure, t Technique, cfg Config, reg registrar, shards int,
+	build func(src core.Source) (inner, uint64, error)) error {
+	if err := validate(cfg); err != nil {
+		return err
+	}
+	var src core.Source
 	if cfg.Source == Adaptive {
-		return core.NewAdaptive(core.AdaptiveConfig{Health: cfg.Health})
+		src = core.NewAdaptive(core.AdaptiveConfig{Health: cfg.Health})
+	} else {
+		src = core.New(cfg.Source)
 	}
-	return core.New(cfg.Source)
-}
-
-// wireSinks attaches the metrics GC counters, the flight recorder, the
-// allocation mode and the retention watermark to an inner that supports
-// them (the EBR-RQ structures take no watermark: they keep no history
-// for it to protect). Call before the structure sees traffic.
-func wireSinks(m inner, metrics *Metrics, tr *trace.Recorder, alloc AllocMode, rb *core.ReadBound) {
-	if rb != nil {
-		if b, ok := m.(interface{ SetReadBound(*core.ReadBound) }); ok {
-			b.SetReadBound(rb)
+	h := core.Hooks{Alloc: cfg.Alloc}
+	if mt := cfg.Metrics; mt != nil {
+		mt.SetSourceKind(cfg.Source.String())
+		mt.SetSourceActual(core.Actual(src).String())
+		mt.SetStructure(s.String() + "/" + t.String())
+		if cfg.Alloc != AllocGC {
+			mt.SetAllocMode(cfg.Alloc.String())
 		}
+		src = core.InstrumentSource(src, &mt.Source)
+		h.GC, h.PoolStats = &mt.GC, &mt.Pool
 	}
-	if metrics != nil {
-		if g, ok := m.(interface{ SetGC(*obs.GC) }); ok {
-			g.SetGC(&metrics.GC)
-		}
+	m, shift, err := build(src)
+	if err != nil {
+		return err
 	}
-	if tr != nil {
-		if st, ok := m.(interface{ SetTrace(*trace.Recorder) }); ok {
-			st.SetTrace(tr)
-		}
+	if cfg.Trace != nil {
+		h.Trace = trace.NewRecorder(reg.Cap(), cfg.Trace.RingSize)
 	}
-	if alloc != AllocGC {
-		if a, ok := m.(interface {
-			SetAlloc(pool.Mode, *obs.PoolStats)
-		}); ok {
-			var ps *obs.PoolStats
-			if metrics != nil {
-				ps = &metrics.Pool
-				metrics.SetAllocMode(alloc.String())
-			}
-			a.SetAlloc(alloc, ps)
-		}
+	h.ReadBound = core.NewReadBound(src, cfg.Retention)
+	m.SetHooks(h)
+	*w = wrap{
+		m: m, rd: m.Reader(), reg: reg, s: s, t: t, src: cfg.Source, srcImpl: src,
+		shift: shift, obs: cfg.Metrics, tr: h.Trace, hist: t == VCAS || t == Bundle,
 	}
+	if cfg.Durability != nil {
+		return w.enableDurability(cfg, shards)
+	}
+	return nil
 }
 
 // buildInner constructs the internal structure for one (structure,
@@ -527,15 +535,39 @@ func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg 
 	return nil, 0, fmt.Errorf("tscds: unsupported combination %v/%v", s, t)
 }
 
-// inner is the shared surface of the internal structures.
+// inner is the facade's contract with a structure variant, and with the
+// shard router that composes several: point operations, the sinks it
+// reports into, and the snapshot-read protocol every range-shaped read
+// goes through.
 type inner interface {
 	Insert(th *core.Thread, key, val uint64) bool
 	Delete(th *core.Thread, key uint64) bool
 	Contains(th *core.Thread, key uint64) bool
 	Get(th *core.Thread, key uint64) (uint64, bool)
-	RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV
 	Len() int
+	// SetHooks wires the sinks; called once, before traffic.
+	SetHooks(h core.Hooks)
+	// Reader is the variant's snapshot-read protocol, carrying its bound
+	// rule and its collect-at-bound walk.
+	Reader() *core.Reader
 }
+
+// A variant that lacks a piece of the contract fails the build here, not
+// by running unwired.
+var (
+	_ inner = (*lfbst.Tree)(nil)
+	_ inner = (*lfbst.NMTree)(nil)
+	_ inner = (*lfbst.EBRTree)(nil)
+	_ inner = (*citrus.VcasTree)(nil)
+	_ inner = (*citrus.BundleTree)(nil)
+	_ inner = (*citrus.EBRTree)(nil)
+	_ inner = (*skiplist.List)(nil)
+	_ inner = (*skiplist.VcasList)(nil)
+	_ inner = (*skiplist.EBRList)(nil)
+	_ inner = (*lazylist.VcasList)(nil)
+	_ inner = (*lazylist.BundleList)(nil)
+	_ inner = (*shardedInner)(nil)
+)
 
 // registrar hands out Thread handles: *core.Registry for plain maps,
 // *core.ShardedRegistry for sharded ones (whose handles fan out to one
@@ -551,6 +583,7 @@ type registrar interface {
 // events; each public method pays only nil tests when they are unset.
 type wrap struct {
 	m       inner
+	rd      *core.Reader // m's snapshot-read protocol: every range-shaped read
 	reg     registrar
 	s       Structure
 	t       Technique
@@ -559,9 +592,8 @@ type wrap struct {
 	shift   uint64
 	obs     *obs.Registry
 	tr      *trace.Recorder
-	dur     *durable        // durability layer; nil unless Config.Durability
-	rb      *core.ReadBound // retention watermark for time-travel reads
-	hist    bool            // technique retains version history (vCAS/Bundle)
+	dur     *durable // durability layer; nil unless Config.Durability
+	hist    bool     // technique retains version history (vCAS/Bundle)
 }
 
 func (w *wrap) RegisterThread() (*Thread, error) { return w.reg.Register() }
@@ -618,36 +650,56 @@ func (w *wrap) Get(th *Thread, key uint64) (uint64, bool) {
 }
 
 func (w *wrap) RangeQuery(th *Thread, lo, hi uint64, buf []KV) []KV {
+	buf, _ = w.read(th, lo, hi, 0, true, buf)
+	return buf
+}
+
+// read is every range-shaped read of the facade, live (a fresh bound) or
+// as of the past timestamp ts: clamp the interval, run the snapshot-read
+// protocol over the internal key space, map the keys back, and report the
+// operation to whichever sinks are wired. An empty interval returns buf
+// unchanged without taking or validating a bound; so does a refused ts.
+func (w *wrap) read(th *Thread, lo, hi, ts uint64, live bool, buf []KV) ([]KV, error) {
 	if hi < lo || lo > MaxKey {
-		return buf
+		return buf, nil
 	}
 	if hi > MaxKey {
 		hi = MaxKey
 	}
-	if w.obs == nil && w.tr == nil {
-		return w.rangeQuery(th, lo, hi, buf)
+	sinks := w.obs != nil || w.tr != nil
+	var start time.Time
+	if sinks {
+		w.tr.OpBegin(th.ID, trace.OpRange)
+		start = time.Now()
 	}
-	w.tr.OpBegin(th.ID, trace.OpRange)
-	start := time.Now()
-	buf = w.rangeQuery(th, lo, hi, buf)
-	w.observe(th, obs.OpRange, trace.OpRange, start)
-	return buf
-}
-
-// rangeQuery is RangeQuery after interval clamping and instrumentation.
-func (w *wrap) rangeQuery(th *Thread, lo, hi uint64, buf []KV) []KV {
 	base := len(buf)
-	buf = w.m.RangeQuery(th, lo+w.shift, hi+w.shift, buf)
+	buf, _, err := w.rd.Read(th, lo+w.shift, hi+w.shift, ts, live, buf)
 	if w.shift != 0 {
 		for i := base; i < len(buf); i++ {
 			buf[i].Key -= w.shift
 		}
 	}
-	return buf
+	if sinks {
+		w.observe(th, obs.OpRange, trace.OpRange, start)
+	}
+	if w.obs != nil && !live {
+		switch {
+		case err == nil:
+			w.obs.History.Reads.Inc()
+		case errors.Is(err, ErrTruncatedHistory):
+			w.obs.History.Truncations.Inc()
+		}
+	}
+	return buf, err
 }
 
 func (w *wrap) Scan(th *Thread, lo, hi uint64, fn func(KV) bool) {
-	kvs := w.RangeQuery(th, lo, hi, nil)
+	emit(w.RangeQuery(th, lo, hi, nil), fn)
+}
+
+// emit streams collected pairs to fn in ascending key order until it
+// returns false.
+func emit(kvs []KV, fn func(KV) bool) {
 	core.SortKVs(kvs)
 	for _, kv := range kvs {
 		if !fn(kv) {

@@ -170,6 +170,53 @@ func TestNewRejectsInvalidCombos(t *testing.T) {
 	}
 }
 
+// TestConstructorsRejectInvalidConfig: New and NewSharded share one
+// validate, which refuses a Config it cannot honour with a *ConfigError
+// naming the field — an unknown Alloc used to run as AllocGC while
+// reporting the bogus mode, an unknown Source to panic inside core.New.
+func TestConstructorsRejectInvalidConfig(t *testing.T) {
+	constructors := map[string]func(Config) (Map, error){
+		"New": func(cfg Config) (Map, error) { return New(SkipList, Bundle, cfg) },
+		"NewSharded": func(cfg Config) (Map, error) {
+			m, err := NewSharded(SkipList, Bundle, 2, cfg)
+			if err != nil {
+				return nil, err
+			}
+			return m, nil
+		},
+	}
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"Alloc", Config{Alloc: AllocArena + 1}},
+		{"Alloc", Config{Alloc: -1, Metrics: NewMetrics()}},
+		{"Source", Config{Source: Adaptive + 1}},
+		{"Source", Config{Source: -1}},
+		{"Durability", Config{Durability: &Durability{}}},
+		{"", Config{Source: Adaptive, Alloc: AllocArena, Metrics: NewMetrics()}},
+	} {
+		for name, build := range constructors {
+			m, err := build(c.cfg)
+			if c.field == "" {
+				if err != nil {
+					t.Errorf("%s(%+v): valid Config rejected: %v", name, c.cfg, err)
+				}
+				continue
+			}
+			var ce *ConfigError
+			if !errors.As(err, &ce) || ce.Field != c.field || m != nil {
+				t.Errorf("%s(%+v) = %v, %v; want a *ConfigError for field %s", name, c.cfg, m, err, c.field)
+			}
+		}
+	}
+	// An unsupported combination is not a Config fault.
+	var ce *ConfigError
+	if _, err := New(BST, Bundle, Config{}); err == nil || errors.As(err, &ce) {
+		t.Errorf("New(BST, Bundle) = %v, want an error that is no *ConfigError", err)
+	}
+}
+
 func TestLockFreeEBRRQRejectsTSC(t *testing.T) {
 	_, err := New(Citrus, EBRRQLockFree, Config{Source: TSC})
 	if err == nil {
