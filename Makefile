@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench linearize benchmark-smoke loc
+.PHONY: build test check bench linearize benchmark-smoke loc inline-check
 
 build:
 	$(GO) build ./...
@@ -13,11 +13,11 @@ test:
 # matrix (every supported structure x technique x source combination).
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
 # obs itself plus obs/promparse, obs/series and obs/trace.
-check: benchmark-smoke
+check: benchmark-smoke inline-check
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/...
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
@@ -29,6 +29,27 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' \
 		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
+
+# inline-check holds ROADMAP's "monomorphized fast paths must stay
+# inlinable" as a gate: what a vCAS-tree traversal does per level — pick
+# the edge, test for a leaf, check the head version's label — must be
+# inlined where it runs. need FILE FUNC CALLEE fails unless the compiler
+# reports CALLEE inlined inside FUNC's body in FILE. (*Object).Read itself
+# holds the out-of-line labeling call (57 of the inliner's budget of 80)
+# and stays a call from search; its label check is what must not be one.
+inline-check:
+	@out="$$($(GO) build -gcflags=-m ./internal/vcas ./internal/lfbst 2>&1)"; ok=0; \
+	need() { s=$$(grep -n "^func $$2(" $$1 | cut -d: -f1); \
+		e=$$(awk -v s="$$s" 'NR > s && /^}/ { print NR; exit }' $$1); \
+		echo "$$out" | awk -F: -v f=$$1 -v s="$$s" -v e="$$e" -v c="inlining call to $$3" \
+			'$$1 == f && $$2 > s && $$2 < e && index($$0, c) { hit = 1 } END { exit !hit }' \
+		|| { echo "inline-check: $$3 is not inlined into $$2 ($$1)"; ok=1; }; }; \
+	need internal/vcas/vcas.go '(o \*Object\[V\]) Read' 'vcas.label['; \
+	need internal/vcas/vcas.go '(o \*Object\[V\]) ReadVersionWalk' 'vcas.label['; \
+	need internal/lfbst/lfbst.go '(t \*Tree) search' '(*Tree).child'; \
+	need internal/lfbst/lfbst.go '(t \*Tree) search' '(*node).leaf'; \
+	need internal/lfbst/lfbst.go '(t \*Tree) collect' '(*node).leaf'; \
+	exit $$ok
 
 # benchmark-smoke compiles and runs the repository benchmark's own tests.
 # benchmark/ is a separate module, so `go test ./...` at the root never

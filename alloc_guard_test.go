@@ -129,3 +129,43 @@ func TestRangeQueryAllocFree(t *testing.T) {
 		}
 	}
 }
+
+// TestBSTVcasUpdateAllocCeiling holds the GC-allocated update path of the
+// vCAS tree to what the algorithm needs. A successful insert allocates the
+// new leaf, the copy of the displaced leaf, the internal node over them
+// (each carrying its own version), the descriptor and its clean record; a
+// successful delete the descriptor, its clean record, and the promoted
+// leaf's copy or the promoted internal node's version. A per-edge seed
+// version, a per-helper clean record or a separate flag record coming back
+// fails this test.
+func TestBSTVcasUpdateAllocCeiling(t *testing.T) {
+	m, err := tscds.New(tscds.BST, tscds.VCAS, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := m.RegisterThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer th.Release()
+	for i := uint64(0); i < 2000; i++ {
+		m.Insert(th, i*7919%4000, i)
+	}
+	key := uint64(10_000)
+	ins := testing.AllocsPerRun(1000, func() {
+		if !m.Insert(th, key, 1) {
+			t.Fatal("insert of a fresh key failed")
+		}
+		key++
+	})
+	key = 10_000
+	del := testing.AllocsPerRun(1000, func() {
+		if !m.Delete(th, key) {
+			t.Fatal("delete of a present key failed")
+		}
+		key++
+	})
+	if ins > 5 || del > 3 {
+		t.Fatalf("BST/vCAS allocates %.2f objects per insert and %.2f per delete, want at most 5 and 3", ins, del)
+	}
+}

@@ -183,6 +183,9 @@ func (b *Bundle[T]) Truncate(minRQ core.TS) int {
 		e = next
 	}
 	tail := e.next.Load()
+	if tail == nil {
+		return 0 // nothing to cut: leave the line clean
+	}
 	e.next.Store(nil)
 	n := 0
 	for ; tail != nil; tail = tail.next.Load() {

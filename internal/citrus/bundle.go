@@ -34,26 +34,23 @@ func newBnode(key, val uint64) *bnode {
 // setChild updates a link and records the change in its bundle, labeled
 // with one Source.Advance — with a logical source this is the
 // fetch-and-add each update pays; with TSC it is a core-local read, the
-// difference Figure 3's Bundle vs Bundle-RDTSCP series measures. tid is
-// the updating thread's slot and only routes pool allocations. A link
-// going back to nil bumps the node's tag.
-func (t *BundleTree) setChild(n *bnode, dir int, target *bnode, tid int) {
+// difference Figure 3's Bundle vs Bundle-RDTSCP series measures. A link
+// going back to nil bumps the node's tag; the bundle just extended is
+// trimmed to what active range queries can still read.
+func (t *BundleTree) setChild(n *bnode, dir int, target *bnode, th *core.Thread) {
 	if target == nil {
 		n.tag.Add(1)
 	}
-	if t.tr != nil {
-		// The Prepare..Finalize window is bundling's labeling phase: the
-		// span readers can block on (pending-entry spins).
-		mark := t.tr.Now()
-		e := n.bnd[dir].PrepareIn(t.ep, tid, target)
-		n.child[dir].Store(target)
-		n.bnd[dir].Finalize(e, t.src.Advance())
-		t.tr.SharedSpan(trace.PhaseLabel, mark)
-		return
-	}
-	e := n.bnd[dir].PrepareIn(t.ep, tid, target)
+	// The Prepare..Finalize window is bundling's labeling phase: the
+	// span readers can block on (pending-entry spins).
+	mark := t.tr.Now()
+	e := n.bnd[dir].PrepareIn(t.ep, th.ID, target)
 	n.child[dir].Store(target)
 	n.bnd[dir].Finalize(e, t.src.Advance())
+	t.tr.SharedSpan(trace.PhaseLabel, mark)
+	if d := n.bnd[dir].Truncate(core.PruneBoundOf(th, t.rb, t.src)); d > 0 && t.gc != nil {
+		t.gc.BundlePruned.Add(uint64(d))
+	}
 }
 
 // BundleTree is the Citrus tree augmented with bundled references.
@@ -195,8 +192,7 @@ func (t *BundleTree) Insert(th *core.Thread, key, val uint64) bool {
 		am := t.tr.Now()
 		n := t.newBnodeIn(th.ID, key, val, nil, nil)
 		t.tr.Span(th.ID, trace.PhaseAlloc, am)
-		t.setChild(prev, dir, n, th.ID)
-		t.maybeTruncate(prev, key)
+		t.setChild(prev, dir, n, th)
 		prev.mu.Unlock()
 		t.noteRetries(th, retries)
 		return true
@@ -232,14 +228,13 @@ func (t *BundleTree) Delete(th *core.Thread, key uint64) bool {
 				repl = right
 			}
 			curr.marked = true
-			t.setChild(prev, dir, repl, th.ID)
-			t.maybeTruncate(prev, key)
+			t.setChild(prev, dir, repl, th)
 			curr.mu.Unlock()
 			prev.mu.Unlock()
 			t.noteRetries(th, retries)
 			return true
 		}
-		if t.deleteTwoChildren(th.ID, prev, dir, curr, left, right) {
+		if t.deleteTwoChildren(th, prev, dir, curr, left, right) {
 			curr.mu.Unlock()
 			prev.mu.Unlock()
 			t.noteRetries(th, retries)
@@ -251,7 +246,7 @@ func (t *BundleTree) Delete(th *core.Thread, key uint64) bool {
 	}
 }
 
-func (t *BundleTree) deleteTwoChildren(tid int, prev *bnode, dir int, curr, left, right *bnode) bool {
+func (t *BundleTree) deleteTwoChildren(th *core.Thread, prev *bnode, dir int, curr, left, right *bnode) bool {
 	succPrev := curr
 	succ := right
 	for {
@@ -280,22 +275,21 @@ func (t *BundleTree) deleteTwoChildren(tid int, prev *bnode, dir int, curr, left
 		return false
 	}
 
-	n := t.newBnodeIn(tid, succ.key, succ.val, left, right)
+	n := t.newBnodeIn(th.ID, succ.key, succ.val, left, right)
 	n.mu.Lock()
 
 	curr.marked = true
-	t.setChild(prev, dir, n, tid) // key removed; successor's key duplicated until unlink
+	t.setChild(prev, dir, n, th) // key removed; successor's key duplicated until unlink
 
 	t.rcu.Synchronize()
 
 	succ.marked = true
 	succRight := succ.child[1].Load()
 	if succPrev == curr {
-		t.setChild(n, 1, succRight, tid)
+		t.setChild(n, 1, succRight, th)
 	} else {
-		t.setChild(succPrev, 0, succRight, tid)
+		t.setChild(succPrev, 0, succRight, th)
 	}
-	t.maybeTruncate(prev, succ.key)
 
 	n.mu.Unlock()
 	succ.mu.Unlock()
@@ -303,17 +297,6 @@ func (t *BundleTree) deleteTwoChildren(tid int, prev *bnode, dir int, curr, left
 		succPrev.mu.Unlock()
 	}
 	return true
-}
-
-func (t *BundleTree) maybeTruncate(n *bnode, key uint64) {
-	if key%64 != 0 {
-		return
-	}
-	min := core.PruneBoundOf(t.rb, t.reg)
-	dropped := n.bnd[0].Truncate(min) + n.bnd[1].Truncate(min)
-	if t.gc != nil && dropped > 0 {
-		t.gc.BundlePruned.Add(uint64(dropped))
-	}
 }
 
 // RangeQuery appends every pair with lo <= key <= hi as of one

@@ -170,8 +170,7 @@ func (t *VcasTree) Insert(th *core.Thread, key, val uint64) bool {
 		am := t.tr.Now()
 		n := t.newVnodeIn(th.ID, key, val, nil, nil)
 		t.tr.Span(th.ID, trace.PhaseAlloc, am)
-		prev.child[dir].WriteIn(t.src, t.vp, th.ID, n)
-		t.maybeTruncate(prev, key)
+		t.setChild(prev, dir, n, th)
 		prev.mu.Unlock()
 		t.noteRetries(th, retries)
 		return true
@@ -208,14 +207,13 @@ func (t *VcasTree) Delete(th *core.Thread, key uint64) bool {
 				repl = right
 			}
 			curr.marked = true
-			t.setChild(prev, dir, repl, th.ID)
-			t.maybeTruncate(prev, key)
+			t.setChild(prev, dir, repl, th)
 			curr.mu.Unlock()
 			prev.mu.Unlock()
 			t.noteRetries(th, retries)
 			return true
 		}
-		if t.deleteTwoChildren(th.ID, prev, dir, curr, left, right) {
+		if t.deleteTwoChildren(th, prev, dir, curr, left, right) {
 			curr.mu.Unlock()
 			prev.mu.Unlock()
 			t.noteRetries(th, retries)
@@ -227,18 +225,21 @@ func (t *VcasTree) Delete(th *core.Thread, key uint64) bool {
 	}
 }
 
-// setChild writes n's child link under n's lock on behalf of a delete,
-// bumping the node's tag when the link goes back to nil.
-func (t *VcasTree) setChild(n *vnode, dir int, target *vnode, tid int) {
+// setChild writes n's child link under n's lock, bumping the node's tag
+// when the link goes back to nil, and trims the chain it just extended.
+func (t *VcasTree) setChild(n *vnode, dir int, target *vnode, th *core.Thread) {
 	if target == nil {
 		n.tag.Add(1)
 	}
-	n.child[dir].WriteIn(t.src, t.vp, tid, target)
+	n.child[dir].WriteIn(t.src, t.vp, th.ID, target)
+	if d := n.child[dir].Truncate(core.PruneBoundOf(th, t.rb, t.src)); d > 0 && t.gc != nil {
+		t.gc.VersionsPruned.Add(uint64(d))
+	}
 }
 
 // deleteTwoChildren performs Citrus's successor relocation. Caller holds
 // prev and curr locks; returns false to signal a full retry.
-func (t *VcasTree) deleteTwoChildren(tid int, prev *vnode, dir int, curr, left, right *vnode) bool {
+func (t *VcasTree) deleteTwoChildren(th *core.Thread, prev *vnode, dir int, curr, left, right *vnode) bool {
 	// Find the successor (leftmost node of the right subtree) and its
 	// parent while holding curr's lock, so the subtree cannot be
 	// relocated away — but its internals may still change, hence the
@@ -272,11 +273,11 @@ func (t *VcasTree) deleteTwoChildren(tid int, prev *vnode, dir int, curr, left, 
 		return false
 	}
 
-	n := t.newVnodeIn(tid, succ.key, succ.val, left, right)
+	n := t.newVnodeIn(th.ID, succ.key, succ.val, left, right)
 	n.mu.Lock() // published locked so no writer touches it before we finish
 
 	curr.marked = true
-	prev.child[dir].WriteIn(t.src, t.vp, tid, n)
+	t.setChild(prev, dir, n, th)
 
 	// Wait out readers that may be en route to succ through curr.
 	t.rcu.Synchronize()
@@ -284,11 +285,10 @@ func (t *VcasTree) deleteTwoChildren(tid int, prev *vnode, dir int, curr, left, 
 	succ.marked = true
 	succRight := succ.child[1].Read(t.src)
 	if succPrev == curr {
-		t.setChild(n, 1, succRight, tid)
+		t.setChild(n, 1, succRight, th)
 	} else {
-		t.setChild(succPrev, 0, succRight, tid)
+		t.setChild(succPrev, 0, succRight, th)
 	}
-	t.maybeTruncate(prev, succ.key)
 
 	n.mu.Unlock()
 	succ.mu.Unlock()
@@ -296,17 +296,6 @@ func (t *VcasTree) deleteTwoChildren(tid int, prev *vnode, dir int, curr, left, 
 		succPrev.mu.Unlock()
 	}
 	return true
-}
-
-func (t *VcasTree) maybeTruncate(n *vnode, key uint64) {
-	if key%64 != 0 {
-		return
-	}
-	min := core.PruneBoundOf(t.rb, t.reg)
-	dropped := n.child[0].Truncate(min) + n.child[1].Truncate(min)
-	if t.gc != nil && dropped > 0 {
-		t.gc.VersionsPruned.Add(uint64(dropped))
-	}
 }
 
 // RangeQuery appends every pair with lo <= key <= hi as of one

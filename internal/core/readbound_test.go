@@ -116,18 +116,56 @@ func TestReadBoundCheckAt(t *testing.T) {
 	}
 }
 
-func TestPruneBoundOfNilFallsBackToRegistry(t *testing.T) {
-	src := NewLogical()
-	reg := NewRegistry(1)
-	th := reg.MustRegister()
-	defer th.Release()
-	th.BeginRQ()
-	th.AnnounceRQ(7)
-	if got := PruneBoundOf(nil, reg); got != 7 {
-		t.Fatalf("PruneBoundOf(nil) = %d, want MinActiveRQ 7", got)
+// TestPruneBoundOfCachedBelowPreScanSource pins the three properties that
+// make a bound cached for pruneEvery updates safe to truncate against:
+// it never exceeds the source value read before the scan (an idle registry
+// must not cache Pending), a reservation made after a refresh is protected
+// (the cached bound is <= the snapshot that query takes later), and the
+// bound is 0 while any slot is reserved at refresh time.
+func TestPruneBoundOfCachedBelowPreScanSource(t *testing.T) {
+	for _, wired := range []bool{false, true} {
+		src := NewLogical()
+		for src.Peek() < 100 {
+			src.Advance()
+		}
+		var rb *ReadBound
+		if wired {
+			rb = NewReadBound(src, 0)
+		}
+		reg := NewRegistry(2)
+		w, q := reg.MustRegister(), reg.MustRegister()
+
+		before := src.Peek()
+		b := PruneBoundOf(w, rb, src) // refresh over an idle registry
+		if b > before {
+			t.Fatalf("wired=%v: idle bound %d exceeds the pre-scan source read %d", wired, b, before)
+		}
+		// A query reserving after the refresh is invisible to the cached
+		// bound for the next pruneEvery-1 calls; the cap protects it.
+		q.BeginRQ()
+		s := src.Snapshot()
+		q.AnnounceRQ(s)
+		for i := 1; i < pruneEvery; i++ {
+			if got := PruneBoundOf(w, rb, src); got != b || got > s {
+				t.Fatalf("wired=%v: call %d: cached bound %d (refresh gave %d) vs later snapshot %d", wired, i, got, b, s)
+			}
+		}
+		// The next call rescans and sees the announcement.
+		if got := PruneBoundOf(w, rb, src); got != s {
+			t.Fatalf("wired=%v: bound after rescan = %d, want the announced %d", wired, got, s)
+		}
+		q.DoneRQ()
+
+		// A slot that is reserved but not yet announced holds every prune.
+		// (A new handle's first call scans.)
+		q.BeginRQ()
+		w.Release()
+		fresh := reg.MustRegister()
+		if got := PruneBoundOf(fresh, rb, src); got != ReservedRQ {
+			t.Fatalf("wired=%v: bound with a reserved slot = %d, want %d", wired, got, ReservedRQ)
+		}
+		q.DoneRQ()
 	}
-	th.DoneRQ()
-	_ = src
 }
 
 // TestReadBoundPublishBeforeScan is the protocol's SC-atomics argument

@@ -72,6 +72,10 @@ type Thread struct {
 	// shards[i] belongs to shard i's registry. Releasing the fronting
 	// handle releases every fanned-out handle.
 	shards []*Thread
+	// pruneBound is the truncation bound PruneBoundOf cached for this
+	// thread, pruneLeft the number of calls it still serves.
+	pruneBound TS
+	pruneLeft  int
 }
 
 // Shard returns the handle to use against shard i's structure. A handle

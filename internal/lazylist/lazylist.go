@@ -176,7 +176,7 @@ func (t *BundleList) Insert(th *core.Thread, key, val uint64) bool {
 		pred.bnd.Finalize(ePred, ts)
 		n.bnd.Finalize(eInit, ts)
 		t.tr.Span(th.ID, trace.PhaseLabel, lb)
-		t.maybeTruncate(pred, key)
+		t.truncate(th, pred)
 		pred.mu.Unlock()
 		t.noteRetries(th, retries)
 		return true
@@ -216,7 +216,7 @@ func (t *BundleList) Delete(th *core.Thread, key uint64) bool {
 		pred.bnd.Finalize(ePred, ts)
 		pred.next.Store(cur.next.Load())
 		t.tr.Span(th.ID, trace.PhaseLabel, lb)
-		t.maybeTruncate(pred, key)
+		t.truncate(th, pred)
 		cur.mu.Unlock()
 		pred.mu.Unlock()
 		t.noteRetries(th, retries)
@@ -224,12 +224,10 @@ func (t *BundleList) Delete(th *core.Thread, key uint64) bool {
 	}
 }
 
-func (t *BundleList) maybeTruncate(n *bnode, key uint64) {
-	if key%64 == 0 {
-		dropped := n.bnd.Truncate(core.PruneBoundOf(t.rb, t.reg))
-		if t.gc != nil && dropped > 0 {
-			t.gc.BundlePruned.Add(uint64(dropped))
-		}
+// truncate trims the bundle a completed update just extended.
+func (t *BundleList) truncate(th *core.Thread, n *bnode) {
+	if d := n.bnd.Truncate(core.PruneBoundOf(th, t.rb, t.src)); d > 0 && t.gc != nil {
+		t.gc.BundlePruned.Add(uint64(d))
 	}
 }
 
@@ -411,7 +409,7 @@ func (t *VcasList) Insert(th *core.Thread, key, val uint64) bool {
 		n := t.newVnodeIn(th.ID, key, val, cur)
 		t.tr.Span(th.ID, trace.PhaseAlloc, am)
 		pred.next.WriteIn(t.src, t.vp, th.ID, n)
-		t.maybeTruncate(pred, key)
+		t.truncate(th, pred)
 		pred.mu.Unlock()
 		t.noteRetries(th, retries)
 		return true
@@ -443,7 +441,7 @@ func (t *VcasList) Delete(th *core.Thread, key uint64) bool {
 		}
 		cur.marked.WriteIn(t.src, t.bp, th.ID, true) // linearization
 		pred.next.WriteIn(t.src, t.vp, th.ID, cur.next.Read(t.src))
-		t.maybeTruncate(pred, key)
+		t.truncate(th, pred)
 		cur.mu.Unlock()
 		pred.mu.Unlock()
 		t.noteRetries(th, retries)
@@ -451,13 +449,10 @@ func (t *VcasList) Delete(th *core.Thread, key uint64) bool {
 	}
 }
 
-func (t *VcasList) maybeTruncate(n *vnode, key uint64) {
-	if key%64 == 0 {
-		min := core.PruneBoundOf(t.rb, t.reg)
-		dropped := n.next.Truncate(min) + n.marked.Truncate(min)
-		if t.gc != nil && dropped > 0 {
-			t.gc.VersionsPruned.Add(uint64(dropped))
-		}
+// truncate trims the version chain a completed update just extended.
+func (t *VcasList) truncate(th *core.Thread, n *vnode) {
+	if d := n.next.Truncate(core.PruneBoundOf(th, t.rb, t.src)); d > 0 && t.gc != nil {
+		t.gc.VersionsPruned.Add(uint64(d))
 	}
 }
 

@@ -12,6 +12,15 @@
 // verbatim. Updates coordinate through flag/mark descriptors installed in
 // internal nodes' update fields, with full helping: any thread that
 // encounters an in-flight operation completes it.
+//
+// A node is one cache line and carries the vcas.Version that records it
+// in its parent edge, so following an edge lands on the child's own line:
+// one miss per tree level. That is sound because a node is installed in
+// at most one edge, once (Wei et al.'s recorded-once condition): an
+// insert links a new internal node over a new leaf and a COPY of the
+// displaced leaf (EFRB's newSibling), a delete promotes a copy of a leaf
+// sibling. Only a promoted internal sibling, whose embedded version
+// already heads its old parent's chain, takes a standalone Version.
 package lfbst
 
 import (
@@ -50,28 +59,41 @@ type updateRec struct {
 
 var cleanRec = &updateRec{state: clean}
 
+// An operation's descriptor embeds the flag and mark records it installs,
+// and carries the one clean record every helper unflags to. Each record's
+// address is unique to the operation and installed at most once, so EFRB's
+// pointer-identity ABA argument is unchanged. The clean record is its own
+// small allocation because it is what a node's update field holds for as
+// long as the node rests: embedded, it would keep the whole descriptor and
+// the displaced leaf reachable.
 type insertInfo struct {
 	p, l, newInternal *node
-	flag              *updateRec // the IFLAG record guarding this op
+	flag              updateRec  // IFLAG on p
+	done              *updateRec // then CLEAN
 }
 
 type deleteInfo struct {
-	gp, p, l *node
-	pupdate  *updateRec
-	flag     *updateRec // the DFLAG record guarding this op
+	gp, p, l   *node
+	pupdate    *updateRec
+	flag, mark updateRec  // DFLAG on gp, MARK on p
+	done       *updateRec // CLEAN on gp
 }
 
+// node is exactly one cache line (TestNodeIsOneCacheLine).
 type node struct {
-	key  uint64
-	val  uint64 // leaves only
-	leaf bool
-	// internal nodes only:
+	key uint64
+	val uint64 // leaves only
+	// The routing edges. A leaf is a node with no child heads.
 	left, right vcas.Object[*node]
 	update      atomicUpdate
+	// ver records this node in the one edge it is installed in.
+	ver vcas.Version[*node]
 }
 
-// atomicUpdate wraps the node's update field. Records are distinct heap
-// allocations, so pointer-identity CAS gives exactly EFRB's ABA-safe
+func (n *node) leaf() bool { return n.left.Head() == nil }
+
+// atomicUpdate wraps the node's update field. Records have distinct
+// addresses, so pointer-identity CAS gives exactly EFRB's ABA-safe
 // (state, info) pair semantics.
 type atomicUpdate struct {
 	p atomic.Pointer[updateRec]
@@ -88,18 +110,6 @@ func (a *atomicUpdate) store(r *updateRec) { a.p.Store(r) }
 
 func (a *atomicUpdate) cas(old, new *updateRec) bool {
 	return a.p.CompareAndSwap(old, new)
-}
-
-func newLeaf(key, val uint64) *node {
-	return &node{key: key, val: val, leaf: true}
-}
-
-func newInternal(key uint64, l, r *node) *node {
-	n := &node{key: key}
-	n.left.Init(l)
-	n.right.Init(r)
-	n.update.store(cleanRec)
-	return n
 }
 
 // Tree is the vCAS-augmented lock-free BST. All operations require a
@@ -120,8 +130,8 @@ type Tree struct {
 // New creates an empty tree over the given timestamp source and thread
 // registry.
 func New(src core.Source, reg *core.Registry) *Tree {
-	root := newInternal(inf2, newLeaf(inf1, 0), newLeaf(inf2, 0))
-	t := &Tree{src: src, reg: reg, root: root}
+	t := &Tree{src: src, reg: reg}
+	t.root = t.newInternalIn(-1, inf2, t.newLeafIn(-1, inf1, 0), t.newLeafIn(-1, inf2, 0))
 	t.rd = core.NewReader(src, core.QueryAdvances, t)
 	return t
 }
@@ -135,13 +145,13 @@ func (t *Tree) Reader() *core.Reader { return t.rd }
 // SetHooks wires the tree's sinks: GC counters, the flight recorder
 // (update retry and helping counts, range-query spans, version-walk
 // lengths), the retention watermark version truncation respects, and the
-// allocation mode of tree nodes and vCAS versions. The vCAS tree has no
-// reclamation scheme — spliced-out nodes and truncated version tails stay
-// reachable to snapshot readers — so only never-published memory (a leaf
-// or internal node that lost its CAS, a version that lost the head race)
+// allocation mode of tree nodes and standalone vCAS versions. The vCAS
+// tree has no reclamation scheme — spliced-out nodes and truncated version
+// tails stay reachable to snapshot readers — so only never-published
+// memory (a node that lost its CAS, a version that lost the head race)
 // flows back; the pools otherwise supply arena chunking and batching.
-// updateRec descriptors are deliberately NOT pooled: their pointer
-// identity is what makes the EFRB (state, info) CAS ABA-safe. Call before
+// Descriptors are deliberately NOT pooled: their records' pointer identity
+// is what makes the EFRB (state, info) CAS ABA-safe. Call before
 // concurrent traffic.
 func (t *Tree) SetHooks(h core.Hooks) {
 	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
@@ -150,34 +160,32 @@ func (t *Tree) SetHooks(h core.Hooks) {
 	t.vp = pool.New[vcas.Version[*node]](t.reg.Cap(), h.Alloc, h.PoolStats)
 }
 
-// newLeafIn is newLeaf drawing from the node pool. A pooled node may
-// have been an internal node in a previous life, so the discriminating
-// flag and the update field are reset; stale left/right version heads
-// are never read while leaf is true and are re-seeded by newInternalIn
-// if the node is later reused as an internal node.
+// newLeafIn returns an unpublished leaf from the node pool. A pooled node
+// may have been an internal node in a previous life, so its child heads
+// and update field are reset; its embedded version is reset by whoever
+// installs it (newInternalIn seeds it, helpMarked arms it).
 func (t *Tree) newLeafIn(tid int, key, val uint64) *node {
 	if t.np == nil {
-		return newLeaf(key, val)
+		return &node{key: key, val: val} // fresh memory: nothing to reset
 	}
 	n := t.np.Get(tid)
 	n.key, n.val = key, val
-	n.leaf = true
+	n.left.Clear()
+	n.right.Clear()
 	n.update.store(nil) // load() maps nil to cleanRec
 	return n
 }
 
-// newInternalIn is newInternal drawing the node and its two seed
-// versions from the pools.
+// newInternalIn returns an unpublished internal node over the unpublished
+// children l and r, whose embedded versions seed its edges; its own is
+// armed for the one child CAS that installs it.
 func (t *Tree) newInternalIn(tid int, key uint64, l, r *node) *node {
-	if t.np == nil {
-		return newInternal(key, l, r)
-	}
 	n := t.np.Get(tid)
 	n.key, n.val = key, 0
-	n.leaf = false
-	n.left.InitIn(t.vp, tid, l)
-	n.right.InitIn(t.vp, tid, r)
+	n.left.InitWith(&l.ver, l)
+	n.right.InitWith(&r.ver, r)
 	n.update.store(cleanRec)
+	n.ver.Arm(n)
 	return n
 }
 
@@ -207,7 +215,7 @@ type searchResult struct {
 func (t *Tree) search(key uint64) searchResult {
 	var r searchResult
 	r.l = t.root
-	for !r.l.leaf {
+	for !r.l.leaf() {
 		r.gp, r.p = r.p, r.l
 		r.gpupdate = r.pupdate
 		r.pupdate = r.p.update.load()
@@ -243,10 +251,7 @@ func (t *Tree) Insert(th *core.Thread, key, val uint64) bool {
 		r := t.search(key)
 		if r.l.key == key {
 			t.noteUpdate(th, retries, helps)
-			// nl was never published; hand it straight back.
-			if t.np != nil {
-				t.np.Put(th.ID, nl)
-			}
+			t.np.Put(th.ID, nl) // never published
 			return false
 		}
 		if r.pupdate.state != clean {
@@ -255,29 +260,28 @@ func (t *Tree) Insert(th *core.Thread, key, val uint64) bool {
 			retries++
 			continue
 		}
-		// Sibling order inside the new internal node.
+		// The displaced leaf is copied (EFRB's newSibling), never
+		// re-linked: a child pointer must not return to an old value,
+		// or a delayed helper's child CAS could succeed long after its
+		// operation finished and re-link a dead subtree.
+		sib := t.newLeafIn(th.ID, r.l.key, r.l.val)
 		var ni *node
-		if key < r.l.key {
-			ni = t.newInternalIn(th.ID, r.l.key, nl, r.l)
+		if key < sib.key {
+			ni = t.newInternalIn(th.ID, sib.key, nl, sib)
 		} else {
-			ni = t.newInternalIn(th.ID, key, r.l, nl)
+			ni = t.newInternalIn(th.ID, key, sib, nl)
 		}
-		op := &insertInfo{p: r.p, l: r.l, newInternal: ni}
-		rec := &updateRec{state: iflag, ins: op}
-		op.flag = rec
-		if r.p.update.cas(r.pupdate, rec) {
-			t.helpInsert(op, th.ID)
-			t.maybeTruncate(r.p, key)
+		op := &insertInfo{p: r.p, l: r.l, newInternal: ni, done: new(updateRec)}
+		op.flag = updateRec{state: iflag, ins: op}
+		if r.p.update.cas(r.pupdate, &op.flag) {
+			t.helpInsert(op)
+			t.truncate(th, key, r.p, r.gp)
 			t.noteUpdate(th, retries, helps)
 			return true
 		}
-		// The flag CAS lost, so ni (and its seed versions) were never
-		// published; recycle them before retrying.
-		if t.np != nil {
-			t.vp.Put(th.ID, ni.left.Head())
-			t.vp.Put(th.ID, ni.right.Head())
-			t.np.Put(th.ID, ni)
-		}
+		// The flag CAS lost, so ni and sib were never published.
+		t.np.Put(th.ID, ni)
+		t.np.Put(th.ID, sib)
 		t.help(r.p.update.load(), th.ID)
 		helps++
 		retries++
@@ -308,12 +312,12 @@ func (t *Tree) Delete(th *core.Thread, key uint64) bool {
 			retries++
 			continue
 		}
-		op := &deleteInfo{gp: r.gp, p: r.p, l: r.l, pupdate: r.pupdate}
-		rec := &updateRec{state: dflag, del: op}
-		op.flag = rec
-		if r.gp.update.cas(r.gpupdate, rec) {
+		op := &deleteInfo{gp: r.gp, p: r.p, l: r.l, pupdate: r.pupdate, done: new(updateRec)}
+		op.flag = updateRec{state: dflag, del: op}
+		op.mark = updateRec{state: mark, del: op}
+		if r.gp.update.cas(r.gpupdate, &op.flag) {
 			if t.helpDelete(op, th.ID) {
-				t.maybeTruncate(r.gp, key)
+				t.truncate(th, key, r.gp, nil)
 				t.noteUpdate(th, retries, helps)
 				return true
 			}
@@ -332,7 +336,7 @@ func (t *Tree) Delete(th *core.Thread, key uint64) bool {
 func (t *Tree) help(u *updateRec, tid int) {
 	switch u.state {
 	case iflag:
-		t.helpInsert(u.ins, tid)
+		t.helpInsert(u.ins)
 	case dflag:
 		t.helpDelete(u.del, tid)
 	case mark:
@@ -340,19 +344,21 @@ func (t *Tree) help(u *updateRec, tid int) {
 	}
 }
 
-func (t *Tree) helpInsert(op *insertInfo, tid int) {
-	t.casChild(op.p, op.l, op.newInternal, tid)
-	op.p.update.cas(op.flag, &updateRec{state: clean})
+// helpInsert performs the insert's single structural CAS — the vCAS write
+// that receives its timestamp label — and unflags.
+func (t *Tree) helpInsert(op *insertInfo) {
+	ni := op.newInternal
+	t.child(op.p, ni.key).CompareAndSwapVersion(t.src, op.l, &ni.ver)
+	op.p.update.cas(&op.flag, op.done)
 }
 
 func (t *Tree) helpDelete(op *deleteInfo, tid int) bool {
-	markRec := &updateRec{state: mark, del: op}
-	if op.p.update.cas(op.pupdate, markRec) {
+	if op.p.update.cas(op.pupdate, &op.mark) {
 		t.helpMarked(op, tid)
 		return true
 	}
 	cur := op.p.update.load()
-	if cur.state == mark && cur.del == op {
+	if cur == &op.mark {
 		// Another helper installed the mark; finish together.
 		t.helpMarked(op, tid)
 		return true
@@ -360,7 +366,7 @@ func (t *Tree) helpDelete(op *deleteInfo, tid int) bool {
 	// The parent changed under us: back out by unflagging the
 	// grandparent so the deleter retries.
 	t.help(cur, tid)
-	op.gp.update.cas(op.flag, &updateRec{state: clean})
+	op.gp.update.cas(&op.flag, op.done)
 	return false
 }
 
@@ -373,30 +379,37 @@ func (t *Tree) helpMarked(op *deleteInfo, tid int) {
 	} else {
 		other = right
 	}
-	t.casChild(op.gp, op.p, other, tid)
-	op.gp.update.cas(op.flag, &updateRec{state: clean})
+	// The delete's structural CAS. A leaf sibling is immutable, so a copy
+	// carrying its own version takes p's place; an internal sibling's
+	// embedded version already heads p's chain, so it is recorded in gp's
+	// edge by a standalone one.
+	edge := t.child(op.gp, other.key)
+	if other.leaf() {
+		c := t.newLeafIn(tid, other.key, other.val)
+		c.ver.Arm(c)
+		if !edge.CompareAndSwapVersion(t.src, op.p, &c.ver) {
+			t.np.Put(tid, c) // never published
+		}
+	} else {
+		edge.CompareAndSwapIn(t.src, t.vp, tid, op.p, other)
+	}
+	op.gp.update.cas(&op.flag, op.done)
 }
 
-// casChild performs the single structural CAS of an operation on the
-// appropriate routing edge — the vCAS write that receives the
-// operation's timestamp label.
-func (t *Tree) casChild(parent, old, new *node, tid int) bool {
-	if new.key < parent.key {
-		return parent.left.CompareAndSwapIn(t.src, t.vp, tid, old, new)
+// truncate trims the version chain of the edge toward key at n, which a
+// completed update just extended, bounding history to what active range
+// queries can still read. An insert passes the node above as well: the
+// head of that edge is n's own version, and what it displaced when n was
+// installed stays reachable until the edge is written again — for most
+// internal nodes, never.
+func (t *Tree) truncate(th *core.Thread, key uint64, n, above *node) {
+	bound := core.PruneBoundOf(th, t.rb, t.src)
+	d := t.child(n, key).Truncate(bound)
+	if above != nil {
+		d += t.child(above, key).Truncate(bound)
 	}
-	return parent.right.CompareAndSwapIn(t.src, t.vp, tid, old, new)
-}
-
-// maybeTruncate occasionally trims version chains near a completed
-// update, bounding history to what active range queries can still read.
-func (t *Tree) maybeTruncate(n *node, key uint64) {
-	if key%64 != 0 {
-		return
-	}
-	min := core.PruneBoundOf(t.rb, t.reg)
-	dropped := n.left.Truncate(min) + n.right.Truncate(min)
-	if t.gc != nil && dropped > 0 {
-		t.gc.VersionsPruned.Add(uint64(dropped))
+	if d > 0 && t.gc != nil {
+		t.gc.VersionsPruned.Add(uint64(d))
 	}
 }
 
@@ -433,7 +446,7 @@ func (t *Tree) collect(n *node, lo, hi uint64, s core.TS, out []core.KV, walk *u
 	if n == nil {
 		return out
 	}
-	if n.leaf {
+	if n.leaf() {
 		if n.key >= lo && n.key <= hi {
 			out = append(out, core.KV{Key: n.key, Val: n.val})
 		}
@@ -462,7 +475,7 @@ func (t *Tree) Len() int {
 		if x == nil {
 			return
 		}
-		if x.leaf {
+		if x.leaf() {
 			if x.key <= MaxKey {
 				n++
 			}

@@ -224,7 +224,7 @@ func (t *NMTree) Insert(th *core.Thread, key, val uint64) bool {
 		}
 		edge := &r.parent.child[nmDir(key, r.parent.key)]
 		if edge.CompareAndSwapIn(t.src, t.ep, th.ID, r.leafEdge, edgeVal{n: ni}) {
-			t.maybeTruncate(r.parent, key)
+			t.truncate(th, r.parent, key)
 			t.noteUpdate(th, retries, helps)
 			return true
 		}
@@ -274,7 +274,7 @@ func (t *NMTree) Delete(th *core.Thread, key uint64) bool {
 				leaf = r.leaf
 				r.leafEdge = edgeVal{n: r.leaf, flag: true}
 				if t.cleanup(key, r, th.ID) {
-					t.maybeTruncate(r.ancestor, key)
+					t.truncate(th, r.ancestor, key)
 					t.noteUpdate(th, retries, helps)
 					return true
 				}
@@ -287,7 +287,7 @@ func (t *NMTree) Delete(th *core.Thread, key uint64) bool {
 			return true // a helper finished the removal
 		}
 		if t.cleanup(key, r, th.ID) {
-			t.maybeTruncate(r.ancestor, key)
+			t.truncate(th, r.ancestor, key)
 			t.noteUpdate(th, retries, helps)
 			return true
 		}
@@ -336,14 +336,12 @@ func (t *NMTree) cleanup(key uint64, r seekRec, tid int) bool {
 		edgeVal{n: se.n, flag: se.flag})
 }
 
-func (t *NMTree) maybeTruncate(n *nmNode, key uint64) {
-	if key%64 != 0 || n.leaf {
-		return
-	}
-	min := core.PruneBoundOf(t.rb, t.reg)
-	dropped := n.child[0].Truncate(min) + n.child[1].Truncate(min)
-	if t.gc != nil && dropped > 0 {
-		t.gc.VersionsPruned.Add(uint64(dropped))
+// truncate trims the chain of the edge toward key at n, which a completed
+// update just extended.
+func (t *NMTree) truncate(th *core.Thread, n *nmNode, key uint64) {
+	edge := &n.child[nmDir(key, n.key)]
+	if d := edge.Truncate(core.PruneBoundOf(th, t.rb, t.src)); d > 0 && t.gc != nil {
+		t.gc.VersionsPruned.Add(uint64(d))
 	}
 }
 

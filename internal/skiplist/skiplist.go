@@ -299,7 +299,7 @@ func (t *List) Insert(th *core.Thread, key, val uint64) bool {
 			preds[l].next[l].Store(n)
 		}
 		n.fullyLinked.Store(true)
-		t.maybeTruncate(preds[0], key)
+		t.truncate(th, preds[0])
 		unlock()
 		t.noteRetries(th, retries)
 		return true
@@ -346,7 +346,7 @@ func (t *List) Delete(th *core.Thread, key uint64) bool {
 			for l := victim.topLevel - 1; l >= 0; l-- {
 				preds[l].next[l].Store(victim.next[l].Load())
 			}
-			t.maybeTruncate(preds[0], key)
+			t.truncate(th, preds[0])
 			unlock()
 			victim.mu.Unlock()
 			t.noteRetries(th, retries)
@@ -358,13 +358,10 @@ func (t *List) Delete(th *core.Thread, key uint64) bool {
 	}
 }
 
-func (t *List) maybeTruncate(n *node, key uint64) {
-	if key%64 != 0 {
-		return
-	}
-	dropped := n.bnd.Truncate(core.PruneBoundOf(t.rb, t.reg))
-	if t.gc != nil && dropped > 0 {
-		t.gc.BundlePruned.Add(uint64(dropped))
+// truncate trims the bundle a completed update just extended.
+func (t *List) truncate(th *core.Thread, n *node) {
+	if d := n.bnd.Truncate(core.PruneBoundOf(th, t.rb, t.src)); d > 0 && t.gc != nil {
+		t.gc.BundlePruned.Add(uint64(d))
 	}
 }
 

@@ -269,7 +269,7 @@ func (t *VcasList) Insert(th *core.Thread, key, val uint64) bool {
 			preds[l].upper[l-1].Store(n)
 		}
 		n.linked.Store(true)
-		t.maybeTruncate(preds[0], key)
+		t.truncate(th, preds[0])
 		unlock()
 		t.noteRetries(th, retries)
 		return true
@@ -309,7 +309,7 @@ func (t *VcasList) Delete(th *core.Thread, key uint64) bool {
 				preds[l].upper[l-1].Store(victim.nextAt(l))
 			}
 			preds[0].next0.WriteIn(t.src, t.vp, th.ID, victim.next0.Read(t.src))
-			t.maybeTruncate(preds[0], key)
+			t.truncate(th, preds[0])
 			unlock()
 			victim.mu.Unlock()
 			t.noteRetries(th, retries)
@@ -321,14 +321,10 @@ func (t *VcasList) Delete(th *core.Thread, key uint64) bool {
 	}
 }
 
-func (t *VcasList) maybeTruncate(n *vskipNode, key uint64) {
-	if key%64 != 0 {
-		return
-	}
-	min := core.PruneBoundOf(t.rb, t.reg)
-	dropped := n.next0.Truncate(min) + n.dead.Truncate(min)
-	if t.gc != nil && dropped > 0 {
-		t.gc.VersionsPruned.Add(uint64(dropped))
+// truncate trims the version chain a completed update just extended.
+func (t *VcasList) truncate(th *core.Thread, n *vskipNode) {
+	if d := n.next0.Truncate(core.PruneBoundOf(th, t.rb, t.src)); d > 0 && t.gc != nil {
+		t.gc.VersionsPruned.Add(uint64(d))
 	}
 }
 

@@ -25,7 +25,11 @@ import (
 	"tscds/internal/pool"
 )
 
-// Version is one entry in an Object's history.
+// Version is one entry in an Object's history. A structure may embed the
+// Version that records a node inside that node (InitWith,
+// CompareAndSwapVersion): the edge's head then points into the target's
+// own cache line and reading the edge costs one miss instead of two —
+// Wei et al.'s "avoiding indirection" for recorded-once nodes.
 type Version[V comparable] struct {
 	val  V
 	ts   atomic.Uint64
@@ -60,11 +64,29 @@ func (o *Object[V]) Init(val V) { o.InitIn(nil, -1, val) }
 // CAS loser's allocation) and amortizes fresh ones through arena
 // chunks.
 func (o *Object[V]) InitIn(p *pool.Pool[Version[V]], tid int, val V) {
-	v := p.Get(tid)
+	o.InitWith(p.Get(tid), val)
+}
+
+// InitWith is Init into the caller-owned version v (typically embedded in
+// the node val points to). v may be recycled memory; every field is reset.
+func (o *Object[V]) InitWith(v *Version[V], val V) {
 	v.val = val
 	v.ts.Store(0)
 	v.prev.Store(nil)
 	o.head.Store(v)
+}
+
+// Clear empties the object (a recycled node's unused edge); unpublished
+// objects only.
+func (o *Object[V]) Clear() { o.head.Store(nil) }
+
+// Arm prepares the caller-owned version v, unpublished, for one
+// CompareAndSwapVersion: pending label, and prev pointing at v itself,
+// which marks it "not linked yet".
+func (v *Version[V]) Arm(val V) {
+	v.val = val
+	v.ts.Store(core.Pending)
+	v.prev.Store(v)
 }
 
 // New returns an initialized object.
@@ -76,11 +98,18 @@ func New[V comparable](val V) *Object[V] {
 
 // label assigns v's timestamp if still pending. Any thread may help; the
 // CAS makes the first label win, fixing the write's linearization point.
+// The check is all a traversal pays per edge, so it must inline into
+// Read and ReadVersionWalk (`make inline-check`); the rare labeling
+// itself stays out of line.
 func label[V comparable](src core.Source, v *Version[V]) {
 	if v.ts.Load() == core.Pending {
-		t := src.Peek()
-		v.ts.CompareAndSwap(core.Pending, t)
+		labelPending(src, &v.ts)
 	}
+}
+
+//go:noinline
+func labelPending(src core.Source, ts *atomic.Uint64) {
+	ts.CompareAndSwap(core.Pending, src.Peek())
 }
 
 // Read returns the current value, first fixing the head version's label
@@ -135,6 +164,29 @@ func (o *Object[V]) CompareAndSwapIn(src core.Source, p *pool.Pool[Version[V]], 
 			return true
 		}
 	}
+}
+
+// CompareAndSwapVersion installs the armed, caller-owned version nv if the
+// current value equals old, and reports whether THIS call installed it.
+// Any number of helpers may call it with the same nv, provided they can
+// only ever find the same head holding old (EFRB's flag freezes the edge)
+// and old never returns to the object: the first of them links nv.prev,
+// once — a helper arriving after Truncate cut the chain below nv cannot
+// re-link the tail — and one head CAS publishes it. A caller that lost
+// labels the winner before returning, like CompareAndSwapIn.
+func (o *Object[V]) CompareAndSwapVersion(src core.Source, old V, nv *Version[V]) bool {
+	h := o.head.Load()
+	label(src, h)
+	if h.val != old {
+		return false
+	}
+	nv.prev.CompareAndSwap(nv, h)
+	if o.head.CompareAndSwap(h, nv) {
+		label(src, nv)
+		return true
+	}
+	label(src, o.head.Load())
+	return false
 }
 
 // Write unconditionally installs a new value (for lock-based structures,
@@ -211,6 +263,9 @@ func (o *Object[V]) Truncate(minRQ core.TS) int {
 		v = next
 	}
 	tail := v.prev.Load()
+	if tail == nil {
+		return 0 // nothing to cut: leave the line clean
+	}
 	v.prev.Store(nil)
 	n := 0
 	for ; tail != nil; tail = tail.prev.Load() {

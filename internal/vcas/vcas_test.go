@@ -319,3 +319,99 @@ func TestVersionAccessors(t *testing.T) {
 		t.Fatalf("head accessors: val=%d ts=%d", h.Value(), h.TS())
 	}
 }
+
+// cell is a value carrying the version that records it, the shape lfbst
+// nodes have.
+type cell struct {
+	id  int
+	ver Version[*cell]
+}
+
+// A caller-owned version seeds an object and is installed by
+// CompareAndSwapVersion exactly like an allocated one: labeled on install,
+// chained behind its predecessor, readable at every bound.
+func TestCallerOwnedVersions(t *testing.T) {
+	src := core.New(core.Logical)
+	a, b := &cell{id: 1}, &cell{id: 2}
+	var o Object[*cell]
+	o.InitWith(&a.ver, a)
+	if o.Head() != &a.ver || a.ver.TS() != 0 || o.Read(src) != a {
+		t.Fatal("InitWith did not seed the object with the embedded version at label 0")
+	}
+	s0 := src.Snapshot()
+	b.ver.Arm(b)
+	if o.CompareAndSwapVersion(src, b, &b.ver) {
+		t.Fatal("CompareAndSwapVersion succeeded against the wrong expected value")
+	}
+	if !o.CompareAndSwapVersion(src, a, &b.ver) {
+		t.Fatal("CompareAndSwapVersion(a -> b) failed")
+	}
+	if o.Head() != &b.ver || b.ver.TS() == core.Pending || b.ver.prev.Load() != &a.ver {
+		t.Fatal("installed version is not the labeled head chained behind its predecessor")
+	}
+	if v, ok := o.ReadVersion(src, s0); !ok || v != a {
+		t.Fatalf("ReadVersion at the old bound = (%v,%v), want a", v, ok)
+	}
+	if v, ok := o.ReadVersion(src, src.Snapshot()); !ok || v != b {
+		t.Fatalf("ReadVersion at a new bound = (%v,%v), want b", v, ok)
+	}
+}
+
+// A helper replaying CompareAndSwapVersion after the operation finished
+// fails and leaves the installed version alone: not re-armed, and not
+// re-linked to the tail Truncate cut since.
+func TestCompareAndSwapVersionReplay(t *testing.T) {
+	src := core.New(core.Logical)
+	a, b, c := &cell{id: 1}, &cell{id: 2}, &cell{id: 3}
+	var o Object[*cell]
+	o.InitWith(&a.ver, a)
+	b.ver.Arm(b)
+	c.ver.Arm(c)
+	o.CompareAndSwapVersion(src, a, &b.ver)
+	o.CompareAndSwapVersion(src, b, &c.ver)
+	if n := o.Truncate(src.Snapshot()); n != 2 {
+		t.Fatalf("Truncate dropped %d versions, want 2", n)
+	}
+	ts := b.ver.TS()
+	if o.CompareAndSwapVersion(src, a, &b.ver) {
+		t.Fatal("a replayed CompareAndSwapVersion succeeded")
+	}
+	if b.ver.TS() != ts || b.ver.prev.Load() != &a.ver || o.Head() != &c.ver || o.ChainLen() != 1 {
+		t.Fatal("a replayed CompareAndSwapVersion changed the chain")
+	}
+}
+
+// Concurrent helpers installing the same armed version: exactly one call
+// reports the install, the version appears once, and every caller returns
+// with the head labeled.
+func TestCompareAndSwapVersionHelpers(t *testing.T) {
+	src := core.New(core.TSC)
+	for round := 0; round < 200; round++ {
+		a, b := &cell{id: 1}, &cell{id: 2}
+		var o Object[*cell]
+		o.InitWith(&a.ver, a)
+		b.ver.Arm(b)
+		var wg sync.WaitGroup
+		var wins [4]bool
+		for g := range wins {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				wins[g] = o.CompareAndSwapVersion(src, a, &b.ver)
+				if o.Head().TS() == core.Pending {
+					t.Error("a helper returned with the head unlabeled")
+				}
+			}()
+		}
+		wg.Wait()
+		n := 0
+		for _, w := range wins {
+			if w {
+				n++
+			}
+		}
+		if n != 1 || o.ChainLen() != 2 || o.Read(src) != b {
+			t.Fatalf("round %d: %d installs, chain %d", round, n, o.ChainLen())
+		}
+	}
+}

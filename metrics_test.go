@@ -95,8 +95,8 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 }
 
-// TestMetricsReclamationCounters churns keys that hit the structures'
-// truncation stride (multiples of 64) and checks the GC counters move.
+// TestMetricsReclamationCounters churns a few keys and checks the GC
+// counters move.
 func TestMetricsReclamationCounters(t *testing.T) {
 	cases := []struct {
 		s     Structure
@@ -120,9 +120,9 @@ func TestMetricsReclamationCounters(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer th.Release()
-			// Repeatedly rewrite keys at the truncation stride so the
-			// version chains/bundles grow and then get pruned (no RQ is
-			// active, so MinActiveRQ lets everything go).
+			// Repeatedly rewrite the same keys so the version chains and
+			// bundles grow and get pruned by the writes that extend them
+			// (no RQ is active, so the bound lets everything go).
 			for round := 0; round < 200; round++ {
 				for k := uint64(0); k < 512; k += 64 {
 					m.Insert(th, k, k)

@@ -257,9 +257,8 @@ func TestTimeTravelTruncationAndMetrics(t *testing.T) {
 	if _, _, err := m.GetAt(th, 1, m.Now()); err != nil {
 		t.Fatalf("fresh historical read: %v", err)
 	}
-	// Walk a key through every residue class so maybeTruncate's
-	// sampling fires regardless of the facade's key shift, publishing
-	// the watermark past the stale stamp.
+	// More than a prune-bound refresh interval of updates, so a write
+	// publishes the watermark past the stale stamp.
 	for k := uint64(0); k < 256; k++ {
 		m.Insert(th, k, k)
 		m.Delete(th, k)
