@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench linearize benchmark-smoke loc inline-check
+.PHONY: build test check bench linearize benchmark-smoke loc inline-check doc-check
 
 build:
 	$(GO) build ./...
@@ -13,7 +13,7 @@ test:
 # matrix (every supported structure x technique x source combination).
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
 # obs itself plus obs/promparse, obs/series and obs/trace.
-check: benchmark-smoke inline-check
+check: benchmark-smoke inline-check doc-check
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -49,6 +49,23 @@ inline-check:
 	need internal/lfbst/lfbst.go '(t \*Tree) search' '(*Tree).child'; \
 	need internal/lfbst/lfbst.go '(t \*Tree) search' '(*node).leaf'; \
 	need internal/lfbst/lfbst.go '(t \*Tree) collect' '(*node).leaf'; \
+	exit $$ok
+
+# doc-check keeps the documentation, CI and the verify skill from naming
+# what is not in the tree: a cmd/<dir>, a BENCH_*.json artifact, or a
+# subcommand `reproduce` does not dispatch (a `case "<word>":` in its
+# main.go). ISSUE/CHANGES/ROADMAP are history and plans, benchmark/ is
+# frozen by BENCHMARK.json; neither is checked.
+DOCS = $(filter-out ./ISSUE.md ./CHANGES.md ./ROADMAP.md ./benchmark/%, \
+	$(shell find . -name '*.md' -not -path './.git/*')) .github/workflows/ci.yml
+doc-check:
+	@ok=0; miss() { echo "doc-check: $$1, named in:"; grep -lF -- "$$2" $(DOCS) | sed 's/^/  /'; ok=1; }; \
+	for d in $$(grep -ohE 'cmd/[a-z]+' $(DOCS) | sort -u); do \
+		[ -d "$$d" ] || miss "$$d does not exist" "$$d"; done; \
+	for f in $$(grep -ohE 'BENCH_[A-Za-z*{},]+\.json' $(DOCS) | sort -u); do \
+		[ -e "$$f" ] || miss "$$f does not exist" "$$f"; done; \
+	for c in $$(grep -ohE '(\./cmd/reproduce|`reproduce) +[a-z]+' $(DOCS) | awk '{ print $$NF }' | sort -u); do \
+		grep -q "case \"$$c\":" cmd/reproduce/main.go || miss "reproduce has no subcommand $$c" "reproduce $$c"; done; \
 	exit $$ok
 
 # benchmark-smoke compiles and runs the repository benchmark's own tests.

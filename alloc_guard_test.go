@@ -10,50 +10,57 @@ import (
 )
 
 // TestPooledUpdatePathAllocFree pins the tentpole's core claim: with
-// Config.Alloc = AllocPool, a steady-state insert+delete churn on the
-// EBR skip list performs ZERO heap allocations per operation — nodes
-// come from the epoch-fed free lists, limbo wrappers from the manager's
-// wrapper pool, and the label machinery is allocation-free. Any new
-// allocation on the update path (a closure, a boxed value, a forgotten
-// pooled constructor) fails this test.
+// Config.Alloc = AllocPool or AllocArena, a steady-state insert+delete
+// churn on the EBR skip list performs ZERO heap allocations per operation
+// — nodes come from the epoch-fed free lists (the registry counts the
+// hits), limbo wrappers from the manager's wrapper pool, and the label
+// machinery is allocation-free. Any new allocation on the update path (a
+// closure, a boxed value, a forgotten pooled constructor) fails this test.
 func TestPooledUpdatePathAllocFree(t *testing.T) {
-	m, err := tscds.New(tscds.SkipList, tscds.EBRRQ, tscds.Config{
-		Source:     tscds.Logical,
-		MaxThreads: 4,
-		Alloc:      tscds.AllocPool,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := m.RegisterThread()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer th.Release()
+	for _, mode := range []tscds.AllocMode{tscds.AllocPool, tscds.AllocArena} {
+		reg := tscds.NewMetrics()
+		m, err := tscds.New(tscds.SkipList, tscds.EBRRQ, tscds.Config{
+			Source:     tscds.Logical,
+			MaxThreads: 4,
+			Alloc:      mode,
+			Metrics:    reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := m.RegisterThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer th.Release()
 
-	// GC off for the measurement: a collection mid-run would not change
-	// the alloc count but could steal sync.Pool contents and force
-	// refill misses.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		// GC off for the measurement: a collection mid-run would not change
+		// the alloc count but could steal sync.Pool contents and force
+		// refill misses.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	// Warm up: churn enough keys that the free lists are primed and the
-	// prune cadence (retire -> limbo -> recycle) reaches steady state.
-	for i := uint64(1); i <= 2000; i++ {
-		m.Insert(th, i, i)
-	}
-	for i := uint64(1); i <= 2000; i++ {
-		m.Delete(th, i)
-	}
-	m.Drain()
+		// Warm up: churn enough keys that the free lists are primed and the
+		// prune cadence (retire -> limbo -> recycle) reaches steady state.
+		for i := uint64(1); i <= 2000; i++ {
+			m.Insert(th, i, i)
+		}
+		for i := uint64(1); i <= 2000; i++ {
+			m.Delete(th, i)
+		}
+		m.Drain()
 
-	key := uint64(5000)
-	n := testing.AllocsPerRun(2000, func() {
-		m.Insert(th, key, 1)
-		m.Delete(th, key)
-		key++
-	})
-	if n != 0 {
-		t.Fatalf("pooled insert+delete pair allocates %.2f objects, want 0", n)
+		key := uint64(5000)
+		n := testing.AllocsPerRun(2000, func() {
+			m.Insert(th, key, 1)
+			m.Delete(th, key)
+			key++
+		})
+		if n != 0 {
+			t.Fatalf("%v: pooled insert+delete pair allocates %.2f objects, want 0", mode, n)
+		}
+		if ps := reg.Snapshot().Pool; ps == nil || ps.Hits == 0 || ps.Recycled == 0 {
+			t.Fatalf("%v: pool counters %+v, want hits and recycled nodes", mode, ps)
+		}
 	}
 }
 

@@ -1,55 +1,43 @@
 // Native benchmarks regenerating the paper's tables and figures on this
-// host, one benchmark family per figure. Shapes at low core counts are
-// muted relative to the paper's 192-thread machine; cmd/reproduce runs
-// the full simulated sweeps alongside these (see EXPERIMENTS.md).
+// host, one benchmark family per figure; `go run ./cmd/reproduce` runs the
+// simulated sweeps and the timed-trial native tables (see EXPERIMENTS.md).
+// Which arms and U-RQ-C mixes a figure holds is read from internal/sim's
+// figure table, as cmd/reproduce reads it. Shapes at low core counts are
+// muted relative to the paper's 192-thread machine.
 //
 // Keys span 100k (prefilled to half) rather than the paper's 1M so the
-// per-subbenchmark setup stays small; cmd/rqbench uses the full range.
-package tscds
+// per-subbenchmark setup stays small; `reproduce fig N` defaults to the
+// full range.
+package tscds_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"tscds"
 	"tscds/internal/bench"
 	"tscds/internal/bundle"
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
+	"tscds/internal/sim"
 	"tscds/internal/vcas"
 )
 
 const benchKeyRange = 100_000
 
-var (
-	benchSources = []SourceKind{Logical, TSC}
+var benchSources = []tscds.SourceKind{tscds.Logical, tscds.TSC}
 
-	fig2Workloads = []bench.Workload{
-		bench.PaperWorkload(0, 10, 90), bench.PaperWorkload(2, 10, 88),
-		bench.PaperWorkload(10, 10, 80), bench.PaperWorkload(20, 10, 70),
-		bench.PaperWorkload(0, 20, 80), bench.PaperWorkload(2, 20, 78),
-		bench.PaperWorkload(10, 20, 70), bench.PaperWorkload(20, 20, 60),
-		bench.PaperWorkload(50, 10, 40), bench.PaperWorkload(100, 0, 0),
-	}
-	fig3Workloads = []bench.Workload{
-		bench.PaperWorkload(0, 10, 90), bench.PaperWorkload(2, 10, 88),
-		bench.PaperWorkload(10, 10, 80), bench.PaperWorkload(20, 10, 70),
-		bench.PaperWorkload(50, 10, 40), bench.PaperWorkload(90, 10, 0),
-	}
-	fig4Workloads = []bench.Workload{
-		bench.PaperWorkload(2, 10, 88), bench.PaperWorkload(10, 10, 80),
-		bench.PaperWorkload(20, 10, 70), bench.PaperWorkload(50, 10, 40),
-		bench.PaperWorkload(90, 10, 0), bench.PaperWorkload(100, 0, 0),
-	}
-	fig5Workloads = []bench.Workload{
-		bench.PaperWorkload(10, 10, 80), bench.PaperWorkload(50, 10, 40),
-		bench.PaperWorkload(90, 10, 0),
-	}
-)
+// benchWorkload is the paper's mix over the benchmarks' key range.
+func benchWorkload(u, rq, c int) bench.Workload {
+	wl := bench.PaperWorkload(u, rq, c)
+	wl.KeyRange = benchKeyRange
+	return wl
+}
 
 // benchMap drives one (structure, technique, source, workload) arm.
-func benchMap(b *testing.B, s Structure, t Technique, src SourceKind, wl bench.Workload) {
-	m, err := New(s, t, Config{Source: src, MaxThreads: 256})
+func benchMap(b *testing.B, s tscds.Structure, t tscds.Technique, src tscds.SourceKind, wl bench.Workload) {
+	m, err := tscds.New(s, t, tscds.Config{Source: src, MaxThreads: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +45,7 @@ func benchMap(b *testing.B, s Structure, t Technique, src SourceKind, wl bench.W
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, k := range bench.PrefillKeys(benchKeyRange) {
+	for _, k := range bench.PrefillKeys(wl.KeyRange) {
 		m.Insert(setup, k, k)
 	}
 	setup.Release()
@@ -72,15 +60,15 @@ func benchMap(b *testing.B, s Structure, t Technique, src SourceKind, wl bench.W
 		r := uint64(0x9E3779B97F4A7C15)
 		var zipf *rand.Zipf
 		if wl.ZipfS > 0 {
-			zipf = rand.NewZipf(rand.New(rand.NewSource(1)), wl.ZipfS, 1, benchKeyRange-1)
+			zipf = rand.NewZipf(rand.New(rand.NewSource(1)), wl.ZipfS, 1, wl.KeyRange-1)
 		}
-		buf := make([]KV, 0, 128)
+		buf := make([]tscds.KV, 0, 128)
 		for pb.Next() {
 			r ^= r << 13
 			r ^= r >> 7
 			r ^= r << 17
 			op := int(r % 100)
-			key := (r >> 8) % benchKeyRange
+			key := (r >> 8) % wl.KeyRange
 			if zipf != nil {
 				key = zipf.Uint64()
 			}
@@ -100,19 +88,15 @@ func benchMap(b *testing.B, s Structure, t Technique, src SourceKind, wl bench.W
 	})
 }
 
-func benchName(wl bench.Workload, src SourceKind) string {
-	return fmt.Sprintf("%s/%s", wl.Label(), src)
-}
-
 // BenchmarkFig1Timestamp reproduces Figure 1: acquiring a timestamp from
 // each source, bare (top panel) and with interleaved local work (bottom
 // panel).
 func BenchmarkFig1Timestamp(b *testing.B) {
-	kinds := []SourceKind{Logical, TSC, core.TSCCPUID, core.TSCUnfenced, core.TSCRaw}
+	kinds := []tscds.SourceKind{tscds.Logical, tscds.TSC, core.TSCCPUID, core.TSCUnfenced, core.TSCRaw}
 	for _, panel := range []string{"top", "bottom"} {
 		for _, k := range kinds {
 			b.Run(fmt.Sprintf("%s/%s", panel, k), func(b *testing.B) {
-				src := NewTimestampSource(k)
+				src := tscds.NewTimestampSource(k)
 				work := panel == "bottom"
 				b.RunParallel(func(pb *testing.PB) {
 					sink := uint64(0)
@@ -131,113 +115,53 @@ func BenchmarkFig1Timestamp(b *testing.B) {
 	}
 }
 
+// benchFigure runs one figure of the table: every arm on every mix, on
+// both sources.
+func benchFigure(b *testing.B, id string) {
+	f, ok := sim.FigureByID(id)
+	if !ok {
+		b.Fatalf("figure %q not in the table", id)
+	}
+	for _, a := range f.Arms {
+		s, t, err := bench.ParseArm(a.Spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, mix := range f.Mixes {
+			wl := benchWorkload(mix.U, mix.RQ, mix.C)
+			if f.KeyRange != 0 {
+				wl.KeyRange = f.KeyRange
+			}
+			for _, src := range benchSources {
+				b.Run(fmt.Sprintf("%s/%s/%s", a.Name, wl.Label(), src), func(b *testing.B) {
+					benchMap(b, s, t, src, wl)
+				})
+			}
+		}
+	}
+}
+
 // BenchmarkFig2VCASBST reproduces Figure 2: vCAS on the lock-free BST.
-func BenchmarkFig2VCASBST(b *testing.B) {
-	for _, wl := range fig2Workloads {
-		for _, src := range benchSources {
-			b.Run(benchName(wl, src), func(b *testing.B) {
-				benchMap(b, BST, VCAS, src, wl)
-			})
-		}
-	}
-}
+func BenchmarkFig2VCASBST(b *testing.B) { benchFigure(b, "2") }
 
-// BenchmarkFig3CitrusVCAS and BenchmarkFig3CitrusBundle reproduce
-// Figure 3: the Citrus tree under both fine-grained-labeling techniques.
-func BenchmarkFig3CitrusVCAS(b *testing.B) {
-	for _, wl := range fig3Workloads {
-		for _, src := range benchSources {
-			b.Run(benchName(wl, src), func(b *testing.B) {
-				benchMap(b, Citrus, VCAS, src, wl)
-			})
-		}
-	}
-}
-
-func BenchmarkFig3CitrusBundle(b *testing.B) {
-	for _, wl := range fig3Workloads {
-		for _, src := range benchSources {
-			b.Run(benchName(wl, src), func(b *testing.B) {
-				benchMap(b, Citrus, Bundle, src, wl)
-			})
-		}
-	}
-}
+// BenchmarkFig3Citrus reproduces Figure 3: the Citrus tree under both
+// fine-grained-labeling techniques.
+func BenchmarkFig3Citrus(b *testing.B) { benchFigure(b, "3") }
 
 // BenchmarkFig4CitrusEBRRQ reproduces Figure 4: EBR-RQ on the Citrus
 // tree, where the retained readers-writer lock caps any TSC gain.
-func BenchmarkFig4CitrusEBRRQ(b *testing.B) {
-	for _, wl := range fig4Workloads {
-		for _, src := range benchSources {
-			b.Run(benchName(wl, src), func(b *testing.B) {
-				benchMap(b, Citrus, EBRRQ, src, wl)
-			})
-		}
-	}
-}
+func BenchmarkFig4CitrusEBRRQ(b *testing.B) { benchFigure(b, "4") }
 
 // BenchmarkFig5SkipListBundle reproduces Figure 5: bundling on the lazy
 // skip list (gain only in update-heavy mixes).
-func BenchmarkFig5SkipListBundle(b *testing.B) {
-	for _, wl := range fig5Workloads {
-		for _, src := range benchSources {
-			b.Run(benchName(wl, src), func(b *testing.B) {
-				benchMap(b, SkipList, Bundle, src, wl)
-			})
-		}
-	}
-}
+func BenchmarkFig5SkipListBundle(b *testing.B) { benchFigure(b, "5") }
 
 // BenchmarkLazyList reproduces the paper's omitted negative result: the
-// lazy list's O(n) traversal hides the timestamp entirely. Uses a small
-// key range to keep the quadratic setup affordable.
-func BenchmarkLazyList(b *testing.B) {
-	wl := bench.Workload{U: 10, RQ: 10, C: 80, KeyRange: 2000, RQLen: 100}
-	for _, tech := range []Technique{VCAS, Bundle} {
-		for _, src := range benchSources {
-			b.Run(fmt.Sprintf("%s/%s", tech, src), func(b *testing.B) {
-				m, err := New(LazyList, tech, Config{Source: src, MaxThreads: 256})
-				if err != nil {
-					b.Fatal(err)
-				}
-				setup, _ := m.RegisterThread()
-				for k := uint64(0); k < wl.KeyRange; k += 2 {
-					m.Insert(setup, k, k)
-				}
-				setup.Release()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					th, _ := m.RegisterThread()
-					defer th.Release()
-					r := uint64(0xABCDEF12345)
-					buf := make([]KV, 0, 128)
-					for pb.Next() {
-						r ^= r << 13
-						r ^= r >> 7
-						r ^= r << 17
-						op := int(r % 100)
-						key := (r >> 8) % wl.KeyRange
-						switch {
-						case op < wl.U:
-							if r&(1<<63) != 0 {
-								m.Insert(th, key, key)
-							} else {
-								m.Delete(th, key)
-							}
-						case op < wl.U+wl.RQ:
-							buf = m.RangeQuery(th, key, key+wl.RQLen-1, buf[:0])
-						default:
-							m.Contains(th, key)
-						}
-					}
-				})
-			})
-		}
-	}
-}
+// lazy list's O(n) traversal hides the timestamp entirely.
+func BenchmarkLazyList(b *testing.B) { benchFigure(b, "lazy") }
 
 // BenchmarkAblationLabeling isolates the paper's §IV claim: timestamp
-// labeling granularity decides how much TSC helps. Three labeling
+// labeling granularity decides how much tscds.TSC helps. Three labeling
 // disciplines perform the same abstract task — acquire a timestamp and
 // attach it to an object — under each source.
 func BenchmarkAblationLabeling(b *testing.B) {
@@ -293,25 +217,25 @@ func BenchmarkAblationLabeling(b *testing.B) {
 	}
 }
 
-// BenchmarkExtensionBSTEBRRQ covers the EBR-RQ-on-lock-free-BST pairing
+// BenchmarkExtensionBSTEBRRQ covers the EBR-RQ-on-lock-free-tscds.BST pairing
 // (the structure class the original EBR-RQ paper targets). The lock-free
 // labeling variant exists only with a logical source — the paper's
-// incompatibility result — so the sweep pairs lock-based logical/TSC
+// incompatibility result — so the sweep pairs lock-based logical/tscds.TSC
 // with lock-free logical.
 func BenchmarkExtensionBSTEBRRQ(b *testing.B) {
-	wl := bench.PaperWorkload(10, 10, 80)
+	wl := benchWorkload(10, 10, 80)
 	arms := []struct {
 		name string
-		t    Technique
-		src  SourceKind
+		t    tscds.Technique
+		src  tscds.SourceKind
 	}{
-		{"lock/Logical", EBRRQ, Logical},
-		{"lock/RDTSCP", EBRRQ, TSC},
-		{"lockfree/Logical", EBRRQLockFree, Logical},
+		{"lock/tscds.Logical", tscds.EBRRQ, tscds.Logical},
+		{"lock/RDTSCP", tscds.EBRRQ, tscds.TSC},
+		{"lockfree/tscds.Logical", tscds.EBRRQLockFree, tscds.Logical},
 	}
 	for _, a := range arms {
 		b.Run(a.name, func(b *testing.B) {
-			benchMap(b, BST, a.t, a.src, wl)
+			benchMap(b, tscds.BST, a.t, a.src, wl)
 		})
 	}
 }
@@ -342,12 +266,12 @@ func BenchmarkAblationVersionGC(b *testing.B) {
 
 // BenchmarkAblationStrictAdvance measures the Jiffy-style tie-avoidance
 // loop (§III-A): strictly-increasing timestamps versus plain reads. On
-// hardware with cycle-granularity TSC the strict loop almost never
+// hardware with cycle-granularity tscds.TSC the strict loop almost never
 // spins, which is exactly the paper's argument for why ties are a
 // non-issue in practice.
 func BenchmarkAblationStrictAdvance(b *testing.B) {
-	for _, kind := range []SourceKind{Logical, TSC} {
-		src := NewTimestampSource(kind)
+	for _, kind := range []tscds.SourceKind{tscds.Logical, tscds.TSC} {
+		src := tscds.NewTimestampSource(kind)
 		b.Run(fmt.Sprintf("plain/%v", kind), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				src.Advance()
@@ -378,7 +302,7 @@ func BenchmarkAblationOrdo(b *testing.B) {
 }
 
 // BenchmarkZipfContention contrasts the paper's uniform keys with a
-// Zipfian hot-key workload on the vCAS BST (extension): skew moves the
+// Zipfian hot-key workload on the vCAS tscds.BST (extension): skew moves the
 // bottleneck from the timestamp to the structure's hot paths.
 func BenchmarkZipfContention(b *testing.B) {
 	for _, zipfS := range []float64{0, 1.5} {
@@ -388,9 +312,9 @@ func BenchmarkZipfContention(b *testing.B) {
 				name = fmt.Sprintf("zipf%.1f/%s", zipfS, src)
 			}
 			b.Run(name, func(b *testing.B) {
-				wl := bench.PaperWorkload(20, 10, 70)
+				wl := benchWorkload(20, 10, 70)
 				wl.ZipfS = zipfS
-				benchMap(b, BST, VCAS, src, wl)
+				benchMap(b, tscds.BST, tscds.VCAS, src, wl)
 			})
 		}
 	}
@@ -398,13 +322,13 @@ func BenchmarkZipfContention(b *testing.B) {
 
 // BenchmarkOmittedSkipList reproduces the combinations the paper built
 // but left out of its figures — skip list with vCAS and with EBR-RQ —
-// where no TSC gain was observed.
+// where no tscds.TSC gain was observed.
 func BenchmarkOmittedSkipList(b *testing.B) {
-	wl := bench.PaperWorkload(10, 10, 80)
-	for _, tech := range []Technique{VCAS, EBRRQ} {
+	wl := benchWorkload(10, 10, 80)
+	for _, tech := range []tscds.Technique{tscds.VCAS, tscds.EBRRQ} {
 		for _, src := range benchSources {
 			b.Run(fmt.Sprintf("%s/%s", tech, src), func(b *testing.B) {
-				benchMap(b, SkipList, tech, src, wl)
+				benchMap(b, tscds.SkipList, tech, src, wl)
 			})
 		}
 	}
@@ -413,12 +337,12 @@ func BenchmarkOmittedSkipList(b *testing.B) {
 // BenchmarkJiffy measures the §III-A store: single-key puts, multi-key
 // atomic batches, and snapshot range reads, per source. The reported
 // tie-retry metric shows the strict-increase wait loop's real frequency
-// (the paper: "never used in practice" on cycle-resolution TSC).
+// (the paper: "never used in practice" on cycle-resolution tscds.TSC).
 func BenchmarkJiffy(b *testing.B) {
-	for _, kind := range []SourceKind{Logical, TSC} {
+	for _, kind := range []tscds.SourceKind{tscds.Logical, tscds.TSC} {
 		for _, mode := range []string{"put", "batch4", "snapshot-range"} {
 			b.Run(fmt.Sprintf("%s/%v", mode, kind)+"", func(b *testing.B) {
-				st, reg := NewBatchStore(Config{Source: kind, MaxThreads: 64})
+				st, reg := tscds.NewBatchStore(tscds.Config{Source: kind, MaxThreads: 64})
 				setup, _ := reg.Register()
 				for k := uint64(1); k <= 4096; k++ {
 					st.Put(setup, k, k)
@@ -429,8 +353,8 @@ func BenchmarkJiffy(b *testing.B) {
 					th, _ := reg.Register()
 					defer th.Release()
 					r := uint64(0xBEEF)
-					buf := make([]KV, 0, 128)
-					ops := make([]BatchOp, 4)
+					buf := make([]tscds.KV, 0, 128)
+					ops := make([]tscds.BatchOp, 4)
 					for pb.Next() {
 						r ^= r << 13
 						r ^= r >> 7
@@ -441,7 +365,7 @@ func BenchmarkJiffy(b *testing.B) {
 							st.Put(th, k, r)
 						case "batch4":
 							for i := range ops {
-								ops[i] = BatchOp{Key: (k+uint64(i)*7)%4096 + 1, Val: r}
+								ops[i] = tscds.BatchOp{Key: (k+uint64(i)*7)%4096 + 1, Val: r}
 							}
 							st.Apply(th, ops)
 						default:
@@ -463,11 +387,11 @@ func BenchmarkJiffy(b *testing.B) {
 // camera fetch-and-add the same way — but the structures' own overheads
 // differ.
 func BenchmarkAblationBSTFlavor(b *testing.B) {
-	wl := bench.PaperWorkload(20, 10, 70)
-	for _, s := range []Structure{BST, NMBST} {
+	wl := benchWorkload(20, 10, 70)
+	for _, s := range []tscds.Structure{tscds.BST, tscds.NMBST} {
 		for _, src := range benchSources {
 			b.Run(fmt.Sprintf("%v/%s", s, src), func(b *testing.B) {
-				benchMap(b, s, VCAS, src, wl)
+				benchMap(b, s, tscds.VCAS, src, wl)
 			})
 		}
 	}
@@ -475,15 +399,15 @@ func BenchmarkAblationBSTFlavor(b *testing.B) {
 
 // BenchmarkAblationRQLength varies the range query span around the
 // paper's fixed 100 keys: longer queries amortize the timestamp
-// acquisition over more collection work, shrinking the TSC advantage —
+// acquisition over more collection work, shrinking the tscds.TSC advantage —
 // the same mechanism that makes the lazy list a no-gain case.
 func BenchmarkAblationRQLength(b *testing.B) {
 	for _, rqLen := range []uint64{10, 100, 1000} {
 		for _, src := range benchSources {
 			b.Run(fmt.Sprintf("len%d/%s", rqLen, src), func(b *testing.B) {
-				wl := bench.PaperWorkload(10, 20, 70)
+				wl := benchWorkload(10, 20, 70)
 				wl.RQLen = rqLen
-				benchMap(b, BST, VCAS, src, wl)
+				benchMap(b, tscds.BST, tscds.VCAS, src, wl)
 			})
 		}
 	}

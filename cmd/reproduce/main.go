@@ -1,11 +1,18 @@
-// Command reproduce runs the full experiment suite: every figure of the
-// paper on the simulated paper machine (4x24x2 Xeon), plus native
-// spot-checks on this host, and prints the paper-vs-reproduction
-// comparison that EXPERIMENTS.md records.
+// Command reproduce is the experiment driver: every figure of the paper
+// on the simulated paper machine (4x24x2 Xeon) and natively on this host,
+// the simulator's calibration sensitivity, and the range-query probes.
 //
-//	reproduce              # simulated figures + native spot checks
-//	reproduce -skip-native # simulation only (fast, deterministic)
-//	reproduce -full        # include the large Figure 2/3 sim sweeps
+//	reproduce                       every figure: paper claim | sim | native spot check
+//	reproduce -skip-native -full    simulation only, every panel (deterministic)
+//	reproduce fig 4 -mode sim -format chart
+//	reproduce fig 3 -mode native -threads 1,2 -arm citrus/bundle -trace -metrics
+//	reproduce sensitivity           headline ratios across the calibration constants
+//	reproduce probe -duration 2s    prefix/suffix/stripe probes, every arm x source
+//
+// The figures (arms, U-RQ-C mixes, paper claims) are declared once, in
+// internal/sim's table. Native runs follow the paper's setup: structures
+// prefilled to half of the key range, 100-key range queries, uniform
+// keys, mean and coefficient of variation of the trials in Mops/s.
 package main
 
 import (
@@ -14,230 +21,203 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"tscds"
-	"tscds/internal/bench"
-	"tscds/internal/obs"
-	"tscds/internal/obs/series"
 	"tscds/internal/sim"
 )
 
-// curMetrics/curTracer/curLabel track the native arm currently running
-// so the -serve endpoint and series collector read live state.
-var (
-	curMetrics atomic.Pointer[tscds.Metrics]
-	curTracer  atomic.Pointer[tscds.Tracer]
-	curLabel   atomic.Pointer[string]
-)
+// options holds every flag; each subcommand registers the ones it reads.
+type options struct {
+	full, skipNative bool
+	out              string
+	mode, format     string
+	arm              string
+	threads          string
+	duration         time.Duration
+	trials           int
+	keyRange         uint64
+	metrics, trace   bool
+	serve            string
+}
+
+// nativeFlags registers what a native measurement reads.
+func (o *options) nativeFlags(fs *flag.FlagSet, threads string, d time.Duration, trials int, keyRange uint64) {
+	fs.StringVar(&o.threads, "threads", threads, "native: comma-separated thread counts (empty = powers of two up to the CPU count)")
+	fs.DurationVar(&o.duration, "duration", d, "native: per-trial duration")
+	fs.IntVar(&o.trials, "trials", trials, "native: trials per point (Figures 2-5)")
+	fs.Uint64Var(&o.keyRange, "keyrange", keyRange, "native: key range of the figures that do not fix their own")
+	fs.BoolVar(&o.metrics, "metrics", false, "native: print a metrics snapshot (JSON) per arm")
+	fs.BoolVar(&o.trace, "trace", false, "native: record per-phase flight traces, print breakdowns per arm, monitor TSC health")
+	fs.StringVar(&o.serve, "serve", "", "native: serve live /metrics(.prom), /trace, /tschealth, /series and /events on this address")
+}
 
 func main() {
-	skipNative := flag.Bool("skip-native", false, "skip native measurements")
-	full := flag.Bool("full", false, "run every simulated panel (slower)")
-	nativeDuration := flag.Duration("native-duration", 300*time.Millisecond, "native per-trial duration")
-	nativeKeys := flag.Uint64("native-keyrange", 100_000, "native key range")
-	metrics := flag.Bool("metrics", false, "dump a metrics snapshot (JSON) per native arm")
-	traceFlag := flag.Bool("trace", false, "print per-phase flight-trace breakdowns per native arm")
-	out := flag.String("out", "", "also write the report to this file")
-	serveAddr := flag.String("serve", "", "serve live /metrics(.prom), /trace, /series and /events for the native arms on this address")
-	flag.Parse()
-
-	if *serveAddr != "" {
-		watchdog := obs.NewWatchdog(obs.DefaultRules(), nil)
-		collector := series.New(series.Config{
-			Label: func() string {
-				if l := curLabel.Load(); l != nil {
-					return *l
-				}
-				return ""
-			},
-			Metrics:  func() *tscds.Metrics { return curMetrics.Load() },
-			Watchdog: watchdog,
-		})
-		collector.Start()
-		defer collector.Stop()
-		srv, err := obs.Serve(*serveAddr, map[string]obs.Var{
-			"metrics": obs.Live(func() obs.Var {
-				if reg := curMetrics.Load(); reg != nil {
-					return reg
-				}
-				return nil
-			}),
-			"trace": obs.Live(func() obs.Var {
-				if tr := curTracer.Load(); tr != nil {
-					return tr
-				}
-				return nil
-			}),
-			"series": collector,
-			"events": watchdog,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Printf("serving stats on http://%s/metrics\n", srv.Addr())
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "reproduce:", err)
+		os.Exit(1)
 	}
-	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
+}
+
+func run(args []string, w io.Writer) error {
+	var o options
+	fs := flag.NewFlagSet("reproduce", flag.ExitOnError)
+	cmd := ""
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		cmd, args = args[0], args[1:]
+	}
+	switch cmd {
+	case "":
+		fs.BoolVar(&o.full, "full", false, "print every simulated panel of Figures 2 and 3")
+		fs.BoolVar(&o.skipNative, "skip-native", false, "skip the native spot checks")
+		fs.StringVar(&o.out, "out", "", "also write the report to this file")
+		o.nativeFlags(fs, strconv.Itoa(runtime.NumCPU()), 300*time.Millisecond, 2, 100_000)
+		fs.Parse(args)
+		return report(w, &o)
+	case "fig":
+		if len(args) == 0 {
+			return fmt.Errorf("fig: want a figure: 1, 2, 3, 4, 5 or lazy")
+		}
+		f, ok := sim.FigureByID(args[0])
+		if !ok {
+			return fmt.Errorf("fig: unknown figure %q", args[0])
+		}
+		fs.StringVar(&o.mode, "mode", "native", "native or sim")
+		fs.StringVar(&o.format, "format", "table", "sim output: table, csv or chart")
+		fs.StringVar(&o.arm, "arm", "", "native: run the figure's mixes on this structure/technique instead of its own arms")
+		o.nativeFlags(fs, "", 500*time.Millisecond, 3, 1_000_000)
+		fs.Parse(args[1:])
+		return figure(w, f, &o)
+	case "sensitivity":
+		fs.Parse(args)
+		sensitivity(w)
+		return nil
+	case "probe":
+		fs.DurationVar(&o.duration, "duration", time.Second, "time per probe")
+		fs.StringVar(&o.arm, "arm", "", "restrict to one structure/technique (e.g. citrus/bundle)")
+		fs.Uint64Var(&o.keyRange, "keyrange", 3000, "key-space size per probe")
+		fs.Parse(args)
+		return probe(w, &o)
+	}
+	return fmt.Errorf("unknown command %q: want fig, sensitivity or probe", cmd)
+}
+
+// quickSweeps is how many (mix, arm) sweeps a figure may hold before the
+// full report prints only its first three panels without -full.
+const quickSweeps = 6
+
+// report prints, per figure, the paper's claim, the simulated panels and
+// a native spot check on the figure's Spot mix.
+func report(w io.Writer, o *options) error {
+	if o.out != "" {
+		f, err := os.Create(o.out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		w = io.MultiWriter(w, f)
 	}
-
+	var n *native
+	if !o.skipNative {
+		var err error
+		if n, err = newNative(w, o); err != nil {
+			return err
+		}
+		defer n.close()
+		fmt.Fprintln(w, "Native spot checks verify that the real implementations run and order")
+		fmt.Fprintln(w, "sanely; low core counts mute the contention the paper measures.")
+	}
 	m := sim.PaperMachine()
-	fmt.Fprintf(w, "=== Simulated reproduction (paper machine: %d NUMA zones x %d cores x %d SMT) ===\n\n",
-		m.Zones, m.CoresPerZone, m.SMTPerCore)
-
-	fmt.Fprintln(w, "--- Figure 1: timestamp acquisition ---")
-	fig1 := sim.Figure1(m)
-	for _, p := range fig1 {
-		fmt.Fprintln(w, sim.FormatPanel(p))
-	}
-	reportFig1(w, fig1)
-
-	figs := []struct {
-		name  string
-		claim string
-		fn    func(*sim.Machine) []sim.Panel
-		large bool
-	}{
-		{"Figure 2: vCAS on lock-free BST", "up to 5.5x with TSC; equal at 100-0-0", sim.Figure2, true},
-		{"Figure 3: Citrus with vCAS and Bundling", "vCAS gains most; Bundling flat on read-only", sim.Figure3, true},
-		{"Figure 4: Citrus with EBR-RQ", "little/no gain; cliff past one NUMA zone", sim.Figure4, false},
-		{"Figure 5: Skip list with Bundling", "gain only in update-heavy mixes", sim.Figure5, false},
-		{"Omitted result: lazy list", "no gain; traversal-bound", sim.LazyListPanels, false},
-	}
-	for _, f := range figs {
-		fmt.Fprintf(w, "--- %s ---\npaper: %s\n", f.name, f.claim)
-		panels := f.fn(m)
-		for i, p := range panels {
-			if !*full && f.large && i > 2 {
-				fmt.Fprintf(w, "(… %d more panels; rerun with -full)\n", len(panels)-i)
-				break
+	fmt.Fprintf(w, "Simulated paper machine: %d NUMA zones x %d cores x %d SMT\n\n", m.Zones, m.CoresPerZone, m.SMTPerCore)
+	for _, f := range sim.Figures {
+		fmt.Fprintf(w, "--- %s ---\npaper: %s\n", f.Title, f.Claim)
+		shown := f
+		if !o.full && len(f.Mixes)*len(f.Arms) > quickSweeps {
+			fmt.Fprintf(w, "(first 3 of %d panels; rerun with -full)\n", len(f.Mixes))
+			shown.Mixes = f.Mixes[:3]
+		}
+		printPanels(w, sim.Panels(m, shown), "table")
+		if n != nil {
+			spot := f
+			spot.Mixes = []sim.Workload{f.Spot}
+			if err := n.figure(spot); err != nil {
+				return err
 			}
+		}
+	}
+	return nil
+}
+
+// figure regenerates one figure, simulated or native.
+func figure(w io.Writer, f sim.Figure, o *options) error {
+	switch o.mode {
+	case "sim":
+		if o.arm != "" {
+			return fmt.Errorf("-arm runs natively only")
+		}
+		printPanels(w, sim.Panels(sim.PaperMachine(), f), o.format)
+		return nil
+	case "native":
+		if o.arm != "" {
+			if len(f.Arms) == 0 {
+				return fmt.Errorf("figure 1 measures timestamp sources; it takes no -arm")
+			}
+			f.Arms = []sim.Arm{{Name: o.arm, Spec: o.arm}}
+		}
+		n, err := newNative(w, o)
+		if err != nil {
+			return err
+		}
+		defer n.close()
+		return n.figure(f)
+	}
+	return fmt.Errorf("unknown mode %q", o.mode)
+}
+
+// printPanels renders simulated panels; tables carry the speedup of each
+// -RDTSCP series over its logical twin (Figure 1: of RDTSCP over Logical)
+// at the highest thread count — the number the paper quotes per figure.
+func printPanels(w io.Writer, panels []sim.Panel, format string) {
+	for _, p := range panels {
+		switch format {
+		case "csv":
+			fmt.Fprint(w, sim.FormatCSV(p))
+		case "chart":
+			fmt.Fprintln(w, sim.FormatChart(p, 16))
+		default:
 			fmt.Fprintln(w, sim.FormatPanel(p))
 			if s := sim.PanelSummary(p); s != "" {
-				fmt.Fprint(w, s)
+				fmt.Fprint(w, s, "\n")
 			}
+		}
+	}
+}
+
+// sensitivity sweeps the simulator's calibration constants and prints how
+// each headline ratio responds: the paper's qualitative conclusions are
+// properties of the contention model, not of one parameter choice.
+func sensitivity(w io.Writer) {
+	heads := sim.Headlines()
+	fmt.Fprintln(w, "Headline ratios at the calibrated machine:")
+	base := sim.PaperMachine()
+	for _, h := range heads {
+		fmt.Fprintf(w, "  %-18s %8.2fx   (paper: %s)\n", h.Name, h.Eval(base), h.Claim)
+	}
+	fmt.Fprintln(w)
+	for _, sw := range sim.Sweeps() {
+		fmt.Fprintf(w, "sweep %s:\n  %10s", sw.Name, "value")
+		for _, h := range heads {
+			fmt.Fprintf(w, " %16s", h.Name)
+		}
+		fmt.Fprintln(w)
+		for _, row := range sim.RunSweep(sw, heads) {
+			fmt.Fprintf(w, "  %10.2f", row.Value)
+			for _, r := range row.Ratios {
+				fmt.Fprintf(w, " %15.2fx", r)
+			}
+			fmt.Fprintln(w)
 		}
 		fmt.Fprintln(w)
 	}
-
-	if *skipNative {
-		return
-	}
-	fmt.Fprintf(w, "=== Native spot checks (%d CPUs on this host) ===\n", runtime.NumCPU())
-	fmt.Fprintln(w, "Low core counts mute the contention the paper measures; these verify")
-	fmt.Fprintln(w, "the real implementations run and order sanely, not absolute shapes.")
-	fmt.Fprintln(w)
-	native(w, *nativeDuration, *nativeKeys, *metrics, *traceFlag)
 }
-
-func reportFig1(w io.Writer, panels []sim.Panel) {
-	for _, p := range panels {
-		var logical, rdtscp []float64
-		for _, s := range p.Series {
-			switch s.Name {
-			case "Logical":
-				logical = s.Mops
-			case "RDTSCP":
-				rdtscp = s.Mops
-			}
-		}
-		last := len(p.Threads) - 1
-		fmt.Fprintf(w, "  %s: RDTSCP/Logical at %d threads = %.1fx (at 1 thread: %.2fx)\n",
-			p.ID, p.Threads[last], rdtscp[last]/logical[last], rdtscp[0]/logical[0])
-	}
-	fmt.Fprintln(w)
-}
-
-func native(w io.Writer, d time.Duration, keyRange uint64, metrics, traceOn bool) {
-	combos := []struct {
-		label string
-		s     tscds.Structure
-		t     tscds.Technique
-		wl    bench.Workload
-	}{
-		{"Fig2 vCAS/BST 10-10-80", tscds.BST, tscds.VCAS, bench.PaperWorkload(10, 10, 80)},
-		{"Fig3 vCAS/Citrus 10-10-80", tscds.Citrus, tscds.VCAS, bench.PaperWorkload(10, 10, 80)},
-		{"Fig3 Bundle/Citrus 10-10-80", tscds.Citrus, tscds.Bundle, bench.PaperWorkload(10, 10, 80)},
-		{"Fig4 EBR-RQ/Citrus 10-10-80", tscds.Citrus, tscds.EBRRQ, bench.PaperWorkload(10, 10, 80)},
-		{"Fig5 Bundle/SkipList 50-10-40", tscds.SkipList, tscds.Bundle, bench.PaperWorkload(50, 10, 40)},
-	}
-	threads := runtime.NumCPU()
-	fmt.Fprintf(w, "%-32s %14s %14s\n", "arm (threads="+itoa(threads)+")", "Logical", "RDTSCP")
-	for _, c := range combos {
-		wl := c.wl
-		wl.KeyRange = keyRange
-		var cells [2]string
-		var snaps [2]string
-		var traces [2]string
-		for i, src := range []tscds.SourceKind{tscds.Logical, tscds.TSC} {
-			cfg := tscds.Config{Source: src, MaxThreads: 256}
-			if metrics {
-				cfg.Metrics = tscds.NewMetrics()
-			}
-			if traceOn {
-				cfg.Trace = &tscds.TraceConfig{}
-			}
-			mp, err := tscds.New(c.s, c.t, cfg)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			curMetrics.Store(cfg.Metrics)
-			curTracer.Store(mp.Tracer())
-			label := fmt.Sprintf("%s/%v", c.label, src)
-			curLabel.Store(&label)
-			if act := mp.SourceActual(); act != src {
-				fmt.Fprintf(os.Stderr, "warning: %s: source %v is served by %v on this host; the %v column measures %v\n",
-					c.label, src, act, src, act)
-			}
-			if err := bench.Prefill(mp, mp, wl.KeyRange); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			res, err := bench.Run(mp, mp, wl, bench.Options{
-				Threads: threads, Duration: d, Trials: 2, Pin: true, Seed: 11,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			cells[i] = fmt.Sprintf("%9.2f Mops", res.Mean)
-			if cfg.Metrics != nil {
-				snaps[i] = cfg.Metrics.String()
-			}
-			if traceOn {
-				traces[i] = mp.TraceSnapshot(false).Format()
-			}
-		}
-		fmt.Fprintf(w, "%-32s %14s %14s\n", c.label, cells[0], cells[1])
-		if metrics {
-			fmt.Fprintf(w, "  metrics Logical: %s\n  metrics RDTSCP:  %s\n", snaps[0], snaps[1])
-		}
-		if traceOn {
-			fmt.Fprintf(w, "  trace Logical:\n%s  trace RDTSCP:\n%s", indent(traces[0]), indent(traces[1]))
-		}
-	}
-}
-
-// indent shifts a multi-line block right by two spaces for nesting under
-// an arm's row.
-func indent(s string) string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	for i := range lines {
-		lines[i] = "  " + lines[i]
-	}
-	return strings.Join(lines, "\n") + "\n"
-}
-
-func itoa(v int) string { return fmt.Sprintf("%d", v) }

@@ -1,17 +1,18 @@
 // tscstat is a vmstat-style live dashboard for a tscds process serving
-// obs endpoints (rqbench/reproduce -serve, or any embedder of
-// obs.Serve). Once per interval it polls /series and /events and
-// renders ops/s, p50/p99 latency by op class, timestamp-source health,
-// pool hit rate and WAL fsync rate.
+// obs endpoints (reproduce -serve, or any embedder of obs.Serve). Once
+// per interval it polls /series and /events and renders ops/s, p50/p99
+// latency by op class, timestamp-source health, pool hit rate and WAL
+// fsync rate.
 //
 //	tscstat -addr 127.0.0.1:8090               full-screen ANSI panel
 //	tscstat -addr 127.0.0.1:8090 -plain        one line per tick (logs)
 //	tscstat -addr 127.0.0.1:8090 -once         single sample, then exit
 //	tscstat -addr 127.0.0.1:8090 -check        validate every endpoint
 //
-// -check is the machine mode used by CI: it scrapes /metrics.prom and
-// /metrics (with a Prometheus Accept header) and runs both through the
-// strict in-repo exposition parser, requires /series to carry at least
+// -check is the machine mode (TestCheckAgainstLiveServer drives it against
+// an in-process server): it scrapes /metrics.prom and /metrics (with a
+// Prometheus Accept header) and runs both through the strict in-repo
+// exposition parser, requires /series to carry at least
 // one point and /trace?format=chrome to be structurally valid
 // trace-event JSON, and — with -want-event — waits for a named watchdog
 // rule to appear on /events. Exit status 0 only if everything passed.

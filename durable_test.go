@@ -330,7 +330,8 @@ func TestDurableRestartRoundtrip(t *testing.T) {
 // come before fsync, but a clean Close still makes everything durable.
 func TestDurableBatchedMode(t *testing.T) {
 	dir := t.TempDir()
-	cfg := tscds.Config{Source: tscds.Logical, Durability: &tscds.Durability{Dir: dir, SyncEvery: 64}}
+	reg := tscds.NewMetrics()
+	cfg := tscds.Config{Source: tscds.Logical, Metrics: reg, Durability: &tscds.Durability{Dir: dir, SyncEvery: 64}}
 	m, err := tscds.NewSharded(tscds.BST, tscds.VCAS, cmShards, cfg)
 	if err != nil {
 		t.Fatalf("NewSharded: %v", err)
@@ -344,6 +345,10 @@ func TestDurableBatchedMode(t *testing.T) {
 	th.Release()
 	if err := m.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
+	}
+	// Every update crossed the WAL and fsyncs were shared, not one each.
+	if w := reg.Snapshot().WAL; w == nil || w.Appends != 50 || w.Fsyncs == 0 || w.Fsyncs*2 >= w.Appends {
+		t.Fatalf("WAL counters after 50 batched inserts and Close: %+v", w)
 	}
 	m2, err := tscds.NewSharded(tscds.BST, tscds.VCAS, cmShards, cfg)
 	if err != nil {
@@ -359,12 +364,16 @@ func TestDurableBatchedMode(t *testing.T) {
 
 // TestCheckpointOnPlainMapErrors pins the non-durable error path.
 func TestCheckpointOnPlainMapErrors(t *testing.T) {
-	m, err := tscds.New(tscds.BST, tscds.VCAS, tscds.Config{})
+	reg := tscds.NewMetrics()
+	m, err := tscds.New(tscds.BST, tscds.VCAS, tscds.Config{Metrics: reg})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
 	if err := m.(tscds.DurableMap).Checkpoint(); err == nil {
 		t.Fatal("Checkpoint on a non-durable map returned nil")
+	}
+	if w := reg.Snapshot().WAL; w != nil {
+		t.Fatalf("a map without Durability reports WAL counters: %+v", *w)
 	}
 }
 

@@ -84,12 +84,6 @@ type Options struct {
 // on one worker.
 const sampleEvery = 64
 
-// DefaultOptions mirrors the paper: five trials of three seconds. The
-// drivers shorten these for quick runs.
-func DefaultOptions(threads int) Options {
-	return Options{Threads: threads, Duration: 3 * time.Second, Trials: 5, Pin: true, Seed: 1}
-}
-
 // Result summarizes one measurement.
 type Result struct {
 	Threads  int
@@ -309,14 +303,9 @@ func meanCV(xs []float64) (mean, cv float64) {
 }
 
 // Table renders results as an aligned text table, one row per thread
-// count, one column per series.
+// count, one column per series; each cell is the mean of the trials and
+// their coefficient of variation, as the paper reports its points (§III).
 func Table(title string, threads []int, series map[string][]Result) string {
-	return AxisTable(title, "threads", threads, series)
-}
-
-// AxisTable is Table with a caller-chosen row axis — the shard-sweep
-// figure rows by shard count at a fixed thread count, for example.
-func AxisTable(title, axis string, rows []int, series map[string][]Result) string {
 	var names []string
 	for name := range series {
 		names = append(names, name)
@@ -324,20 +313,19 @@ func AxisTable(title, axis string, rows []int, series map[string][]Result) strin
 	sort.Strings(names)
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%8s", axis)
+	fmt.Fprintf(&b, "%8s", "threads")
 	for _, n := range names {
-		fmt.Fprintf(&b, " %18s", n)
+		fmt.Fprintf(&b, " %22s", n)
 	}
 	b.WriteString("\n")
-	for i, t := range rows {
+	for i, t := range threads {
 		fmt.Fprintf(&b, "%8d", t)
 		for _, n := range names {
-			rs := series[n]
-			if i < len(rs) {
-				fmt.Fprintf(&b, " %12.2f Mops", rs[i].Mean)
-			} else {
-				fmt.Fprintf(&b, " %18s", "-")
+			cell := "-"
+			if rs := series[n]; i < len(rs) {
+				cell = fmt.Sprintf("%.2f Mops ±%4.1f%%", rs[i].Mean, rs[i].CV)
 			}
+			fmt.Fprintf(&b, " %22s", cell)
 		}
 		b.WriteString("\n")
 	}

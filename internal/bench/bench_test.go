@@ -2,13 +2,17 @@ package bench
 
 import (
 	"math/rand"
+	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"tscds"
 	"tscds/internal/core"
 	"tscds/internal/lfbst"
+	"tscds/internal/sim"
 )
 
 type reg struct{ r *core.Registry }
@@ -35,11 +39,6 @@ func TestZeroKeyRangeRejected(t *testing.T) {
 	wl := Workload{U: 10, RQ: 10, C: 80}
 	if _, err := Run(nil, nil, wl, Options{Threads: 1}); err == nil {
 		t.Fatal("Run accepted zero key range")
-	}
-	r := core.NewRegistry(4)
-	tr := lfbst.New(core.New(core.Logical), r)
-	if _, err := MeasureLatency(tr, reg{r}, wl, time.Millisecond, 1); err == nil {
-		t.Fatal("MeasureLatency accepted zero key range")
 	}
 }
 
@@ -91,11 +90,11 @@ func TestRunMeasuresAllOpClasses(t *testing.T) {
 
 func TestTableRendering(t *testing.T) {
 	series := map[string][]Result{
-		"Logical": {{Mean: 1.5}, {Mean: 2.5}},
+		"Logical": {{Mean: 1.5}, {Mean: 2.5, CV: 4.3}},
 		"RDTSCP":  {{Mean: 3.5}},
 	}
 	out := Table("Fig X", []int{1, 2}, series)
-	for _, want := range []string{"Fig X", "threads", "Logical", "RDTSCP", "1.50", "3.50", "-"} {
+	for _, want := range []string{"Fig X", "threads", "Logical", "RDTSCP", "1.50 Mops ± 0.0%", "2.50 Mops ± 4.3%", "3.50", " -\n"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
@@ -150,74 +149,80 @@ func TestParseThreads(t *testing.T) {
 	}
 }
 
-func TestMeasureLatency(t *testing.T) {
-	r := core.NewRegistry(4)
-	tr := lfbst.New(core.New(core.TSC), r)
-	if err := Prefill(tr, reg{r}, 5000); err != nil {
-		t.Fatal(err)
+// The figure table (internal/sim) against the paper and against the arm
+// names: the panels are the paper's, and every arm it names is one
+// ParseArm resolves and tscds.New builds on both sources.
+func TestFigureTable(t *testing.T) {
+	want := map[string]struct {
+		mixes int
+		arms  []string
+	}{
+		"1":    {0, nil},
+		"2":    {10, []string{"bst/vcas"}},
+		"3":    {6, []string{"citrus/vcas", "citrus/bundle"}},
+		"4":    {6, []string{"citrus/ebrrq"}},
+		"5":    {3, []string{"skiplist/bundle"}},
+		"lazy": {1, []string{"lazylist/vcas", "lazylist/bundle"}},
 	}
-	wl := Workload{U: 30, RQ: 20, C: 50, KeyRange: 5000, RQLen: 50}
-	res, err := MeasureLatency(tr, reg{r}, wl, 60*time.Millisecond, 5)
-	if err != nil {
-		t.Fatal(err)
+	if len(sim.Figures) != len(want) {
+		t.Fatalf("table holds %d figures, want %d", len(sim.Figures), len(want))
 	}
-	for c, s := range res.Classes {
-		if s.Count == 0 {
-			t.Fatalf("class %d collected no samples", c)
+	for _, f := range sim.Figures {
+		w, ok := want[f.ID]
+		if !ok {
+			t.Fatalf("figure %q is not one of the paper's", f.ID)
 		}
-		if s.P50 > s.P95 || s.P95 > s.P99 || s.P99 > s.Max {
-			t.Fatalf("class %d percentiles not ordered: %+v", c, s)
+		if f.Title == "" || f.Claim == "" {
+			t.Errorf("figure %s lacks a title or a paper claim", f.ID)
 		}
-		if s.Mean <= 0 {
-			t.Fatalf("class %d mean %v", c, s.Mean)
+		if len(f.Mixes) != w.mixes || len(f.Arms) != len(w.arms) {
+			t.Errorf("figure %s: %d mixes x %d arms, want %d x %d", f.ID, len(f.Mixes), len(f.Arms), w.mixes, len(w.arms))
+			continue
 		}
-	}
-	out := res.String()
-	for _, want := range []string{"update", "range-query", "contains", "p99"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("latency table missing %q:\n%s", want, out)
+		for _, mix := range f.Mixes {
+			if !PaperWorkload(mix.U, mix.RQ, mix.C).Valid() {
+				t.Errorf("figure %s: mix %s does not sum to 100", f.ID, mix)
+			}
 		}
-	}
-	if _, err := MeasureLatency(tr, reg{r}, Workload{U: 1}, time.Millisecond, 1); err == nil {
-		t.Fatal("invalid workload accepted")
+		if len(f.Arms) > 0 && !PaperWorkload(f.Spot.U, f.Spot.RQ, f.Spot.C).Valid() {
+			t.Errorf("figure %s: spot mix %s does not sum to 100", f.ID, f.Spot)
+		}
+		for i, a := range f.Arms {
+			if a.Spec != w.arms[i] {
+				t.Errorf("figure %s arm %d is %s, want %s", f.ID, i, a.Spec, w.arms[i])
+			}
+			s, tech, err := ParseArm(a.Spec)
+			if err != nil {
+				t.Errorf("figure %s: %v", f.ID, err)
+				continue
+			}
+			for _, src := range []tscds.SourceKind{tscds.Logical, tscds.TSC} {
+				if _, err := tscds.New(s, tech, tscds.Config{Source: src}); err != nil {
+					t.Errorf("figure %s arm %s on %v: %v", f.ID, a.Spec, src, err)
+				}
+			}
+		}
 	}
 }
 
-func TestSummarizeEdgeCases(t *testing.T) {
-	if s := summarize(nil); s.Count != 0 {
-		t.Fatal("empty summarize nonzero")
+// Arms is what `reproduce probe` walks: the 13 combinations cmd/validate
+// listed by hand, plus the one tscds.New accepts that its list had missed.
+func TestArmsEnumeratesWhatNewAccepts(t *testing.T) {
+	want := []string{
+		"bst/ebrrq", "bst/ebrrq-lockfree", "bst/vcas",
+		"citrus/bundle", "citrus/ebrrq", "citrus/ebrrq-lockfree", "citrus/vcas",
+		"lazylist/bundle", "lazylist/vcas", "nmbst/vcas",
+		"skiplist/bundle", "skiplist/ebrrq", "skiplist/vcas",
+		"skiplist/ebrrq-lockfree", // absent from validate's list
 	}
-	s := summarize([]time.Duration{5 * time.Millisecond})
-	if s.P50 != 5*time.Millisecond || s.Max != 5*time.Millisecond || s.Count != 1 {
-		t.Fatalf("singleton summarize: %+v", s)
+	sort.Strings(want)
+	if got := Arms(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Arms() = %v\nwant     %v", got, want)
 	}
-}
-
-func TestRunTimeline(t *testing.T) {
-	r := core.NewRegistry(8)
-	tr := lfbst.New(core.New(core.TSC), r)
-	if err := Prefill(tr, reg{r}, 5000); err != nil {
-		t.Fatal(err)
+	if _, _, err := ParseArm("citrus"); err == nil {
+		t.Fatal("ParseArm accepted a structure without a technique")
 	}
-	wl := Workload{U: 20, RQ: 10, C: 70, KeyRange: 5000, RQLen: 50}
-	tl, err := RunTimeline(tr, reg{r}, wl, 2, 250*time.Millisecond, 50*time.Millisecond, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tl.Samples) < 4 {
-		t.Fatalf("samples = %v", tl.Samples)
-	}
-	min, mean, max := tl.Stability()
-	if mean <= 0 || min > mean || mean > max {
-		t.Fatalf("stability stats inconsistent: %v %v %v", min, mean, max)
-	}
-	out := tl.String()
-	for _, want := range []string{"min/mean/max", "GC cycles", "t+"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("timeline missing %q:\n%s", want, out)
-		}
-	}
-	if _, err := RunTimeline(tr, reg{r}, Workload{U: 5}, 1, time.Millisecond, time.Millisecond, 1); err == nil {
-		t.Fatal("invalid workload accepted")
+	if _, _, err := ParseArm("citrus/locks"); err == nil {
+		t.Fatal("ParseArm accepted an unknown technique")
 	}
 }

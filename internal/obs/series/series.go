@@ -70,9 +70,9 @@ type Rates struct {
 	WALFsyncsPerSec  float64 `json:"wal_fsyncs_per_sec,omitempty"`
 }
 
-// Point is one retained sample. The label/elapsed_ms/metrics keys match
-// the shape rqbench's old -metrics-interval sampler wrote, so existing
-// BENCH_metrics.json consumers keep working.
+// Point is one retained sample: the arm's label, when it was taken, the
+// registry snapshot and health at that moment, and the rates since the
+// previous point.
 type Point struct {
 	Label     string              `json:"label,omitempty"`
 	AtUnixMS  int64               `json:"at_unix_ms"`

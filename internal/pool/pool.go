@@ -5,9 +5,9 @@
 //
 // The paper's comparisons (Logical vs RDTSCP labeling cost) assume the
 // rest of the update path is cheap; with every node allocated through
-// the GC, allocation and pause time blur exactly the deltas rqbench
-// measures. The epoch machinery already proves when a retired node is
-// unreachable, so reclamation can feed allocation: retire → limbo →
+// the GC, allocation and pause time blur exactly the deltas the
+// benchmarks measure. The epoch machinery already proves when a retired
+// node is unreachable, so reclamation can feed allocation: retire → limbo →
 // free list → next Get, with the Go allocator only backstopping cold
 // starts and imbalanced producers/consumers.
 //

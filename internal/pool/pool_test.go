@@ -83,10 +83,19 @@ func TestSharedPoolRoutesForeignTid(t *testing.T) {
 	if st.Recycled.Load() != 1 {
 		t.Fatalf("recycled = %d, want 1", st.Recycled.Load())
 	}
-	if got := p.Get(1); got != x {
-		// sync.Pool gives no cross-P guarantee, but single-goroutine
-		// put-then-get hits the private slot deterministically.
-		t.Fatal("Get(1) did not recover the node Put with tid -1")
+	// Routing, not retention: the node went to the shared tier (no
+	// thread's local free list holds it), and sync.Pool may keep or drop
+	// it — under -race it drops a quarter of Puts on purpose. Either way
+	// the next Get is served: x again, or a fresh node.
+	for i := range p.slots {
+		if n := len(p.slots[i].free); n != 0 {
+			t.Fatalf("slot %d holds %d local nodes after a foreign-tid Put", i, n)
+		}
+	}
+	if got := p.Get(1); got == nil {
+		t.Fatal("Get(1) returned nil after a foreign-tid Put")
+	} else if got != x && st.Misses.Load() != 2 {
+		t.Fatalf("Get(1) returned a fresh node without counting a miss (misses = %d)", st.Misses.Load())
 	}
 }
 

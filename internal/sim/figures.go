@@ -1,5 +1,7 @@
 package sim
 
+import "strings"
+
 // Series is one curve in a panel: throughput (Mops/s) per thread count.
 type Series struct {
 	Name string
@@ -12,6 +14,87 @@ type Panel struct {
 	Workload string // U-RQ-C label, or a description
 	Threads  []int
 	Series   []Series
+}
+
+// Arm is one technique measured in a figure; every arm is drawn twice,
+// on the logical counter (Name) and on the hardware one (Name-RDTSCP).
+type Arm struct {
+	Name string // series name, as the paper's legends spell it
+	Spec string // structure/technique, as the native drivers' -arm spells it
+	Tech Tech
+}
+
+// Figure is one figure of the paper's evaluation. This table is the only
+// declaration of which arms and U-RQ-C mixes the paper measured: the
+// simulator (Panels), cmd/reproduce's native path and the root package's
+// BenchmarkFig* all read it.
+type Figure struct {
+	ID    string // "1".."5", "lazy"
+	Title string
+	Claim string // what the paper reports for it
+	// Cost is the structure's traversal cost (ns) and HotLines its
+	// internally contended lines; Arms is empty for Figure 1, which
+	// measures the timestamp sources themselves.
+	Cost     float64
+	HotLines int
+	Arms     []Arm
+	Mixes    []Workload // one panel each, in the paper's a, b, c… order
+	Spot     Workload   // the mix a native spot check runs
+	KeyRange uint64     // native key range the figure fixes; 0 = the paper's 1M
+}
+
+// Figures lists the paper's evaluation in its own order.
+var Figures = []Figure{
+	{ID: "1", Title: "Figure 1: timestamp acquisition",
+		Claim: ">= 95x bare at 192 threads; ~2.6x with interleaved work; logical ahead at 1 thread"},
+	{ID: "2", Title: "Figure 2: vCAS on lock-free BST",
+		Claim: "up to 5.5x with TSC; equal at 100-0-0",
+		Cost:  CostBST, Arms: []Arm{{"vCAS", "bst/vcas", TechVcas}},
+		Mixes: []Workload{
+			{0, 10, 90}, {2, 10, 88}, {10, 10, 80}, {20, 10, 70},
+			{0, 20, 80}, {2, 20, 78}, {10, 20, 70}, {20, 20, 60},
+			{50, 10, 40}, {100, 0, 0},
+		},
+		Spot: Workload{10, 10, 80}},
+	{ID: "3", Title: "Figure 3: Citrus with vCAS and Bundling",
+		Claim: "vCAS gains most; Bundling flat on read-only",
+		Cost:  CostCitrus, Arms: []Arm{{"vCAS", "citrus/vcas", TechVcas}, {"Bundle", "citrus/bundle", TechBundle}},
+		Mixes: []Workload{
+			{0, 10, 90}, {2, 10, 88}, {10, 10, 80},
+			{20, 10, 70}, {50, 10, 40}, {90, 10, 0},
+		},
+		Spot: Workload{10, 10, 80}},
+	{ID: "4", Title: "Figure 4: Citrus with EBR-RQ",
+		Claim: "little/no gain; cliff past one NUMA zone",
+		Cost:  CostCitrus, Arms: []Arm{{"EBR-RQ", "citrus/ebrrq", TechEBR}},
+		Mixes: []Workload{
+			{2, 10, 88}, {10, 10, 80}, {20, 10, 70},
+			{50, 10, 40}, {90, 10, 0}, {100, 0, 0},
+		},
+		Spot: Workload{10, 10, 80}},
+	{ID: "5", Title: "Figure 5: Skip list with Bundling",
+		Claim: "gain only in update-heavy mixes",
+		Cost:  CostSkip, HotLines: SkipHotLines, Arms: []Arm{{"Bundle", "skiplist/bundle", TechBundle}},
+		Mixes: []Workload{{10, 10, 80}, {50, 10, 40}, {90, 10, 0}},
+		Spot:  Workload{50, 10, 40}},
+	// The negative result the paper discusses but does not plot: on a lazy
+	// list the O(n) traversal hides the timestamp entirely. The native key
+	// range is small to keep the quadratic set-up affordable.
+	{ID: "lazy", Title: "Omitted result: lazy list",
+		Claim: "no gain; traversal-bound",
+		Cost:  CostLazy, Arms: []Arm{{"vCAS", "lazylist/vcas", TechVcas}, {"Bundle", "lazylist/bundle", TechBundle}},
+		Mixes: []Workload{{10, 10, 80}},
+		Spot:  Workload{10, 10, 80}, KeyRange: 2000},
+}
+
+// FigureByID looks a figure up by its ID.
+func FigureByID(id string) (Figure, bool) {
+	for _, f := range Figures {
+		if f.ID == id {
+			return f, true
+		}
+	}
+	return Figure{}, false
 }
 
 // ThreadCounts is the sweep used for every simulated figure, following
@@ -37,16 +120,17 @@ func sweep(m *Machine, build func() []OpSpec) []float64 {
 // RDTSCP advantage at 192 threads.
 const Fig1WorkNs = 5000
 
-// Figure1 regenerates both panels of Figure 1.
-func Figure1(m *Machine) []Panel {
-	kinds := []string{"Logical", "RDTSCP", "RDTSC-CPUID", "RDTSCP-nofence", "RDTSC-nofence"}
+// fig1Kinds are Figure 1's series, named as core.Kind prints them.
+var fig1Kinds = []string{"Logical", "RDTSCP", "RDTSC-CPUID", "RDTSCP-nofence", "RDTSC-nofence"}
+
+// figure1 regenerates both panels of Figure 1.
+func figure1(m *Machine) []Panel {
 	mk := func(id string, work float64) Panel {
 		p := Panel{ID: id, Workload: "timestamp acquisition", Threads: ThreadCounts}
 		if work > 0 {
 			p.Workload = "acquisition + local work"
 		}
-		for _, k := range kinds {
-			k := k
+		for _, k := range fig1Kinds {
 			p.Series = append(p.Series, Series{
 				Name: k,
 				Mops: sweep(m, func() []OpSpec { return TimestampOps(m, k, work) }),
@@ -57,89 +141,32 @@ func Figure1(m *Machine) []Panel {
 	return []Panel{mk("1-top", 0), mk("1-bottom", Fig1WorkNs)}
 }
 
-// rqPanels builds one panel per workload with logical/TSC series for
-// each listed (name, technique) arm on a structure.
-func rqPanels(m *Machine, figure string, structCost float64, hotLines int, arms []struct {
-	Name string
-	Tech Tech
-}, workloads []Workload) []Panel {
-	panels := make([]Panel, 0, len(workloads))
-	for i, wl := range workloads {
+// Ops builds the operation mix of one of the figure's arms on one mix,
+// on the logical (hw false) or the hardware timestamp.
+func (f Figure) Ops(m *Machine, a Arm, hw bool, wl Workload) []OpSpec {
+	return BuildOps(m, a.Tech, hw, f.Cost, wl, f.HotLines)
+}
+
+// Panels regenerates a figure on machine m: one panel per mix (2a, 2b, …;
+// the lazy list's is La) holding a logical and an -RDTSCP series per arm.
+func Panels(m *Machine, f Figure) []Panel {
+	if len(f.Arms) == 0 {
+		return figure1(m)
+	}
+	panels := make([]Panel, 0, len(f.Mixes))
+	for i, wl := range f.Mixes {
 		p := Panel{
-			ID:       figure + string(rune('a'+i)),
+			ID:       strings.ToUpper(f.ID[:1]) + string(rune('a'+i)),
 			Workload: wl.String(),
 			Threads:  ThreadCounts,
 		}
-		for _, arm := range arms {
-			arm := arm
-			wl := wl
+		for _, arm := range f.Arms {
 			p.Series = append(p.Series,
-				Series{Name: arm.Name, Mops: sweep(m, func() []OpSpec {
-					return BuildOps(m, arm.Tech, false, structCost, wl, hotLines)
-				})},
-				Series{Name: arm.Name + "-RDTSCP", Mops: sweep(m, func() []OpSpec {
-					return BuildOps(m, arm.Tech, true, structCost, wl, hotLines)
-				})},
+				Series{Name: arm.Name, Mops: sweep(m, func() []OpSpec { return f.Ops(m, arm, false, wl) })},
+				Series{Name: arm.Name + "-RDTSCP", Mops: sweep(m, func() []OpSpec { return f.Ops(m, arm, true, wl) })},
 			)
 		}
 		panels = append(panels, p)
 	}
 	return panels
-}
-
-// Figure2 regenerates vCAS on the lock-free BST (10 panels).
-func Figure2(m *Machine) []Panel {
-	workloads := []Workload{
-		{0, 10, 90}, {2, 10, 88}, {10, 10, 80}, {20, 10, 70},
-		{0, 20, 80}, {2, 20, 78}, {10, 20, 70}, {20, 20, 60},
-		{50, 10, 40}, {100, 0, 0},
-	}
-	return rqPanels(m, "2", CostBST, 0, []struct {
-		Name string
-		Tech Tech
-	}{{"vCAS", TechVcas}}, workloads)
-}
-
-// Figure3 regenerates vCAS and Bundling on the Citrus tree (6 panels).
-func Figure3(m *Machine) []Panel {
-	workloads := []Workload{
-		{0, 10, 90}, {2, 10, 88}, {10, 10, 80},
-		{20, 10, 70}, {50, 10, 40}, {90, 10, 0},
-	}
-	return rqPanels(m, "3", CostCitrus, 0, []struct {
-		Name string
-		Tech Tech
-	}{{"vCAS", TechVcas}, {"Bundle", TechBundle}}, workloads)
-}
-
-// Figure4 regenerates EBR-RQ on the Citrus tree (6 panels).
-func Figure4(m *Machine) []Panel {
-	workloads := []Workload{
-		{2, 10, 88}, {10, 10, 80}, {20, 10, 70},
-		{50, 10, 40}, {90, 10, 0}, {100, 0, 0},
-	}
-	return rqPanels(m, "4", CostCitrus, 0, []struct {
-		Name string
-		Tech Tech
-	}{{"EBR-RQ", TechEBR}}, workloads)
-}
-
-// Figure5 regenerates Bundling on the skip list (3 panels).
-func Figure5(m *Machine) []Panel {
-	workloads := []Workload{{10, 10, 80}, {50, 10, 40}, {90, 10, 0}}
-	return rqPanels(m, "5", CostSkip, SkipHotLines, []struct {
-		Name string
-		Tech Tech
-	}{{"Bundle", TechBundle}}, workloads)
-}
-
-// LazyListPanels regenerates the omitted negative result the paper
-// discusses: on a lazy list the O(n) traversal hides the timestamp
-// entirely, so TSC buys nothing.
-func LazyListPanels(m *Machine) []Panel {
-	workloads := []Workload{{10, 10, 80}}
-	return rqPanels(m, "L", CostLazy, 0, []struct {
-		Name string
-		Tech Tech
-	}{{"vCAS", TechVcas}, {"Bundle", TechBundle}}, workloads)
 }

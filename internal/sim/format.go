@@ -25,8 +25,8 @@ func FormatPanel(p Panel) string {
 	return b.String()
 }
 
-// PanelSummary reports, for a two-series (or paired) panel, the speedup
-// of each "-RDTSCP" series over its logical twin at the highest thread
+// PanelSummary reports the speedup of each "-RDTSCP" series over its
+// logical twin (in Figure 1, of RDTSCP over Logical) at the highest thread
 // count — the number the paper quotes per figure.
 func PanelSummary(p Panel) string {
 	var b strings.Builder
@@ -36,8 +36,12 @@ func PanelSummary(p Panel) string {
 		byName[s.Name] = s.Mops
 	}
 	for _, s := range p.Series {
-		base, ok := byName[strings.TrimSuffix(s.Name, "-RDTSCP")]
-		if !ok || !strings.HasSuffix(s.Name, "-RDTSCP") {
+		twin, paired := strings.CutSuffix(s.Name, "-RDTSCP")
+		if s.Name == "RDTSCP" {
+			twin, paired = "Logical", true
+		}
+		base, ok := byName[twin]
+		if !paired || !ok {
 			continue
 		}
 		fmt.Fprintf(&b, "  %s %s: %.2fx at %d threads\n",

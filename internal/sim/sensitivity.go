@@ -4,7 +4,8 @@ package sim
 // the calibration constants. This is how we argue the simulated shapes
 // are properties of the contention model rather than artifacts of one
 // parameter choice — the qualitative conclusions (who wins, where) must
-// hold across wide parameter ranges, and cmd/simstudy prints the sweeps.
+// hold across wide parameter ranges, and `reproduce sensitivity` prints
+// the sweeps.
 
 // Headline identifies one paper-claim ratio the model reproduces.
 type Headline struct {
@@ -14,61 +15,44 @@ type Headline struct {
 	Eval func(m *Machine) float64
 }
 
-// ratioAt computes hw/logical throughput at the top thread count.
-func ratioAt(m *Machine, build func(hw bool) []OpSpec, threads int) float64 {
-	lg := Run(m, Config{Threads: threads, DurationNs: simDuration, Ops: build(false)})
-	hw := Run(m, Config{Threads: threads, DurationNs: simDuration, Ops: build(true)})
-	return hw / lg
+// ratioAt is the hardware/logical throughput ratio of build's mix at one
+// thread count.
+func ratioAt(m *Machine, threads int, build func(hw bool) []OpSpec) float64 {
+	run := func(hw bool) float64 {
+		return Run(m, Config{Threads: threads, DurationNs: simDuration, Ops: build(hw)})
+	}
+	return run(true) / run(false)
+}
+
+// fig1Headline tracks Figure 1's RDTSCP/Logical ratio at 192 threads.
+func fig1Headline(name, claim string, workNs float64) Headline {
+	return Headline{Name: name, Claim: claim, Eval: func(m *Machine) float64 {
+		return ratioAt(m, 192, func(hw bool) []OpSpec {
+			if hw {
+				return TimestampOps(m, "RDTSCP", workNs)
+			}
+			return TimestampOps(m, "Logical", workNs)
+		})
+	}}
+}
+
+// panelHeadline tracks the first arm of one panel ('a', 'b', …) of a
+// figure in the table at 192 threads.
+func panelHeadline(id string, panel byte, claim string) Headline {
+	f, _ := FigureByID(id)
+	return Headline{Name: "fig" + id + string(panel) + "@192", Claim: claim, Eval: func(m *Machine) float64 {
+		return ratioAt(m, 192, func(hw bool) []OpSpec { return f.Ops(m, f.Arms[0], hw, f.Mixes[panel-'a']) })
+	}}
 }
 
 // Headlines returns the tracked paper claims.
 func Headlines() []Headline {
 	return []Headline{
-		{
-			Name:  "fig1-top@192",
-			Claim: ">= 95x (RDTSCP vs Logical, bare acquisition)",
-			Eval: func(m *Machine) float64 {
-				lg := Run(m, Config{Threads: 192, DurationNs: simDuration, Ops: TimestampOps(m, "Logical", 0)})
-				hw := Run(m, Config{Threads: 192, DurationNs: simDuration, Ops: TimestampOps(m, "RDTSCP", 0)})
-				return hw / lg
-			},
-		},
-		{
-			Name:  "fig1-bottom@192",
-			Claim: "~2.6x with interleaved work",
-			Eval: func(m *Machine) float64 {
-				lg := Run(m, Config{Threads: 192, DurationNs: simDuration, Ops: TimestampOps(m, "Logical", Fig1WorkNs)})
-				hw := Run(m, Config{Threads: 192, DurationNs: simDuration, Ops: TimestampOps(m, "RDTSCP", Fig1WorkNs)})
-				return hw / lg
-			},
-		},
-		{
-			Name:  "fig2e@192",
-			Claim: "~5.5x (vCAS BST, 0-20-80)",
-			Eval: func(m *Machine) float64 {
-				return ratioAt(m, func(hw bool) []OpSpec {
-					return BuildOps(m, TechVcas, hw, CostBST, Workload{0, 20, 80}, 0)
-				}, 192)
-			},
-		},
-		{
-			Name:  "fig4b@192",
-			Claim: "~1x (EBR-RQ keeps its lock)",
-			Eval: func(m *Machine) float64 {
-				return ratioAt(m, func(hw bool) []OpSpec {
-					return BuildOps(m, TechEBR, hw, CostCitrus, Workload{10, 10, 80}, 0)
-				}, 192)
-			},
-		},
-		{
-			Name:  "fig5c@192",
-			Claim: ">1.4x (skip list, update-heavy)",
-			Eval: func(m *Machine) float64 {
-				return ratioAt(m, func(hw bool) []OpSpec {
-					return BuildOps(m, TechBundle, hw, CostSkip, Workload{90, 10, 0}, SkipHotLines)
-				}, 192)
-			},
-		},
+		fig1Headline("fig1-top@192", ">= 95x (RDTSCP vs Logical, bare acquisition)", 0),
+		fig1Headline("fig1-bottom@192", "~2.6x with interleaved work", Fig1WorkNs),
+		panelHeadline("2", 'e', "~5.5x (vCAS BST, 0-20-80)"),
+		panelHeadline("4", 'b', "~1x (EBR-RQ keeps its lock)"),
+		panelHeadline("5", 'c', ">1.4x (skip list, update-heavy)"),
 	}
 }
 

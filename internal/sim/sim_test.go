@@ -115,7 +115,7 @@ func TestRWLockExclusionAndFairness(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	m := PaperMachine()
-	build := func() []OpSpec { return BuildOps(m, TechVcas, false, CostBST, Workload{10, 10, 80}, 0) }
+	build := func() []OpSpec { return BuildOps(m, TechVcas, false, CostBST, Workload{U: 10, RQ: 10, C: 80}, 0) }
 	a := Run(m, Config{Threads: 48, DurationNs: 100_000, Ops: build()})
 	b := Run(m, Config{Threads: 48, DurationNs: 100_000, Ops: build()})
 	if a != b {
@@ -172,54 +172,70 @@ func TestWorkFactorSMT(t *testing.T) {
 	}
 }
 
-// The model must reproduce the paper's four headline shapes.
+// fig fetches a figure of the table.
+func fig(t *testing.T, id string) Figure {
+	t.Helper()
+	f, ok := FigureByID(id)
+	if !ok {
+		t.Fatalf("figure %q not in the table", id)
+	}
+	return f
+}
+
+// mix returns the figure's panel for a U-RQ-C mix, which must be one the
+// paper plots.
+func mix(t *testing.T, f Figure, label string) Workload {
+	t.Helper()
+	for _, wl := range f.Mixes {
+		if wl.String() == label {
+			return wl
+		}
+	}
+	t.Fatalf("figure %s has no %s panel", f.ID, label)
+	return Workload{}
+}
+
+// The model must reproduce the paper's headline shapes. Every sweep runs
+// only at the thread counts its assertions read.
 func TestPaperShapes(t *testing.T) {
 	m := PaperMachine()
 
-	at := func(mops []float64, threads int) float64 {
-		for i, n := range ThreadCounts {
-			if n == threads {
-				return mops[i]
-			}
-		}
-		t.Fatalf("thread count %d not in sweep", threads)
-		return 0
+	stamp := func(kind string, work float64, threads int) float64 {
+		return Run(m, Config{Threads: threads, DurationNs: simDuration, Ops: TimestampOps(m, kind, work)})
+	}
+	// at runs arm a of figure f on one mix, logical or hardware.
+	at := func(f Figure, a int, hw bool, wl Workload, threads int) float64 {
+		return Run(m, Config{Threads: threads, DurationNs: simDuration, Ops: f.Ops(m, f.Arms[a], hw, wl)})
+	}
+	speedup := func(f Figure, a int, wl Workload) float64 {
+		return at(f, a, true, wl, 192) / at(f, a, false, wl, 192)
 	}
 
 	t.Run("fig1-top: RDTSCP >= 95x Logical at 192", func(t *testing.T) {
-		logical := sweep(m, func() []OpSpec { return TimestampOps(m, "Logical", 0) })
-		rdtscp := sweep(m, func() []OpSpec { return TimestampOps(m, "RDTSCP", 0) })
-		ratio := at(rdtscp, 192) / at(logical, 192)
+		ratio := stamp("RDTSCP", 0, 192) / stamp("Logical", 0, 192)
 		if ratio < 95 {
 			t.Fatalf("RDTSCP/Logical at 192 = %.1fx, want >= 95x", ratio)
 		}
 		// Single thread: logical benefits from caching.
-		if at(logical, 1) < at(rdtscp, 1) {
-			t.Fatalf("at 1 thread logical (%.1f) should beat fenced RDTSCP (%.1f)",
-				at(logical, 1), at(rdtscp, 1))
+		if l, r := stamp("Logical", 0, 1), stamp("RDTSCP", 0, 1); l < r {
+			t.Fatalf("at 1 thread logical (%.1f) should beat fenced RDTSCP (%.1f)", l, r)
 		}
 	})
 
 	t.Run("fig1-bottom: ~2.6x at 192, logical ahead at 1", func(t *testing.T) {
-		logical := sweep(m, func() []OpSpec { return TimestampOps(m, "Logical", Fig1WorkNs) })
-		rdtscp := sweep(m, func() []OpSpec { return TimestampOps(m, "RDTSCP", Fig1WorkNs) })
-		ratio := at(rdtscp, 192) / at(logical, 192)
+		ratio := stamp("RDTSCP", Fig1WorkNs, 192) / stamp("Logical", Fig1WorkNs, 192)
 		if ratio < 1.8 || ratio > 3.5 {
 			t.Fatalf("bottom-panel ratio at 192 = %.2fx, want ~2.6x", ratio)
 		}
-		if at(logical, 1) < at(rdtscp, 1) {
+		if stamp("Logical", Fig1WorkNs, 1) < stamp("RDTSCP", Fig1WorkNs, 1) {
 			t.Fatal("logical should win at 1 thread via caching")
 		}
 	})
 
 	t.Run("fig2: vCAS TSC speedup grows with RQ rate", func(t *testing.T) {
-		speedup := func(wl Workload) float64 {
-			lg := sweep(m, func() []OpSpec { return BuildOps(m, TechVcas, false, CostBST, wl, 0) })
-			hw := sweep(m, func() []OpSpec { return BuildOps(m, TechVcas, true, CostBST, wl, 0) })
-			return at(hw, 192) / at(lg, 192)
-		}
-		s10 := speedup(Workload{0, 10, 90})
-		s20 := speedup(Workload{0, 20, 80})
+		f := fig(t, "2")
+		s10 := speedup(f, 0, mix(t, f, "0-10-90"))
+		s20 := speedup(f, 0, mix(t, f, "0-20-80"))
 		if s10 < 2 {
 			t.Fatalf("0-10-90 speedup = %.2fx, want >= 2x", s10)
 		}
@@ -230,46 +246,36 @@ func TestPaperShapes(t *testing.T) {
 			t.Fatalf("0-20-80 speedup = %.2fx, want ~5.5x", s20)
 		}
 		// Update-only: identical (RQs advance the timestamp in vCAS).
-		lg := sweep(m, func() []OpSpec { return BuildOps(m, TechVcas, false, CostBST, Workload{100, 0, 0}, 0) })
-		hw := sweep(m, func() []OpSpec { return BuildOps(m, TechVcas, true, CostBST, Workload{100, 0, 0}, 0) })
-		r := at(hw, 192) / at(lg, 192)
-		if r < 0.9 || r > 1.25 {
+		if r := speedup(f, 0, mix(t, f, "100-0-0")); r < 0.9 || r > 1.25 {
 			t.Fatalf("100-0-0 ratio = %.2fx, want ~1x", r)
 		}
 	})
 
 	t.Run("fig3a: Bundling read-only is TSC-neutral", func(t *testing.T) {
-		wl := Workload{0, 10, 90}
-		lg := sweep(m, func() []OpSpec { return BuildOps(m, TechBundle, false, CostCitrus, wl, 0) })
-		hw := sweep(m, func() []OpSpec { return BuildOps(m, TechBundle, true, CostCitrus, wl, 0) })
-		r := at(hw, 192) / at(lg, 192)
-		if r < 0.9 || r > 1.15 {
+		f := fig(t, "3")
+		if f.Arms[1].Tech != TechBundle {
+			t.Fatalf("figure 3's second arm is %s, want Bundle", f.Arms[1].Name)
+		}
+		if r := speedup(f, 1, mix(t, f, "0-10-90")); r < 0.9 || r > 1.15 {
 			t.Fatalf("bundle read-only ratio = %.2fx, want ~1x", r)
 		}
 	})
 
 	t.Run("fig4: EBR-RQ gains little from TSC and cliffs past 24", func(t *testing.T) {
-		wl := Workload{10, 10, 80}
-		lg := sweep(m, func() []OpSpec { return BuildOps(m, TechEBR, false, CostCitrus, wl, 0) })
-		hw := sweep(m, func() []OpSpec { return BuildOps(m, TechEBR, true, CostCitrus, wl, 0) })
-		r := at(hw, 192) / at(lg, 192)
-		if r > 1.5 {
+		f := fig(t, "4")
+		wl := mix(t, f, "10-10-80")
+		if r := speedup(f, 0, wl); r > 1.5 {
 			t.Fatalf("EBR-RQ TSC speedup = %.2fx; the lock should cap it near 1x", r)
 		}
-		if at(hw, 192) > at(hw, 24)*1.5 {
-			t.Fatalf("EBR-RQ should not scale far past one NUMA zone: 24t=%.1f, 192t=%.1f",
-				at(hw, 24), at(hw, 192))
+		if zone, all := at(f, 0, true, wl, 24), at(f, 0, true, wl, 192); all > zone*1.5 {
+			t.Fatalf("EBR-RQ should not scale far past one NUMA zone: 24t=%.1f, 192t=%.1f", zone, all)
 		}
 	})
 
 	t.Run("fig5: skip list gains only when update-heavy", func(t *testing.T) {
-		speedup := func(wl Workload) float64 {
-			lg := sweep(m, func() []OpSpec { return BuildOps(m, TechBundle, false, CostSkip, wl, SkipHotLines) })
-			hw := sweep(m, func() []OpSpec { return BuildOps(m, TechBundle, true, CostSkip, wl, SkipHotLines) })
-			return at(hw, 192) / at(lg, 192)
-		}
-		light := speedup(Workload{10, 10, 80})
-		heavy := speedup(Workload{90, 10, 0})
+		f := fig(t, "5")
+		light := speedup(f, 0, mix(t, f, "10-10-80"))
+		heavy := speedup(f, 0, mix(t, f, "90-10-0"))
 		if light > 1.35 {
 			t.Fatalf("read-heavy skip list speedup = %.2fx; the structure bottleneck should hide TSC", light)
 		}
@@ -282,51 +288,65 @@ func TestPaperShapes(t *testing.T) {
 	})
 
 	t.Run("lazylist: traversal hides the timestamp", func(t *testing.T) {
-		wl := Workload{10, 10, 80}
-		lg := sweep(m, func() []OpSpec { return BuildOps(m, TechVcas, false, CostLazy, wl, 0) })
-		hw := sweep(m, func() []OpSpec { return BuildOps(m, TechVcas, true, CostLazy, wl, 0) })
-		r := at(hw, 192) / at(lg, 192)
-		if r > 1.1 {
+		f := fig(t, "lazy")
+		if r := speedup(f, 0, mix(t, f, "10-10-80")); r > 1.1 {
 			t.Fatalf("lazy list TSC speedup = %.2fx, want ~1x", r)
 		}
 	})
 }
 
-func TestFigureBuilders(t *testing.T) {
+// Panels is checked for structure against the table on the cheapest
+// figure with more than one panel; the mixes and arms themselves are
+// pinned by internal/bench's TestFigureTable.
+func TestPanelsFollowTheTable(t *testing.T) {
 	m := PaperMachine()
-	// Smoke-build the lighter figures end to end (Figure 2/3 are large;
-	// the reproduce binary runs them).
-	for _, panels := range [][]Panel{Figure1(m), Figure5(m)} {
-		for _, p := range panels {
-			if len(p.Series) == 0 || len(p.Threads) != len(ThreadCounts) {
-				t.Fatalf("panel %s malformed", p.ID)
+	f := fig(t, "5")
+	panels := Panels(m, f)
+	if len(panels) != len(f.Mixes) {
+		t.Fatalf("%d panels for %d mixes", len(panels), len(f.Mixes))
+	}
+	for i, p := range panels {
+		if want := "5" + string(rune('a'+i)); p.ID != want || p.Workload != f.Mixes[i].String() {
+			t.Fatalf("panel %d is %s (%s), want %s (%s)", i, p.ID, p.Workload, want, f.Mixes[i])
+		}
+		if len(p.Series) != 2*len(f.Arms) || len(p.Threads) != len(ThreadCounts) {
+			t.Fatalf("panel %s malformed", p.ID)
+		}
+		for j, s := range p.Series {
+			if want := f.Arms[j/2].Name + []string{"", "-RDTSCP"}[j%2]; s.Name != want {
+				t.Fatalf("panel %s series %d is %q, want %q", p.ID, j, s.Name, want)
 			}
-			for _, s := range p.Series {
-				if len(s.Mops) != len(ThreadCounts) {
-					t.Fatalf("panel %s series %s malformed", p.ID, s.Name)
-				}
-				for _, v := range s.Mops {
-					if v <= 0 {
-						t.Fatalf("panel %s series %s has nonpositive throughput", p.ID, s.Name)
-					}
+			if len(s.Mops) != len(ThreadCounts) {
+				t.Fatalf("panel %s series %s malformed", p.ID, s.Name)
+			}
+			for _, v := range s.Mops {
+				if v <= 0 {
+					t.Fatalf("panel %s series %s has nonpositive throughput", p.ID, s.Name)
 				}
 			}
 		}
 	}
+	if id := Panels(m, fig(t, "lazy"))[0].ID; id != "La" {
+		t.Fatalf("lazy-list panel is %q, want La", id)
+	}
 }
 
 // Sensitivity: the qualitative conclusions must be stable across wide
-// parameter ranges — EBR-RQ pinned near 1x, vCAS well above it.
+// parameter ranges — EBR-RQ pinned near 1x, vCAS well above it. Only the
+// two headlines the assertions read are evaluated.
 func TestSensitivityQualitativeStability(t *testing.T) {
-	heads := Headlines()
-	idx := map[string]int{}
-	for i, h := range heads {
-		idx[h.Name] = i
+	var heads []Headline
+	for _, h := range Headlines() {
+		if h.Name == "fig2e@192" || h.Name == "fig4b@192" {
+			heads = append(heads, h)
+		}
+	}
+	if len(heads) != 2 {
+		t.Fatalf("headlines fig2e@192 and fig4b@192 not both tracked: %v", heads)
 	}
 	for _, sw := range Sweeps() {
 		for _, row := range RunSweep(sw, heads) {
-			vcas := row.Ratios[idx["fig2e@192"]]
-			ebr := row.Ratios[idx["fig4b@192"]]
+			vcas, ebr := row.Ratios[0], row.Ratios[1]
 			if vcas < 1.5 {
 				t.Errorf("%s=%v: vCAS ratio collapsed to %.2fx", sw.Name, row.Value, vcas)
 			}
@@ -345,10 +365,10 @@ func TestSensitivityQualitativeStability(t *testing.T) {
 // half of the processing power (i.e., half the amount of cores)".
 func TestHalfTheCoresTakeaway(t *testing.T) {
 	m := PaperMachine()
-	wl := Workload{0, 10, 90} // Figure 2a
+	f := fig(t, "2")
+	wl := mix(t, f, "0-10-90") // Figure 2a
 	at := func(hw bool, threads int) float64 {
-		return Run(m, Config{Threads: threads, DurationNs: simDuration,
-			Ops: BuildOps(m, TechVcas, hw, CostBST, wl, 0)})
+		return Run(m, Config{Threads: threads, DurationNs: simDuration, Ops: f.Ops(m, f.Arms[0], hw, wl)})
 	}
 	tscHalf := at(true, 96)
 	logicalFull := at(false, 192)

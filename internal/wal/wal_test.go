@@ -503,6 +503,8 @@ func TestLeaderFollowerCommit(t *testing.T) {
 		}
 		if a, f := stats.Appends.Load(), stats.Fsyncs.Load(); syncEvery <= 1 && f >= a {
 			t.Fatalf("%d fsyncs for %d appends from %d concurrent appenders: no group commit", f, a, appenders)
+		} else if syncEvery > 1 && 2*f >= a {
+			t.Fatalf("SyncEvery %d: %d fsyncs for %d appends: batched mode did not amortize them", syncEvery, f, a)
 		}
 	}
 }

@@ -170,8 +170,8 @@ func TestLinearizabilityAdaptiveSwitch(t *testing.T) {
 					err, name, cfg.Seed)
 			}
 			hs := health.Snapshot()
-			if hs.SourceSwitches < 1 {
-				t.Fatalf("injected a backstep mid-run but the adaptive source never switched (health: %+v)", hs)
+			if hs.SourceSwitches < 1 || hs.SwitchTotalNS == 0 {
+				t.Fatalf("injected a backstep mid-run but the adaptive source never switched, or the switch was not timed (health: %+v)", hs)
 			}
 			t.Logf("%s; %d switches, %d failbacks", h.Summary(), hs.SourceSwitches, hs.SourceFailbacks)
 		})

@@ -24,7 +24,7 @@ import (
 // through one fetch-and-add cache line, so range-heavy workloads
 // flatten as S grows. A hardware (TSC) source has no shared line to
 // contend on, so sharded TSC keeps scaling — the re-serialization
-// cliff rqbench's "shard" figure reproduces.
+// cliff (EXPERIMENTS.md; the ledger's shard1/shard4 ladder rungs).
 
 // ShardedMap is a Map partitioned across independent per-shard
 // structures behind one shared timestamp source; see NewSharded.

@@ -238,46 +238,55 @@ func TestTimeTravelOutOfDomain(t *testing.T) {
 // TestTimeTravelTruncationAndMetrics drives a no-retention map until
 // pruning publishes a watermark, then asserts the stale stamp refuses
 // with ErrTruncatedHistory and that the metrics registry counted both
-// the successful historical reads and the refusals (the counters the
-// CI smoke asserts on).
+// the successful historical reads and the refusals. The same churn on a
+// retain-all map must keep serving the stale stamp and count no refusal.
 func TestTimeTravelTruncationAndMetrics(t *testing.T) {
-	reg := NewMetrics()
-	m, err := New(BST, VCAS, Config{Source: Logical, MaxThreads: 2, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := m.RegisterThread()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer th.Release()
+	for _, retention := range []uint64{0, retainAll} {
+		reg := NewMetrics()
+		m, err := New(BST, VCAS, Config{Source: Logical, MaxThreads: 2, Retention: retention, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := m.RegisterThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer th.Release()
 
-	stale := m.Now()
-	m.Insert(th, 1, 10)
-	if _, _, err := m.GetAt(th, 1, m.Now()); err != nil {
-		t.Fatalf("fresh historical read: %v", err)
-	}
-	// More than a prune-bound refresh interval of updates, so a write
-	// publishes the watermark past the stale stamp.
-	for k := uint64(0); k < 256; k++ {
-		m.Insert(th, k, k)
-		m.Delete(th, k)
-	}
-	if _, _, err := m.GetAt(th, 1, stale); !errors.Is(err, ErrTruncatedHistory) {
-		t.Fatalf("stale read under zero retention: err=%v, want ErrTruncatedHistory", err)
-	}
-	s := reg.Snapshot()
-	if s.History == nil {
-		t.Fatal("metrics snapshot has no history block after historical reads")
-	}
-	if s.History.Reads == 0 || s.History.Truncations == 0 {
-		t.Fatalf("history counters = %+v, want both nonzero", *s.History)
-	}
-	var prom strings.Builder
-	reg.WriteProm(&prom)
-	for _, fam := range []string{"tscds_history_reads_total", "tscds_history_truncations_total"} {
-		if !strings.Contains(prom.String(), fam) {
-			t.Fatalf("Prometheus exposition missing %s:\n%s", fam, prom.String())
+		stale := m.Now()
+		m.Insert(th, 1, 10)
+		if _, _, err := m.GetAt(th, 1, m.Now()); err != nil {
+			t.Fatalf("fresh historical read: %v", err)
+		}
+		// More than a prune-bound refresh interval of updates, so a write
+		// publishes the watermark past the stale stamp.
+		for k := uint64(0); k < 256; k++ {
+			m.Insert(th, k, k)
+			m.Delete(th, k)
+		}
+		_, _, err = m.GetAt(th, 1, stale)
+		s := reg.Snapshot()
+		if s.History == nil {
+			t.Fatal("metrics snapshot has no history block after historical reads")
+		}
+		if retention == retainAll {
+			if err != nil || s.History.Reads < 2 || s.History.Truncations != 0 {
+				t.Fatalf("stale read under retain-all: err=%v, counters %+v; want it served and no truncation", err, *s.History)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrTruncatedHistory) {
+			t.Fatalf("stale read under zero retention: err=%v, want ErrTruncatedHistory", err)
+		}
+		if s.History.Reads == 0 || s.History.Truncations == 0 {
+			t.Fatalf("history counters = %+v, want both nonzero", *s.History)
+		}
+		var prom strings.Builder
+		reg.WriteProm(&prom)
+		for _, fam := range []string{"tscds_history_reads_total", "tscds_history_truncations_total"} {
+			if !strings.Contains(prom.String(), fam) {
+				t.Fatalf("Prometheus exposition missing %s:\n%s", fam, prom.String())
+			}
 		}
 	}
 }
