@@ -45,8 +45,9 @@ func (t *BundleTree) setChild(n *bnode, dir int, target *bnode, th *core.Thread)
 	// span readers can block on (pending-entry spins).
 	mark := t.tr.Now()
 	e := n.bnd[dir].PrepareIn(t.ep, th.ID, target)
+	ts := t.src.Advance() // before the raw store: invisible until stamped
 	n.child[dir].Store(target)
-	n.bnd[dir].Finalize(e, t.src.Advance())
+	n.bnd[dir].Finalize(e, ts)
 	t.tr.SharedSpan(trace.PhaseLabel, mark)
 	if d := n.bnd[dir].Truncate(core.PruneBoundOf(th, t.rb, t.src)); d > 0 && t.gc != nil {
 		t.gc.BundlePruned.Add(uint64(d))

@@ -166,12 +166,14 @@ func (t *BundleList) Insert(th *core.Thread, key, val uint64) bool {
 		n := t.newBnode(th.ID, key, val)
 		t.tr.Span(th.ID, trace.PhaseAlloc, am)
 		n.next.Store(cur)
-		// The Prepare..Finalize window is bundling's labeling phase.
+		// The Prepare..Finalize window is bundling's labeling phase. The
+		// timestamp is read before the node is reachable (DESIGN §6): an
+		// update that hangs a key behind n must take a later one.
 		lb := t.tr.Now()
 		eInit := n.bnd.InitPendingIn(t.ep, th.ID, cur)
 		ePred := pred.bnd.PrepareIn(t.ep, th.ID, n)
-		pred.next.Store(n)
 		ts := t.src.Advance()
+		pred.next.Store(n)
 		n.its.Store(ts)
 		pred.bnd.Finalize(ePred, ts)
 		n.bnd.Finalize(eInit, ts)

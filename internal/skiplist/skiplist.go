@@ -285,12 +285,14 @@ func (t *List) Insert(th *core.Thread, key, val uint64) bool {
 		for l := 0; l < topLevel; l++ {
 			n.next[l].Store(succs[l])
 		}
-		// The Prepare..Finalize window is bundling's labeling phase.
+		// The Prepare..Finalize window is bundling's labeling phase. The
+		// timestamp is read before the node is reachable (DESIGN §6): an
+		// update that hangs a key behind n must take a later one.
 		lb := t.tr.Now()
 		eInit := n.bnd.InitPendingIn(t.ep, th.ID, succs[0])
 		ePred := preds[0].bnd.PrepareIn(t.ep, th.ID, n)
-		preds[0].next[0].Store(n)
 		ts := t.src.Advance()
+		preds[0].next[0].Store(n)
 		n.its.Store(ts) // label first: contains agrees with snapshots
 		preds[0].bnd.Finalize(ePred, ts)
 		n.bnd.Finalize(eInit, ts)
