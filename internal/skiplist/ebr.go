@@ -1,6 +1,7 @@
 package skiplist
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -300,16 +301,22 @@ func (t *EBRList) Delete(th *core.Thread, key uint64) bool {
 	t.em.Pin(th.ID)
 	defer t.em.Unpin(th.ID)
 	var preds, succs [maxLevel]*eskipNode
-	lFound := t.find(key, &preds, &succs)
-	if lFound == -1 {
-		return false
-	}
-	victim := succs[lFound]
-	if victim.itime.Get() == core.Pending {
-		t.provider.Label(&victim.itime)
-	}
-	if !victim.linked.Load() || victim.topLevel != lFound+1 {
-		return false
+	var victim *eskipNode
+	for {
+		lFound := t.find(key, &preds, &succs)
+		if lFound == -1 {
+			return false
+		}
+		victim = succs[lFound]
+		// As in List.Delete: wait out an insert still linking its tower,
+		// search again when the node was found below its top.
+		for !victim.linked.Load() {
+			runtime.Gosched()
+		}
+		if victim.topLevel == lFound+1 {
+			break
+		}
+		runtime.Gosched()
 	}
 	victim.mu.Lock()
 	if !eAlive(victim) {

@@ -311,16 +311,25 @@ func (t *List) Insert(th *core.Thread, key, val uint64) bool {
 // Delete removes key; it returns false if absent.
 func (t *List) Delete(th *core.Thread, key uint64) bool {
 	var preds, succs [maxLevel]*node
-	lFound := t.find(key, &preds, &succs)
-	if lFound == -1 {
-		return false
-	}
-	victim := succs[lFound]
-	for victim.its.Load() == uint64(core.Pending) {
+	var victim *node
+	for {
+		lFound := t.find(key, &preds, &succs)
+		if lFound == -1 {
+			return false
+		}
+		victim = succs[lFound]
+		// Contains answers true from the moment the insert is labeled, so
+		// an insert still linking its tower is waited out, not reported
+		// absent (it holds no lock this thread needs).
+		for !victim.fullyLinked.Load() {
+			runtime.Gosched()
+		}
+		if victim.topLevel == lFound+1 {
+			break
+		}
+		// Found below its top: the search overlapped the tower going up,
+		// or another delete taking it down (then the key soon is absent).
 		runtime.Gosched()
-	}
-	if !victim.fullyLinked.Load() || victim.topLevel != lFound+1 {
-		return false
 	}
 	victim.mu.Lock()
 	if victim.dts.Load() != 0 {

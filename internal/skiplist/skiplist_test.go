@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
@@ -38,6 +40,55 @@ func TestBasicOps(t *testing.T) {
 	}
 	if !l.Delete(th, 5) || l.Contains(th, 5) || l.Delete(th, 5) {
 		t.Fatal("delete semantics")
+	}
+}
+
+// Insert labels its node before it announces the tower complete, and
+// Contains answers true from the label on: in between a Delete must wait
+// for the insert, not report the key absent. linked is the flag of the
+// one node the list holds.
+func TestDeleteWaitsForFullyLinked(t *testing.T) {
+	type list interface {
+		Insert(th *core.Thread, key, val uint64) bool
+		Delete(th *core.Thread, key uint64) bool
+		Contains(th *core.Thread, key uint64) bool
+	}
+	reg := core.NewRegistry(2)
+	a, b := reg.MustRegister(), reg.MustRegister()
+	src := core.New(core.Logical)
+	bl, vl := New(src, reg), NewVcas(src, reg)
+	el, err := NewEBR(src, reg, ebrrq.LockBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		l      list
+		linked func() *atomic.Bool
+	}{
+		{"bundle", bl, func() *atomic.Bool { return &bl.head.next[0].Load().fullyLinked }},
+		{"vcas", vl, func() *atomic.Bool { return &vl.head.next0.Read(src).linked }},
+		{"ebr", el, func() *atomic.Bool { return &el.head.next[0].Load().linked }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			c.l.Insert(a, 5, 50)
+			linked := c.linked()
+			linked.Store(false) // back inside Insert's window: labeled, tower not announced
+			if !c.l.Contains(a, 5) {
+				t.Fatal("Contains(5) false for a labeled node")
+			}
+			done := make(chan bool, 1)
+			go func() { done <- c.l.Delete(b, 5) }()
+			select {
+			case ok := <-done:
+				t.Fatalf("Delete(5) = %v while Contains(5) is true and nothing deleted it", ok)
+			case <-time.After(50 * time.Millisecond):
+			}
+			linked.Store(true)
+			if !<-done {
+				t.Fatal("Delete(5) failed once the node was fully linked")
+			}
+		})
 	}
 }
 

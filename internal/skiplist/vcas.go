@@ -279,13 +279,22 @@ func (t *VcasList) Insert(th *core.Thread, key, val uint64) bool {
 // Delete removes key; it returns false if absent.
 func (t *VcasList) Delete(th *core.Thread, key uint64) bool {
 	var preds, succs [maxLevel]*vskipNode
-	lFound := t.find(key, &preds, &succs)
-	if lFound == -1 {
-		return false
-	}
-	victim := succs[lFound]
-	if !victim.linked.Load() || victim.topLevel != lFound+1 {
-		return false
+	var victim *vskipNode
+	for {
+		lFound := t.find(key, &preds, &succs)
+		if lFound == -1 {
+			return false
+		}
+		victim = succs[lFound]
+		// As in List.Delete: wait out an insert still linking its tower,
+		// search again when the node was found below its top.
+		for !victim.linked.Load() {
+			runtime.Gosched()
+		}
+		if victim.topLevel == lFound+1 {
+			break
+		}
+		runtime.Gosched()
 	}
 	victim.mu.Lock()
 	if victim.dead.Read(t.src) {
