@@ -5,7 +5,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
@@ -62,6 +64,20 @@ func TestEBRLockFreeRejectsTSC(t *testing.T) {
 	reg := core.NewRegistry(1)
 	if _, err := NewEBR(core.New(core.TSC), reg, ebrrq.LockFree); err == nil {
 		t.Fatal("lock-free EBR-RQ accepted a hardware source")
+	}
+}
+
+// Node sizes are exact Go size classes; one field more moves a node to the
+// next class (the repository benchmark bounds heap_bytes_per_key at 10 %).
+func TestNodeSizes(t *testing.T) {
+	for name, c := range map[string]struct{ got, want uintptr }{
+		"vcas":   {unsafe.Sizeof(node[vlinks]{}), 48},
+		"bundle": {unsafe.Sizeof(node[blinks]{}), 64},
+		"ebr":    {unsafe.Sizeof(node[elinks]{}), 96},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s node is %d bytes, want %d", name, c.got, c.want)
+		}
 	}
 }
 
@@ -440,7 +456,7 @@ func TestEBRLimboBounded(t *testing.T) {
 		tr.Insert(th, k, k)
 		tr.Delete(th, k)
 	}
-	if n := tr.LimboLen(); n > 5000 {
+	if n := tr.p.em.LimboLen(); n > 5000 {
 		t.Fatalf("limbo grew unbounded: %d nodes", n)
 	}
 }
@@ -458,11 +474,11 @@ func TestEBRLimboListsOrdered(t *testing.T) {
 			t.Fatal(err)
 		}
 		limbotest.Churn(tr, reg, 4, 1500)
-		if tr.LimboLen() < 500 {
-			t.Fatalf("variant %v: only %d limbo nodes; the reservation should have kept them all", variant, tr.LimboLen())
+		if n := tr.p.em.LimboLen(); n < 500 {
+			t.Fatalf("variant %v: only %d limbo nodes; the reservation should have kept them all", variant, n)
 		}
-		lost := limbotest.Lost(tr.em, func(n *enode) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
-			return n.key, n.val, &n.itime, &n.dtime
+		lost := limbotest.Lost(tr.p.em, func(n *node[elinks]) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
+			return n.key, n.val, &n.l.itime, &n.l.dtime
 		})
 		if len(lost) != 0 {
 			t.Fatalf("variant %v: limbo lists are not ordered, %d losses, first: %s", variant, len(lost), lost[0])
@@ -480,75 +496,47 @@ func TestEBRLimboListsOrdered(t *testing.T) {
 // by its two halves: the search, and after the interference the
 // validation Insert performs under prev's lock.
 func TestStaleInsertAfterSuccessorRelocation(t *testing.T) {
-	type half struct {
-		search   func(th *core.Thread, key uint64) (prevKey uint64, found bool)
-		validate func() bool
+	reg := core.NewRegistry(4)
+	staleInsert(t, "vcas", NewVcas(core.New(core.Logical), reg), reg)
+	reg = core.NewRegistry(4)
+	staleInsert(t, "bundle", NewBundle(core.New(core.Logical), reg), reg)
+	for _, variant := range []ebrrq.Variant{ebrrq.LockBased, ebrrq.LockFree} {
+		reg = core.NewRegistry(4)
+		tr, err := NewEBR(core.New(core.Logical), reg, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staleInsert(t, "ebr", tr, reg)
 	}
-	for _, v := range variants(t) {
-		m, reg := v.make(core.Logical, 4)
-		a, b := reg.MustRegister(), reg.MustRegister()
-		for _, k := range []uint64{50, 30, 90} {
-			m.Insert(a, k, k)
-		}
-		var h half
-		switch tr := m.(type) {
-		case *VcasTree:
-			var prev *vnode
-			var tag uint32
-			h.search = func(th *core.Thread, key uint64) (uint64, bool) {
-				var curr *vnode
-				prev, curr, tag = tr.traverse(th.ID, key)
-				return prev.key, curr != nil
-			}
-			h.validate = func() bool {
-				prev.mu.Lock()
-				defer prev.mu.Unlock()
-				return tr.validateInsert(prev, 0, tag)
-			}
-		case *BundleTree:
-			var prev *bnode
-			var tag uint32
-			h.search = func(th *core.Thread, key uint64) (uint64, bool) {
-				var curr *bnode
-				prev, curr, tag = tr.traverse(th.ID, key)
-				return prev.key, curr != nil
-			}
-			h.validate = func() bool {
-				prev.mu.Lock()
-				defer prev.mu.Unlock()
-				return tr.validateInsert(prev, 0, tag)
-			}
-		case *EBRTree:
-			var prev *enode
-			var tag uint32
-			h.search = func(th *core.Thread, key uint64) (uint64, bool) {
-				var curr *enode
-				prev, curr, tag = tr.traverse(th.ID, key)
-				return prev.key, curr != nil
-			}
-			h.validate = func() bool {
-				prev.mu.Lock()
-				defer prev.mu.Unlock()
-				return validateEInsert(prev, 0, tag)
-			}
-		default:
-			t.Fatalf("%s: unknown variant type %T", v.name, m)
-		}
-		if prevKey, found := h.search(a, 72); found || prevKey != 90 {
-			t.Fatalf("%s: search for 72 ended at parent %d (found %v), want a nil slot under 90", v.name, prevKey, found)
-		}
-		if !h.validate() {
-			t.Fatalf("%s: an undisturbed insert must validate", v.name)
-		}
-		if !m.Insert(b, 72, 72) || !m.Delete(b, 50) {
-			t.Fatalf("%s: interference failed", v.name)
-		}
-		if !m.Contains(a, 72) || m.Len() != 3 {
-			t.Fatalf("%s: after the relocation the tree must hold 30, 72, 90", v.name)
-		}
-		if h.validate() {
-			t.Fatalf("%s: the delayed insert of 72 validates although 72 is in the tree: it would link a duplicate under 90", v.name)
-		}
+}
+
+// staleInsert is the scenario above on the one traverse and validateInsert
+// every technique shares.
+func staleInsert[L any, P technique[L]](t *testing.T, name string, tr *tree[L, P], reg *core.Registry) {
+	a, b := reg.MustRegister(), reg.MustRegister()
+	for _, k := range []uint64{50, 30, 90} {
+		tr.Insert(a, k, k)
+	}
+	prev, curr, tag := tr.traverse(a.ID, 72)
+	if curr != nil || prev.key != 90 {
+		t.Fatalf("%s: search for 72 ended at parent %d (found %v), want a nil slot under 90", name, prev.key, curr != nil)
+	}
+	validate := func() bool {
+		prev.mu.Lock()
+		defer prev.mu.Unlock()
+		return tr.validateInsert(prev, 0, tag)
+	}
+	if !validate() {
+		t.Fatalf("%s: an undisturbed insert must validate", name)
+	}
+	if !tr.Insert(b, 72, 72) || !tr.Delete(b, 50) {
+		t.Fatalf("%s: interference failed", name)
+	}
+	if !tr.Contains(a, 72) || tr.Len() != 3 {
+		t.Fatalf("%s: after the relocation the tree must hold 30, 72, 90", name)
+	}
+	if validate() {
+		t.Fatalf("%s: the delayed insert of 72 validates although 72 is in the tree: it would link a duplicate under 90", name)
 	}
 }
 
@@ -570,13 +558,13 @@ func TestEBRRangeFindsSuccessorBehindItsCopy(t *testing.T) {
 		tr.Insert(a, k, k*10)
 	}
 	a.BeginRQ()
-	tr.provider.RQLock()
+	tr.p.provider.RQLock()
 	s := tr.src.Snapshot()
-	tr.provider.RQUnlock()
+	tr.p.provider.RQUnlock()
 	tr.rcu.ReadLock(c.ID) // holds Delete(3) inside its grace period
 	done := make(chan bool)
 	go func() { done <- tr.Delete(b, 3) }()
-	for tr.root.child[0].Load().key != 6 { // until the copy is linked
+	for tr.root.l.child[0].Load().key != 6 { // until the copy is linked
 		runtime.Gosched()
 	}
 	got := tr.RangeQueryAt(a, 4, 6, s, nil)
@@ -589,5 +577,60 @@ func TestEBRRangeFindsSuccessorBehindItsCopy(t *testing.T) {
 	}
 	if after := tr.RangeQuery(a, 0, 10, nil); len(after) != 4 {
 		t.Fatalf("after the delete the tree holds %v, want 2, 6, 8, 9", after)
+	}
+}
+
+// steppingSource parks every Peek while armed, one step at a time: the
+// labels of a lock-based EBR-RQ update are taken with it.
+type steppingSource struct {
+	core.Source
+	armed  atomic.Bool
+	parked chan struct{}
+	step   chan struct{}
+}
+
+func (p *steppingSource) Peek() core.TS {
+	if p.armed.Load() {
+		p.parked <- struct{}{}
+		<-p.step
+	}
+	return p.Source.Peek()
+}
+
+// A snapshot taken before a two-children delete holds the deleted key and
+// the successor's, wherever the delete stands when the query walks the
+// tree: stopped at each of its labels in turn (the victim's deletion, the
+// copy's insertion, the original successor's deletion), the victim is
+// either still linked or already in limbo, never in between.
+func TestEBRTwoChildrenDeleteNeverHidesItsVictim(t *testing.T) {
+	reg := core.NewRegistry(4)
+	src := &steppingSource{Source: core.New(core.Logical), parked: make(chan struct{}), step: make(chan struct{})}
+	tr, err := NewEBR(src, reg, ebrrq.LockBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := reg.MustRegister(), reg.MustRegister()
+	for _, k := range []uint64{3, 2, 8, 6, 9} {
+		tr.Insert(a, k, k*10)
+	}
+	reg.MustRegister().BeginRQ() // keeps limbo from being pruned between the queries below
+	s := src.Snapshot()
+	src.armed.Store(true)
+	done := make(chan bool)
+	go func() { done <- tr.Delete(b, 3) }()
+	for steps := 0; ; steps++ {
+		select {
+		case <-src.parked:
+			a.BeginRQ()
+			if got := tr.RangeQueryAt(a, 0, 10, s, nil); len(got) != 5 {
+				t.Errorf("delete stopped at its label %d: the snapshot taken before it = %v, want 2, 3, 6, 8, 9", steps+1, got)
+			}
+			src.step <- struct{}{}
+		case ok := <-done:
+			if !ok || steps != 3 {
+				t.Fatalf("Delete(3) = %v after %d labels, want true after 3", ok, steps)
+			}
+			return
+		}
 	}
 }
