@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench linearize benchmark-smoke loc inline-check doc-check
+.PHONY: build test check bench linearize flake benchmark-smoke loc inline-check doc-check
 
 build:
 	$(GO) build ./...
@@ -17,7 +17,7 @@ check: benchmark-smoke inline-check doc-check
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/... ./internal/citrus/... ./internal/bundle/... ./internal/skiplist/... ./internal/lazylist/...
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
@@ -80,6 +80,22 @@ benchmark-smoke:
 #   go test -race -run 'TestLinearizability/<subtest>' . -linearize.seed=<seed>
 linearize:
 	$(GO) test -race -v -run TestLinearizability .
+
+# flake is ROADMAP's "N consecutive green runs of the linearizability
+# matrix" as a command: it builds the root test binary once, runs
+# -run TestLinearizability N times (about a second each), prints every
+# failing cell with the number of runs it failed in, and fails if any did.
+N ?= 50
+flake:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	$(GO) test -c -o $$tmp/root.test . || exit 1; bad=0; \
+	for i in $$(seq $(N)); do \
+		$$tmp/root.test -test.count=1 -test.run TestLinearizability > $$tmp/out 2>&1 && continue; \
+		bad=$$((bad+1)); \
+		sed -n 's/ *--- FAIL: \(.*\/.*\) (.*/\1/p' $$tmp/out | grep . >> $$tmp/cells || tail -5 $$tmp/out; \
+	done; \
+	[ -s $$tmp/cells ] && sort $$tmp/cells | uniq -c | sort -rn; \
+	echo "flake: $$bad of $(N) runs failed"; [ $$bad -eq 0 ]
 
 bench:
 	$(GO) test -bench=. -benchtime=200ms -run=^$$ .

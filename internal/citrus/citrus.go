@@ -6,16 +6,19 @@
 // RCU grace period so in-flight searches keep their path, and only then
 // unlinks the successor.
 //
-// The package provides the three range-query augmentations the paper
-// evaluates on Citrus (Figures 3 and 4):
+// The algorithm is written once, in tree.go, over a technique: what the
+// three range-query augmentations the paper evaluates on Citrus (Figures
+// 3 and 4) differ in — the edges, how they are read and written — and
+// nothing else. Each is one short file and one instantiation:
 //
 //	VcasTree   — child pointers are vCAS objects (range queries advance
-//	             the timestamp; updates label versions).
+//	             the timestamp; updates label versions).        vcas.go
 //	BundleTree — each child link carries a bundle (updates advance the
-//	             timestamp; range queries only read it).
+//	             timestamp; range queries only read it).        bundle.go
 //	EBRTree    — nodes carry insertion/deletion labels assigned under
 //	             EBR-RQ's global readers-writer lock (or DCSS), and
 //	             range queries additionally scan the EBR limbo lists.
+//	                                                            ebr.go
 //
 // Every node carries a tag, after the original algorithm's per-child
 // tags. An insert finds its slot — a nil child of prev — inside an RCU
@@ -39,12 +42,12 @@
 // A note on elemental-vs-bulk linearization in the Bundle variant:
 // contains consults the raw pointers while range queries consult bundle
 // labels, and the two are fixed a few instructions apart inside the
-// update's critical section. A contains that observes the raw write in
-// that window orders against concurrent range queries with the usual
-// in-flight-operation freedom; vCAS avoids even that window because its
-// reads label versions before returning (the property §IV credits to
-// helping), which is one more reason the paper finds vCAS the cleanest
-// fit for hardware timestamps.
+// update's critical section — the timestamp first, then the raw write
+// (bundle.go, publish). A contains that runs in that window orders against
+// concurrent range queries with the usual in-flight-operation freedom;
+// vCAS avoids even that window because its reads label versions before
+// returning (the property §IV credits to helping), which is one more
+// reason the paper finds vCAS the cleanest fit for hardware timestamps.
 package citrus
 
 // Keys are uint64 with the top value reserved for the root sentinel.

@@ -500,13 +500,13 @@ func TestStaleInsertAfterSuccessorRelocation(t *testing.T) {
 	staleInsert(t, "vcas", NewVcas(core.New(core.Logical), reg), reg)
 	reg = core.NewRegistry(4)
 	staleInsert(t, "bundle", NewBundle(core.New(core.Logical), reg), reg)
-	for _, variant := range []ebrrq.Variant{ebrrq.LockBased, ebrrq.LockFree} {
+	for name, variant := range map[string]ebrrq.Variant{"ebr-lock": ebrrq.LockBased, "ebr-lockfree": ebrrq.LockFree} {
 		reg = core.NewRegistry(4)
 		tr, err := NewEBR(core.New(core.Logical), reg, variant)
 		if err != nil {
 			t.Fatal(err)
 		}
-		staleInsert(t, "ebr", tr, reg)
+		staleInsert(t, name, tr, reg)
 	}
 }
 

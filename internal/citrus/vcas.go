@@ -41,8 +41,16 @@ func (p *vcasTechnique) setHooks(h core.Hooks, reg *core.Registry, _ *pool.Pool[
 	p.vp = pool.New[vcas.Version[*node[vlinks]]](reg.Cap(), h.Alloc, h.PoolStats)
 }
 
+// load is Object.Read with the label check pulled in front of the call:
+// Read is too big to inline, and a search pays for load once per edge
+// already. A labeled head is returned as it is; a pending one goes to
+// Read, which labels it first.
 func (p *vcasTechnique) load(n *node[vlinks], dir int) *node[vlinks] {
-	return n.l.child[dir].Read(p.src)
+	o := &n.l.child[dir]
+	if h := o.Head(); h.TS() != core.Pending {
+		return h.Value()
+	}
+	return o.Read(p.src)
 }
 
 func (p *vcasTechnique) seed(tid int, l *vlinks, left, right *node[vlinks]) {
