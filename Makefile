@@ -37,18 +37,34 @@ loc:
 # reports CALLEE inlined inside FUNC's body in FILE. (*Object).Read itself
 # holds the out-of-line labeling call (57 of the inliner's budget of 80)
 # and stays a call from search; its label check is what must not be one.
+# The skip lists' generic tower accessor must be inlined wherever a level
+# is walked (the vCAS list's per-level step is loadNext). deny FILE FUNC
+# fails if escape analysis reports a closure or a local moved to the heap
+# inside FUNC: the skip lists' update paths hold their lock arrays on the
+# stack.
 inline-check:
-	@out="$$($(GO) build -gcflags=-m ./internal/vcas ./internal/lfbst 2>&1)"; ok=0; \
-	need() { s=$$(grep -n "^func $$2(" $$1 | cut -d: -f1); \
+	@out="$$($(GO) build -gcflags=-m ./internal/vcas ./internal/lfbst ./internal/skiplist 2>&1)"; ok=0; \
+	report() { s=$$(grep -n "^func $$2[([]" $$1 | cut -d: -f1); \
 		e=$$(awk -v s="$$s" 'NR > s && /^}/ { print NR; exit }' $$1); \
-		echo "$$out" | awk -F: -v f=$$1 -v s="$$s" -v e="$$e" -v c="inlining call to $$3" \
-			'$$1 == f && $$2 > s && $$2 < e && index($$0, c) { hit = 1 } END { exit !hit }' \
+		echo "$$out" | awk -F: -v f=$$1 -v s="$$s" -v e="$$e" -v c="$$3" -v d="$$4" \
+			'$$1 == f && $$2 >= s && $$2 < e && (index($$0, c) || (d != "" && index($$0, d))) { hit = 1 } END { exit !hit }'; }; \
+	need() { report "$$1" "$$2" "inlining call to $$3" \
 		|| { echo "inline-check: $$3 is not inlined into $$2 ($$1)"; ok=1; }; }; \
+	deny() { ! report "$$1" "$$2" "func literal escapes to heap" "moved to heap" \
+		|| { echo "inline-check: $$2 ($$1) allocates a closure or moves a local to the heap"; ok=1; }; }; \
 	need internal/vcas/vcas.go '(o \*Object\[V\]) Read' 'vcas.label['; \
 	need internal/vcas/vcas.go '(o \*Object\[V\]) ReadVersionWalk' 'vcas.label['; \
 	need internal/lfbst/lfbst.go '(t \*Tree) search' '(*Tree).child'; \
 	need internal/lfbst/lfbst.go '(t \*Tree) search' '(*node).leaf'; \
 	need internal/lfbst/lfbst.go '(t \*Tree) collect' '(*node).leaf'; \
+	need internal/skiplist/skiplist.go '(t \*List) lookup' '(*tower['; \
+	need internal/skiplist/skiplist.go '(t \*List) find' '(*tower['; \
+	need internal/skiplist/skiplist.go '(t \*List) RangeQueryAt' '(*tower['; \
+	need internal/skiplist/ebr.go '(t \*EBRList) lookup' '(*tower['; \
+	need internal/skiplist/vcas.go '(t \*VcasList) loadNext' '(*tower['; \
+	deny internal/skiplist/skiplist.go lockPreds; \
+	for f in skiplist.go vcas.go ebr.go; do \
+		for fn in Insert Delete; do deny internal/skiplist/$$f "(t \*[A-Za-z]*List) $$fn"; done; done; \
 	exit $$ok
 
 # doc-check keeps the documentation, CI and the verify skill from naming

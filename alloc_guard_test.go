@@ -176,3 +176,52 @@ func TestBSTVcasUpdateAllocCeiling(t *testing.T) {
 		t.Fatalf("BST/vCAS allocates %.2f objects per insert and %.2f per delete, want at most 5 and 3", ins, del)
 	}
 }
+
+// TestBundleSkipListUpdateAllocCeiling holds the GC-allocated update path
+// of the bundled skip list to what it records: an insert allocates the
+// node — tower, both bundle entries and labels inside it — plus the
+// overflow array of a tower taller than the node holds, and a delete its
+// one standalone entry. An unlock closure, a lock array moved to the heap,
+// a separate tower or a per-insert entry coming back fails this test.
+func TestBundleSkipListUpdateAllocCeiling(t *testing.T) {
+	m, err := tscds.New(tscds.SkipList, tscds.Bundle, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := m.RegisterThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer th.Release()
+	for i := uint64(0); i < 2000; i++ {
+		m.Insert(th, i*7919%4000, i)
+	}
+	// AllocsPerRun reports a truncated mean, so inserts are measured one
+	// at a time: each at most two objects, and two only as often as towers
+	// outgrow the node (one in 32; the ceiling leaves room for one in 8).
+	const runs = 1000
+	key := uint64(10_000)
+	var ins float64
+	for i := 0; i < runs; i++ {
+		n := testing.AllocsPerRun(1, func() {
+			if !m.Insert(th, key, 1) {
+				t.Fatal("insert of a fresh key failed")
+			}
+			key++
+		})
+		if n > 2 {
+			t.Fatalf("an insert allocated %.0f objects, want the node and at most its overflow array", n)
+		}
+		ins += n
+	}
+	key = 10_000
+	del := testing.AllocsPerRun(runs, func() {
+		if !m.Delete(th, key) {
+			t.Fatal("delete of a present key failed")
+		}
+		key++
+	})
+	if ins > 1.25*runs || del > 1 {
+		t.Fatalf("skip list/Bundle allocates %.2f objects per insert and %.2f per delete, want at most 1.25 and 1", ins/runs, del)
+	}
+}

@@ -27,7 +27,11 @@ import (
 	"tscds/internal/pool"
 )
 
-// Entry is one moment of a link's history.
+// Entry is one moment of a link's history. A structure may embed the
+// entry that records a link to a fresh node in that node (PrepareWith),
+// and the node's own first entry beside it (InitPendingWith): the bundle's
+// head then points into the line a snapshot walk needs next — for bundles
+// what vcas.InitWith/Arm are for version chains.
 type Entry[T any] struct {
 	ts   atomic.Uint64
 	ptr  *T
@@ -39,6 +43,9 @@ func (e *Entry[T]) TS() core.TS { return e.ts.Load() }
 
 // Ptr returns the link target recorded by this entry.
 func (e *Entry[T]) Ptr() *T { return e.ptr }
+
+// Next returns the next older entry (tests and invariant checks).
+func (e *Entry[T]) Next() *Entry[T] { return e.next.Load() }
 
 // Bundle is the timestamped history of one link.
 type Bundle[T any] struct {
@@ -54,10 +61,13 @@ func (b *Bundle[T]) Init(ptr *T) { b.InitIn(nil, -1, ptr) }
 // recycled memory, so every field is reset before the entry becomes
 // reachable.
 //
-// As with vCAS versions, entries detached by Truncate remain readable
-// by snapshot readers holding direct pointers into the history, so the
-// truncation path never feeds the pool; entry pooling buys arena
-// batching and reuse of aborted (never-published) entries only.
+// Truncate clears the next and ptr of every entry it detaches and leaves
+// the label alone: an entry embedded in a node lives as long as the node
+// and must not keep the history below it reachable, while its label may
+// double as the node's own (the skip list's insertion timestamp). No
+// reader is inside a detached tail (Truncate), but nothing proves a
+// detached entry unreferenced either, so the truncation path never feeds
+// the pool; entry pooling buys arena batching only.
 func (b *Bundle[T]) InitIn(p *pool.Pool[Entry[T]], tid int, ptr *T) {
 	e := p.Get(tid)
 	e.ptr = ptr
@@ -85,11 +95,18 @@ func (b *Bundle[T]) InitPending(ptr *T) *Entry[T] { return b.InitPendingIn(nil, 
 // allocates through the GC).
 func (b *Bundle[T]) InitPendingIn(p *pool.Pool[Entry[T]], tid int, ptr *T) *Entry[T] {
 	e := p.Get(tid)
+	b.InitPendingWith(e, ptr)
+	return e
+}
+
+// InitPendingWith is InitPending into the caller-owned entry e (typically
+// embedded in the node the bundle belongs to). e may be recycled memory;
+// every field is reset.
+func (b *Bundle[T]) InitPendingWith(e *Entry[T], ptr *T) {
 	e.ptr = ptr
-	e.ts.Store(uint64(core.Pending))
+	e.ts.Store(core.Pending)
 	e.next.Store(nil)
 	b.head.Store(e)
-	return e
 }
 
 // Prepare pushes a pending entry for a new link target. The caller must
@@ -102,11 +119,18 @@ func (b *Bundle[T]) Prepare(ptr *T) *Entry[T] { return b.PrepareIn(nil, -1, ptr)
 // through the GC).
 func (b *Bundle[T]) PrepareIn(p *pool.Pool[Entry[T]], tid int, ptr *T) *Entry[T] {
 	e := p.Get(tid)
+	b.PrepareWith(e, ptr)
+	return e
+}
+
+// PrepareWith is Prepare with the caller-owned entry e (typically embedded
+// in the node ptr points to, which this update created: an entry sits in
+// one chain only). e may be recycled memory; every field is reset.
+func (b *Bundle[T]) PrepareWith(e *Entry[T], ptr *T) {
 	e.ptr = ptr
 	e.ts.Store(core.Pending)
 	e.next.Store(b.head.Load())
 	b.head.Store(e)
-	return e
 }
 
 // Finalize labels a prepared entry, linearizing the update that created
@@ -165,11 +189,11 @@ func (b *Bundle[T]) Head() *Entry[T] { return b.head.Load() }
 
 // Truncate drops history below the newest entry labeled at or before
 // minRQ, the minimum active range-query timestamp; no current or future
-// snapshot reads anything older. Writers call it opportunistically while
-// holding the link's locks. It returns the number of entries dropped
-// (counted on the detached tail, so the cost is proportional to what was
-// reclaimed; concurrent truncators may attribute the same tail to both —
-// callers use the count for metrics, not correctness).
+// snapshot reads anything older: a reader at a bound >= minRQ stops at or
+// above the entry the cut is made at. Writers call it while holding the
+// link's locks. Every detached entry loses its next and its ptr (never its
+// label, see InitIn), so that one embedded in a live node pins nothing. It
+// returns the number of entries dropped.
 func (b *Bundle[T]) Truncate(minRQ core.TS) int {
 	e := b.head.Load()
 	if e == nil || e.ts.Load() == core.Pending {
@@ -188,7 +212,11 @@ func (b *Bundle[T]) Truncate(minRQ core.TS) int {
 	}
 	e.next.Store(nil)
 	n := 0
-	for ; tail != nil; tail = tail.next.Load() {
+	for tail != nil {
+		next := tail.next.Load()
+		tail.next.Store(nil)
+		tail.ptr = nil
+		tail = next
 		n++
 	}
 	return n

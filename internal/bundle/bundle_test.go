@@ -143,6 +143,56 @@ func TestTruncatePreservesOldestActiveSnapshot(t *testing.T) {
 	}
 }
 
+// Truncate leaves nothing reachable through what it detaches: every entry
+// of the tail loses its next and its target — an entry embedded in a live
+// node would otherwise pin the history below it — and keeps its label,
+// which may be the embedding node's own. Entries at and above the cut are
+// untouched: a read at any bound at or above the cut answers as before.
+// The chain mixes caller-owned and allocated entries, as the skip list's.
+func TestTruncateReleasesDetachedTail(t *testing.T) {
+	src := core.New(core.Logical)
+	b := &Bundle[node]{}
+	b.Finalize(b.InitPending(&node{0}), 0)
+	var entries []*Entry[node]
+	var labels, snaps []core.TS
+	var wants []*node
+	for i := uint64(1); i <= 12; i++ {
+		n := &node{i}
+		e := new(Entry[node])
+		if i%2 == 0 {
+			e = b.Prepare(n)
+		} else {
+			b.PrepareWith(e, n)
+		}
+		ts := src.Advance()
+		b.Finalize(e, ts)
+		entries, labels = append(entries, e), append(labels, ts)
+		snaps, wants = append(snaps, src.Peek()), append(wants, n)
+	}
+	const cut = 7 // entries[cut] is the newest labeled at or before the bound
+	if d := b.Truncate(snaps[cut]); d != cut+1 {
+		t.Fatalf("Truncate dropped %d entries, want %d", d, cut+1)
+	}
+	for i, e := range entries {
+		if e.TS() != labels[i] {
+			t.Fatalf("entry %d: label %d became %d", i, labels[i], e.TS())
+		}
+		if detached := i < cut; detached != (e.Ptr() == nil) || (detached && e.Next() != nil) {
+			t.Fatalf("entry %d (cut at %d): ptr %v next %v", i, cut, e.Ptr(), e.Next())
+		}
+	}
+	if entries[cut].Next() != nil || b.Len() != len(entries)-cut {
+		t.Fatalf("chain holds %d entries below a cut entry with next %v", b.Len(), entries[cut].Next())
+	}
+	for i := cut; i < len(snaps); i++ {
+		for _, s := range []core.TS{labels[i], snaps[i]} {
+			if got, ok := b.PtrAt(s); !ok || got != wants[i] {
+				t.Fatalf("PtrAt(%d) after the cut = (%v, %v), want key %d", s, got, ok, wants[i].key)
+			}
+		}
+	}
+}
+
 func TestTruncateNoActiveRQ(t *testing.T) {
 	src := core.New(core.Logical)
 	b := New(&node{0})

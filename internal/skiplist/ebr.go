@@ -19,19 +19,19 @@ import (
 // before being unlinked so range queries never lose them.
 
 type eskipNode struct {
-	key, val     uint64
-	mu           sync.Mutex
+	key, val uint64
+	sync.Mutex
 	topLevel     int
 	itime, dtime ebrrq.Label
 	linked       atomic.Bool
-	next         []atomic.Pointer[eskipNode]
+	next         tower[eskipNode]
 }
 
 func newEskipNode(key, val uint64, topLevel int) *eskipNode {
 	n := &eskipNode{key: key, val: val, topLevel: topLevel}
 	n.itime.Init()
 	n.dtime.Init()
-	n.next = make([]atomic.Pointer[eskipNode], topLevel)
+	n.next.reset(topLevel)
 	return n
 }
 
@@ -108,9 +108,9 @@ func (t *EBRList) SetHooks(h core.Hooks) {
 // (Delete refuses to label a node whose insert has not fully linked —
 // a recycled true would let a deleter label dtime before itime) and
 // the label Inits (stale labels would make the node spuriously visible
-// or invisible to snapshots). The level array keeps its maxLevel
-// backing across reuses; Insert stores every in-range level before
-// publication, so stale pointers are overwritten while still private.
+// or invisible to snapshots). A pooled node owns the tower's overflow
+// array whatever its height, so a short node recycled into a tall one
+// allocates nothing.
 func (t *EBRList) newNode(tid int, key, val uint64, topLevel int) *eskipNode {
 	if t.np == nil {
 		return newEskipNode(key, val, topLevel)
@@ -121,20 +121,8 @@ func (t *EBRList) newNode(tid int, key, val uint64, topLevel int) *eskipNode {
 	n.itime.Init()
 	n.dtime.Init()
 	n.linked.Store(false)
-	if cap(n.next) >= topLevel {
-		n.next = n.next[:topLevel]
-	} else {
-		n.next = make([]atomic.Pointer[eskipNode], maxLevel)[:topLevel]
-	}
+	n.next.reset(maxLevel)
 	return n
-}
-
-// noteRetries reports an update's validation-failure retries.
-func (t *EBRList) noteRetries(th *core.Thread, retries uint64) {
-	if t.tr == nil || retries == 0 {
-		return
-	}
-	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 }
 
 // LimboLen reports retained limbo nodes (tests).
@@ -144,31 +132,14 @@ func (t *EBRList) LimboLen() int { return t.em.LimboLen() }
 // Quiescent use only, like Len.
 func (t *EBRList) Drain() { t.em.DrainAll() }
 
-func (t *EBRList) randLevel(tid int) int {
-	x := t.rngs[tid].Load()
-	if x == 0 {
-		x = uint64(tid)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-	}
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	t.rngs[tid].Store(x)
-	lvl := 1
-	for x&1 == 1 && lvl < maxLevel {
-		lvl++
-		x >>= 1
-	}
-	return lvl
-}
-
 func (t *EBRList) find(key uint64, preds, succs *[maxLevel]*eskipNode) int {
 	lFound := -1
 	pred := t.head
 	for l := maxLevel - 1; l >= 0; l-- {
-		cur := pred.next[l].Load()
+		cur := pred.next.at(l).Load()
 		for cur != nil && cur.key < key {
 			pred = cur
-			cur = cur.next[l].Load()
+			cur = cur.next.at(l).Load()
 		}
 		if lFound == -1 && cur != nil && cur.key == key {
 			lFound = l
@@ -179,62 +150,38 @@ func (t *EBRList) find(key uint64, preds, succs *[maxLevel]*eskipNode) int {
 	return lFound
 }
 
+// lookup returns the node holding key, labeled or not, or nil; it stops at
+// the level it meets the key on. The caller is pinned.
+func (t *EBRList) lookup(key uint64) *eskipNode {
+	pred := t.head
+	for l := maxLevel - 1; l >= 0; l-- {
+		cur := pred.next.at(l).Load()
+		for cur != nil && cur.key < key {
+			pred = cur
+			cur = cur.next.at(l).Load()
+		}
+		if cur != nil && cur.key == key {
+			return cur
+		}
+	}
+	return nil
+}
+
 // Contains reports whether key is present (insert linearized, delete
 // not).
 func (t *EBRList) Contains(th *core.Thread, key uint64) bool {
-	t.em.Pin(th.ID)
-	defer t.em.Unpin(th.ID)
-	pred := t.head
-	for l := maxLevel - 1; l >= 0; l-- {
-		cur := pred.next[l].Load()
-		for cur != nil && cur.key < key {
-			pred = cur
-			cur = cur.next[l].Load()
-		}
-		if cur != nil && cur.key == key {
-			return cur.itime.Get() != core.Pending && cur.dtime.Get() == core.Pending
-		}
-	}
-	return false
+	_, ok := t.Get(th, key)
+	return ok
 }
 
 // Get returns the value stored at key.
 func (t *EBRList) Get(th *core.Thread, key uint64) (uint64, bool) {
-	var preds, succs [maxLevel]*eskipNode
 	t.em.Pin(th.ID)
 	defer t.em.Unpin(th.ID)
-	if l := t.find(key, &preds, &succs); l != -1 {
-		n := succs[l]
-		if n.itime.Get() != core.Pending && n.dtime.Get() == core.Pending {
-			return n.val, true
-		}
+	if n := t.lookup(key); n != nil && n.itime.Get() != core.Pending && n.dtime.Get() == core.Pending {
+		return n.val, true
 	}
 	return 0, false
-}
-
-// eLockPreds locks the distinct predecessors of levels [0, top) into the
-// caller-provided locked array and returns how many it took; eUnlockPreds
-// releases them. The caller owns both arrays on its stack — the split
-// (rather than returning an unlock closure) keeps the hot update path
-// allocation-free.
-func eLockPreds(preds, locked *[maxLevel]*eskipNode, top int) int {
-	n := 0
-	var prev *eskipNode
-	for l := 0; l < top; l++ {
-		if preds[l] != prev {
-			preds[l].mu.Lock()
-			locked[n] = preds[l]
-			n++
-			prev = preds[l]
-		}
-	}
-	return n
-}
-
-func eUnlockPreds(locked *[maxLevel]*eskipNode, n int) {
-	for i := 0; i < n; i++ {
-		locked[i].mu.Unlock()
-	}
 }
 
 func eAlive(n *eskipNode) bool { return n.dtime.Get() == core.Pending }
@@ -246,7 +193,7 @@ func (t *EBRList) Insert(th *core.Thread, key, val uint64) bool {
 	}
 	t.em.Pin(th.ID)
 	defer t.em.Unpin(th.ID)
-	topLevel := t.randLevel(th.ID)
+	topLevel := randLevel(t.rngs, th.ID)
 	var preds, succs [maxLevel]*eskipNode
 	var retries uint64
 	for {
@@ -258,23 +205,23 @@ func (t *EBRList) Insert(th *core.Thread, key, val uint64) bool {
 			}
 			// Help its insert linearize before failing against it.
 			t.provider.Label(&f.itime)
-			t.noteRetries(th, retries)
+			noteRetries(t.tr, th, retries)
 			return false
 		}
 		var locked [maxLevel]*eskipNode
-		nl := eLockPreds(&preds, &locked, topLevel)
+		nl := lockPreds(&preds, &locked, topLevel)
 		valid := true
 		for l := 0; l < topLevel; l++ {
 			succ := succs[l]
 			if (preds[l] != t.head && !eAlive(preds[l])) ||
-				preds[l].next[l].Load() != succ ||
+				preds[l].next.at(l).Load() != succ ||
 				(succ != nil && !eAlive(succ)) {
 				valid = false
 				break
 			}
 		}
 		if !valid {
-			eUnlockPreds(&locked, nl)
+			unlockPreds(&locked, nl)
 			retries++
 			continue
 		}
@@ -282,16 +229,16 @@ func (t *EBRList) Insert(th *core.Thread, key, val uint64) bool {
 		n := t.newNode(th.ID, key, val, topLevel)
 		t.tr.Span(th.ID, trace.PhaseAlloc, mark)
 		for l := 0; l < topLevel; l++ {
-			n.next[l].Store(succs[l])
+			n.next.at(l).Store(succs[l])
 		}
-		preds[0].next[0].Store(n)
+		preds[0].next.at(0).Store(n)
 		t.provider.Label(&n.itime) // linearization
 		for l := 1; l < topLevel; l++ {
-			preds[l].next[l].Store(n)
+			preds[l].next.at(l).Store(n)
 		}
 		n.linked.Store(true)
-		eUnlockPreds(&locked, nl)
-		t.noteRetries(th, retries)
+		unlockPreds(&locked, nl)
+		noteRetries(t.tr, th, retries)
 		return true
 	}
 }
@@ -318,9 +265,9 @@ func (t *EBRList) Delete(th *core.Thread, key uint64) bool {
 		}
 		runtime.Gosched()
 	}
-	victim.mu.Lock()
+	victim.Lock()
 	if !eAlive(victim) {
-		victim.mu.Unlock()
+		victim.Unlock()
 		return false
 	}
 	// Scannable before unreachable, then linearize.
@@ -329,25 +276,25 @@ func (t *EBRList) Delete(th *core.Thread, key uint64) bool {
 	var retries uint64
 	for {
 		var locked [maxLevel]*eskipNode
-		nl := eLockPreds(&preds, &locked, victim.topLevel)
+		nl := lockPreds(&preds, &locked, victim.topLevel)
 		valid := true
 		for l := 0; l < victim.topLevel; l++ {
 			if (preds[l] != t.head && !eAlive(preds[l])) ||
-				preds[l].next[l].Load() != victim {
+				preds[l].next.at(l).Load() != victim {
 				valid = false
 				break
 			}
 		}
 		if valid {
 			for l := victim.topLevel - 1; l >= 0; l-- {
-				preds[l].next[l].Store(victim.next[l].Load())
+				preds[l].next.at(l).Store(victim.next.at(l).Load())
 			}
-			eUnlockPreds(&locked, nl)
-			victim.mu.Unlock()
-			t.noteRetries(th, retries)
+			unlockPreds(&locked, nl)
+			victim.Unlock()
+			noteRetries(t.tr, th, retries)
 			return true
 		}
-		eUnlockPreds(&locked, nl)
+		unlockPreds(&locked, nl)
 		retries++
 		t.find(key, &preds, &succs)
 	}
@@ -379,13 +326,13 @@ func (t *EBRList) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []
 	mark := tr.Now()
 	pred := t.head
 	for l := maxLevel - 1; l >= 1; l-- {
-		cur := pred.next[l].Load()
+		cur := pred.next.at(l).Load()
 		for cur != nil && cur.key < lo {
 			pred = cur
-			cur = cur.next[l].Load()
+			cur = cur.next.at(l).Load()
 		}
 	}
-	for cur := pred.next[0].Load(); cur != nil && cur.key <= hi; cur = cur.next[0].Load() {
+	for cur := pred.next.at(0).Load(); cur != nil && cur.key <= hi; cur = cur.next.at(0).Load() {
 		c.Add(cur.key, cur.val, &cur.itime, &cur.dtime)
 	}
 	tr.Span(th.ID, trace.PhaseTraverse, mark)
@@ -403,7 +350,7 @@ func (t *EBRList) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []
 // Len counts present keys; quiescent use only.
 func (t *EBRList) Len() int {
 	n := 0
-	for cur := t.head.next[0].Load(); cur != nil; cur = cur.next[0].Load() {
+	for cur := t.head.next.at(0).Load(); cur != nil; cur = cur.next.at(0).Load() {
 		if eAlive(cur) {
 			n++
 		}

@@ -2,15 +2,19 @@ package skiplist
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
+	"tscds/internal/bundle"
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/ebrrq/limbotest"
+	"tscds/internal/pool"
 )
 
 func newList(kind core.Kind, threads int) (*List, *core.Registry) {
@@ -66,9 +70,9 @@ func TestDeleteWaitsForFullyLinked(t *testing.T) {
 		l      list
 		linked func() *atomic.Bool
 	}{
-		{"bundle", bl, func() *atomic.Bool { return &bl.head.next[0].Load().fullyLinked }},
+		{"bundle", bl, func() *atomic.Bool { return &bl.head.next.at(0).Load().fullyLinked }},
 		{"vcas", vl, func() *atomic.Bool { return &vl.head.next0.Read(src).linked }},
-		{"ebr", el, func() *atomic.Bool { return &el.head.next[0].Load().linked }},
+		{"ebr", el, func() *atomic.Bool { return &el.head.next.at(0).Load().linked }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.l.Insert(a, 5, 50)
@@ -398,12 +402,126 @@ func TestBundleHistoryBounded(t *testing.T) {
 	}
 }
 
+// A node is one allocation of 104 bytes plus its inline levels (144 with
+// five: a size class of its own), laid out by who reads it: what a search
+// reads — key, tower, deletion label, and the entry that leads here, whose
+// label is the insertion label — comes first and is contiguous, what only
+// snapshots and updates read follows.
+func TestSkipNodeLayout(t *testing.T) {
+	var n node
+	if got, want := unsafe.Sizeof(n), uintptr(104+8*inlineLevels); got != want {
+		t.Fatalf("node is %d bytes with %d inline levels, want %d", got, inlineLevels, want)
+	}
+	offs := []uintptr{unsafe.Offsetof(n.key), unsafe.Offsetof(n.next), unsafe.Offsetof(n.dts),
+		unsafe.Offsetof(n.in), unsafe.Offsetof(n.val)}
+	if want := []uintptr{0, 8, 16 + 8*inlineLevels, 24 + 8*inlineLevels, 48 + 8*inlineLevels}; !reflect.DeepEqual(offs, want) {
+		t.Fatalf("key, next, dts, in, val at %v, want %v", offs, want)
+	}
+}
+
+// newNodeIn must hand out what newNode does whatever the pool gives it: a
+// tall, labeled, linked node whose entries sit in chains comes back as a
+// fresh one, under both pooled modes, tall or short.
+func TestNewNodeInResetsDirtyNode(t *testing.T) {
+	for _, mode := range []pool.Mode{pool.ModePool, pool.ModeArena} {
+		for _, top := range []int{1, inlineLevels, inlineLevels + 1, maxLevel} {
+			l, _ := newList(core.Logical, 1)
+			l.SetHooks(core.Hooks{Alloc: mode})
+			other := newNode(9, 9, 1)
+			dirty := l.newNodeIn(0, 7, 70, maxLevel)
+			for lv := 0; lv < maxLevel; lv++ {
+				dirty.next.at(lv).Store(other)
+			}
+			dirty.bnd.InitPendingWith(&dirty.out, other)
+			dirty.bnd.Finalize(&dirty.out, 5)
+			other.bnd.InitPendingWith(&other.out, nil)
+			other.bnd.PrepareWith(&dirty.in, dirty)
+			other.bnd.Finalize(&dirty.in, 5)
+			dirty.bnd.PrepareWith(new(bundle.Entry[node]), other)
+			dirty.dts.Store(6)
+			dirty.fullyLinked.Store(true)
+			dirty.Lock()
+			dirty.Unlock()
+			l.np.Put(0, dirty)
+
+			got := l.newNodeIn(0, 8, 80, top)
+			if got != dirty {
+				t.Fatalf("%v: the pool did not hand the recycled node back", mode)
+			}
+			if want := newNode(8, 80, top); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v top %d: recycled node\n %+v\nnewNode's\n %+v", mode, top, got, want)
+			}
+		}
+	}
+}
+
+// reachableNodes counts the nodes the collector has to keep for the list:
+// everything reachable from the head through towers, bundle chains, and
+// the embedded entries' own links, which outlive the chains they sat in.
+// An entry keeps the node it points to and the node it is embedded in
+// (owner; a delete's standalone entry has none).
+func reachableNodes(l *List, owner map[*bundle.Entry[node]]*node) int {
+	seen := map[*node]bool{nil: true}
+	work := []*node{l.head}
+	visit := func(n *node) {
+		if !seen[n] {
+			seen[n] = true
+			work = append(work, n)
+		}
+	}
+	chain := func(e *bundle.Entry[node]) {
+		for ; e != nil; e = e.Next() {
+			visit(e.Ptr())
+			visit(owner[e])
+		}
+	}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		for lv := 0; lv < int(n.topLevel); lv++ {
+			visit(n.next.at(lv).Load())
+		}
+		chain(n.bnd.Head())
+		chain(&n.in)
+		chain(&n.out)
+	}
+	return len(seen) - 1
+}
+
+// What the list keeps reachable is bounded by what it holds, not by how
+// long it ran: after 200k single-threaded updates over 1k keys with no
+// query active, the dead nodes still reachable are those the live nodes'
+// chains — the newest entry and the one truncation keeps below it — and the
+// few bundles updated since the cached prune bound can lead to (723 nodes
+// for 521 held). A detached entry that kept its target (bundle.Truncate),
+// or a victim that kept its history (Delete), lets live nodes pin chains
+// of dead ones — 26,000 nodes either way — and fails this.
+func TestBundleHeapBounded(t *testing.T) {
+	l, reg := newList(core.Logical, 1)
+	th := reg.MustRegister()
+	rng := rand.New(rand.NewSource(15))
+	owner := map[*bundle.Entry[node]]*node{}
+	for i := 0; i < 200000; i++ {
+		k := uint64(rng.Intn(1000) + 1)
+		if rng.Intn(2) == 1 {
+			l.Delete(th, k)
+		} else if l.Insert(th, k, uint64(i)) {
+			n := l.lookup(k)
+			owner[&n.in], owner[&n.out] = n, n
+		}
+	}
+	live := l.Len() + 1
+	if got := reachableNodes(l, owner); got > 2*live {
+		t.Fatalf("%d nodes reachable from the head of a list holding %d", got, live)
+	}
+}
+
 func TestRandLevelDistribution(t *testing.T) {
 	l, reg := newList(core.Logical, 2)
 	_ = reg
 	counts := make([]int, maxLevel+1)
 	for i := 0; i < 100000; i++ {
-		lvl := l.randLevel(0)
+		lvl := randLevel(l.rngs, 0)
 		if lvl < 1 || lvl > maxLevel {
 			t.Fatalf("level %d out of range", lvl)
 		}

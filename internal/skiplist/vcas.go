@@ -28,11 +28,11 @@ import (
 
 type vskipNode struct {
 	key, val uint64
-	mu       sync.Mutex
+	sync.Mutex
 	topLevel int
 	dead     vcas.Object[bool]
 	next0    vcas.Object[*vskipNode] // level 0, versioned
-	upper    []atomic.Pointer[vskipNode]
+	upper    tower[vskipNode]        // levels 1 and up, level l at l-1
 	linked   atomic.Bool
 }
 
@@ -40,18 +40,12 @@ func newVskipNode(key, val uint64, topLevel int) *vskipNode {
 	n := &vskipNode{key: key, val: val, topLevel: topLevel}
 	n.dead.Init(true) // not yet in any snapshot
 	n.next0.Init(nil)
-	if topLevel > 1 {
-		n.upper = make([]atomic.Pointer[vskipNode], topLevel-1)
-	}
+	n.upper.reset(topLevel - 1)
 	return n
 }
 
-func (n *vskipNode) nextAt(l int) *vskipNode {
-	if l == 0 {
-		panic("skiplist: nextAt(0) on versioned level")
-	}
-	return n.upper[l-1].Load()
-}
+// nextAt follows the raw link at level l >= 1.
+func (n *vskipNode) nextAt(l int) *vskipNode { return n.upper.at(l - 1).Load() }
 
 // VcasList is the skip list with vCAS range queries.
 type VcasList struct {
@@ -116,37 +110,8 @@ func (t *VcasList) newVskipNodeIn(tid int, key, val uint64, topLevel int) *vskip
 	n.topLevel = topLevel
 	n.linked.Store(false)
 	n.dead.InitIn(t.bp, tid, true) // not yet in any snapshot
-	if topLevel > 1 {
-		n.upper = make([]atomic.Pointer[vskipNode], topLevel-1)
-	} else {
-		n.upper = nil
-	}
+	n.upper.reset(topLevel - 1)
 	return n
-}
-
-// noteRetries reports an update's validation-failure retries.
-func (t *VcasList) noteRetries(th *core.Thread, retries uint64) {
-	if t.tr == nil || retries == 0 {
-		return
-	}
-	t.tr.Count(th.ID, trace.PhaseRetry, retries)
-}
-
-func (t *VcasList) randLevel(tid int) int {
-	x := t.rngs[tid].Load()
-	if x == 0 {
-		x = uint64(tid)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-	}
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	t.rngs[tid].Store(x)
-	lvl := 1
-	for x&1 == 1 && lvl < maxLevel {
-		lvl++
-		x >>= 1
-	}
-	return lvl
 }
 
 func (t *VcasList) loadNext(n *vskipNode, l int) *vskipNode {
@@ -174,8 +139,9 @@ func (t *VcasList) find(key uint64, preds, succs *[maxLevel]*vskipNode) int {
 	return lFound
 }
 
-// Contains reports whether key is present.
-func (t *VcasList) Contains(_ *core.Thread, key uint64) bool {
+// lookup returns the node holding key, dead or not, or nil; it stops at
+// the level it meets the key on.
+func (t *VcasList) lookup(key uint64) *vskipNode {
 	pred := t.head
 	for l := maxLevel - 1; l >= 0; l-- {
 		cur := t.loadNext(pred, l)
@@ -184,38 +150,24 @@ func (t *VcasList) Contains(_ *core.Thread, key uint64) bool {
 			cur = t.loadNext(cur, l)
 		}
 		if cur != nil && cur.key == key {
-			return !cur.dead.Read(t.src)
+			return cur
 		}
 	}
-	return false
+	return nil
+}
+
+// Contains reports whether key is present.
+func (t *VcasList) Contains(_ *core.Thread, key uint64) bool {
+	n := t.lookup(key)
+	return n != nil && !n.dead.Read(t.src)
 }
 
 // Get returns the value stored at key.
-func (t *VcasList) Get(th *core.Thread, key uint64) (uint64, bool) {
-	var preds, succs [maxLevel]*vskipNode
-	if l := t.find(key, &preds, &succs); l != -1 && !succs[l].dead.Read(t.src) {
-		return succs[l].val, true
+func (t *VcasList) Get(_ *core.Thread, key uint64) (uint64, bool) {
+	if n := t.lookup(key); n != nil && !n.dead.Read(t.src) {
+		return n.val, true
 	}
 	return 0, false
-}
-
-func vLockPreds(preds *[maxLevel]*vskipNode, top int) func() {
-	var locked [maxLevel]*vskipNode
-	n := 0
-	var prev *vskipNode
-	for l := 0; l < top; l++ {
-		if preds[l] != prev {
-			preds[l].mu.Lock()
-			locked[n] = preds[l]
-			n++
-			prev = preds[l]
-		}
-	}
-	return func() {
-		for i := 0; i < n; i++ {
-			locked[i].mu.Unlock()
-		}
-	}
 }
 
 // Insert adds key with val; it returns false if already present.
@@ -223,7 +175,7 @@ func (t *VcasList) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey || key == 0 {
 		return false
 	}
-	topLevel := t.randLevel(th.ID)
+	topLevel := randLevel(t.rngs, th.ID)
 	var preds, succs [maxLevel]*vskipNode
 	var retries uint64
 	for {
@@ -233,13 +185,14 @@ func (t *VcasList) Insert(th *core.Thread, key, val uint64) bool {
 				for !f.linked.Load() {
 					runtime.Gosched()
 				}
-				t.noteRetries(th, retries)
+				noteRetries(t.tr, th, retries)
 				return false
 			}
 			retries++
 			continue // dying node; its unlink is imminent
 		}
-		unlock := vLockPreds(&preds, topLevel)
+		var locked [maxLevel]*vskipNode
+		nl := lockPreds(&preds, &locked, topLevel)
 		valid := true
 		for l := 0; l < topLevel; l++ {
 			succ := succs[l]
@@ -250,7 +203,7 @@ func (t *VcasList) Insert(th *core.Thread, key, val uint64) bool {
 			}
 		}
 		if !valid {
-			unlock()
+			unlockPreds(&locked, nl)
 			retries++
 			continue
 		}
@@ -259,19 +212,19 @@ func (t *VcasList) Insert(th *core.Thread, key, val uint64) bool {
 		t.tr.Span(th.ID, trace.PhaseAlloc, am)
 		n.next0.InitIn(t.vp, th.ID, succs[0])
 		for l := 1; l < topLevel; l++ {
-			n.upper[l-1].Store(succs[l])
+			n.upper.at(l - 1).Store(succs[l])
 		}
 		// Liveness first, then reachability: a snapshot that can reach
 		// the node always sees it alive at that bound.
 		n.dead.WriteIn(t.src, t.bp, th.ID, false)
 		preds[0].next0.WriteIn(t.src, t.vp, th.ID, n)
 		for l := 1; l < topLevel; l++ {
-			preds[l].upper[l-1].Store(n)
+			preds[l].upper.at(l - 1).Store(n)
 		}
 		n.linked.Store(true)
 		t.truncate(th, preds[0])
-		unlock()
-		t.noteRetries(th, retries)
+		unlockPreds(&locked, nl)
+		noteRetries(t.tr, th, retries)
 		return true
 	}
 }
@@ -296,15 +249,16 @@ func (t *VcasList) Delete(th *core.Thread, key uint64) bool {
 		}
 		runtime.Gosched()
 	}
-	victim.mu.Lock()
+	victim.Lock()
 	if victim.dead.Read(t.src) {
-		victim.mu.Unlock()
+		victim.Unlock()
 		return false
 	}
 	victim.dead.WriteIn(t.src, t.bp, th.ID, true) // linearization of the delete
+	var locked [maxLevel]*vskipNode
 	var retries uint64
 	for {
-		unlock := vLockPreds(&preds, victim.topLevel)
+		nl := lockPreds(&preds, &locked, victim.topLevel)
 		valid := true
 		for l := 0; l < victim.topLevel; l++ {
 			if (preds[l] != t.head && preds[l].dead.Read(t.src)) ||
@@ -315,16 +269,16 @@ func (t *VcasList) Delete(th *core.Thread, key uint64) bool {
 		}
 		if valid {
 			for l := victim.topLevel - 1; l >= 1; l-- {
-				preds[l].upper[l-1].Store(victim.nextAt(l))
+				preds[l].upper.at(l - 1).Store(victim.nextAt(l))
 			}
 			preds[0].next0.WriteIn(t.src, t.vp, th.ID, victim.next0.Read(t.src))
 			t.truncate(th, preds[0])
-			unlock()
-			victim.mu.Unlock()
-			t.noteRetries(th, retries)
+			unlockPreds(&locked, nl)
+			victim.Unlock()
+			noteRetries(t.tr, th, retries)
 			return true
 		}
-		unlock()
+		unlockPreds(&locked, nl)
 		retries++
 		t.find(key, &preds, &succs)
 	}
