@@ -17,7 +17,7 @@ check: benchmark-smoke inline-check doc-check
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/... ./internal/citrus/... ./internal/bundle/... ./internal/skiplist/... ./internal/lazylist/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/... ./internal/citrus/... ./internal/bundle/... ./internal/skiplist/...
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
@@ -37,11 +37,11 @@ loc:
 # reports CALLEE inlined inside FUNC's body in FILE. (*Object).Read itself
 # holds the out-of-line labeling call (57 of the inliner's budget of 80)
 # and stays a call from search; its label check is what must not be one.
-# The skip lists' generic tower accessor must be inlined wherever a level
-# is walked (the vCAS list's per-level step is loadNext). deny FILE FUNC
+# The skip list's tower accessor must be inlined wherever its generic frame
+# walks a level (the one-level lazy list shares the frame). deny FILE FUNC
 # fails if escape analysis reports a closure or a local moved to the heap
-# inside FUNC: the skip lists' update paths hold their lock arrays on the
-# stack.
+# inside FUNC: the list's update paths hold their lock arrays on the stack,
+# and hand the technique node pointers only, never their addresses.
 inline-check:
 	@out="$$($(GO) build -gcflags=-m ./internal/vcas ./internal/lfbst ./internal/skiplist 2>&1)"; ok=0; \
 	report() { s=$$(grep -n "^func $$2[([]" $$1 | cut -d: -f1); \
@@ -57,26 +57,22 @@ inline-check:
 	need internal/lfbst/lfbst.go '(t \*Tree) search' '(*Tree).child'; \
 	need internal/lfbst/lfbst.go '(t \*Tree) search' '(*node).leaf'; \
 	need internal/lfbst/lfbst.go '(t \*Tree) collect' '(*node).leaf'; \
-	need internal/skiplist/skiplist.go '(t \*List) lookup' '(*tower['; \
-	need internal/skiplist/skiplist.go '(t \*List) find' '(*tower['; \
-	need internal/skiplist/skiplist.go '(t \*List) RangeQueryAt' '(*tower['; \
-	need internal/skiplist/ebr.go '(t \*EBRList) lookup' '(*tower['; \
-	need internal/skiplist/vcas.go '(t \*VcasList) loadNext' '(*tower['; \
-	deny internal/skiplist/skiplist.go lockPreds; \
-	for f in skiplist.go vcas.go ebr.go; do \
-		for fn in Insert Delete; do deny internal/skiplist/$$f "(t \*[A-Za-z]*List) $$fn"; done; done; \
+	for fn in lookup find RangeQueryAt; do \
+		need internal/skiplist/skiplist.go "(t \*list\[L, P\]) $$fn" '(*tower['; done; \
+	for fn in lockPreds "(t \*list\[L, P\]) Insert" "(t \*list\[L, P\]) Delete"; do \
+		deny internal/skiplist/skiplist.go "$$fn"; done; \
 	exit $$ok
 
 # doc-check keeps the documentation, CI and the verify skill from naming
-# what is not in the tree: a cmd/<dir>, a BENCH_*.json artifact, or a
-# subcommand `reproduce` does not dispatch (a `case "<word>":` in its
-# main.go). ISSUE/CHANGES/ROADMAP are history and plans, benchmark/ is
+# what is not in the tree: a cmd/<dir> or internal/<dir>, a BENCH_*.json
+# artifact, or a subcommand `reproduce` does not dispatch (a
+# `case "<word>":` in its main.go). ISSUE/CHANGES/ROADMAP are history and plans, benchmark/ is
 # frozen by BENCHMARK.json; neither is checked.
 DOCS = $(filter-out ./ISSUE.md ./CHANGES.md ./ROADMAP.md ./benchmark/%, \
 	$(shell find . -name '*.md' -not -path './.git/*')) .github/workflows/ci.yml
 doc-check:
 	@ok=0; miss() { echo "doc-check: $$1, named in:"; grep -lF -- "$$2" $(DOCS) | sed 's/^/  /'; ok=1; }; \
-	for d in $$(grep -ohE 'cmd/[a-z]+' $(DOCS) | sort -u); do \
+	for d in $$(grep -ohE '(cmd|internal)/[a-z]+' $(DOCS) | sort -u); do \
 		[ -d "$$d" ] || miss "$$d does not exist" "$$d"; done; \
 	for f in $$(grep -ohE 'BENCH_[A-Za-z*{},]+\.json' $(DOCS) | sort -u); do \
 		[ -e "$$f" ] || miss "$$f does not exist" "$$f"; done; \

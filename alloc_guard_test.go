@@ -178,50 +178,61 @@ func TestBSTVcasUpdateAllocCeiling(t *testing.T) {
 }
 
 // TestBundleSkipListUpdateAllocCeiling holds the GC-allocated update path
-// of the bundled skip list to what it records: an insert allocates the
-// node — tower, both bundle entries and labels inside it — plus the
-// overflow array of a tower taller than the node holds, and a delete its
-// one standalone entry. An unlock closure, a lock array moved to the heap,
-// a separate tower or a per-insert entry coming back fails this test.
+// of the bundled lists to what they record: an insert allocates the node —
+// tower, both bundle entries and labels inside it — plus the overflow
+// array of a tower taller than the node holds, and a delete its one
+// standalone entry. An unlock closure, a lock array moved to the heap, a
+// separate tower or a per-insert entry coming back fails this test; the
+// one-level (lazy) list, whose towers never overflow, allocates exactly one
+// object per update.
 func TestBundleSkipListUpdateAllocCeiling(t *testing.T) {
-	m, err := tscds.New(tscds.SkipList, tscds.Bundle, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := m.RegisterThread()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer th.Release()
-	for i := uint64(0); i < 2000; i++ {
-		m.Insert(th, i*7919%4000, i)
-	}
-	// AllocsPerRun reports a truncated mean, so inserts are measured one
-	// at a time: each at most two objects, and two only as often as towers
-	// outgrow the node (one in 32; the ceiling leaves room for one in 8).
-	const runs = 1000
-	key := uint64(10_000)
-	var ins float64
-	for i := 0; i < runs; i++ {
-		n := testing.AllocsPerRun(1, func() {
-			if !m.Insert(th, key, 1) {
-				t.Fatal("insert of a fresh key failed")
+	for _, c := range []struct {
+		s      tscds.Structure
+		insMax float64 // mean objects per insert
+	}{
+		// Two objects only as often as towers outgrow the node (one in 32;
+		// the ceiling leaves room for one in 8).
+		{tscds.SkipList, 1.25},
+		{tscds.LazyList, 1},
+	} {
+		m, err := tscds.New(c.s, tscds.Bundle, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := m.RegisterThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := uint64(0); i < 2000; i++ {
+			m.Insert(th, i*7919%4000, i)
+		}
+		// AllocsPerRun reports a truncated mean, so inserts are measured one
+		// at a time: each at most two objects.
+		const runs = 1000
+		key := uint64(10_000)
+		var ins float64
+		for i := 0; i < runs; i++ {
+			n := testing.AllocsPerRun(1, func() {
+				if !m.Insert(th, key, 1) {
+					t.Fatal("insert of a fresh key failed")
+				}
+				key++
+			})
+			if n > 2 {
+				t.Fatalf("%v: an insert allocated %.0f objects, want the node and at most its overflow array", c.s, n)
+			}
+			ins += n
+		}
+		key = 10_000
+		del := testing.AllocsPerRun(runs, func() {
+			if !m.Delete(th, key) {
+				t.Fatal("delete of a present key failed")
 			}
 			key++
 		})
-		if n > 2 {
-			t.Fatalf("an insert allocated %.0f objects, want the node and at most its overflow array", n)
+		if ins > c.insMax*runs || del > 1 {
+			t.Fatalf("%v/Bundle allocates %.2f objects per insert and %.2f per delete, want at most %.2f and 1", c.s, ins/runs, del, c.insMax)
 		}
-		ins += n
-	}
-	key = 10_000
-	del := testing.AllocsPerRun(runs, func() {
-		if !m.Delete(th, key) {
-			t.Fatal("delete of a present key failed")
-		}
-		key++
-	})
-	if ins > 1.25*runs || del > 1 {
-		t.Fatalf("skip list/Bundle allocates %.2f objects per insert and %.2f per delete, want at most 1.25 and 1", ins/runs, del)
+		th.Release()
 	}
 }

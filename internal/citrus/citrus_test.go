@@ -634,3 +634,68 @@ func TestEBRTwoChildrenDeleteNeverHidesItsVictim(t *testing.T) {
 		}
 	}
 }
+
+// Point reads follow the labels, not reachability. A node whose deletion is
+// labeled but not yet unlinked (retire, then publish) is gone for Contains
+// as for a range query bounded after the label. A node linked but not yet
+// labeled (publish's store, then its label) counts only once labeled: a
+// point read or a failing Insert helps the label in first. It must not
+// answer absent there either — the node may be a relocated successor's
+// copy, linked while the original still holds the key.
+func TestEBRPointReadsFollowLabels(t *testing.T) {
+	reg := core.NewRegistry(4)
+	tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b, c := reg.MustRegister(), reg.MustRegister(), reg.MustRegister()
+	tr.Insert(a, 5, 50)
+	tr.Insert(a, 7, 70)
+	five := tr.root.l.child[0].Load()
+	tr.p.provider.Label(&five.l.dtime) // retire's label, before the unlink
+	if tr.Contains(a, 5) {
+		t.Error("Contains(5) true for a node whose deletion is labeled")
+	}
+	if got := tr.RangeQuery(a, 0, 10, nil); len(got) != 1 || got[0].Key != 7 {
+		t.Errorf("range above the deletion label = %v, want only 7", got)
+	}
+
+	seven := tr.p.load(five, 1)
+	seven.l.itime.Init() // back between publish's store and its label
+	if tr.Insert(a, 7, 71) {
+		t.Fatal("Insert(7) succeeded beside a linked node holding 7")
+	}
+	if !seven.l.itime.Assigned() {
+		t.Fatal("Insert(7) failed against a node whose insertion it left unlabeled")
+	}
+	seven.l.itime.Init()
+	if v, ok := tr.Get(a, 7); !ok || v != 70 || !seven.l.itime.Assigned() {
+		t.Fatalf("Get(7) = (%d, %v) on an unlabeled node, labeled after: %v; want (70, true), true", v, ok, seven.l.itime.Assigned())
+	}
+
+	// Delete(3) relocates its successor 6: the copy replaces 3, the
+	// original stays below until a grace period, which c holds open.
+	tr, err = NewEBR(core.New(core.Logical), reg, ebrrq.LockBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []uint64{3, 2, 8, 6, 9} {
+		tr.Insert(a, k, k*10)
+	}
+	tr.rcu.ReadLock(c.ID)
+	done := make(chan bool)
+	go func() { done <- tr.Delete(b, 3) }()
+	copy6 := tr.root.l.child[0].Load()
+	for copy6.key != 6 || !copy6.l.itime.Assigned() {
+		runtime.Gosched()
+		copy6 = tr.root.l.child[0].Load()
+	}
+	copy6.l.itime.Init() // back between the copy's store and its label
+	if v, ok := tr.Get(a, 6); !ok || v != 60 {
+		t.Errorf("Get(6) = (%d, %v) while 6 is relocated, want (60, true)", v, ok)
+	}
+	tr.rcu.ReadUnlock(c.ID)
+	if !<-done {
+		t.Fatal("Delete(3) failed")
+	}
+}

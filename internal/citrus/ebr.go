@@ -77,6 +77,18 @@ func (p *ebrTechnique) load(n *node[elinks], dir int) *node[elinks] {
 	return n.l.child[dir].Load()
 }
 
+// present: the raw edges reach a node between publish's store and its
+// insertion label, and between retire's deletion label and the unlinking
+// publish. A point read helps the insertion label — the node may be a
+// relocated successor's copy, whose key never left — and answers absent on
+// a deletion label, as a range query bounded after it does. A node is
+// retired only under its parent's lock, which its inserter held until the
+// label was written, so a deletion label implies an insertion label.
+func (p *ebrTechnique) present(n *node[elinks]) (uint64, bool) {
+	p.provider.Label(&n.l.itime)
+	return n.val, n.l.dtime.Get() == core.Pending
+}
+
 // seed resets the labels too: stale ones in a recycled node would corrupt
 // snapshot visibility.
 func (p *ebrTechnique) seed(_ int, l *elinks, left, right *node[elinks]) {

@@ -30,6 +30,10 @@ type node[L any] struct {
 type technique[L any] interface {
 	// load follows n's dir edge as it is now.
 	load(n *node[L], dir int) *node[L]
+	// present reports whether the key of n, reached by a search, is in the
+	// tree now, and n's value. An insert that finds n fails if so and
+	// retries if not (n's delete has linearized, its unlink is imminent).
+	present(n *node[L]) (uint64, bool)
 	// seed points the edges of a fresh, unpublished node at left and
 	// right and resets the rest of l (the node may be recycled memory).
 	seed(tid int, l *L, left, right *node[L])
@@ -63,13 +67,15 @@ type technique[L any] interface {
 
 // inEdges is embedded by the techniques whose snapshots live in the edges
 // (vCAS, Bundle): an unlinked node stays reachable through the history of
-// the edge that pointed at it, so there is nothing to retire, pin or drain.
+// the edge that pointed at it, so there is nothing to retire, pin or drain,
+// and a node the raw edges reach is present.
 type inEdges[L any] struct{}
 
-func (inEdges[L]) retire(*core.Thread, *node[L]) {}
-func (inEdges[L]) enter(int)                     {}
-func (inEdges[L]) exit(int)                      {}
-func (inEdges[L]) drain()                        {}
+func (inEdges[L]) present(n *node[L]) (uint64, bool) { return n.val, true }
+func (inEdges[L]) retire(*core.Thread, *node[L])     {}
+func (inEdges[L]) enter(int)                         {}
+func (inEdges[L]) exit(int)                          {}
+func (inEdges[L]) drain()                            {}
 
 // collectAt is the in-order walk of [lo, hi] under n for the techniques
 // whose edges keep history; at follows an edge as of the query's bound. It
@@ -143,16 +149,23 @@ func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right *node[L]) *no
 	return n
 }
 
-// traverse returns the node holding key (nil if absent), its parent, and
-// the parent's tag, read inside the same RCU read-side section.
-func (t *tree[L, P]) traverse(tid int, key uint64) (prev, curr *node[L], tag uint32) {
-	t.rcu.ReadLock(tid)
+// search returns the node holding key (nil if absent) and its parent; the
+// caller is inside an RCU read-side section.
+func (t *tree[L, P]) search(key uint64) (prev, curr *node[L]) {
 	prev = t.root
 	curr = t.p.load(prev, dirOf(key, prev.key))
 	for curr != nil && curr.key != key {
 		prev = curr
 		curr = t.p.load(curr, dirOf(key, curr.key))
 	}
+	return prev, curr
+}
+
+// traverse is search in a read-side section of its own, returning also the
+// parent's tag read inside it.
+func (t *tree[L, P]) traverse(tid int, key uint64) (prev, curr *node[L], tag uint32) {
+	t.rcu.ReadLock(tid)
+	prev, curr = t.search(key)
 	tag = prev.tag.Load()
 	t.rcu.ReadUnlock(tid)
 	return prev, curr, tag
@@ -164,15 +177,21 @@ func (t *tree[L, P]) Contains(th *core.Thread, key uint64) bool {
 	return ok
 }
 
-// Get returns the value stored at key.
+// Get returns the value stored at key. present runs inside the search's
+// read-side section: a relocating delete labels the original successor's
+// deletion only after a grace period, so a search that reached it through
+// the old path reads its labels before that.
 func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
 	t.p.enter(th.ID)
-	_, curr, _ := t.traverse(th.ID, key)
-	t.p.exit(th.ID)
-	if curr == nil {
-		return 0, false
+	t.rcu.ReadLock(th.ID)
+	var val uint64
+	ok := false
+	if _, curr := t.search(key); curr != nil {
+		val, ok = t.p.present(curr)
 	}
-	return curr.val, true
+	t.rcu.ReadUnlock(th.ID)
+	t.p.exit(th.ID)
+	return val, ok
 }
 
 // validateLink re-checks, under prev's lock, that the traversal result
@@ -198,7 +217,11 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	for {
 		prev, curr, tag := t.traverse(th.ID, key)
 		if curr != nil {
-			break
+			if _, ok := t.p.present(curr); ok {
+				break
+			}
+			retries++
+			continue
 		}
 		dir := dirOf(key, prev.key)
 		prev.mu.Lock()

@@ -1,10 +1,6 @@
 package skiplist
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/epoch"
@@ -12,348 +8,114 @@ import (
 	"tscds/internal/pool"
 )
 
-// This file implements the skip list + EBR-RQ combination the paper
-// built but omitted (no TSC gains observed; see vcas.go for the quote).
-// Nodes carry insertion/deletion labels assigned through the EBR-RQ
-// provider; deleted nodes are retired to the epoch manager's limbo lists
-// before being unlinked so range queries never lose them.
-
-type eskipNode struct {
-	key, val uint64
-	sync.Mutex
-	topLevel     int
+// elinks is the EBR-RQ node's part: insertion and deletion labels assigned
+// through the EBR-RQ provider. The level-0 link is the tower's, plain.
+type elinks struct {
 	itime, dtime ebrrq.Label
-	linked       atomic.Bool
-	next         tower[eskipNode]
-}
-
-func newEskipNode(key, val uint64, topLevel int) *eskipNode {
-	n := &eskipNode{key: key, val: val, topLevel: topLevel}
-	n.itime.Init()
-	n.dtime.Init()
-	n.next.reset(topLevel)
-	return n
+	val          uint64
 }
 
 // EBRList is the skip list with EBR-RQ range queries.
-type EBRList struct {
-	src      core.Source
+type EBRList = list[elinks, *ebrTechnique]
+
+// ebrTechnique is EBR-RQ (Arbel-Raviv & Brown) as this list's labels. The
+// links keep no history, so a deleted node is retired to limbo before it is
+// unlinked: a range query finds it in the list or in limbo.
+type ebrTechnique struct {
 	provider *ebrrq.Provider
-	reg      *core.Registry
-	em       *epoch.Manager[*eskipNode]
+	em       *epoch.Manager[*node[elinks]]
 	tr       *trace.Recorder
-	np       *pool.Pool[eskipNode] // nil in GC mode
-	rd       *core.Reader
-	head     *eskipNode
-	rngs     []core.PaddedUint64
 }
 
 // NewEBR creates an empty EBR-RQ skip list; the LockFree variant
 // requires an addressable (logical) source.
 func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRList, error) {
-	var provider *ebrrq.Provider
+	provider := ebrrq.NewLockBased(src)
 	if variant == ebrrq.LockFree {
-		p, err := ebrrq.NewLockFree(src)
-		if err != nil {
+		var err error
+		if provider, err = ebrrq.NewLockFree(src); err != nil {
 			return nil, err
 		}
-		provider = p
-	} else {
-		provider = ebrrq.NewLockBased(src)
 	}
-	head := newEskipNode(0, 0, maxLevel)
-	head.linked.Store(true)
-	t := &EBRList{
-		src:      src,
-		provider: provider,
-		reg:      reg,
-		head:     head,
-		rngs:     make([]core.PaddedUint64, reg.Cap()),
-	}
-	t.em = epoch.NewManager[*eskipNode](reg,
-		func(n *eskipNode, min core.TS) bool { return n.dtime.Get() >= min })
-	t.rd = core.NewReader(src, core.QueryAdvancesLocked(provider), t)
-	return t, nil
+	p := &ebrTechnique{provider: provider}
+	p.em = epoch.NewManager[*node[elinks]](reg,
+		func(n *node[elinks], min core.TS) bool { return n.l.dtime.Get() >= min })
+	return newList(src, reg, p, maxLevel, core.QueryAdvancesLocked(provider)), nil
 }
 
-// Source returns the list's timestamp source.
-func (t *EBRList) Source() core.Source { return t.src }
-
-// Reader returns the list's snapshot-read protocol.
-func (t *EBRList) Reader() *core.Reader { return t.rd }
-
-// SetHooks wires the list's sinks: limbo-list counters, the flight
-// recorder — through the list, its labeling provider (lock-wait and label
-// spans) and its epoch manager (pin/advance stalls) — and the allocation
-// mode. This being an EBR structure, where every traversal is pinned and
-// the epoch prune margin therefore proves unreachability, pooling closes
-// the loop: pruned limbo nodes are recycled into the pool's free lists
-// instead of dropped for the GC. The retention watermark is not used:
-// limbo holds deleted nodes, not history. Call before the list sees
-// traffic.
-func (t *EBRList) SetHooks(h core.Hooks) {
-	t.tr = h.Trace
-	t.rd.SetHooks(h)
-	t.provider.SetTrace(h.Trace)
-	t.em.SetTrace(h.Trace)
-	t.em.SetGC(h.GC)
-	t.np = pool.New[eskipNode](t.reg.Cap(), h.Alloc, h.PoolStats)
-	if t.np != nil {
-		t.em.SetRecycle(func(n *eskipNode, tid int) { t.np.Put(tid, n) })
-	}
-}
-
-// newNode acquires and fully re-initializes a node. Recycled memory
-// carries stale state, and two resets are load-bearing: linked=false
-// (Delete refuses to label a node whose insert has not fully linked —
-// a recycled true would let a deleter label dtime before itime) and
-// the label Inits (stale labels would make the node spuriously visible
-// or invisible to snapshots). A pooled node owns the tower's overflow
-// array whatever its height, so a short node recycled into a tall one
-// allocates nothing.
-func (t *EBRList) newNode(tid int, key, val uint64, topLevel int) *eskipNode {
-	if t.np == nil {
-		return newEskipNode(key, val, topLevel)
-	}
-	n := t.np.Get(tid)
-	n.key, n.val = key, val
-	n.topLevel = topLevel
-	n.itime.Init()
-	n.dtime.Init()
-	n.linked.Store(false)
-	n.next.reset(maxLevel)
-	return n
-}
-
-// LimboLen reports retained limbo nodes (tests).
-func (t *EBRList) LimboLen() int { return t.em.LimboLen() }
-
-// Drain eagerly advances the epoch and prunes every limbo list.
-// Quiescent use only, like Len.
-func (t *EBRList) Drain() { t.em.DrainAll() }
-
-func (t *EBRList) find(key uint64, preds, succs *[maxLevel]*eskipNode) int {
-	lFound := -1
-	pred := t.head
-	for l := maxLevel - 1; l >= 0; l-- {
-		cur := pred.next.at(l).Load()
-		for cur != nil && cur.key < key {
-			pred = cur
-			cur = cur.next.at(l).Load()
-		}
-		if lFound == -1 && cur != nil && cur.key == key {
-			lFound = l
-		}
-		preds[l] = pred
-		succs[l] = cur
-	}
-	return lFound
-}
-
-// lookup returns the node holding key, labeled or not, or nil; it stops at
-// the level it meets the key on. The caller is pinned.
-func (t *EBRList) lookup(key uint64) *eskipNode {
-	pred := t.head
-	for l := maxLevel - 1; l >= 0; l-- {
-		cur := pred.next.at(l).Load()
-		for cur != nil && cur.key < key {
-			pred = cur
-			cur = cur.next.at(l).Load()
-		}
-		if cur != nil && cur.key == key {
-			return cur
-		}
-	}
-	return nil
-}
-
-// Contains reports whether key is present (insert linearized, delete
-// not).
-func (t *EBRList) Contains(th *core.Thread, key uint64) bool {
-	_, ok := t.Get(th, key)
-	return ok
-}
-
-// Get returns the value stored at key.
-func (t *EBRList) Get(th *core.Thread, key uint64) (uint64, bool) {
-	t.em.Pin(th.ID)
-	defer t.em.Unpin(th.ID)
-	if n := t.lookup(key); n != nil && n.itime.Get() != core.Pending && n.dtime.Get() == core.Pending {
-		return n.val, true
-	}
-	return 0, false
-}
-
-func eAlive(n *eskipNode) bool { return n.dtime.Get() == core.Pending }
-
-// Insert adds key with val; it returns false if already present.
-func (t *EBRList) Insert(th *core.Thread, key, val uint64) bool {
-	if key > MaxKey || key == 0 {
+// setHooks wires limbo-list counters and the flight recorder (through the
+// provider and the epoch manager). Every traversal is pinned, so the prune
+// margin proves unreachability and pruned limbo nodes are recycled into the
+// node pool. Limbo holds deleted nodes, not history: no retention watermark.
+func (p *ebrTechnique) setHooks(h core.Hooks, _ *core.Registry, np *pool.Pool[node[elinks]]) bool {
+	p.tr = h.Trace
+	p.provider.SetTrace(h.Trace)
+	p.em.SetTrace(h.Trace)
+	p.em.SetGC(h.GC)
+	if np == nil {
 		return false
 	}
-	t.em.Pin(th.ID)
-	defer t.em.Unpin(th.ID)
-	topLevel := randLevel(t.rngs, th.ID)
-	var preds, succs [maxLevel]*eskipNode
-	var retries uint64
-	for {
-		if lFound := t.find(key, &preds, &succs); lFound != -1 {
-			f := succs[lFound]
-			if !eAlive(f) {
-				retries++
-				continue // deleted; unlink imminent
-			}
-			// Help its insert linearize before failing against it.
-			t.provider.Label(&f.itime)
-			noteRetries(t.tr, th, retries)
-			return false
-		}
-		var locked [maxLevel]*eskipNode
-		nl := lockPreds(&preds, &locked, topLevel)
-		valid := true
-		for l := 0; l < topLevel; l++ {
-			succ := succs[l]
-			if (preds[l] != t.head && !eAlive(preds[l])) ||
-				preds[l].next.at(l).Load() != succ ||
-				(succ != nil && !eAlive(succ)) {
-				valid = false
-				break
-			}
-		}
-		if !valid {
-			unlockPreds(&locked, nl)
-			retries++
-			continue
-		}
-		mark := t.tr.Now()
-		n := t.newNode(th.ID, key, val, topLevel)
-		t.tr.Span(th.ID, trace.PhaseAlloc, mark)
-		for l := 0; l < topLevel; l++ {
-			n.next.at(l).Store(succs[l])
-		}
-		preds[0].next.at(0).Store(n)
-		t.provider.Label(&n.itime) // linearization
-		for l := 1; l < topLevel; l++ {
-			preds[l].next.at(l).Store(n)
-		}
-		n.linked.Store(true)
-		unlockPreds(&locked, nl)
-		noteRetries(t.tr, th, retries)
-		return true
-	}
+	p.em.SetRecycle(func(n *node[elinks], tid int) { np.Put(tid, n) })
+	return true
 }
 
-// Delete removes key; it returns false if absent.
-func (t *EBRList) Delete(th *core.Thread, key uint64) bool {
-	t.em.Pin(th.ID)
-	defer t.em.Unpin(th.ID)
-	var preds, succs [maxLevel]*eskipNode
-	var victim *eskipNode
-	for {
-		lFound := t.find(key, &preds, &succs)
-		if lFound == -1 {
-			return false
-		}
-		victim = succs[lFound]
-		// As in List.Delete: wait out an insert still linking its tower,
-		// search again when the node was found below its top.
-		for !victim.linked.Load() {
-			runtime.Gosched()
-		}
-		if victim.topLevel == lFound+1 {
-			break
-		}
-		runtime.Gosched()
-	}
-	victim.Lock()
-	if !eAlive(victim) {
-		victim.Unlock()
-		return false
-	}
-	// Scannable before unreachable, then linearize.
-	t.em.Retire(th.ID, victim)
-	t.provider.Label(&victim.dtime)
-	var retries uint64
-	for {
-		var locked [maxLevel]*eskipNode
-		nl := lockPreds(&preds, &locked, victim.topLevel)
-		valid := true
-		for l := 0; l < victim.topLevel; l++ {
-			if (preds[l] != t.head && !eAlive(preds[l])) ||
-				preds[l].next.at(l).Load() != victim {
-				valid = false
-				break
-			}
-		}
-		if valid {
-			for l := victim.topLevel - 1; l >= 0; l-- {
-				preds[l].next.at(l).Store(victim.next.at(l).Load())
-			}
-			unlockPreds(&locked, nl)
-			victim.Unlock()
-			noteRetries(t.tr, th, retries)
-			return true
-		}
-		unlockPreds(&locked, nl)
-		retries++
-		t.find(key, &preds, &succs)
-	}
+func (p *ebrTechnique) enter(tid int) { p.em.Pin(tid) }
+func (p *ebrTechnique) exit(tid int)  { p.em.Unpin(tid) }
+func (p *ebrTechnique) drain()        { p.em.DrainAll() }
+
+func (p *ebrTechnique) load(n *node[elinks]) *node[elinks] { return n.next.at(0).Load() }
+
+func (p *ebrTechnique) alive(n *node[elinks]) bool { return n.l.dtime.Get() == core.Pending }
+
+// present helps a pending insertion label in and answers absent on an
+// assigned deletion label, as a range query bounded after it does. A
+// delete waits for fullyLinked, which follows the insertion label, so a
+// deletion label implies one.
+func (p *ebrTechnique) present(n *node[elinks]) (uint64, bool) {
+	p.provider.Label(&n.l.itime)
+	return n.l.val, p.alive(n)
 }
 
-// RangeQuery appends every pair in [lo,hi] as of one linearizable
-// snapshot: live-list nodes passing the visibility predicate plus limbo
-// nodes deleted after the bound.
-func (t *EBRList) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
-	return t.rd.Live(th, lo, hi, out)
+// seed resets the labels too: stale ones in a recycled node would make it
+// spuriously visible or invisible to snapshots.
+func (p *ebrTechnique) seed(_ int, n *node[elinks], val uint64, succ *node[elinks]) {
+	n.l.val = val
+	n.next.at(0).Store(succ)
+	n.l.itime.Init()
+	n.l.dtime.Init()
 }
 
-// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
-// reservation and took s under the provider's RQLock (DESIGN.md,
-// "Snapshot reads").
-func (t *EBRList) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
-	if lo == 0 {
-		lo = 1
-	}
-	if hi > MaxKey {
-		hi = MaxKey
-	}
-	t.em.Pin(th.ID)
-	tr := t.tr
-	th.AnnounceRQ(s)
+// link stores, then labels: (read timestamp, write label) is atomic under
+// the provider, the insert's linearization.
+func (p *ebrTechnique) link(_ *core.Thread, pred, n *node[elinks]) {
+	pred.next.at(0).Store(n)
+	p.provider.Label(&n.l.itime)
+}
 
+// claim makes the victim scannable before it is unreachable, then
+// linearizes the delete.
+func (p *ebrTechnique) claim(th *core.Thread, victim *node[elinks]) {
+	p.em.Retire(th.ID, victim)
+	p.provider.Label(&victim.l.dtime)
+}
+
+func (p *ebrTechnique) unlink(_ *core.Thread, pred, victim *node[elinks]) {
+	pred.next.at(0).Store(victim.next.at(0).Load())
+}
+
+// collect offers the live level 0 from pred, then the limbo lists, to one
+// ebrrq.Collector: nodes inserted at or before the bound and not deleted
+// at or before it.
+func (p *ebrTechnique) collect(th *core.Thread, _, pred *node[elinks], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV {
 	c := ebrrq.NewCollector(out, lo, hi, s)
-	// Current-state walk: position via the index, then sweep level 0.
-	mark := tr.Now()
-	pred := t.head
-	for l := maxLevel - 1; l >= 1; l-- {
-		cur := pred.next.at(l).Load()
-		for cur != nil && cur.key < lo {
-			pred = cur
-			cur = cur.next.at(l).Load()
-		}
-	}
 	for cur := pred.next.at(0).Load(); cur != nil && cur.key <= hi; cur = cur.next.at(0).Load() {
-		c.Add(cur.key, cur.val, &cur.itime, &cur.dtime)
+		c.Add(cur.key, cur.l.val, &cur.l.itime, &cur.l.dtime)
 	}
-	tr.Span(th.ID, trace.PhaseTraverse, mark)
-	mark = tr.Now()
-	t.em.WalkLimbo(func(n *eskipNode) bool {
-		return c.AddLimbo(n.key, n.val, &n.itime, &n.dtime)
+	p.tr.Span(th.ID, trace.PhaseTraverse, mark)
+	mark = p.tr.Now()
+	p.em.WalkLimbo(func(n *node[elinks]) bool {
+		return c.AddLimbo(n.key, n.l.val, &n.l.itime, &n.l.dtime)
 	})
-	tr.Span(th.ID, trace.PhaseLimboScan, mark)
-
-	t.em.Unpin(th.ID)
-	th.DoneRQ()
+	p.tr.Span(th.ID, trace.PhaseLimboScan, mark)
 	return c.Finish()
-}
-
-// Len counts present keys; quiescent use only.
-func (t *EBRList) Len() int {
-	n := 0
-	for cur := t.head.next.at(0).Load(); cur != nil; cur = cur.next.at(0).Load() {
-		if eAlive(cur) {
-			n++
-		}
-	}
-	return n
 }

@@ -1,35 +1,16 @@
-// Package skiplist is a lock-based lazy skip list (Herlihy, Lev, Luchangco,
-// Shavit, "A simple optimistic skiplist algorithm", SIROCCO 2007)
-// augmented with bundled references on the bottom-level links — the
-// combination of the paper's Figure 5, where TSC helps only update-heavy
-// mixes because the skip list's own traversal, not the timestamp,
-// bounds read-heavy throughput.
+// Package skiplist is the lock-based lazy skip list of Herlihy, Lev,
+// Luchangco and Shavit (SIROCCO 2007) with linearizable range queries and,
+// as its one-level instance, the lazy list of Heller et al. (OPODIS 2005):
+// the paper's Figure 5 and the combinations it built but omitted because
+// TSC showed no gain (§III; the lazy list's O(n) walk hides the timestamp).
 //
-// Layout. A node is one allocation, ordered by who reads it. First what a
-// search reads: the key, the tower — its low levels inline, a pointer to the
-// overflow array of the few nodes taller than inlineLevels — the deletion
-// label, and in, the bundle entry the node's insert pushed on its
-// predecessor's bundle, whose label is the node's insertion label. That
-// entry leads to this node, so a snapshot walk that follows it is already
-// on the memory it reads next: the value, the node's own bundle and its
-// first entry out, then the lock and flags of an update. A delete records
-// no fresh node and allocates its entry (DESIGN §7).
-//
-// Linearization protocol. A node's insertion timestamp is the label of its
-// in entry; beside it the node carries a deletion timestamp:
-//
-//	in.ts: Pending -> t     (assigned by the inserting op)
-//	dts:   0 -> Pending -> t  (0 = alive, Pending = delete claimed,
-//	                           t = delete linearized)
-//
-// An insert finalizes in with the timestamp it read before linking the
-// node, then out with the same one; a delete stores dts before it finalizes
-// its entry. Elemental reads treat a Pending label as "the update has not
-// linearized yet". The label a range query finds on the edge to a node is
-// the label a contains finds on the node — one word — so the two are
-// mutually linearizable: once a range query can observe an update through a
-// finalized bundle entry, every later contains observes it too, and vice
-// versa.
+// The algorithm is written once, in this file, over a technique (bundle.go,
+// vcas.go, ebr.go): what the range-query augmentations differ in — the
+// level-0 link, the per-node labels, how an update stamps them and how a
+// snapshot walks them. The upper levels are plain pointers that only
+// position a search; no technique sees them. New, NewVcas and NewEBR build
+// skip lists of maxLevel levels, NewLazyBundle and NewLazyVcas one-level
+// lists.
 package skiplist
 
 import (
@@ -37,9 +18,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"tscds/internal/bundle"
 	"tscds/internal/core"
-	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
 	"tscds/internal/pool"
 )
@@ -53,12 +32,13 @@ const maxLevel = 20
 // for 3 to 6.
 const inlineLevels = 5
 
-// MaxKey is the largest insertable key.
+// MaxKey is the largest insertable key; 0 is the head sentinel's slot.
 const MaxKey = ^uint64(0) - 2
 
 // tower is a node's links, one per level it occupies: the low
 // inlineLevels in the node itself, the rest in an overflow array that only
-// a taller node owns. All three lists' nodes hold one.
+// a taller node owns. Level 0 is the technique's (the vCAS list keeps its
+// own and leaves this one nil).
 type tower[T any] struct {
 	low  [inlineLevels]atomic.Pointer[T]
 	more *[maxLevel - inlineLevels]atomic.Pointer[T]
@@ -87,124 +67,136 @@ func (t *tower[T]) reset(top int) {
 	}
 }
 
-type node struct {
+// node is a list node: the key and the tower, all an upper-level search
+// reads; l, the technique's part (value, labels, a level-0 link kept apart),
+// laid out by the technique; the lock and the flags of an update.
+type node[L any] struct {
 	key  uint64
-	next tower[node]
-	dts  atomic.Uint64
-	in   bundle.Entry[node] // on the predecessor's bundle; its label is the insertion timestamp
-
-	val uint64
-	bnd bundle.Bundle[node]
-	out bundle.Entry[node] // first entry of bnd
+	next tower[node[L]]
+	l    L
 	sync.Mutex
 	fullyLinked atomic.Bool
-	topLevel    int32 // number of levels this node occupies (1..maxLevel)
+	topLevel    int32 // number of levels this node occupies (1..levels)
 }
 
-func newNode(key, val uint64, topLevel int) *node {
-	n := &node{key: key, val: val, topLevel: int32(topLevel)}
-	n.next.reset(topLevel)
-	return n
+// technique is what Bundling, vCAS and EBR-RQ differ in on this list;
+// the search, the validations, the locking, the upper levels and the
+// range-query frame are the list's (DESIGN.md "What a technique is to a
+// structure"). A method called through the type parameter is a dictionary
+// call, never inlined: a search makes one per level-0 hop and none above.
+type technique[L any] interface {
+	// load follows n's level-0 link as it is now.
+	load(n *node[L]) *node[L]
+	// alive reports whether n may be linked to or unlinked from: neither
+	// deleted nor claimed by a deleter.
+	alive(n *node[L]) bool
+	// present reports whether n's insert has linearized and its delete has
+	// not — membership in the newest snapshot — and n's value. An insert
+	// that finds n fails if so and retries if not (n's insert is still
+	// being labeled, or its delete has linearized and the unlink is near).
+	present(n *node[L]) (uint64, bool)
+	// seed resets the technique's part of a fresh, unpublished node — it
+	// may be recycled memory — to val and a level-0 link to succ.
+	seed(tid int, n *node[L], val uint64, succ *node[L])
+	// link makes n, seeded with a link to pred's level-0 successor, pred's
+	// successor instead, under pred's lock: the one place an insert
+	// publishes at level 0 and takes its timestamp (DESIGN §6's rule is met
+	// here or nowhere).
+	link(th *core.Thread, pred, n *node[L])
+	// claim takes the locked, alive victim over for its delete; unlink
+	// removes it from level 0 after pred, whose lock the caller holds,
+	// when its upper levels are gone. Between them they take the delete's
+	// timestamp.
+	claim(th *core.Thread, victim *node[L])
+	unlink(th *core.Thread, pred, victim *node[L])
+	// enter and exit bracket every operation that dereferences nodes.
+	enter(tid int)
+	exit(tid int)
+	// collect appends the pairs of [lo, hi] visible at bound s to out in
+	// key order, starting after pred, a node below lo reached through the
+	// raw index (head if none). mark is when the query began.
+	collect(th *core.Thread, head, pred *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
+	// setHooks wires the technique's sinks and pools; np is the list's
+	// node pool (nil in GC mode). It reports whether the technique hands
+	// retired nodes back to np.
+	setHooks(h core.Hooks, reg *core.Registry, np *pool.Pool[node[L]]) bool
+	// drain prunes what deletes hold back; quiescent use only.
+	drain()
 }
 
-// alive reports whether the node counts as logically present for link
-// validation (not deleted nor claimed by a deleter).
-func alive(n *node) bool { return n.dts.Load() == 0 }
+// inEdges is embedded by the techniques whose snapshots live in the
+// level-0 links (vCAS, Bundle): an unlinked node stays reachable through
+// the link's history, so there is nothing to pin or drain.
+type inEdges struct{}
 
-// present reports whether the node's insert has linearized and its delete
-// has not — membership in the newest snapshot: a pending insertion label is
-// not yet in, a claimed but unassigned deletion label still is.
-func present(n *node) bool { return visibleAt(n, core.MaxTS) }
+func (inEdges) enter(int) {}
+func (inEdges) exit(int)  {}
+func (inEdges) drain()    {}
 
-// List is the bundled skip list.
-type List struct {
-	src  core.Source
-	reg  *core.Registry
-	gc   *obs.GC
-	tr   *trace.Recorder
-	np   *pool.Pool[node]
-	ep   *pool.Pool[bundle.Entry[node]]
-	rb   *core.ReadBound
-	rd   *core.Reader
-	head *node
-	rngs []core.PaddedUint64 // per-thread xorshift state for level draws
+// list is the lazy skip list over one technique, levels high.
+type list[L any, P technique[L]] struct {
+	reg    *core.Registry
+	tr     *trace.Recorder
+	np     *pool.Pool[node[L]] // nil in GC mode
+	rd     *core.Reader
+	p      P
+	head   *node[L]
+	levels int                 // maxLevel, or 1 for the lazy list
+	keep   int                 // height a pooled tower is reset to at least
+	rngs   []core.PaddedUint64 // per-thread xorshift state for level draws
 }
 
-// New creates an empty list over the given source and registry.
-func New(src core.Source, reg *core.Registry) *List {
-	head := newNode(0, 0, maxLevel)
-	head.fullyLinked.Store(true)
-	head.bnd.InitPendingWith(&head.out, nil)
-	head.bnd.Finalize(&head.out, 0)
-	t := &List{
-		src:  src,
-		reg:  reg,
-		head: head,
-		rngs: make([]core.PaddedUint64, reg.Cap()),
-	}
-	t.rd = core.NewReader(src, core.QueryReads, t)
+func newList[L any, P technique[L]](src core.Source, reg *core.Registry, p P, levels int, rule core.Bound) *list[L, P] {
+	t := &list[L, P]{reg: reg, p: p, levels: levels, rngs: make([]core.PaddedUint64, reg.Cap())}
+	t.head = t.newNode(-1, 0, 0, levels, nil)
+	t.head.fullyLinked.Store(true)
+	t.rd = core.NewReader(src, rule, t)
 	return t
 }
 
-// Source returns the list's timestamp source.
-func (t *List) Source() core.Source { return t.src }
-
 // Reader returns the list's snapshot-read protocol.
-func (t *List) Reader() *core.Reader { return t.rd }
+func (t *list[L, P]) Reader() *core.Reader { return t.rd }
 
-// SetHooks wires the list's sinks: GC counters, the flight recorder, the
-// retention watermark entry truncation respects, and the allocation mode
-// of nodes and of the deletes' bundle entries. The bundled list has no
-// reclamation scheme for nodes: an unlinked node stays reachable to
-// in-flight readers through the history of the edge that led to it, until
-// truncation detaches that entry — truncation clears the links of what it
-// detaches, embedded entries included, and touches nothing else of a node —
-// and is then dropped to the GC. So pooling here is allocation-side only:
-// arena chunking and sync.Pool batching, never recycling of published
-// memory. Call before the list sees concurrent traffic.
-func (t *List) SetHooks(h core.Hooks) {
-	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
+// SetHooks wires the list's sinks — the flight recorder and the allocation
+// mode of nodes — and the technique's. Where the technique recycles nodes
+// (EBR-RQ) a pooled node keeps a full tower, so a short node recycled into
+// a tall one allocates nothing. Call before the list sees traffic.
+func (t *list[L, P]) SetHooks(h core.Hooks) {
+	t.tr = h.Trace
 	t.rd.SetHooks(h)
-	t.np = pool.New[node](t.reg.Cap(), h.Alloc, h.PoolStats)
-	t.ep = pool.New[bundle.Entry[node]](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.np = pool.New[node[L]](t.reg.Cap(), h.Alloc, h.PoolStats)
+	if t.p.setHooks(h, t.reg, t.np) {
+		t.keep = maxLevel
+	}
 }
 
-// newNodeIn is newNode drawing from the node pool when one is configured.
-// Nodes are never Put back (no reclamation), so pooled memory is always
-// fresh from an arena chunk or the allocator; the reset — tower, labels,
-// both embedded entries, the overflow array kept or dropped — mirrors
-// newNode regardless, keeping the constructor correct if recycling is ever
-// added.
-func (t *List) newNodeIn(tid int, key, val uint64, topLevel int) *node {
-	if t.np == nil {
-		return newNode(key, val, topLevel)
-	}
+// Drain eagerly prunes what deletes hold back for range queries (EBR-RQ's
+// limbo lists). Quiescent use only, like Len.
+func (t *list[L, P]) Drain() { t.p.drain() }
+
+// newNode acquires a node and re-initializes all of it. fullyLinked=false
+// is load-bearing on recycled memory: Delete refuses to claim a node whose
+// insert has not linked it at every level.
+func (t *list[L, P]) newNode(tid int, key, val uint64, top int, succ *node[L]) *node[L] {
 	n := t.np.Get(tid)
-	*n = node{key: key, val: val, topLevel: int32(topLevel), next: tower[node]{more: n.next.more}}
-	n.next.reset(topLevel)
+	*n = node[L]{key: key, topLevel: int32(top), next: tower[node[L]]{more: n.next.more}}
+	n.next.reset(max(top, t.keep))
+	t.p.seed(tid, n, val, succ)
 	return n
 }
 
-// noteRetries reports an update's validation-failure retries.
-func noteRetries(tr *trace.Recorder, th *core.Thread, retries uint64) {
-	if tr == nil || retries == 0 {
-		return
-	}
-	tr.Count(th.ID, trace.PhaseRetry, retries)
-}
-
 // randLevel draws a tower height from tid's xorshift state.
-func randLevel(rngs []core.PaddedUint64, tid int) int {
-	x := rngs[tid].Load()
+func (t *list[L, P]) randLevel(tid int) int {
+	x := t.rngs[tid].Load()
 	if x == 0 {
 		x = uint64(tid)*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
 	}
 	x ^= x << 13
 	x ^= x >> 7
 	x ^= x << 17
-	rngs[tid].Store(x)
+	t.rngs[tid].Store(x)
 	lvl := 1
-	for x&1 == 1 && lvl < maxLevel {
+	for x&1 == 1 && lvl < t.levels {
 		lvl++
 		x >>= 1
 	}
@@ -213,10 +205,10 @@ func randLevel(rngs []core.PaddedUint64, tid int) int {
 
 // find fills preds/succs per level and returns the highest level at
 // which key was found (-1 if absent). Head is below every key.
-func (t *List) find(key uint64, preds, succs *[maxLevel]*node) int {
+func (t *list[L, P]) find(key uint64, preds, succs *[maxLevel]*node[L]) int {
 	lFound := -1
 	pred := t.head
-	for l := maxLevel - 1; l >= 0; l-- {
+	for l := t.levels - 1; l >= 1; l-- {
 		cur := pred.next.at(l).Load()
 		for cur != nil && cur.key < key {
 			pred = cur
@@ -225,17 +217,25 @@ func (t *List) find(key uint64, preds, succs *[maxLevel]*node) int {
 		if lFound == -1 && cur != nil && cur.key == key {
 			lFound = l
 		}
-		preds[l] = pred
-		succs[l] = cur
+		preds[l], succs[l] = pred, cur
 	}
+	cur := t.p.load(pred)
+	for cur != nil && cur.key < key {
+		pred = cur
+		cur = t.p.load(cur)
+	}
+	if lFound == -1 && cur != nil && cur.key == key {
+		lFound = 0
+	}
+	preds[0], succs[0] = pred, cur
 	return lFound
 }
 
 // lookup returns the node holding key, linearized or not, or nil. Unlike
 // find it stops at the level it meets the key on.
-func (t *List) lookup(key uint64) *node {
+func (t *list[L, P]) lookup(key uint64) *node[L] {
 	pred := t.head
-	for l := maxLevel - 1; l >= 0; l-- {
+	for l := t.levels - 1; l >= 1; l-- {
 		cur := pred.next.at(l).Load()
 		for cur != nil && cur.key < key {
 			pred = cur
@@ -245,87 +245,92 @@ func (t *List) lookup(key uint64) *node {
 			return cur
 		}
 	}
+	cur := t.p.load(pred)
+	for cur != nil && cur.key < key {
+		cur = t.p.load(cur)
+	}
+	if cur != nil && cur.key == key {
+		return cur
+	}
 	return nil
 }
 
+// next follows n's link at level l now.
+func (t *list[L, P]) next(n *node[L], l int) *node[L] {
+	if l == 0 {
+		return t.p.load(n)
+	}
+	return n.next.at(l).Load()
+}
+
 // Contains reports whether key is present.
-func (t *List) Contains(_ *core.Thread, key uint64) bool {
-	n := t.lookup(key)
-	return n != nil && present(n)
+func (t *list[L, P]) Contains(th *core.Thread, key uint64) bool {
+	_, ok := t.Get(th, key)
+	return ok
 }
 
 // Get returns the value stored at key.
-func (t *List) Get(_ *core.Thread, key uint64) (uint64, bool) {
-	if n := t.lookup(key); n != nil && present(n) {
-		return n.val, true
+func (t *list[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
+	t.p.enter(th.ID)
+	var val uint64
+	ok := false
+	if n := t.lookup(key); n != nil {
+		val, ok = t.p.present(n)
 	}
-	return 0, false
+	t.p.exit(th.ID)
+	return val, ok
 }
 
 // lockPreds locks the distinct predecessors of levels [0, top) into the
 // caller's locked array and returns how many it took; unlockPreds releases
-// them. Both arrays stay on the caller's stack (an unlock closure would
-// move them to the heap, twice per attempt). One pair serves the three
-// lists' node types.
-func lockPreds[N interface {
-	comparable
-	sync.Locker
-}](preds, locked *[maxLevel]N, top int) int {
+// them. Both arrays stay on the caller's stack (an unlock closure would not).
+func lockPreds[L any](preds, locked *[maxLevel]*node[L], top int) int {
 	n := 0
-	var prev N
 	for l := 0; l < top; l++ {
-		if preds[l] != prev {
+		if n == 0 || preds[l] != locked[n-1] {
 			preds[l].Lock()
 			locked[n] = preds[l]
 			n++
-			prev = preds[l]
 		}
 	}
 	return n
 }
 
-func unlockPreds[N sync.Locker](locked *[maxLevel]N, n int) {
+func unlockPreds[L any](locked *[maxLevel]*node[L], n int) {
 	for i := 0; i < n; i++ {
 		locked[i].Unlock()
 	}
 }
 
 // Insert adds key with val; it returns false if already present.
-func (t *List) Insert(th *core.Thread, key, val uint64) bool {
+func (t *list[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey || key == 0 {
 		// 0 is the head sentinel's slot; the facade offsets keys.
 		return false
 	}
-	topLevel := randLevel(t.rngs, th.ID)
-	var preds, succs [maxLevel]*node
+	t.p.enter(th.ID)
+	top := t.randLevel(th.ID)
+	var preds, succs, locked [maxLevel]*node[L]
 	var retries uint64
+	inserted := false
 	for {
 		if lFound := t.find(key, &preds, &succs); lFound != -1 {
 			f := succs[lFound]
-			// Wait out an in-flight insert label (a few instructions).
-			for f.in.TS() == core.Pending {
-				runtime.Gosched()
-			}
-			if d := f.dts.Load(); d != 0 && d != core.Pending {
+			if _, ok := t.p.present(f); !ok {
 				retries++
-				continue // deleted; its unlink is imminent — retry
+				runtime.Gosched() // the other update holds locks this one needs
+				continue
 			}
 			for !f.fullyLinked.Load() {
 				runtime.Gosched()
 			}
-			noteRetries(t.tr, th, retries)
-			return false
+			break
 		}
-		var locked [maxLevel]*node
-		nl := lockPreds(&preds, &locked, topLevel)
+		nl := lockPreds(&preds, &locked, top)
 		valid := true
-		for l := 0; l < topLevel; l++ {
-			succ := succs[l]
-			if !alive(preds[l]) || preds[l].next.at(l).Load() != succ ||
-				(succ != nil && !alive(succ)) {
-				valid = false
-				break
-			}
+		for l := 0; l < top && valid; l++ {
+			pred, succ := preds[l], succs[l]
+			valid = t.p.alive(pred) && t.next(pred, l) == succ && (succ == nil || t.p.alive(succ))
 		}
 		if !valid {
 			unlockPreds(&locked, nl)
@@ -333,175 +338,125 @@ func (t *List) Insert(th *core.Thread, key, val uint64) bool {
 			continue
 		}
 		am := t.tr.Now()
-		n := t.newNodeIn(th.ID, key, val, topLevel)
+		n := t.newNode(th.ID, key, val, top, succs[0])
 		t.tr.Span(th.ID, trace.PhaseAlloc, am)
-		for l := 0; l < topLevel; l++ {
+		for l := 1; l < top; l++ {
 			n.next.at(l).Store(succs[l])
 		}
-		// The Prepare..Finalize window is bundling's labeling phase. The
-		// timestamp is read before the node is reachable (DESIGN §6): an
-		// update that hangs a key behind n must take a later one.
-		lb := t.tr.Now()
-		n.bnd.InitPendingWith(&n.out, succs[0])
-		preds[0].bnd.PrepareWith(&n.in, n)
-		ts := t.src.Advance()
-		preds[0].next.at(0).Store(n)
-		preds[0].bnd.Finalize(&n.in, ts) // the node's label and the edge's: one word
-		n.bnd.Finalize(&n.out, ts)
-		t.tr.Span(th.ID, trace.PhaseLabel, lb)
-		for l := 1; l < topLevel; l++ {
+		t.p.link(th, preds[0], n)
+		for l := 1; l < top; l++ {
 			preds[l].next.at(l).Store(n)
 		}
 		n.fullyLinked.Store(true)
-		t.truncate(th, preds[0])
 		unlockPreds(&locked, nl)
-		noteRetries(t.tr, th, retries)
-		return true
+		inserted = true
+		break
 	}
+	t.tr.Count(th.ID, trace.PhaseRetry, retries)
+	t.p.exit(th.ID)
+	return inserted
 }
 
 // Delete removes key; it returns false if absent.
-func (t *List) Delete(th *core.Thread, key uint64) bool {
-	var preds, succs [maxLevel]*node
-	var victim *node
-	for {
-		lFound := t.find(key, &preds, &succs)
-		if lFound == -1 {
-			return false
+func (t *list[L, P]) Delete(th *core.Thread, key uint64) bool {
+	t.p.enter(th.ID)
+	var preds, succs, locked [maxLevel]*node[L]
+	victim := t.claimVictim(th, key, &preds, &succs)
+	if victim != nil {
+		top := int(victim.topLevel)
+		var retries uint64
+		for {
+			nl := lockPreds(&preds, &locked, top)
+			valid := true
+			for l := 0; l < top && valid; l++ {
+				valid = t.p.alive(preds[l]) && t.next(preds[l], l) == victim
+			}
+			if valid {
+				for l := top - 1; l >= 1; l-- {
+					preds[l].next.at(l).Store(victim.next.at(l).Load())
+				}
+				t.p.unlink(th, preds[0], victim)
+				unlockPreds(&locked, nl)
+				break
+			}
+			unlockPreds(&locked, nl)
+			retries++
+			t.find(key, &preds, &succs)
 		}
-		victim = succs[lFound]
+		victim.Unlock()
+		t.tr.Count(th.ID, trace.PhaseRetry, retries)
+	}
+	t.p.exit(th.ID)
+	return victim != nil
+}
+
+// claimVictim finds key's node fully linked at its top level, locks it and
+// claims it for this delete; it returns the node locked, or nil if the key
+// is absent or another delete claimed it first.
+func (t *list[L, P]) claimVictim(th *core.Thread, key uint64, preds, succs *[maxLevel]*node[L]) *node[L] {
+	for {
+		lFound := t.find(key, preds, succs)
+		if lFound == -1 {
+			return nil
+		}
+		victim := succs[lFound]
 		// Contains answers true from the moment the insert is labeled, so
 		// an insert still linking its tower is waited out, not reported
 		// absent (it holds no lock this thread needs).
 		for !victim.fullyLinked.Load() {
 			runtime.Gosched()
 		}
-		if int(victim.topLevel) == lFound+1 {
-			break
+		if int(victim.topLevel) != lFound+1 {
+			// Found below its top: the search overlapped the tower going up,
+			// or another delete taking it down (then the key soon is absent).
+			runtime.Gosched()
+			continue
 		}
-		// Found below its top: the search overlapped the tower going up,
-		// or another delete taking it down (then the key soon is absent).
-		runtime.Gosched()
-	}
-	victim.Lock()
-	if victim.dts.Load() != 0 {
-		victim.Unlock()
-		return false
-	}
-	victim.dts.Store(core.Pending) // claim; not yet linearized
-	top := int(victim.topLevel)
-	var locked [maxLevel]*node
-	var retries uint64
-	for {
-		nl := lockPreds(&preds, &locked, top)
-		valid := true
-		for l := 0; l < top; l++ {
-			if !alive(preds[l]) || preds[l].next.at(l).Load() != victim {
-				valid = false
-				break
-			}
-		}
-		if valid {
-			lb := t.tr.Now()
-			ePred := preds[0].bnd.PrepareIn(t.ep, th.ID, victim.next.at(0).Load())
-			ts := t.src.Advance()
-			victim.dts.Store(ts) // linearization of the delete
-			preds[0].bnd.Finalize(ePred, ts)
-			t.tr.Span(th.ID, trace.PhaseLabel, lb)
-			for l := top - 1; l >= 0; l-- {
-				preds[l].next.at(l).Store(victim.next.at(l).Load())
-			}
-			// The victim's bundle is final (it is locked and no insert
-			// validates against a dead predecessor): cut it too, or what its
-			// entries lead to stays reachable for as long as the victim does.
-			t.truncate(th, preds[0])
-			t.truncate(th, victim)
-			unlockPreds(&locked, nl)
+		victim.Lock()
+		if !t.p.alive(victim) {
 			victim.Unlock()
-			noteRetries(t.tr, th, retries)
-			return true
+			return nil
 		}
-		unlockPreds(&locked, nl)
-		retries++
-		t.find(key, &preds, &succs)
+		t.p.claim(th, victim)
+		return victim
 	}
-}
-
-// truncate trims the bundle a completed update just extended.
-func (t *List) truncate(th *core.Thread, n *node) {
-	if d := n.bnd.Truncate(core.PruneBoundOf(th, t.rb, t.src)); d > 0 && t.gc != nil {
-		t.gc.BundlePruned.Add(uint64(d))
-	}
-}
-
-// visibleAt reports membership of n in the snapshot at bound s under the
-// in.ts/dts protocol.
-func visibleAt(n *node, s core.TS) bool {
-	it := n.in.TS()
-	if it == core.Pending || it > s {
-		return false
-	}
-	d := n.dts.Load()
-	return d == 0 || d == core.Pending || d > s
 }
 
 // RangeQuery appends every pair with lo <= key <= hi as of one
-// linearizable snapshot. The upper levels (untimestamped) only position
-// the query near lo; the walk itself follows bottom-level bundles.
-func (t *List) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
+// linearizable snapshot.
+func (t *list[L, P]) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
 	return t.rd.Live(th, lo, hi, out)
 }
 
 // RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
-// reservation (DESIGN.md, "Snapshot reads").
-func (t *List) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
-	if lo == 0 {
-		lo = 1
-	}
-	if hi > MaxKey {
-		hi = MaxKey
-	}
-	tr := t.tr
+// reservation and took s by the technique's rule (DESIGN.md, "Snapshot
+// reads"). The untimestamped upper levels position the query below lo, the
+// technique's collect walks from there (never collecting the head).
+func (t *list[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
+	t.p.enter(th.ID)
 	th.AnnounceRQ(s)
-
-	// Position via the current index, then verify the landing point was
-	// part of the snapshot; if not (inserted or deleted around s), fall
-	// back to the head, which is in every snapshot.
-	mark := tr.Now()
+	mark := t.tr.Now()
 	pred := t.head
-	for l := maxLevel - 1; l >= 0; l-- {
+	for l := t.levels - 1; l >= 1; l-- {
 		cur := pred.next.at(l).Load()
 		for cur != nil && cur.key < lo {
 			pred = cur
 			cur = cur.next.at(l).Load()
 		}
 	}
-	if pred != t.head && !visibleAt(pred, s) {
-		pred = t.head
-	}
-	var derefs, spins uint64
-	cur, ok, d, sp := pred.bnd.PtrAtWalk(s)
-	derefs, spins = uint64(d), uint64(sp)
-	for ok && cur != nil && cur.key <= hi {
-		if cur.key >= lo {
-			out = append(out, core.KV{Key: cur.key, Val: cur.val})
-		}
-		cur, ok, d, sp = cur.bnd.PtrAtWalk(s)
-		derefs += uint64(d)
-		spins += uint64(sp)
-	}
-	tr.Span(th.ID, trace.PhaseTraverse, mark)
-	tr.Count(th.ID, trace.PhaseBundleDeref, derefs)
-	tr.Count(th.ID, trace.PhasePendingWait, spins)
+	out = t.p.collect(th, t.head, pred, lo, hi, s, mark, out)
 	th.DoneRQ()
+	t.p.exit(th.ID)
 	return out
 }
 
 // Len counts present keys; quiescent use only (tests).
-func (t *List) Len() int {
+func (t *list[L, P]) Len() int {
 	n := 0
-	for cur := t.head.next.at(0).Load(); cur != nil; cur = cur.next.at(0).Load() {
-		n++
+	for cur := t.p.load(t.head); cur != nil; cur = t.p.load(cur) {
+		if _, ok := t.p.present(cur); ok {
+			n++
+		}
 	}
 	return n
 }

@@ -8,7 +8,6 @@ import (
 
 	"tscds/internal/citrus"
 	"tscds/internal/core"
-	"tscds/internal/lazylist"
 	"tscds/internal/skiplist"
 )
 
@@ -57,7 +56,7 @@ func TestBundleUpdateInvisibleBeforeItsTimestamp(t *testing.T) {
 	for name, build := range map[string]func(core.Source, *core.Registry) bundled{
 		"citrus":   func(s core.Source, r *core.Registry) bundled { return citrus.NewBundle(s, r) },
 		"skiplist": func(s core.Source, r *core.Registry) bundled { return skiplist.New(s, r) },
-		"lazylist": func(s core.Source, r *core.Registry) bundled { return lazylist.NewBundle(s, r) },
+		"lazylist": func(s core.Source, r *core.Registry) bundled { return skiplist.NewLazyBundle(s, r) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			const bs = 6

@@ -42,7 +42,6 @@ import (
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/jiffy"
-	"tscds/internal/lazylist"
 	"tscds/internal/lfbst"
 	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
@@ -91,7 +90,8 @@ const (
 	Citrus
 	// SkipList is the lock-based lazy skip list.
 	SkipList
-	// LazyList is the lock-based sorted linked list.
+	// LazyList is the lock-based sorted linked list: the skip list with
+	// one level.
 	LazyList
 	// NMBST is the Natarajan-Mittal edge-marked lock-free BST, the
 	// second lock-free tree the vCAS work targets.
@@ -522,9 +522,9 @@ func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg 
 	case LazyList:
 		switch t {
 		case VCAS:
-			return lazylist.NewVcas(src, reg), 1, nil
+			return skiplist.NewLazyVcas(src, reg), 1, nil
 		case Bundle:
-			return lazylist.NewBundle(src, reg), 1, nil
+			return skiplist.NewLazyBundle(src, reg), 1, nil
 		}
 	case NMBST:
 		if t != VCAS {
@@ -564,8 +564,6 @@ var (
 	_ inner = (*skiplist.List)(nil)
 	_ inner = (*skiplist.VcasList)(nil)
 	_ inner = (*skiplist.EBRList)(nil)
-	_ inner = (*lazylist.VcasList)(nil)
-	_ inner = (*lazylist.BundleList)(nil)
 	_ inner = (*shardedInner)(nil)
 )
 
