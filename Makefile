@@ -33,15 +33,18 @@ loc:
 # inline-check holds ROADMAP's "monomorphized fast paths must stay
 # inlinable" as a gate: what a vCAS-tree traversal does per level — pick
 # the edge, test for a leaf, check the head version's label — must be
-# inlined where it runs. need FILE FUNC CALLEE fails unless the compiler
-# reports CALLEE inlined inside FUNC's body in FILE. (*Object).Read itself
+# inlined where it runs: in the vCAS policy's search and collect walk, each
+# one dictionary call per operation of the generic EFRB frame. need FILE
+# FUNC CALLEE fails unless the compiler reports CALLEE inlined inside
+# FUNC's body in FILE. (*Object).Read itself
 # holds the out-of-line labeling call (57 of the inliner's budget of 80)
 # and stays a call from search; its label check is what must not be one.
 # The skip list's tower accessor must be inlined wherever its generic frame
 # walks a level (the one-level lazy list shares the frame). deny FILE FUNC
 # fails if escape analysis reports a closure or a local moved to the heap
 # inside FUNC: the list's update paths hold their lock arrays on the stack,
-# and hand the technique node pointers only, never their addresses.
+# and the list and the EFRB tree hand the technique node pointers only,
+# never their addresses.
 inline-check:
 	@out="$$($(GO) build -gcflags=-m ./internal/vcas ./internal/lfbst ./internal/skiplist 2>&1)"; ok=0; \
 	report() { s=$$(grep -n "^func $$2[([]" $$1 | cut -d: -f1); \
@@ -54,13 +57,15 @@ inline-check:
 		|| { echo "inline-check: $$2 ($$1) allocates a closure or moves a local to the heap"; ok=1; }; }; \
 	need internal/vcas/vcas.go '(o \*Object\[V\]) Read' 'vcas.label['; \
 	need internal/vcas/vcas.go '(o \*Object\[V\]) ReadVersionWalk' 'vcas.label['; \
-	need internal/lfbst/lfbst.go '(t \*Tree) search' '(*Tree).child'; \
-	need internal/lfbst/lfbst.go '(t \*Tree) search' '(*node).leaf'; \
-	need internal/lfbst/lfbst.go '(t \*Tree) collect' '(*node).leaf'; \
+	need internal/lfbst/lfbst.go '(p \*vcasTechnique) search' '(*vlinks).child'; \
+	need internal/lfbst/lfbst.go '(p \*vcasTechnique) search' '(*vlinks).leaf'; \
+	need internal/lfbst/lfbst.go '(p \*vcasTechnique) collectAt' '(*vlinks).leaf'; \
 	for fn in lookup find RangeQueryAt; do \
 		need internal/skiplist/skiplist.go "(t \*list\[L, P\]) $$fn" '(*tower['; done; \
 	for fn in lockPreds "(t \*list\[L, P\]) Insert" "(t \*list\[L, P\]) Delete"; do \
 		deny internal/skiplist/skiplist.go "$$fn"; done; \
+	for fn in Insert Delete helpMarked; do \
+		deny internal/lfbst/lfbst.go "(t \*tree\[L, P\]) $$fn"; done; \
 	exit $$ok
 
 # doc-check keeps the documentation, CI and the verify skill from naming

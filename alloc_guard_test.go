@@ -138,42 +138,46 @@ func TestRangeQueryAllocFree(t *testing.T) {
 }
 
 // TestBSTVcasUpdateAllocCeiling holds the GC-allocated update path of the
-// vCAS tree to what the algorithm needs. A successful insert allocates the
-// new leaf, the copy of the displaced leaf, the internal node over them
-// (each carrying its own version), the descriptor and its clean record; a
-// successful delete the descriptor, its clean record, and the promoted
-// leaf's copy or the promoted internal node's version. A per-edge seed
-// version, a per-helper clean record or a separate flag record coming back
-// fails this test.
+// EFRB tree, under vCAS and EBR-RQ, to what the algorithm needs. A
+// successful insert allocates the new leaf, the copy of the displaced leaf,
+// the internal node over them (under vCAS each carrying its own version),
+// the descriptor and its clean record; a successful delete the descriptor,
+// its clean record, and a leaf sibling's copy or, under vCAS, an internal
+// sibling's version, and under EBR-RQ the limbo entry of the leaf it
+// retires. The keys ascend, so a deleted leaf's sibling is mostly internal.
+// A per-edge seed version, a per-helper clean record or a separate flag or
+// mark record coming back fails this test.
 func TestBSTVcasUpdateAllocCeiling(t *testing.T) {
-	m, err := tscds.New(tscds.BST, tscds.VCAS, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := m.RegisterThread()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer th.Release()
-	for i := uint64(0); i < 2000; i++ {
-		m.Insert(th, i*7919%4000, i)
-	}
-	key := uint64(10_000)
-	ins := testing.AllocsPerRun(1000, func() {
-		if !m.Insert(th, key, 1) {
-			t.Fatal("insert of a fresh key failed")
+	for _, tech := range []tscds.Technique{tscds.VCAS, tscds.EBRRQ} {
+		m, err := tscds.New(tscds.BST, tech, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-		key++
-	})
-	key = 10_000
-	del := testing.AllocsPerRun(1000, func() {
-		if !m.Delete(th, key) {
-			t.Fatal("delete of a present key failed")
+		th, err := m.RegisterThread()
+		if err != nil {
+			t.Fatal(err)
 		}
-		key++
-	})
-	if ins > 5 || del > 3 {
-		t.Fatalf("BST/vCAS allocates %.2f objects per insert and %.2f per delete, want at most 5 and 3", ins, del)
+		for i := uint64(0); i < 2000; i++ {
+			m.Insert(th, i*7919%4000, i)
+		}
+		key := uint64(10_000)
+		ins := testing.AllocsPerRun(1000, func() {
+			if !m.Insert(th, key, 1) {
+				t.Fatal("insert of a fresh key failed")
+			}
+			key++
+		})
+		key = 10_000
+		del := testing.AllocsPerRun(1000, func() {
+			if !m.Delete(th, key) {
+				t.Fatal("delete of a present key failed")
+			}
+			key++
+		})
+		if ins > 5 || del > 3 {
+			t.Fatalf("BST/%v allocates %.2f objects per insert and %.2f per delete, want at most 5 and 3", tech, ins, del)
+		}
+		th.Release()
 	}
 }
 

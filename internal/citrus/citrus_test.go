@@ -559,7 +559,7 @@ func TestEBRRangeFindsSuccessorBehindItsCopy(t *testing.T) {
 	}
 	a.BeginRQ()
 	tr.p.provider.RQLock()
-	s := tr.src.Snapshot()
+	s := tr.p.provider.Source().Snapshot()
 	tr.p.provider.RQUnlock()
 	tr.rcu.ReadLock(c.ID) // holds Delete(3) inside its grace period
 	done := make(chan bool)

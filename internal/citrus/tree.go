@@ -101,7 +101,6 @@ func collectAt[L any](n *node[L], lo, hi uint64, base int, out []core.KV, at fun
 
 // tree is the Citrus tree over one technique.
 type tree[L any, P technique[L]] struct {
-	src  core.Source
 	reg  *core.Registry
 	rcu  *rcu.RCU
 	tr   *trace.Recorder
@@ -112,14 +111,11 @@ type tree[L any, P technique[L]] struct {
 }
 
 func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, rule core.Bound) *tree[L, P] {
-	t := &tree[L, P]{src: src, reg: reg, rcu: rcu.New(reg), p: p}
+	t := &tree[L, P]{reg: reg, rcu: rcu.New(reg), p: p}
 	t.root = t.newNode(-1, sentinelKey, 0, nil, nil)
 	t.rd = core.NewReader(src, rule, t)
 	return t
 }
-
-// Source returns the tree's timestamp source.
-func (t *tree[L, P]) Source() core.Source { return t.src }
 
 // Reader returns the tree's snapshot-read protocol.
 func (t *tree[L, P]) Reader() *core.Reader { return t.rd }

@@ -3,6 +3,7 @@ package lfbst
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -10,30 +11,15 @@ import (
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/ebrrq/limbotest"
+	"tscds/internal/obs"
+	"tscds/internal/pool"
 )
 
-func newEBRTree(t *testing.T, kind core.Kind, variant ebrrq.Variant, threads int) (*EBRTree, *core.Registry) {
+// ebrTree builds v's tree, which must be an EBR-RQ row.
+func ebrTree(t *testing.T, v variant, threads int) (*EBRTree, *core.Registry) {
 	t.Helper()
-	reg := core.NewRegistry(threads)
-	tr, err := NewEBR(core.New(kind), reg, variant)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr, reg
-}
-
-func ebrVariants(t *testing.T) map[string]func(int) (*EBRTree, *core.Registry) {
-	return map[string]func(int) (*EBRTree, *core.Registry){
-		"lock-logical": func(n int) (*EBRTree, *core.Registry) {
-			return newEBRTree(t, core.Logical, ebrrq.LockBased, n)
-		},
-		"lock-tsc": func(n int) (*EBRTree, *core.Registry) {
-			return newEBRTree(t, core.TSC, ebrrq.LockBased, n)
-		},
-		"lockfree-logical": func(n int) (*EBRTree, *core.Registry) {
-			return newEBRTree(t, core.Logical, ebrrq.LockFree, n)
-		},
-	}
+	m, reg := v.build(t, threads)
+	return m.(*EBRTree), reg
 }
 
 func TestEBRBSTRejectsLockFreeTSC(t *testing.T) {
@@ -44,248 +30,246 @@ func TestEBRBSTRejectsLockFreeTSC(t *testing.T) {
 }
 
 func TestEBRBSTBasicOps(t *testing.T) {
-	for name, mk := range ebrVariants(t) {
-		t.Run(name, func(t *testing.T) {
-			tr, reg := mk(2)
-			th := reg.MustRegister()
-			if tr.Contains(th, 5) || tr.Delete(th, 5) {
-				t.Fatal("empty tree misbehaved")
-			}
-			if !tr.Insert(th, 5, 50) || tr.Insert(th, 5, 51) {
-				t.Fatal("insert semantics")
-			}
-			if v, ok := tr.Get(th, 5); !ok || v != 50 {
-				t.Fatalf("Get = (%d,%v)", v, ok)
-			}
-			if !tr.Delete(th, 5) || tr.Contains(th, 5) || tr.Delete(th, 5) {
-				t.Fatal("delete semantics")
-			}
-			// Reinsertion after deletion must work (fresh leaf).
-			if !tr.Insert(th, 5, 52) {
-				t.Fatal("reinsert failed")
-			}
-			if v, _ := tr.Get(th, 5); v != 52 {
-				t.Fatalf("reinserted value = %d", v)
-			}
-		})
-	}
+	forEach(t, nil, func(t *testing.T, v variant) {
+		tr, reg := v.build(t, 2)
+		th := reg.MustRegister()
+		if tr.Contains(th, 5) || tr.Delete(th, 5) {
+			t.Fatal("empty tree misbehaved")
+		}
+		if !tr.Insert(th, 5, 50) || tr.Insert(th, 5, 51) {
+			t.Fatal("insert semantics")
+		}
+		if v, ok := tr.Get(th, 5); !ok || v != 50 {
+			t.Fatalf("Get = (%d,%v)", v, ok)
+		}
+		if !tr.Delete(th, 5) || tr.Contains(th, 5) || tr.Delete(th, 5) {
+			t.Fatal("delete semantics")
+		}
+		// Reinsertion after deletion must work (fresh leaf).
+		if !tr.Insert(th, 5, 52) {
+			t.Fatal("reinsert failed")
+		}
+		if v, _ := tr.Get(th, 5); v != 52 {
+			t.Fatalf("reinserted value = %d", v)
+		}
+	})
 }
 
 func TestEBRBSTSequentialModel(t *testing.T) {
-	for name, mk := range ebrVariants(t) {
-		t.Run(name, func(t *testing.T) {
-			tr, reg := mk(2)
-			th := reg.MustRegister()
-			model := map[uint64]uint64{}
-			rng := rand.New(rand.NewSource(77))
-			for i := 0; i < 12000; i++ {
-				k := uint64(rng.Intn(250))
-				switch rng.Intn(4) {
-				case 0, 1:
-					_, exists := model[k]
-					if got := tr.Insert(th, k, k+9); got == exists {
-						t.Fatalf("op %d: Insert(%d)=%v exists=%v", i, k, got, exists)
-					}
-					if !exists {
-						model[k] = k + 9
-					}
-				case 2:
-					_, exists := model[k]
-					if got := tr.Delete(th, k); got != exists {
-						t.Fatalf("op %d: Delete(%d)=%v exists=%v", i, k, got, exists)
-					}
-					delete(model, k)
-				default:
-					_, exists := model[k]
-					if got := tr.Contains(th, k); got != exists {
-						t.Fatalf("op %d: Contains(%d)=%v want %v", i, k, got, exists)
-					}
+	forEach(t, nil, func(t *testing.T, v variant) {
+		tr, reg := v.build(t, 2)
+		th := reg.MustRegister()
+		model := map[uint64]uint64{}
+		rng := rand.New(rand.NewSource(77))
+		for i := 0; i < 12000; i++ {
+			k := uint64(rng.Intn(250))
+			switch rng.Intn(4) {
+			case 0, 1:
+				_, exists := model[k]
+				if got := tr.Insert(th, k, k+9); got == exists {
+					t.Fatalf("op %d: Insert(%d)=%v exists=%v", i, k, got, exists)
+				}
+				if !exists {
+					model[k] = k + 9
+				}
+			case 2:
+				_, exists := model[k]
+				if got := tr.Delete(th, k); got != exists {
+					t.Fatalf("op %d: Delete(%d)=%v exists=%v", i, k, got, exists)
+				}
+				delete(model, k)
+			default:
+				_, exists := model[k]
+				if got := tr.Contains(th, k); got != exists {
+					t.Fatalf("op %d: Contains(%d)=%v want %v", i, k, got, exists)
 				}
 			}
-			if tr.Len() != len(model) {
-				t.Fatalf("Len=%d model=%d", tr.Len(), len(model))
+		}
+		if tr.Len() != len(model) {
+			t.Fatalf("Len=%d model=%d", tr.Len(), len(model))
+		}
+		got := tr.RangeQuery(th, 0, MaxKey, nil)
+		if len(got) != len(model) {
+			t.Fatalf("range=%d model=%d", len(got), len(model))
+		}
+		for _, kv := range got {
+			if v, ok := model[kv.Key]; !ok || v != kv.Val {
+				t.Fatalf("kv %v vs model (%d,%v)", kv, v, ok)
 			}
-			got := tr.RangeQuery(th, 0, MaxKey, nil)
-			if len(got) != len(model) {
-				t.Fatalf("range=%d model=%d", len(got), len(model))
-			}
-			for _, kv := range got {
-				if v, ok := model[kv.Key]; !ok || v != kv.Val {
-					t.Fatalf("kv %v vs model (%d,%v)", kv, v, ok)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func TestEBRBSTConcurrentStriped(t *testing.T) {
-	for name, mk := range ebrVariants(t) {
-		t.Run(name, func(t *testing.T) {
-			tr, reg := mk(8)
-			const gs = 4
-			const per = 1000
-			var wg sync.WaitGroup
-			for g := 0; g < gs; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					th := reg.MustRegister()
-					defer th.Release()
-					base := uint64(g * 100_000)
-					for i := uint64(0); i < per; i++ {
-						if !tr.Insert(th, base+i, i) {
-							t.Errorf("insert %d failed", base+i)
-							return
-						}
-					}
-					for i := uint64(0); i < per; i += 2 {
-						if !tr.Delete(th, base+i) {
-							t.Errorf("delete %d failed", base+i)
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			if n := tr.Len(); n != gs*per/2 {
-				t.Fatalf("Len=%d want %d", n, gs*per/2)
-			}
-		})
-	}
-}
-
-// Snapshot prefix probe, the linearizability check, against the
-// lock-free labeling variant specifically (DCSS under snapshot storms).
-func TestEBRBSTSnapshotPrefix(t *testing.T) {
-	for name, mk := range ebrVariants(t) {
-		t.Run(name, func(t *testing.T) {
-			tr, reg := mk(4)
-			const n = 2500
-			var wg sync.WaitGroup
+	forEach(t, nil, func(t *testing.T, v variant) {
+		tr, reg := v.build(t, 8)
+		const gs = 4
+		const per = 1000
+		var wg sync.WaitGroup
+		for g := 0; g < gs; g++ {
 			wg.Add(1)
-			go func() {
+			go func(g int) {
 				defer wg.Done()
 				th := reg.MustRegister()
 				defer th.Release()
-				for k := uint64(1); k <= n; k++ {
-					tr.Insert(th, k, k)
-				}
-			}()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				for {
-					got := tr.RangeQuery(th, 1, n, nil)
-					keys := make([]uint64, len(got))
-					for i, kv := range got {
-						keys[i] = kv.Key
-					}
-					sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-					for i, k := range keys {
-						if k != uint64(i+1) {
-							t.Errorf("snapshot gap at %d: %d", i, k)
-							return
-						}
-					}
-					if len(keys) == n {
+				base := uint64(g * 100_000)
+				for i := uint64(0); i < per; i++ {
+					if !tr.Insert(th, base+i, i) {
+						t.Errorf("insert %d failed", base+i)
 						return
 					}
 				}
-			}()
-			wg.Wait()
-		})
-	}
+				for i := uint64(0); i < per; i += 2 {
+					if !tr.Delete(th, base+i) {
+						t.Errorf("delete %d failed", base+i)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		if n := tr.Len(); n != gs*per/2 {
+			t.Fatalf("Len=%d want %d", n, gs*per/2)
+		}
+	})
 }
 
-// Deleted-during-query keys must be captured from limbo: start a query
-// while a deleter sweeps; every snapshot must be a suffix.
-func TestEBRBSTSnapshotSuffixViaLimbo(t *testing.T) {
-	tr, reg := newEBRTree(t, core.Logical, ebrrq.LockFree, 4)
-	const n = 2500
-	{
-		th := reg.MustRegister()
-		perm := rand.New(rand.NewSource(5)).Perm(n)
-		for _, i := range perm {
-			tr.Insert(th, uint64(i+1), uint64(i+1))
-		}
-		th.Release()
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := reg.MustRegister()
-		defer th.Release()
-		for k := uint64(1); k <= n; k++ {
-			tr.Delete(th, k)
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := reg.MustRegister()
-		defer th.Release()
-		for {
-			got := tr.RangeQuery(th, 1, n, nil)
-			if len(got) == 0 {
-				return
+// Snapshot prefix probe, the linearizability check, against every labeling
+// variant (DCSS under snapshot storms on the lock-free one).
+func TestEBRBSTSnapshotPrefix(t *testing.T) {
+	forEach(t, nil, func(t *testing.T, v variant) {
+		tr, reg := v.build(t, 4)
+		const n = 2500
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := reg.MustRegister()
+			defer th.Release()
+			for k := uint64(1); k <= n; k++ {
+				tr.Insert(th, k, k)
 			}
-			keys := make([]uint64, len(got))
-			for i, kv := range got {
-				keys[i] = kv.Key
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			for i, k := range keys {
-				if k != keys[0]+uint64(i) {
-					t.Errorf("snapshot not a suffix at %d: %d (first %d)", i, k, keys[0])
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := reg.MustRegister()
+			defer th.Release()
+			for {
+				got := tr.RangeQuery(th, 1, n, nil)
+				keys := make([]uint64, len(got))
+				for i, kv := range got {
+					keys[i] = kv.Key
+				}
+				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+				for i, k := range keys {
+					if k != uint64(i+1) {
+						t.Errorf("snapshot gap at %d: %d", i, k)
+						return
+					}
+				}
+				if len(keys) == n {
 					return
 				}
 			}
-			if keys[len(keys)-1] != n {
-				t.Errorf("suffix missing tail %d", keys[len(keys)-1])
-				return
+		}()
+		wg.Wait()
+	})
+}
+
+// Deleted-during-query keys must be captured from limbo: start a query
+// while a deleter sweeps a tree filled in random order; every snapshot must
+// be a suffix.
+func TestEBRBSTSnapshotSuffixViaLimbo(t *testing.T) {
+	forEach(t, isEBR, func(t *testing.T, v variant) {
+		tr, reg := v.build(t, 4)
+		const n = 2500
+		{
+			th := reg.MustRegister()
+			perm := rand.New(rand.NewSource(5)).Perm(n)
+			for _, i := range perm {
+				tr.Insert(th, uint64(i+1), uint64(i+1))
 			}
+			th.Release()
 		}
-	}()
-	wg.Wait()
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := reg.MustRegister()
+			defer th.Release()
+			for k := uint64(1); k <= n; k++ {
+				tr.Delete(th, k)
+			}
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := reg.MustRegister()
+			defer th.Release()
+			for {
+				got := tr.RangeQuery(th, 1, n, nil)
+				if len(got) == 0 {
+					return
+				}
+				keys := make([]uint64, len(got))
+				for i, kv := range got {
+					keys[i] = kv.Key
+				}
+				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+				for i, k := range keys {
+					if k != keys[0]+uint64(i) {
+						t.Errorf("snapshot not a suffix at %d: %d (first %d)", i, k, keys[0])
+						return
+					}
+				}
+				if keys[len(keys)-1] != n {
+					t.Errorf("suffix missing tail %d", keys[len(keys)-1])
+					return
+				}
+			}
+		}()
+		wg.Wait()
+	})
 }
 
 func TestEBRBSTLimboBounded(t *testing.T) {
-	tr, reg := newEBRTree(t, core.Logical, ebrrq.LockBased, 2)
-	th := reg.MustRegister()
-	for i := 0; i < 20000; i++ {
-		k := uint64(i % 40)
-		tr.Insert(th, k, k)
-		tr.Delete(th, k)
-	}
-	if n := tr.LimboLen(); n > 5000 {
-		t.Fatalf("limbo grew unbounded: %d", n)
-	}
+	forEach(t, isEBR, func(t *testing.T, v variant) {
+		tr, reg := ebrTree(t, v, 2)
+		th := reg.MustRegister()
+		for i := 0; i < 20000; i++ {
+			k := uint64(i % 40)
+			tr.Insert(th, k, k)
+			tr.Delete(th, k)
+		}
+		if n := tr.p.em.LimboLen(); n > 5000 {
+			t.Fatalf("limbo grew unbounded: %d", n)
+		}
+	})
 }
 
-func ebrFields(n *enode) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
-	return n.key, n.val, &n.itime, &n.dtime
+func ebrFields(n *node[elinks]) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
+	return n.key, n.val, &n.l.life.itime, &n.l.life.dtime
 }
 
 // The failed-delete-attempt case, under contention: Delete retires its
 // leaf before the flag CAS, the attempt fails, the leaf survives in the
-// tree with an entry in limbo. The early exit of the limbo walk
-// (ebrrq.Collector.AddLimbo) and epoch's suffix pruning need deletion
-// labels that never increase down a list all the same, and here helpers
-// on other threads write many of them. What keeps the order is checked:
-// by the time a Delete call returns, every leaf it retired has its
-// deletion label (failed attempts retry until someone labels the leaf),
-// so no Pending entry survives in limbo at quiescence, and at no bound
-// does the early exit lose a leaf the full walk finds.
+// tree — or is replaced by a neighbour's copy — with an entry in limbo. The
+// early exit of the limbo walk (ebrrq.Collector.AddLimbo) and epoch's
+// suffix pruning need deletion labels that never increase down a list all
+// the same, and here helpers on other threads write many of them. What
+// keeps the order is checked: by the time a Delete call returns, the
+// lifetime of every leaf it retired has its deletion label (failed attempts
+// retry until someone labels it, through the leaf or a copy), so no Pending
+// entry survives in limbo at quiescence, and at no bound does the early
+// exit lose a leaf the full walk finds.
 func TestEBRBSTLimboLabeledAtQuiescence(t *testing.T) {
 	for name, mk := range map[string]ebrrq.Variant{"lock": ebrrq.LockBased, "lockfree": ebrrq.LockFree} {
-		tr, reg := newEBRTree(t, core.Logical, mk, 12)
+		tr, reg := ebrTree(t, variant{kind: core.Logical, ebr: true, labels: mk}, 12)
 		limbotest.Churn(tr, reg, 6, 1000)
 		pending := 0
-		tr.em.WalkLimbo(func(n *enode) bool {
-			if !n.dtime.Assigned() {
+		tr.p.em.WalkLimbo(func(n *node[elinks]) bool {
+			if !n.l.life.dtime.Assigned() {
 				pending++
 			}
 			return true
@@ -293,8 +277,160 @@ func TestEBRBSTLimboLabeledAtQuiescence(t *testing.T) {
 		if pending != 0 {
 			t.Fatalf("%s: %d limbo leaves still unlabeled after every Delete returned", name, pending)
 		}
-		if lost := limbotest.Lost(tr.em, ebrFields); len(lost) != 0 {
+		if lost := limbotest.Lost(tr.p.em, ebrFields); len(lost) != 0 {
 			t.Fatalf("%s: logical-source limbo lists out of order, %d losses, first: %s", name, len(lost), lost[0])
 		}
 	}
+}
+
+// Point reads follow the labels, not reachability. A leaf whose deletion is
+// labeled but not yet spliced out (the mark's label, then the splice) is
+// gone for Contains as for a range query bounded at or after the label. A
+// leaf linked but not yet labeled (the child CAS, then its inserter's
+// label) counts once labeled: a point read or a failing Insert helps the
+// label in first.
+func TestEBRPointReadsFollowLabels(t *testing.T) {
+	forEach(t, isEBR, func(t *testing.T, v variant) {
+		tr, reg := ebrTree(t, v, 2)
+		a := reg.MustRegister()
+		tr.Insert(a, 5, 50)
+		tr.Insert(a, 7, 70)
+		five := tr.p.search(tr.root, 5).l
+		d := tr.p.provider.Label(&five.l.life.dtime) // marked's label, before the splice
+		if tr.Contains(a, 5) {
+			t.Error("Contains(5) true for a leaf whose deletion is labeled")
+		}
+		a.BeginRQ()
+		if got := tr.RangeQueryAt(a, 0, 10, d, nil); len(got) != 1 || got[0].Key != 7 {
+			t.Errorf("range at the deletion label = %v, want only 7", got)
+		}
+
+		seven := tr.p.search(tr.root, 7).l
+		seven.l.life.itime.Init() // back between the child CAS and its label
+		if tr.Insert(a, 7, 71) {
+			t.Fatal("Insert(7) succeeded beside a linked leaf holding 7")
+		}
+		if !seven.l.life.itime.Assigned() {
+			t.Fatal("Insert(7) failed against a leaf whose insertion it left unlabeled")
+		}
+		seven.l.life.itime.Init()
+		if !tr.Contains(a, 7) || !seven.l.life.itime.Assigned() {
+			t.Fatalf("Contains(7) on an unlabeled leaf: want true, and the label helped in")
+		}
+	})
+}
+
+// The replaced-leaf rule (DESIGN §7). A delete attempt retires leaf l and
+// fails; a neighbour's insert then replaces l by a copy. (i) A point read
+// that reached l before the copy answers present; (iii) a snapshot between
+// the copy and the key's deletion holds the key once, though l (in limbo)
+// and the copy (in the tree) are both offered; (ii) after the copy's
+// deletion no snapshot holds it, l's limbo entry included; (iv) Drain
+// empties limbo. In pool mode l is not recycled — the copy reads l's
+// lifetime — while the copy, once pruned, is.
+func TestEBRReplacedLeaf(t *testing.T) {
+	for _, mode := range []pool.Mode{pool.ModeGC, pool.ModePool} {
+		t.Run(mode.String(), func(t *testing.T) {
+			reg := core.NewRegistry(2)
+			tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockBased)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ps obs.PoolStats
+			tr.SetHooks(core.Hooks{Alloc: mode, PoolStats: &ps})
+			a, q := reg.MustRegister(), reg.MustRegister()
+			tr.Insert(a, 10, 100)
+			l := tr.p.search(tr.root, 10).l
+			tr.p.retire(a, l) // as a Delete attempt does before its flag CAS
+			tr.Insert(a, 20, 200)
+			c := tr.p.search(tr.root, 10).l
+			if c == l || c.l.life != l.l.life {
+				t.Fatal("Insert(20) did not replace l by a copy sharing its lifetime")
+			}
+			if v, ok := tr.p.present(l); !ok || v != 100 {
+				t.Errorf("(i) present(l) after the copy = (%d, %v), want (100, true)", v, ok)
+			}
+			both := []core.KV{{Key: 10, Val: 100}, {Key: 20, Val: 200}}
+			if got := tr.RangeQuery(a, 0, 30, nil); !slices.Equal(got, both) {
+				t.Errorf("(iii) range between the copy and the delete = %v, want %v", got, both)
+			}
+			q.BeginRQ()
+			tr.p.provider.RQLock()
+			s := tr.p.provider.Source().Snapshot()
+			tr.p.provider.RQUnlock()
+			if !tr.Delete(a, 10) {
+				t.Fatal("Delete(10) failed")
+			}
+			if got := tr.RangeQuery(a, 0, 30, nil); !slices.Equal(got, both[1:]) {
+				t.Errorf("(ii) range after the delete = %v, want %v", got, both[1:])
+			}
+			if _, ok := tr.p.present(l); ok {
+				t.Error("(ii) present(l) after the copy's deletion")
+			}
+			if got := tr.RangeQueryAt(q, 0, 30, s, nil); !slices.Equal(got, both) {
+				t.Errorf("(iii) range at a bound before the delete = %v, want %v", got, both)
+			}
+			tr.Drain()
+			if n := tr.p.em.LimboLen(); n != 0 {
+				t.Errorf("(iv) %d leaves in limbo after Drain", n)
+			}
+			if want := map[pool.Mode]uint64{pool.ModePool: 1}[mode]; ps.Recycled.Load() != want {
+				t.Errorf("%d nodes recycled, want %d (the copy, not l)", ps.Recycled.Load(), want)
+			}
+		})
+	}
+}
+
+// A point read finishes with the leaf before leaving its epoch: under
+// AllocPool a leaf pruned from limbo is recycled and re-keyed at once, and
+// a Get that read it outside the epoch could return another key's value.
+// Values carry their key in the high half.
+func TestEBRPooledGetSeesItsKey(t *testing.T) {
+	reg := core.NewRegistry(4)
+	tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockBased)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.SetHooks(core.Hooks{Alloc: pool.ModePool})
+	const keys, ops = 64, 20000
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			th := reg.MustRegister()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for seq := uint64(0); seq < ops; seq++ {
+				k := uint64(rng.Intn(keys))
+				if rng.Intn(2) == 0 {
+					tr.Insert(th, k, k<<32|seq)
+				} else {
+					tr.Delete(th, k)
+				}
+				if seq%1000 == 0 {
+					tr.Drain()
+				}
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		th := reg.MustRegister()
+		for k := uint64(0); ; k = (k + 1) % keys {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if v, ok := tr.Get(th, k); ok && v>>32 != k {
+				t.Errorf("Get(%d) = %#x, a value of key %d", k, v, v>>32)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-done
 }

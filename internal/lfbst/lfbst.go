@@ -1,26 +1,17 @@
-// Package lfbst is a lock-free external (leaf-oriented) binary search
-// tree in the style of Ellen, Fatourou, Ruppert and van Breugel ("Non-
-// blocking binary search trees", PODC 2010), augmented with linearizable
-// range queries by replacing its child pointers with vCAS objects (Wei et
-// al., PPoPP 2021) — the combination evaluated in the paper's Figure 2,
-// where switching the vCAS camera from a logical counter to TSC yields up
-// to 5.5x.
+// Package lfbst holds lock-free external binary search trees with range
+// queries: Ellen, Fatourou, Ruppert and van Breugel's (PODC 2010) under vCAS
+// (Wei et al.; the paper's Figure 2) and under EBR-RQ (Arbel-Raviv & Brown;
+// Figure 4), and Natarajan and Mittal's under vCAS (nm.go).
 //
-// Keys live in immutable leaves; internal nodes route. Every structural
-// change is exactly one child-pointer CAS, so each update receives
-// exactly one version label, which is what makes the vCAS recipe apply
-// verbatim. Updates coordinate through flag/mark descriptors installed in
-// internal nodes' update fields, with full helping: any thread that
-// encounters an in-flight operation completes it.
-//
-// A node is one cache line and carries the vcas.Version that records it
-// in its parent edge, so following an edge lands on the child's own line:
-// one miss per tree level. That is sound because a node is installed in
-// at most one edge, once (Wei et al.'s recorded-once condition): an
-// insert links a new internal node over a new leaf and a COPY of the
-// displaced leaf (EFRB's newSibling), a delete promotes a copy of a leaf
-// sibling. Only a promoted internal sibling, whose embedded version
-// already heads its old parent's chain, takes a standalone Version.
+// The EFRB algorithm — immutable leaves, routing internal nodes, flag/mark
+// descriptors with full helping — is written once, in this file, over a
+// technique: vCAS below, EBR-RQ in ebr.go. A child pointer never returns to
+// an old value: an insert links a new internal node over the new leaf and a
+// COPY of the displaced one (EFRB's newSibling), a delete promotes a copy of
+// a leaf sibling, so a helper delayed before its child CAS fails it. Every
+// node is then recorded once: a vCAS node carries the version that records
+// it in its parent edge, an EBR-RQ copy shares its original's labels
+// (DESIGN §7).
 package lfbst
 
 import (
@@ -49,294 +40,254 @@ const (
 	mark
 )
 
-// updateRec is the (state, info) pair CAS'd atomically in a node's
-// update field.
-type updateRec struct {
+// updateRec is the (state, info) pair CAS'd in a node's update field.
+// Records have distinct addresses, so pointer-identity CAS gives exactly
+// EFRB's ABA-safe pair semantics; for the same reason no record is pooled.
+type updateRec[L any] struct {
 	state uint8
-	ins   *insertInfo
-	del   *deleteInfo
+	ins   *insertInfo[L]
+	del   *deleteInfo[L]
 }
 
-var cleanRec = &updateRec{state: clean}
-
-// An operation's descriptor embeds the flag and mark records it installs,
-// and carries the one clean record every helper unflags to. Each record's
-// address is unique to the operation and installed at most once, so EFRB's
-// pointer-identity ABA argument is unchanged. The clean record is its own
-// small allocation because it is what a node's update field holds for as
-// long as the node rests: embedded, it would keep the whole descriptor and
-// the displaced leaf reachable.
-type insertInfo struct {
-	p, l, newInternal *node
-	flag              updateRec  // IFLAG on p
-	done              *updateRec // then CLEAN
+// A descriptor embeds the flag and mark records it installs and carries the
+// one clean record every helper unflags to. That one is its own small
+// allocation because a resting node's update field holds it: embedded, it
+// would keep the descriptor and the displaced leaf reachable.
+type insertInfo[L any] struct {
+	p, l, newInternal *node[L]
+	flag              updateRec[L]  // IFLAG on p
+	done              *updateRec[L] // then CLEAN
 }
 
-type deleteInfo struct {
-	gp, p, l   *node
-	pupdate    *updateRec
-	flag, mark updateRec  // DFLAG on gp, MARK on p
-	done       *updateRec // CLEAN on gp
+type deleteInfo[L any] struct {
+	gp, p, l   *node[L]
+	pupdate    *updateRec[L]
+	flag, mark updateRec[L]  // DFLAG on gp, MARK on p
+	done       *updateRec[L] // CLEAN on gp
 }
 
-// node is exactly one cache line (TestNodeIsOneCacheLine).
-type node struct {
-	key uint64
-	val uint64 // leaves only
-	// The routing edges. A leaf is a node with no child heads.
-	left, right vcas.Object[*node]
-	update      atomicUpdate
-	// ver records this node in the one edge it is installed in.
-	ver vcas.Version[*node]
+// node is an EFRB node: key, value (leaves), update field (internal nodes)
+// and l, the technique's part — the two edges, empty on a leaf, and
+// whatever else it keeps per node.
+type node[L any] struct {
+	key, val uint64
+	update   atomic.Pointer[updateRec[L]]
+	l        L
 }
 
-func (n *node) leaf() bool { return n.left.Head() == nil }
+// leaf tells a leaf without following an edge: only internal nodes are ever
+// flagged or marked, and each starts with a clean record.
+func (n *node[L]) leaf() bool { return n.update.Load() == nil }
 
-// atomicUpdate wraps the node's update field. Records have distinct
-// addresses, so pointer-identity CAS gives exactly EFRB's ABA-safe
-// (state, info) pair semantics.
-type atomicUpdate struct {
-	p atomic.Pointer[updateRec]
+type searchResult[L any] struct {
+	gp, p, l          *node[L]
+	gpupdate, pupdate *updateRec[L]
 }
 
-func (a *atomicUpdate) load() *updateRec {
-	if v := a.p.Load(); v != nil {
-		return v
-	}
-	return cleanRec
+// technique is what vCAS and EBR-RQ differ in on this tree; DESIGN.md "What
+// a technique is to a structure" states each method. A method called
+// through the type parameter is a dictionary call, never inlined, so the
+// per-edge loops — search and collect — are the technique's, one call per
+// operation.
+type technique[L any] interface {
+	search(root *node[L], key uint64) searchResult[L]
+	children(n *node[L]) (left, right *node[L]) // of an internal node, now
+	// present: leaf l's key is in the tree now. An insert that finds l fails
+	// on yes, retries on no (l's delete has linearized).
+	present(l *node[L]) (uint64, bool)
+	// seed: an internal node over left and right, or a leaf (left nil), a
+	// copy of of if set.
+	seed(tid int, n *node[L], left, right, of *node[L])
+	// publish: the one child CAS, old to new in parent's edge toward new.key;
+	// fresh unless new is an internal sibling moving up.
+	publish(tid int, parent, old, new *node[L], fresh bool) bool
+	marked(l *node[L])                  // l's parent is marked
+	retire(th *core.Thread, l *node[L]) // before the flag CAS of a delete attempt
+	truncate(th *core.Thread, key uint64, n, above *node[L])
+	enter(tid int)
+	exit(tid int)
+	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
+	setHooks(h core.Hooks, reg *core.Registry, np *pool.Pool[node[L]])
+	drain()
 }
 
-func (a *atomicUpdate) store(r *updateRec) { a.p.Store(r) }
-
-func (a *atomicUpdate) cas(old, new *updateRec) bool {
-	return a.p.CompareAndSwap(old, new)
+// tree is the EFRB tree over one technique.
+type tree[L any, P technique[L]] struct {
+	reg   *core.Registry
+	tr    *trace.Recorder
+	np    *pool.Pool[node[L]] // nil in GC mode
+	rd    *core.Reader
+	p     P
+	clean *updateRec[L] // what an internal node's update field starts at
+	root  *node[L]
 }
 
-// Tree is the vCAS-augmented lock-free BST. All operations require a
-// registered thread handle; range queries announce their snapshot bound
-// through it so version-chain truncation never outruns them.
-type Tree struct {
-	src  core.Source
-	reg  *core.Registry
-	gc   *obs.GC
-	tr   *trace.Recorder
-	np   *pool.Pool[node]
-	vp   *pool.Pool[vcas.Version[*node]]
-	rb   *core.ReadBound
-	rd   *core.Reader
-	root *node
-}
-
-// New creates an empty tree over the given timestamp source and thread
-// registry.
-func New(src core.Source, reg *core.Registry) *Tree {
-	t := &Tree{src: src, reg: reg}
-	t.root = t.newInternalIn(-1, inf2, t.newLeafIn(-1, inf1, 0), t.newLeafIn(-1, inf2, 0))
-	t.rd = core.NewReader(src, core.QueryAdvances, t)
+func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, rule core.Bound) *tree[L, P] {
+	t := &tree[L, P]{reg: reg, p: p, clean: new(updateRec[L])}
+	t.root = t.newNode(-1, inf2, 0, t.newNode(-1, inf1, 0, nil, nil, nil), t.newNode(-1, inf2, 0, nil, nil, nil), nil)
+	t.rd = core.NewReader(src, rule, t)
 	return t
 }
 
-// Source returns the tree's timestamp source.
-func (t *Tree) Source() core.Source { return t.src }
-
 // Reader returns the tree's snapshot-read protocol.
-func (t *Tree) Reader() *core.Reader { return t.rd }
+func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 
-// SetHooks wires the tree's sinks: GC counters, the flight recorder
-// (update retry and helping counts, range-query spans, version-walk
-// lengths), the retention watermark version truncation respects, and the
-// allocation mode of tree nodes and standalone vCAS versions. The vCAS
-// tree has no reclamation scheme — spliced-out nodes and truncated version
-// tails stay reachable to snapshot readers — so only never-published
-// memory (a node that lost its CAS, a version that lost the head race)
-// flows back; the pools otherwise supply arena chunking and batching.
-// Descriptors are deliberately NOT pooled: their records' pointer identity
-// is what makes the EFRB (state, info) CAS ABA-safe. Call before
-// concurrent traffic.
-func (t *Tree) SetHooks(h core.Hooks) {
-	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
+// SetHooks wires the flight recorder, the allocation mode of nodes and the
+// technique's sinks. Call before the tree sees concurrent traffic.
+func (t *tree[L, P]) SetHooks(h core.Hooks) {
+	t.tr = h.Trace
 	t.rd.SetHooks(h)
-	t.np = pool.New[node](t.reg.Cap(), h.Alloc, h.PoolStats)
-	t.vp = pool.New[vcas.Version[*node]](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.np = pool.New[node[L]](t.reg.Cap(), h.Alloc, h.PoolStats)
+	t.p.setHooks(h, t.reg, t.np)
 }
 
-// newLeafIn returns an unpublished leaf from the node pool. A pooled node
-// may have been an internal node in a previous life, so its child heads
-// and update field are reset; its embedded version is reset by whoever
-// installs it (newInternalIn seeds it, helpMarked arms it).
-func (t *Tree) newLeafIn(tid int, key, val uint64) *node {
-	if t.np == nil {
-		return &node{key: key, val: val} // fresh memory: nothing to reset
-	}
+// Drain eagerly prunes EBR-RQ's limbo lists. Quiescent use only, like Len.
+func (t *tree[L, P]) Drain() { t.p.drain() }
+
+// newNode acquires a node and initializes all of it, from zero: internal
+// over left and right, or a leaf (left nil), a copy of of if set.
+func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right, of *node[L]) *node[L] {
 	n := t.np.Get(tid)
-	n.key, n.val = key, val
-	n.left.Clear()
-	n.right.Clear()
-	n.update.store(nil) // load() maps nil to cleanRec
+	*n = node[L]{key: key, val: val}
+	if left != nil {
+		n.update.Store(t.clean)
+	}
+	t.p.seed(tid, n, left, right, of)
 	return n
-}
-
-// newInternalIn returns an unpublished internal node over the unpublished
-// children l and r, whose embedded versions seed its edges; its own is
-// armed for the one child CAS that installs it.
-func (t *Tree) newInternalIn(tid int, key uint64, l, r *node) *node {
-	n := t.np.Get(tid)
-	n.key, n.val = key, 0
-	n.left.InitWith(&l.ver, l)
-	n.right.InitWith(&r.ver, r)
-	n.update.store(cleanRec)
-	n.ver.Arm(n)
-	return n
-}
-
-// noteUpdate flushes an update attempt's retry/help tallies to the
-// recorder (zero counts are dropped there).
-func (t *Tree) noteUpdate(th *core.Thread, retries, helps uint64) {
-	if t.tr == nil {
-		return
-	}
-	t.tr.Count(th.ID, trace.PhaseRetry, retries)
-	t.tr.Count(th.ID, trace.PhaseHelp, helps)
-}
-
-// child returns the current target of the routing edge for key at n.
-func (t *Tree) child(n *node, key uint64) *vcas.Object[*node] {
-	if key < n.key {
-		return &n.left
-	}
-	return &n.right
-}
-
-type searchResult struct {
-	gp, p, l          *node
-	gpupdate, pupdate *updateRec
-}
-
-func (t *Tree) search(key uint64) searchResult {
-	var r searchResult
-	r.l = t.root
-	for !r.l.leaf() {
-		r.gp, r.p = r.p, r.l
-		r.gpupdate = r.pupdate
-		r.pupdate = r.p.update.load()
-		r.l = t.child(r.p, key).Read(t.src)
-	}
-	return r
 }
 
 // Contains reports whether key is present.
-func (t *Tree) Contains(_ *core.Thread, key uint64) bool {
-	return t.search(key).l.key == key
+func (t *tree[L, P]) Contains(th *core.Thread, key uint64) bool {
+	_, ok := t.Get(th, key)
+	return ok
 }
 
-// Get returns the value stored at key.
-func (t *Tree) Get(_ *core.Thread, key uint64) (uint64, bool) {
-	l := t.search(key).l
-	if l.key != key {
-		return 0, false
+// Get returns the value stored at key. present runs before exit: a leaf
+// pruned from limbo may be recycled once this thread leaves its epoch.
+func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
+	t.p.enter(th.ID)
+	var val uint64
+	ok := false
+	if l := t.p.search(t.root, key).l; l.key == key {
+		val, ok = t.p.present(l)
 	}
-	return l.val, true
+	t.p.exit(th.ID)
+	return val, ok
 }
 
 // Insert adds key with val; it returns false if key is already present.
-func (t *Tree) Insert(th *core.Thread, key, val uint64) bool {
+func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
+	t.p.enter(th.ID)
 	am := t.tr.Now()
-	nl := t.newLeafIn(th.ID, key, val)
+	nl := t.newNode(th.ID, key, val, nil, nil, nil)
 	t.tr.Span(th.ID, trace.PhaseAlloc, am)
 	var retries, helps uint64
+	inserted := false
 	for {
-		r := t.search(key)
+		r := t.p.search(t.root, key)
 		if r.l.key == key {
-			t.noteUpdate(th, retries, helps)
-			t.np.Put(th.ID, nl) // never published
-			return false
+			if _, ok := t.p.present(r.l); ok {
+				t.np.Put(th.ID, nl) // never published
+				break
+			}
+		} else if r.pupdate.state == clean {
+			op, sib := t.newInsert(th.ID, r.p, r.l, nl)
+			if r.p.update.CompareAndSwap(r.pupdate, &op.flag) {
+				t.helpInsert(op, th.ID)
+				t.p.present(nl) // labeled before returning, whoever made the CAS
+				t.p.truncate(th, key, r.p, r.gp)
+				inserted = true
+				break
+			}
+			t.np.Put(th.ID, op.newInternal) // never published
+			t.np.Put(th.ID, sib)
 		}
-		if r.pupdate.state != clean {
-			t.help(r.pupdate, th.ID)
+		// The parent is busy, or holds a deleted leaf: help, then retry.
+		if u := r.p.update.Load(); u.state != clean {
+			t.help(u, th.ID)
 			helps++
-			retries++
-			continue
 		}
-		// The displaced leaf is copied (EFRB's newSibling), never
-		// re-linked: a child pointer must not return to an old value,
-		// or a delayed helper's child CAS could succeed long after its
-		// operation finished and re-link a dead subtree.
-		sib := t.newLeafIn(th.ID, r.l.key, r.l.val)
-		var ni *node
-		if key < sib.key {
-			ni = t.newInternalIn(th.ID, sib.key, nl, sib)
-		} else {
-			ni = t.newInternalIn(th.ID, key, sib, nl)
-		}
-		op := &insertInfo{p: r.p, l: r.l, newInternal: ni, done: new(updateRec)}
-		op.flag = updateRec{state: iflag, ins: op}
-		if r.p.update.cas(r.pupdate, &op.flag) {
-			t.helpInsert(op)
-			t.truncate(th, key, r.p, r.gp)
-			t.noteUpdate(th, retries, helps)
-			return true
-		}
-		// The flag CAS lost, so ni and sib were never published.
-		t.np.Put(th.ID, ni)
-		t.np.Put(th.ID, sib)
-		t.help(r.p.update.load(), th.ID)
-		helps++
 		retries++
 	}
+	t.tr.Count(th.ID, trace.PhaseRetry, retries)
+	t.tr.Count(th.ID, trace.PhaseHelp, helps)
+	t.p.exit(th.ID)
+	return inserted
 }
 
 // Delete removes key; it returns false if absent.
-func (t *Tree) Delete(th *core.Thread, key uint64) bool {
+func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	if key > MaxKey {
 		return false
 	}
+	t.p.enter(th.ID)
+	var retired *node[L] // the leaf this call last retired
 	var retries, helps uint64
+	deleted := false
 	for {
-		r := t.search(key)
-		if r.l.key != key {
-			t.noteUpdate(th, retries, helps)
-			return false
+		r := t.p.search(t.root, key)
+		if _, ok := t.p.present(r.l); !ok || r.l.key != key {
+			break
 		}
-		if r.gpupdate.state != clean {
-			t.help(r.gpupdate, th.ID)
-			helps++
-			retries++
-			continue
+		u := r.gpupdate
+		if u.state == clean {
+			u = r.pupdate
 		}
-		if r.pupdate.state != clean {
-			t.help(r.pupdate, th.ID)
-			helps++
-			retries++
-			continue
-		}
-		op := &deleteInfo{gp: r.gp, p: r.p, l: r.l, pupdate: r.pupdate, done: new(updateRec)}
-		op.flag = updateRec{state: dflag, del: op}
-		op.mark = updateRec{state: mark, del: op}
-		if r.gp.update.cas(r.gpupdate, &op.flag) {
-			if t.helpDelete(op, th.ID) {
-				t.truncate(th, key, r.gp, nil)
-				t.noteUpdate(th, retries, helps)
-				return true
+		if u.state == clean {
+			// Retired before any helper can splice it out; a retry meeting
+			// another leaf (a copy, or the key re-inserted) retires that too.
+			if retired != r.l {
+				t.p.retire(th, r.l)
+				retired = r.l
 			}
-			retries++
-			continue
+			op := &deleteInfo[L]{gp: r.gp, p: r.p, l: r.l, pupdate: r.pupdate, done: new(updateRec[L])}
+			op.flag = updateRec[L]{state: dflag, del: op}
+			op.mark = updateRec[L]{state: mark, del: op}
+			if r.gp.update.CompareAndSwap(r.gpupdate, &op.flag) {
+				if deleted = t.helpDelete(op, th.ID); deleted {
+					t.p.truncate(th, key, r.gp, nil)
+					break
+				}
+				retries++
+				continue
+			}
+			u = r.gp.update.Load()
 		}
-		t.help(r.gp.update.load(), th.ID)
+		t.help(u, th.ID)
 		helps++
 		retries++
 	}
+	t.tr.Count(th.ID, trace.PhaseRetry, retries)
+	t.tr.Count(th.ID, trace.PhaseHelp, helps)
+	t.p.exit(th.ID)
+	return deleted
 }
 
-// tid in the helping functions is the helping thread's slot (its own,
-// not the flagging thread's) and only routes pool allocations; -1 is
-// valid for callers without a slot.
-func (t *Tree) help(u *updateRec, tid int) {
+// newInsert prepares inserting nl beside leaf l, p's child: a new internal
+// node over nl and a copy of l, and the descriptor. It returns the copy
+// too, for the pool if the flag CAS fails.
+func (t *tree[L, P]) newInsert(tid int, p, l, nl *node[L]) (*insertInfo[L], *node[L]) {
+	sib := t.newNode(tid, l.key, l.val, nil, nil, l)
+	var ni *node[L]
+	if nl.key < sib.key {
+		ni = t.newNode(tid, sib.key, 0, nl, sib, nil)
+	} else {
+		ni = t.newNode(tid, nl.key, 0, sib, nl, nil)
+	}
+	op := &insertInfo[L]{p: p, l: l, newInternal: ni, done: new(updateRec[L])}
+	op.flag = updateRec[L]{state: iflag, ins: op}
+	return op, sib
+}
+
+// tid in the helping functions is the helping thread's slot and only routes
+// pool allocations; -1 is valid for callers without a slot.
+func (t *tree[L, P]) help(u *updateRec[L], tid int) {
 	switch u.state {
 	case iflag:
-		t.helpInsert(u.ins)
+		t.helpInsert(u.ins, tid)
 	case dflag:
 		t.helpDelete(u.del, tid)
 	case mark:
@@ -344,146 +295,214 @@ func (t *Tree) help(u *updateRec, tid int) {
 	}
 }
 
-// helpInsert performs the insert's single structural CAS — the vCAS write
-// that receives its timestamp label — and unflags.
-func (t *Tree) helpInsert(op *insertInfo) {
-	ni := op.newInternal
-	t.child(op.p, ni.key).CompareAndSwapVersion(t.src, op.l, &ni.ver)
-	op.p.update.cas(&op.flag, op.done)
+func (t *tree[L, P]) helpInsert(op *insertInfo[L], tid int) {
+	t.p.publish(tid, op.p, op.l, op.newInternal, true)
+	op.p.update.CompareAndSwap(&op.flag, op.done)
 }
 
-func (t *Tree) helpDelete(op *deleteInfo, tid int) bool {
-	if op.p.update.cas(op.pupdate, &op.mark) {
-		t.helpMarked(op, tid)
+func (t *tree[L, P]) helpDelete(op *deleteInfo[L], tid int) bool {
+	if op.p.update.CompareAndSwap(op.pupdate, &op.mark) || op.p.update.Load() == &op.mark {
+		t.helpMarked(op, tid) // marked, by this call or another helper
 		return true
 	}
-	cur := op.p.update.load()
-	if cur == &op.mark {
-		// Another helper installed the mark; finish together.
-		t.helpMarked(op, tid)
-		return true
-	}
-	// The parent changed under us: back out by unflagging the
-	// grandparent so the deleter retries.
-	t.help(cur, tid)
-	op.gp.update.cas(&op.flag, op.done)
+	// The parent changed under us: unflag the grandparent so the deleter
+	// retries.
+	t.help(op.p.update.Load(), tid)
+	op.gp.update.CompareAndSwap(&op.flag, op.done)
 	return false
 }
 
-func (t *Tree) helpMarked(op *deleteInfo, tid int) {
-	// The parent is marked, so its children are frozen; splice the
-	// sibling of the deleted leaf into the grandparent.
-	var other *node
-	if right := op.p.right.Read(t.src); right == op.l {
-		other = op.p.left.Read(t.src)
-	} else {
+// helpMarked splices the sibling of the deleted leaf, frozen under the
+// marked parent, into the grandparent: a leaf as a copy, an internal node
+// as itself.
+func (t *tree[L, P]) helpMarked(op *deleteInfo[L], tid int) {
+	t.p.marked(op.l)
+	other, right := t.p.children(op.p)
+	if other == op.l {
 		other = right
 	}
-	// The delete's structural CAS. A leaf sibling is immutable, so a copy
-	// carrying its own version takes p's place; an internal sibling's
-	// embedded version already heads p's chain, so it is recorded in gp's
-	// edge by a standalone one.
-	edge := t.child(op.gp, other.key)
-	if other.leaf() {
-		c := t.newLeafIn(tid, other.key, other.val)
-		c.ver.Arm(c)
-		if !edge.CompareAndSwapVersion(t.src, op.p, &c.ver) {
-			t.np.Put(tid, c) // never published
-		}
-	} else {
-		edge.CompareAndSwapIn(t.src, t.vp, tid, op.p, other)
+	if !other.leaf() {
+		t.p.publish(tid, op.gp, op.p, other, false)
+	} else if c := t.newNode(tid, other.key, other.val, nil, nil, other); !t.p.publish(tid, op.gp, op.p, c, true) {
+		t.np.Put(tid, c) // never published
 	}
-	op.gp.update.cas(&op.flag, op.done)
+	op.gp.update.CompareAndSwap(&op.flag, op.done)
 }
 
-// truncate trims the version chain of the edge toward key at n, which a
-// completed update just extended, bounding history to what active range
-// queries can still read. An insert passes the node above as well: the
-// head of that edge is n's own version, and what it displaced when n was
-// installed stays reachable until the edge is written again — for most
-// internal nodes, never.
-func (t *Tree) truncate(th *core.Thread, key uint64, n, above *node) {
-	bound := core.PruneBoundOf(th, t.rb, t.src)
-	d := t.child(n, key).Truncate(bound)
-	if above != nil {
-		d += t.child(above, key).Truncate(bound)
-	}
-	if d > 0 && t.gc != nil {
-		t.gc.VersionsPruned.Add(uint64(d))
-	}
-}
-
-// RangeQuery appends to out every pair with lo <= key <= hi as of one
-// linearizable snapshot, and returns the extended slice.
-func (t *Tree) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
+// RangeQuery appends every pair with lo <= key <= hi as of one
+// linearizable snapshot.
+func (t *tree[L, P]) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV {
 	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the bound s, announcing it on th
-// and withdrawing the announcement before returning; the caller holds
-// th's reservation (DESIGN.md, "Snapshot reads").
-func (t *Tree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
+// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
+// reservation and took s by the technique's rule (DESIGN.md, "Snapshot
+// reads").
+func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if hi > MaxKey {
 		hi = MaxKey
 	}
-	tr := t.tr
-	var mark uint64
-	if tr != nil {
-		mark = tr.Now()
-	}
+	t.p.enter(th.ID)
+	mark := t.tr.Now()
 	th.AnnounceRQ(s)
-	var walk uint64
-	out = t.collect(t.root, lo, hi, s, out, &walk)
-	if tr != nil {
-		tr.Span(th.ID, trace.PhaseTraverse, mark)
-		tr.Count(th.ID, trace.PhaseVersionWalk, walk)
-	}
+	out = t.p.collect(th, t.root, lo, hi, s, mark, out)
 	th.DoneRQ()
+	t.p.exit(th.ID)
 	return out
 }
 
-func (t *Tree) collect(n *node, lo, hi uint64, s core.TS, out []core.KV, walk *uint64) []core.KV {
-	if n == nil {
-		return out
+// Len counts present keys; quiescent use only (tests).
+func (t *tree[L, P]) Len() int {
+	var count func(*node[L]) int
+	count = func(n *node[L]) int {
+		if !n.leaf() {
+			left, right := t.p.children(n)
+			return count(left) + count(right)
+		}
+		if _, ok := t.p.present(n); ok && n.key <= MaxKey {
+			return 1
+		}
+		return 0
 	}
-	if n.leaf() {
+	return count(t.root)
+}
+
+// vlinks are the edges as vCAS objects and the version that records the
+// node in its one edge: with key, value and update field one cache line, so
+// following an edge lands on the child's own line (TestNodeIsOneCacheLine).
+type vlinks struct {
+	left, right vcas.Object[*node[vlinks]]
+	ver         vcas.Version[*node[vlinks]]
+}
+
+func (v *vlinks) leaf() bool { return v.left.Head() == nil }
+
+// child returns the edge toward key at a node keyed at.
+func (v *vlinks) child(key, at uint64) *vcas.Object[*node[vlinks]] {
+	if key < at {
+		return &v.left
+	}
+	return &v.right
+}
+
+// Tree is the vCAS-augmented EFRB tree.
+type Tree = tree[vlinks, *vcasTechnique]
+
+// vcasTechnique is vCAS (Wei et al.) as this tree's edges: every read of an
+// edge labels its head version first, and a child CAS installs a pending
+// version and labels it. Snapshots live in the edges, so there is nothing
+// to retire, pin or drain, and a leaf the edges reach is present.
+type vcasTechnique struct {
+	src core.Source
+	gc  *obs.GC
+	tr  *trace.Recorder
+	rb  *core.ReadBound
+	vp  *pool.Pool[vcas.Version[*node[vlinks]]]
+}
+
+// New creates an empty tree over the given timestamp source and thread
+// registry.
+func New(src core.Source, reg *core.Registry) *Tree {
+	return newTree(src, reg, &vcasTechnique{src: src}, core.QueryAdvances)
+}
+
+// setHooks: published memory stays reachable to snapshot readers, so only
+// a standalone version that lost its CAS flows back to the version pool.
+func (p *vcasTechnique) setHooks(h core.Hooks, reg *core.Registry, _ *pool.Pool[node[vlinks]]) {
+	p.gc, p.tr, p.rb = h.GC, h.Trace, h.ReadBound
+	p.vp = pool.New[vcas.Version[*node[vlinks]]](reg.Cap(), h.Alloc, h.PoolStats)
+}
+
+func (*vcasTechnique) present(l *node[vlinks]) (uint64, bool) { return l.val, true }
+func (*vcasTechnique) marked(*node[vlinks])                   {}
+func (*vcasTechnique) retire(*core.Thread, *node[vlinks])     {}
+func (*vcasTechnique) enter(int)                              {}
+func (*vcasTechnique) exit(int)                               {}
+func (*vcasTechnique) drain()                                 {}
+
+func (p *vcasTechnique) search(root *node[vlinks], key uint64) searchResult[vlinks] {
+	var r searchResult[vlinks]
+	r.l = root
+	for !r.l.l.leaf() {
+		r.gp, r.p = r.p, r.l
+		r.gpupdate = r.pupdate
+		r.pupdate = r.p.update.Load()
+		r.l = r.p.l.child(key, r.p.key).Read(p.src)
+	}
+	return r
+}
+
+func (p *vcasTechnique) children(n *node[vlinks]) (*node[vlinks], *node[vlinks]) {
+	return n.l.left.Read(p.src), n.l.right.Read(p.src)
+}
+
+// seed points an internal node's edges at its unpublished children's
+// embedded versions, labeled 0, and arms the node's own for the one CAS
+// that installs it. A new leaf's is seeded by its parent's seed; a copy may
+// be published by a delete's CAS, so it is armed too.
+func (p *vcasTechnique) seed(_ int, n, left, right, of *node[vlinks]) {
+	if left != nil {
+		n.l.left.InitWith(&left.l.ver, left)
+		n.l.right.InitWith(&right.l.ver, right)
+	}
+	if left != nil || of != nil {
+		n.l.ver.Arm(n)
+	}
+}
+
+// publish installs a fresh node's own armed version, shared by every
+// helper. An internal sibling's heads its old parent's chain, which older
+// snapshots still walk, so a standalone version records it in the new edge.
+func (p *vcasTechnique) publish(tid int, parent, old, new *node[vlinks], fresh bool) bool {
+	edge := parent.l.child(new.key, parent.key)
+	if fresh {
+		return edge.CompareAndSwapVersion(p.src, old, &new.l.ver)
+	}
+	return edge.CompareAndSwapIn(p.src, p.vp, tid, old, new)
+}
+
+// truncate bounds history to what active range queries can read. An insert
+// passes the node above too: what n's own version displaced there stays
+// reachable until that edge is written again — for most nodes, never.
+func (p *vcasTechnique) truncate(th *core.Thread, key uint64, n, above *node[vlinks]) {
+	bound := core.PruneBoundOf(th, p.rb, p.src)
+	d := n.l.child(key, n.key).Truncate(bound)
+	if above != nil {
+		d += above.l.child(key, above.key).Truncate(bound)
+	}
+	if d > 0 && p.gc != nil {
+		p.gc.VersionsPruned.Add(uint64(d))
+	}
+}
+
+func (p *vcasTechnique) collect(th *core.Thread, root *node[vlinks], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV {
+	var walk uint64
+	out = p.collectAt(root, lo, hi, s, out, &walk)
+	p.tr.Span(th.ID, trace.PhaseTraverse, mark)
+	p.tr.Count(th.ID, trace.PhaseVersionWalk, walk)
+	return out
+}
+
+// collectAt appends the leaves of [lo, hi] under n as of s, counting the
+// version-chain hops past the edges' heads.
+func (p *vcasTechnique) collectAt(n *node[vlinks], lo, hi uint64, s core.TS, out []core.KV, walk *uint64) []core.KV {
+	if n.l.leaf() {
 		if n.key >= lo && n.key <= hi {
 			out = append(out, core.KV{Key: n.key, Val: n.val})
 		}
 		return out
 	}
 	if lo < n.key {
-		if l, ok, hops := n.left.ReadVersionWalk(t.src, s); ok {
+		if l, ok, hops := n.l.left.ReadVersionWalk(p.src, s); ok {
 			*walk += uint64(hops)
-			out = t.collect(l, lo, hi, s, out, walk)
+			out = p.collectAt(l, lo, hi, s, out, walk)
 		}
 	}
 	if hi >= n.key {
-		if r, ok, hops := n.right.ReadVersionWalk(t.src, s); ok {
+		if r, ok, hops := n.l.right.ReadVersionWalk(p.src, s); ok {
 			*walk += uint64(hops)
-			out = t.collect(r, lo, hi, s, out, walk)
+			out = p.collectAt(r, lo, hi, s, out, walk)
 		}
 	}
 	return out
-}
-
-// Len counts present keys; quiescent use only (tests).
-func (t *Tree) Len() int {
-	n := 0
-	var walk func(*node)
-	walk = func(x *node) {
-		if x == nil {
-			return
-		}
-		if x.leaf() {
-			if x.key <= MaxKey {
-				n++
-			}
-			return
-		}
-		walk(x.left.Read(t.src))
-		walk(x.right.Read(t.src))
-	}
-	walk(t.root)
-	return n
 }

@@ -84,9 +84,6 @@ func NewNM(src core.Source, reg *core.Registry) *NMTree {
 	return t
 }
 
-// Source returns the tree's timestamp source.
-func (t *NMTree) Source() core.Source { return t.src }
-
 // Reader returns the tree's snapshot-read protocol.
 func (t *NMTree) Reader() *core.Reader { return t.rd }
 
