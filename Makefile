@@ -12,12 +12,13 @@ test:
 # concurrency-sensitive packages, and the short-mode linearizability
 # matrix (every supported structure x technique x source combination).
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
-# obs itself plus obs/promparse, obs/series and obs/trace.
+# obs itself plus obs/promparse and obs/trace; ./cmd/tscstat/... serves a
+# map under load and checks every endpoint of it live.
 check: benchmark-smoke inline-check doc-check
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/... ./internal/citrus/... ./internal/bundle/... ./internal/skiplist/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/... ./internal/citrus/... ./internal/bundle/... ./internal/skiplist/... ./cmd/tscstat/...
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
@@ -69,7 +70,8 @@ inline-check:
 	exit $$ok
 
 # doc-check keeps the documentation, CI and the verify skill from naming
-# what is not in the tree: a cmd/<dir> or internal/<dir>, a BENCH_*.json
+# what is not in the tree: a path under cmd/ or internal/ (a package at any
+# depth, or a .go/.s file), a BENCH_*.json
 # artifact, or a subcommand `reproduce` does not dispatch (a
 # `case "<word>":` in its main.go). ISSUE/CHANGES/ROADMAP are history and plans, benchmark/ is
 # frozen by BENCHMARK.json; neither is checked.
@@ -77,8 +79,8 @@ DOCS = $(filter-out ./ISSUE.md ./CHANGES.md ./ROADMAP.md ./benchmark/%, \
 	$(shell find . -name '*.md' -not -path './.git/*')) .github/workflows/ci.yml
 doc-check:
 	@ok=0; miss() { echo "doc-check: $$1, named in:"; grep -lF -- "$$2" $(DOCS) | sed 's/^/  /'; ok=1; }; \
-	for d in $$(grep -ohE '(cmd|internal)/[a-z]+' $(DOCS) | sort -u); do \
-		[ -d "$$d" ] || miss "$$d does not exist" "$$d"; done; \
+	for d in $$(grep -ohE '(cmd|internal)(/[a-z_0-9]+)+(\.go|\.s)?' $(DOCS) | sort -u); do \
+		[ -e "$$d" ] || miss "$$d does not exist" "$$d"; done; \
 	for f in $$(grep -ohE 'BENCH_[A-Za-z*{},]+\.json' $(DOCS) | sort -u); do \
 		[ -e "$$f" ] || miss "$$f does not exist" "$$f"; done; \
 	for c in $$(grep -ohE '(\./cmd/reproduce|`reproduce) +[a-z]+' $(DOCS) | awk '{ print $$NF }' | sort -u); do \

@@ -50,7 +50,7 @@ func (o *options) nativeFlags(fs *flag.FlagSet, threads string, d time.Duration,
 	fs.Uint64Var(&o.keyRange, "keyrange", keyRange, "native: key range of the figures that do not fix their own")
 	fs.BoolVar(&o.metrics, "metrics", false, "native: print a metrics snapshot (JSON) per arm")
 	fs.BoolVar(&o.trace, "trace", false, "native: record per-phase flight traces, print breakdowns per arm, monitor TSC health")
-	fs.StringVar(&o.serve, "serve", "", "native: serve live /metrics(.prom), /trace, /tschealth, /series and /events on this address")
+	fs.StringVar(&o.serve, "serve", "", "native: serve live /metrics(.prom), /trace and /tschealth on this address")
 }
 
 func main() {

@@ -14,14 +14,13 @@ import (
 	"tscds/internal/bench"
 	"tscds/internal/core"
 	"tscds/internal/obs"
-	"tscds/internal/obs/series"
 	"tscds/internal/sim"
 	"tscds/internal/tsc"
 )
 
 // native measures figures on this host. It owns what outlives any one arm:
-// the -serve endpoint, its series collector and the TSC health monitor,
-// all of which read the arm now running through metrics/tracer/label.
+// the -serve endpoint and the TSC health monitor; the endpoint reads the
+// arm now running through metrics/tracer.
 type native struct {
 	w       io.Writer
 	o       *options
@@ -29,7 +28,6 @@ type native struct {
 	health  *tsc.Health // with -trace or -serve
 	metrics atomic.Pointer[tscds.Metrics]
 	tracer  atomic.Pointer[tscds.Tracer]
-	label   atomic.Pointer[string]
 	stop    func() // shuts the -serve endpoint down
 }
 
@@ -70,21 +68,8 @@ func newNative(w io.Writer, o *options) (*native, error) {
 	return n, nil
 }
 
-// serve starts the live endpoint and the collector behind /series and
-// /events (its watchdog turns snapshot deltas into events).
+// serve starts the live endpoint.
 func (n *native) serve(addr string) error {
-	watchdog := obs.NewWatchdog(obs.DefaultRules(), nil)
-	collector := series.New(series.Config{
-		Label: func() string {
-			if l := n.label.Load(); l != nil {
-				return *l
-			}
-			return ""
-		},
-		Metrics:  n.metrics.Load,
-		Health:   func() *tsc.Health { return n.health },
-		Watchdog: watchdog,
-	})
 	srv, err := obs.Serve(addr, map[string]obs.Var{
 		"metrics": obs.Live(func() obs.Var {
 			if reg := n.metrics.Load(); reg != nil {
@@ -99,17 +84,11 @@ func (n *native) serve(addr string) error {
 			return nil
 		}),
 		"tschealth": n.health,
-		"series":    collector,
-		"events":    watchdog,
 	})
 	if err != nil {
 		return err
 	}
-	collector.Start()
-	n.stop = func() {
-		collector.Stop()
-		srv.Close()
-	}
+	n.stop = func() { srv.Close() }
 	fmt.Fprintf(n.w, "serving stats on http://%s/metrics\n", srv.Addr())
 	return nil
 }
@@ -176,7 +155,6 @@ func (n *native) arm(spec string, src tscds.SourceKind, label string, wl bench.W
 	}
 	n.metrics.Store(cfg.Metrics)
 	n.tracer.Store(m.Tracer())
-	n.label.Store(&label)
 	if err := bench.Prefill(m, m, wl.KeyRange); err != nil {
 		return nil, err
 	}

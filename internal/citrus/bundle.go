@@ -75,7 +75,7 @@ func (p *bundleTechnique) publish(th *core.Thread, n *node[blinks], dir int, tar
 	b.Finalize(e, ts)
 	p.tr.SharedSpan(trace.PhaseLabel, mark)
 	if d := b.Truncate(core.PruneBoundOf(th, p.rb, p.src)); d > 0 && p.gc != nil {
-		p.gc.BundlePruned.Add(uint64(d))
+		p.gc.BundleEntriesPruned.Add(uint64(d))
 	}
 }
 

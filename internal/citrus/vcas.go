@@ -63,7 +63,7 @@ func (p *vcasTechnique) seed(tid int, l *vlinks, left, right *node[vlinks]) {
 func (p *vcasTechnique) publish(th *core.Thread, n *node[vlinks], dir int, target *node[vlinks]) {
 	n.l.child[dir].WriteIn(p.src, p.vp, th.ID, target)
 	if d := n.l.child[dir].Truncate(core.PruneBoundOf(th, p.rb, p.src)); d > 0 && p.gc != nil {
-		p.gc.VersionsPruned.Add(uint64(d))
+		p.gc.VcasVersionsPruned.Add(uint64(d))
 	}
 }
 

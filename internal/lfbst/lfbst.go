@@ -471,7 +471,7 @@ func (p *vcasTechnique) truncate(th *core.Thread, key uint64, n, above *node[vli
 		d += above.l.child(key, above.key).Truncate(bound)
 	}
 	if d > 0 && p.gc != nil {
-		p.gc.VersionsPruned.Add(uint64(d))
+		p.gc.VcasVersionsPruned.Add(uint64(d))
 	}
 }
 

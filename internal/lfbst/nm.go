@@ -338,7 +338,7 @@ func (t *NMTree) cleanup(key uint64, r seekRec, tid int) bool {
 func (t *NMTree) truncate(th *core.Thread, n *nmNode, key uint64) {
 	edge := &n.child[nmDir(key, n.key)]
 	if d := edge.Truncate(core.PruneBoundOf(th, t.rb, t.src)); d > 0 && t.gc != nil {
-		t.gc.VersionsPruned.Add(uint64(d))
+		t.gc.VcasVersionsPruned.Add(uint64(d))
 	}
 }
 

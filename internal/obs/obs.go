@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"reflect"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -222,8 +224,9 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // OpClass labels the operation classes the facade instruments, matching
-// the paper's U-RQ-C workload split.
-type OpClass int
+// the paper's U-RQ-C workload split. The flight recorder brackets the same
+// classes.
+type OpClass uint8
 
 const (
 	// OpUpdate covers Insert and Delete.
@@ -233,7 +236,8 @@ const (
 	// OpContains covers Contains and Get.
 	OpContains
 
-	numOpClasses
+	// NumOpClasses is the number of op classes.
+	NumOpClasses
 )
 
 // String names the class as it appears in snapshot JSON.
@@ -249,139 +253,87 @@ func (c OpClass) String() string {
 	return "unknown"
 }
 
+// The registry's counter blocks (Source, GC, History, Pool, WAL) each come
+// as two structs over the same field names: a live one of Counter and Gauge
+// fields that the instrumented paths write, and a snapshot one whose
+// uint64 (counter) and int64 (gauge) fields carry the JSON key and the
+// help text. The snapshot struct is the one declaration of a metric:
+// Snapshot fills it from the same-named live field, WriteProm exports it
+// as tscds_<block>_<json key> (with _total on a counter) and Summary
+// prints it. A string field tagged prom:"label" labels every family of its
+// block; the other string fields are set by whoever wires the block.
+
 // SourceStats counts timestamp-source traffic. On a logical source every
 // Advance is one fetch-and-add on the shared counter, so Advances is a
 // direct proxy for the contention the paper measures; on hardware sources
-// all three are core-local reads and the counts only describe the
+// all of them are core-local reads and the counts only describe the
 // workload's timestamp appetite.
 type SourceStats struct {
-	Advances  Counter
-	Peeks     Counter
-	Snapshots Counter
-	// Stalls counts AdvanceStrict spin-budget exhaustions: the source
-	// refused to move past a prior timestamp within the budget (a frozen
-	// or severely degraded counter).
-	Stalls Counter
-	// SnapshotRetries counts range queries that discarded a collected
-	// snapshot because the adaptive source switched generations under
-	// them and re-ran against a fresh bound.
-	SnapshotRetries Counter
+	Advances, Peeks, Snapshots, Stalls, SnapshotRetries Counter
 }
 
 // SourceSnapshot is a point-in-time copy of SourceStats.
 type SourceSnapshot struct {
-	// Kind is the timestamp kind label ("Logical", "RDTSCP", ...), set by
-	// whoever wires the stats to a source.
+	// Kind is the timestamp kind label ("Logical", "RDTSCP", ...).
 	Kind string `json:"kind,omitempty"`
 	// Actual is the kind actually serving reads when it differs from the
 	// requested Kind — e.g. "Monotonic" when RDTSCP was requested on a
 	// host without it. Empty when the request is honored.
 	Actual          string `json:"actual,omitempty"`
-	Advances        uint64 `json:"advances"`
-	Peeks           uint64 `json:"peeks"`
-	Snapshots       uint64 `json:"snapshots"`
-	Stalls          uint64 `json:"stalls,omitempty"`
-	SnapshotRetries uint64 `json:"snapshot_retries,omitempty"`
+	Advances        uint64 `json:"advances" help:"Timestamp-source Advance calls (one fetch-and-add per call on a logical source)."`
+	Peeks           uint64 `json:"peeks" help:"Timestamp-source Peek calls."`
+	Snapshots       uint64 `json:"snapshots" help:"Range-query snapshot-bound acquisitions."`
+	Stalls          uint64 `json:"stalls,omitempty" help:"AdvanceStrict spin-budget exhaustions (frozen or severely degraded source)."`
+	SnapshotRetries uint64 `json:"snapshot_retries,omitempty" help:"Range-query snapshots discarded and re-run after an adaptive-source generation switch."`
 }
 
 // GC is the reclamation-reporting hook shared by every technique family:
-// the bundle, vCAS and EBR-RQ implementations all report through one
-// instance of this struct (bundle entries and vCAS versions dropped by
-// truncation, EBR-RQ limbo-list churn). A nil *GC disables reporting.
+// bundle entries and vCAS versions dropped by truncation, EBR-RQ
+// limbo-list churn. A nil *GC disables reporting.
 type GC struct {
-	// BundlePruned counts bundle history entries dropped by truncation.
-	BundlePruned Counter
-	// VersionsPruned counts vCAS versions dropped by chain truncation.
-	VersionsPruned Counter
-	// LimboRetired counts nodes placed on EBR-RQ limbo lists.
-	LimboRetired Counter
-	// LimboPruned counts limbo nodes dropped once both the epoch and the
-	// range-query retention conditions released them.
-	LimboPruned Counter
-	// LimboLen tracks the current total limbo population.
-	LimboLen Gauge
+	BundleEntriesPruned, VcasVersionsPruned, LimboRetired, LimboPruned Counter
+	LimboLen                                                           Gauge
 }
 
 // GCSnapshot is a point-in-time copy of GC.
 type GCSnapshot struct {
-	BundleEntriesPruned uint64 `json:"bundle_entries_pruned"`
-	VcasVersionsPruned  uint64 `json:"vcas_versions_pruned"`
-	LimboRetired        uint64 `json:"limbo_retired"`
-	LimboPruned         uint64 `json:"limbo_pruned"`
-	LimboLen            int64  `json:"limbo_len"`
-}
-
-// Snapshot copies the counters.
-func (g *GC) Snapshot() GCSnapshot {
-	return GCSnapshot{
-		BundleEntriesPruned: g.BundlePruned.Load(),
-		VcasVersionsPruned:  g.VersionsPruned.Load(),
-		LimboRetired:        g.LimboRetired.Load(),
-		LimboPruned:         g.LimboPruned.Load(),
-		LimboLen:            g.LimboLen.Load(),
-	}
+	BundleEntriesPruned uint64 `json:"bundle_entries_pruned" help:"Bundle history entries dropped by truncation."`
+	VcasVersionsPruned  uint64 `json:"vcas_versions_pruned" help:"vCAS versions dropped by chain truncation."`
+	LimboRetired        uint64 `json:"limbo_retired" help:"Nodes placed on EBR-RQ limbo lists."`
+	LimboPruned         uint64 `json:"limbo_pruned" help:"Limbo nodes released by epoch and range-query retention."`
+	LimboLen            int64  `json:"limbo_len" help:"Current total limbo population."`
 }
 
 // HistoryStats counts MVCC time-travel reads (Map.GetAt/RangeQueryAt/
 // ScanAt at caller-chosen past timestamps). Reads that refuse with
-// ErrHistoryUnsupported or ErrFutureTimestamp are not counted: the
-// first is a static capability miss, the second a caller bug; only
-// served snapshots and retention-window refusals say anything about
-// the history the map is actually keeping.
+// ErrHistoryUnsupported or ErrFutureTimestamp are not counted: the first
+// is a static capability miss, the second a caller bug. A growing
+// Truncations rate means readers want more history than Config.Retention
+// keeps.
 type HistoryStats struct {
-	// Reads counts historical reads served from retained history.
-	Reads Counter
-	// Truncations counts historical reads refused with
-	// ErrTruncatedHistory: the requested timestamp fell below the
-	// published prune watermark. A growing rate means readers want
-	// more history than Config.Retention keeps.
-	Truncations Counter
+	Reads, Truncations Counter
 }
 
 // HistorySnapshot is a point-in-time copy of HistoryStats.
 type HistorySnapshot struct {
-	Reads       uint64 `json:"reads"`
-	Truncations uint64 `json:"truncations"`
-}
-
-// Snapshot copies the counters.
-func (h *HistoryStats) Snapshot() HistorySnapshot {
-	return HistorySnapshot{
-		Reads:       h.Reads.Load(),
-		Truncations: h.Truncations.Load(),
-	}
+	Reads       uint64 `json:"reads" help:"Historical (time-travel) reads served from retained version history."`
+	Truncations uint64 `json:"truncations" help:"Historical reads refused with ErrTruncatedHistory (timestamp below the retention watermark)."`
 }
 
 // PoolStats counts allocator-facade traffic when a structure runs in
-// pooled or arena mode (Config.Alloc): Hits are allocations served from
-// a per-thread free list or arena chunk without touching the Go heap;
-// Misses fell through to the runtime allocator (cold free list, drained
-// sync.Pool, fresh arena chunk); Recycled counts retired nodes the epoch
-// machinery proved unreachable and handed back to a free list instead of
-// the GC. A nil *PoolStats disables reporting.
+// pooled or arena mode (Config.Alloc). A nil *PoolStats disables
+// reporting.
 type PoolStats struct {
-	Hits     Counter
-	Misses   Counter
-	Recycled Counter
+	Hits, Misses, Recycled Counter
 }
 
 // PoolSnapshot is a point-in-time copy of PoolStats.
 type PoolSnapshot struct {
-	// Mode is the allocation mode label ("GC", "Pool", "Arena"), set by
-	// whoever wires the stats to a pool.
-	Mode     string `json:"mode,omitempty"`
-	Hits     uint64 `json:"hits"`
-	Misses   uint64 `json:"misses"`
-	Recycled uint64 `json:"recycled"`
-}
-
-// Snapshot copies the counters.
-func (p *PoolStats) Snapshot() PoolSnapshot {
-	return PoolSnapshot{
-		Hits:     p.Hits.Load(),
-		Misses:   p.Misses.Load(),
-		Recycled: p.Recycled.Load(),
-	}
+	// Mode is the allocation mode label ("Pool", "Arena").
+	Mode     string `json:"mode,omitempty" prom:"label"`
+	Hits     uint64 `json:"hits" help:"Allocations served from a per-thread free list or arena chunk."`
+	Misses   uint64 `json:"misses" help:"Allocations that fell through to the runtime allocator."`
+	Recycled uint64 `json:"recycled" help:"Retired nodes proven unreachable and recycled to free lists."`
 }
 
 // ShardStats counts one shard's share of a sharded map's traffic: Ops is
@@ -400,12 +352,12 @@ type ShardSnapshot struct {
 }
 
 // Registry aggregates one data structure's metrics: per-class operation
-// latency histograms (which carry the op counts), timestamp-source stats,
-// reclamation stats, and — for sharded maps — per-shard routing counts.
-// A Registry is safe for concurrent use by any number of goroutines; all
-// fields are independent atomics.
+// latency histograms (which carry the op counts), the counter blocks, and
+// — for sharded maps — per-shard routing counts. A Registry is safe for
+// concurrent use by any number of goroutines; all fields are independent
+// atomics.
 type Registry struct {
-	ops      [numOpClasses]Histogram
+	ops      [NumOpClasses]Histogram
 	Source   SourceStats
 	GC       GC
 	Pool     PoolStats
@@ -514,18 +466,110 @@ type Snapshot struct {
 	Shards []ShardSnapshot `json:"shards,omitempty"`
 }
 
+// field is one string or numeric field of a block's snapshot struct.
+type field struct {
+	index, live int // in the snapshot struct and in the live struct
+	key, help   string
+	kind        reflect.Kind // String, Uint64 (a counter) or Int64 (a gauge)
+	label       bool         // a string exported as a Prometheus label
+}
+
+// block is a Snapshot field that mirrors the same-named Registry field.
+type block struct {
+	name        string // the Snapshot field's JSON key
+	index, live int    // in Snapshot and in Registry
+	fields      []field
+}
+
+// blocks are the registry's counter blocks in Snapshot's field order.
+var blocks = blocksOf(reflect.TypeOf(Snapshot{}), reflect.TypeOf(Registry{}))
+
+// blocksOf pairs every struct (or pointer-to-struct) field of snap with
+// the same-named field of reg. A numeric snapshot field without a live
+// Counter or Gauge of its name is a declaration bug and panics at init.
+func blocksOf(snap, reg reflect.Type) []block {
+	liveType := map[reflect.Kind]reflect.Type{
+		reflect.Uint64: reflect.TypeOf(Counter{}),
+		reflect.Int64:  reflect.TypeOf(Gauge{}),
+	}
+	var out []block
+	for i := 0; i < snap.NumField(); i++ {
+		sf := snap.Field(i)
+		t := sf.Type
+		if t.Kind() == reflect.Pointer {
+			t = t.Elem()
+		}
+		rf, ok := reg.FieldByName(sf.Name)
+		if !ok || t.Kind() != reflect.Struct {
+			continue
+		}
+		b := block{name: jsonKey(sf), index: i, live: rf.Index[0]}
+		for j := 0; j < t.NumField(); j++ {
+			f := t.Field(j)
+			fd := field{index: j, live: -1, key: jsonKey(f), help: f.Tag.Get("help"),
+				kind: f.Type.Kind(), label: f.Tag.Get("prom") == "label"}
+			if fd.kind != reflect.String {
+				lf, ok := rf.Type.FieldByName(f.Name)
+				if want := liveType[fd.kind]; !ok || want == nil || lf.Type != want {
+					panic("obs: " + sf.Name + "." + f.Name + " has no live Counter or Gauge of its name")
+				}
+				fd.live = lf.Index[0]
+			}
+			b.fields = append(b.fields, fd)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// jsonKey is a struct field's JSON key.
+func jsonKey(f reflect.StructField) string {
+	key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+	return key
+}
+
+// number renders a numeric field of block value v.
+func (f *field) number(v reflect.Value) string {
+	if f.kind == reflect.Int64 {
+		return strconv.FormatInt(v.Field(f.index).Int(), 10)
+	}
+	return strconv.FormatUint(v.Field(f.index).Uint(), 10)
+}
+
+// each calls fn with every block s holds; an absent Pool, WAL or History
+// is skipped.
+func (s *Snapshot) each(fn func(b *block, v reflect.Value)) {
+	sv := reflect.ValueOf(s).Elem()
+	for i := range blocks {
+		v := sv.Field(blocks[i].index)
+		if v.Kind() == reflect.Pointer {
+			if v.IsNil() {
+				continue
+			}
+			v = v.Elem()
+		}
+		fn(&blocks[i], v)
+	}
+}
+
 // Snapshot copies every instrument.
 func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Source: SourceSnapshot{
-			Advances:        r.Source.Advances.Load(),
-			Peeks:           r.Source.Peeks.Load(),
-			Snapshots:       r.Source.Snapshots.Load(),
-			Stalls:          r.Source.Stalls.Load(),
-			SnapshotRetries: r.Source.SnapshotRetries.Load(),
-		},
-		Ops: make(map[string]HistSnapshot, int(numOpClasses)),
-		GC:  r.GC.Snapshot(),
+	s := Snapshot{Ops: make(map[string]HistSnapshot, int(NumOpClasses))}
+	rv, sv := reflect.ValueOf(r).Elem(), reflect.ValueOf(&s).Elem()
+	for _, b := range blocks {
+		dst, live := sv.Field(b.index), rv.Field(b.live)
+		if dst.Kind() == reflect.Pointer {
+			dst.Set(reflect.New(dst.Type().Elem()))
+			dst = dst.Elem()
+		}
+		for _, f := range b.fields {
+			switch f.kind {
+			case reflect.Uint64:
+				dst.Field(f.index).SetUint(live.Field(f.live).Addr().Interface().(*Counter).Load())
+			case reflect.Int64:
+				dst.Field(f.index).SetInt(live.Field(f.live).Addr().Interface().(*Gauge).Load())
+			}
+		}
 	}
 	if k := r.kind.Load(); k != nil {
 		s.Source.Kind = *k
@@ -537,19 +581,19 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Source.Actual = *a
 	}
 	if m := r.alloc.Load(); m != nil {
-		ps := r.Pool.Snapshot()
-		ps.Mode = *m
-		s.Pool = &ps
+		s.Pool.Mode = *m
+	} else {
+		s.Pool = nil
 	}
 	if m := r.walMode.Load(); m != nil {
-		ws := r.WAL.Snapshot()
-		ws.Mode = *m
-		s.WAL = &ws
+		s.WAL.Mode = *m
+	} else {
+		s.WAL = nil
 	}
-	if hs := r.History.Snapshot(); hs.Reads+hs.Truncations > 0 {
-		s.History = &hs
+	if s.History.Reads+s.History.Truncations == 0 {
+		s.History = nil
 	}
-	for c := OpClass(0); c < numOpClasses; c++ {
+	for c := OpClass(0); c < NumOpClasses; c++ {
 		s.Ops[c.String()] = r.ops[c].Snapshot()
 	}
 	if sh := r.shards.Load(); sh != nil {
@@ -594,62 +638,32 @@ func (r *Registry) String() string {
 
 // Summary renders the snapshot as a short human-readable table: one line
 // per active op class with count, mean, and the bucket-derived p50, p99
-// and max, plus source and reclamation traffic when present.
+// and max, one line per block with its nonzero fields, and the shards.
 func (s Snapshot) Summary() string {
 	var b strings.Builder
-	for _, c := range []OpClass{OpUpdate, OpRange, OpContains} {
+	for c := OpClass(0); c < NumOpClasses; c++ {
 		op, ok := s.Ops[c.String()]
 		if !ok || op.Count == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "  %-12s %10d ops  mean %s  p50 %s  p99 %s  max %s\n",
-			c.String(), op.Count, durNS(op.MeanNS), durNS(op.P50NS), durNS(op.P99NS), durNS(op.MaxNS))
+		fmt.Fprintf(&b, "  %-12s %10d ops  mean %s  p50 %s  p99 %s  max %s\n", c, op.Count,
+			FormatNS(float64(op.MeanNS)), FormatNS(float64(op.P50NS)), FormatNS(float64(op.P99NS)), FormatNS(float64(op.MaxNS)))
 	}
-	if s.Source.Advances+s.Source.Peeks+s.Source.Snapshots > 0 {
-		label := s.Source.Kind
-		if s.Source.Actual != "" {
-			label += " (actual: " + s.Source.Actual + ")"
+	s.each(func(bl *block, v reflect.Value) {
+		var head, counts []string
+		for i := range bl.fields {
+			f := &bl.fields[i]
+			switch {
+			case f.kind == reflect.String && v.Field(f.index).String() != "":
+				head = append(head, f.key+"="+v.Field(f.index).String())
+			case f.kind != reflect.String && !v.Field(f.index).IsZero():
+				counts = append(counts, strings.ReplaceAll(f.key, "_", " ")+" "+f.number(v))
+			}
 		}
-		fmt.Fprintf(&b, "  source %s: %d advances, %d peeks, %d snapshots\n",
-			label, s.Source.Advances, s.Source.Peeks, s.Source.Snapshots)
-		if s.Source.Stalls+s.Source.SnapshotRetries > 0 {
-			fmt.Fprintf(&b, "  source faults: %d stalls, %d snapshot retries\n",
-				s.Source.Stalls, s.Source.SnapshotRetries)
+		if len(counts) > 0 {
+			fmt.Fprintf(&b, "  %s: %s\n", strings.Join(append([]string{bl.name}, head...), " "), strings.Join(counts, ", "))
 		}
-	}
-	if g := s.GC; g.BundleEntriesPruned+g.VcasVersionsPruned+g.LimboRetired > 0 {
-		fmt.Fprintf(&b, "  gc: %d bundle entries pruned, %d versions pruned, %d limbo retired (%d pruned, %d live)\n",
-			g.BundleEntriesPruned, g.VcasVersionsPruned, g.LimboRetired, g.LimboPruned, g.LimboLen)
-	}
-	if h := s.History; h != nil {
-		fmt.Fprintf(&b, "  history: %d time-travel reads, %d refused below retention\n",
-			h.Reads, h.Truncations)
-	}
-	if p := s.Pool; p != nil {
-		total := p.Hits + p.Misses
-		hitPct := 0.0
-		if total > 0 {
-			hitPct = 100 * float64(p.Hits) / float64(total)
-		}
-		fmt.Fprintf(&b, "  alloc %s: %d pool hits / %d misses (%.1f%% reuse), %d recycled\n",
-			p.Mode, p.Hits, p.Misses, hitPct, p.Recycled)
-	}
-	if w := s.WAL; w != nil {
-		group := 0.0
-		if w.Batches > 0 {
-			group = float64(w.Appends) / float64(w.Batches)
-		}
-		fmt.Fprintf(&b, "  wal %s: %d appends in %d batches (%.1f/commit), %d fsyncs, %d snapshots (%d keys)\n",
-			w.Mode, w.Appends, w.Batches, group, w.Fsyncs, w.SnapshotFlushes, w.SnapshotKeys)
-		if w.Retries+w.Errors+w.SnapshotFailures > 0 {
-			fmt.Fprintf(&b, "  wal faults: %d retries, %d errors, %d snapshot failures\n",
-				w.Retries, w.Errors, w.SnapshotFailures)
-		}
-		if w.RecoveredKeys+w.RecoveredRecords+w.TornSkipped > 0 {
-			fmt.Fprintf(&b, "  recovery: %d snapshot keys, %d records replayed, %d torn records skipped\n",
-				w.RecoveredKeys, w.RecoveredRecords, w.TornSkipped)
-		}
-	}
+	})
 	if len(s.Shards) > 0 {
 		fmt.Fprintf(&b, "  shards:")
 		for i, sh := range s.Shards {
@@ -663,16 +677,16 @@ func (s Snapshot) Summary() string {
 	return b.String()
 }
 
-// durNS renders an integer nanosecond quantity with an adaptive unit.
-func durNS(ns uint64) string {
+// FormatNS renders a nanosecond quantity with an adaptive unit.
+func FormatNS(ns float64) string {
 	switch {
 	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
+		return fmt.Sprintf("%.2fs", ns/1e9)
 	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", float64(ns)/1e6)
+		return fmt.Sprintf("%.2fms", ns/1e6)
 	case ns >= 1e3:
-		return fmt.Sprintf("%.2fµs", float64(ns)/1e3)
+		return fmt.Sprintf("%.2fµs", ns/1e3)
 	default:
-		return fmt.Sprintf("%dns", ns)
+		return fmt.Sprintf("%.0fns", ns)
 	}
 }

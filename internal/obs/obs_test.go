@@ -186,7 +186,7 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	r.ObserveOp(OpRange, time.Microsecond)
 	r.ObserveOp(OpContains, 50*time.Nanosecond)
 	r.Source.Advances.Add(3)
-	r.GC.BundlePruned.Add(2)
+	r.GC.BundleEntriesPruned.Add(2)
 	r.GC.LimboRetired.Inc()
 	r.GC.LimboLen.Add(1)
 

@@ -3,16 +3,16 @@ package obs
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"strings"
 )
 
 // PromVar is the optional capability a Var may implement to appear in
-// the Prometheus text exposition (/metrics.prom, and /metrics under
-// Accept negotiation). WriteProm writes zero or more complete metric
-// families in text exposition format 0.0.4: every family introduced by
-// its # HELP and # TYPE lines, histogram buckets cumulative and
-// +Inf-terminated. *Registry implements it; so does *tsc.Health
-// (structurally — this package never imports tsc).
+// the Prometheus text exposition (/metrics.prom). WriteProm writes zero
+// or more complete metric families in text exposition format 0.0.4:
+// every family introduced by its # HELP and # TYPE lines, histogram
+// buckets cumulative and +Inf-terminated. *Registry implements it; so
+// does *tsc.Health (structurally — this package never imports tsc).
 type PromVar interface {
 	WriteProm(w io.Writer)
 }
@@ -72,16 +72,6 @@ func promU64(w io.Writer, name string, ls []promLabel, v uint64) {
 	fmt.Fprintf(w, "%s%s %d\n", name, promLabels(ls), v)
 }
 
-// promI64 writes one sample with a signed integer value.
-func promI64(w io.Writer, name string, ls []promLabel, v int64) {
-	fmt.Fprintf(w, "%s%s %d\n", name, promLabels(ls), v)
-}
-
-// promF64 writes one sample with a float value.
-func promF64(w io.Writer, name string, ls []promLabel, v float64) {
-	fmt.Fprintf(w, "%s%s %g\n", name, promLabels(ls), v)
-}
-
 // with returns ls extended by one pair (copy; ls is never mutated).
 func with(ls []promLabel, k, v string) []promLabel {
 	out := make([]promLabel, len(ls), len(ls)+1)
@@ -89,13 +79,13 @@ func with(ls []promLabel, k, v string) []promLabel {
 	return append(out, promLabel{k, v})
 }
 
-// WriteProm renders the registry as Prometheus text-format families:
-// op counters and latency histograms (cumulative _bucket/_sum/_count,
-// le in nanoseconds), timestamp-source counters, GC/reclamation
-// counters, and — when the registry is wired to them — pool, WAL and
-// per-shard families. The structure= and source= labels carry the
-// SetStructure/SetSourceKind identity on every sample; shard families
-// add shard=. Nil-safe (writes nothing).
+// WriteProm renders the registry as Prometheus text-format families: op
+// counters and latency histograms (cumulative _bucket/_sum/_count, le in
+// nanoseconds), the source info gauge, one family per field of every
+// counter block the registry holds, and the per-shard families. The
+// structure= and source= labels carry the SetStructure/SetSourceKind
+// identity on every sample; a block's mode adds mode=, shard families
+// shard=. Nil-safe (writes nothing).
 func (r *Registry) WriteProm(w io.Writer) {
 	if r == nil {
 		return
@@ -108,15 +98,14 @@ func (r *Registry) WriteProm(w io.Writer) {
 	if s.Source.Kind != "" {
 		base = append(base, promLabel{"source", s.Source.Kind})
 	}
-	classes := []OpClass{OpUpdate, OpRange, OpContains}
 
 	promHead(w, "tscds_ops_total", "Completed operations by class.", "counter")
-	for _, c := range classes {
+	for c := OpClass(0); c < NumOpClasses; c++ {
 		promU64(w, "tscds_ops_total", with(base, "class", c.String()), s.Ops[c.String()].Count)
 	}
 
 	promHead(w, "tscds_op_latency_ns", "Operation latency in nanoseconds (log2 buckets; le is the bucket's inclusive upper bound).", "histogram")
-	for _, c := range classes {
+	for c := OpClass(0); c < NumOpClasses; c++ {
 		op := s.Ops[c.String()]
 		lb := with(base, "class", c.String())
 		var cum uint64
@@ -134,81 +123,34 @@ func (r *Registry) WriteProm(w io.Writer) {
 		promU64(w, "tscds_op_latency_ns_count", lb, cum)
 	}
 
-	src := base
-	promHead(w, "tscds_source_advances_total", "Timestamp-source Advance calls (one fetch-and-add per call on a logical source).", "counter")
-	promU64(w, "tscds_source_advances_total", src, s.Source.Advances)
-	promHead(w, "tscds_source_peeks_total", "Timestamp-source Peek calls.", "counter")
-	promU64(w, "tscds_source_peeks_total", src, s.Source.Peeks)
-	promHead(w, "tscds_source_snapshots_total", "Range-query snapshot-bound acquisitions.", "counter")
-	promU64(w, "tscds_source_snapshots_total", src, s.Source.Snapshots)
-	promHead(w, "tscds_source_stalls_total", "AdvanceStrict spin-budget exhaustions (frozen or severely degraded source).", "counter")
-	promU64(w, "tscds_source_stalls_total", src, s.Source.Stalls)
-	promHead(w, "tscds_source_snapshot_retries_total", "Range-query snapshots discarded and re-run after an adaptive-source generation switch.", "counter")
-	promU64(w, "tscds_source_snapshot_retries_total", src, s.Source.SnapshotRetries)
-
 	actual := s.Source.Actual
 	if actual == "" {
 		actual = s.Source.Kind
 	}
 	promHead(w, "tscds_source_info", "Requested and actually-serving timestamp source (value is always 1).", "gauge")
-	info := base
-	info = with(info, "requested", s.Source.Kind)
-	info = with(info, "actual", actual)
-	promU64(w, "tscds_source_info", info, 1)
+	promU64(w, "tscds_source_info", with(with(base, "requested", s.Source.Kind), "actual", actual), 1)
 
-	promHead(w, "tscds_gc_bundle_entries_pruned_total", "Bundle history entries dropped by truncation.", "counter")
-	promU64(w, "tscds_gc_bundle_entries_pruned_total", base, s.GC.BundleEntriesPruned)
-	promHead(w, "tscds_gc_vcas_versions_pruned_total", "vCAS versions dropped by chain truncation.", "counter")
-	promU64(w, "tscds_gc_vcas_versions_pruned_total", base, s.GC.VcasVersionsPruned)
-	promHead(w, "tscds_gc_limbo_retired_total", "Nodes placed on EBR-RQ limbo lists.", "counter")
-	promU64(w, "tscds_gc_limbo_retired_total", base, s.GC.LimboRetired)
-	promHead(w, "tscds_gc_limbo_pruned_total", "Limbo nodes released by epoch and range-query retention.", "counter")
-	promU64(w, "tscds_gc_limbo_pruned_total", base, s.GC.LimboPruned)
-	promHead(w, "tscds_gc_limbo_len", "Current total limbo population.", "gauge")
-	promI64(w, "tscds_gc_limbo_len", base, s.GC.LimboLen)
-
-	if h := s.History; h != nil {
-		promHead(w, "tscds_history_reads_total", "Historical (time-travel) reads served from retained version history.", "counter")
-		promU64(w, "tscds_history_reads_total", base, h.Reads)
-		promHead(w, "tscds_history_truncations_total", "Historical reads refused with ErrTruncatedHistory (timestamp below the retention watermark).", "counter")
-		promU64(w, "tscds_history_truncations_total", base, h.Truncations)
-	}
-
-	if p := s.Pool; p != nil {
-		pl := with(base, "mode", p.Mode)
-		promHead(w, "tscds_pool_hits_total", "Allocations served from a per-thread free list or arena chunk.", "counter")
-		promU64(w, "tscds_pool_hits_total", pl, p.Hits)
-		promHead(w, "tscds_pool_misses_total", "Allocations that fell through to the runtime allocator.", "counter")
-		promU64(w, "tscds_pool_misses_total", pl, p.Misses)
-		promHead(w, "tscds_pool_recycled_total", "Retired nodes proven unreachable and recycled to free lists.", "counter")
-		promU64(w, "tscds_pool_recycled_total", pl, p.Recycled)
-	}
-
-	if wal := s.WAL; wal != nil {
-		wl := with(base, "mode", wal.Mode)
-		promHead(w, "tscds_wal_appends_total", "WAL records appended.", "counter")
-		promU64(w, "tscds_wal_appends_total", wl, wal.Appends)
-		promHead(w, "tscds_wal_appended_bytes_total", "Encoded bytes appended to the WAL.", "counter")
-		promU64(w, "tscds_wal_appended_bytes_total", wl, wal.AppendedBytes)
-		promHead(w, "tscds_wal_batches_total", "Group-commit write batches.", "counter")
-		promU64(w, "tscds_wal_batches_total", wl, wal.Batches)
-		promHead(w, "tscds_wal_fsyncs_total", "Successful fsyncs (segment and snapshot files).", "counter")
-		promU64(w, "tscds_wal_fsyncs_total", wl, wal.Fsyncs)
-		promHead(w, "tscds_wal_retries_total", "Transient write/fsync errors absorbed by retry-with-backoff.", "counter")
-		promU64(w, "tscds_wal_retries_total", wl, wal.Retries)
-		promHead(w, "tscds_wal_errors_total", "Persistent WAL failures (sticky; durability broken, map serving from memory).", "counter")
-		promU64(w, "tscds_wal_errors_total", wl, wal.Errors)
-		promHead(w, "tscds_wal_snapshot_flushes_total", "Whole-map snapshot flushes.", "counter")
-		promU64(w, "tscds_wal_snapshot_flushes_total", wl, wal.SnapshotFlushes)
-		promHead(w, "tscds_wal_snapshot_failures_total", "Snapshot flush attempts that failed.", "counter")
-		promU64(w, "tscds_wal_snapshot_failures_total", wl, wal.SnapshotFailures)
-		promHead(w, "tscds_wal_snapshot_keys_total", "Keys written by snapshot flushes.", "counter")
-		promU64(w, "tscds_wal_snapshot_keys_total", wl, wal.SnapshotKeys)
-		promHead(w, "tscds_wal_segments_pruned_total", "Sealed segments removed once covered by a snapshot.", "counter")
-		promU64(w, "tscds_wal_segments_pruned_total", wl, wal.SegmentsPruned)
-		promHead(w, "tscds_wal_torn_skipped_total", "Torn tail records discarded during recovery.", "counter")
-		promU64(w, "tscds_wal_torn_skipped_total", wl, wal.TornSkipped)
-	}
+	s.each(func(b *block, v reflect.Value) {
+		ls := base
+		for _, f := range b.fields {
+			if f.label {
+				ls = with(ls, f.key, v.Field(f.index).String())
+			}
+		}
+		lbl := promLabels(ls)
+		for i := range b.fields {
+			f := &b.fields[i]
+			name, typ := "tscds_"+b.name+"_"+f.key, "gauge"
+			switch f.kind {
+			case reflect.String:
+				continue
+			case reflect.Uint64:
+				name, typ = name+"_total", "counter"
+			}
+			promHead(w, name, f.help, typ)
+			fmt.Fprintf(w, "%s%s %s\n", name, lbl, f.number(v))
+		}
+	})
 
 	if len(s.Shards) > 0 {
 		promHead(w, "tscds_shard_ops_total", "Point operations routed to each shard by the key partition.", "counter")

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -92,6 +94,89 @@ func TestWritePromStrictParse(t *testing.T) {
 	}
 	if v, ok := res.Value("tscds_gc_limbo_len", nil); !ok || v != 10 {
 		t.Errorf("limbo_len = %v, %v; want 10, true", v, ok)
+	}
+}
+
+// TestEveryMetricExported gives every live counter and gauge of a fully
+// wired registry its own value, then requires each numeric field of every
+// snapshot block to hold one of those values, and to show it under its
+// JSON key and in the family tscds_<block>_<key> (plus _total on a
+// counter) of the exposition.
+func TestEveryMetricExported(t *testing.T) {
+	r := NewRegistry()
+	r.SetStructure("bst/vcas")
+	r.SetSourceKind("RDTSCP")
+	r.SetAllocMode("Pool")
+	r.SetWALMode("sync")
+	r.EnsureShards(2)
+	assigned := map[uint64]bool{}
+	rv := reflect.ValueOf(r).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if !rv.Type().Field(i).IsExported() {
+			continue
+		}
+		for j, live := 0, rv.Field(i); j < live.NumField(); j++ {
+			v := uint64(len(assigned) + 1)
+			switch c := live.Field(j).Addr().Interface().(type) {
+			case *Counter:
+				c.Add(v)
+			case *Gauge:
+				c.Set(int64(v))
+			default:
+				continue
+			}
+			assigned[v] = true
+		}
+	}
+
+	var js map[string]any
+	if err := json.Unmarshal([]byte(r.String()), &js); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	r.WriteProm(&buf)
+	res, diags := promparse.Parse(buf.Bytes())
+	if len(diags) > 0 {
+		t.Fatalf("strict parse diagnostics: %v", diags)
+	}
+
+	seen := map[uint64]bool{}
+	snap := r.Snapshot()
+	sv := reflect.ValueOf(snap)
+	for i := 0; i < sv.NumField(); i++ {
+		blk := reflect.Indirect(sv.Field(i))
+		if blk.Kind() != reflect.Struct {
+			continue
+		}
+		name, _, _ := strings.Cut(sv.Type().Field(i).Tag.Get("json"), ",")
+		for j := 0; j < blk.NumField(); j++ {
+			f := blk.Type().Field(j)
+			key, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+			family := "tscds_" + name + "_" + key
+			var v uint64
+			switch f.Type.Kind() {
+			case reflect.Uint64:
+				v, family = blk.Field(j).Uint(), family+"_total"
+			case reflect.Int64:
+				v = uint64(blk.Field(j).Int())
+			default:
+				continue
+			}
+			if !assigned[v] {
+				t.Errorf("%s.%s = %d: not filled from a live counter or gauge", name, key, v)
+				continue
+			}
+			seen[v] = true
+			if got, ok := js[name].(map[string]any)[key].(float64); !ok || uint64(got) != v {
+				t.Errorf("JSON %s.%s = %v, want %d", name, key, got, v)
+			}
+			if got, ok := res.Value(family, nil); !ok || uint64(got) != v {
+				t.Errorf("%s = %v, %v; want %d", family, got, ok, v)
+			}
+		}
+	}
+	if len(seen) != len(assigned) {
+		t.Errorf("%d live counters and gauges, %d of them in a snapshot block", len(assigned), len(seen))
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strings"
 	"time"
 )
 
@@ -18,13 +17,6 @@ import (
 type Var interface {
 	String() string
 }
-
-// Func adapts a function to Var (for values that need a live render,
-// e.g. a TSC health snapshot refreshed per scrape).
-type Func func() string
-
-// String invokes the function.
-func (f Func) String() string { return f() }
 
 // Live adapts a getter to a Var that re-resolves on every use, for
 // registrations whose backing value is swapped at runtime (a benchmark
@@ -149,74 +141,25 @@ func protect(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// acceptsProm reports whether an Accept header asks for the Prometheus
-// text exposition rather than JSON. Prometheus scrapers send an Accept
-// that names text/plain (or the OpenMetrics type, which the 0.0.4 text
-// format satisfies for the families we export); browsers and the JSON
-// collectors send */* or application/json and keep the JSON aggregate.
-func acceptsProm(accept string) bool {
-	for _, part := range strings.Split(accept, ",") {
-		mt := strings.TrimSpace(strings.SplitN(part, ";", 2)[0])
-		switch mt {
-		case "text/plain", "application/openmetrics-text":
-			return true
-		}
-	}
-	return false
-}
-
-// promContentType is the Prometheus text exposition content type.
-const promContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// writePromAll renders every registered var that speaks the text
-// exposition format, in sorted registration order.
-func writePromAll(w http.ResponseWriter, names []string, vars map[string]Var) {
-	w.Header().Set("Content-Type", promContentType)
-	for _, name := range names {
-		if pv, ok := vars[name].(PromVar); ok {
-			pv.WriteProm(w)
-		}
-	}
-}
-
-// writeJSONAll renders every registered var into one expvar-compatible
-// JSON object.
-func writeJSONAll(w http.ResponseWriter, names []string, vars map[string]Var) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	fmt.Fprintf(w, "{\n")
-	for i, name := range names {
-		if i > 0 {
-			fmt.Fprintf(w, ",\n")
-		}
-		fmt.Fprintf(w, "%q: %s", name, vars[name].String())
-	}
-	fmt.Fprintf(w, "\n}\n")
-}
-
 // Serve starts an opt-in HTTP stats endpoint on addr and returns
 // immediately. Routes:
 //
 //	/metrics       every registered var in one expvar-compatible JSON
-//	               object; a Prometheus Accept header (text/plain or
-//	               application/openmetrics-text) switches to the text
-//	               exposition
+//	               object
 //	/metrics.prom  Prometheus text exposition 0.0.4 of every var that
 //	               implements PromVar
 //	/<name>        one var by its registration name — JSON, unless the
 //	               var implements http.Handler (the flight recorder's
-//	               ?format=chrome, the series collector's ?last=N, the
-//	               watchdog's /events), which then handles the request
-//	               itself
+//	               ?format=chrome), which then handles the request itself
 //
 // Unknown paths get a 404 listing the registered routes. Every handler
 // renders into a buffer first: a panicking Var yields a clean HTTP 500
 // instead of a truncated 200 body.
 //
 // Conventional names used by the benchmark drivers: "metrics" (the
-// *Registry), "trace" (the flight recorder), "tschealth" (the TSC health
-// monitor), "series" (the time-series collector), "events" (the
-// watchdog), so /trace, /tschealth, /series and /events work as
-// documented in the README.
+// *Registry), "trace" (the flight recorder) and "tschealth" (the TSC
+// health monitor), so /trace and /tschealth work as documented in the
+// README.
 func Serve(addr string, vars map[string]Var) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -237,15 +180,24 @@ func Serve(addr string, vars map[string]Var) (*Server, error) {
 	sort.Strings(routes)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", protect(func(w http.ResponseWriter, req *http.Request) {
-		if acceptsProm(req.Header.Get("Accept")) {
-			writePromAll(w, names, vars)
-			return
+	mux.HandleFunc("/metrics", protect(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		fmt.Fprintf(w, "{\n")
+		for i, name := range names {
+			if i > 0 {
+				fmt.Fprintf(w, ",\n")
+			}
+			fmt.Fprintf(w, "%q: %s", name, vars[name].String())
 		}
-		writeJSONAll(w, names, vars)
+		fmt.Fprintf(w, "\n}\n")
 	}))
 	mux.HandleFunc("/metrics.prom", protect(func(w http.ResponseWriter, _ *http.Request) {
-		writePromAll(w, names, vars)
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		for _, name := range names {
+			if pv, ok := vars[name].(PromVar); ok {
+				pv.WriteProm(w)
+			}
+		}
 	}))
 	for name, v := range vars {
 		if name == "metrics" {

@@ -10,6 +10,11 @@ import (
 	"time"
 )
 
+// varFunc adapts a function to Var.
+type varFunc func() string
+
+func (f varFunc) String() string { return f() }
+
 func get(t *testing.T, url string) []byte {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -34,7 +39,7 @@ func TestServeEndpoints(t *testing.T) {
 
 	srv, err := Serve("127.0.0.1:0", map[string]Var{
 		"metrics":   reg,
-		"tschealth": Func(func() string { return `{"state":"healthy"}` }),
+		"tschealth": varFunc(func() string { return `{"state":"healthy"}` }),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +79,7 @@ func TestServeEndpoints(t *testing.T) {
 func TestCloseDrainsInflightScrape(t *testing.T) {
 	entered := make(chan struct{})
 	srv, err := Serve("127.0.0.1:0", map[string]Var{
-		"slow": Func(func() string {
+		"slow": varFunc(func() string {
 			close(entered)
 			time.Sleep(150 * time.Millisecond)
 			return `{"done":true}`
@@ -162,18 +167,10 @@ func TestSnapshotSummary(t *testing.T) {
 	}
 }
 
-// getFull returns body, status and content type without failing on
-// non-200 statuses.
-func getFull(t *testing.T, url string, hdr map[string]string) ([]byte, int, string) {
+// getFull returns body and status without failing on non-200 statuses.
+func getFull(t *testing.T, url string) ([]byte, int) {
 	t.Helper()
-	req, err := http.NewRequest("GET", url, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k, v := range hdr {
-		req.Header.Set(k, v)
-	}
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatalf("GET %s: %v", url, err)
 	}
@@ -182,7 +179,7 @@ func getFull(t *testing.T, url string, hdr map[string]string) ([]byte, int, stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b, resp.StatusCode, resp.Header.Get("Content-Type")
+	return b, resp.StatusCode
 }
 
 // A Var whose String() panics must yield a clean 500, not a truncated
@@ -191,14 +188,14 @@ func TestServePanickingVar(t *testing.T) {
 	reg := NewRegistry()
 	srv, err := Serve("127.0.0.1:0", map[string]Var{
 		"metrics": reg,
-		"broken":  Func(func() string { panic("render exploded") }),
+		"broken":  varFunc(func() string { panic("render exploded") }),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	body, status, _ := getFull(t, "http://"+srv.Addr()+"/broken", nil)
+	body, status := getFull(t, "http://"+srv.Addr()+"/broken")
 	if status != http.StatusInternalServerError {
 		t.Fatalf("panicking var status = %d, want 500", status)
 	}
@@ -207,7 +204,7 @@ func TestServePanickingVar(t *testing.T) {
 	}
 
 	// The aggregate route renders the panicking var too: same contract.
-	_, status, _ = getFull(t, "http://"+srv.Addr()+"/metrics", nil)
+	_, status = getFull(t, "http://"+srv.Addr()+"/metrics")
 	if status != http.StatusInternalServerError {
 		t.Fatalf("/metrics with panicking var status = %d, want 500", status)
 	}
@@ -222,13 +219,13 @@ func TestServePanickingVar(t *testing.T) {
 func TestServe404ListsRoutes(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0", map[string]Var{
 		"metrics":   NewRegistry(),
-		"tschealth": Func(func() string { return "{}" }),
+		"tschealth": varFunc(func() string { return "{}" }),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	body, status, _ := getFull(t, "http://"+srv.Addr()+"/nope", nil)
+	body, status := getFull(t, "http://"+srv.Addr()+"/nope")
 	if status != http.StatusNotFound {
 		t.Fatalf("status = %d, want 404", status)
 	}
@@ -236,48 +233,6 @@ func TestServe404ListsRoutes(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("404 listing missing %s:\n%s", want, body)
 		}
-	}
-}
-
-// /metrics negotiates on the Accept header: Prometheus scrapers get the
-// text exposition, everyone else the JSON aggregate.
-func TestServeAcceptNegotiation(t *testing.T) {
-	reg := NewRegistry()
-	reg.ObserveOp(OpUpdate, time.Microsecond)
-	srv, err := Serve("127.0.0.1:0", map[string]Var{"metrics": reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
-
-	body, status, ct := getFull(t, base+"/metrics", map[string]string{"Accept": "text/plain"})
-	if status != http.StatusOK || !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("negotiated: status %d, Content-Type %q", status, ct)
-	}
-	if !strings.Contains(string(body), "# TYPE tscds_ops_total counter") {
-		t.Fatalf("negotiated body not an exposition:\n%s", body)
-	}
-
-	body, _, ct = getFull(t, base+"/metrics", map[string]string{"Accept": "application/json"})
-	if !strings.HasPrefix(ct, "application/json") {
-		t.Fatalf("JSON Accept got Content-Type %q", ct)
-	}
-	var all map[string]json.RawMessage
-	if err := json.Unmarshal(body, &all); err != nil {
-		t.Fatalf("JSON aggregate: %v", err)
-	}
-
-	// No Accept header keeps the pre-existing JSON behavior.
-	body, _, _ = getFull(t, base+"/metrics", nil)
-	if err := json.Unmarshal(body, &all); err != nil {
-		t.Fatalf("default /metrics not JSON: %v", err)
-	}
-
-	// /metrics.prom always serves the exposition with the version tag.
-	_, _, ct = getFull(t, base+"/metrics.prom", nil)
-	if ct != promContentType {
-		t.Fatalf("/metrics.prom Content-Type = %q", ct)
 	}
 }
 

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tscds/internal/obs"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -137,8 +139,8 @@ func TestChromeTraceEmptySnapshot(t *testing.T) {
 
 func TestRecorderServeHTTPChrome(t *testing.T) {
 	r := NewRecorder(2, 64)
-	r.OpBegin(0, OpUpdate)
-	r.OpEnd(0, OpUpdate, 500)
+	r.OpBegin(0, obs.OpUpdate)
+	r.OpEnd(0, obs.OpUpdate, 500)
 
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/trace?format=chrome", nil))

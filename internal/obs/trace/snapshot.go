@@ -3,9 +3,10 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
+
+	"tscds/internal/obs"
 )
 
 // Event is one decoded flight-recorder entry.
@@ -65,7 +66,7 @@ func (r *Recorder) Snapshot(events bool) Snapshot {
 		RingSize:   r.RingSize(),
 		Threads:    len(r.rings),
 	}
-	for op := Op(0); op < NumOps; op++ {
+	for op := obs.OpClass(0); op < obs.NumOpClasses; op++ {
 		var agg OpStatSnapshot
 		agg.Op = op.String()
 		for i := range r.rings {
@@ -131,7 +132,7 @@ func (r *Recorder) Snapshot(events bool) Snapshot {
 			}
 			switch Kind(meta >> 16) {
 			case KindOpBegin, KindOpEnd:
-				ev.Op = Op(meta >> 8 & 0xff).String()
+				ev.Op = obs.OpClass(meta >> 8 & 0xff).String()
 			case KindSpan, KindCount:
 				ev.Phase = Phase(meta & 0xff).String()
 			}
@@ -191,7 +192,7 @@ func (s Snapshot) Format() string {
 		b.WriteString("  ops:\n")
 		for _, o := range s.Ops {
 			totalOps += o.Count
-			fmt.Fprintf(&b, "    %-12s %10d ops  mean %s\n", o.Op, o.Count, fmtNS(o.MeanNS))
+			fmt.Fprintf(&b, "    %-12s %10d ops  mean %s\n", o.Op, o.Count, obs.FormatNS(o.MeanNS))
 		}
 	}
 
@@ -220,7 +221,7 @@ func (s Snapshot) Format() string {
 			}
 			fmt.Fprintf(&b, "    %-14s %-*s %10d× mean %s max %s\n",
 				p.Phase, width, strings.Repeat("█", bar), p.Count,
-				fmtNS(p.Mean), fmtNS(float64(p.Max)))
+				obs.FormatNS(p.Mean), obs.FormatNS(float64(p.Max)))
 		}
 	}
 	if len(counts) > 0 {
@@ -238,27 +239,4 @@ func (s Snapshot) Format() string {
 		b.WriteString("  (no activity recorded)\n")
 	}
 	return b.String()
-}
-
-// fmtNS renders a nanosecond quantity with an adaptive unit.
-func fmtNS(ns float64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", ns/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", ns/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.2fµs", ns/1e3)
-	default:
-		return fmt.Sprintf("%.0fns", ns)
-	}
-}
-
-// Dump writes the flame-style summary followed by the snapshot JSON to
-// w. It is the one-call diagnostic exit for benchmark binaries.
-func Dump(w io.Writer, r *Recorder, events bool) {
-	s := r.Snapshot(events)
-	io.WriteString(w, s.Format())
-	io.WriteString(w, s.JSON())
-	io.WriteString(w, "\n")
 }

@@ -24,7 +24,7 @@
 // zero) simply drops it, so readers never block writers and the whole
 // structure is race-detector clean.
 //
-// Like obs, this package imports nothing from the rest of the library so
+// It imports only obs (for the op classes), which imports nothing, so
 // every layer can report through it without cycles.
 package trace
 
@@ -32,6 +32,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"tscds/internal/obs"
 )
 
 // Phase labels one slice of an operation's execution. Span phases
@@ -172,35 +174,6 @@ func (p Phase) Unit() string {
 	return "events"
 }
 
-// Op labels the operation classes the facade brackets, mirroring
-// obs.OpClass.
-type Op uint8
-
-const (
-	// OpUpdate covers Insert and Delete.
-	OpUpdate Op = iota
-	// OpRange covers RangeQuery and Scan.
-	OpRange
-	// OpContains covers Contains and Get.
-	OpContains
-
-	// NumOps is the number of op classes.
-	NumOps
-)
-
-// String names the op class.
-func (o Op) String() string {
-	switch o {
-	case OpUpdate:
-		return "update"
-	case OpRange:
-		return "range-query"
-	case OpContains:
-		return "contains"
-	}
-	return "unknown"
-}
-
 // Kind tags a ring event.
 type Kind uint8
 
@@ -279,7 +252,7 @@ type ring struct {
 	_      [cacheLine]byte
 	pos    atomic.Uint64
 	phases [NumPhases]phaseStat
-	ops    [NumOps]opStat
+	ops    [obs.NumOpClasses]opStat
 	slots  []slot
 	_      [cacheLine - 8]byte
 }
@@ -345,7 +318,7 @@ func (r *Recorder) Now() uint64 {
 
 // OpBegin records the start of a facade operation on thread tid. The
 // caller must be the goroutine owning tid.
-func (r *Recorder) OpBegin(tid int, op Op) {
+func (r *Recorder) OpBegin(tid int, op obs.OpClass) {
 	if r == nil {
 		return
 	}
@@ -353,11 +326,11 @@ func (r *Recorder) OpBegin(tid int, op Op) {
 }
 
 // OpEnd records the completion of a facade operation that took durNS.
-func (r *Recorder) OpEnd(tid int, op Op, durNS uint64) {
+func (r *Recorder) OpEnd(tid int, op obs.OpClass, durNS uint64) {
 	if r == nil {
 		return
 	}
-	if tid >= 0 && tid < len(r.rings) && op < NumOps {
+	if tid >= 0 && tid < len(r.rings) && op < obs.NumOpClasses {
 		s := &r.rings[tid].ops[op]
 		s.count.Add(1)
 		s.sum.Add(durNS)
@@ -410,7 +383,7 @@ func (r *Recorder) SharedCount(p Phase, n uint64) {
 
 // record seqlock-publishes one event into tid's ring. Only the goroutine
 // owning tid may call it (the rings are single-writer).
-func (r *Recorder) record(tid int, k Kind, op Op, p Phase, arg uint64) {
+func (r *Recorder) record(tid int, k Kind, op obs.OpClass, p Phase, arg uint64) {
 	if tid < 0 || tid >= len(r.rings) {
 		return
 	}

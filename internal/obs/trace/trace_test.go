@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"tscds/internal/obs"
 )
 
 // TestNilRecorderSafe: a nil recorder must absorb every call.
@@ -16,8 +18,8 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Now() != 0 || r.RingSize() != 0 || r.Threads() != 0 {
 		t.Fatal("nil recorder reports nonzero dimensions")
 	}
-	r.OpBegin(0, OpUpdate)
-	r.OpEnd(0, OpUpdate, 10)
+	r.OpBegin(0, obs.OpUpdate)
+	r.OpEnd(0, obs.OpUpdate, 10)
 	r.Span(0, PhaseTraverse, 0)
 	r.Count(0, PhaseRetry, 3)
 	r.SharedSpan(PhaseLockWait, 0)
@@ -37,11 +39,11 @@ func TestNilRecorderNoAlloc(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
 		start := r.Now()
-		r.OpBegin(0, OpRange)
+		r.OpBegin(0, obs.OpRange)
 		r.Span(0, PhaseTraverse, start)
 		r.Count(0, PhaseVersionWalk, 2)
 		r.SharedSpan(PhaseLockWait, start)
-		r.OpEnd(0, OpRange, 5)
+		r.OpEnd(0, obs.OpRange, 5)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil recorder allocates %.1f per op", allocs)
@@ -54,11 +56,11 @@ func TestEnabledRecorderNoAlloc(t *testing.T) {
 	r := NewRecorder(1, 64)
 	allocs := testing.AllocsPerRun(1000, func() {
 		start := r.Now()
-		r.OpBegin(0, OpUpdate)
+		r.OpBegin(0, obs.OpUpdate)
 		r.Span(0, PhaseTraverse, start)
 		r.Count(0, PhaseRetry, 1)
 		r.SharedCount(PhaseHelp, 1)
-		r.OpEnd(0, OpUpdate, 7)
+		r.OpEnd(0, obs.OpUpdate, 7)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled recorder allocates %.1f per op", allocs)
@@ -80,9 +82,9 @@ func TestRingSizeRounding(t *testing.T) {
 // TestSnapshotAggregates: ops and phases accumulate exactly.
 func TestSnapshotAggregates(t *testing.T) {
 	r := NewRecorder(2, 16)
-	r.OpEnd(0, OpUpdate, 100)
-	r.OpEnd(0, OpUpdate, 300)
-	r.OpEnd(1, OpRange, 50)
+	r.OpEnd(0, obs.OpUpdate, 100)
+	r.OpEnd(0, obs.OpUpdate, 300)
+	r.OpEnd(1, obs.OpRange, 50)
 	r.Count(0, PhaseVersionWalk, 4)
 	r.Count(1, PhaseVersionWalk, 6)
 	r.SharedCount(PhaseVersionWalk, 10)
@@ -115,10 +117,10 @@ func TestSnapshotAggregates(t *testing.T) {
 // wrap correctly once the ring overflows.
 func TestEventsDecode(t *testing.T) {
 	r := NewRecorder(1, 8)
-	r.OpBegin(0, OpRange)
+	r.OpBegin(0, obs.OpRange)
 	r.Span(0, PhaseTimestamp, r.Now())
 	r.Count(0, PhaseBundleDeref, 3)
-	r.OpEnd(0, OpRange, 42)
+	r.OpEnd(0, obs.OpRange, 42)
 
 	s := r.Snapshot(true)
 	if s.Recorded != 4 || len(s.Events) != 4 || s.Dropped != 0 {
@@ -153,7 +155,7 @@ func TestEventsDecode(t *testing.T) {
 // TestSnapshotJSONRoundTrip: JSON() must parse back into a Snapshot.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRecorder(2, 16)
-	r.OpEnd(0, OpContains, 9)
+	r.OpEnd(0, obs.OpContains, 9)
 	r.Span(1, PhaseTraverse, r.Now())
 	var parsed Snapshot
 	if err := json.Unmarshal([]byte(r.Snapshot(true).JSON()), &parsed); err != nil {
@@ -170,7 +172,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 // TestFormatMentionsPhases: the human rendering names active phases.
 func TestFormatMentionsPhases(t *testing.T) {
 	r := NewRecorder(1, 16)
-	r.OpEnd(0, OpUpdate, 100)
+	r.OpEnd(0, obs.OpUpdate, 100)
 	r.Span(0, PhaseLockWait, r.Now())
 	r.Count(0, PhaseHelp, 5)
 	out := r.Snapshot(false).Format()
@@ -223,11 +225,11 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				start := r.Now()
-				r.OpBegin(tid, OpUpdate)
+				r.OpBegin(tid, obs.OpUpdate)
 				r.Count(tid, PhaseRetry, 1)
 				r.Span(tid, PhaseTraverse, start)
 				r.SharedCount(PhaseHelp, 1)
-				r.OpEnd(tid, OpUpdate, r.Now()-start)
+				r.OpEnd(tid, obs.OpUpdate, r.Now()-start)
 			}
 		}(w)
 	}
@@ -265,8 +267,8 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 // TestOutOfRangeThreadIgnored: bad tids are dropped, not panics.
 func TestOutOfRangeThreadIgnored(t *testing.T) {
 	r := NewRecorder(2, 8)
-	r.OpBegin(-1, OpUpdate)
-	r.OpEnd(7, OpUpdate, 1)
+	r.OpBegin(-1, obs.OpUpdate)
+	r.OpEnd(7, obs.OpUpdate, 1)
 	r.Span(99, PhaseTraverse, 0)
 	r.Count(-3, PhaseRetry, 1)
 	if s := r.Snapshot(true); s.Recorded != 0 {
@@ -283,12 +285,12 @@ func TestPhaseAndOpStrings(t *testing.T) {
 			t.Fatalf("phase %v unit mismatch", p)
 		}
 	}
-	for o := Op(0); o < NumOps; o++ {
+	for o := obs.OpClass(0); o < obs.NumOpClasses; o++ {
 		if o.String() == "unknown" {
 			t.Fatalf("op %d has no name", o)
 		}
 	}
-	if Phase(200).String() != "unknown" || Op(200).String() != "unknown" {
+	if Phase(200).String() != "unknown" || obs.OpClass(200).String() != "unknown" {
 		t.Fatal("out-of-range labels must be unknown")
 	}
 }

@@ -2,78 +2,32 @@ package obs
 
 // WALStats counts durability-layer traffic for Maps built with
 // Config.Durability: append-path volume, group-commit batching and
-// fsync amortization, transient-error retries, snapshot flushes, and
-// what recovery replayed at open. A nil *WALStats disables reporting,
-// like every other block in this package.
+// fsync amortization (Appends/Batches is the achieved commit-group size),
+// transient-error retries, snapshot flushes, and what recovery loaded at
+// open. A nil *WALStats disables reporting, like every other block in
+// this package.
 type WALStats struct {
-	// Appends counts records appended; AppendedBytes their encoded size.
-	Appends       Counter
-	AppendedBytes Counter
-	// Batches counts group-commit write batches; Appends/Batches is the
-	// achieved commit-group size.
-	Batches Counter
-	// Fsyncs counts successful fsyncs (segment and snapshot files).
-	Fsyncs Counter
-	// Retries counts transient write/fsync errors absorbed by the
-	// retry-with-backoff policy.
-	Retries Counter
-	// Errors counts persistent failures that made the log's error
-	// sticky (durability broken; the map keeps serving from memory).
-	Errors Counter
-	// SnapshotFlushes/SnapshotFailures count snapshot attempts;
-	// SnapshotKeys/SnapshotBytes the flushed volume.
-	SnapshotFlushes  Counter
-	SnapshotFailures Counter
-	SnapshotKeys     Counter
-	SnapshotBytes    Counter
-	// SegmentsPruned counts sealed segments removed once a snapshot
-	// covered them.
-	SegmentsPruned Counter
-	// RecoveredKeys/RecoveredRecords count what recovery loaded at
-	// open (snapshot pairs, replayed WAL records); TornSkipped the
-	// torn-tail records it discarded.
-	RecoveredKeys    Counter
-	RecoveredRecords Counter
-	TornSkipped      Counter
+	Appends, AppendedBytes, Batches, Fsyncs, Retries, Errors       Counter
+	SnapshotFlushes, SnapshotFailures, SnapshotKeys, SnapshotBytes Counter
+	SegmentsPruned, RecoveredKeys, RecoveredRecords, TornSkipped   Counter
 }
 
 // WALSnapshot is a point-in-time copy of WALStats.
 type WALSnapshot struct {
-	// Mode is the durability mode label ("sync" or "batched(N)"), set
-	// by whoever wires the stats to a log.
-	Mode             string `json:"mode,omitempty"`
-	Appends          uint64 `json:"appends"`
-	AppendedBytes    uint64 `json:"appended_bytes"`
-	Batches          uint64 `json:"batches"`
-	Fsyncs           uint64 `json:"fsyncs"`
-	Retries          uint64 `json:"retries,omitempty"`
-	Errors           uint64 `json:"errors,omitempty"`
-	SnapshotFlushes  uint64 `json:"snapshot_flushes"`
-	SnapshotFailures uint64 `json:"snapshot_failures,omitempty"`
-	SnapshotKeys     uint64 `json:"snapshot_keys"`
-	SnapshotBytes    uint64 `json:"snapshot_bytes"`
-	SegmentsPruned   uint64 `json:"segments_pruned,omitempty"`
-	RecoveredKeys    uint64 `json:"recovered_keys,omitempty"`
-	RecoveredRecords uint64 `json:"recovered_records,omitempty"`
-	TornSkipped      uint64 `json:"torn_skipped,omitempty"`
-}
-
-// Snapshot copies the counters.
-func (w *WALStats) Snapshot() WALSnapshot {
-	return WALSnapshot{
-		Appends:          w.Appends.Load(),
-		AppendedBytes:    w.AppendedBytes.Load(),
-		Batches:          w.Batches.Load(),
-		Fsyncs:           w.Fsyncs.Load(),
-		Retries:          w.Retries.Load(),
-		Errors:           w.Errors.Load(),
-		SnapshotFlushes:  w.SnapshotFlushes.Load(),
-		SnapshotFailures: w.SnapshotFailures.Load(),
-		SnapshotKeys:     w.SnapshotKeys.Load(),
-		SnapshotBytes:    w.SnapshotBytes.Load(),
-		SegmentsPruned:   w.SegmentsPruned.Load(),
-		RecoveredKeys:    w.RecoveredKeys.Load(),
-		RecoveredRecords: w.RecoveredRecords.Load(),
-		TornSkipped:      w.TornSkipped.Load(),
-	}
+	// Mode is the durability mode label ("sync" or "batched(N)").
+	Mode             string `json:"mode,omitempty" prom:"label"`
+	Appends          uint64 `json:"appends" help:"WAL records appended."`
+	AppendedBytes    uint64 `json:"appended_bytes" help:"Encoded bytes appended to the WAL."`
+	Batches          uint64 `json:"batches" help:"Group-commit write batches."`
+	Fsyncs           uint64 `json:"fsyncs" help:"Successful fsyncs (segment and snapshot files)."`
+	Retries          uint64 `json:"retries,omitempty" help:"Transient write/fsync errors absorbed by retry-with-backoff."`
+	Errors           uint64 `json:"errors,omitempty" help:"Persistent WAL failures (sticky; durability broken, map serving from memory)."`
+	SnapshotFlushes  uint64 `json:"snapshot_flushes" help:"Whole-map snapshot flushes."`
+	SnapshotFailures uint64 `json:"snapshot_failures,omitempty" help:"Snapshot flush attempts that failed."`
+	SnapshotKeys     uint64 `json:"snapshot_keys" help:"Keys written by snapshot flushes."`
+	SnapshotBytes    uint64 `json:"snapshot_bytes" help:"Bytes written by snapshot flushes."`
+	SegmentsPruned   uint64 `json:"segments_pruned,omitempty" help:"Sealed segments removed once covered by a snapshot."`
+	RecoveredKeys    uint64 `json:"recovered_keys,omitempty" help:"Snapshot pairs loaded by recovery at open."`
+	RecoveredRecords uint64 `json:"recovered_records,omitempty" help:"WAL records replayed by recovery at open."`
+	TornSkipped      uint64 `json:"torn_skipped,omitempty" help:"Torn tail records discarded during recovery."`
 }

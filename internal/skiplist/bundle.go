@@ -123,7 +123,7 @@ func (p *bundleTechnique) unlink(th *core.Thread, pred, victim *node[blinks]) {
 // truncate trims the bundle a completed update just extended.
 func (p *bundleTechnique) truncate(th *core.Thread, n *node[blinks]) {
 	if d := n.l.bnd.Truncate(core.PruneBoundOf(th, p.rb, p.src)); d > 0 && p.gc != nil {
-		p.gc.BundlePruned.Add(uint64(d))
+		p.gc.BundleEntriesPruned.Add(uint64(d))
 	}
 }
 

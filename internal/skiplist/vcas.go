@@ -101,7 +101,7 @@ func (p *vcasTechnique) unlink(th *core.Thread, pred, victim *node[vlinks]) {
 // truncate trims the version chain a completed update just extended.
 func (p *vcasTechnique) truncate(th *core.Thread, n *node[vlinks]) {
 	if d := n.l.next0.Truncate(core.PruneBoundOf(th, p.rb, p.src)); d > 0 && p.gc != nil {
-		p.gc.VersionsPruned.Add(uint64(d))
+		p.gc.VcasVersionsPruned.Add(uint64(d))
 	}
 }
 

@@ -597,12 +597,12 @@ type wrap struct {
 func (w *wrap) RegisterThread() (*Thread, error) { return w.reg.Register() }
 
 // observe records one finished operation into whichever sinks are wired.
-func (w *wrap) observe(th *Thread, oo obs.OpClass, to trace.Op, start time.Time) {
+func (w *wrap) observe(th *Thread, c obs.OpClass, start time.Time) {
 	el := time.Since(start)
 	if w.obs != nil {
-		w.obs.ObserveOp(oo, el)
+		w.obs.ObserveOp(c, el)
 	}
-	w.tr.OpEnd(th.ID, to, uint64(el.Nanoseconds()))
+	w.tr.OpEnd(th.ID, c, uint64(el.Nanoseconds()))
 }
 
 // Insert discards the durability acknowledgment; durable callers who
@@ -626,10 +626,10 @@ func (w *wrap) Contains(th *Thread, key uint64) bool {
 	if w.obs == nil && w.tr == nil {
 		return w.m.Contains(th, key+w.shift)
 	}
-	w.tr.OpBegin(th.ID, trace.OpContains)
+	w.tr.OpBegin(th.ID, obs.OpContains)
 	start := time.Now()
 	ok := w.m.Contains(th, key+w.shift)
-	w.observe(th, obs.OpContains, trace.OpContains, start)
+	w.observe(th, obs.OpContains, start)
 	return ok
 }
 
@@ -640,10 +640,10 @@ func (w *wrap) Get(th *Thread, key uint64) (uint64, bool) {
 	if w.obs == nil && w.tr == nil {
 		return w.m.Get(th, key+w.shift)
 	}
-	w.tr.OpBegin(th.ID, trace.OpContains)
+	w.tr.OpBegin(th.ID, obs.OpContains)
 	start := time.Now()
 	v, ok := w.m.Get(th, key+w.shift)
-	w.observe(th, obs.OpContains, trace.OpContains, start)
+	w.observe(th, obs.OpContains, start)
 	return v, ok
 }
 
@@ -667,7 +667,7 @@ func (w *wrap) read(th *Thread, lo, hi, ts uint64, live bool, buf []KV) ([]KV, e
 	sinks := w.obs != nil || w.tr != nil
 	var start time.Time
 	if sinks {
-		w.tr.OpBegin(th.ID, trace.OpRange)
+		w.tr.OpBegin(th.ID, obs.OpRange)
 		start = time.Now()
 	}
 	base := len(buf)
@@ -678,7 +678,7 @@ func (w *wrap) read(th *Thread, lo, hi, ts uint64, live bool, buf []KV) ([]KV, e
 		}
 	}
 	if sinks {
-		w.observe(th, obs.OpRange, trace.OpRange, start)
+		w.observe(th, obs.OpRange, start)
 	}
 	if w.obs != nil && !live {
 		switch {
