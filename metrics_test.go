@@ -1,9 +1,17 @@
 package tscds
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"regexp"
+	"strings"
 	"testing"
+
+	"tscds/internal/obs"
+	"tscds/internal/obs/promparse"
+	"tscds/internal/tsc"
 )
 
 // TestRangeQueryEmptyInterval checks that hi < lo is an empty interval:
@@ -131,6 +139,71 @@ func TestMetricsReclamationCounters(t *testing.T) {
 			}
 			if got := c.field(reg.Snapshot()); got == 0 {
 				t.Fatalf("%s = 0 after churn", c.name)
+			}
+		})
+	}
+}
+
+// TestAlertExpressionsNameServedFamilies reads the alert table of
+// EXPERIMENTS.md and requires each alert to be there, and to select only
+// families and label names that a fully wired /metrics.prom serves: the
+// registry with its pool and WAL blocks, plus the TSC health monitor.
+func TestAlertExpressionsNameServedFamilies(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.SetStructure("bst/vcas")
+	reg.SetSourceKind("Adaptive")
+	reg.SetAllocMode("Pool")
+	reg.SetWALMode("sync")
+	var buf bytes.Buffer
+	reg.WriteProm(&buf)
+	tsc.NewHealth(8).WriteProm(&buf)
+	res, diags := promparse.Parse(buf.Bytes())
+	if len(diags) > 0 {
+		t.Fatalf("strict parse diagnostics: %v", diags)
+	}
+
+	doc, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "\n## Alert expressions\n")
+	if !ok {
+		t.Fatal(`EXPERIMENTS.md has no "## Alert expressions" section`)
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	row := regexp.MustCompile("(?m)^\\| `([a-z-]+)` \\| (?:critical|warn) \\| (.*) \\|$")
+	exprs := map[string]string{}
+	for _, m := range row.FindAllStringSubmatch(table, -1) {
+		exprs[m[1]] = m[2]
+	}
+
+	family := regexp.MustCompile(`tscds_[a-z_]+`)
+	selector := regexp.MustCompile(`(tscds_[a-z_]+)\{([^}]*)\}`)
+	matcher := regexp.MustCompile(`([a-z_]+)\s*(?:=~|!~|!=|=)`)
+	for _, name := range []string{
+		"tsc-backstep", "source-stall", "source-degraded", "source-switch",
+		"snapshot-retry-spike", "limbo-growth", "wal-error", "pool-hit-collapse",
+	} {
+		t.Run(name, func(t *testing.T) {
+			expr, ok := exprs[name]
+			if !ok {
+				t.Fatalf("no row for %s in the alert table", name)
+			}
+			for _, fam := range family.FindAllString(expr, -1) {
+				if res.Family(fam) == nil {
+					t.Errorf("%s is not served", fam)
+				}
+			}
+			for _, sel := range selector.FindAllStringSubmatch(expr, -1) {
+				f := res.Family(sel[1])
+				if f == nil || len(f.Samples) == 0 {
+					continue // reported above
+				}
+				for _, lm := range matcher.FindAllStringSubmatch(sel[2], -1) {
+					if _, ok := f.Samples[0].Labels[lm[1]]; !ok {
+						t.Errorf("%s has no label %q", sel[1], lm[1])
+					}
+				}
 			}
 		})
 	}
