@@ -45,9 +45,12 @@ loc:
 # fails if escape analysis reports a closure or a local moved to the heap
 # inside FUNC: the list's update paths hold their lock arrays on the stack,
 # and the list and the EFRB tree hand the technique node pointers only,
-# never their addresses.
+# never their addresses. Telemetry must cost what a counter read costs: the
+# telemetry clock is inlined where the facade ends an operation and where
+# the recorder ends a span, and no file on the facade's op path reads the
+# wall clock.
 inline-check:
-	@out="$$($(GO) build -gcflags=-m ./internal/vcas ./internal/lfbst ./internal/skiplist 2>&1)"; ok=0; \
+	@out="$$($(GO) build -gcflags=-m . ./internal/obs/trace ./internal/vcas ./internal/lfbst ./internal/skiplist 2>&1)"; ok=0; \
 	report() { s=$$(grep -n "^func $$2[([]" $$1 | cut -d: -f1); \
 		e=$$(awk -v s="$$s" 'NR > s && /^}/ { print NR; exit }' $$1); \
 		echo "$$out" | awk -F: -v f=$$1 -v s="$$s" -v e="$$e" -v c="$$3" -v d="$$4" \
@@ -67,6 +70,10 @@ inline-check:
 		deny internal/skiplist/skiplist.go "$$fn"; done; \
 	for fn in Insert Delete helpMarked; do \
 		deny internal/lfbst/lfbst.go "(t \*tree\[L, P\]) $$fn"; done; \
+	need ./tscds.go '(w \*wrap) observe' 'tsc.Clock.Now'; \
+	need internal/obs/trace/trace.go '(r \*Recorder) Span' 'tsc.Clock.Now'; \
+	if grep -n 'time\.\(Now\|Since\)' tscds.go durable.go sharded.go timetravel.go internal/obs/trace/trace.go; then \
+		echo "inline-check: the op path above reads the wall clock; read tsc.TelemetryClock"; ok=1; fi; \
 	exit $$ok
 
 # doc-check keeps the documentation, CI and the verify skill from naming

@@ -318,8 +318,7 @@ func (w *wrap) InsertDurable(th *Thread, key, val uint64) (bool, error) {
 	if w.obs == nil && w.tr == nil {
 		return w.applyInsert(th, key+w.shift, val)
 	}
-	w.tr.OpBegin(th.ID, obs.OpUpdate)
-	start := time.Now()
+	start := w.clk.Now()
 	ok, err := w.applyInsert(th, key+w.shift, val)
 	w.observe(th, obs.OpUpdate, start)
 	return ok, err
@@ -333,8 +332,7 @@ func (w *wrap) DeleteDurable(th *Thread, key uint64) (bool, error) {
 	if w.obs == nil && w.tr == nil {
 		return w.applyDelete(th, key+w.shift)
 	}
-	w.tr.OpBegin(th.ID, obs.OpUpdate)
-	start := time.Now()
+	start := w.clk.Now()
 	ok, err := w.applyDelete(th, key+w.shift)
 	w.observe(th, obs.OpUpdate, start)
 	return ok, err

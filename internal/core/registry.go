@@ -76,7 +76,19 @@ type Thread struct {
 	// thread, pruneLeft the number of calls it still serves.
 	pruneBound TS
 	pruneLeft  int
+	// point is PointBuf's storage.
+	point [1]KV
+	// The padding makes a Thread 128 bytes, a size class the allocator
+	// aligns to cache lines: no other object, written by another thread,
+	// shares a line with the fields every operation reads.
+	_ [48]byte
 }
+
+// PointBuf returns an empty buffer with room for one pair, owned by the
+// thread: a width-zero read collects into it without allocating, where a
+// caller's own one-pair array would escape through the collector's
+// interface call. The pair is valid until the thread's next PointBuf.
+func (t *Thread) PointBuf() []KV { return t.point[:0] }
 
 // Shard returns the handle to use against shard i's structure. A handle
 // with no fan-out (plain Registry.Register) returns itself, so

@@ -5,9 +5,19 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tscds/internal/obs"
 )
+
+// TestThreadLayout: a handle is 128 bytes, a size class the allocator
+// aligns to cache lines, so no object another thread writes shares a line
+// with the fields every operation reads.
+func TestThreadLayout(t *testing.T) {
+	if s := unsafe.Sizeof(Thread{}); s != 128 {
+		t.Fatalf("Thread is %d bytes, want 128", s)
+	}
+}
 
 // Regression: a double Release must not push the slot onto the free list
 // twice — that would hand one announcement slot to two goroutines and

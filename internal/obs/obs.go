@@ -101,15 +101,6 @@ func BucketUpperNS(i int) uint64 {
 	return 1<<uint(i) - 1
 }
 
-// Observe records one duration. Negative durations count as zero.
-func (h *Histogram) Observe(d time.Duration) {
-	ns := uint64(0)
-	if d > 0 {
-		ns = uint64(d)
-	}
-	h.ObserveNS(ns)
-}
-
 // ObserveNS records one observation of ns nanoseconds.
 func (h *Histogram) ObserveNS(ns uint64) {
 	h.buckets[bucketOf(ns)].Add(1)
@@ -125,6 +116,18 @@ func (h *Histogram) ObserveNS(ns uint64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
+
+// merge adds o's observations to h.
+func (h *Histogram) merge(o *Histogram) {
+	h.count.Add(o.count.Load())
+	h.sum.Add(o.sum.Load())
+	if m := o.max.Load(); m > h.max.Load() {
+		h.max.Store(m)
+	}
+	for i := range h.buckets {
+		h.buckets[i].Add(o.buckets[i].Load())
+	}
+}
 
 // QuantileNS estimates the q-quantile in nanoseconds, for q in (0, 1],
 // by log-linear interpolation: the winning log2 bucket is located by
@@ -351,13 +354,25 @@ type ShardSnapshot struct {
 	RQs uint64 `json:"rqs"`
 }
 
+// opStripes is the number of per-thread stripes of the op histograms: a
+// thread writes the stripe of its ID modulo opStripes, so up to opStripes
+// threads record operations without sharing a cache line. A power of two.
+const opStripes = 8
+
+// opStripe is one stripe's histogram per op class, on cache lines of its
+// own.
+type opStripe struct {
+	_  [cacheLine]byte
+	op [NumOpClasses]Histogram
+}
+
 // Registry aggregates one data structure's metrics: per-class operation
 // latency histograms (which carry the op counts), the counter blocks, and
 // — for sharded maps — per-shard routing counts. A Registry is safe for
 // concurrent use by any number of goroutines; all fields are independent
 // atomics.
 type Registry struct {
-	ops      [NumOpClasses]Histogram
+	ops      [opStripes]opStripe
 	Source   SourceStats
 	GC       GC
 	Pool     PoolStats
@@ -375,12 +390,10 @@ type Registry struct {
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Op returns the latency histogram for one operation class.
-func (r *Registry) Op(c OpClass) *Histogram { return &r.ops[c] }
-
-// ObserveOp records one completed operation of class c.
-func (r *Registry) ObserveOp(c OpClass, d time.Duration) {
-	r.ops[c].Observe(d)
+// ObserveOp records one completed operation of class c that took ns
+// nanoseconds on the thread with ID tid.
+func (r *Registry) ObserveOp(tid int, c OpClass, ns uint64) {
+	r.ops[uint(tid)%opStripes].op[c].ObserveNS(ns)
 }
 
 // SetSourceKind records the timestamp kind label reported in snapshots.
@@ -594,7 +607,11 @@ func (r *Registry) Snapshot() Snapshot {
 		s.History = nil
 	}
 	for c := OpClass(0); c < NumOpClasses; c++ {
-		s.Ops[c.String()] = r.ops[c].Snapshot()
+		var h Histogram
+		for i := range r.ops {
+			h.merge(&r.ops[i].op[c])
+		}
+		s.Ops[c.String()] = h.Snapshot()
 	}
 	if sh := r.shards.Load(); sh != nil {
 		s.Shards = make([]ShardSnapshot, len(*sh))

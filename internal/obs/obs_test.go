@@ -122,15 +122,6 @@ func TestQuantileInterpolationErrorBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramNegativeDuration(t *testing.T) {
-	var h Histogram
-	h.Observe(-time.Second)
-	s := h.Snapshot()
-	if s.Count != 1 || s.SumNS != 0 {
-		t.Fatalf("negative duration: count=%d sum=%d, want 1, 0", s.Count, s.SumNS)
-	}
-}
-
 func TestEmptyHistogramQuantile(t *testing.T) {
 	var h Histogram
 	if q := h.QuantileNS(0.99); q != 0 {
@@ -179,12 +170,51 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 }
 
+// TestOpStripesMergeExactly: threads on more IDs than there are stripes
+// record concurrently, several to a stripe; once they finish, the snapshot
+// merges the stripes into an exact histogram.
+func TestOpStripesMergeExactly(t *testing.T) {
+	const (
+		threads = 3 * opStripes
+		perG    = 2000
+		n       = threads * perG
+	)
+	r := NewRegistry()
+	var wg sync.WaitGroup
+	for tid := 0; tid < threads; tid++ {
+		wg.Add(1)
+		go func(tid int) {
+			defer wg.Done()
+			for i := 0; i < perG; i++ {
+				r.ObserveOp(tid, OpUpdate, uint64(tid*perG+i))
+			}
+		}(tid)
+	}
+	wg.Wait()
+	s := r.Snapshot()
+	u := s.Ops["update"]
+	if u.Count != n || u.SumNS != n*(n-1)/2 || u.MaxNS != n-1 {
+		t.Fatalf("merged update histogram count=%d sum=%d max=%d, want %d, %d, %d",
+			u.Count, u.SumNS, u.MaxNS, n, n*(n-1)/2, n-1)
+	}
+	var inBuckets uint64
+	for _, b := range u.Buckets {
+		inBuckets += b.Count
+	}
+	if inBuckets != u.Count {
+		t.Fatalf("buckets hold %d observations, count is %d", inBuckets, u.Count)
+	}
+	if c := s.Ops["contains"].Count + s.Ops["range-query"].Count; c != 0 {
+		t.Fatalf("other classes counted %d observations", c)
+	}
+}
+
 func TestRegistrySnapshotJSON(t *testing.T) {
 	r := NewRegistry()
 	r.SetSourceKind("Logical")
-	r.ObserveOp(OpUpdate, 100*time.Nanosecond)
-	r.ObserveOp(OpRange, time.Microsecond)
-	r.ObserveOp(OpContains, 50*time.Nanosecond)
+	r.ObserveOp(0, OpUpdate, uint64(100*time.Nanosecond))
+	r.ObserveOp(0, OpRange, uint64(time.Microsecond))
+	r.ObserveOp(0, OpContains, uint64(50*time.Nanosecond))
 	r.Source.Advances.Add(3)
 	r.GC.BundleEntriesPruned.Add(2)
 	r.GC.LimboRetired.Inc()

@@ -22,10 +22,10 @@ func fullRegistry() *Registry {
 	r.SetWALMode("batched(64)")
 	r.EnsureShards(2)
 	for i := 0; i < 100; i++ {
-		r.ObserveOp(OpUpdate, time.Duration(i+1)*time.Microsecond)
+		r.ObserveOp(0, OpUpdate, uint64(time.Duration(i+1)*time.Microsecond))
 	}
-	r.ObserveOp(OpRange, 5*time.Millisecond)
-	r.ObserveOp(OpContains, 300*time.Nanosecond)
+	r.ObserveOp(0, OpRange, uint64(5*time.Millisecond))
+	r.ObserveOp(0, OpContains, uint64(300*time.Nanosecond))
 	r.Source.Advances.Add(101)
 	r.Source.Snapshots.Add(7)
 	r.Source.SnapshotRetries.Add(2)
@@ -184,7 +184,7 @@ func TestEveryMetricExported(t *testing.T) {
 // a conformant exposition with only the unconditional families.
 func TestWritePromBareRegistry(t *testing.T) {
 	r := NewRegistry()
-	r.ObserveOp(OpUpdate, time.Microsecond)
+	r.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
 	var buf bytes.Buffer
 	r.WriteProm(&buf)
 	res, diags := promparse.Parse(buf.Bytes())
@@ -218,7 +218,7 @@ func TestPromEscape(t *testing.T) {
 	// Escaped label values must round-trip through the parser.
 	r := NewRegistry()
 	r.SetStructure(in)
-	r.ObserveOp(OpUpdate, time.Microsecond)
+	r.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
 	var buf bytes.Buffer
 	r.WriteProm(&buf)
 	res, diags := promparse.Parse(buf.Bytes())

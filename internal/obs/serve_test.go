@@ -35,7 +35,7 @@ func get(t *testing.T, url string) []byte {
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetSourceKind("Logical")
-	reg.ObserveOp(OpUpdate, 100*time.Nanosecond)
+	reg.ObserveOp(0, OpUpdate, uint64(100*time.Nanosecond))
 
 	srv, err := Serve("127.0.0.1:0", map[string]Var{
 		"metrics":   reg,
@@ -132,15 +132,15 @@ func TestStringMemoized(t *testing.T) {
 	defer func() { stringTTL = old }()
 
 	reg := NewRegistry()
-	reg.ObserveOp(OpUpdate, time.Microsecond)
+	reg.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
 	first := reg.String()
-	reg.ObserveOp(OpUpdate, time.Microsecond)
+	reg.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
 	if got := reg.String(); got != first {
 		t.Fatal("String re-marshaled within TTL")
 	}
 
 	stringTTL = 0 // every call is stale
-	reg.ObserveOp(OpUpdate, time.Microsecond)
+	reg.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
 	var snap Snapshot
 	if err := json.Unmarshal([]byte(reg.String()), &snap); err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestStringMemoized(t *testing.T) {
 func TestSnapshotSummary(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetSourceKind("RDTSCP")
-	reg.ObserveOp(OpRange, 3*time.Microsecond)
+	reg.ObserveOp(0, OpRange, uint64(3*time.Microsecond))
 	reg.Source.Snapshots.Inc()
 	reg.GC.LimboRetired.Inc()
 	out := reg.Snapshot().Summary()
@@ -263,7 +263,7 @@ func TestLiveVar(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	reg.ObserveOp(OpUpdate, time.Microsecond)
+	reg.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
 	cur(reg)
 	if !strings.Contains(live.String(), `"update"`) {
 		t.Fatal("live String did not track the swapped-in registry")
@@ -282,7 +282,7 @@ func TestLiveVar(t *testing.T) {
 	defer srv.Close()
 	reg2 := NewRegistry()
 	reg2.SetStructure("swapped/arm")
-	reg2.ObserveOp(OpRange, time.Microsecond)
+	reg2.ObserveOp(0, OpRange, uint64(time.Microsecond))
 	cur(reg2)
 	if got := string(get(t, "http://"+srv.Addr()+"/metrics.prom")); !strings.Contains(got, `structure="swapped/arm"`) {
 		t.Fatalf("exposition did not follow the live swap:\n%s", got)

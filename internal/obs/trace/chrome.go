@@ -10,9 +10,9 @@ import (
 
 // chromeEvent is one entry of the Chrome trace-event format ("Trace
 // Event Format", consumed by Perfetto and chrome://tracing). Fields:
-// ph is the phase letter ("X" complete, "i" instant, "C" counter, "M"
-// metadata); ts/dur are microseconds (float — the format allows
-// sub-microsecond precision, which our nanosecond events need).
+// ph is the phase letter ("X" complete, "C" counter, "M" metadata);
+// ts/dur are microseconds (float — the format allows sub-microsecond
+// precision, which our nanosecond events need).
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -21,7 +21,6 @@ type chromeEvent struct {
 	Dur  float64        `json:"dur,omitempty"`
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
-	S    string         `json:"s,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
@@ -35,10 +34,11 @@ type chromeTrace struct {
 func usFromNS(ns uint64) float64 { return float64(ns) / 1e3 }
 
 // ChromeTrace converts a snapshot's ring events into Chrome trace-event
-// JSON: one lane (tid) per registered thread, phase spans and op
-// durations as "X" complete events, op begins as instants, and phase
-// counts as "C" counter events. The snapshot must have been taken with
-// events enabled; aggregate-only snapshots yield an empty trace.
+// JSON: one lane (tid) per registered thread, phase spans and ops as "X"
+// complete events (an op-end event carries the op's duration, so it marks
+// where the op began too), and phase counts as "C" counter events. The
+// snapshot must have been taken with events enabled; aggregate-only
+// snapshots yield an empty trace.
 func (s Snapshot) ChromeTrace() []byte {
 	evs := make([]chromeEvent, 0, len(s.Events)+s.Threads+1)
 
@@ -83,12 +83,6 @@ func (s Snapshot) ChromeTrace() []byte {
 				Name: name, Cat: cat, Ph: "X",
 				TS: usFromNS(start), Dur: usFromNS(e.Value),
 				PID: 0, TID: e.Thread,
-				Args: map[string]any{"seq": e.Seq},
-			})
-		case "op-begin":
-			evs = append(evs, chromeEvent{
-				Name: e.Op, Cat: "op", Ph: "i",
-				TS: usFromNS(e.AtNS), PID: 0, TID: e.Thread, S: "t",
 				Args: map[string]any{"seq": e.Seq},
 			})
 		case "count":

@@ -22,13 +22,11 @@ func goldenSnapshot() Snapshot {
 		DurationNS: 5000,
 		RingSize:   16,
 		Threads:    2,
-		Recorded:   6,
+		Recorded:   4,
 		Events: []Event{
-			{Thread: 0, Seq: 1, AtNS: 1000, Kind: "op-begin", Op: "update"},
 			{Thread: 0, Seq: 2, AtNS: 1750, Kind: "op-end", Op: "update", Value: 750},
 			{Thread: 0, Seq: 3, AtNS: 2000, Kind: "count", Phase: "rq-restart", Value: 3},
 			{Thread: 1, Seq: 4, AtNS: 2500, Kind: "span", Phase: "snapshot-acquire", Value: 400},
-			{Thread: 1, Seq: 5, AtNS: 3000, Kind: "op-begin", Op: "range-query"},
 			// Value > AtNS: the start-time subtraction must clamp to 0.
 			{Thread: 1, Seq: 6, AtNS: 3100, Kind: "op-end", Op: "range-query", Value: 9000},
 		},
@@ -66,7 +64,6 @@ func TestChromeTraceStructure(t *testing.T) {
 			TS   float64        `json:"ts"`
 			Dur  float64        `json:"dur"`
 			TID  int            `json:"tid"`
-			S    string         `json:"s"`
 			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 		DisplayTimeUnit string `json:"displayTimeUnit"`
@@ -87,8 +84,8 @@ func TestChromeTraceStructure(t *testing.T) {
 		}
 	}
 	// 1 process_name + 2 thread_name metadata, 2 op-end + 1 span = 3 X,
-	// 2 op-begin instants, 1 counter.
-	for ph, want := range map[string]int{"M": 3, "X": 3, "i": 2, "C": 1} {
+	// 1 counter, and no instants: an op's "X" event already marks its start.
+	for ph, want := range map[string]int{"M": 3, "X": 3, "i": 0, "C": 1} {
 		if byPhase[ph] != want {
 			t.Errorf("phase %q count = %d, want %d (%+v)", ph, byPhase[ph], want, byPhase)
 		}
@@ -114,10 +111,6 @@ func TestChromeTraceStructure(t *testing.T) {
 			if e.TS != 0 || e.Dur != 9.0 {
 				t.Errorf("clamped X event = %+v", e)
 			}
-		case e.Ph == "i":
-			if e.S != "t" || e.Cat != "op" {
-				t.Errorf("instant event = %+v", e)
-			}
 		case e.Ph == "C":
 			if e.Name != "rq-restart" || e.Args["value"].(float64) != 3 {
 				t.Errorf("counter event = %+v", e)
@@ -139,8 +132,7 @@ func TestChromeTraceEmptySnapshot(t *testing.T) {
 
 func TestRecorderServeHTTPChrome(t *testing.T) {
 	r := NewRecorder(2, 64)
-	r.OpBegin(0, obs.OpUpdate)
-	r.OpEnd(0, obs.OpUpdate, 500)
+	r.OpEnd(0, obs.OpUpdate, r.Now(), 500)
 
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/trace?format=chrome", nil))

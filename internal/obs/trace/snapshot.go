@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"tscds/internal/obs"
+	"tscds/internal/tsc"
 )
 
 // Event is one decoded flight-recorder entry.
@@ -62,7 +63,7 @@ func (r *Recorder) Snapshot(events bool) Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		DurationNS: r.Now(),
+		DurationNS: tsc.Elapsed(r.start, r.clk.Now()),
 		RingSize:   r.RingSize(),
 		Threads:    len(r.rings),
 	}
@@ -126,12 +127,12 @@ func (r *Recorder) Snapshot(events bool) Snapshot {
 			ev := Event{
 				Thread: i,
 				Seq:    seq,
-				AtNS:   at,
+				AtNS:   tsc.Elapsed(r.start, at),
 				Kind:   Kind(meta >> 16).String(),
 				Value:  arg,
 			}
 			switch Kind(meta >> 16) {
-			case KindOpBegin, KindOpEnd:
+			case KindOpEnd:
 				ev.Op = obs.OpClass(meta >> 8 & 0xff).String()
 			case KindSpan, KindCount:
 				ev.Phase = Phase(meta & 0xff).String()

@@ -9,7 +9,7 @@
 // its receiver), so an uninstrumented hot path pays one predictable
 // branch and allocates nothing. When recording is on:
 //
-//   - Per-thread methods (OpBegin/OpEnd/Span/Count) write to the calling
+//   - Per-thread methods (OpEnd/Span/Count) write to the calling
 //     thread's own ring, indexed by its core.Thread ID. Rings are
 //     single-writer, so recording an event is a handful of uncontended
 //     atomic stores — no locks, no allocation, no shared cache lines.
@@ -24,16 +24,17 @@
 // zero) simply drops it, so readers never block writers and the whole
 // structure is race-detector clean.
 //
-// It imports only obs (for the op classes), which imports nothing, so
-// every layer can report through it without cycles.
+// It imports only obs (for the op classes) and tsc (for its clock), which
+// import nothing of the library, so every layer can report through it
+// without cycles.
 package trace
 
 import (
 	"math/bits"
 	"sync/atomic"
-	"time"
 
 	"tscds/internal/obs"
+	"tscds/internal/tsc"
 )
 
 // Phase labels one slice of an operation's execution. Span phases
@@ -178,10 +179,9 @@ func (p Phase) Unit() string {
 type Kind uint8
 
 const (
-	// KindOpBegin marks the start of a facade operation.
-	KindOpBegin Kind = iota
-	// KindOpEnd marks its completion; the event value is the duration.
-	KindOpEnd
+	// KindOpEnd marks the completion of a facade operation; the event
+	// value is its duration.
+	KindOpEnd Kind = iota
 	// KindSpan records one completed phase span; value is nanoseconds.
 	KindSpan
 	// KindCount records a phase count; value is the unit count.
@@ -193,8 +193,6 @@ const (
 // String names the event kind.
 func (k Kind) String() string {
 	switch k {
-	case KindOpBegin:
-		return "op-begin"
 	case KindOpEnd:
 		return "op-end"
 	case KindSpan:
@@ -217,7 +215,7 @@ const cacheLine = 64
 // index, so a reader can detect both tearing and overwrites.
 type slot struct {
 	seq  atomic.Uint64
-	at   atomic.Uint64 // ns since recorder start
+	at   atomic.Uint64 // clock reading at the event
 	meta atomic.Uint64 // kind<<16 | op<<8 | phase
 	arg  atomic.Uint64 // duration ns or unit count
 }
@@ -261,7 +259,8 @@ type ring struct {
 // aggregate block. A nil *Recorder is inert; every method is safe (and
 // free of allocation) on it.
 type Recorder struct {
-	start  time.Time
+	clk    *tsc.Clock
+	start  uint64 // clk reading at construction, the origin of event times
 	mask   uint64
 	rings  []ring
 	shared [NumPhases]phaseStat
@@ -281,7 +280,8 @@ func NewRecorder(maxThreads, ringSize int) *Recorder {
 	if ringSize > 1 {
 		n = 1 << bits.Len(uint(ringSize-1))
 	}
-	r := &Recorder{start: time.Now(), mask: uint64(n - 1), rings: make([]ring, maxThreads)}
+	clk := tsc.TelemetryClock()
+	r := &Recorder{clk: clk, start: clk.Now(), mask: uint64(n - 1), rings: make([]ring, maxThreads)}
 	for i := range r.rings {
 		r.rings[i].slots = make([]slot, n)
 	}
@@ -307,26 +307,25 @@ func (r *Recorder) Threads() int {
 	return len(r.rings)
 }
 
-// Now returns nanoseconds since the recorder started (0 for nil). Use it
-// to obtain span start marks for Span/SharedSpan.
+// Now reads the process's telemetry clock (tsc.TelemetryClock), or
+// returns 0 for nil. Use it to obtain span start marks for Span/SharedSpan.
 func (r *Recorder) Now() uint64 {
 	if r == nil {
 		return 0
 	}
-	return uint64(time.Since(r.start))
+	return r.now()
 }
 
-// OpBegin records the start of a facade operation on thread tid. The
-// caller must be the goroutine owning tid.
-func (r *Recorder) OpBegin(tid int, op obs.OpClass) {
-	if r == nil {
-		return
-	}
-	r.record(tid, KindOpBegin, op, 0, 0)
-}
+// now is Now's clock read, kept out of line so that Now, a nil test on
+// every uninstrumented path, stays within the inliner's budget.
+//
+//go:noinline
+func (r *Recorder) now() uint64 { return r.clk.Now() }
 
-// OpEnd records the completion of a facade operation that took durNS.
-func (r *Recorder) OpEnd(tid int, op obs.OpClass, durNS uint64) {
+// OpEnd records the completion, at endNS (a telemetry clock reading), of
+// a facade operation that took durNS. The caller must be the goroutine
+// owning tid.
+func (r *Recorder) OpEnd(tid int, op obs.OpClass, endNS, durNS uint64) {
 	if r == nil {
 		return
 	}
@@ -335,7 +334,7 @@ func (r *Recorder) OpEnd(tid int, op obs.OpClass, durNS uint64) {
 		s.count.Add(1)
 		s.sum.Add(durNS)
 	}
-	r.record(tid, KindOpEnd, op, 0, durNS)
+	r.record(tid, KindOpEnd, op, 0, endNS, durNS)
 }
 
 // Span records a completed phase span that began at startNS (a mark from
@@ -344,11 +343,12 @@ func (r *Recorder) Span(tid int, p Phase, startNS uint64) {
 	if r == nil {
 		return
 	}
-	dur := r.Now() - startNS
+	now := r.clk.Now()
+	dur := tsc.Elapsed(startNS, now)
 	if tid >= 0 && tid < len(r.rings) && p < NumPhases {
 		r.rings[tid].phases[p].add(dur)
 	}
-	r.record(tid, KindSpan, 0, p, dur)
+	r.record(tid, KindSpan, 0, p, now, dur)
 }
 
 // Count records n phase units (hops, retries, helps) on thread tid.
@@ -360,7 +360,7 @@ func (r *Recorder) Count(tid int, p Phase, n uint64) {
 	if tid >= 0 && tid < len(r.rings) && p < NumPhases {
 		r.rings[tid].phases[p].add(n)
 	}
-	r.record(tid, KindCount, 0, p, n)
+	r.record(tid, KindCount, 0, p, r.clk.Now(), n)
 }
 
 // SharedSpan aggregates a phase span without a thread identity (no ring
@@ -369,7 +369,7 @@ func (r *Recorder) SharedSpan(p Phase, startNS uint64) {
 	if r == nil || p >= NumPhases {
 		return
 	}
-	r.shared[p].add(r.Now() - startNS)
+	r.shared[p].add(tsc.Elapsed(startNS, r.clk.Now()))
 }
 
 // SharedCount aggregates n phase units without a thread identity (no
@@ -381,9 +381,10 @@ func (r *Recorder) SharedCount(p Phase, n uint64) {
 	r.shared[p].add(n)
 }
 
-// record seqlock-publishes one event into tid's ring. Only the goroutine
-// owning tid may call it (the rings are single-writer).
-func (r *Recorder) record(tid int, k Kind, op obs.OpClass, p Phase, arg uint64) {
+// record seqlock-publishes one event, read off the clock at at, into
+// tid's ring. Only the goroutine owning tid may call it (the rings are
+// single-writer).
+func (r *Recorder) record(tid int, k Kind, op obs.OpClass, p Phase, at, arg uint64) {
 	if tid < 0 || tid >= len(r.rings) {
 		return
 	}
@@ -391,7 +392,7 @@ func (r *Recorder) record(tid int, k Kind, op obs.OpClass, p Phase, arg uint64) 
 	i := rg.pos.Load()
 	sl := &rg.slots[i&r.mask]
 	sl.seq.Store(0) // invalidate for in-flight readers
-	sl.at.Store(r.Now())
+	sl.at.Store(at)
 	sl.meta.Store(uint64(k)<<16 | uint64(op)<<8 | uint64(p))
 	sl.arg.Store(arg)
 	sl.seq.Store(i + 1)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tscds/internal/obs"
+	"tscds/internal/tsc"
 )
 
 // TestNilRecorderSafe: a nil recorder must absorb every call.
@@ -18,8 +19,7 @@ func TestNilRecorderSafe(t *testing.T) {
 	if r.Now() != 0 || r.RingSize() != 0 || r.Threads() != 0 {
 		t.Fatal("nil recorder reports nonzero dimensions")
 	}
-	r.OpBegin(0, obs.OpUpdate)
-	r.OpEnd(0, obs.OpUpdate, 10)
+	r.OpEnd(0, obs.OpUpdate, 0, 10)
 	r.Span(0, PhaseTraverse, 0)
 	r.Count(0, PhaseRetry, 3)
 	r.SharedSpan(PhaseLockWait, 0)
@@ -39,11 +39,10 @@ func TestNilRecorderNoAlloc(t *testing.T) {
 	var r *Recorder
 	allocs := testing.AllocsPerRun(1000, func() {
 		start := r.Now()
-		r.OpBegin(0, obs.OpRange)
 		r.Span(0, PhaseTraverse, start)
 		r.Count(0, PhaseVersionWalk, 2)
 		r.SharedSpan(PhaseLockWait, start)
-		r.OpEnd(0, obs.OpRange, 5)
+		r.OpEnd(0, obs.OpRange, start, 5)
 	})
 	if allocs != 0 {
 		t.Fatalf("nil recorder allocates %.1f per op", allocs)
@@ -56,11 +55,10 @@ func TestEnabledRecorderNoAlloc(t *testing.T) {
 	r := NewRecorder(1, 64)
 	allocs := testing.AllocsPerRun(1000, func() {
 		start := r.Now()
-		r.OpBegin(0, obs.OpUpdate)
 		r.Span(0, PhaseTraverse, start)
 		r.Count(0, PhaseRetry, 1)
 		r.SharedCount(PhaseHelp, 1)
-		r.OpEnd(0, obs.OpUpdate, 7)
+		r.OpEnd(0, obs.OpUpdate, r.Now(), 7)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled recorder allocates %.1f per op", allocs)
@@ -82,9 +80,9 @@ func TestRingSizeRounding(t *testing.T) {
 // TestSnapshotAggregates: ops and phases accumulate exactly.
 func TestSnapshotAggregates(t *testing.T) {
 	r := NewRecorder(2, 16)
-	r.OpEnd(0, obs.OpUpdate, 100)
-	r.OpEnd(0, obs.OpUpdate, 300)
-	r.OpEnd(1, obs.OpRange, 50)
+	r.OpEnd(0, obs.OpUpdate, 0, 100)
+	r.OpEnd(0, obs.OpUpdate, 0, 300)
+	r.OpEnd(1, obs.OpRange, 0, 50)
 	r.Count(0, PhaseVersionWalk, 4)
 	r.Count(1, PhaseVersionWalk, 6)
 	r.SharedCount(PhaseVersionWalk, 10)
@@ -114,29 +112,35 @@ func TestSnapshotAggregates(t *testing.T) {
 }
 
 // TestEventsDecode: ring contents decode in order with correct tags and
-// wrap correctly once the ring overflows.
+// wrap correctly once the ring overflows. An event's time is the clock
+// reading that also ended its duration: the one OpEnd is handed, the one
+// Span takes.
 func TestEventsDecode(t *testing.T) {
 	r := NewRecorder(1, 8)
-	r.OpBegin(0, obs.OpRange)
-	r.Span(0, PhaseTimestamp, r.Now())
+	mark := r.Now()
+	r.Span(0, PhaseTimestamp, mark)
 	r.Count(0, PhaseBundleDeref, 3)
-	r.OpEnd(0, obs.OpRange, 42)
+	end := r.Now()
+	r.OpEnd(0, obs.OpRange, end, 42)
 
 	s := r.Snapshot(true)
-	if s.Recorded != 4 || len(s.Events) != 4 || s.Dropped != 0 {
+	if s.Recorded != 3 || len(s.Events) != 3 || s.Dropped != 0 {
 		t.Fatalf("recorded=%d events=%d dropped=%d", s.Recorded, len(s.Events), s.Dropped)
 	}
-	kinds := []string{"op-begin", "span", "count", "op-end"}
+	kinds := []string{"span", "count", "op-end"}
 	for i, ev := range s.Events {
 		if ev.Kind != kinds[i] {
 			t.Fatalf("event %d kind = %q, want %q", i, ev.Kind, kinds[i])
 		}
 	}
-	if s.Events[2].Phase != "bundle-deref" || s.Events[2].Value != 3 {
-		t.Fatalf("count event = %+v", s.Events[2])
+	if sp := s.Events[0]; sp.AtNS-sp.Value != tsc.Elapsed(r.start, mark) {
+		t.Fatalf("span event %+v does not start at its mark (%d after the origin)", sp, tsc.Elapsed(r.start, mark))
 	}
-	if s.Events[3].Op != "range-query" || s.Events[3].Value != 42 {
-		t.Fatalf("op-end event = %+v", s.Events[3])
+	if s.Events[1].Phase != "bundle-deref" || s.Events[1].Value != 3 {
+		t.Fatalf("count event = %+v", s.Events[1])
+	}
+	if op := s.Events[2]; op.Op != "range-query" || op.Value != 42 || op.AtNS != tsc.Elapsed(r.start, end) {
+		t.Fatalf("op-end event = %+v, want at %d", op, tsc.Elapsed(r.start, end))
 	}
 
 	// Overflow: 20 more events into an 8-slot ring keeps only the last 8.
@@ -144,18 +148,18 @@ func TestEventsDecode(t *testing.T) {
 		r.Count(0, PhaseRetry, uint64(i+1))
 	}
 	s = r.Snapshot(true)
-	if s.Recorded != 24 || len(s.Events) != 8 {
+	if s.Recorded != 23 || len(s.Events) != 8 {
 		t.Fatalf("after wrap: recorded=%d events=%d", s.Recorded, len(s.Events))
 	}
-	if first := s.Events[0]; first.Seq != 16 {
-		t.Fatalf("oldest surviving seq = %d, want 16", first.Seq)
+	if first := s.Events[0]; first.Seq != 15 {
+		t.Fatalf("oldest surviving seq = %d, want 15", first.Seq)
 	}
 }
 
 // TestSnapshotJSONRoundTrip: JSON() must parse back into a Snapshot.
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRecorder(2, 16)
-	r.OpEnd(0, obs.OpContains, 9)
+	r.OpEnd(0, obs.OpContains, r.Now(), 9)
 	r.Span(1, PhaseTraverse, r.Now())
 	var parsed Snapshot
 	if err := json.Unmarshal([]byte(r.Snapshot(true).JSON()), &parsed); err != nil {
@@ -172,7 +176,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 // TestFormatMentionsPhases: the human rendering names active phases.
 func TestFormatMentionsPhases(t *testing.T) {
 	r := NewRecorder(1, 16)
-	r.OpEnd(0, obs.OpUpdate, 100)
+	r.OpEnd(0, obs.OpUpdate, r.Now(), 100)
 	r.Span(0, PhaseLockWait, r.Now())
 	r.Count(0, PhaseHelp, 5)
 	out := r.Snapshot(false).Format()
@@ -225,11 +229,11 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				start := r.Now()
-				r.OpBegin(tid, obs.OpUpdate)
 				r.Count(tid, PhaseRetry, 1)
 				r.Span(tid, PhaseTraverse, start)
 				r.SharedCount(PhaseHelp, 1)
-				r.OpEnd(tid, obs.OpUpdate, r.Now()-start)
+				end := r.Now()
+				r.OpEnd(tid, obs.OpUpdate, end, tsc.Elapsed(start, end))
 			}
 		}(w)
 	}
@@ -255,8 +259,8 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 	if got := phases["help"].Sum; got != workers*perG {
 		t.Fatalf("help sum = %d, want %d", got, workers*perG)
 	}
-	if s.Recorded != workers*perG*4 {
-		t.Fatalf("recorded = %d, want %d", s.Recorded, workers*perG*4)
+	if s.Recorded != workers*perG*3 {
+		t.Fatalf("recorded = %d, want %d", s.Recorded, workers*perG*3)
 	}
 	// A quiescent snapshot decodes a full ring per thread, nothing torn.
 	if len(s.Events) != workers*64 || s.Dropped != 0 {
@@ -267,8 +271,8 @@ func TestConcurrentWritersAndReader(t *testing.T) {
 // TestOutOfRangeThreadIgnored: bad tids are dropped, not panics.
 func TestOutOfRangeThreadIgnored(t *testing.T) {
 	r := NewRecorder(2, 8)
-	r.OpBegin(-1, obs.OpUpdate)
-	r.OpEnd(7, obs.OpUpdate, 1)
+	r.OpEnd(-1, obs.OpUpdate, 0, 1)
+	r.OpEnd(7, obs.OpUpdate, 0, 1)
 	r.Span(99, PhaseTraverse, 0)
 	r.Count(-3, PhaseRetry, 1)
 	if s := r.Snapshot(true); s.Recorded != 0 {

@@ -27,7 +27,6 @@ import (
 // Like the rest of the observability layer, a nil *Health is inert.
 type Health struct {
 	createdAt  time.Time
-	baseTSC    uint64
 	ticksPerNS float64
 
 	maxSeen   atomic.Uint64 // largest fenced reading published by any thread
@@ -83,18 +82,9 @@ func NewHealth(maxThreads int) *Health {
 		createdAt: time.Now(),
 		slots:     make([]healthSlot, maxThreads),
 	}
-	t0 := time.Now()
-	c0 := ReadFenced()
-	h.baseTSC = c0
-	for time.Since(t0) < 2*time.Millisecond {
-	}
-	c1 := ReadFenced()
-	if el := time.Since(t0); el > 0 && c1 > c0 {
-		h.ticksPerNS = float64(c1-c0) / float64(el.Nanoseconds())
-	} else {
-		h.ticksPerNS = 1
-	}
-	h.maxSeen.Store(c1)
+	var last uint64
+	h.ticksPerNS, last = calibrate(ReadFenced)
+	h.maxSeen.Store(last)
 	return h
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 
 	"tscds/internal/core"
+	"tscds/internal/obs"
 )
 
 // This file implements MVCC time-travel reads: GetAt, RangeQueryAt and
@@ -56,10 +57,13 @@ func (w *wrap) Now() uint64 { return uint64(w.srcImpl.Snapshot()) }
 // GetAt reads key as of ts; see Map.GetAt. It is a width-zero
 // RangeQueryAt: the same announce/validate/walk protocol, the same
 // boundary rule (a version labeled exactly ts is included, a delete
-// labeled exactly ts excludes the key).
+// labeled exactly ts excludes the key). It is a point read all the same,
+// and the sinks count it as one (class contains).
 func (w *wrap) GetAt(th *Thread, key, ts uint64) (uint64, bool, error) {
-	var tmp [1]KV
-	kvs, err := w.RangeQueryAt(th, key, key, ts, tmp[:0])
+	if !w.hist {
+		return 0, false, ErrHistoryUnsupported
+	}
+	kvs, err := w.read(th, obs.OpContains, key, key, ts, false, th.PointBuf())
 	if err != nil || len(kvs) == 0 {
 		return 0, false, err
 	}
@@ -73,7 +77,7 @@ func (w *wrap) RangeQueryAt(th *Thread, lo, hi, ts uint64, buf []KV) ([]KV, erro
 	if !w.hist {
 		return buf, ErrHistoryUnsupported
 	}
-	return w.read(th, lo, hi, ts, false, buf)
+	return w.read(th, obs.OpRange, lo, hi, ts, false, buf)
 }
 
 // ScanAt streams the snapshot at ts in ascending key order; see

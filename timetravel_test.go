@@ -291,6 +291,60 @@ func TestTimeTravelTruncationAndMetrics(t *testing.T) {
 	}
 }
 
+// TestGetAtCountsAsContains: the sinks count a historical point read as a
+// point read. N GetAt calls move the registry's and the recorder's contains
+// counts by N and leave range-query alone; RangeQueryAt and ScanAt stay
+// range queries. Flat and across 4 shards.
+func TestGetAtCountsAsContains(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		reg := NewMetrics()
+		m := newMap(t, BST, VCAS, shards, Config{Source: Logical, MaxThreads: 2, Metrics: reg, Trace: &TraceConfig{}})
+		th, err := m.RegisterThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := uint64(0); k < 10; k++ {
+			m.Insert(th, k, k)
+		}
+		ts := m.Now()
+		// counts returns the contains and range-query counts, registry first.
+		counts := func() [4]uint64 {
+			s := reg.Snapshot()
+			c := [4]uint64{s.Ops["contains"].Count, s.Ops["range-query"].Count}
+			for _, o := range m.TraceSnapshot(false).Ops {
+				switch o.Op {
+				case "contains":
+					c[2] = o.Count
+				case "range-query":
+					c[3] = o.Count
+				}
+			}
+			return c
+		}
+		const n = 25
+		before := counts()
+		for i := uint64(0); i < n; i++ {
+			if v, ok, err := m.GetAt(th, i%10, ts); err != nil || !ok || v != i%10 {
+				t.Fatalf("shards=%d: GetAt(%d) = %d, %v, %v", shards, i%10, v, ok, err)
+			}
+		}
+		after := counts()
+		if want := [4]uint64{before[0] + n, before[1], before[2] + n, before[3]}; after != want {
+			t.Fatalf("shards=%d: after %d GetAt, contains/range-query counts (registry, recorder) = %v, want %v", shards, n, after, want)
+		}
+		if _, err := m.RangeQueryAt(th, 0, 9, ts, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.ScanAt(th, 0, 9, ts, func(KV) bool { return true }); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := counts(), [4]uint64{after[0], after[1] + 2, after[2], after[3] + 2}; got != want {
+			t.Fatalf("shards=%d: after RangeQueryAt and ScanAt, counts = %v, want %v", shards, got, want)
+		}
+		th.Release()
+	}
+}
+
 // TestCheckpointAt covers the durable point-in-time export: a snapshot
 // collected through retained history at a past timestamp is a valid
 // recovery base (recovery still converges to the PRESENT state, because

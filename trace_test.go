@@ -126,33 +126,49 @@ func TestTraceEvents(t *testing.T) {
 }
 
 // TestTraceDisabledNoAllocs is the guard the instrumentation is built
-// around: with Config.Trace nil (the default) the read-side hot path
-// must not allocate — every trace point reduces to one nil test — and
-// enabling the recorder must not change any op's allocation count,
-// since ring writes and phase aggregation are allocation-free.
-// (Insert is measured by delta only: lfbst allocates its candidate node
-// before discovering the key is present, traced or not.)
+// around: with no sinks (the default) the read-side hot path must not
+// allocate — every instrumentation point reduces to one nil test — and
+// turning on Metrics and Trace must not change any op's allocation count,
+// since clock reads, histogram stripes, ring writes and phase aggregation
+// are allocation-free. Flat and across 4 shards. (Insert is measured by
+// delta only: lfbst allocates its candidate node before discovering the
+// key is present, instrumented or not.)
 func TestTraceDisabledNoAllocs(t *testing.T) {
-	off := traceAllocProfile(t, nil)
-	on := traceAllocProfile(t, &TraceConfig{})
-	for i, name := range [...]string{"contains", "delete-absent", "range-query"} {
-		if off[i] != 0 {
-			t.Errorf("%s allocates %.1f objects/op untraced, want 0", name, off[i])
-		}
-	}
-	for i, name := range [...]string{"contains", "delete-absent", "range-query", "insert-present"} {
-		if on[i] != off[i] {
-			t.Errorf("%s: tracing changes allocs/op from %.1f to %.1f", name, off[i], on[i])
+	names := [...]string{"contains", "get", "get-at", "delete-absent", "range-query", "insert-present"}
+	for _, shards := range []int{0, 4} {
+		off := sinkAllocProfile(t, shards, Config{})
+		on := sinkAllocProfile(t, shards, Config{Metrics: NewMetrics(), Trace: &TraceConfig{}})
+		for i, name := range names {
+			if name != "insert-present" && off[i] != 0 {
+				t.Errorf("shards=%d: %s allocates %.1f objects/op without sinks, want 0", shards, name, off[i])
+			}
+			if on[i] != off[i] {
+				t.Errorf("shards=%d: %s: metrics and tracing change allocs/op from %.1f to %.1f", shards, name, off[i], on[i])
+			}
 		}
 	}
 }
 
-func traceAllocProfile(t *testing.T, tc *TraceConfig) [4]float64 {
+// newMap builds (s, tech) flat when shards is 0, else across shards.
+func newMap(t *testing.T, s Structure, tech Technique, shards int, cfg Config) Map {
 	t.Helper()
-	m, err := New(BST, VCAS, Config{Source: Logical, MaxThreads: 2, Trace: tc})
+	var m Map
+	var err error
+	if shards == 0 {
+		m, err = New(s, tech, cfg)
+	} else {
+		m, err = NewSharded(s, tech, shards, cfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	return m
+}
+
+func sinkAllocProfile(t *testing.T, shards int, cfg Config) [6]float64 {
+	t.Helper()
+	cfg.Source, cfg.MaxThreads = Logical, 2
+	m := newMap(t, BST, VCAS, shards, cfg)
 	th, err := m.RegisterThread()
 	if err != nil {
 		t.Fatal(err)
@@ -161,14 +177,21 @@ func traceAllocProfile(t *testing.T, tc *TraceConfig) [4]float64 {
 	for k := uint64(0); k < 64; k++ {
 		m.Insert(th, k, k)
 	}
+	ts := m.Now()
 	buf := make([]KV, 0, 128)
 	// One warm-up pass lets RangeQuery size its result before measuring.
 	buf = m.RangeQuery(th, 0, 63, buf[:0])
-	var p [4]float64
+	var p [6]float64
 	p[0] = testing.AllocsPerRun(200, func() { m.Contains(th, 32) })
-	p[1] = testing.AllocsPerRun(200, func() { m.Delete(th, 1<<40) })
-	p[2] = testing.AllocsPerRun(200, func() { buf = m.RangeQuery(th, 0, 63, buf[:0]) })
-	p[3] = testing.AllocsPerRun(200, func() { m.Insert(th, 32, 32) })
+	p[1] = testing.AllocsPerRun(200, func() { m.Get(th, 32) })
+	p[2] = testing.AllocsPerRun(200, func() {
+		if _, ok, err := m.GetAt(th, 32, ts); !ok || err != nil {
+			t.Fatalf("GetAt(32) = %v, %v", ok, err)
+		}
+	})
+	p[3] = testing.AllocsPerRun(200, func() { m.Delete(th, 1<<40) })
+	p[4] = testing.AllocsPerRun(200, func() { buf = m.RangeQuery(th, 0, 63, buf[:0]) })
+	p[5] = testing.AllocsPerRun(200, func() { m.Insert(th, 32, 32) })
 	return p
 }
 

@@ -36,7 +36,6 @@ package tscds
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"tscds/internal/citrus"
 	"tscds/internal/core"
@@ -180,7 +179,7 @@ type Config struct {
 	// A registry may be shared by several Maps; counters then aggregate.
 	Metrics *Metrics
 	// Trace, when non-nil, attaches a flight recorder to the constructed
-	// Map: per-thread event rings of op begin/end records plus per-phase
+	// Map: per-thread event rings of op completions plus per-phase
 	// spans and counters (traversal, timestamp read, labeling, retries,
 	// helping, lock waits, limbo scans) from the technique layers. Nil
 	// (the default) keeps every instrumentation point at one pointer
@@ -463,6 +462,9 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, reg registrar, shards 
 		m: m, rd: m.Reader(), reg: reg, s: s, t: t, src: cfg.Source, srcImpl: src,
 		shift: shift, obs: cfg.Metrics, tr: h.Trace, hist: t == VCAS || t == Bundle,
 	}
+	if w.obs != nil || w.tr != nil {
+		w.clk = tsc.TelemetryClock()
+	}
 	if cfg.Durability != nil {
 		return w.enableDurability(cfg, shards)
 	}
@@ -578,7 +580,8 @@ type registrar interface {
 // wrap adapts an internal structure to Map. shift offsets keys upward
 // for structures that reserve key 0 as their head sentinel. obs and tr,
 // when non-nil, receive per-operation counts/latencies and flight-record
-// events; each public method pays only nil tests when they are unset.
+// events, timed by clk; each public method pays only nil tests when they
+// are unset.
 type wrap struct {
 	m       inner
 	rd      *core.Reader // m's snapshot-read protocol: every range-shaped read
@@ -590,19 +593,23 @@ type wrap struct {
 	shift   uint64
 	obs     *obs.Registry
 	tr      *trace.Recorder
-	dur     *durable // durability layer; nil unless Config.Durability
-	hist    bool     // technique retains version history (vCAS/Bundle)
+	dur     *durable   // durability layer; nil unless Config.Durability
+	hist    bool       // technique retains version history (vCAS/Bundle)
+	clk     *tsc.Clock // the telemetry clock; set when obs or tr is
 }
 
 func (w *wrap) RegisterThread() (*Thread, error) { return w.reg.Register() }
 
-// observe records one finished operation into whichever sinks are wired.
-func (w *wrap) observe(th *Thread, c obs.OpClass, start time.Time) {
-	el := time.Since(start)
+// observe records one operation of class c, begun at start (a w.clk
+// reading), into whichever sinks are wired. Its one clock reading ends the
+// duration both sinks record and dates the recorder's event.
+func (w *wrap) observe(th *Thread, c obs.OpClass, start uint64) {
+	end := w.clk.Now()
+	dur := tsc.Elapsed(start, end)
 	if w.obs != nil {
-		w.obs.ObserveOp(c, el)
+		w.obs.ObserveOp(th.ID, c, dur)
 	}
-	w.tr.OpEnd(th.ID, c, uint64(el.Nanoseconds()))
+	w.tr.OpEnd(th.ID, c, end, dur)
 }
 
 // Insert discards the durability acknowledgment; durable callers who
@@ -626,8 +633,7 @@ func (w *wrap) Contains(th *Thread, key uint64) bool {
 	if w.obs == nil && w.tr == nil {
 		return w.m.Contains(th, key+w.shift)
 	}
-	w.tr.OpBegin(th.ID, obs.OpContains)
-	start := time.Now()
+	start := w.clk.Now()
 	ok := w.m.Contains(th, key+w.shift)
 	w.observe(th, obs.OpContains, start)
 	return ok
@@ -640,24 +646,24 @@ func (w *wrap) Get(th *Thread, key uint64) (uint64, bool) {
 	if w.obs == nil && w.tr == nil {
 		return w.m.Get(th, key+w.shift)
 	}
-	w.tr.OpBegin(th.ID, obs.OpContains)
-	start := time.Now()
+	start := w.clk.Now()
 	v, ok := w.m.Get(th, key+w.shift)
 	w.observe(th, obs.OpContains, start)
 	return v, ok
 }
 
 func (w *wrap) RangeQuery(th *Thread, lo, hi uint64, buf []KV) []KV {
-	buf, _ = w.read(th, lo, hi, 0, true, buf)
+	buf, _ = w.read(th, obs.OpRange, lo, hi, 0, true, buf)
 	return buf
 }
 
 // read is every range-shaped read of the facade, live (a fresh bound) or
 // as of the past timestamp ts: clamp the interval, run the snapshot-read
 // protocol over the internal key space, map the keys back, and report the
-// operation to whichever sinks are wired. An empty interval returns buf
-// unchanged without taking or validating a bound; so does a refused ts.
-func (w *wrap) read(th *Thread, lo, hi, ts uint64, live bool, buf []KV) ([]KV, error) {
+// operation to whichever sinks are wired as class c. An empty interval
+// returns buf unchanged without taking or validating a bound; so does a
+// refused ts.
+func (w *wrap) read(th *Thread, c obs.OpClass, lo, hi, ts uint64, live bool, buf []KV) ([]KV, error) {
 	if hi < lo || lo > MaxKey {
 		return buf, nil
 	}
@@ -665,10 +671,9 @@ func (w *wrap) read(th *Thread, lo, hi, ts uint64, live bool, buf []KV) ([]KV, e
 		hi = MaxKey
 	}
 	sinks := w.obs != nil || w.tr != nil
-	var start time.Time
+	var start uint64
 	if sinks {
-		w.tr.OpBegin(th.ID, obs.OpRange)
-		start = time.Now()
+		start = w.clk.Now()
 	}
 	base := len(buf)
 	buf, _, err := w.rd.Read(th, lo+w.shift, hi+w.shift, ts, live, buf)
@@ -678,7 +683,7 @@ func (w *wrap) read(th *Thread, lo, hi, ts uint64, live bool, buf []KV) ([]KV, e
 		}
 	}
 	if sinks {
-		w.observe(th, obs.OpRange, start)
+		w.observe(th, c, start)
 	}
 	if w.obs != nil && !live {
 		switch {
