@@ -10,7 +10,9 @@ test:
 
 # check is the pre-commit gate: static checks, race-enabled tests on the
 # concurrency-sensitive packages, and the short-mode linearizability
-# matrix (every supported structure x technique x source combination).
+# matrix (every supported structure x technique x source combination),
+# plus the sharded-map tests and the read-path agreement test, which run
+# one handle across every shard outside that matrix.
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
 # obs itself plus obs/promparse and obs/trace; ./cmd/tscstat/... serves a
 # map under load and checks every endpoint of it live.
@@ -20,6 +22,7 @@ check: benchmark-smoke inline-check doc-check
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/... ./internal/citrus/... ./internal/bundle/... ./internal/skiplist/... ./cmd/tscstat/...
 	$(GO) test -race -short -run TestLinearizability .
+	$(GO) test -race -short -run 'TestSharded|TestReadPathsAgree' .
 	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
 

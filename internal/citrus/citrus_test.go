@@ -561,6 +561,7 @@ func TestEBRRangeFindsSuccessorBehindItsCopy(t *testing.T) {
 	tr.p.provider.RQLock()
 	s := tr.p.provider.Source().Snapshot()
 	tr.p.provider.RQUnlock()
+	a.AnnounceRQ(s)
 	tr.rcu.ReadLock(c.ID) // holds Delete(3) inside its grace period
 	done := make(chan bool)
 	go func() { done <- tr.Delete(b, 3) }()
@@ -568,6 +569,7 @@ func TestEBRRangeFindsSuccessorBehindItsCopy(t *testing.T) {
 		runtime.Gosched()
 	}
 	got := tr.RangeQueryAt(a, 4, 6, s, nil)
+	a.DoneRQ()
 	tr.rcu.ReadUnlock(c.ID)
 	if !<-done {
 		t.Fatal("Delete(3) failed")
@@ -621,10 +623,11 @@ func TestEBRTwoChildrenDeleteNeverHidesItsVictim(t *testing.T) {
 	for steps := 0; ; steps++ {
 		select {
 		case <-src.parked:
-			a.BeginRQ()
+			a.AnnounceRQ(s)
 			if got := tr.RangeQueryAt(a, 0, 10, s, nil); len(got) != 5 {
 				t.Errorf("delete stopped at its label %d: the snapshot taken before it = %v, want 2, 3, 6, 8, 9", steps+1, got)
 			}
+			a.DoneRQ()
 			src.step <- struct{}{}
 		case ok := <-done:
 			if !ok || steps != 3 {

@@ -340,8 +340,8 @@ func (t *tree[L, P]) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) [
 	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
-// reservation and took s by the technique's rule (DESIGN.md, "Snapshot
+// RangeQueryAt collects [lo, hi] as of the bound s, which the caller took
+// by the technique's rule and announced on th (DESIGN.md, "Snapshot
 // reads").
 func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if hi > MaxKey {
@@ -349,9 +349,7 @@ func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 	}
 	t.p.enter(th.ID)
 	mark := t.tr.Now()
-	th.AnnounceRQ(s)
 	out = t.p.collect(th, t.root, lo, hi, s, mark, out)
-	th.DoneRQ()
 	t.p.exit(th.ID)
 	return out
 }

@@ -11,6 +11,9 @@ import (
 // technique needs this for garbage collection: a vCAS version, a bundle
 // entry or a limbo-list node may be reclaimed only once no active range
 // query could still need it, i.e. once it is older than MinActiveRQ.
+// The shards of a partitioned map share one registry, as they share one
+// source: a thread has one slot, and one announcement covers every shard
+// its read collects.
 //
 // Each slot sits on its own cache line pair so announcements never
 // contend with one another or with the logical timestamp.
@@ -28,7 +31,7 @@ type Registry struct {
 const DefaultMaxThreads = 256
 
 // NewRegistry returns a registry with capacity for maxThreads concurrent
-// thread handles.
+// thread handles, DefaultMaxThreads when maxThreads is not positive.
 func NewRegistry(maxThreads int) *Registry {
 	if maxThreads <= 0 {
 		maxThreads = DefaultMaxThreads
@@ -67,11 +70,6 @@ type Thread struct {
 	// racing announcements would silently break the MinActiveRQ
 	// reclamation invariant.
 	released bool
-	// shards, when non-nil, are the per-shard handles this thread fans
-	// out to (ShardedRegistry.Register). shards[0] is this thread itself;
-	// shards[i] belongs to shard i's registry. Releasing the fronting
-	// handle releases every fanned-out handle.
-	shards []*Thread
 	// pruneBound is the truncation bound PruneBoundOf cached for this
 	// thread, pruneLeft the number of calls it still serves.
 	pruneBound TS
@@ -81,7 +79,7 @@ type Thread struct {
 	// The padding makes a Thread 128 bytes, a size class the allocator
 	// aligns to cache lines: no other object, written by another thread,
 	// shares a line with the fields every operation reads.
-	_ [48]byte
+	_ [72]byte
 }
 
 // PointBuf returns an empty buffer with room for one pair, owned by the
@@ -89,20 +87,6 @@ type Thread struct {
 // caller's own one-pair array would escape through the collector's
 // interface call. The pair is valid until the thread's next PointBuf.
 func (t *Thread) PointBuf() []KV { return t.point[:0] }
-
-// Shard returns the handle to use against shard i's structure. A handle
-// with no fan-out (plain Registry.Register) returns itself, so
-// single-shard callers need no special casing.
-func (t *Thread) Shard(i int) *Thread {
-	if t.shards == nil {
-		return t
-	}
-	return t.shards[i]
-}
-
-// Fanout reports how many per-shard handles this thread fans out to
-// (0 for a plain handle).
-func (t *Thread) Fanout() int { return len(t.shards) }
 
 // Register allocates a thread handle, reusing released slots.
 func (r *Registry) Register() (*Thread, error) {
@@ -136,19 +120,8 @@ func (r *Registry) MustRegister() *Thread {
 // Release returns the slot to the registry. The handle must not be used
 // afterwards. Release is idempotent: a second call is a no-op, so a slot
 // ID can never be pushed onto the free list twice and handed out to two
-// goroutines at once. A fanned-out handle releases every per-shard
-// handle it fronts.
+// goroutines at once.
 func (t *Thread) Release() {
-	for _, s := range t.shards {
-		if s != t {
-			s.releaseOne()
-		}
-	}
-	t.releaseOne()
-}
-
-// releaseOne returns this handle's own slot to its registry.
-func (t *Thread) releaseOne() {
 	t.reg.mu.Lock()
 	defer t.reg.mu.Unlock()
 	if t.released {
@@ -194,71 +167,4 @@ func (r *Registry) MinActiveRQ() TS {
 		}
 	}
 	return min
-}
-
-// ShardedRegistry fronts one Registry per shard of a key-partitioned
-// structure. Register hands out a single Thread that fans out to one
-// handle per shard, so a worker goroutine still manages exactly one
-// handle while each shard keeps its own independent announcement slots —
-// the property that lets per-shard reclamation proceed without scanning
-// (or contending with) the other shards' announcement arrays.
-type ShardedRegistry struct {
-	regs []*Registry
-}
-
-// NewShardedRegistry builds a registry front-end over shards independent
-// per-shard registries, each with capacity maxThreads (DefaultMaxThreads
-// when non-positive). shards must be at least 1.
-func NewShardedRegistry(shards, maxThreads int) *ShardedRegistry {
-	if shards < 1 {
-		shards = 1
-	}
-	r := &ShardedRegistry{regs: make([]*Registry, shards)}
-	for i := range r.regs {
-		r.regs[i] = NewRegistry(maxThreads)
-	}
-	return r
-}
-
-// Shards returns the shard count.
-func (r *ShardedRegistry) Shards() int { return len(r.regs) }
-
-// Shard returns shard i's underlying registry (per-shard structures are
-// constructed against it).
-func (r *ShardedRegistry) Shard(i int) *Registry { return r.regs[i] }
-
-// Cap returns the per-shard capacity: the number of fronting handles
-// that can be live at once.
-func (r *ShardedRegistry) Cap() int { return r.regs[0].Cap() }
-
-// Register allocates one handle in every shard's registry and returns
-// the shard-0 handle fronting them. On partial exhaustion (some shard
-// full) every handle obtained so far is released before the error is
-// returned, so a failed registration never leaks slots.
-func (r *ShardedRegistry) Register() (*Thread, error) {
-	ths := make([]*Thread, len(r.regs))
-	for i, reg := range r.regs {
-		th, err := reg.Register()
-		if err != nil {
-			for _, got := range ths[:i] {
-				got.releaseOne()
-			}
-			return nil, fmt.Errorf("core: sharded registry, shard %d of %d: %w",
-				i, len(r.regs), err)
-		}
-		ths[i] = th
-	}
-	front := ths[0]
-	front.shards = ths
-	return front, nil
-}
-
-// MustRegister is Register for callers that size the registries
-// correctly by construction.
-func (r *ShardedRegistry) MustRegister() *Thread {
-	t, err := r.Register()
-	if err != nil {
-		panic(err)
-	}
-	return t
 }

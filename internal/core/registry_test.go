@@ -189,117 +189,6 @@ func TestInstrumentSourcePreservesAddressable(t *testing.T) {
 	}
 }
 
-// A sharded handle must fan out to one live slot per shard, announce
-// independently per shard, and release every slot at once.
-func TestShardedRegistryFanout(t *testing.T) {
-	const shards, cap = 4, 8
-	r := NewShardedRegistry(shards, cap)
-	if r.Shards() != shards || r.Cap() != cap {
-		t.Fatalf("Shards/Cap = %d/%d, want %d/%d", r.Shards(), r.Cap(), shards, cap)
-	}
-	th := r.MustRegister()
-	if th.Fanout() != shards {
-		t.Fatalf("Fanout = %d, want %d", th.Fanout(), shards)
-	}
-	if th.Shard(0) != th {
-		t.Fatal("front handle is not shard 0's handle")
-	}
-	// Announcing on shard 2 pins only shard 2's reclamation horizon.
-	th.Shard(2).BeginRQ()
-	th.Shard(2).AnnounceRQ(7)
-	for i := 0; i < shards; i++ {
-		want := Pending
-		if i == 2 {
-			want = 7
-		}
-		if got := r.Shard(i).MinActiveRQ(); got != want {
-			t.Fatalf("shard %d MinActiveRQ = %d, want %d", i, got, want)
-		}
-	}
-	th.Shard(2).DoneRQ()
-	// One front Release returns every shard's slot.
-	th.Release()
-	th.Release() // and stays idempotent across the fan-out
-	for i := 0; i < cap; i++ {
-		r.MustRegister() // full capacity available again in every shard
-	}
-	if _, err := r.Register(); err == nil {
-		t.Fatal("register past capacity succeeded")
-	}
-}
-
-// Partial registration failure (one shard exhausted) must roll back the
-// slots already taken in earlier shards.
-func TestShardedRegistryRollback(t *testing.T) {
-	const shards, cap = 3, 2
-	r := NewShardedRegistry(shards, cap)
-	// Exhaust shard 1 behind the front-end's back.
-	a := r.Shard(1).MustRegister()
-	b := r.Shard(1).MustRegister()
-	if _, err := r.Register(); err == nil {
-		t.Fatal("register with an exhausted shard succeeded")
-	}
-	a.Release()
-	b.Release()
-	// The failed attempt must not have leaked shard-0 slots: all cap
-	// front handles still fit.
-	for i := 0; i < cap; i++ {
-		r.MustRegister()
-	}
-}
-
-// Concurrent register/announce/release churn through the sharded
-// fan-out, with MinActiveRQ scans racing on every shard. Mirrors
-// TestRegistryChurnRace; run under -race.
-func TestShardedRegistryChurnRace(t *testing.T) {
-	const shards, workers = 4, 8
-	r := NewShardedRegistry(shards, workers)
-	var stop sync.WaitGroup
-	done := make(chan struct{})
-	for i := 0; i < workers; i++ {
-		stop.Add(1)
-		go func() {
-			defer stop.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				th, err := r.Register()
-				if err != nil {
-					continue // capacity transiently exhausted by churn
-				}
-				for s := 0; s < shards; s++ {
-					th.Shard(s).BeginRQ()
-					th.Shard(s).AnnounceRQ(42)
-					th.Shard(s).DoneRQ()
-				}
-				th.Release()
-				th.Release() // regression: must stay a no-op under -race
-			}
-		}()
-	}
-	deadline := time.After(200 * time.Millisecond)
-	for {
-		select {
-		case <-deadline:
-			close(done)
-			stop.Wait()
-			for s := 0; s < shards; s++ {
-				if got := r.Shard(s).MinActiveRQ(); got != Pending {
-					t.Fatalf("shard %d MinActiveRQ after quiesce = %d, want Pending", s, got)
-				}
-			}
-			return
-		default:
-			for s := 0; s < shards; s++ {
-				_ = r.Shard(s).MinActiveRQ()
-			}
-		}
-	}
-}
-
 // Live is the bound every slot scan stops at: it counts the slots ever
 // handed out, grows only when the free list is empty, and never moves
 // back on Release.

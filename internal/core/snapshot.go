@@ -53,14 +53,14 @@ var (
 func QueryAdvancesLocked(l RQLocker) Bound { return Bound{lock: l} }
 
 // Collector is the collect-at-bound half of a structure's range query:
-// announce s on th, append every pair of [lo, hi] visible at s to out,
-// withdraw the announcement. The caller holds th's reservation (BeginRQ)
-// from before s was obtained; see Reader.
+// append every pair of [lo, hi] visible at s to out. The caller has
+// announced s on th and withdraws it; see Reader.
 type Collector interface {
 	RangeQueryAt(th *Thread, lo, hi uint64, s TS, out []KV) []KV
 }
 
-// part is one structure's share of a snapshot read.
+// part is one structure's share of a snapshot read: its collect walk and,
+// for EBR-RQ, its label lock.
 type part struct {
 	at   Collector
 	lock RQLocker // nil unless the technique's queries lock
@@ -68,10 +68,13 @@ type part struct {
 
 // Reader is the snapshot-read protocol, written once for every variant
 // and for the cross-shard fan-out: reserve, take (or validate) one bound,
-// collect every part at it, revalidate. A structure's Reader has one
-// part; NewFanout's has one per shard, all labeled from one shared
-// source, with part i owning the keys of residue i modulo the part count.
-// DESIGN.md "Snapshot reads" has the argument.
+// announce it, collect every part at it, revalidate, withdraw. It is the
+// only code that stores to a range query's announcement slot: one
+// announcement must outlive every part's collection, so no part may
+// withdraw it. A structure's Reader has one part; NewFanout's has one per
+// shard, all labeled from one shared source and registered in one shared
+// Registry, with part i owning the keys of residue i modulo the part
+// count. DESIGN.md "Snapshot reads" has the argument.
 type Reader struct {
 	src   Source
 	peek  bool
@@ -89,8 +92,8 @@ func NewReader(src Source, b Bound, at Collector) *Reader {
 }
 
 // NewFanout builds the Reader of a map partitioned over shards, which
-// must share one source and one technique. stats, when non-nil, counts
-// the range queries that touched each shard.
+// must share one source, one registry and one technique. stats, when
+// non-nil, counts the range queries that touched each shard.
 func NewFanout(shards []*Reader, stats []*obs.ShardStats) *Reader {
 	r := &Reader{src: shards[0].src, peek: shards[0].peek, phase: trace.PhaseShardFanout, stats: stats}
 	for _, s := range shards {
@@ -125,22 +128,14 @@ func (r *Reader) Read(th *Thread, lo, hi uint64, s TS, live bool, out []KV) ([]K
 	tr, base := r.tr, len(out)
 	for {
 		mark := tr.Now()
-		// Reserve before the bound exists: ReservedRQ pins each part's
-		// MinActiveRQ at zero, so nothing the bound could need is pruned
-		// between obtaining it and announcing it.
-		for i := range r.parts {
-			if hit(i) {
-				th.Shard(i).BeginRQ()
-			}
-		}
+		// Reserve before the bound exists: ReservedRQ pins MinActiveRQ at
+		// zero, so nothing the bound could need is pruned between obtaining
+		// it and announcing it.
+		th.BeginRQ()
 		switch {
 		case !live:
 			if err := r.rb.CheckAt(s); err != nil {
-				for i := range r.parts {
-					if hit(i) {
-						th.Shard(i).DoneRQ()
-					}
-				}
+				th.DoneRQ()
 				return out, s, err
 			}
 		case r.peek:
@@ -162,14 +157,16 @@ func (r *Reader) Read(th *Thread, lo, hi uint64, s TS, live bool, out []KV) ([]K
 		if live {
 			tr.Span(th.ID, r.phase, mark)
 		}
+		th.AnnounceRQ(s)
 		for i, p := range r.parts {
 			if hit(i) {
-				out = p.at.RangeQueryAt(th.Shard(i), lo, hi, s, out)
+				out = p.at.RangeQueryAt(th, lo, hi, s, out)
 			}
 		}
 		// A past ts is a fixed number: "labels <= ts" is the same cut in
 		// every later generation, so only a fresh bound needs revalidating.
 		if !live || SnapshotValid(r.src, s) {
+			th.DoneRQ()
 			if r.stats != nil {
 				for i := range r.parts {
 					if hit(i) {

@@ -43,8 +43,9 @@ func count(log []string, ev string) (n int) {
 }
 
 // fakePart is one shard: it logs lock, unlock and collect events, checks
-// that its handle is reserved whenever the protocol touches it, and
-// returns the keys of its residue class in [lo, hi].
+// that the thread's one slot announces the bound it collects at, and
+// returns the keys of its residue class in [lo, hi]. It announces nothing
+// itself, as a structure's collect walk does not.
 type fakePart struct {
 	t         *testing.T
 	log       *[]string
@@ -57,10 +58,9 @@ func (p *fakePart) RQUnlock() { *p.log = append(*p.log, fmt.Sprint("unlock ", p.
 
 func (p *fakePart) RangeQueryAt(th *Thread, lo, hi uint64, s TS, out []KV) []KV {
 	*p.log = append(*p.log, fmt.Sprint("collect ", p.i))
-	if got := th.reg.slots[th.ID].Load(); got != ReservedRQ {
-		p.t.Errorf("part %d collected with slot %d, want the reservation", p.i, got)
+	if got := slot(th); got != s {
+		p.t.Errorf("part %d collected at %d with slot %d, want the bound announced", p.i, s, got)
 	}
-	th.AnnounceRQ(s)
 	if p.onCollect != nil {
 		p.onCollect(s)
 	}
@@ -69,14 +69,16 @@ func (p *fakePart) RangeQueryAt(th *Thread, lo, hi uint64, s TS, out []KV) []KV 
 			out = append(out, KV{Key: k, Val: s})
 		}
 	}
-	th.DoneRQ()
 	return out
 }
 
+// slot reads th's announcement slot.
+func slot(th *Thread) TS { return th.reg.slots[th.ID].Load() }
+
 // fanout builds n fake parts under rule (lock filled in per part when
-// locked) behind one fan-out Reader, with a thread fanned over n
-// registries.
-func fanout(t *testing.T, n int, peek, locked bool) (*Reader, *fakeSource, []*fakePart, *ShardedRegistry, *Thread, *[]string) {
+// locked) behind one fan-out Reader, with a thread of the parts' one
+// registry.
+func fanout(t *testing.T, n int, peek, locked bool) (*Reader, *fakeSource, []*fakePart, *Registry, *Thread, *[]string) {
 	log := &[]string{}
 	src := &fakeSource{log: log, now: 10}
 	parts := make([]*fakePart, n)
@@ -92,16 +94,14 @@ func fanout(t *testing.T, n int, peek, locked bool) (*Reader, *fakeSource, []*fa
 		}
 		readers[i] = NewReader(src, b, parts[i])
 	}
-	reg := NewShardedRegistry(n, 2)
+	reg := NewRegistry(2)
 	return NewFanout(readers, nil), src, parts, reg, reg.MustRegister(), log
 }
 
-func quiescent(t *testing.T, reg *ShardedRegistry) {
+func quiescent(t *testing.T, reg *Registry) {
 	t.Helper()
-	for i := 0; i < reg.Shards(); i++ {
-		if min := reg.Shard(i).MinActiveRQ(); min != Pending {
-			t.Errorf("shard %d: MinActiveRQ = %d after the read, want Pending", i, min)
-		}
+	if min := reg.MinActiveRQ(); min != Pending {
+		t.Errorf("MinActiveRQ = %d after the read, want Pending", min)
 	}
 }
 
@@ -113,6 +113,11 @@ func TestReaderRetriesAcrossGenerationSwitch(t *testing.T) {
 			src.switchGeneration() // under the first attempt's bound
 		}
 		bounds = append(bounds, s)
+	}
+	src.onBound = func() { // the retry re-reserves before its fresh bound
+		if got := slot(th); got != ReservedRQ {
+			t.Errorf("bound %d taken with slot %d, want the reservation", len(bounds)+1, got)
+		}
 	}
 	kept := []KV{{Key: 99, Val: 99}}
 	out, s, err := r.Read(th, 0, 5, 0, true, kept)
@@ -170,7 +175,7 @@ func TestReaderRefusalReleasesEveryReservation(t *testing.T) {
 	if !errors.Is(err, ErrFutureTimestamp) {
 		t.Fatalf("read ahead of the source: err = %v, want ErrFutureTimestamp", err)
 	}
-	rb.PruneBound(reg.Shard(0)) // window 0: everything below now is offered to truncation
+	rb.PruneBound(reg) // window 0: everything below now is offered to truncation
 	out2, _, err := r.Read(th, 0, 100, 3, false, kept)
 	if !errors.Is(err, ErrTruncatedHistory) {
 		t.Fatalf("read below the watermark: err = %v, want ErrTruncatedHistory", err)
@@ -202,7 +207,7 @@ func TestReaderTouchesOnlyHitParts(t *testing.T) {
 	log := &[]string{}
 	src := &fakeSource{log: log, now: 10}
 	const n = 5
-	reg := NewShardedRegistry(n, 2)
+	reg := NewRegistry(2)
 	th := reg.MustRegister()
 	parts := make([]*fakePart, n)
 	readers := make([]*Reader, n)
@@ -213,19 +218,17 @@ func TestReaderTouchesOnlyHitParts(t *testing.T) {
 		stats[i] = &obs.ShardStats{}
 	}
 	r := NewFanout(readers, stats)
-	var reserved []int // the handles holding a reservation when the bound is taken
+	reserved := 0 // bounds taken with the one slot reserved
 	src.onBound = func() {
-		for i := 0; i < n; i++ {
-			if h := th.Shard(i); h.reg.slots[h.ID].Load() == ReservedRQ {
-				reserved = append(reserved, i)
-			}
+		if slot(th) == ReservedRQ {
+			reserved++
 		}
 	}
 
 	// [8, 10] are the keys of residues 3, 4, 0.
 	out := r.Live(th, 8, 10, nil)
-	if want := []int{0, 3, 4}; !reflect.DeepEqual(reserved, want) {
-		t.Errorf("reserved at the bound: parts %v, want %v", reserved, want)
+	if reserved != 1 {
+		t.Errorf("the slot was reserved at %d of 1 bounds taken", reserved)
 	}
 	want := []string{"lock 0", "lock 3", "lock 4", "snapshot", "unlock 0", "unlock 3", "unlock 4",
 		"collect 0", "collect 3", "collect 4"}
@@ -243,10 +246,54 @@ func TestReaderTouchesOnlyHitParts(t *testing.T) {
 	quiescent(t, reg)
 
 	// A width of n-1 or more covers every residue.
-	reserved = nil
+	*log = (*log)[:0]
 	r.Live(th, 7, 11, nil)
-	if want := []int{0, 1, 2, 3, 4}; !reflect.DeepEqual(reserved, want) {
-		t.Errorf("a full residue cycle reserved parts %v, want %v", reserved, want)
+	for i := 0; i < n; i++ {
+		if count(*log, fmt.Sprint("collect ", i)) != 1 {
+			t.Errorf("a full residue cycle did not collect part %d once: %v", i, *log)
+		}
+	}
+	quiescent(t, reg)
+}
+
+// TestReaderAnnouncesOnce: the Reader alone reserves, announces and
+// withdraws the thread's one slot, and the parts only collect. Every part
+// of a fan-out collects under the one announcement (the fake part checks
+// the slot holds its bound), so a part that withdrew it, or a Reader that
+// withdrew it between parts, leaves the next part unprotected and fails
+// here.
+func TestReaderAnnouncesOnce(t *testing.T) {
+	r, src, parts, reg, th, log := fanout(t, 3, false, false)
+	r.SetHooks(Hooks{ReadBound: NewReadBound(src, 0)})
+	for _, p := range parts {
+		p.onCollect = func(s TS) {
+			if min := reg.MinActiveRQ(); min > s {
+				t.Errorf("part %d collected at %d while MinActiveRQ was %d", p.i, s, min)
+			}
+		}
+	}
+	if out := r.Live(th, 0, 8, nil); len(out) != 9 {
+		t.Errorf("live read returned %v, want keys 0..8", out)
+	}
+	if got := slot(th); got != Pending {
+		t.Errorf("slot after a live read = %d, want Pending", got)
+	}
+	if _, _, err := r.Read(th, 0, 8, src.ts()+5, false, nil); !errors.Is(err, ErrFutureTimestamp) {
+		t.Fatalf("read ahead of the source: err = %v, want ErrFutureTimestamp", err)
+	}
+	if got := slot(th); got != Pending {
+		t.Errorf("slot after a refused historical read = %d, want Pending", got)
+	}
+	if _, _, err := r.Read(th, 0, 8, src.ts(), false, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := slot(th); got != Pending {
+		t.Errorf("slot after a historical read = %d, want Pending", got)
+	}
+	for _, p := range parts {
+		if c := count(*log, fmt.Sprint("collect ", p.i)); c != 2 {
+			t.Errorf("part %d collected %d times, want once per accepted read", p.i, c)
+		}
 	}
 }
 
@@ -263,7 +310,7 @@ func TestReaderAllocFree(t *testing.T) {
 		}
 		r := NewFanout(readers, nil)
 		r.SetHooks(Hooks{ReadBound: NewReadBound(src, 0)})
-		th := NewShardedRegistry(n, 2).MustRegister()
+		th := NewRegistry(2).MustRegister()
 		buf := make([]KV, 0, 64)
 		*log = make([]string, 0, 1<<16)
 		if a := testing.AllocsPerRun(100, func() {
@@ -284,7 +331,5 @@ func (nopLock) RQUnlock() {}
 type quietPart struct{}
 
 func (quietPart) RangeQueryAt(th *Thread, lo, hi uint64, s TS, out []KV) []KV {
-	th.AnnounceRQ(s)
-	th.DoneRQ()
 	return append(out, KV{Key: lo, Val: s})
 }

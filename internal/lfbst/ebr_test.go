@@ -300,10 +300,11 @@ func TestEBRPointReadsFollowLabels(t *testing.T) {
 		if tr.Contains(a, 5) {
 			t.Error("Contains(5) true for a leaf whose deletion is labeled")
 		}
-		a.BeginRQ()
+		a.AnnounceRQ(d)
 		if got := tr.RangeQueryAt(a, 0, 10, d, nil); len(got) != 1 || got[0].Key != 7 {
 			t.Errorf("range at the deletion label = %v, want only 7", got)
 		}
+		a.DoneRQ()
 
 		seven := tr.p.search(tr.root, 7).l
 		seven.l.life.itime.Init() // back between the child CAS and its label
@@ -358,6 +359,7 @@ func TestEBRReplacedLeaf(t *testing.T) {
 			tr.p.provider.RQLock()
 			s := tr.p.provider.Source().Snapshot()
 			tr.p.provider.RQUnlock()
+			q.AnnounceRQ(s)
 			if !tr.Delete(a, 10) {
 				t.Fatal("Delete(10) failed")
 			}
@@ -370,6 +372,7 @@ func TestEBRReplacedLeaf(t *testing.T) {
 			if got := tr.RangeQueryAt(q, 0, 30, s, nil); !slices.Equal(got, both) {
 				t.Errorf("(iii) range at a bound before the delete = %v, want %v", got, both)
 			}
+			q.DoneRQ()
 			tr.Drain()
 			if n := tr.p.em.LimboLen(); n != 0 {
 				t.Errorf("(iv) %d leaves in limbo after Drain", n)

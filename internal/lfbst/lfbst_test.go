@@ -778,6 +778,7 @@ func TestHistoryBounded(t *testing.T) {
 			if got := tr.RangeQueryAt(q, 0, MaxKey, s, nil); !slices.Equal(got, want) {
 				t.Fatalf("read at the held bound %d: %d pairs, want the %d of the model at that time", s, len(got), len(want))
 			}
+			q.DoneRQ()
 			continue
 		}
 		nodes, versions := chainStats(tr)

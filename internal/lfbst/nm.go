@@ -348,8 +348,8 @@ func (t *NMTree) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []cor
 	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
-// reservation (DESIGN.md, "Snapshot reads").
+// RangeQueryAt collects [lo, hi] as of the bound s, which the caller
+// announced on th (DESIGN.md, "Snapshot reads").
 func (t *NMTree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	if hi > MaxNMKey {
 		hi = MaxNMKey
@@ -359,14 +359,12 @@ func (t *NMTree) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []c
 	if tr != nil {
 		mark = tr.Now()
 	}
-	th.AnnounceRQ(s)
 	var walk uint64
 	out = t.collect(t.r, lo, hi, s, out, &walk)
 	if tr != nil {
 		tr.Span(th.ID, trace.PhaseTraverse, mark)
 		tr.Count(th.ID, trace.PhaseVersionWalk, walk)
 	}
-	th.DoneRQ()
 	return out
 }
 
@@ -415,3 +413,6 @@ func (t *NMTree) Len() int {
 	walk(t.r)
 	return n
 }
+
+// Drain is a no-op: the tree holds no limbo memory for range queries.
+func (t *NMTree) Drain() {}

@@ -258,10 +258,11 @@ func TestCheckRejectsTornCrossShardSnapshot(t *testing.T) {
 	wA, wB := regA.MustRegister(), regB.MustRegister()
 
 	// Torn protocol: shard A's bound first, shard B's only after the
-	// inserts land. (The real fan-out reserves both shards and reads the
-	// shared source exactly once between the reservations.)
+	// inserts land. (The real fan-out reserves one slot, reads the shared
+	// source exactly once and announces that one bound for every shard.)
 	rqA.BeginRQ()
 	sA := src.Snapshot()
+	rqA.AnnounceRQ(sA)
 
 	vEven, vOdd := value(1, 1), value(1, 2)
 	evEven := Event{Op: OpInsert, Thread: 1, Key: 2, Val: vEven, Inv: 1, Ret: 2, OK: shardA.Insert(wA, 2, vEven)}
@@ -272,8 +273,11 @@ func TestCheckRejectsTornCrossShardSnapshot(t *testing.T) {
 
 	rqB.BeginRQ()
 	sB := src.Snapshot()
+	rqB.AnnounceRQ(sB)
 	kvs := shardA.RangeQueryAt(rqA, 0, 10, sA, nil)
 	kvs = shardB.RangeQueryAt(rqB, 0, 10, sB, kvs)
+	rqA.DoneRQ()
+	rqB.DoneRQ()
 	if len(kvs) != 1 || kvs[0].Key != 3 {
 		t.Fatalf("torn schedule did not tear: collected %v", kvs)
 	}

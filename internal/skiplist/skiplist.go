@@ -428,13 +428,12 @@ func (t *list[L, P]) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) [
 	return t.rd.Live(th, lo, hi, out)
 }
 
-// RangeQueryAt collects [lo, hi] as of the bound s; the caller holds th's
-// reservation and took s by the technique's rule (DESIGN.md, "Snapshot
+// RangeQueryAt collects [lo, hi] as of the bound s, which the caller took
+// by the technique's rule and announced on th (DESIGN.md, "Snapshot
 // reads"). The untimestamped upper levels position the query below lo, the
 // technique's collect walks from there (never collecting the head).
 func (t *list[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	t.p.enter(th.ID)
-	th.AnnounceRQ(s)
 	mark := t.tr.Now()
 	pred := t.head
 	for l := t.levels - 1; l >= 1; l-- {
@@ -445,7 +444,6 @@ func (t *list[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 		}
 	}
 	out = t.p.collect(th, t.head, pred, lo, hi, s, mark, out)
-	th.DoneRQ()
 	t.p.exit(th.ID)
 	return out
 }

@@ -1,18 +1,21 @@
 package tscds
 
 import (
+	"fmt"
+
 	"tscds/internal/core"
 	"tscds/internal/obs"
 )
 
 // This file implements ShardedMap: a key-space-partitioned front end
 // composing S per-shard structures (any structure/technique pair New
-// accepts) behind ONE shared timestamp source. Point operations touch
-// only the owning shard — S independent structures mean S-way less
-// structural contention — while range queries stay linearizable across
-// shards by running the one snapshot-read protocol (core.Reader; DESIGN.md
-// "Snapshot reads") with one part per shard: a single bound from the
-// shared source, every overlapping shard collected at it. The argument
+// accepts) behind ONE shared timestamp source and thread registry. Point
+// operations touch only the owning shard — S independent structures mean
+// S-way less structural contention — while range queries stay
+// linearizable across shards by running the one snapshot-read protocol
+// (core.Reader; DESIGN.md "Snapshot reads") with one part per shard: a
+// single bound from the shared source, announced once in the shared
+// registry, every overlapping shard collected at it. The argument
 // that (bound, collection) is a linearizable snapshot is the same per
 // shard as in the unsharded structure, and the shared bound makes the
 // union of the per-shard snapshots a snapshot of the whole map at that
@@ -44,25 +47,24 @@ func (m *ShardedMap) Shards() int { return m.n }
 // residue (internal key mod shards), which load-balances dense and
 // uniform key sets alike. Point operations touch only the owning
 // shard; RangeQuery and Scan remain linearizable across shards (one
-// timestamp, every overlapping shard collected at it). shards < 1 is
-// treated as 1. Combination rules are exactly New's.
+// timestamp, every overlapping shard collected at it). shards < 1 is a
+// *ConfigError. Combination rules are exactly New's.
 //
-// cfg.MaxThreads bounds handles per shard as in New; each RegisterThread
-// call claims one slot in every shard. cfg.Metrics additionally gets
-// per-shard routing counts (Snapshot.Shards). cfg.Trace records the
-// fan-out coordination cost as the "shard-fanout" phase; per-shard
-// phase detail is not recorded (the recorder's rings are single-writer
-// per thread, which per-shard handles do not guarantee).
+// cfg.MaxThreads bounds handles as in New: every shard shares the map's one
+// registry, and a handle is one slot whichever shards it touches.
+// cfg.Metrics additionally gets per-shard routing counts
+// (Snapshot.Shards). cfg.Trace records the fan-out coordination cost as
+// the "shard-fanout" phase; per-shard phase detail is not recorded (see
+// shardedInner.SetHooks).
 func NewSharded(s Structure, t Technique, shards int, cfg Config) (*ShardedMap, error) {
 	if shards < 1 {
-		shards = 1
+		return nil, &ConfigError{"shards", fmt.Sprintf("%d is below 1", shards)}
 	}
-	reg := core.NewShardedRegistry(shards, cfg.MaxThreads)
 	sm := &ShardedMap{n: shards}
 	// The WAL shards by the same internal-key residue as the map, so each
 	// shard's log is ordered by that shard's update serialization.
-	err := sm.wrap.init(s, t, cfg, reg, shards, func(src core.Source) (inner, uint64, error) {
-		return newShardedInner(s, t, cfg, src, reg)
+	err := sm.wrap.init(s, t, cfg, shards, func(src core.Source, reg *core.Registry) (inner, uint64, error) {
+		return newShardedInner(s, t, cfg, src, reg, shards)
 	})
 	if err != nil {
 		return nil, err
@@ -80,10 +82,10 @@ type shardedInner struct {
 	rd     *core.Reader      // the cross-shard fan-out over inners' readers
 }
 
-// newShardedInner builds one (s, t) structure per shard registry of reg,
-// all over src, and the fan-out reader across them.
-func newShardedInner(s Structure, t Technique, cfg Config, src core.Source, reg *core.ShardedRegistry) (inner, uint64, error) {
-	sh := &shardedInner{inners: make([]inner, reg.Shards())}
+// newShardedInner builds shards (s, t) structures, all over src and reg,
+// and the fan-out reader across them.
+func newShardedInner(s Structure, t Technique, cfg Config, src core.Source, reg *core.Registry, shards int) (inner, uint64, error) {
+	sh := &shardedInner{inners: make([]inner, shards)}
 	if cfg.Metrics != nil {
 		cfg.Metrics.EnsureShards(len(sh.inners))
 		sh.stats = make([]*obs.ShardStats, len(sh.inners))
@@ -94,7 +96,7 @@ func newShardedInner(s Structure, t Technique, cfg Config, src core.Source, reg 
 	readers := make([]*core.Reader, len(sh.inners))
 	var shift uint64
 	for i := range sh.inners {
-		m, ks, err := buildInner(s, t, cfg.Source, src, reg.Shard(i))
+		m, ks, err := buildInner(s, t, cfg.Source, src, reg)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -108,8 +110,8 @@ func newShardedInner(s Structure, t Technique, cfg Config, src core.Source, reg 
 // aggregate across shards, and the ONE retention watermark is shared like
 // the source: a single prune intent covers every shard's truncation and
 // one CheckAt validates a cross-shard historical bound. The recorder stays
-// with the fan-out (the "shard-fanout" phase): its rings are single-writer
-// per thread, which per-shard handles do not guarantee.
+// with the fan-out (the "shard-fanout" phase): what forwarding it to the
+// shards would cost has not been measured.
 func (sh *shardedInner) SetHooks(h core.Hooks) {
 	sh.rd.SetHooks(h)
 	h.Trace = nil
@@ -127,7 +129,7 @@ func (sh *shardedInner) Insert(th *core.Thread, key, val uint64) bool {
 	if sh.stats != nil {
 		sh.stats[i].Ops.Inc()
 	}
-	return sh.inners[i].Insert(th.Shard(i), key, val)
+	return sh.inners[i].Insert(th, key, val)
 }
 
 func (sh *shardedInner) Delete(th *core.Thread, key uint64) bool {
@@ -135,7 +137,7 @@ func (sh *shardedInner) Delete(th *core.Thread, key uint64) bool {
 	if sh.stats != nil {
 		sh.stats[i].Ops.Inc()
 	}
-	return sh.inners[i].Delete(th.Shard(i), key)
+	return sh.inners[i].Delete(th, key)
 }
 
 func (sh *shardedInner) Contains(th *core.Thread, key uint64) bool {
@@ -143,7 +145,7 @@ func (sh *shardedInner) Contains(th *core.Thread, key uint64) bool {
 	if sh.stats != nil {
 		sh.stats[i].Ops.Inc()
 	}
-	return sh.inners[i].Contains(th.Shard(i), key)
+	return sh.inners[i].Contains(th, key)
 }
 
 func (sh *shardedInner) Get(th *core.Thread, key uint64) (uint64, bool) {
@@ -151,7 +153,7 @@ func (sh *shardedInner) Get(th *core.Thread, key uint64) (uint64, bool) {
 	if sh.stats != nil {
 		sh.stats[i].Ops.Inc()
 	}
-	return sh.inners[i].Get(th.Shard(i), key)
+	return sh.inners[i].Get(th, key)
 }
 
 // Len sums the shards; quiescent use only, like the structures' own Len.
@@ -163,11 +165,9 @@ func (sh *shardedInner) Len() int {
 	return n
 }
 
-// Drain forwards to every shard that retains reader memory.
+// Drain forwards to every shard.
 func (sh *shardedInner) Drain() {
 	for _, m := range sh.inners {
-		if d, ok := m.(interface{ Drain() }); ok {
-			d.Drain()
-		}
+		m.Drain()
 	}
 }

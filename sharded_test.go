@@ -97,6 +97,56 @@ func TestShardedLockFreeEBRLogicalOnly(t *testing.T) {
 	}
 }
 
+// TestShardedOneSlotHoldsEveryShard: a sharded map's shards share one
+// registry, so a handle's one reservation holds back history truncation
+// in every shard, not just one, and withdrawing it releases all of them.
+func TestShardedOneSlotHoldsEveryShard(t *testing.T) {
+	for _, c := range []struct {
+		s      Structure
+		t      Technique
+		pruned func(MetricsSnapshot) uint64
+	}{
+		{SkipList, Bundle, func(s MetricsSnapshot) uint64 { return s.GC.BundleEntriesPruned }},
+		{BST, VCAS, func(s MetricsSnapshot) uint64 { return s.GC.VcasVersionsPruned }},
+	} {
+		t.Run(c.s.String()+"/"+c.t.String(), func(t *testing.T) {
+			met := NewMetrics()
+			m, err := NewSharded(c.s, c.t, 4, Config{Source: Logical, MaxThreads: 2, Metrics: met})
+			if err != nil {
+				t.Fatal(err)
+			}
+			reader, writer := mustRegister(t, m), mustRegister(t, m)
+			churn := func() {
+				for round := 0; round < 4; round++ {
+					for k := uint64(0); k < 64; k++ {
+						m.Insert(writer, k, k)
+						m.Delete(writer, k)
+					}
+				}
+			}
+			reader.BeginRQ()
+			churn()
+			if got := c.pruned(met.Snapshot()); got != 0 {
+				t.Fatalf("%d history entries pruned across the shards while one handle held a reservation", got)
+			}
+			reader.DoneRQ()
+			churn()
+			if c.pruned(met.Snapshot()) == 0 {
+				t.Fatal("nothing pruned after the reservation was withdrawn")
+			}
+		})
+	}
+}
+
+func mustRegister(t *testing.T, m Map) *Thread {
+	t.Helper()
+	th, err := m.RegisterThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return th
+}
+
 // TestShardedLenDrainAggregation pins the quiescent aggregation paths:
 // Len sums live keys across shards, and the Len-triggered Drain empties
 // every shard's limbo list (visible through the shared GC gauge).
@@ -218,8 +268,9 @@ func TestShardedTraceFanoutPhase(t *testing.T) {
 	}
 }
 
-// TestShardedRegisterExhaustion checks the facade surfaces per-shard
-// capacity limits and a failed registration does not leak slots.
+// TestShardedRegisterExhaustion checks the facade surfaces the map's
+// MaxThreads capacity, which every shard shares, and that a failed
+// registration does not leak a slot.
 func TestShardedRegisterExhaustion(t *testing.T) {
 	m, err := NewSharded(LazyList, VCAS, 2, Config{Source: Logical, MaxThreads: 3})
 	if err != nil {
@@ -234,7 +285,7 @@ func TestShardedRegisterExhaustion(t *testing.T) {
 		ths[i] = th
 	}
 	if _, err := m.RegisterThread(); err == nil {
-		t.Fatal("registration past per-shard capacity succeeded")
+		t.Fatal("registration past MaxThreads succeeded")
 	}
 	ths[1].Release()
 	if _, err := m.RegisterThread(); err != nil {

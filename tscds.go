@@ -170,7 +170,8 @@ const (
 type Config struct {
 	// Source selects the timestamp implementation (default Logical).
 	Source SourceKind
-	// MaxThreads bounds concurrent thread handles (default 256).
+	// MaxThreads bounds concurrent thread handles (256 when zero; a
+	// negative value is a *ConfigError).
 	MaxThreads int
 	// Metrics, when non-nil, receives operation counts, latency
 	// histograms, timestamp-source stats and reclamation counters from
@@ -383,15 +384,16 @@ func NewBatchStore(cfg Config) (*BatchStore, *Registry) {
 // explicit registry (NewBatchStore).
 type Registry = core.Registry
 
-// ConfigError is the error New and NewSharded return for a Config they
-// cannot honour; errors.As against it tells a misconfiguration from an
-// unsupported (structure, technique, source) combination or an I/O error.
+// ConfigError is the error New and NewSharded return for a Config or an
+// argument they cannot honour; errors.As against it tells a
+// misconfiguration from an unsupported (structure, technique, source)
+// combination or an I/O error.
 type ConfigError struct {
-	Field  string // the Config field at fault, e.g. "Alloc"
+	Field  string // the Config field or constructor argument at fault, e.g. "Alloc"
 	Reason string
 }
 
-func (e *ConfigError) Error() string { return "tscds: Config." + e.Field + ": " + e.Reason }
+func (e *ConfigError) Error() string { return "tscds: invalid " + e.Field + ": " + e.Reason }
 
 // validate rejects the Config values that would otherwise misbehave
 // quietly (an unknown Alloc ran as AllocGC under its bogus name) or from
@@ -399,6 +401,9 @@ func (e *ConfigError) Error() string { return "tscds: Config." + e.Field + ": " 
 func validate(cfg Config) error {
 	if cfg.Source < Logical || cfg.Source > Adaptive {
 		return &ConfigError{"Source", fmt.Sprintf("unknown kind %d", int(cfg.Source))}
+	}
+	if cfg.MaxThreads < 0 {
+		return &ConfigError{"MaxThreads", fmt.Sprintf("%d is negative", cfg.MaxThreads)}
 	}
 	if cfg.Alloc < AllocGC || cfg.Alloc > AllocArena {
 		return &ConfigError{"Alloc", fmt.Sprintf("unknown mode %d", int(cfg.Alloc))}
@@ -412,9 +417,8 @@ func validate(cfg Config) error {
 // New builds a Map from a (structure, technique, source) combination,
 // rejecting combinations the paper shows are unsupported.
 func New(s Structure, t Technique, cfg Config) (Map, error) {
-	reg := core.NewRegistry(cfg.MaxThreads)
 	w := &wrap{}
-	err := w.init(s, t, cfg, reg, 1, func(src core.Source) (inner, uint64, error) {
+	err := w.init(s, t, cfg, 1, func(src core.Source, reg *core.Registry) (inner, uint64, error) {
 		return buildInner(s, t, cfg.Source, src, reg)
 	})
 	if err != nil {
@@ -424,14 +428,15 @@ func New(s Structure, t Technique, cfg Config) (Map, error) {
 }
 
 // init is the constructor New and NewSharded share: validate cfg, build
-// the timestamp source (instrumented and named on cfg.Metrics when set),
-// build the structure over it, wire its hooks before it sees traffic, and
-// arm durability over shards WAL streams.
-func (w *wrap) init(s Structure, t Technique, cfg Config, reg registrar, shards int,
-	build func(src core.Source) (inner, uint64, error)) error {
+// the timestamp source (instrumented and named on cfg.Metrics when set)
+// and the thread registry, build the structure over them, wire its hooks
+// before it sees traffic, and arm durability over shards WAL streams.
+func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
+	build func(src core.Source, reg *core.Registry) (inner, uint64, error)) error {
 	if err := validate(cfg); err != nil {
 		return err
 	}
+	reg := core.NewRegistry(cfg.MaxThreads)
 	var src core.Source
 	if cfg.Source == Adaptive {
 		src = core.NewAdaptive(core.AdaptiveConfig{Health: cfg.Health})
@@ -449,7 +454,7 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, reg registrar, shards 
 		src = core.InstrumentSource(src, &mt.Source)
 		h.GC, h.PoolStats = &mt.GC, &mt.Pool
 	}
-	m, shift, err := build(src)
+	m, shift, err := build(src, reg)
 	if err != nil {
 		return err
 	}
@@ -547,6 +552,9 @@ type inner interface {
 	Contains(th *core.Thread, key uint64) bool
 	Get(th *core.Thread, key uint64) (uint64, bool)
 	Len() int
+	// Drain eagerly releases what deletes hold back for range queries
+	// (EBR-RQ's limbo lists); quiescent use only, like Len.
+	Drain()
 	// SetHooks wires the sinks; called once, before traffic.
 	SetHooks(h core.Hooks)
 	// Reader is the variant's snapshot-read protocol, carrying its bound
@@ -569,14 +577,6 @@ var (
 	_ inner = (*shardedInner)(nil)
 )
 
-// registrar hands out Thread handles: *core.Registry for plain maps,
-// *core.ShardedRegistry for sharded ones (whose handles fan out to one
-// slot per shard).
-type registrar interface {
-	Register() (*core.Thread, error)
-	Cap() int
-}
-
 // wrap adapts an internal structure to Map. shift offsets keys upward
 // for structures that reserve key 0 as their head sentinel. obs and tr,
 // when non-nil, receive per-operation counts/latencies and flight-record
@@ -585,7 +585,7 @@ type registrar interface {
 type wrap struct {
 	m       inner
 	rd      *core.Reader // m's snapshot-read protocol: every range-shaped read
-	reg     registrar
+	reg     *core.Registry
 	s       Structure
 	t       Technique
 	src     SourceKind
@@ -719,11 +719,7 @@ func (w *wrap) Len() int {
 	return w.m.Len()
 }
 
-func (w *wrap) Drain() {
-	if d, ok := w.m.(interface{ Drain() }); ok {
-		d.Drain()
-	}
-}
+func (w *wrap) Drain() { w.m.Drain() }
 
 func (w *wrap) Structure() Structure { return w.s }
 func (w *wrap) Technique() Technique { return w.t }

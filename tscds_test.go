@@ -173,7 +173,9 @@ func TestNewRejectsInvalidCombos(t *testing.T) {
 // TestConstructorsRejectInvalidConfig: New and NewSharded share one
 // validate, which refuses a Config it cannot honour with a *ConfigError
 // naming the field — an unknown Alloc used to run as AllocGC while
-// reporting the bogus mode, an unknown Source to panic inside core.New.
+// reporting the bogus mode, an unknown Source to panic inside core.New, a
+// negative MaxThreads to become the default. NewSharded refuses a shard
+// count below 1, which it used to round up, the same way.
 func TestConstructorsRejectInvalidConfig(t *testing.T) {
 	constructors := map[string]func(Config) (Map, error){
 		"New": func(cfg Config) (Map, error) { return New(SkipList, Bundle, cfg) },
@@ -194,6 +196,7 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 		{"Source", Config{Source: Adaptive + 1}},
 		{"Source", Config{Source: -1}},
 		{"Durability", Config{Durability: &Durability{}}},
+		{"MaxThreads", Config{MaxThreads: -1}},
 		{"", Config{Source: Adaptive, Alloc: AllocArena, Metrics: NewMetrics()}},
 	} {
 		for name, build := range constructors {
@@ -208,6 +211,12 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 			if !errors.As(err, &ce) || ce.Field != c.field || m != nil {
 				t.Errorf("%s(%+v) = %v, %v; want a *ConfigError for field %s", name, c.cfg, m, err, c.field)
 			}
+		}
+	}
+	for _, n := range []int{0, -1} {
+		var ce *ConfigError
+		if m, err := NewSharded(SkipList, Bundle, n, Config{}); !errors.As(err, &ce) || ce.Field != "shards" || m != nil {
+			t.Errorf("NewSharded(shards %d) = %v, %v; want a *ConfigError for shards", n, m, err)
 		}
 	}
 	// An unsupported combination is not a Config fault.
