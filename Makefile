@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench linearize flake benchmark-smoke loc inline-check doc-check
+.PHONY: build test check bench linearize flake benchmark-smoke loc inline-check doc-check deps-check
 
 build:
 	$(GO) build ./...
@@ -16,7 +16,7 @@ test:
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
 # obs itself plus obs/promparse and obs/trace; ./cmd/tscstat/... serves a
 # map under load and checks every endpoint of it live.
-check: benchmark-smoke inline-check doc-check
+check: benchmark-smoke inline-check doc-check deps-check
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
@@ -96,6 +96,14 @@ doc-check:
 	for c in $$(grep -ohE '(\./cmd/reproduce|`reproduce) +[a-z]+' $(DOCS) | awk '{ print $$NF }' | sort -u); do \
 		grep -q "case \"$$c\":" cmd/reproduce/main.go || miss "reproduce has no subcommand $$c" "reproduce $$c"; done; \
 	exit $$ok
+
+# deps-check keeps the version and entry layers free of any allocation
+# policy: vCAS and Bundling keep what they detach reachable to snapshot
+# readers, so nothing they publish is ever proven free, and only the EBR-RQ
+# policies own a node pool.
+deps-check:
+	@if $(GO) list -deps ./internal/vcas ./internal/bundle | grep -qx 'tscds/internal/pool'; then \
+		echo "deps-check: internal/vcas or internal/bundle depends on internal/pool"; exit 1; fi
 
 # benchmark-smoke compiles and runs the repository benchmark's own tests.
 # benchmark/ is a separate module, so `go test ./...` at the root never

@@ -9,57 +9,98 @@ import (
 	"tscds"
 )
 
-// TestPooledUpdatePathAllocFree pins the tentpole's core claim: with
-// Config.Alloc = AllocPool or AllocArena, a steady-state insert+delete
-// churn on the EBR skip list performs ZERO heap allocations per operation
-// — nodes come from the epoch-fed free lists (the registry counts the
-// hits), limbo wrappers from the manager's wrapper pool, and the label
+// TestPooledUpdatePathAllocFree pins the pool's core claim: with
+// Config.Alloc = AllocPool, a steady-state insert+delete churn on the EBR
+// skip list performs ZERO heap allocations per operation — nodes come from
+// the epoch-fed free lists (the registry counts the hits and the recycled
+// nodes), limbo wrappers from the manager's wrapper pool, and the label
 // machinery is allocation-free. Any new allocation on the update path (a
 // closure, a boxed value, a forgotten pooled constructor) fails this test.
 func TestPooledUpdatePathAllocFree(t *testing.T) {
-	for _, mode := range []tscds.AllocMode{tscds.AllocPool, tscds.AllocArena} {
-		reg := tscds.NewMetrics()
-		m, err := tscds.New(tscds.SkipList, tscds.EBRRQ, tscds.Config{
-			Source:     tscds.Logical,
-			MaxThreads: 4,
-			Alloc:      mode,
-			Metrics:    reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		th, err := m.RegisterThread()
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer th.Release()
+	reg := tscds.NewMetrics()
+	m, err := tscds.New(tscds.SkipList, tscds.EBRRQ, tscds.Config{
+		Source:     tscds.Logical,
+		MaxThreads: 4,
+		Alloc:      tscds.AllocPool,
+		Metrics:    reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := m.RegisterThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer th.Release()
 
-		// GC off for the measurement: a collection mid-run would not change
-		// the alloc count but could steal sync.Pool contents and force
-		// refill misses.
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	// GC off for the measurement: a collection mid-run would not change
+	// the alloc count but could steal sync.Pool contents and force
+	// refill misses.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-		// Warm up: churn enough keys that the free lists are primed and the
-		// prune cadence (retire -> limbo -> recycle) reaches steady state.
-		for i := uint64(1); i <= 2000; i++ {
-			m.Insert(th, i, i)
-		}
-		for i := uint64(1); i <= 2000; i++ {
-			m.Delete(th, i)
-		}
-		m.Drain()
+	// Warm up: churn enough keys that the free lists are primed and the
+	// prune cadence (retire -> limbo -> recycle) reaches steady state.
+	for i := uint64(1); i <= 2000; i++ {
+		m.Insert(th, i, i)
+	}
+	for i := uint64(1); i <= 2000; i++ {
+		m.Delete(th, i)
+	}
+	m.Drain()
 
-		key := uint64(5000)
-		n := testing.AllocsPerRun(2000, func() {
-			m.Insert(th, key, 1)
-			m.Delete(th, key)
-			key++
-		})
-		if n != 0 {
-			t.Fatalf("%v: pooled insert+delete pair allocates %.2f objects, want 0", mode, n)
-		}
-		if ps := reg.Snapshot().Pool; ps == nil || ps.Hits == 0 || ps.Recycled == 0 {
-			t.Fatalf("%v: pool counters %+v, want hits and recycled nodes", mode, ps)
+	key := uint64(5000)
+	n := testing.AllocsPerRun(2000, func() {
+		m.Insert(th, key, 1)
+		m.Delete(th, key)
+		key++
+	})
+	if n != 0 {
+		t.Fatalf("pooled insert+delete pair allocates %.2f objects, want 0", n)
+	}
+	if ps := reg.Snapshot().Pool; ps == nil || ps.Hits == 0 || ps.Recycled == 0 {
+		t.Fatalf("pool counters %+v, want hits and recycled nodes", ps)
+	}
+}
+
+// TestPoolIdleOnHistoryTechniques: vCAS and Bundle keep what they detach
+// reachable to snapshot readers, so no pool runs on them. AllocPool is
+// still accepted — one Config may serve maps of every technique — and a
+// snapshot carries a pool block only where a pool is running.
+func TestPoolIdleOnHistoryTechniques(t *testing.T) {
+	for _, c := range []struct {
+		s    tscds.Structure
+		t    tscds.Technique
+		pool bool
+	}{
+		{tscds.BST, tscds.VCAS, false}, {tscds.NMBST, tscds.VCAS, false},
+		{tscds.Citrus, tscds.Bundle, false}, {tscds.SkipList, tscds.Bundle, false},
+		{tscds.LazyList, tscds.VCAS, false}, {tscds.BST, tscds.EBRRQ, true},
+	} {
+		for _, shards := range []int{0, 2} {
+			reg := tscds.NewMetrics()
+			cfg := tscds.Config{Source: tscds.Logical, MaxThreads: 2, Alloc: tscds.AllocPool, Metrics: reg}
+			var m tscds.Map
+			var err error
+			if shards == 0 {
+				m, err = tscds.New(c.s, c.t, cfg)
+			} else {
+				m, err = tscds.NewSharded(c.s, c.t, shards, cfg)
+			}
+			if err != nil {
+				t.Fatalf("%v/%v shards=%d with AllocPool: %v", c.s, c.t, shards, err)
+			}
+			th, err := m.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := uint64(0); i < 64; i++ {
+				m.Insert(th, i, i)
+				m.Delete(th, i/2)
+			}
+			th.Release()
+			if got := reg.Snapshot().Pool != nil; got != c.pool {
+				t.Errorf("%v/%v shards=%d: snapshot has a pool block %v, want %v", c.s, c.t, shards, got, c.pool)
+			}
 		}
 	}
 }
@@ -138,18 +179,27 @@ func TestRangeQueryAllocFree(t *testing.T) {
 }
 
 // TestBSTVcasUpdateAllocCeiling holds the GC-allocated update path of the
-// EFRB tree, under vCAS and EBR-RQ, to what the algorithm needs. A
-// successful insert allocates the new leaf, the copy of the displaced leaf,
-// the internal node over them (under vCAS each carrying its own version),
-// the descriptor and its clean record; a successful delete the descriptor,
-// its clean record, and a leaf sibling's copy or, under vCAS, an internal
-// sibling's version, and under EBR-RQ the limbo entry of the leaf it
-// retires. The keys ascend, so a deleted leaf's sibling is mostly internal.
-// A per-edge seed version, a per-helper clean record or a separate flag or
-// mark record coming back fails this test.
+// external BSTs to what the algorithm needs. On the EFRB tree, under vCAS
+// and EBR-RQ, a successful insert allocates the new leaf, the copy of the
+// displaced leaf, the internal node over them (under vCAS each carrying its
+// own version), the descriptor and its clean record; a successful delete the
+// descriptor, its clean record, and a leaf sibling's copy or, under vCAS, an
+// internal sibling's version, and under EBR-RQ the limbo entry of the leaf
+// it retires. On the NM tree an insert allocates the leaf, the internal node
+// and its two edges' versions and the version that links it, a delete the
+// versions of its flag, tag and swing. The keys ascend, so a deleted leaf's
+// sibling is mostly internal. An insert of a present key allocates nothing:
+// the leaf is allocated once the key is known absent. A per-edge seed
+// version, a per-helper clean record, a separate flag or mark record or an
+// eager leaf coming back fails this test.
 func TestBSTVcasUpdateAllocCeiling(t *testing.T) {
-	for _, tech := range []tscds.Technique{tscds.VCAS, tscds.EBRRQ} {
-		m, err := tscds.New(tscds.BST, tech, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
+	for _, c := range []struct {
+		s tscds.Structure
+		t tscds.Technique
+	}{
+		{tscds.BST, tscds.VCAS}, {tscds.BST, tscds.EBRRQ}, {tscds.NMBST, tscds.VCAS},
+	} {
+		m, err := tscds.New(c.s, c.t, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +218,22 @@ func TestBSTVcasUpdateAllocCeiling(t *testing.T) {
 			key++
 		})
 		key = 10_000
+		dup := testing.AllocsPerRun(1000, func() {
+			if m.Insert(th, key, 2) {
+				t.Fatal("insert of a present key succeeded")
+			}
+			key++
+		})
+		key = 10_000
 		del := testing.AllocsPerRun(1000, func() {
 			if !m.Delete(th, key) {
 				t.Fatal("delete of a present key failed")
 			}
 			key++
 		})
-		if ins > 5 || del > 3 {
-			t.Fatalf("BST/%v allocates %.2f objects per insert and %.2f per delete, want at most 5 and 3", tech, ins, del)
+		if ins > 5 || dup != 0 || del > 3 {
+			t.Errorf("%v/%v allocates %.2f objects per insert, %.2f per insert of a present key and %.2f per delete, want at most 5, 0 and 3",
+				c.s, c.t, ins, dup, del)
 		}
 		th.Release()
 	}

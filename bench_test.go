@@ -342,7 +342,10 @@ func BenchmarkJiffy(b *testing.B) {
 	for _, kind := range []tscds.SourceKind{tscds.Logical, tscds.TSC} {
 		for _, mode := range []string{"put", "batch4", "snapshot-range"} {
 			b.Run(fmt.Sprintf("%s/%v", mode, kind)+"", func(b *testing.B) {
-				st, reg := tscds.NewBatchStore(tscds.Config{Source: kind, MaxThreads: 64})
+				st, reg, err := tscds.NewBatchStore(tscds.Config{Source: kind, MaxThreads: 64})
+				if err != nil {
+					b.Fatal(err)
+				}
 				setup, _ := reg.Register()
 				for k := uint64(1); k <= 4096; k++ {
 					st.Put(setup, k, k)

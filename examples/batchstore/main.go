@@ -25,7 +25,10 @@ const (
 )
 
 func main() {
-	store, reg := tscds.NewBatchStore(tscds.Config{Source: tscds.TSC})
+	store, reg, err := tscds.NewBatchStore(tscds.Config{Source: tscds.TSC})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	seed, err := reg.Register()
 	if err != nil {

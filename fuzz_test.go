@@ -505,7 +505,10 @@ func FuzzBatchStore(f *testing.F) {
 		if len(tape) > 256 {
 			tape = tape[:256]
 		}
-		st, reg := NewBatchStore(Config{Source: Logical, MaxThreads: 2})
+		st, reg, err := NewBatchStore(Config{Source: Logical, MaxThreads: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
 		th, _ := reg.Register()
 		defer th.Release()
 		model := map[uint64]uint64{}
@@ -543,81 +546,79 @@ func FuzzBatchStore(f *testing.F) {
 }
 
 // FuzzPooledAgainstModel is FuzzMapAgainstModel with Config.Alloc set to
-// a recycling mode and Drain interleaved into the op tape. Drain forces
-// retired nodes through limbo into the pool free lists, so subsequent
-// inserts run on recycled memory — any field a constructor forgets to
-// reset, or any node recycled while still reachable, surfaces as a model
-// divergence or a crash. The first tape byte picks Pool vs Arena; the
-// rest is the op tape (op byte mod 5: insert, delete, contains, range,
-// drain).
+// AllocPool and Drain interleaved into the op tape, on the EBR-RQ maps —
+// the only ones whose epoch manager feeds the pool (the vCAS and Bundle
+// cells are FuzzMapAgainstModel's). Drain forces retired nodes through
+// limbo into the pool free lists, so subsequent inserts run on recycled
+// memory — any field a constructor forgets to reset, or any node recycled
+// while still reachable, surfaces as a model divergence or a crash. The
+// tape is op byte mod 5 (insert, delete, contains, range, drain) and key
+// byte pairs.
 func FuzzPooledAgainstModel(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 0, 2, 1, 1, 4, 0, 0, 3, 0, 5})
-	f.Add([]byte{1, 0, 5, 0, 6, 0, 7, 1, 6, 4, 0, 0, 6, 3, 4})
-	seq := []byte{0}
+	f.Add([]byte{0, 1, 0, 2, 1, 1, 4, 0, 0, 3, 0, 5})
+	f.Add([]byte{0, 5, 0, 6, 0, 7, 1, 6, 4, 0, 0, 6, 3, 4})
+	var seq []byte
 	for i := 0; i < 96; i++ {
 		seq = append(seq, byte(i%5), byte(i*11))
 	}
 	f.Add(seq)
 
-	combos := allCombos()
 	f.Fuzz(func(t *testing.T, tape []byte) {
-		if len(tape) == 0 {
-			return
-		}
-		alloc := AllocPool
-		if tape[0]%2 == 1 {
-			alloc = AllocArena
-		}
-		tape = tape[1:]
 		if len(tape) > 512 {
 			tape = tape[:512]
 		}
-		for _, c := range combos {
-			m, err := New(c.S, c.T, Config{Source: Logical, MaxThreads: 2, Alloc: alloc})
-			if err != nil {
-				t.Fatal(err)
+		for _, s := range []Structure{BST, Citrus, SkipList} {
+			for _, tech := range []Technique{EBRRQ, EBRRQLockFree} {
+				fuzzPooledCell(t, s, tech, tape)
 			}
-			th, err := m.RegisterThread()
-			if err != nil {
-				t.Fatal(err)
-			}
-			model := map[uint64]uint64{}
-			for i := 0; i+1 < len(tape); i += 2 {
-				op := tape[i] % 5
-				key := uint64(tape[i+1])
-				switch op {
-				case 0:
-					_, exists := model[key]
-					if got := m.Insert(th, key, key*3); got == exists {
-						t.Fatalf("%v/%v/%v op %d: Insert(%d)=%v exists=%v", c.S, c.T, alloc, i, key, got, exists)
-					}
-					if !exists {
-						model[key] = key * 3
-					}
-				case 1:
-					_, exists := model[key]
-					if got := m.Delete(th, key); got != exists {
-						t.Fatalf("%v/%v/%v op %d: Delete(%d)=%v exists=%v", c.S, c.T, alloc, i, key, got, exists)
-					}
-					delete(model, key)
-				case 2:
-					_, exists := model[key]
-					if got := m.Contains(th, key); got != exists {
-						t.Fatalf("%v/%v/%v op %d: Contains(%d)=%v want %v", c.S, c.T, alloc, i, key, got, exists)
-					}
-				case 3:
-					label := fmt.Sprintf("%v/%v/%v op %d", c.S, c.T, alloc, i)
-					checkRangeAgainstModel(t, label, m, th, model, key, key+16)
-				default:
-					m.Drain() // recycle everything retired so far
-				}
-			}
-			m.Drain()
-			checkRangeAgainstModel(t, fmt.Sprintf("%v/%v/%v final", c.S, c.T, alloc), m, th, model, 0, MaxKey)
-			if m.Len() != len(model) {
-				t.Fatalf("%v/%v/%v final: Len=%d model=%d", c.S, c.T, alloc, m.Len(), len(model))
-			}
-			th.Release()
 		}
 	})
+}
+
+// fuzzPooledCell runs one FuzzPooledAgainstModel tape on a pooled s/tech map.
+func fuzzPooledCell(t *testing.T, s Structure, tech Technique, tape []byte) {
+	m, err := New(s, tech, Config{Source: Logical, MaxThreads: 2, Alloc: AllocPool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th, err := m.RegisterThread()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer th.Release()
+	model := map[uint64]uint64{}
+	for i := 0; i+1 < len(tape); i += 2 {
+		op := tape[i] % 5
+		key := uint64(tape[i+1])
+		switch op {
+		case 0:
+			_, exists := model[key]
+			if got := m.Insert(th, key, key*3); got == exists {
+				t.Fatalf("%v/%v op %d: Insert(%d)=%v exists=%v", s, tech, i, key, got, exists)
+			}
+			if !exists {
+				model[key] = key * 3
+			}
+		case 1:
+			_, exists := model[key]
+			if got := m.Delete(th, key); got != exists {
+				t.Fatalf("%v/%v op %d: Delete(%d)=%v exists=%v", s, tech, i, key, got, exists)
+			}
+			delete(model, key)
+		case 2:
+			_, exists := model[key]
+			if got := m.Contains(th, key); got != exists {
+				t.Fatalf("%v/%v op %d: Contains(%d)=%v want %v", s, tech, i, key, got, exists)
+			}
+		case 3:
+			checkRangeAgainstModel(t, fmt.Sprintf("%v/%v op %d", s, tech, i), m, th, model, key, key+16)
+		default:
+			m.Drain() // recycle everything retired so far
+		}
+	}
+	m.Drain()
+	checkRangeAgainstModel(t, fmt.Sprintf("%v/%v final", s, tech), m, th, model, 0, MaxKey)
+	if m.Len() != len(model) {
+		t.Fatalf("%v/%v final: Len=%d model=%d", s, tech, m.Len(), len(model))
+	}
 }

@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 
 	"tscds/internal/core"
-	"tscds/internal/pool"
 )
 
 // Entry is one moment of a link's history. A structure may embed the
@@ -53,28 +52,15 @@ type Bundle[T any] struct {
 }
 
 // Init records the link's initial target with label 0, before the
-// enclosing node is published.
-func (b *Bundle[T]) Init(ptr *T) { b.InitIn(nil, -1, ptr) }
-
-// InitIn is Init drawing the entry from p (Config.Alloc pooled/arena
-// modes; nil p allocates through the GC). Entries from a pool may be
-// recycled memory, so every field is reset before the entry becomes
-// reachable.
+// enclosing node is published. Entries come from the GC.
 //
 // Truncate clears the next and ptr of every entry it detaches and leaves
 // the label alone: an entry embedded in a node lives as long as the node
 // and must not keep the history below it reachable, while its label may
 // double as the node's own (the skip list's insertion timestamp). No
 // reader is inside a detached tail (Truncate), but nothing proves a
-// detached entry unreferenced either, so the truncation path never feeds
-// the pool; entry pooling buys arena batching only.
-func (b *Bundle[T]) InitIn(p *pool.Pool[Entry[T]], tid int, ptr *T) {
-	e := p.Get(tid)
-	e.ptr = ptr
-	e.ts.Store(0)
-	e.next.Store(nil)
-	b.head.Store(e)
-}
+// detached entry unreferenced either, so no entry is ever reused.
+func (b *Bundle[T]) Init(ptr *T) { b.head.Store(&Entry[T]{ptr: ptr}) }
 
 // New returns a bundle initialized to ptr.
 func New[T any](ptr *T) *Bundle[T] {
@@ -83,25 +69,13 @@ func New[T any](ptr *T) *Bundle[T] {
 	return b
 }
 
-// InitPending seeds an unpublished node's bundle with a pending first
-// entry, to be Finalized with the inserting operation's timestamp. Unlike
-// Init (label 0), this lets snapshot readers detect that the node itself
-// is newer than their snapshot — needed when a reader can land on a node
-// through an un-timestamped index (the skip list's upper levels) rather
-// than through a labeled edge.
-func (b *Bundle[T]) InitPending(ptr *T) *Entry[T] { return b.InitPendingIn(nil, -1, ptr) }
-
-// InitPendingIn is InitPending drawing the entry from p (nil p
-// allocates through the GC).
-func (b *Bundle[T]) InitPendingIn(p *pool.Pool[Entry[T]], tid int, ptr *T) *Entry[T] {
-	e := p.Get(tid)
-	b.InitPendingWith(e, ptr)
-	return e
-}
-
-// InitPendingWith is InitPending into the caller-owned entry e (typically
-// embedded in the node the bundle belongs to). e may be recycled memory;
-// every field is reset.
+// InitPendingWith seeds an unpublished node's bundle with the pending
+// first entry e, caller-owned (typically embedded in the node the bundle
+// belongs to), to be Finalized with the inserting operation's timestamp.
+// Unlike Init (label 0), this lets snapshot readers detect that the node
+// itself is newer than their snapshot — needed when a reader can land on a
+// node through an un-timestamped index (the skip list's upper levels)
+// rather than through a labeled edge.
 func (b *Bundle[T]) InitPendingWith(e *Entry[T], ptr *T) {
 	e.ptr = ptr
 	e.ts.Store(core.Pending)
@@ -113,19 +87,15 @@ func (b *Bundle[T]) InitPendingWith(e *Entry[T], ptr *T) {
 // hold the structure's locks covering this link, so at most one pending
 // entry exists per bundle. The entry stays pending — blocking snapshot
 // readers that reach it — until Finalize.
-func (b *Bundle[T]) Prepare(ptr *T) *Entry[T] { return b.PrepareIn(nil, -1, ptr) }
-
-// PrepareIn is Prepare drawing the entry from p (nil p allocates
-// through the GC).
-func (b *Bundle[T]) PrepareIn(p *pool.Pool[Entry[T]], tid int, ptr *T) *Entry[T] {
-	e := p.Get(tid)
+func (b *Bundle[T]) Prepare(ptr *T) *Entry[T] {
+	e := new(Entry[T])
 	b.PrepareWith(e, ptr)
 	return e
 }
 
 // PrepareWith is Prepare with the caller-owned entry e (typically embedded
 // in the node ptr points to, which this update created: an entry sits in
-// one chain only). e may be recycled memory; every field is reset.
+// one chain only).
 func (b *Bundle[T]) PrepareWith(e *Entry[T], ptr *T) {
 	e.ptr = ptr
 	e.ts.Store(core.Pending)
@@ -192,7 +162,7 @@ func (b *Bundle[T]) Head() *Entry[T] { return b.head.Load() }
 // snapshot reads anything older: a reader at a bound >= minRQ stops at or
 // above the entry the cut is made at. Writers call it while holding the
 // link's locks. Every detached entry loses its next and its ptr (never its
-// label, see InitIn), so that one embedded in a live node pins nothing. It
+// label, see Init), so that one embedded in a live node pins nothing. It
 // returns the number of entries dropped.
 func (b *Bundle[T]) Truncate(minRQ core.TS) int {
 	e := b.head.Load()

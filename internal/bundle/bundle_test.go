@@ -152,7 +152,9 @@ func TestTruncatePreservesOldestActiveSnapshot(t *testing.T) {
 func TestTruncateReleasesDetachedTail(t *testing.T) {
 	src := core.New(core.Logical)
 	b := &Bundle[node]{}
-	b.Finalize(b.InitPending(&node{0}), 0)
+	first := new(Entry[node])
+	b.InitPendingWith(first, &node{0})
+	b.Finalize(first, 0)
 	var entries []*Entry[node]
 	var labels, snaps []core.TS
 	var wants []*node
@@ -278,7 +280,8 @@ func TestInitPendingBlocksUntilFinalized(t *testing.T) {
 	src := core.New(core.Logical)
 	succ := &node{9}
 	b := &Bundle[node]{}
-	e := b.InitPending(succ)
+	e := new(Entry[node])
+	b.InitPendingWith(e, succ)
 	done := make(chan *node)
 	go func() {
 		got, _ := b.PtrAt(core.MaxTS)

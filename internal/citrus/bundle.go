@@ -28,7 +28,6 @@ type bundleTechnique struct {
 	gc  *obs.GC
 	tr  *trace.Recorder
 	rb  *core.ReadBound
-	ep  *pool.Pool[bundle.Entry[node[blinks]]]
 }
 
 // NewBundle builds an empty tree over the given source and registry.
@@ -36,23 +35,23 @@ func NewBundle(src core.Source, reg *core.Registry) *BundleTree {
 	return newTree(src, reg, &bundleTechnique{src: src}, core.QueryReads)
 }
 
-// setHooks: every node is published and truncated entry tails stay
-// reachable to snapshot readers, so nothing flows back to the pools —
-// they supply arena chunking and batching only.
-func (p *bundleTechnique) setHooks(h core.Hooks, reg *core.Registry, _ *pool.Pool[node[blinks]]) {
+// setHooks: an unlinked node and a truncated entry tail stay reachable to
+// snapshot readers, so nothing is ever recycled and nodes and entries come
+// from the GC.
+func (p *bundleTechnique) setHooks(h core.Hooks, _ *core.Registry) *pool.Pool[node[blinks]] {
 	p.gc, p.tr, p.rb = h.GC, h.Trace, h.ReadBound
-	p.ep = pool.New[bundle.Entry[node[blinks]]](reg.Cap(), h.Alloc, h.PoolStats)
+	return nil
 }
 
 func (p *bundleTechnique) load(n *node[blinks], dir int) *node[blinks] {
 	return n.l.child[dir].Load()
 }
 
-func (p *bundleTechnique) seed(tid int, l *blinks, left, right *node[blinks]) {
+func (p *bundleTechnique) seed(l *blinks, left, right *node[blinks]) {
 	l.child[0].Store(left)
 	l.child[1].Store(right)
-	l.bnd[0].InitIn(p.ep, tid, left)
-	l.bnd[1].InitIn(p.ep, tid, right)
+	l.bnd[0].Init(left)
+	l.bnd[1].Init(right)
 }
 
 // publish orders an update the way Nelson et al. do: prepare a pending
@@ -69,7 +68,7 @@ func (p *bundleTechnique) publish(th *core.Thread, n *node[blinks], dir int, tar
 	// can block on (pending-entry spins).
 	mark := p.tr.Now()
 	b := &n.l.bnd[dir]
-	e := b.PrepareIn(p.ep, th.ID, target)
+	e := b.Prepare(target)
 	ts := p.src.Advance()
 	n.l.child[dir].Store(target)
 	b.Finalize(e, ts)

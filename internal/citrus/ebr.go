@@ -54,19 +54,21 @@ func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRTre
 
 // setHooks wires limbo-list counters and the flight recorder — through
 // the provider (lock-wait/label spans) and the epoch manager (pin/advance
-// stalls) — and recycles pruned limbo nodes into the node pool. Citrus
-// retires each node exactly once (marked flips under the node's lock
-// before the only retire it will ever see), so unlike the lock-free BST no
-// limbo reference count is needed. The retention watermark is not used:
-// limbo holds deleted nodes, not history.
-func (p *ebrTechnique) setHooks(h core.Hooks, _ *core.Registry, np *pool.Pool[node[elinks]]) {
+// stalls) — and builds the node pool (nil in GC mode), which pruned limbo
+// nodes are recycled into. Citrus retires each node exactly once (marked
+// flips under the node's lock before the only retire it will ever see), so
+// unlike the lock-free BST no limbo reference count is needed. The
+// retention watermark is not used: limbo holds deleted nodes, not history.
+func (p *ebrTechnique) setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[elinks]] {
 	p.tr = h.Trace
 	p.provider.SetTrace(h.Trace)
 	p.em.SetTrace(h.Trace)
 	p.em.SetGC(h.GC)
+	np := pool.New[node[elinks]](reg.Cap(), h.Alloc, h.PoolStats)
 	if np != nil {
 		p.em.SetRecycle(func(n *node[elinks], tid int) { np.Put(tid, n) })
 	}
+	return np
 }
 
 func (p *ebrTechnique) enter(tid int) { p.em.Pin(tid) }
@@ -91,7 +93,7 @@ func (p *ebrTechnique) present(n *node[elinks]) (uint64, bool) {
 
 // seed resets the labels too: stale ones in a recycled node would corrupt
 // snapshot visibility.
-func (p *ebrTechnique) seed(_ int, l *elinks, left, right *node[elinks]) {
+func (p *ebrTechnique) seed(l *elinks, left, right *node[elinks]) {
 	l.child[0].Store(left)
 	l.child[1].Store(right)
 	l.itime.Init()

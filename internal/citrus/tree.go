@@ -36,7 +36,7 @@ type technique[L any] interface {
 	present(n *node[L]) (uint64, bool)
 	// seed points the edges of a fresh, unpublished node at left and
 	// right and resets the rest of l (the node may be recycled memory).
-	seed(tid int, l *L, left, right *node[L])
+	seed(l *L, left, right *node[L])
 	// publish makes target the dir child of n, whose lock the caller
 	// holds. It is the one place an edge changes and the one place an
 	// update that links a node takes its timestamp, so the rule of
@@ -58,9 +58,10 @@ type technique[L any] interface {
 	// counter or collector handed through this interface by address would
 	// escape to the heap.
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	// setHooks wires the technique's own sinks and pools; np is the
-	// tree's node pool (nil in GC mode).
-	setHooks(h core.Hooks, reg *core.Registry, np *pool.Pool[node[L]])
+	// setHooks wires the technique's own sinks and returns the pool the
+	// tree allocates nodes from: nil (the GC) unless the technique recycles
+	// what it retires.
+	setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[L]]
 	// drain prunes whatever retire holds back; quiescent use only.
 	drain()
 }
@@ -104,7 +105,7 @@ type tree[L any, P technique[L]] struct {
 	reg  *core.Registry
 	rcu  *rcu.RCU
 	tr   *trace.Recorder
-	np   *pool.Pool[node[L]] // nil in GC mode
+	np   *pool.Pool[node[L]] // nil: the GC
 	rd   *core.Reader
 	p    P
 	root *node[L]
@@ -121,14 +122,13 @@ func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, ru
 func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 
 // SetHooks wires the tree's sinks — the flight recorder (validation
-// retries, allocation and range-query spans) and the allocation mode of
-// nodes — and the technique's (GC counters, retention watermark, its own
-// pools). Call before the tree sees concurrent traffic.
+// retries, allocation and range-query spans) — and the technique's (GC
+// counters, retention watermark, the node pool). Call before the tree sees
+// concurrent traffic.
 func (t *tree[L, P]) SetHooks(h core.Hooks) {
 	t.tr = h.Trace
 	t.rd.SetHooks(h)
-	t.np = pool.New[node[L]](t.reg.Cap(), h.Alloc, h.PoolStats)
-	t.p.setHooks(h, t.reg, t.np)
+	t.np = t.p.setHooks(h, t.reg)
 }
 
 // Drain eagerly prunes what deletes hold back for range queries (EBR-RQ's
@@ -141,7 +141,7 @@ func (t *tree[L, P]) Drain() { t.p.drain() }
 func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right *node[L]) *node[L] {
 	n := t.np.Get(tid)
 	n.key, n.val, n.marked = key, val, false
-	t.p.seed(tid, &n.l, left, right)
+	t.p.seed(&n.l, left, right)
 	return n
 }
 

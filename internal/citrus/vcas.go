@@ -25,7 +25,6 @@ type vcasTechnique struct {
 	gc  *obs.GC
 	tr  *trace.Recorder
 	rb  *core.ReadBound
-	vp  *pool.Pool[vcas.Version[*node[vlinks]]]
 }
 
 // NewVcas builds an empty tree over the given source and registry.
@@ -33,12 +32,12 @@ func NewVcas(src core.Source, reg *core.Registry) *VcasTree {
 	return newTree(src, reg, &vcasTechnique{src: src}, core.QueryAdvances)
 }
 
-// setHooks: every node and version this tree creates is published, and
-// published memory stays reachable to snapshot readers, so nothing flows
-// back to the pools — they supply arena chunking and batching only.
-func (p *vcasTechnique) setHooks(h core.Hooks, reg *core.Registry, _ *pool.Pool[node[vlinks]]) {
+// setHooks: published memory stays reachable to snapshot readers through
+// the edges' history, so nothing is ever recycled and nodes and versions
+// come from the GC.
+func (p *vcasTechnique) setHooks(h core.Hooks, _ *core.Registry) *pool.Pool[node[vlinks]] {
 	p.gc, p.tr, p.rb = h.GC, h.Trace, h.ReadBound
-	p.vp = pool.New[vcas.Version[*node[vlinks]]](reg.Cap(), h.Alloc, h.PoolStats)
+	return nil
 }
 
 // load is Object.Read with the label check pulled in front of the call:
@@ -53,15 +52,15 @@ func (p *vcasTechnique) load(n *node[vlinks], dir int) *node[vlinks] {
 	return o.Read(p.src)
 }
 
-func (p *vcasTechnique) seed(tid int, l *vlinks, left, right *node[vlinks]) {
-	l.child[0].InitIn(p.vp, tid, left)
-	l.child[1].InitIn(p.vp, tid, right)
+func (p *vcasTechnique) seed(l *vlinks, left, right *node[vlinks]) {
+	l.child[0].Init(left)
+	l.child[1].Init(right)
 }
 
 // publish installs a pending version and labels it (a reader may get
 // there first), then trims the chain it just extended.
 func (p *vcasTechnique) publish(th *core.Thread, n *node[vlinks], dir int, target *node[vlinks]) {
-	n.l.child[dir].WriteIn(p.src, p.vp, th.ID, target)
+	n.l.child[dir].Write(p.src, target)
 	if d := n.l.child[dir].Truncate(core.PruneBoundOf(th, p.rb, p.src)); d > 0 && p.gc != nil {
 		p.gc.VcasVersionsPruned.Add(uint64(d))
 	}

@@ -3,8 +3,31 @@ package core
 import (
 	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 )
+
+// AllocMode selects where a structure's nodes come from (Config.Alloc).
+// It is declared here, not beside the pool, so that the version and entry
+// layers, which import core, stay free of any allocation policy.
+type AllocMode int
+
+const (
+	// AllocGC allocates everything through the Go runtime (the default).
+	AllocGC AllocMode = iota
+	// AllocPool recycles through per-thread free lists what an EBR-RQ
+	// technique's epoch manager proves unreachable (package pool).
+	AllocPool
+)
+
+// String names the mode as it appears in snapshots and bench labels.
+func (m AllocMode) String() string {
+	switch m {
+	case AllocGC:
+		return "GC"
+	case AllocPool:
+		return "Pool"
+	}
+	return "unknown"
+}
 
 // Hooks are the sinks a structure variant reports into, handed over in
 // one SetHooks call before the structure sees traffic. The zero value
@@ -14,8 +37,8 @@ type Hooks struct {
 	GC        *obs.GC         // reclamation counters
 	Trace     *trace.Recorder // flight recorder: phase spans and counts
 	ReadBound *ReadBound      // retention watermark truncation must respect
-	Alloc     pool.Mode       // where nodes, versions and entries come from
-	PoolStats *obs.PoolStats  // pool hit/miss counters; unused in GC mode
+	Alloc     AllocMode       // where an EBR-RQ technique's nodes come from; vCAS and Bundle use the GC
+	PoolStats *obs.PoolStats  // pool hit/miss counters; unused without a pool
 }
 
 // Bound is a technique's rule for taking a range query's snapshot bound:

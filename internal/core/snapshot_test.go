@@ -333,3 +333,11 @@ type quietPart struct{}
 func (quietPart) RangeQueryAt(th *Thread, lo, hi uint64, s TS, out []KV) []KV {
 	return append(out, KV{Key: lo, Val: s})
 }
+
+func TestAllocModeString(t *testing.T) {
+	for m, want := range map[AllocMode]string{AllocGC: "GC", AllocPool: "Pool", 2: "unknown", 9: "unknown"} {
+		if m.String() != want {
+			t.Fatalf("AllocMode(%d).String() = %q, want %q", int(m), m.String(), want)
+		}
+	}
+}

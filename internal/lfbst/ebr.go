@@ -73,14 +73,16 @@ func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRTre
 }
 
 // setHooks wires limbo counters and the flight recorder — through the
-// provider and the epoch manager — and recycles pruned limbo leaves into
-// the node pool, gated by refs and replaced. Internal nodes never enter
-// limbo: nothing proves when the last helper drops one, so the GC does.
-func (p *ebrTechnique) setHooks(h core.Hooks, _ *core.Registry, np *pool.Pool[node[elinks]]) {
+// provider and the epoch manager — and builds the node pool (nil in GC
+// mode), which pruned limbo leaves are recycled into, gated by refs and
+// replaced. Internal nodes never enter limbo: nothing proves when the last
+// helper drops one, so the GC does.
+func (p *ebrTechnique) setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[elinks]] {
 	p.tr = h.Trace
 	p.provider.SetTrace(h.Trace)
 	p.em.SetTrace(h.Trace)
 	p.em.SetGC(h.GC)
+	np := pool.New[node[elinks]](reg.Cap(), h.Alloc, h.PoolStats)
 	if np != nil {
 		p.em.SetRecycle(func(n *node[elinks], tid int) {
 			if n.l.refs.Add(-1) == 0 && !n.l.replaced.Load() {
@@ -88,6 +90,7 @@ func (p *ebrTechnique) setHooks(h core.Hooks, _ *core.Registry, np *pool.Pool[no
 			}
 		})
 	}
+	return np
 }
 
 func (p *ebrTechnique) enter(tid int) { p.em.Pin(tid) }
@@ -124,7 +127,7 @@ func (p *ebrTechnique) present(l *node[elinks]) (uint64, bool) {
 }
 
 // seed gives a new leaf fresh labels and a copy the original's.
-func (*ebrTechnique) seed(_ int, n, left, right, of *node[elinks]) {
+func (*ebrTechnique) seed(n, left, right, of *node[elinks]) {
 	if left != nil {
 		n.l.left.Store(left)
 		n.l.right.Store(right)
@@ -142,7 +145,7 @@ func (*ebrTechnique) seed(_ int, n, left, right, of *node[elinks]) {
 
 // publish is the raw CAS. Its inserter labels the new leaf right after
 // (Insert's present), or a reader first; a helper does not know the leaf.
-func (*ebrTechnique) publish(_ int, parent, old, new *node[elinks], _ bool) bool {
+func (*ebrTechnique) publish(parent, old, new *node[elinks], _ bool) bool {
 	return parent.l.child(new.key, parent.key).CompareAndSwap(old, new)
 }
 

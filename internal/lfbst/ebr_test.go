@@ -12,7 +12,6 @@ import (
 	"tscds/internal/ebrrq"
 	"tscds/internal/ebrrq/limbotest"
 	"tscds/internal/obs"
-	"tscds/internal/pool"
 )
 
 // ebrTree builds v's tree, which must be an EBR-RQ row.
@@ -330,7 +329,7 @@ func TestEBRPointReadsFollowLabels(t *testing.T) {
 // empties limbo. In pool mode l is not recycled — the copy reads l's
 // lifetime — while the copy, once pruned, is.
 func TestEBRReplacedLeaf(t *testing.T) {
-	for _, mode := range []pool.Mode{pool.ModeGC, pool.ModePool} {
+	for _, mode := range []core.AllocMode{core.AllocGC, core.AllocPool} {
 		t.Run(mode.String(), func(t *testing.T) {
 			reg := core.NewRegistry(2)
 			tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockBased)
@@ -377,7 +376,7 @@ func TestEBRReplacedLeaf(t *testing.T) {
 			if n := tr.p.em.LimboLen(); n != 0 {
 				t.Errorf("(iv) %d leaves in limbo after Drain", n)
 			}
-			if want := map[pool.Mode]uint64{pool.ModePool: 1}[mode]; ps.Recycled.Load() != want {
+			if want := map[core.AllocMode]uint64{core.AllocPool: 1}[mode]; ps.Recycled.Load() != want {
 				t.Errorf("%d nodes recycled, want %d (the copy, not l)", ps.Recycled.Load(), want)
 			}
 		})
@@ -394,7 +393,7 @@ func TestEBRPooledGetSeesItsKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.SetHooks(core.Hooks{Alloc: pool.ModePool})
+	tr.SetHooks(core.Hooks{Alloc: core.AllocPool})
 	const keys, ops = 64, 20000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

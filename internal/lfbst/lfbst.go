@@ -97,17 +97,19 @@ type technique[L any] interface {
 	present(l *node[L]) (uint64, bool)
 	// seed: an internal node over left and right, or a leaf (left nil), a
 	// copy of of if set.
-	seed(tid int, n *node[L], left, right, of *node[L])
+	seed(n *node[L], left, right, of *node[L])
 	// publish: the one child CAS, old to new in parent's edge toward new.key;
 	// fresh unless new is an internal sibling moving up.
-	publish(tid int, parent, old, new *node[L], fresh bool) bool
+	publish(parent, old, new *node[L], fresh bool) bool
 	marked(l *node[L])                  // l's parent is marked
 	retire(th *core.Thread, l *node[L]) // before the flag CAS of a delete attempt
 	truncate(th *core.Thread, key uint64, n, above *node[L])
 	enter(tid int)
 	exit(tid int)
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	setHooks(h core.Hooks, reg *core.Registry, np *pool.Pool[node[L]])
+	// setHooks wires the technique's sinks and returns the node pool: nil
+	// (the GC) unless the technique recycles what it retires.
+	setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[L]]
 	drain()
 }
 
@@ -115,7 +117,7 @@ type technique[L any] interface {
 type tree[L any, P technique[L]] struct {
 	reg   *core.Registry
 	tr    *trace.Recorder
-	np    *pool.Pool[node[L]] // nil in GC mode
+	np    *pool.Pool[node[L]] // nil: the GC
 	rd    *core.Reader
 	p     P
 	clean *updateRec[L] // what an internal node's update field starts at
@@ -132,13 +134,12 @@ func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, ru
 // Reader returns the tree's snapshot-read protocol.
 func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 
-// SetHooks wires the flight recorder, the allocation mode of nodes and the
-// technique's sinks. Call before the tree sees concurrent traffic.
+// SetHooks wires the flight recorder and the technique's sinks, which hand
+// back the node pool. Call before the tree sees concurrent traffic.
 func (t *tree[L, P]) SetHooks(h core.Hooks) {
 	t.tr = h.Trace
 	t.rd.SetHooks(h)
-	t.np = pool.New[node[L]](t.reg.Cap(), h.Alloc, h.PoolStats)
-	t.p.setHooks(h, t.reg, t.np)
+	t.np = t.p.setHooks(h, t.reg)
 }
 
 // Drain eagerly prunes EBR-RQ's limbo lists. Quiescent use only, like Len.
@@ -152,7 +153,7 @@ func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right, of *node[L])
 	if left != nil {
 		n.update.Store(t.clean)
 	}
-	t.p.seed(tid, n, left, right, of)
+	t.p.seed(n, left, right, of)
 	return n
 }
 
@@ -175,25 +176,30 @@ func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
 	return val, ok
 }
 
-// Insert adds key with val; it returns false if key is already present.
+// Insert adds key with val; it returns false if key is already present. The
+// new leaf is allocated once a search finds the key absent under a clean
+// parent, so an insert of a present key allocates nothing.
 func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
 	t.p.enter(th.ID)
-	am := t.tr.Now()
-	nl := t.newNode(th.ID, key, val, nil, nil, nil)
-	t.tr.Span(th.ID, trace.PhaseAlloc, am)
+	var nl *node[L]
 	var retries, helps uint64
 	inserted := false
 	for {
 		r := t.p.search(t.root, key)
 		if r.l.key == key {
 			if _, ok := t.p.present(r.l); ok {
-				t.np.Put(th.ID, nl) // never published
+				t.np.Put(th.ID, nl) // never published, if allocated
 				break
 			}
 		} else if r.pupdate.state == clean {
+			if nl == nil {
+				am := t.tr.Now()
+				nl = t.newNode(th.ID, key, val, nil, nil, nil)
+				t.tr.Span(th.ID, trace.PhaseAlloc, am)
+			}
 			op, sib := t.newInsert(th.ID, r.p, r.l, nl)
 			if r.p.update.CompareAndSwap(r.pupdate, &op.flag) {
 				t.helpInsert(op, th.ID)
@@ -283,7 +289,7 @@ func (t *tree[L, P]) newInsert(tid int, p, l, nl *node[L]) (*insertInfo[L], *nod
 }
 
 // tid in the helping functions is the helping thread's slot and only routes
-// pool allocations; -1 is valid for callers without a slot.
+// the node pool; -1 is valid for callers without a slot.
 func (t *tree[L, P]) help(u *updateRec[L], tid int) {
 	switch u.state {
 	case iflag:
@@ -296,7 +302,7 @@ func (t *tree[L, P]) help(u *updateRec[L], tid int) {
 }
 
 func (t *tree[L, P]) helpInsert(op *insertInfo[L], tid int) {
-	t.p.publish(tid, op.p, op.l, op.newInternal, true)
+	t.p.publish(op.p, op.l, op.newInternal, true)
 	op.p.update.CompareAndSwap(&op.flag, op.done)
 }
 
@@ -322,8 +328,8 @@ func (t *tree[L, P]) helpMarked(op *deleteInfo[L], tid int) {
 		other = right
 	}
 	if !other.leaf() {
-		t.p.publish(tid, op.gp, op.p, other, false)
-	} else if c := t.newNode(tid, other.key, other.val, nil, nil, other); !t.p.publish(tid, op.gp, op.p, c, true) {
+		t.p.publish(op.gp, op.p, other, false)
+	} else if c := t.newNode(tid, other.key, other.val, nil, nil, other); !t.p.publish(op.gp, op.p, c, true) {
 		t.np.Put(tid, c) // never published
 	}
 	op.gp.update.CompareAndSwap(&op.flag, op.done)
@@ -395,7 +401,6 @@ type vcasTechnique struct {
 	gc  *obs.GC
 	tr  *trace.Recorder
 	rb  *core.ReadBound
-	vp  *pool.Pool[vcas.Version[*node[vlinks]]]
 }
 
 // New creates an empty tree over the given timestamp source and thread
@@ -404,11 +409,11 @@ func New(src core.Source, reg *core.Registry) *Tree {
 	return newTree(src, reg, &vcasTechnique{src: src}, core.QueryAdvances)
 }
 
-// setHooks: published memory stays reachable to snapshot readers, so only
-// a standalone version that lost its CAS flows back to the version pool.
-func (p *vcasTechnique) setHooks(h core.Hooks, reg *core.Registry, _ *pool.Pool[node[vlinks]]) {
+// setHooks: published memory stays reachable to snapshot readers, so
+// nothing is ever recycled and nodes and versions come from the GC.
+func (p *vcasTechnique) setHooks(h core.Hooks, _ *core.Registry) *pool.Pool[node[vlinks]] {
 	p.gc, p.tr, p.rb = h.GC, h.Trace, h.ReadBound
-	p.vp = pool.New[vcas.Version[*node[vlinks]]](reg.Cap(), h.Alloc, h.PoolStats)
+	return nil
 }
 
 func (*vcasTechnique) present(l *node[vlinks]) (uint64, bool) { return l.val, true }
@@ -438,7 +443,7 @@ func (p *vcasTechnique) children(n *node[vlinks]) (*node[vlinks], *node[vlinks])
 // embedded versions, labeled 0, and arms the node's own for the one CAS
 // that installs it. A new leaf's is seeded by its parent's seed; a copy may
 // be published by a delete's CAS, so it is armed too.
-func (p *vcasTechnique) seed(_ int, n, left, right, of *node[vlinks]) {
+func (p *vcasTechnique) seed(n, left, right, of *node[vlinks]) {
 	if left != nil {
 		n.l.left.InitWith(&left.l.ver, left)
 		n.l.right.InitWith(&right.l.ver, right)
@@ -451,12 +456,12 @@ func (p *vcasTechnique) seed(_ int, n, left, right, of *node[vlinks]) {
 // publish installs a fresh node's own armed version, shared by every
 // helper. An internal sibling's heads its old parent's chain, which older
 // snapshots still walk, so a standalone version records it in the new edge.
-func (p *vcasTechnique) publish(tid int, parent, old, new *node[vlinks], fresh bool) bool {
+func (p *vcasTechnique) publish(parent, old, new *node[vlinks], fresh bool) bool {
 	edge := parent.l.child(new.key, parent.key)
 	if fresh {
 		return edge.CompareAndSwapVersion(p.src, old, &new.l.ver)
 	}
-	return edge.CompareAndSwapIn(p.src, p.vp, tid, old, new)
+	return edge.CompareAndSwap(p.src, old, new)
 }
 
 // truncate bounds history to what active range queries can read. An insert

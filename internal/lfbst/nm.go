@@ -4,7 +4,6 @@ import (
 	"tscds/internal/core"
 	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 	"tscds/internal/vcas"
 )
 
@@ -61,11 +60,8 @@ const (
 // at most MaxNMKey.
 type NMTree struct {
 	src core.Source
-	reg *core.Registry
 	gc  *obs.GC
 	tr  *trace.Recorder
-	np  *pool.Pool[nmNode]
-	ep  *pool.Pool[vcas.Version[edgeVal]]
 	rb  *core.ReadBound
 	rd  *core.Reader
 	r   *nmNode // sentinel root, key inf2
@@ -75,11 +71,12 @@ type NMTree struct {
 // MaxNMKey is the largest insertable key.
 const MaxNMKey = ^uint64(0) - 3
 
-// NewNM creates an empty tree.
-func NewNM(src core.Source, reg *core.Registry) *NMTree {
+// NewNM creates an empty tree. It takes the registry for the constructors'
+// common shape only: the tree keeps no per-thread state.
+func NewNM(src core.Source, _ *core.Registry) *NMTree {
 	s := nmInternal(nmInf1, nmLeaf(nmInf0, 0), nmLeaf(nmInf1, 0))
 	r := nmInternal(nmInf2, s, nmLeaf(nmInf2, 0))
-	t := &NMTree{src: src, reg: reg, r: r, s: s}
+	t := &NMTree{src: src, r: r, s: s}
 	t.rd = core.NewReader(src, core.QueryAdvances, t)
 	return t
 }
@@ -89,44 +86,13 @@ func (t *NMTree) Reader() *core.Reader { return t.rd }
 
 // SetHooks wires the tree's sinks: GC counters, the flight recorder (NM
 // helping is implicit — cleanup of flagged/tagged edges — so cleanup calls
-// made on behalf of another operation count as help), the retention
-// watermark edge-version truncation respects, and the allocation mode of
-// tree nodes and edge versions. As with the EFRB tree, nothing published
-// is ever recycled — only CAS losers and never-linked nodes flow back; the
-// pools otherwise supply arena chunking and batching. Call before
-// concurrent traffic.
+// made on behalf of another operation count as help) and the retention
+// watermark edge-version truncation respects. Nodes and versions come from
+// the GC: published memory stays reachable to snapshot readers. Call
+// before concurrent traffic.
 func (t *NMTree) SetHooks(h core.Hooks) {
 	t.gc, t.tr, t.rb = h.GC, h.Trace, h.ReadBound
 	t.rd.SetHooks(h)
-	t.np = pool.New[nmNode](t.reg.Cap(), h.Alloc, h.PoolStats)
-	t.ep = pool.New[vcas.Version[edgeVal]](t.reg.Cap(), h.Alloc, h.PoolStats)
-}
-
-// nmLeafIn is nmLeaf drawing from the node pool. Stale child version
-// heads from a past internal life are never read while leaf is true and
-// are re-seeded by nmInternalIn on reuse as an internal node.
-func (t *NMTree) nmLeafIn(tid int, key, val uint64) *nmNode {
-	if t.np == nil {
-		return nmLeaf(key, val)
-	}
-	n := t.np.Get(tid)
-	n.key, n.val = key, val
-	n.leaf = true
-	return n
-}
-
-// nmInternalIn is nmInternal drawing the node and its two seed versions
-// from the pools.
-func (t *NMTree) nmInternalIn(tid int, key uint64, l, r *nmNode) *nmNode {
-	if t.np == nil {
-		return nmInternal(key, l, r)
-	}
-	n := t.np.Get(tid)
-	n.key, n.val = key, 0
-	n.leaf = false
-	n.child[0].InitIn(t.ep, tid, edgeVal{n: l})
-	n.child[1].InitIn(t.ep, tid, edgeVal{n: r})
-	return n
 }
 
 func (t *NMTree) noteUpdate(th *core.Thread, retries, helps uint64) {
@@ -188,53 +154,47 @@ func (t *NMTree) Get(_ *core.Thread, key uint64) (uint64, bool) {
 	return l.val, true
 }
 
-// Insert adds key with val; it returns false if already present.
+// Insert adds key with val; it returns false if already present. The new
+// leaf is allocated once a seek finds the key absent under a clean edge, so
+// an insert of a present key allocates nothing.
 func (t *NMTree) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxNMKey {
 		return false
 	}
-	am := t.tr.Now()
-	nl := t.nmLeafIn(th.ID, key, val)
-	t.tr.Span(th.ID, trace.PhaseAlloc, am)
+	var nl *nmNode
 	var retries, helps uint64
 	for {
 		r := t.seek(key)
 		if r.leaf.key == key {
 			t.noteUpdate(th, retries, helps)
-			// nl was never published; hand it straight back.
-			if t.np != nil {
-				t.np.Put(th.ID, nl)
-			}
 			return false
 		}
 		if r.leafEdge.flag || r.leafEdge.tag {
-			t.cleanup(key, r, th.ID) // help the pending delete, then retry
+			t.cleanup(key, r) // help the pending delete, then retry
 			helps++
 			retries++
 			continue
 		}
+		if nl == nil {
+			am := t.tr.Now()
+			nl = nmLeaf(key, val)
+			t.tr.Span(th.ID, trace.PhaseAlloc, am)
+		}
 		var ni *nmNode
 		if key < r.leaf.key {
-			ni = t.nmInternalIn(th.ID, r.leaf.key, nl, r.leaf)
+			ni = nmInternal(r.leaf.key, nl, r.leaf)
 		} else {
-			ni = t.nmInternalIn(th.ID, key, r.leaf, nl)
+			ni = nmInternal(key, r.leaf, nl)
 		}
 		edge := &r.parent.child[nmDir(key, r.parent.key)]
-		if edge.CompareAndSwapIn(t.src, t.ep, th.ID, r.leafEdge, edgeVal{n: ni}) {
+		if edge.CompareAndSwap(t.src, r.leafEdge, edgeVal{n: ni}) {
 			t.truncate(th, r.parent, key)
 			t.noteUpdate(th, retries, helps)
 			return true
 		}
-		// The edge CAS lost, so ni (and its seed versions) were never
-		// published; recycle them before retrying.
-		if t.np != nil {
-			t.ep.Put(th.ID, ni.child[0].Head())
-			t.ep.Put(th.ID, ni.child[1].Head())
-			t.np.Put(th.ID, ni)
-		}
 		cur := edge.Read(t.src)
 		if cur.n == r.leaf && (cur.flag || cur.tag) {
-			t.cleanup(key, r, th.ID)
+			t.cleanup(key, r)
 			helps++
 		}
 		retries++
@@ -260,17 +220,17 @@ func (t *NMTree) Delete(th *core.Thread, key uint64) bool {
 				return false
 			}
 			if r.leafEdge.flag || r.leafEdge.tag {
-				t.cleanup(key, r, th.ID) // another delete owns it; help and retry
+				t.cleanup(key, r) // another delete owns it; help and retry
 				helps++
 				retries++
 				continue
 			}
 			edge := &r.parent.child[nmDir(key, r.parent.key)]
-			if edge.CompareAndSwapIn(t.src, t.ep, th.ID, r.leafEdge, edgeVal{n: r.leaf, flag: true}) {
+			if edge.CompareAndSwap(t.src, r.leafEdge, edgeVal{n: r.leaf, flag: true}) {
 				injected = true
 				leaf = r.leaf
 				r.leafEdge = edgeVal{n: r.leaf, flag: true}
-				if t.cleanup(key, r, th.ID) {
+				if t.cleanup(key, r) {
 					t.truncate(th, r.ancestor, key)
 					t.noteUpdate(th, retries, helps)
 					return true
@@ -283,7 +243,7 @@ func (t *NMTree) Delete(th *core.Thread, key uint64) bool {
 			t.noteUpdate(th, retries, helps)
 			return true // a helper finished the removal
 		}
-		if t.cleanup(key, r, th.ID) {
+		if t.cleanup(key, r) {
 			t.truncate(th, r.ancestor, key)
 			t.noteUpdate(th, retries, helps)
 			return true
@@ -296,9 +256,8 @@ func (t *NMTree) Delete(th *core.Thread, key uint64) bool {
 // sibling edge of the flagged side, then swing ancestor→successor to
 // the sibling (carrying the sibling edge's flag, so a delete pending on
 // the sibling leaf survives the move). Returns false when the tree moved
-// underneath and the caller must re-seek. tid is the cleaning thread's
-// own slot and only routes pool allocations.
-func (t *NMTree) cleanup(key uint64, r seekRec, tid int) bool {
+// underneath and the caller must re-seek.
+func (t *NMTree) cleanup(key uint64, r seekRec) bool {
 	parent := r.parent
 	dSide := nmDir(key, parent.key)
 	de := parent.child[dSide].Read(t.src)
@@ -316,7 +275,7 @@ func (t *NMTree) cleanup(key uint64, r seekRec, tid int) bool {
 	sEdge := &parent.child[sSide]
 	se := sEdge.Read(t.src)
 	if !se.tag {
-		if !sEdge.CompareAndSwapIn(t.src, t.ep, tid, se, edgeVal{n: se.n, flag: se.flag, tag: true}) {
+		if !sEdge.CompareAndSwap(t.src, se, edgeVal{n: se.n, flag: se.flag, tag: true}) {
 			se = sEdge.Read(t.src)
 			if !se.tag {
 				return false // sibling changed (e.g. an insert landed); re-seek
@@ -328,7 +287,7 @@ func (t *NMTree) cleanup(key uint64, r seekRec, tid int) bool {
 	// Swing the ancestor past the removed chunk; this is the delete's
 	// linearization point for readers and snapshots.
 	aEdge := &r.ancestor.child[nmDir(key, r.ancestor.key)]
-	return aEdge.CompareAndSwapIn(t.src, t.ep, tid,
+	return aEdge.CompareAndSwap(t.src,
 		edgeVal{n: r.successor},
 		edgeVal{n: se.n, flag: se.flag})
 }

@@ -323,18 +323,17 @@ type HistorySnapshot struct {
 	Truncations uint64 `json:"truncations" help:"Historical reads refused with ErrTruncatedHistory (timestamp below the retention watermark)."`
 }
 
-// PoolStats counts allocator-facade traffic when a structure runs in
-// pooled or arena mode (Config.Alloc). A nil *PoolStats disables
-// reporting.
+// PoolStats counts node-pool traffic when an EBR-RQ structure runs with
+// Config.Alloc = AllocPool. A nil *PoolStats disables reporting.
 type PoolStats struct {
 	Hits, Misses, Recycled Counter
 }
 
 // PoolSnapshot is a point-in-time copy of PoolStats.
 type PoolSnapshot struct {
-	// Mode is the allocation mode label ("Pool", "Arena").
+	// Mode is the allocation mode label ("Pool").
 	Mode     string `json:"mode,omitempty" prom:"label"`
-	Hits     uint64 `json:"hits" help:"Allocations served from a per-thread free list or arena chunk."`
+	Hits     uint64 `json:"hits" help:"Allocations served from recycled nodes: a per-thread free list or the shared pool."`
 	Misses   uint64 `json:"misses" help:"Allocations that fell through to the runtime allocator."`
 	Recycled uint64 `json:"recycled" help:"Retired nodes proven unreachable and recycled to free lists."`
 }
@@ -411,9 +410,9 @@ func (r *Registry) SetSourceActual(actual string) { r.actual.Store(&actual) }
 // one registry the last label wins.
 func (r *Registry) SetStructure(s string) { r.strucLbl.Store(&s) }
 
-// SetAllocMode records the allocation-mode label ("Pool", "Arena")
-// reported with the pool stats in snapshots. Left unset, the pool
-// section is omitted (the structure allocates through the GC).
+// SetAllocMode records the allocation-mode label ("Pool") reported with
+// the pool stats in snapshots. Left unset, the pool section is omitted
+// (the structure allocates through the GC).
 func (r *Registry) SetAllocMode(mode string) { r.alloc.Store(&mode) }
 
 // SetWALMode records the durability-mode label ("sync", "batched(N)")
@@ -466,8 +465,8 @@ type Snapshot struct {
 	Source    SourceSnapshot          `json:"source"`
 	Ops       map[string]HistSnapshot `json:"ops"`
 	GC        GCSnapshot              `json:"gc"`
-	// Pool is present only for registries wired to a pooled or arena
-	// allocator (SetAllocMode was called).
+	// Pool is present only for registries wired to a running node pool
+	// (SetAllocMode was called).
 	Pool *PoolSnapshot `json:"pool,omitempty"`
 	// WAL is present only for registries wired to a durable map
 	// (SetWALMode was called).

@@ -90,7 +90,7 @@ const (
 	// failed revalidation (span).
 	PhaseSourceSwitch
 	// PhaseAlloc is node/version/entry acquisition on the update path —
-	// a pooled Get (free-list pop, arena bump, or heap fallback) or the
+	// a pooled Get (free-list pop, shared pool, or heap fallback) or the
 	// plain heap allocation in GC mode (span). Comparing its share
 	// across Config.Alloc modes is how the alloc figure attributes
 	// update-path time to the allocator.

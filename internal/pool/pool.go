@@ -1,17 +1,19 @@
 // Package pool is the allocator facade behind Config.Alloc: a generic,
-// per-thread pooled allocator that lets the structure packages serve
-// node, version and bundle-entry allocations from free lists and arena
-// chunks instead of the Go heap.
+// per-thread free-list allocator through which the EBR-RQ structures
+// recycle the nodes their epoch manager proves unreachable.
 //
 // The paper's comparisons (Logical vs RDTSCP labeling cost) assume the
 // rest of the update path is cheap; with every node allocated through
 // the GC, allocation and pause time blur exactly the deltas the
-// benchmarks measure. The epoch machinery already proves when a retired
-// node is unreachable, so reclamation can feed allocation: retire → limbo →
-// free list → next Get, with the Go allocator only backstopping cold
-// starts and imbalanced producers/consumers.
+// benchmarks measure. The epoch machinery proves when a retired EBR-RQ
+// node is unreachable, so reclamation can feed allocation: retire → limbo
+// → free list → next Get, with the Go allocator only backstopping cold
+// starts and imbalanced producers/consumers. vCAS and Bundling keep what
+// they detach reachable to in-flight snapshot readers, so nothing they
+// publish is ever proven unreachable: their structures allocate through
+// the GC whatever the mode.
 //
-// Three modes:
+// Two modes:
 //
 //   - GC: the facade disappears. New returns a nil *Pool, whose methods
 //     are nil-receiver safe: Get allocates with new(T), Put drops the
@@ -22,11 +24,6 @@
 //     Put pushes back to the thread's free list, overflowing to the
 //     shared pool so cross-thread imbalance (one thread retires what
 //     another allocates) still recycles.
-//   - Arena: like Pool, but free-list misses bump-allocate out of
-//     per-thread chunks of chunkSize elements, batching heap traffic
-//     into one allocation per chunk and improving locality of nodes
-//     allocated together. Recycled nodes still return to the free
-//     list, so arenas do not grow without bound under churn.
 //
 // Concurrency contract: Get(tid)/Put(tid) with tid >= 0 touch only
 // slot tid and MUST come from the thread registered with that id (the
@@ -45,45 +42,15 @@ package pool
 import (
 	"sync"
 
+	"tscds/internal/core"
 	"tscds/internal/obs"
 )
-
-// Mode selects how a structure allocates nodes, versions and entries.
-type Mode int
-
-const (
-	// GC allocates everything through the Go runtime (the default).
-	ModeGC Mode = iota
-	// Pool serves allocations from per-thread free lists fed by
-	// epoch-reclaimed nodes, with a sync.Pool overflow.
-	ModePool
-	// Arena is Pool plus bump allocation from per-thread chunks for
-	// free-list misses.
-	ModeArena
-)
-
-// String names the mode as it appears in snapshots and bench labels.
-func (m Mode) String() string {
-	switch m {
-	case ModeGC:
-		return "GC"
-	case ModePool:
-		return "Pool"
-	case ModeArena:
-		return "Arena"
-	}
-	return "unknown"
-}
 
 const (
 	// maxLocalFree caps a thread's private free list; beyond it Put
 	// overflows to the shared pool so one retire-heavy thread cannot
 	// strand unbounded memory other threads could reuse.
 	maxLocalFree = 4096
-	// chunkSize is the arena chunk length: large enough to amortize the
-	// chunk allocation across many nodes, small enough that a mostly
-	// idle thread does not pin megabytes.
-	chunkSize = 256
 	// pad keeps each slot's hot fields on their own cache-line pair,
 	// mirroring core's padding policy.
 	pad = 64
@@ -92,17 +59,14 @@ const (
 // slot is one thread's private allocation state. Owner-only: no field
 // is accessed by any thread but the registered owner.
 type slot[T any] struct {
-	_     [pad]byte
-	free  []*T // LIFO free list; most recently retired first (warm)
-	chunk []T  // current arena chunk; nil outside Arena mode
-	off   int  // next unused element in chunk
-	_     [pad]byte
+	_    [pad]byte
+	free []*T // LIFO free list; most recently retired first (warm)
+	_    [pad]byte
 }
 
 // A Pool hands out *T. The zero value is not useful; use New. A nil
 // *Pool is the GC mode and is safe to call.
 type Pool[T any] struct {
-	mode   Mode
 	stats  *obs.PoolStats // nil disables reporting
 	shared sync.Pool      // overflow / cross-thread rebalance; holds *T
 	slots  []slot[T]
@@ -112,26 +76,14 @@ type Pool[T any] struct {
 // any unknown mode) returns nil — the nil receiver implements GC-mode
 // behavior — so callers store the result unconditionally. stats may be
 // nil.
-func New[T any](maxThreads int, mode Mode, stats *obs.PoolStats) *Pool[T] {
-	if mode != ModePool && mode != ModeArena {
+func New[T any](maxThreads int, mode core.AllocMode, stats *obs.PoolStats) *Pool[T] {
+	if mode != core.AllocPool {
 		return nil
 	}
 	if maxThreads < 1 {
 		maxThreads = 1
 	}
-	return &Pool[T]{
-		mode:  mode,
-		stats: stats,
-		slots: make([]slot[T], maxThreads),
-	}
-}
-
-// Mode reports the pool's mode; GC for a nil pool.
-func (p *Pool[T]) Mode() Mode {
-	if p == nil {
-		return ModeGC
-	}
-	return p.mode
+	return &Pool[T]{stats: stats, slots: make([]slot[T], maxThreads)}
 }
 
 // Get returns a *T for the calling thread to initialize. The memory may
@@ -151,24 +103,6 @@ func (p *Pool[T]) Get(tid int) *T {
 			p.hit()
 			return x
 		}
-		if x, ok := p.shared.Get().(*T); ok {
-			p.hit()
-			return x
-		}
-		if p.mode == ModeArena {
-			if s.off == len(s.chunk) {
-				s.chunk = make([]T, chunkSize)
-				s.off = 0
-				p.miss()
-			} else {
-				p.hit()
-			}
-			x := &s.chunk[s.off]
-			s.off++
-			return x
-		}
-		p.miss()
-		return new(T)
 	}
 	if x, ok := p.shared.Get().(*T); ok {
 		p.hit()

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"tscds/internal/core"
 	"tscds/internal/obs"
 )
 
@@ -13,9 +14,6 @@ type thing struct {
 
 func TestNilPoolIsGCMode(t *testing.T) {
 	var p *Pool[thing]
-	if p.Mode() != ModeGC {
-		t.Fatalf("nil pool mode = %v, want GC", p.Mode())
-	}
 	x := p.Get(0)
 	if x == nil {
 		t.Fatal("nil pool Get returned nil")
@@ -27,17 +25,19 @@ func TestNilPoolIsGCMode(t *testing.T) {
 }
 
 func TestNewReturnsNilForGCMode(t *testing.T) {
-	if p := New[thing](4, ModeGC, nil); p != nil {
+	if p := New[thing](4, core.AllocGC, nil); p != nil {
 		t.Fatal("New(GC) should return nil so the nil fast path applies")
 	}
-	if p := New[thing](4, Mode(42), nil); p != nil {
-		t.Fatal("New(unknown mode) should return nil")
+	for _, m := range []core.AllocMode{2, 42} {
+		if p := New[thing](4, m, nil); p != nil {
+			t.Fatalf("New(%d) should return nil: an unknown mode is GC", int(m))
+		}
 	}
 }
 
 func TestPoolReusesPutNodes(t *testing.T) {
 	var st obs.PoolStats
-	p := New[thing](2, ModePool, &st)
+	p := New[thing](2, core.AllocPool, &st)
 	a := p.Get(0)
 	if st.Misses.Load() != 1 {
 		t.Fatalf("cold Get: misses = %d, want 1", st.Misses.Load())
@@ -61,7 +61,7 @@ func TestPoolReusesPutNodes(t *testing.T) {
 }
 
 func TestPoolLIFOOrder(t *testing.T) {
-	p := New[thing](1, ModePool, nil)
+	p := New[thing](1, core.AllocPool, nil)
 	a, b := p.Get(0), p.Get(0)
 	p.Put(0, a)
 	p.Put(0, b)
@@ -75,7 +75,7 @@ func TestPoolLIFOOrder(t *testing.T) {
 
 func TestSharedPoolRoutesForeignTid(t *testing.T) {
 	var st obs.PoolStats
-	p := New[thing](2, ModePool, &st)
+	p := New[thing](2, core.AllocPool, &st)
 	x := p.Get(0)
 	// tid -1 models a recycler with no slot (DrainAll): the node must
 	// land somewhere another thread can reuse it, not be lost.
@@ -99,34 +99,10 @@ func TestSharedPoolRoutesForeignTid(t *testing.T) {
 	}
 }
 
-func TestArenaBumpAllocates(t *testing.T) {
-	var st obs.PoolStats
-	p := New[thing](1, ModeArena, &st)
-	first := p.Get(0)
-	if st.Misses.Load() != 1 {
-		t.Fatalf("fresh chunk: misses = %d, want 1", st.Misses.Load())
-	}
-	for i := 1; i < chunkSize; i++ {
-		p.Get(0)
-	}
-	if st.Hits.Load() != chunkSize-1 {
-		t.Fatalf("bump allocations: hits = %d, want %d", st.Hits.Load(), chunkSize-1)
-	}
-	p.Get(0) // next chunk
-	if st.Misses.Load() != 2 {
-		t.Fatalf("second chunk: misses = %d, want 2", st.Misses.Load())
-	}
-	// Recycled nodes return through the free list even in arena mode.
-	p.Put(0, first)
-	if got := p.Get(0); got != first {
-		t.Fatal("arena mode did not serve the recycled node from the free list")
-	}
-}
-
 func TestConcurrentOwnersAndSharedOverflow(t *testing.T) {
 	const threads = 4
 	const rounds = 5000
-	p := New[thing](threads, ModePool, nil)
+	p := New[thing](threads, core.AllocPool, nil)
 	var wg sync.WaitGroup
 	for tid := 0; tid < threads; tid++ {
 		wg.Add(1)
@@ -153,12 +129,4 @@ func TestConcurrentOwnersAndSharedOverflow(t *testing.T) {
 		}(tid)
 	}
 	wg.Wait()
-}
-
-func TestModeString(t *testing.T) {
-	for m, want := range map[Mode]string{ModeGC: "GC", ModePool: "Pool", ModeArena: "Arena", Mode(9): "unknown"} {
-		if m.String() != want {
-			t.Fatalf("Mode(%d).String() = %q, want %q", int(m), m.String(), want)
-		}
-	}
 }

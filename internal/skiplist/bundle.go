@@ -43,7 +43,6 @@ type bundleTechnique struct {
 	gc  *obs.GC
 	tr  *trace.Recorder
 	rb  *core.ReadBound
-	ep  *pool.Pool[bundle.Entry[node[blinks]]]
 }
 
 // New creates an empty bundled skip list over the given source and
@@ -62,12 +61,11 @@ func newBundle(src core.Source, reg *core.Registry, levels int) *List {
 
 // setHooks: an unlinked node stays reachable to in-flight readers through
 // the history of the link that led to it until truncation detaches (and
-// clears) that entry, so nothing flows back to the pools: arena chunking
-// and batching only.
-func (p *bundleTechnique) setHooks(h core.Hooks, reg *core.Registry, _ *pool.Pool[node[blinks]]) bool {
+// clears) that entry, so nothing is ever recycled and nodes and entries
+// come from the GC.
+func (p *bundleTechnique) setHooks(h core.Hooks, _ *core.Registry) *pool.Pool[node[blinks]] {
 	p.gc, p.tr, p.rb = h.GC, h.Trace, h.ReadBound
-	p.ep = pool.New[bundle.Entry[node[blinks]]](reg.Cap(), h.Alloc, h.PoolStats)
-	return false
+	return nil
 }
 
 func (p *bundleTechnique) load(n *node[blinks]) *node[blinks] { return n.next.at(0).Load() }
@@ -80,7 +78,7 @@ func (p *bundleTechnique) present(n *node[blinks]) (uint64, bool) {
 	return n.l.val, visibleAt(n, core.MaxTS)
 }
 
-func (p *bundleTechnique) seed(_ int, n *node[blinks], val uint64, succ *node[blinks]) {
+func (p *bundleTechnique) seed(n *node[blinks], val uint64, succ *node[blinks]) {
 	n.l.val = val
 	n.next.at(0).Store(succ)
 }
@@ -108,7 +106,7 @@ func (p *bundleTechnique) claim(_ *core.Thread, victim *node[blinks]) {
 func (p *bundleTechnique) unlink(th *core.Thread, pred, victim *node[blinks]) {
 	lb := p.tr.Now()
 	succ := victim.next.at(0).Load()
-	e := pred.l.bnd.PrepareIn(p.ep, th.ID, succ)
+	e := pred.l.bnd.Prepare(succ)
 	ts := p.src.Advance()
 	victim.l.dts.Store(ts) // linearization of the delete
 	pred.l.bnd.Finalize(e, ts)

@@ -44,19 +44,20 @@ func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRLis
 }
 
 // setHooks wires limbo-list counters and the flight recorder (through the
-// provider and the epoch manager). Every traversal is pinned, so the prune
-// margin proves unreachability and pruned limbo nodes are recycled into the
-// node pool. Limbo holds deleted nodes, not history: no retention watermark.
-func (p *ebrTechnique) setHooks(h core.Hooks, _ *core.Registry, np *pool.Pool[node[elinks]]) bool {
+// provider and the epoch manager) and builds the node pool (nil in GC
+// mode). Every traversal is pinned, so the prune margin proves
+// unreachability and pruned limbo nodes are recycled into the pool. Limbo
+// holds deleted nodes, not history: no retention watermark.
+func (p *ebrTechnique) setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[elinks]] {
 	p.tr = h.Trace
 	p.provider.SetTrace(h.Trace)
 	p.em.SetTrace(h.Trace)
 	p.em.SetGC(h.GC)
-	if np == nil {
-		return false
+	np := pool.New[node[elinks]](reg.Cap(), h.Alloc, h.PoolStats)
+	if np != nil {
+		p.em.SetRecycle(func(n *node[elinks], tid int) { np.Put(tid, n) })
 	}
-	p.em.SetRecycle(func(n *node[elinks], tid int) { np.Put(tid, n) })
-	return true
+	return np
 }
 
 func (p *ebrTechnique) enter(tid int) { p.em.Pin(tid) }
@@ -78,7 +79,7 @@ func (p *ebrTechnique) present(n *node[elinks]) (uint64, bool) {
 
 // seed resets the labels too: stale ones in a recycled node would make it
 // spuriously visible or invisible to snapshots.
-func (p *ebrTechnique) seed(_ int, n *node[elinks], val uint64, succ *node[elinks]) {
+func (p *ebrTechnique) seed(n *node[elinks], val uint64, succ *node[elinks]) {
 	n.l.val = val
 	n.next.at(0).Store(succ)
 	n.l.itime.Init()

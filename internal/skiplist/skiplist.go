@@ -97,7 +97,7 @@ type technique[L any] interface {
 	present(n *node[L]) (uint64, bool)
 	// seed resets the technique's part of a fresh, unpublished node — it
 	// may be recycled memory — to val and a level-0 link to succ.
-	seed(tid int, n *node[L], val uint64, succ *node[L])
+	seed(n *node[L], val uint64, succ *node[L])
 	// link makes n, seeded with a link to pred's level-0 successor, pred's
 	// successor instead, under pred's lock: the one place an insert
 	// publishes at level 0 and takes its timestamp (DESIGN §6's rule is met
@@ -116,10 +116,10 @@ type technique[L any] interface {
 	// key order, starting after pred, a node below lo reached through the
 	// raw index (head if none). mark is when the query began.
 	collect(th *core.Thread, head, pred *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	// setHooks wires the technique's sinks and pools; np is the list's
-	// node pool (nil in GC mode). It reports whether the technique hands
-	// retired nodes back to np.
-	setHooks(h core.Hooks, reg *core.Registry, np *pool.Pool[node[L]]) bool
+	// setHooks wires the technique's sinks and returns the pool the list
+	// allocates nodes from: nil (the GC) unless the technique recycles what
+	// it retires.
+	setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[L]]
 	// drain prunes what deletes hold back; quiescent use only.
 	drain()
 }
@@ -137,7 +137,7 @@ func (inEdges) drain()    {}
 type list[L any, P technique[L]] struct {
 	reg    *core.Registry
 	tr     *trace.Recorder
-	np     *pool.Pool[node[L]] // nil in GC mode
+	np     *pool.Pool[node[L]] // nil: the GC
 	rd     *core.Reader
 	p      P
 	head   *node[L]
@@ -157,15 +157,14 @@ func newList[L any, P technique[L]](src core.Source, reg *core.Registry, p P, le
 // Reader returns the list's snapshot-read protocol.
 func (t *list[L, P]) Reader() *core.Reader { return t.rd }
 
-// SetHooks wires the list's sinks — the flight recorder and the allocation
-// mode of nodes — and the technique's. Where the technique recycles nodes
-// (EBR-RQ) a pooled node keeps a full tower, so a short node recycled into
-// a tall one allocates nothing. Call before the list sees traffic.
+// SetHooks wires the list's sinks — the flight recorder — and the
+// technique's, which hands back the node pool. A pooled node keeps a full
+// tower, so a short node recycled into a tall one allocates nothing. Call
+// before the list sees traffic.
 func (t *list[L, P]) SetHooks(h core.Hooks) {
 	t.tr = h.Trace
 	t.rd.SetHooks(h)
-	t.np = pool.New[node[L]](t.reg.Cap(), h.Alloc, h.PoolStats)
-	if t.p.setHooks(h, t.reg, t.np) {
+	if t.np = t.p.setHooks(h, t.reg); t.np != nil {
 		t.keep = maxLevel
 	}
 }
@@ -181,7 +180,7 @@ func (t *list[L, P]) newNode(tid int, key, val uint64, top int, succ *node[L]) *
 	n := t.np.Get(tid)
 	*n = node[L]{key: key, topLevel: int32(top), next: tower[node[L]]{more: n.next.more}}
 	n.next.reset(max(top, t.keep))
-	t.p.seed(tid, n, val, succ)
+	t.p.seed(n, val, succ)
 	return n
 }
 

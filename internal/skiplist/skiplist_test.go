@@ -14,7 +14,6 @@ import (
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/ebrrq/limbotest"
-	"tscds/internal/pool"
 )
 
 func newBundleList(kind core.Kind, threads int) (*List, *core.Registry) {
@@ -458,38 +457,39 @@ func TestSkipNodeLayout(t *testing.T) {
 	}
 }
 
-// A pooled newNode must hand out what a GC-mode one does whatever the pool
-// gives it: a tall, labeled, linked node whose entries sit in chains comes
-// back as a fresh one, under both pooled modes, tall or short.
+// A pooled newNode must hand out what a cold pool's does whatever the free
+// list gives it: a tall, labeled, linked, locked-and-released node comes back
+// as a fresh one, tall or short. Only EBR-RQ pools its nodes; they keep a
+// full tower, so the fresh node to compare with comes from the same list.
 func TestNewNodeInResetsDirtyNode(t *testing.T) {
-	fresh, _ := newBundleList(core.Logical, 1)
-	for _, mode := range []pool.Mode{pool.ModePool, pool.ModeArena} {
-		for _, top := range []int{1, inlineLevels, inlineLevels + 1, maxLevel} {
-			l, _ := newBundleList(core.Logical, 1)
-			l.SetHooks(core.Hooks{Alloc: mode})
-			other := fresh.newNode(0, 9, 9, 1, nil)
-			dirty := l.newNode(0, 7, 70, maxLevel, other)
-			for lv := 0; lv < maxLevel; lv++ {
-				dirty.next.at(lv).Store(other)
-			}
-			dirty.l.bnd.InitPendingWith(&dirty.l.out, other)
-			dirty.l.bnd.Finalize(&dirty.l.out, 5)
-			other.l.bnd.PrepareWith(&dirty.l.in, dirty)
-			other.l.bnd.Finalize(&dirty.l.in, 5)
-			dirty.l.bnd.PrepareWith(new(bundle.Entry[node[blinks]]), other)
-			dirty.l.dts.Store(6)
-			dirty.fullyLinked.Store(true)
-			dirty.Lock()
-			dirty.Unlock()
-			l.np.Put(0, dirty)
+	for _, top := range []int{1, inlineLevels, inlineLevels + 1, maxLevel} {
+		l, err := NewEBR(core.New(core.Logical), core.NewRegistry(1), ebrrq.LockBased)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l.SetHooks(core.Hooks{Alloc: core.AllocPool})
+		other := l.newNode(0, 9, 9, 1, nil)
+		dirty := l.newNode(0, 7, 70, maxLevel, other)
+		for lv := 0; lv < maxLevel; lv++ {
+			dirty.next.at(lv).Store(other)
+		}
+		l.p.provider.Label(&dirty.l.itime)
+		l.p.provider.Label(&dirty.l.dtime)
+		dirty.fullyLinked.Store(true)
+		dirty.Lock()
+		dirty.Unlock()
+		l.np.Put(0, dirty)
 
-			got := l.newNode(0, 8, 80, top, nil)
-			if got != dirty {
-				t.Fatalf("%v: the pool did not hand the recycled node back", mode)
-			}
-			if want := fresh.newNode(0, 8, 80, top, nil); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%v top %d: recycled node\n %+v\nnewNode's\n %+v", mode, top, got, want)
-			}
+		got := l.newNode(0, 8, 80, top, nil)
+		if got != dirty {
+			t.Fatal("the pool did not hand the recycled node back")
+		}
+		if got.fullyLinked.Load() || got.l.itime.Get() != core.Pending || got.l.dtime.Get() != core.Pending {
+			t.Fatalf("top %d: recycled node linked %v, labels %d/%d, want unlinked and pending",
+				top, got.fullyLinked.Load(), got.l.itime.Get(), got.l.dtime.Get())
+		}
+		if want := l.newNode(0, 8, 80, top, nil); !reflect.DeepEqual(got, want) {
+			t.Fatalf("top %d: recycled node\n %+v\nnewNode's\n %+v", top, got, want)
 		}
 	}
 }

@@ -32,8 +32,6 @@ type vcasTechnique struct {
 	gc  *obs.GC
 	tr  *trace.Recorder
 	rb  *core.ReadBound
-	vp  *pool.Pool[vcas.Version[*node[vlinks]]]
-	bp  *pool.Pool[vcas.Version[bool]]
 }
 
 // NewVcas creates an empty vCAS skip list.
@@ -49,13 +47,11 @@ func newVcas(src core.Source, reg *core.Registry, levels int) *VcasList {
 }
 
 // setHooks: detached versions stay readable to snapshot readers holding
-// chain pointers, so nothing published flows back to the pools — arena
-// chunking and batching only.
-func (p *vcasTechnique) setHooks(h core.Hooks, reg *core.Registry, _ *pool.Pool[node[vlinks]]) bool {
+// chain pointers, so nothing is ever recycled and nodes and versions come
+// from the GC.
+func (p *vcasTechnique) setHooks(h core.Hooks, _ *core.Registry) *pool.Pool[node[vlinks]] {
 	p.gc, p.tr, p.rb = h.GC, h.Trace, h.ReadBound
-	p.vp = pool.New[vcas.Version[*node[vlinks]]](reg.Cap(), h.Alloc, h.PoolStats)
-	p.bp = pool.New[vcas.Version[bool]](reg.Cap(), h.Alloc, h.PoolStats)
-	return false
+	return nil
 }
 
 // load is Object.Read with the label check pulled in front of the call
@@ -75,26 +71,26 @@ func (p *vcasTechnique) present(n *node[vlinks]) (uint64, bool) {
 	return n.l.val, !n.l.dead.Read(p.src)
 }
 
-func (p *vcasTechnique) seed(tid int, n *node[vlinks], val uint64, succ *node[vlinks]) {
+func (p *vcasTechnique) seed(n *node[vlinks], val uint64, succ *node[vlinks]) {
 	n.l.val = val
-	n.l.dead.InitIn(p.bp, tid, true) // not yet in any snapshot
-	n.l.next0.InitIn(p.vp, tid, succ)
+	n.l.dead.Init(true) // not yet in any snapshot
+	n.l.next0.Init(succ)
 }
 
 // link writes liveness first, then reachability: a snapshot that can reach
 // the node always sees it alive at that bound.
 func (p *vcasTechnique) link(th *core.Thread, pred, n *node[vlinks]) {
-	n.l.dead.WriteIn(p.src, p.bp, th.ID, false)
-	pred.l.next0.WriteIn(p.src, p.vp, th.ID, n)
+	n.l.dead.Write(p.src, false)
+	pred.l.next0.Write(p.src, n)
 	p.truncate(th, pred)
 }
 
-func (p *vcasTechnique) claim(th *core.Thread, victim *node[vlinks]) {
-	victim.l.dead.WriteIn(p.src, p.bp, th.ID, true) // linearization of the delete
+func (p *vcasTechnique) claim(_ *core.Thread, victim *node[vlinks]) {
+	victim.l.dead.Write(p.src, true) // linearization of the delete
 }
 
 func (p *vcasTechnique) unlink(th *core.Thread, pred, victim *node[vlinks]) {
-	pred.l.next0.WriteIn(p.src, p.vp, th.ID, victim.l.next0.Read(p.src))
+	pred.l.next0.Write(p.src, victim.l.next0.Read(p.src))
 	p.truncate(th, pred)
 }
 

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 
 	"tscds/internal/core"
-	"tscds/internal/pool"
 )
 
 // Version is one entry in an Object's history. A structure may embed the
@@ -49,26 +48,12 @@ type Object[V comparable] struct {
 
 // Init sets the initial value with label 0 ("before every snapshot").
 // The enclosing node must be published only after Init, as usual for
-// lock-free initialization.
-func (o *Object[V]) Init(val V) { o.InitIn(nil, -1, val) }
-
-// InitIn is Init drawing the version from p (Config.Alloc pooled/arena
-// modes; a nil p allocates through the GC). Versions acquired from a
-// pool may be recycled memory, so every field is reset here before the
-// version becomes reachable.
-//
-// Note the asymmetry with node pooling: versions handed to readers stay
-// reachable through the chain even after Truncate detaches them (see
-// Truncate), so version memory is never recycled from the truncation
-// path — the pool only batches and reuses *unpublished* versions (a
-// CAS loser's allocation) and amortizes fresh ones through arena
-// chunks.
-func (o *Object[V]) InitIn(p *pool.Pool[Version[V]], tid int, val V) {
-	o.InitWith(p.Get(tid), val)
-}
+// lock-free initialization. Versions come from the GC: a reader may hold
+// one of a tail Truncate detached, so none is ever proven free to reuse.
+func (o *Object[V]) Init(val V) { o.InitWith(new(Version[V]), val) }
 
 // InitWith is Init into the caller-owned version v (typically embedded in
-// the node val points to). v may be recycled memory; every field is reset.
+// the node val points to).
 func (o *Object[V]) InitWith(v *Version[V], val V) {
 	v.val = val
 	v.ts.Store(0)
@@ -123,39 +108,23 @@ func (o *Object[V]) Read(src core.Source) V {
 // CompareAndSwap installs new if the current value equals old. It
 // returns false when the current value differs. Lock-free: concurrent
 // winners are ordered by the head CAS, and a failed installer helps
-// label the version that beat it.
+// label the version that beat it. A version that loses to a changed
+// value was never published and is left to the GC.
 func (o *Object[V]) CompareAndSwap(src core.Source, old, new V) bool {
-	return o.CompareAndSwapIn(src, nil, -1, old, new)
-}
-
-// CompareAndSwapIn is CompareAndSwap drawing the new version from p
-// (nil p allocates through the GC). A version that loses the head CAS
-// race or turns out unnecessary was never published, so it is returned
-// to the pool rather than dropped.
-func (o *Object[V]) CompareAndSwapIn(src core.Source, p *pool.Pool[Version[V]], tid int, old, new V) bool {
 	var nv *Version[V]
 	for {
 		h := o.head.Load()
 		label(src, h)
 		if h.val != old {
-			if nv != nil {
-				nv.prev.Store(nil)
-				p.Put(tid, nv)
-			}
 			return false
 		}
 		if old == new {
 			// No-op writes need no new version; the labeled head
 			// already represents the value.
-			if nv != nil {
-				nv.prev.Store(nil)
-				p.Put(tid, nv)
-			}
 			return true
 		}
 		if nv == nil {
-			nv = p.Get(tid)
-			nv.val = new
+			nv = &Version[V]{val: new}
 			nv.ts.Store(core.Pending)
 		}
 		nv.prev.Store(h)
@@ -173,7 +142,7 @@ func (o *Object[V]) CompareAndSwapIn(src core.Source, p *pool.Pool[Version[V]], 
 // and old never returns to the object: the first of them links nv.prev,
 // once — a helper arriving after Truncate cut the chain below nv cannot
 // re-link the tail — and one head CAS publishes it. A caller that lost
-// labels the winner before returning, like CompareAndSwapIn.
+// labels the winner before returning, like CompareAndSwap.
 func (o *Object[V]) CompareAndSwapVersion(src core.Source, old V, nv *Version[V]) bool {
 	h := o.head.Load()
 	label(src, h)
@@ -192,18 +161,13 @@ func (o *Object[V]) CompareAndSwapVersion(src core.Source, old V, nv *Version[V]
 // Write unconditionally installs a new value (for lock-based structures,
 // where the caller's locks serialize writers; readers may still help
 // label concurrently).
-func (o *Object[V]) Write(src core.Source, new V) { o.WriteIn(src, nil, -1, new) }
-
-// WriteIn is Write drawing the new version from p (nil p allocates
-// through the GC).
-func (o *Object[V]) WriteIn(src core.Source, p *pool.Pool[Version[V]], tid int, new V) {
+func (o *Object[V]) Write(src core.Source, new V) {
 	h := o.head.Load()
 	label(src, h)
 	if h.val == new {
 		return
 	}
-	nv := p.Get(tid)
-	nv.val = new
+	nv := &Version[V]{val: new}
 	nv.ts.Store(core.Pending)
 	nv.prev.Store(h)
 	o.head.Store(nv)

@@ -79,13 +79,14 @@ func TestLinearizability(t *testing.T) {
 		})
 	}
 
-	// Pooled-allocation cells: one representative structure per
-	// technique, rechecked with nodes served from recycled memory. A
-	// node recycled too early, or a constructor that forgets to reset a
-	// field, shows up here as a history with no sequential witness.
+	// Pooled-allocation cells: each EBR-RQ structure — the maps whose
+	// epoch manager feeds the pool — rechecked with nodes served from
+	// recycled memory. A node recycled too early, or a constructor that
+	// forgets to reset a field, shows up here as a history with no
+	// sequential witness.
 	pooled := []linTriple{
-		{tscds.BST, tscds.VCAS, tscds.Logical},
-		{tscds.Citrus, tscds.Bundle, tscds.TSC},
+		{tscds.BST, tscds.EBRRQ, tscds.Logical},
+		{tscds.Citrus, tscds.EBRRQ, tscds.TSC},
 		{tscds.SkipList, tscds.EBRRQ, tscds.TSC},
 		{tscds.SkipList, tscds.EBRRQLockFree, tscds.Logical},
 	}

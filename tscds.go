@@ -44,7 +44,6 @@ import (
 	"tscds/internal/lfbst"
 	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 	"tscds/internal/skiplist"
 	"tscds/internal/tsc"
 )
@@ -144,26 +143,19 @@ func (t Technique) String() string {
 	return "unknown"
 }
 
-// AllocMode selects how a Map allocates its nodes, versions and bundle
-// entries; see Config.Alloc.
-type AllocMode = pool.Mode
+// AllocMode selects where a Map's nodes come from; see Config.Alloc.
+type AllocMode = core.AllocMode
 
 // Allocation modes.
 const (
 	// AllocGC allocates everything through the Go runtime (the default).
 	// Retired memory is dropped for the collector.
-	AllocGC = pool.ModeGC
-	// AllocPool serves allocations from per-thread free lists. On EBR-RQ
-	// maps the free lists are fed by the epoch manager's prune points —
-	// retired nodes flow retire -> limbo -> free list -> next Insert; on
-	// vCAS and Bundle maps (whose detached versions and entries stay
-	// reachable to in-flight snapshot readers and so are never recycled)
-	// the pool batches and reuses never-published allocations only.
-	AllocPool = pool.ModePool
-	// AllocArena is AllocPool plus bump allocation from per-thread arena
-	// chunks on free-list misses, batching heap traffic and improving
-	// locality of nodes allocated together.
-	AllocArena = pool.ModeArena
+	AllocGC = core.AllocGC
+	// AllocPool recycles the nodes an EBR-RQ map's epoch manager proves
+	// unreachable: retire -> limbo -> per-thread free list -> next Insert.
+	// On vCAS and Bundle maps it is accepted and has no effect (see
+	// Config.Alloc).
+	AllocPool = core.AllocPool
 )
 
 // Config parameterizes New.
@@ -186,12 +178,15 @@ type Config struct {
 	// (the default) keeps every instrumentation point at one pointer
 	// test; see TestTraceDisabledNoAllocs.
 	Trace *TraceConfig
-	// Alloc selects the allocation mode for the Map's internal memory
-	// (default AllocGC). AllocPool and AllocArena route node, version and
-	// bundle-entry allocations through per-thread pools; on EBR-RQ maps
-	// the pools are additionally fed by epoch reclamation, closing the
-	// retire->reuse loop. Pool hit/miss/recycle counters appear on
-	// Config.Metrics snapshots when both are set.
+	// Alloc selects the allocation mode for the Map's nodes (default
+	// AllocGC). AllocPool on an EBR-RQ map routes node allocations through
+	// per-thread free lists that epoch reclamation feeds, closing the
+	// retire->reuse loop; pool hit/miss/recycle counters then appear on
+	// Config.Metrics snapshots. vCAS and Bundle keep what they detach
+	// reachable to in-flight snapshot readers, so nothing they publish is
+	// ever proven free: on those maps AllocPool is accepted and has no
+	// effect (they allocate through the GC, and their snapshots carry no
+	// pool block), as Retention has none on EBR-RQ.
 	Alloc AllocMode
 	// Health wires a TSC health monitor into an Adaptive source: its
 	// Degraded flag drives failover, and it receives switch telemetry
@@ -375,17 +370,21 @@ type BatchSnapshot = jiffy.Snap
 
 // NewBatchStore builds a BatchStore. Thread handles come from the
 // returned registry accessor on the store's methods; see package jiffy.
-func NewBatchStore(cfg Config) (*BatchStore, *Registry) {
+// A Config New would reject is a *ConfigError here too.
+func NewBatchStore(cfg Config) (*BatchStore, *Registry, error) {
+	if err := validate(cfg); err != nil {
+		return nil, nil, err
+	}
 	reg := core.NewRegistry(cfg.MaxThreads)
-	return jiffy.New(core.New(cfg.Source), reg), reg
+	return jiffy.New(core.New(cfg.Source), reg), reg, nil
 }
 
 // Registry hands out Thread handles for APIs constructed with an
 // explicit registry (NewBatchStore).
 type Registry = core.Registry
 
-// ConfigError is the error New and NewSharded return for a Config or an
-// argument they cannot honour; errors.As against it tells a
+// ConfigError is the error New, NewSharded and NewBatchStore return for a
+// Config or an argument they cannot honour; errors.As against it tells a
 // misconfiguration from an unsupported (structure, technique, source)
 // combination or an I/O error.
 type ConfigError struct {
@@ -405,7 +404,7 @@ func validate(cfg Config) error {
 	if cfg.MaxThreads < 0 {
 		return &ConfigError{"MaxThreads", fmt.Sprintf("%d is negative", cfg.MaxThreads)}
 	}
-	if cfg.Alloc < AllocGC || cfg.Alloc > AllocArena {
+	if cfg.Alloc != AllocGC && cfg.Alloc != AllocPool {
 		return &ConfigError{"Alloc", fmt.Sprintf("unknown mode %d", int(cfg.Alloc))}
 	}
 	if cfg.Durability != nil && cfg.Durability.Dir == "" {
@@ -444,11 +443,12 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 		src = core.New(cfg.Source)
 	}
 	h := core.Hooks{Alloc: cfg.Alloc}
+	hist := t == VCAS || t == Bundle // keeps history, so runs no pool
 	if mt := cfg.Metrics; mt != nil {
 		mt.SetSourceKind(cfg.Source.String())
 		mt.SetSourceActual(core.Actual(src).String())
 		mt.SetStructure(s.String() + "/" + t.String())
-		if cfg.Alloc != AllocGC {
+		if cfg.Alloc != AllocGC && !hist {
 			mt.SetAllocMode(cfg.Alloc.String())
 		}
 		src = core.InstrumentSource(src, &mt.Source)
@@ -465,7 +465,7 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 	m.SetHooks(h)
 	*w = wrap{
 		m: m, rd: m.Reader(), reg: reg, s: s, t: t, src: cfg.Source, srcImpl: src,
-		shift: shift, obs: cfg.Metrics, tr: h.Trace, hist: t == VCAS || t == Bundle,
+		shift: shift, obs: cfg.Metrics, tr: h.Trace, hist: hist,
 	}
 	if w.obs != nil || w.tr != nil {
 		w.clk = tsc.TelemetryClock()

@@ -170,37 +170,42 @@ func TestNewRejectsInvalidCombos(t *testing.T) {
 	}
 }
 
-// TestConstructorsRejectInvalidConfig: New and NewSharded share one
-// validate, which refuses a Config it cannot honour with a *ConfigError
-// naming the field — an unknown Alloc used to run as AllocGC while
-// reporting the bogus mode, an unknown Source to panic inside core.New, a
-// negative MaxThreads to become the default. NewSharded refuses a shard
-// count below 1, which it used to round up, the same way.
+// TestConstructorsRejectInvalidConfig: New, NewSharded and NewBatchStore
+// share one validate, which refuses a Config it cannot honour with a
+// *ConfigError naming the field — an unknown Alloc (2 was the retired arena
+// mode) used to run as AllocGC while reporting the bogus mode, an unknown
+// Source to panic inside core.New, a negative MaxThreads to become the
+// default. NewSharded refuses a shard count below 1, which it used to round
+// up, the same way. Each constructor reports whether it built anything.
 func TestConstructorsRejectInvalidConfig(t *testing.T) {
-	constructors := map[string]func(Config) (Map, error){
-		"New": func(cfg Config) (Map, error) { return New(SkipList, Bundle, cfg) },
-		"NewSharded": func(cfg Config) (Map, error) {
+	constructors := map[string]func(Config) (bool, error){
+		"New": func(cfg Config) (bool, error) {
+			m, err := New(SkipList, Bundle, cfg)
+			return m != nil, err
+		},
+		"NewSharded": func(cfg Config) (bool, error) {
 			m, err := NewSharded(SkipList, Bundle, 2, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return m, nil
+			return m != nil, err
+		},
+		"NewBatchStore": func(cfg Config) (bool, error) {
+			st, reg, err := NewBatchStore(cfg)
+			return st != nil || reg != nil, err
 		},
 	}
 	for _, c := range []struct {
 		field string
 		cfg   Config
 	}{
-		{"Alloc", Config{Alloc: AllocArena + 1}},
+		{"Alloc", Config{Alloc: AllocPool + 1}},
 		{"Alloc", Config{Alloc: -1, Metrics: NewMetrics()}},
 		{"Source", Config{Source: Adaptive + 1}},
 		{"Source", Config{Source: -1}},
 		{"Durability", Config{Durability: &Durability{}}},
 		{"MaxThreads", Config{MaxThreads: -1}},
-		{"", Config{Source: Adaptive, Alloc: AllocArena, Metrics: NewMetrics()}},
+		{"", Config{Source: Adaptive, Alloc: AllocPool, Metrics: NewMetrics()}},
 	} {
 		for name, build := range constructors {
-			m, err := build(c.cfg)
+			built, err := build(c.cfg)
 			if c.field == "" {
 				if err != nil {
 					t.Errorf("%s(%+v): valid Config rejected: %v", name, c.cfg, err)
@@ -208,8 +213,8 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 				continue
 			}
 			var ce *ConfigError
-			if !errors.As(err, &ce) || ce.Field != c.field || m != nil {
-				t.Errorf("%s(%+v) = %v, %v; want a *ConfigError for field %s", name, c.cfg, m, err, c.field)
+			if !errors.As(err, &ce) || ce.Field != c.field || built {
+				t.Errorf("%s(%+v) built %v, %v; want a *ConfigError for field %s and nothing built", name, c.cfg, built, err, c.field)
 			}
 		}
 	}
@@ -445,7 +450,10 @@ func TestScanStreamsSortedAndStopsEarly(t *testing.T) {
 // internal registry path (the facade builds plain sources; this checks
 // the Source interface boundary is honored by the techniques).
 func TestBatchStoreFacade(t *testing.T) {
-	st, reg := NewBatchStore(Config{Source: TSC, MaxThreads: 4})
+	st, reg, err := NewBatchStore(Config{Source: TSC, MaxThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	th, err := reg.Register()
 	if err != nil {
 		t.Fatal(err)
