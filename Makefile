@@ -82,8 +82,10 @@ inline-check:
 # doc-check keeps the documentation, CI and the verify skill from naming
 # what is not in the tree: a path under cmd/ or internal/ (a package at any
 # depth, or a .go/.s file), a BENCH_*.json
-# artifact, or a subcommand `reproduce` does not dispatch (a
-# `case "<word>":` in its main.go). ISSUE/CHANGES/ROADMAP are history and plans, benchmark/ is
+# artifact, a subcommand `reproduce` does not dispatch (a
+# `case "<word>":` in its main.go), or an `-arm structure/technique` whose
+# structure or technique is not a key of its map in internal/bench/arms.go.
+# ISSUE/CHANGES/ROADMAP are history and plans, benchmark/ is
 # frozen by BENCHMARK.json; neither is checked.
 DOCS = $(filter-out ./ISSUE.md ./CHANGES.md ./ROADMAP.md ./benchmark/%, \
 	$(shell find . -name '*.md' -not -path './.git/*')) .github/workflows/ci.yml
@@ -95,6 +97,10 @@ doc-check:
 		[ -e "$$f" ] || miss "$$f does not exist" "$$f"; done; \
 	for c in $$(grep -ohE '(\./cmd/reproduce|`reproduce) +[a-z]+' $(DOCS) | awk '{ print $$NF }' | sort -u); do \
 		grep -q "case \"$$c\":" cmd/reproduce/main.go || miss "reproduce has no subcommand $$c" "reproduce $$c"; done; \
+	keys() { sed -n "/^	$$1 = map/,/^	}/p" internal/bench/arms.go | grep -oE '"[a-z-]+":' | tr -d '":'; }; \
+	for a in $$(grep -ohE -- '-arm +[a-z]+/[a-z-]+' $(DOCS) | awk '{ print $$NF }' | sort -u); do \
+		keys structures | grep -qx "$${a%/*}" && keys techniques | grep -qx "$${a#*/}" \
+			|| miss "internal/bench/arms.go has no arm $$a" "-arm $$a"; done; \
 	exit $$ok
 
 # deps-check keeps the version and entry layers free of any allocation

@@ -72,9 +72,9 @@ func TestPoolIdleOnHistoryTechniques(t *testing.T) {
 		t    tscds.Technique
 		pool bool
 	}{
-		{tscds.BST, tscds.VCAS, false}, {tscds.NMBST, tscds.VCAS, false},
-		{tscds.Citrus, tscds.Bundle, false}, {tscds.SkipList, tscds.Bundle, false},
-		{tscds.LazyList, tscds.VCAS, false}, {tscds.BST, tscds.EBRRQ, true},
+		{tscds.BST, tscds.VCAS, false}, {tscds.Citrus, tscds.Bundle, false},
+		{tscds.SkipList, tscds.Bundle, false}, {tscds.LazyList, tscds.VCAS, false},
+		{tscds.BST, tscds.EBRRQ, true},
 	} {
 		for _, shards := range []int{0, 2} {
 			reg := tscds.NewMetrics()
@@ -109,7 +109,7 @@ func TestPoolIdleOnHistoryTechniques(t *testing.T) {
 // caller's buffer. With capacity for the result it allocates nothing — no
 // per-query slice of parts or escaping closure in the snapshot-read
 // protocol, no accumulator map, closure on the limbo walk or sort scratch
-// in the EBR-RQ collection — on all 11 variants, flat and across 4 shards,
+// in the EBR-RQ collection — on all 10 variants, flat and across 4 shards,
 // live and as of a past timestamp, with deleted keys behind (in limbo, or
 // as version history) to be walked.
 func TestRangeQueryAllocFree(t *testing.T) {
@@ -117,7 +117,7 @@ func TestRangeQueryAllocFree(t *testing.T) {
 		s tscds.Structure
 		t tscds.Technique
 	}{
-		{tscds.BST, tscds.VCAS}, {tscds.BST, tscds.EBRRQ}, {tscds.NMBST, tscds.VCAS},
+		{tscds.BST, tscds.VCAS}, {tscds.BST, tscds.EBRRQ},
 		{tscds.Citrus, tscds.VCAS}, {tscds.Citrus, tscds.Bundle}, {tscds.Citrus, tscds.EBRRQ},
 		{tscds.SkipList, tscds.Bundle}, {tscds.SkipList, tscds.VCAS}, {tscds.SkipList, tscds.EBRRQ},
 		{tscds.LazyList, tscds.VCAS}, {tscds.LazyList, tscds.Bundle},
@@ -179,25 +179,22 @@ func TestRangeQueryAllocFree(t *testing.T) {
 }
 
 // TestBSTVcasUpdateAllocCeiling holds the GC-allocated update path of the
-// external BSTs to what the algorithm needs. On the EFRB tree, under vCAS
-// and EBR-RQ, a successful insert allocates the new leaf, the copy of the
-// displaced leaf, the internal node over them (under vCAS each carrying its
-// own version), the descriptor and its clean record; a successful delete the
-// descriptor, its clean record, and a leaf sibling's copy or, under vCAS, an
-// internal sibling's version, and under EBR-RQ the limbo entry of the leaf
-// it retires. On the NM tree an insert allocates the leaf, the internal node
-// and its two edges' versions and the version that links it, a delete the
-// versions of its flag, tag and swing. The keys ascend, so a deleted leaf's
-// sibling is mostly internal. An insert of a present key allocates nothing:
-// the leaf is allocated once the key is known absent. A per-edge seed
-// version, a per-helper clean record, a separate flag or mark record or an
-// eager leaf coming back fails this test.
+// EFRB tree to what the algorithm needs. Under vCAS and EBR-RQ, a successful
+// insert allocates the new leaf, the copy of the displaced leaf, the internal
+// node over them (under vCAS each carrying its own version), the descriptor
+// and its clean record; a successful delete the descriptor, its clean record,
+// and a leaf sibling's copy or, under vCAS, an internal sibling's version,
+// and under EBR-RQ the limbo entry of the leaf it retires. The keys ascend,
+// so a deleted leaf's sibling is mostly internal. An insert of a present key
+// allocates nothing: the leaf is allocated once the key is known absent. A
+// per-edge seed version, a per-helper clean record, a separate flag or mark
+// record or an eager leaf coming back fails this test.
 func TestBSTVcasUpdateAllocCeiling(t *testing.T) {
 	for _, c := range []struct {
 		s tscds.Structure
 		t tscds.Technique
 	}{
-		{tscds.BST, tscds.VCAS}, {tscds.BST, tscds.EBRRQ}, {tscds.NMBST, tscds.VCAS},
+		{tscds.BST, tscds.VCAS}, {tscds.BST, tscds.EBRRQ},
 	} {
 		m, err := tscds.New(c.s, c.t, tscds.Config{Source: tscds.Logical, MaxThreads: 4})
 		if err != nil {

@@ -384,22 +384,6 @@ func BenchmarkJiffy(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBSTFlavor contrasts the two lock-free external BSTs
-// under vCAS: descriptor-based EFRB versus edge-marked Natarajan-Mittal.
-// The paper's headline result is flavor-independent — both remove the
-// camera fetch-and-add the same way — but the structures' own overheads
-// differ.
-func BenchmarkAblationBSTFlavor(b *testing.B) {
-	wl := benchWorkload(20, 10, 70)
-	for _, s := range []tscds.Structure{tscds.BST, tscds.NMBST} {
-		for _, src := range benchSources {
-			b.Run(fmt.Sprintf("%v/%s", s, src), func(b *testing.B) {
-				benchMap(b, s, tscds.VCAS, src, wl)
-			})
-		}
-	}
-}
-
 // BenchmarkAblationRQLength varies the range query span around the
 // paper's fixed 100 keys: longer queries amortize the timestamp
 // acquisition over more collection work, shrinking the tscds.TSC advantage —

@@ -16,7 +16,7 @@ func TestRunDispatch(t *testing.T) {
 		{[]string{"fig", "lazy", "-mode", "sim"}, "Figure La  (workload 10-10-80)"},
 		{[]string{"fig", "lazy", "-mode", "sim", "-format", "csv"}, "threads,vCAS,vCAS-RDTSCP,Bundle,Bundle-RDTSCP"},
 		{[]string{"fig", "lazy", "-threads", "1", "-duration", "20ms", "-trials", "2"}, "Figure lazy, workload 10-10-80, native (2 trials x 20ms)"},
-		{[]string{"fig", "5", "-threads", "1", "-duration", "20ms", "-trials", "1", "-keyrange", "2000", "-arm", "nmbst/vcas"}, "nmbst/vcas-RDTSCP"},
+		{[]string{"fig", "5", "-threads", "1", "-duration", "20ms", "-trials", "1", "-keyrange", "2000", "-arm", "citrus/vcas"}, "citrus/vcas-RDTSCP"},
 		{[]string{"probe", "-arm", "bst/vcas", "-duration", "10ms", "-keyrange", "200"}, "ok   bst/vcas"},
 		{[]string{"fig"}, ""},
 		{[]string{"fig", "6"}, ""},

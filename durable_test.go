@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"tscds"
+	"tscds/internal/bench"
 	"tscds/internal/linearize"
 	"tscds/internal/wal/faultfs"
 )
@@ -39,21 +40,32 @@ type crashOutcome struct {
 	pending []linearize.Event
 }
 
-func durCfg(fs *faultfs.FS, syncEvery int) tscds.Config {
-	return tscds.Config{
-		Source:     tscds.Logical,
-		Durability: &tscds.Durability{Dir: cmDir, SyncEvery: syncEvery, FS: fs},
-	}
+// crashArm is the (structure, technique) pair a crash test's map is built
+// over.
+type crashArm struct {
+	s tscds.Structure
+	t tscds.Technique
 }
 
-// runCrashWorkload drives a durable sharded map until every worker
+// bstVcas is the arm of the crash tests that run one arm.
+var bstVcas = crashArm{tscds.BST, tscds.VCAS}
+
+// open opens the arm's durable sharded map on fs, syncing every update.
+func (a crashArm) open(fs *faultfs.FS) (*tscds.ShardedMap, error) {
+	return tscds.NewSharded(a.s, a.t, cmShards, tscds.Config{
+		Source:     tscds.Logical,
+		Durability: &tscds.Durability{Dir: cmDir, SyncEvery: 1, FS: fs},
+	})
+}
+
+// runCrashWorkload drives the arm's durable map until every worker
 // finishes or hits a durability error. Only operations that succeeded
 // in memory are recorded: acknowledged ones (err == nil) become
 // history, unacknowledged ones become pending. Worker 0 checkpoints
 // halfway through, putting snapshot I/O inside the faultable window.
-func runCrashWorkload(t *testing.T, fs *faultfs.FS, syncEvery int) crashOutcome {
+func runCrashWorkload(t *testing.T, fs *faultfs.FS, a crashArm) crashOutcome {
 	t.Helper()
-	m, err := tscds.NewSharded(tscds.BST, tscds.VCAS, cmShards, durCfg(fs, syncEvery))
+	m, err := a.open(fs)
 	if err != nil {
 		// The fault fired before the map even opened: there is no
 		// acknowledged history to preserve.
@@ -127,12 +139,12 @@ func runCrashWorkload(t *testing.T, fs *faultfs.FS, syncEvery int) crashOutcome 
 	}
 }
 
-// recoverAndCheck heals the disk image, reopens the map, reads back
+// recoverAndCheck heals the disk image, reopens the arm's map, reads back
 // its full content and validates it against the crashed run.
-func recoverAndCheck(t *testing.T, fs *faultfs.FS, syncEvery int, out crashOutcome) {
+func recoverAndCheck(t *testing.T, fs *faultfs.FS, a crashArm, out crashOutcome) {
 	t.Helper()
 	fs.Heal()
-	m, err := tscds.NewSharded(tscds.BST, tscds.VCAS, cmShards, durCfg(fs, syncEvery))
+	m, err := a.open(fs)
 	if err != nil {
 		t.Fatalf("recovery open: %v", err)
 	}
@@ -149,18 +161,30 @@ func recoverAndCheck(t *testing.T, fs *faultfs.FS, syncEvery int, out crashOutco
 	}
 }
 
-// TestCrashMatrix is the acceptance gate: for every injected crash
-// point across the workload's I/O trace — segment creation, WAL batch
-// writes, fsyncs, snapshot temp-writes, renames, directory syncs — the
-// recovered map must satisfy durable linearizability against the
-// acknowledged pre-crash history.
+// TestCrashMatrix is the acceptance gate: on every arm tscds.New accepts,
+// for every injected crash point across the workload's I/O trace — segment
+// creation, WAL batch writes, fsyncs, snapshot temp-writes, renames,
+// directory syncs — the recovered map must satisfy durable linearizability
+// against the acknowledged pre-crash history.
 func TestCrashMatrix(t *testing.T) {
+	for _, spec := range bench.Arms() {
+		s, tech, err := bench.ParseArm(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(spec, func(t *testing.T) { crashMatrix(t, crashArm{s, tech}) })
+	}
+}
+
+// crashMatrix runs every fault kind at evenly spaced points of one arm's
+// I/O trace.
+func crashMatrix(t *testing.T, a crashArm) {
 	dry := faultfs.New(faultfs.Fault{})
-	out := runCrashWorkload(t, dry, 1)
+	out := runCrashWorkload(t, dry, a)
 	if got := out.hist.Events(); got == 0 {
 		t.Fatal("dry run recorded no events")
 	}
-	recoverAndCheck(t, dry, 1, out)
+	recoverAndCheck(t, dry, a, out)
 	total := dry.Ops()
 	if total < 10 {
 		t.Fatalf("dry run performed only %d I/O ops", total)
@@ -187,11 +211,11 @@ func TestCrashMatrix(t *testing.T) {
 			at := 1 + p*(total-1)/(points-1)
 			t.Run(fmt.Sprintf("%s/op%03d", k.name, at), func(t *testing.T) {
 				fs := faultfs.New(faultfs.Fault{AtOp: at, Kind: k.kind})
-				out := runCrashWorkload(t, fs, 1)
+				out := runCrashWorkload(t, fs, a)
 				if k.kind == faultfs.KindWriteErr && fs.Crashed() {
 					t.Fatal("transient fault crashed the filesystem")
 				}
-				recoverAndCheck(t, fs, 1, out)
+				recoverAndCheck(t, fs, a, out)
 			})
 		}
 	}
@@ -202,17 +226,17 @@ func TestCrashMatrix(t *testing.T) {
 // cleanly, and a second attempt must recover everything.
 func TestCrashDuringRecovery(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{})
-	out := runCrashWorkload(t, fs, 1)
+	out := runCrashWorkload(t, fs, bstVcas)
 
 	// Clone the surviving image onto a filesystem armed to crash at the
 	// recovery run's second mutating I/O (mid segment setup).
 	armed := faultfs.New(faultfs.Fault{})
 	copyImage(t, fs, armed)
 	armed.Arm(faultfs.Fault{AtOp: armed.Ops() + 2, Kind: faultfs.KindCrash})
-	if _, err := tscds.NewSharded(tscds.BST, tscds.VCAS, cmShards, durCfg(armed, 1)); err == nil {
+	if _, err := bstVcas.open(armed); err == nil {
 		t.Fatal("open under recovery crash succeeded")
 	}
-	recoverAndCheck(t, armed, 1, out)
+	recoverAndCheck(t, armed, bstVcas, out)
 }
 
 // copyImage clones src's surviving files into dst.
@@ -241,7 +265,7 @@ func copyImage(t *testing.T, src, dst *faultfs.FS) {
 // with a descriptive error instead of silently truncating history.
 func TestRecoverRefusesCorruptInterior(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{})
-	runCrashWorkload(t, fs, 1)
+	runCrashWorkload(t, fs, bstVcas)
 	var seg string
 	for _, p := range fs.Paths() {
 		if strings.Contains(p, "wal-") && fs.Size(p) > 32+3*29 {
@@ -255,7 +279,7 @@ func TestRecoverRefusesCorruptInterior(t *testing.T) {
 	if err := fs.Corrupt(seg, 32+10); err != nil { // inside the first record
 		t.Fatalf("Corrupt: %v", err)
 	}
-	_, err := tscds.NewSharded(tscds.BST, tscds.VCAS, cmShards, durCfg(fs, 1))
+	_, err := bstVcas.open(fs)
 	if err == nil {
 		t.Fatal("open accepted a corrupt WAL interior")
 	}

@@ -12,8 +12,8 @@ import (
 // table (internal/sim): "structure/technique", e.g. "citrus/bundle".
 var (
 	structures = map[string]tscds.Structure{
-		"bst": tscds.BST, "nmbst": tscds.NMBST, "citrus": tscds.Citrus,
-		"skiplist": tscds.SkipList, "lazylist": tscds.LazyList,
+		"bst": tscds.BST, "citrus": tscds.Citrus, "skiplist": tscds.SkipList,
+		"lazylist": tscds.LazyList,
 	}
 	techniques = map[string]tscds.Technique{
 		"vcas": tscds.VCAS, "bundle": tscds.Bundle,

@@ -1,7 +1,7 @@
-// Package lfbst holds lock-free external binary search trees with range
+// Package lfbst holds a lock-free external binary search tree with range
 // queries: Ellen, Fatourou, Ruppert and van Breugel's (PODC 2010) under vCAS
 // (Wei et al.; the paper's Figure 2) and under EBR-RQ (Arbel-Raviv & Brown;
-// Figure 4), and Natarajan and Mittal's under vCAS (nm.go).
+// Figure 4).
 //
 // The EFRB algorithm — immutable leaves, routing internal nodes, flag/mark
 // descriptors with full helping — is written once, in this file, over a

@@ -28,7 +28,7 @@ type linTriple struct {
 // silently lag the constructor.
 func linMatrix() []linTriple {
 	var out []linTriple
-	for _, s := range []tscds.Structure{tscds.BST, tscds.Citrus, tscds.SkipList, tscds.LazyList, tscds.NMBST} {
+	for _, s := range []tscds.Structure{tscds.BST, tscds.Citrus, tscds.SkipList, tscds.LazyList} {
 		for _, tech := range []tscds.Technique{tscds.VCAS, tscds.Bundle, tscds.EBRRQ, tscds.EBRRQLockFree} {
 			for _, src := range []tscds.SourceKind{tscds.Logical, tscds.TSC, tscds.Monotonic, tscds.Adaptive} {
 				if _, err := tscds.New(s, tech, tscds.Config{Source: src}); err == nil {

@@ -6,13 +6,12 @@
 // counter (the baseline) and the CPU's invariant TSC read with
 // RDTSCP;LFENCE (the paper's contribution).
 //
-// Three range-query techniques are provided over five structures. New
+// Three range-query techniques are provided over four structures. New
 // accepts exactly the combinations below (TestNewFullCrossProduct
 // asserts the table against the constructor):
 //
 //	Structure   vCAS   Bundle   EBR-RQ(lock)   EBR-RQ(lock-free)
 //	BST          yes    -        yes            Logical source only
-//	NMBST        yes    -        -              -
 //	Citrus       yes    yes      yes            Logical source only
 //	SkipList     yes    yes      yes            Logical source only
 //	LazyList     yes    yes      -              -
@@ -91,9 +90,6 @@ const (
 	// LazyList is the lock-based sorted linked list: the skip list with
 	// one level.
 	LazyList
-	// NMBST is the Natarajan-Mittal edge-marked lock-free BST, the
-	// second lock-free tree the vCAS work targets.
-	NMBST
 )
 
 // String names the structure.
@@ -107,8 +103,6 @@ func (s Structure) String() string {
 		return "skip list"
 	case LazyList:
 		return "lazy list"
-	case NMBST:
-		return "NM lock-free BST"
 	}
 	return "unknown"
 }
@@ -533,11 +527,6 @@ func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg 
 		case Bundle:
 			return skiplist.NewLazyBundle(src, reg), 1, nil
 		}
-	case NMBST:
-		if t != VCAS {
-			return nil, 0, fmt.Errorf("tscds: %v supports only vCAS (got %v)", s, t)
-		}
-		return lfbst.NewNM(src, reg), 0, nil
 	}
 	return nil, 0, fmt.Errorf("tscds: unsupported combination %v/%v", s, t)
 }
@@ -566,7 +555,6 @@ type inner interface {
 // by running unwired.
 var (
 	_ inner = (*lfbst.Tree)(nil)
-	_ inner = (*lfbst.NMTree)(nil)
 	_ inner = (*lfbst.EBRTree)(nil)
 	_ inner = (*citrus.VcasTree)(nil)
 	_ inner = (*citrus.BundleTree)(nil)

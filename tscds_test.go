@@ -9,65 +9,46 @@ import (
 	"testing/quick"
 )
 
-// allCombos enumerates every valid (structure, technique) pair.
-func allCombos() []struct {
+// combo is a (structure, technique) pair.
+type combo struct {
 	S Structure
 	T Technique
-} {
-	return []struct {
-		S Structure
-		T Technique
-	}{
-		{BST, VCAS}, {BST, EBRRQ}, {NMBST, VCAS},
-		{Citrus, VCAS}, {Citrus, Bundle}, {Citrus, EBRRQ},
-		{SkipList, Bundle}, {SkipList, VCAS}, {SkipList, EBRRQ},
-		{LazyList, VCAS}, {LazyList, Bundle},
-	}
 }
 
-func TestNewValidCombosBothSources(t *testing.T) {
-	for _, c := range allCombos() {
-		for _, src := range []SourceKind{Logical, TSC} {
-			m, err := New(c.S, c.T, Config{Source: src})
-			if err != nil {
-				t.Fatalf("New(%v,%v,%v): %v", c.S, c.T, src, err)
-			}
-			if m.Structure() != c.S || m.Technique() != c.T || m.Source() != src {
-				t.Fatalf("identity mismatch for %v/%v", c.S, c.T)
-			}
+// documented is the package comment's support table: exactly the pairs New
+// accepts, the lock-free EBR-RQ column on a Logical source only.
+var documented = []combo{
+	{BST, VCAS}, {BST, EBRRQ}, {BST, EBRRQLockFree},
+	{Citrus, VCAS}, {Citrus, Bundle}, {Citrus, EBRRQ}, {Citrus, EBRRQLockFree},
+	{SkipList, Bundle}, {SkipList, VCAS}, {SkipList, EBRRQ}, {SkipList, EBRRQLockFree},
+	{LazyList, VCAS}, {LazyList, Bundle},
+}
+
+// allCombos enumerates the documented pairs every source supports: the
+// table without its lock-free EBR-RQ column.
+func allCombos() []combo {
+	var out []combo
+	for _, c := range documented {
+		if c.T != EBRRQLockFree {
+			out = append(out, c)
 		}
 	}
-	// Lock-free EBR-RQ exists with a logical source only.
-	for _, s := range []Structure{Citrus, BST, SkipList} {
-		if _, err := New(s, EBRRQLockFree, Config{Source: Logical}); err != nil {
-			t.Fatalf("lock-free EBR-RQ on %v with logical source: %v", s, err)
-		}
-		if _, err := New(s, EBRRQLockFree, Config{Source: TSC}); err == nil {
-			t.Fatalf("lock-free EBR-RQ on %v accepted TSC", s)
-		}
-	}
+	return out
 }
 
 // TestNewFullCrossProduct exercises New over the complete
 // Structure x Technique x Source cross-product, asserting that exactly
-// the combinations documented in the package comment's table succeed
-// (the lock-free EBR-RQ column additionally requires a Logical source).
+// the documented combinations succeed, each reporting the identity it was
+// built with.
 func TestNewFullCrossProduct(t *testing.T) {
-	type pair struct {
-		S Structure
-		T Technique
+	accepted := map[combo]bool{}
+	for _, c := range documented {
+		accepted[c] = true
 	}
-	documented := map[pair]bool{
-		{BST, VCAS}: true, {BST, EBRRQ}: true, {BST, EBRRQLockFree}: true,
-		{NMBST, VCAS}:  true,
-		{Citrus, VCAS}: true, {Citrus, Bundle}: true, {Citrus, EBRRQ}: true, {Citrus, EBRRQLockFree}: true,
-		{SkipList, VCAS}: true, {SkipList, Bundle}: true, {SkipList, EBRRQ}: true, {SkipList, EBRRQLockFree}: true,
-		{LazyList, VCAS}: true, {LazyList, Bundle}: true,
-	}
-	for _, s := range []Structure{BST, Citrus, SkipList, LazyList, NMBST} {
-		for _, tech := range []Technique{VCAS, Bundle, EBRRQ, EBRRQLockFree} {
+	for s := BST; s <= LazyList; s++ {
+		for tech := VCAS; tech <= EBRRQLockFree; tech++ {
 			for _, src := range []SourceKind{Logical, TSC, Monotonic} {
-				want := documented[pair{s, tech}] &&
+				want := accepted[combo{s, tech}] &&
 					(tech != EBRRQLockFree || src == Logical)
 				m, err := New(s, tech, Config{Source: src})
 				if want && err != nil {
@@ -152,22 +133,6 @@ func TestRegisterThreadExhaustionAndReuse(t *testing.T) {
 		t.Fatalf("released slot not reusable: %v", err)
 	}
 	th2.Release()
-}
-
-func TestNewRejectsInvalidCombos(t *testing.T) {
-	bad := []struct {
-		S Structure
-		T Technique
-	}{
-		{BST, Bundle},
-		{LazyList, EBRRQ},
-		{NMBST, Bundle}, {NMBST, EBRRQ},
-	}
-	for _, c := range bad {
-		if _, err := New(c.S, c.T, Config{}); err == nil {
-			t.Errorf("New(%v,%v) accepted an unsupported combination", c.S, c.T)
-		}
-	}
 }
 
 // TestConstructorsRejectInvalidConfig: New, NewSharded and NewBatchStore
