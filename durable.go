@@ -161,14 +161,8 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 		}
 	}
 	for _, r := range recov.Replay {
-		if r.Key > MaxKey {
-			continue
-		}
-		switch r.Op {
-		case wal.OpInsert:
-			w.m.Insert(th, r.Key+w.shift, r.Val)
-		case wal.OpDelete:
-			w.m.Delete(th, r.Key+w.shift)
+		if r.Key <= MaxKey {
+			apply(w.m, th, r.Op, r.Key+w.shift, r.Val)
 		}
 	}
 
@@ -208,13 +202,7 @@ func (d *durable) update(th *core.Thread, op wal.OpKind, ikey, val uint64) (bool
 	}
 	mu := &d.mus[sh]
 	mu.Lock()
-	var ok bool
-	if op == wal.OpInsert {
-		ok = d.inner.Insert(th, ikey, val)
-	} else {
-		ok = d.inner.Delete(th, ikey)
-	}
-	if !ok {
+	if !apply(d.inner, th, op, ikey, val) {
 		mu.Unlock()
 		return false, nil
 	}
@@ -293,49 +281,14 @@ func (d *durable) close() error {
 
 // --- wrap surface -----------------------------------------------------
 
-// applyInsert routes an internal-keyed insert through the durability
-// layer when one is armed.
-func (w *wrap) applyInsert(th *Thread, ikey, val uint64) (bool, error) {
-	if w.dur == nil {
-		return w.m.Insert(th, ikey, val), nil
-	}
-	return w.dur.update(th, wal.OpInsert, ikey, val)
-}
-
-// applyDelete mirrors applyInsert.
-func (w *wrap) applyDelete(th *Thread, ikey uint64) (bool, error) {
-	if w.dur == nil {
-		return w.m.Delete(th, ikey), nil
-	}
-	return w.dur.update(th, wal.OpDelete, ikey, 0)
-}
-
 // InsertDurable implements DurableMap.
 func (w *wrap) InsertDurable(th *Thread, key, val uint64) (bool, error) {
-	if key > MaxKey {
-		return false, nil
-	}
-	if w.obs == nil && w.tr == nil {
-		return w.applyInsert(th, key+w.shift, val)
-	}
-	start := w.clk.Now()
-	ok, err := w.applyInsert(th, key+w.shift, val)
-	w.observe(th, obs.OpUpdate, start)
-	return ok, err
+	return w.update(th, wal.OpInsert, key, val)
 }
 
 // DeleteDurable implements DurableMap.
 func (w *wrap) DeleteDurable(th *Thread, key uint64) (bool, error) {
-	if key > MaxKey {
-		return false, nil
-	}
-	if w.obs == nil && w.tr == nil {
-		return w.applyDelete(th, key+w.shift)
-	}
-	start := w.clk.Now()
-	ok, err := w.applyDelete(th, key+w.shift)
-	w.observe(th, obs.OpUpdate, start)
-	return ok, err
+	return w.update(th, wal.OpDelete, key, 0)
 }
 
 // Checkpoint implements DurableMap.

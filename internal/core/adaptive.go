@@ -52,27 +52,21 @@ type Generational interface {
 	Generation() uint64
 }
 
-// retryObserver is implemented by wrappers that want to count snapshot
-// retries (instrumentedSource); SnapshotValid notifies it on mismatch.
-type retryObserver interface{ NoteSnapshotRetry() }
-
 // SnapshotValid reports whether a range query that collected under the
 // given snapshot bound may return its result: true unless src is
 // generational and has switched generations since bound was taken. On
 // mismatch the caller must discard what it collected, take a fresh
 // bound and re-run — the pre-switch bound orders correctly against
 // pre-switch labels only, so a result assembled across the switch could
-// tear the snapshot. Non-generational sources never invalidate.
+// tear the snapshot. Non-generational sources never invalidate. A
+// counted AdaptiveSource counts the retry (see Count).
 func SnapshotValid(src Source, bound TS) bool {
 	g, ok := src.(Generational)
-	if !ok {
+	if !ok || g.Generation() == GenOf(bound) {
 		return true
 	}
-	if g.Generation() == GenOf(bound) {
-		return true
-	}
-	if o, ok := src.(retryObserver); ok {
-		o.NoteSnapshotRetry()
+	if a, ok := src.(*AdaptiveSource); ok && a.st != nil {
+		a.st.SnapshotRetries.Inc()
 	}
 	return false
 }
@@ -88,9 +82,6 @@ type AdaptiveConfig struct {
 	// With a nil Health the source never observes faults and stays on
 	// hardware (still generation-encoded, so instrumentation works).
 	Health *tsc.Health
-	// HW is the hardware kind used in even generations; zero value means
-	// TSC (fenced RDTSCP). Logical and Adaptive are rejected.
-	HW Kind
 	// FailbackAfter overrides the failback hysteresis: the number of
 	// consecutive fault-free Snapshot calls in logical mode before
 	// retrying hardware. 0 means DefaultFailbackAfter; negative disables
@@ -116,9 +107,9 @@ type AdaptiveConfig struct {
 // generation and one of the degraded flag per timestamp.
 type AdaptiveSource struct {
 	health *tsc.Health
-	hwKind Kind
-	read   func() uint64
-	baseHW uint64 // hardware reading at construction; payload = read() - baseHW + 1
+	read   func() uint64 // fenced RDTSCP in even generations
+	baseHW uint64        // hardware reading at construction; payload = read() - baseHW + 1
+	counts
 
 	gen     atomic.Uint64
 	logical PaddedUint64 // payload counter for odd (logical) generations
@@ -132,16 +123,10 @@ type AdaptiveSource struct {
 
 // NewAdaptive builds an adaptive source per cfg. See AdaptiveConfig.
 func NewAdaptive(cfg AdaptiveConfig) *AdaptiveSource {
-	hw := cfg.HW
-	if hw == Logical || hw == Adaptive {
-		hw = TSC
-	}
-	inner := New(hw).(*hwSource)
 	s := &AdaptiveSource{
 		health:        cfg.Health,
-		hwKind:        hw,
-		read:          inner.read,
-		baseHW:        inner.read(),
+		read:          tsc.ReadFenced,
+		baseHW:        tsc.ReadFenced(),
 		failbackAfter: cfg.FailbackAfter,
 	}
 	if s.failbackAfter == 0 {
@@ -179,6 +164,7 @@ func (s *AdaptiveSource) Degraded() bool { return s.gen.Load()&1 == 1 }
 
 // Advance obtains a new timestamp (see Source).
 func (s *AdaptiveSource) Advance() TS {
+	s.countAdvance()
 	for {
 		g := s.gen.Load()
 		if g&1 == 1 {
@@ -193,6 +179,7 @@ func (s *AdaptiveSource) Advance() TS {
 
 // Peek reads the current timestamp without advancing it (see Source).
 func (s *AdaptiveSource) Peek() TS {
+	s.countPeek()
 	for {
 		g := s.gen.Load()
 		if g&1 == 1 {
@@ -212,6 +199,7 @@ func (s *AdaptiveSource) Peek() TS {
 // after failbackAfter consecutive snapshots with no new Health faults,
 // the source retries the hardware counter.
 func (s *AdaptiveSource) Snapshot() TS {
+	s.countSnapshot()
 	for {
 		g := s.gen.Load()
 		if g&1 == 1 {
@@ -228,21 +216,6 @@ func (s *AdaptiveSource) Snapshot() TS {
 
 // Kind reports Adaptive.
 func (s *AdaptiveSource) Kind() Kind { return Adaptive }
-
-// Actual reports the kind actually serving reads right now: Logical in
-// a failed-over generation, otherwise whatever the hardware kind's
-// reads actually hit on this host (monotonic fallback included).
-func (s *AdaptiveSource) Actual() Kind {
-	if s.gen.Load()&1 == 1 {
-		return Logical
-	}
-	return actualFor(s.hwKind)
-}
-
-// NoteSourceStall implements StallObserver: a stalled strict advance is
-// a fault, reported to Health, which flips the degraded flag and makes
-// the next timestamp acquisition fail over.
-func (s *AdaptiveSource) NoteSourceStall(prev TS) { s.health.NoteStall() }
 
 // failover switches generation g (even, hardware) to g+1 (odd,
 // logical). Returns true if the caller should re-read the generation

@@ -165,24 +165,6 @@ func TestSnapshotValid(t *testing.T) {
 	}
 }
 
-func TestSnapshotValidThroughInstrumentation(t *testing.T) {
-	h := tsc.NewHealth(1)
-	var st obs.SourceStats
-	src := InstrumentSource(NewAdaptive(AdaptiveConfig{Health: h, FailbackAfter: -1}), &st)
-	if _, ok := src.(Generational); !ok {
-		t.Fatal("instrumentation dropped Generational")
-	}
-	bound := src.Snapshot()
-	h.InjectBackstep(1 << 30)
-	src.Advance()
-	if SnapshotValid(src, bound) {
-		t.Fatal("instrumented adaptive source did not invalidate pre-switch bound")
-	}
-	if st.SnapshotRetries.Load() != 1 {
-		t.Fatalf("SnapshotRetries = %d, want 1", st.SnapshotRetries.Load())
-	}
-}
-
 func TestAdaptiveConcurrentSwitches(t *testing.T) {
 	h := tsc.NewHealth(8)
 	s := NewAdaptive(AdaptiveConfig{Health: h, FailbackAfter: 64})
@@ -250,21 +232,13 @@ func TestAdaptiveConcurrentSwitches(t *testing.T) {
 	t.Logf("switches=%d failbacks=%d lastSwitch=%dns", snap.SourceSwitches, snap.SourceFailbacks, snap.LastSwitchNS)
 }
 
-// frozenSource never moves — the shape of a fully stalled counter.
-// AdvanceStrict used to hang forever on it.
-type frozenSource struct {
-	v      uint64
-	stalls int
-}
-
-func (s *frozenSource) Advance() TS             { return s.v }
-func (s *frozenSource) Peek() TS                { return s.v }
-func (s *frozenSource) Snapshot() TS            { return s.v }
-func (s *frozenSource) Kind() Kind              { return Monotonic }
-func (s *frozenSource) NoteSourceStall(prev TS) { s.stalls++ }
-
+// A frozen hardware counter is the shape of a fully stalled TSC.
+// AdvanceStrict used to hang forever on it; now it gives up after its
+// budget, returns prev+1 and counts one stall.
 func TestAdvanceStrictBoundedOnFrozenSource(t *testing.T) {
-	s := &frozenSource{v: 41}
+	s := &hwSource{kind: TSC, read: func() uint64 { return 41 }}
+	var st obs.SourceStats
+	Count(s, &st)
 	done := make(chan TS, 1)
 	go func() { done <- AdvanceStrict(s, 41) }()
 	select {
@@ -275,19 +249,20 @@ func TestAdvanceStrictBoundedOnFrozenSource(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("AdvanceStrict still hanging on a frozen source")
 	}
-	if s.stalls != 1 {
-		t.Fatalf("stall observer called %d times, want 1", s.stalls)
+	if got := st.Stalls.Load(); got != 1 {
+		t.Fatalf("Stalls = %d, want 1", got)
 	}
 }
 
 func TestAdvanceStrictStallTripsAdaptiveFailover(t *testing.T) {
 	h := tsc.NewHealth(1)
 	s := NewAdaptive(AdaptiveConfig{Health: h, FailbackAfter: -1})
-	// Report a stall as AdvanceStrict would; the health fault must flip
-	// the next acquisition to the logical generation.
-	s.NoteSourceStall(7)
+	s.read = func() uint64 { return 0 } // frozen hardware counter
+	// The stall AdvanceStrict reports is a health fault: it must flip the
+	// next acquisition to the logical generation.
+	AdvanceStrict(s, s.Advance())
 	if got := GenOf(s.Advance()); got != 1 {
-		t.Fatalf("generation after stall report = %d, want 1", got)
+		t.Fatalf("generation after stall = %d, want 1", got)
 	}
 	if h.Snapshot().SourceStalls != 1 {
 		t.Fatal("stall not recorded on health")
@@ -311,11 +286,5 @@ func TestActualDisclosesFallback(t *testing.T) {
 	// Logical sources are always exactly what they claim.
 	if got := Actual(NewLogical()); got != Logical {
 		t.Errorf("Actual(Logical) = %v", got)
-	}
-	// Instrumentation forwards the disclosure.
-	var st obs.SourceStats
-	s := InstrumentSource(New(TSC), &st)
-	if Actual(s) != Actual(New(TSC)) {
-		t.Error("instrumented Actual differs from inner Actual")
 	}
 }

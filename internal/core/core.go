@@ -122,15 +122,6 @@ type Source interface {
 	Kind() Kind
 }
 
-// StallObserver is implemented by sources (or wrappers) that want to
-// hear when AdvanceStrict exhausted its spin budget against them — the
-// signature of a frozen or severely degraded counter. AdaptiveSource
-// reports the stall to its Health monitor (triggering failover);
-// instrumented sources count it.
-type StallObserver interface {
-	NoteSourceStall(prev TS)
-}
-
 // advanceStrictSpinBudget bounds the AdvanceStrict spin. A healthy
 // source moves within a handful of reads (one counter increment — a
 // clock cycle for TSC); a million reads without progress means the
@@ -146,8 +137,9 @@ const advanceStrictSpinBudget = 1 << 20
 // Advance already guarantees strict increase so no spin occurs.
 //
 // Against a stalled source the spin is bounded: after the budget is
-// exhausted the stall is reported via StallObserver (if implemented)
-// and prev+1 is returned. The fabricated label is strictly above prev
+// exhausted the stall is counted on s (see Count), an AdaptiveSource
+// reports it to its Health monitor, which fails the source over, and
+// prev+1 is returned. The fabricated label is strictly above prev
 // but ahead of the frozen counter, so it stays invisible to snapshots
 // until the counter catches up — a bounded-staleness degradation,
 // instead of the unbounded hang a frozen counter used to cause here.
@@ -158,8 +150,11 @@ func AdvanceStrict(s Source, prev TS) TS {
 			return t
 		}
 	}
-	if o, ok := s.(StallObserver); ok {
-		o.NoteSourceStall(prev)
+	if c := countsOf(s); c != nil {
+		c.countStall()
+	}
+	if a, ok := s.(*AdaptiveSource); ok {
+		a.health.NoteStall()
 	}
 	t := prev + 1
 	if t > MaxTS {

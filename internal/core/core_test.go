@@ -99,13 +99,13 @@ func TestAllKindsConstructAndAdvance(t *testing.T) {
 	}
 }
 
-func TestBestIsMonotonicAcrossCalls(t *testing.T) {
-	s := Best()
+func TestTSCSourceMonotonicAcrossCalls(t *testing.T) {
+	s := New(TSC)
 	prev := s.Advance()
 	for i := 0; i < 100000; i++ {
 		now := s.Advance()
 		if now < prev {
-			t.Fatalf("Best() source went backwards: %d -> %d", prev, now)
+			t.Fatalf("TSC source went backwards: %d -> %d", prev, now)
 		}
 		prev = now
 	}
@@ -281,14 +281,14 @@ func BenchmarkTSCAdvance(b *testing.B) {
 	}
 }
 
-func TestBestPrefersHardwareWhenAvailable(t *testing.T) {
-	s := Best()
-	if s.Kind() != TSC && s.Kind() != Monotonic {
-		t.Fatalf("Best() returned %v", s.Kind())
+func TestTSCSourceUsableImmediately(t *testing.T) {
+	s := New(TSC)
+	if a := Actual(s); a != TSC && a != Monotonic {
+		t.Fatalf("Actual(New(TSC)) = %v", a)
 	}
 	// Whatever the host provides, the source must be usable immediately.
 	if s.Snapshot() == Pending || s.Advance() == Pending {
-		t.Fatal("Best() source produced the Pending sentinel")
+		t.Fatal("TSC source produced the Pending sentinel")
 	}
 }
 

@@ -67,9 +67,6 @@ func NewReadBound(src Source, window TS) *ReadBound {
 	return &ReadBound{src: src, window: window}
 }
 
-// Window reports the retention span the bound was built with.
-func (rb *ReadBound) Window() TS { return rb.window }
-
 // Pruned reports the published prune watermark: requested timestamps
 // strictly below it are refused by CheckAt.
 func (rb *ReadBound) Pruned() TS {

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 	"unsafe"
-
-	"tscds/internal/obs"
 )
 
 // TestThreadLayout: a handle is 128 bytes, a size class the allocator
@@ -148,45 +146,6 @@ func TestReleasedSlotComesBackPending(t *testing.T) {
 		t.Fatalf("fresh slot announces %d", got)
 	}
 	th2.Release()
-}
-
-func TestInstrumentSourceCounts(t *testing.T) {
-	var st obs.SourceStats
-	src := InstrumentSource(New(Logical), &st)
-	if src.Kind() != Logical {
-		t.Fatalf("kind = %v, want Logical", src.Kind())
-	}
-	before := src.Peek()
-	src.Advance()
-	src.Advance()
-	src.Snapshot()
-	if after := src.Peek(); after <= before {
-		t.Fatalf("instrumented source did not advance: %d -> %d", before, after)
-	}
-	if st.Advances.Load() != 2 || st.Snapshots.Load() != 1 || st.Peeks.Load() != 2 {
-		t.Fatalf("counts = advances %d, peeks %d, snapshots %d; want 2, 2, 1",
-			st.Advances.Load(), st.Peeks.Load(), st.Snapshots.Load())
-	}
-}
-
-// Instrumenting a logical source must preserve addressability — lock-free
-// EBR-RQ's DCSS validates the timestamp at its address.
-func TestInstrumentSourcePreservesAddressable(t *testing.T) {
-	var st obs.SourceStats
-	src := InstrumentSource(NewLogical(), &st)
-	a, ok := src.(Addressable)
-	if !ok {
-		t.Fatal("instrumented logical source lost Addressable")
-	}
-	src.Advance()
-	if got := a.Addr().Load(); got != src.Peek() {
-		t.Fatalf("Addr() tracks %d, Peek says %d", got, src.Peek())
-	}
-	// Hardware sources have no address before or after wrapping.
-	var st2 obs.SourceStats
-	if _, ok := InstrumentSource(New(Monotonic), &st2).(Addressable); ok {
-		t.Fatal("instrumented hardware source claims Addressable")
-	}
 }
 
 // Live is the bound every slot scan stops at: it counts the slots ever

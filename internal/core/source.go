@@ -3,14 +3,75 @@ package core
 import (
 	"sync/atomic"
 
+	"tscds/internal/obs"
 	"tscds/internal/tsc"
 )
+
+// counts is the SourceStats a source counts its own calls in. A nil st
+// (the default) leaves the source uncounted: each call then pays one
+// pointer test. Count sets it.
+type counts struct{ st *obs.SourceStats }
+
+func (c *counts) countAdvance() {
+	if c.st != nil {
+		c.st.Advances.Inc()
+	}
+}
+
+func (c *counts) countPeek() {
+	if c.st != nil {
+		c.st.Peeks.Inc()
+	}
+}
+
+func (c *counts) countSnapshot() {
+	if c.st != nil {
+		c.st.Snapshots.Inc()
+	}
+}
+
+func (c *counts) countStall() {
+	if c.st != nil {
+		c.st.Stalls.Inc()
+	}
+}
+
+// Count makes src count every Advance, Peek and Snapshot in st, every
+// AdvanceStrict that stalls on it, and, on an AdaptiveSource, every range
+// query SnapshotValid sends back for a retry. On a logical source the
+// Advance count is a direct proxy for fetch-and-add contention on the
+// shared timestamp line, the effect the paper's figures measure; on
+// hardware sources the counts describe the workload's timestamp appetite.
+// Lock-free EBR-RQ's DCSS reads a logical counter at its address and is
+// not counted: it is the algorithm's validation read, not a timestamp
+// acquisition. Call Count before src serves traffic; src must come from
+// New or NewAdaptive.
+func Count(src Source, st *obs.SourceStats) {
+	c := countsOf(src)
+	if c == nil {
+		panic("core: Count on a source New did not build")
+	}
+	c.st = st
+}
+
+func countsOf(src Source) *counts {
+	switch s := src.(type) {
+	case *LogicalSource:
+		return &s.counts
+	case *hwSource:
+		return &s.counts
+	case *AdaptiveSource:
+		return &s.counts
+	}
+	return nil
+}
 
 // LogicalSource is the baseline: a single shared counter on its own cache
 // line. Advance is a fetch-and-add — the single point of contention the
 // paper identifies — and Peek is an atomic load.
 type LogicalSource struct {
 	c PaddedUint64
+	counts
 }
 
 // NewLogical returns a logical source starting at 1 (0 is reserved as
@@ -22,7 +83,10 @@ func NewLogical() *LogicalSource {
 }
 
 // Advance increments the counter and returns the new value.
-func (s *LogicalSource) Advance() TS { return s.c.Add(1) }
+func (s *LogicalSource) Advance() TS {
+	s.countAdvance()
+	return s.c.Add(1)
+}
 
 // Addr exposes the counter's memory address. Lock-free EBR-RQ needs this
 // for its DCSS (the swap only succeeds if the timestamp at this address
@@ -31,20 +95,18 @@ func (s *LogicalSource) Advance() TS { return s.c.Add(1) }
 // address to validate.
 func (s *LogicalSource) Addr() *atomic.Uint64 { return s.c.Raw() }
 
-// Addressable is implemented by sources whose timestamp lives at a
-// memory address (only LogicalSource). Algorithms that validate the
-// timestamp's value over time (lock-free EBR-RQ) require it.
-type Addressable interface {
-	Source
-	Addr() *atomic.Uint64
-}
-
 // Peek loads the counter.
-func (s *LogicalSource) Peek() TS { return s.c.Load() }
+func (s *LogicalSource) Peek() TS {
+	s.countPeek()
+	return s.c.Load()
+}
 
 // Snapshot advances the counter and returns the pre-increment value, so
 // every label taken after the snapshot is strictly newer than the bound.
-func (s *LogicalSource) Snapshot() TS { return s.c.Add(1) - 1 }
+func (s *LogicalSource) Snapshot() TS {
+	s.countSnapshot()
+	return s.c.Add(1) - 1
+}
 
 // Kind reports Logical.
 func (s *LogicalSource) Kind() Kind { return Logical }
@@ -53,18 +115,25 @@ func (s *LogicalSource) Kind() Kind { return Logical }
 type hwSource struct {
 	kind Kind
 	read func() uint64
+	counts
 }
 
-func (s *hwSource) Advance() TS  { return s.read() }
-func (s *hwSource) Peek() TS     { return s.read() }
-func (s *hwSource) Snapshot() TS { return s.read() }
-func (s *hwSource) Kind() Kind   { return s.kind }
+func (s *hwSource) Advance() TS {
+	s.countAdvance()
+	return s.read()
+}
 
-// Actual reports what s.read actually hits on this host, which is not
-// necessarily s.kind: the tsc package degrades unavailable instruction
-// sequences to the closest available read (ultimately the monotonic
-// clock). See Actual.
-func (s *hwSource) Actual() Kind { return actualFor(s.kind) }
+func (s *hwSource) Peek() TS {
+	s.countPeek()
+	return s.read()
+}
+
+func (s *hwSource) Snapshot() TS {
+	s.countSnapshot()
+	return s.read()
+}
+
+func (s *hwSource) Kind() Kind { return s.kind }
 
 // actualFor maps a requested hardware kind to the kind whose semantics
 // the tsc accessors really deliver on this host. Mirrors the fallback
@@ -95,19 +164,21 @@ func actualFor(k Kind) Kind {
 	return k
 }
 
-// actualReporter is implemented by sources that can disclose the kind
-// actually serving reads (hwSource, AdaptiveSource, and the
-// instrumentation wrappers).
-type actualReporter interface{ Actual() Kind }
-
 // Actual reports the kind actually serving s's reads. For hardware
 // kinds on hosts missing the needed instructions this differs from
 // s.Kind() — the silent-fallback case that used to mislabel monotonic
-// numbers as RDTSCP in benchmark output. Sources that cannot introspect
-// are taken at their word.
+// numbers as RDTSCP in benchmark output. An AdaptiveSource reports
+// Logical while failed over and its fenced RDTSCP read otherwise. Other
+// sources are taken at their word.
 func Actual(s Source) Kind {
-	if a, ok := s.(actualReporter); ok {
-		return a.Actual()
+	switch s := s.(type) {
+	case *hwSource:
+		return actualFor(s.kind)
+	case *AdaptiveSource:
+		if s.Degraded() {
+			return Logical
+		}
+		return actualFor(TSC)
 	}
 	return s.Kind()
 }
@@ -136,15 +207,4 @@ func New(k Kind) Source {
 		return NewAdaptive(AdaptiveConfig{})
 	}
 	panic("core: unknown source kind")
-}
-
-// Best returns the preferred hardware source for this host: fenced RDTSCP
-// when the CPU advertises invariant TSC, otherwise the monotonic clock.
-// This mirrors the paper's guidance that invariant TSC is the property
-// that makes cross-core timestamp comparison sound.
-func Best() Source {
-	if tsc.Supported() && tsc.Invariant() {
-		return New(TSC)
-	}
-	return New(Monotonic)
 }

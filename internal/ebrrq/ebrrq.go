@@ -108,14 +108,15 @@ func NewLockBased(src core.Source) *Provider {
 	return &Provider{variant: LockBased, src: src}
 }
 
-// NewLockFree returns the DCSS variant. The source must be addressable
-// (logical); hardware sources yield ErrRequiresAddress.
+// NewLockFree returns the DCSS variant. The source must be a
+// *core.LogicalSource, whose timestamp lives at an address; every other
+// source yields ErrRequiresAddress.
 func NewLockFree(src core.Source) (*Provider, error) {
-	a, ok := src.(core.Addressable)
+	l, ok := src.(*core.LogicalSource)
 	if !ok {
 		return nil, ErrRequiresAddress
 	}
-	return &Provider{variant: LockFree, src: src, addr: a.Addr()}, nil
+	return &Provider{variant: LockFree, src: src, addr: l.Addr()}, nil
 }
 
 // Variant reports the labeling discipline in use.

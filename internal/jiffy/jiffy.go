@@ -76,7 +76,7 @@ type Map struct {
 	reg  *core.Registry
 	last core.PaddedUint64 // strict-increase fence over assigned revisions
 	head *node
-	// retries counts tie-wait iterations (tests and the tie study).
+	// retries counts ties and lost CASes (tests and the tie study).
 	retries atomic.Int64
 }
 
@@ -85,19 +85,24 @@ func New(src core.Source, reg *core.Registry) *Map {
 	return &Map{src: src, reg: reg, head: newNode(0)}
 }
 
-// TieRetries reports how many strict-increase retries have occurred — the
-// §III-A wait loop's real-world frequency.
+// TieRetries reports how often a revision timestamp had to be retaken —
+// the §III-A wait loop's real-world frequency. It counts each reading that
+// tied the last assigned revision (however long core.AdvanceStrict then
+// spun it out) and each CAS lost to a concurrent batch, not spin
+// iterations.
 func (m *Map) TieRetries() int64 { return m.retries.Load() }
 
 // strictTS assigns the next revision timestamp: strictly greater than
-// every previously assigned one, unique across concurrent batches.
+// every previously assigned one, unique across concurrent batches. A tie is
+// waited out by core.AdvanceStrict, whose budget bounds the wait on a
+// frozen counter.
 func (m *Map) strictTS() core.TS {
 	for {
 		last := m.last.Load()
 		t := m.src.Advance()
 		if t <= last {
-			m.retries.Add(1)
-			continue // the §III-A tie wait
+			m.retries.Add(1) // the §III-A tie wait
+			t = core.AdvanceStrict(m.src, last)
 		}
 		if m.last.CompareAndSwap(last, t) {
 			return t

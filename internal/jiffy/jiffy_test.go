@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"tscds/internal/core"
 )
@@ -130,6 +131,47 @@ func TestStrictUniqueTimestamps(t *testing.T) {
 			}
 			t.Logf("%v: %d timestamps, %d tie retries", kind, gs*per, m.TieRetries())
 		})
+	}
+}
+
+// frozenSource is a counter that never moves: the shape of a stalled TSC.
+type frozenSource struct{}
+
+func (frozenSource) Advance() core.TS  { return 41 }
+func (frozenSource) Peek() core.TS     { return 41 }
+func (frozenSource) Snapshot() core.TS { return 41 }
+func (frozenSource) Kind() core.Kind   { return core.TSC }
+
+// A batch over a frozen counter used to spin forever waiting for the
+// reading to pass the last revision. Each batch must finish, and the
+// revisions must still strictly increase.
+func TestStrictTSBoundedOnFrozenSource(t *testing.T) {
+	reg := core.NewRegistry(1)
+	m := New(frozenSource{}, reg)
+	th := reg.MustRegister()
+	done := make(chan []core.TS, 1)
+	go func() {
+		var revs []core.TS
+		for i := uint64(1); i <= 3; i++ {
+			m.Put(th, i, i)
+			revs = append(revs, m.last.Load())
+		}
+		done <- revs
+	}()
+	select {
+	case revs := <-done:
+		for i := 1; i < len(revs); i++ {
+			if revs[i] <= revs[i-1] {
+				t.Fatalf("revisions %v do not strictly increase", revs)
+			}
+		}
+		sn := m.Snapshot(th)
+		defer sn.Close()
+		if got := sn.Range(1, 3, nil); len(got) != 1 {
+			t.Fatalf("snapshot at the frozen reading sees %v, want only the first batch", got)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a batch over a frozen source did not return within 10 s")
 	}
 }
 

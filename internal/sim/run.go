@@ -18,10 +18,8 @@ const (
 	StepRWShared
 	// StepRWExcl executes Hold while holding a RWLock exclusively.
 	StepRWExcl
-	// StepPoolRead reads one randomly chosen line from a hot-line pool
+	// StepPoolWrite writes one randomly chosen line from a hot-line pool
 	// (structure-internal contention, e.g. skip-list towers).
-	StepPoolRead
-	// StepPoolWrite writes one randomly chosen line from the pool.
 	StepPoolWrite
 )
 
@@ -32,7 +30,7 @@ type Step struct {
 	Line *Line
 	Lock *RWLock
 	Hold []Step  // body of RW-held sections
-	Pool []*Line // hot-line pool for StepPool*
+	Pool []*Line // hot-line pool for StepPoolWrite
 }
 
 // Work returns a local-work step.
@@ -46,9 +44,6 @@ func ReadLine(l *Line) Step { return Step{Kind: StepLineRead, Line: l} }
 
 // WriteLine returns a fetch-and-add access to line.
 func WriteLine(l *Line) Step { return Step{Kind: StepLineWrite, Line: l} }
-
-// PoolRead returns a read of a random line in the pool.
-func PoolRead(pool []*Line) Step { return Step{Kind: StepPoolRead, Pool: pool} }
 
 // PoolWrite returns a write to a random line in the pool.
 func PoolWrite(pool []*Line) Step { return Step{Kind: StepPoolWrite, Pool: pool} }
@@ -159,8 +154,6 @@ func (w *worker) exec(e *Engine, m *Machine, steps []Step, k int, done func()) {
 		st.Line.access(e, m, w, false, next)
 	case StepLineWrite:
 		st.Line.access(e, m, w, true, next)
-	case StepPoolRead:
-		st.Pool[w.rand()%uint64(len(st.Pool))].access(e, m, w, false, next)
 	case StepPoolWrite:
 		st.Pool[w.rand()%uint64(len(st.Pool))].access(e, m, w, true, next)
 	case StepRWShared:

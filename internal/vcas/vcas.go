@@ -61,10 +61,6 @@ func (o *Object[V]) InitWith(v *Version[V], val V) {
 	o.head.Store(v)
 }
 
-// Clear empties the object (a recycled node's unused edge); unpublished
-// objects only.
-func (o *Object[V]) Clear() { o.head.Store(nil) }
-
 // Arm prepares the caller-owned version v, unpublished, for one
 // CompareAndSwapVersion: pending label, and prev pointing at v itself,
 // which marks it "not linked yet".

@@ -140,14 +140,6 @@ func (sh *shardedInner) Delete(th *core.Thread, key uint64) bool {
 	return sh.inners[i].Delete(th, key)
 }
 
-func (sh *shardedInner) Contains(th *core.Thread, key uint64) bool {
-	i := sh.shard(key)
-	if sh.stats != nil {
-		sh.stats[i].Ops.Inc()
-	}
-	return sh.inners[i].Contains(th, key)
-}
-
 func (sh *shardedInner) Get(th *core.Thread, key uint64) (uint64, bool) {
 	i := sh.shard(key)
 	if sh.stats != nil {

@@ -45,6 +45,7 @@ import (
 	"tscds/internal/obs/trace"
 	"tscds/internal/skiplist"
 	"tscds/internal/tsc"
+	"tscds/internal/wal"
 )
 
 // KV is a key-value pair returned by range queries.
@@ -362,15 +363,41 @@ type BatchStore = jiffy.Map
 // BatchSnapshot is a long-lived consistent view of a BatchStore.
 type BatchSnapshot = jiffy.Snap
 
-// NewBatchStore builds a BatchStore. Thread handles come from the
-// returned registry accessor on the store's methods; see package jiffy.
-// A Config New would reject is a *ConfigError here too.
+// NewBatchStore builds a BatchStore over cfg.Source (an Adaptive one
+// fails over on cfg.Health). Thread handles come from the returned
+// registry accessor on the store's methods; see package jiffy. A Config
+// New would reject is a *ConfigError here too, and so is one that sets
+// what a BatchStore has no support for: Metrics, Trace, AllocPool,
+// Durability or Retention.
 func NewBatchStore(cfg Config) (*BatchStore, *Registry, error) {
 	if err := validate(cfg); err != nil {
 		return nil, nil, err
 	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"Metrics", cfg.Metrics != nil},
+		{"Trace", cfg.Trace != nil},
+		{"Alloc", cfg.Alloc != AllocGC},
+		{"Durability", cfg.Durability != nil},
+		{"Retention", cfg.Retention != 0},
+	} {
+		if f.set {
+			return nil, nil, &ConfigError{f.name, "a BatchStore does not support it"}
+		}
+	}
 	reg := core.NewRegistry(cfg.MaxThreads)
-	return jiffy.New(core.New(cfg.Source), reg), reg, nil
+	return jiffy.New(newSource(cfg), reg), reg, nil
+}
+
+// newSource builds cfg's timestamp source. An Adaptive one fails over on,
+// and reports its switches to, cfg.Health.
+func newSource(cfg Config) core.Source {
+	if cfg.Source == Adaptive {
+		return core.NewAdaptive(core.AdaptiveConfig{Health: cfg.Health})
+	}
+	return core.New(cfg.Source)
 }
 
 // Registry hands out Thread handles for APIs constructed with an
@@ -421,7 +448,7 @@ func New(s Structure, t Technique, cfg Config) (Map, error) {
 }
 
 // init is the constructor New and NewSharded share: validate cfg, build
-// the timestamp source (instrumented and named on cfg.Metrics when set)
+// the timestamp source (counted and named on cfg.Metrics when set)
 // and the thread registry, build the structure over them, wire its hooks
 // before it sees traffic, and arm durability over shards WAL streams.
 func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
@@ -430,12 +457,7 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 		return err
 	}
 	reg := core.NewRegistry(cfg.MaxThreads)
-	var src core.Source
-	if cfg.Source == Adaptive {
-		src = core.NewAdaptive(core.AdaptiveConfig{Health: cfg.Health})
-	} else {
-		src = core.New(cfg.Source)
-	}
+	src := newSource(cfg)
 	h := core.Hooks{Alloc: cfg.Alloc}
 	hist := t == VCAS || t == Bundle // keeps history, so runs no pool
 	if mt := cfg.Metrics; mt != nil {
@@ -445,7 +467,7 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 		if cfg.Alloc != AllocGC && !hist {
 			mt.SetAllocMode(cfg.Alloc.String())
 		}
-		src = core.InstrumentSource(src, &mt.Source)
+		core.Count(src, &mt.Source)
 		h.GC, h.PoolStats = &mt.GC, &mt.Pool
 	}
 	m, shift, err := build(src, reg)
@@ -473,8 +495,7 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 // buildInner constructs the internal structure for one (structure,
 // technique) pair over src and reg, returning the key shift the facade
 // must apply (structures whose head sentinel reserves key 0 shift user
-// keys up by one). kind is reported in errors only; src may wrap the
-// kind's source with instrumentation.
+// keys up by one). kind is reported in errors only.
 func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg *core.Registry) (inner, uint64, error) {
 	variant := ebrrq.LockBased
 	if t == EBRRQLockFree {
@@ -538,7 +559,6 @@ func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg 
 type inner interface {
 	Insert(th *core.Thread, key, val uint64) bool
 	Delete(th *core.Thread, key uint64) bool
-	Contains(th *core.Thread, key uint64) bool
 	Get(th *core.Thread, key uint64) (uint64, bool)
 	Len() int
 	// Drain eagerly releases what deletes hold back for range queries
@@ -577,7 +597,7 @@ type wrap struct {
 	s       Structure
 	t       Technique
 	src     SourceKind
-	srcImpl core.Source // the constructed source (possibly instrumented)
+	srcImpl core.Source // the constructed source
 	shift   uint64
 	obs     *obs.Registry
 	tr      *trace.Recorder
@@ -604,26 +624,51 @@ func (w *wrap) observe(th *Thread, c obs.OpClass, start uint64) {
 // need it use InsertDurable (a persistent log failure also surfaces on
 // WALError).
 func (w *wrap) Insert(th *Thread, key, val uint64) bool {
-	ok, _ := w.InsertDurable(th, key, val)
+	ok, _ := w.update(th, wal.OpInsert, key, val)
 	return ok
 }
 
 // Delete mirrors Insert; see DeleteDurable for the acknowledged form.
 func (w *wrap) Delete(th *Thread, key uint64) bool {
-	ok, _ := w.DeleteDurable(th, key)
+	ok, _ := w.update(th, wal.OpDelete, key, 0)
 	return ok
 }
 
-func (w *wrap) Contains(th *Thread, key uint64) bool {
+// update is every update of the facade, op selecting Insert or Delete (val
+// is ignored for a delete): apply it to the internal key, through the
+// durability layer when one is armed, and report it to whichever sinks are
+// wired. The error is the durability acknowledgment.
+func (w *wrap) update(th *Thread, op wal.OpKind, key, val uint64) (ok bool, err error) {
 	if key > MaxKey {
-		return false
+		return false, nil
 	}
-	if w.obs == nil && w.tr == nil {
-		return w.m.Contains(th, key+w.shift)
+	sinks := w.obs != nil || w.tr != nil
+	var start uint64
+	if sinks {
+		start = w.clk.Now()
 	}
-	start := w.clk.Now()
-	ok := w.m.Contains(th, key+w.shift)
-	w.observe(th, obs.OpContains, start)
+	if w.dur != nil {
+		ok, err = w.dur.update(th, op, key+w.shift, val)
+	} else {
+		ok = apply(w.m, th, op, key+w.shift, val)
+	}
+	if sinks {
+		w.observe(th, obs.OpUpdate, start)
+	}
+	return ok, err
+}
+
+// apply runs op on m at the internal key ikey (val is ignored for a
+// delete) and reports whether it took effect.
+func apply(m inner, th *Thread, op wal.OpKind, ikey, val uint64) bool {
+	if op == wal.OpInsert {
+		return m.Insert(th, ikey, val)
+	}
+	return m.Delete(th, ikey)
+}
+
+func (w *wrap) Contains(th *Thread, key uint64) bool {
+	_, ok := w.Get(th, key)
 	return ok
 }
 

@@ -143,13 +143,20 @@ func TestRegisterThreadExhaustionAndReuse(t *testing.T) {
 // default. NewSharded refuses a shard count below 1, which it used to round
 // up, the same way. Each constructor reports whether it built anything.
 func TestConstructorsRejectInvalidConfig(t *testing.T) {
+	// New and NewSharded close what they build: a row may open a WAL.
 	constructors := map[string]func(Config) (bool, error){
 		"New": func(cfg Config) (bool, error) {
 			m, err := New(SkipList, Bundle, cfg)
+			if m != nil {
+				m.(DurableMap).Close()
+			}
 			return m != nil, err
 		},
 		"NewSharded": func(cfg Config) (bool, error) {
 			m, err := NewSharded(SkipList, Bundle, 2, cfg)
+			if m != nil {
+				m.Close()
+			}
 			return m != nil, err
 		},
 		"NewBatchStore": func(cfg Config) (bool, error) {
@@ -160,26 +167,36 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 	for _, c := range []struct {
 		field string
 		cfg   Config
+		batch string // the field NewBatchStore names instead, when it cannot honour one New can
 	}{
-		{"Alloc", Config{Alloc: AllocPool + 1}},
-		{"Alloc", Config{Alloc: -1, Metrics: NewMetrics()}},
-		{"Source", Config{Source: Adaptive + 1}},
-		{"Source", Config{Source: -1}},
-		{"Durability", Config{Durability: &Durability{}}},
-		{"MaxThreads", Config{MaxThreads: -1}},
-		{"", Config{Source: Adaptive, Alloc: AllocPool, Metrics: NewMetrics()}},
+		{"Alloc", Config{Alloc: AllocPool + 1}, ""},
+		{"Alloc", Config{Alloc: -1, Metrics: NewMetrics()}, ""},
+		{"Source", Config{Source: Adaptive + 1}, ""},
+		{"Source", Config{Source: -1}, ""},
+		{"Durability", Config{Durability: &Durability{}}, ""},
+		{"MaxThreads", Config{MaxThreads: -1}, ""},
+		{"", Config{Source: Adaptive, Health: NewTSCHealth(4)}, ""},
+		{"", Config{Metrics: NewMetrics()}, "Metrics"},
+		{"", Config{Trace: &TraceConfig{}}, "Trace"},
+		{"", Config{Source: Adaptive, Alloc: AllocPool}, "Alloc"},
+		{"", Config{Durability: &Durability{Dir: t.TempDir()}}, "Durability"},
+		{"", Config{Retention: 1}, "Retention"},
 	} {
 		for name, build := range constructors {
 			built, err := build(c.cfg)
-			if c.field == "" {
+			field := c.field
+			if name == "NewBatchStore" && c.batch != "" {
+				field = c.batch
+			}
+			if field == "" {
 				if err != nil {
 					t.Errorf("%s(%+v): valid Config rejected: %v", name, c.cfg, err)
 				}
 				continue
 			}
 			var ce *ConfigError
-			if !errors.As(err, &ce) || ce.Field != c.field || built {
-				t.Errorf("%s(%+v) built %v, %v; want a *ConfigError for field %s and nothing built", name, c.cfg, built, err, c.field)
+			if !errors.As(err, &ce) || ce.Field != field || built {
+				t.Errorf("%s(%+v) built %v, %v; want a *ConfigError for field %s and nothing built", name, c.cfg, built, err, field)
 			}
 		}
 	}
@@ -411,9 +428,8 @@ func TestScanStreamsSortedAndStopsEarly(t *testing.T) {
 	}
 }
 
-// An OrdoSource-wrapped structure behaves identically through the
-// internal registry path (the facade builds plain sources; this checks
-// the Source interface boundary is honored by the techniques).
+// A BatchStore built through the facade commits a batch atomically and
+// hands out its thread handles from the returned registry.
 func TestBatchStoreFacade(t *testing.T) {
 	st, reg, err := NewBatchStore(Config{Source: TSC, MaxThreads: 4})
 	if err != nil {
@@ -435,6 +451,22 @@ func TestBatchStoreFacade(t *testing.T) {
 	st.Remove(th, 1)
 	if st.Len() != 1 {
 		t.Fatalf("Len = %d", st.Len())
+	}
+}
+
+// An Adaptive BatchStore fails over on Config.Health, as a Map does.
+func TestBatchStoreAdaptiveHonoursHealth(t *testing.T) {
+	h := NewTSCHealth(2)
+	st, reg, err := NewBatchStore(Config{Source: Adaptive, Health: h, MaxThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	th := reg.MustRegister()
+	defer th.Release()
+	h.InjectBackstep(1 << 30)
+	st.Put(th, 1, 10)
+	if got := h.Snapshot().SourceSwitches; got != 1 {
+		t.Fatalf("SourceSwitches = %d after a fault, want 1", got)
 	}
 }
 
