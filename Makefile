@@ -53,7 +53,9 @@ loc:
 # never their addresses. Telemetry must cost what a counter read costs: the
 # telemetry clock is inlined where the facade ends an operation and where
 # the recorder ends a span, and no file on the facade's op path reads the
-# wall clock.
+# wall clock. A key reaches its shard and its WAL stream through the one
+# partition function, core.PartOf, inlined into the sharded point ops and
+# the durable update; no facade file partitions with a % of its own.
 inline-check:
 	@out="$$($(GO) build -gcflags=-m . ./internal/obs/trace ./internal/vcas ./internal/lfbst ./internal/skiplist 2>&1)"; ok=0; \
 	report() { s=$$(grep -n "^func $$2[([]" $$1 | cut -d: -f1); \
@@ -77,8 +79,14 @@ inline-check:
 		deny internal/lfbst/lfbst.go "(t \*tree\[L, P\]) $$fn"; done; \
 	need ./tscds.go '(w \*wrap) observe' 'tsc.Clock.Now'; \
 	need internal/obs/trace/trace.go '(r \*Recorder) Span' 'tsc.Clock.Now'; \
+	for fn in Insert Delete Get; do \
+		need ./sharded.go "(sh \*shardedInner) $$fn" 'core.PartOf'; done; \
+	need ./durable.go '(d \*durable) update' 'core.PartOf'; \
 	if grep -n 'time\.\(Now\|Since\)' tscds.go durable.go sharded.go timetravel.go internal/obs/trace/trace.go; then \
 		echo "inline-check: the op path above reads the wall clock; read tsc.TelemetryClock"; ok=1; fi; \
+	if awk '{ l = $$0; gsub(/"([^"\\]|\\.)*"|`[^`]*`/, "", l); sub(/\/\/.*/, "", l) } \
+		l ~ /%/ { print FILENAME ":" FNR ": " $$0; bad = 1 } END { exit !bad }' $$(ls *.go | grep -v _test.go); then \
+		echo "inline-check: a facade file partitions keys with its own %; call core.PartOf"; ok=1; fi; \
 	exit $$ok
 
 # doc-check keeps the documentation, CI and the verify skill from naming

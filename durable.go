@@ -102,7 +102,6 @@ type padMutex struct {
 type durable struct {
 	log   *wal.Log
 	mus   []padMutex // one per WAL shard; serializes apply+stamp+append
-	n     uint64
 	inner inner
 	rd    *core.Reader // collects the whole map at one bound
 	src   core.Source
@@ -123,8 +122,9 @@ type durable struct {
 // enableDurability arms cfg.Durability on w: open (and recover) the
 // log, replay the surviving image into the still-traffic-free
 // structure, and start the snapshot flusher. shards is the facade
-// shard count; the WAL shards by the same residue, so each stream is
-// ordered by the per-shard serialization insert/delete add below.
+// shard count; the WAL splits keys by the same blocks (core.PartOf), so
+// each stream is ordered by the per-shard serialization update adds
+// below.
 func (w *wrap) enableDurability(cfg Config, shards int) error {
 	d := cfg.Durability
 	var stats *obs.WALStats
@@ -169,7 +169,6 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 	dd := &durable{
 		log:      log,
 		mus:      make([]padMutex, shards),
-		n:        uint64(shards),
 		inner:    w.m,
 		rd:       w.rd,
 		src:      w.srcImpl,
@@ -195,7 +194,7 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 // log nothing — per key the log holds only effective updates, which is
 // what makes redundant replay over a snapshot converge.
 func (d *durable) update(th *core.Thread, op wal.OpKind, ikey, val uint64) (bool, error) {
-	sh := int(ikey % d.n)
+	sh := core.PartOf(ikey, len(d.mus))
 	var mark uint64
 	if d.tr != nil {
 		mark = d.tr.Now()
@@ -221,8 +220,8 @@ func (d *durable) update(th *core.Thread, op wal.OpKind, ikey, val uint64) (bool
 
 // checkpoint is one snapshot flush: collect the whole map at a single
 // bound with writers running — a fresh one when live, else the past
-// timestamp ts through the retained version history GetAt reads — sort,
-// write atomically, then prune the segments the bound covers. Newer
+// timestamp ts through the retained version history GetAt reads — in key
+// order, write atomically, then prune the segments the bound covers. Newer
 // records stay, so replay over a historical snapshot still converges to
 // the log's final state.
 func (d *durable) checkpoint(ts uint64, live bool) error {
@@ -238,7 +237,6 @@ func (d *durable) checkpoint(ts uint64, live bool) error {
 	if err != nil {
 		return err
 	}
-	core.SortKVs(kvs)
 	pairs := make([]wal.Pair, len(kvs))
 	for i, kv := range kvs {
 		pairs[i] = wal.Pair{Key: kv.Key - d.shift, Val: kv.Val}

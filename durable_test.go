@@ -1,8 +1,10 @@
 package tscds_test
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -12,6 +14,7 @@ import (
 	"tscds"
 	"tscds/internal/bench"
 	"tscds/internal/linearize"
+	"tscds/internal/wal"
 	"tscds/internal/wal/faultfs"
 )
 
@@ -27,6 +30,7 @@ const (
 	cmWorkers  = 3
 	cmOps      = 40
 	cmKeyRange = 64
+	cmKeyGap   = 16 // spreads the keys over 4 key blocks, 2 per shard
 	cmShards   = 2
 )
 
@@ -98,7 +102,7 @@ func runCrashWorkload(t *testing.T, fs *faultfs.FS, a crashArm) crashOutcome {
 				if tid == 0 && i == cmOps/2 {
 					_ = m.Checkpoint() // may fail under the fault; recovery decides
 				}
-				key := rng.Uint64() % cmKeyRange
+				key := rng.Uint64() % cmKeyRange * cmKeyGap
 				ev := linearize.Event{Thread: tid, Key: key}
 				var ok bool
 				var err error
@@ -154,7 +158,7 @@ func recoverAndCheck(t *testing.T, fs *faultfs.FS, a crashArm, out crashOutcome)
 		t.Fatalf("RegisterThread: %v", err)
 	}
 	defer th.Release()
-	recovered := m.RangeQuery(th, 0, cmKeyRange, nil)
+	recovered := m.RangeQuery(th, 0, cmKeyRange*cmKeyGap, nil)
 	if err := linearize.CheckDurable(out.hist, out.pending, recovered); err != nil {
 		rec := m.LastRecovery()
 		t.Fatalf("recovered state inconsistent with acknowledged history\nrecovery: %+v\n%v", rec, err)
@@ -347,6 +351,101 @@ func TestDurableRestartRoundtrip(t *testing.T) {
 		if kv.Val != kv.Key*10 {
 			t.Fatalf("key %d recovered value %d, want %d", kv.Key, kv.Val, kv.Key*10)
 		}
+	}
+}
+
+// TestRecoverResidueStreams: a directory whose 4-stream log split keys by
+// residue (key mod 4), as a map did before shards owned key blocks, still
+// recovers. Within one run every record of a key sits in one stream under
+// either rule, and recovery replays run by run, so a directory holding a
+// residue run followed by a block run recovers too.
+func TestRecoverResidueStreams(t *testing.T) {
+	dir := t.TempDir()
+	log, _, err := wal.Open(wal.Options{Dir: dir, Shards: 4, SyncEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := map[uint64]uint64{}
+	var ts uint64
+	put := func(op wal.OpKind, key, val uint64) {
+		ts++
+		sh := int(key % 4)
+		lsn, err := log.Append(sh, wal.Record{TS: ts, Op: op, Key: key, Val: val})
+		if err == nil {
+			err = log.WaitDurable(sh, lsn)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if op == wal.OpInsert {
+			model[key] = val
+		} else {
+			delete(model, key)
+		}
+	}
+	for k := uint64(0); k < 2000; k += 37 {
+		put(wal.OpInsert, k, k+1)
+	}
+	log.RotateAll()
+	var pairs []wal.Pair
+	for k := uint64(0); k < 2000; k += 37 {
+		pairs = append(pairs, wal.Pair{Key: k, Val: model[k]})
+	}
+	if err := log.WriteSnapshot(ts, pairs); err != nil {
+		t.Fatal(err)
+	}
+	put(wal.OpInsert, 1001, 7) // inserted and deleted after the snapshot
+	put(wal.OpDelete, 1001, 0)
+	put(wal.OpDelete, 370, 0) // a snapshot key deleted, then reinserted
+	put(wal.OpInsert, 370, 9)
+	put(wal.OpDelete, 1517, 0)
+	put(wal.OpInsert, 1600, 3)
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := tscds.Config{Source: tscds.Logical, Durability: &tscds.Durability{Dir: dir, SyncEvery: 1}}
+	reopen := func(stage string) (*tscds.ShardedMap, *tscds.Thread) {
+		t.Helper()
+		m, err := tscds.NewSharded(tscds.SkipList, tscds.Bundle, 4, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		th, _ := m.RegisterThread()
+		var want []tscds.KV
+		for k, v := range model {
+			want = append(want, tscds.KV{Key: k, Val: v})
+		}
+		slices.SortFunc(want, func(a, b tscds.KV) int { return cmp.Compare(a.Key, b.Key) })
+		if got := m.RangeQuery(th, 0, tscds.MaxKey, nil); !slices.Equal(got, want) {
+			t.Fatalf("%s: recovered %d pairs %v\nwant %d pairs %v", stage, len(got), got, len(want), want)
+		}
+		return m, th
+	}
+	m, th := reopen("residue run")
+	if rec := m.LastRecovery(); rec.SnapshotKeys != len(pairs) || rec.Replayed != 6 {
+		t.Fatalf("recovery loaded %d snapshot keys and replayed %d records, want %d and 6", rec.SnapshotKeys, rec.Replayed, len(pairs))
+	}
+	// Keys whose residue stream and block shard differ, logged now under
+	// blocks: 1600's insert sits in residue stream 0, its delete in block
+	// stream 2.
+	for _, k := range []uint64{1600, 74, 1001} {
+		if _, ok := model[k]; ok {
+			m.Delete(th, k)
+			delete(model, k)
+		} else {
+			m.Insert(th, k, k*5)
+			model[k] = k * 5
+		}
+	}
+	th.Release()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, th = reopen("residue and block runs")
+	th.Release()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,9 +7,15 @@ import (
 	"time"
 )
 
+// keyStride spreads a fuzz tape's byte keys over 16 key blocks, two of
+// every shard at 8 shards, so a sharded map under a tape routes to every
+// shard and its range queries cross shards.
+const keyStride = 16
+
 // checkRangeAgainstModel compares one RangeQuery and one Scan of [lo,hi]
-// against the model, key for key in sorted order — not just counts, so a
-// snapshot returning the right number of wrong pairs cannot pass.
+// against the model, key for key in ascending order — not just counts, so
+// a snapshot returning the right number of wrong pairs, or the right
+// pairs out of order, cannot pass.
 func checkRangeAgainstModel(t *testing.T, label string, m Map, th *Thread, model map[uint64]uint64, lo, hi uint64) {
 	t.Helper()
 	var want []KV
@@ -21,12 +27,11 @@ func checkRangeAgainstModel(t *testing.T, label string, m Map, th *Thread, model
 	sort.Slice(want, func(i, j int) bool { return want[i].Key < want[j].Key })
 
 	got := m.RangeQuery(th, lo, hi, nil)
-	sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
 	if len(got) != len(want) {
 		t.Fatalf("%s: range[%d,%d] = %d pairs, want %d", label, lo, hi, len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != want[i] {
+		if got[i] != want[i] { // RangeQuery contract: ascending key order
 			t.Fatalf("%s: range[%d,%d][%d] = %v, want %v", label, lo, hi, i, got[i], want[i])
 		}
 	}
@@ -126,9 +131,10 @@ func FuzzMapAgainstModel(f *testing.F) {
 
 // FuzzShardedAgainstModel is FuzzMapAgainstModel through the sharded
 // front end: the first tape byte picks the shard count (1-8), the second
-// the (structure, technique) pair, and the rest is an op tape whose range
-// queries are compared against the model key for key — so a cross-shard
-// snapshot that loses, duplicates or misroutes a key cannot pass.
+// the (structure, technique) pair, and the rest is an op tape, its key
+// bytes spread by keyStride, whose range queries are compared against the
+// model key for key — so a cross-shard snapshot that loses, duplicates,
+// misroutes or misorders a key cannot pass.
 func FuzzShardedAgainstModel(f *testing.F) {
 	for n := byte(0); n < 8; n++ {
 		f.Add(append([]byte{n, n}, 0, 1, 0, 2, 2, 1, 1, 1, 3, 0))
@@ -164,7 +170,7 @@ func FuzzShardedAgainstModel(f *testing.F) {
 		model := map[uint64]uint64{}
 		for i := 0; i+1 < len(tape); i += 2 {
 			op := tape[i] % 4
-			key := uint64(tape[i+1])
+			key := uint64(tape[i+1]) * keyStride
 			switch op {
 			case 0:
 				_, exists := model[key]
@@ -186,8 +192,8 @@ func FuzzShardedAgainstModel(f *testing.F) {
 					t.Fatalf("%s op %d: Contains(%d)=%v want %v", label, i, key, got, exists)
 				}
 			default:
-				// Width under the shard count exercises partial fan-outs.
-				checkRangeAgainstModel(t, fmt.Sprintf("%s op %d", label, i), m, th, model, key, key+3)
+				// Four keys span at most two blocks: a partial fan-out.
+				checkRangeAgainstModel(t, fmt.Sprintf("%s op %d", label, i), m, th, model, key, key+3*keyStride)
 			}
 		}
 		checkRangeAgainstModel(t, label+" final", m, th, model, 0, MaxKey)
@@ -299,7 +305,8 @@ func FuzzAdaptiveSwitch(f *testing.F) {
 // snapshots at stamps of arbitrary age — including the pre-history
 // stamp captured before the first update, which must read as empty.
 // The first tape byte picks the (structure, technique) pair among the
-// history-retaining ones, the second the shard count.
+// history-retaining ones, the second the shard count; key bytes are
+// spread by keyStride, so the sharded twin's reads cross shards.
 func FuzzTimeTravelAgainstModel(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 5, 0, 6, 2, 5, 1, 6, 3, 4, 2, 9})
 	f.Add([]byte{3, 3, 0, 1, 4, 1, 0, 2, 5, 0, 1, 1, 2, 0})
@@ -395,7 +402,7 @@ func FuzzTimeTravelAgainstModel(f *testing.F) {
 				t.Fatalf("%s op %d map %d: GetAt(%d, ts=%d) = (%d,%v), model (%d,%v)",
 					label, op, i, key, ts, gotV, gotOK, wantV, wantOK)
 			}
-			lo, hi := key, key+16
+			lo, hi := key, key+16*keyStride
 			var want []KV
 			for k, v := range sn.state {
 				if k >= lo && k <= hi {
@@ -410,13 +417,12 @@ func FuzzTimeTravelAgainstModel(f *testing.F) {
 				}
 				t.Fatalf("%s op %d map %d: RangeQueryAt[%d,%d]@%d: %v", label, op, i, lo, hi, ts, err)
 			}
-			sort.Slice(got, func(a, b int) bool { return got[a].Key < got[b].Key })
 			if len(got) != len(want) {
 				t.Fatalf("%s op %d map %d: RangeQueryAt[%d,%d]@%d = %d pairs, model %d",
 					label, op, i, lo, hi, ts, len(got), len(want))
 			}
 			for j := range got {
-				if got[j] != want[j] {
+				if got[j] != want[j] { // RangeQueryAt contract: ascending keys
 					t.Fatalf("%s op %d map %d: RangeQueryAt[%d,%d]@%d [%d] = %v, model %v",
 						label, op, i, lo, hi, ts, j, got[j], want[j])
 				}
@@ -441,7 +447,8 @@ func FuzzTimeTravelAgainstModel(f *testing.F) {
 
 		for i := 0; i+1 < len(tape); i += 2 {
 			op := tape[i] % 6
-			key := uint64(tape[i+1])
+			b := uint64(tape[i+1])
+			key := b * keyStride
 			switch op {
 			case 0, 1:
 				insert := op == 0
@@ -466,7 +473,7 @@ func FuzzTimeTravelAgainstModel(f *testing.F) {
 				// Historical read at a stamp of tape-chosen age: index 0 is
 				// the pre-history stamp, the newest exercises the
 				// ts == Now() inclusive boundary.
-				sn := snaps[int(key)%len(snaps)]
+				sn := snaps[int(b)%len(snaps)]
 				for j := range maps {
 					checkAt(i, j, sn, key)
 				}
@@ -490,7 +497,7 @@ func FuzzTimeTravelAgainstModel(f *testing.F) {
 		// retain-everything maps.
 		for si, sn := range snaps {
 			for j := 0; j < 2; j++ {
-				checkAt(-si, j, sn, uint64(si*13)%256)
+				checkAt(-si, j, sn, uint64(si*13)%256*keyStride)
 			}
 		}
 	})

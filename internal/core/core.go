@@ -38,9 +38,9 @@ type KV struct {
 	Key, Val uint64
 }
 
-// SortKVs sorts pairs by ascending key. Range-query collections return
-// shard- or structure-order results; the facade's Scan and the
-// durability layer's snapshot writer both need key order.
+// SortKVs sorts pairs by ascending key: an EBR-RQ collection once its
+// limbo walk has added to it, and a sharded read that spans more key
+// blocks than the map has parts.
 func SortKVs(kvs []KV) {
 	slices.SortFunc(kvs, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
 }

@@ -82,6 +82,14 @@ type Collector interface {
 	RangeQueryAt(th *Thread, lo, hi uint64, s TS, out []KV) []KV
 }
 
+// blockShift sizes the key blocks a partitioned map deals to its parts in
+// rotation: 256 keys (EXPERIMENTS.md "Shards own key blocks").
+const blockShift = 8
+
+// PartOf maps key to the part, of n, owning its block: how a sharded map
+// routes a key, its log picks a stream and a Reader finds the parts hit.
+func PartOf(key uint64, n int) int { return int((key >> blockShift) % uint64(n)) }
+
 // part is one structure's share of a snapshot read: its collect walk and,
 // for EBR-RQ, its label lock.
 type part struct {
@@ -96,8 +104,9 @@ type part struct {
 // announcement must outlive every part's collection, so no part may
 // withdraw it. A structure's Reader has one part; NewFanout's has one per
 // shard, all labeled from one shared source and registered in one shared
-// Registry, with part i owning the keys of residue i modulo the part
-// count. DESIGN.md "Snapshot reads" has the argument.
+// Registry, with part i owning the key blocks ≡ i modulo the part count
+// (PartOf). Pairs come back in ascending key order. DESIGN.md "Snapshot
+// reads" has the argument.
 type Reader struct {
 	src   Source
 	peek  bool
@@ -134,19 +143,20 @@ func (r *Reader) Live(th *Thread, lo, hi uint64, out []KV) []KV {
 	return out
 }
 
-// Read appends the pairs of [lo, hi] as of one bound to out and returns
-// the bound with them: a fresh one when live, else the past timestamp ts
-// — then the technique must retain history (vCAS, Bundle), and a ts
-// outside it returns out unchanged with ErrTruncatedHistory or
-// ErrFutureTimestamp. A live read cannot fail.
+// Read appends the pairs of [lo, hi] as of one bound to out, in ascending
+// key order, and returns the bound with them: a fresh one when live, else
+// the past timestamp ts — then the technique must retain history (vCAS,
+// Bundle), and a ts outside it returns out unchanged with
+// ErrTruncatedHistory or ErrFutureTimestamp. A live read cannot fail.
 func (r *Reader) Read(th *Thread, lo, hi uint64, s TS, live bool, out []KV) ([]KV, TS, error) {
-	// Part i holds a key of [lo, hi] iff the interval covers a full residue
-	// cycle (always, with one part) or i's residue distance from lo's part
-	// is within the interval's width.
+	// [lo, hi] spans width+1 key blocks, dealt to the parts in rotation
+	// from first, lo's part. Visited in that order the parts it hits return
+	// their blocks ascending, unless it spans more blocks than there are
+	// parts and a part returns two: then the pairs are sorted once.
 	n := uint64(len(r.parts))
-	first, width := lo%n, hi-lo
-	all := width >= n-1
-	hit := func(i int) bool { return all || (uint64(i)+n-first)%n <= width }
+	first, width := uint64(PartOf(lo, len(r.parts))), hi>>blockShift-lo>>blockShift
+	hits := min(width, n-1) + 1
+	hit := func(i int) bool { return (uint64(i)+n-first)%n < hits }
 
 	tr, base := r.tr, len(out)
 	for {
@@ -181,21 +191,21 @@ func (r *Reader) Read(th *Thread, lo, hi uint64, s TS, live bool, out []KV) ([]K
 			tr.Span(th.ID, r.phase, mark)
 		}
 		th.AnnounceRQ(s)
-		for i, p := range r.parts {
-			if hit(i) {
-				out = p.at.RangeQueryAt(th, lo, hi, s, out)
+		for j, i := uint64(0), first; j < hits; j, i = j+1, i+1 {
+			if i == n {
+				i = 0
 			}
+			out = r.parts[i].at.RangeQueryAt(th, lo, hi, s, out)
 		}
 		// A past ts is a fixed number: "labels <= ts" is the same cut in
 		// every later generation, so only a fresh bound needs revalidating.
 		if !live || SnapshotValid(r.src, s) {
 			th.DoneRQ()
-			if r.stats != nil {
-				for i := range r.parts {
-					if hit(i) {
-						r.stats[i].RQs.Inc()
-					}
-				}
+			if n > 1 && width >= n {
+				SortKVs(out[base:])
+			}
+			for j := uint64(0); r.stats != nil && j < hits; j++ {
+				r.stats[(first+j)%n].RQs.Inc()
 			}
 			return out, s, nil
 		}

@@ -42,10 +42,17 @@ func count(log []string, ev string) (n int) {
 	return n
 }
 
+// fakeGap spaces the keys every fake part holds: four to a key block.
+const fakeGap = 1 << blockShift / 4
+
+// block is the first key of key block b.
+func block(b uint64) uint64 { return b << blockShift }
+
 // fakePart is one shard: it logs lock, unlock and collect events, checks
 // that the thread's one slot announces the bound it collects at, and
-// returns the keys of its residue class in [lo, hi]. It announces nothing
-// itself, as a structure's collect walk does not.
+// returns, ascending, the multiples of fakeGap in [lo, hi] whose key
+// blocks it owns. It announces nothing itself, as a structure's collect
+// walk does not.
 type fakePart struct {
 	t         *testing.T
 	log       *[]string
@@ -64,10 +71,20 @@ func (p *fakePart) RangeQueryAt(th *Thread, lo, hi uint64, s TS, out []KV) []KV 
 	if p.onCollect != nil {
 		p.onCollect(s)
 	}
-	for k := lo; k <= hi; k++ {
-		if k%uint64(p.n) == uint64(p.i) {
-			out = append(out, KV{Key: k, Val: s})
+	for _, kv := range keys(lo, hi, s) {
+		if PartOf(kv.Key, p.n) == p.i {
+			out = append(out, kv)
 		}
+	}
+	return out
+}
+
+// keys lists the pairs the fake parts hold in [lo, hi], ascending, all
+// at bound s.
+func keys(lo, hi uint64, s TS) []KV {
+	var out []KV
+	for k := (lo + fakeGap - 1) / fakeGap * fakeGap; k <= hi; k += fakeGap {
+		out = append(out, KV{Key: k, Val: s})
 	}
 	return out
 }
@@ -120,7 +137,7 @@ func TestReaderRetriesAcrossGenerationSwitch(t *testing.T) {
 		}
 	}
 	kept := []KV{{Key: 99, Val: 99}}
-	out, s, err := r.Read(th, 0, 5, 0, true, kept)
+	out, s, err := r.Read(th, 0, block(3)-1, 0, true, kept)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +150,7 @@ func TestReaderRetriesAcrossGenerationSwitch(t *testing.T) {
 	if count(*log, "collect 1") != 2 {
 		t.Errorf("part 1 collected %d times, want once per attempt", count(*log, "collect 1"))
 	}
-	want := []KV{{99, 99}, {0, s}, {3, s}, {1, s}, {4, s}, {2, s}, {5, s}}
+	want := append([]KV{{99, 99}}, keys(0, block(3)-1, s)...)
 	if !reflect.DeepEqual(out, want) {
 		t.Errorf("out = %v\nwant the caller's prefix kept and only the second attempt's pairs: %v", out, want)
 	}
@@ -142,9 +159,9 @@ func TestReaderRetriesAcrossGenerationSwitch(t *testing.T) {
 
 func TestReaderLocksAscendingAndUnlocksBeforeCollecting(t *testing.T) {
 	r, _, _, reg, th, log := fanout(t, 3, false, true)
-	r.Live(th, 0, 100, nil)
+	r.Live(th, block(1), block(4)-1, nil)
 	want := []string{"lock 0", "lock 1", "lock 2", "snapshot", "unlock 0", "unlock 1", "unlock 2",
-		"collect 0", "collect 1", "collect 2"}
+		"collect 1", "collect 2", "collect 0"}
 	if !reflect.DeepEqual(*log, want) {
 		t.Errorf("events = %v\nwant     %v", *log, want)
 	}
@@ -194,7 +211,7 @@ func TestReaderRefusalReleasesEveryReservation(t *testing.T) {
 	// At the watermark the read goes through, at the requested bound,
 	// without taking a lock or a fresh bound.
 	*log = (*log)[:0]
-	out, s, err := r.Read(th, 0, 2, src.ts(), false, nil)
+	out, s, err := r.Read(th, 0, 2*fakeGap, src.ts(), false, nil)
 	if err != nil || s != src.ts() || len(out) != 3 || out[0].Val != s {
 		t.Fatalf("read at the watermark: out %v bound %d err %v", out, s, err)
 	}
@@ -225,18 +242,20 @@ func TestReaderTouchesOnlyHitParts(t *testing.T) {
 		}
 	}
 
-	// [8, 10] are the keys of residues 3, 4, 0.
-	out := r.Live(th, 8, 10, nil)
+	// Blocks 3, 4 and 5 belong to parts 3, 4 and 0: the locks go in index
+	// order, the collections in rotation from lo's part.
+	lo, hi := block(3)+1, block(5)+fakeGap
+	out := r.Live(th, lo, hi, nil)
 	if reserved != 1 {
 		t.Errorf("the slot was reserved at %d of 1 bounds taken", reserved)
 	}
 	want := []string{"lock 0", "lock 3", "lock 4", "snapshot", "unlock 0", "unlock 3", "unlock 4",
-		"collect 0", "collect 3", "collect 4"}
+		"collect 3", "collect 4", "collect 0"}
 	if !reflect.DeepEqual(*log, want) {
 		t.Errorf("events = %v\nwant     %v", *log, want)
 	}
-	if len(out) != 3 {
-		t.Errorf("out = %v, want keys 8, 9, 10", out)
+	if w := keys(lo, hi, 10); !reflect.DeepEqual(out, w) {
+		t.Errorf("out = %v\nwant  %v", out, w)
 	}
 	for i, st := range stats {
 		if got, want := st.RQs.Load(), uint64(count(*log, fmt.Sprint("collect ", i))); got != want {
@@ -245,15 +264,44 @@ func TestReaderTouchesOnlyHitParts(t *testing.T) {
 	}
 	quiescent(t, reg)
 
-	// A width of n-1 or more covers every residue.
+	// n blocks or more cover every part, each collected once.
 	*log = (*log)[:0]
-	r.Live(th, 7, 11, nil)
+	r.Live(th, block(2)+7, block(2+n)-1, nil)
 	for i := 0; i < n; i++ {
 		if count(*log, fmt.Sprint("collect ", i)) != 1 {
-			t.Errorf("a full residue cycle did not collect part %d once: %v", i, *log)
+			t.Errorf("a full block cycle did not collect part %d once: %v", i, *log)
 		}
 	}
 	quiescent(t, reg)
+}
+
+// TestReaderReturnsKeyOrder: a read visits the parts it hits in rotation
+// from lo's part, so up to n blocks come back ascending as collected; a
+// read spanning more blocks than parts has some part return two blocks,
+// and comes back sorted all the same. With one part every read is the
+// part's own order.
+func TestReaderReturnsKeyOrder(t *testing.T) {
+	for _, n := range []int{1, 2, 4} {
+		r, _, _, _, th, log := fanout(t, n, false, false)
+		for _, iv := range [][2]uint64{
+			{0, fakeGap},                       // one block
+			{block(1) + 5, block(3)},           // across block boundaries
+			{block(6), block(6+uint64(n)) - 1}, // exactly n blocks, from part 6 mod n
+			{block(1) + 1, block(uint64(3*n + 2))},
+		} {
+			*log = (*log)[:0]
+			out, s, _ := r.Read(th, iv[0], iv[1], 0, true, nil)
+			if want := keys(iv[0], iv[1], s); !reflect.DeepEqual(out, want) {
+				t.Errorf("%d parts, [%d, %d]: out = %v\nwant %v", n, iv[0], iv[1], out, want)
+			}
+			if n == 4 && iv[0] == block(6) {
+				want := []string{"snapshot", "collect 2", "collect 3", "collect 0", "collect 1"}
+				if !reflect.DeepEqual(*log, want) {
+					t.Errorf("events = %v\nwant     %v", *log, want)
+				}
+			}
+		}
+	}
 }
 
 // TestReaderAnnouncesOnce: the Reader alone reserves, announces and
@@ -272,19 +320,19 @@ func TestReaderAnnouncesOnce(t *testing.T) {
 			}
 		}
 	}
-	if out := r.Live(th, 0, 8, nil); len(out) != 9 {
-		t.Errorf("live read returned %v, want keys 0..8", out)
+	if out := r.Live(th, 0, block(3)-1, nil); len(out) != 12 {
+		t.Errorf("live read returned %v, want the 12 keys of blocks 0-2", out)
 	}
 	if got := slot(th); got != Pending {
 		t.Errorf("slot after a live read = %d, want Pending", got)
 	}
-	if _, _, err := r.Read(th, 0, 8, src.ts()+5, false, nil); !errors.Is(err, ErrFutureTimestamp) {
+	if _, _, err := r.Read(th, 0, block(3)-1, src.ts()+5, false, nil); !errors.Is(err, ErrFutureTimestamp) {
 		t.Fatalf("read ahead of the source: err = %v, want ErrFutureTimestamp", err)
 	}
 	if got := slot(th); got != Pending {
 		t.Errorf("slot after a refused historical read = %d, want Pending", got)
 	}
-	if _, _, err := r.Read(th, 0, 8, src.ts(), false, nil); err != nil {
+	if _, _, err := r.Read(th, 0, block(3)-1, src.ts(), false, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := slot(th); got != Pending {
@@ -298,8 +346,8 @@ func TestReaderAnnouncesOnce(t *testing.T) {
 }
 
 // TestReaderAllocFree: the protocol itself allocates nothing per query —
-// no slice of parts, no escaping closure — flat or fanned out, live or
-// historical.
+// no slice of parts, no escaping closure, no sort buffer — flat or fanned
+// out, live or historical, within one block or wider than the parts.
 func TestReaderAllocFree(t *testing.T) {
 	for _, n := range []int{1, 4} {
 		log := &[]string{}
@@ -315,7 +363,7 @@ func TestReaderAllocFree(t *testing.T) {
 		*log = make([]string, 0, 1<<16)
 		if a := testing.AllocsPerRun(100, func() {
 			r.Live(th, 0, 9, buf)
-			r.Read(th, 0, 9, src.ts(), false, buf)
+			r.Read(th, 0, block(9), src.ts(), false, buf)
 			*log = (*log)[:0]
 		}); a != 0 {
 			t.Errorf("%d parts: a live plus a historical read allocate %.1f objects, want 0", n, a)

@@ -168,6 +168,9 @@ type Config struct {
 	KeyRange uint64
 	// RangeSpan bounds the width of generated range queries (default 32).
 	RangeSpan uint64
+	// KeyStride multiplies every key and range width drawn (default 1),
+	// spreading the same contention over the key blocks of every shard.
+	KeyStride uint64
 	// Prefill seeds the map with this many keys before workers start
 	// (default KeyRange/2).
 	Prefill int
@@ -214,6 +217,7 @@ func (c Config) withDefaults() Config {
 	if c.RangeSpan == 0 {
 		c.RangeSpan = 32
 	}
+	c.KeyStride = max(c.KeyStride, 1)
 	if c.Prefill == 0 {
 		c.Prefill = int(c.KeyRange / 2)
 	}

@@ -78,7 +78,7 @@ func Run(m tscds.Map, cfg Config) (*History, error) {
 	var pseq uint64
 	plog := make([]Event, 0, cfg.Prefill)
 	for inserted := 0; inserted < cfg.Prefill; {
-		key := prng.Uint64() % cfg.KeyRange
+		key := prng.Uint64() % cfg.KeyRange * cfg.KeyStride
 		pseq++
 		v := value(prefillTid, pseq)
 		ev := Event{Op: OpInsert, Thread: prefillTid, Key: key, Val: v}
@@ -133,7 +133,7 @@ func Run(m tscds.Map, cfg Config) (*History, error) {
 					capture()
 				}
 				p := rng.Intn(100)
-				key := rng.Uint64() % cfg.KeyRange
+				key := rng.Uint64() % cfg.KeyRange * cfg.KeyStride
 				var ev Event
 				ev.Thread = tid
 				switch {
@@ -150,8 +150,8 @@ func Run(m tscds.Map, cfg Config) (*History, error) {
 					ev.OK = m.Delete(th, key)
 					ev.Ret = stamp()
 				case p < cfg.InsertPct+cfg.DeletePct+cfg.RangePct:
-					lo := rng.Uint64() % cfg.KeyRange
-					hi := lo + rng.Uint64()%cfg.RangeSpan
+					lo := rng.Uint64() % cfg.KeyRange * cfg.KeyStride
+					hi := lo + rng.Uint64()%cfg.RangeSpan*cfg.KeyStride
 					ev.Op, ev.Lo, ev.Hi = OpRange, lo, hi
 					ev.Inv = stamp()
 					kvs := m.RangeQuery(th, lo, hi, nil)
@@ -175,8 +175,8 @@ func Run(m tscds.Map, cfg Config) (*History, error) {
 						ev.Val, ev.OK, err = m.GetAt(th, key, st.ts)
 						ev.Ret = stamp()
 					} else {
-						lo := rng.Uint64() % cfg.KeyRange
-						hi := lo + rng.Uint64()%cfg.RangeSpan
+						lo := rng.Uint64() % cfg.KeyRange * cfg.KeyStride
+						hi := lo + rng.Uint64()%cfg.RangeSpan*cfg.KeyStride
 						ev.Op, ev.Lo, ev.Hi = OpRangeAt, lo, hi
 						ev.Inv = stamp()
 						var kvs []tscds.KV

@@ -179,6 +179,39 @@ func TestLinearizabilityAdaptiveSwitch(t *testing.T) {
 	}
 }
 
+// shardStride spreads the harness's 128 keys over 8 key blocks, two of
+// every shard at 4 shards, so a sharded cell has the flat cells'
+// contention and still drives every shard and the cross-shard fan-out.
+const shardStride = 16
+
+// checkFanout fails unless every shard of a sharded run served point
+// operations and some range-shaped read of h hit more than one shard,
+// by the per-shard counts of met.
+func checkFanout(t *testing.T, met *tscds.Metrics, h *linearize.History) {
+	t.Helper()
+	reads := 0
+	for _, log := range h.Threads {
+		for i := range log {
+			switch log[i].Op {
+			case linearize.OpRange, linearize.OpRangeAt, linearize.OpGetAt:
+				if !log[i].Trunc {
+					reads++
+				}
+			}
+		}
+	}
+	var hits uint64
+	for i, sh := range met.Snapshot().Shards {
+		if sh.Ops == 0 {
+			t.Errorf("shard %d served no point operation", i)
+		}
+		hits += sh.RQs
+	}
+	if hits <= uint64(reads) {
+		t.Errorf("%d range-shaped reads hit %d shards in all: none spanned two", reads, hits)
+	}
+}
+
 // TestLinearizabilitySharded runs the same matrix through the sharded
 // front end at shard counts 2 and 4: the cross-shard snapshot protocol
 // (reserve every overlapping shard, one shared timestamp, per-shard
@@ -196,16 +229,18 @@ func TestLinearizabilitySharded(t *testing.T) {
 			name = strings.ReplaceAll(name, " ", "_")
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 1500}
+				cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 1500, KeyStride: shardStride}
 				if testing.Short() {
 					cfg.Ops = 300
 				}
 				if tr.S == tscds.LazyList {
 					cfg.Ops /= 2 // O(n) traversals
 				}
+				met := tscds.NewMetrics()
 				m, err := tscds.NewSharded(tr.S, tr.T, shards, tscds.Config{
 					Source:     tr.Src,
 					MaxThreads: cfg.Workers + 1,
+					Metrics:    met,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -215,6 +250,7 @@ func TestLinearizabilitySharded(t *testing.T) {
 					t.Fatalf("%v\nreproduce: go test -race -run 'TestLinearizabilitySharded/%s' . -linearize.seed=%d",
 						err, name, cfg.Seed)
 				}
+				checkFanout(t, met, h)
 				t.Logf("%s", h.Summary())
 			})
 		}
@@ -381,17 +417,19 @@ func TestLinearizabilityTimeTravelSharded(t *testing.T) {
 			name = strings.ReplaceAll(name, " ", "_")
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 1500, HistPct: 15}
+				cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 1500, HistPct: 15, KeyStride: shardStride}
 				if testing.Short() {
 					cfg.Ops = 300
 				}
 				if tr.S == tscds.LazyList {
 					cfg.Ops /= 2
 				}
+				met := tscds.NewMetrics()
 				m, err := tscds.NewSharded(tr.S, tr.T, shards, tscds.Config{
 					Source:     tr.Src,
 					MaxThreads: cfg.Workers + 1,
 					Retention:  ^uint64(0),
+					Metrics:    met,
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -408,6 +446,7 @@ func TestLinearizabilityTimeTravelSharded(t *testing.T) {
 				if trunc != 0 {
 					t.Fatalf("%d of %d historical reads refused under an unbounded retention window", trunc, reads)
 				}
+				checkFanout(t, met, h)
 				t.Logf("%s", h.Summary())
 			})
 		}
@@ -509,7 +548,7 @@ func TestLinearizabilityShardedCatchesFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 400, FaultRate: 0.2}
+	cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 400, FaultRate: 0.2, KeyStride: shardStride}
 	if _, err := linearize.RunAndCheck(m, cfg); err == nil {
 		t.Fatal("checker accepted a fault-injected sharded history")
 	}

@@ -12,16 +12,19 @@ import (
 
 // TestReadPathsAgree: every range-shaped read is the one snapshot-read
 // protocol behind a different adapter, so on a quiescent map they must
-// return the same set — RangeQuery, Scan, RangeQueryAt and ScanAt at
-// Now(), and the pairs a Checkpoint wrote — for every supported cell, flat
-// and sharded, over the whole key space and over an interval narrower
-// than the shard count (which only some shards hold keys of).
+// return the same pairs in the same ascending key order — RangeQuery,
+// Scan, RangeQueryAt and ScanAt at Now(), and the pairs a Checkpoint
+// wrote — for every supported cell, flat and sharded, over the whole key
+// space (wider than the shards' blocks: the Reader sorts), an interval
+// inside one key block and one straddling the boundary of blocks 7 and 8,
+// where the shards' rotation wraps to shard 0.
 func TestReadPathsAgree(t *testing.T) {
 	for _, c := range allCombos() {
 		for _, shards := range []int{0, 2, 4} {
 			t.Run(fmt.Sprintf("%v-%v-s%d", c.S, c.T, shards), func(t *testing.T) {
 				dir := t.TempDir()
-				cfg := Config{Source: TSC, MaxThreads: 4, Durability: &Durability{Dir: dir, SyncEvery: 64}}
+				met := NewMetrics()
+				cfg := Config{Source: TSC, MaxThreads: 4, Metrics: met, Durability: &Durability{Dir: dir, SyncEvery: 64}}
 				var m DurableMap
 				if shards == 0 {
 					plain, err := New(c.S, c.T, cfg)
@@ -40,15 +43,16 @@ func TestReadPathsAgree(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// 300 keys over 12 key blocks: three of every shard at 4.
 				model := map[uint64]uint64{}
 				for i := uint64(0); i < 300; i++ {
-					k := i * 7919 % 1000
+					k := i * 7919 % 1000 * 3
 					if m.Insert(th, k, i) {
 						model[k] = i
 					}
 				}
 				for k := range model {
-					if k%3 == 0 {
+					if k%9 == 0 { // a third of them
 						m.Delete(th, k)
 						delete(model, k)
 					}
@@ -57,7 +61,7 @@ func TestReadPathsAgree(t *testing.T) {
 				model[MaxKey] = 7
 
 				ts := m.Now()
-				for _, iv := range [][2]uint64{{0, ^uint64(0)}, {37, 38}, {500, 400}} {
+				for _, iv := range [][2]uint64{{0, ^uint64(0)}, {36, 39}, {2000, 2100}, {500, 400}} {
 					lo, hi := iv[0], iv[1]
 					var want []KV
 					for k, v := range model {
@@ -68,7 +72,6 @@ func TestReadPathsAgree(t *testing.T) {
 					core.SortKVs(want)
 					same := func(path string, got []KV) {
 						t.Helper()
-						core.SortKVs(got)
 						if !reflect.DeepEqual(got, want) {
 							t.Errorf("%s[%d,%d] = %d pairs %v\nwant %d pairs %v", path, lo, hi, len(got), got, len(want), want)
 						}
@@ -94,6 +97,13 @@ func TestReadPathsAgree(t *testing.T) {
 					same("ScanAt", scannedAt)
 				}
 
+				if shards > 0 {
+					for i, sh := range met.Snapshot().Shards {
+						if sh.Ops == 0 || sh.RQs == 0 {
+							t.Errorf("shard %d served %d point ops and %d range queries, want some of each", i, sh.Ops, sh.RQs)
+						}
+					}
+				}
 				if err := m.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
@@ -110,7 +120,10 @@ func TestReadPathsAgree(t *testing.T) {
 					t.Errorf("%d records left to replay over a checkpoint of a quiescent map", recov.Stats.Replayed)
 				}
 				wrote := map[uint64]uint64{}
-				for _, p := range recov.Pairs {
+				for i, p := range recov.Pairs {
+					if i > 0 && p.Key <= recov.Pairs[i-1].Key {
+						t.Fatalf("Checkpoint wrote key %d after %d", p.Key, recov.Pairs[i-1].Key)
+					}
 					wrote[p.Key] = p.Val
 				}
 				if len(wrote) != len(recov.Pairs) || !reflect.DeepEqual(wrote, model) {

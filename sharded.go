@@ -15,11 +15,11 @@ import (
 // linearizable across shards by running the one snapshot-read protocol
 // (core.Reader; DESIGN.md "Snapshot reads") with one part per shard: a
 // single bound from the shared source, announced once in the shared
-// registry, every overlapping shard collected at it. The argument
-// that (bound, collection) is a linearizable snapshot is the same per
-// shard as in the unsharded structure, and the shared bound makes the
-// union of the per-shard snapshots a snapshot of the whole map at that
-// instant.
+// registry, every shard owning a key block of the interval collected at
+// it, in key order. The argument that (bound, collection) is a
+// linearizable snapshot is the same per shard as in the unsharded
+// structure, and the shared bound makes the union of the per-shard
+// snapshots a snapshot of the whole map at that instant.
 //
 // The cost is that every range query re-serializes on the shared
 // source: with a Logical source, sharding point updates S ways still
@@ -44,11 +44,13 @@ func (m *ShardedMap) Shards() int { return m.n }
 // NewSharded builds a Map whose key space is partitioned across shards
 // independent copies of the (s, t) structure, all labeled from one
 // shared timestamp source of cfg.Source's kind. Keys map to shards by
-// residue (internal key mod shards), which load-balances dense and
-// uniform key sets alike. Point operations touch only the owning
-// shard; RangeQuery and Scan remain linearizable across shards (one
-// timestamp, every overlapping shard collected at it). shards < 1 is a
-// *ConfigError. Combination rules are exactly New's.
+// block: the 256 internal keys of block b belong to shard b mod shards,
+// so a dense or uniform key set still spreads over every shard while a
+// short range query touches one or two. Point operations touch only the
+// owning shard; RangeQuery and Scan remain linearizable across shards
+// (one timestamp, every overlapping shard collected at it) and return
+// ascending keys, as on a flat map. shards < 1 is a *ConfigError.
+// Combination rules are exactly New's.
 //
 // cfg.MaxThreads bounds handles as in New: every shard shares the map's one
 // registry, and a handle is one slot whichever shards it touches.
@@ -61,8 +63,8 @@ func NewSharded(s Structure, t Technique, shards int, cfg Config) (*ShardedMap, 
 		return nil, &ConfigError{"shards", fmt.Sprintf("%d is below 1", shards)}
 	}
 	sm := &ShardedMap{n: shards}
-	// The WAL shards by the same internal-key residue as the map, so each
-	// shard's log is ordered by that shard's update serialization.
+	// The WAL splits keys by the same blocks as the map, so each shard's
+	// log is ordered by that shard's update serialization.
 	err := sm.wrap.init(s, t, cfg, shards, func(src core.Source, reg *core.Registry) (inner, uint64, error) {
 		return newShardedInner(s, t, cfg, src, reg, shards)
 	})
@@ -73,9 +75,9 @@ func NewSharded(s Structure, t Technique, shards int, cfg Config) (*ShardedMap, 
 }
 
 // shardedInner composes the per-shard structures behind the facade's
-// inner surface. Keys arriving here are internal (post-shift) keys;
-// the partition is by internal-key residue, which is as consistent a
-// partition as any (the facade's shift is a constant).
+// inner surface. Keys arriving here are internal (post-shift) keys; the
+// partition is by internal-key block (core.PartOf), which is as
+// consistent a partition as any (the facade's shift is a constant).
 type shardedInner struct {
 	inners []inner
 	stats  []*obs.ShardStats // per-shard routing counts; nil without metrics
@@ -122,7 +124,7 @@ func (sh *shardedInner) SetHooks(h core.Hooks) {
 
 func (sh *shardedInner) Reader() *core.Reader { return sh.rd }
 
-func (sh *shardedInner) shard(key uint64) int { return int(key % uint64(len(sh.inners))) }
+func (sh *shardedInner) shard(key uint64) int { return core.PartOf(key, len(sh.inners)) }
 
 func (sh *shardedInner) Insert(th *core.Thread, key, val uint64) bool {
 	i := sh.shard(key)

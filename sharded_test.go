@@ -2,7 +2,6 @@ package tscds
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 )
 
@@ -12,7 +11,8 @@ var shardCounts = []int{1, 2, 4, 8}
 // TestShardedCrossProduct model-checks every valid (structure,
 // technique) pair through the sharded front end at each shard count:
 // point operations against a reference map, then full- and partial-range
-// queries compared key-for-key in sorted order.
+// queries compared key-for-key in ascending order. The 64 keys, 64 apart,
+// fill 16 key blocks: two of every shard at 8 shards.
 func TestShardedCrossProduct(t *testing.T) {
 	for _, c := range allCombos() {
 		for _, n := range shardCounts {
@@ -29,20 +29,21 @@ func TestShardedCrossProduct(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer th.Release()
+				const gap = 64
 				model := map[uint64]uint64{}
-				for k := uint64(0); k < 64; k++ {
+				for k := uint64(0); k < 64*gap; k += gap {
 					if m.Insert(th, k, k*10) != true {
 						t.Fatalf("Insert(%d) = false", k)
 					}
 					model[k] = k * 10
 				}
-				for k := uint64(0); k < 64; k += 3 {
+				for k := uint64(0); k < 64*gap; k += 3 * gap {
 					if !m.Delete(th, k) {
 						t.Fatalf("Delete(%d) = false", k)
 					}
 					delete(model, k)
 				}
-				for k := uint64(0); k < 64; k++ {
+				for k := uint64(0); k < 64*gap; k += gap {
 					_, want := model[k]
 					if got := m.Contains(th, k); got != want {
 						t.Fatalf("Contains(%d) = %v, want %v", k, got, want)
@@ -55,7 +56,6 @@ func TestShardedCrossProduct(t *testing.T) {
 				checkRange := func(lo, hi uint64) {
 					t.Helper()
 					got := m.RangeQuery(th, lo, hi, nil)
-					sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
 					var want []KV
 					for k := lo; k <= hi; k++ {
 						if v, ok := model[k]; ok {
@@ -71,9 +71,10 @@ func TestShardedCrossProduct(t *testing.T) {
 						}
 					}
 				}
-				checkRange(0, 63)  // every shard overlaps
-				checkRange(5, 5)   // exactly one shard overlaps
-				checkRange(10, 12) // a strict subset of shards when n > 4
+				checkRange(0, 64*gap)         // every shard overlaps
+				checkRange(5*gap, 5*gap)      // exactly one shard overlaps
+				checkRange(10*gap, 12*gap)    // two shards when n > 1
+				checkRange(3*gap+1, 60*gap-1) // more blocks than shards
 				if got, want := m.Len(), len(model); got != want {
 					t.Fatalf("Len = %d, want %d", got, want)
 				}
@@ -180,9 +181,9 @@ func TestShardedLenDrainAggregation(t *testing.T) {
 }
 
 // TestShardedMetricsShardSums pins the per-shard routing counts: the
-// Ops sum equals the point operations issued, each op landed on the
-// key's residue shard, and a narrow range query touches exactly the
-// overlapping shards.
+// Ops sum equals the point operations issued, each op landed on the shard
+// that owns the key's block, and a narrow range query touches exactly the
+// shard holding its keys while a wide one touches all of them.
 func TestShardedMetricsShardSums(t *testing.T) {
 	const shards = 4
 	met := NewMetrics()
@@ -195,9 +196,12 @@ func TestShardedMetricsShardSums(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer th.Release()
-	const keys = 40 // 10 point ops per shard under residue partitioning
+	// Five keys in each of the blocks 0-7, two blocks per shard: 10 point
+	// ops per shard. BST applies no key shift, so user keys are internal
+	// keys here.
+	const keys, block = 40, 256
 	for k := uint64(0); k < keys; k++ {
-		m.Insert(th, k, k)
+		m.Insert(th, k%8*block+k/8, k)
 	}
 	snap := met.Snapshot()
 	if len(snap.Shards) != shards {
@@ -214,10 +218,9 @@ func TestShardedMetricsShardSums(t *testing.T) {
 		t.Fatalf("shard ops sum = %d, want %d", ops, keys)
 	}
 
-	// [2,2] lives on one shard; [0,39] spans all of them. BST applies no
-	// key shift, so user keys are internal keys here.
-	m.RangeQuery(th, 2, 2, nil)
-	m.RangeQuery(th, 0, keys-1, nil)
+	// Block 6 belongs to shard 2; blocks 0-7 to all of them.
+	m.RangeQuery(th, 6*block+1, 6*block+3, nil)
+	m.RangeQuery(th, 0, 8*block-1, nil)
 	snap = met.Snapshot()
 	var rqs uint64
 	for i, sh := range snap.Shards {

@@ -273,8 +273,9 @@ type Map interface {
 	// Get returns the value at key.
 	Get(th *Thread, key uint64) (uint64, bool)
 	// RangeQuery appends all pairs with lo <= key <= hi from one
-	// linearizable snapshot to buf and returns it. An empty interval
-	// (hi < lo) returns buf unchanged without taking a snapshot.
+	// linearizable snapshot to buf, in ascending key order, and returns
+	// it. An empty interval (hi < lo) returns buf unchanged without
+	// taking a snapshot.
 	RangeQuery(th *Thread, lo, hi uint64, buf []KV) []KV
 	// Scan streams the same snapshot to fn in ascending key order;
 	// returning false stops early. The snapshot is still taken in full
@@ -299,7 +300,7 @@ type Map interface {
 	// RangeQueryAt is RangeQuery against the snapshot at a caller-
 	// chosen past timestamp ts, with GetAt's error semantics. All
 	// returned pairs are from the single instant ts, even across
-	// shards.
+	// shards, and in ascending key order.
 	RangeQueryAt(th *Thread, lo, hi, ts uint64, buf []KV) ([]KV, error)
 	// ScanAt streams the snapshot at ts to fn in ascending key order;
 	// returning false stops early. Error semantics as GetAt; fn is
@@ -733,10 +734,9 @@ func (w *wrap) Scan(th *Thread, lo, hi uint64, fn func(KV) bool) {
 	emit(w.RangeQuery(th, lo, hi, nil), fn)
 }
 
-// emit streams collected pairs to fn in ascending key order until it
-// returns false.
+// emit streams collected pairs, which a read returns in ascending key
+// order, to fn until it returns false.
 func emit(kvs []KV, fn func(KV) bool) {
-	core.SortKVs(kvs)
 	for _, kv := range kvs {
 		if !fn(kv) {
 			return
