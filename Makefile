@@ -10,8 +10,8 @@ test:
 
 # check is the pre-commit gate: static checks, race-enabled tests on the
 # concurrency-sensitive packages, and the short-mode linearizability
-# matrix (every supported structure x technique x source combination),
-# plus the sharded-map tests and the read-path agreement test, which run
+# matrix (a pairwise cover holding every supported structure x technique x
+# source combination), plus the sharded-map tests and the read-path agreement test, which run
 # one handle across every shard outside that matrix.
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
 # obs itself plus obs/promparse and obs/trace; ./internal/jiffy/... runs
@@ -94,7 +94,9 @@ inline-check:
 # depth, or a .go/.s file), a BENCH_*.json
 # artifact, a subcommand `reproduce` does not dispatch (a
 # `case "<word>":` in its main.go), or an `-arm structure/technique` whose
-# structure or technique is not a key of its map in internal/bench/arms.go.
+# structure or technique is not a key of its map in internal/bench/arms.go,
+# or a backticked Test/Fuzz/Benchmark name that no *_test.go declares as a
+# func (a trailing * names a prefix).
 # ISSUE/CHANGES/ROADMAP are history and plans, benchmark/ is
 # frozen by BENCHMARK.json; neither is checked.
 DOCS = $(filter-out ./ISSUE.md ./CHANGES.md ./ROADMAP.md ./benchmark/%, \
@@ -111,6 +113,10 @@ doc-check:
 	for a in $$(grep -ohE -- '-arm +[a-z]+/[a-z-]+' $(DOCS) | awk '{ print $$NF }' | sort -u); do \
 		keys structures | grep -qx "$${a%/*}" && keys techniques | grep -qx "$${a#*/}" \
 			|| miss "internal/bench/arms.go has no arm $$a" "-arm $$a"; done; \
+	funcs=$$(grep -rhoE '^func (Test|Fuzz|Benchmark)[A-Za-z0-9_]*' --include='*_test.go' . | cut -d' ' -f2); \
+	for n in $$(grep -ohE '`[^`]+`' $(DOCS) | grep -oE '(Test|Fuzz|Benchmark)[A-Z][A-Za-z0-9_]*\*?' | sort -u); do \
+		case "$$n" in *\*) echo "$$funcs" | grep -q "^$${n%\*}" ;; *) echo "$$funcs" | grep -qx "$$n" ;; esac \
+			|| miss "no *_test.go declares $$n" "$$n"; done; \
 	exit $$ok
 
 # deps-check keeps the version and entry layers free of any allocation

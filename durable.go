@@ -105,7 +105,6 @@ type durable struct {
 	inner inner
 	rd    *core.Reader // collects the whole map at one bound
 	src   core.Source
-	shift uint64
 	tr    *trace.Recorder
 
 	snapMu  sync.Mutex // serializes Checkpoint with the flusher
@@ -152,17 +151,17 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 		return fmt.Errorf("tscds: durability thread handle: %w", err)
 	}
 
-	// Replay the recovered image. Keys in the log and snapshot are
-	// user keys; the facade's sentinel shift is reapplied here, so a
-	// log written by one structure recovers into any other.
+	// Replay the recovered image. Keys in the log and snapshot are the
+	// user keys every structure stores, so a log written by one structure
+	// recovers into any other.
 	for _, p := range recov.Pairs {
 		if p.Key <= MaxKey {
-			w.m.Insert(th, p.Key+w.shift, p.Val)
+			w.m.Insert(th, p.Key, p.Val)
 		}
 	}
 	for _, r := range recov.Replay {
 		if r.Key <= MaxKey {
-			apply(w.m, th, r.Op, r.Key+w.shift, r.Val)
+			apply(w.m, th, r.Op, r.Key, r.Val)
 		}
 	}
 
@@ -172,7 +171,6 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 		inner:    w.m,
 		rd:       w.rd,
 		src:      w.srcImpl,
-		shift:    w.shift,
 		tr:       w.tr,
 		th:       th,
 		recovery: recov.Stats,
@@ -193,20 +191,20 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 // Insert or Delete (val is ignored for a delete). Failed in-memory ops
 // log nothing — per key the log holds only effective updates, which is
 // what makes redundant replay over a snapshot converge.
-func (d *durable) update(th *core.Thread, op wal.OpKind, ikey, val uint64) (bool, error) {
-	sh := core.PartOf(ikey, len(d.mus))
+func (d *durable) update(th *core.Thread, op wal.OpKind, key, val uint64) (bool, error) {
+	sh := core.PartOf(key, len(d.mus))
 	var mark uint64
 	if d.tr != nil {
 		mark = d.tr.Now()
 	}
 	mu := &d.mus[sh]
 	mu.Lock()
-	if !apply(d.inner, th, op, ikey, val) {
+	if !apply(d.inner, th, op, key, val) {
 		mu.Unlock()
 		return false, nil
 	}
 	lsn, err := d.log.Append(sh, wal.Record{
-		TS: d.src.Peek(), Op: op, Key: ikey - d.shift, Val: val,
+		TS: d.src.Peek(), Op: op, Key: key, Val: val,
 	})
 	mu.Unlock()
 	if err == nil {
@@ -221,9 +219,9 @@ func (d *durable) update(th *core.Thread, op wal.OpKind, ikey, val uint64) (bool
 // checkpoint is one snapshot flush: collect the whole map at a single
 // bound with writers running — a fresh one when live, else the past
 // timestamp ts through the retained version history GetAt reads — in key
-// order, write atomically, then prune the segments the bound covers. Newer
-// records stay, so replay over a historical snapshot still converges to
-// the log's final state.
+// order, write the collected buffer atomically as it is, then prune the
+// segments the bound covers. Newer records stay, so replay over a
+// historical snapshot still converges to the log's final state.
 func (d *durable) checkpoint(ts uint64, live bool) error {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
@@ -232,16 +230,12 @@ func (d *durable) checkpoint(ts uint64, live bool) error {
 	// sealed segment whose maxTS the prune below can compare against
 	// the snapshot bound.
 	d.log.RotateAll()
-	kvs, ts, err := d.rd.Read(d.th, d.shift, MaxKey+d.shift, ts, live, d.snapBuf[:0])
+	kvs, ts, err := d.rd.Read(d.th, 0, MaxKey, ts, live, d.snapBuf[:0])
 	d.snapBuf = kvs[:0]
 	if err != nil {
 		return err
 	}
-	pairs := make([]wal.Pair, len(kvs))
-	for i, kv := range kvs {
-		pairs[i] = wal.Pair{Key: kv.Key - d.shift, Val: kv.Val}
-	}
-	err = d.log.WriteSnapshot(ts, pairs)
+	err = d.log.WriteSnapshot(ts, kvs)
 	d.tr.SharedSpan(trace.PhaseSnapshotFlush, mark)
 	if err != nil {
 		return err

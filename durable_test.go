@@ -354,6 +354,70 @@ func TestDurableRestartRoundtrip(t *testing.T) {
 	}
 }
 
+// TestMaxKeyBoundaryShiftedStructures: the two ends of the key space, 0
+// and MaxKey, are keys like any other on every arm, flat and at 4 shards
+// (where they live in different shards), and survive a Checkpoint, a WAL
+// tail, Close and reopen.
+func TestMaxKeyBoundaryShiftedStructures(t *testing.T) {
+	const top = tscds.MaxKey
+	for _, spec := range bench.Arms() {
+		s, tech, err := bench.ParseArm(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/s%d", spec, shards), func(t *testing.T) {
+				cfg := tscds.Config{Durability: &tscds.Durability{Dir: cmDir, FS: faultfs.New(faultfs.Fault{})}}
+				open := func() tscds.DurableMap {
+					t.Helper()
+					var m tscds.Map
+					var err error
+					if shards == 1 {
+						m, err = tscds.New(s, tech, cfg)
+					} else {
+						m, err = tscds.NewSharded(s, tech, shards, cfg)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					return m.(tscds.DurableMap)
+				}
+				expect := func(m tscds.Map, th *tscds.Thread, lo, hi uint64, want ...tscds.KV) {
+					t.Helper()
+					if got := m.RangeQuery(th, lo, hi, nil); !slices.Equal(got, want) {
+						t.Fatalf("RangeQuery(%d, %d) = %v, want %v", lo, hi, got, want)
+					}
+				}
+				m := open()
+				th, _ := m.RegisterThread()
+				if !m.Insert(th, 0, 1) || !m.Insert(th, top, 2) || m.Insert(th, 0, 3) || !m.Contains(th, top) {
+					t.Fatal("insert semantics at the key space's ends")
+				}
+				expect(m, th, 0, 0, tscds.KV{Key: 0, Val: 1})
+				expect(m, th, top-1, top, tscds.KV{Key: top, Val: 2})
+				if err := m.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				if !m.Delete(th, top) || !m.Insert(th, top, 4) || !m.Insert(th, 1, 5) {
+					t.Fatal("update semantics after the checkpoint")
+				}
+				th.Release()
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				m = open()
+				defer m.Close()
+				th, _ = m.RegisterThread()
+				defer th.Release()
+				expect(m, th, 0, top, tscds.KV{Key: 0, Val: 1}, tscds.KV{Key: 1, Val: 5}, tscds.KV{Key: top, Val: 4})
+				if !m.Delete(th, 0) || !m.Delete(th, top) || m.Contains(th, 0) || m.Contains(th, top) {
+					t.Fatal("delete semantics after reopen")
+				}
+			})
+		}
+	}
+}
+
 // TestRecoverResidueStreams: a directory whose 4-stream log split keys by
 // residue (key mod 4), as a map did before shards owned key blocks, still
 // recovers. Within one run every record of a key sits in one stream under

@@ -61,6 +61,43 @@ func checkRangeAgainstModel(t *testing.T, label string, m Map, th *Thread, model
 	}
 }
 
+// tapeStep applies op i of a tape to m and the model at key — 0 inserts,
+// 1 deletes, 2 tests membership, anything else compares [key, key+span]
+// with checkRangeAgainstModel — and fails on the first disagreement.
+func tapeStep(t *testing.T, label string, i int, m Map, th *Thread, model map[uint64]uint64, op byte, key, span uint64) {
+	t.Helper()
+	_, exists := model[key]
+	switch op {
+	case 0:
+		if got := m.Insert(th, key, key*3); got == exists {
+			t.Fatalf("%s op %d: Insert(%d)=%v exists=%v", label, i, key, got, exists)
+		}
+		if !exists {
+			model[key] = key * 3
+		}
+	case 1:
+		if got := m.Delete(th, key); got != exists {
+			t.Fatalf("%s op %d: Delete(%d)=%v exists=%v", label, i, key, got, exists)
+		}
+		delete(model, key)
+	case 2:
+		if got := m.Contains(th, key); got != exists {
+			t.Fatalf("%s op %d: Contains(%d)=%v want %v", label, i, key, got, exists)
+		}
+	default:
+		checkRangeAgainstModel(t, fmt.Sprintf("%s op %d", label, i), m, th, model, key, key+span)
+	}
+}
+
+// checkFinal compares the whole map with the model once a tape has run.
+func checkFinal(t *testing.T, label string, m Map, th *Thread, model map[uint64]uint64) {
+	t.Helper()
+	checkRangeAgainstModel(t, label+" final", m, th, model, 0, MaxKey)
+	if m.Len() != len(model) {
+		t.Fatalf("%s final: Len=%d model=%d", label, m.Len(), len(model))
+	}
+}
+
 // FuzzMapAgainstModel feeds arbitrary operation tapes through every
 // (structure, technique) pair and a reference map simultaneously. Each
 // tape byte-pair is one operation: the first byte selects the op, the
@@ -90,40 +127,12 @@ func FuzzMapAgainstModel(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			label := fmt.Sprintf("%v/%v", c.S, c.T)
 			model := map[uint64]uint64{}
 			for i := 0; i+1 < len(tape); i += 2 {
-				op := tape[i] % 4
-				key := uint64(tape[i+1])
-				switch op {
-				case 0:
-					_, exists := model[key]
-					if got := m.Insert(th, key, key*3); got == exists {
-						t.Fatalf("%v/%v op %d: Insert(%d)=%v exists=%v", c.S, c.T, i, key, got, exists)
-					}
-					if !exists {
-						model[key] = key * 3
-					}
-				case 1:
-					_, exists := model[key]
-					if got := m.Delete(th, key); got != exists {
-						t.Fatalf("%v/%v op %d: Delete(%d)=%v exists=%v", c.S, c.T, i, key, got, exists)
-					}
-					delete(model, key)
-				case 2:
-					_, exists := model[key]
-					if got := m.Contains(th, key); got != exists {
-						t.Fatalf("%v/%v op %d: Contains(%d)=%v want %v", c.S, c.T, i, key, got, exists)
-					}
-				default:
-					label := fmt.Sprintf("%v/%v op %d", c.S, c.T, i)
-					checkRangeAgainstModel(t, label, m, th, model, key, key+16)
-				}
+				tapeStep(t, label, i, m, th, model, tape[i]%4, uint64(tape[i+1]), 16)
 			}
-			// Final full-range agreement.
-			checkRangeAgainstModel(t, fmt.Sprintf("%v/%v final", c.S, c.T), m, th, model, 0, MaxKey)
-			if m.Len() != len(model) {
-				t.Fatalf("%v/%v final: Len=%d model=%d", c.S, c.T, m.Len(), len(model))
-			}
+			checkFinal(t, label, m, th, model)
 			th.Release()
 		}
 	})
@@ -169,37 +178,10 @@ func FuzzShardedAgainstModel(f *testing.F) {
 		defer th.Release()
 		model := map[uint64]uint64{}
 		for i := 0; i+1 < len(tape); i += 2 {
-			op := tape[i] % 4
-			key := uint64(tape[i+1]) * keyStride
-			switch op {
-			case 0:
-				_, exists := model[key]
-				if got := m.Insert(th, key, key*3); got == exists {
-					t.Fatalf("%s op %d: Insert(%d)=%v exists=%v", label, i, key, got, exists)
-				}
-				if !exists {
-					model[key] = key * 3
-				}
-			case 1:
-				_, exists := model[key]
-				if got := m.Delete(th, key); got != exists {
-					t.Fatalf("%s op %d: Delete(%d)=%v exists=%v", label, i, key, got, exists)
-				}
-				delete(model, key)
-			case 2:
-				_, exists := model[key]
-				if got := m.Contains(th, key); got != exists {
-					t.Fatalf("%s op %d: Contains(%d)=%v want %v", label, i, key, got, exists)
-				}
-			default:
-				// Four keys span at most two blocks: a partial fan-out.
-				checkRangeAgainstModel(t, fmt.Sprintf("%s op %d", label, i), m, th, model, key, key+3*keyStride)
-			}
+			// A range of four keys spans at most two blocks: a partial fan-out.
+			tapeStep(t, label, i, m, th, model, tape[i]%4, uint64(tape[i+1])*keyStride, 3*keyStride)
 		}
-		checkRangeAgainstModel(t, label+" final", m, th, model, 0, MaxKey)
-		if m.Len() != len(model) {
-			t.Fatalf("%s final: Len=%d model=%d", label, m.Len(), len(model))
-		}
+		checkFinal(t, label, m, th, model)
 	})
 }
 
@@ -256,36 +238,9 @@ func FuzzAdaptiveSwitch(f *testing.F) {
 				health.InjectBackstep(uint64(time.Hour))
 				injected++
 			}
-			op := tape[i] % 4
-			key := uint64(tape[i+1])
-			switch op {
-			case 0:
-				_, exists := model[key]
-				if got := m.Insert(th, key, key*3); got == exists {
-					t.Fatalf("%s op %d: Insert(%d)=%v exists=%v", label, i, key, got, exists)
-				}
-				if !exists {
-					model[key] = key * 3
-				}
-			case 1:
-				_, exists := model[key]
-				if got := m.Delete(th, key); got != exists {
-					t.Fatalf("%s op %d: Delete(%d)=%v exists=%v", label, i, key, got, exists)
-				}
-				delete(model, key)
-			case 2:
-				_, exists := model[key]
-				if got := m.Contains(th, key); got != exists {
-					t.Fatalf("%s op %d: Contains(%d)=%v want %v", label, i, key, got, exists)
-				}
-			default:
-				checkRangeAgainstModel(t, fmt.Sprintf("%s op %d", label, i), m, th, model, key, key+16)
-			}
+			tapeStep(t, label, i, m, th, model, tape[i]%4, uint64(tape[i+1]), 16)
 		}
-		checkRangeAgainstModel(t, label+" final", m, th, model, 0, MaxKey)
-		if m.Len() != len(model) {
-			t.Fatalf("%s final: Len=%d model=%d", label, m.Len(), len(model))
-		}
+		checkFinal(t, label, m, th, model)
 		if injected > 0 {
 			if hs := health.Snapshot(); hs.SourceSwitches < 1 {
 				t.Fatalf("%s: %d backsteps injected but no generation switch recorded", label, injected)
@@ -593,39 +548,15 @@ func fuzzPooledCell(t *testing.T, s Structure, tech Technique, tape []byte) {
 		t.Fatal(err)
 	}
 	defer th.Release()
+	label := fmt.Sprintf("%v/%v", s, tech)
 	model := map[uint64]uint64{}
 	for i := 0; i+1 < len(tape); i += 2 {
-		op := tape[i] % 5
-		key := uint64(tape[i+1])
-		switch op {
-		case 0:
-			_, exists := model[key]
-			if got := m.Insert(th, key, key*3); got == exists {
-				t.Fatalf("%v/%v op %d: Insert(%d)=%v exists=%v", s, tech, i, key, got, exists)
-			}
-			if !exists {
-				model[key] = key * 3
-			}
-		case 1:
-			_, exists := model[key]
-			if got := m.Delete(th, key); got != exists {
-				t.Fatalf("%v/%v op %d: Delete(%d)=%v exists=%v", s, tech, i, key, got, exists)
-			}
-			delete(model, key)
-		case 2:
-			_, exists := model[key]
-			if got := m.Contains(th, key); got != exists {
-				t.Fatalf("%v/%v op %d: Contains(%d)=%v want %v", s, tech, i, key, got, exists)
-			}
-		case 3:
-			checkRangeAgainstModel(t, fmt.Sprintf("%v/%v op %d", s, tech, i), m, th, model, key, key+16)
-		default:
+		if op := tape[i] % 5; op < 4 {
+			tapeStep(t, label, i, m, th, model, op, uint64(tape[i+1]), 16)
+		} else {
 			m.Drain() // recycle everything retired so far
 		}
 	}
 	m.Drain()
-	checkRangeAgainstModel(t, fmt.Sprintf("%v/%v final", s, tech), m, th, model, 0, MaxKey)
-	if m.Len() != len(model) {
-		t.Fatalf("%v/%v final: Len=%d model=%d", s, tech, m.Len(), len(model))
-	}
+	checkFinal(t, label, m, th, model)
 }

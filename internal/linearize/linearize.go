@@ -56,6 +56,7 @@ package linearize
 
 import (
 	"fmt"
+	"slices"
 
 	"tscds"
 )
@@ -137,18 +138,29 @@ func (h *History) Events() int {
 	return n
 }
 
-// Summary is a one-line operation census for test logs.
-func (h *History) Summary() string {
-	var counts [OpRangeAt + 1]int
-	trunc := 0
+// Count returns how many recorded operations are of one of the kinds ops,
+// and how many of those were retention refusals.
+func (h *History) Count(ops ...OpKind) (n, trunc int) {
 	for _, log := range h.Threads {
 		for i := range log {
-			counts[log[i].Op]++
-			if log[i].Trunc {
-				trunc++
+			if slices.Contains(ops, log[i].Op) {
+				n++
+				if log[i].Trunc {
+					trunc++
+				}
 			}
 		}
 	}
+	return n, trunc
+}
+
+// Summary is a one-line operation census for test logs.
+func (h *History) Summary() string {
+	var counts [OpRangeAt + 1]int
+	for op := range counts {
+		counts[op], _ = h.Count(OpKind(op))
+	}
+	_, trunc := h.Count(OpGetAt, OpRangeAt)
 	return fmt.Sprintf("%d events (ins %d, del %d, ctn %d, get %d, rq %d, getat %d, rqat %d, trunc %d)",
 		h.Events(), counts[OpInsert], counts[OpDelete],
 		counts[OpContains], counts[OpGet], counts[OpRange],

@@ -32,7 +32,8 @@ const maxLevel = 20
 // for 3 to 6.
 const inlineLevels = 5
 
-// MaxKey is the largest insertable key; 0 is the head sentinel's slot.
+// MaxKey is the largest insertable key. The head holds no key: every
+// search starts at it or its successor and never compares its key.
 const MaxKey = ^uint64(0) - 2
 
 // tower is a node's links, one per level it occupies: the low
@@ -303,8 +304,7 @@ func unlockPreds[L any](locked *[maxLevel]*node[L], n int) {
 
 // Insert adds key with val; it returns false if already present.
 func (t *list[L, P]) Insert(th *core.Thread, key, val uint64) bool {
-	if key > MaxKey || key == 0 {
-		// 0 is the head sentinel's slot; the facade offsets keys.
+	if key > MaxKey {
 		return false
 	}
 	t.p.enter(th.ID)

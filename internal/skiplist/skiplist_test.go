@@ -103,12 +103,27 @@ func TestDeleteWaitsForFullyLinked(t *testing.T) {
 	}
 }
 
-func TestKeyZeroRejected(t *testing.T) {
+// The head holds no key, so key 0 is a key like any other: beside the
+// head, before key 1, in every snapshot that reaches it.
+func TestKeyZeroRoundTrip(t *testing.T) {
 	for name, mk := range allVariants(t) {
 		t.Run(name, func(t *testing.T) {
 			l, reg := mk(core.Logical, 1)
-			if l.Insert(reg.MustRegister(), 0, 1) {
-				t.Fatal("key 0 (head sentinel) insertable")
+			th := reg.MustRegister()
+			if !l.Insert(th, 0, 7) || !l.Insert(th, 1, 8) || l.Insert(th, 0, 9) {
+				t.Fatal("key 0 insert semantics")
+			}
+			if v, ok := l.Get(th, 0); !ok || v != 7 {
+				t.Fatalf("Get(0) = (%d,%v)", v, ok)
+			}
+			if got := l.RangeQuery(th, 0, 1, nil); len(got) != 2 || got[0] != (core.KV{Key: 0, Val: 7}) {
+				t.Fatalf("RangeQuery(0, 1) = %v", got)
+			}
+			if !l.Delete(th, 0) || l.Contains(th, 0) || l.Delete(th, 0) {
+				t.Fatal("key 0 delete semantics")
+			}
+			if got := l.RangeQuery(th, 0, MaxKey, nil); len(got) != 1 || got[0].Key != 1 {
+				t.Fatalf("range after Delete(0) = %v", got)
 			}
 		})
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+
+	"tscds/internal/core"
 )
 
 // OpKind labels a logged update.
@@ -20,9 +22,8 @@ const (
 // Record is one logged update. TS is the op's source timestamp, read
 // after the in-memory apply under the same per-shard serialization
 // that orders the log, so per shard the TS sequence is monotone and
-// log order is linearization order. Key is the user key (the facade's
-// sentinel shift already removed), so a log replays correctly into any
-// structure. Val is meaningful for inserts only.
+// log order is linearization order. Key is the user key, so a log replays
+// correctly into any structure. Val is meaningful for inserts only.
 type Record struct {
 	TS  uint64
 	Op  OpKind
@@ -30,11 +31,9 @@ type Record struct {
 	Val uint64
 }
 
-// Pair is one snapshot entry.
-type Pair struct {
-	Key uint64
-	Val uint64
-}
+// Pair is one snapshot entry: a collected key-value pair, written as the
+// read returned it.
+type Pair = core.KV
 
 // recordSize is the fixed on-disk record size:
 // crc32c(4) | ts(8) | op(1) | key(8) | val(8).

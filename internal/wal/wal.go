@@ -34,16 +34,15 @@ type Options struct {
 	// Stats, when non-nil, receives append/batch/fsync/retry/recovery
 	// counters.
 	Stats *obs.WALStats
-	// MaxRetries bounds write/fsync retry attempts on transient errors
-	// (default 4; each retry backs off exponentially from
-	// RetryBackoff). A still-failing op makes the log's error sticky.
-	MaxRetries int
-	// RetryBackoff is the initial retry backoff (default 1ms).
-	RetryBackoff time.Duration
-
-	// sleep substitutes time.Sleep in tests.
-	sleep func(time.Duration)
 }
+
+// A write or fsync that fails is retried maxRetries times, backing off
+// exponentially from retryBackoff; a still-failing op makes the log's
+// error sticky.
+const (
+	maxRetries   = 4
+	retryBackoff = time.Millisecond
+)
 
 // segMeta is pruning metadata for one no-longer-active segment file.
 type segMeta struct {
@@ -62,10 +61,6 @@ type Log struct {
 	runID uint64
 	sync  int
 	stats *obs.WALStats
-
-	maxRetries int
-	backoff    time.Duration
-	sleep      func(time.Duration)
 
 	shards []*shardLog
 
@@ -122,26 +117,14 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	if opts.FS == nil {
 		opts.FS = OS()
 	}
-	if opts.MaxRetries <= 0 {
-		opts.MaxRetries = 4
-	}
-	if opts.RetryBackoff <= 0 {
-		opts.RetryBackoff = time.Millisecond
-	}
-	if opts.sleep == nil {
-		opts.sleep = time.Sleep
-	}
 	if err := opts.FS.MkdirAll(opts.Dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: create dir: %w", err)
 	}
 	l := &Log{
-		fs:         opts.FS,
-		dir:        opts.Dir,
-		sync:       opts.SyncEvery,
-		stats:      opts.Stats,
-		maxRetries: opts.MaxRetries,
-		backoff:    opts.RetryBackoff,
-		sleep:      opts.sleep,
+		fs:    opts.FS,
+		dir:   opts.Dir,
+		sync:  opts.SyncEvery,
+		stats: opts.Stats,
 	}
 	rec, maxRun, nextSeq, err := l.scan(opts.Shards)
 	if err != nil {
@@ -268,7 +251,7 @@ func (l *Log) RotateAll() {
 
 // WriteSnapshot atomically writes the snapshot image taken at bound ts
 // (temp file + fsync + rename + dir sync). kvs must be the full map
-// content at ts, sorted by key, with user (unshifted) keys.
+// content at ts, sorted by key.
 func (l *Log) WriteSnapshot(ts uint64, kvs []Pair) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
@@ -533,14 +516,14 @@ func (l *Log) writeRetry(f File, b []byte) error {
 		if off == len(b) && err == nil {
 			return nil
 		}
-		if attempt >= l.maxRetries {
+		if attempt >= maxRetries {
 			break
 		}
 		if err != nil {
 			if l.stats != nil {
 				l.stats.Retries.Inc()
 			}
-			l.sleep(l.backoff << uint(attempt))
+			time.Sleep(retryBackoff << uint(attempt))
 		}
 	}
 	if err == nil {
@@ -559,12 +542,12 @@ func (l *Log) syncRetry(f File) error {
 			}
 			return nil
 		}
-		if attempt >= l.maxRetries {
+		if attempt >= maxRetries {
 			return err
 		}
 		if l.stats != nil {
 			l.stats.Retries.Inc()
 		}
-		l.sleep(l.backoff << uint(attempt))
+		time.Sleep(retryBackoff << uint(attempt))
 	}
 }

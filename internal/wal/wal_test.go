@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tscds/internal/obs"
 	"tscds/internal/wal"
@@ -26,7 +25,7 @@ func openLog(t *testing.T, fs wal.FS, shards, syncEvery int, stats *obs.WALStats
 	t.Helper()
 	l, rec, err := wal.Open(wal.Options{
 		Dir: dir, Shards: shards, SyncEvery: syncEvery,
-		FS: fs, Stats: stats, RetryBackoff: time.Microsecond,
+		FS: fs, Stats: stats,
 	})
 	if err != nil {
 		t.Fatalf("wal.Open: %v", err)
@@ -516,7 +515,7 @@ func TestOpenClosesSegmentsOnFailure(t *testing.T) {
 	// creates shard 1's, whose header write then fails.
 	inner := faultfs.New(faultfs.Fault{AtOp: 3, Kind: faultfs.KindENOSPC})
 	fs := &closeCountFS{FS: inner}
-	_, _, err := wal.Open(wal.Options{Dir: dir, Shards: 2, FS: fs, RetryBackoff: time.Microsecond})
+	_, _, err := wal.Open(wal.Options{Dir: dir, Shards: 2, FS: fs})
 	if !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("Open = %v, want the injected error", err)
 	}
@@ -530,7 +529,7 @@ func TestOpenClosesSegmentsOnFailure(t *testing.T) {
 func TestFailedRotationClosesEachFileOnce(t *testing.T) {
 	inner := faultfs.New(faultfs.Fault{})
 	fs := &closeCountFS{FS: inner}
-	l, _, err := wal.Open(wal.Options{Dir: dir, Shards: 1, FS: fs, RetryBackoff: time.Microsecond})
+	l, _, err := wal.Open(wal.Options{Dir: dir, Shards: 1, FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,181 +1,208 @@
 package tscds_test
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tscds"
+	"tscds/internal/bench"
 	"tscds/internal/linearize"
+	"tscds/internal/wal/faultfs"
 )
 
 // linSeed pins the harness workload so a failing run can be replayed:
 //
-//	go test -race -run 'TestLinearizability/<subtest>' . -linearize.seed=<seed>
+//	go test -race -run 'TestLinearizability/<cell>' . -linearize.seed=<seed>
 var linSeed = flag.Int64("linearize.seed", 1, "workload seed for the linearizability matrix")
 
-// linTriple is one cell of the correctness matrix.
-type linTriple struct {
-	S   tscds.Structure
-	T   tscds.Technique
-	Src tscds.SourceKind
+// A cell is one setup of the linearizability matrix: the map it opens, the
+// harness load, and the checks its levels add on the run's map m and
+// history h.
+type cell struct {
+	name   string
+	s      tscds.Structure
+	t      tscds.Technique
+	shards int
+	cfg    tscds.Config
+	run    linearize.Config
+	checks []func(t *testing.T, c *cell)
+	m      tscds.Map
+	h      *linearize.History
 }
 
-// linMatrix enumerates every (structure, technique, source) combination
-// tscds.New accepts, discovered by construction so the matrix can never
-// silently lag the constructor.
-func linMatrix() []linTriple {
-	var out []linTriple
-	for _, s := range []tscds.Structure{tscds.BST, tscds.Citrus, tscds.SkipList, tscds.LazyList} {
-		for _, tech := range []tscds.Technique{tscds.VCAS, tscds.Bundle, tscds.EBRRQ, tscds.EBRRQLockFree} {
-			for _, src := range []tscds.SourceKind{tscds.Logical, tscds.TSC, tscds.Monotonic, tscds.Adaptive} {
-				if _, err := tscds.New(s, tech, tscds.Config{Source: src}); err == nil {
-					out = append(out, linTriple{s, tech, src})
-				}
-			}
+// open builds the cell's map: flat at one shard, sharded above.
+func (c *cell) open() (tscds.Map, error) {
+	if c.shards == 1 {
+		return tscds.New(c.s, c.t, c.cfg)
+	}
+	m, err := tscds.NewSharded(c.s, c.t, c.shards, c.cfg)
+	if err != nil {
+		return nil, err // not a nil *ShardedMap in a non-nil Map
+	}
+	return m, nil
+}
+
+// level is one value of an axis: its name in cell names, its edit of a
+// cell and its post-run check, either of which may be nil.
+type level struct {
+	name  string
+	edit  func(c *cell)
+	check func(t *testing.T, c *cell)
+}
+
+// linAxes is the matrix's axis table, the arm first. Level 0 of every
+// other axis is the plain setup, which goes with every level.
+func linAxes() [][]level {
+	var arms []level
+	for _, spec := range bench.Arms() {
+		s, tech, _ := bench.ParseArm(spec)
+		arms = append(arms, level{strings.ReplaceAll(spec, "/", "_"), func(c *cell) { c.s, c.t = s, tech }, nil})
+	}
+	src := func(k tscds.SourceKind) level { return level{k.String(), func(c *cell) { c.cfg.Source = k }, nil} }
+	retain := func(name string, w uint64, why string, bad func(reads, trunc int) bool) level {
+		return level{name, func(c *cell) { c.cfg.Retention = w }, histCheck(why, bad)}
+	}
+	shards := func(n int) level {
+		return level{fmt.Sprintf("s%d", n), func(c *cell) {
+			c.shards, c.cfg.Metrics, c.run.KeyStride = n, tscds.NewMetrics(), shardStride
+		}, checkFanout}
+	}
+	durable := func(every int) level {
+		return level{fmt.Sprintf("sync%d", every), func(c *cell) {
+			c.cfg.Durability = &tscds.Durability{Dir: "lin", SyncEvery: every, FS: faultfs.New(faultfs.Fault{})}
+		}, checkRecovered}
+	}
+	return [][]level{
+		arms,
+		{src(tscds.Logical), src(tscds.TSC), src(tscds.Monotonic), {"Adaptive", adaptive, checkSwitch}},
+		{{"GC", nil, nil}, {"Pool", func(c *cell) { c.cfg.Alloc = tscds.AllocPool }, nil}},
+		{{"ret0", nil, nil},
+			retain("ret512", 512, "stale stamps expire, not all", func(r, tr int) bool { return r > 0 && tr == r }),
+			retain("retAll", ^uint64(0), "everything is retained", func(_, tr int) bool { return tr > 0 })},
+		{{"s1", nil, nil}, shards(2), shards(4)},
+		{{"volatile", nil, nil}, durable(1), durable(64)},
+		{{"hist0", nil, nil}, {"hist15", func(c *cell) { c.run.HistPct = 15 },
+			histCheck("15 % of operations read history", func(r, _ int) bool { return r == 0 })}},
+	}
+}
+
+// build applies level setup[a] of every axis a to a fresh cell.
+func build(axes [][]level, setup []int) *cell {
+	c := &cell{shards: 1, run: linearize.Config{Seed: *linSeed, Workers: 4}}
+	c.cfg.MaxThreads = c.run.Workers + 2 // and the prefill and durability handles
+	var names []string
+	for a, i := range setup {
+		l := axes[a][i]
+		names = append(names, l.name)
+		if l.edit != nil {
+			l.edit(c)
+		}
+		if l.check != nil {
+			c.checks = append(c.checks, l.check)
 		}
 	}
-	return out
+	c.name = strings.Join(names, "-")
+	return c
 }
 
-// TestLinearizability is the paper's claim under stress: for every
-// supported combination, concurrent range queries, point reads and
-// updates recorded by the harness admit a sequential witness. Short
-// mode (wired into `make check` and CI) runs a reduced load; the full
-// load runs under `make linearize`.
+// linAccepts reports whether New/NewSharded builds the setup's map and,
+// when it reads history, whether the map's GetAt serves it.
+func linAccepts(axes [][]level) func(setup []int) bool {
+	return func(setup []int) bool {
+		c := build(axes, setup)
+		m, err := c.open()
+		if err != nil {
+			return false
+		}
+		defer m.(tscds.DurableMap).Close()
+		th, _ := m.RegisterThread()
+		defer th.Release()
+		_, _, err = m.GetAt(th, 0, m.Now())
+		return c.run.HistPct == 0 || !errors.Is(err, tscds.ErrHistoryUnsupported)
+	}
+}
+
+// linCover is the matrix: the pairwise cover of the levels linAccepts
+// takes together. The arm and source axes come first, so every (structure,
+// technique, source) triple New accepts starts a cell.
+var linCover = sync.OnceValues(func() ([][]level, [][]int) {
+	axes := linAxes()
+	return axes, pairwise(axes, linAccepts(axes))
+})
+
+// TestLinearizability is the paper's claim under stress, one subtest per
+// cell: concurrent updates, point reads and range queries (and, in hist15
+// cells, reads at captured past timestamps) admit a sequential witness,
+// and every level's check holds. The cells share one budget of events;
+// short mode (`make check`, CI) runs a fifth of it.
 func TestLinearizability(t *testing.T) {
-	triples := linMatrix()
-	if len(triples) == 0 {
-		t.Fatal("matrix is empty")
+	axes, setups := linCover()
+	events := 1_300_000
+	if testing.Short() {
+		events = 280_000
 	}
-	for _, tr := range triples {
-		tr := tr
-		name := fmt.Sprintf("%v-%v-%v", tr.S, tr.T, tr.Src)
-		name = strings.ReplaceAll(name, " ", "_")
-		t.Run(name, func(t *testing.T) {
+	for _, setup := range setups {
+		c := build(axes, setup)
+		c.run.Ops = events / (len(setups) * c.run.Workers)
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 2500}
-			if testing.Short() {
-				cfg.Ops = 500
-			}
-			if tr.S == tscds.LazyList {
-				cfg.Ops /= 2 // O(n) traversals
-			}
-			m, err := tscds.New(tr.S, tr.T, tscds.Config{
-				Source:     tr.Src,
-				MaxThreads: cfg.Workers + 1,
-			})
-			if err != nil {
+			var err error
+			if c.m, err = c.open(); err != nil {
 				t.Fatal(err)
 			}
-			h, err := linearize.RunAndCheck(m, cfg)
-			if err != nil {
+			if c.h, err = linearize.RunAndCheck(c.m, c.run); err != nil {
 				t.Fatalf("%v\nreproduce: go test -race -run 'TestLinearizability/%s' . -linearize.seed=%d",
-					err, name, cfg.Seed)
+					err, c.name, c.run.Seed)
 			}
-			t.Logf("%s", h.Summary())
-		})
-	}
-
-	// Pooled-allocation cells: each EBR-RQ structure — the maps whose
-	// epoch manager feeds the pool — rechecked with nodes served from
-	// recycled memory. A node recycled too early, or a constructor that
-	// forgets to reset a field, shows up here as a history with no
-	// sequential witness.
-	pooled := []linTriple{
-		{tscds.BST, tscds.EBRRQ, tscds.Logical},
-		{tscds.Citrus, tscds.EBRRQ, tscds.TSC},
-		{tscds.SkipList, tscds.EBRRQ, tscds.TSC},
-		{tscds.SkipList, tscds.EBRRQLockFree, tscds.Logical},
-	}
-	for _, tr := range pooled {
-		tr := tr
-		name := fmt.Sprintf("%v-%v-%v-Pool", tr.S, tr.T, tr.Src)
-		name = strings.ReplaceAll(name, " ", "_")
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 2500}
-			if testing.Short() {
-				cfg.Ops = 500
+			for _, check := range c.checks {
+				check(t, c)
 			}
-			m, err := tscds.New(tr.S, tr.T, tscds.Config{
-				Source:     tr.Src,
-				MaxThreads: cfg.Workers + 1,
-				Alloc:      tscds.AllocPool,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := linearize.RunAndCheck(m, cfg)
-			if err != nil {
-				t.Fatalf("%v\nreproduce: go test -race -run 'TestLinearizability/%s' . -linearize.seed=%d",
-					err, name, cfg.Seed)
-			}
-			t.Logf("%s", h.Summary())
+			t.Logf("%s", c.h.Summary())
 		})
 	}
 }
 
-// TestLinearizabilityAdaptiveSwitch is the adaptive source's correctness
-// claim under stress: for every combination that accepts Adaptive, a TSC
-// backstep is injected halfway through the run (while every worker keeps
-// operating), forcing the source to fail over from hardware to the
-// logical counter mid-history. The recorded history spans the generation
-// switch — range queries before, during and after it — and must still
-// admit a sequential witness. The health monitor must also record that
-// the switch actually happened, so a regression that stops acting on
-// tsc.Health cannot pass vacuously.
-func TestLinearizabilityAdaptiveSwitch(t *testing.T) {
-	var triples []linTriple
-	for _, tr := range linMatrix() {
-		if tr.Src == tscds.Adaptive {
-			triples = append(triples, tr)
+// TestLinearizabilityCoversEveryPair: every pair of levels linAccepts takes
+// runs in some cell. So every (structure, technique, source) triple New
+// accepts is a cell; every arm runs at 2 and 4 shards, pooled, at each
+// retention and durable at SyncEvery 1 and 64; every arm with history reads it.
+func TestLinearizabilityCoversEveryPair(t *testing.T) {
+	axes, setups := linCover()
+	for _, p := range uncovered(axes, linAccepts(axes), setups) {
+		t.Errorf("no cell runs %s beside %s", axes[p.a][p.i].name, axes[p.b][p.j].name)
+	}
+}
+
+// adaptive runs the Adaptive source, and injects a TSC backstep halfway
+// through worker 0's run that fails it over to the logical counter. An hour
+// of ticks backwards is unambiguously a fault, and the counter's seed then
+// dominates any reading taken just before.
+func adaptive(c *cell) {
+	h := tscds.NewTSCHealth(c.cfg.MaxThreads)
+	c.cfg.Source, c.cfg.Health = tscds.Adaptive, h
+	c.run.Midpoint = func() { h.InjectBackstep(uint64(time.Hour)) }
+}
+
+// checkSwitch: the backstep switched the source, timed, so a source that
+// stops acting on its health cannot pass vacuously.
+func checkSwitch(t *testing.T, c *cell) {
+	if hs := c.cfg.Health.Snapshot(); hs.SourceSwitches < 1 || hs.SwitchTotalNS == 0 {
+		t.Errorf("injected a backstep mid-run but the adaptive source never switched, or the switch was not timed (health: %+v)", hs)
+	}
+}
+
+// histCheck checks the counts of historical reads and of their retention
+// refusals: bad reports counts that contradict why.
+func histCheck(why string, bad func(reads, trunc int) bool) func(*testing.T, *cell) {
+	return func(t *testing.T, c *cell) {
+		if reads, trunc := c.h.Count(linearize.OpGetAt, linearize.OpRangeAt); bad(reads, trunc) {
+			t.Errorf("%d historical reads, %d refused, but %s", reads, trunc, why)
 		}
-	}
-	if len(triples) == 0 {
-		t.Fatal("no combination accepts the Adaptive source")
-	}
-	for _, tr := range triples {
-		tr := tr
-		name := fmt.Sprintf("%v-%v", tr.S, tr.T)
-		name = strings.ReplaceAll(name, " ", "_")
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 2000}
-			if testing.Short() {
-				cfg.Ops = 500
-			}
-			if tr.S == tscds.LazyList {
-				cfg.Ops /= 2 // O(n) traversals
-			}
-			health := tscds.NewTSCHealth(cfg.Workers + 1)
-			cfg.Midpoint = func() {
-				// A full hour of TSC ticks backwards: unambiguously a fault,
-				// and large enough that the logical counter's seed dominates
-				// any hardware reading taken just before the injection.
-				health.InjectBackstep(uint64(time.Hour))
-			}
-			m, err := tscds.New(tr.S, tr.T, tscds.Config{
-				Source:     tscds.Adaptive,
-				Health:     health,
-				MaxThreads: cfg.Workers + 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := linearize.RunAndCheck(m, cfg)
-			if err != nil {
-				t.Fatalf("%v\nreproduce: go test -race -run 'TestLinearizabilityAdaptiveSwitch/%s' . -linearize.seed=%d",
-					err, name, cfg.Seed)
-			}
-			hs := health.Snapshot()
-			if hs.SourceSwitches < 1 || hs.SwitchTotalNS == 0 {
-				t.Fatalf("injected a backstep mid-run but the adaptive source never switched, or the switch was not timed (health: %+v)", hs)
-			}
-			t.Logf("%s; %d switches, %d failbacks", h.Summary(), hs.SourceSwitches, hs.SourceFailbacks)
-		})
 	}
 }
 
@@ -184,272 +211,38 @@ func TestLinearizabilityAdaptiveSwitch(t *testing.T) {
 // contention and still drives every shard and the cross-shard fan-out.
 const shardStride = 16
 
-// checkFanout fails unless every shard of a sharded run served point
-// operations and some range-shaped read of h hit more than one shard,
-// by the per-shard counts of met.
-func checkFanout(t *testing.T, met *tscds.Metrics, h *linearize.History) {
-	t.Helper()
-	reads := 0
-	for _, log := range h.Threads {
-		for i := range log {
-			switch log[i].Op {
-			case linearize.OpRange, linearize.OpRangeAt, linearize.OpGetAt:
-				if !log[i].Trunc {
-					reads++
-				}
-			}
-		}
-	}
+// checkFanout: every shard served point operations and some read hit more
+// than one shard, by the per-shard counts of the metrics.
+func checkFanout(t *testing.T, c *cell) {
+	reads, trunc := c.h.Count(linearize.OpRange, linearize.OpRangeAt, linearize.OpGetAt)
 	var hits uint64
-	for i, sh := range met.Snapshot().Shards {
+	for i, sh := range c.cfg.Metrics.Snapshot().Shards {
 		if sh.Ops == 0 {
 			t.Errorf("shard %d served no point operation", i)
 		}
 		hits += sh.RQs
 	}
-	if hits <= uint64(reads) {
-		t.Errorf("%d range-shaped reads hit %d shards in all: none spanned two", reads, hits)
+	if hits <= uint64(reads-trunc) {
+		t.Errorf("%d range-shaped reads hit %d shards in all: none spanned two", reads-trunc, hits)
 	}
 }
 
-// TestLinearizabilitySharded runs the same matrix through the sharded
-// front end at shard counts 2 and 4: the cross-shard snapshot protocol
-// (reserve every overlapping shard, one shared timestamp, per-shard
-// collection at it) must admit a sequential witness under the same
-// adversarial schedules as the single structures.
-func TestLinearizabilitySharded(t *testing.T) {
-	triples := linMatrix()
-	if len(triples) == 0 {
-		t.Fatal("matrix is empty")
+// checkRecovered closes the durable map, reopens it over the same files and
+// requires the recovered full range to be a crash-consistent state of the
+// history: after a clean Close, its final one.
+func checkRecovered(t *testing.T, c *cell) {
+	if err := c.m.(tscds.DurableMap).Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	for _, shards := range []int{2, 4} {
-		for _, tr := range triples {
-			shards, tr := shards, tr
-			name := fmt.Sprintf("%v-%v-%v-s%d", tr.S, tr.T, tr.Src, shards)
-			name = strings.ReplaceAll(name, " ", "_")
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 1500, KeyStride: shardStride}
-				if testing.Short() {
-					cfg.Ops = 300
-				}
-				if tr.S == tscds.LazyList {
-					cfg.Ops /= 2 // O(n) traversals
-				}
-				met := tscds.NewMetrics()
-				m, err := tscds.NewSharded(tr.S, tr.T, shards, tscds.Config{
-					Source:     tr.Src,
-					MaxThreads: cfg.Workers + 1,
-					Metrics:    met,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				h, err := linearize.RunAndCheck(m, cfg)
-				if err != nil {
-					t.Fatalf("%v\nreproduce: go test -race -run 'TestLinearizabilitySharded/%s' . -linearize.seed=%d",
-						err, name, cfg.Seed)
-				}
-				checkFanout(t, met, h)
-				t.Logf("%s", h.Summary())
-			})
-		}
+	m, err := c.open()
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
 	}
-}
-
-// histCount tallies the recorded historical reads and how many of them
-// were retention refusals, so the time-travel tests can prove they did
-// not pass vacuously.
-func histCount(h *linearize.History) (reads, trunc int) {
-	for _, log := range h.Threads {
-		for i := range log {
-			if log[i].Op == linearize.OpGetAt || log[i].Op == linearize.OpRangeAt {
-				reads++
-				if log[i].Trunc {
-					trunc++
-				}
-			}
-		}
-	}
-	return reads, trunc
-}
-
-// TestLinearizabilityTimeTravel is the MVCC claim under stress: in
-// every history-retaining cell of the matrix, workers capture
-// timestamps mid-run and later read at them with GetAt/RangeQueryAt
-// while updates, live range queries and — in the tight-retention
-// subtests — version pruning keep running. Every historical
-// observation must match the version whose linearization window covers
-// the capture instant; a retention refusal is legal but a wrong-epoch
-// value is not. Cells:
-//
-//   - every (structure, VCAS|Bundle, source) triple with an effectively
-//     unbounded retention window, so every captured stamp must resolve;
-//   - tight-retention Logical cells, where concurrent pruning races the
-//     readers and ErrTruncatedHistory refusals are expected alongside
-//     successful reads (the run asserts at least one read resolved);
-//   - Adaptive cells with a mid-run TSC backstep: stamps captured in
-//     the pre-switch generation must still resolve after the switch.
-func TestLinearizabilityTimeTravel(t *testing.T) {
-	var triples []linTriple
-	for _, tr := range linMatrix() {
-		if tr.T == tscds.VCAS || tr.T == tscds.Bundle {
-			triples = append(triples, tr)
-		}
-	}
-	if len(triples) == 0 {
-		t.Fatal("no history-retaining combination in the matrix")
-	}
-	for _, tr := range triples {
-		tr := tr
-		name := fmt.Sprintf("%v-%v-%v", tr.S, tr.T, tr.Src)
-		name = strings.ReplaceAll(name, " ", "_")
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 2000, HistPct: 15}
-			if testing.Short() {
-				cfg.Ops = 400
-			}
-			if tr.S == tscds.LazyList {
-				cfg.Ops /= 2 // O(n) traversals
-			}
-			var health *tscds.TSCHealth
-			if tr.Src == tscds.Adaptive {
-				health = tscds.NewTSCHealth(cfg.Workers + 1)
-				cfg.Midpoint = func() {
-					health.InjectBackstep(uint64(time.Hour))
-				}
-			}
-			m, err := tscds.New(tr.S, tr.T, tscds.Config{
-				Source:     tr.Src,
-				Health:     health,
-				MaxThreads: cfg.Workers + 1,
-				Retention:  ^uint64(0), // retain everything: every stamp must resolve
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := linearize.RunAndCheck(m, cfg)
-			if err != nil {
-				t.Fatalf("%v\nreproduce: go test -race -run 'TestLinearizabilityTimeTravel/%s' . -linearize.seed=%d",
-					err, name, cfg.Seed)
-			}
-			reads, trunc := histCount(h)
-			if reads == 0 {
-				t.Fatal("no historical reads recorded: HistPct not honored")
-			}
-			if trunc != 0 {
-				t.Fatalf("%d of %d historical reads refused under an unbounded retention window", trunc, reads)
-			}
-			if health != nil {
-				if hs := health.Snapshot(); hs.SourceSwitches < 1 {
-					t.Fatalf("injected a backstep mid-run but the adaptive source never switched (health: %+v)", hs)
-				}
-			}
-			t.Logf("%s", h.Summary())
-		})
-	}
-
-	// Tight retention: the watermark chases the source, pruning races
-	// the readers, and stale stamps legally refuse. The checker skips
-	// refusals; every read that resolves must still be exact.
-	tight := []linTriple{
-		{tscds.BST, tscds.VCAS, tscds.Logical},
-		{tscds.Citrus, tscds.Bundle, tscds.Logical},
-		{tscds.SkipList, tscds.VCAS, tscds.Logical},
-		{tscds.LazyList, tscds.Bundle, tscds.Logical},
-	}
-	for _, tr := range tight {
-		tr := tr
-		name := fmt.Sprintf("%v-%v-tight", tr.S, tr.T)
-		name = strings.ReplaceAll(name, " ", "_")
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 2000, HistPct: 20}
-			if testing.Short() {
-				cfg.Ops = 400
-			}
-			if tr.S == tscds.LazyList {
-				cfg.Ops /= 2
-			}
-			m, err := tscds.New(tr.S, tr.T, tscds.Config{
-				Source:     tr.Src,
-				MaxThreads: cfg.Workers + 1,
-				Retention:  512, // a few hundred logical ticks: stale stamps expire mid-run
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h, err := linearize.RunAndCheck(m, cfg)
-			if err != nil {
-				t.Fatalf("%v\nreproduce: go test -race -run 'TestLinearizabilityTimeTravel/%s' . -linearize.seed=%d",
-					err, name, cfg.Seed)
-			}
-			reads, trunc := histCount(h)
-			if reads == 0 {
-				t.Fatal("no historical reads recorded: HistPct not honored")
-			}
-			if trunc == reads {
-				t.Fatalf("all %d historical reads refused: retention window never admitted a stamp", reads)
-			}
-			t.Logf("%s", h.Summary())
-		})
-	}
-}
-
-// TestLinearizabilityTimeTravelSharded pushes the historical mix
-// through the sharded front end: the cross-shard fan-out validates once
-// against the shared watermark, collects every overlapping shard at the
-// same past timestamp, and the merged result must admit the same
-// sequential witness as a single structure.
-func TestLinearizabilityTimeTravelSharded(t *testing.T) {
-	cells := []linTriple{
-		{tscds.BST, tscds.VCAS, tscds.Logical},
-		{tscds.BST, tscds.VCAS, tscds.TSC},
-		{tscds.Citrus, tscds.Bundle, tscds.TSC},
-		{tscds.SkipList, tscds.VCAS, tscds.Adaptive},
-		{tscds.LazyList, tscds.Bundle, tscds.Logical},
-	}
-	for _, shards := range []int{2, 4} {
-		for _, tr := range cells {
-			shards, tr := shards, tr
-			name := fmt.Sprintf("%v-%v-%v-s%d", tr.S, tr.T, tr.Src, shards)
-			name = strings.ReplaceAll(name, " ", "_")
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				cfg := linearize.Config{Seed: *linSeed, Workers: 4, Ops: 1500, HistPct: 15, KeyStride: shardStride}
-				if testing.Short() {
-					cfg.Ops = 300
-				}
-				if tr.S == tscds.LazyList {
-					cfg.Ops /= 2
-				}
-				met := tscds.NewMetrics()
-				m, err := tscds.NewSharded(tr.S, tr.T, shards, tscds.Config{
-					Source:     tr.Src,
-					MaxThreads: cfg.Workers + 1,
-					Retention:  ^uint64(0),
-					Metrics:    met,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				h, err := linearize.RunAndCheck(m, cfg)
-				if err != nil {
-					t.Fatalf("%v\nreproduce: go test -race -run 'TestLinearizabilityTimeTravelSharded/%s' . -linearize.seed=%d",
-						err, name, cfg.Seed)
-				}
-				reads, trunc := histCount(h)
-				if reads == 0 {
-					t.Fatal("no historical reads recorded: HistPct not honored")
-				}
-				if trunc != 0 {
-					t.Fatalf("%d of %d historical reads refused under an unbounded retention window", trunc, reads)
-				}
-				checkFanout(t, met, h)
-				t.Logf("%s", h.Summary())
-			})
-		}
+	defer m.(tscds.DurableMap).Close()
+	th, _ := m.RegisterThread()
+	defer th.Release()
+	if err := linearize.CheckDurable(c.h, nil, m.RangeQuery(th, 0, tscds.MaxKey, nil)); err != nil {
+		t.Errorf("recovered state: %v", err)
 	}
 }
 

@@ -44,7 +44,7 @@ func (m *ShardedMap) Shards() int { return m.n }
 // NewSharded builds a Map whose key space is partitioned across shards
 // independent copies of the (s, t) structure, all labeled from one
 // shared timestamp source of cfg.Source's kind. Keys map to shards by
-// block: the 256 internal keys of block b belong to shard b mod shards,
+// block: the 256 keys of block b belong to shard b mod shards,
 // so a dense or uniform key set still spreads over every shard while a
 // short range query touches one or two. Point operations touch only the
 // owning shard; RangeQuery and Scan remain linearizable across shards
@@ -65,7 +65,7 @@ func NewSharded(s Structure, t Technique, shards int, cfg Config) (*ShardedMap, 
 	sm := &ShardedMap{n: shards}
 	// The WAL splits keys by the same blocks as the map, so each shard's
 	// log is ordered by that shard's update serialization.
-	err := sm.wrap.init(s, t, cfg, shards, func(src core.Source, reg *core.Registry) (inner, uint64, error) {
+	err := sm.wrap.init(s, t, cfg, shards, func(src core.Source, reg *core.Registry) (inner, error) {
 		return newShardedInner(s, t, cfg, src, reg, shards)
 	})
 	if err != nil {
@@ -75,9 +75,7 @@ func NewSharded(s Structure, t Technique, shards int, cfg Config) (*ShardedMap, 
 }
 
 // shardedInner composes the per-shard structures behind the facade's
-// inner surface. Keys arriving here are internal (post-shift) keys; the
-// partition is by internal-key block (core.PartOf), which is as
-// consistent a partition as any (the facade's shift is a constant).
+// inner surface; keys are partitioned by block (core.PartOf).
 type shardedInner struct {
 	inners []inner
 	stats  []*obs.ShardStats // per-shard routing counts; nil without metrics
@@ -86,7 +84,7 @@ type shardedInner struct {
 
 // newShardedInner builds shards (s, t) structures, all over src and reg,
 // and the fan-out reader across them.
-func newShardedInner(s Structure, t Technique, cfg Config, src core.Source, reg *core.Registry, shards int) (inner, uint64, error) {
+func newShardedInner(s Structure, t Technique, cfg Config, src core.Source, reg *core.Registry, shards int) (inner, error) {
 	sh := &shardedInner{inners: make([]inner, shards)}
 	if cfg.Metrics != nil {
 		cfg.Metrics.EnsureShards(len(sh.inners))
@@ -96,16 +94,15 @@ func newShardedInner(s Structure, t Technique, cfg Config, src core.Source, reg 
 		}
 	}
 	readers := make([]*core.Reader, len(sh.inners))
-	var shift uint64
 	for i := range sh.inners {
-		m, ks, err := buildInner(s, t, cfg.Source, src, reg)
+		m, err := buildInner(s, t, cfg.Source, src, reg)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		sh.inners[i], readers[i], shift = m, m.Reader(), ks
+		sh.inners[i], readers[i] = m, m.Reader()
 	}
 	sh.rd = core.NewFanout(readers, sh.stats)
-	return sh, shift, nil
+	return sh, nil
 }
 
 // SetHooks wires every shard and the fan-out. GC and pool counters

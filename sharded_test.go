@@ -197,8 +197,7 @@ func TestShardedMetricsShardSums(t *testing.T) {
 	}
 	defer th.Release()
 	// Five keys in each of the blocks 0-7, two blocks per shard: 10 point
-	// ops per shard. BST applies no key shift, so user keys are internal
-	// keys here.
+	// ops per shard.
 	const keys, block = 40, 256
 	for k := uint64(0); k < keys; k++ {
 		m.Insert(th, k%8*block+k/8, k)

@@ -439,7 +439,7 @@ func validate(cfg Config) error {
 // rejecting combinations the paper shows are unsupported.
 func New(s Structure, t Technique, cfg Config) (Map, error) {
 	w := &wrap{}
-	err := w.init(s, t, cfg, 1, func(src core.Source, reg *core.Registry) (inner, uint64, error) {
+	err := w.init(s, t, cfg, 1, func(src core.Source, reg *core.Registry) (inner, error) {
 		return buildInner(s, t, cfg.Source, src, reg)
 	})
 	if err != nil {
@@ -453,7 +453,7 @@ func New(s Structure, t Technique, cfg Config) (Map, error) {
 // and the thread registry, build the structure over them, wire its hooks
 // before it sees traffic, and arm durability over shards WAL streams.
 func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
-	build func(src core.Source, reg *core.Registry) (inner, uint64, error)) error {
+	build func(src core.Source, reg *core.Registry) (inner, error)) error {
 	if err := validate(cfg); err != nil {
 		return err
 	}
@@ -471,7 +471,7 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 		core.Count(src, &mt.Source)
 		h.GC, h.PoolStats = &mt.GC, &mt.Pool
 	}
-	m, shift, err := build(src, reg)
+	m, err := build(src, reg)
 	if err != nil {
 		return err
 	}
@@ -482,7 +482,7 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 	m.SetHooks(h)
 	*w = wrap{
 		m: m, rd: m.Reader(), reg: reg, s: s, t: t, src: cfg.Source, srcImpl: src,
-		shift: shift, obs: cfg.Metrics, tr: h.Trace, hist: hist,
+		obs: cfg.Metrics, tr: h.Trace, hist: hist,
 	}
 	if w.obs != nil || w.tr != nil {
 		w.clk = tsc.TelemetryClock()
@@ -494,10 +494,9 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 }
 
 // buildInner constructs the internal structure for one (structure,
-// technique) pair over src and reg, returning the key shift the facade
-// must apply (structures whose head sentinel reserves key 0 shift user
-// keys up by one). kind is reported in errors only.
-func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg *core.Registry) (inner, uint64, error) {
+// technique) pair over src and reg. Every structure stores every key up to
+// MaxKey as it is. kind is reported in errors only.
+func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg *core.Registry) (inner, error) {
 	variant := ebrrq.LockBased
 	if t == EBRRQLockFree {
 		variant = ebrrq.LockFree
@@ -506,51 +505,51 @@ func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg 
 	case BST:
 		switch t {
 		case VCAS:
-			return lfbst.New(src, reg), 0, nil
+			return lfbst.New(src, reg), nil
 		case EBRRQ, EBRRQLockFree:
 			m, err := lfbst.NewEBR(src, reg, variant)
 			if err != nil {
-				return nil, 0, fmt.Errorf("tscds: %v/%v with %v source: %w", s, t, kind, err)
+				return nil, fmt.Errorf("tscds: %v/%v with %v source: %w", s, t, kind, err)
 			}
-			return m, 0, nil
+			return m, nil
 		default:
-			return nil, 0, fmt.Errorf("tscds: %v does not support %v", s, t)
+			return nil, fmt.Errorf("tscds: %v does not support %v", s, t)
 		}
 	case Citrus:
 		switch t {
 		case VCAS:
-			return citrus.NewVcas(src, reg), 0, nil
+			return citrus.NewVcas(src, reg), nil
 		case Bundle:
-			return citrus.NewBundle(src, reg), 0, nil
+			return citrus.NewBundle(src, reg), nil
 		case EBRRQ, EBRRQLockFree:
 			m, err := citrus.NewEBR(src, reg, variant)
 			if err != nil {
-				return nil, 0, fmt.Errorf("tscds: %v/%v with %v source: %w", s, t, kind, err)
+				return nil, fmt.Errorf("tscds: %v/%v with %v source: %w", s, t, kind, err)
 			}
-			return m, 0, nil
+			return m, nil
 		}
 	case SkipList:
 		switch t {
 		case Bundle:
-			return skiplist.New(src, reg), 1, nil
+			return skiplist.New(src, reg), nil
 		case VCAS:
-			return skiplist.NewVcas(src, reg), 1, nil
+			return skiplist.NewVcas(src, reg), nil
 		case EBRRQ, EBRRQLockFree:
 			m, err := skiplist.NewEBR(src, reg, variant)
 			if err != nil {
-				return nil, 0, fmt.Errorf("tscds: %v/%v with %v source: %w", s, t, kind, err)
+				return nil, fmt.Errorf("tscds: %v/%v with %v source: %w", s, t, kind, err)
 			}
-			return m, 1, nil
+			return m, nil
 		}
 	case LazyList:
 		switch t {
 		case VCAS:
-			return skiplist.NewLazyVcas(src, reg), 1, nil
+			return skiplist.NewLazyVcas(src, reg), nil
 		case Bundle:
-			return skiplist.NewLazyBundle(src, reg), 1, nil
+			return skiplist.NewLazyBundle(src, reg), nil
 		}
 	}
-	return nil, 0, fmt.Errorf("tscds: unsupported combination %v/%v", s, t)
+	return nil, fmt.Errorf("tscds: unsupported combination %v/%v", s, t)
 }
 
 // inner is the facade's contract with a structure variant, and with the
@@ -586,11 +585,10 @@ var (
 	_ inner = (*shardedInner)(nil)
 )
 
-// wrap adapts an internal structure to Map. shift offsets keys upward
-// for structures that reserve key 0 as their head sentinel. obs and tr,
-// when non-nil, receive per-operation counts/latencies and flight-record
-// events, timed by clk; each public method pays only nil tests when they
-// are unset.
+// wrap adapts an internal structure to Map; a user key is the structure's
+// key. obs and tr, when non-nil, receive per-operation counts/latencies and
+// flight-record events, timed by clk; each public method pays only nil
+// tests when they are unset.
 type wrap struct {
 	m       inner
 	rd      *core.Reader // m's snapshot-read protocol: every range-shaped read
@@ -599,7 +597,6 @@ type wrap struct {
 	t       Technique
 	src     SourceKind
 	srcImpl core.Source // the constructed source
-	shift   uint64
 	obs     *obs.Registry
 	tr      *trace.Recorder
 	dur     *durable   // durability layer; nil unless Config.Durability
@@ -636,8 +633,8 @@ func (w *wrap) Delete(th *Thread, key uint64) bool {
 }
 
 // update is every update of the facade, op selecting Insert or Delete (val
-// is ignored for a delete): apply it to the internal key, through the
-// durability layer when one is armed, and report it to whichever sinks are
+// is ignored for a delete): apply it, through the durability layer when one
+// is armed, and report it to whichever sinks are
 // wired. The error is the durability acknowledgment.
 func (w *wrap) update(th *Thread, op wal.OpKind, key, val uint64) (ok bool, err error) {
 	if key > MaxKey {
@@ -649,9 +646,9 @@ func (w *wrap) update(th *Thread, op wal.OpKind, key, val uint64) (ok bool, err 
 		start = w.clk.Now()
 	}
 	if w.dur != nil {
-		ok, err = w.dur.update(th, op, key+w.shift, val)
+		ok, err = w.dur.update(th, op, key, val)
 	} else {
-		ok = apply(w.m, th, op, key+w.shift, val)
+		ok = apply(w.m, th, op, key, val)
 	}
 	if sinks {
 		w.observe(th, obs.OpUpdate, start)
@@ -659,13 +656,13 @@ func (w *wrap) update(th *Thread, op wal.OpKind, key, val uint64) (ok bool, err 
 	return ok, err
 }
 
-// apply runs op on m at the internal key ikey (val is ignored for a
-// delete) and reports whether it took effect.
-func apply(m inner, th *Thread, op wal.OpKind, ikey, val uint64) bool {
+// apply runs op on m at key (val is ignored for a delete) and reports
+// whether it took effect.
+func apply(m inner, th *Thread, op wal.OpKind, key, val uint64) bool {
 	if op == wal.OpInsert {
-		return m.Insert(th, ikey, val)
+		return m.Insert(th, key, val)
 	}
-	return m.Delete(th, ikey)
+	return m.Delete(th, key)
 }
 
 func (w *wrap) Contains(th *Thread, key uint64) bool {
@@ -678,10 +675,10 @@ func (w *wrap) Get(th *Thread, key uint64) (uint64, bool) {
 		return 0, false
 	}
 	if w.obs == nil && w.tr == nil {
-		return w.m.Get(th, key+w.shift)
+		return w.m.Get(th, key)
 	}
 	start := w.clk.Now()
-	v, ok := w.m.Get(th, key+w.shift)
+	v, ok := w.m.Get(th, key)
 	w.observe(th, obs.OpContains, start)
 	return v, ok
 }
@@ -693,8 +690,8 @@ func (w *wrap) RangeQuery(th *Thread, lo, hi uint64, buf []KV) []KV {
 
 // read is every range-shaped read of the facade, live (a fresh bound) or
 // as of the past timestamp ts: clamp the interval, run the snapshot-read
-// protocol over the internal key space, map the keys back, and report the
-// operation to whichever sinks are wired as class c. An empty interval
+// protocol, and report the operation to whichever sinks are wired as class
+// c. An empty interval
 // returns buf unchanged without taking or validating a bound; so does a
 // refused ts.
 func (w *wrap) read(th *Thread, c obs.OpClass, lo, hi, ts uint64, live bool, buf []KV) ([]KV, error) {
@@ -709,13 +706,7 @@ func (w *wrap) read(th *Thread, c obs.OpClass, lo, hi, ts uint64, live bool, buf
 	if sinks {
 		start = w.clk.Now()
 	}
-	base := len(buf)
-	buf, _, err := w.rd.Read(th, lo+w.shift, hi+w.shift, ts, live, buf)
-	if w.shift != 0 {
-		for i := base; i < len(buf); i++ {
-			buf[i].Key -= w.shift
-		}
-	}
+	buf, _, err := w.rd.Read(th, lo, hi, ts, live, buf)
 	if sinks {
 		w.observe(th, c, start)
 	}
@@ -759,12 +750,7 @@ func (w *wrap) Technique() Technique { return w.t }
 func (w *wrap) Source() SourceKind   { return w.src }
 func (w *wrap) Tracer() *Tracer      { return w.tr }
 
-func (w *wrap) SourceActual() SourceKind {
-	if w.srcImpl == nil {
-		return w.src
-	}
-	return core.Actual(w.srcImpl)
-}
+func (w *wrap) SourceActual() SourceKind { return core.Actual(w.srcImpl) }
 
 func (w *wrap) TraceSnapshot(events bool) TraceSnapshot {
 	return w.tr.Snapshot(events)

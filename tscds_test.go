@@ -469,32 +469,3 @@ func TestBatchStoreAdaptiveHonoursHealth(t *testing.T) {
 		t.Fatalf("SourceSwitches = %d after a fault, want 1", got)
 	}
 }
-
-// MaxKey round-trips through the key-shifted structures (skip list,
-// lazy list) without overflowing into their sentinels.
-func TestMaxKeyBoundaryShiftedStructures(t *testing.T) {
-	for _, c := range []struct {
-		S Structure
-		T Technique
-	}{{SkipList, Bundle}, {SkipList, VCAS}, {SkipList, EBRRQ}, {LazyList, Bundle}, {LazyList, VCAS}} {
-		m, err := New(c.S, c.T, Config{Source: Logical, MaxThreads: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		th, _ := m.RegisterThread()
-		if !m.Insert(th, MaxKey, 1) {
-			t.Fatalf("%v/%v: MaxKey not insertable", c.S, c.T)
-		}
-		if !m.Contains(th, MaxKey) {
-			t.Fatalf("%v/%v: MaxKey vanished", c.S, c.T)
-		}
-		got := m.RangeQuery(th, MaxKey-1, MaxKey, nil)
-		if len(got) != 1 || got[0].Key != MaxKey {
-			t.Fatalf("%v/%v: boundary range = %v", c.S, c.T, got)
-		}
-		if !m.Delete(th, MaxKey) {
-			t.Fatalf("%v/%v: MaxKey not deletable", c.S, c.T)
-		}
-		th.Release()
-	}
-}
