@@ -122,10 +122,15 @@ doc-check:
 # deps-check keeps the version and entry layers free of any allocation
 # policy: vCAS and Bundling keep what they detach reachable to snapshot
 # readers, so nothing they publish is ever proven free, and only the EBR-RQ
-# policies own a node pool.
+# policies own a node pool. It also keeps each technique's lifecycle in its
+# own package: the structures reach the epoch manager and the pool only
+# through ebrrq.Technique, never by importing either themselves.
 deps-check:
 	@if $(GO) list -deps ./internal/vcas ./internal/bundle | grep -qx 'tscds/internal/pool'; then \
 		echo "deps-check: internal/vcas or internal/bundle depends on internal/pool"; exit 1; fi
+	@for d in lfbst citrus skiplist; do \
+		if $(GO) list -f '{{join .Imports "\n"}}' ./internal/$$d | grep -qxE 'tscds/internal/(epoch|pool)'; then \
+			echo "deps-check: internal/$$d imports internal/epoch or internal/pool; go through ebrrq.Technique"; exit 1; fi; done
 
 # benchmark-smoke compiles and runs the repository benchmark's own tests.
 # benchmark/ is a separate module, so `go test ./...` at the root never

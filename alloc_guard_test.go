@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tscds"
+	"tscds/internal/bench"
 )
 
 // TestPooledUpdatePathAllocFree pins the pool's core claim: with
@@ -109,28 +110,22 @@ func TestPoolIdleOnHistoryTechniques(t *testing.T) {
 // caller's buffer. With capacity for the result it allocates nothing — no
 // per-query slice of parts or escaping closure in the snapshot-read
 // protocol, no accumulator map, closure on the limbo walk or sort scratch
-// in the EBR-RQ collection — on all 10 variants, flat and across 4 shards,
-// live and as of a past timestamp, with deleted keys behind (in limbo, or
-// as version history) to be walked.
+// in the EBR-RQ collection — on every arm, flat and across 4 shards, live
+// and as of a past timestamp, with deleted keys behind (in limbo, or as
+// version history) to be walked.
 func TestRangeQueryAllocFree(t *testing.T) {
-	cells := []struct {
-		s tscds.Structure
-		t tscds.Technique
-	}{
-		{tscds.BST, tscds.VCAS}, {tscds.BST, tscds.EBRRQ},
-		{tscds.Citrus, tscds.VCAS}, {tscds.Citrus, tscds.Bundle}, {tscds.Citrus, tscds.EBRRQ},
-		{tscds.SkipList, tscds.Bundle}, {tscds.SkipList, tscds.VCAS}, {tscds.SkipList, tscds.EBRRQ},
-		{tscds.LazyList, tscds.VCAS}, {tscds.LazyList, tscds.Bundle},
-	}
-	for _, c := range cells {
+	for _, spec := range bench.Arms() {
+		s, tech, err := bench.ParseArm(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, shards := range []int{0, 4} {
 			cfg := tscds.Config{Source: tscds.Logical, MaxThreads: 4}
 			var m tscds.Map
-			var err error
 			if shards == 0 {
-				m, err = tscds.New(c.s, c.t, cfg)
+				m, err = tscds.New(s, tech, cfg)
 			} else {
-				m, err = tscds.NewSharded(c.s, c.t, shards, cfg)
+				m, err = tscds.NewSharded(s, tech, shards, cfg)
 			}
 			if err != nil {
 				t.Fatal(err)
@@ -145,7 +140,7 @@ func TestRangeQueryAllocFree(t *testing.T) {
 			for i := uint64(0); i < 4000; i += 3 {
 				m.Delete(th, i)
 			}
-			name := fmt.Sprintf("%v/%v shards=%d", c.s, c.t, shards)
+			name := fmt.Sprintf("%s shards=%d", spec, shards)
 			buf := make([]tscds.KV, 0, 1024)
 			var got int
 			n := testing.AllocsPerRun(200, func() {
@@ -158,10 +153,11 @@ func TestRangeQueryAllocFree(t *testing.T) {
 				t.Errorf("%s: RangeQuery into a caller buffer allocates %.1f objects, want 0", name, n)
 			}
 			ts := m.Now()
+			ebr := tech == tscds.EBRRQ || tech == tscds.EBRRQLockFree
 			var gotAt int
 			n = testing.AllocsPerRun(200, func() {
 				kvs, err := m.RangeQueryAt(th, 1000, 1999, ts, buf)
-				if c.t == tscds.EBRRQ && errors.Is(err, tscds.ErrHistoryUnsupported) {
+				if ebr && errors.Is(err, tscds.ErrHistoryUnsupported) {
 					gotAt = got // refused, as it must be; the refusal is free too
 				} else if err == nil {
 					gotAt = len(kvs)

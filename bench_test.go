@@ -169,7 +169,7 @@ func BenchmarkAblationLabeling(b *testing.B) {
 		kind := core.Kind(src)
 		// Coarse: EBR-RQ's (read, label) under a global RW lock.
 		b.Run(fmt.Sprintf("coarse-rwlock/%s", src), func(b *testing.B) {
-			p := ebrrq.NewLockBased(core.New(kind))
+			p, _ := ebrrq.New(core.New(kind), ebrrq.LockBased)
 			b.RunParallel(func(pb *testing.PB) {
 				var l ebrrq.Label
 				for pb.Next() {

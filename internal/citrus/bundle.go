@@ -5,9 +5,7 @@ import (
 
 	"tscds/internal/bundle"
 	"tscds/internal/core"
-	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 )
 
 // blinks are child links that each carry a bundle: the raw pointer serves
@@ -21,27 +19,22 @@ type blinks struct {
 // BundleTree is the Citrus tree augmented with bundled references.
 type BundleTree = tree[blinks, *bundleTechnique]
 
-// bundleTechnique is Bundling (Nelson et al.) as this tree's edges.
+// bundleTechnique is Bundling (Nelson et al.) as this tree's edges. An
+// unlinked node stays reachable through the bundle of the edge that
+// pointed at it, so there is nothing to retire, and a node the raw edges
+// reach is present.
 type bundleTechnique struct {
-	inEdges[blinks]
-	src core.Source
-	gc  *obs.GC
-	tr  *trace.Recorder
-	rb  *core.ReadBound
+	core.History[node[blinks]]
 }
 
 // NewBundle builds an empty tree over the given source and registry.
 func NewBundle(src core.Source, reg *core.Registry) *BundleTree {
-	return newTree(src, reg, &bundleTechnique{src: src}, core.QueryReads)
+	p := &bundleTechnique{core.NewHistory[node[blinks]](src, core.EntriesPruned)}
+	return newTree(src, reg, p, core.QueryReads)
 }
 
-// setHooks: an unlinked node and a truncated entry tail stay reachable to
-// snapshot readers, so nothing is ever recycled and nodes and entries come
-// from the GC.
-func (p *bundleTechnique) setHooks(h core.Hooks, _ *core.Registry) *pool.Pool[node[blinks]] {
-	p.gc, p.tr, p.rb = h.GC, h.Trace, h.ReadBound
-	return nil
-}
+func (*bundleTechnique) present(n *node[blinks]) (uint64, bool) { return n.val, true }
+func (*bundleTechnique) retire(*core.Thread, *node[blinks])     {}
 
 func (p *bundleTechnique) load(n *node[blinks], dir int) *node[blinks] {
 	return n.l.child[dir].Load()
@@ -66,16 +59,14 @@ func (p *bundleTechnique) seed(l *blinks, left, right *node[blinks]) {
 func (p *bundleTechnique) publish(th *core.Thread, n *node[blinks], dir int, target *node[blinks]) {
 	// Prepare..Finalize is bundling's labeling phase: the span readers
 	// can block on (pending-entry spins).
-	mark := p.tr.Now()
+	mark := p.Tr.Now()
 	b := &n.l.bnd[dir]
 	e := b.Prepare(target)
-	ts := p.src.Advance()
+	ts := p.Src.Advance()
 	n.l.child[dir].Store(target)
 	b.Finalize(e, ts)
-	p.tr.SharedSpan(trace.PhaseLabel, mark)
-	if d := b.Truncate(core.PruneBoundOf(th, p.rb, p.src)); d > 0 && p.gc != nil {
-		p.gc.BundleEntriesPruned.Add(uint64(d))
-	}
+	p.Tr.SharedSpan(trace.PhaseLabel, mark)
+	p.Trim(th, b)
 }
 
 func (p *bundleTechnique) collect(th *core.Thread, root *node[blinks], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV {
@@ -86,8 +77,8 @@ func (p *bundleTechnique) collect(th *core.Thread, root *node[blinks], lo, hi ui
 		waits += uint64(spins)
 		return c
 	})
-	p.tr.Span(th.ID, trace.PhaseTraverse, mark)
-	p.tr.Count(th.ID, trace.PhaseBundleDeref, derefs)
-	p.tr.Count(th.ID, trace.PhasePendingWait, waits)
+	p.Tr.Span(th.ID, trace.PhaseTraverse, mark)
+	p.Tr.Count(th.ID, trace.PhaseBundleDeref, derefs)
+	p.Tr.Count(th.ID, trace.PhasePendingWait, waits)
 	return out
 }

@@ -60,13 +60,6 @@ func variants(t *testing.T) []variant {
 	}
 }
 
-func TestEBRLockFreeRejectsTSC(t *testing.T) {
-	reg := core.NewRegistry(1)
-	if _, err := NewEBR(core.New(core.TSC), reg, ebrrq.LockFree); err == nil {
-		t.Fatal("lock-free EBR-RQ accepted a hardware source")
-	}
-}
-
 // Node sizes are exact Go size classes; one field more moves a node to the
 // next class (the repository benchmark bounds heap_bytes_per_key at 10 %).
 func TestNodeSizes(t *testing.T) {
@@ -456,7 +449,7 @@ func TestEBRLimboBounded(t *testing.T) {
 		tr.Insert(th, k, k)
 		tr.Delete(th, k)
 	}
-	if n := tr.p.em.LimboLen(); n > 5000 {
+	if n := tr.p.LimboLen(); n > 5000 {
 		t.Fatalf("limbo grew unbounded: %d nodes", n)
 	}
 }
@@ -474,12 +467,10 @@ func TestEBRLimboListsOrdered(t *testing.T) {
 			t.Fatal(err)
 		}
 		limbotest.Churn(tr, reg, 4, 1500)
-		if n := tr.p.em.LimboLen(); n < 500 {
+		if n := tr.p.LimboLen(); n < 500 {
 			t.Fatalf("variant %v: only %d limbo nodes; the reservation should have kept them all", variant, n)
 		}
-		lost := limbotest.Lost(tr.p.em, func(n *node[elinks]) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
-			return n.key, n.val, &n.l.itime, &n.l.dtime
-		})
+		lost := limbotest.Lost(tr.p.Technique)
 		if len(lost) != 0 {
 			t.Fatalf("variant %v: limbo lists are not ordered, %d losses, first: %s", variant, len(lost), lost[0])
 		}
@@ -558,9 +549,9 @@ func TestEBRRangeFindsSuccessorBehindItsCopy(t *testing.T) {
 		tr.Insert(a, k, k*10)
 	}
 	a.BeginRQ()
-	tr.p.provider.RQLock()
-	s := tr.p.provider.Source().Snapshot()
-	tr.p.provider.RQUnlock()
+	tr.p.RQLock()
+	s := tr.p.Source().Snapshot()
+	tr.p.RQUnlock()
 	a.AnnounceRQ(s)
 	tr.rcu.ReadLock(c.ID) // holds Delete(3) inside its grace period
 	done := make(chan bool)
@@ -655,7 +646,7 @@ func TestEBRPointReadsFollowLabels(t *testing.T) {
 	tr.Insert(a, 5, 50)
 	tr.Insert(a, 7, 70)
 	five := tr.root.l.child[0].Load()
-	tr.p.provider.Label(&five.l.dtime) // retire's label, before the unlink
+	tr.p.Label(&five.l.dtime) // retire's label, before the unlink
 	if tr.Contains(a, 5) {
 		t.Error("Contains(5) true for a node whose deletion is labeled")
 	}

@@ -5,9 +5,6 @@ import (
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
-	"tscds/internal/epoch"
-	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 )
 
 // elinks are plain child pointers beside the node's EBR-RQ insertion and
@@ -27,11 +24,11 @@ type EBRTree = tree[elinks, *ebrTechnique]
 // exclusively — the coarse-grained labeling that, per §IV, caps what TSC
 // can deliver. The edges keep no history, so a deleted node is retired to
 // the EBR limbo lists before it is unlinked and a range query finds a
-// node deleted after its bound in the tree or in limbo.
+// node deleted after its bound in the tree or in limbo. Citrus retires
+// each node exactly once (marked flips under the node's lock before the
+// only retire it will ever see), so every pruned node is recycled.
 type ebrTechnique struct {
-	provider *ebrrq.Provider
-	em       *epoch.Manager[*node[elinks]]
-	tr       *trace.Recorder
+	*ebrrq.Technique[node[elinks]]
 }
 
 // NewEBR builds an empty tree. variant selects lock-based or lock-free
@@ -39,41 +36,14 @@ type ebrTechnique struct {
 // source and otherwise returns ebrrq.ErrRequiresAddress — the paper's
 // "TSC cannot be used at all here" case.
 func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRTree, error) {
-	provider := ebrrq.NewLockBased(src)
-	if variant == ebrrq.LockFree {
-		var err error
-		if provider, err = ebrrq.NewLockFree(src); err != nil {
-			return nil, err
-		}
+	tq, err := ebrrq.NewTechnique(src, reg, variant, func(n *node[elinks]) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
+		return n.key, n.val, &n.l.itime, &n.l.dtime
+	})
+	if err != nil {
+		return nil, err
 	}
-	p := &ebrTechnique{provider: provider}
-	p.em = epoch.NewManager[*node[elinks]](reg,
-		func(n *node[elinks], min core.TS) bool { return n.l.dtime.Get() >= min })
-	return newTree(src, reg, p, core.QueryAdvancesLocked(provider)), nil
+	return newTree(src, reg, &ebrTechnique{tq}, core.QueryAdvancesLocked(tq.Provider)), nil
 }
-
-// setHooks wires limbo-list counters and the flight recorder — through
-// the provider (lock-wait/label spans) and the epoch manager (pin/advance
-// stalls) — and builds the node pool (nil in GC mode), which pruned limbo
-// nodes are recycled into. Citrus retires each node exactly once (marked
-// flips under the node's lock before the only retire it will ever see), so
-// unlike the lock-free BST no limbo reference count is needed. The
-// retention watermark is not used: limbo holds deleted nodes, not history.
-func (p *ebrTechnique) setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[elinks]] {
-	p.tr = h.Trace
-	p.provider.SetTrace(h.Trace)
-	p.em.SetTrace(h.Trace)
-	p.em.SetGC(h.GC)
-	np := pool.New[node[elinks]](reg.Cap(), h.Alloc, h.PoolStats)
-	if np != nil {
-		p.em.SetRecycle(func(n *node[elinks], tid int) { np.Put(tid, n) })
-	}
-	return np
-}
-
-func (p *ebrTechnique) enter(tid int) { p.em.Pin(tid) }
-func (p *ebrTechnique) exit(tid int)  { p.em.Unpin(tid) }
-func (p *ebrTechnique) drain()        { p.em.DrainAll() }
 
 func (p *ebrTechnique) load(n *node[elinks], dir int) *node[elinks] {
 	return n.l.child[dir].Load()
@@ -87,7 +57,7 @@ func (p *ebrTechnique) load(n *node[elinks], dir int) *node[elinks] {
 // retired only under its parent's lock, which its inserter held until the
 // label was written, so a deletion label implies an insertion label.
 func (p *ebrTechnique) present(n *node[elinks]) (uint64, bool) {
-	p.provider.Label(&n.l.itime)
+	p.Label(&n.l.itime)
 	return n.val, n.l.dtime.Get() == core.Pending
 }
 
@@ -112,15 +82,15 @@ func (p *ebrTechnique) seed(l *elinks, left, right *node[elinks]) {
 func (p *ebrTechnique) publish(_ *core.Thread, n *node[elinks], dir int, target *node[elinks]) {
 	n.l.child[dir].Store(target)
 	if target != nil {
-		p.provider.Label(&target.l.itime)
+		p.Label(&target.l.itime)
 	}
 }
 
 // retire labels n's deletion — the delete's linearization — and puts it
 // in limbo, both before the caller unlinks it.
 func (p *ebrTechnique) retire(th *core.Thread, n *node[elinks]) {
-	p.provider.Label(&n.l.dtime)
-	p.em.Retire(th.ID, n)
+	p.Label(&n.l.dtime)
+	p.Retire(th.ID, n)
 }
 
 // collect offers the tree, then the limbo lists, to one ebrrq.Collector:
@@ -128,13 +98,7 @@ func (p *ebrTechnique) retire(th *core.Thread, n *node[elinks]) {
 func (p *ebrTechnique) collect(th *core.Thread, root *node[elinks], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV {
 	c := ebrrq.NewCollector(out, lo, hi, s)
 	collectLive(root.l.child[0].Load(), &c, lo, hi)
-	p.tr.Span(th.ID, trace.PhaseTraverse, mark)
-	mark = p.tr.Now()
-	p.em.WalkLimbo(func(n *node[elinks]) bool {
-		return c.AddLimbo(n.key, n.val, &n.l.itime, &n.l.dtime)
-	})
-	p.tr.Span(th.ID, trace.PhaseLimboScan, mark)
-	return c.Finish()
+	return p.Finish(th.ID, &c, mark)
 }
 
 // collectLive offers the subtree under n to c in key order, descending

@@ -6,7 +6,6 @@ import (
 
 	"tscds/internal/core"
 	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 	"tscds/internal/rcu"
 )
 
@@ -26,7 +25,9 @@ type node[L any] struct {
 // edges (L) and how they are read and written. Everything else — the
 // search, the validations, the locking, successor relocation — is the
 // tree's, below. DESIGN.md "What a technique is to a structure" lists
-// which methods each technique leaves empty.
+// which methods each technique leaves empty. The exported methods are the
+// technique's lifecycle, written once in its own package: core.History for
+// vCAS and Bundling, ebrrq.Technique for EBR-RQ.
 type technique[L any] interface {
 	// load follows n's dir edge as it is now.
 	load(n *node[L], dir int) *node[L]
@@ -49,34 +50,18 @@ type technique[L any] interface {
 	// node through the edges' history labels the deletion and keeps the
 	// node findable.
 	retire(th *core.Thread, n *node[L])
-	// enter and exit bracket every operation that dereferences nodes.
-	enter(tid int)
-	exit(tid int)
 	// collect appends the pairs of [lo, hi] visible at bound s to out, in
 	// key order without duplicates. mark is when the query began, for the
 	// traverse span. One call per range query, concrete inside: a walk
 	// counter or collector handed through this interface by address would
 	// escape to the heap.
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	// setHooks wires the technique's own sinks and returns the pool the
-	// tree allocates nodes from: nil (the GC) unless the technique recycles
-	// what it retires.
-	setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[L]]
-	// drain prunes whatever retire holds back; quiescent use only.
-	drain()
+	SetHooks(h core.Hooks)
+	Enter(tid int) // Enter and Exit bracket every operation that dereferences nodes
+	Exit(tid int)
+	Drain() // prunes whatever retire holds back; quiescent use only
+	Alloc(tid int) *node[L]
 }
-
-// inEdges is embedded by the techniques whose snapshots live in the edges
-// (vCAS, Bundle): an unlinked node stays reachable through the history of
-// the edge that pointed at it, so there is nothing to retire, pin or drain,
-// and a node the raw edges reach is present.
-type inEdges[L any] struct{}
-
-func (inEdges[L]) present(n *node[L]) (uint64, bool) { return n.val, true }
-func (inEdges[L]) retire(*core.Thread, *node[L])     {}
-func (inEdges[L]) enter(int)                         {}
-func (inEdges[L]) exit(int)                          {}
-func (inEdges[L]) drain()                            {}
 
 // collectAt is the in-order walk of [lo, hi] under n for the techniques
 // whose edges keep history; at follows an edge as of the query's bound. It
@@ -102,17 +87,15 @@ func collectAt[L any](n *node[L], lo, hi uint64, base int, out []core.KV, at fun
 
 // tree is the Citrus tree over one technique.
 type tree[L any, P technique[L]] struct {
-	reg  *core.Registry
 	rcu  *rcu.RCU
 	tr   *trace.Recorder
-	np   *pool.Pool[node[L]] // nil: the GC
 	rd   *core.Reader
 	p    P
 	root *node[L]
 }
 
 func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, rule core.Bound) *tree[L, P] {
-	t := &tree[L, P]{reg: reg, rcu: rcu.New(reg), p: p}
+	t := &tree[L, P]{rcu: rcu.New(reg), p: p}
 	t.root = t.newNode(-1, sentinelKey, 0, nil, nil)
 	t.rd = core.NewReader(src, rule, t)
 	return t
@@ -128,18 +111,18 @@ func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 func (t *tree[L, P]) SetHooks(h core.Hooks) {
 	t.tr = h.Trace
 	t.rd.SetHooks(h)
-	t.np = t.p.setHooks(h, t.reg)
+	t.p.SetHooks(h)
 }
 
 // Drain eagerly prunes what deletes hold back for range queries (EBR-RQ's
 // limbo lists). Quiescent use only, like Len.
-func (t *tree[L, P]) Drain() { t.p.drain() }
+func (t *tree[L, P]) Drain() { t.p.Drain() }
 
 // newNode acquires a node and re-initializes all of it but the tag, which
 // only ever grows. marked=false is load-bearing: a recycled marked=true
 // would fail every validation against the node forever.
 func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right *node[L]) *node[L] {
-	n := t.np.Get(tid)
+	n := t.p.Alloc(tid)
 	n.key, n.val, n.marked = key, val, false
 	t.p.seed(&n.l, left, right)
 	return n
@@ -178,7 +161,7 @@ func (t *tree[L, P]) Contains(th *core.Thread, key uint64) bool {
 // deletion only after a grace period, so a search that reached it through
 // the old path reads its labels before that.
 func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	t.rcu.ReadLock(th.ID)
 	var val uint64
 	ok := false
@@ -186,7 +169,7 @@ func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
 		val, ok = t.p.present(curr)
 	}
 	t.rcu.ReadUnlock(th.ID)
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return val, ok
 }
 
@@ -207,7 +190,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	var retries uint64
 	inserted := false
 	for {
@@ -234,7 +217,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 		retries++
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return inserted
 }
 
@@ -243,7 +226,7 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	if key > MaxKey {
 		return false
 	}
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	var retries uint64
 	deleted := false
 	for {
@@ -276,7 +259,7 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 		retries++
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return deleted
 }
 
@@ -347,10 +330,10 @@ func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 	if hi > MaxKey {
 		hi = MaxKey
 	}
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	mark := t.tr.Now()
 	out = t.p.collect(th, t.root, lo, hi, s, mark, out)
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return out
 }
 

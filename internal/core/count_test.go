@@ -75,16 +75,16 @@ func TestCountEverySource(t *testing.T) {
 			})
 			t.Run("lock-free", func(t *testing.T) {
 				src, _ := counted(r, nil)
-				p, err := ebrrq.NewLockFree(src)
+				p, err := ebrrq.New(src, ebrrq.LockFree)
 				l, logical := src.(*core.LogicalSource)
 				if !logical {
 					if !errors.Is(err, ebrrq.ErrRequiresAddress) {
-						t.Fatalf("NewLockFree(counted %v) err = %v, want ErrRequiresAddress", r.name, err)
+						t.Fatalf("New(counted %v, LockFree) err = %v, want ErrRequiresAddress", r.name, err)
 					}
 					return
 				}
 				if err != nil {
-					t.Fatalf("NewLockFree(counted logical) err = %v", err)
+					t.Fatalf("New(counted logical, LockFree) err = %v", err)
 				}
 				src.Advance()
 				var lb ebrrq.Label

@@ -9,7 +9,6 @@ import (
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/ebrrq/limbotest"
-	"tscds/internal/epoch"
 )
 
 // clock is a source whose reading the test sets, so labels can be given
@@ -29,7 +28,7 @@ type labeler struct {
 
 func newLabeler() *labeler {
 	l := &labeler{}
-	l.prov = ebrrq.NewLockBased(&l.src)
+	l.prov, _ = ebrrq.New(&l.src, ebrrq.LockBased)
 	return l
 }
 
@@ -39,8 +38,16 @@ type node struct {
 	itime, dtime ebrrq.Label
 }
 
-func fields(n *node) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
-	return n.key, n.val, &n.itime, &n.dtime
+// newTechnique is the EBR-RQ lifecycle over reg's threads and stand-in
+// nodes; the test retires fewer nodes per thread than a prune waits for.
+func newTechnique(t *testing.T, reg *core.Registry) *ebrrq.Technique[node] {
+	t.Helper()
+	tq, err := ebrrq.NewTechnique(core.New(core.Logical), reg, ebrrq.LockBased,
+		func(n *node) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) { return n.key, n.val, &n.itime, &n.dtime })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tq
 }
 
 // newNode builds a node labeled (itime, dtime); core.Pending leaves a
@@ -76,7 +83,7 @@ func TestAddLimboEarlyExitMatchesFullWalk(t *testing.T) {
 		for i := 0; i < threads; i++ {
 			reg.MustRegister()
 		}
-		em := epoch.NewManager[*node](reg, nil)
+		tq := newTechnique(t, reg)
 		var all []*node
 		maxTS := core.TS(1)
 		key := uint64(0)
@@ -91,7 +98,7 @@ func TestAddLimboEarlyExitMatchesFullWalk(t *testing.T) {
 				}
 				key++
 				nd := lab.newNode(key, core.TS(rng.Intn(int(d)+2)), dtime)
-				em.Retire(tid, nd)
+				tq.Retire(tid, nd)
 				all = append(all, nd)
 				maxTS = max(maxTS, d)
 			}
@@ -105,9 +112,9 @@ func TestAddLimboEarlyExitMatchesFullWalk(t *testing.T) {
 			}
 			c := ebrrq.NewCollector(nil, 0, ^uint64(0), s)
 			visited := 0
-			em.WalkLimbo(func(nd *node) bool {
+			tq.VisitLimbo(func(key, val uint64, itime, dtime *ebrrq.Label) bool {
 				visited++
-				return c.AddLimbo(nd.key, nd.val, &nd.itime, &nd.dtime)
+				return c.AddLimbo(key, val, itime, dtime)
 			})
 			if got := c.Finish(); !slices.Equal(got, want) {
 				t.Fatalf("round %d bound %d: early-exit walk collected %v, full predicate accepts %v", round, s, got, want)
@@ -116,7 +123,7 @@ func TestAddLimboEarlyExitMatchesFullWalk(t *testing.T) {
 				t.Fatalf("round %d: a bound past every label visited %d nodes; the exit should stop each list at its first labeled node", round, visited)
 			}
 		}
-		if lost := limbotest.Lost(em, fields); len(lost) != 0 {
+		if lost := limbotest.Lost(tq); len(lost) != 0 {
 			t.Fatalf("round %d: limbotest.Lost on ordered lists: %v", round, lost)
 		}
 	}
@@ -128,10 +135,10 @@ func TestAddLimboEarlyExitLosesOnUnorderedList(t *testing.T) {
 	lab := newLabeler()
 	reg := core.NewRegistry(1)
 	reg.MustRegister()
-	em := epoch.NewManager[*node](reg, nil)
-	em.Retire(0, lab.newNode(3, 1, 100)) // older entry, later label
-	em.Retire(0, lab.newNode(7, 1, 90))  // newer entry, earlier label
-	if lost := limbotest.Lost(em, fields); len(lost) == 0 {
+	tq := newTechnique(t, reg)
+	tq.Retire(0, lab.newNode(3, 1, 100)) // older entry, later label
+	tq.Retire(0, lab.newNode(7, 1, 90))  // newer entry, earlier label
+	if lost := limbotest.Lost(tq); len(lost) == 0 {
 		t.Fatal("no loss reported for a list ordered [90, 100] newest first")
 	}
 }

@@ -18,7 +18,7 @@
 //   - The lock-free variant uses DCSS: the label write succeeds only if
 //     the global timestamp still holds the value read. Because DCSS
 //     validates the timestamp at an address, this variant is
-//     fundamentally incompatible with TSC; NewLockFree returns
+//     fundamentally incompatible with TSC; New returns
 //     ErrRequiresAddress for hardware sources.
 //
 // A range query at bound s includes a node iff its insertion label is
@@ -93,34 +93,28 @@ type Provider struct {
 	src     core.Source
 	mu      sync.RWMutex
 	addr    *atomic.Uint64 // lock-free only
-	tr      *trace.Recorder
+	// tr is the flight recorder, nil (the default) for none. Label runs in
+	// helping paths with no thread identity, so the provider reports
+	// through the recorder's shared aggregates (lock-wait and label spans,
+	// DCSS retry counts).
+	tr *trace.Recorder
 }
 
-// SetTrace attaches a flight recorder. Label runs in helping paths with
-// no thread identity, so the provider reports through the recorder's
-// shared aggregates (lock-wait and label spans, DCSS retry counts). A
-// nil recorder (the default) keeps the hot paths on their current cost.
-func (p *Provider) SetTrace(tr *trace.Recorder) { p.tr = tr }
-
-// NewLockBased returns the readers-writer-lock variant over any source.
-// With a hardware source the lock is retained, as the algorithm requires.
-func NewLockBased(src core.Source) *Provider {
-	return &Provider{variant: LockBased, src: src}
-}
-
-// NewLockFree returns the DCSS variant. The source must be a
-// *core.LogicalSource, whose timestamp lives at an address; every other
-// source yields ErrRequiresAddress.
-func NewLockFree(src core.Source) (*Provider, error) {
+// New returns the labeling discipline variant selects over src. With a
+// hardware source the lock-based variant retains its lock, as the
+// algorithm requires. The lock-free variant needs a *core.LogicalSource,
+// whose timestamp lives at an address; every other source yields
+// ErrRequiresAddress — the paper's "TSC cannot be used at all".
+func New(src core.Source, variant Variant) (*Provider, error) {
+	if variant != LockFree {
+		return &Provider{variant: LockBased, src: src}, nil
+	}
 	l, ok := src.(*core.LogicalSource)
 	if !ok {
 		return nil, ErrRequiresAddress
 	}
 	return &Provider{variant: LockFree, src: src, addr: l.Addr()}, nil
 }
-
-// Variant reports the labeling discipline in use.
-func (p *Provider) Variant() Variant { return p.variant }
 
 // Source reports the underlying timestamp source.
 func (p *Provider) Source() core.Source { return p.src }

@@ -9,14 +9,23 @@ import (
 	"tscds/internal/core"
 )
 
+// lockBased is New's lock-based variant, which accepts every source.
+func lockBased(src core.Source) *Provider {
+	p, _ := New(src, LockBased)
+	return p
+}
+
 func TestLockFreeRejectsHardwareSources(t *testing.T) {
 	for _, k := range []core.Kind{core.TSC, core.TSCUnfenced, core.TSCCPUID, core.TSCRaw, core.Monotonic} {
-		if _, err := NewLockFree(core.New(k)); !errors.Is(err, ErrRequiresAddress) {
-			t.Errorf("NewLockFree(%v) err = %v, want ErrRequiresAddress", k, err)
+		if _, err := New(core.New(k), LockFree); !errors.Is(err, ErrRequiresAddress) {
+			t.Errorf("New(%v, LockFree) err = %v, want ErrRequiresAddress", k, err)
+		}
+		if p, err := New(core.New(k), LockBased); err != nil || p.variant != LockBased {
+			t.Errorf("New(%v, LockBased) = %v, %v; want the lock-based provider", k, p, err)
 		}
 	}
-	if _, err := NewLockFree(core.New(core.Logical)); err != nil {
-		t.Fatalf("NewLockFree(logical) err = %v", err)
+	if _, err := New(core.New(core.Logical), LockFree); err != nil {
+		t.Fatalf("New(logical, LockFree) err = %v", err)
 	}
 }
 
@@ -26,7 +35,7 @@ func TestLabelLifecycle(t *testing.T) {
 	if l.Assigned() {
 		t.Fatal("fresh label reports assigned")
 	}
-	p := NewLockBased(core.New(core.Logical))
+	p := lockBased(core.New(core.Logical))
 	ts := p.Label(&l)
 	if !l.Assigned() || l.Get() != ts {
 		t.Fatalf("label = %d, assigned ts = %d", l.Get(), ts)
@@ -35,13 +44,13 @@ func TestLabelLifecycle(t *testing.T) {
 
 func providers(t *testing.T) map[string]*Provider {
 	t.Helper()
-	lf, err := NewLockFree(core.New(core.Logical))
+	lf, err := New(core.New(core.Logical), LockFree)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return map[string]*Provider{
-		"lock-logical": NewLockBased(core.New(core.Logical)),
-		"lock-tsc":     NewLockBased(core.New(core.TSC)),
+		"lock-logical": lockBased(core.New(core.Logical)),
+		"lock-tsc":     lockBased(core.New(core.TSC)),
 		"lockfree":     lf,
 	}
 }
@@ -133,7 +142,7 @@ func TestConcurrentSnapshotLabelOrdering(t *testing.T) {
 // being advanced aggressively (DCSS failures retry).
 func TestLockFreeLabelUnderSnapshotStorm(t *testing.T) {
 	src := core.New(core.Logical)
-	p, err := NewLockFree(src)
+	p, err := New(src, LockFree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestLockFreeLabelUnderSnapshotStorm(t *testing.T) {
 
 // A label is assigned exactly once even when raced by helpers.
 func TestLabelIdempotentUnderRace(t *testing.T) {
-	p, err := NewLockFree(core.New(core.Logical))
+	p, err := New(core.New(core.Logical), LockFree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +247,7 @@ func TestVisibleAtProperty(t *testing.T) {
 }
 
 func BenchmarkLabelLockBasedLogical(b *testing.B) {
-	p := NewLockBased(core.New(core.Logical))
+	p := lockBased(core.New(core.Logical))
 	var l Label
 	for i := 0; i < b.N; i++ {
 		l.Init()
@@ -247,7 +256,7 @@ func BenchmarkLabelLockBasedLogical(b *testing.B) {
 }
 
 func BenchmarkLabelLockBasedTSC(b *testing.B) {
-	p := NewLockBased(core.New(core.TSC))
+	p := lockBased(core.New(core.TSC))
 	var l Label
 	for i := 0; i < b.N; i++ {
 		l.Init()
@@ -256,7 +265,7 @@ func BenchmarkLabelLockBasedTSC(b *testing.B) {
 }
 
 func BenchmarkLabelLockFree(b *testing.B) {
-	p, _ := NewLockFree(core.New(core.Logical))
+	p, _ := New(core.New(core.Logical), LockFree)
 	var l Label
 	for i := 0; i < b.N; i++ {
 		l.Init()

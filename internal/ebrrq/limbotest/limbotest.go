@@ -12,20 +12,17 @@ import (
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
-	"tscds/internal/epoch"
 )
 
-// Lost walks em's limbo lists twice for every assigned deletion label
+// Lost walks tq's limbo lists twice for every assigned deletion label
 // taken as the snapshot bound, once with AddLimbo's early exit and once
 // in full, and describes every node the early exit loses. The result is
 // empty iff deletion labels never increase down any thread's list: an
 // older node deleted later than a newer one is exactly what the early
-// exit at the newer node's label walks away from. fields exposes a
-// node's key, value and labels. Quiescent use only.
-func Lost[T any](em *epoch.Manager[T], fields func(T) (key, val uint64, itime, dtime *ebrrq.Label)) []string {
+// exit at the newer node's label walks away from. Quiescent use only.
+func Lost[T any](tq *ebrrq.Technique[T]) []string {
 	var bounds []core.TS
-	em.WalkLimbo(func(n T) bool {
-		_, _, _, dtime := fields(n)
+	tq.VisitLimbo(func(_, _ uint64, _, dtime *ebrrq.Label) bool {
 		if d := dtime.Get(); d != core.Pending {
 			bounds = append(bounds, d)
 		}
@@ -38,8 +35,7 @@ func Lost[T any](em *epoch.Manager[T], fields func(T) (key, val uint64, itime, d
 	// exit, or offering every node to the visibility predicate.
 	collect := func(s core.TS, earlyExit bool) []core.KV {
 		c := ebrrq.NewCollector(nil, 0, ^uint64(0), s)
-		em.WalkLimbo(func(n T) bool {
-			key, val, itime, dtime := fields(n)
+		tq.VisitLimbo(func(key, val uint64, itime, dtime *ebrrq.Label) bool {
 			return c.AddLimbo(key, val, itime, dtime) || !earlyExit
 		})
 		return c.Finish()

@@ -5,9 +5,6 @@ import (
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
-	"tscds/internal/epoch"
-	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 )
 
 // lifetime is one insertion of a key: its EBR-RQ labels, shared by a leaf
@@ -51,51 +48,24 @@ type EBRTree = tree[elinks, *ebrTechnique]
 // to the limbo lists before it can be unlinked, and a range query finds a
 // leaf deleted after its bound in the tree or in limbo.
 type ebrTechnique struct {
-	provider *ebrrq.Provider
-	em       *epoch.Manager[*node[elinks]]
-	tr       *trace.Recorder
+	*ebrrq.Technique[node[elinks]]
 }
 
 // NewEBR builds an empty tree; the LockFree variant requires an addressable
-// (logical) source and otherwise returns ebrrq.ErrRequiresAddress.
+// (logical) source and otherwise returns ebrrq.ErrRequiresAddress. Pruned
+// limbo leaves are recycled gated by refs and replaced. Internal nodes
+// never enter limbo: nothing proves when the last helper drops one, so the
+// GC does.
 func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRTree, error) {
-	provider := ebrrq.NewLockBased(src)
-	if variant == ebrrq.LockFree {
-		var err error
-		if provider, err = ebrrq.NewLockFree(src); err != nil {
-			return nil, err
-		}
+	tq, err := ebrrq.NewTechnique(src, reg, variant, func(n *node[elinks]) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
+		return n.key, n.val, &n.l.life.itime, &n.l.life.dtime
+	})
+	if err != nil {
+		return nil, err
 	}
-	p := &ebrTechnique{provider: provider}
-	p.em = epoch.NewManager[*node[elinks]](reg,
-		func(n *node[elinks], min core.TS) bool { return n.l.life.dtime.Get() >= min })
-	return newTree(src, reg, p, core.QueryAdvancesLocked(provider)), nil
+	tq.RecycleIf(func(n *node[elinks]) bool { return n.l.refs.Add(-1) == 0 && !n.l.replaced.Load() })
+	return newTree(src, &ebrTechnique{tq}, core.QueryAdvancesLocked(tq.Provider)), nil
 }
-
-// setHooks wires limbo counters and the flight recorder — through the
-// provider and the epoch manager — and builds the node pool (nil in GC
-// mode), which pruned limbo leaves are recycled into, gated by refs and
-// replaced. Internal nodes never enter limbo: nothing proves when the last
-// helper drops one, so the GC does.
-func (p *ebrTechnique) setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[elinks]] {
-	p.tr = h.Trace
-	p.provider.SetTrace(h.Trace)
-	p.em.SetTrace(h.Trace)
-	p.em.SetGC(h.GC)
-	np := pool.New[node[elinks]](reg.Cap(), h.Alloc, h.PoolStats)
-	if np != nil {
-		p.em.SetRecycle(func(n *node[elinks], tid int) {
-			if n.l.refs.Add(-1) == 0 && !n.l.replaced.Load() {
-				np.Put(tid, n)
-			}
-		})
-	}
-	return np
-}
-
-func (p *ebrTechnique) enter(tid int) { p.em.Pin(tid) }
-func (p *ebrTechnique) exit(tid int)  { p.em.Unpin(tid) }
-func (p *ebrTechnique) drain()        { p.em.DrainAll() }
 
 // truncate: limbo holds deleted leaves, not history.
 func (*ebrTechnique) truncate(*core.Thread, uint64, *node[elinks], *node[elinks]) {}
@@ -122,7 +92,7 @@ func (*ebrTechnique) children(n *node[elinks]) (*node[elinks], *node[elinks]) {
 // answers absent on the second, as a range query bounded after it does.
 func (p *ebrTechnique) present(l *node[elinks]) (uint64, bool) {
 	lf := l.l.life
-	p.provider.Label(&lf.itime)
+	p.Label(&lf.itime)
 	return l.val, lf.dtime.Get() == core.Pending
 }
 
@@ -151,7 +121,7 @@ func (*ebrTechnique) publish(parent, old, new *node[elinks], _ bool) bool {
 
 // marked labels the deletion — its linearization — before any helper can
 // splice the leaf out, so an unreachable leaf is labeled and in limbo.
-func (p *ebrTechnique) marked(l *node[elinks]) { p.provider.Label(&l.l.life.dtime) }
+func (p *ebrTechnique) marked(l *node[elinks]) { p.Label(&l.l.life.dtime) }
 
 // retire puts the leaf in limbo before any helper can splice it out; one
 // that survives a failed attempt is harmless, as labels decide visibility.
@@ -160,7 +130,7 @@ func (p *ebrTechnique) marked(l *node[elinks]) { p.provider.Label(&l.l.life.dtim
 // exit and epoch's prune need (TestEBRBSTLimboLabeledAtQuiescence).
 func (p *ebrTechnique) retire(th *core.Thread, l *node[elinks]) {
 	l.l.refs.Add(1)
-	p.em.Retire(th.ID, l)
+	p.Retire(th.ID, l)
 }
 
 // collect offers the tree, then the limbo lists, to one ebrrq.Collector,
@@ -168,14 +138,7 @@ func (p *ebrTechnique) retire(th *core.Thread, l *node[elinks]) {
 func (p *ebrTechnique) collect(th *core.Thread, root *node[elinks], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV {
 	c := ebrrq.NewCollector(out, lo, hi, s)
 	collectLive(root, &c, lo, hi)
-	p.tr.Span(th.ID, trace.PhaseTraverse, mark)
-	mark = p.tr.Now()
-	p.em.WalkLimbo(func(n *node[elinks]) bool {
-		lf := n.l.life
-		return c.AddLimbo(n.key, n.val, &lf.itime, &lf.dtime)
-	})
-	p.tr.Span(th.ID, trace.PhaseLimboScan, mark)
-	return c.Finish()
+	return p.Finish(th.ID, &c, mark)
 }
 
 // collectLive offers the leaves under n to c in key order, descending only

@@ -1,7 +1,6 @@
 package lfbst
 
 import (
-	"errors"
 	"math/rand"
 	"slices"
 	"sort"
@@ -19,13 +18,6 @@ func ebrTree(t *testing.T, v variant, threads int) (*EBRTree, *core.Registry) {
 	t.Helper()
 	m, reg := v.build(t, threads)
 	return m.(*EBRTree), reg
-}
-
-func TestEBRBSTRejectsLockFreeTSC(t *testing.T) {
-	reg := core.NewRegistry(1)
-	if _, err := NewEBR(core.New(core.TSC), reg, ebrrq.LockFree); !errors.Is(err, ebrrq.ErrRequiresAddress) {
-		t.Fatalf("err = %v, want ErrRequiresAddress", err)
-	}
 }
 
 func TestEBRBSTBasicOps(t *testing.T) {
@@ -241,14 +233,10 @@ func TestEBRBSTLimboBounded(t *testing.T) {
 			tr.Insert(th, k, k)
 			tr.Delete(th, k)
 		}
-		if n := tr.p.em.LimboLen(); n > 5000 {
+		if n := tr.p.LimboLen(); n > 5000 {
 			t.Fatalf("limbo grew unbounded: %d", n)
 		}
 	})
-}
-
-func ebrFields(n *node[elinks]) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
-	return n.key, n.val, &n.l.life.itime, &n.l.life.dtime
 }
 
 // The failed-delete-attempt case, under contention: Delete retires its
@@ -267,8 +255,8 @@ func TestEBRBSTLimboLabeledAtQuiescence(t *testing.T) {
 		tr, reg := ebrTree(t, variant{kind: core.Logical, ebr: true, labels: mk}, 12)
 		limbotest.Churn(tr, reg, 6, 1000)
 		pending := 0
-		tr.p.em.WalkLimbo(func(n *node[elinks]) bool {
-			if !n.l.life.dtime.Assigned() {
+		tr.p.VisitLimbo(func(_, _ uint64, _, dtime *ebrrq.Label) bool {
+			if !dtime.Assigned() {
 				pending++
 			}
 			return true
@@ -276,7 +264,7 @@ func TestEBRBSTLimboLabeledAtQuiescence(t *testing.T) {
 		if pending != 0 {
 			t.Fatalf("%s: %d limbo leaves still unlabeled after every Delete returned", name, pending)
 		}
-		if lost := limbotest.Lost(tr.p.em, ebrFields); len(lost) != 0 {
+		if lost := limbotest.Lost(tr.p.Technique); len(lost) != 0 {
 			t.Fatalf("%s: logical-source limbo lists out of order, %d losses, first: %s", name, len(lost), lost[0])
 		}
 	}
@@ -295,7 +283,7 @@ func TestEBRPointReadsFollowLabels(t *testing.T) {
 		tr.Insert(a, 5, 50)
 		tr.Insert(a, 7, 70)
 		five := tr.p.search(tr.root, 5).l
-		d := tr.p.provider.Label(&five.l.life.dtime) // marked's label, before the splice
+		d := tr.p.Label(&five.l.life.dtime) // marked's label, before the splice
 		if tr.Contains(a, 5) {
 			t.Error("Contains(5) true for a leaf whose deletion is labeled")
 		}
@@ -355,9 +343,9 @@ func TestEBRReplacedLeaf(t *testing.T) {
 				t.Errorf("(iii) range between the copy and the delete = %v, want %v", got, both)
 			}
 			q.BeginRQ()
-			tr.p.provider.RQLock()
-			s := tr.p.provider.Source().Snapshot()
-			tr.p.provider.RQUnlock()
+			tr.p.RQLock()
+			s := tr.p.Source().Snapshot()
+			tr.p.RQUnlock()
 			q.AnnounceRQ(s)
 			if !tr.Delete(a, 10) {
 				t.Fatal("Delete(10) failed")
@@ -373,7 +361,7 @@ func TestEBRReplacedLeaf(t *testing.T) {
 			}
 			q.DoneRQ()
 			tr.Drain()
-			if n := tr.p.em.LimboLen(); n != 0 {
+			if n := tr.p.LimboLen(); n != 0 {
 				t.Errorf("(iv) %d leaves in limbo after Drain", n)
 			}
 			if want := map[core.AllocMode]uint64{core.AllocPool: 1}[mode]; ps.Recycled.Load() != want {

@@ -18,9 +18,7 @@ import (
 	"sync/atomic"
 
 	"tscds/internal/core"
-	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 	"tscds/internal/vcas"
 )
 
@@ -88,7 +86,9 @@ type searchResult[L any] struct {
 // a technique is to a structure" states each method. A method called
 // through the type parameter is a dictionary call, never inlined, so the
 // per-edge loops — search and collect — are the technique's, one call per
-// operation.
+// operation. The exported methods are the technique's lifecycle, written
+// once in its own package: core.History for vCAS, ebrrq.Technique for
+// EBR-RQ.
 type technique[L any] interface {
 	search(root *node[L], key uint64) searchResult[L]
 	children(n *node[L]) (left, right *node[L]) // of an internal node, now
@@ -104,28 +104,26 @@ type technique[L any] interface {
 	marked(l *node[L])                  // l's parent is marked
 	retire(th *core.Thread, l *node[L]) // before the flag CAS of a delete attempt
 	truncate(th *core.Thread, key uint64, n, above *node[L])
-	enter(tid int)
-	exit(tid int)
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	// setHooks wires the technique's sinks and returns the node pool: nil
-	// (the GC) unless the technique recycles what it retires.
-	setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[L]]
-	drain()
+	SetHooks(h core.Hooks)
+	Enter(tid int)
+	Exit(tid int)
+	Drain()
+	Alloc(tid int) *node[L]
+	Free(tid int, n *node[L]) // never published
 }
 
 // tree is the EFRB tree over one technique.
 type tree[L any, P technique[L]] struct {
-	reg   *core.Registry
 	tr    *trace.Recorder
-	np    *pool.Pool[node[L]] // nil: the GC
 	rd    *core.Reader
 	p     P
 	clean *updateRec[L] // what an internal node's update field starts at
 	root  *node[L]
 }
 
-func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, rule core.Bound) *tree[L, P] {
-	t := &tree[L, P]{reg: reg, p: p, clean: new(updateRec[L])}
+func newTree[L any, P technique[L]](src core.Source, p P, rule core.Bound) *tree[L, P] {
+	t := &tree[L, P]{p: p, clean: new(updateRec[L])}
 	t.root = t.newNode(-1, inf2, 0, t.newNode(-1, inf1, 0, nil, nil, nil), t.newNode(-1, inf2, 0, nil, nil, nil), nil)
 	t.rd = core.NewReader(src, rule, t)
 	return t
@@ -134,21 +132,21 @@ func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, ru
 // Reader returns the tree's snapshot-read protocol.
 func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 
-// SetHooks wires the flight recorder and the technique's sinks, which hand
-// back the node pool. Call before the tree sees concurrent traffic.
+// SetHooks wires the flight recorder and the technique's sinks. Call before
+// the tree sees concurrent traffic.
 func (t *tree[L, P]) SetHooks(h core.Hooks) {
 	t.tr = h.Trace
 	t.rd.SetHooks(h)
-	t.np = t.p.setHooks(h, t.reg)
+	t.p.SetHooks(h)
 }
 
 // Drain eagerly prunes EBR-RQ's limbo lists. Quiescent use only, like Len.
-func (t *tree[L, P]) Drain() { t.p.drain() }
+func (t *tree[L, P]) Drain() { t.p.Drain() }
 
 // newNode acquires a node and initializes all of it, from zero: internal
 // over left and right, or a leaf (left nil), a copy of of if set.
 func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right, of *node[L]) *node[L] {
-	n := t.np.Get(tid)
+	n := t.p.Alloc(tid)
 	*n = node[L]{key: key, val: val}
 	if left != nil {
 		n.update.Store(t.clean)
@@ -166,13 +164,13 @@ func (t *tree[L, P]) Contains(th *core.Thread, key uint64) bool {
 // Get returns the value stored at key. present runs before exit: a leaf
 // pruned from limbo may be recycled once this thread leaves its epoch.
 func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	var val uint64
 	ok := false
 	if l := t.p.search(t.root, key).l; l.key == key {
 		val, ok = t.p.present(l)
 	}
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return val, ok
 }
 
@@ -183,7 +181,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	var nl *node[L]
 	var retries, helps uint64
 	inserted := false
@@ -191,7 +189,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 		r := t.p.search(t.root, key)
 		if r.l.key == key {
 			if _, ok := t.p.present(r.l); ok {
-				t.np.Put(th.ID, nl) // never published, if allocated
+				t.p.Free(th.ID, nl) // never published, if allocated
 				break
 			}
 		} else if r.pupdate.state == clean {
@@ -208,8 +206,8 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 				inserted = true
 				break
 			}
-			t.np.Put(th.ID, op.newInternal) // never published
-			t.np.Put(th.ID, sib)
+			t.p.Free(th.ID, op.newInternal)
+			t.p.Free(th.ID, sib)
 		}
 		// The parent is busy, or holds a deleted leaf: help, then retry.
 		if u := r.p.update.Load(); u.state != clean {
@@ -220,7 +218,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.tr.Count(th.ID, trace.PhaseHelp, helps)
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return inserted
 }
 
@@ -229,7 +227,7 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	if key > MaxKey {
 		return false
 	}
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	var retired *node[L] // the leaf this call last retired
 	var retries, helps uint64
 	deleted := false
@@ -268,7 +266,7 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.tr.Count(th.ID, trace.PhaseHelp, helps)
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return deleted
 }
 
@@ -330,7 +328,7 @@ func (t *tree[L, P]) helpMarked(op *deleteInfo[L], tid int) {
 	if !other.leaf() {
 		t.p.publish(op.gp, op.p, other, false)
 	} else if c := t.newNode(tid, other.key, other.val, nil, nil, other); !t.p.publish(op.gp, op.p, c, true) {
-		t.np.Put(tid, c) // never published
+		t.p.Free(tid, c)
 	}
 	op.gp.update.CompareAndSwap(&op.flag, op.done)
 }
@@ -348,10 +346,10 @@ func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 	if hi > MaxKey {
 		hi = MaxKey
 	}
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	mark := t.tr.Now()
 	out = t.p.collect(th, t.root, lo, hi, s, mark, out)
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return out
 }
 
@@ -395,33 +393,21 @@ type Tree = tree[vlinks, *vcasTechnique]
 // vcasTechnique is vCAS (Wei et al.) as this tree's edges: every read of an
 // edge labels its head version first, and a child CAS installs a pending
 // version and labels it. Snapshots live in the edges, so there is nothing
-// to retire, pin or drain, and a leaf the edges reach is present.
+// to retire, and a leaf the edges reach is present.
 type vcasTechnique struct {
-	src core.Source
-	gc  *obs.GC
-	tr  *trace.Recorder
-	rb  *core.ReadBound
+	core.History[node[vlinks]]
 }
 
 // New creates an empty tree over the given timestamp source and thread
 // registry.
 func New(src core.Source, reg *core.Registry) *Tree {
-	return newTree(src, reg, &vcasTechnique{src: src}, core.QueryAdvances)
-}
-
-// setHooks: published memory stays reachable to snapshot readers, so
-// nothing is ever recycled and nodes and versions come from the GC.
-func (p *vcasTechnique) setHooks(h core.Hooks, _ *core.Registry) *pool.Pool[node[vlinks]] {
-	p.gc, p.tr, p.rb = h.GC, h.Trace, h.ReadBound
-	return nil
+	p := &vcasTechnique{core.NewHistory[node[vlinks]](src, core.VersionsPruned)}
+	return newTree(src, p, core.QueryAdvances)
 }
 
 func (*vcasTechnique) present(l *node[vlinks]) (uint64, bool) { return l.val, true }
 func (*vcasTechnique) marked(*node[vlinks])                   {}
 func (*vcasTechnique) retire(*core.Thread, *node[vlinks])     {}
-func (*vcasTechnique) enter(int)                              {}
-func (*vcasTechnique) exit(int)                               {}
-func (*vcasTechnique) drain()                                 {}
 
 func (p *vcasTechnique) search(root *node[vlinks], key uint64) searchResult[vlinks] {
 	var r searchResult[vlinks]
@@ -430,13 +416,13 @@ func (p *vcasTechnique) search(root *node[vlinks], key uint64) searchResult[vlin
 		r.gp, r.p = r.p, r.l
 		r.gpupdate = r.pupdate
 		r.pupdate = r.p.update.Load()
-		r.l = r.p.l.child(key, r.p.key).Read(p.src)
+		r.l = r.p.l.child(key, r.p.key).Read(p.Src)
 	}
 	return r
 }
 
 func (p *vcasTechnique) children(n *node[vlinks]) (*node[vlinks], *node[vlinks]) {
-	return n.l.left.Read(p.src), n.l.right.Read(p.src)
+	return n.l.left.Read(p.Src), n.l.right.Read(p.Src)
 }
 
 // seed points an internal node's edges at its unpublished children's
@@ -459,30 +445,27 @@ func (p *vcasTechnique) seed(n, left, right, of *node[vlinks]) {
 func (p *vcasTechnique) publish(parent, old, new *node[vlinks], fresh bool) bool {
 	edge := parent.l.child(new.key, parent.key)
 	if fresh {
-		return edge.CompareAndSwapVersion(p.src, old, &new.l.ver)
+		return edge.CompareAndSwapVersion(p.Src, old, &new.l.ver)
 	}
-	return edge.CompareAndSwap(p.src, old, new)
+	return edge.CompareAndSwap(p.Src, old, new)
 }
 
 // truncate bounds history to what active range queries can read. An insert
 // passes the node above too: what n's own version displaced there stays
 // reachable until that edge is written again — for most nodes, never.
 func (p *vcasTechnique) truncate(th *core.Thread, key uint64, n, above *node[vlinks]) {
-	bound := core.PruneBoundOf(th, p.rb, p.src)
-	d := n.l.child(key, n.key).Truncate(bound)
-	if above != nil {
-		d += above.l.child(key, above.key).Truncate(bound)
+	if above == nil {
+		p.Trim(th, n.l.child(key, n.key))
+		return
 	}
-	if d > 0 && p.gc != nil {
-		p.gc.VcasVersionsPruned.Add(uint64(d))
-	}
+	p.Trim(th, n.l.child(key, n.key), above.l.child(key, above.key))
 }
 
 func (p *vcasTechnique) collect(th *core.Thread, root *node[vlinks], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV {
 	var walk uint64
 	out = p.collectAt(root, lo, hi, s, out, &walk)
-	p.tr.Span(th.ID, trace.PhaseTraverse, mark)
-	p.tr.Count(th.ID, trace.PhaseVersionWalk, walk)
+	p.Tr.Span(th.ID, trace.PhaseTraverse, mark)
+	p.Tr.Count(th.ID, trace.PhaseVersionWalk, walk)
 	return out
 }
 
@@ -496,13 +479,13 @@ func (p *vcasTechnique) collectAt(n *node[vlinks], lo, hi uint64, s core.TS, out
 		return out
 	}
 	if lo < n.key {
-		if l, ok, hops := n.l.left.ReadVersionWalk(p.src, s); ok {
+		if l, ok, hops := n.l.left.ReadVersionWalk(p.Src, s); ok {
 			*walk += uint64(hops)
 			out = p.collectAt(l, lo, hi, s, out, walk)
 		}
 	}
 	if hi >= n.key {
-		if r, ok, hops := n.l.right.ReadVersionWalk(p.src, s); ok {
+		if r, ok, hops := n.l.right.ReadVersionWalk(p.Src, s); ok {
 			*walk += uint64(hops)
 			out = p.collectAt(r, lo, hi, s, out, walk)
 		}

@@ -638,7 +638,7 @@ func history[L any, P technique[L]](tr *tree[L, P], ins *insertInfo[L]) string {
 		ni := any(ins.newInternal).(*node[vlinks])
 		return fmt.Sprintf("%d versions, installed version labeled %d", versions, ni.l.ver.TS())
 	case *EBRTree:
-		return fmt.Sprintf("%d in limbo", tr.p.em.LimboLen())
+		return fmt.Sprintf("%d in limbo", tr.p.LimboLen())
 	}
 	return ""
 }
@@ -768,7 +768,7 @@ func TestHistoryBounded(t *testing.T) {
 			}
 			core.SortKVs(want)
 			q.BeginRQ()
-			s = tr.p.src.Snapshot()
+			s = tr.p.Src.Snapshot()
 			q.AnnounceRQ(s)
 		}
 		for i := 20000; i < 200000; i++ {

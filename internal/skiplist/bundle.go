@@ -5,9 +5,7 @@ import (
 
 	"tscds/internal/bundle"
 	"tscds/internal/core"
-	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 )
 
 // blinks is the bundled node's part, laid out by who reads it (the node is
@@ -38,11 +36,7 @@ type List = list[blinks, *bundleTechnique]
 
 // bundleTechnique is Bundling (Nelson et al.) as this list's level-0 links.
 type bundleTechnique struct {
-	inEdges
-	src core.Source
-	gc  *obs.GC
-	tr  *trace.Recorder
-	rb  *core.ReadBound
+	core.History[node[blinks]]
 }
 
 // New creates an empty bundled skip list over the given source and
@@ -53,19 +47,11 @@ func New(src core.Source, reg *core.Registry) *List { return newBundle(src, reg,
 func NewLazyBundle(src core.Source, reg *core.Registry) *List { return newBundle(src, reg, 1) }
 
 func newBundle(src core.Source, reg *core.Registry, levels int) *List {
-	t := newList(src, reg, &bundleTechnique{src: src}, levels, core.QueryReads)
+	p := &bundleTechnique{core.NewHistory[node[blinks]](src, core.EntriesPruned)}
+	t := newList(src, reg, p, levels, core.QueryReads)
 	t.head.l.bnd.InitPendingWith(&t.head.l.out, nil)
 	t.head.l.bnd.Finalize(&t.head.l.out, 0) // the head is in every snapshot
 	return t
-}
-
-// setHooks: an unlinked node stays reachable to in-flight readers through
-// the history of the link that led to it until truncation detaches (and
-// clears) that entry, so nothing is ever recycled and nodes and entries
-// come from the GC.
-func (p *bundleTechnique) setHooks(h core.Hooks, _ *core.Registry) *pool.Pool[node[blinks]] {
-	p.gc, p.tr, p.rb = h.GC, h.Trace, h.ReadBound
-	return nil
 }
 
 func (p *bundleTechnique) load(n *node[blinks]) *node[blinks] { return n.next.at(0).Load() }
@@ -88,15 +74,15 @@ func (p *bundleTechnique) seed(n *node[blinks], val uint64, succ *node[blinks]) 
 // is read before the node is reachable (DESIGN §6): an update that hangs a
 // key behind n must take a later one.
 func (p *bundleTechnique) link(th *core.Thread, pred, n *node[blinks]) {
-	lb := p.tr.Now()
+	lb := p.Tr.Now()
 	n.l.bnd.InitPendingWith(&n.l.out, n.next.at(0).Load())
 	pred.l.bnd.PrepareWith(&n.l.in, n)
-	ts := p.src.Advance()
+	ts := p.Src.Advance()
 	pred.next.at(0).Store(n)
 	pred.l.bnd.Finalize(&n.l.in, ts) // the node's label and the edge's: one word
 	n.l.bnd.Finalize(&n.l.out, ts)
-	p.tr.Span(th.ID, trace.PhaseLabel, lb)
-	p.truncate(th, pred)
+	p.Tr.Span(th.ID, trace.PhaseLabel, lb)
+	p.Trim(th, &pred.l.bnd)
 }
 
 func (p *bundleTechnique) claim(_ *core.Thread, victim *node[blinks]) {
@@ -104,25 +90,17 @@ func (p *bundleTechnique) claim(_ *core.Thread, victim *node[blinks]) {
 }
 
 func (p *bundleTechnique) unlink(th *core.Thread, pred, victim *node[blinks]) {
-	lb := p.tr.Now()
+	lb := p.Tr.Now()
 	succ := victim.next.at(0).Load()
 	e := pred.l.bnd.Prepare(succ)
-	ts := p.src.Advance()
+	ts := p.Src.Advance()
 	victim.l.dts.Store(ts) // linearization of the delete
 	pred.l.bnd.Finalize(e, ts)
-	p.tr.Span(th.ID, trace.PhaseLabel, lb)
+	p.Tr.Span(th.ID, trace.PhaseLabel, lb)
 	pred.next.at(0).Store(succ)
 	// The victim's bundle is final (no insert validates against a dead
 	// pred): cut it too, or the victim keeps what its entries lead to.
-	p.truncate(th, pred)
-	p.truncate(th, victim)
-}
-
-// truncate trims the bundle a completed update just extended.
-func (p *bundleTechnique) truncate(th *core.Thread, n *node[blinks]) {
-	if d := n.l.bnd.Truncate(core.PruneBoundOf(th, p.rb, p.src)); d > 0 && p.gc != nil {
-		p.gc.BundleEntriesPruned.Add(uint64(d))
-	}
+	p.Trim(th, &pred.l.bnd, &victim.l.bnd)
 }
 
 // visibleAt reports membership of n in the snapshot at bound s under the
@@ -153,8 +131,8 @@ func (p *bundleTechnique) collect(th *core.Thread, head, pred *node[blinks], lo,
 		derefs += uint64(d)
 		spins += uint64(sp)
 	}
-	p.tr.Span(th.ID, trace.PhaseTraverse, mark)
-	p.tr.Count(th.ID, trace.PhaseBundleDeref, derefs)
-	p.tr.Count(th.ID, trace.PhasePendingWait, spins)
+	p.Tr.Span(th.ID, trace.PhaseTraverse, mark)
+	p.Tr.Count(th.ID, trace.PhaseBundleDeref, derefs)
+	p.Tr.Count(th.ID, trace.PhasePendingWait, spins)
 	return out
 }

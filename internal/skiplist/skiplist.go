@@ -20,7 +20,6 @@ import (
 
 	"tscds/internal/core"
 	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 )
 
 // maxLevel supports ~2^20 keys with p = 1/2.
@@ -85,6 +84,9 @@ type node[L any] struct {
 // range-query frame are the list's (DESIGN.md "What a technique is to a
 // structure"). A method called through the type parameter is a dictionary
 // call, never inlined: a search makes one per level-0 hop and none above.
+// The exported methods are the technique's lifecycle, written once in its
+// own package: core.History for vCAS and Bundling, ebrrq.Technique for
+// EBR-RQ.
 type technique[L any] interface {
 	// load follows n's level-0 link as it is now.
 	load(n *node[L]) *node[L]
@@ -110,35 +112,21 @@ type technique[L any] interface {
 	// timestamp.
 	claim(th *core.Thread, victim *node[L])
 	unlink(th *core.Thread, pred, victim *node[L])
-	// enter and exit bracket every operation that dereferences nodes.
-	enter(tid int)
-	exit(tid int)
 	// collect appends the pairs of [lo, hi] visible at bound s to out in
 	// key order, starting after pred, a node below lo reached through the
 	// raw index (head if none). mark is when the query began.
 	collect(th *core.Thread, head, pred *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	// setHooks wires the technique's sinks and returns the pool the list
-	// allocates nodes from: nil (the GC) unless the technique recycles what
-	// it retires.
-	setHooks(h core.Hooks, reg *core.Registry) *pool.Pool[node[L]]
-	// drain prunes what deletes hold back; quiescent use only.
-	drain()
+	SetHooks(h core.Hooks)
+	Enter(tid int) // Enter and Exit bracket every operation that dereferences nodes
+	Exit(tid int)
+	Drain() // prunes what deletes hold back; quiescent use only
+	Alloc(tid int) *node[L]
+	Recycles() bool // Alloc may return recycled memory
 }
-
-// inEdges is embedded by the techniques whose snapshots live in the
-// level-0 links (vCAS, Bundle): an unlinked node stays reachable through
-// the link's history, so there is nothing to pin or drain.
-type inEdges struct{}
-
-func (inEdges) enter(int) {}
-func (inEdges) exit(int)  {}
-func (inEdges) drain()    {}
 
 // list is the lazy skip list over one technique, levels high.
 type list[L any, P technique[L]] struct {
-	reg    *core.Registry
 	tr     *trace.Recorder
-	np     *pool.Pool[node[L]] // nil: the GC
 	rd     *core.Reader
 	p      P
 	head   *node[L]
@@ -148,7 +136,7 @@ type list[L any, P technique[L]] struct {
 }
 
 func newList[L any, P technique[L]](src core.Source, reg *core.Registry, p P, levels int, rule core.Bound) *list[L, P] {
-	t := &list[L, P]{reg: reg, p: p, levels: levels, rngs: make([]core.PaddedUint64, reg.Cap())}
+	t := &list[L, P]{p: p, levels: levels, rngs: make([]core.PaddedUint64, reg.Cap())}
 	t.head = t.newNode(-1, 0, 0, levels, nil)
 	t.head.fullyLinked.Store(true)
 	t.rd = core.NewReader(src, rule, t)
@@ -159,26 +147,26 @@ func newList[L any, P technique[L]](src core.Source, reg *core.Registry, p P, le
 func (t *list[L, P]) Reader() *core.Reader { return t.rd }
 
 // SetHooks wires the list's sinks — the flight recorder — and the
-// technique's, which hands back the node pool. A pooled node keeps a full
-// tower, so a short node recycled into a tall one allocates nothing. Call
-// before the list sees traffic.
+// technique's. A recycled node keeps a full tower, so a short node recycled
+// into a tall one allocates nothing. Call before the list sees traffic.
 func (t *list[L, P]) SetHooks(h core.Hooks) {
 	t.tr = h.Trace
 	t.rd.SetHooks(h)
-	if t.np = t.p.setHooks(h, t.reg); t.np != nil {
+	t.p.SetHooks(h)
+	if t.p.Recycles() {
 		t.keep = maxLevel
 	}
 }
 
 // Drain eagerly prunes what deletes hold back for range queries (EBR-RQ's
 // limbo lists). Quiescent use only, like Len.
-func (t *list[L, P]) Drain() { t.p.drain() }
+func (t *list[L, P]) Drain() { t.p.Drain() }
 
 // newNode acquires a node and re-initializes all of it. fullyLinked=false
 // is load-bearing on recycled memory: Delete refuses to claim a node whose
 // insert has not linked it at every level.
 func (t *list[L, P]) newNode(tid int, key, val uint64, top int, succ *node[L]) *node[L] {
-	n := t.np.Get(tid)
+	n := t.p.Alloc(tid)
 	*n = node[L]{key: key, topLevel: int32(top), next: tower[node[L]]{more: n.next.more}}
 	n.next.reset(max(top, t.keep))
 	t.p.seed(n, val, succ)
@@ -271,13 +259,13 @@ func (t *list[L, P]) Contains(th *core.Thread, key uint64) bool {
 
 // Get returns the value stored at key.
 func (t *list[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	var val uint64
 	ok := false
 	if n := t.lookup(key); n != nil {
 		val, ok = t.p.present(n)
 	}
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return val, ok
 }
 
@@ -307,7 +295,7 @@ func (t *list[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	top := t.randLevel(th.ID)
 	var preds, succs, locked [maxLevel]*node[L]
 	var retries uint64
@@ -352,13 +340,13 @@ func (t *list[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 		break
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return inserted
 }
 
 // Delete removes key; it returns false if absent.
 func (t *list[L, P]) Delete(th *core.Thread, key uint64) bool {
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	var preds, succs, locked [maxLevel]*node[L]
 	victim := t.claimVictim(th, key, &preds, &succs)
 	if victim != nil {
@@ -385,7 +373,7 @@ func (t *list[L, P]) Delete(th *core.Thread, key uint64) bool {
 		victim.Unlock()
 		t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	}
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return victim != nil
 }
 
@@ -432,7 +420,7 @@ func (t *list[L, P]) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) [
 // reads"). The untimestamped upper levels position the query below lo, the
 // technique's collect walks from there (never collecting the head).
 func (t *list[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
-	t.p.enter(th.ID)
+	t.p.Enter(th.ID)
 	mark := t.tr.Now()
 	pred := t.head
 	for l := t.levels - 1; l >= 1; l-- {
@@ -443,7 +431,7 @@ func (t *list[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 		}
 	}
 	out = t.p.collect(th, t.head, pred, lo, hi, s, mark, out)
-	t.p.exit(th.ID)
+	t.p.Exit(th.ID)
 	return out
 }
 

@@ -488,12 +488,12 @@ func TestNewNodeInResetsDirtyNode(t *testing.T) {
 		for lv := 0; lv < maxLevel; lv++ {
 			dirty.next.at(lv).Store(other)
 		}
-		l.p.provider.Label(&dirty.l.itime)
-		l.p.provider.Label(&dirty.l.dtime)
+		l.p.Label(&dirty.l.itime)
+		l.p.Label(&dirty.l.dtime)
 		dirty.fullyLinked.Store(true)
 		dirty.Lock()
 		dirty.Unlock()
-		l.np.Put(0, dirty)
+		l.p.Free(0, dirty)
 
 		got := l.newNode(0, 8, 80, top, nil)
 		if got != dirty {
@@ -641,13 +641,6 @@ func allVariants(t *testing.T) map[string]func(core.Kind, int) (anyList, *core.R
 			reg := core.NewRegistry(n)
 			return NewLazyVcas(core.New(k), reg), reg
 		},
-	}
-}
-
-func TestVariantEBRRejectsLockFreeTSC(t *testing.T) {
-	reg := core.NewRegistry(1)
-	if _, err := NewEBR(core.New(core.TSC), reg, ebrrq.LockFree); err == nil {
-		t.Fatal("lock-free EBR-RQ skip list accepted TSC")
 	}
 }
 
@@ -919,12 +912,10 @@ func TestEBRLimboListsOrdered(t *testing.T) {
 			t.Fatal(err)
 		}
 		limbotest.Churn(l, reg, 4, 1500)
-		if n := l.p.em.LimboLen(); n < 500 {
+		if n := l.p.LimboLen(); n < 500 {
 			t.Fatalf("variant %v: only %d limbo nodes; the reservation should have kept them all", variant, n)
 		}
-		lost := limbotest.Lost(l.p.em, func(n *node[elinks]) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
-			return n.key, n.l.val, &n.l.itime, &n.l.dtime
-		})
+		lost := limbotest.Lost(l.p.Technique)
 		if len(lost) != 0 {
 			t.Fatalf("variant %v: limbo lists are not ordered, %d losses, first: %s", variant, len(lost), lost[0])
 		}

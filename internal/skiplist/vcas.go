@@ -2,9 +2,7 @@ package skiplist
 
 import (
 	"tscds/internal/core"
-	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
-	"tscds/internal/pool"
 	"tscds/internal/vcas"
 )
 
@@ -27,11 +25,7 @@ type VcasList = list[vlinks, *vcasTechnique]
 // liveness flag: every read labels the head version first, so a traversal
 // that can see a write has stamped it — the second half of DESIGN §6's rule.
 type vcasTechnique struct {
-	inEdges
-	src core.Source
-	gc  *obs.GC
-	tr  *trace.Recorder
-	rb  *core.ReadBound
+	core.History[node[vlinks]]
 }
 
 // NewVcas creates an empty vCAS skip list.
@@ -41,17 +35,10 @@ func NewVcas(src core.Source, reg *core.Registry) *VcasList { return newVcas(src
 func NewLazyVcas(src core.Source, reg *core.Registry) *VcasList { return newVcas(src, reg, 1) }
 
 func newVcas(src core.Source, reg *core.Registry, levels int) *VcasList {
-	t := newList(src, reg, &vcasTechnique{src: src}, levels, core.QueryAdvances)
+	p := &vcasTechnique{core.NewHistory[node[vlinks]](src, core.VersionsPruned)}
+	t := newList(src, reg, p, levels, core.QueryAdvances)
 	t.head.l.dead.Init(false) // the head is in every snapshot
 	return t
-}
-
-// setHooks: detached versions stay readable to snapshot readers holding
-// chain pointers, so nothing is ever recycled and nodes and versions come
-// from the GC.
-func (p *vcasTechnique) setHooks(h core.Hooks, _ *core.Registry) *pool.Pool[node[vlinks]] {
-	p.gc, p.tr, p.rb = h.GC, h.Trace, h.ReadBound
-	return nil
 }
 
 // load is Object.Read with the label check pulled in front of the call
@@ -62,13 +49,13 @@ func (p *vcasTechnique) load(n *node[vlinks]) *node[vlinks] {
 	if h := o.Head(); h.TS() != core.Pending {
 		return h.Value()
 	}
-	return o.Read(p.src)
+	return o.Read(p.Src)
 }
 
-func (p *vcasTechnique) alive(n *node[vlinks]) bool { return !n.l.dead.Read(p.src) }
+func (p *vcasTechnique) alive(n *node[vlinks]) bool { return !n.l.dead.Read(p.Src) }
 
 func (p *vcasTechnique) present(n *node[vlinks]) (uint64, bool) {
-	return n.l.val, !n.l.dead.Read(p.src)
+	return n.l.val, !n.l.dead.Read(p.Src)
 }
 
 func (p *vcasTechnique) seed(n *node[vlinks], val uint64, succ *node[vlinks]) {
@@ -80,25 +67,18 @@ func (p *vcasTechnique) seed(n *node[vlinks], val uint64, succ *node[vlinks]) {
 // link writes liveness first, then reachability: a snapshot that can reach
 // the node always sees it alive at that bound.
 func (p *vcasTechnique) link(th *core.Thread, pred, n *node[vlinks]) {
-	n.l.dead.Write(p.src, false)
-	pred.l.next0.Write(p.src, n)
-	p.truncate(th, pred)
+	n.l.dead.Write(p.Src, false)
+	pred.l.next0.Write(p.Src, n)
+	p.Trim(th, &pred.l.next0)
 }
 
 func (p *vcasTechnique) claim(_ *core.Thread, victim *node[vlinks]) {
-	victim.l.dead.Write(p.src, true) // linearization of the delete
+	victim.l.dead.Write(p.Src, true) // linearization of the delete
 }
 
 func (p *vcasTechnique) unlink(th *core.Thread, pred, victim *node[vlinks]) {
-	pred.l.next0.Write(p.src, victim.l.next0.Read(p.src))
-	p.truncate(th, pred)
-}
-
-// truncate trims the version chain a completed update just extended.
-func (p *vcasTechnique) truncate(th *core.Thread, n *node[vlinks]) {
-	if d := n.l.next0.Truncate(core.PruneBoundOf(th, p.rb, p.src)); d > 0 && p.gc != nil {
-		p.gc.VcasVersionsPruned.Add(uint64(d))
-	}
+	pred.l.next0.Write(p.Src, victim.l.next0.Read(p.Src))
+	p.Trim(th, &pred.l.next0)
 }
 
 // collect falls back to the head when the index landed on a node dead at
@@ -106,26 +86,26 @@ func (p *vcasTechnique) truncate(th *core.Thread, n *node[vlinks]) {
 func (p *vcasTechnique) collect(th *core.Thread, head, pred *node[vlinks], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV {
 	var walk uint64
 	if pred != head {
-		d, ok, h := pred.l.dead.ReadVersionWalk(p.src, s)
+		d, ok, h := pred.l.dead.ReadVersionWalk(p.Src, s)
 		walk += uint64(h)
 		if !ok || d {
 			pred = head
 		}
 	}
-	cur, _, h := pred.l.next0.ReadVersionWalk(p.src, s)
+	cur, _, h := pred.l.next0.ReadVersionWalk(p.Src, s)
 	walk += uint64(h)
 	for cur != nil && cur.key <= hi {
 		if cur.key >= lo {
-			d, ok, h := cur.l.dead.ReadVersionWalk(p.src, s)
+			d, ok, h := cur.l.dead.ReadVersionWalk(p.Src, s)
 			walk += uint64(h)
 			if ok && !d {
 				out = append(out, core.KV{Key: cur.key, Val: cur.l.val})
 			}
 		}
-		cur, _, h = cur.l.next0.ReadVersionWalk(p.src, s)
+		cur, _, h = cur.l.next0.ReadVersionWalk(p.Src, s)
 		walk += uint64(h)
 	}
-	p.tr.Span(th.ID, trace.PhaseTraverse, mark)
-	p.tr.Count(th.ID, trace.PhaseVersionWalk, walk)
+	p.Tr.Span(th.ID, trace.PhaseTraverse, mark)
+	p.Tr.Count(th.ID, trace.PhaseVersionWalk, walk)
 	return out
 }

@@ -501,55 +501,37 @@ func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg 
 	if t == EBRRQLockFree {
 		variant = ebrrq.LockFree
 	}
-	switch s {
-	case BST:
-		switch t {
-		case VCAS:
-			return lfbst.New(src, reg), nil
-		case EBRRQ, EBRRQLockFree:
-			m, err := lfbst.NewEBR(src, reg, variant)
-			if err != nil {
-				return nil, fmt.Errorf("tscds: %v/%v with %v source: %w", s, t, kind, err)
-			}
-			return m, nil
-		default:
-			return nil, fmt.Errorf("tscds: %v does not support %v", s, t)
-		}
-	case Citrus:
-		switch t {
-		case VCAS:
-			return citrus.NewVcas(src, reg), nil
-		case Bundle:
-			return citrus.NewBundle(src, reg), nil
-		case EBRRQ, EBRRQLockFree:
-			m, err := citrus.NewEBR(src, reg, variant)
-			if err != nil {
-				return nil, fmt.Errorf("tscds: %v/%v with %v source: %w", s, t, kind, err)
-			}
-			return m, nil
-		}
-	case SkipList:
-		switch t {
-		case Bundle:
-			return skiplist.New(src, reg), nil
-		case VCAS:
-			return skiplist.NewVcas(src, reg), nil
-		case EBRRQ, EBRRQLockFree:
-			m, err := skiplist.NewEBR(src, reg, variant)
-			if err != nil {
-				return nil, fmt.Errorf("tscds: %v/%v with %v source: %w", s, t, kind, err)
-			}
-			return m, nil
-		}
-	case LazyList:
-		switch t {
-		case VCAS:
-			return skiplist.NewLazyVcas(src, reg), nil
-		case Bundle:
-			return skiplist.NewLazyBundle(src, reg), nil
-		}
+	ebr := t == EBRRQ || t == EBRRQLockFree
+	var m inner
+	var err error
+	switch {
+	case s == BST && t == VCAS:
+		m = lfbst.New(src, reg)
+	case s == BST && ebr:
+		m, err = lfbst.NewEBR(src, reg, variant)
+	case s == Citrus && t == VCAS:
+		m = citrus.NewVcas(src, reg)
+	case s == Citrus && t == Bundle:
+		m = citrus.NewBundle(src, reg)
+	case s == Citrus && ebr:
+		m, err = citrus.NewEBR(src, reg, variant)
+	case s == SkipList && t == Bundle:
+		m = skiplist.New(src, reg)
+	case s == SkipList && t == VCAS:
+		m = skiplist.NewVcas(src, reg)
+	case s == SkipList && ebr:
+		m, err = skiplist.NewEBR(src, reg, variant)
+	case s == LazyList && t == VCAS:
+		m = skiplist.NewLazyVcas(src, reg)
+	case s == LazyList && t == Bundle:
+		m = skiplist.NewLazyBundle(src, reg)
+	default:
+		return nil, fmt.Errorf("tscds: unsupported combination %v/%v", s, t)
 	}
-	return nil, fmt.Errorf("tscds: unsupported combination %v/%v", s, t)
+	if err != nil {
+		return nil, fmt.Errorf("tscds: %v/%v with %v source: %w", s, t, kind, err)
+	}
+	return m, nil
 }
 
 // inner is the facade's contract with a structure variant, and with the

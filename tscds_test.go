@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"tscds/internal/ebrrq"
 )
 
 // combo is a (structure, technique) pair.
@@ -213,14 +215,23 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 	}
 }
 
+// Lock-free EBR-RQ validates its labels by DCSS against the timestamp's
+// address, which a hardware source has not: every structure refuses every
+// such source, flat and sharded, with the cause wrapped so callers can
+// program against it.
 func TestLockFreeEBRRQRejectsTSC(t *testing.T) {
-	_, err := New(Citrus, EBRRQLockFree, Config{Source: TSC})
-	if err == nil {
-		t.Fatal("lock-free EBR-RQ accepted a hardware timestamp")
-	}
-	// The cause is wrapped so callers can program against it.
-	if errors.Unwrap(err) == nil {
-		t.Fatalf("error not wrapped: %v", err)
+	for _, s := range []Structure{BST, Citrus, SkipList} {
+		for _, src := range []SourceKind{TSC, Monotonic, Adaptive} {
+			t.Run(fmt.Sprintf("%v/%v", s, src), func(t *testing.T) {
+				cfg := Config{Source: src}
+				if _, err := New(s, EBRRQLockFree, cfg); !errors.Is(err, ebrrq.ErrRequiresAddress) {
+					t.Errorf("New err = %v, want ErrRequiresAddress", err)
+				}
+				if _, err := NewSharded(s, EBRRQLockFree, 2, cfg); !errors.Is(err, ebrrq.ErrRequiresAddress) {
+					t.Errorf("NewSharded(2 shards) err = %v, want ErrRequiresAddress", err)
+				}
+			})
+		}
 	}
 }
 
