@@ -14,18 +14,16 @@ test:
 # source combination), plus the sharded-map tests and the read-path agreement test, which run
 # one handle across every shard outside that matrix.
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
-# obs itself plus obs/promparse and obs/trace; ./internal/jiffy/... runs
-# the BatchStore's concurrent batches and its frozen-counter test;
-# ./cmd/tscstat/... serves a map under load and checks every endpoint of
-# it live.
+# obs itself plus obs/promparse and obs/trace; ./cmd/tscstat/... serves a
+# map under load and checks every endpoint of it live.
 check: benchmark-smoke inline-check doc-check deps-check
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/... ./internal/citrus/... ./internal/bundle/... ./internal/skiplist/... ./internal/jiffy/... ./cmd/tscstat/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/... ./internal/citrus/... ./internal/bundle/... ./internal/skiplist/... ./cmd/tscstat/...
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestSharded|TestReadPathsAgree' .
-	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors' .
+	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors|TestUpdateAfterClose|TestCloseUnderLoad' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
 
 # loc prints the non-test Go lines of every package outside benchmark/ and

@@ -264,43 +264,6 @@ func BenchmarkAblationVersionGC(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationStrictAdvance measures the Jiffy-style tie-avoidance
-// loop (§III-A): strictly-increasing timestamps versus plain reads. On
-// hardware with cycle-granularity tscds.TSC the strict loop almost never
-// spins, which is exactly the paper's argument for why ties are a
-// non-issue in practice.
-func BenchmarkAblationStrictAdvance(b *testing.B) {
-	for _, kind := range []tscds.SourceKind{tscds.Logical, tscds.TSC} {
-		src := tscds.NewTimestampSource(kind)
-		b.Run(fmt.Sprintf("plain/%v", kind), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				src.Advance()
-			}
-		})
-		b.Run(fmt.Sprintf("strict/%v", kind), func(b *testing.B) {
-			prev := src.Advance()
-			for i := 0; i < b.N; i++ {
-				prev = core.AdvanceStrict(src, prev)
-			}
-		})
-	}
-}
-
-// BenchmarkAblationOrdo measures the ORDO-style uncertainty wrapper
-// (related work §V): the overhead is one addition, making skew-tolerant
-// ordering essentially free relative to the underlying read.
-func BenchmarkAblationOrdo(b *testing.B) {
-	inner := core.New(core.TSC)
-	for _, delta := range []uint64{0, 1000, 1_000_000} {
-		b.Run(fmt.Sprintf("delta=%d", delta), func(b *testing.B) {
-			src := core.NewOrdo(inner, delta)
-			for i := 0; i < b.N; i++ {
-				src.Advance()
-			}
-		})
-	}
-}
-
 // BenchmarkZipfContention contrasts the paper's uniform keys with a
 // Zipfian hot-key workload on the vCAS tscds.BST (extension): skew moves the
 // bottleneck from the timestamp to the structure's hot paths.
@@ -329,56 +292,6 @@ func BenchmarkOmittedSkipList(b *testing.B) {
 		for _, src := range benchSources {
 			b.Run(fmt.Sprintf("%s/%s", tech, src), func(b *testing.B) {
 				benchMap(b, tscds.SkipList, tech, src, wl)
-			})
-		}
-	}
-}
-
-// BenchmarkJiffy measures the §III-A store: single-key puts, multi-key
-// atomic batches, and snapshot range reads, per source. The reported
-// tie-retry metric shows the strict-increase wait loop's real frequency
-// (the paper: "never used in practice" on cycle-resolution tscds.TSC).
-func BenchmarkJiffy(b *testing.B) {
-	for _, kind := range []tscds.SourceKind{tscds.Logical, tscds.TSC} {
-		for _, mode := range []string{"put", "batch4", "snapshot-range"} {
-			b.Run(fmt.Sprintf("%s/%v", mode, kind)+"", func(b *testing.B) {
-				st, reg, err := tscds.NewBatchStore(tscds.Config{Source: kind, MaxThreads: 64})
-				if err != nil {
-					b.Fatal(err)
-				}
-				setup, _ := reg.Register()
-				for k := uint64(1); k <= 4096; k++ {
-					st.Put(setup, k, k)
-				}
-				setup.Release()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					th, _ := reg.Register()
-					defer th.Release()
-					r := uint64(0xBEEF)
-					buf := make([]tscds.KV, 0, 128)
-					ops := make([]tscds.BatchOp, 4)
-					for pb.Next() {
-						r ^= r << 13
-						r ^= r >> 7
-						r ^= r << 17
-						k := r%4096 + 1
-						switch mode {
-						case "put":
-							st.Put(th, k, r)
-						case "batch4":
-							for i := range ops {
-								ops[i] = tscds.BatchOp{Key: (k+uint64(i)*7)%4096 + 1, Val: r}
-							}
-							st.Apply(th, ops)
-						default:
-							sn := st.Snapshot(th)
-							buf = sn.Range(k, k+100, buf[:0])
-							sn.Close()
-						}
-					}
-				})
-				b.ReportMetric(float64(st.TieRetries()), "tie-retries")
 			})
 		}
 	}

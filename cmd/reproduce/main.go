@@ -1,13 +1,12 @@
 // Command reproduce is the experiment driver: every figure of the paper
 // on the simulated paper machine (4x24x2 Xeon) and natively on this host,
-// the simulator's calibration sensitivity, and the range-query probes.
+// and the simulator's calibration sensitivity.
 //
 //	reproduce                       every figure: paper claim | sim | native spot check
 //	reproduce -skip-native -full    simulation only, every panel (deterministic)
 //	reproduce fig 4 -mode sim -format chart
 //	reproduce fig 3 -mode native -threads 1,2 -arm citrus/bundle -trace -metrics
 //	reproduce sensitivity           headline ratios across the calibration constants
-//	reproduce probe -duration 2s    prefix/suffix/stripe probes, every arm x source
 //
 // The figures (arms, U-RQ-C mixes, paper claims) are declared once, in
 // internal/sim's table. Native runs follow the paper's setup: structures
@@ -93,14 +92,8 @@ func run(args []string, w io.Writer) error {
 		fs.Parse(args)
 		sensitivity(w)
 		return nil
-	case "probe":
-		fs.DurationVar(&o.duration, "duration", time.Second, "time per probe")
-		fs.StringVar(&o.arm, "arm", "", "restrict to one structure/technique (e.g. citrus/bundle)")
-		fs.Uint64Var(&o.keyRange, "keyrange", 3000, "key-space size per probe")
-		fs.Parse(args)
-		return probe(w, &o)
 	}
-	return fmt.Errorf("unknown command %q: want fig, sensitivity or probe", cmd)
+	return fmt.Errorf("unknown command %q: want fig or sensitivity", cmd)
 }
 
 // quickSweeps is how many (mix, arm) sweeps a figure may hold before the

@@ -81,8 +81,11 @@ type DurableMap interface {
 	LastRecovery() RecoveryStats
 	// Close stops the durability layer: drains and fsyncs the log
 	// (clean shutdowns are fully durable even with SyncEvery > 1),
-	// stops the snapshot flusher, and closes the files. The Map must
-	// be quiescent. Close on a non-durable Map is a no-op.
+	// stops the snapshot flusher, and closes the files. An update
+	// concurrent with Close is either logged before the log closes or
+	// refused with nothing applied; every update after Close is refused
+	// (InsertDurable/DeleteDurable return wal.ErrClosed, Insert/Delete
+	// false). Close on a non-durable Map is a no-op.
 	Close() error
 }
 
@@ -100,12 +103,17 @@ type padMutex struct {
 
 // durable is the per-Map durability state hung off wrap.dur.
 type durable struct {
-	log   *wal.Log
-	mus   []padMutex // one per WAL shard; serializes apply+stamp+append
-	inner inner
-	rd    *core.Reader // collects the whole map at one bound
-	src   core.Source
-	tr    *trace.Recorder
+	log *wal.Log
+	mus []padMutex // one per WAL shard; serializes apply+stamp+append
+	// closed refuses updates once Close began. Every update reads it
+	// under its stream mutex, so it sits beside mus, on a line the
+	// update loads anyway, rather than on the struct's last line, which
+	// the next object in memory can share.
+	closed atomic.Bool
+	inner  inner
+	rd     *core.Reader // collects the whole map at one bound
+	src    core.Source
+	tr     *trace.Recorder
 
 	snapMu  sync.Mutex // serializes Checkpoint with the flusher
 	snapBuf []core.KV
@@ -115,7 +123,6 @@ type durable struct {
 	every    time.Duration
 	stop     chan struct{}
 	wg       sync.WaitGroup
-	closed   atomic.Bool
 }
 
 // enableDurability arms cfg.Durability on w: open (and recover) the
@@ -190,7 +197,9 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 // outside it (so concurrent updaters share the fsync). op selects
 // Insert or Delete (val is ignored for a delete). Failed in-memory ops
 // log nothing — per key the log holds only effective updates, which is
-// what makes redundant replay over a snapshot converge.
+// what makes redundant replay over a snapshot converge. After Close the
+// update is refused before it touches the map: applied, it would be lost
+// on reopen.
 func (d *durable) update(th *core.Thread, op wal.OpKind, key, val uint64) (bool, error) {
 	sh := core.PartOf(key, len(d.mus))
 	var mark uint64
@@ -199,6 +208,10 @@ func (d *durable) update(th *core.Thread, op wal.OpKind, key, val uint64) (bool,
 	}
 	mu := &d.mus[sh]
 	mu.Lock()
+	if d.closed.Load() {
+		mu.Unlock()
+		return false, wal.ErrClosed
+	}
 	if !apply(d.inner, th, op, key, val) {
 		mu.Unlock()
 		return false, nil
@@ -259,10 +272,17 @@ func (d *durable) flushLoop() {
 	}
 }
 
-// close stops the flusher and the log; idempotent.
+// close stops the flusher and the log; idempotent. Taking every stream's
+// mutex once after closed is set waits out the updates that took it
+// before: each of them has appended by then, and every later one sees
+// closed.
 func (d *durable) close() error {
 	if !d.closed.CompareAndSwap(false, true) {
 		return d.log.Err()
+	}
+	for i := range d.mus {
+		d.mus[i].Lock()
+		d.mus[i].Unlock()
 	}
 	close(d.stop)
 	d.wg.Wait()

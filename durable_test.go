@@ -2,8 +2,10 @@ package tscds_test
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -367,28 +369,14 @@ func TestMaxKeyBoundaryShiftedStructures(t *testing.T) {
 		}
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/s%d", spec, shards), func(t *testing.T) {
-				cfg := tscds.Config{Durability: &tscds.Durability{Dir: cmDir, FS: faultfs.New(faultfs.Fault{})}}
-				open := func() tscds.DurableMap {
-					t.Helper()
-					var m tscds.Map
-					var err error
-					if shards == 1 {
-						m, err = tscds.New(s, tech, cfg)
-					} else {
-						m, err = tscds.NewSharded(s, tech, shards, cfg)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					return m.(tscds.DurableMap)
-				}
+				fs := faultfs.New(faultfs.Fault{})
 				expect := func(m tscds.Map, th *tscds.Thread, lo, hi uint64, want ...tscds.KV) {
 					t.Helper()
 					if got := m.RangeQuery(th, lo, hi, nil); !slices.Equal(got, want) {
 						t.Fatalf("RangeQuery(%d, %d) = %v, want %v", lo, hi, got, want)
 					}
 				}
-				m := open()
+				m := openDurable(t, s, tech, shards, fs)
 				th, _ := m.RegisterThread()
 				if !m.Insert(th, 0, 1) || !m.Insert(th, top, 2) || m.Insert(th, 0, 3) || !m.Contains(th, top) {
 					t.Fatal("insert semantics at the key space's ends")
@@ -405,7 +393,7 @@ func TestMaxKeyBoundaryShiftedStructures(t *testing.T) {
 				if err := m.Close(); err != nil {
 					t.Fatal(err)
 				}
-				m = open()
+				m = openDurable(t, s, tech, shards, fs)
 				defer m.Close()
 				th, _ = m.RegisterThread()
 				defer th.Release()
@@ -416,6 +404,139 @@ func TestMaxKeyBoundaryShiftedStructures(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestUpdateAfterClose: an update after Close is refused and touches
+// nothing, on every arm, flat and at 4 shards. Applied in memory, it would
+// read back until the map reopened without it.
+func TestUpdateAfterClose(t *testing.T) {
+	keys := []uint64{1, 257, 513, 769} // one key block per shard
+	for _, spec := range bench.Arms() {
+		s, tech, err := bench.ParseArm(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/s%d", spec, shards), func(t *testing.T) {
+				fs := faultfs.New(faultfs.Fault{})
+				m := openDurable(t, s, tech, shards, fs)
+				th, _ := m.RegisterThread()
+				defer th.Release()
+				for _, k := range keys[:2] {
+					if ok, err := m.InsertDurable(th, k, k); !ok || err != nil {
+						t.Fatalf("InsertDurable(%d) = %v, %v", k, ok, err)
+					}
+				}
+				if err := m.Close(); err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range keys {
+					if ok, err := m.InsertDurable(th, k+1, k); ok || !errors.Is(err, wal.ErrClosed) {
+						t.Fatalf("InsertDurable(%d) after Close = %v, %v; want false, %v", k+1, ok, err, wal.ErrClosed)
+					}
+					if ok, err := m.DeleteDurable(th, k); ok || !errors.Is(err, wal.ErrClosed) {
+						t.Fatalf("DeleteDurable(%d) after Close = %v, %v; want false, %v", k, ok, err, wal.ErrClosed)
+					}
+					if m.Insert(th, k+2, k) || m.Delete(th, k) {
+						t.Fatalf("Insert(%d) or Delete(%d) after Close reported success", k+2, k)
+					}
+				}
+				want := []tscds.KV{{Key: keys[0], Val: keys[0]}, {Key: keys[1], Val: keys[1]}}
+				if got := m.RangeQuery(th, 0, tscds.MaxKey, nil); !slices.Equal(got, want) {
+					t.Fatalf("after refused updates the map holds %v, want %v", got, want)
+				}
+				m = openDurable(t, s, tech, shards, fs)
+				defer m.Close()
+				th2, _ := m.RegisterThread()
+				defer th2.Release()
+				if got := m.RangeQuery(th2, 0, tscds.MaxKey, nil); !slices.Equal(got, want) {
+					t.Fatalf("reopened map holds %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestCloseUnderLoad: two writers insert while a third goroutine closes
+// the map. Every insert acknowledged without error survives reopen, and
+// every refused one is absent: no update straddles Close.
+func TestCloseUnderLoad(t *testing.T) {
+	fs := faultfs.New(faultfs.Fault{})
+	m := openDurable(t, tscds.BST, tscds.VCAS, 4, fs)
+	var acked [2][]uint64
+	var refused [2]uint64
+	var started, running atomic.Int64
+	var wg sync.WaitGroup
+	for w := range acked {
+		th, err := m.RegisterThread()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		running.Add(1)
+		go func() {
+			defer wg.Done()
+			defer running.Add(-1)
+			defer th.Release()
+			for k := uint64(w); ; k += 2 {
+				ok, err := m.InsertDurable(th, k, k)
+				switch {
+				case ok && err == nil:
+					acked[w] = append(acked[w], k)
+					started.Add(1)
+				case !ok && errors.Is(err, wal.ErrClosed):
+					refused[w] = k
+					return
+				default:
+					t.Errorf("InsertDurable(%d) = %v, %v; want acknowledged or refused", k, ok, err)
+					return
+				}
+			}
+		}()
+	}
+	for started.Load() < 200 && running.Load() > 0 {
+		runtime.Gosched()
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+
+	m = openDurable(t, tscds.BST, tscds.VCAS, 4, fs)
+	defer m.Close()
+	th, _ := m.RegisterThread()
+	defer th.Release()
+	for w := range acked {
+		for _, k := range acked[w] {
+			if !m.Contains(th, k) {
+				t.Fatalf("writer %d: acknowledged key %d lost on reopen", w, k)
+			}
+		}
+		if m.Contains(th, refused[w]) {
+			t.Fatalf("writer %d: refused key %d present on reopen", w, refused[w])
+		}
+	}
+	if got, want := m.Len(), len(acked[0])+len(acked[1]); got != want {
+		t.Fatalf("reopened map holds %d keys, want the %d acknowledged", got, want)
+	}
+}
+
+// openDurable opens a durable map of the arm on fs, flat when shards is
+// 1, syncing every update.
+func openDurable(t *testing.T, s tscds.Structure, tech tscds.Technique, shards int, fs *faultfs.FS) tscds.DurableMap {
+	t.Helper()
+	cfg := tscds.Config{Source: tscds.Logical, Durability: &tscds.Durability{Dir: cmDir, SyncEvery: 1, FS: fs}}
+	var m tscds.Map
+	var err error
+	if shards == 1 {
+		m, err = tscds.New(s, tech, cfg)
+	} else {
+		m, err = tscds.NewSharded(s, tech, shards, cfg)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.(tscds.DurableMap)
 }
 
 // TestRecoverResidueStreams: a directory whose 4-stream log split keys by

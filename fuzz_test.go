@@ -458,55 +458,6 @@ func FuzzTimeTravelAgainstModel(f *testing.F) {
 	})
 }
 
-// FuzzBatchStore checks the Jiffy-style store's batch semantics against
-// a model: a tape of batches (each up to 4 ops) applied to both.
-func FuzzBatchStore(f *testing.F) {
-	f.Add([]byte{1, 0, 5, 9, 2, 0, 5, 1, 1, 6, 2})
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, tape []byte) {
-		if len(tape) > 256 {
-			tape = tape[:256]
-		}
-		st, reg, err := NewBatchStore(Config{Source: Logical, MaxThreads: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		th, _ := reg.Register()
-		defer th.Release()
-		model := map[uint64]uint64{}
-		i := 0
-		for i < len(tape) {
-			n := int(tape[i]%4) + 1
-			i++
-			var ops []BatchOp
-			for j := 0; j < n && i+1 < len(tape); j++ {
-				key := uint64(tape[i]%32) + 1
-				val := uint64(tape[i+1])
-				i += 2
-				remove := val%5 == 0
-				ops = append(ops, BatchOp{Key: key, Val: val, Remove: remove})
-			}
-			st.Apply(th, ops)
-			for _, op := range ops { // batch order: last op per key wins
-				if op.Remove {
-					delete(model, op.Key)
-				} else {
-					model[op.Key] = op.Val
-				}
-			}
-			for k, v := range model {
-				got, ok := st.Get(th, k)
-				if !ok || got != v {
-					t.Fatalf("Get(%d) = (%d,%v), model %d after %s", k, got, ok, v, fmt.Sprint(ops))
-				}
-			}
-		}
-		if st.Len() != len(model) {
-			t.Fatalf("Len=%d model=%d", st.Len(), len(model))
-		}
-	})
-}
-
 // FuzzPooledAgainstModel is FuzzMapAgainstModel with Config.Alloc set to
 // AllocPool and Drain interleaved into the op tape, on the EBR-RQ maps —
 // the only ones whose epoch manager feeds the pool (the vCAS and Bundle

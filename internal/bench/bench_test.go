@@ -205,8 +205,9 @@ func TestFigureTable(t *testing.T) {
 	}
 }
 
-// Arms is what `reproduce probe` walks: every combination tscds.New
-// accepts on the logical source.
+// Arms is what the root package's TestSnapshotOrder and
+// TestUpdateAfterClose walk: every combination tscds.New accepts on the
+// logical source.
 func TestArmsEnumeratesWhatNewAccepts(t *testing.T) {
 	want := []string{
 		"bst/ebrrq", "bst/ebrrq-lockfree", "bst/vcas",

@@ -280,110 +280,6 @@ func TestConcurrentContendedAccounting(t *testing.T) {
 	}
 }
 
-// Linearizability probe: ascending single-writer inserts must make every
-// snapshot a prefix.
-func TestSnapshotPrefixDuringInserts(t *testing.T) {
-	for _, v := range variants(t) {
-		for _, kind := range []core.Kind{core.Logical, core.TSC} {
-			t.Run(v.name+"/"+kind.String(), func(t *testing.T) {
-				m, reg := v.make(kind, 4)
-				const n = 3000
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					th := reg.MustRegister()
-					defer th.Release()
-					for k := uint64(1); k <= n; k++ {
-						m.Insert(th, k, k)
-					}
-				}()
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					th := reg.MustRegister()
-					defer th.Release()
-					for {
-						got := m.RangeQuery(th, 1, n, nil)
-						keys := make([]uint64, len(got))
-						for i, kv := range got {
-							keys[i] = kv.Key
-						}
-						sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-						for i, k := range keys {
-							if k != uint64(i+1) {
-								t.Errorf("snapshot gap at %d: key %d", i, k)
-								return
-							}
-						}
-						if len(keys) == n {
-							return
-						}
-					}
-				}()
-				wg.Wait()
-			})
-		}
-	}
-}
-
-// Deletion-side probe: with two-child deletes happening (random tree,
-// random deletes), snapshots restricted to a stable stripe must stay
-// complete: keys 1..n inserted with even keys never touched; deleting
-// odd keys randomly must never make an even key vanish from a snapshot.
-func TestSnapshotStableStripeUnderDeletes(t *testing.T) {
-	for _, v := range variants(t) {
-		t.Run(v.name, func(t *testing.T) {
-			m, reg := v.make(core.TSC, 4)
-			const n = 2000
-			th0 := reg.MustRegister()
-			perm := rand.New(rand.NewSource(3)).Perm(n)
-			for _, i := range perm {
-				m.Insert(th0, uint64(i+1), uint64(i+1))
-			}
-			th0.Release()
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				rng := rand.New(rand.NewSource(11))
-				for _, i := range rng.Perm(n) {
-					k := uint64(i + 1)
-					if k%2 == 1 {
-						m.Delete(th, k)
-					}
-				}
-			}()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				for round := 0; round < 60; round++ {
-					got := m.RangeQuery(th, 1, n, nil)
-					evens := map[uint64]bool{}
-					for _, kv := range got {
-						if kv.Key%2 == 0 {
-							if evens[kv.Key] {
-								t.Errorf("duplicate even key %d in snapshot", kv.Key)
-								return
-							}
-							evens[kv.Key] = true
-						}
-					}
-					if len(evens) != n/2 {
-						t.Errorf("round %d: snapshot holds %d even keys, want %d", round, len(evens), n/2)
-						return
-					}
-				}
-			}()
-			wg.Wait()
-		})
-	}
-}
-
 // Range snapshots never contain duplicate keys even while two-child
 // deletes relocate successors.
 func TestNoDuplicateKeysUnderRelocation(t *testing.T) {

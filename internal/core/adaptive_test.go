@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"tscds/internal/obs"
 	"tscds/internal/tsc"
 )
 
@@ -230,43 +229,6 @@ func TestAdaptiveConcurrentSwitches(t *testing.T) {
 		t.Fatal("no switches recorded under fault injection")
 	}
 	t.Logf("switches=%d failbacks=%d lastSwitch=%dns", snap.SourceSwitches, snap.SourceFailbacks, snap.LastSwitchNS)
-}
-
-// A frozen hardware counter is the shape of a fully stalled TSC.
-// AdvanceStrict used to hang forever on it; now it gives up after its
-// budget, returns prev+1 and counts one stall.
-func TestAdvanceStrictBoundedOnFrozenSource(t *testing.T) {
-	s := &hwSource{kind: TSC, read: func() uint64 { return 41 }}
-	var st obs.SourceStats
-	Count(s, &st)
-	done := make(chan TS, 1)
-	go func() { done <- AdvanceStrict(s, 41) }()
-	select {
-	case got := <-done:
-		if got != 42 {
-			t.Fatalf("AdvanceStrict on frozen source = %d, want prev+1 = 42", got)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("AdvanceStrict still hanging on a frozen source")
-	}
-	if got := st.Stalls.Load(); got != 1 {
-		t.Fatalf("Stalls = %d, want 1", got)
-	}
-}
-
-func TestAdvanceStrictStallTripsAdaptiveFailover(t *testing.T) {
-	h := tsc.NewHealth(1)
-	s := NewAdaptive(AdaptiveConfig{Health: h, FailbackAfter: -1})
-	s.read = func() uint64 { return 0 } // frozen hardware counter
-	// The stall AdvanceStrict reports is a health fault: it must flip the
-	// next acquisition to the logical generation.
-	AdvanceStrict(s, s.Advance())
-	if got := GenOf(s.Advance()); got != 1 {
-		t.Fatalf("generation after stall = %d, want 1", got)
-	}
-	if h.Snapshot().SourceStalls != 1 {
-		t.Fatal("stall not recorded on health")
-	}
 }
 
 func TestActualDisclosesFallback(t *testing.T) {

@@ -115,50 +115,9 @@ type Source interface {
 	// Snapshot and include exactly the labels <= s. On a logical source
 	// this is a fetch-and-add returning the pre-increment value; on
 	// hardware sources it is a read (ties with in-flight labels are the
-	// theoretical corner case of §III-A, addressed by AdvanceStrict
-	// where an algorithm needs strictness).
+	// theoretical corner case of §III-A, which every technique here
+	// accepts).
 	Snapshot() TS
 	// Kind identifies the implementation.
 	Kind() Kind
-}
-
-// advanceStrictSpinBudget bounds the AdvanceStrict spin. A healthy
-// source moves within a handful of reads (one counter increment — a
-// clock cycle for TSC); a million reads without progress means the
-// counter is frozen, and spinning further would hang the caller on
-// exactly the hardware fault the health monitor exists to catch.
-const advanceStrictSpinBudget = 1 << 20
-
-// AdvanceStrict returns a timestamp strictly greater than prev. This is
-// the Jiffy-style tie-avoidance discussed in §III-A: TSC is monotonic
-// but not strictly increasing, so algorithms that require unique
-// versions wait out ties. On a healthy source the wait is bounded by
-// one counter increment (a clock cycle for TSC); for a logical source
-// Advance already guarantees strict increase so no spin occurs.
-//
-// Against a stalled source the spin is bounded: after the budget is
-// exhausted the stall is counted on s (see Count), an AdaptiveSource
-// reports it to its Health monitor, which fails the source over, and
-// prev+1 is returned. The fabricated label is strictly above prev
-// but ahead of the frozen counter, so it stays invisible to snapshots
-// until the counter catches up — a bounded-staleness degradation,
-// instead of the unbounded hang a frozen counter used to cause here.
-func AdvanceStrict(s Source, prev TS) TS {
-	for i := 0; i < advanceStrictSpinBudget; i++ {
-		t := s.Advance()
-		if t > prev {
-			return t
-		}
-	}
-	if c := countsOf(s); c != nil {
-		c.countStall()
-	}
-	if a, ok := s.(*AdaptiveSource); ok {
-		a.health.NoteStall()
-	}
-	t := prev + 1
-	if t > MaxTS {
-		t = MaxTS
-	}
-	return t
 }

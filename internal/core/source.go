@@ -30,18 +30,12 @@ func (c *counts) countSnapshot() {
 	}
 }
 
-func (c *counts) countStall() {
-	if c.st != nil {
-		c.st.Stalls.Inc()
-	}
-}
-
-// Count makes src count every Advance, Peek and Snapshot in st, every
-// AdvanceStrict that stalls on it, and, on an AdaptiveSource, every range
-// query SnapshotValid sends back for a retry. On a logical source the
-// Advance count is a direct proxy for fetch-and-add contention on the
-// shared timestamp line, the effect the paper's figures measure; on
-// hardware sources the counts describe the workload's timestamp appetite.
+// Count makes src count every Advance, Peek and Snapshot in st and, on an
+// AdaptiveSource, every range query SnapshotValid sends back for a retry.
+// On a logical source the Advance count is a direct proxy for fetch-and-add
+// contention on the shared timestamp line, the effect the paper's figures
+// measure; on hardware sources the counts describe the workload's
+// timestamp appetite.
 // Lock-free EBR-RQ's DCSS reads a logical counter at its address and is
 // not counted: it is the algorithm's validation read, not a timestamp
 // acquisition. Call Count before src serves traffic; src must come from

@@ -3,7 +3,6 @@ package lfbst
 import (
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 
@@ -122,105 +121,6 @@ func TestEBRBSTConcurrentStriped(t *testing.T) {
 		if n := tr.Len(); n != gs*per/2 {
 			t.Fatalf("Len=%d want %d", n, gs*per/2)
 		}
-	})
-}
-
-// Snapshot prefix probe, the linearizability check, against every labeling
-// variant (DCSS under snapshot storms on the lock-free one).
-func TestEBRBSTSnapshotPrefix(t *testing.T) {
-	forEach(t, nil, func(t *testing.T, v variant) {
-		tr, reg := v.build(t, 4)
-		const n = 2500
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := reg.MustRegister()
-			defer th.Release()
-			for k := uint64(1); k <= n; k++ {
-				tr.Insert(th, k, k)
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := reg.MustRegister()
-			defer th.Release()
-			for {
-				got := tr.RangeQuery(th, 1, n, nil)
-				keys := make([]uint64, len(got))
-				for i, kv := range got {
-					keys[i] = kv.Key
-				}
-				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-				for i, k := range keys {
-					if k != uint64(i+1) {
-						t.Errorf("snapshot gap at %d: %d", i, k)
-						return
-					}
-				}
-				if len(keys) == n {
-					return
-				}
-			}
-		}()
-		wg.Wait()
-	})
-}
-
-// Deleted-during-query keys must be captured from limbo: start a query
-// while a deleter sweeps a tree filled in random order; every snapshot must
-// be a suffix.
-func TestEBRBSTSnapshotSuffixViaLimbo(t *testing.T) {
-	forEach(t, isEBR, func(t *testing.T, v variant) {
-		tr, reg := v.build(t, 4)
-		const n = 2500
-		{
-			th := reg.MustRegister()
-			perm := rand.New(rand.NewSource(5)).Perm(n)
-			for _, i := range perm {
-				tr.Insert(th, uint64(i+1), uint64(i+1))
-			}
-			th.Release()
-		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := reg.MustRegister()
-			defer th.Release()
-			for k := uint64(1); k <= n; k++ {
-				tr.Delete(th, k)
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := reg.MustRegister()
-			defer th.Release()
-			for {
-				got := tr.RangeQuery(th, 1, n, nil)
-				if len(got) == 0 {
-					return
-				}
-				keys := make([]uint64, len(got))
-				for i, kv := range got {
-					keys[i] = kv.Key
-				}
-				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-				for i, k := range keys {
-					if k != keys[0]+uint64(i) {
-						t.Errorf("snapshot not a suffix at %d: %d (first %d)", i, k, keys[0])
-						return
-					}
-				}
-				if keys[len(keys)-1] != n {
-					t.Errorf("suffix missing tail %d", keys[len(keys)-1])
-					return
-				}
-			}
-		}()
-		wg.Wait()
 	})
 }
 

@@ -65,16 +65,6 @@ func forEach(t *testing.T, keep func(variant) bool, fn func(t *testing.T, v vari
 
 func isEBR(v variant) bool { return v.ebr }
 
-// keys scales a stress test's key count n to v: the EBR-RQ rows run a third
-// of it, about the size of the EBR-RQ tests' own, so that adding them to the
-// vCAS stress tests costs a race-detector run little.
-func (v variant) keys(n uint64) uint64 {
-	if v.ebr {
-		return n / 3
-	}
-	return n
-}
-
 // eachTree runs a check written against the tree's internals on every
 // variant: vc is its vCAS instantiation, eb its EBR-RQ one.
 func eachTree(t *testing.T, threads int, vc func(*testing.T, *Tree, *core.Registry), eb func(*testing.T, *EBRTree, *core.Registry)) {
@@ -337,160 +327,6 @@ func TestConcurrentContendedOps(t *testing.T) {
 		if got := tr.Len(); got != ins-del {
 			t.Fatalf("Len = %d, successful inserts %d - deletes %d = %d", got, ins, del, ins-del)
 		}
-	})
-}
-
-// The central linearizability check: a single writer inserts ascending
-// keys, so every consistent snapshot is a prefix. Any gap means the
-// range query mixed two points in time.
-func TestSnapshotIsPrefixDuringAscendingInserts(t *testing.T) {
-	withVcasLogical(t, func(t *testing.T, v variant) {
-		tr, reg := v.build(t, 4)
-		n := v.keys(6000)
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := reg.MustRegister()
-			defer th.Release()
-			for k := uint64(1); k <= n; k++ {
-				tr.Insert(th, k, k)
-			}
-		}()
-		reader := func() {
-			defer wg.Done()
-			th := reg.MustRegister()
-			defer th.Release()
-			buf := make([]core.KV, 0, n)
-			for {
-				got := tr.RangeQuery(th, 1, n, buf[:0])
-				keys := make([]uint64, len(got))
-				for i, kv := range got {
-					keys[i] = kv.Key
-				}
-				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-				for i, k := range keys {
-					if k != uint64(i+1) {
-						t.Errorf("snapshot not a prefix: position %d holds %d", i, k)
-						return
-					}
-				}
-				if uint64(len(keys)) == n {
-					return
-				}
-			}
-		}
-		wg.Add(2)
-		go reader()
-		go reader()
-		wg.Wait()
-	})
-}
-
-// Mirror image: a single writer deletes ascending keys from a full tree,
-// so every consistent snapshot is a suffix.
-func TestSnapshotIsSuffixDuringAscendingDeletes(t *testing.T) {
-	forEach(t, nil, func(t *testing.T, v variant) {
-		tr, reg := v.build(t, 4)
-		n := v.keys(5000)
-		{
-			th := reg.MustRegister()
-			for k := uint64(1); k <= n; k++ {
-				tr.Insert(th, k, k)
-			}
-			th.Release()
-		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := reg.MustRegister()
-			defer th.Release()
-			for k := uint64(1); k <= n; k++ {
-				tr.Delete(th, k)
-			}
-		}()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := reg.MustRegister()
-			defer th.Release()
-			buf := make([]core.KV, 0, n)
-			for {
-				got := tr.RangeQuery(th, 1, n, buf[:0])
-				if len(got) == 0 {
-					return
-				}
-				keys := make([]uint64, len(got))
-				for i, kv := range got {
-					keys[i] = kv.Key
-				}
-				sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-				first := keys[0]
-				for i, k := range keys {
-					if k != first+uint64(i) {
-						t.Errorf("snapshot not a suffix: %d at offset %d from %d", k, i, first)
-						return
-					}
-				}
-				if keys[len(keys)-1] != n {
-					t.Errorf("suffix missing tail: ends at %d", keys[len(keys)-1])
-					return
-				}
-			}
-		}()
-		wg.Wait()
-	})
-}
-
-// Two writers on disjoint stripes: a snapshot projected onto each stripe
-// must be a prefix of that stripe, independently.
-func TestSnapshotPerStripePrefix(t *testing.T) {
-	forEach(t, nil, func(t *testing.T, v variant) {
-		tr, reg := v.build(t, 4)
-		n := v.keys(3000)
-		var wg sync.WaitGroup
-		writer := func(stripe uint64) {
-			defer wg.Done()
-			th := reg.MustRegister()
-			defer th.Release()
-			for k := uint64(1); k <= n; k++ {
-				tr.Insert(th, k*2+stripe, k)
-			}
-		}
-		wg.Add(2)
-		go writer(0)
-		go writer(1)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := reg.MustRegister()
-			defer th.Release()
-			for {
-				got := tr.RangeQuery(th, 0, MaxKey, nil)
-				var even, odd []uint64
-				for _, kv := range got {
-					if kv.Key%2 == 0 {
-						even = append(even, kv.Key/2)
-					} else {
-						odd = append(odd, kv.Key/2)
-					}
-				}
-				for _, stripe := range [][]uint64{even, odd} {
-					sort.Slice(stripe, func(i, j int) bool { return stripe[i] < stripe[j] })
-					for i, k := range stripe {
-						if k != uint64(i+1) {
-							t.Errorf("stripe snapshot not a prefix at %d: %v...", i, k)
-							return
-						}
-					}
-				}
-				if uint64(len(even)) == n && uint64(len(odd)) == n {
-					return
-				}
-			}
-		}()
-		wg.Wait()
 	})
 }
 

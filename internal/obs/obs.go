@@ -272,7 +272,7 @@ func (c OpClass) String() string {
 // all of them are core-local reads and the counts only describe the
 // workload's timestamp appetite.
 type SourceStats struct {
-	Advances, Peeks, Snapshots, Stalls, SnapshotRetries Counter
+	Advances, Peeks, Snapshots, SnapshotRetries Counter
 }
 
 // SourceSnapshot is a point-in-time copy of SourceStats.
@@ -286,7 +286,6 @@ type SourceSnapshot struct {
 	Advances        uint64 `json:"advances" help:"Timestamp-source Advance calls (one fetch-and-add per call on a logical source)."`
 	Peeks           uint64 `json:"peeks" help:"Timestamp-source Peek calls."`
 	Snapshots       uint64 `json:"snapshots" help:"Range-query snapshot-bound acquisitions."`
-	Stalls          uint64 `json:"stalls,omitempty" help:"AdvanceStrict spin-budget exhaustions (frozen or severely degraded source)."`
 	SnapshotRetries uint64 `json:"snapshot_retries,omitempty" help:"Range-query snapshots discarded and re-run after an adaptive-source generation switch."`
 }
 

@@ -278,90 +278,6 @@ func TestConcurrentContendedAccounting(t *testing.T) {
 	}
 }
 
-func TestSnapshotPrefixDuringInserts(t *testing.T) {
-	for _, kind := range []core.Kind{core.Logical, core.TSC} {
-		t.Run(kind.String(), func(t *testing.T) {
-			l, reg := newBundleList(kind, 4)
-			const n = 4000
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				for k := uint64(1); k <= n; k++ {
-					l.Insert(th, k, k)
-				}
-			}()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				for {
-					got := l.RangeQuery(th, 1, n, nil)
-					for i, kv := range got {
-						if kv.Key != uint64(i+1) {
-							t.Errorf("snapshot gap: position %d holds %d", i, kv.Key)
-							return
-						}
-					}
-					if len(got) == n {
-						return
-					}
-				}
-			}()
-			wg.Wait()
-		})
-	}
-}
-
-func TestSnapshotSuffixDuringDeletes(t *testing.T) {
-	l, reg := newBundleList(core.TSC, 4)
-	const n = 4000
-	{
-		th := reg.MustRegister()
-		for k := uint64(1); k <= n; k++ {
-			l.Insert(th, k, k)
-		}
-		th.Release()
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := reg.MustRegister()
-		defer th.Release()
-		for k := uint64(1); k <= n; k++ {
-			l.Delete(th, k)
-		}
-	}()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		th := reg.MustRegister()
-		defer th.Release()
-		for {
-			got := l.RangeQuery(th, 1, n, nil)
-			if len(got) == 0 {
-				return
-			}
-			first := got[0].Key
-			for i, kv := range got {
-				if kv.Key != first+uint64(i) {
-					t.Errorf("snapshot not a suffix at %d: %d (first %d)", i, kv.Key, first)
-					return
-				}
-			}
-			if got[len(got)-1].Key != n {
-				t.Errorf("suffix truncated: ends at %d", got[len(got)-1].Key)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-}
-
 // Mid-range queries exercise the index-landing fallback while churn
 // deletes and reinserts keys around the range boundary.
 func TestMidRangeSnapshotUnderChurn(t *testing.T) {
@@ -726,104 +642,6 @@ func TestVariantConcurrentAccounting(t *testing.T) {
 			if got := l.Len(); got != ti-td {
 				t.Fatalf("Len=%d inserts-deletes=%d", got, ti-td)
 			}
-		})
-	}
-}
-
-func TestVariantSnapshotPrefix(t *testing.T) {
-	for name, mk := range allVariants(t) {
-		t.Run(name, func(t *testing.T) {
-			l, reg := mk(core.TSC, 4)
-			const n = 2500
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				for k := uint64(1); k <= n; k++ {
-					l.Insert(th, k, k)
-				}
-			}()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				for {
-					got := l.RangeQuery(th, 1, n, nil)
-					keys := make([]uint64, len(got))
-					for i, kv := range got {
-						keys[i] = kv.Key
-					}
-					sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-					for i, k := range keys {
-						if k != uint64(i+1) {
-							t.Errorf("snapshot gap at %d: %d", i, k)
-							return
-						}
-					}
-					if len(keys) == n {
-						return
-					}
-				}
-			}()
-			wg.Wait()
-		})
-	}
-}
-
-func TestVariantSnapshotSuffixDuringDeletes(t *testing.T) {
-	for name, mk := range allVariants(t) {
-		t.Run(name, func(t *testing.T) {
-			l, reg := mk(core.TSC, 4)
-			const n = 2000
-			{
-				th := reg.MustRegister()
-				perm := rand.New(rand.NewSource(9)).Perm(n)
-				for _, i := range perm {
-					l.Insert(th, uint64(i+1), uint64(i+1))
-				}
-				th.Release()
-			}
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				for k := uint64(1); k <= n; k++ {
-					l.Delete(th, k)
-				}
-			}()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				for {
-					got := l.RangeQuery(th, 1, n, nil)
-					if len(got) == 0 {
-						return
-					}
-					keys := make([]uint64, len(got))
-					for i, kv := range got {
-						keys[i] = kv.Key
-					}
-					sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-					for i, k := range keys {
-						if k != keys[0]+uint64(i) {
-							t.Errorf("snapshot not a suffix at %d: %d (first %d)", i, k, keys[0])
-							return
-						}
-					}
-					if keys[len(keys)-1] != n {
-						t.Errorf("suffix missing tail %d", keys[len(keys)-1])
-						return
-					}
-				}
-			}()
-			wg.Wait()
 		})
 	}
 }

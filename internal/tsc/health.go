@@ -37,13 +37,12 @@ type Health struct {
 	// degraded is the fast-path flag consumed by adaptive timestamp
 	// sources on their hot paths: one relaxed load answers "has any
 	// fault been observed since the flag was last cleared". faultSeq
-	// counts every observed fault (real, injected, or stall) and never
+	// counts every observed fault (real or injected) and never
 	// resets, so failback hysteresis can distinguish "flag cleared" from
 	// "no new faults".
 	degraded atomic.Uint32
 	faultSeq atomic.Uint64
 	injected atomic.Uint64 // synthetic faults from InjectBackstep
-	stalls   atomic.Uint64 // stalled-source reports (AdvanceStrict gave up)
 
 	// Source-switch telemetry reported by adaptive sources: failovers
 	// (hardware -> logical), failbacks (logical -> hardware), and the
@@ -152,10 +151,9 @@ func (h *Health) noteFault() {
 }
 
 // Degraded reports whether any fault — a cross-thread or same-thread
-// regression, an injected backstep, or a stalled-source report — has
-// been observed since the flag was last cleared. One atomic load;
-// adaptive sources consult it on their timestamp hot paths. Nil-safe
-// (false).
+// regression or an injected backstep — has been observed since the flag
+// was last cleared. One atomic load; adaptive sources consult it on their
+// timestamp hot paths. Nil-safe (false).
 func (h *Health) Degraded() bool {
 	return h != nil && h.degraded.Load() != 0
 }
@@ -208,17 +206,6 @@ func (h *Health) InjectBackstep(delta uint64) {
 	}
 	h.injected.Add(1)
 	h.noteBack(delta)
-}
-
-// NoteStall records that a strict timestamp acquisition exhausted its
-// spin budget against a source that would not move — the signature of a
-// frozen or severely degraded counter. Counts as a fault. Nil-safe.
-func (h *Health) NoteStall() {
-	if h == nil {
-		return
-	}
-	h.stalls.Add(1)
-	h.noteFault()
 }
 
 // NoteSourceSwitch records one adaptive-source generation switch:
@@ -349,7 +336,6 @@ type HealthSnapshot struct {
 	MaxBackstepTicks uint64         `json:"max_backstep_ticks"`
 	MaxBackstepNS    float64        `json:"max_backstep_ns"`
 	InjectedFaults   uint64         `json:"injected_faults,omitempty"`
-	SourceStalls     uint64         `json:"source_stalls,omitempty"`
 	SourceSwitches   uint64         `json:"source_switches"`
 	SourceFailbacks  uint64         `json:"source_failbacks"`
 	SwitchTotalNS    uint64         `json:"switch_total_ns,omitempty"`
@@ -380,7 +366,6 @@ func (h *Health) Snapshot() HealthSnapshot {
 		s.MaxBackstepNS = float64(s.MaxBackstepTicks) / h.ticksPerNS
 	}
 	s.InjectedFaults = h.injected.Load()
-	s.SourceStalls = h.stalls.Load()
 	s.SourceSwitches = h.switches.Load()
 	s.SourceFailbacks = h.failbacks.Load()
 	s.SwitchTotalNS = h.switchNS.Load()
@@ -426,7 +411,7 @@ func (h *Health) Snapshot() HealthSnapshot {
 			s.Warnings = append(s.Warnings, "TSC is not invariant; accessors serve the monotonic clock")
 		}
 	case s.CrossRegressions > 0 || selfBack > 0 || worstDrift > driftWarnPPM ||
-		s.InjectedFaults > 0 || s.SourceStalls > 0:
+		s.InjectedFaults > 0:
 		s.State = StateDegraded
 		if s.CrossRegressions > 0 {
 			s.Warnings = append(s.Warnings, fmt.Sprintf(
@@ -441,9 +426,6 @@ func (h *Health) Snapshot() HealthSnapshot {
 		}
 		if s.InjectedFaults > 0 {
 			s.Warnings = append(s.Warnings, fmt.Sprintf("%d injected backstep(s) (fault-injection harness)", s.InjectedFaults))
-		}
-		if s.SourceStalls > 0 {
-			s.Warnings = append(s.Warnings, fmt.Sprintf("%d stalled-source report(s): strict advance exhausted its spin budget", s.SourceStalls))
 		}
 	default:
 		s.State = StateHealthy

@@ -153,18 +153,17 @@ func TestHealthDegradedFlag(t *testing.T) {
 	if got := h.FaultSeq(); got != seq {
 		t.Fatalf("ClearDegraded changed FaultSeq %d -> %d", seq, got)
 	}
-	h.NoteStall()
+	h.InjectBackstep(1_000_000)
 	if !h.Degraded() {
-		t.Fatal("NoteStall did not re-raise the degraded flag")
+		t.Fatal("a second InjectBackstep did not re-raise the degraded flag")
 	}
 	if got := h.FaultSeq(); got <= seq {
-		t.Fatalf("NoteStall did not bump FaultSeq (%d -> %d)", seq, got)
+		t.Fatalf("a second InjectBackstep did not bump FaultSeq (%d -> %d)", seq, got)
 	}
 
 	// Nil receivers are inert.
 	var nilH *Health
 	nilH.InjectBackstep(1)
-	nilH.NoteStall()
 	nilH.ClearDegraded()
 	nilH.NoteSourceSwitch(false, time.Microsecond)
 	if nilH.Degraded() || nilH.FaultSeq() != 0 {
@@ -222,15 +221,17 @@ func TestHealthSourceSwitchTelemetry(t *testing.T) {
 	}
 }
 
-func TestHealthStallCountsAsFault(t *testing.T) {
+// An injected fault alone, with no sample to observe it, still leaves the
+// snapshot out of the healthy state.
+func TestHealthInjectedFaultCountsAsFault(t *testing.T) {
 	h := NewHealth(1)
-	h.NoteStall()
+	h.InjectBackstep(1)
 	s := h.Snapshot()
-	if s.SourceStalls != 1 {
-		t.Fatalf("SourceStalls = %d, want 1", s.SourceStalls)
+	if s.InjectedFaults != 1 {
+		t.Fatalf("InjectedFaults = %d, want 1", s.InjectedFaults)
 	}
 	if s.State == StateHealthy {
-		t.Fatal("stall report left state healthy")
+		t.Fatal("injected fault left state healthy")
 	}
 }
 

@@ -50,9 +50,6 @@ func (h *Health) WriteProm(w io.Writer) {
 	head("tscds_tsc_injected_faults_total", "Backsteps injected through the fault hook (testing).", "counter")
 	fmt.Fprintf(w, "tscds_tsc_injected_faults_total %d\n", s.InjectedFaults)
 
-	head("tscds_tsc_source_stalls_total", "Strict-advance spin-budget exhaustions reported to the monitor.", "counter")
-	fmt.Fprintf(w, "tscds_tsc_source_stalls_total %d\n", s.SourceStalls)
-
 	head("tscds_tsc_source_switches_total", "Adaptive-source switches away from hardware.", "counter")
 	fmt.Fprintf(w, "tscds_tsc_source_switches_total %d\n", s.SourceSwitches)
 

@@ -16,7 +16,7 @@ func TestHealthWritePromStrictParse(t *testing.T) {
 		h.Sample(0)
 	}
 	h.InjectBackstep(uint64(time.Millisecond))
-	h.NoteStall()
+	h.InjectBackstep(uint64(time.Millisecond))
 	h.NoteSourceSwitch(false, 5*time.Millisecond)
 	h.NoteSourceSwitch(true, 2*time.Millisecond)
 
@@ -31,7 +31,7 @@ func TestHealthWritePromStrictParse(t *testing.T) {
 		"tscds_tsc_info", "tscds_tsc_degraded",
 		"tscds_tsc_samples_total", "tscds_tsc_cross_regressions_total",
 		"tscds_tsc_self_regressions_total", "tscds_tsc_max_backstep_ns",
-		"tscds_tsc_injected_faults_total", "tscds_tsc_source_stalls_total",
+		"tscds_tsc_injected_faults_total",
 		"tscds_tsc_source_switches_total", "tscds_tsc_source_failbacks_total",
 		"tscds_tsc_switch_ns_total", "tscds_tsc_ticks_per_ns",
 	} {
@@ -40,11 +40,8 @@ func TestHealthWritePromStrictParse(t *testing.T) {
 		}
 	}
 
-	if v, ok := res.Value("tscds_tsc_injected_faults_total", nil); !ok || v != 1 {
-		t.Errorf("injected_faults = %v, %v; want 1", v, ok)
-	}
-	if v, ok := res.Value("tscds_tsc_source_stalls_total", nil); !ok || v != 1 {
-		t.Errorf("stalls = %v, %v; want 1", v, ok)
+	if v, ok := res.Value("tscds_tsc_injected_faults_total", nil); !ok || v != 2 {
+		t.Errorf("injected_faults = %v, %v; want 2", v, ok)
 	}
 	if v, ok := res.Value("tscds_tsc_source_switches_total", nil); !ok || v != 1 {
 		t.Errorf("switches = %v, %v; want 1", v, ok)

@@ -181,7 +181,7 @@ func TestAlertExpressionsNameServedFamilies(t *testing.T) {
 	selector := regexp.MustCompile(`(tscds_[a-z_]+)\{([^}]*)\}`)
 	matcher := regexp.MustCompile(`([a-z_]+)\s*(?:=~|!~|!=|=)`)
 	for _, name := range []string{
-		"tsc-backstep", "source-stall", "source-degraded", "source-switch",
+		"tsc-backstep", "source-degraded", "source-switch",
 		"snapshot-retry-spike", "limbo-growth", "wal-error", "pool-hit-collapse",
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -39,7 +39,6 @@ import (
 	"tscds/internal/citrus"
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
-	"tscds/internal/jiffy"
 	"tscds/internal/lfbst"
 	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
@@ -353,45 +352,6 @@ func NewTimestampSource(k SourceKind) TimestampSource { return core.New(k) }
 // TSC, the property required to compare timestamps across cores.
 func HardwareTimestampSupported() bool { return tsc.Supported() && tsc.Invariant() }
 
-// BatchOp is one element of a BatchStore batch.
-type BatchOp = jiffy.Op
-
-// BatchStore is the Jiffy-style multiversioned store (§III-A of the
-// paper): atomic multi-key batches and long-lived consistent snapshots
-// over strictly-increasing hardware-timestamp revisions.
-type BatchStore = jiffy.Map
-
-// BatchSnapshot is a long-lived consistent view of a BatchStore.
-type BatchSnapshot = jiffy.Snap
-
-// NewBatchStore builds a BatchStore over cfg.Source (an Adaptive one
-// fails over on cfg.Health). Thread handles come from the returned
-// registry accessor on the store's methods; see package jiffy. A Config
-// New would reject is a *ConfigError here too, and so is one that sets
-// what a BatchStore has no support for: Metrics, Trace, AllocPool,
-// Durability or Retention.
-func NewBatchStore(cfg Config) (*BatchStore, *Registry, error) {
-	if err := validate(cfg); err != nil {
-		return nil, nil, err
-	}
-	for _, f := range []struct {
-		name string
-		set  bool
-	}{
-		{"Metrics", cfg.Metrics != nil},
-		{"Trace", cfg.Trace != nil},
-		{"Alloc", cfg.Alloc != AllocGC},
-		{"Durability", cfg.Durability != nil},
-		{"Retention", cfg.Retention != 0},
-	} {
-		if f.set {
-			return nil, nil, &ConfigError{f.name, "a BatchStore does not support it"}
-		}
-	}
-	reg := core.NewRegistry(cfg.MaxThreads)
-	return jiffy.New(newSource(cfg), reg), reg, nil
-}
-
 // newSource builds cfg's timestamp source. An Adaptive one fails over on,
 // and reports its switches to, cfg.Health.
 func newSource(cfg Config) core.Source {
@@ -401,11 +361,7 @@ func newSource(cfg Config) core.Source {
 	return core.New(cfg.Source)
 }
 
-// Registry hands out Thread handles for APIs constructed with an
-// explicit registry (NewBatchStore).
-type Registry = core.Registry
-
-// ConfigError is the error New, NewSharded and NewBatchStore return for a
+// ConfigError is the error New and NewSharded return for a
 // Config or an argument they cannot honour; errors.As against it tells a
 // misconfiguration from an unsupported (structure, technique, source)
 // combination or an I/O error.

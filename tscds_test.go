@@ -137,8 +137,8 @@ func TestRegisterThreadExhaustionAndReuse(t *testing.T) {
 	th2.Release()
 }
 
-// TestConstructorsRejectInvalidConfig: New, NewSharded and NewBatchStore
-// share one validate, which refuses a Config it cannot honour with a
+// TestConstructorsRejectInvalidConfig: New and NewSharded share one
+// validate, which refuses a Config it cannot honour with a
 // *ConfigError naming the field — an unknown Alloc (2 was the retired arena
 // mode) used to run as AllocGC while reporting the bogus mode, an unknown
 // Source to panic inside core.New, a negative MaxThreads to become the
@@ -161,44 +161,35 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 			}
 			return m != nil, err
 		},
-		"NewBatchStore": func(cfg Config) (bool, error) {
-			st, reg, err := NewBatchStore(cfg)
-			return st != nil || reg != nil, err
-		},
 	}
 	for _, c := range []struct {
 		field string
 		cfg   Config
-		batch string // the field NewBatchStore names instead, when it cannot honour one New can
 	}{
-		{"Alloc", Config{Alloc: AllocPool + 1}, ""},
-		{"Alloc", Config{Alloc: -1, Metrics: NewMetrics()}, ""},
-		{"Source", Config{Source: Adaptive + 1}, ""},
-		{"Source", Config{Source: -1}, ""},
-		{"Durability", Config{Durability: &Durability{}}, ""},
-		{"MaxThreads", Config{MaxThreads: -1}, ""},
-		{"", Config{Source: Adaptive, Health: NewTSCHealth(4)}, ""},
-		{"", Config{Metrics: NewMetrics()}, "Metrics"},
-		{"", Config{Trace: &TraceConfig{}}, "Trace"},
-		{"", Config{Source: Adaptive, Alloc: AllocPool}, "Alloc"},
-		{"", Config{Durability: &Durability{Dir: t.TempDir()}}, "Durability"},
-		{"", Config{Retention: 1}, "Retention"},
+		{"Alloc", Config{Alloc: AllocPool + 1}},
+		{"Alloc", Config{Alloc: -1, Metrics: NewMetrics()}},
+		{"Source", Config{Source: Adaptive + 1}},
+		{"Source", Config{Source: -1}},
+		{"Durability", Config{Durability: &Durability{}}},
+		{"MaxThreads", Config{MaxThreads: -1}},
+		{"", Config{Source: Adaptive, Health: NewTSCHealth(4)}},
+		{"", Config{Metrics: NewMetrics()}},
+		{"", Config{Trace: &TraceConfig{}}},
+		{"", Config{Source: Adaptive, Alloc: AllocPool}},
+		{"", Config{Durability: &Durability{Dir: t.TempDir()}}},
+		{"", Config{Retention: 1}},
 	} {
 		for name, build := range constructors {
 			built, err := build(c.cfg)
-			field := c.field
-			if name == "NewBatchStore" && c.batch != "" {
-				field = c.batch
-			}
-			if field == "" {
+			if c.field == "" {
 				if err != nil {
 					t.Errorf("%s(%+v): valid Config rejected: %v", name, c.cfg, err)
 				}
 				continue
 			}
 			var ce *ConfigError
-			if !errors.As(err, &ce) || ce.Field != field || built {
-				t.Errorf("%s(%+v) built %v, %v; want a *ConfigError for field %s and nothing built", name, c.cfg, built, err, field)
+			if !errors.As(err, &ce) || ce.Field != c.field || built {
+				t.Errorf("%s(%+v) built %v, %v; want a *ConfigError for field %s and nothing built", name, c.cfg, built, err, c.field)
 			}
 		}
 	}
@@ -436,47 +427,5 @@ func TestScanStreamsSortedAndStopsEarly(t *testing.T) {
 			return true
 		})
 		th.Release()
-	}
-}
-
-// A BatchStore built through the facade commits a batch atomically and
-// hands out its thread handles from the returned registry.
-func TestBatchStoreFacade(t *testing.T) {
-	st, reg, err := NewBatchStore(Config{Source: TSC, MaxThreads: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := reg.Register()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer th.Release()
-	st.Apply(th, []BatchOp{{Key: 1, Val: 10}, {Key: 2, Val: 20}})
-	sn := st.Snapshot(th)
-	a, okA := sn.Get(1)
-	b, okB := sn.Get(2)
-	sn.Close()
-	if !okA || !okB || a != 10 || b != 20 {
-		t.Fatalf("batch read back (%d,%v) (%d,%v)", a, okA, b, okB)
-	}
-	st.Remove(th, 1)
-	if st.Len() != 1 {
-		t.Fatalf("Len = %d", st.Len())
-	}
-}
-
-// An Adaptive BatchStore fails over on Config.Health, as a Map does.
-func TestBatchStoreAdaptiveHonoursHealth(t *testing.T) {
-	h := NewTSCHealth(2)
-	st, reg, err := NewBatchStore(Config{Source: Adaptive, Health: h, MaxThreads: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := reg.MustRegister()
-	defer th.Release()
-	h.InjectBackstep(1 << 30)
-	st.Put(th, 1, 10)
-	if got := h.Snapshot().SourceSwitches; got != 1 {
-		t.Fatalf("SourceSwitches = %d after a fault, want 1", got)
 	}
 }
