@@ -12,7 +12,9 @@ test:
 # concurrency-sensitive packages, and the short-mode linearizability
 # matrix (a pairwise cover holding every supported structure x technique x
 # source combination), plus the sharded-map tests and the read-path agreement test, which run
-# one handle across every shard outside that matrix.
+# one handle across every shard outside that matrix, and the facade's
+# flight-recorder tests (the sampling countdown and the lazily published
+# rings are shared state).
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
 # obs itself plus obs/promparse and obs/trace; ./cmd/tscstat/... serves a
 # map under load and checks every endpoint of it live.
@@ -25,6 +27,7 @@ check: benchmark-smoke inline-check doc-check deps-check
 	$(GO) test -race -short -run 'TestSharded|TestReadPathsAgree' .
 	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors|TestUpdateAfterClose|TestCloseUnderLoad' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
+	$(GO) test -race -short -run 'TestTrace|TestPhasesSumToOp' .
 
 # loc prints the non-test Go lines of every package outside benchmark/ and
 # their total: ROADMAP asks that the number go down over the round, so CI
@@ -50,8 +53,11 @@ loc:
 # and the list and the EFRB tree hand the technique node pointers only,
 # never their addresses. Telemetry must cost what a counter read costs: the
 # telemetry clock is inlined where the facade ends an operation and where
-# the recorder ends a span, and no file on the facade's op path reads the
-# wall clock. A key reaches its shard and its WAL stream through the one
+# the recorder ends a span or reads a mark, and no file on the facade's op
+# path reads the wall clock. The recorder samples, and an unsampled
+# operation must pay its countdown alone: the per-op sample test is inlined
+# into every facade operation (Get, update, read) and the mark and span
+# calls into the durable update, while the clock reads stay out of line. A key reaches its shard and its WAL stream through the one
 # partition function, core.PartOf, inlined into the sharded point ops and
 # the durable update; no facade file partitions with a % of its own.
 inline-check:
@@ -76,7 +82,12 @@ inline-check:
 	for fn in Insert Delete helpMarked; do \
 		deny internal/lfbst/lfbst.go "(t \*tree\[L, P\]) $$fn"; done; \
 	need ./tscds.go '(w \*wrap) observe' 'tsc.Clock.Now'; \
-	need internal/obs/trace/trace.go '(r \*Recorder) Span' 'tsc.Clock.Now'; \
+	need internal/obs/trace/trace.go '(r \*Recorder) span' 'tsc.Clock.Now'; \
+	need internal/obs/trace/trace.go '(r \*Recorder) now' 'tsc.Clock.Now'; \
+	for fn in Get update read; do \
+		need ./tscds.go "(w \*wrap) $$fn" 'trace.(*Recorder).Sample'; done; \
+	need ./durable.go '(d \*durable) update' 'trace.(*Recorder).Now'; \
+	need ./durable.go '(d \*durable) update' 'trace.(*Recorder).Span'; \
 	for fn in Insert Delete Get; do \
 		need ./sharded.go "(sh \*shardedInner) $$fn" 'core.PartOf'; done; \
 	need ./durable.go '(d \*durable) update' 'core.PartOf'; \

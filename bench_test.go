@@ -174,7 +174,7 @@ func BenchmarkAblationLabeling(b *testing.B) {
 				var l ebrrq.Label
 				for pb.Next() {
 					l.Init()
-					p.Label(&l)
+					p.Label(-1, &l)
 				}
 			})
 		})

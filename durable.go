@@ -202,10 +202,6 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 // on reopen.
 func (d *durable) update(th *core.Thread, op wal.OpKind, key, val uint64) (bool, error) {
 	sh := core.PartOf(key, len(d.mus))
-	var mark uint64
-	if d.tr != nil {
-		mark = d.tr.Now()
-	}
 	mu := &d.mus[sh]
 	mu.Lock()
 	if d.closed.Load() {
@@ -216,6 +212,7 @@ func (d *durable) update(th *core.Thread, op wal.OpKind, key, val uint64) (bool,
 		mu.Unlock()
 		return false, nil
 	}
+	mark := d.tr.Now(th.ID)
 	lsn, err := d.log.Append(sh, wal.Record{
 		TS: d.src.Peek(), Op: op, Key: key, Val: val,
 	})
@@ -223,9 +220,7 @@ func (d *durable) update(th *core.Thread, op wal.OpKind, key, val uint64) (bool,
 	if err == nil {
 		err = d.log.WaitDurable(sh, lsn)
 	}
-	if d.tr != nil {
-		d.tr.Span(th.ID, trace.PhaseWALAppend, mark)
-	}
+	d.tr.Span(th.ID, trace.PhaseWALAppend, mark)
 	return true, err
 }
 
@@ -238,7 +233,7 @@ func (d *durable) update(th *core.Thread, op wal.OpKind, key, val uint64) (bool,
 func (d *durable) checkpoint(ts uint64, live bool) error {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
-	mark := d.tr.Now()
+	mark := d.tr.SharedNow()
 	// Rotate first: every record buffered before this point lands in a
 	// sealed segment whose maxTS the prune below can compare against
 	// the snapshot bound.

@@ -59,13 +59,13 @@ func (p *bundleTechnique) seed(l *blinks, left, right *node[blinks]) {
 func (p *bundleTechnique) publish(th *core.Thread, n *node[blinks], dir int, target *node[blinks]) {
 	// Prepare..Finalize is bundling's labeling phase: the span readers
 	// can block on (pending-entry spins).
-	mark := p.Tr.Now()
+	mark := p.Tr.Now(th.ID)
 	b := &n.l.bnd[dir]
 	e := b.Prepare(target)
 	ts := p.Src.Advance()
 	n.l.child[dir].Store(target)
 	b.Finalize(e, ts)
-	p.Tr.SharedSpan(trace.PhaseLabel, mark)
+	p.Tr.Span(th.ID, trace.PhaseLabel, mark)
 	p.Trim(th, b)
 }
 

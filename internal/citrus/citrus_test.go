@@ -445,7 +445,7 @@ func TestEBRRangeFindsSuccessorBehindItsCopy(t *testing.T) {
 		tr.Insert(a, k, k*10)
 	}
 	a.BeginRQ()
-	tr.p.RQLock()
+	tr.p.RQLock(-1)
 	s := tr.p.Source().Snapshot()
 	tr.p.RQUnlock()
 	a.AnnounceRQ(s)
@@ -542,7 +542,7 @@ func TestEBRPointReadsFollowLabels(t *testing.T) {
 	tr.Insert(a, 5, 50)
 	tr.Insert(a, 7, 70)
 	five := tr.root.l.child[0].Load()
-	tr.p.Label(&five.l.dtime) // retire's label, before the unlink
+	tr.p.Label(-1, &five.l.dtime) // retire's label, before the unlink
 	if tr.Contains(a, 5) {
 		t.Error("Contains(5) true for a node whose deletion is labeled")
 	}

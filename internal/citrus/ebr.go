@@ -57,7 +57,7 @@ func (p *ebrTechnique) load(n *node[elinks], dir int) *node[elinks] {
 // retired only under its parent's lock, which its inserter held until the
 // label was written, so a deletion label implies an insertion label.
 func (p *ebrTechnique) present(n *node[elinks]) (uint64, bool) {
-	p.Label(&n.l.itime)
+	p.Label(-1, &n.l.itime)
 	return n.val, n.l.dtime.Get() == core.Pending
 }
 
@@ -79,17 +79,17 @@ func (p *ebrTechnique) seed(l *elinks, left, right *node[elinks]) {
 // here — whoever linked an older one held its parent's lock, which the
 // caller holds now, until the label was written — and Label returns at
 // once on a labeled node.
-func (p *ebrTechnique) publish(_ *core.Thread, n *node[elinks], dir int, target *node[elinks]) {
+func (p *ebrTechnique) publish(th *core.Thread, n *node[elinks], dir int, target *node[elinks]) {
 	n.l.child[dir].Store(target)
 	if target != nil {
-		p.Label(&target.l.itime)
+		p.Label(th.ID, &target.l.itime)
 	}
 }
 
 // retire labels n's deletion — the delete's linearization — and puts it
 // in limbo, both before the caller unlinks it.
 func (p *ebrTechnique) retire(th *core.Thread, n *node[elinks]) {
-	p.Label(&n.l.dtime)
+	p.Label(th.ID, &n.l.dtime)
 	p.Retire(th.ID, n)
 }
 

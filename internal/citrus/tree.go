@@ -161,6 +161,7 @@ func (t *tree[L, P]) Contains(th *core.Thread, key uint64) bool {
 // deletion only after a grace period, so a search that reached it through
 // the old path reads its labels before that.
 func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
+	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	t.rcu.ReadLock(th.ID)
 	var val uint64
@@ -170,6 +171,7 @@ func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
 	}
 	t.rcu.ReadUnlock(th.ID)
 	t.p.Exit(th.ID)
+	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return val, ok
 }
 
@@ -190,6 +192,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
+	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var retries uint64
 	inserted := false
@@ -205,7 +208,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 		dir := dirOf(key, prev.key)
 		prev.mu.Lock()
 		if t.validateInsert(prev, dir, tag) {
-			am := t.tr.Now()
+			am := t.tr.Now(th.ID)
 			n := t.newNode(th.ID, key, val, nil, nil)
 			t.tr.Span(th.ID, trace.PhaseAlloc, am)
 			t.p.publish(th, prev, dir, n)
@@ -218,6 +221,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.p.Exit(th.ID)
+	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return inserted
 }
 
@@ -226,6 +230,7 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	if key > MaxKey {
 		return false
 	}
+	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var retries uint64
 	deleted := false
@@ -260,6 +265,7 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.p.Exit(th.ID)
+	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return deleted
 }
 
@@ -331,7 +337,7 @@ func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 		hi = MaxKey
 	}
 	t.p.Enter(th.ID)
-	mark := t.tr.Now()
+	mark := t.tr.Now(th.ID)
 	out = t.p.collect(th, t.root, lo, hi, s, mark, out)
 	t.p.Exit(th.ID)
 	return out

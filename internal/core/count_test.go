@@ -89,7 +89,7 @@ func TestCountEverySource(t *testing.T) {
 				src.Advance()
 				var lb ebrrq.Label
 				lb.Init()
-				if got, want := p.Label(&lb), l.Addr().Load(); got != want {
+				if got, want := p.Label(-1, &lb), l.Addr().Load(); got != want {
 					t.Fatalf("DCSS labeled %d, the counter's address holds %d", got, want)
 				}
 			})

@@ -50,9 +50,10 @@ type Bound struct {
 	lock RQLocker
 }
 
-// RQLocker is the range-query side of a label lock (ebrrq.Provider).
+// RQLocker is the range-query side of a label lock (ebrrq.Provider),
+// taken on behalf of thread tid.
 type RQLocker interface {
-	RQLock()
+	RQLock(tid int)
 	RQUnlock()
 }
 
@@ -160,7 +161,7 @@ func (r *Reader) Read(th *Thread, lo, hi uint64, s TS, live bool, out []KV) ([]K
 
 	tr, base := r.tr, len(out)
 	for {
-		mark := tr.Now()
+		mark := tr.Now(th.ID)
 		// Reserve before the bound exists: ReservedRQ pins MinActiveRQ at
 		// zero, so nothing the bound could need is pruned between obtaining
 		// it and announcing it.
@@ -177,7 +178,7 @@ func (r *Reader) Read(th *Thread, lo, hi uint64, s TS, live bool, out []KV) ([]K
 			// Ascending order, so concurrent fan-outs cannot deadlock.
 			for i, p := range r.parts {
 				if p.lock != nil && hit(i) {
-					p.lock.RQLock()
+					p.lock.RQLock(th.ID)
 				}
 			}
 			s = r.src.Snapshot()

@@ -60,8 +60,8 @@ type fakePart struct {
 	onCollect func(s TS)
 }
 
-func (p *fakePart) RQLock()   { *p.log = append(*p.log, fmt.Sprint("lock ", p.i)) }
-func (p *fakePart) RQUnlock() { *p.log = append(*p.log, fmt.Sprint("unlock ", p.i)) }
+func (p *fakePart) RQLock(int) { *p.log = append(*p.log, fmt.Sprint("lock ", p.i)) }
+func (p *fakePart) RQUnlock()  { *p.log = append(*p.log, fmt.Sprint("unlock ", p.i)) }
 
 func (p *fakePart) RangeQueryAt(th *Thread, lo, hi uint64, s TS, out []KV) []KV {
 	*p.log = append(*p.log, fmt.Sprint("collect ", p.i))
@@ -373,8 +373,8 @@ func TestReaderAllocFree(t *testing.T) {
 
 type nopLock struct{}
 
-func (nopLock) RQLock()   {}
-func (nopLock) RQUnlock() {}
+func (nopLock) RQLock(int) {}
+func (nopLock) RQUnlock()  {}
 
 type quietPart struct{}
 

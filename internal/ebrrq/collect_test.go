@@ -62,7 +62,7 @@ func (l *labeler) newNode(key uint64, itime, dtime core.TS) *node {
 	}{{&n.itime, itime}, {&n.dtime, dtime}} {
 		if lab.v != core.Pending {
 			l.src.now.Store(lab.v)
-			l.prov.Label(lab.l)
+			l.prov.Label(-1, lab.l)
 		}
 	}
 	return n

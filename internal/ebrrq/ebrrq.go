@@ -93,10 +93,11 @@ type Provider struct {
 	src     core.Source
 	mu      sync.RWMutex
 	addr    *atomic.Uint64 // lock-free only
-	// tr is the flight recorder, nil (the default) for none. Label runs in
-	// helping paths with no thread identity, so the provider reports
-	// through the recorder's shared aggregates (lock-wait and label spans,
-	// DCSS retry counts).
+	// tr is the flight recorder, nil (the default) for none. Label and
+	// RQLock record their lock-wait and label spans and DCSS retry counts
+	// as the caller's, when the caller's operation is sampled; a helping
+	// label, which has no thread identity in hand (tid -1), records
+	// nothing.
 	tr *trace.Recorder
 }
 
@@ -119,29 +120,25 @@ func New(src core.Source, variant Variant) (*Provider, error) {
 // Source reports the underlying timestamp source.
 func (p *Provider) Source() core.Source { return p.src }
 
-// RQLock acquires the range-query side of the labeling discipline: in
-// the lock-based variant the exclusive half of the readers-writer lock,
-// which waits out every in-flight (read, label) pair so that labels
-// assigned after the caller reads its snapshot bound are at least that
-// bound. A no-op in the lock-free variant, whose DCSS validates the
-// bound at its address instead.
+// RQLock acquires, for thread tid, the range-query side of the labeling
+// discipline: in the lock-based variant the exclusive half of the
+// readers-writer lock, which waits out every in-flight (read, label) pair
+// so that labels assigned after the caller reads its snapshot bound are at
+// least that bound. A no-op in the lock-free variant, whose DCSS validates
+// the bound at its address instead.
 //
 // core.Reader takes a range query's bound between RQLock and RQUnlock:
 // labels assigned by updates that linearize later are strictly greater
 // than it (up to the theoretical TSC tie of §III-A). A cross-shard query
 // locks every overlapping shard's provider, in shard order, around one
 // read of the shared source.
-func (p *Provider) RQLock() {
+func (p *Provider) RQLock(tid int) {
 	if p.variant != LockBased {
 		return
 	}
-	if p.tr != nil {
-		w := p.tr.Now()
-		p.mu.Lock()
-		p.tr.SharedSpan(trace.PhaseLockWait, w)
-		return
-	}
+	w := p.tr.Now(tid)
 	p.mu.Lock()
+	p.tr.Span(tid, trace.PhaseLockWait, w)
 }
 
 // RQUnlock releases what RQLock acquired (a no-op in the lock-free
@@ -154,36 +151,27 @@ func (p *Provider) RQUnlock() {
 }
 
 // Label assigns the current timestamp to l atomically with reading it,
-// returning the assigned value. Labels are assigned exactly once: when
-// helpers race, the first assignment wins and everyone returns it, so
-// observers never see a label change.
-func (p *Provider) Label(l *Label) core.TS {
+// returning the assigned value, on behalf of thread tid (-1 for a helper
+// without one, which records nothing). Labels are assigned exactly once:
+// when helpers race, the first assignment wins and everyone returns it,
+// so observers never see a label change.
+func (p *Provider) Label(tid int, l *Label) core.TS {
 	if v := l.Get(); v != core.Pending {
 		return v // already linearized by a helper; no lock traffic
 	}
 	if p.variant == LockBased {
-		if p.tr != nil {
-			// Split the pair for the recorder: time to get into the lock's
-			// shared section (the paper's bottleneck) vs. the labeling
-			// itself.
-			w := p.tr.Now()
-			p.mu.RLock()
-			p.tr.SharedSpan(trace.PhaseLockWait, w)
-			lb := p.tr.Now()
-			t := p.src.Peek()
-			if !l.w.CAS(pendingWord, uint64(t)) {
-				t = l.Get()
-			}
-			p.mu.RUnlock()
-			p.tr.SharedSpan(trace.PhaseLabel, lb)
-			return t
-		}
+		// The pair splits for the recorder: time to get into the lock's
+		// shared section (the paper's bottleneck) vs. the labeling itself.
+		w := p.tr.Now(tid)
 		p.mu.RLock()
+		p.tr.Span(tid, trace.PhaseLockWait, w)
+		lb := p.tr.Now(tid)
 		t := p.src.Peek()
 		if !l.w.CAS(pendingWord, uint64(t)) {
 			t = l.Get()
 		}
 		p.mu.RUnlock()
+		p.tr.Span(tid, trace.PhaseLabel, lb)
 		return t
 	}
 	var retries uint64
@@ -191,11 +179,11 @@ func (p *Provider) Label(l *Label) core.TS {
 		t := p.addr.Load()
 		cur, ok := l.w.DCSS(p.addr, t, pendingWord, t)
 		if ok {
-			p.tr.SharedCount(trace.PhaseRetry, retries)
+			p.tr.Count(tid, trace.PhaseRetry, retries)
 			return core.TS(t)
 		}
 		if cur != pendingWord {
-			p.tr.SharedCount(trace.PhaseRetry, retries)
+			p.tr.Count(tid, trace.PhaseRetry, retries)
 			return core.TS(cur) // someone else labeled it
 		}
 		// The global timestamp moved between read and swap; retry.

@@ -36,7 +36,7 @@ func TestLabelLifecycle(t *testing.T) {
 		t.Fatal("fresh label reports assigned")
 	}
 	p := lockBased(core.New(core.Logical))
-	ts := p.Label(&l)
+	ts := p.Label(-1, &l)
 	if !l.Assigned() || l.Get() != ts {
 		t.Fatalf("label = %d, assigned ts = %d", l.Get(), ts)
 	}
@@ -57,7 +57,7 @@ func providers(t *testing.T) map[string]*Provider {
 
 // snapshot takes a range query's bound the way core.Reader does.
 func snapshot(p *Provider) core.TS {
-	p.RQLock()
+	p.RQLock(-1)
 	defer p.RQUnlock()
 	return p.Source().Snapshot()
 }
@@ -73,7 +73,7 @@ func TestLabelAfterSnapshotIsNewer(t *testing.T) {
 				s := snapshot(p)
 				var l Label
 				l.Init()
-				ts := p.Label(&l)
+				ts := p.Label(-1, &l)
 				if ts <= s {
 					t.Fatalf("label %d not after snapshot %d", ts, s)
 				}
@@ -89,7 +89,7 @@ func TestSnapshotAfterLabelCoversIt(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				var l Label
 				l.Init()
-				ts := p.Label(&l)
+				ts := p.Label(-1, &l)
 				s := snapshot(p)
 				if ts > s {
 					t.Fatalf("snapshot %d below earlier label %d", s, ts)
@@ -120,7 +120,7 @@ func TestConcurrentSnapshotLabelOrdering(t *testing.T) {
 						var l Label
 						l.Init()
 						before := snapshot(p)
-						ts := p.Label(&l)
+						ts := p.Label(-1, &l)
 						after := snapshot(p)
 						if ts <= before || ts > after {
 							t.Errorf("label %d outside (%d, %d]", ts, before, after)
@@ -163,7 +163,7 @@ func TestLockFreeLabelUnderSnapshotStorm(t *testing.T) {
 	for i := 0; i < 5000; i++ {
 		var l Label
 		l.Init()
-		ts := p.Label(&l)
+		ts := p.Label(-1, &l)
 		if ts == core.Pending || l.Get() != ts {
 			t.Fatalf("labeling failed under contention: %d vs %d", ts, l.Get())
 		}
@@ -187,7 +187,7 @@ func TestLabelIdempotentUnderRace(t *testing.T) {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				results[g] = p.Label(&l)
+				results[g] = p.Label(-1, &l)
 			}(g)
 		}
 		wg.Wait()
@@ -251,7 +251,7 @@ func BenchmarkLabelLockBasedLogical(b *testing.B) {
 	var l Label
 	for i := 0; i < b.N; i++ {
 		l.Init()
-		p.Label(&l)
+		p.Label(-1, &l)
 	}
 }
 
@@ -260,7 +260,7 @@ func BenchmarkLabelLockBasedTSC(b *testing.B) {
 	var l Label
 	for i := 0; i < b.N; i++ {
 		l.Init()
-		p.Label(&l)
+		p.Label(-1, &l)
 	}
 }
 
@@ -269,6 +269,6 @@ func BenchmarkLabelLockFree(b *testing.B) {
 	var l Label
 	for i := 0; i < b.N; i++ {
 		l.Init()
-		p.Label(&l)
+		p.Label(-1, &l)
 	}
 }

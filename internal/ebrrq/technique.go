@@ -80,7 +80,7 @@ func (t *Technique[T]) Retire(tid int, n *T) { t.em.Retire(tid, n) }
 // retired ones, and c's collection is returned.
 func (t *Technique[T]) Finish(tid int, c *Collector, mark uint64) []core.KV {
 	t.tr.Span(tid, trace.PhaseTraverse, mark)
-	mark = t.tr.Now()
+	mark = t.tr.Now(tid)
 	t.em.WalkLimbo(func(n *T) bool { return c.AddLimbo(t.fields(n)) })
 	t.tr.Span(tid, trace.PhaseLimboScan, mark)
 	return c.Finish()

@@ -92,7 +92,7 @@ func (*ebrTechnique) children(n *node[elinks]) (*node[elinks], *node[elinks]) {
 // answers absent on the second, as a range query bounded after it does.
 func (p *ebrTechnique) present(l *node[elinks]) (uint64, bool) {
 	lf := l.l.life
-	p.Label(&lf.itime)
+	p.Label(-1, &lf.itime)
 	return l.val, lf.dtime.Get() == core.Pending
 }
 
@@ -121,7 +121,7 @@ func (*ebrTechnique) publish(parent, old, new *node[elinks], _ bool) bool {
 
 // marked labels the deletion — its linearization — before any helper can
 // splice the leaf out, so an unreachable leaf is labeled and in limbo.
-func (p *ebrTechnique) marked(l *node[elinks]) { p.Label(&l.l.life.dtime) }
+func (p *ebrTechnique) marked(tid int, l *node[elinks]) { p.Label(tid, &l.l.life.dtime) }
 
 // retire puts the leaf in limbo before any helper can splice it out; one
 // that survives a failed attempt is harmless, as labels decide visibility.

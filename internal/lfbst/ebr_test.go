@@ -183,7 +183,7 @@ func TestEBRPointReadsFollowLabels(t *testing.T) {
 		tr.Insert(a, 5, 50)
 		tr.Insert(a, 7, 70)
 		five := tr.p.search(tr.root, 5).l
-		d := tr.p.Label(&five.l.life.dtime) // marked's label, before the splice
+		d := tr.p.Label(-1, &five.l.life.dtime) // marked's label, before the splice
 		if tr.Contains(a, 5) {
 			t.Error("Contains(5) true for a leaf whose deletion is labeled")
 		}
@@ -243,7 +243,7 @@ func TestEBRReplacedLeaf(t *testing.T) {
 				t.Errorf("(iii) range between the copy and the delete = %v, want %v", got, both)
 			}
 			q.BeginRQ()
-			tr.p.RQLock()
+			tr.p.RQLock(-1)
 			s := tr.p.Source().Snapshot()
 			tr.p.RQUnlock()
 			q.AnnounceRQ(s)

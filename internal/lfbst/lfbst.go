@@ -101,7 +101,7 @@ type technique[L any] interface {
 	// publish: the one child CAS, old to new in parent's edge toward new.key;
 	// fresh unless new is an internal sibling moving up.
 	publish(parent, old, new *node[L], fresh bool) bool
-	marked(l *node[L])                  // l's parent is marked
+	marked(tid int, l *node[L])         // l's parent is marked; tid may be -1
 	retire(th *core.Thread, l *node[L]) // before the flag CAS of a delete attempt
 	truncate(th *core.Thread, key uint64, n, above *node[L])
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
@@ -164,6 +164,7 @@ func (t *tree[L, P]) Contains(th *core.Thread, key uint64) bool {
 // Get returns the value stored at key. present runs before exit: a leaf
 // pruned from limbo may be recycled once this thread leaves its epoch.
 func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
+	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var val uint64
 	ok := false
@@ -171,6 +172,7 @@ func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
 		val, ok = t.p.present(l)
 	}
 	t.p.Exit(th.ID)
+	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return val, ok
 }
 
@@ -181,6 +183,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
+	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var nl *node[L]
 	var retries, helps uint64
@@ -194,7 +197,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 			}
 		} else if r.pupdate.state == clean {
 			if nl == nil {
-				am := t.tr.Now()
+				am := t.tr.Now(th.ID)
 				nl = t.newNode(th.ID, key, val, nil, nil, nil)
 				t.tr.Span(th.ID, trace.PhaseAlloc, am)
 			}
@@ -219,6 +222,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.tr.Count(th.ID, trace.PhaseHelp, helps)
 	t.p.Exit(th.ID)
+	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return inserted
 }
 
@@ -227,6 +231,7 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	if key > MaxKey {
 		return false
 	}
+	start := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var retired *node[L] // the leaf this call last retired
 	var retries, helps uint64
@@ -267,6 +272,7 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.tr.Count(th.ID, trace.PhaseHelp, helps)
 	t.p.Exit(th.ID)
+	t.tr.Span(th.ID, trace.PhaseTraverse, start)
 	return deleted
 }
 
@@ -320,7 +326,7 @@ func (t *tree[L, P]) helpDelete(op *deleteInfo[L], tid int) bool {
 // marked parent, into the grandparent: a leaf as a copy, an internal node
 // as itself.
 func (t *tree[L, P]) helpMarked(op *deleteInfo[L], tid int) {
-	t.p.marked(op.l)
+	t.p.marked(tid, op.l)
 	other, right := t.p.children(op.p)
 	if other == op.l {
 		other = right
@@ -347,7 +353,7 @@ func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 		hi = MaxKey
 	}
 	t.p.Enter(th.ID)
-	mark := t.tr.Now()
+	mark := t.tr.Now(th.ID)
 	out = t.p.collect(th, t.root, lo, hi, s, mark, out)
 	t.p.Exit(th.ID)
 	return out
@@ -406,7 +412,7 @@ func New(src core.Source, reg *core.Registry) *Tree {
 }
 
 func (*vcasTechnique) present(l *node[vlinks]) (uint64, bool) { return l.val, true }
-func (*vcasTechnique) marked(*node[vlinks])                   {}
+func (*vcasTechnique) marked(int, *node[vlinks])              {}
 func (*vcasTechnique) retire(*core.Thread, *node[vlinks])     {}
 
 func (p *vcasTechnique) search(root *node[vlinks], key uint64) searchResult[vlinks] {

@@ -337,13 +337,27 @@ type PoolSnapshot struct {
 	Recycled uint64 `json:"recycled" help:"Retired nodes proven unreachable and recycled to free lists."`
 }
 
-// ShardStats counts one shard's share of a sharded map's traffic: Ops is
-// point operations (insert/delete/contains/get) routed to the shard by
-// the key partition; RQs is range-query collections that visited the
-// shard (one range query increments RQs on every overlapping shard).
+// ShardStats counts one shard's share of a sharded map's traffic: Op
+// counts point operations (insert/delete/contains/get) routed to the
+// shard by the key partition, striped by thread like the op histograms;
+// RQs is range-query collections that visited the shard (one range query
+// increments RQs on every overlapping shard).
 type ShardStats struct {
-	Ops Counter
+	ops [opStripes]Counter
 	RQs Counter
+}
+
+// Op counts one point operation routed to the shard by the thread with
+// ID tid.
+func (s *ShardStats) Op(tid int) { s.ops[uint(tid)%opStripes].Inc() }
+
+// Ops returns the point operations routed to the shard.
+func (s *ShardStats) Ops() uint64 {
+	var n uint64
+	for i := range s.ops {
+		n += s.ops[i].Load()
+	}
+	return n
 }
 
 // ShardSnapshot is a point-in-time copy of one shard's stats.
@@ -614,7 +628,7 @@ func (r *Registry) Snapshot() Snapshot {
 	if sh := r.shards.Load(); sh != nil {
 		s.Shards = make([]ShardSnapshot, len(*sh))
 		for i, st := range *sh {
-			s.Shards[i] = ShardSnapshot{Ops: st.Ops.Load(), RQs: st.RQs.Load()}
+			s.Shards[i] = ShardSnapshot{Ops: st.Ops(), RQs: st.RQs.Load()}
 		}
 	}
 	return s

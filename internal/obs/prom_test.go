@@ -38,8 +38,12 @@ func fullRegistry() *Registry {
 	r.WAL.Appends.Add(1000)
 	r.WAL.Fsyncs.Add(16)
 	r.WAL.Errors.Add(1)
-	r.Shard(0).Ops.Add(60)
-	r.Shard(1).Ops.Add(40)
+	for tid := 0; tid < 60; tid++ { // every stripe, summed by Snapshot
+		r.Shard(0).Op(tid)
+		if tid < 40 {
+			r.Shard(1).Op(tid)
+		}
+	}
 	r.Shard(0).RQs.Add(7)
 	r.Shard(1).RQs.Add(7)
 	return r

@@ -131,8 +131,9 @@ func TestChromeTraceEmptySnapshot(t *testing.T) {
 }
 
 func TestRecorderServeHTTPChrome(t *testing.T) {
-	r := NewRecorder(2, 64)
-	r.OpEnd(0, obs.OpUpdate, r.Now(), 500)
+	r := exact(2, 64)
+	open(r, 0)
+	r.OpEnd(0, obs.OpUpdate, r.Now(0), 500)
 
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/trace?format=chrome", nil))

@@ -43,37 +43,51 @@ type PhaseStatSnapshot struct {
 // Snapshot is a point-in-time view of a Recorder: per-op and per-phase
 // aggregates plus the surviving ring events. It is safe to take while
 // writers are recording; torn or overwritten events are counted in
-// Dropped rather than returned.
+// Dropped rather than returned. The ops and the per-thread phases are
+// the sampled operations' aggregates multiplied by SamplePeriod, which
+// estimates every operation's; shared phases are exact, a phase's Max is
+// the largest one recorded, and Recorded, Dropped and Events count the
+// events actually written.
 type Snapshot struct {
-	DurationNS uint64              `json:"duration_ns"`
-	RingSize   int                 `json:"ring_size"`
-	Threads    int                 `json:"threads"`
-	Ops        []OpStatSnapshot    `json:"ops"`
-	Phases     []PhaseStatSnapshot `json:"phases"`
-	Events     []Event             `json:"events,omitempty"`
-	Recorded   uint64              `json:"recorded"`
-	Dropped    uint64              `json:"dropped"`
+	DurationNS   uint64              `json:"duration_ns"`
+	RingSize     int                 `json:"ring_size"`
+	Threads      int                 `json:"threads"`
+	SamplePeriod uint64              `json:"sample_period"`
+	Ops          []OpStatSnapshot    `json:"ops"`
+	Phases       []PhaseStatSnapshot `json:"phases"`
+	Events       []Event             `json:"events,omitempty"`
+	Recorded     uint64              `json:"recorded"`
+	Dropped      uint64              `json:"dropped"`
 }
 
 // Snapshot captures the recorder's current state. events controls
 // whether ring contents are decoded (aggregates are always included).
-// A nil recorder yields the zero Snapshot.
+// Threads counts the threads that have a ring; the rest are skipped. A
+// nil recorder yields the zero Snapshot.
 func (r *Recorder) Snapshot(events bool) Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		DurationNS: tsc.Elapsed(r.start, r.clk.Now()),
-		RingSize:   r.RingSize(),
-		Threads:    len(r.rings),
+		DurationNS:   tsc.Elapsed(r.start, r.clk.Now()),
+		RingSize:     r.RingSize(),
+		SamplePeriod: r.period,
 	}
+	var rings []*ring
+	var tids []int
+	for i := range r.rings {
+		if rg := r.rings[i].Load(); rg != nil {
+			rings, tids = append(rings, rg), append(tids, i)
+		}
+	}
+	s.Threads = len(rings)
 	for op := obs.OpClass(0); op < obs.NumOpClasses; op++ {
 		var agg OpStatSnapshot
 		agg.Op = op.String()
-		for i := range r.rings {
-			st := &r.rings[i].ops[op]
-			agg.Count += st.count.Load()
-			agg.SumNS += st.sum.Load()
+		for _, rg := range rings {
+			st := &rg.ops[op]
+			agg.Count += st.count.Load() * r.period
+			agg.SumNS += st.sum.Load() * r.period
 		}
 		if agg.Count > 0 {
 			agg.MeanNS = float64(agg.SumNS) / float64(agg.Count)
@@ -82,24 +96,23 @@ func (r *Recorder) Snapshot(events bool) Snapshot {
 	}
 	for p := Phase(0); p < NumPhases; p++ {
 		agg := PhaseStatSnapshot{Phase: p.String(), Unit: p.Unit()}
-		merge := func(st *phaseStat) {
-			agg.Count += st.count.Load()
-			agg.Sum += st.sum.Load()
+		merge := func(st *phaseStat, scale uint64) {
+			agg.Count += st.count.Load() * scale
+			agg.Sum += st.sum.Load() * scale
 			if m := st.max.Load(); m > agg.Max {
 				agg.Max = m
 			}
 		}
-		for i := range r.rings {
-			merge(&r.rings[i].phases[p])
+		for _, rg := range rings {
+			merge(&rg.phases[p], r.period)
 		}
-		merge(&r.shared[p])
+		merge(&r.shared[p], 1)
 		if agg.Count > 0 {
 			agg.Mean = float64(agg.Sum) / float64(agg.Count)
 			s.Phases = append(s.Phases, agg)
 		}
 	}
-	for i := range r.rings {
-		rg := &r.rings[i]
+	for j, rg := range rings {
 		pos := rg.pos.Load()
 		s.Recorded += pos
 		if !events {
@@ -125,7 +138,7 @@ func (r *Recorder) Snapshot(events bool) Snapshot {
 				continue
 			}
 			ev := Event{
-				Thread: i,
+				Thread: tids[j],
 				Seq:    seq,
 				AtNS:   tsc.Elapsed(r.start, at),
 				Kind:   Kind(meta >> 16).String(),
@@ -181,8 +194,8 @@ func (s Snapshot) JSON() string {
 // recorded time, count phases as rates per operation.
 func (s Snapshot) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %d thread(s), ring %d, %d event(s) recorded",
-		s.Threads, s.RingSize, s.Recorded)
+	fmt.Fprintf(&b, "trace: %d thread(s), ring %d, 1 op in %d sampled, %d event(s) recorded",
+		s.Threads, s.RingSize, s.SamplePeriod, s.Recorded)
 	if s.Dropped > 0 {
 		fmt.Fprintf(&b, " (%d dropped mid-snapshot)", s.Dropped)
 	}

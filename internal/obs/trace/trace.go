@@ -9,14 +9,27 @@
 // its receiver), so an uninstrumented hot path pays one predictable
 // branch and allocates nothing. When recording is on:
 //
-//   - Per-thread methods (OpEnd/Span/Count) write to the calling
-//     thread's own ring, indexed by its core.Thread ID. Rings are
-//     single-writer, so recording an event is a handful of uncontended
-//     atomic stores — no locks, no allocation, no shared cache lines.
+//   - The recorder samples: Sample opens an operation on a thread and
+//     decides, from a countdown the thread owns, whether to record it —
+//     one operation in SamplePeriod on average. An unsampled operation
+//     pays the countdown and nothing else: Now returns 0 for it and
+//     Span, Count and OpEnd return at once.
+//   - Per-thread methods (OpEnd/Span/Count) record the events of a
+//     sampled operation on the calling thread's own ring, indexed by its
+//     core.Thread ID and allocated when that thread begins its first
+//     sampled operation. Span and Count hold their events in the ring's
+//     header; OpEnd, called after the operation's end was read, writes
+//     them out, so recording adds nothing to the durations it records.
+//     Rings are single-writer, so writing an event is a handful of
+//     uncontended atomic stores — no locks, no allocation, no shared
+//     cache lines.
 //   - Shared methods (SharedSpan/SharedCount) aggregate into one common
-//     stats block for instrumentation points that lack a thread identity
-//     (e.g. the EBR-RQ provider's lock acquisitions, which may run on
-//     behalf of helpers). They are multi-writer safe atomics.
+//     stats block, every time, for work no operation owns (a snapshot
+//     flush, an epoch advance). They are multi-writer safe atomics.
+//
+// Snapshot scales what the rings aggregated by the sampling period, so
+// its op and phase counts and sums estimate every operation's; the
+// shared block is exact.
 //
 // Ring slots are seqlock-published: the writer invalidates a slot's
 // sequence, stores the fields, then publishes the new sequence. A
@@ -43,7 +56,10 @@ import (
 type Phase uint8
 
 const (
-	// PhaseTraverse is the structural walk of an operation (span).
+	// PhaseTraverse is the structure's own work on an operation (span): a
+	// point operation's visit, from the operation's start to the
+	// structure's return (label, alloc and lock-wait spans nest in it), or
+	// a range query's collection walk.
 	PhaseTraverse Phase = iota
 	// PhaseTimestamp is the snapshot-bound acquisition of a range query —
 	// the fetch-and-add a logical source pays, the fenced read TSC pays
@@ -96,7 +112,8 @@ const (
 	// update-path time to the allocator.
 	PhaseAlloc
 	// PhaseWALAppend is the durability tax on an acknowledged update:
-	// appending the record to the shard's WAL buffer and committing it
+	// appending the record to the shard's WAL buffer and committing it,
+	// after the update was applied (its traverse)
 	// — the updater writes the batch holding its record itself unless
 	// another updater's flush is in progress, in which case it waits
 	// for the next one (span; there is no committer goroutine to hand
@@ -207,6 +224,20 @@ func (k Kind) String() string {
 // passes a non-positive size.
 const DefaultRingSize = 256
 
+// SamplePeriod is P: a thread's recorder samples one operation in P on
+// average, and Snapshot multiplies what the sampled ones aggregated by P.
+// The ledger chose it: a sampled operation costs a few hundred
+// nanoseconds more than an unsampled one, so at 64 the recorder adds
+// about 5 ns to the average operation, within the noise of the metrics
+// rung (EXPERIMENTS.md, "A sampled flight recorder"), while a benchmark
+// trial still samples thousands of operations.
+const SamplePeriod = 64
+
+// RecordEveryOp makes r sample every operation (a period of 1), so that
+// its Snapshot counts are exact. It is a test hook for tests that assert
+// exact counts, to call before r records.
+func RecordEveryOp(r *Recorder) { r.period = 1 }
+
 // cacheLine mirrors obs's padding policy.
 const cacheLine = 64
 
@@ -227,6 +258,7 @@ type phaseStat struct {
 	max   atomic.Uint64
 }
 
+// add aggregates v from any goroutine (the shared block).
 func (s *phaseStat) add(v uint64) {
 	s.count.Add(1)
 	s.sum.Add(v)
@@ -238,37 +270,70 @@ func (s *phaseStat) add(v uint64) {
 	}
 }
 
+// own aggregates v from the ring's owner, its only writer: plain
+// read-modify-write, atomic only for Snapshot's loads.
+func (s *phaseStat) own(v uint64) {
+	s.count.Store(s.count.Load() + 1)
+	s.sum.Store(s.sum.Load() + v)
+	if v > s.max.Load() {
+		s.max.Store(v)
+	}
+}
+
 // opStat aggregates one op class on one ring.
 type opStat struct {
 	count atomic.Uint64
 	sum   atomic.Uint64 // ns
 }
 
-// ring is one thread's recording state. The pos cursor is written only
-// by the owning thread; readers load it to locate the newest events.
+// pending is an event of the sampled operation in progress, held until
+// the operation ends.
+type pending struct {
+	at, arg uint64
+	meta    uint32 // kind<<16 | op<<8 | phase
+}
+
+// ring is one thread's recording state. Everything but the atomics is
+// the owner's alone; the pos cursor is written only by the owner, and
+// readers load it to locate the newest events. The fields every
+// operation touches (the countdown) and those a sampled one touches until
+// it ends (its start, its held events) share the first lines, so a
+// sampled operation's recording stays in cache lines its thread just
+// used.
 type ring struct {
-	_      [cacheLine]byte
-	pos    atomic.Uint64
+	_     [cacheLine]byte
+	left  uint64 // operations until the owner's next sampled one, counting it
+	rng   uint64 // xorshift state drawing the gaps between sampled operations
+	on    bool   // the owner's current operation is sampled
+	n     uint8  // events held in held
+	start uint64 // the current operation's start, from Begin
+	last  uint64 // the owner's latest clock reading, which dates a count
+	held  [4]pending
+	pos   atomic.Uint64
+	// The aggregates and the slots are written only when a sampled
+	// operation ends (or holds more events than held has room for).
 	phases [NumPhases]phaseStat
 	ops    [obs.NumOpClasses]opStat
 	slots  []slot
 	_      [cacheLine - 8]byte
 }
 
-// Recorder is the flight recorder: one ring per thread ID plus a shared
-// aggregate block. A nil *Recorder is inert; every method is safe (and
-// free of allocation) on it.
+// Recorder is the flight recorder: one ring per thread ID that has
+// sampled an operation, plus a shared aggregate block. A nil *Recorder is inert;
+// every method is safe (and free of allocation) on it.
 type Recorder struct {
 	clk    *tsc.Clock
 	start  uint64 // clk reading at construction, the origin of event times
 	mask   uint64
-	rings  []ring
+	period uint64                 // one operation in period is sampled, on average
+	rings  []atomic.Pointer[ring] // rings[tid], stored by tid's first Begin
 	shared [NumPhases]phaseStat
 }
 
 // NewRecorder builds a recorder for thread IDs in [0, maxThreads) with
 // ringSize slots per thread (rounded up to a power of two;
-// DefaultRingSize when non-positive).
+// DefaultRingSize when non-positive). It allocates no ring: each thread's
+// is allocated when that thread begins its first sampled operation.
 func NewRecorder(maxThreads, ringSize int) *Recorder {
 	if maxThreads <= 0 {
 		maxThreads = 1
@@ -281,11 +346,8 @@ func NewRecorder(maxThreads, ringSize int) *Recorder {
 		n = 1 << bits.Len(uint(ringSize-1))
 	}
 	clk := tsc.TelemetryClock()
-	r := &Recorder{clk: clk, start: clk.Now(), mask: uint64(n - 1), rings: make([]ring, maxThreads)}
-	for i := range r.rings {
-		r.rings[i].slots = make([]slot, n)
-	}
-	return r
+	return &Recorder{clk: clk, start: clk.Now(), mask: uint64(n - 1), period: SamplePeriod,
+		rings: make([]atomic.Pointer[ring], maxThreads)}
 }
 
 // Enabled reports whether the recorder records events (false for nil).
@@ -299,7 +361,8 @@ func (r *Recorder) RingSize() int {
 	return int(r.mask) + 1
 }
 
-// Threads returns the number of per-thread rings (0 for nil).
+// Threads returns the number of thread IDs the recorder serves (0 for
+// nil).
 func (r *Recorder) Threads() int {
 	if r == nil {
 		return 0
@@ -307,64 +370,184 @@ func (r *Recorder) Threads() int {
 	return len(r.rings)
 }
 
-// Now reads the process's telemetry clock (tsc.TelemetryClock), or
-// returns 0 for nil. Use it to obtain span start marks for Span/SharedSpan.
-func (r *Recorder) Now() uint64 {
+// Sample opens an operation on thread tid, which must be the calling
+// goroutine's, and decides whether the recorder samples it: true means
+// it does, and the caller must then call Begin. Until tid's next Sample,
+// Now, Span, Count and OpEnd record on tid only if this operation is
+// sampled. The gaps between a thread's sampled operations are drawn at
+// random with mean SamplePeriod, so no periodic pattern of operations
+// aliases with them; a thread's first operation is sampled. Sample is the
+// countdown alone, small enough to inline on every traced path.
+func (r *Recorder) Sample(tid int) bool {
+	if r == nil || uint(tid) >= uint(len(r.rings)) {
+		return false
+	}
+	rg := r.rings[tid].Load()
+	if rg == nil || rg.left <= 1 {
+		return true
+	}
+	rg.left--
+	rg.on = false
+	return false
+}
+
+// Begin starts the operation Sample chose on tid and returns its start,
+// a telemetry clock reading. The first one on tid allocates tid's ring.
+//
+//go:noinline
+func (r *Recorder) Begin(tid int) uint64 {
+	if r == nil || uint(tid) >= uint(len(r.rings)) {
+		return 0
+	}
+	rg := r.rings[tid].Load()
+	if rg == nil {
+		rg = &ring{slots: make([]slot, r.mask+1), rng: uint64(tid)*0x9e3779b97f4a7c15 | 1}
+		r.rings[tid].Store(rg)
+	}
+	r.flush(rg) // what an operation that never ended held
+	rg.rng ^= rg.rng << 13
+	rg.rng ^= rg.rng >> 7
+	rg.rng ^= rg.rng << 17
+	rg.left = 1 + rg.rng%(2*r.period-1)
+	rg.on = true
+	rg.start = r.clk.Now()
+	rg.last = rg.start
+	return rg.start
+}
+
+// ring returns tid's ring when tid's current operation is sampled, else
+// nil.
+func (r *Recorder) ring(tid int) *ring {
+	if uint(tid) >= uint(len(r.rings)) {
+		return nil
+	}
+	if rg := r.rings[tid].Load(); rg != nil && rg.on {
+		return rg
+	}
+	return nil
+}
+
+// Now reads the process's telemetry clock (tsc.TelemetryClock) when
+// thread tid's current operation is sampled, and returns 0 otherwise (and
+// for nil). Use it to obtain span start marks for Span; a 0 mark makes
+// Span return at once.
+func (r *Recorder) Now(tid int) uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.now()
+	return r.now(tid)
 }
 
-// now is Now's clock read, kept out of line so that Now, a nil test on
-// every uninstrumented path, stays within the inliner's budget.
+// now is Now's sample test and clock read, kept out of line so that Now,
+// a nil test on every uninstrumented path, stays within the inliner's
+// budget.
 //
 //go:noinline
-func (r *Recorder) now() uint64 { return r.clk.Now() }
+func (r *Recorder) now(tid int) uint64 {
+	rg := r.ring(tid)
+	if rg == nil {
+		return 0
+	}
+	rg.last = r.clk.Now()
+	return rg.last
+}
+
+// Start returns the start of thread tid's current operation, Begin's
+// reading, when the operation is sampled, and 0 otherwise (and for nil):
+// the mark of a span that runs from the operation's beginning, such as a
+// point operation's traverse, at no clock read.
+func (r *Recorder) Start(tid int) uint64 {
+	if r == nil {
+		return 0
+	}
+	if rg := r.ring(tid); rg != nil {
+		return rg.start
+	}
+	return 0
+}
 
 // OpEnd records the completion, at endNS (a telemetry clock reading), of
-// a facade operation that took durNS. The caller must be the goroutine
-// owning tid.
+// a facade operation that took durNS, and writes the operation's held
+// events to the ring and its aggregates: recording happens after the
+// operation's end was read, so it adds nothing to the durations recorded.
+// The caller must be the goroutine owning tid; an unsampled operation
+// records nothing.
 func (r *Recorder) OpEnd(tid int, op obs.OpClass, endNS, durNS uint64) {
 	if r == nil {
 		return
 	}
-	if tid >= 0 && tid < len(r.rings) && op < obs.NumOpClasses {
-		s := &r.rings[tid].ops[op]
-		s.count.Add(1)
-		s.sum.Add(durNS)
+	rg := r.ring(tid)
+	if rg == nil || op >= obs.NumOpClasses {
+		return
 	}
-	r.record(tid, KindOpEnd, op, 0, endNS, durNS)
+	r.flush(rg)
+	s := &rg.ops[op]
+	s.count.Store(s.count.Load() + 1)
+	s.sum.Store(s.sum.Load() + durNS)
+	r.record(rg, uint32(KindOpEnd)<<16|uint32(op)<<8, endNS, durNS)
 }
 
 // Span records a completed phase span that began at startNS (a mark from
-// Now) on thread tid.
+// Now or Start) on thread tid; a 0 mark, an unsampled operation's,
+// records nothing. The event is held until the operation ends.
 func (r *Recorder) Span(tid int, p Phase, startNS uint64) {
-	if r == nil {
+	if r == nil || startNS == 0 {
 		return
 	}
-	now := r.clk.Now()
-	dur := tsc.Elapsed(startNS, now)
-	if tid >= 0 && tid < len(r.rings) && p < NumPhases {
-		r.rings[tid].phases[p].add(dur)
-	}
-	r.record(tid, KindSpan, 0, p, now, dur)
+	r.span(tid, p, startNS)
 }
 
-// Count records n phase units (hops, retries, helps) on thread tid.
-// Zero counts are dropped.
+// span is Span past its inlined tests.
+func (r *Recorder) span(tid int, p Phase, startNS uint64) {
+	rg := r.ring(tid)
+	if rg == nil || p >= NumPhases {
+		return
+	}
+	rg.last = r.clk.Now()
+	r.hold(rg, uint32(KindSpan)<<16|uint32(p), rg.last, tsc.Elapsed(startNS, rg.last))
+}
+
+// Count records n phase units (hops, retries, helps) on thread tid if its
+// current operation is sampled, dated by the thread's latest clock
+// reading. Zero counts are dropped. The event is held until the
+// operation ends.
 func (r *Recorder) Count(tid int, p Phase, n uint64) {
 	if r == nil || n == 0 {
 		return
 	}
-	if tid >= 0 && tid < len(r.rings) && p < NumPhases {
-		r.rings[tid].phases[p].add(n)
+	r.count(tid, p, n)
+}
+
+// count is Count past its inlined tests.
+func (r *Recorder) count(tid int, p Phase, n uint64) {
+	rg := r.ring(tid)
+	if rg == nil || p >= NumPhases {
+		return
 	}
-	r.record(tid, KindCount, 0, p, r.clk.Now(), n)
+	r.hold(rg, uint32(KindCount)<<16|uint32(p), rg.last, n)
+}
+
+// hold keeps one event of rg's current operation until it ends, writing
+// out the held ones first when there is no room.
+func (r *Recorder) hold(rg *ring, meta uint32, at, arg uint64) {
+	if int(rg.n) == len(rg.held) {
+		r.flush(rg)
+	}
+	rg.held[rg.n] = pending{at: at, arg: arg, meta: meta}
+	rg.n++
+}
+
+// flush writes rg's held events to its phase aggregates and its ring.
+func (r *Recorder) flush(rg *ring) {
+	for _, e := range rg.held[:rg.n] {
+		rg.phases[Phase(e.meta&0xff)].own(e.arg)
+		r.record(rg, e.meta, e.at, e.arg)
+	}
+	rg.n = 0
 }
 
 // SharedSpan aggregates a phase span without a thread identity (no ring
-// event). Safe from any goroutine.
+// event, no sampling). Safe from any goroutine.
 func (r *Recorder) SharedSpan(p Phase, startNS uint64) {
 	if r == nil || p >= NumPhases {
 		return
@@ -372,8 +555,17 @@ func (r *Recorder) SharedSpan(p Phase, startNS uint64) {
 	r.shared[p].add(tsc.Elapsed(startNS, r.clk.Now()))
 }
 
+// SharedNow reads the telemetry clock for a SharedSpan mark (0 for nil).
+func (r *Recorder) SharedNow() uint64 {
+	if r == nil {
+		return 0
+	}
+	return r.clk.Now()
+}
+
 // SharedCount aggregates n phase units without a thread identity (no
-// ring event). Safe from any goroutine. Zero counts are dropped.
+// ring event, no sampling). Safe from any goroutine. Zero counts are
+// dropped.
 func (r *Recorder) SharedCount(p Phase, n uint64) {
 	if r == nil || n == 0 || p >= NumPhases {
 		return
@@ -381,19 +573,14 @@ func (r *Recorder) SharedCount(p Phase, n uint64) {
 	r.shared[p].add(n)
 }
 
-// record seqlock-publishes one event, read off the clock at at, into
-// tid's ring. Only the goroutine owning tid may call it (the rings are
-// single-writer).
-func (r *Recorder) record(tid int, k Kind, op obs.OpClass, p Phase, at, arg uint64) {
-	if tid < 0 || tid >= len(r.rings) {
-		return
-	}
-	rg := &r.rings[tid]
+// record seqlock-publishes one event, dated at, into rg. Only rg's
+// owner may call it (the rings are single-writer).
+func (r *Recorder) record(rg *ring, meta uint32, at, arg uint64) {
 	i := rg.pos.Load()
 	sl := &rg.slots[i&r.mask]
 	sl.seq.Store(0) // invalidate for in-flight readers
 	sl.at.Store(at)
-	sl.meta.Store(uint64(k)<<16 | uint64(op)<<8 | uint64(p))
+	sl.meta.Store(uint64(meta))
 	sl.arg.Store(arg)
 	sl.seq.Store(i + 1)
 	rg.pos.Store(i + 1)

@@ -74,7 +74,7 @@ func (p *bundleTechnique) seed(n *node[blinks], val uint64, succ *node[blinks]) 
 // is read before the node is reachable (DESIGN §6): an update that hangs a
 // key behind n must take a later one.
 func (p *bundleTechnique) link(th *core.Thread, pred, n *node[blinks]) {
-	lb := p.Tr.Now()
+	lb := p.Tr.Now(th.ID)
 	n.l.bnd.InitPendingWith(&n.l.out, n.next.at(0).Load())
 	pred.l.bnd.PrepareWith(&n.l.in, n)
 	ts := p.Src.Advance()
@@ -90,7 +90,7 @@ func (p *bundleTechnique) claim(_ *core.Thread, victim *node[blinks]) {
 }
 
 func (p *bundleTechnique) unlink(th *core.Thread, pred, victim *node[blinks]) {
-	lb := p.Tr.Now()
+	lb := p.Tr.Now(th.ID)
 	succ := victim.next.at(0).Load()
 	e := pred.l.bnd.Prepare(succ)
 	ts := p.Src.Advance()

@@ -45,7 +45,7 @@ func (p *ebrTechnique) alive(n *node[elinks]) bool { return n.l.dtime.Get() == c
 // delete waits for fullyLinked, which follows the insertion label, so a
 // deletion label implies one.
 func (p *ebrTechnique) present(n *node[elinks]) (uint64, bool) {
-	p.Label(&n.l.itime)
+	p.Label(-1, &n.l.itime)
 	return n.l.val, p.alive(n)
 }
 
@@ -60,16 +60,16 @@ func (p *ebrTechnique) seed(n *node[elinks], val uint64, succ *node[elinks]) {
 
 // link stores, then labels: (read timestamp, write label) is atomic under
 // the provider, the insert's linearization.
-func (p *ebrTechnique) link(_ *core.Thread, pred, n *node[elinks]) {
+func (p *ebrTechnique) link(th *core.Thread, pred, n *node[elinks]) {
 	pred.next.at(0).Store(n)
-	p.Label(&n.l.itime)
+	p.Label(th.ID, &n.l.itime)
 }
 
 // claim makes the victim scannable before it is unreachable, then
 // linearizes the delete.
 func (p *ebrTechnique) claim(th *core.Thread, victim *node[elinks]) {
 	p.Retire(th.ID, victim)
-	p.Label(&victim.l.dtime)
+	p.Label(th.ID, &victim.l.dtime)
 }
 
 func (p *ebrTechnique) unlink(_ *core.Thread, pred, victim *node[elinks]) {

@@ -259,6 +259,7 @@ func (t *list[L, P]) Contains(th *core.Thread, key uint64) bool {
 
 // Get returns the value stored at key.
 func (t *list[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
+	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var val uint64
 	ok := false
@@ -266,6 +267,7 @@ func (t *list[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
 		val, ok = t.p.present(n)
 	}
 	t.p.Exit(th.ID)
+	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return val, ok
 }
 
@@ -295,6 +297,7 @@ func (t *list[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
+	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	top := t.randLevel(th.ID)
 	var preds, succs, locked [maxLevel]*node[L]
@@ -324,7 +327,7 @@ func (t *list[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 			retries++
 			continue
 		}
-		am := t.tr.Now()
+		am := t.tr.Now(th.ID)
 		n := t.newNode(th.ID, key, val, top, succs[0])
 		t.tr.Span(th.ID, trace.PhaseAlloc, am)
 		for l := 1; l < top; l++ {
@@ -341,11 +344,13 @@ func (t *list[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.p.Exit(th.ID)
+	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return inserted
 }
 
 // Delete removes key; it returns false if absent.
 func (t *list[L, P]) Delete(th *core.Thread, key uint64) bool {
+	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var preds, succs, locked [maxLevel]*node[L]
 	victim := t.claimVictim(th, key, &preds, &succs)
@@ -374,6 +379,7 @@ func (t *list[L, P]) Delete(th *core.Thread, key uint64) bool {
 		t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	}
 	t.p.Exit(th.ID)
+	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return victim != nil
 }
 
@@ -421,7 +427,7 @@ func (t *list[L, P]) RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) [
 // technique's collect walks from there (never collecting the head).
 func (t *list[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out []core.KV) []core.KV {
 	t.p.Enter(th.ID)
-	mark := t.tr.Now()
+	mark := t.tr.Now(th.ID)
 	pred := t.head
 	for l := t.levels - 1; l >= 1; l-- {
 		cur := pred.next.at(l).Load()

@@ -404,8 +404,8 @@ func TestNewNodeInResetsDirtyNode(t *testing.T) {
 		for lv := 0; lv < maxLevel; lv++ {
 			dirty.next.at(lv).Store(other)
 		}
-		l.p.Label(&dirty.l.itime)
-		l.p.Label(&dirty.l.dtime)
+		l.p.Label(-1, &dirty.l.itime)
+		l.p.Label(-1, &dirty.l.dtime)
 		dirty.fullyLinked.Store(true)
 		dirty.Lock()
 		dirty.Unlock()

@@ -55,9 +55,9 @@ func (m *ShardedMap) Shards() int { return m.n }
 // cfg.MaxThreads bounds handles as in New: every shard shares the map's one
 // registry, and a handle is one slot whichever shards it touches.
 // cfg.Metrics additionally gets per-shard routing counts
-// (Snapshot.Shards). cfg.Trace records the fan-out coordination cost as
-// the "shard-fanout" phase; per-shard phase detail is not recorded (see
-// shardedInner.SetHooks).
+// (Snapshot.Shards). cfg.Trace records what a flat map's recorder does —
+// every shard reports its phases into the map's one recorder — plus the
+// fan-out coordination cost of a range query as the "shard-fanout" phase.
 func NewSharded(s Structure, t Technique, shards int, cfg Config) (*ShardedMap, error) {
 	if shards < 1 {
 		return nil, &ConfigError{"shards", fmt.Sprintf("%d is below 1", shards)}
@@ -108,12 +108,11 @@ func newShardedInner(s Structure, t Technique, cfg Config, src core.Source, reg 
 // SetHooks wires every shard and the fan-out. GC and pool counters
 // aggregate across shards, and the ONE retention watermark is shared like
 // the source: a single prune intent covers every shard's truncation and
-// one CheckAt validates a cross-shard historical bound. The recorder stays
-// with the fan-out (the "shard-fanout" phase): what forwarding it to the
-// shards would cost has not been measured.
+// one CheckAt validates a cross-shard historical bound. The one recorder
+// is shared too: a sampled operation records its phases in whichever
+// shard runs them.
 func (sh *shardedInner) SetHooks(h core.Hooks) {
 	sh.rd.SetHooks(h)
-	h.Trace = nil
 	for _, m := range sh.inners {
 		m.SetHooks(h)
 	}
@@ -126,7 +125,7 @@ func (sh *shardedInner) shard(key uint64) int { return core.PartOf(key, len(sh.i
 func (sh *shardedInner) Insert(th *core.Thread, key, val uint64) bool {
 	i := sh.shard(key)
 	if sh.stats != nil {
-		sh.stats[i].Ops.Inc()
+		sh.stats[i].Op(th.ID)
 	}
 	return sh.inners[i].Insert(th, key, val)
 }
@@ -134,7 +133,7 @@ func (sh *shardedInner) Insert(th *core.Thread, key, val uint64) bool {
 func (sh *shardedInner) Delete(th *core.Thread, key uint64) bool {
 	i := sh.shard(key)
 	if sh.stats != nil {
-		sh.stats[i].Ops.Inc()
+		sh.stats[i].Op(th.ID)
 	}
 	return sh.inners[i].Delete(th, key)
 }
@@ -142,7 +141,7 @@ func (sh *shardedInner) Delete(th *core.Thread, key uint64) bool {
 func (sh *shardedInner) Get(th *core.Thread, key uint64) (uint64, bool) {
 	i := sh.shard(key)
 	if sh.stats != nil {
-		sh.stats[i].Ops.Inc()
+		sh.stats[i].Op(th.ID)
 	}
 	return sh.inners[i].Get(th, key)
 }

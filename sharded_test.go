@@ -3,6 +3,8 @@ package tscds
 import (
 	"fmt"
 	"testing"
+
+	"tscds/internal/obs/trace"
 )
 
 // shardCounts is the shard sweep the acceptance criteria pin.
@@ -244,6 +246,7 @@ func TestShardedTraceFanoutPhase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	trace.RecordEveryOp(m.Tracer())
 	th, err := m.RegisterThread()
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"tscds/internal/obs/trace"
 )
 
 // histCombos returns the (structure, technique) pairs whose technique
@@ -299,6 +301,7 @@ func TestGetAtCountsAsContains(t *testing.T) {
 	for _, shards := range []int{0, 4} {
 		reg := NewMetrics()
 		m := newMap(t, BST, VCAS, shards, Config{Source: Logical, MaxThreads: 2, Metrics: reg, Trace: &TraceConfig{}})
+		trace.RecordEveryOp(m.Tracer()) // exact recorder counts
 		th, err := m.RegisterThread()
 		if err != nil {
 			t.Fatal(err)

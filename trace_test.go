@@ -3,14 +3,18 @@ package tscds
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"tscds/internal/obs/trace"
+	"tscds/internal/wal/faultfs"
 )
 
-// TestTraceSmoke drives every combo with the flight recorder attached
-// and checks the snapshot reports the traffic: exact op counts per
-// class, the phase spans each technique family is instrumented to emit,
-// and a JSON rendering that round-trips.
+// TestTraceSmoke drives every combo with the flight recorder attached,
+// sampling every operation, and checks the snapshot reports the traffic:
+// exact op counts per class, the phase spans each technique family is
+// instrumented to emit, and a JSON rendering that round-trips.
 func TestTraceSmoke(t *testing.T) {
 	for _, c := range allCombos() {
 		t.Run(fmt.Sprintf("%v-%v", c.S, c.T), func(t *testing.T) {
@@ -21,6 +25,7 @@ func TestTraceSmoke(t *testing.T) {
 			if m.Tracer() == nil {
 				t.Fatal("Tracer() = nil with Config.Trace set")
 			}
+			trace.RecordEveryOp(m.Tracer())
 			th, err := m.RegisterThread()
 			if err != nil {
 				t.Fatal(err)
@@ -213,4 +218,104 @@ func TestTraceNilIsDefault(t *testing.T) {
 	if got := m.Tracer().String(); got != "{}" {
 		t.Fatalf("nil Tracer String() = %q, want {}", got)
 	}
+}
+
+// TestPhasesSumToOp: a sampled point read or update spends its time in
+// the recorder's top-level phases — the structure's traverse and, on a
+// durable map, the WAL append after it — so that, op by op, they cover
+// at least 80 % of what the facade timed, and never overlap. Flat, on 4 shards (which
+// forward the recorder to every shard) and on 4 durable shards, for each
+// arm of the repository benchmark, at the default sampling period. A
+// median over the sampled operations keeps a preempted one from deciding.
+func TestPhasesSumToOp(t *testing.T) {
+	type layout struct {
+		name    string
+		shards  int
+		durable bool
+	}
+	arms := []combo{{BST, VCAS}, {SkipList, Bundle}, {Citrus, EBRRQ}}
+	layouts := []layout{{"flat", 0, false}, {"s4", 4, false}, {"s4-wal", 4, true}}
+	for _, c := range arms {
+		for _, l := range layouts {
+			t.Run(fmt.Sprintf("%v-%v/%s", c.S, c.T, l.name), func(t *testing.T) {
+				cfg := Config{Source: Logical, MaxThreads: 3, Trace: &TraceConfig{}}
+				if l.durable {
+					cfg.Durability = &Durability{Dir: "wal", SyncEvery: 64, FS: faultfs.New(faultfs.Fault{})}
+				}
+				m := newMap(t, c.S, c.T, l.shards, cfg)
+				if d, ok := m.(DurableMap); ok && l.durable {
+					defer d.Close()
+				}
+				th, err := m.RegisterThread()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer th.Release()
+				// The i-th key is a fixed permutation of [0, keys) (an odd
+				// multiplier modulo a power of two), so the trees are built
+				// in shuffled order, times a stride that spreads the keys
+				// over every shard's blocks.
+				const keys, stride = 4096, 97
+				key := func(i uint64) uint64 { return i * 0x9e3779b1 % keys * stride }
+				for i := uint64(0); i < keys; i++ {
+					m.Insert(th, key(i), i)
+				}
+				ops := uint64(trace.SamplePeriod * 300)
+				if testing.Short() {
+					ops /= 5
+				}
+				reads := coverage(m, func(i uint64) { m.Get(th, key(i)) }, ops)
+				updates := coverage(m, func(i uint64) {
+					k := key(i)
+					if i/keys%2 == 0 {
+						m.Delete(th, k)
+					} else {
+						m.Insert(th, k, i)
+					}
+				}, ops)
+				t.Logf("median coverage: reads %.2f, updates %.2f", reads, updates)
+				for class, cov := range map[string]float64{"read": reads, "update": updates} {
+					if cov < 0.8 || cov > 1 {
+						t.Errorf("top-level phases cover %.2f of a sampled point %s (median), want 0.80 to 1 (above 1 they overlap)", cov, class)
+					}
+				}
+			})
+		}
+	}
+}
+
+// coverage runs op n times on m and returns the median, over the sampled
+// ones, of the share of each operation's duration its top-level phase
+// spans cover. It reads the events in batches that the default ring holds.
+func coverage(m Map, op func(i uint64), n uint64) float64 {
+	top := map[string]bool{"traverse": true, "timestamp-read": true, "shard-fanout": true, "limbo-scan": true, "wal-append": true}
+	const batch = trace.SamplePeriod * 32
+	var shares []float64
+	from := m.TraceSnapshot(false).Recorded
+	for i := uint64(0); i < n; i++ {
+		op(i)
+		if (i+1)%batch != 0 && i+1 != n {
+			continue
+		}
+		var spans uint64
+		s := m.TraceSnapshot(true)
+		for _, ev := range s.Events {
+			switch {
+			case ev.Seq < from:
+			case ev.Kind == "span" && top[ev.Phase]:
+				spans += ev.Value
+			case ev.Kind == "op-end":
+				if ev.Value > 0 {
+					shares = append(shares, float64(spans)/float64(ev.Value))
+				}
+				spans = 0
+			}
+		}
+		from = s.Recorded
+	}
+	if len(shares) == 0 {
+		return 0
+	}
+	sort.Float64s(shares)
+	return shares[len(shares)/2]
 }

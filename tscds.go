@@ -544,9 +544,24 @@ type wrap struct {
 
 func (w *wrap) RegisterThread() (*Thread, error) { return w.reg.Register() }
 
-// observe records one operation of class c, begun at start (a w.clk
-// reading), into whichever sinks are wired. Its one clock reading ends the
-// duration both sinks record and dates the recorder's event.
+// start returns the start, a w.clk reading, of an operation on th when a
+// sink times it, and 0 when none does: the registry times every
+// operation, the recorder those it sampled (sampled is the caller's
+// trace.Recorder.Sample, inlined into every operation).
+func (w *wrap) start(th *Thread, sampled bool) uint64 {
+	if sampled {
+		return w.tr.Begin(th.ID)
+	}
+	if w.obs != nil {
+		return w.clk.Now()
+	}
+	return 0
+}
+
+// observe records one operation of class c, begun at start (a nonzero
+// w.start), into whichever sinks are wired; the recorder keeps it only if
+// it sampled it. Its one clock reading ends the duration both sinks record
+// and dates the recorder's event.
 func (w *wrap) observe(th *Thread, c obs.OpClass, start uint64) {
 	end := w.clk.Now()
 	dur := tsc.Elapsed(start, end)
@@ -578,17 +593,16 @@ func (w *wrap) update(th *Thread, op wal.OpKind, key, val uint64) (ok bool, err 
 	if key > MaxKey {
 		return false, nil
 	}
-	sinks := w.obs != nil || w.tr != nil
 	var start uint64
-	if sinks {
-		start = w.clk.Now()
+	if w.obs != nil || w.tr != nil {
+		start = w.start(th, w.tr.Sample(th.ID))
 	}
 	if w.dur != nil {
 		ok, err = w.dur.update(th, op, key, val)
 	} else {
 		ok = apply(w.m, th, op, key, val)
 	}
-	if sinks {
+	if start != 0 {
 		w.observe(th, obs.OpUpdate, start)
 	}
 	return ok, err
@@ -615,9 +629,11 @@ func (w *wrap) Get(th *Thread, key uint64) (uint64, bool) {
 	if w.obs == nil && w.tr == nil {
 		return w.m.Get(th, key)
 	}
-	start := w.clk.Now()
+	start := w.start(th, w.tr.Sample(th.ID))
 	v, ok := w.m.Get(th, key)
-	w.observe(th, obs.OpContains, start)
+	if start != 0 {
+		w.observe(th, obs.OpContains, start)
+	}
 	return v, ok
 }
 
@@ -639,13 +655,12 @@ func (w *wrap) read(th *Thread, c obs.OpClass, lo, hi, ts uint64, live bool, buf
 	if hi > MaxKey {
 		hi = MaxKey
 	}
-	sinks := w.obs != nil || w.tr != nil
 	var start uint64
-	if sinks {
-		start = w.clk.Now()
+	if w.obs != nil || w.tr != nil {
+		start = w.start(th, w.tr.Sample(th.ID))
 	}
 	buf, _, err := w.rd.Read(th, lo, hi, ts, live, buf)
-	if sinks {
+	if start != 0 {
 		w.observe(th, c, start)
 	}
 	if w.obs != nil && !live {
