@@ -8,6 +8,7 @@ import (
 
 	"tscds"
 	"tscds/internal/bench"
+	"tscds/internal/wal/faultfs"
 )
 
 // TestPooledUpdatePathAllocFree pins the pool's core claim: with
@@ -15,51 +16,80 @@ import (
 // skip list performs ZERO heap allocations per operation — nodes come from
 // the epoch-fed free lists (the registry counts the hits and the recycled
 // nodes), limbo wrappers from the manager's wrapper pool, and the label
-// machinery is allocation-free. Any new allocation on the update path (a
-// closure, a boxed value, a forgotten pooled constructor) fails this test.
+// machinery is allocation-free. The durable rows hold the WAL to the same
+// claim on 4 shards at both acknowledgment modes: the commit closure stays
+// on the stack and each record is encoded into the stream's reused buffer.
+// Any new allocation on the update path (a closure, a boxed value, a
+// forgotten pooled constructor) fails this test.
 func TestPooledUpdatePathAllocFree(t *testing.T) {
-	reg := tscds.NewMetrics()
-	m, err := tscds.New(tscds.SkipList, tscds.EBRRQ, tscds.Config{
-		Source:     tscds.Logical,
-		MaxThreads: 4,
-		Alloc:      tscds.AllocPool,
-		Metrics:    reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	th, err := m.RegisterThread()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer th.Release()
+	for _, c := range []struct {
+		name      string
+		shards    int
+		syncEvery int // 0: no durability
+	}{
+		{"flat", 1, 0},
+		{"wal-sync1-4shards", 4, 1},
+		{"wal-sync64-4shards", 4, 64},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			reg := tscds.NewMetrics()
+			cfg := tscds.Config{
+				Source:     tscds.Logical,
+				MaxThreads: 4,
+				Alloc:      tscds.AllocPool,
+				Metrics:    reg,
+			}
+			var m tscds.Map
+			var err error
+			if c.syncEvery == 0 {
+				m, err = tscds.New(tscds.SkipList, tscds.EBRRQ, cfg)
+			} else {
+				cfg.Durability = &tscds.Durability{Dir: "wal", SyncEvery: c.syncEvery, FS: faultfs.New(faultfs.Fault{})}
+				m, err = tscds.NewSharded(tscds.SkipList, tscds.EBRRQ, c.shards, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer m.(tscds.DurableMap).Close()
+			th, err := m.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer th.Release()
 
-	// GC off for the measurement: a collection mid-run would not change
-	// the alloc count but could steal sync.Pool contents and force
-	// refill misses.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			// GC off for the measurement: a collection mid-run would not
+			// change the alloc count but could steal sync.Pool contents
+			// and force refill misses.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
-	// Warm up: churn enough keys that the free lists are primed and the
-	// prune cadence (retire -> limbo -> recycle) reaches steady state.
-	for i := uint64(1); i <= 2000; i++ {
-		m.Insert(th, i, i)
-	}
-	for i := uint64(1); i <= 2000; i++ {
-		m.Delete(th, i)
-	}
-	m.Drain()
+			// Warm up: churn enough keys that the free lists are primed
+			// and the prune cadence (retire -> limbo -> recycle) reaches
+			// steady state.
+			for i := uint64(1); i <= 2000; i++ {
+				m.Insert(th, i, i)
+			}
+			for i := uint64(1); i <= 2000; i++ {
+				m.Delete(th, i)
+			}
+			m.Drain()
 
-	key := uint64(5000)
-	n := testing.AllocsPerRun(2000, func() {
-		m.Insert(th, key, 1)
-		m.Delete(th, key)
-		key++
-	})
-	if n != 0 {
-		t.Fatalf("pooled insert+delete pair allocates %.2f objects, want 0", n)
-	}
-	if ps := reg.Snapshot().Pool; ps == nil || ps.Hits == 0 || ps.Recycled == 0 {
-		t.Fatalf("pool counters %+v, want hits and recycled nodes", ps)
+			key := uint64(5000) // 5000..7000 spans blocks of every shard
+			n := testing.AllocsPerRun(2000, func() {
+				m.Insert(th, key, 1)
+				m.Delete(th, key)
+				key++
+			})
+			if n != 0 {
+				t.Fatalf("pooled insert+delete pair allocates %.2f objects, want 0", n)
+			}
+			snap := reg.Snapshot()
+			if ps := snap.Pool; ps == nil || ps.Hits == 0 || ps.Recycled == 0 {
+				t.Fatalf("pool counters %+v, want hits and recycled nodes", ps)
+			}
+			if w := snap.WAL; c.syncEvery != 0 && (w == nil || w.Appends < 4000) {
+				t.Fatalf("WAL counters %+v, want every update logged", w)
+			}
+		})
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"tscds/internal/core"
@@ -79,13 +78,15 @@ type DurableMap interface {
 	// LastRecovery reports what recovery loaded when this Map opened
 	// (the zero value for a fresh directory).
 	LastRecovery() RecoveryStats
-	// Close stops the durability layer: drains and fsyncs the log
-	// (clean shutdowns are fully durable even with SyncEvery > 1),
-	// stops the snapshot flusher, and closes the files. An update
-	// concurrent with Close is either logged before the log closes or
-	// refused with nothing applied; every update after Close is refused
-	// (InsertDurable/DeleteDurable return wal.ErrClosed, Insert/Delete
-	// false). Close on a non-durable Map is a no-op.
+	// Close stops the durability layer: waits out a checkpoint in
+	// flight, drains and fsyncs the log (clean shutdowns are fully
+	// durable even with SyncEvery > 1), closes the files and stops the
+	// snapshot flusher. An update concurrent with Close is either logged
+	// before the log closes or refused with nothing applied; every update
+	// after Close is refused (InsertDurable/DeleteDurable return
+	// wal.ErrClosed, Insert/Delete false), and so is every checkpoint
+	// (Checkpoint/CheckpointAt return wal.ErrClosed and write nothing).
+	// Close on a non-durable Map is a no-op.
 	Close() error
 }
 
@@ -95,42 +96,29 @@ var _ DurableMap = (*ShardedMap)(nil)
 // errNotDurable is returned by Checkpoint on Maps without durability.
 var errNotDurable = errors.New("tscds: durability not enabled (set Config.Durability)")
 
-// padMutex keeps per-shard WAL mutexes on separate cache-line pairs.
-type padMutex struct {
-	sync.Mutex
-	_ [2*64 - 8]byte
-}
-
-// durable is the per-Map durability state hung off wrap.dur.
+// durable is the per-Map durability state hung off wrap.dur. The log
+// owns stream order, the closed state and the checkpoint sequence.
 type durable struct {
-	log *wal.Log
-	mus []padMutex // one per WAL shard; serializes apply+stamp+append
-	// closed refuses updates once Close began. Every update reads it
-	// under its stream mutex, so it sits beside mus, on a line the
-	// update loads anyway, rather than on the struct's last line, which
-	// the next object in memory can share.
-	closed atomic.Bool
-	inner  inner
-	rd     *core.Reader // collects the whole map at one bound
-	src    core.Source
-	tr     *trace.Recorder
-
-	snapMu  sync.Mutex // serializes Checkpoint with the flusher
-	snapBuf []core.KV
+	log     *wal.Log
+	streams int
+	inner   inner
+	rd      *core.Reader // collects the whole map at one bound
+	src     core.Source
+	tr      *trace.Recorder
 
 	th       *core.Thread // replay + flusher handle
 	recovery RecoveryStats
 	every    time.Duration
 	stop     chan struct{}
 	wg       sync.WaitGroup
+	once     sync.Once // stops the flusher and releases th
 }
 
 // enableDurability arms cfg.Durability on w: open (and recover) the
 // log, replay the surviving image into the still-traffic-free
 // structure, and start the snapshot flusher. shards is the facade
-// shard count; the WAL splits keys by the same blocks (core.PartOf), so
-// each stream is ordered by the per-shard serialization update adds
-// below.
+// shard count; the WAL splits keys by the same blocks (core.PartOf), and
+// each stream is ordered by its Commit lock.
 func (w *wrap) enableDurability(cfg Config, shards int) error {
 	d := cfg.Durability
 	var stats *obs.WALStats
@@ -174,7 +162,7 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 
 	dd := &durable{
 		log:      log,
-		mus:      make([]padMutex, shards),
+		streams:  shards,
 		inner:    w.m,
 		rd:       w.rd,
 		src:      w.srcImpl,
@@ -192,64 +180,41 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 	return nil
 }
 
-// update is the durable update path: apply, stamp and append under the
-// WAL shard's mutex (so log order is linearization order), then commit
-// outside it (so concurrent updaters share the fsync). op selects
-// Insert or Delete (val is ignored for a delete). Failed in-memory ops
-// log nothing — per key the log holds only effective updates, which is
-// what makes redundant replay over a snapshot converge. After Close the
-// update is refused before it touches the map: applied, it would be lost
-// on reopen.
+// update is the durable update path: the log's Commit applies, stamps
+// and buffers under the stream lock (so log order is linearization
+// order), then waits for the acknowledgment with the lock released (so
+// concurrent updaters share the fsync). op selects Insert or Delete (val is ignored
+// for a delete). Failed in-memory ops log nothing — per key the log holds
+// only effective updates, which is what makes redundant replay over a
+// snapshot converge. After Close the update is refused before it touches
+// the map: applied, it would be lost on reopen.
 func (d *durable) update(th *core.Thread, op wal.OpKind, key, val uint64) (bool, error) {
-	sh := core.PartOf(key, len(d.mus))
-	mu := &d.mus[sh]
-	mu.Lock()
-	if d.closed.Load() {
-		mu.Unlock()
-		return false, wal.ErrClosed
-	}
-	if !apply(d.inner, th, op, key, val) {
-		mu.Unlock()
-		return false, nil
-	}
-	mark := d.tr.Now(th.ID)
-	lsn, err := d.log.Append(sh, wal.Record{
-		TS: d.src.Peek(), Op: op, Key: key, Val: val,
+	var mark uint64 // 0, which Span ignores, unless apply took effect
+	ok, err := d.log.Commit(core.PartOf(key, d.streams), func() (wal.Record, bool) {
+		if !apply(d.inner, th, op, key, val) {
+			return wal.Record{}, false
+		}
+		mark = d.tr.Now(th.ID)
+		return wal.Record{TS: d.src.Peek(), Op: op, Key: key, Val: val}, true
 	})
-	mu.Unlock()
-	if err == nil {
-		err = d.log.WaitDurable(sh, lsn)
-	}
 	d.tr.Span(th.ID, trace.PhaseWALAppend, mark)
-	return true, err
+	return ok, err
 }
 
-// checkpoint is one snapshot flush: collect the whole map at a single
-// bound with writers running — a fresh one when live, else the past
-// timestamp ts through the retained version history GetAt reads — in key
-// order, write the collected buffer atomically as it is, then prune the
-// segments the bound covers. Newer records stay, so replay over a
-// historical snapshot still converges to the log's final state.
+// checkpoint is one snapshot flush, sequenced by the log: collect the
+// whole map at a single bound with writers running — a fresh one when
+// live, else the past timestamp ts through the retained version history
+// GetAt reads — in key order. The log writes the collected buffer as it
+// is and prunes the segments the bound covers; newer records stay, so
+// replay over a historical snapshot still converges to the log's final
+// state.
 func (d *durable) checkpoint(ts uint64, live bool) error {
-	d.snapMu.Lock()
-	defer d.snapMu.Unlock()
 	mark := d.tr.SharedNow()
-	// Rotate first: every record buffered before this point lands in a
-	// sealed segment whose maxTS the prune below can compare against
-	// the snapshot bound.
-	d.log.RotateAll()
-	kvs, ts, err := d.rd.Read(d.th, 0, MaxKey, ts, live, d.snapBuf[:0])
-	d.snapBuf = kvs[:0]
-	if err != nil {
-		return err
-	}
-	err = d.log.WriteSnapshot(ts, kvs)
+	err := d.log.Checkpoint(func(buf []wal.Pair) ([]wal.Pair, uint64, error) {
+		return d.rd.Read(d.th, 0, MaxKey, ts, live, buf)
+	})
 	d.tr.SharedSpan(trace.PhaseSnapshotFlush, mark)
-	if err != nil {
-		return err
-	}
-	d.log.PruneUpTo(ts)
-	return nil
+	return err
 }
 
 // flushLoop drives periodic snapshots until Close.
@@ -267,22 +232,15 @@ func (d *durable) flushLoop() {
 	}
 }
 
-// close stops the flusher and the log; idempotent. Taking every stream's
-// mutex once after closed is set waits out the updates that took it
-// before: each of them has appended by then, and every later one sees
-// closed.
+// close closes the log, then, once, stops the flusher and releases the
+// durability handle: after Log.Close no checkpoint collects on it.
 func (d *durable) close() error {
-	if !d.closed.CompareAndSwap(false, true) {
-		return d.log.Err()
-	}
-	for i := range d.mus {
-		d.mus[i].Lock()
-		d.mus[i].Unlock()
-	}
-	close(d.stop)
-	d.wg.Wait()
 	err := d.log.Close()
-	d.th.Release()
+	d.once.Do(func() {
+		close(d.stop)
+		d.wg.Wait()
+		d.th.Release()
+	})
 	return err
 }
 

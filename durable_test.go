@@ -521,6 +521,68 @@ func TestCloseUnderLoad(t *testing.T) {
 	}
 }
 
+// TestCheckpointAfterClose: once Close returns, Checkpoint and
+// CheckpointAt refuse with wal.ErrClosed before they collect or write:
+// the file system sees no operation and the source no snapshot. Close
+// released the durability handle, so in a two-slot registry a thread
+// registered after it takes that handle's slot; no collect runs there.
+func TestCheckpointAfterClose(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("s%d", shards), func(t *testing.T) {
+			fs := faultfs.New(faultfs.Fault{})
+			reg := tscds.NewMetrics()
+			cfg := tscds.Config{Source: tscds.Logical, MaxThreads: 2, Metrics: reg,
+				Durability: &tscds.Durability{Dir: cmDir, SyncEvery: 1, FS: fs}}
+			var m tscds.Map
+			var err error
+			if shards == 1 {
+				m, err = tscds.New(tscds.BST, tscds.VCAS, cfg)
+			} else {
+				m, err = tscds.NewSharded(tscds.BST, tscds.VCAS, shards, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			dm := m.(tscds.DurableMap)
+			th, err := dm.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer th.Release()
+			for k := uint64(1); k < 1024; k += 256 {
+				if ok, err := dm.InsertDurable(th, k, k); !ok || err != nil {
+					t.Fatalf("InsertDurable(%d) = %v, %v", k, ok, err)
+				}
+			}
+			past := dm.Now()
+			if err := dm.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint before Close: %v", err)
+			}
+			if err := dm.Close(); err != nil {
+				t.Fatal(err)
+			}
+			late, err := dm.RegisterThread()
+			if err != nil {
+				t.Fatalf("RegisterThread after Close: %v; the durability handle was not released", err)
+			}
+			defer late.Release()
+			ops, snaps := fs.Ops(), reg.Snapshot().Source.Snapshots
+			if err := dm.Checkpoint(); !errors.Is(err, wal.ErrClosed) {
+				t.Errorf("Checkpoint after Close = %v, want %v", err, wal.ErrClosed)
+			}
+			if err := dm.CheckpointAt(past); !errors.Is(err, wal.ErrClosed) {
+				t.Errorf("CheckpointAt after Close = %v, want %v", err, wal.ErrClosed)
+			}
+			if n := fs.Ops() - ops; n != 0 {
+				t.Errorf("%d file-system operations after Close", n)
+			}
+			if n := reg.Snapshot().Source.Snapshots - snaps; n != 0 {
+				t.Errorf("%d snapshots taken after Close: a checkpoint collected on the released handle's slot", n)
+			}
+		})
+	}
+}
+
 // openDurable opens a durable map of the arm on fs, flat when shards is
 // 1, syncing every update.
 func openDurable(t *testing.T, s tscds.Structure, tech tscds.Technique, shards int, fs *faultfs.FS) tscds.DurableMap {
@@ -554,12 +616,9 @@ func TestRecoverResidueStreams(t *testing.T) {
 	var ts uint64
 	put := func(op wal.OpKind, key, val uint64) {
 		ts++
-		sh := int(key % 4)
-		lsn, err := log.Append(sh, wal.Record{TS: ts, Op: op, Key: key, Val: val})
-		if err == nil {
-			err = log.WaitDurable(sh, lsn)
-		}
-		if err != nil {
+		if _, err := log.Commit(int(key%4), func() (wal.Record, bool) {
+			return wal.Record{TS: ts, Op: op, Key: key, Val: val}, true
+		}); err != nil {
 			t.Fatal(err)
 		}
 		if op == wal.OpInsert {
@@ -571,12 +630,13 @@ func TestRecoverResidueStreams(t *testing.T) {
 	for k := uint64(0); k < 2000; k += 37 {
 		put(wal.OpInsert, k, k+1)
 	}
-	log.RotateAll()
 	var pairs []wal.Pair
 	for k := uint64(0); k < 2000; k += 37 {
 		pairs = append(pairs, wal.Pair{Key: k, Val: model[k]})
 	}
-	if err := log.WriteSnapshot(ts, pairs); err != nil {
+	if err := log.Checkpoint(func(buf []wal.Pair) ([]wal.Pair, uint64, error) {
+		return append(buf, pairs...), ts, nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	put(wal.OpInsert, 1001, 7) // inserted and deleted after the snapshot

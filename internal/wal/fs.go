@@ -4,17 +4,19 @@
 // makes them zero-stop-the-world), and recovery = newest valid snapshot
 // + replay of the WAL records it does not cover.
 //
-// Every update that succeeds in memory appends one fixed-size record
-// carrying the op's source timestamp and a CRC32C. Records are group-
-// committed without a goroutine of the log's own: appenders buffer
-// under the facade's per-shard mutex, and the first one to wait for its
+// Log.Commit runs each update under its stream's lock and, when it
+// succeeds in memory, buffers one fixed-size record carrying the op's
+// source timestamp and a CRC32C, so a stream's record order is its
+// updates' linearization order. Records are group-committed without a
+// goroutine of the log's own: the first committer to wait for its
 // acknowledgment while no flush is in progress writes and fsyncs
-// everything buffered so far; appenders that arrive meanwhile wait and
-// are covered by the next such leader's batch, so concurrent appenders
+// everything buffered so far; committers that arrive meanwhile wait and
+// are covered by the next such leader's batch, so concurrent updaters
 // share fsyncs (bounded latency, not one fsync per op) and a lone
-// appender pays no hand-off. Rotation and Close run the same flusher
-// step inline. Snapshots are written to a temp file and renamed into
-// place, so a crash mid-flush leaves the previous snapshot intact.
+// updater pays no hand-off. Log.Checkpoint owns the snapshot sequence
+// (rotate, collect, write, prune); rotation and Close run the same
+// flusher step inline. Snapshots are written to a temp file and renamed
+// into place, so a crash mid-flush leaves the previous snapshot intact.
 //
 // Recovery tolerates exactly the damage a crash can cause — a torn
 // tail (short or CRC-failing final record of a shard's newest segment)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"tscds/internal/core"
 )
@@ -43,15 +44,18 @@ const recordSize = 4 + 8 + 1 + 8 + 8
 // amd64, matching the hardware-timestamp spirit of the library).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendRecord encodes r onto dst.
+// appendRecord encodes r onto dst, in place: a local array would move
+// to the heap through crc32.Checksum on every record.
 func appendRecord(dst []byte, r Record) []byte {
-	var b [recordSize]byte
+	n := len(dst)
+	dst = slices.Grow(dst, recordSize)[:n+recordSize]
+	b := dst[n:]
 	binary.LittleEndian.PutUint64(b[4:], r.TS)
 	b[12] = byte(r.Op)
 	binary.LittleEndian.PutUint64(b[13:], r.Key)
 	binary.LittleEndian.PutUint64(b[21:], r.Val)
 	binary.LittleEndian.PutUint32(b[0:], crc32.Checksum(b[4:], castagnoli))
-	return append(dst, b[:]...)
+	return dst
 }
 
 // decodeRecord decodes the record at the front of b, reporting whether

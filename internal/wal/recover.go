@@ -123,7 +123,7 @@ func (l *Log) scan(shards int) (*Recovered, uint64, []uint64, error) {
 			maxRun = run
 		}
 	}
-	l.oldSnaps = snapNames
+	l.snaps = snapNames
 
 	// Determine each shard's newest segment: only there is a torn tail
 	// legitimate crash damage; anywhere else it is corruption.
@@ -151,7 +151,7 @@ func (l *Log) scan(shards int) (*Recovered, uint64, []uint64, error) {
 			maxRun = s.runID
 		}
 		segs = append(segs, *s)
-		l.oldSegs = append(l.oldSegs, segMeta{name: s.name, runID: s.runID, maxTS: s.maxTS, recs: len(s.recs)})
+		l.sealed = append(l.sealed, segMeta{name: s.name, runID: s.runID, maxTS: s.maxTS})
 	}
 
 	// Replay order: run generations ascending (a later run only starts

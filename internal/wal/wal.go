@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tscds/internal/obs"
 )
 
-// ErrClosed is returned by appends against a closed log.
+// ErrClosed is returned by Commit and Checkpoint on a closed log.
 var ErrClosed = errors.New("wal: closed")
 
 // Options parameterizes Open.
@@ -18,13 +19,13 @@ type Options struct {
 	// Dir is the durability directory (created if absent).
 	Dir string
 	// Shards is the number of independent append streams; the facade
-	// uses its shard count so each WAL stream is ordered by the same
-	// per-shard serialization that orders the map updates.
+	// uses its shard count, and Commit's stream lock orders both the
+	// stream's updates and its records.
 	Shards int
 	// SyncEvery controls the durability/throughput trade. <= 1 (the
-	// default) acknowledges an append only after an fsync covering it
+	// default) acknowledges a commit only after an fsync covering it
 	// returns — fully durable, with group commit amortizing the fsync
-	// across concurrent appenders. N > 1 acknowledges after write()
+	// across concurrent committers. N > 1 acknowledges after write()
 	// and fsyncs every N records per shard: a crash may lose up to the
 	// last N acknowledged records per shard (bounded-loss mode, the
 	// durability-cost axis of the bench's durability figure).
@@ -49,12 +50,11 @@ type segMeta struct {
 	name  string
 	runID uint64
 	maxTS uint64 // largest record TS in the segment (0 when empty)
-	recs  int
 }
 
 // Log is the open write side: per-shard segment writers with group
-// commit, snapshot writing and pruning. All methods are safe for
-// concurrent use.
+// commit, checkpoints and pruning. All methods are safe for concurrent
+// use.
 type Log struct {
 	fs    FS
 	dir   string
@@ -63,20 +63,27 @@ type Log struct {
 	stats *obs.WALStats
 
 	shards []*shardLog
+	// closed refuses Commit and Checkpoint from Close on. Close sets it
+	// under snapMu before it takes each stream lock; Commit reads it
+	// under its stream lock, Checkpoint under snapMu.
+	closed atomic.Bool
 
-	// snapMu serializes snapshot writes and pruning.
-	snapMu   sync.Mutex
-	oldSegs  []segMeta // pre-existing segments from prior runs
-	oldSnaps []string  // snapshot files on disk, name-sorted ascending
+	// snapMu sequences checkpoints with each other and with Close, and
+	// guards the fields below.
+	snapMu  sync.Mutex
+	sealed  []segMeta // segments no longer written: prior runs' and rotated ones
+	snaps   []string  // snapshot files on disk, name-sorted ascending
+	snapBuf []Pair    // collect buffer, reused by every checkpoint
 }
 
-// shardLog is one shard's append stream. Appenders buffer encoded
-// records under mu; there is no committer goroutine. The first waiter
-// that finds no flush in progress becomes the flusher: it takes the
-// buffered batch, writes (and fsyncs) it with mu released, acknowledges
-// it and wakes everyone. Appenders arriving meanwhile buffer behind it
-// and wait; one of them leads the next batch, which covers every record
-// buffered while the previous one was in flight (group commit).
+// shardLog is one shard's append stream. Commit applies an update and
+// buffers its encoded record under mu; there is no committer goroutine.
+// The first waiter that finds no flush in progress becomes the flusher:
+// it takes the buffered batch, writes (and fsyncs) it with mu released,
+// acknowledges it and wakes everyone. Commits arriving meanwhile buffer
+// behind it and wait; one of them leads the next batch, which covers
+// every record buffered while the previous one was in flight (group
+// commit).
 type shardLog struct {
 	log *Log
 	id  int
@@ -91,8 +98,6 @@ type shardLog struct {
 	acked    uint64 // LSN through which appends are acknowledged
 	err      error  // sticky; set on persistent I/O failure
 	flushing bool   // someone owns the flusher state below
-	closing  bool
-	closed   []segMeta // segments this run closed, awaiting pruning
 
 	// Flusher-owned state: touched only between flushing going true and
 	// going false again (or before the log is published by Open), so no
@@ -162,8 +167,8 @@ func (l *Log) closeSegments() {
 func (l *Log) RunID() uint64 { return l.runID }
 
 // Err returns the first sticky I/O error, or nil while the log is
-// healthy. Once set, every append and wait fails fast with it: the map
-// keeps serving from memory but durability is broken.
+// healthy. Once set, every Commit fails fast with it: the map keeps
+// serving from memory but durability is broken.
 func (l *Log) Err() error {
 	for _, sl := range l.shards {
 		sl.mu.Lock()
@@ -176,48 +181,42 @@ func (l *Log) Err() error {
 	return nil
 }
 
-// Append buffers one record on shard sh and returns its LSN; the
-// caller passes the LSN to WaitDurable for the acknowledgment matching
-// Options.SyncEvery. Append must be called under the same per-shard
-// serialization that ordered the in-memory apply, so the log order is
-// the linearization order.
-func (l *Log) Append(sh int, r Record) (uint64, error) {
+// Commit is one durable update on stream sh. It takes the stream lock
+// once and runs apply under it, so the stream's record order is the
+// order its updates took effect in; apply performs the in-memory update
+// and returns its record, or false when the update changed nothing and
+// logs nothing. After Close, Commit refuses with ErrClosed without
+// running apply. Otherwise Commit buffers the record and waits for its
+// acknowledgment as Options.SyncEvery says: it writes (and fsyncs) the
+// buffered batch itself unless a flush is in progress, in which case it
+// waits and is covered by that flush or leads (or follows) the next. A
+// record acknowledged before a later failure still reports success; once
+// the log's error is sticky apply still runs and Commit returns (true,
+// the error). apply runs under the stream lock, so it must not call
+// back into the log.
+func (l *Log) Commit(sh int, apply func() (Record, bool)) (bool, error) {
 	sl := l.shards[sh]
 	sl.mu.Lock()
-	if sl.err != nil {
-		err := sl.err
-		sl.mu.Unlock()
-		return 0, err
+	defer sl.mu.Unlock()
+	if l.closed.Load() {
+		return false, ErrClosed
 	}
-	if sl.closing {
-		sl.mu.Unlock()
-		return 0, ErrClosed
+	r, ok := apply()
+	if !ok {
+		return false, nil
+	}
+	if sl.err != nil {
+		return true, sl.err
 	}
 	sl.buf = appendRecord(sl.buf, r)
 	sl.bufRecs++
-	if r.TS > sl.bufMaxTS {
-		sl.bufMaxTS = r.TS
-	}
+	sl.bufMaxTS = max(sl.bufMaxTS, r.TS)
 	sl.appended++
 	lsn := sl.appended
-	sl.mu.Unlock()
 	if l.stats != nil {
 		l.stats.Appends.Inc()
 		l.stats.AppendedBytes.Add(recordSize)
 	}
-	return lsn, nil
-}
-
-// WaitDurable blocks until the record at lsn on shard sh is
-// acknowledged (synced in full-durability mode, written in bounded-
-// loss mode) or the log failed. A record acknowledged before a later
-// failure still reports success. The caller commits the batch holding
-// its record itself unless a flush is already in progress, in which
-// case it waits and is covered by that flush or leads (or follows) the
-// next.
-func (l *Log) WaitDurable(sh int, lsn uint64) error {
-	sl := l.shards[sh]
-	sl.mu.Lock()
 	for sl.acked < lsn && sl.err == nil {
 		if sl.flushing {
 			sl.ackd.Wait()
@@ -225,36 +224,76 @@ func (l *Log) WaitDurable(sh int, lsn uint64) error {
 			sl.flush(nil)
 		}
 	}
-	err := sl.err
 	if sl.acked >= lsn {
-		err = nil
+		return true, nil
 	}
-	sl.mu.Unlock()
-	return err
+	return true, sl.err
 }
 
-// RotateAll commits what every shard has buffered, seals its active
-// segment and continues on a fresh one, before returning: every record
-// appended before the call is in a sealed segment. The snapshot flusher
-// rotates before writing a snapshot so segments fully covered by it
-// become prunable. A failed or closed shard is left alone.
-func (l *Log) RotateAll() {
+// Checkpoint writes one snapshot and prunes what it covers. Under the
+// snapshot lock it commits what every stream has buffered and rotates
+// each onto a fresh segment, so every record committed before the call
+// sits in a sealed segment; then it calls collect with the reused buffer
+// for the whole map at one bound ts, sorted by key; writes that image
+// atomically (temp file, fsync, rename, dir sync); and finally removes
+// what the snapshot made redundant: every segment of a previous run (the
+// replay that opened this run is contained in any snapshot this run
+// writes), every sealed segment of this run whose records are all <= ts,
+// and all but the two newest snapshots (the newest is authoritative; its
+// predecessor is the fallback recovery uses if the newest turns out
+// unreadable). A failed stream is not rotated, and removal failures
+// are ignored (the next checkpoint retries them). After Close,
+// Checkpoint returns ErrClosed without calling collect. collect runs
+// under the snapshot lock, so it must not call Checkpoint or Close.
+func (l *Log) Checkpoint(collect func(buf []Pair) ([]Pair, uint64, error)) error {
+	l.snapMu.Lock()
+	defer l.snapMu.Unlock()
+	if l.closed.Load() {
+		return ErrClosed
+	}
 	for _, sl := range l.shards {
 		sl.mu.Lock()
 		sl.awaitFlusher()
-		if sl.err == nil && !sl.closing {
+		if sl.err == nil {
 			sl.flush(sl.rotate)
 		}
 		sl.mu.Unlock()
 	}
+	kvs, ts, err := collect(l.snapBuf[:0])
+	l.snapBuf = kvs[:0]
+	if err != nil {
+		return err
+	}
+	if err := l.writeSnapshot(ts, kvs); err != nil {
+		return err
+	}
+	kept := l.sealed[:0]
+	for _, m := range l.sealed {
+		if (m.runID < l.runID || m.maxTS <= ts) && l.fs.Remove(filepath.Join(l.dir, m.name)) == nil {
+			if l.stats != nil {
+				l.stats.SegmentsPruned.Inc()
+			}
+			continue
+		}
+		kept = append(kept, m)
+	}
+	l.sealed = kept
+	if n := len(l.snaps); n > 2 {
+		keptS := l.snaps[:0]
+		for i, name := range l.snaps {
+			if i < n-2 && l.fs.Remove(filepath.Join(l.dir, name)) == nil {
+				continue
+			}
+			keptS = append(keptS, name)
+		}
+		l.snaps = keptS
+	}
+	return nil
 }
 
-// WriteSnapshot atomically writes the snapshot image taken at bound ts
-// (temp file + fsync + rename + dir sync). kvs must be the full map
-// content at ts, sorted by key.
-func (l *Log) WriteSnapshot(ts uint64, kvs []Pair) error {
-	l.snapMu.Lock()
-	defer l.snapMu.Unlock()
+// writeSnapshot atomically writes the snapshot image kvs taken at bound
+// ts. Caller holds snapMu.
+func (l *Log) writeSnapshot(ts uint64, kvs []Pair) error {
 	name := snapName(l.runID, ts)
 	tmp := name + ".tmp"
 	img := encodeSnapshot(l.runID, ts, kvs)
@@ -272,7 +311,7 @@ func (l *Log) WriteSnapshot(ts uint64, kvs []Pair) error {
 		_ = l.fs.Remove(filepath.Join(l.dir, tmp))
 		return err
 	}
-	l.oldSnaps = append(l.oldSnaps, name)
+	l.snaps = append(l.snaps, name)
 	return nil
 }
 
@@ -301,71 +340,24 @@ func (l *Log) writeSnapshotFile(tmp, name string, img []byte) error {
 	return nil
 }
 
-// PruneUpTo removes log state a successful snapshot at bound ts made
-// redundant: every segment from a previous run (the replay that opened
-// this run is contained in any snapshot this run writes), every closed
-// segment of this run whose records are all <= ts, and all but the two
-// newest snapshots (the newest is authoritative; its predecessor is
-// kept as the fallback image recovery uses if the newest turns out
-// unreadable). Removal failures are ignored; the files are retried on
-// the next prune.
-func (l *Log) PruneUpTo(ts uint64) {
+// Close waits out an in-flight Checkpoint, refuses every later Commit
+// and Checkpoint with ErrClosed, commits and fsyncs what every stream
+// has buffered (so a clean shutdown is fully durable even in
+// bounded-loss mode) and closes the files. A Commit that took its stream
+// lock before Close did is in that final batch. Close returns the sticky
+// error, if any; a second Close waits for the first and returns it too.
+func (l *Log) Close() error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
-	drop := func(m segMeta) bool {
-		return m.runID < l.runID || m.maxTS <= ts
-	}
-	kept := l.oldSegs[:0]
-	for _, m := range l.oldSegs {
-		if drop(m) && l.fs.Remove(filepath.Join(l.dir, m.name)) == nil {
-			if l.stats != nil {
-				l.stats.SegmentsPruned.Inc()
+	if !l.closed.Swap(true) {
+		for _, sl := range l.shards {
+			sl.mu.Lock()
+			sl.awaitFlusher()
+			if sl.err == nil {
+				sl.flush(sl.seal)
 			}
-			continue
+			sl.mu.Unlock()
 		}
-		kept = append(kept, m)
-	}
-	l.oldSegs = kept
-	for _, sl := range l.shards {
-		sl.mu.Lock()
-		keptC := sl.closed[:0]
-		for _, m := range sl.closed {
-			if drop(m) && l.fs.Remove(filepath.Join(l.dir, m.name)) == nil {
-				if l.stats != nil {
-					l.stats.SegmentsPruned.Inc()
-				}
-				continue
-			}
-			keptC = append(keptC, m)
-		}
-		sl.closed = keptC
-		sl.mu.Unlock()
-	}
-	if n := len(l.oldSnaps); n > 2 {
-		keptS := l.oldSnaps[:0]
-		for i, name := range l.oldSnaps {
-			if i < n-2 && l.fs.Remove(filepath.Join(l.dir, name)) == nil {
-				continue
-			}
-			keptS = append(keptS, name)
-		}
-		l.oldSnaps = keptS
-	}
-}
-
-// Close commits and fsyncs what every shard has buffered (so a clean
-// shutdown is fully durable even in bounded-loss mode) and closes the
-// files. Appends fail with ErrClosed from here on. It returns the
-// sticky error, if any; closing twice is harmless.
-func (l *Log) Close() error {
-	for _, sl := range l.shards {
-		sl.mu.Lock()
-		sl.awaitFlusher()
-		if sl.err == nil && !sl.closing {
-			sl.closing = true
-			sl.flush(sl.seal)
-		}
-		sl.mu.Unlock()
 	}
 	return l.Err()
 }
@@ -467,12 +459,13 @@ func (sl *shardLog) writeBatch(batch []byte, nrecs, maxTS uint64) error {
 	return nil
 }
 
-// rotate seals the active segment and opens the next one. Flusher only.
+// rotate seals the active segment and opens the next one. Flusher only,
+// inside Checkpoint, so snapMu is held.
 func (sl *shardLog) rotate() error {
 	if sl.fileRecs == 0 {
 		return nil // empty segment: nothing to seal
 	}
-	sealed := segMeta{name: sl.name, runID: sl.log.runID, maxTS: sl.fileMaxTS, recs: sl.fileRecs}
+	sealed := segMeta{name: sl.name, runID: sl.log.runID, maxTS: sl.fileMaxTS}
 	if err := sl.seal(); err != nil {
 		return err
 	}
@@ -482,9 +475,7 @@ func (sl *shardLog) rotate() error {
 	if err := sl.log.fs.SyncDir(sl.log.dir); err != nil {
 		return fmt.Errorf("wal: sync dir: %w", err)
 	}
-	sl.mu.Lock()
-	sl.closed = append(sl.closed, sealed)
-	sl.mu.Unlock()
+	sl.log.sealed = append(sl.log.sealed, sealed)
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tscds/internal/obs"
 	"tscds/internal/wal"
@@ -33,15 +34,25 @@ func openLog(t *testing.T, fs wal.FS, shards, syncEvery int, stats *obs.WALStats
 	return l, rec
 }
 
-// appendWait appends r to shard sh and blocks for its acknowledgment.
-func appendWait(t *testing.T, l *wal.Log, sh int, r wal.Record) {
+// commit logs r on stream sh as an applied update and blocks for its
+// acknowledgment.
+func commit(t *testing.T, l *wal.Log, sh int, r wal.Record) {
 	t.Helper()
-	lsn, err := l.Append(sh, r)
-	if err != nil {
-		t.Fatalf("Append: %v", err)
+	if _, err := l.Commit(sh, func() (wal.Record, bool) { return r, true }); err != nil {
+		t.Fatalf("Commit: %v", err)
 	}
-	if err := l.WaitDurable(sh, lsn); err != nil {
-		t.Fatalf("WaitDurable: %v", err)
+}
+
+// image is a collect func that returns kvs at bound ts.
+func image(ts uint64, kvs ...wal.Pair) func([]wal.Pair) ([]wal.Pair, uint64, error) {
+	return func(buf []wal.Pair) ([]wal.Pair, uint64, error) { return append(buf, kvs...), ts, nil }
+}
+
+// checkpoint writes a snapshot of kvs at bound ts.
+func checkpoint(t *testing.T, l *wal.Log, ts uint64, kvs ...wal.Pair) {
+	t.Helper()
+	if err := l.Checkpoint(image(ts, kvs...)); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
 }
 
@@ -54,9 +65,9 @@ func TestRoundTrip(t *testing.T) {
 	if len(rec.Pairs) != 0 || len(rec.Replay) != 0 {
 		t.Fatalf("fresh dir recovered %d pairs, %d records", len(rec.Pairs), len(rec.Replay))
 	}
-	appendWait(t, l, 0, wal.Record{TS: 1, Op: wal.OpInsert, Key: 2, Val: 100})
-	appendWait(t, l, 1, wal.Record{TS: 2, Op: wal.OpInsert, Key: 3, Val: 101})
-	appendWait(t, l, 0, wal.Record{TS: 3, Op: wal.OpDelete, Key: 2})
+	commit(t, l, 0, wal.Record{TS: 1, Op: wal.OpInsert, Key: 2, Val: 100})
+	commit(t, l, 1, wal.Record{TS: 2, Op: wal.OpInsert, Key: 3, Val: 101})
+	commit(t, l, 0, wal.Record{TS: 3, Op: wal.OpDelete, Key: 2})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -88,12 +99,10 @@ func TestSnapshotCutsCoveredRecords(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{})
 	l, _ := openLog(t, fs, 1, 1, nil)
 	for ts := uint64(1); ts <= 4; ts++ {
-		appendWait(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts * 10})
+		commit(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts * 10})
 	}
 	// Snapshot at bound 2 covers the first two records.
-	if err := l.WriteSnapshot(2, []wal.Pair{{Key: 1, Val: 10}, {Key: 2, Val: 20}}); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
+	checkpoint(t, l, 2, wal.Pair{Key: 1, Val: 10}, wal.Pair{Key: 2, Val: 20})
 	l.Close()
 
 	l2, rec := openLog(t, fs, 1, 1, nil)
@@ -109,23 +118,28 @@ func TestSnapshotCutsCoveredRecords(t *testing.T) {
 	}
 }
 
+// keepFS refuses every Remove: a checkpoint prunes nothing, so recovery
+// sees every segment the run wrote.
+type keepFS struct{ wal.FS }
+
+func (keepFS) Remove(string) error { return errors.New("kept") }
+
 func TestSnapshotCoversWholeEarlierRuns(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{})
 	// Run 1 logs a high timestamp (hardware counters can run far ahead).
 	l, _ := openLog(t, fs, 1, 1, nil)
-	appendWait(t, l, 0, wal.Record{TS: 1 << 40, Op: wal.OpInsert, Key: 1, Val: 10})
+	commit(t, l, 0, wal.Record{TS: 1 << 40, Op: wal.OpInsert, Key: 1, Val: 10})
 	l.Close()
 
 	// Run 2 restarts on a reset counter: its snapshot bound is tiny, yet
 	// it must still cover run 1's records (they were replayed at open).
-	l2, rec := openLog(t, fs, 1, 1, nil)
+	// Its checkpoint prunes nothing, so recovery itself must skip them.
+	l2, rec := openLog(t, keepFS{fs}, 1, 1, nil)
 	if len(rec.Replay) != 1 {
 		t.Fatalf("run 2 replay = %+v", rec.Replay)
 	}
-	appendWait(t, l2, 0, wal.Record{TS: 5, Op: wal.OpInsert, Key: 2, Val: 20})
-	if err := l2.WriteSnapshot(5, []wal.Pair{{Key: 1, Val: 10}, {Key: 2, Val: 20}}); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
+	commit(t, l2, 0, wal.Record{TS: 5, Op: wal.OpInsert, Key: 2, Val: 20})
+	checkpoint(t, l2, 5, wal.Pair{Key: 1, Val: 10}, wal.Pair{Key: 2, Val: 20})
 	l2.Close()
 
 	l3, rec3 := openLog(t, fs, 1, 1, nil)
@@ -142,7 +156,7 @@ func TestTornTailSkipped(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{})
 	l, _ := openLog(t, fs, 1, 1, nil)
 	for ts := uint64(1); ts <= 3; ts++ {
-		appendWait(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts})
+		commit(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts})
 	}
 	l.Close()
 
@@ -165,7 +179,7 @@ func TestCorruptInteriorRefused(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{})
 	l, _ := openLog(t, fs, 1, 1, nil)
 	for ts := uint64(1); ts <= 3; ts++ {
-		appendWait(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts})
+		commit(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts})
 	}
 	l.Close()
 
@@ -187,12 +201,8 @@ func TestCorruptInteriorRefused(t *testing.T) {
 func TestSnapshotFallback(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{})
 	l, _ := openLog(t, fs, 1, 1, nil)
-	if err := l.WriteSnapshot(5, []wal.Pair{{Key: 1, Val: 10}}); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	if err := l.WriteSnapshot(9, []wal.Pair{{Key: 1, Val: 10}, {Key: 2, Val: 20}}); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
+	checkpoint(t, l, 5, wal.Pair{Key: 1, Val: 10})
+	checkpoint(t, l, 9, wal.Pair{Key: 1, Val: 10}, wal.Pair{Key: 2, Val: 20})
 	l.Close()
 
 	// Damage the newest snapshot: recovery must fall back to its
@@ -213,24 +223,26 @@ func TestRotateAndPrune(t *testing.T) {
 	var stats obs.WALStats
 	l, _ := openLog(t, fs, 1, 1, &stats)
 	for ts := uint64(1); ts <= 3; ts++ {
-		appendWait(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts})
+		commit(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts})
 	}
-	l.RotateAll()
-	// Rotation is synchronous: the next segment exists on return.
-	if fs.Size(dir+"/wal-0000-000000000002.log") < 0 {
-		t.Fatal("rotation did not produce a new segment")
+	// The checkpoint rotates before it collects: the next segment exists
+	// when collect runs.
+	err := l.Checkpoint(func(buf []wal.Pair) ([]wal.Pair, uint64, error) {
+		if fs.Size(dir+"/wal-0000-000000000002.log") < 0 {
+			t.Error("rotation did not produce a new segment before collect")
+		}
+		return image(3, wal.Pair{Key: 1, Val: 1}, wal.Pair{Key: 2, Val: 2}, wal.Pair{Key: 3, Val: 3})(buf)
+	})
+	if err != nil {
+		t.Fatalf("Checkpoint: %v", err)
 	}
-	if err := l.WriteSnapshot(3, []wal.Pair{{Key: 1, Val: 1}, {Key: 2, Val: 2}, {Key: 3, Val: 3}}); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	l.PruneUpTo(3)
 	if fs.Size(dir+"/wal-0000-000000000001.log") >= 0 {
 		t.Fatal("sealed, fully-covered segment not pruned")
 	}
 	if stats.SegmentsPruned.Load() != 1 {
 		t.Fatalf("SegmentsPruned = %d", stats.SegmentsPruned.Load())
 	}
-	appendWait(t, l, 0, wal.Record{TS: 4, Op: wal.OpInsert, Key: 4, Val: 4})
+	commit(t, l, 0, wal.Record{TS: 4, Op: wal.OpInsert, Key: 4, Val: 4})
 	l.Close()
 
 	l2, rec := openLog(t, fs, 1, 1, nil)
@@ -244,11 +256,8 @@ func TestPruneKeepsTwoSnapshots(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{})
 	l, _ := openLog(t, fs, 1, 1, nil)
 	for ts := uint64(1); ts <= 3; ts++ {
-		if err := l.WriteSnapshot(ts, []wal.Pair{{Key: ts, Val: ts}}); err != nil {
-			t.Fatalf("WriteSnapshot: %v", err)
-		}
+		checkpoint(t, l, ts, wal.Pair{Key: ts, Val: ts})
 	}
-	l.PruneUpTo(3)
 	l.Close()
 	var snaps int
 	for _, p := range fs.Paths() {
@@ -266,7 +275,7 @@ func TestBatchedModeCleanClose(t *testing.T) {
 	var stats obs.WALStats
 	l, _ := openLog(t, fs, 1, 64, &stats)
 	for ts := uint64(1); ts <= 5; ts++ {
-		appendWait(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts})
+		commit(t, l, 0, wal.Record{TS: ts, Op: wal.OpInsert, Key: ts, Val: ts})
 	}
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -287,7 +296,7 @@ func TestTransientWriteErrorRetried(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{AtOp: 4, Kind: faultfs.KindWriteErr})
 	var stats obs.WALStats
 	l, _ := openLog(t, fs, 1, 1, &stats)
-	appendWait(t, l, 0, wal.Record{TS: 1, Op: wal.OpInsert, Key: 1, Val: 1})
+	commit(t, l, 0, wal.Record{TS: 1, Op: wal.OpInsert, Key: 1, Val: 1})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close after transient error: %v", err)
 	}
@@ -305,18 +314,22 @@ func TestPersistentErrorSticky(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{AtOp: 4, Kind: faultfs.KindENOSPC})
 	var stats obs.WALStats
 	l, _ := openLog(t, fs, 1, 1, &stats)
-	lsn, err := l.Append(0, wal.Record{TS: 1, Op: wal.OpInsert, Key: 1, Val: 1})
-	if err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	if err := l.WaitDurable(0, lsn); !errors.Is(err, faultfs.ErrInjected) {
-		t.Fatalf("WaitDurable under ENOSPC = %v, want injected error", err)
+	if ok, err := l.Commit(0, func() (wal.Record, bool) {
+		return wal.Record{TS: 1, Op: wal.OpInsert, Key: 1, Val: 1}, true
+	}); !ok || !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("Commit under ENOSPC = %v, %v; want true and the injected error", ok, err)
 	}
 	if l.Err() == nil {
 		t.Fatal("persistent failure did not stick")
 	}
-	if _, err := l.Append(0, wal.Record{TS: 2, Op: wal.OpInsert, Key: 2, Val: 2}); err == nil {
-		t.Fatal("Append after sticky failure succeeded")
+	// The map keeps serving from memory: the update still applies, and
+	// its acknowledgment carries the sticky error.
+	applied := false
+	if ok, err := l.Commit(0, func() (wal.Record, bool) {
+		applied = true
+		return wal.Record{TS: 2, Op: wal.OpInsert, Key: 2, Val: 2}, true
+	}); !ok || !applied || !errors.Is(err, faultfs.ErrInjected) {
+		t.Fatalf("Commit after sticky failure = %v, %v (applied %v); want it applied and the injected error", ok, err, applied)
 	}
 	if stats.Errors.Load() == 0 {
 		t.Fatal("sticky failure not counted")
@@ -329,7 +342,7 @@ func TestPersistentErrorSticky(t *testing.T) {
 func TestOpenReadErrorCleanRetry(t *testing.T) {
 	fs := faultfs.New(faultfs.Fault{})
 	l, _ := openLog(t, fs, 1, 1, nil)
-	appendWait(t, l, 0, wal.Record{TS: 1, Op: wal.OpInsert, Key: 1, Val: 1})
+	commit(t, l, 0, wal.Record{TS: 1, Op: wal.OpInsert, Key: 1, Val: 1})
 	l.Close()
 
 	fs2 := faultfs.New(faultfs.Fault{AtOp: 1, Kind: faultfs.KindReadErr})
@@ -432,13 +445,14 @@ func (f *watchFile) Sync() error {
 	return err
 }
 
-// The commit has no goroutine of its own: whichever appender finds no
-// flush in progress writes the batch. With N appenders per shard, in
-// both durability modes: an acknowledged LSN is on the file (and, with
-// SyncEvery 1, covered by a completed fsync) at the moment WaitDurable
+// The commit has no goroutine of its own: whichever committer finds no
+// flush in progress writes the batch. With N committers per shard, in
+// both durability modes: an acknowledged record is on the file (and,
+// with SyncEvery 1, covered by a completed fsync) at the moment Commit
 // returns; no two Write/Sync calls on one file overlap; concurrent
-// appenders share fsyncs; and neither Open nor Close changes the
-// goroutine count.
+// committers share fsyncs; and neither Open nor Close changes the
+// goroutine count. A record's place in its stream is counted in apply,
+// which runs under the stream lock.
 func TestLeaderFollowerCommit(t *testing.T) {
 	const shards, appenders, each = 2, 6, 200
 	for _, syncEvery := range []int{1, 64} {
@@ -459,27 +473,28 @@ func TestLeaderFollowerCommit(t *testing.T) {
 			}
 		}
 		var wg sync.WaitGroup
+		applied := make([]uint64, shards) // records per stream; under its lock
 		for a := 0; a < appenders; a++ {
 			wg.Add(1)
 			go func(a int) {
 				defer wg.Done()
 				sh := a % shards
 				for i := 0; i < each; i++ {
-					lsn, err := l.Append(sh, wal.Record{TS: uint64(i + 1), Op: wal.OpInsert, Key: uint64(a), Val: uint64(i)})
-					if err != nil {
-						t.Errorf("Append: %v", err)
+					var n uint64
+					if _, err := l.Commit(sh, func() (wal.Record, bool) {
+						applied[sh]++
+						n = applied[sh]
+						return wal.Record{TS: uint64(i + 1), Op: wal.OpInsert, Key: uint64(a), Val: uint64(i)}, true
+					}); err != nil {
+						t.Errorf("Commit: %v", err)
 						return
 					}
-					if err := l.WaitDurable(sh, lsn); err != nil {
-						t.Errorf("WaitDurable: %v", err)
-						return
-					}
-					need := int64(segHdrSize + lsn*recordSize)
+					need := int64(segHdrSize + n*recordSize)
 					if got := segs[sh].written.Load(); got < need {
-						t.Errorf("SyncEvery %d shard %d: LSN %d acknowledged with %d bytes written, needs %d", syncEvery, sh, lsn, got, need)
+						t.Errorf("SyncEvery %d shard %d: record %d acknowledged with %d bytes written, needs %d", syncEvery, sh, n, got, need)
 					}
 					if got := segs[sh].synced.Load(); syncEvery <= 1 && got < need {
-						t.Errorf("shard %d: LSN %d acknowledged with %d bytes synced, needs %d", sh, lsn, got, need)
+						t.Errorf("shard %d: record %d acknowledged with %d bytes synced, needs %d", sh, n, got, need)
 					}
 				}
 			}(a)
@@ -533,17 +548,15 @@ func TestFailedRotationClosesEachFileOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := l.Append(0, wal.Record{Op: wal.OpInsert, Key: 1, Val: 1, TS: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.WaitDurable(0, lsn); err != nil {
-		t.Fatal(err)
-	}
+	commit(t, l, 0, wal.Record{Op: wal.OpInsert, Key: 1, Val: 1, TS: 1})
 	// The seal's fsync and Close go through; the next segment's header
-	// write does not.
+	// write does not. The checkpoint stops at collect, before it would
+	// create a snapshot file.
 	inner.Arm(faultfs.Fault{AtOp: inner.Ops() + 1, Kind: faultfs.KindENOSPC})
-	l.RotateAll()
+	stop := errors.New("stop")
+	if err := l.Checkpoint(func([]wal.Pair) ([]wal.Pair, uint64, error) { return nil, 0, stop }); err != stop {
+		t.Fatalf("Checkpoint = %v, want collect's error", err)
+	}
 	if !errors.Is(l.Err(), faultfs.ErrInjected) {
 		t.Fatalf("Err after the failed rotation = %v, want the injected error", l.Err())
 	}
@@ -575,4 +588,57 @@ func (c *closeCountFS) Create(path string) (wal.File, error) {
 func (f *closeCountFile) Close() error {
 	f.fs.closed.Add(1)
 	return f.File.Close()
+}
+
+// Close waits out an in-flight checkpoint; after it, Commit refuses
+// without running apply, Checkpoint without calling collect, and neither
+// touches the file system.
+func TestClosedLogRefuses(t *testing.T) {
+	fs := faultfs.New(faultfs.Fault{})
+	l, _ := openLog(t, fs, 2, 1, nil)
+	commit(t, l, 1, wal.Record{TS: 1, Op: wal.OpInsert, Key: 1, Val: 1})
+	entered, release := make(chan struct{}), make(chan struct{})
+	ckpt := make(chan error)
+	go func() {
+		ckpt <- l.Checkpoint(func(buf []wal.Pair) ([]wal.Pair, uint64, error) {
+			close(entered)
+			<-release
+			return image(1, wal.Pair{Key: 1, Val: 1})(buf)
+		})
+	}()
+	<-entered
+	closed := make(chan error)
+	go func() { closed <- l.Close() }()
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v while a checkpoint was collecting", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-ckpt; err != nil {
+		t.Fatalf("in-flight Checkpoint = %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close = %v", err)
+	}
+
+	ops := fs.Ops()
+	if ok, err := l.Commit(0, func() (wal.Record, bool) {
+		t.Error("Commit ran apply after Close")
+		return wal.Record{}, true
+	}); ok || !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("Commit after Close = %v, %v; want false, ErrClosed", ok, err)
+	}
+	if err := l.Checkpoint(func(buf []wal.Pair) ([]wal.Pair, uint64, error) {
+		t.Error("Checkpoint collected after Close")
+		return buf, 0, nil
+	}); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("Checkpoint after Close = %v, want ErrClosed", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+	if n := fs.Ops(); n != ops {
+		t.Fatalf("%d file-system writes after Close", n-ops)
+	}
 }

@@ -101,7 +101,7 @@ func TestTraceSmoke(t *testing.T) {
 // TestTraceEvents checks the event ring survives a live decode: events
 // come back time-ordered with valid kinds.
 func TestTraceEvents(t *testing.T) {
-	m, err := New(BST, VCAS, Config{Source: Logical, MaxThreads: 2, Trace: &TraceConfig{RingSize: 256}})
+	m, err := New(BST, VCAS, Config{Source: Logical, MaxThreads: 2, Trace: &TraceConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}

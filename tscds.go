@@ -154,7 +154,9 @@ const (
 
 // Config parameterizes New.
 type Config struct {
-	// Source selects the timestamp implementation (default Logical).
+	// Source selects the timestamp implementation (default Logical):
+	// Logical, TSC, Monotonic or Adaptive. Figure 1's other TSC reads
+	// are timestamp sources only (NewTimestampSource).
 	Source SourceKind
 	// MaxThreads bounds concurrent thread handles (256 when zero; a
 	// negative value is a *ConfigError).
@@ -228,13 +230,10 @@ type TSCHealthSnapshot = tsc.HealthSnapshot
 // into it on their own.
 func NewTSCHealth(maxThreads int) *TSCHealth { return tsc.NewHealth(maxThreads) }
 
-// TraceConfig parameterizes the flight recorder enabled by Config.Trace.
-type TraceConfig struct {
-	// RingSize is each thread's event-ring capacity, rounded up to a
-	// power of two. Zero means trace.DefaultRingSize. The rings keep the
-	// newest RingSize events per thread; aggregates cover everything.
-	RingSize int
-}
+// TraceConfig switches on the flight recorder (Config.Trace). It has no
+// knobs: each recording thread's ring keeps its newest
+// trace.DefaultRingSize events; aggregates cover everything.
+type TraceConfig struct{}
 
 // Tracer is the flight recorder attached to a Map by Config.Trace; see
 // package internal/obs/trace. Its String method renders the aggregate
@@ -373,11 +372,15 @@ type ConfigError struct {
 func (e *ConfigError) Error() string { return "tscds: invalid " + e.Field + ": " + e.Reason }
 
 // validate rejects the Config values that would otherwise misbehave
-// quietly (an unknown Alloc ran as AllocGC under its bogus name) or from
-// deep inside construction (an unknown Source panicked in core.New).
+// quietly (an unknown Alloc ran as AllocGC under its bogus name; a TSC
+// read other than the paper's RDTSCP;LFENCE, which only Figure 1
+// measures, labeled a map, bare RDTSC included) or from deep inside
+// construction (an unknown Source panicked in core.New).
 func validate(cfg Config) error {
-	if cfg.Source < Logical || cfg.Source > Adaptive {
-		return &ConfigError{"Source", fmt.Sprintf("unknown kind %d", int(cfg.Source))}
+	switch cfg.Source {
+	case Logical, TSC, Monotonic, Adaptive:
+	default:
+		return &ConfigError{"Source", fmt.Sprintf("kind %d (%v) is not Logical, TSC, Monotonic or Adaptive", int(cfg.Source), cfg.Source)}
 	}
 	if cfg.MaxThreads < 0 {
 		return &ConfigError{"MaxThreads", fmt.Sprintf("%d is negative", cfg.MaxThreads)}
@@ -432,7 +435,7 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 		return err
 	}
 	if cfg.Trace != nil {
-		h.Trace = trace.NewRecorder(reg.Cap(), cfg.Trace.RingSize)
+		h.Trace = trace.NewRecorder(reg.Cap(), trace.DefaultRingSize)
 	}
 	h.ReadBound = core.NewReadBound(src, cfg.Retention)
 	m.SetHooks(h)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 )
 
@@ -141,7 +142,8 @@ func TestRegisterThreadExhaustionAndReuse(t *testing.T) {
 // validate, which refuses a Config it cannot honour with a
 // *ConfigError naming the field — an unknown Alloc (2 was the retired arena
 // mode) used to run as AllocGC while reporting the bogus mode, an unknown
-// Source to panic inside core.New, a negative MaxThreads to become the
+// Source to panic inside core.New, a TSC read Figure 1 alone measures
+// (bare RDTSC among them) to label a map, a negative MaxThreads to become the
 // default. NewSharded refuses a shard count below 1, which it used to round
 // up, the same way. Each constructor reports whether it built anything.
 func TestConstructorsRejectInvalidConfig(t *testing.T) {
@@ -170,6 +172,9 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 		{"Alloc", Config{Alloc: -1, Metrics: NewMetrics()}},
 		{"Source", Config{Source: Adaptive + 1}},
 		{"Source", Config{Source: -1}},
+		{"Source", Config{Source: core.TSCRaw}},
+		{"Source", Config{Source: core.TSCUnfenced}},
+		{"Source", Config{Source: core.TSCCPUID}},
 		{"Durability", Config{Durability: &Durability{}}},
 		{"MaxThreads", Config{MaxThreads: -1}},
 		{"", Config{Source: Adaptive, Health: NewTSCHealth(4)}},
