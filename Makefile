@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench linearize flake benchmark-smoke loc inline-check doc-check deps-check
+.PHONY: build test check bench linearize flake benchmark-smoke loc inline-check doc-check deps-check durable-race
 
 build:
 	$(GO) build ./...
@@ -18,16 +18,23 @@ test:
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
 # obs itself plus obs/promparse and obs/trace; ./cmd/tscstat/... serves a
 # map under load and checks every endpoint of it live.
-check: benchmark-smoke inline-check doc-check deps-check
+check: benchmark-smoke inline-check doc-check deps-check durable-race
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/... ./internal/citrus/... ./internal/bundle/... ./internal/skiplist/... ./cmd/tscstat/...
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestSharded|TestReadPathsAgree' .
-	$(GO) test -race -short -run 'TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors|TestUpdateAfterClose|TestCloseUnderLoad|TestCheckpointAfterClose' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
 	$(GO) test -race -short -run 'TestTrace|TestPhasesSumToOp' .
+
+# durable-race is the durability layer's -race list, run by check and by
+# CI's crash-smoke job: the crash matrix (-short caps it at 6 injection
+# points per failure kind), recovery, Close and Checkpoint against
+# concurrent updates and each other, and the plain-map error paths.
+DURABLE_TESTS = TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors|TestUpdateAfterClose|TestCloseUnderLoad|TestCheckpointAfterClose
+durable-race:
+	$(GO) test -race -short -run '$(DURABLE_TESTS)' .
 
 # loc prints the non-test Go lines of every package outside benchmark/ and
 # their total: ROADMAP asks that the number go down over the round, so CI

@@ -35,8 +35,10 @@ func benchWorkload(u, rq, c int) bench.Workload {
 	return wl
 }
 
-// benchMap drives one (structure, technique, source, workload) arm.
-func benchMap(b *testing.B, s tscds.Structure, t tscds.Technique, src tscds.SourceKind, wl bench.Workload) {
+// benchMap drives one (structure, technique, source, workload) arm. Keys
+// are uniform over wl.KeyRange, or Zipfian with exponent zipfS when it is
+// positive.
+func benchMap(b *testing.B, s tscds.Structure, t tscds.Technique, src tscds.SourceKind, wl bench.Workload, zipfS float64) {
 	m, err := tscds.New(s, t, tscds.Config{Source: src, MaxThreads: 256})
 	if err != nil {
 		b.Fatal(err)
@@ -59,8 +61,8 @@ func benchMap(b *testing.B, s tscds.Structure, t tscds.Technique, src tscds.Sour
 		defer th.Release()
 		r := uint64(0x9E3779B97F4A7C15)
 		var zipf *rand.Zipf
-		if wl.ZipfS > 0 {
-			zipf = rand.NewZipf(rand.New(rand.NewSource(1)), wl.ZipfS, 1, wl.KeyRange-1)
+		if zipfS > 0 {
+			zipf = rand.NewZipf(rand.New(rand.NewSource(1)), zipfS, 1, wl.KeyRange-1)
 		}
 		buf := make([]tscds.KV, 0, 128)
 		for pb.Next() {
@@ -134,7 +136,7 @@ func benchFigure(b *testing.B, id string) {
 			}
 			for _, src := range benchSources {
 				b.Run(fmt.Sprintf("%s/%s/%s", a.Name, wl.Label(), src), func(b *testing.B) {
-					benchMap(b, s, t, src, wl)
+					benchMap(b, s, t, src, wl, 0)
 				})
 			}
 		}
@@ -235,7 +237,7 @@ func BenchmarkExtensionBSTEBRRQ(b *testing.B) {
 	}
 	for _, a := range arms {
 		b.Run(a.name, func(b *testing.B) {
-			benchMap(b, tscds.BST, a.t, a.src, wl)
+			benchMap(b, tscds.BST, a.t, a.src, wl, 0)
 		})
 	}
 }
@@ -275,9 +277,7 @@ func BenchmarkZipfContention(b *testing.B) {
 				name = fmt.Sprintf("zipf%.1f/%s", zipfS, src)
 			}
 			b.Run(name, func(b *testing.B) {
-				wl := benchWorkload(20, 10, 70)
-				wl.ZipfS = zipfS
-				benchMap(b, tscds.BST, tscds.VCAS, src, wl)
+				benchMap(b, tscds.BST, tscds.VCAS, src, benchWorkload(20, 10, 70), zipfS)
 			})
 		}
 	}
@@ -291,7 +291,7 @@ func BenchmarkOmittedSkipList(b *testing.B) {
 	for _, tech := range []tscds.Technique{tscds.VCAS, tscds.EBRRQ} {
 		for _, src := range benchSources {
 			b.Run(fmt.Sprintf("%s/%s", tech, src), func(b *testing.B) {
-				benchMap(b, tscds.SkipList, tech, src, wl)
+				benchMap(b, tscds.SkipList, tech, src, wl, 0)
 			})
 		}
 	}
@@ -307,7 +307,7 @@ func BenchmarkAblationRQLength(b *testing.B) {
 			b.Run(fmt.Sprintf("len%d/%s", rqLen, src), func(b *testing.B) {
 				wl := benchWorkload(10, 20, 70)
 				wl.RQLen = rqLen
-				benchMap(b, tscds.BST, tscds.VCAS, src, wl)
+				benchMap(b, tscds.BST, tscds.VCAS, src, wl, 0)
 			})
 		}
 	}

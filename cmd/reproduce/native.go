@@ -159,14 +159,6 @@ func (n *native) arm(spec string, src tscds.SourceKind, label string, wl bench.W
 		return nil, err
 	}
 	opts := bench.Options{Duration: n.o.duration, Trials: n.o.trials, Pin: true, Seed: 7}
-	if n.o.trace {
-		// pprof labels name the arm in CPU profiles.
-		opts.Labels = map[string]string{
-			"tscds.technique": t.String(),
-			"tscds.structure": s.String(),
-			"tscds.source":    src.String(),
-		}
-	}
 	if n.health != nil {
 		opts.Sample = n.health.Sample
 	}

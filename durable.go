@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"tscds/internal/core"
 	"tscds/internal/obs"
@@ -14,10 +13,10 @@ import (
 
 // Durability opts a Map into crash-safe persistence (Config.Durability):
 // a per-shard append-only write-ahead log on the update path plus
-// periodic whole-map snapshot flushes taken at a single source
-// timestamp — zero stop-the-world, writers keep running. Opening a Map
-// over a non-empty Dir recovers the durable image (newest valid
-// snapshot + WAL replay) before the constructor returns.
+// whole-map snapshots (Checkpoint) taken at a single source timestamp —
+// zero stop-the-world, writers keep running. Opening a Map over a
+// non-empty Dir recovers the durable image (newest valid snapshot + WAL
+// replay) before the constructor returns.
 type Durability struct {
 	// Dir is the durability directory, created if absent. One Map per
 	// directory.
@@ -29,11 +28,6 @@ type Durability struct {
 	// the buffered append and fsyncs every N records per shard — a
 	// crash loses at most the last N acknowledged updates per shard.
 	SyncEvery int
-	// SnapshotEvery, when positive, flushes a snapshot periodically on
-	// a background goroutine. Zero means snapshots happen only on
-	// explicit Checkpoint calls. Snapshots bound recovery time and let
-	// covered WAL segments be pruned.
-	SnapshotEvery time.Duration
 	// FS substitutes the file layer (fault-injection tests); nil means
 	// the real filesystem.
 	FS wal.FS
@@ -59,7 +53,8 @@ type DurableMap interface {
 	DeleteDurable(th *Thread, key uint64) (bool, error)
 	// Checkpoint flushes a snapshot now (collect at one timestamp,
 	// write atomically, prune covered WAL segments) and returns the
-	// write outcome.
+	// write outcome. Snapshots bound recovery time; the library takes
+	// none on its own, so call it from your own ticker for periodic ones.
 	Checkpoint() error
 	// CheckpointAt flushes a snapshot of the map AS OF the past
 	// timestamp ts, collected through the same retained version history
@@ -80,13 +75,13 @@ type DurableMap interface {
 	LastRecovery() RecoveryStats
 	// Close stops the durability layer: waits out a checkpoint in
 	// flight, drains and fsyncs the log (clean shutdowns are fully
-	// durable even with SyncEvery > 1), closes the files and stops the
-	// snapshot flusher. An update concurrent with Close is either logged
-	// before the log closes or refused with nothing applied; every update
-	// after Close is refused (InsertDurable/DeleteDurable return
-	// wal.ErrClosed, Insert/Delete false), and so is every checkpoint
-	// (Checkpoint/CheckpointAt return wal.ErrClosed and write nothing).
-	// Close on a non-durable Map is a no-op.
+	// durable even with SyncEvery > 1) and closes the files. An update
+	// concurrent with Close is either logged before the log closes or
+	// refused with nothing applied; every update after Close is refused
+	// (InsertDurable/DeleteDurable return wal.ErrClosed, Insert/Delete
+	// false), and so is every checkpoint (Checkpoint/CheckpointAt return
+	// wal.ErrClosed and write nothing). Close on a non-durable Map is a
+	// no-op.
 	Close() error
 }
 
@@ -106,19 +101,16 @@ type durable struct {
 	src     core.Source
 	tr      *trace.Recorder
 
-	th       *core.Thread // replay + flusher handle
+	th       *core.Thread // replay + checkpoint handle
 	recovery RecoveryStats
-	every    time.Duration
-	stop     chan struct{}
-	wg       sync.WaitGroup
-	once     sync.Once // stops the flusher and releases th
+	release  sync.Once // releases th
 }
 
 // enableDurability arms cfg.Durability on w: open (and recover) the
-// log, replay the surviving image into the still-traffic-free
-// structure, and start the snapshot flusher. shards is the facade
-// shard count; the WAL splits keys by the same blocks (core.PartOf), and
-// each stream is ordered by its Commit lock.
+// log and replay the surviving image into the still-traffic-free
+// structure. shards is the facade shard count; the WAL splits keys by
+// the same blocks (core.PartOf), and each stream is ordered by its
+// Commit lock.
 func (w *wrap) enableDurability(cfg Config, shards int) error {
 	d := cfg.Durability
 	var stats *obs.WALStats
@@ -160,7 +152,7 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 		}
 	}
 
-	dd := &durable{
+	w.dur = &durable{
 		log:      log,
 		streams:  shards,
 		inner:    w.m,
@@ -169,13 +161,6 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 		tr:       w.tr,
 		th:       th,
 		recovery: recov.Stats,
-		every:    d.SnapshotEvery,
-		stop:     make(chan struct{}),
-	}
-	w.dur = dd
-	if dd.every > 0 {
-		dd.wg.Add(1)
-		go dd.flushLoop()
 	}
 	return nil
 }
@@ -217,30 +202,11 @@ func (d *durable) checkpoint(ts uint64, live bool) error {
 	return err
 }
 
-// flushLoop drives periodic snapshots until Close.
-func (d *durable) flushLoop() {
-	defer d.wg.Done()
-	t := time.NewTicker(d.every)
-	defer t.Stop()
-	for {
-		select {
-		case <-d.stop:
-			return
-		case <-t.C:
-			_ = d.checkpoint(0, true) // failures counted in obs; next tick retries
-		}
-	}
-}
-
-// close closes the log, then, once, stops the flusher and releases the
-// durability handle: after Log.Close no checkpoint collects on it.
+// close closes the log, then, once, releases the durability handle:
+// after Log.Close no checkpoint collects on it.
 func (d *durable) close() error {
 	err := d.log.Close()
-	d.once.Do(func() {
-		close(d.stop)
-		d.wg.Wait()
-		d.th.Release()
-	})
+	d.release.Do(d.th.Release)
 	return err
 }
 

@@ -746,11 +746,11 @@ func TestCheckpointOnPlainMapErrors(t *testing.T) {
 }
 
 // TestDrainRacesSnapshotFlush races Drain (eager reclamation of
-// version chains and limbo lists) against a fast periodic snapshot
-// flusher and concurrent writers. The flusher pins a timestamp and
-// walks RangeQueryAt while Drain reclaims; under -race this guards the
-// flusher's announced-timestamp protocol against reclamation. Run for
-// both a version-chain structure (vCAS) and an EBR-heavy one.
+// version chains and limbo lists) against a Checkpoint every millisecond
+// and concurrent writers. Each checkpoint pins a timestamp and collects
+// the whole map while Drain reclaims; under -race this guards the
+// snapshot collect's announced-timestamp protocol against reclamation.
+// Run for both a version-chain structure (vCAS) and an EBR-heavy one.
 func TestDrainRacesSnapshotFlush(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-based race soak")
@@ -765,10 +765,8 @@ func TestDrainRacesSnapshotFlush(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := tscds.Config{
-				Source: tscds.Logical,
-				Durability: &tscds.Durability{
-					Dir: dir, SyncEvery: 8, SnapshotEvery: time.Millisecond,
-				},
+				Source:     tscds.Logical,
+				Durability: &tscds.Durability{Dir: dir, SyncEvery: 8},
 			}
 			m, err := tscds.NewSharded(tscds.BST, tc.tech, cmShards, cfg)
 			if err != nil {
@@ -809,6 +807,23 @@ func TestDrainRacesSnapshotFlush(t *testing.T) {
 					}
 				}(w, th)
 			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				tick := time.NewTicker(time.Millisecond)
+				defer tick.Stop()
+				for {
+					select {
+					case <-stop:
+						return
+					case <-tick.C:
+						if err := m.Checkpoint(); err != nil {
+							t.Errorf("Checkpoint: %v", err)
+							return
+						}
+					}
+				}
+			}()
 			deadline := time.After(300 * time.Millisecond)
 		drainLoop:
 			for {
@@ -826,6 +841,45 @@ func TestDrainRacesSnapshotFlush(t *testing.T) {
 			}
 			if err := m.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
+			}
+		})
+	}
+}
+
+// TestDurableCloseLeavesNoGoroutine: a durable map starts no goroutine
+// of its own, so after updates, a Checkpoint and Close the process is
+// back at the goroutine count it had before the map opened. Flat and at
+// 4 shards.
+func TestDurableCloseLeavesNoGoroutine(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("s%d", shards), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			m := openDurable(t, tscds.BST, tscds.VCAS, shards, faultfs.New(faultfs.Fault{}))
+			th, err := m.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := uint64(0); k < 64; k++ {
+				if _, err := m.InsertDurable(th, k*cmKeyGap, k); err != nil {
+					t.Fatalf("InsertDurable: %v", err)
+				}
+			}
+			if _, err := m.DeleteDurable(th, 0); err != nil {
+				t.Fatalf("DeleteDurable: %v", err)
+			}
+			if err := m.Checkpoint(); err != nil {
+				t.Fatalf("Checkpoint: %v", err)
+			}
+			th.Release()
+			if err := m.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			n := runtime.NumGoroutine()
+			for deadline := time.Now().Add(time.Second); n > base && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+				time.Sleep(time.Millisecond)
+			}
+			if n > base {
+				t.Fatalf("%d goroutines after Close, %d before the map opened", n, base)
 			}
 		})
 	}

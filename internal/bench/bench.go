@@ -7,12 +7,9 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,10 +39,6 @@ type Workload struct {
 	U, RQ, C int    // percentages; must sum to 100
 	KeyRange uint64 // keys drawn from [0, KeyRange)
 	RQLen    uint64 // range query span in keys
-	// ZipfS skews key selection (0 = the paper's uniform distribution;
-	// >1 = Zipfian with that s parameter — an extension for studying
-	// hot-key contention on top of timestamp contention).
-	ZipfS float64
 }
 
 // PaperWorkload returns the paper's parameters for a given mix.
@@ -68,12 +61,6 @@ type Options struct {
 	Trials   int
 	Pin      bool // pin workers to CPUs (paper policy)
 	Seed     uint64
-	// Labels, when non-empty, is applied to every worker goroutine as
-	// runtime/pprof labels (e.g. tscds.technique); workers additionally
-	// switch a tscds.op label between update/range-query/contains using
-	// contexts prebuilt outside the measurement loop, so CPU profiles
-	// attribute samples per operation class.
-	Labels map[string]string
 	// Sample, when non-nil, is invoked by each worker every sampleEvery
 	// operations with the worker's thread ID — the hook the drivers use
 	// for TSC health cross-checks. Nil costs one pointer test per op.
@@ -196,26 +183,7 @@ func runTrial(target Target, reg Registrar, wl Workload, opts Options,
 				defer unpin()
 			}
 			th := threads[i]
-			// Prebuilt per-op-class label contexts: switching goroutine
-			// labels is then a pointer store, cheap enough per operation.
-			var opCtx [3]context.Context
-			if opts.Labels != nil {
-				pairs := make([]string, 0, 2*len(opts.Labels))
-				for k, v := range opts.Labels {
-					pairs = append(pairs, k, v)
-				}
-				base := pprof.WithLabels(context.Background(), pprof.Labels(pairs...))
-				for j, op := range []string{"update", "range-query", "contains"} {
-					opCtx[j] = pprof.WithLabels(base, pprof.Labels("tscds.op", op))
-				}
-				defer pprof.SetGoroutineLabels(context.Background())
-			}
 			r := rng{s: opts.Seed + uint64(i)*0x9E3779B97F4A7C15 + uint64(trial)*0x100000001B3 + 1}
-			var zipf *rand.Zipf
-			if wl.ZipfS > 0 {
-				src := rand.New(rand.NewSource(int64(r.next())))
-				zipf = rand.NewZipf(src, wl.ZipfS, 1, wl.KeyRange-1)
-			}
 			buf := make([]core.KV, 0, wl.RQLen+16)
 			var n uint64
 			ready.Done()
@@ -224,14 +192,8 @@ func runTrial(target Target, reg Registrar, wl Workload, opts Options,
 				x := r.next()
 				op := int(x % 100)
 				key := (x >> 8) % wl.KeyRange
-				if zipf != nil {
-					key = zipf.Uint64()
-				}
 				switch {
 				case op < wl.U:
-					if opts.Labels != nil {
-						pprof.SetGoroutineLabels(opCtx[0])
-					}
 					// Half inserts, half deletes, to keep size stable.
 					if x&(1<<63) != 0 {
 						target.Insert(th, key, key)
@@ -240,17 +202,11 @@ func runTrial(target Target, reg Registrar, wl Workload, opts Options,
 					}
 					perWorker[i].ops[0]++
 				case op < wl.U+wl.RQ:
-					if opts.Labels != nil {
-						pprof.SetGoroutineLabels(opCtx[1])
-					}
 					lo := key
 					hi := lo + wl.RQLen - 1
 					buf = target.RangeQuery(th, lo, hi, buf[:0])
 					perWorker[i].ops[1]++
 				default:
-					if opts.Labels != nil {
-						pprof.SetGoroutineLabels(opCtx[2])
-					}
 					target.Contains(th, key)
 					perWorker[i].ops[2]++
 				}

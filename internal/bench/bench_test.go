@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"math/rand"
 	"reflect"
 	"runtime"
 	"sort"
@@ -98,32 +97,6 @@ func TestTableRendering(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestZipfWorkloadSkewsKeys(t *testing.T) {
-	r := core.NewRegistry(4)
-	tr := lfbst.New(core.New(core.Logical), r)
-	wl := Workload{U: 0, RQ: 0, C: 100, KeyRange: 1000, ZipfS: 1.5}
-	res, err := Run(tr, reg{r}, wl, Options{Threads: 1, Duration: 30 * time.Millisecond, Trials: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.OpSplit[2] == 0 {
-		t.Fatal("no contains ops under zipf workload")
-	}
-	// Distribution check on the generator itself: low keys dominate.
-	zr := rand.New(rand.NewSource(1))
-	z := rand.NewZipf(zr, 1.5, 1, 999)
-	low := 0
-	const n = 20000
-	for i := 0; i < n; i++ {
-		if z.Uint64() < 10 {
-			low++
-		}
-	}
-	if float64(low)/n < 0.5 {
-		t.Fatalf("zipf(1.5): only %.1f%% of keys below 10; expected heavy skew", 100*float64(low)/n)
 	}
 }
 

@@ -93,10 +93,6 @@ func (k Kind) String() string {
 	return "Unknown"
 }
 
-// Hardware reports whether the kind reads a per-core hardware counter
-// rather than a shared memory location.
-func (k Kind) Hardware() bool { return k != Logical }
-
 // Source produces timestamps. Implementations must guarantee that
 // timestamps are monotonically (not necessarily strictly) increasing with
 // respect to real-time order: if a call happens-after another call

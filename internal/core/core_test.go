@@ -25,17 +25,6 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestKindHardware(t *testing.T) {
-	if Logical.Hardware() {
-		t.Error("Logical should not be hardware")
-	}
-	for _, k := range []Kind{TSC, TSCUnfenced, TSCCPUID, TSCRaw, Monotonic} {
-		if !k.Hardware() {
-			t.Errorf("%v should be hardware", k)
-		}
-	}
-}
-
 func TestLogicalSourceSequential(t *testing.T) {
 	s := NewLogical()
 	first := s.Peek()

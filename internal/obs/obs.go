@@ -24,7 +24,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 )
 
 // cacheLine mirrors core's padding policy: two lines per instrument to
@@ -396,7 +395,6 @@ type Registry struct {
 	alloc    atomic.Pointer[string]
 	walMode  atomic.Pointer[string]
 	shards   atomic.Pointer[[]*ShardStats]
-	strCache atomic.Pointer[stringCache]
 }
 
 // NewRegistry returns an empty registry.
@@ -634,35 +632,14 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// stringCache memoizes one rendered String so scrapers polling an
-// expvar page cannot turn every page load into a full snapshot+marshal
-// of ~120 histogram buckets.
-type stringCache struct {
-	at  time.Time
-	out string
-}
-
-// stringTTL bounds how stale a memoized String render may be. Snapshot
-// is always live; only the String export is rate-limited.
-var stringTTL = 100 * time.Millisecond
-
 // String renders the snapshot as JSON, making *Registry an expvar.Var so
-// callers can expvar.Publish("tscds", registry) directly. Renders are
-// memoized for stringTTL, so a hot scrape loop costs one pointer load
-// per call rather than a marshal; use Snapshot for guaranteed-fresh
-// values.
+// callers can expvar.Publish("tscds", registry) directly.
 func (r *Registry) String() string {
-	now := time.Now()
-	if c := r.strCache.Load(); c != nil && now.Sub(c.at) < stringTTL {
-		return c.out
-	}
 	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		return "{}"
 	}
-	out := string(b)
-	r.strCache.Store(&stringCache{at: now, out: out})
-	return out
+	return string(b)
 }
 
 // Summary renders the snapshot as a short human-readable table: one line

@@ -124,32 +124,6 @@ func TestServeBadAddr(t *testing.T) {
 	}
 }
 
-// TestStringMemoized: within stringTTL the rendered JSON is reused even
-// if counters move; after the TTL the next render picks up new values.
-func TestStringMemoized(t *testing.T) {
-	old := stringTTL
-	stringTTL = time.Hour
-	defer func() { stringTTL = old }()
-
-	reg := NewRegistry()
-	reg.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
-	first := reg.String()
-	reg.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
-	if got := reg.String(); got != first {
-		t.Fatal("String re-marshaled within TTL")
-	}
-
-	stringTTL = 0 // every call is stale
-	reg.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
-	var snap Snapshot
-	if err := json.Unmarshal([]byte(reg.String()), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Ops["update"].Count != 3 {
-		t.Fatalf("post-TTL count = %d, want 3", snap.Ops["update"].Count)
-	}
-}
-
 func TestSnapshotSummary(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetSourceKind("RDTSCP")

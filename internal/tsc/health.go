@@ -3,8 +3,6 @@ package tsc
 import (
 	"encoding/json"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -54,9 +52,6 @@ type Health struct {
 	maxSwitchNS  atomic.Uint64
 
 	slots []healthSlot
-
-	mu     sync.Mutex
-	probes []ProbeThread // last Probe results, per worker
 }
 
 // healthSlot is one registered thread's monitoring state (padded to its
@@ -66,8 +61,7 @@ type healthSlot struct {
 	last     atomic.Uint64 // thread's previous fenced reading
 	selfBack atomic.Uint64 // same-thread regressions
 	count    atomic.Uint64
-	lastCPU  atomic.Uint64 // IA32_TSC_AUX of the last sample
-	_        [24]byte
+	_        [32]byte
 }
 
 // NewHealth builds a monitor for thread IDs in [0, maxThreads) and
@@ -104,7 +98,7 @@ func (h *Health) Sample(tid int) {
 		return
 	}
 	prevMax := h.maxSeen.Load()
-	now, cpu := ReadWithCPU()
+	now := ReadFenced()
 	h.samples.Add(1)
 	if now < prevMax {
 		// RDTSCP ordered this read after the load of prevMax, so some
@@ -128,7 +122,6 @@ func (h *Health) Sample(tid int) {
 		}
 		s.last.Store(now)
 		s.count.Add(1)
-		s.lastCPU.Store(uint64(cpu))
 	}
 }
 
@@ -235,79 +228,12 @@ func (h *Health) NoteSourceSwitch(failback bool, d time.Duration) {
 	}
 }
 
-// ProbeThread is one worker's result from Probe.
-type ProbeThread struct {
-	Thread   int     `json:"thread"`
-	CPU      uint32  `json:"cpu"`
-	Samples  uint64  `json:"samples"`
-	DriftPPM float64 `json:"drift_ppm"` // rate deviation vs. calibration
-	MaxGapNS float64 `json:"max_gap_ns"`
-}
-
-// Probe runs an active cross-check: workers goroutines, each pinned to
-// an OS thread, hammer fenced reads for the given duration while the
-// max-chain detector watches for ordering violations, and each worker
-// re-measures its local tick rate against the wall clock to estimate
-// drift. Results land in the snapshot. Nil-safe (no-op).
-func (h *Health) Probe(workers int, d time.Duration) {
-	if h == nil {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(h.slots) {
-		workers = len(h.slots)
-	}
-	if d <= 0 {
-		d = 20 * time.Millisecond
-	}
-	results := make([]ProbeThread, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(tid int) {
-			defer wg.Done()
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
-			t0 := time.Now()
-			c0 := ReadFenced()
-			var n uint64
-			var maxGap uint64
-			prev := c0
-			for time.Since(t0) < d {
-				h.Sample(tid)
-				now := ReadFenced()
-				if now > prev && now-prev > maxGap {
-					maxGap = now - prev
-				}
-				prev = now
-				n++
-			}
-			c1 := ReadFenced()
-			el := time.Since(t0)
-			res := ProbeThread{Thread: tid, Samples: n}
-			_, res.CPU = ReadWithCPU()
-			if el > 0 && c1 > c0 && h.ticksPerNS > 0 {
-				local := float64(c1-c0) / float64(el.Nanoseconds())
-				res.DriftPPM = (local - h.ticksPerNS) / h.ticksPerNS * 1e6
-				res.MaxGapNS = float64(maxGap) / h.ticksPerNS
-			}
-			results[tid] = res
-		}(w)
-	}
-	wg.Wait()
-	h.mu.Lock()
-	h.probes = results
-	h.mu.Unlock()
-}
-
 // Health states, ordered by decreasing trust in the counter.
 const (
 	// StateHealthy: invariant TSC, no regressions observed.
 	StateHealthy = "healthy"
-	// StateDegraded: hardware TSC in use but regressions or heavy drift
-	// were observed; timestamps may mis-order operations across cores.
+	// StateDegraded: hardware TSC in use but regressions were observed;
+	// timestamps may mis-order operations across cores.
 	StateDegraded = "degraded"
 	// StateFallback: no usable hardware TSC; accessors serve the
 	// monotonic clock (correct, but with none of TSC's cost advantage).
@@ -319,7 +245,6 @@ type ThreadHealth struct {
 	Thread      int    `json:"thread"`
 	Samples     uint64 `json:"samples"`
 	SelfBack    uint64 `json:"self_regressions"`
-	LastCPU     uint64 `json:"last_cpu"`
 	OffsetTicks int64  `json:"offset_ticks"` // last reading minus global max (≤0 lag bound)
 }
 
@@ -342,7 +267,6 @@ type HealthSnapshot struct {
 	LastSwitchNS     uint64         `json:"last_switch_ns,omitempty"`
 	MaxSwitchNS      uint64         `json:"max_switch_ns,omitempty"`
 	Threads          []ThreadHealth `json:"threads,omitempty"`
-	Probes           []ProbeThread  `json:"probes,omitempty"`
 	Warnings         []string       `json:"warnings,omitempty"`
 }
 
@@ -382,25 +306,10 @@ func (h *Health) Snapshot() HealthSnapshot {
 			Thread:   i,
 			Samples:  sl.count.Load(),
 			SelfBack: sl.selfBack.Load(),
-			LastCPU:  sl.lastCPU.Load(),
 		}
 		th.OffsetTicks = int64(sl.last.Load()) - int64(max)
 		selfBack += th.SelfBack
 		s.Threads = append(s.Threads, th)
-	}
-	h.mu.Lock()
-	s.Probes = append([]ProbeThread(nil), h.probes...)
-	h.mu.Unlock()
-
-	const driftWarnPPM = 500.0
-	var worstDrift float64
-	for _, p := range s.Probes {
-		if d := p.DriftPPM; d > worstDrift || -d > worstDrift {
-			if d < 0 {
-				d = -d
-			}
-			worstDrift = d
-		}
 	}
 	switch {
 	case !Supported() || !Invariant():
@@ -410,8 +319,7 @@ func (h *Health) Snapshot() HealthSnapshot {
 		} else {
 			s.Warnings = append(s.Warnings, "TSC is not invariant; accessors serve the monotonic clock")
 		}
-	case s.CrossRegressions > 0 || selfBack > 0 || worstDrift > driftWarnPPM ||
-		s.InjectedFaults > 0:
+	case s.CrossRegressions > 0 || selfBack > 0 || s.InjectedFaults > 0:
 		s.State = StateDegraded
 		if s.CrossRegressions > 0 {
 			s.Warnings = append(s.Warnings, fmt.Sprintf(
@@ -420,9 +328,6 @@ func (h *Health) Snapshot() HealthSnapshot {
 		}
 		if selfBack > 0 {
 			s.Warnings = append(s.Warnings, fmt.Sprintf("%d same-thread regression(s) observed", selfBack))
-		}
-		if worstDrift > driftWarnPPM {
-			s.Warnings = append(s.Warnings, fmt.Sprintf("per-core rate drift up to %.0f ppm vs. calibration", worstDrift))
 		}
 		if s.InjectedFaults > 0 {
 			s.Warnings = append(s.Warnings, fmt.Sprintf("%d injected backstep(s) (fault-injection harness)", s.InjectedFaults))

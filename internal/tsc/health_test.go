@@ -10,7 +10,6 @@ import (
 func TestHealthNilSafe(t *testing.T) {
 	var h *Health
 	h.Sample(0)
-	h.Probe(2, time.Millisecond)
 	if h.TicksPerNS() != 0 {
 		t.Fatal("nil TicksPerNS != 0")
 	}
@@ -65,23 +64,6 @@ func TestHealthSampleAndSnapshot(t *testing.T) {
 		if len(s.Warnings) == 0 {
 			t.Fatal("fallback state must carry a warning")
 		}
-	}
-}
-
-func TestHealthProbe(t *testing.T) {
-	h := NewHealth(4)
-	h.Probe(2, 5*time.Millisecond)
-	s := h.Snapshot()
-	if len(s.Probes) != 2 {
-		t.Fatalf("probes = %d, want 2", len(s.Probes))
-	}
-	for _, p := range s.Probes {
-		if p.Samples == 0 {
-			t.Fatalf("probe thread %d took no samples", p.Thread)
-		}
-	}
-	if s.Samples == 0 || s.CrossRegressions > s.Samples {
-		t.Fatalf("samples=%d cross=%d", s.Samples, s.CrossRegressions)
 	}
 }
 

@@ -2,14 +2,13 @@
 // (TSC) via the RDTSC and RDTSCP instructions, together with the fence
 // variants studied in the paper and feature detection for invariant TSC.
 //
-// On amd64 the five accessors map to real instruction sequences
+// On amd64 the four accessors map to real instruction sequences
 // (implemented in tsc_amd64.s):
 //
 //	ReadFenced        RDTSCP ; LFENCE        (the paper's recommended API)
 //	ReadCPUID         CPUID  ; RDTSC         (serializing, ~200 cycle cost)
 //	Read              RDTSC                  (no ordering guarantees)
 //	ReadP             RDTSCP                 (pseudo-serializing only)
-//	ReadWithCPU       RDTSCP ; LFENCE, also returning IA32_TSC_AUX (CPU id)
 //
 // On other architectures, or when invariant TSC is unavailable, all
 // accessors fall back to a monotonic nanosecond clock, which preserves the
@@ -68,8 +67,3 @@ func Read() uint64 { return read() }
 // ReadP returns the TSC using a bare RDTSCP (pseudo-serializing: earlier
 // instructions complete first, but later ones may start early).
 func ReadP() uint64 { return readP() }
-
-// ReadWithCPU returns the fenced TSC value together with the contents of
-// IA32_TSC_AUX, which the OS conventionally initializes to the logical
-// CPU number; the fallback returns the monotonic clock and CPU 0.
-func ReadWithCPU() (ts uint64, cpu uint32) { return readWithCPU() }

@@ -8,7 +8,6 @@ func rdtscpFenced() uint64
 func rdtscCPUID() uint64
 func rdtscRaw() uint64
 func rdtscpRaw() uint64
-func rdtscpWithCPU() (ts uint64, cpu uint32)
 
 var (
 	hasRDTSCP    bool
@@ -49,11 +48,4 @@ func readP() uint64 {
 		return rdtscpRaw()
 	}
 	return rdtscRaw()
-}
-
-func readWithCPU() (uint64, uint32) {
-	if hasRDTSCP {
-		return rdtscpWithCPU()
-	}
-	return Monotonic(), 0
 }

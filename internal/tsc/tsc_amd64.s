@@ -53,14 +53,3 @@ TEXT ·rdtscpRaw(SB), NOSPLIT, $0-8
 	ORQ  DX, AX
 	MOVQ AX, ret+0(FP)
 	RET
-
-// func rdtscpWithCPU() (ts uint64, cpu uint32)
-// RDTSCP additionally loads IA32_TSC_AUX (the logical CPU id) into ECX.
-TEXT ·rdtscpWithCPU(SB), NOSPLIT, $0-12
-	BYTE $0x0f; BYTE $0x01; BYTE $0xf9 // RDTSCP
-	LFENCE
-	SHLQ $32, DX
-	ORQ  DX, AX
-	MOVQ AX, ts+0(FP)
-	MOVL CX, cpu+8(FP)
-	RET

@@ -19,5 +19,3 @@ func readFenced() uint64 { return cntvct() }
 func readCPUID() uint64  { return cntvct() } // no CPUID analogue; fully ordered read
 func read() uint64       { return cntvctRaw() }
 func readP() uint64      { return cntvctRaw() }
-
-func readWithCPU() (uint64, uint32) { return cntvct(), 0 }

@@ -11,8 +11,7 @@ func invariant() bool { return false }
 
 func hasCounter() bool { return false }
 
-func readFenced() uint64            { return Monotonic() }
-func readCPUID() uint64             { return Monotonic() }
-func read() uint64                  { return Monotonic() }
-func readP() uint64                 { return Monotonic() }
-func readWithCPU() (uint64, uint32) { return Monotonic(), 0 }
+func readFenced() uint64 { return Monotonic() }
+func readCPUID() uint64  { return Monotonic() }
+func read() uint64       { return Monotonic() }
+func readP() uint64      { return Monotonic() }

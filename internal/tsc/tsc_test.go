@@ -52,16 +52,6 @@ func TestUnfencedVariantsReturnSomething(t *testing.T) {
 	}
 }
 
-func TestReadWithCPU(t *testing.T) {
-	ts, cpu := ReadWithCPU()
-	if ts == 0 {
-		t.Fatal("ReadWithCPU returned zero timestamp")
-	}
-	if int(cpu) >= 1<<20 {
-		t.Fatalf("implausible CPU id %d", cpu)
-	}
-}
-
 // TestCrossGoroutineOrdering checks the property the paper depends on:
 // a timestamp read that happens-after another (enforced here with a
 // channel) must not be smaller.

@@ -225,9 +225,8 @@ type TSCHealth = tsc.Health
 type TSCHealthSnapshot = tsc.HealthSnapshot
 
 // NewTSCHealth builds a health monitor for thread IDs in
-// [0, maxThreads). Pass it in Config.Health and sample it (Sample, or
-// active Probe) from the workload; adaptive sources also report faults
-// into it on their own.
+// [0, maxThreads). Pass it in Config.Health and call its Sample from the
+// workload; adaptive sources also report faults into it on their own.
 func NewTSCHealth(maxThreads int) *TSCHealth { return tsc.NewHealth(maxThreads) }
 
 // TraceConfig switches on the flight recorder (Config.Trace). It has no
