@@ -124,6 +124,22 @@ func TestServeBadAddr(t *testing.T) {
 	}
 }
 
+// TestStringIsLive: String renders the registry's current Snapshot on
+// every call, so a counter moved between two calls shows in the second.
+func TestStringIsLive(t *testing.T) {
+	reg := NewRegistry()
+	for want := uint64(1); want <= 3; want++ {
+		reg.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
+		var snap Snapshot
+		if err := json.Unmarshal([]byte(reg.String()), &snap); err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.Ops["update"].Count; got != want {
+			t.Fatalf("String after %d updates reads count %d", want, got)
+		}
+	}
+}
+
 func TestSnapshotSummary(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetSourceKind("RDTSCP")

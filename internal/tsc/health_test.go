@@ -96,6 +96,52 @@ func TestHealthConcurrentSampling(t *testing.T) {
 	}
 }
 
+// TestHealthHandoffSamplesAgree: two threads take turns sampling, each
+// turn handed over by a channel, so every Sample happens-after the one
+// before it on the other thread. The fallback clock and an invariant
+// TSC then never read below the published maximum or the thread's own
+// last reading: no regression is counted and the monitor stays healthy.
+func TestHealthHandoffSamplesAgree(t *testing.T) {
+	const rounds = 2000
+	h := NewHealth(2)
+	ping, pong := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for range ping {
+			h.Sample(1)
+			pong <- struct{}{}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		h.Sample(0)
+		ping <- struct{}{}
+		<-pong
+	}
+	close(ping)
+	<-done
+
+	s := h.Snapshot()
+	if s.Samples != 2*rounds {
+		t.Fatalf("samples = %d, want %d", s.Samples, 2*rounds)
+	}
+	if s.CrossRegressions != 0 || s.MaxBackstepTicks != 0 {
+		t.Fatalf("handoff-ordered samples counted %d cross regressions (worst %d ticks)",
+			s.CrossRegressions, s.MaxBackstepTicks)
+	}
+	for _, th := range s.Threads {
+		if th.Samples != rounds || th.SelfBack != 0 {
+			t.Fatalf("thread %d: samples %d, self regressions %d", th.Thread, th.Samples, th.SelfBack)
+		}
+	}
+	if h.Degraded() {
+		t.Fatal("degraded flag raised without a regression")
+	}
+	if Supported() && Invariant() && s.State != StateHealthy {
+		t.Fatalf("state = %q on an invariant TSC, want healthy", s.State)
+	}
+}
+
 func TestHealthJSON(t *testing.T) {
 	h := NewHealth(2)
 	h.Sample(0)
