@@ -22,7 +22,7 @@ check: benchmark-smoke inline-check doc-check deps-check durable-race
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/vcas/... ./internal/lfbst/... ./internal/citrus/... ./internal/bundle/... ./internal/skiplist/... ./cmd/tscstat/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/history/... ./internal/lfbst/... ./internal/citrus/... ./internal/skiplist/... ./cmd/tscstat/...
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestSharded|TestReadPathsAgree' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
@@ -50,9 +50,10 @@ loc:
 # inlined where it runs: in the vCAS policy's search and collect walk, each
 # one dictionary call per operation of the generic EFRB frame. need FILE
 # FUNC CALLEE fails unless the compiler reports CALLEE inlined inside
-# FUNC's body in FILE. (*Object).Read itself
-# holds the out-of-line labeling call (57 of the inliner's budget of 80)
-# and stays a call from search; its label check is what must not be one.
+# FUNC's body in FILE. (*Chain).Read itself
+# holds the out-of-line labeling call and is over the inliner's budget
+# of 80, so it stays a call from search; its label check is what must not
+# be one, there and in the vCAS walk at a bound (ReadAt).
 # The skip list's tower accessor must be inlined wherever its generic frame
 # walks a level (the one-level lazy list shares the frame). deny FILE FUNC
 # fails if escape analysis reports a closure or a local moved to the heap
@@ -70,7 +71,7 @@ loc:
 # logged update allocates nothing: the durable update's commit closure
 # stays on its stack and the WAL record is encoded in place.
 inline-check:
-	@out="$$($(GO) build -gcflags=-m . ./internal/obs/trace ./internal/vcas ./internal/lfbst ./internal/skiplist ./internal/wal 2>&1)"; ok=0; \
+	@out="$$($(GO) build -gcflags=-m . ./internal/obs/trace ./internal/history ./internal/lfbst ./internal/skiplist ./internal/wal 2>&1)"; ok=0; \
 	report() { s=$$(grep -n "^func $$2[([]" $$1 | cut -d: -f1); \
 		e=$$(awk -v s="$$s" 'NR > s && /^}/ { print NR; exit }' $$1); \
 		echo "$$out" | awk -F: -v f=$$1 -v s="$$s" -v e="$$e" -v c="$$3" -v d="$$4" \
@@ -79,8 +80,8 @@ inline-check:
 		|| { echo "inline-check: $$3 is not inlined into $$2 ($$1)"; ok=1; }; }; \
 	deny() { ! report "$$1" "$$2" "func literal escapes to heap" "moved to heap" \
 		|| { echo "inline-check: $$2 ($$1) allocates a closure or moves a local to the heap"; ok=1; }; }; \
-	need internal/vcas/vcas.go '(o \*Object\[V\]) Read' 'vcas.label['; \
-	need internal/vcas/vcas.go '(o \*Object\[V\]) ReadVersionWalk' 'vcas.label['; \
+	need internal/history/vcas.go '(c \*Chain\[V\]) Read' 'history.label['; \
+	need internal/history/vcas.go '(c \*Chain\[V\]) ReadAt' 'history.label['; \
 	need internal/lfbst/lfbst.go '(p \*vcasTechnique) search' '(*vlinks).child'; \
 	need internal/lfbst/lfbst.go '(p \*vcasTechnique) search' '(*vlinks).leaf'; \
 	need internal/lfbst/lfbst.go '(p \*vcasTechnique) collectAt' '(*vlinks).leaf'; \
@@ -139,15 +140,15 @@ doc-check:
 			|| miss "no *_test.go declares $$n" "$$n"; done; \
 	exit $$ok
 
-# deps-check keeps the version and entry layers free of any allocation
-# policy: vCAS and Bundling keep what they detach reachable to snapshot
+# deps-check keeps the history chain free of any allocation policy: vCAS
+# and Bundling keep what they detach reachable to snapshot
 # readers, so nothing they publish is ever proven free, and only the EBR-RQ
 # policies own a node pool. It also keeps each technique's lifecycle in its
 # own package: the structures reach the epoch manager and the pool only
 # through ebrrq.Technique, never by importing either themselves.
 deps-check:
-	@if $(GO) list -deps ./internal/vcas ./internal/bundle | grep -qx 'tscds/internal/pool'; then \
-		echo "deps-check: internal/vcas or internal/bundle depends on internal/pool"; exit 1; fi
+	@if $(GO) list -deps ./internal/history | grep -qx 'tscds/internal/pool'; then \
+		echo "deps-check: internal/history depends on internal/pool"; exit 1; fi
 	@for d in lfbst citrus skiplist; do \
 		if $(GO) list -f '{{join .Imports "\n"}}' ./internal/$$d | grep -qxE 'tscds/internal/(epoch|pool)'; then \
 			echo "deps-check: internal/$$d imports internal/epoch or internal/pool; go through ebrrq.Technique"; exit 1; fi; done

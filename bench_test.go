@@ -17,11 +17,10 @@ import (
 
 	"tscds"
 	"tscds/internal/bench"
-	"tscds/internal/bundle"
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
+	"tscds/internal/history"
 	"tscds/internal/sim"
-	"tscds/internal/vcas"
 )
 
 const benchKeyRange = 100_000
@@ -184,7 +183,8 @@ func BenchmarkAblationLabeling(b *testing.B) {
 		// own lock scope (simulated by a local critical section).
 		b.Run(fmt.Sprintf("medium-bundle/%s", src), func(b *testing.B) {
 			s := core.New(kind)
-			bd := bundle.New(&struct{}{})
+			var bd history.Chain[*struct{}]
+			bd.Init(&struct{}{})
 			var mu chan struct{} = make(chan struct{}, 1)
 			mu <- struct{}{}
 			b.RunParallel(func(pb *testing.PB) {
@@ -194,7 +194,7 @@ func BenchmarkAblationLabeling(b *testing.B) {
 					e := bd.Prepare(target)
 					bd.Finalize(e, s.Advance())
 					if bd.Len() > 64 {
-						bd.Truncate(core.Pending)
+						bd.Truncate(core.Pending, history.Bundling)
 					}
 					mu <- struct{}{}
 				}
@@ -204,13 +204,14 @@ func BenchmarkAblationLabeling(b *testing.B) {
 		// label at all.
 		b.Run(fmt.Sprintf("fine-vcas/%s", src), func(b *testing.B) {
 			s := core.New(kind)
-			o := vcas.New(uint64(0))
+			var o history.Chain[uint64]
+			o.Init(0)
 			b.RunParallel(func(pb *testing.PB) {
 				i := uint64(0)
 				for pb.Next() {
 					o.CompareAndSwap(s, o.Read(s), i)
 					if i%64 == 0 {
-						o.Truncate(core.Pending)
+						o.Truncate(core.Pending, history.VCAS)
 					}
 					i++
 				}
@@ -254,14 +255,15 @@ func BenchmarkAblationVersionGC(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			src := core.New(core.TSC)
-			o := vcas.New(uint64(0))
+			var o history.Chain[uint64]
+			o.Init(0)
 			for i := 0; i < b.N; i++ {
 				o.Write(src, uint64(i))
 				if gc && i%64 == 0 {
-					o.Truncate(core.Pending)
+					o.Truncate(core.Pending, history.VCAS)
 				}
 			}
-			b.ReportMetric(float64(o.ChainLen()), "chain-len")
+			b.ReportMetric(float64(o.Len()), "chain-len")
 		})
 	}
 }

@@ -3,8 +3,8 @@ package citrus
 import (
 	"sync/atomic"
 
-	"tscds/internal/bundle"
 	"tscds/internal/core"
+	"tscds/internal/history"
 	"tscds/internal/obs/trace"
 )
 
@@ -13,7 +13,7 @@ import (
 // change together under the node's lock.
 type blinks struct {
 	child [2]atomic.Pointer[node[blinks]]
-	bnd   [2]bundle.Bundle[node[blinks]]
+	bnd   [2]history.Chain[*node[blinks]]
 }
 
 // BundleTree is the Citrus tree augmented with bundled references.
@@ -24,12 +24,12 @@ type BundleTree = tree[blinks, *bundleTechnique]
 // pointed at it, so there is nothing to retire, and a node the raw edges
 // reach is present.
 type bundleTechnique struct {
-	core.History[node[blinks]]
+	history.Technique[node[blinks]]
 }
 
 // NewBundle builds an empty tree over the given source and registry.
 func NewBundle(src core.Source, reg *core.Registry) *BundleTree {
-	p := &bundleTechnique{core.NewHistory[node[blinks]](src, core.EntriesPruned)}
+	p := &bundleTechnique{history.NewTechnique[node[blinks]](src, history.Bundling)}
 	return newTree(src, reg, p, core.QueryReads)
 }
 
@@ -72,7 +72,7 @@ func (p *bundleTechnique) publish(th *core.Thread, n *node[blinks], dir int, tar
 func (p *bundleTechnique) collect(th *core.Thread, root *node[blinks], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV {
 	var derefs, waits uint64
 	out = collectAt(root, lo, hi, len(out), out, func(n *node[blinks], dir int) *node[blinks] {
-		c, _, depth, spins := n.l.bnd[dir].PtrAtWalk(s)
+		c, _, depth, spins := n.l.bnd[dir].WaitAt(s)
 		derefs += uint64(depth)
 		waits += uint64(spins)
 		return c

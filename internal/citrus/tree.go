@@ -26,7 +26,7 @@ type node[L any] struct {
 // search, the validations, the locking, successor relocation — is the
 // tree's, below. DESIGN.md "What a technique is to a structure" lists
 // which methods each technique leaves empty. The exported methods are the
-// technique's lifecycle, written once in its own package: core.History for
+// technique's lifecycle, written once in its own package: history.Technique for
 // vCAS and Bundling, ebrrq.Technique for EBR-RQ.
 type technique[L any] interface {
 	// load follows n's dir edge as it is now.

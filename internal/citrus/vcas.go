@@ -2,13 +2,13 @@ package citrus
 
 import (
 	"tscds/internal/core"
+	"tscds/internal/history"
 	"tscds/internal/obs/trace"
-	"tscds/internal/vcas"
 )
 
-// vlinks are child pointers that are vCAS objects.
+// vlinks are child pointers that are vCAS version chains.
 type vlinks struct {
-	child [2]vcas.Object[*node[vlinks]]
+	child [2]history.Chain[*node[vlinks]]
 }
 
 // VcasTree is the Citrus tree augmented with vCAS range queries.
@@ -20,19 +20,19 @@ type VcasTree = tree[vlinks, *vcasTechnique]
 // node stays reachable through the history of the edge that pointed at
 // it, so there is nothing to retire, and a node the edges reach is present.
 type vcasTechnique struct {
-	core.History[node[vlinks]]
+	history.Technique[node[vlinks]]
 }
 
 // NewVcas builds an empty tree over the given source and registry.
 func NewVcas(src core.Source, reg *core.Registry) *VcasTree {
-	p := &vcasTechnique{core.NewHistory[node[vlinks]](src, core.VersionsPruned)}
+	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS)}
 	return newTree(src, reg, p, core.QueryAdvances)
 }
 
 func (*vcasTechnique) present(n *node[vlinks]) (uint64, bool) { return n.val, true }
 func (*vcasTechnique) retire(*core.Thread, *node[vlinks])     {}
 
-// load is Object.Read with the label check pulled in front of the call:
+// load is Chain.Read with the label check pulled in front of the call:
 // Read is too big to inline, and a search pays for load once per edge
 // already. A labeled head is returned as it is; a pending one goes to
 // Read, which labels it first.
@@ -59,7 +59,7 @@ func (p *vcasTechnique) publish(th *core.Thread, n *node[vlinks], dir int, targe
 func (p *vcasTechnique) collect(th *core.Thread, root *node[vlinks], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV {
 	var walk uint64
 	out = collectAt(root, lo, hi, len(out), out, func(n *node[vlinks], dir int) *node[vlinks] {
-		c, _, hops := n.l.child[dir].ReadVersionWalk(p.Src, s)
+		c, _, hops := n.l.child[dir].ReadAt(p.Src, s)
 		walk += uint64(hops)
 		return c
 	})

@@ -76,19 +76,6 @@ func SnapshotValid(src Source, bound TS) bool {
 // AdaptiveSource retries the hardware counter.
 const DefaultFailbackAfter = 4096
 
-// AdaptiveConfig configures NewAdaptive.
-type AdaptiveConfig struct {
-	// Health supplies the degraded signal and receives switch telemetry.
-	// With a nil Health the source never observes faults and stays on
-	// hardware (still generation-encoded, so instrumentation works).
-	Health *tsc.Health
-	// FailbackAfter overrides the failback hysteresis: the number of
-	// consecutive fault-free Snapshot calls in logical mode before
-	// retrying hardware. 0 means DefaultFailbackAfter; negative disables
-	// failback (a failed-over source stays logical).
-	FailbackAfter int
-}
-
 // AdaptiveSource starts on the hardware counter and fails over to a
 // shared logical counter when Health reports the hardware degraded —
 // the control loop that makes hardware timestamps safe on machines
@@ -114,23 +101,23 @@ type AdaptiveSource struct {
 	gen     atomic.Uint64
 	logical PaddedUint64 // payload counter for odd (logical) generations
 
-	failbackAfter int
+	failbackAfter int           // DefaultFailbackAfter; a test may shorten it, or disable failback (< 0)
 	lastSeq       atomic.Uint64 // Health.FaultSeq at last observation
 	quiet         atomic.Uint64 // consecutive clean logical-mode snapshots
 
 	mu sync.Mutex // serializes switches
 }
 
-// NewAdaptive builds an adaptive source per cfg. See AdaptiveConfig.
-func NewAdaptive(cfg AdaptiveConfig) *AdaptiveSource {
+// NewAdaptive builds an adaptive source over health, which supplies the
+// degraded signal and receives switch telemetry. With a nil health the
+// source never observes faults and stays on hardware (still
+// generation-encoded, so instrumentation works).
+func NewAdaptive(health *tsc.Health) *AdaptiveSource {
 	s := &AdaptiveSource{
-		health:        cfg.Health,
+		health:        health,
 		read:          tsc.ReadFenced,
 		baseHW:        tsc.ReadFenced(),
-		failbackAfter: cfg.FailbackAfter,
-	}
-	if s.failbackAfter == 0 {
-		s.failbackAfter = DefaultFailbackAfter
+		failbackAfter: DefaultFailbackAfter,
 	}
 	s.logical.Store(0)
 	return s

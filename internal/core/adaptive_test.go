@@ -28,7 +28,7 @@ func TestGenEncoding(t *testing.T) {
 }
 
 func TestAdaptiveNoHealthStaysHardware(t *testing.T) {
-	s := NewAdaptive(AdaptiveConfig{})
+	s := NewAdaptive(nil)
 	if s.Kind() != Adaptive {
 		t.Fatalf("Kind = %v", s.Kind())
 	}
@@ -53,7 +53,8 @@ func TestAdaptiveNoHealthStaysHardware(t *testing.T) {
 
 func TestAdaptiveFailoverOnDegraded(t *testing.T) {
 	h := tsc.NewHealth(2)
-	s := NewAdaptive(AdaptiveConfig{Health: h, FailbackAfter: -1})
+	s := NewAdaptive(h)
+	s.SetFailbackAfter(-1)
 	before := s.Advance()
 	if GenOf(before) != 0 {
 		t.Fatalf("pre-fault generation = %d", GenOf(before))
@@ -96,7 +97,8 @@ func TestAdaptiveFailoverOnDegraded(t *testing.T) {
 
 func TestAdaptiveFailbackAfterQuiet(t *testing.T) {
 	h := tsc.NewHealth(2)
-	s := NewAdaptive(AdaptiveConfig{Health: h, FailbackAfter: 8})
+	s := NewAdaptive(h)
+	s.SetFailbackAfter(8)
 	h.InjectBackstep(1 << 30)
 	if got := GenOf(s.Advance()); got != 1 {
 		t.Fatalf("generation after fault = %d, want 1", got)
@@ -132,14 +134,15 @@ func TestAdaptiveFailbackAfterQuiet(t *testing.T) {
 
 func TestAdaptiveFailbackDisabled(t *testing.T) {
 	h := tsc.NewHealth(1)
-	s := NewAdaptive(AdaptiveConfig{Health: h, FailbackAfter: -1})
+	s := NewAdaptive(h)
+	s.SetFailbackAfter(-1)
 	h.InjectBackstep(1 << 30)
 	s.Advance()
 	for i := 0; i < 100000; i++ {
 		s.Snapshot()
 	}
 	if !s.Degraded() || s.Generation() != 1 {
-		t.Fatal("failback happened despite FailbackAfter < 0")
+		t.Fatal("failback happened despite SetFailbackAfter(-1)")
 	}
 }
 
@@ -149,7 +152,8 @@ func TestSnapshotValid(t *testing.T) {
 		t.Fatal("non-generational source invalidated a bound")
 	}
 	h := tsc.NewHealth(1)
-	s := NewAdaptive(AdaptiveConfig{Health: h, FailbackAfter: -1})
+	s := NewAdaptive(h)
+	s.SetFailbackAfter(-1)
 	bound := s.Snapshot()
 	if !SnapshotValid(s, bound) {
 		t.Fatal("fresh bound invalid")
@@ -166,7 +170,8 @@ func TestSnapshotValid(t *testing.T) {
 
 func TestAdaptiveConcurrentSwitches(t *testing.T) {
 	h := tsc.NewHealth(8)
-	s := NewAdaptive(AdaptiveConfig{Health: h, FailbackAfter: 64})
+	s := NewAdaptive(h)
+	s.SetFailbackAfter(64)
 	// One synchronous fault before the workers start guarantees at least
 	// one failover regardless of scheduling.
 	h.InjectBackstep(1 << 30)

@@ -44,7 +44,9 @@ func TestCountEverySource(t *testing.T) {
 		rows = append(rows, row{name: k.String(), new: func(*tsc.Health) core.Source { return core.New(k) }})
 	}
 	rows = append(rows, row{name: "NewAdaptive", retries: 1, new: func(h *tsc.Health) core.Source {
-		return core.NewAdaptive(core.AdaptiveConfig{Health: h, FailbackAfter: -1})
+		s := core.NewAdaptive(h)
+		s.SetFailbackAfter(-1)
+		return s
 	}})
 
 	counted := func(r row, h *tsc.Health) (core.Source, *obs.SourceStats) {

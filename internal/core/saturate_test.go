@@ -20,7 +20,8 @@ import (
 // fault injected halfway, which no longer switches it.
 func TestAdaptiveSaturates(t *testing.T) {
 	h := tsc.NewHealth(2)
-	s := core.NewAdaptive(core.AdaptiveConfig{Health: h, FailbackAfter: 8})
+	s := core.NewAdaptive(h)
+	s.SetFailbackAfter(8)
 	var st obs.SourceStats
 	core.Count(s, &st)
 	quiet := func() {

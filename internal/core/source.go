@@ -198,7 +198,7 @@ func New(k Kind) Source {
 	case Monotonic:
 		return &hwSource{kind: k, read: tsc.Monotonic}
 	case Adaptive:
-		return NewAdaptive(AdaptiveConfig{})
+		return NewAdaptive(nil)
 	}
 	panic("core: unknown source kind")
 }

@@ -18,8 +18,8 @@ import (
 	"sync/atomic"
 
 	"tscds/internal/core"
+	"tscds/internal/history"
 	"tscds/internal/obs/trace"
-	"tscds/internal/vcas"
 )
 
 // Sentinel keys. Real keys must be strictly below Inf1.
@@ -87,7 +87,7 @@ type searchResult[L any] struct {
 // through the type parameter is a dictionary call, never inlined, so the
 // per-edge loops — search and collect — are the technique's, one call per
 // operation. The exported methods are the technique's lifecycle, written
-// once in its own package: core.History for vCAS, ebrrq.Technique for
+// once in its own package: history.Technique for vCAS, ebrrq.Technique for
 // EBR-RQ.
 type technique[L any] interface {
 	search(root *node[L], key uint64) searchResult[L]
@@ -379,14 +379,14 @@ func (t *tree[L, P]) Len() int {
 // node in its one edge: with key, value and update field one cache line, so
 // following an edge lands on the child's own line (TestNodeIsOneCacheLine).
 type vlinks struct {
-	left, right vcas.Object[*node[vlinks]]
-	ver         vcas.Version[*node[vlinks]]
+	left, right history.Chain[*node[vlinks]]
+	ver         history.Entry[*node[vlinks]]
 }
 
 func (v *vlinks) leaf() bool { return v.left.Head() == nil }
 
 // child returns the edge toward key at a node keyed at.
-func (v *vlinks) child(key, at uint64) *vcas.Object[*node[vlinks]] {
+func (v *vlinks) child(key, at uint64) *history.Chain[*node[vlinks]] {
 	if key < at {
 		return &v.left
 	}
@@ -401,13 +401,13 @@ type Tree = tree[vlinks, *vcasTechnique]
 // version and labels it. Snapshots live in the edges, so there is nothing
 // to retire, and a leaf the edges reach is present.
 type vcasTechnique struct {
-	core.History[node[vlinks]]
+	history.Technique[node[vlinks]]
 }
 
 // New creates an empty tree over the given timestamp source and thread
 // registry.
 func New(src core.Source, reg *core.Registry) *Tree {
-	p := &vcasTechnique{core.NewHistory[node[vlinks]](src, core.VersionsPruned)}
+	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS)}
 	return newTree(src, p, core.QueryAdvances)
 }
 
@@ -485,13 +485,13 @@ func (p *vcasTechnique) collectAt(n *node[vlinks], lo, hi uint64, s core.TS, out
 		return out
 	}
 	if lo < n.key {
-		if l, ok, hops := n.l.left.ReadVersionWalk(p.Src, s); ok {
+		if l, ok, hops := n.l.left.ReadAt(p.Src, s); ok {
 			*walk += uint64(hops)
 			out = p.collectAt(l, lo, hi, s, out, walk)
 		}
 	}
 	if hi >= n.key {
-		if r, ok, hops := n.l.right.ReadVersionWalk(p.Src, s); ok {
+		if r, ok, hops := n.l.right.ReadAt(p.Src, s); ok {
 			*walk += uint64(hops)
 			out = p.collectAt(r, lo, hi, s, out, walk)
 		}

@@ -343,7 +343,7 @@ func TestVersionChainsBounded(t *testing.T) {
 	maxChain := 0
 	for _, x := range reachable(tr) {
 		if !x.l.leaf() {
-			maxChain = max(maxChain, x.l.left.ChainLen(), x.l.right.ChainLen())
+			maxChain = max(maxChain, x.l.left.Len(), x.l.right.Len())
 		}
 	}
 	if maxChain > 200 {
@@ -458,16 +458,16 @@ func chainStats(tr *Tree) (nodes, versions int) {
 	for _, x := range reachable(tr) {
 		nodes++
 		if !x.l.leaf() {
-			versions += x.l.left.ChainLen() + x.l.right.ChainLen()
+			versions += x.l.left.Len() + x.l.right.Len()
 		}
 	}
 	return nodes, versions
 }
 
-// history is what a replayed helper must not change beyond the tree's
+// footprint is what a replayed helper must not change beyond the tree's
 // shape and contents: the versions on reachable edges and the label of the
 // insert's installed version (vCAS), or the limbo population (EBR-RQ).
-func history[L any, P technique[L]](tr *tree[L, P], ins *insertInfo[L]) string {
+func footprint[L any, P technique[L]](tr *tree[L, P], ins *insertInfo[L]) string {
 	switch tr := any(tr).(type) {
 	case *Tree:
 		_, versions := chainStats(tr)
@@ -521,7 +521,7 @@ func handDelete[L any, P technique[L]](t *testing.T, tr *tree[L, P], th *core.Th
 // A helper replayed after its operation finished (a thread stalled between
 // reading the descriptor and its child CAS) must fail that CAS: it must
 // neither re-link the dead subtree nor re-arm the installed version
-// (vcas.TestCompareAndSwapVersionReplay covers the version's own fields).
+// (history.TestCompareAndSwapVersionReplay covers the version's own fields).
 func TestDelayedHelperFailsItsCAS(t *testing.T) {
 	eachTree(t, 1, delayedHelperFailsItsCAS[vlinks, *vcasTechnique], delayedHelperFailsItsCAS[elinks, *ebrTechnique])
 }
@@ -549,7 +549,7 @@ func delayedHelperFailsItsCAS[L any, P technique[L]](t *testing.T, tr *tree[L, P
 	}
 	tr.Insert(th, 30, 31)
 	tr.Insert(th, 45, 45) // away from 10's edge, which must now hold no old leaf
-	wantKVs, wantNodes, wantHistory := tr.RangeQuery(th, 0, MaxKey, nil), reachable(tr), history(tr, ins)
+	wantKVs, wantNodes, wantHistory := tr.RangeQuery(th, 0, MaxKey, nil), reachable(tr), footprint(tr, ins)
 
 	// Checked after each replay: a later one may undo what an earlier one
 	// re-linked (a replayed delete splices out a replayed insert's node).
@@ -563,7 +563,7 @@ func delayedHelperFailsItsCAS[L any, P technique[L]](t *testing.T, tr *tree[L, P
 		func() { tr.helpDelete(delInternal, th.ID) },
 	} {
 		replay()
-		gotKVs, gotNodes, gotHistory := tr.RangeQuery(th, 0, MaxKey, nil), reachable(tr), history(tr, ins)
+		gotKVs, gotNodes, gotHistory := tr.RangeQuery(th, 0, MaxKey, nil), reachable(tr), footprint(tr, ins)
 		if !slices.Equal(gotKVs, wantKVs) || !slices.Equal(gotNodes, wantNodes) || gotHistory != wantHistory {
 			t.Fatalf("replayed helper %d changed the tree:\n got %v (%d nodes, %s)\nwant %v (%d nodes, %s)",
 				i, gotKVs, len(gotNodes), gotHistory, wantKVs, len(wantNodes), wantHistory)

@@ -3,8 +3,8 @@ package skiplist
 import (
 	"sync/atomic"
 
-	"tscds/internal/bundle"
 	"tscds/internal/core"
+	"tscds/internal/history"
 	"tscds/internal/obs/trace"
 )
 
@@ -24,10 +24,10 @@ import (
 // linearizable.
 type blinks struct {
 	dts atomic.Uint64
-	in  bundle.Entry[node[blinks]] // on the predecessor's bundle; its label is the insertion timestamp
+	in  history.Entry[*node[blinks]] // on the predecessor's bundle; its label is the insertion timestamp
 	val uint64
-	bnd bundle.Bundle[node[blinks]]
-	out bundle.Entry[node[blinks]] // first entry of bnd
+	bnd history.Chain[*node[blinks]]
+	out history.Entry[*node[blinks]] // first entry of bnd
 }
 
 // List is the list with bundled level-0 links: the skip list of Figure 5
@@ -36,7 +36,7 @@ type List = list[blinks, *bundleTechnique]
 
 // bundleTechnique is Bundling (Nelson et al.) as this list's level-0 links.
 type bundleTechnique struct {
-	core.History[node[blinks]]
+	history.Technique[node[blinks]]
 }
 
 // New creates an empty bundled skip list over the given source and
@@ -47,10 +47,9 @@ func New(src core.Source, reg *core.Registry) *List { return newBundle(src, reg,
 func NewLazyBundle(src core.Source, reg *core.Registry) *List { return newBundle(src, reg, 1) }
 
 func newBundle(src core.Source, reg *core.Registry, levels int) *List {
-	p := &bundleTechnique{core.NewHistory[node[blinks]](src, core.EntriesPruned)}
+	p := &bundleTechnique{history.NewTechnique[node[blinks]](src, history.Bundling)}
 	t := newList(src, reg, p, levels, core.QueryReads)
-	t.head.l.bnd.InitPendingWith(&t.head.l.out, nil)
-	t.head.l.bnd.Finalize(&t.head.l.out, 0) // the head is in every snapshot
+	t.head.l.bnd.InitWith(&t.head.l.out, nil) // the head is in every snapshot
 	return t
 }
 
@@ -121,13 +120,13 @@ func (p *bundleTechnique) collect(th *core.Thread, head, pred *node[blinks], lo,
 	if pred != head && !visibleAt(pred, s) {
 		pred = head
 	}
-	cur, ok, d, sp := pred.l.bnd.PtrAtWalk(s)
+	cur, ok, d, sp := pred.l.bnd.WaitAt(s)
 	derefs, spins := uint64(d), uint64(sp)
 	for ok && cur != nil && cur.key <= hi {
 		if cur.key >= lo {
 			out = append(out, core.KV{Key: cur.key, Val: cur.l.val})
 		}
-		cur, ok, d, sp = cur.l.bnd.PtrAtWalk(s)
+		cur, ok, d, sp = cur.l.bnd.WaitAt(s)
 		derefs += uint64(d)
 		spins += uint64(sp)
 	}

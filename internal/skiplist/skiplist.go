@@ -85,7 +85,7 @@ type node[L any] struct {
 // structure"). A method called through the type parameter is a dictionary
 // call, never inlined: a search makes one per level-0 hop and none above.
 // The exported methods are the technique's lifecycle, written once in its
-// own package: core.History for vCAS and Bundling, ebrrq.Technique for
+// own package: history.Technique for vCAS and Bundling, ebrrq.Technique for
 // EBR-RQ.
 type technique[L any] interface {
 	// load follows n's level-0 link as it is now.

@@ -10,10 +10,10 @@ import (
 	"time"
 	"unsafe"
 
-	"tscds/internal/bundle"
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/ebrrq/limbotest"
+	"tscds/internal/history"
 )
 
 func newBundleList(kind core.Kind, threads int) (*List, *core.Registry) {
@@ -430,7 +430,7 @@ func TestNewNodeInResetsDirtyNode(t *testing.T) {
 // the embedded entries' own links, which outlive the chains they sat in.
 // An entry keeps the node it points to and the node it is embedded in
 // (owner; a delete's standalone entry has none).
-func reachableNodes(l *List, owner map[*bundle.Entry[node[blinks]]]*node[blinks]) int {
+func reachableNodes(l *List, owner map[*history.Entry[*node[blinks]]]*node[blinks]) int {
 	seen := map[*node[blinks]]bool{nil: true}
 	work := []*node[blinks]{l.head}
 	visit := func(n *node[blinks]) {
@@ -439,9 +439,9 @@ func reachableNodes(l *List, owner map[*bundle.Entry[node[blinks]]]*node[blinks]
 			work = append(work, n)
 		}
 	}
-	chain := func(e *bundle.Entry[node[blinks]]) {
+	chain := func(e *history.Entry[*node[blinks]]) {
 		for ; e != nil; e = e.Next() {
-			visit(e.Ptr())
+			visit(e.Value())
 			visit(owner[e])
 		}
 	}
@@ -463,14 +463,14 @@ func reachableNodes(l *List, owner map[*bundle.Entry[node[blinks]]]*node[blinks]
 // query active, the dead nodes still reachable are those the live nodes'
 // chains — the newest entry and the one truncation keeps below it — and the
 // few bundles updated since the cached prune bound can lead to (723 nodes
-// for 521 held). A detached entry that kept its target (bundle.Truncate),
+// for 521 held). A detached entry that kept its target (Chain.Truncate),
 // or a victim that kept its history (Delete), lets live nodes pin chains
 // of dead ones — 26,000 nodes either way — and fails this.
 func TestBundleHeapBounded(t *testing.T) {
 	l, reg := newBundleList(core.Logical, 1)
 	th := reg.MustRegister()
 	rng := rand.New(rand.NewSource(15))
-	owner := map[*bundle.Entry[node[blinks]]]*node[blinks]{}
+	owner := map[*history.Entry[*node[blinks]]]*node[blinks]{}
 	for i := 0; i < 200000; i++ {
 		k := uint64(rng.Intn(1000) + 1)
 		if rng.Intn(2) == 1 {

@@ -2,8 +2,8 @@ package skiplist
 
 import (
 	"tscds/internal/core"
+	"tscds/internal/history"
 	"tscds/internal/obs/trace"
-	"tscds/internal/vcas"
 )
 
 // vlinks is the vCAS node's part: the level-0 link and a liveness flag,
@@ -12,8 +12,8 @@ import (
 // at s and not dead at s, also for a node the raw index lands on — and is
 // written true again to linearize the delete.
 type vlinks struct {
-	next0 vcas.Object[*node[vlinks]]
-	dead  vcas.Object[bool]
+	next0 history.Chain[*node[vlinks]]
+	dead  history.Chain[bool]
 	val   uint64
 }
 
@@ -25,7 +25,7 @@ type VcasList = list[vlinks, *vcasTechnique]
 // liveness flag: every read labels the head version first, so a traversal
 // that can see a write has stamped it — the second half of DESIGN §6's rule.
 type vcasTechnique struct {
-	core.History[node[vlinks]]
+	history.Technique[node[vlinks]]
 }
 
 // NewVcas creates an empty vCAS skip list.
@@ -35,13 +35,13 @@ func NewVcas(src core.Source, reg *core.Registry) *VcasList { return newVcas(src
 func NewLazyVcas(src core.Source, reg *core.Registry) *VcasList { return newVcas(src, reg, 1) }
 
 func newVcas(src core.Source, reg *core.Registry, levels int) *VcasList {
-	p := &vcasTechnique{core.NewHistory[node[vlinks]](src, core.VersionsPruned)}
+	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS)}
 	t := newList(src, reg, p, levels, core.QueryAdvances)
 	t.head.l.dead.Init(false) // the head is in every snapshot
 	return t
 }
 
-// load is Object.Read with the label check pulled in front of the call
+// load is Chain.Read with the label check pulled in front of the call
 // (Read does not inline): a labeled head is returned as it is, a pending
 // one goes to Read, which labels it first.
 func (p *vcasTechnique) load(n *node[vlinks]) *node[vlinks] {
@@ -86,23 +86,23 @@ func (p *vcasTechnique) unlink(th *core.Thread, pred, victim *node[vlinks]) {
 func (p *vcasTechnique) collect(th *core.Thread, head, pred *node[vlinks], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV {
 	var walk uint64
 	if pred != head {
-		d, ok, h := pred.l.dead.ReadVersionWalk(p.Src, s)
+		d, ok, h := pred.l.dead.ReadAt(p.Src, s)
 		walk += uint64(h)
 		if !ok || d {
 			pred = head
 		}
 	}
-	cur, _, h := pred.l.next0.ReadVersionWalk(p.Src, s)
+	cur, _, h := pred.l.next0.ReadAt(p.Src, s)
 	walk += uint64(h)
 	for cur != nil && cur.key <= hi {
 		if cur.key >= lo {
-			d, ok, h := cur.l.dead.ReadVersionWalk(p.Src, s)
+			d, ok, h := cur.l.dead.ReadAt(p.Src, s)
 			walk += uint64(h)
 			if ok && !d {
 				out = append(out, core.KV{Key: cur.key, Val: cur.l.val})
 			}
 		}
-		cur, _, h = cur.l.next0.ReadVersionWalk(p.Src, s)
+		cur, _, h = cur.l.next0.ReadAt(p.Src, s)
 		walk += uint64(h)
 	}
 	p.Tr.Span(th.ID, trace.PhaseTraverse, mark)

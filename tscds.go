@@ -275,10 +275,10 @@ type Map interface {
 	// taking a snapshot.
 	RangeQuery(th *Thread, lo, hi uint64, buf []KV) []KV
 	// Scan streams the same snapshot to fn in ascending key order;
-	// returning false stops early. The snapshot is still taken in full
-	// where the underlying technique requires it (EBR-RQ must scan
-	// limbo lists), so early exit is a convenience, not always a
-	// cost saving. An empty interval (hi < lo) never calls fn.
+	// returning false stops early. On every technique Scan first
+	// collects the whole range into a fresh buffer, as RangeQuery does,
+	// and only then calls fn, so early exit saves callbacks, not
+	// collection. An empty interval (hi < lo) never calls fn.
 	Scan(th *Thread, lo, hi uint64, fn func(KV) bool)
 	// Now returns a timestamp capturing the present: every update that
 	// completes after Now returns labels strictly later (up to the
@@ -300,7 +300,8 @@ type Map interface {
 	// shards, and in ascending key order.
 	RangeQueryAt(th *Thread, lo, hi, ts uint64, buf []KV) ([]KV, error)
 	// ScanAt streams the snapshot at ts to fn in ascending key order;
-	// returning false stops early. Error semantics as GetAt; fn is
+	// returning false stops early. Like Scan it collects the whole range
+	// before the first call to fn. Error semantics as GetAt; fn is
 	// never called when an error is returned.
 	ScanAt(th *Thread, lo, hi, ts uint64, fn func(KV) bool) error
 	// Len counts keys; quiescent use only.
@@ -354,7 +355,7 @@ func HardwareTimestampSupported() bool { return tsc.Supported() && tsc.Invariant
 // and reports its switches to, cfg.Health.
 func newSource(cfg Config) core.Source {
 	if cfg.Source == Adaptive {
-		return core.NewAdaptive(core.AdaptiveConfig{Health: cfg.Health})
+		return core.NewAdaptive(cfg.Health)
 	}
 	return core.New(cfg.Source)
 }
