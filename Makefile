@@ -32,7 +32,7 @@ check: benchmark-smoke inline-check doc-check deps-check durable-race
 # CI's crash-smoke job: the crash matrix (-short caps it at 6 injection
 # points per failure kind), recovery, Close and Checkpoint against
 # concurrent updates and each other, and the plain-map error paths.
-DURABLE_TESTS = TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesSnapshotFlush|TestCheckpointOnPlainMapErrors|TestUpdateAfterClose|TestCloseUnderLoad|TestCheckpointAfterClose
+DURABLE_TESTS = TestCrashMatrix|TestCrashDuringRecovery|TestDurable|TestRecoverRefusesCorruptInterior|TestDrainRacesCheckpoint|TestCheckpointOnPlainMapErrors|TestUpdateAfterClose|TestCloseUnderLoad|TestCheckpointAfterClose
 durable-race:
 	$(GO) test -race -short -run '$(DURABLE_TESTS)' .
 
@@ -65,11 +65,13 @@ loc:
 # path reads the wall clock. The recorder samples, and an unsampled
 # operation must pay its countdown alone: the per-op sample test is inlined
 # into every facade operation (Get, update, read) and the mark and span
-# calls into the durable update, while the clock reads stay out of line. A key reaches its shard and its WAL stream through the one
-# partition function, core.PartOf, inlined into the sharded point ops and
-# the durable update; no facade file partitions with a % of its own. A
-# logged update allocates nothing: the durable update's commit closure
-# stays on its stack and the WAL record is encoded in place.
+# calls into the durable commit, while the clock reads stay out of line. A
+# key reaches its part and its WAL stream through the facade's one routing
+# method, (*wrap).part, which inlines the one partition function,
+# core.PartOf, and is itself inlined into Get, update and the durable
+# commit; no facade file partitions with a % of its own. A logged update
+# allocates nothing: the commit closure stays on its stack and the WAL
+# record is encoded in place.
 inline-check:
 	@out="$$($(GO) build -gcflags=-m . ./internal/obs/trace ./internal/history ./internal/lfbst ./internal/skiplist ./internal/wal 2>&1)"; ok=0; \
 	report() { s=$$(grep -n "^func $$2[([]" $$1 | cut -d: -f1); \
@@ -96,12 +98,13 @@ inline-check:
 	need internal/obs/trace/trace.go '(r \*Recorder) now' 'tsc.Clock.Now'; \
 	for fn in Get update read; do \
 		need ./tscds.go "(w \*wrap) $$fn" 'trace.(*Recorder).Sample'; done; \
-	need ./durable.go '(d \*durable) update' 'trace.(*Recorder).Now'; \
-	need ./durable.go '(d \*durable) update' 'trace.(*Recorder).Span'; \
-	for fn in Insert Delete Get; do \
-		need ./sharded.go "(sh \*shardedInner) $$fn" 'core.PartOf'; done; \
-	need ./durable.go '(d \*durable) update' 'core.PartOf'; \
-	deny ./durable.go '(d \*durable) update'; \
+	need ./durable.go '(w \*wrap) commit' 'trace.(*Recorder).Now'; \
+	need ./durable.go '(w \*wrap) commit' 'trace.(*Recorder).Span'; \
+	need ./tscds.go '(w \*wrap) part' 'core.PartOf'; \
+	for fn in Get update; do \
+		need ./tscds.go "(w \*wrap) $$fn" '(*wrap).part'; done; \
+	need ./durable.go '(w \*wrap) commit' '(*wrap).part'; \
+	deny ./durable.go '(w \*wrap) commit'; \
 	deny internal/wal/record.go appendRecord; \
 	if grep -n 'time\.\(Now\|Since\)' tscds.go durable.go sharded.go timetravel.go internal/obs/trace/trace.go; then \
 		echo "inline-check: the op path above reads the wall clock; read tsc.TelemetryClock"; ok=1; fi; \

@@ -3,7 +3,6 @@ package tscds
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"tscds/internal/core"
 	"tscds/internal/obs"
@@ -91,27 +90,12 @@ var _ DurableMap = (*ShardedMap)(nil)
 // errNotDurable is returned by Checkpoint on Maps without durability.
 var errNotDurable = errors.New("tscds: durability not enabled (set Config.Durability)")
 
-// durable is the per-Map durability state hung off wrap.dur. The log
-// owns stream order, the closed state and the checkpoint sequence.
-type durable struct {
-	log     *wal.Log
-	streams int
-	inner   inner
-	rd      *core.Reader // collects the whole map at one bound
-	src     core.Source
-	tr      *trace.Recorder
-
-	th       *core.Thread // replay + checkpoint handle
-	recovery RecoveryStats
-	release  sync.Once // releases th
-}
-
 // enableDurability arms cfg.Durability on w: open (and recover) the
 // log and replay the surviving image into the still-traffic-free
-// structure. shards is the facade shard count; the WAL splits keys by
-// the same blocks (core.PartOf), and each stream is ordered by its
-// Commit lock.
-func (w *wrap) enableDurability(cfg Config, shards int) error {
+// structures. The WAL has one stream per part, split by the same blocks
+// (core.PartOf through w.part), and each stream is ordered by its Commit
+// lock.
+func (w *wrap) enableDurability(cfg Config) error {
 	d := cfg.Durability
 	var stats *obs.WALStats
 	if cfg.Metrics != nil {
@@ -124,7 +108,7 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 	}
 	log, recov, err := wal.Open(wal.Options{
 		Dir:       d.Dir,
-		Shards:    shards,
+		Shards:    len(w.parts),
 		SyncEvery: d.SyncEvery,
 		FS:        d.FS,
 		Stats:     stats,
@@ -143,46 +127,39 @@ func (w *wrap) enableDurability(cfg Config, shards int) error {
 	// recovers into any other.
 	for _, p := range recov.Pairs {
 		if p.Key <= MaxKey {
-			w.m.Insert(th, p.Key, p.Val)
+			_, m := w.part(th, p.Key)
+			m.Insert(th, p.Key, p.Val)
 		}
 	}
 	for _, r := range recov.Replay {
 		if r.Key <= MaxKey {
-			apply(w.m, th, r.Op, r.Key, r.Val)
+			_, m := w.part(th, r.Key)
+			apply(m, th, r.Op, r.Key, r.Val)
 		}
 	}
-
-	w.dur = &durable{
-		log:      log,
-		streams:  shards,
-		inner:    w.m,
-		rd:       w.rd,
-		src:      w.srcImpl,
-		tr:       w.tr,
-		th:       th,
-		recovery: recov.Stats,
-	}
+	w.log, w.logTh, w.recovery = log, th, recov.Stats
 	return nil
 }
 
-// update is the durable update path: the log's Commit applies, stamps
-// and buffers under the stream lock (so log order is linearization
-// order), then waits for the acknowledgment with the lock released (so
-// concurrent updaters share the fsync). op selects Insert or Delete (val is ignored
-// for a delete). Failed in-memory ops log nothing — per key the log holds
-// only effective updates, which is what makes redundant replay over a
-// snapshot converge. After Close the update is refused before it touches
-// the map: applied, it would be lost on reopen.
-func (d *durable) update(th *core.Thread, op wal.OpKind, key, val uint64) (bool, error) {
+// commit is the durable update path: the log's Commit applies, stamps
+// and buffers under the lock of key's stream (so log order is
+// linearization order), then waits for the acknowledgment with the lock
+// released (so concurrent updaters share the fsync). op selects Insert or
+// Delete (val is ignored for a delete). Failed in-memory ops log nothing —
+// per key the log holds only effective updates, which is what makes
+// redundant replay over a snapshot converge. After Close the update is
+// refused before it touches the map: applied, it would be lost on reopen.
+func (w *wrap) commit(th *core.Thread, op wal.OpKind, key, val uint64) (bool, error) {
+	i, m := w.part(th, key)
 	var mark uint64 // 0, which Span ignores, unless apply took effect
-	ok, err := d.log.Commit(core.PartOf(key, d.streams), func() (wal.Record, bool) {
-		if !apply(d.inner, th, op, key, val) {
+	ok, err := w.log.Commit(i, func() (wal.Record, bool) {
+		if !apply(m, th, op, key, val) {
 			return wal.Record{}, false
 		}
-		mark = d.tr.Now(th.ID)
-		return wal.Record{TS: d.src.Peek(), Op: op, Key: key, Val: val}, true
+		mark = w.tr.Now(th.ID)
+		return wal.Record{TS: w.srcImpl.Peek(), Op: op, Key: key, Val: val}, true
 	})
-	d.tr.Span(th.ID, trace.PhaseWALAppend, mark)
+	w.tr.Span(th.ID, trace.PhaseWALAppend, mark)
 	return ok, err
 }
 
@@ -192,25 +169,22 @@ func (d *durable) update(th *core.Thread, op wal.OpKind, key, val uint64) (bool,
 // GetAt reads — in key order. The log writes the collected buffer as it
 // is and prunes the segments the bound covers; newer records stay, so
 // replay over a historical snapshot still converges to the log's final
-// state.
-func (d *durable) checkpoint(ts uint64, live bool) error {
-	mark := d.tr.SharedNow()
-	err := d.log.Checkpoint(func(buf []wal.Pair) ([]wal.Pair, uint64, error) {
-		return d.rd.Read(d.th, 0, MaxKey, ts, live, buf)
+// state. A map without a log refuses first, then a past ts on a technique
+// that keeps no history.
+func (w *wrap) checkpoint(ts uint64, live bool) error {
+	switch {
+	case w.log == nil:
+		return errNotDurable
+	case !live && !w.hist:
+		return ErrHistoryUnsupported
+	}
+	mark := w.tr.SharedNow()
+	err := w.log.Checkpoint(func(buf []wal.Pair) ([]wal.Pair, uint64, error) {
+		return w.rd.Read(w.logTh, 0, MaxKey, ts, live, buf)
 	})
-	d.tr.SharedSpan(trace.PhaseSnapshotFlush, mark)
+	w.tr.SharedSpan(trace.PhaseSnapshotFlush, mark)
 	return err
 }
-
-// close closes the log, then, once, releases the durability handle:
-// after Log.Close no checkpoint collects on it.
-func (d *durable) close() error {
-	err := d.log.Close()
-	d.release.Do(d.th.Release)
-	return err
-}
-
-// --- wrap surface -----------------------------------------------------
 
 // InsertDurable implements DurableMap.
 func (w *wrap) InsertDurable(th *Thread, key, val uint64) (bool, error) {
@@ -223,44 +197,30 @@ func (w *wrap) DeleteDurable(th *Thread, key uint64) (bool, error) {
 }
 
 // Checkpoint implements DurableMap.
-func (w *wrap) Checkpoint() error {
-	if w.dur == nil {
-		return errNotDurable
-	}
-	return w.dur.checkpoint(0, true)
-}
+func (w *wrap) Checkpoint() error { return w.checkpoint(0, true) }
 
 // CheckpointAt implements DurableMap.
-func (w *wrap) CheckpointAt(ts uint64) error {
-	if w.dur == nil {
-		return errNotDurable
-	}
-	if !w.hist {
-		return ErrHistoryUnsupported
-	}
-	return w.dur.checkpoint(ts, false)
-}
+func (w *wrap) CheckpointAt(ts uint64) error { return w.checkpoint(ts, false) }
 
 // WALError implements DurableMap.
 func (w *wrap) WALError() error {
-	if w.dur == nil {
+	if w.log == nil {
 		return nil
 	}
-	return w.dur.log.Err()
+	return w.log.Err()
 }
 
-// LastRecovery implements DurableMap.
-func (w *wrap) LastRecovery() RecoveryStats {
-	if w.dur == nil {
-		return RecoveryStats{}
-	}
-	return w.dur.recovery
-}
+// LastRecovery implements DurableMap; the zero value on a non-durable Map.
+func (w *wrap) LastRecovery() RecoveryStats { return w.recovery }
 
-// Close implements DurableMap.
+// Close implements DurableMap: close the log, then release the durability
+// handle (Release is idempotent), on which no checkpoint collects after
+// Log.Close.
 func (w *wrap) Close() error {
-	if w.dur == nil {
+	if w.log == nil {
 		return nil
 	}
-	return w.dur.close()
+	err := w.log.Close()
+	w.logTh.Release()
+	return err
 }

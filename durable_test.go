@@ -745,15 +745,17 @@ func TestCheckpointOnPlainMapErrors(t *testing.T) {
 	}
 }
 
-// TestDrainRacesSnapshotFlush races Drain (eager reclamation of
+// TestDrainRacesCheckpoint races Drain (eager reclamation of
 // version chains and limbo lists) against a Checkpoint every millisecond
 // and concurrent writers. Each checkpoint pins a timestamp and collects
 // the whole map while Drain reclaims; under -race this guards the
 // snapshot collect's announced-timestamp protocol against reclamation.
-// Run for both a version-chain structure (vCAS) and an EBR-heavy one.
-func TestDrainRacesSnapshotFlush(t *testing.T) {
+// Run for both a version-chain structure (vCAS) and an EBR-heavy one, for
+// 300 ms each, or 50 ms under -short (make durable-race).
+func TestDrainRacesCheckpoint(t *testing.T) {
+	soak := 300 * time.Millisecond
 	if testing.Short() {
-		t.Skip("timing-based race soak")
+		soak = 50 * time.Millisecond
 	}
 	for _, tc := range []struct {
 		name string
@@ -824,7 +826,7 @@ func TestDrainRacesSnapshotFlush(t *testing.T) {
 					}
 				}
 			}()
-			deadline := time.After(300 * time.Millisecond)
+			deadline := time.After(soak)
 		drainLoop:
 			for {
 				select {

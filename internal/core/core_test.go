@@ -184,10 +184,11 @@ func TestRegistryRegisterReleaseReuse(t *testing.T) {
 	if _, err := r.Register(); err == nil {
 		t.Fatal("expected registry-full error")
 	}
+	bID := b.ID
 	b.Release()
 	c := r.MustRegister()
-	if c.ID != b.ID {
-		t.Fatalf("released slot not reused: got %d, want %d", c.ID, b.ID)
+	if c.ID != bID {
+		t.Fatalf("released slot not reused: got %d, want %d", c.ID, bID)
 	}
 	a.Release()
 	c.Release()

@@ -62,14 +62,13 @@ func (r *Registry) Live() int { return int(r.live.Load()) }
 // use by multiple goroutines; each worker registers its own.
 type Thread struct {
 	// ID is the slot index, usable to index per-thread structures
-	// (limbo lists, RCU slots) sized by Registry.Cap.
+	// (limbo lists, RCU slots) sized by Registry.Cap; -1 once released.
+	// Release reads it under reg.mu to refuse a double release: pushing
+	// the same slot ID onto free twice would hand it to two goroutines,
+	// whose racing announcements would silently break the MinActiveRQ
+	// reclamation invariant.
 	ID  int
 	reg *Registry
-	// released guards against double-release (under reg.mu): pushing the
-	// same slot ID onto free twice would hand it to two goroutines, whose
-	// racing announcements would silently break the MinActiveRQ
-	// reclamation invariant.
-	released bool
 	// pruneBound is the truncation bound PruneBoundOf cached for this
 	// thread, pruneLeft the number of calls it still serves.
 	pruneBound TS
@@ -79,7 +78,7 @@ type Thread struct {
 	// The padding makes a Thread 128 bytes, a size class the allocator
 	// aligns to cache lines: no other object, written by another thread,
 	// shares a line with the fields every operation reads.
-	_ [72]byte
+	_ [80]byte
 }
 
 // PointBuf returns an empty buffer with room for one pair, owned by the
@@ -117,19 +116,20 @@ func (r *Registry) MustRegister() *Thread {
 	return t
 }
 
-// Release returns the slot to the registry. The handle must not be used
-// afterwards. Release is idempotent: a second call is a no-op, so a slot
-// ID can never be pushed onto the free list twice and handed out to two
-// goroutines at once.
+// Release returns the slot to the registry and sets ID to -1, so a use of
+// the handle afterwards that indexes a per-thread slot panics rather than
+// write into the slot of the handle that reuses it. Release is idempotent:
+// a second call is a no-op, so a slot ID can never be pushed onto the free
+// list twice and handed out to two goroutines at once.
 func (t *Thread) Release() {
 	t.reg.mu.Lock()
 	defer t.reg.mu.Unlock()
-	if t.released {
+	if t.ID < 0 {
 		return
 	}
-	t.released = true
 	t.reg.slots[t.ID].Store(Pending)
 	t.reg.free = append(t.reg.free, t.ID)
+	t.ID = -1
 }
 
 // ReservedRQ is the announcement value stored by BeginRQ. It is below

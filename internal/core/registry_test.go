@@ -26,6 +26,7 @@ func TestReleaseIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	id := th.ID
 	th.Release()
 	th.Release() // second release must be a no-op
 	a := r.MustRegister()
@@ -34,8 +35,8 @@ func TestReleaseIdempotent(t *testing.T) {
 		t.Fatalf("double release handed slot %d to two threads", a.ID)
 	}
 	// The freed slot is reused exactly once.
-	if a.ID != th.ID && b.ID != th.ID {
-		t.Fatalf("released slot %d never reused (got %d, %d)", th.ID, a.ID, b.ID)
+	if a.ID != id && b.ID != id {
+		t.Fatalf("released slot %d never reused (got %d, %d)", id, a.ID, b.ID)
 	}
 }
 
@@ -71,13 +72,14 @@ func TestRegistryExhaustionAndReuse(t *testing.T) {
 	if _, err := r.Register(); err == nil {
 		t.Fatal("full registry handed out a fourth slot")
 	}
+	id := ths[1].ID
 	ths[1].Release()
 	th, err := r.Register()
 	if err != nil {
 		t.Fatalf("released slot not reusable: %v", err)
 	}
-	if th.ID != ths[1].ID {
-		t.Fatalf("reuse handed slot %d, want released slot %d", th.ID, ths[1].ID)
+	if th.ID != id {
+		t.Fatalf("reuse handed slot %d, want released slot %d", th.ID, id)
 	}
 	if _, err := r.Register(); err == nil {
 		t.Fatal("registry overfilled after reuse")

@@ -120,11 +120,11 @@ const (
 	// off to). In sync mode this is dominated by the shared fsync; in
 	// batched mode by the write.
 	PhaseWALAppend
-	// PhaseSnapshotFlush is one whole snapshot flush: collecting the
-	// map at a single timestamp via RangeQueryAt (writers running),
-	// sorting, and atomically writing the image (span; recorded on the
-	// shared stats block, since flushes run on the durability layer's
-	// own thread or the Checkpoint caller's).
+	// PhaseSnapshotFlush is one whole snapshot flush (Checkpoint or
+	// CheckpointAt): collecting the map at a single timestamp (writers
+	// running) and atomically writing the image (span; recorded on the
+	// shared stats block, since a flush runs on the Checkpoint caller's
+	// goroutine, and the durability layer has no thread of its own).
 	PhaseSnapshotFlush
 
 	// NumPhases is the number of phases.

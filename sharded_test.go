@@ -297,3 +297,66 @@ func TestShardedRegisterExhaustion(t *testing.T) {
 		t.Fatalf("slot not reusable after release: %v", err)
 	}
 }
+
+// TestShardedOnePart pins the boundary between a flat map and a sharded
+// one, which the facade builds the same way with one part or many: New has
+// no per-shard stats, NewSharded has one entry per shard (one at a shard
+// count of 1) holding the point operations routed to it, and a range query
+// reads its bound as a timestamp-read on the flat map and as a
+// shard-fanout on every sharded one.
+func TestShardedOnePart(t *testing.T) {
+	for _, shards := range []int{0, 1, 4} {
+		t.Run(fmt.Sprintf("s%d", shards), func(t *testing.T) {
+			met := NewMetrics()
+			cfg := Config{Source: Logical, MaxThreads: 2, Metrics: met, Trace: &TraceConfig{}}
+			var m Map
+			var err error
+			if shards == 0 {
+				m, err = New(SkipList, Bundle, cfg)
+			} else {
+				m, err = NewSharded(SkipList, Bundle, shards, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace.RecordEveryOp(m.Tracer())
+			th, err := m.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer th.Release()
+			// One key in each of the blocks 0-7 and a Get of it: 16 point
+			// ops, 4 per shard at 4 shards.
+			const blocks, block = 8, 256
+			for b := uint64(0); b < blocks; b++ {
+				m.Insert(th, b*block, b)
+				m.Get(th, b*block)
+			}
+			m.RangeQuery(th, 0, blocks*block-1, nil)
+
+			got := met.Snapshot().Shards
+			if len(got) != shards {
+				t.Fatalf("snapshot has %d shard entries, want %d", len(got), shards)
+			}
+			for i, sh := range got {
+				if want := uint64(2 * blocks / shards); sh.Ops != want {
+					t.Errorf("shard %d ops = %d, want %d", i, sh.Ops, want)
+				}
+			}
+			want := "shard-fanout"
+			if shards == 0 {
+				want = "timestamp-read"
+			}
+			phases := map[string]uint64{}
+			for _, p := range m.TraceSnapshot(false).Phases {
+				phases[p.Phase] = p.Count
+			}
+			if phases[want] == 0 {
+				t.Errorf("range query recorded no %s phase (phases %v)", want, phases)
+			}
+			if shards == 0 && phases["shard-fanout"] != 0 {
+				t.Errorf("flat map recorded a shard-fanout phase")
+			}
+		})
+	}
+}

@@ -192,10 +192,11 @@ type Config struct {
 	Health *TSCHealth
 	// Durability, when non-nil, makes the Map crash-safe: every
 	// successful update is appended to a per-shard write-ahead log
-	// (group-committed, CRC-protected) and snapshots of the whole map
-	// are flushed at single source timestamps with writers running.
-	// Opening over a non-empty directory recovers the durable state
-	// before the constructor returns. See Durability and DurableMap.
+	// (group-committed, CRC-protected), and Checkpoint and CheckpointAt
+	// take snapshots of the whole map at single source timestamps with
+	// writers running; nothing takes one on its own. Opening over a
+	// non-empty directory recovers the durable state before the
+	// constructor returns. See Durability and DurableMap.
 	Durability *Durability
 	// Retention is the time-travel window in source ticks: version
 	// history younger than Peek()-Retention is never pruned, so GetAt/
@@ -398,21 +399,19 @@ func validate(cfg Config) error {
 // rejecting combinations the paper shows are unsupported.
 func New(s Structure, t Technique, cfg Config) (Map, error) {
 	w := &wrap{}
-	err := w.init(s, t, cfg, 1, func(src core.Source, reg *core.Registry) (inner, error) {
-		return buildInner(s, t, cfg.Source, src, reg)
-	})
-	if err != nil {
+	if err := w.init(s, t, cfg, 1, false); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
 // init is the constructor New and NewSharded share: validate cfg, build
-// the timestamp source (counted and named on cfg.Metrics when set)
-// and the thread registry, build the structure over them, wire its hooks
-// before it sees traffic, and arm durability over shards WAL streams.
-func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
-	build func(src core.Source, reg *core.Registry) (inner, error)) error {
+// the timestamp source (counted and named on cfg.Metrics when set), the
+// thread registry and parts (s, t) structures over them, and the reader of
+// every range-shaped read — the one part's own for a flat map, the fan-out
+// across parts for a sharded one — then wire the hooks before any traffic
+// and arm durability with one WAL stream per part.
+func (w *wrap) init(s Structure, t Technique, cfg Config, parts int, sharded bool) error {
 	if err := validate(cfg); err != nil {
 		return err
 	}
@@ -420,6 +419,7 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 	src := newSource(cfg)
 	h := core.Hooks{Alloc: cfg.Alloc}
 	hist := t == VCAS || t == Bundle // keeps history, so runs no pool
+	var stats []*obs.ShardStats
 	if mt := cfg.Metrics; mt != nil {
 		mt.SetSourceKind(cfg.Source.String())
 		mt.SetSourceActual(core.Actual(src).String())
@@ -429,25 +429,49 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int,
 		}
 		core.Count(src, &mt.Source)
 		h.GC, h.PoolStats = &mt.GC, &mt.Pool
+		if sharded {
+			mt.EnsureShards(parts)
+			stats = make([]*obs.ShardStats, parts)
+			for i := range stats {
+				stats[i] = mt.Shard(i)
+			}
+		}
 	}
-	m, err := build(src, reg)
-	if err != nil {
-		return err
+	ms := make([]inner, parts)
+	readers := make([]*core.Reader, parts)
+	for i := range ms {
+		m, err := buildInner(s, t, cfg.Source, src, reg)
+		if err != nil {
+			return err
+		}
+		ms[i], readers[i] = m, m.Reader()
+	}
+	rd := readers[0]
+	if sharded {
+		rd = core.NewFanout(readers, stats)
 	}
 	if cfg.Trace != nil {
 		h.Trace = trace.NewRecorder(reg.Cap(), trace.DefaultRingSize)
 	}
+	// GC and pool counters aggregate across parts, and the one retention
+	// watermark and the one recorder are shared like the source: a single
+	// prune intent covers every part's truncation, one CheckAt validates a
+	// cross-part historical bound, and a sampled operation records its
+	// phases in whichever part runs them.
 	h.ReadBound = core.NewReadBound(src, cfg.Retention)
-	m.SetHooks(h)
+	rd.SetHooks(h)
+	for _, m := range ms {
+		m.SetHooks(h)
+	}
 	*w = wrap{
-		m: m, rd: m.Reader(), reg: reg, s: s, t: t, src: cfg.Source, srcImpl: src,
+		parts: ms, stats: stats, rd: rd, reg: reg, s: s, t: t, src: cfg.Source, srcImpl: src,
 		obs: cfg.Metrics, tr: h.Trace, hist: hist,
 	}
 	if w.obs != nil || w.tr != nil {
 		w.clk = tsc.TelemetryClock()
 	}
 	if cfg.Durability != nil {
-		return w.enableDurability(cfg, shards)
+		return w.enableDurability(cfg)
 	}
 	return nil
 }
@@ -493,10 +517,9 @@ func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg 
 	return m, nil
 }
 
-// inner is the facade's contract with a structure variant, and with the
-// shard router that composes several: point operations, the sinks it
-// reports into, and the snapshot-read protocol every range-shaped read
-// goes through.
+// inner is the facade's contract with a structure variant, one part of a
+// map: point operations, the sinks it reports into, and the snapshot-read
+// protocol every range-shaped read goes through.
 type inner interface {
 	Insert(th *core.Thread, key, val uint64) bool
 	Delete(th *core.Thread, key uint64) bool
@@ -523,16 +546,18 @@ var (
 	_ inner = (*skiplist.List)(nil)
 	_ inner = (*skiplist.VcasList)(nil)
 	_ inner = (*skiplist.EBRList)(nil)
-	_ inner = (*shardedInner)(nil)
 )
 
-// wrap adapts an internal structure to Map; a user key is the structure's
-// key. obs and tr, when non-nil, receive per-operation counts/latencies and
+// wrap adapts internal structures to Map: a flat map is one part, a
+// sharded one a part per shard, and a user key is its part's key. obs and
+// tr, when non-nil, receive per-operation counts/latencies and
 // flight-record events, timed by clk; each public method pays only nil
-// tests when they are unset.
+// tests when they are unset. log, when non-nil, is the write-ahead log
+// with one stream per part (Config.Durability).
 type wrap struct {
-	m       inner
-	rd      *core.Reader // m's snapshot-read protocol: every range-shaped read
+	parts   []inner
+	stats   []*obs.ShardStats // per-part routing counts; nil unless sharded with metrics
+	rd      *core.Reader      // every range-shaped read, across every part
 	reg     *core.Registry
 	s       Structure
 	t       Technique
@@ -540,9 +565,12 @@ type wrap struct {
 	srcImpl core.Source // the constructed source
 	obs     *obs.Registry
 	tr      *trace.Recorder
-	dur     *durable   // durability layer; nil unless Config.Durability
 	hist    bool       // technique retains version history (vCAS/Bundle)
 	clk     *tsc.Clock // the telemetry clock; set when obs or tr is
+
+	log      *wal.Log
+	logTh    *core.Thread // replay and checkpoint handle
+	recovery RecoveryStats
 }
 
 func (w *wrap) RegisterThread() (*Thread, error) { return w.reg.Register() }
@@ -589,9 +617,9 @@ func (w *wrap) Delete(th *Thread, key uint64) bool {
 }
 
 // update is every update of the facade, op selecting Insert or Delete (val
-// is ignored for a delete): apply it, through the durability layer when one
-// is armed, and report it to whichever sinks are
-// wired. The error is the durability acknowledgment.
+// is ignored for a delete): apply it to key's part, through the log when one
+// is armed, and report it to whichever sinks are wired. The error is the
+// durability acknowledgment.
 func (w *wrap) update(th *Thread, op wal.OpKind, key, val uint64) (ok bool, err error) {
 	if key > MaxKey {
 		return false, nil
@@ -600,10 +628,11 @@ func (w *wrap) update(th *Thread, op wal.OpKind, key, val uint64) (ok bool, err 
 	if w.obs != nil || w.tr != nil {
 		start = w.start(th, w.tr.Sample(th.ID))
 	}
-	if w.dur != nil {
-		ok, err = w.dur.update(th, op, key, val)
+	if w.log != nil {
+		ok, err = w.commit(th, op, key, val)
 	} else {
-		ok = apply(w.m, th, op, key, val)
+		_, m := w.part(th, key)
+		ok = apply(m, th, op, key, val)
 	}
 	if start != 0 {
 		w.observe(th, obs.OpUpdate, start)
@@ -620,6 +649,21 @@ func apply(m inner, th *Thread, op wal.OpKind, key, val uint64) bool {
 	return m.Delete(th, key)
 }
 
+// part routes key to its part: the index, which is also its WAL stream, and
+// the structure. A flat map takes its one part without a division; a
+// sharded one partitions by core.PartOf and counts the operation on the
+// part's stats.
+func (w *wrap) part(th *Thread, key uint64) (int, inner) {
+	i := 0
+	if len(w.parts) > 1 {
+		i = core.PartOf(key, len(w.parts))
+	}
+	if w.stats != nil {
+		w.stats[i].Op(th.ID)
+	}
+	return i, w.parts[i]
+}
+
 func (w *wrap) Contains(th *Thread, key uint64) bool {
 	_, ok := w.Get(th, key)
 	return ok
@@ -629,11 +673,12 @@ func (w *wrap) Get(th *Thread, key uint64) (uint64, bool) {
 	if key > MaxKey {
 		return 0, false
 	}
+	_, m := w.part(th, key)
 	if w.obs == nil && w.tr == nil {
-		return w.m.Get(th, key)
+		return m.Get(th, key)
 	}
 	start := w.start(th, w.tr.Sample(th.ID))
-	v, ok := w.m.Get(th, key)
+	v, ok := m.Get(th, key)
 	if start != 0 {
 		w.observe(th, obs.OpContains, start)
 	}
@@ -691,15 +736,23 @@ func emit(kvs []KV, fn func(KV) bool) {
 	}
 }
 
-// Len counts keys. As a quiescent path it also drains retained limbo
-// memory, so long-running callers polling Len keep the heap bounded
-// even when updates have ceased.
+// Len counts keys across the parts. As a quiescent path it also drains
+// retained limbo memory, so long-running callers polling Len keep the heap
+// bounded even when updates have ceased.
 func (w *wrap) Len() int {
 	w.Drain()
-	return w.m.Len()
+	n := 0
+	for _, m := range w.parts {
+		n += m.Len()
+	}
+	return n
 }
 
-func (w *wrap) Drain() { w.m.Drain() }
+func (w *wrap) Drain() {
+	for _, m := range w.parts {
+		m.Drain()
+	}
+}
 
 func (w *wrap) Structure() Structure { return w.s }
 func (w *wrap) Technique() Technique { return w.t }

@@ -138,6 +138,56 @@ func TestRegisterThreadExhaustionAndReuse(t *testing.T) {
 	th2.Release()
 }
 
+// TestUseAfterReleasePanics: a released handle fails loudly instead of
+// writing into the slot of the handle that reuses it. On every documented
+// arm, flat and with 4 shards, a is released and b takes its slot; a range
+// query through a must panic (its announcement slot is gone), and so must
+// an update on every arm but bst-vcas, whose update indexes no per-thread
+// slot. b keeps working.
+func TestUseAfterReleasePanics(t *testing.T) {
+	panics := func(f func()) (p bool) {
+		defer func() { p = recover() != nil }()
+		f()
+		return false
+	}
+	for _, c := range documented {
+		for _, shards := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%v-%v-s%d", c.S, c.T, shards), func(t *testing.T) {
+				var m Map
+				var err error
+				if shards == 0 {
+					m, err = New(c.S, c.T, Config{MaxThreads: 2})
+				} else {
+					m, err = NewSharded(c.S, c.T, shards, Config{MaxThreads: 2})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				a, err := m.RegisterThread()
+				if err != nil {
+					t.Fatal(err)
+				}
+				a.Release()
+				b, err := m.RegisterThread()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer b.Release()
+				if !panics(func() { m.RangeQuery(a, 0, 1000, nil) }) {
+					t.Error("range query through a released handle did not panic")
+				}
+				updateExempt := c.S == BST && c.T == VCAS
+				if got := panics(func() { m.Insert(a, 1, 1) }); got == updateExempt {
+					t.Errorf("update through a released handle: panicked %v, want %v", got, !updateExempt)
+				}
+				if !m.Insert(b, 1000, 1) || !m.Contains(b, 1000) {
+					t.Error("the handle reusing the released slot cannot insert")
+				}
+			})
+		}
+	}
+}
+
 // TestConstructorsRejectInvalidConfig: New and NewSharded share one
 // validate, which refuses a Config it cannot honour with a
 // *ConfigError naming the field — an unknown Alloc (2 was the retired arena
