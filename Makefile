@@ -60,12 +60,15 @@ loc:
 # inside FUNC: the list's update paths hold their lock arrays on the stack,
 # and the list and the EFRB tree hand the technique node pointers only,
 # never their addresses. Telemetry must cost what a counter read costs: the
-# telemetry clock is inlined where the facade ends an operation and where
-# the recorder ends a span or reads a mark, and no file on the facade's op
+# telemetry clock, one atomic load once calibrated, and its reading are
+# inlined where the facade starts and ends an operation and where the
+# recorder ends a span or reads a mark, and no file on the facade's op
 # path reads the wall clock. The recorder samples, and an unsampled
 # operation must pay its countdown alone: the per-op sample test is inlined
-# into every facade operation (Get, update, read) and the mark and span
-# calls into the durable commit, while the clock reads stay out of line. A
+# into every facade operation (Get, update, read), the span call into the
+# point operations that end their traverse span (Get, update and the
+# durable commit) and the mark call into the durable commit, while the
+# recorder's clock reads stay out of line. A
 # key reaches its part and its WAL stream through the facade's one routing
 # method, (*wrap).part, which inlines the one partition function,
 # core.PartOf, and is itself inlined into Get, update and the durable
@@ -96,8 +99,14 @@ inline-check:
 	need ./tscds.go '(w \*wrap) observe' 'tsc.Clock.Now'; \
 	need internal/obs/trace/trace.go '(r \*Recorder) span' 'tsc.Clock.Now'; \
 	need internal/obs/trace/trace.go '(r \*Recorder) now' 'tsc.Clock.Now'; \
+	for fn in start observe; do \
+		need ./tscds.go "(w \*wrap) $$fn" 'tsc.TelemetryClock'; done; \
+	for fn in now span; do \
+		need internal/obs/trace/trace.go "(r \*Recorder) $$fn" 'tsc.TelemetryClock'; done; \
 	for fn in Get update read; do \
 		need ./tscds.go "(w \*wrap) $$fn" 'trace.(*Recorder).Sample'; done; \
+	for fn in Get update; do \
+		need ./tscds.go "(w \*wrap) $$fn" 'trace.(*Recorder).Span'; done; \
 	need ./durable.go '(w \*wrap) commit' 'trace.(*Recorder).Now'; \
 	need ./durable.go '(w \*wrap) commit' 'trace.(*Recorder).Span'; \
 	need ./tscds.go '(w \*wrap) part' 'core.PartOf'; \

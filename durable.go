@@ -137,7 +137,7 @@ func (w *wrap) enableDurability(cfg Config) error {
 			apply(m, th, r.Op, r.Key, r.Val)
 		}
 	}
-	w.log, w.logTh, w.recovery = log, th, recov.Stats
+	w.log, w.logTh = log, th
 	return nil
 }
 
@@ -149,11 +149,15 @@ func (w *wrap) enableDurability(cfg Config) error {
 // per key the log holds only effective updates, which is what makes
 // redundant replay over a snapshot converge. After Close the update is
 // refused before it touches the map: applied, it would be lost on reopen.
-func (w *wrap) commit(th *core.Thread, op wal.OpKind, key, val uint64) (bool, error) {
+// start is the update's traverse mark (see wrap.start), ended when apply
+// returns.
+func (w *wrap) commit(th *core.Thread, op wal.OpKind, key, val, start uint64) (bool, error) {
 	i, m := w.part(th, key)
 	var mark uint64 // 0, which Span ignores, unless apply took effect
 	ok, err := w.log.Commit(i, func() (wal.Record, bool) {
-		if !apply(m, th, op, key, val) {
+		applied := apply(m, th, op, key, val)
+		w.tr.Span(th.ID, trace.PhaseTraverse, start)
+		if !applied {
 			return wal.Record{}, false
 		}
 		mark = w.tr.Now(th.ID)
@@ -175,7 +179,7 @@ func (w *wrap) checkpoint(ts uint64, live bool) error {
 	switch {
 	case w.log == nil:
 		return errNotDurable
-	case !live && !w.hist:
+	case !live && !w.t.keepsHistory():
 		return ErrHistoryUnsupported
 	}
 	mark := w.tr.SharedNow()
@@ -211,7 +215,12 @@ func (w *wrap) WALError() error {
 }
 
 // LastRecovery implements DurableMap; the zero value on a non-durable Map.
-func (w *wrap) LastRecovery() RecoveryStats { return w.recovery }
+func (w *wrap) LastRecovery() RecoveryStats {
+	if w.log == nil {
+		return RecoveryStats{}
+	}
+	return w.log.Recovery()
+}
 
 // Close implements DurableMap: close the log, then release the durability
 // handle (Release is idempotent), on which no checkpoint collects after

@@ -161,7 +161,6 @@ func (t *tree[L, P]) Contains(th *core.Thread, key uint64) bool {
 // deletion only after a grace period, so a search that reached it through
 // the old path reads its labels before that.
 func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
-	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	t.rcu.ReadLock(th.ID)
 	var val uint64
@@ -171,7 +170,6 @@ func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
 	}
 	t.rcu.ReadUnlock(th.ID)
 	t.p.Exit(th.ID)
-	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return val, ok
 }
 
@@ -192,7 +190,6 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
-	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var retries uint64
 	inserted := false
@@ -221,7 +218,6 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.p.Exit(th.ID)
-	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return inserted
 }
 
@@ -230,7 +226,6 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	if key > MaxKey {
 		return false
 	}
-	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var retries uint64
 	deleted := false
@@ -265,7 +260,6 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.p.Exit(th.ID)
-	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return deleted
 }
 

@@ -42,30 +42,20 @@ func GenOf(ts TS) uint64 { return ts >> GenShift }
 // PayloadOf extracts the reading bits from a timestamp.
 func PayloadOf(ts TS) TS { return ts & PayloadMask }
 
-// Generational is implemented by sources whose timestamps carry a
-// source generation (AdaptiveSource). Range queries that cache a
-// snapshot bound use it to detect a source switch under their feet.
-type Generational interface {
-	Source
-	// Generation returns the current generation. It changes only on a
-	// source switch and is monotonically increasing.
-	Generation() uint64
-}
-
 // SnapshotValid reports whether a range query that collected under the
-// given snapshot bound may return its result: true unless src is
-// generational and has switched generations since bound was taken. On
-// mismatch the caller must discard what it collected, take a fresh
-// bound and re-run — the pre-switch bound orders correctly against
-// pre-switch labels only, so a result assembled across the switch could
-// tear the snapshot. Non-generational sources never invalidate. A
-// counted AdaptiveSource counts the retry (see Count).
+// given snapshot bound may return its result: true unless src is an
+// AdaptiveSource, the one source whose timestamps carry a generation, and
+// it has switched generations since bound was taken. On mismatch the
+// caller must discard what it collected, take a fresh bound and re-run —
+// the pre-switch bound orders correctly against pre-switch labels only, so
+// a result assembled across the switch could tear the snapshot. A counted
+// AdaptiveSource counts the retry (see Count).
 func SnapshotValid(src Source, bound TS) bool {
-	g, ok := src.(Generational)
-	if !ok || g.Generation() == GenOf(bound) {
+	a, ok := src.(*AdaptiveSource)
+	if !ok || a.Generation() == GenOf(bound) {
 		return true
 	}
-	if a, ok := src.(*AdaptiveSource); ok && a.st != nil {
+	if a.st != nil {
 		a.st.SnapshotRetries.Inc()
 	}
 	return false

@@ -9,13 +9,11 @@ import (
 	"tscds/internal/obs"
 )
 
-// fakeSource is a logical counter that logs every bound it hands out and
-// can switch generation under a query. Its labels carry the generation in
-// the high bits, like AdaptiveSource's.
+// fakeSource is a logical counter that logs every bound it hands out.
 type fakeSource struct {
-	log      *[]string
-	gen, now uint64
-	onBound  func() // runs just before a bound is handed out
+	log     *[]string
+	now     uint64
+	onBound func() // runs just before a bound is handed out
 }
 
 func (s *fakeSource) bound(ev string) {
@@ -25,14 +23,12 @@ func (s *fakeSource) bound(ev string) {
 	}
 }
 
-func (s *fakeSource) ts() TS             { return s.gen<<GenShift | s.now }
-func (s *fakeSource) Advance() TS        { s.now++; return s.ts() }
-func (s *fakeSource) Kind() Kind         { return Logical }
-func (s *fakeSource) Generation() uint64 { return s.gen }
-func (s *fakeSource) Peek() TS           { s.bound("peek"); return s.ts() }
-func (s *fakeSource) Snapshot() TS       { s.bound("snapshot"); s.now++; return s.ts() - 1 }
-func (s *fakeSource) switchGeneration()  { s.gen++ }
-func (s *fakeSource) reads() (n int)     { return count(*s.log, "peek") + count(*s.log, "snapshot") }
+func (s *fakeSource) ts() TS         { return s.now }
+func (s *fakeSource) Advance() TS    { s.now++; return s.ts() }
+func (s *fakeSource) Kind() Kind     { return Logical }
+func (s *fakeSource) Peek() TS       { s.bound("peek"); return s.ts() }
+func (s *fakeSource) Snapshot() TS   { s.bound("snapshot"); s.now++; return s.ts() - 1 }
+func (s *fakeSource) reads() (n int) { return count(*s.log, "peek") + count(*s.log, "snapshot") }
 func count(log []string, ev string) (n int) {
 	for _, e := range log {
 		if e == ev {
@@ -124,10 +120,17 @@ func quiescent(t *testing.T, reg *Registry) {
 
 func TestReaderRetriesAcrossGenerationSwitch(t *testing.T) {
 	r, src, parts, reg, th, log := fanout(t, 3, false, false)
+	// The one source whose bounds carry a generation is an AdaptiveSource.
+	// In hardware mode this one reads the fake's counter, so its bounds
+	// are logged like the fake's, and a failover and a failback under the
+	// first attempt's bound take it to generation 2.
+	a := NewAdaptive(nil)
+	a.read, a.baseHW = func() uint64 { src.bound("snapshot"); src.now++; return src.now }, 0
+	r.src = a
 	var bounds []TS
 	parts[0].onCollect = func(s TS) {
 		if len(bounds) == 0 {
-			src.switchGeneration() // under the first attempt's bound
+			a.SetGeneration(2) // under the first attempt's bound
 		}
 		bounds = append(bounds, s)
 	}
@@ -141,8 +144,8 @@ func TestReaderRetriesAcrossGenerationSwitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(bounds) != 2 || bounds[0] == bounds[1] || s != bounds[1] || GenOf(s) != 1 {
-		t.Fatalf("bounds per attempt = %v, returned %d: want two attempts, the second under a fresh generation-1 bound", bounds, s)
+	if len(bounds) != 2 || bounds[0] == bounds[1] || s != bounds[1] || GenOf(s) != 2 {
+		t.Fatalf("bounds per attempt = %v, returned %d: want two attempts, the second under a fresh generation-2 bound", bounds, s)
 	}
 	if src.reads() != 2 {
 		t.Errorf("source read %d times over two attempts and three parts, want once per attempt: %v", src.reads(), *log)

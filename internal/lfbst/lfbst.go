@@ -164,7 +164,6 @@ func (t *tree[L, P]) Contains(th *core.Thread, key uint64) bool {
 // Get returns the value stored at key. present runs before exit: a leaf
 // pruned from limbo may be recycled once this thread leaves its epoch.
 func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
-	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var val uint64
 	ok := false
@@ -172,7 +171,6 @@ func (t *tree[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
 		val, ok = t.p.present(l)
 	}
 	t.p.Exit(th.ID)
-	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return val, ok
 }
 
@@ -183,7 +181,6 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
-	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var nl *node[L]
 	var retries, helps uint64
@@ -222,7 +219,6 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.tr.Count(th.ID, trace.PhaseHelp, helps)
 	t.p.Exit(th.ID)
-	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return inserted
 }
 
@@ -231,7 +227,6 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	if key > MaxKey {
 		return false
 	}
-	start := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var retired *node[L] // the leaf this call last retired
 	var retries, helps uint64
@@ -272,7 +267,6 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.tr.Count(th.ID, trace.PhaseHelp, helps)
 	t.p.Exit(th.ID)
-	t.tr.Span(th.ID, trace.PhaseTraverse, start)
 	return deleted
 }
 

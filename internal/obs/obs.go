@@ -72,10 +72,10 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 const HistBuckets = 40
 
 // Histogram is a lock-free latency histogram over fixed log2-scale
-// nanosecond buckets. Observations are three atomic adds and a CAS-loop
-// max update; no locks, no allocation. The zero value is ready to use.
+// nanosecond buckets. Observations are two atomic adds and a CAS-loop max
+// update; no locks, no allocation. The count is the bucket sum. The zero
+// value is ready to use.
 type Histogram struct {
-	count   atomic.Uint64
 	sum     atomic.Uint64 // nanoseconds
 	max     atomic.Uint64 // nanoseconds
 	buckets [HistBuckets]atomic.Uint64
@@ -103,7 +103,6 @@ func BucketUpperNS(i int) uint64 {
 // ObserveNS records one observation of ns nanoseconds.
 func (h *Histogram) ObserveNS(ns uint64) {
 	h.buckets[bucketOf(ns)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(ns)
 	for {
 		cur := h.max.Load()
@@ -113,12 +112,8 @@ func (h *Histogram) ObserveNS(ns uint64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // merge adds o's observations to h.
 func (h *Histogram) merge(o *Histogram) {
-	h.count.Add(o.count.Load())
 	h.sum.Add(o.sum.Load())
 	if m := o.max.Load(); m > h.max.Load() {
 		h.max.Store(m)
@@ -139,7 +134,10 @@ func (h *Histogram) merge(o *Histogram) {
 // concurrent writers the estimate is approximate in the usual
 // monitoring sense.
 func (h *Histogram) QuantileNS(q float64) uint64 {
-	total := h.count.Load()
+	var total uint64
+	for i := range h.buckets {
+		total += h.buckets[i].Load()
+	}
 	if total == 0 {
 		return 0
 	}
@@ -204,12 +202,15 @@ type HistSnapshot struct {
 }
 
 // Snapshot copies the histogram. Concurrent observations may straddle the
-// copy; totals are internally consistent to within in-flight operations.
+// copy; totals are internally consistent to within in-flight operations,
+// and Count is the sum of Buckets.
 func (h *Histogram) Snapshot() HistSnapshot {
-	s := HistSnapshot{
-		Count: h.count.Load(),
-		SumNS: h.sum.Load(),
-		MaxNS: h.max.Load(),
+	s := HistSnapshot{SumNS: h.sum.Load(), MaxNS: h.max.Load()}
+	for i := range h.buckets {
+		if n := h.buckets[i].Load(); n > 0 {
+			s.Count += n
+			s.Buckets = append(s.Buckets, BucketCount{UpToNS: BucketUpperNS(i), Count: n})
+		}
 	}
 	if s.Count > 0 {
 		s.MeanNS = s.SumNS / s.Count
@@ -217,11 +218,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.P50NS = h.QuantileNS(0.50)
 	s.P95NS = h.QuantileNS(0.95)
 	s.P99NS = h.QuantileNS(0.99)
-	for i := 0; i < HistBuckets; i++ {
-		if n := h.buckets[i].Load(); n > 0 {
-			s.Buckets = append(s.Buckets, BucketCount{UpToNS: BucketUpperNS(i), Count: n})
-		}
-	}
 	return s
 }
 
@@ -284,7 +280,7 @@ type SourceSnapshot struct {
 	Actual          string `json:"actual,omitempty"`
 	Advances        uint64 `json:"advances" help:"Timestamp-source Advance calls (one fetch-and-add per call on a logical source)."`
 	Peeks           uint64 `json:"peeks" help:"Timestamp-source Peek calls."`
-	Snapshots       uint64 `json:"snapshots" help:"Range-query snapshot-bound acquisitions."`
+	Snapshots       uint64 `json:"snapshots" help:"Snapshot-bound acquisitions: one per range-query attempt or live checkpoint, and one per Map.Now call (the repository benchmark's full-stack workload stamps one every 64 ops)."`
 	SnapshotRetries uint64 `json:"snapshot_retries,omitempty" help:"Range-query snapshots discarded and re-run after an adaptive-source generation switch."`
 }
 
@@ -390,7 +386,7 @@ type Registry struct {
 	WAL      WALStats
 	History  HistoryStats
 	kind     atomic.Pointer[string]
-	actual   atomic.Pointer[string]
+	actual   atomic.Pointer[func() string]
 	strucLbl atomic.Pointer[string]
 	alloc    atomic.Pointer[string]
 	walMode  atomic.Pointer[string]
@@ -410,10 +406,10 @@ func (r *Registry) ObserveOp(tid int, c OpClass, ns uint64) {
 // When several structures share one registry the last label wins.
 func (r *Registry) SetSourceKind(kind string) { r.kind.Store(&kind) }
 
-// SetSourceActual records the kind actually serving reads when it
-// differs from the requested kind (silent-fallback disclosure). Pass
-// the requested kind's label to clear.
-func (r *Registry) SetSourceActual(actual string) { r.actual.Store(&actual) }
+// SetSourceActual sets the function every snapshot calls for the kind
+// actually serving reads, reported when it differs from the requested kind
+// (silent fallback, an adaptive source's failover).
+func (r *Registry) SetSourceActual(actual func() string) { r.actual.Store(&actual) }
 
 // SetStructure records the structure/technique label ("bst/vcas", ...)
 // reported in snapshots and attached as the structure= label on every
@@ -600,8 +596,10 @@ func (r *Registry) Snapshot() Snapshot {
 	if st := r.strucLbl.Load(); st != nil {
 		s.Structure = *st
 	}
-	if a := r.actual.Load(); a != nil && (s.Source.Kind == "" || *a != s.Source.Kind) {
-		s.Source.Actual = *a
+	if a := r.actual.Load(); a != nil {
+		if v := (*a)(); s.Source.Kind == "" || v != s.Source.Kind {
+			s.Source.Actual = v
+		}
 	}
 	if m := r.alloc.Load(); m != nil {
 		s.Pool.Mode = *m

@@ -154,7 +154,19 @@ func TestConcurrentInstruments(t *testing.T) {
 			}
 		}(w)
 	}
-	wg.Wait()
+	// A snapshot taken while the writers run counts what its buckets hold.
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if s := h.Snapshot(); s.Count != bucketSum(s) {
+			t.Fatalf("mid-run snapshot counts %d, its buckets hold %d", s.Count, bucketSum(s))
+		}
+	}
 	if got := c.Load(); got != workers*perG {
 		t.Errorf("counter = %d, want %d", got, workers*perG)
 	}
@@ -162,12 +174,21 @@ func TestConcurrentInstruments(t *testing.T) {
 		t.Errorf("gauge = %d, want 0", got)
 	}
 	s := h.Snapshot()
-	if s.Count != workers*perG {
-		t.Errorf("histogram count = %d, want %d", s.Count, workers*perG)
+	if s.Count != workers*perG || bucketSum(s) != s.Count {
+		t.Errorf("histogram count = %d, buckets hold %d, want %d", s.Count, bucketSum(s), workers*perG)
 	}
 	if s.MaxNS != workers*perG-1 {
 		t.Errorf("histogram max = %d, want %d", s.MaxNS, workers*perG-1)
 	}
+}
+
+// bucketSum is the number of observations s's buckets hold.
+func bucketSum(s HistSnapshot) uint64 {
+	var n uint64
+	for _, b := range s.Buckets {
+		n += b.Count
+	}
+	return n
 }
 
 // TestOpStripesMergeExactly: threads on more IDs than there are stripes
@@ -197,11 +218,7 @@ func TestOpStripesMergeExactly(t *testing.T) {
 		t.Fatalf("merged update histogram count=%d sum=%d max=%d, want %d, %d, %d",
 			u.Count, u.SumNS, u.MaxNS, n, n*(n-1)/2, n-1)
 	}
-	var inBuckets uint64
-	for _, b := range u.Buckets {
-		inBuckets += b.Count
-	}
-	if inBuckets != u.Count {
+	if inBuckets := bucketSum(u); inBuckets != u.Count {
 		t.Fatalf("buckets hold %d observations, count is %d", inBuckets, u.Count)
 	}
 	if c := s.Ops["contains"].Count + s.Ops["range-query"].Count; c != 0 {

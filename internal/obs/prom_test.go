@@ -16,7 +16,7 @@ import (
 func fullRegistry() *Registry {
 	r := NewRegistry()
 	r.SetSourceKind("RDTSCP")
-	r.SetSourceActual("Logical")
+	r.SetSourceActual(func() string { return "Logical" })
 	r.SetStructure("bst/vcas")
 	r.SetAllocMode("Pool")
 	r.SetWALMode("batched(64)")

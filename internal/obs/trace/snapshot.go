@@ -69,7 +69,7 @@ func (r *Recorder) Snapshot(events bool) Snapshot {
 		return Snapshot{}
 	}
 	s := Snapshot{
-		DurationNS:   tsc.Elapsed(r.start, r.clk.Now()),
+		DurationNS:   tsc.Elapsed(r.start, tsc.TelemetryClock().Now()),
 		RingSize:     r.RingSize(),
 		SamplePeriod: r.period,
 	}

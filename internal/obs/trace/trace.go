@@ -57,9 +57,9 @@ type Phase uint8
 
 const (
 	// PhaseTraverse is the structure's own work on an operation (span): a
-	// point operation's visit, from the operation's start to the
-	// structure's return (label, alloc and lock-wait spans nest in it), or
-	// a range query's collection walk.
+	// point operation's visit, which the facade records from the mark
+	// Begin returned to the structure's return (label, alloc and lock-wait
+	// spans nest in it), or a range query's collection walk.
 	PhaseTraverse Phase = iota
 	// PhaseTimestamp is the snapshot-bound acquisition of a range query —
 	// the fetch-and-add a logical source pays, the fenced read TSC pays
@@ -297,19 +297,18 @@ type pending struct {
 // the owner's alone; the pos cursor is written only by the owner, and
 // readers load it to locate the newest events. The fields every
 // operation touches (the countdown) and those a sampled one touches until
-// it ends (its start, its held events) share the first lines, so a
-// sampled operation's recording stays in cache lines its thread just
-// used.
+// it ends (its latest reading, its held events) share the first lines,
+// so a sampled operation's recording stays in cache lines its thread
+// just used.
 type ring struct {
-	_     [cacheLine]byte
-	left  uint64 // operations until the owner's next sampled one, counting it
-	rng   uint64 // xorshift state drawing the gaps between sampled operations
-	on    bool   // the owner's current operation is sampled
-	n     uint8  // events held in held
-	start uint64 // the current operation's start, from Begin
-	last  uint64 // the owner's latest clock reading, which dates a count
-	held  [4]pending
-	pos   atomic.Uint64
+	_    [cacheLine]byte
+	left uint64 // operations until the owner's next sampled one, counting it
+	rng  uint64 // xorshift state drawing the gaps between sampled operations
+	on   bool   // the owner's current operation is sampled
+	n    uint8  // events held in held
+	last uint64 // the owner's latest clock reading, which dates a count
+	held [4]pending
+	pos  atomic.Uint64
 	// The aggregates and the slots are written only when a sampled
 	// operation ends (or holds more events than held has room for).
 	phases [NumPhases]phaseStat
@@ -322,8 +321,7 @@ type ring struct {
 // sampled an operation, plus a shared aggregate block. A nil *Recorder is inert;
 // every method is safe (and free of allocation) on it.
 type Recorder struct {
-	clk    *tsc.Clock
-	start  uint64 // clk reading at construction, the origin of event times
+	start  uint64 // telemetry clock reading at construction, the origin of event times
 	mask   uint64
 	period uint64                 // one operation in period is sampled, on average
 	rings  []atomic.Pointer[ring] // rings[tid], stored by tid's first Begin
@@ -345,8 +343,7 @@ func NewRecorder(maxThreads, ringSize int) *Recorder {
 	if ringSize > 1 {
 		n = 1 << bits.Len(uint(ringSize-1))
 	}
-	clk := tsc.TelemetryClock()
-	return &Recorder{clk: clk, start: clk.Now(), mask: uint64(n - 1), period: SamplePeriod,
+	return &Recorder{start: tsc.TelemetryClock().Now(), mask: uint64(n - 1), period: SamplePeriod,
 		rings: make([]atomic.Pointer[ring], maxThreads)}
 }
 
@@ -410,9 +407,8 @@ func (r *Recorder) Begin(tid int) uint64 {
 	rg.rng ^= rg.rng << 17
 	rg.left = 1 + rg.rng%(2*r.period-1)
 	rg.on = true
-	rg.start = r.clk.Now()
-	rg.last = rg.start
-	return rg.start
+	rg.last = tsc.TelemetryClock().Now()
+	return rg.last
 }
 
 // ring returns tid's ring when tid's current operation is sampled, else
@@ -429,8 +425,8 @@ func (r *Recorder) ring(tid int) *ring {
 
 // Now reads the process's telemetry clock (tsc.TelemetryClock) when
 // thread tid's current operation is sampled, and returns 0 otherwise (and
-// for nil). Use it to obtain span start marks for Span; a 0 mark makes
-// Span return at once.
+// for nil). Use it, or the start Begin returned, to obtain span start
+// marks for Span; a 0 mark makes Span return at once.
 func (r *Recorder) Now(tid int) uint64 {
 	if r == nil {
 		return 0
@@ -448,22 +444,8 @@ func (r *Recorder) now(tid int) uint64 {
 	if rg == nil {
 		return 0
 	}
-	rg.last = r.clk.Now()
+	rg.last = tsc.TelemetryClock().Now()
 	return rg.last
-}
-
-// Start returns the start of thread tid's current operation, Begin's
-// reading, when the operation is sampled, and 0 otherwise (and for nil):
-// the mark of a span that runs from the operation's beginning, such as a
-// point operation's traverse, at no clock read.
-func (r *Recorder) Start(tid int) uint64 {
-	if r == nil {
-		return 0
-	}
-	if rg := r.ring(tid); rg != nil {
-		return rg.start
-	}
-	return 0
 }
 
 // OpEnd records the completion, at endNS (a telemetry clock reading), of
@@ -488,8 +470,9 @@ func (r *Recorder) OpEnd(tid int, op obs.OpClass, endNS, durNS uint64) {
 }
 
 // Span records a completed phase span that began at startNS (a mark from
-// Now or Start) on thread tid; a 0 mark, an unsampled operation's,
-// records nothing. The event is held until the operation ends.
+// Now, or the operation's start from Begin) on thread tid; a 0 mark, an
+// unsampled operation's, records nothing. The event is held until the
+// operation ends.
 func (r *Recorder) Span(tid int, p Phase, startNS uint64) {
 	if r == nil || startNS == 0 {
 		return
@@ -503,7 +486,7 @@ func (r *Recorder) span(tid int, p Phase, startNS uint64) {
 	if rg == nil || p >= NumPhases {
 		return
 	}
-	rg.last = r.clk.Now()
+	rg.last = tsc.TelemetryClock().Now()
 	r.hold(rg, uint32(KindSpan)<<16|uint32(p), rg.last, tsc.Elapsed(startNS, rg.last))
 }
 
@@ -552,7 +535,7 @@ func (r *Recorder) SharedSpan(p Phase, startNS uint64) {
 	if r == nil || p >= NumPhases {
 		return
 	}
-	r.shared[p].add(tsc.Elapsed(startNS, r.clk.Now()))
+	r.shared[p].add(tsc.Elapsed(startNS, tsc.TelemetryClock().Now()))
 }
 
 // SharedNow reads the telemetry clock for a SharedSpan mark (0 for nil).
@@ -560,7 +543,7 @@ func (r *Recorder) SharedNow() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.clk.Now()
+	return tsc.TelemetryClock().Now()
 }
 
 // SharedCount aggregates n phase units without a thread identity (no

@@ -352,7 +352,7 @@ func TestRecorderRingsFollowThreads(t *testing.T) {
 	if start == 0 {
 		t.Fatal("thread 7's first operation not sampled")
 	}
-	r.Span(7, PhaseTraverse, r.Start(7))
+	r.Span(7, PhaseTraverse, start)
 	if s := r.Snapshot(false); s.Recorded != 0 {
 		t.Fatalf("%d events written before the operation ended, want them held", s.Recorded)
 	}

@@ -259,7 +259,6 @@ func (t *list[L, P]) Contains(th *core.Thread, key uint64) bool {
 
 // Get returns the value stored at key.
 func (t *list[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
-	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var val uint64
 	ok := false
@@ -267,7 +266,6 @@ func (t *list[L, P]) Get(th *core.Thread, key uint64) (uint64, bool) {
 		val, ok = t.p.present(n)
 	}
 	t.p.Exit(th.ID)
-	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return val, ok
 }
 
@@ -297,7 +295,6 @@ func (t *list[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	if key > MaxKey {
 		return false
 	}
-	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	top := t.randLevel(th.ID)
 	var preds, succs, locked [maxLevel]*node[L]
@@ -344,13 +341,11 @@ func (t *list[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 	}
 	t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	t.p.Exit(th.ID)
-	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return inserted
 }
 
 // Delete removes key; it returns false if absent.
 func (t *list[L, P]) Delete(th *core.Thread, key uint64) bool {
-	mark := t.tr.Start(th.ID)
 	t.p.Enter(th.ID)
 	var preds, succs, locked [maxLevel]*node[L]
 	victim := t.claimVictim(th, key, &preds, &succs)
@@ -379,7 +374,6 @@ func (t *list[L, P]) Delete(th *core.Thread, key uint64) bool {
 		t.tr.Count(th.ID, trace.PhaseRetry, retries)
 	}
 	t.p.Exit(th.ID)
-	t.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	return victim != nil
 }
 

@@ -2,7 +2,7 @@ package tsc
 
 import (
 	"math/bits"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -16,17 +16,27 @@ type Clock struct {
 	mult uint64        // nanoseconds per tick, 32.32 fixed point
 }
 
-var (
-	telemetryOnce  sync.Once
-	telemetryClock Clock
-)
+// telemetryClock is the calibrated telemetry clock, nil until the first
+// TelemetryClock call.
+var telemetryClock atomic.Pointer[Clock]
 
 // TelemetryClock returns the process's telemetry clock. The first call
-// calibrates it, which takes about two milliseconds; every later call
-// returns the same clock, so readings from any caller share one origin.
+// calibrates it, which takes about two milliseconds; every later call is
+// one atomic load, small enough to inline, and returns the same clock, so
+// readings from any caller share one origin.
 func TelemetryClock() *Clock {
-	telemetryOnce.Do(func() { telemetryClock = newClock(HasCounter() && Invariant()) })
-	return &telemetryClock
+	if c := telemetryClock.Load(); c != nil {
+		return c
+	}
+	return calibrateTelemetry()
+}
+
+// calibrateTelemetry builds and publishes the telemetry clock; of racing
+// first calls, one clock wins.
+func calibrateTelemetry() *Clock {
+	c := newClock(HasCounter() && Invariant())
+	telemetryClock.CompareAndSwap(nil, &c)
+	return telemetryClock.Load()
 }
 
 // newClock builds a clock over the counter when counter is set, else over

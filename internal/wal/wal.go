@@ -56,11 +56,12 @@ type segMeta struct {
 // commit, checkpoints and pruning. All methods are safe for concurrent
 // use.
 type Log struct {
-	fs    FS
-	dir   string
-	runID uint64
-	sync  int
-	stats *obs.WALStats
+	fs       FS
+	dir      string
+	runID    uint64
+	sync     int
+	stats    *obs.WALStats
+	recovery RecoveryStats // what Open's recovery pass found
 
 	shards []*shardLog
 	// closed refuses Commit and Checkpoint from Close on. Close sets it
@@ -136,6 +137,7 @@ func Open(opts Options) (*Log, *Recovered, error) {
 		return nil, nil, err
 	}
 	l.runID = maxRun + 1
+	l.recovery = rec.Stats
 
 	l.shards = make([]*shardLog, 0, opts.Shards)
 	for i := 0; i < opts.Shards; i++ {
@@ -153,6 +155,9 @@ func Open(opts Options) (*Log, *Recovered, error) {
 	}
 	return l, rec, nil
 }
+
+// Recovery reports what the recovery pass of Open found.
+func (l *Log) Recovery() RecoveryStats { return l.recovery }
 
 // closeSegments releases the segment files a failing Open had already
 // created. Their headers may be on disk; recovery treats a header-only

@@ -8,6 +8,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"tscds/internal/obs"
 	"tscds/internal/obs/promparse"
@@ -139,6 +140,44 @@ func TestMetricsReclamationCounters(t *testing.T) {
 			}
 			if got := c.field(reg.Snapshot()); got == 0 {
 				t.Fatalf("%s = 0 after churn", c.name)
+			}
+		})
+	}
+}
+
+// TestMetricsActualFollowsFailover: the registry reads the serving kind
+// when it snapshots. After an Adaptive map fails over to the logical
+// counter, SourceActual, the JSON snapshot and the actual label of
+// tscds_source_info all say Logical, on a flat map and a sharded one.
+func TestMetricsActualFollowsFailover(t *testing.T) {
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			health := NewTSCHealth(4)
+			reg := NewMetrics()
+			m := newMap(t, SkipList, Bundle, shards, Config{Source: Adaptive, Health: health, MaxThreads: 4, Metrics: reg})
+			th, err := m.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer th.Release()
+			m.Insert(th, 1, 1)
+			health.InjectBackstep(uint64(time.Hour))
+			m.RangeQuery(th, 0, 10, nil) // its snapshot bound sees the fault and fails over
+
+			if got := m.SourceActual(); got != Logical {
+				t.Fatalf("SourceActual() = %v after failover, want Logical", got)
+			}
+			if got := reg.Snapshot().Source.Actual; got != Logical.String() {
+				t.Errorf("Snapshot().Source.Actual = %q, want %q", got, Logical.String())
+			}
+			var buf bytes.Buffer
+			reg.WriteProm(&buf)
+			res, diags := promparse.Parse(buf.Bytes())
+			if len(diags) > 0 {
+				t.Fatalf("strict parse diagnostics: %v", diags)
+			}
+			if _, ok := res.Value("tscds_source_info", map[string]string{"requested": Adaptive.String(), "actual": Logical.String()}); !ok {
+				t.Errorf("no tscds_source_info{requested=%q, actual=%q} sample in\n%s", Adaptive, Logical, buf.String())
 			}
 		})
 	}

@@ -60,7 +60,7 @@ func (w *wrap) Now() uint64 { return uint64(w.srcImpl.Snapshot()) }
 // labeled exactly ts excludes the key). It is a point read all the same,
 // and the sinks count it as one (class contains).
 func (w *wrap) GetAt(th *Thread, key, ts uint64) (uint64, bool, error) {
-	if !w.hist {
+	if !w.t.keepsHistory() {
 		return 0, false, ErrHistoryUnsupported
 	}
 	kvs, err := w.read(th, obs.OpContains, key, key, ts, false, th.PointBuf())
@@ -74,7 +74,7 @@ func (w *wrap) GetAt(th *Thread, key, ts uint64) (uint64, bool, error) {
 // with RangeQuery, an empty interval returns buf unchanged without
 // validating ts (no snapshot is taken, so there is nothing to refuse).
 func (w *wrap) RangeQueryAt(th *Thread, lo, hi, ts uint64, buf []KV) ([]KV, error) {
-	if !w.hist {
+	if !w.t.keepsHistory() {
 		return buf, ErrHistoryUnsupported
 	}
 	return w.read(th, obs.OpRange, lo, hi, ts, false, buf)

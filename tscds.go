@@ -137,6 +137,11 @@ func (t Technique) String() string {
 	return "unknown"
 }
 
+// keepsHistory reports whether the technique retains per-key version
+// history (vCAS and Bundle): what time travel reads, and why such a map
+// runs no node pool.
+func (t Technique) keepsHistory() bool { return t == VCAS || t == Bundle }
+
 // AllocMode selects where a Map's nodes come from; see Config.Alloc.
 type AllocMode = core.AllocMode
 
@@ -159,7 +164,9 @@ type Config struct {
 	// are timestamp sources only (NewTimestampSource).
 	Source SourceKind
 	// MaxThreads bounds concurrent thread handles (256 when zero; a
-	// negative value is a *ConfigError).
+	// negative value is a *ConfigError). A durable map keeps one of them
+	// for replay and checkpoints, so with Durability set a MaxThreads of 1,
+	// which would leave callers none, is a *ConfigError too.
 	MaxThreads int
 	// Metrics, when non-nil, receives operation counts, latency
 	// histograms, timestamp-source stats and reclamation counters from
@@ -196,7 +203,8 @@ type Config struct {
 	// take snapshots of the whole map at single source timestamps with
 	// writers running; nothing takes one on its own. Opening over a
 	// non-empty directory recovers the durable state before the
-	// constructor returns. See Durability and DurableMap.
+	// constructor returns. The map keeps one of the MaxThreads handles
+	// for itself. See Durability and DurableMap.
 	Durability *Durability
 	// Retention is the time-travel window in source ticks: version
 	// history younger than Peek()-Retention is never pruned, so GetAt/
@@ -392,6 +400,9 @@ func validate(cfg Config) error {
 	if cfg.Durability != nil && cfg.Durability.Dir == "" {
 		return &ConfigError{"Durability", "Dir is required"}
 	}
+	if cfg.Durability != nil && cfg.MaxThreads == 1 {
+		return &ConfigError{"MaxThreads", "1 leaves no handle for callers: a durable map keeps one for itself"}
+	}
 	return nil
 }
 
@@ -418,13 +429,13 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, parts int, sharded boo
 	reg := core.NewRegistry(cfg.MaxThreads)
 	src := newSource(cfg)
 	h := core.Hooks{Alloc: cfg.Alloc}
-	hist := t == VCAS || t == Bundle // keeps history, so runs no pool
 	var stats []*obs.ShardStats
 	if mt := cfg.Metrics; mt != nil {
+		tsc.TelemetryClock() // calibrated here, not in the first timed operation
 		mt.SetSourceKind(cfg.Source.String())
-		mt.SetSourceActual(core.Actual(src).String())
+		mt.SetSourceActual(func() string { return core.Actual(src).String() })
 		mt.SetStructure(s.String() + "/" + t.String())
-		if cfg.Alloc != AllocGC && !hist {
+		if cfg.Alloc != AllocGC && !t.keepsHistory() {
 			mt.SetAllocMode(cfg.Alloc.String())
 		}
 		core.Count(src, &mt.Source)
@@ -463,13 +474,7 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, parts int, sharded boo
 	for _, m := range ms {
 		m.SetHooks(h)
 	}
-	*w = wrap{
-		parts: ms, stats: stats, rd: rd, reg: reg, s: s, t: t, src: cfg.Source, srcImpl: src,
-		obs: cfg.Metrics, tr: h.Trace, hist: hist,
-	}
-	if w.obs != nil || w.tr != nil {
-		w.clk = tsc.TelemetryClock()
-	}
+	*w = wrap{parts: ms, stats: stats, rd: rd, reg: reg, s: s, t: t, srcImpl: src, obs: cfg.Metrics, tr: h.Trace}
 	if cfg.Durability != nil {
 		return w.enableDurability(cfg)
 	}
@@ -551,9 +556,11 @@ var (
 // wrap adapts internal structures to Map: a flat map is one part, a
 // sharded one a part per shard, and a user key is its part's key. obs and
 // tr, when non-nil, receive per-operation counts/latencies and
-// flight-record events, timed by clk; each public method pays only nil
-// tests when they are unset. log, when non-nil, is the write-ahead log
-// with one stream per part (Config.Durability).
+// flight-record events, timed by the process's telemetry clock
+// (tsc.TelemetryClock); each public method pays only nil tests when they
+// are unset. log, when non-nil, is the write-ahead log with one stream per
+// part (Config.Durability). Every other fact is read from the layer that
+// owns it: the source kind from srcImpl, what recovery found from log.
 type wrap struct {
 	parts   []inner
 	stats   []*obs.ShardStats // per-part routing counts; nil unless sharded with metrics
@@ -561,32 +568,32 @@ type wrap struct {
 	reg     *core.Registry
 	s       Structure
 	t       Technique
-	src     SourceKind
 	srcImpl core.Source // the constructed source
 	obs     *obs.Registry
 	tr      *trace.Recorder
-	hist    bool       // technique retains version history (vCAS/Bundle)
-	clk     *tsc.Clock // the telemetry clock; set when obs or tr is
 
-	log      *wal.Log
-	logTh    *core.Thread // replay and checkpoint handle
-	recovery RecoveryStats
+	log   *wal.Log
+	logTh *core.Thread // replay and checkpoint handle
 }
 
 func (w *wrap) RegisterThread() (*Thread, error) { return w.reg.Register() }
 
-// start returns the start, a w.clk reading, of an operation on th when a
-// sink times it, and 0 when none does: the registry times every
+// start returns the start, a telemetry clock reading, of an operation on
+// th when a sink times it, and 0 when none does: the registry times every
 // operation, the recorder those it sampled (sampled is the caller's
-// trace.Recorder.Sample, inlined into every operation).
-func (w *wrap) start(th *Thread, sampled bool) uint64 {
+// trace.Recorder.Sample, inlined into every operation). mark is the start
+// again when the recorder sampled the operation, and 0 otherwise: the
+// mark of a point operation's traverse span, which the facade records when
+// the structure returns.
+func (w *wrap) start(th *Thread, sampled bool) (start, mark uint64) {
 	if sampled {
-		return w.tr.Begin(th.ID)
+		start = w.tr.Begin(th.ID)
+		return start, start
 	}
 	if w.obs != nil {
-		return w.clk.Now()
+		return tsc.TelemetryClock().Now(), 0
 	}
-	return 0
+	return 0, 0
 }
 
 // observe records one operation of class c, begun at start (a nonzero
@@ -594,7 +601,7 @@ func (w *wrap) start(th *Thread, sampled bool) uint64 {
 // it sampled it. Its one clock reading ends the duration both sinks record
 // and dates the recorder's event.
 func (w *wrap) observe(th *Thread, c obs.OpClass, start uint64) {
-	end := w.clk.Now()
+	end := tsc.TelemetryClock().Now()
 	dur := tsc.Elapsed(start, end)
 	if w.obs != nil {
 		w.obs.ObserveOp(th.ID, c, dur)
@@ -624,15 +631,16 @@ func (w *wrap) update(th *Thread, op wal.OpKind, key, val uint64) (ok bool, err 
 	if key > MaxKey {
 		return false, nil
 	}
-	var start uint64
+	var start, mark uint64
 	if w.obs != nil || w.tr != nil {
-		start = w.start(th, w.tr.Sample(th.ID))
+		start, mark = w.start(th, w.tr.Sample(th.ID))
 	}
 	if w.log != nil {
-		ok, err = w.commit(th, op, key, val)
+		ok, err = w.commit(th, op, key, val, mark)
 	} else {
 		_, m := w.part(th, key)
 		ok = apply(m, th, op, key, val)
+		w.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	}
 	if start != 0 {
 		w.observe(th, obs.OpUpdate, start)
@@ -677,8 +685,9 @@ func (w *wrap) Get(th *Thread, key uint64) (uint64, bool) {
 	if w.obs == nil && w.tr == nil {
 		return m.Get(th, key)
 	}
-	start := w.start(th, w.tr.Sample(th.ID))
+	start, mark := w.start(th, w.tr.Sample(th.ID))
 	v, ok := m.Get(th, key)
+	w.tr.Span(th.ID, trace.PhaseTraverse, mark)
 	if start != 0 {
 		w.observe(th, obs.OpContains, start)
 	}
@@ -705,7 +714,7 @@ func (w *wrap) read(th *Thread, c obs.OpClass, lo, hi, ts uint64, live bool, buf
 	}
 	var start uint64
 	if w.obs != nil || w.tr != nil {
-		start = w.start(th, w.tr.Sample(th.ID))
+		start, _ = w.start(th, w.tr.Sample(th.ID))
 	}
 	buf, _, err := w.rd.Read(th, lo, hi, ts, live, buf)
 	if start != 0 {
@@ -756,7 +765,7 @@ func (w *wrap) Drain() {
 
 func (w *wrap) Structure() Structure { return w.s }
 func (w *wrap) Technique() Technique { return w.t }
-func (w *wrap) Source() SourceKind   { return w.src }
+func (w *wrap) Source() SourceKind   { return w.srcImpl.Kind() }
 func (w *wrap) Tracer() *Tracer      { return w.tr }
 
 func (w *wrap) SourceActual() SourceKind { return core.Actual(w.srcImpl) }

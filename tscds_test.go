@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
@@ -188,6 +189,16 @@ func TestUseAfterReleasePanics(t *testing.T) {
 	}
 }
 
+// TestWrapLayout: the facade holds what it routes with and pointers to the
+// layers that own every other fact (the source kind, what recovery found,
+// the telemetry clock), so a map is 128 bytes, one allocator size class
+// below the next.
+func TestWrapLayout(t *testing.T) {
+	if s := unsafe.Sizeof(wrap{}); s != 128 {
+		t.Fatalf("wrap is %d bytes, want 128", s)
+	}
+}
+
 // TestConstructorsRejectInvalidConfig: New and NewSharded share one
 // validate, which refuses a Config it cannot honour with a
 // *ConfigError naming the field — an unknown Alloc (2 was the retired arena
@@ -227,11 +238,13 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 		{"Source", Config{Source: core.TSCCPUID}},
 		{"Durability", Config{Durability: &Durability{}}},
 		{"MaxThreads", Config{MaxThreads: -1}},
+		{"MaxThreads", Config{MaxThreads: 1, Durability: &Durability{Dir: t.TempDir()}}},
 		{"", Config{Source: Adaptive, Health: NewTSCHealth(4)}},
 		{"", Config{Metrics: NewMetrics()}},
 		{"", Config{Trace: &TraceConfig{}}},
 		{"", Config{Source: Adaptive, Alloc: AllocPool}},
 		{"", Config{Durability: &Durability{Dir: t.TempDir()}}},
+		{"", Config{MaxThreads: 2, Durability: &Durability{Dir: t.TempDir()}}},
 		{"", Config{Retention: 1}},
 	} {
 		for name, build := range constructors {
