@@ -157,13 +157,21 @@ doc-check:
 # readers, so nothing they publish is ever proven free, and only the EBR-RQ
 # policies own a node pool. It also keeps each technique's lifecycle in its
 # own package: the structures reach the epoch manager and the pool only
-# through ebrrq.Technique, never by importing either themselves.
+# through ebrrq.Technique, never by importing either themselves. And it
+# keeps wiring at construction: structures, technique lifecycles, epoch
+# managers and Readers take their sinks as constructor arguments and a map
+# attaches to its metrics registry in one Attach call, so no non-test Go
+# file outside benchmark/ may declare a method under the name of one of the
+# post-construction setters this replaced (WIRING_SETTERS).
+WIRING_SETTERS = SetHooks|RecycleIf|SetGC|SetTrace|SetRecycle|SetSourceKind|SetSourceActual|SetStructure|SetAllocMode|SetWALMode|EnsureShards
 deps-check:
 	@if $(GO) list -deps ./internal/history | grep -qx 'tscds/internal/pool'; then \
 		echo "deps-check: internal/history depends on internal/pool"; exit 1; fi
 	@for d in lfbst citrus skiplist; do \
 		if $(GO) list -f '{{join .Imports "\n"}}' ./internal/$$d | grep -qxE 'tscds/internal/(epoch|pool)'; then \
 			echo "deps-check: internal/$$d imports internal/epoch or internal/pool; go through ebrrq.Technique"; exit 1; fi; done
+	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '^func \([^)]*\) ($(WIRING_SETTERS))\(' .; then \
+		echo "deps-check: a post-construction setter is declared above; take the sinks at construction"; exit 1; fi
 
 # benchmark-smoke compiles and runs the repository benchmark's own tests.
 # benchmark/ is a separate module, so `go test ./...` at the root never

@@ -136,6 +136,32 @@ func TestPoolIdleOnHistoryTechniques(t *testing.T) {
 	}
 }
 
+// TestPoolUntouchedByConstruction: building a pooled EBR-RQ map moves no
+// pool counter. Its structures build their node pool when they are built,
+// and their sentinels — the EFRB tree's three nodes, the Citrus root, the
+// skip list's head — come from the GC, so a new map of each family, flat or
+// sharded, shows a pool block with no traffic before its first operation.
+func TestPoolUntouchedByConstruction(t *testing.T) {
+	for _, s := range []tscds.Structure{tscds.BST, tscds.Citrus, tscds.SkipList} {
+		for _, shards := range []int{0, 4} {
+			reg := tscds.NewMetrics()
+			cfg := tscds.Config{Source: tscds.Logical, MaxThreads: 2, Alloc: tscds.AllocPool, Metrics: reg}
+			var err error
+			if shards == 0 {
+				_, err = tscds.New(s, tscds.EBRRQ, cfg)
+			} else {
+				_, err = tscds.NewSharded(s, tscds.EBRRQ, shards, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := reg.Snapshot().Pool; p == nil || p.Hits != 0 || p.Misses != 0 || p.Recycled != 0 {
+				t.Errorf("%v/ebrrq shards=%d: pool block %+v before any operation, want present and zero", s, shards, p)
+			}
+		}
+	}
+}
+
 // TestRangeQueryAllocFree: a range query collects straight into the
 // caller's buffer. With capacity for the result it allocates nothing — no
 // per-query slice of parts or escaping closure in the snapshot-read

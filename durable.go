@@ -100,11 +100,6 @@ func (w *wrap) enableDurability(cfg Config) error {
 	var stats *obs.WALStats
 	if cfg.Metrics != nil {
 		stats = &cfg.Metrics.WAL
-		mode := "sync"
-		if d.SyncEvery > 1 {
-			mode = fmt.Sprintf("batched(%d)", d.SyncEvery)
-		}
-		cfg.Metrics.SetWALMode(mode)
 	}
 	log, recov, err := wal.Open(wal.Options{
 		Dir:       d.Dir,

@@ -27,10 +27,12 @@ type bundleTechnique struct {
 	history.Technique[node[blinks]]
 }
 
-// NewBundle builds an empty tree over the given source and registry.
-func NewBundle(src core.Source, reg *core.Registry) *BundleTree {
-	p := &bundleTechnique{history.NewTechnique[node[blinks]](src, history.Bundling)}
-	return newTree(src, reg, p, core.QueryReads)
+// NewBundle builds an empty tree over the given source and registry,
+// wired to the sinks of h (at most one; none wires nothing).
+func NewBundle(src core.Source, reg *core.Registry, h ...core.Hooks) *BundleTree {
+	hk := core.HooksOf(h)
+	p := &bundleTechnique{history.NewTechnique[node[blinks]](src, history.Bundling, hk)}
+	return newTree(src, reg, p, core.QueryReads, hk)
 }
 
 func (*bundleTechnique) present(n *node[blinks]) (uint64, bool) { return n.val, true }

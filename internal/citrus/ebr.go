@@ -31,18 +31,20 @@ type ebrTechnique struct {
 	*ebrrq.Technique[node[elinks]]
 }
 
-// NewEBR builds an empty tree. variant selects lock-based or lock-free
-// labeling; the lock-free variant requires an addressable (logical)
-// source and otherwise returns ebrrq.ErrRequiresAddress — the paper's
-// "TSC cannot be used at all here" case.
-func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRTree, error) {
+// NewEBR builds an empty tree wired to the sinks of h (at most one).
+// variant selects lock-based or lock-free labeling; the lock-free variant
+// requires an addressable (logical) source and otherwise returns
+// ebrrq.ErrRequiresAddress — the paper's "TSC cannot be used at all here"
+// case.
+func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant, h ...core.Hooks) (*EBRTree, error) {
+	hk := core.HooksOf(h)
 	tq, err := ebrrq.NewTechnique(src, reg, variant, func(n *node[elinks]) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
 		return n.key, n.val, &n.l.itime, &n.l.dtime
-	})
+	}, nil, hk)
 	if err != nil {
 		return nil, err
 	}
-	return newTree(src, reg, &ebrTechnique{tq}, core.QueryAdvancesLocked(tq.Provider)), nil
+	return newTree(src, reg, &ebrTechnique{tq}, core.QueryAdvancesLocked(tq.Provider), hk), nil
 }
 
 func (p *ebrTechnique) load(n *node[elinks], dir int) *node[elinks] {

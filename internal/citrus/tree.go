@@ -56,7 +56,6 @@ type technique[L any] interface {
 	// counter or collector handed through this interface by address would
 	// escape to the heap.
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	SetHooks(h core.Hooks)
 	Enter(tid int) // Enter and Exit bracket every operation that dereferences nodes
 	Exit(tid int)
 	Drain() // prunes whatever retire holds back; quiescent use only
@@ -94,35 +93,32 @@ type tree[L any, P technique[L]] struct {
 	root *node[L]
 }
 
-func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, rule core.Bound) *tree[L, P] {
-	t := &tree[L, P]{rcu: rcu.New(reg), p: p}
-	t.root = t.newNode(-1, sentinelKey, 0, nil, nil)
-	t.rd = core.NewReader(src, rule, t)
+// newTree builds the tree over p, which was built with h, reporting to h's
+// recorder. The root sentinel comes from the GC, not p's pool: it is not
+// pool traffic.
+func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, rule core.Bound, h core.Hooks) *tree[L, P] {
+	t := &tree[L, P]{rcu: rcu.New(reg), tr: h.Trace, p: p}
+	t.root = t.initNode(new(node[L]), sentinelKey, 0, nil, nil)
+	t.rd = core.NewReader(src, rule, t, h)
 	return t
 }
 
 // Reader returns the tree's snapshot-read protocol.
 func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 
-// SetHooks wires the tree's sinks — the flight recorder (validation
-// retries, allocation and range-query spans) — and the technique's (GC
-// counters, retention watermark, the node pool). Call before the tree sees
-// concurrent traffic.
-func (t *tree[L, P]) SetHooks(h core.Hooks) {
-	t.tr = h.Trace
-	t.rd.SetHooks(h)
-	t.p.SetHooks(h)
-}
-
 // Drain eagerly prunes what deletes hold back for range queries (EBR-RQ's
 // limbo lists). Quiescent use only, like Len.
 func (t *tree[L, P]) Drain() { t.p.Drain() }
 
-// newNode acquires a node and re-initializes all of it but the tag, which
-// only ever grows. marked=false is load-bearing: a recycled marked=true
-// would fail every validation against the node forever.
+// newNode acquires a node from the technique and initializes it.
 func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right *node[L]) *node[L] {
-	n := t.p.Alloc(tid)
+	return t.initNode(t.p.Alloc(tid), key, val, left, right)
+}
+
+// initNode re-initializes all of n but the tag, which only ever grows.
+// marked=false is load-bearing: a recycled marked=true would fail every
+// validation against the node forever.
+func (t *tree[L, P]) initNode(n *node[L], key, val uint64, left, right *node[L]) *node[L] {
 	n.key, n.val, n.marked = key, val, false
 	t.p.seed(&n.l, left, right)
 	return n

@@ -23,10 +23,12 @@ type vcasTechnique struct {
 	history.Technique[node[vlinks]]
 }
 
-// NewVcas builds an empty tree over the given source and registry.
-func NewVcas(src core.Source, reg *core.Registry) *VcasTree {
-	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS)}
-	return newTree(src, reg, p, core.QueryAdvances)
+// NewVcas builds an empty tree over the given source and registry, wired
+// to the sinks of h (at most one; none wires nothing).
+func NewVcas(src core.Source, reg *core.Registry, h ...core.Hooks) *VcasTree {
+	hk := core.HooksOf(h)
+	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS, hk)}
+	return newTree(src, reg, p, core.QueryAdvances, hk)
 }
 
 func (*vcasTechnique) present(n *node[vlinks]) (uint64, bool) { return n.val, true }

@@ -99,7 +99,7 @@ func TestCountEverySource(t *testing.T) {
 				h := tsc.NewHealth(1)
 				src, st := counted(r, h)
 				th := core.NewRegistry(1).MustRegister()
-				rd := core.NewReader(src, core.QueryAdvances, &switchOnce{h: h, src: src})
+				rd := core.NewReader(src, core.QueryAdvances, &switchOnce{h: h, src: src}, core.Hooks{})
 				rd.Live(th, 0, 10, nil)
 				if got := st.SnapshotRetries.Load(); got != r.retries {
 					t.Fatalf("SnapshotRetries = %d, want %d", got, r.retries)

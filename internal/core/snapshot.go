@@ -29,16 +29,29 @@ func (m AllocMode) String() string {
 	return "unknown"
 }
 
-// Hooks are the sinks a structure variant reports into, handed over in
-// one SetHooks call before the structure sees traffic. The zero value
-// wires nothing: a nil sink costs one pointer test where it would have
-// reported, and Alloc's zero value is the Go allocator.
+// Hooks are the sinks a structure variant reports into, handed to its
+// constructor and from there to its Reader and its technique's lifecycle:
+// a variant is wired once, when it is built. The zero value wires
+// nothing: a nil sink costs one pointer test where it would have reported,
+// and Alloc's zero value is the Go allocator.
 type Hooks struct {
 	GC        *obs.GC         // reclamation counters
 	Trace     *trace.Recorder // flight recorder: phase spans and counts
 	ReadBound *ReadBound      // retention watermark truncation must respect
 	Alloc     AllocMode       // where an EBR-RQ technique's nodes come from; vCAS and Bundle use the GC
 	PoolStats *obs.PoolStats  // pool hit/miss counters; unused without a pool
+}
+
+// HooksOf is the Hooks a constructor's optional trailing argument holds:
+// the zero Hooks when it is absent. Passing two is a bug and panics.
+func HooksOf(h []Hooks) Hooks {
+	switch len(h) {
+	case 0:
+		return Hooks{}
+	case 1:
+		return h[0]
+	}
+	panic("core: more than one Hooks")
 }
 
 // Bound is a technique's rule for taking a range query's snapshot bound:
@@ -119,24 +132,24 @@ type Reader struct {
 }
 
 // NewReader builds a structure's Reader: one part, collected by at, whose
-// bound is taken from src by rule b.
-func NewReader(src Source, b Bound, at Collector) *Reader {
-	return &Reader{src: src, peek: b.peek, parts: []part{{at, b.lock}}, phase: trace.PhaseTimestamp}
+// bound is taken from src by rule b, reporting to h's recorder and
+// validating historical bounds against h's retention watermark.
+func NewReader(src Source, b Bound, at Collector, h Hooks) *Reader {
+	return &Reader{src: src, peek: b.peek, parts: []part{{at, b.lock}}, phase: trace.PhaseTimestamp, tr: h.Trace, rb: h.ReadBound}
 }
 
 // NewFanout builds the Reader of a map partitioned over shards, which
-// must share one source, one registry and one technique. stats, when
-// non-nil, counts the range queries that touched each shard.
+// must share one source, one registry, one technique and one set of
+// hooks: the fan-out takes the recorder and the watermark its parts were
+// built with. stats, when non-nil, counts the range queries that touched
+// each shard.
 func NewFanout(shards []*Reader, stats []*obs.ShardStats) *Reader {
-	r := &Reader{src: shards[0].src, peek: shards[0].peek, phase: trace.PhaseShardFanout, stats: stats}
+	r := &Reader{src: shards[0].src, peek: shards[0].peek, phase: trace.PhaseShardFanout, tr: shards[0].tr, rb: shards[0].rb, stats: stats}
 	for _, s := range shards {
 		r.parts = append(r.parts, s.parts...)
 	}
 	return r
 }
-
-// SetHooks wires the recorder and the retention watermark.
-func (r *Reader) SetHooks(h Hooks) { r.tr, r.rb = h.Trace, h.ReadBound }
 
 // Live appends the pairs of [lo, hi] as of one fresh bound to out.
 func (r *Reader) Live(th *Thread, lo, hi uint64, out []KV) []KV {

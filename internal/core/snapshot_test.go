@@ -90,12 +90,14 @@ func slot(th *Thread) TS { return th.reg.slots[th.ID].Load() }
 
 // fanout builds n fake parts under rule (lock filled in per part when
 // locked) behind one fan-out Reader, with a thread of the parts' one
-// registry.
+// registry. The parts share one zero-window retention watermark, which
+// only historical reads consult.
 func fanout(t *testing.T, n int, peek, locked bool) (*Reader, *fakeSource, []*fakePart, *Registry, *Thread, *[]string) {
 	log := &[]string{}
 	src := &fakeSource{log: log, now: 10}
 	parts := make([]*fakePart, n)
 	readers := make([]*Reader, n)
+	h := Hooks{ReadBound: NewReadBound(src, 0)}
 	for i := range parts {
 		parts[i] = &fakePart{t: t, log: log, i: i, n: n}
 		b := QueryAdvances
@@ -105,7 +107,7 @@ func fanout(t *testing.T, n int, peek, locked bool) (*Reader, *fakeSource, []*fa
 		case locked:
 			b = QueryAdvancesLocked(parts[i])
 		}
-		readers[i] = NewReader(src, b, parts[i])
+		readers[i] = NewReader(src, b, parts[i], h)
 	}
 	reg := NewRegistry(2)
 	return NewFanout(readers, nil), src, parts, reg, reg.MustRegister(), log
@@ -187,8 +189,7 @@ func TestReaderBoundRules(t *testing.T) {
 
 func TestReaderRefusalReleasesEveryReservation(t *testing.T) {
 	r, src, _, reg, th, log := fanout(t, 3, false, true)
-	rb := NewReadBound(src, 0)
-	r.SetHooks(Hooks{ReadBound: rb})
+	rb := r.rb
 	kept := []KV{{Key: 99, Val: 99}}
 
 	out, _, err := r.Read(th, 0, 100, src.ts()+5, false, kept)
@@ -234,7 +235,7 @@ func TestReaderTouchesOnlyHitParts(t *testing.T) {
 	stats := make([]*obs.ShardStats, n)
 	for i := range parts {
 		parts[i] = &fakePart{t: t, log: log, i: i, n: n}
-		readers[i] = NewReader(src, QueryAdvancesLocked(parts[i]), parts[i])
+		readers[i] = NewReader(src, QueryAdvancesLocked(parts[i]), parts[i], Hooks{})
 		stats[i] = &obs.ShardStats{}
 	}
 	r := NewFanout(readers, stats)
@@ -315,7 +316,6 @@ func TestReaderReturnsKeyOrder(t *testing.T) {
 // here.
 func TestReaderAnnouncesOnce(t *testing.T) {
 	r, src, parts, reg, th, log := fanout(t, 3, false, false)
-	r.SetHooks(Hooks{ReadBound: NewReadBound(src, 0)})
 	for _, p := range parts {
 		p.onCollect = func(s TS) {
 			if min := reg.MinActiveRQ(); min > s {
@@ -356,11 +356,11 @@ func TestReaderAllocFree(t *testing.T) {
 		log := &[]string{}
 		src := &fakeSource{log: log, now: 10}
 		readers := make([]*Reader, n)
+		h := Hooks{ReadBound: NewReadBound(src, 0)}
 		for i := range readers {
-			readers[i] = NewReader(src, QueryAdvancesLocked(nopLock{}), quietPart{})
+			readers[i] = NewReader(src, QueryAdvancesLocked(nopLock{}), quietPart{}, h)
 		}
 		r := NewFanout(readers, nil)
-		r.SetHooks(Hooks{ReadBound: NewReadBound(src, 0)})
 		th := NewRegistry(2).MustRegister()
 		buf := make([]KV, 0, 64)
 		*log = make([]string, 0, 1<<16)

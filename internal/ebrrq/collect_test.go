@@ -43,7 +43,7 @@ type node struct {
 func newTechnique(t *testing.T, reg *core.Registry) *ebrrq.Technique[node] {
 	t.Helper()
 	tq, err := ebrrq.NewTechnique(core.New(core.Logical), reg, ebrrq.LockBased,
-		func(n *node) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) { return n.key, n.val, &n.itime, &n.dtime })
+		func(n *node) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) { return n.key, n.val, &n.itime, &n.dtime }, nil, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,47 +18,37 @@ type Technique[T any] struct {
 	*Provider
 	em     *epoch.Manager[*T]
 	np     *pool.Pool[T] // nil: the GC
-	slots  int
 	fields func(n *T) (key, val uint64, itime, dtime *Label)
-	keep   func(n *T) bool // nil: every pruned node is recycled
 }
 
 // NewTechnique builds the lifecycle over src for reg's threads; fields
 // exposes a node's key, value and labels. A retired node is kept in limbo
-// while an active range query's bound precedes its deletion label.
+// while an active range query's bound precedes its deletion label. h's
+// recorder reaches the provider and the epoch manager, its GC block takes
+// the limbo counters, and h.Alloc builds the node pool (nil: the GC); a
+// pruned node is recycled if keep (nil: always) says so. Limbo holds
+// deleted nodes, not history: the retention watermark is not used.
 func NewTechnique[T any](src core.Source, reg *core.Registry, variant Variant,
-	fields func(n *T) (key, val uint64, itime, dtime *Label)) (*Technique[T], error) {
+	fields func(n *T) (key, val uint64, itime, dtime *Label), keep func(n *T) bool, h core.Hooks) (*Technique[T], error) {
 	p, err := New(src, variant)
 	if err != nil {
 		return nil, err
 	}
-	t := &Technique[T]{Provider: p, slots: reg.Cap(), fields: fields}
-	t.em = epoch.NewManager[*T](reg, func(n *T, min core.TS) bool {
-		_, _, _, dtime := fields(n)
-		return dtime.Get() >= min
-	})
-	return t, nil
-}
-
-// RecycleIf gates recycling: a pruned node goes back to the pool only if
-// keep says so, and to the GC otherwise. Call before SetHooks.
-func (t *Technique[T]) RecycleIf(keep func(n *T) bool) { t.keep = keep }
-
-// SetHooks wires the flight recorder (through the provider's lock-wait
-// and label spans and the epoch manager's stalls), the limbo counters,
-// and builds the node pool — nil in GC mode. Limbo holds deleted nodes,
-// not history: the retention watermark is not used.
-func (t *Technique[T]) SetHooks(h core.Hooks) {
-	t.tr = h.Trace
-	t.em.SetTrace(h.Trace)
-	t.em.SetGC(h.GC)
-	if t.np = pool.New[T](t.slots, h.Alloc, h.PoolStats); t.np != nil {
-		t.em.SetRecycle(func(n *T, tid int) {
-			if t.keep == nil || t.keep(n) {
+	p.tr = h.Trace
+	t := &Technique[T]{Provider: p, np: pool.New[T](reg.Cap(), h.Alloc, h.PoolStats), fields: fields}
+	var recycle func(n *T, tid int)
+	if t.np != nil {
+		recycle = func(n *T, tid int) {
+			if keep == nil || keep(n) {
 				t.np.Put(tid, n)
 			}
-		})
+		}
 	}
+	t.em = epoch.NewManager(reg, func(n *T, min core.TS) bool {
+		_, _, _, dtime := fields(n)
+		return dtime.Get() >= min
+	}, h.GC, h.Trace, recycle)
+	return t, nil
 }
 
 // Enter and Exit bracket every operation that dereferences nodes.

@@ -22,7 +22,7 @@
 //     node's deletion timestamp.
 //
 // What pruning *does* with the node is the caller's choice: by default
-// it is dropped for Go's GC; with a Recycle hook installed (SetRecycle)
+// it is dropped for Go's GC; with a Recycle hook (NewManager's recycle)
 // the manager hands each pruned item back exactly once, so structures
 // can feed their free lists (pool.Pool) with epoch-proven-unreachable
 // memory. Recycling sharpens every liveness question into a memory-
@@ -40,7 +40,9 @@
 //     a detached suffix is handed to the Recycle hook only when no scan
 //     is active, and is otherwise parked on a claim-guarded deferred
 //     chain until a later prune observes zero scans. A scanner can
-//     therefore never observe an item after it reached the pool.
+//     therefore never observe an item after it reached the pool. A
+//     manager built without the hook recycles nothing, so its walks
+//     skip the count and write nothing shared.
 package epoch
 
 import (
@@ -135,7 +137,7 @@ type Manager[T any] struct {
 	tr *trace.Recorder
 	// scans counts in-flight WalkLimbo walks; see release.
 	scans atomic.Int64
-	// wrappers recycles limboNode shells once a Recycle hook is set, so
+	// wrappers recycles limboNode shells when the manager has a Recycle hook, so
 	// pooled mode does not trade one allocation per retire (the node)
 	// for another (its limbo wrapper).
 	wrappers sync.Pool
@@ -150,34 +152,19 @@ type Manager[T any] struct {
 
 // NewManager creates a manager for reg's threads. retain configures
 // range-query-aware retention against reg.MinActiveRQ; passing nil
-// yields plain EBR behaviour (epoch condition only).
-func NewManager[T any](reg *core.Registry, retain func(T, core.TS) bool) *Manager[T] {
-	m := &Manager[T]{
-		reg:    reg,
-		retain: retain,
-		slots:  make([]slot[T], reg.Cap()),
-	}
+// yields plain EBR behaviour (epoch condition only). The sinks gc, tr and
+// recycle (see the fields; each may be nil) are fixed here, before any
+// traffic; recycle must tolerate tid == -1 by routing to a thread-safe
+// free list.
+func NewManager[T any](reg *core.Registry, retain func(T, core.TS) bool,
+	gc *obs.GC, tr *trace.Recorder, recycle func(item T, tid int)) *Manager[T] {
+	m := &Manager[T]{reg: reg, retain: retain, recycle: recycle, gc: gc, tr: tr, slots: make([]slot[T], reg.Cap())}
 	m.global.Store(2) // leave room below for "before all epochs"
 	for i := range m.slots {
 		m.slots[i].local.Store(quiescent)
 	}
 	return m
 }
-
-// SetGC wires limbo-list reporting to g (nil disables it). Call before
-// the manager sees concurrent traffic.
-func (m *Manager[T]) SetGC(g *obs.GC) { m.gc = g }
-
-// SetTrace wires stall reporting to tr (nil disables it). Call before
-// the manager sees concurrent traffic.
-func (m *Manager[T]) SetTrace(tr *trace.Recorder) { m.tr = tr }
-
-// SetRecycle installs the pruned-item hook (nil reverts to dropping
-// pruned items for the GC). fn must tolerate tid == -1 by routing to a
-// thread-safe free list. Call before the manager sees traffic: items
-// retired before the hook is set may still be dropped rather than
-// recycled.
-func (m *Manager[T]) SetRecycle(fn func(item T, tid int)) { m.recycle = fn }
 
 // live returns the slots a scan must visit: those ever registered. See
 // core.Registry.Live for why skipping a slot whose registration races
@@ -464,10 +451,13 @@ func (m *Manager[T]) recycleChain(chain *limboNode[T], ctx int) {
 // visitor may observe items being pruned concurrently (they are, by the
 // retention protocol, items no active range query needs) but never an
 // item already handed to a Recycle hook — the scan count defers
-// recycling while any walk is in flight.
+// recycling while any walk is in flight. Only recycling reads the count,
+// and the hook is fixed at construction, so a manager without one skips it.
 func (m *Manager[T]) WalkLimbo(fn func(item T) bool) {
-	m.scans.Add(1)
-	defer m.scans.Add(-1)
+	if m.recycle != nil {
+		m.scans.Add(1)
+		defer m.scans.Add(-1)
+	}
 	live := m.live()
 	for i := range live {
 		for n := live[i].head.Load(); n != nil; n = n.next.Load() {

@@ -18,11 +18,15 @@ type item struct {
 
 func retainByDtime(it item, minRQ core.TS) bool { return it.dtime >= minRQ }
 
-// newManager builds a manager over a registry whose first n slots are
-// registered, so tests can use raw tids 0..n-1. A minRQ other than
-// core.Pending is announced on one further slot, standing in for an
-// active range query at that bound.
+// newManager builds a manager without sinks over registry(n, minRQ).
 func newManager[T any](n int, retain func(T, core.TS) bool, minRQ core.TS) *Manager[T] {
+	return NewManager[T](registry(n, minRQ), retain, nil, nil, nil)
+}
+
+// registry returns a registry whose first n slots are registered, so tests
+// can use raw tids 0..n-1. A minRQ other than core.Pending is announced on
+// one further slot, standing in for an active range query at that bound.
+func registry(n int, minRQ core.TS) *core.Registry {
 	reg := core.NewRegistry(n + 1)
 	for i := 0; i < n; i++ {
 		reg.MustRegister()
@@ -30,7 +34,7 @@ func newManager[T any](n int, retain func(T, core.TS) bool, minRQ core.TS) *Mana
 	if minRQ != core.Pending {
 		reg.MustRegister().AnnounceRQ(minRQ)
 	}
-	return NewManager[T](reg, retain)
+	return reg
 }
 
 // TestSlotLayout pins what the slot comment promises: what the owner
@@ -343,9 +347,8 @@ func TestConcurrentRetireAndScan(t *testing.T) {
 // balance exactly once everything drains.
 func TestLimboAccountingUnderConcurrentDrain(t *testing.T) {
 	const total = 60 * pruneInterval
-	m := newManager[item](2, retainByDtime, core.Pending)
 	gc := &obs.GC{}
-	m.SetGC(gc)
+	m := NewManager(registry(2, core.Pending), retainByDtime, gc, nil, nil)
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -395,9 +398,8 @@ func TestLimboAccountingUnderConcurrentDrain(t *testing.T) {
 func TestRecycleExactlyOnceUnderConcurrentDrain(t *testing.T) {
 	const threads = 4
 	const perThread = 3000
-	m := newManager[*item](threads, nil, core.Pending)
 	counts := make([]atomic.Int32, threads*perThread)
-	m.SetRecycle(func(it *item, tid int) {
+	m := NewManager(registry(threads, core.Pending), nil, nil, nil, func(it *item, tid int) {
 		if c := counts[it.key].Add(1); c > 1 {
 			t.Errorf("item %d recycled %d times (double-free)", it.key, c)
 		}
@@ -453,9 +455,8 @@ func TestRecycleExactlyOnceUnderConcurrentDrain(t *testing.T) {
 func TestWalkLimboNeverObservesRecycled(t *testing.T) {
 	const total = 5
 	const poison = ^uint64(0)
-	m := newManager[*item](1, nil, core.Pending)
 	var recycled atomic.Int32
-	m.SetRecycle(func(it *item, tid int) {
+	m := NewManager(registry(1, core.Pending), nil, nil, nil, func(it *item, tid int) {
 		it.key = poison
 		recycled.Add(1)
 	})
@@ -499,6 +500,26 @@ func TestWalkLimboNeverObservesRecycled(t *testing.T) {
 	}
 }
 
+// A limbo walk registers in the scan count only to defer recycling, so a
+// manager built without a Recycle hook (every AllocGC EBR-RQ map) walks
+// without writing anything shared, and one built with a hook is counted
+// for as long as its visitor runs.
+func TestWalkLimboCountsOnlyWhenRecycling(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		recycle func(item, int)
+		want    int64
+	}{{"no-hook", nil, 0}, {"hook", func(item, int) {}, 1}} {
+		m := NewManager(registry(1, core.Pending), nil, nil, nil, c.recycle)
+		m.Retire(0, item{key: 1})
+		during := int64(-1)
+		m.WalkLimbo(func(item) bool { during = m.scans.Load(); return true })
+		if during != c.want || m.scans.Load() != 0 {
+			t.Errorf("%s: scans = %d during the walk and %d after, want %d and 0", c.name, during, m.scans.Load(), c.want)
+		}
+	}
+}
+
 // Recycling must wait THREE epochs past a node's tag, not classic EBR's
 // two: nodes are retired before they are unlinked, so a reader pinned
 // one epoch past the tag can still acquire the node from the structure.
@@ -506,9 +527,8 @@ func TestWalkLimboNeverObservesRecycled(t *testing.T) {
 // re-initialized at a lower level while such a reader was validating
 // through it.
 func TestRecycleWaitsThreeEpochs(t *testing.T) {
-	m := newManager[item](2, nil, core.Pending)
 	var recycled []uint64
-	m.SetRecycle(func(it item, tid int) { recycled = append(recycled, it.key) })
+	m := NewManager(registry(2, core.Pending), nil, nil, nil, func(it item, tid int) { recycled = append(recycled, it.key) })
 	m.Retire(0, item{key: 7})
 	g0 := m.GlobalEpoch()
 	for m.GlobalEpoch() < g0+2 {
@@ -537,9 +557,8 @@ func TestSlotScansUnderRegistrationChurn(t *testing.T) {
 	const workers = 6
 	const rounds = 400
 	reg := core.NewRegistry(workers)
-	m := NewManager[item](reg, retainByDtime)
 	gc := &obs.GC{}
-	m.SetGC(gc)
+	m := NewManager(reg, retainByDtime, gc, nil, nil)
 
 	done := make(chan struct{})
 	var drainer sync.WaitGroup

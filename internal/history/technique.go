@@ -27,24 +27,21 @@ type Technique[T any] struct {
 	Tr     *trace.Recorder
 	rule   Rule
 	rb     *core.ReadBound
-	pruned *obs.Counter // the GC counter the rule's trims feed, once hooked
+	pruned *obs.Counter // the GC counter the rule's trims feed; nil without one
 }
 
-// NewTechnique returns the lifecycle over src for chains labeled by r.
-func NewTechnique[T any](src core.Source, r Rule) Technique[T] {
-	return Technique[T]{Src: src, rule: r}
-}
-
-// SetHooks wires the recorder, the retention watermark trims respect and
-// the GC counter they feed. The pool hooks are ignored: nothing recycles.
-func (t *Technique[T]) SetHooks(hk core.Hooks) {
-	t.Tr, t.rb, t.pruned = hk.Trace, hk.ReadBound, nil
-	if hk.GC != nil {
-		t.pruned = &hk.GC.VcasVersionsPruned
-		if t.rule == Bundling {
-			t.pruned = &hk.GC.BundleEntriesPruned
+// NewTechnique returns the lifecycle over src for chains labeled by r,
+// wired to h's recorder, the retention watermark trims respect and the GC
+// counter they feed. The pool hooks are ignored: nothing recycles.
+func NewTechnique[T any](src core.Source, r Rule, h core.Hooks) Technique[T] {
+	t := Technique[T]{Src: src, Tr: h.Trace, rule: r, rb: h.ReadBound}
+	if h.GC != nil {
+		t.pruned = &h.GC.VcasVersionsPruned
+		if r == Bundling {
+			t.pruned = &h.GC.BundleEntriesPruned
 		}
 	}
+	return t
 }
 
 func (*Technique[T]) Enter(int)      {}

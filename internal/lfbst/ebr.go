@@ -51,20 +51,20 @@ type ebrTechnique struct {
 	*ebrrq.Technique[node[elinks]]
 }
 
-// NewEBR builds an empty tree; the LockFree variant requires an addressable
-// (logical) source and otherwise returns ebrrq.ErrRequiresAddress. Pruned
-// limbo leaves are recycled gated by refs and replaced. Internal nodes
-// never enter limbo: nothing proves when the last helper drops one, so the
-// GC does.
-func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRTree, error) {
+// NewEBR builds an empty tree wired to the sinks of h (at most one); the
+// LockFree variant requires an addressable (logical) source and otherwise
+// returns ebrrq.ErrRequiresAddress. Pruned limbo leaves are recycled gated
+// by refs and replaced. Internal nodes never enter limbo: nothing proves
+// when the last helper drops one, so the GC does.
+func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant, h ...core.Hooks) (*EBRTree, error) {
+	hk := core.HooksOf(h)
 	tq, err := ebrrq.NewTechnique(src, reg, variant, func(n *node[elinks]) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
 		return n.key, n.val, &n.l.life.itime, &n.l.life.dtime
-	})
+	}, func(n *node[elinks]) bool { return n.l.refs.Add(-1) == 0 && !n.l.replaced.Load() }, hk)
 	if err != nil {
 		return nil, err
 	}
-	tq.RecycleIf(func(n *node[elinks]) bool { return n.l.refs.Add(-1) == 0 && !n.l.replaced.Load() })
-	return newTree(src, &ebrTechnique{tq}, core.QueryAdvancesLocked(tq.Provider)), nil
+	return newTree(src, &ebrTechnique{tq}, core.QueryAdvancesLocked(tq.Provider), hk), nil
 }
 
 // truncate: limbo holds deleted leaves, not history.

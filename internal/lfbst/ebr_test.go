@@ -220,12 +220,11 @@ func TestEBRReplacedLeaf(t *testing.T) {
 	for _, mode := range []core.AllocMode{core.AllocGC, core.AllocPool} {
 		t.Run(mode.String(), func(t *testing.T) {
 			reg := core.NewRegistry(2)
-			tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockBased)
+			var ps obs.PoolStats
+			tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockBased, core.Hooks{Alloc: mode, PoolStats: &ps})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var ps obs.PoolStats
-			tr.SetHooks(core.Hooks{Alloc: mode, PoolStats: &ps})
 			a, q := reg.MustRegister(), reg.MustRegister()
 			tr.Insert(a, 10, 100)
 			l := tr.p.search(tr.root, 10).l
@@ -277,11 +276,10 @@ func TestEBRReplacedLeaf(t *testing.T) {
 // Values carry their key in the high half.
 func TestEBRPooledGetSeesItsKey(t *testing.T) {
 	reg := core.NewRegistry(4)
-	tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockBased)
+	tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockBased, core.Hooks{Alloc: core.AllocPool})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.SetHooks(core.Hooks{Alloc: core.AllocPool})
 	const keys, ops = 64, 20000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})

@@ -105,7 +105,6 @@ type technique[L any] interface {
 	retire(th *core.Thread, l *node[L]) // before the flag CAS of a delete attempt
 	truncate(th *core.Thread, key uint64, n, above *node[L])
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	SetHooks(h core.Hooks)
 	Enter(tid int)
 	Exit(tid int)
 	Drain()
@@ -122,31 +121,31 @@ type tree[L any, P technique[L]] struct {
 	root  *node[L]
 }
 
-func newTree[L any, P technique[L]](src core.Source, p P, rule core.Bound) *tree[L, P] {
-	t := &tree[L, P]{p: p, clean: new(updateRec[L])}
-	t.root = t.newNode(-1, inf2, 0, t.newNode(-1, inf1, 0, nil, nil, nil), t.newNode(-1, inf2, 0, nil, nil, nil), nil)
-	t.rd = core.NewReader(src, rule, t)
+// newTree builds the tree over p, which was built with h, and reports to
+// h's recorder. The sentinels come from the GC, not p's pool: they are not
+// pool traffic.
+func newTree[L any, P technique[L]](src core.Source, p P, rule core.Bound, h core.Hooks) *tree[L, P] {
+	t := &tree[L, P]{tr: h.Trace, p: p, clean: new(updateRec[L])}
+	leaf := func(key uint64) *node[L] { return t.initNode(new(node[L]), key, 0, nil, nil, nil) }
+	t.root = t.initNode(new(node[L]), inf2, 0, leaf(inf1), leaf(inf2), nil)
+	t.rd = core.NewReader(src, rule, t, h)
 	return t
 }
 
 // Reader returns the tree's snapshot-read protocol.
 func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 
-// SetHooks wires the flight recorder and the technique's sinks. Call before
-// the tree sees concurrent traffic.
-func (t *tree[L, P]) SetHooks(h core.Hooks) {
-	t.tr = h.Trace
-	t.rd.SetHooks(h)
-	t.p.SetHooks(h)
-}
-
 // Drain eagerly prunes EBR-RQ's limbo lists. Quiescent use only, like Len.
 func (t *tree[L, P]) Drain() { t.p.Drain() }
 
-// newNode acquires a node and initializes all of it, from zero: internal
-// over left and right, or a leaf (left nil), a copy of of if set.
+// newNode acquires a node from the technique and initializes it.
 func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right, of *node[L]) *node[L] {
-	n := t.p.Alloc(tid)
+	return t.initNode(t.p.Alloc(tid), key, val, left, right, of)
+}
+
+// initNode initializes all of n, from zero: internal over left and right,
+// or a leaf (left nil), a copy of of if set.
+func (t *tree[L, P]) initNode(n *node[L], key, val uint64, left, right, of *node[L]) *node[L] {
 	*n = node[L]{key: key, val: val}
 	if left != nil {
 		n.update.Store(t.clean)
@@ -399,10 +398,11 @@ type vcasTechnique struct {
 }
 
 // New creates an empty tree over the given timestamp source and thread
-// registry.
-func New(src core.Source, reg *core.Registry) *Tree {
-	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS)}
-	return newTree(src, p, core.QueryAdvances)
+// registry, wired to the sinks of h (at most one; none wires nothing).
+func New(src core.Source, reg *core.Registry, h ...core.Hooks) *Tree {
+	hk := core.HooksOf(h)
+	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS, hk)}
+	return newTree(src, p, core.QueryAdvances, hk)
 }
 
 func (*vcasTechnique) present(l *node[vlinks]) (uint64, bool) { return l.val, true }

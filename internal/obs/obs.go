@@ -10,12 +10,19 @@
 // a plain atomic on its own cache-line pair; a nil registry costs a single
 // predictable branch on the instrumented paths.
 //
+// Wiring happens once, when a map is built: the map attaches to its
+// registry in one Registry.Attach call, which names it and hands back its
+// shards' counters, and every layer below receives the blocks it reports
+// into (GC, Pool, Source) as constructor arguments. Nothing is wired
+// after construction.
+//
 // The package deliberately imports nothing from the rest of the library so
 // that every layer (core, the technique packages, the facade, the bench
 // harness) can report through it without import cycles.
 package obs
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -23,6 +30,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -259,7 +267,7 @@ func (c OpClass) String() string {
 // Snapshot fills it from the same-named live field, WriteProm exports it
 // as tscds_<block>_<json key> (with _total on a counter) and Summary
 // prints it. A string field tagged prom:"label" labels every family of its
-// block; the other string fields are set by whoever wires the block.
+// block; the string fields are filled from the attached maps' Labels.
 
 // SourceStats counts timestamp-source traffic. On a logical source every
 // Advance is one fetch-and-add on the shared counter, so Advances is a
@@ -373,24 +381,21 @@ type opStripe struct {
 	op [NumOpClasses]Histogram
 }
 
-// Registry aggregates one data structure's metrics: per-class operation
-// latency histograms (which carry the op counts), the counter blocks, and
-// — for sharded maps — per-shard routing counts. A Registry is safe for
-// concurrent use by any number of goroutines; all fields are independent
-// atomics.
+// Registry aggregates the metrics of the maps attached to it: per-class
+// operation latency histograms (which carry the op counts), the counter
+// blocks, and — for sharded maps — per-shard routing counts. A Registry is
+// safe for concurrent use by any number of goroutines; the instruments are
+// independent atomics.
 type Registry struct {
-	ops      [opStripes]opStripe
-	Source   SourceStats
-	GC       GC
-	Pool     PoolStats
-	WAL      WALStats
-	History  HistoryStats
-	kind     atomic.Pointer[string]
-	actual   atomic.Pointer[func() string]
-	strucLbl atomic.Pointer[string]
-	alloc    atomic.Pointer[string]
-	walMode  atomic.Pointer[string]
-	shards   atomic.Pointer[[]*ShardStats]
+	ops     [opStripes]opStripe
+	Source  SourceStats
+	GC      GC
+	Pool    PoolStats
+	WAL     WALStats
+	History HistoryStats
+	mu      sync.Mutex // guards labels and shards: written by Attach, read by Snapshot
+	labels  Labels
+	shards  []*ShardStats
 }
 
 // NewRegistry returns an empty registry.
@@ -402,86 +407,53 @@ func (r *Registry) ObserveOp(tid int, c OpClass, ns uint64) {
 	r.ops[uint(tid)%opStripes].op[c].ObserveNS(ns)
 }
 
-// SetSourceKind records the timestamp kind label reported in snapshots.
-// When several structures share one registry the last label wins.
-func (r *Registry) SetSourceKind(kind string) { r.kind.Store(&kind) }
-
-// SetSourceActual sets the function every snapshot calls for the kind
-// actually serving reads, reported when it differs from the requested kind
-// (silent fallback, an adaptive source's failover).
-func (r *Registry) SetSourceActual(actual func() string) { r.actual.Store(&actual) }
-
-// SetStructure records the structure/technique label ("bst/vcas", ...)
-// reported in snapshots and attached as the structure= label on every
-// Prometheus family the registry exports. When several structures share
-// one registry the last label wins.
-func (r *Registry) SetStructure(s string) { r.strucLbl.Store(&s) }
-
-// SetAllocMode records the allocation-mode label ("Pool") reported with
-// the pool stats in snapshots. Left unset, the pool section is omitted
-// (the structure allocates through the GC).
-func (r *Registry) SetAllocMode(mode string) { r.alloc.Store(&mode) }
-
-// SetWALMode records the durability-mode label ("sync", "batched(N)")
-// reported with the WAL stats in snapshots. Left unset, the wal
-// section is omitted (the map is not durable).
-func (r *Registry) SetWALMode(mode string) { r.walMode.Store(&mode) }
-
-// EnsureShards sizes the per-shard stats table to at least n entries.
-// Call before the instrumented map sees traffic; existing entries (and
-// their counts) are preserved, so a registry shared by several sharded
-// maps grows to the widest.
-func (r *Registry) EnsureShards(n int) {
-	for {
-		old := r.shards.Load()
-		if old != nil && len(*old) >= n {
-			return
-		}
-		grown := make([]*ShardStats, n)
-		if old != nil {
-			copy(grown, *old)
-		}
-		for i := range grown {
-			if grown[i] == nil {
-				grown[i] = &ShardStats{}
-			}
-		}
-		if r.shards.CompareAndSwap(old, &grown) {
-			return
-		}
-	}
+// Labels name a map attached to a registry in its snapshots.
+type Labels struct {
+	Structure string        // structure/technique ("bst/vcas", ...), also the structure= Prometheus label
+	Source    string        // the requested timestamp kind ("Logical", "RDTSCP", ...)
+	Actual    func() string // called at every snapshot: the kind serving reads now (fallback, failover)
+	Alloc     string        // allocation mode ("Pool") when the map runs a node pool, else empty
+	WAL       string        // durability mode ("sync", "batched(N)") when the map is durable, else empty
 }
 
-// Shard returns shard i's stats, or nil when i is outside the table
-// sized by EnsureShards (callers then skip reporting).
-func (r *Registry) Shard(i int) *ShardStats {
-	s := r.shards.Load()
-	if s == nil || i < 0 || i >= len(*s) {
+// Attach wires a map to r, once, before the map sees traffic, and returns
+// the stats of its shards (nil for shards == 0, a flat map). Several maps
+// may share r; their counters then aggregate. The structure and source
+// labels are the last attached map's, the Pool and WAL blocks show once
+// any attached map feeds them, and the shard table grows to the widest
+// attached map: shard i counts every attached map's shard i.
+func (r *Registry) Attach(l Labels, shards int) []*ShardStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	l.Alloc, l.WAL = cmp.Or(l.Alloc, r.labels.Alloc), cmp.Or(l.WAL, r.labels.WAL)
+	r.labels = l
+	if shards == 0 {
 		return nil
 	}
-	return (*s)[i]
+	for len(r.shards) < shards {
+		r.shards = append(r.shards, &ShardStats{})
+	}
+	return r.shards[:shards:shards]
 }
 
 // Snapshot is the exported point-in-time state of a Registry. It
 // marshals to the JSON shape documented in the README's Observability
 // section.
 type Snapshot struct {
-	// Structure is the structure/technique label set by SetStructure
-	// ("bst/vcas", ...); empty when the registry is not wired to a map.
+	// Structure is the last attached map's structure/technique label
+	// ("bst/vcas", ...); empty when no map is attached.
 	Structure string                  `json:"structure,omitempty"`
 	Source    SourceSnapshot          `json:"source"`
 	Ops       map[string]HistSnapshot `json:"ops"`
 	GC        GCSnapshot              `json:"gc"`
-	// Pool is present only for registries wired to a running node pool
-	// (SetAllocMode was called).
+	// Pool is present only once an attached map runs a node pool.
 	Pool *PoolSnapshot `json:"pool,omitempty"`
-	// WAL is present only for registries wired to a durable map
-	// (SetWALMode was called).
+	// WAL is present only once an attached map is durable.
 	WAL *WALSnapshot `json:"wal,omitempty"`
 	// History is present once the map has served or refused at least
 	// one time-travel read.
 	History *HistorySnapshot `json:"history,omitempty"`
-	// Shards is present only for registries wired to a sharded map.
+	// Shards is present only once a sharded map is attached.
 	Shards []ShardSnapshot `json:"shards,omitempty"`
 }
 
@@ -590,25 +562,19 @@ func (r *Registry) Snapshot() Snapshot {
 			}
 		}
 	}
-	if k := r.kind.Load(); k != nil {
-		s.Source.Kind = *k
-	}
-	if st := r.strucLbl.Load(); st != nil {
-		s.Structure = *st
-	}
-	if a := r.actual.Load(); a != nil {
-		if v := (*a)(); s.Source.Kind == "" || v != s.Source.Kind {
+	r.mu.Lock()
+	l, shards := r.labels, r.shards
+	r.mu.Unlock()
+	s.Structure, s.Source.Kind, s.Pool.Mode, s.WAL.Mode = l.Structure, l.Source, l.Alloc, l.WAL
+	if l.Actual != nil {
+		if v := l.Actual(); s.Source.Kind == "" || v != s.Source.Kind {
 			s.Source.Actual = v
 		}
 	}
-	if m := r.alloc.Load(); m != nil {
-		s.Pool.Mode = *m
-	} else {
+	if l.Alloc == "" {
 		s.Pool = nil
 	}
-	if m := r.walMode.Load(); m != nil {
-		s.WAL.Mode = *m
-	} else {
+	if l.WAL == "" {
 		s.WAL = nil
 	}
 	if s.History.Reads+s.History.Truncations == 0 {
@@ -621,9 +587,9 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		s.Ops[c.String()] = h.Snapshot()
 	}
-	if sh := r.shards.Load(); sh != nil {
-		s.Shards = make([]ShardSnapshot, len(*sh))
-		for i, st := range *sh {
+	if len(shards) > 0 {
+		s.Shards = make([]ShardSnapshot, len(shards))
+		for i, st := range shards {
 			s.Shards[i] = ShardSnapshot{Ops: st.Ops(), RQs: st.RQs.Load()}
 		}
 	}

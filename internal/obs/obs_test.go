@@ -129,6 +129,54 @@ func TestEmptyHistogramQuantile(t *testing.T) {
 	}
 }
 
+// Maps attaching to one registry while it is scraped: every Attach hands
+// back its own width of the one shard table, counts made through an early
+// attachment survive the table's growth, and the table ends at the widest
+// width (run with -race; make check does).
+func TestAttachConcurrentWithSnapshot(t *testing.T) {
+	r := NewRegistry()
+	first := r.Attach(Labels{Structure: "first", Alloc: "Pool"}, 1)
+	first[0].RQs.Inc()
+	stop := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				r.Snapshot()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 1; w <= 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			sh := r.Attach(Labels{Structure: "map"}, w)
+			if len(sh) != w {
+				t.Errorf("Attach(%d) returned %d shards", w, len(sh))
+			}
+			for _, s := range sh {
+				s.Op(w)
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	scraper.Wait()
+	s := r.Snapshot()
+	if len(s.Shards) != 8 || s.Shards[0].RQs != 1 || s.Shards[0].Ops != 8 || s.Shards[7].Ops != 1 {
+		t.Errorf("shards %+v, want 8: shard 0 with 1 rq and 8 ops, shard 7 with 1 op", s.Shards)
+	}
+	if s.Structure != "map" || s.Pool == nil || s.WAL != nil {
+		t.Errorf("structure %q, pool %v, WAL %v: want the last map's label, the first map's pool, no WAL", s.Structure, s.Pool, s.WAL)
+	}
+}
+
 // Concurrent increments across counters, gauges and histograms must not
 // lose updates (run with -race; make check does).
 func TestConcurrentInstruments(t *testing.T) {
@@ -228,7 +276,7 @@ func TestOpStripesMergeExactly(t *testing.T) {
 
 func TestRegistrySnapshotJSON(t *testing.T) {
 	r := NewRegistry()
-	r.SetSourceKind("Logical")
+	r.Attach(Labels{Source: "Logical"}, 0)
 	r.ObserveOp(0, OpUpdate, uint64(100*time.Nanosecond))
 	r.ObserveOp(0, OpRange, uint64(time.Microsecond))
 	r.ObserveOp(0, OpContains, uint64(50*time.Nanosecond))

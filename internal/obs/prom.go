@@ -83,8 +83,8 @@ func with(ls []promLabel, k, v string) []promLabel {
 // counters and latency histograms (cumulative _bucket/_sum/_count, le in
 // nanoseconds), the source info gauge, one family per field of every
 // counter block the registry holds, and the per-shard families. The
-// structure= and source= labels carry the SetStructure/SetSourceKind
-// identity on every sample; a block's mode adds mode=, shard families
+// structure= and source= labels carry the attached map's Structure and
+// Source labels on every sample; a block's mode adds mode=, shard families
 // shard=. Nil-safe (writes nothing).
 func (r *Registry) WriteProm(w io.Writer) {
 	if r == nil {

@@ -15,12 +15,8 @@ import (
 // the exposition contains op, source, gc, pool, wal and shard families.
 func fullRegistry() *Registry {
 	r := NewRegistry()
-	r.SetSourceKind("RDTSCP")
-	r.SetSourceActual(func() string { return "Logical" })
-	r.SetStructure("bst/vcas")
-	r.SetAllocMode("Pool")
-	r.SetWALMode("batched(64)")
-	r.EnsureShards(2)
+	sh := r.Attach(Labels{Structure: "bst/vcas", Source: "RDTSCP", Actual: func() string { return "Logical" },
+		Alloc: "Pool", WAL: "batched(64)"}, 2)
 	for i := 0; i < 100; i++ {
 		r.ObserveOp(0, OpUpdate, uint64(time.Duration(i+1)*time.Microsecond))
 	}
@@ -39,13 +35,13 @@ func fullRegistry() *Registry {
 	r.WAL.Fsyncs.Add(16)
 	r.WAL.Errors.Add(1)
 	for tid := 0; tid < 60; tid++ { // every stripe, summed by Snapshot
-		r.Shard(0).Op(tid)
+		sh[0].Op(tid)
 		if tid < 40 {
-			r.Shard(1).Op(tid)
+			sh[1].Op(tid)
 		}
 	}
-	r.Shard(0).RQs.Add(7)
-	r.Shard(1).RQs.Add(7)
+	sh[0].RQs.Add(7)
+	sh[1].RQs.Add(7)
 	return r
 }
 
@@ -108,11 +104,7 @@ func TestWritePromStrictParse(t *testing.T) {
 // counter) of the exposition.
 func TestEveryMetricExported(t *testing.T) {
 	r := NewRegistry()
-	r.SetStructure("bst/vcas")
-	r.SetSourceKind("RDTSCP")
-	r.SetAllocMode("Pool")
-	r.SetWALMode("sync")
-	r.EnsureShards(2)
+	r.Attach(Labels{Structure: "bst/vcas", Source: "RDTSCP", Alloc: "Pool", WAL: "sync"}, 2)
 	assigned := map[uint64]bool{}
 	rv := reflect.ValueOf(r).Elem()
 	for i := 0; i < rv.NumField(); i++ {
@@ -221,7 +213,7 @@ func TestPromEscape(t *testing.T) {
 	}
 	// Escaped label values must round-trip through the parser.
 	r := NewRegistry()
-	r.SetStructure(in)
+	r.Attach(Labels{Structure: in}, 0)
 	r.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
 	var buf bytes.Buffer
 	r.WriteProm(&buf)

@@ -34,7 +34,7 @@ func get(t *testing.T, url string) []byte {
 
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.SetSourceKind("Logical")
+	reg.Attach(Labels{Source: "Logical"}, 0)
 	reg.ObserveOp(0, OpUpdate, uint64(100*time.Nanosecond))
 
 	srv, err := Serve("127.0.0.1:0", map[string]Var{
@@ -142,7 +142,7 @@ func TestStringIsLive(t *testing.T) {
 
 func TestSnapshotSummary(t *testing.T) {
 	reg := NewRegistry()
-	reg.SetSourceKind("RDTSCP")
+	reg.Attach(Labels{Source: "RDTSCP"}, 0)
 	reg.ObserveOp(0, OpRange, uint64(3*time.Microsecond))
 	reg.Source.Snapshots.Inc()
 	reg.GC.LimboRetired.Inc()
@@ -271,7 +271,7 @@ func TestLiveVar(t *testing.T) {
 	}
 	defer srv.Close()
 	reg2 := NewRegistry()
-	reg2.SetStructure("swapped/arm")
+	reg2.Attach(Labels{Structure: "swapped/arm"}, 0)
 	reg2.ObserveOp(0, OpRange, uint64(time.Microsecond))
 	cur(reg2)
 	if got := string(get(t, "http://"+srv.Addr()+"/metrics.prom")); !strings.Contains(got, `structure="swapped/arm"`) {

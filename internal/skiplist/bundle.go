@@ -40,15 +40,19 @@ type bundleTechnique struct {
 }
 
 // New creates an empty bundled skip list over the given source and
-// registry.
-func New(src core.Source, reg *core.Registry) *List { return newBundle(src, reg, maxLevel) }
+// registry, wired to the sinks of h (at most one; none wires nothing).
+func New(src core.Source, reg *core.Registry, h ...core.Hooks) *List {
+	return newBundle(src, reg, maxLevel, core.HooksOf(h))
+}
 
-// NewLazyBundle creates an empty bundled lazy list.
-func NewLazyBundle(src core.Source, reg *core.Registry) *List { return newBundle(src, reg, 1) }
+// NewLazyBundle creates an empty bundled lazy list wired to h.
+func NewLazyBundle(src core.Source, reg *core.Registry, h ...core.Hooks) *List {
+	return newBundle(src, reg, 1, core.HooksOf(h))
+}
 
-func newBundle(src core.Source, reg *core.Registry, levels int) *List {
-	p := &bundleTechnique{history.NewTechnique[node[blinks]](src, history.Bundling)}
-	t := newList(src, reg, p, levels, core.QueryReads)
+func newBundle(src core.Source, reg *core.Registry, levels int, h core.Hooks) *List {
+	p := &bundleTechnique{history.NewTechnique[node[blinks]](src, history.Bundling, h)}
+	t := newList(src, reg, p, levels, core.QueryReads, h)
 	t.head.l.bnd.InitWith(&t.head.l.out, nil) // the head is in every snapshot
 	return t
 }

@@ -24,16 +24,17 @@ type ebrTechnique struct {
 	*ebrrq.Technique[node[elinks]]
 }
 
-// NewEBR creates an empty EBR-RQ skip list; the LockFree variant
-// requires an addressable (logical) source.
-func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant) (*EBRList, error) {
+// NewEBR creates an empty EBR-RQ skip list wired to the sinks of h (at
+// most one); the LockFree variant requires an addressable (logical) source.
+func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant, h ...core.Hooks) (*EBRList, error) {
+	hk := core.HooksOf(h)
 	tq, err := ebrrq.NewTechnique(src, reg, variant, func(n *node[elinks]) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
 		return n.key, n.l.val, &n.l.itime, &n.l.dtime
-	})
+	}, nil, hk)
 	if err != nil {
 		return nil, err
 	}
-	return newList(src, reg, &ebrTechnique{tq}, maxLevel, core.QueryAdvancesLocked(tq.Provider)), nil
+	return newList(src, reg, &ebrTechnique{tq}, maxLevel, core.QueryAdvancesLocked(tq.Provider), hk), nil
 }
 
 func (p *ebrTechnique) load(n *node[elinks]) *node[elinks] { return n.next.at(0).Load() }

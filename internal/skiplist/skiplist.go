@@ -116,7 +116,6 @@ type technique[L any] interface {
 	// key order, starting after pred, a node below lo reached through the
 	// raw index (head if none). mark is when the query began.
 	collect(th *core.Thread, head, pred *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	SetHooks(h core.Hooks)
 	Enter(tid int) // Enter and Exit bracket every operation that dereferences nodes
 	Exit(tid int)
 	Drain() // prunes what deletes hold back; quiescent use only
@@ -135,38 +134,37 @@ type list[L any, P technique[L]] struct {
 	rngs   []core.PaddedUint64 // per-thread xorshift state for level draws
 }
 
-func newList[L any, P technique[L]](src core.Source, reg *core.Registry, p P, levels int, rule core.Bound) *list[L, P] {
-	t := &list[L, P]{p: p, levels: levels, rngs: make([]core.PaddedUint64, reg.Cap())}
-	t.head = t.newNode(-1, 0, 0, levels, nil)
+// newList builds the list over p, which was built with h, and reports to
+// h's recorder. A recycled node keeps a full tower, so a short node
+// recycled into a tall one allocates nothing. The head comes from the GC,
+// not p's pool: it is not pool traffic.
+func newList[L any, P technique[L]](src core.Source, reg *core.Registry, p P, levels int, rule core.Bound, h core.Hooks) *list[L, P] {
+	t := &list[L, P]{tr: h.Trace, p: p, levels: levels, rngs: make([]core.PaddedUint64, reg.Cap())}
+	if p.Recycles() {
+		t.keep = maxLevel
+	}
+	t.head = t.initNode(new(node[L]), 0, 0, levels, nil)
 	t.head.fullyLinked.Store(true)
-	t.rd = core.NewReader(src, rule, t)
+	t.rd = core.NewReader(src, rule, t, h)
 	return t
 }
 
 // Reader returns the list's snapshot-read protocol.
 func (t *list[L, P]) Reader() *core.Reader { return t.rd }
 
-// SetHooks wires the list's sinks — the flight recorder — and the
-// technique's. A recycled node keeps a full tower, so a short node recycled
-// into a tall one allocates nothing. Call before the list sees traffic.
-func (t *list[L, P]) SetHooks(h core.Hooks) {
-	t.tr = h.Trace
-	t.rd.SetHooks(h)
-	t.p.SetHooks(h)
-	if t.p.Recycles() {
-		t.keep = maxLevel
-	}
-}
-
 // Drain eagerly prunes what deletes hold back for range queries (EBR-RQ's
 // limbo lists). Quiescent use only, like Len.
 func (t *list[L, P]) Drain() { t.p.Drain() }
 
-// newNode acquires a node and re-initializes all of it. fullyLinked=false
-// is load-bearing on recycled memory: Delete refuses to claim a node whose
-// insert has not linked it at every level.
+// newNode acquires a node from the technique and initializes it.
 func (t *list[L, P]) newNode(tid int, key, val uint64, top int, succ *node[L]) *node[L] {
-	n := t.p.Alloc(tid)
+	return t.initNode(t.p.Alloc(tid), key, val, top, succ)
+}
+
+// initNode re-initializes all of n. fullyLinked=false is load-bearing on
+// recycled memory: Delete refuses to claim a node whose insert has not
+// linked it at every level.
+func (t *list[L, P]) initNode(n *node[L], key, val uint64, top int, succ *node[L]) *node[L] {
 	*n = node[L]{key: key, topLevel: int32(top), next: tower[node[L]]{more: n.next.more}}
 	n.next.reset(max(top, t.keep))
 	t.p.seed(n, val, succ)

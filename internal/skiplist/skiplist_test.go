@@ -394,11 +394,10 @@ func TestSkipNodeLayout(t *testing.T) {
 // full tower, so the fresh node to compare with comes from the same list.
 func TestNewNodeInResetsDirtyNode(t *testing.T) {
 	for _, top := range []int{1, inlineLevels, inlineLevels + 1, maxLevel} {
-		l, err := NewEBR(core.New(core.Logical), core.NewRegistry(1), ebrrq.LockBased)
+		l, err := NewEBR(core.New(core.Logical), core.NewRegistry(1), ebrrq.LockBased, core.Hooks{Alloc: core.AllocPool})
 		if err != nil {
 			t.Fatal(err)
 		}
-		l.SetHooks(core.Hooks{Alloc: core.AllocPool})
 		other := l.newNode(0, 9, 9, 1, nil)
 		dirty := l.newNode(0, 7, 70, maxLevel, other)
 		for lv := 0; lv < maxLevel; lv++ {

@@ -28,15 +28,20 @@ type vcasTechnique struct {
 	history.Technique[node[vlinks]]
 }
 
-// NewVcas creates an empty vCAS skip list.
-func NewVcas(src core.Source, reg *core.Registry) *VcasList { return newVcas(src, reg, maxLevel) }
+// NewVcas creates an empty vCAS skip list wired to the sinks of h (at most
+// one; none wires nothing).
+func NewVcas(src core.Source, reg *core.Registry, h ...core.Hooks) *VcasList {
+	return newVcas(src, reg, maxLevel, core.HooksOf(h))
+}
 
-// NewLazyVcas creates an empty vCAS lazy list.
-func NewLazyVcas(src core.Source, reg *core.Registry) *VcasList { return newVcas(src, reg, 1) }
+// NewLazyVcas creates an empty vCAS lazy list wired to h.
+func NewLazyVcas(src core.Source, reg *core.Registry, h ...core.Hooks) *VcasList {
+	return newVcas(src, reg, 1, core.HooksOf(h))
+}
 
-func newVcas(src core.Source, reg *core.Registry, levels int) *VcasList {
-	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS)}
-	t := newList(src, reg, p, levels, core.QueryAdvances)
+func newVcas(src core.Source, reg *core.Registry, levels int, h core.Hooks) *VcasList {
+	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS, h)}
+	t := newList(src, reg, p, levels, core.QueryAdvances, h)
 	t.head.l.dead.Init(false) // the head is in every snapshot
 	return t
 }

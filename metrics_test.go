@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"tscds/internal/obs"
 	"tscds/internal/obs/promparse"
 	"tscds/internal/tsc"
+	"tscds/internal/wal/faultfs"
 )
 
 // TestRangeQueryEmptyInterval checks that hi < lo is an empty interval:
@@ -183,16 +185,96 @@ func TestMetricsActualFollowsFailover(t *testing.T) {
 	}
 }
 
+// TestSharedRegistry holds the contract Config.Metrics documents for a
+// registry shared by several Maps: a durable, pooled, 4-shard EBR-RQ skip
+// list and then a flat vCAS BST report into one registry, and the same
+// operations run again on a registry per map. The shared registry's op
+// counts and GC counters are the sums of the two; its labels are the
+// BST's, the last map built; its Pool and WAL blocks show because the skip
+// list feeds them; its shard table is the skip list's; and its exposition
+// parses strictly.
+func TestSharedRegistry(t *testing.T) {
+	run := func(slReg, bstReg *Metrics) {
+		sl, err := NewSharded(SkipList, EBRRQ, 4, Config{Source: TSC, MaxThreads: 4, Alloc: AllocPool, Metrics: slReg,
+			Durability: &Durability{Dir: "wal", FS: faultfs.New(faultfs.Fault{})}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bst, err := New(BST, VCAS, Config{Source: Logical, MaxThreads: 2, Metrics: bstReg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range []Map{sl, bst} {
+			th, err := m.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Keys 97 apart cross a 256-key block every few keys, so every
+			// shard of the skip list serves point operations.
+			for k := uint64(0); k < 600; k++ {
+				m.Insert(th, k*97, k)
+				m.Get(th, k*97/2)
+				if k%3 == 0 {
+					m.Delete(th, k*97/2)
+				}
+				if k%50 == 0 {
+					m.RangeQuery(th, k*97, k*97+2000, nil)
+				}
+			}
+			th.Release()
+		}
+		if err := sl.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared, slSolo, bstSolo := NewMetrics(), NewMetrics(), NewMetrics()
+	run(shared, shared)
+	run(slSolo, bstSolo)
+	got, a, b := shared.Snapshot(), slSolo.Snapshot(), bstSolo.Snapshot()
+
+	for class, h := range got.Ops {
+		if want := a.Ops[class].Count + b.Ops[class].Count; h.Count != want || want == 0 {
+			t.Errorf("%s ops = %d, want %d (both maps)", class, h.Count, want)
+		}
+	}
+	sum := obs.GCSnapshot{
+		BundleEntriesPruned: a.GC.BundleEntriesPruned + b.GC.BundleEntriesPruned,
+		VcasVersionsPruned:  a.GC.VcasVersionsPruned + b.GC.VcasVersionsPruned,
+		LimboRetired:        a.GC.LimboRetired + b.GC.LimboRetired,
+		LimboPruned:         a.GC.LimboPruned + b.GC.LimboPruned,
+		LimboLen:            a.GC.LimboLen + b.GC.LimboLen,
+	}
+	if got.GC != sum || sum.VcasVersionsPruned == 0 || sum.LimboRetired == 0 {
+		t.Errorf("GC = %+v, want the sum of both maps' %+v", got.GC, sum)
+	}
+	if want := BST.String() + "/" + VCAS.String(); got.Structure != want || got.Source.Kind != Logical.String() {
+		t.Errorf("labels %q / %q, want the BST's %q / %v", got.Structure, got.Source.Kind, want, Logical)
+	}
+	if got.Pool == nil || got.WAL == nil {
+		t.Errorf("pool block %v, WAL block %v: want both, fed by the skip list", got.Pool, got.WAL)
+	}
+	if len(got.Shards) != 4 || !slices.Equal(got.Shards, a.Shards) {
+		t.Errorf("shards = %v, want the skip list's 4 entries %v", got.Shards, a.Shards)
+	}
+	for i, sh := range got.Shards {
+		if sh.Ops == 0 {
+			t.Errorf("shard %d served no point operations", i)
+		}
+	}
+	var buf bytes.Buffer
+	shared.WriteProm(&buf)
+	if _, diags := promparse.Parse(buf.Bytes()); len(diags) > 0 {
+		t.Errorf("exposition diagnostics:\n  %s", strings.Join(diags, "\n  "))
+	}
+}
+
 // TestAlertExpressionsNameServedFamilies reads the alert table of
 // EXPERIMENTS.md and requires each alert to be there, and to select only
 // families and label names that a fully wired /metrics.prom serves: the
 // registry with its pool and WAL blocks, plus the TSC health monitor.
 func TestAlertExpressionsNameServedFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
-	reg.SetStructure("bst/vcas")
-	reg.SetSourceKind("Adaptive")
-	reg.SetAllocMode("Pool")
-	reg.SetWALMode("sync")
+	reg.Attach(obs.Labels{Structure: "bst/vcas", Source: "Adaptive", Alloc: "Pool", WAL: "sync"}, 0)
 	var buf bytes.Buffer
 	reg.WriteProm(&buf)
 	tsc.NewHealth(8).WriteProm(&buf)

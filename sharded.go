@@ -60,7 +60,7 @@ func NewSharded(s Structure, t Technique, shards int, cfg Config) (*ShardedMap, 
 		return nil, &ConfigError{"shards", fmt.Sprintf("%d is below 1", shards)}
 	}
 	sm := &ShardedMap{}
-	if err := sm.init(s, t, cfg, shards, true); err != nil {
+	if err := sm.init(s, t, cfg, shards); err != nil {
 		return nil, err
 	}
 	return sm, nil

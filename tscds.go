@@ -173,6 +173,10 @@ type Config struct {
 	// the constructed Map. Nil (the default) leaves the hot paths
 	// uninstrumented: the only cost is one pointer test per operation.
 	// A registry may be shared by several Maps; counters then aggregate.
+	// Each Map attaches once, when it is built: the structure and source
+	// labels are the last attached Map's, the pool and WAL blocks show once
+	// any attached Map feeds them, and the shard table grows to the widest
+	// attached sharded Map: shard i counts every attached Map's shard i.
 	Metrics *Metrics
 	// Trace, when non-nil, attaches a flight recorder to the constructed
 	// Map: per-thread event rings of op completions plus per-phase
@@ -410,69 +414,63 @@ func validate(cfg Config) error {
 // rejecting combinations the paper shows are unsupported.
 func New(s Structure, t Technique, cfg Config) (Map, error) {
 	w := &wrap{}
-	if err := w.init(s, t, cfg, 1, false); err != nil {
+	if err := w.init(s, t, cfg, 0); err != nil {
 		return nil, err
 	}
 	return w, nil
 }
 
 // init is the constructor New and NewSharded share: validate cfg, build
-// the timestamp source (counted and named on cfg.Metrics when set), the
-// thread registry and parts (s, t) structures over them, and the reader of
-// every range-shaped read — the one part's own for a flat map, the fan-out
-// across parts for a sharded one — then wire the hooks before any traffic
-// and arm durability with one WAL stream per part.
-func (w *wrap) init(s Structure, t Technique, cfg Config, parts int, sharded bool) error {
+// the source, the thread registry and the hooks, attach to cfg.Metrics,
+// build the parts — (s, t) structures wired at construction — and the
+// reader of every range-shaped read (the one part's own when flat, the
+// fan-out when sharded), then arm durability, one WAL stream per part.
+// shards is 0 for a flat map, which has one part.
+func (w *wrap) init(s Structure, t Technique, cfg Config, shards int) error {
 	if err := validate(cfg); err != nil {
 		return err
 	}
 	reg := core.NewRegistry(cfg.MaxThreads)
 	src := newSource(cfg)
-	h := core.Hooks{Alloc: cfg.Alloc}
+	// GC and pool counters aggregate across parts, and the one retention
+	// watermark and the one recorder are shared like the source: a single
+	// prune intent covers every part's truncation, one CheckAt validates a
+	// cross-part historical bound, and a sampled operation records its
+	// phases in whichever part runs them.
+	h := core.Hooks{Alloc: cfg.Alloc, ReadBound: core.NewReadBound(src, cfg.Retention)}
+	if cfg.Trace != nil {
+		h.Trace = trace.NewRecorder(reg.Cap(), trace.DefaultRingSize)
+	}
 	var stats []*obs.ShardStats
 	if mt := cfg.Metrics; mt != nil {
 		tsc.TelemetryClock() // calibrated here, not in the first timed operation
-		mt.SetSourceKind(cfg.Source.String())
-		mt.SetSourceActual(func() string { return core.Actual(src).String() })
-		mt.SetStructure(s.String() + "/" + t.String())
-		if cfg.Alloc != AllocGC && !t.keepsHistory() {
-			mt.SetAllocMode(cfg.Alloc.String())
-		}
 		core.Count(src, &mt.Source)
 		h.GC, h.PoolStats = &mt.GC, &mt.Pool
-		if sharded {
-			mt.EnsureShards(parts)
-			stats = make([]*obs.ShardStats, parts)
-			for i := range stats {
-				stats[i] = mt.Shard(i)
+		l := obs.Labels{Structure: s.String() + "/" + t.String(), Source: cfg.Source.String(),
+			Actual: func() string { return core.Actual(src).String() }}
+		if cfg.Alloc != AllocGC && !t.keepsHistory() {
+			l.Alloc = cfg.Alloc.String()
+		}
+		if d := cfg.Durability; d != nil {
+			l.WAL = "sync"
+			if d.SyncEvery > 1 {
+				l.WAL = fmt.Sprintf("batched(%d)", d.SyncEvery)
 			}
 		}
+		stats = mt.Attach(l, shards)
 	}
-	ms := make([]inner, parts)
-	readers := make([]*core.Reader, parts)
+	ms := make([]inner, max(shards, 1))
+	readers := make([]*core.Reader, len(ms))
 	for i := range ms {
-		m, err := buildInner(s, t, cfg.Source, src, reg)
+		m, err := buildInner(s, t, cfg.Source, src, reg, h)
 		if err != nil {
 			return err
 		}
 		ms[i], readers[i] = m, m.Reader()
 	}
 	rd := readers[0]
-	if sharded {
+	if shards > 0 {
 		rd = core.NewFanout(readers, stats)
-	}
-	if cfg.Trace != nil {
-		h.Trace = trace.NewRecorder(reg.Cap(), trace.DefaultRingSize)
-	}
-	// GC and pool counters aggregate across parts, and the one retention
-	// watermark and the one recorder are shared like the source: a single
-	// prune intent covers every part's truncation, one CheckAt validates a
-	// cross-part historical bound, and a sampled operation records its
-	// phases in whichever part runs them.
-	h.ReadBound = core.NewReadBound(src, cfg.Retention)
-	rd.SetHooks(h)
-	for _, m := range ms {
-		m.SetHooks(h)
 	}
 	*w = wrap{parts: ms, stats: stats, rd: rd, reg: reg, s: s, t: t, srcImpl: src, obs: cfg.Metrics, tr: h.Trace}
 	if cfg.Durability != nil {
@@ -482,9 +480,9 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, parts int, sharded boo
 }
 
 // buildInner constructs the internal structure for one (structure,
-// technique) pair over src and reg. Every structure stores every key up to
-// MaxKey as it is. kind is reported in errors only.
-func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg *core.Registry) (inner, error) {
+// technique) pair over src and reg, wired to h. Every structure stores
+// every key up to MaxKey as it is. kind is reported in errors only.
+func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg *core.Registry, h core.Hooks) (inner, error) {
 	variant := ebrrq.LockBased
 	if t == EBRRQLockFree {
 		variant = ebrrq.LockFree
@@ -494,25 +492,25 @@ func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg 
 	var err error
 	switch {
 	case s == BST && t == VCAS:
-		m = lfbst.New(src, reg)
+		m = lfbst.New(src, reg, h)
 	case s == BST && ebr:
-		m, err = lfbst.NewEBR(src, reg, variant)
+		m, err = lfbst.NewEBR(src, reg, variant, h)
 	case s == Citrus && t == VCAS:
-		m = citrus.NewVcas(src, reg)
+		m = citrus.NewVcas(src, reg, h)
 	case s == Citrus && t == Bundle:
-		m = citrus.NewBundle(src, reg)
+		m = citrus.NewBundle(src, reg, h)
 	case s == Citrus && ebr:
-		m, err = citrus.NewEBR(src, reg, variant)
+		m, err = citrus.NewEBR(src, reg, variant, h)
 	case s == SkipList && t == Bundle:
-		m = skiplist.New(src, reg)
+		m = skiplist.New(src, reg, h)
 	case s == SkipList && t == VCAS:
-		m = skiplist.NewVcas(src, reg)
+		m = skiplist.NewVcas(src, reg, h)
 	case s == SkipList && ebr:
-		m, err = skiplist.NewEBR(src, reg, variant)
+		m, err = skiplist.NewEBR(src, reg, variant, h)
 	case s == LazyList && t == VCAS:
-		m = skiplist.NewLazyVcas(src, reg)
+		m = skiplist.NewLazyVcas(src, reg, h)
 	case s == LazyList && t == Bundle:
-		m = skiplist.NewLazyBundle(src, reg)
+		m = skiplist.NewLazyBundle(src, reg, h)
 	default:
 		return nil, fmt.Errorf("tscds: unsupported combination %v/%v", s, t)
 	}
@@ -523,8 +521,8 @@ func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg 
 }
 
 // inner is the facade's contract with a structure variant, one part of a
-// map: point operations, the sinks it reports into, and the snapshot-read
-// protocol every range-shaped read goes through.
+// map, built with its sinks (buildInner): point operations and the
+// snapshot-read protocol every range-shaped read goes through.
 type inner interface {
 	Insert(th *core.Thread, key, val uint64) bool
 	Delete(th *core.Thread, key uint64) bool
@@ -533,8 +531,6 @@ type inner interface {
 	// Drain eagerly releases what deletes hold back for range queries
 	// (EBR-RQ's limbo lists); quiescent use only, like Len.
 	Drain()
-	// SetHooks wires the sinks; called once, before traffic.
-	SetHooks(h core.Hooks)
 	// Reader is the variant's snapshot-read protocol, carrying its bound
 	// rule and its collect-at-bound walk.
 	Reader() *core.Reader
