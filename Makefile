@@ -59,7 +59,9 @@ loc:
 # fails if escape analysis reports a closure or a local moved to the heap
 # inside FUNC: the list's update paths hold their lock arrays on the stack,
 # and the list and the EFRB tree hand the technique node pointers only,
-# never their addresses. Telemetry must cost what a counter read costs: the
+# never their addresses; the history techniques' per-update record (Trim)
+# copies the chains it is handed into the thread's buffer and keeps its
+# variadic argument on the caller's stack. Telemetry must cost what a counter read costs: the
 # telemetry clock, one atomic load once calibrated, and its reading are
 # inlined where the facade starts and ends an operation and where the
 # recorder ends a span or reads a mark, and no file on the facade's op
@@ -96,6 +98,7 @@ inline-check:
 		deny internal/skiplist/skiplist.go "$$fn"; done; \
 	for fn in Insert Delete helpMarked; do \
 		deny internal/lfbst/lfbst.go "(t \*tree\[L, P\]) $$fn"; done; \
+	deny internal/history/technique.go '(t \*Technique\[T\]) Trim'; \
 	need ./tscds.go '(w \*wrap) observe' 'tsc.Clock.Now'; \
 	need internal/obs/trace/trace.go '(r \*Recorder) span' 'tsc.Clock.Now'; \
 	need internal/obs/trace/trace.go '(r \*Recorder) now' 'tsc.Clock.Now'; \

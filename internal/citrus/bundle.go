@@ -31,7 +31,7 @@ type bundleTechnique struct {
 // wired to the sinks of h (at most one; none wires nothing).
 func NewBundle(src core.Source, reg *core.Registry, h ...core.Hooks) *BundleTree {
 	hk := core.HooksOf(h)
-	p := &bundleTechnique{history.NewTechnique[node[blinks]](src, history.Bundling, hk)}
+	p := &bundleTechnique{history.NewTechnique[node[blinks]](src, reg, history.Bundling, hk)}
 	return newTree(src, reg, p, core.QueryReads, hk)
 }
 

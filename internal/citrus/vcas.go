@@ -27,7 +27,7 @@ type vcasTechnique struct {
 // to the sinks of h (at most one; none wires nothing).
 func NewVcas(src core.Source, reg *core.Registry, h ...core.Hooks) *VcasTree {
 	hk := core.HooksOf(h)
-	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS, hk)}
+	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, reg, history.VCAS, hk)}
 	return newTree(src, reg, p, core.QueryAdvances, hk)
 }
 

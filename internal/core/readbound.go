@@ -141,33 +141,19 @@ func (rb *ReadBound) CheckAt(ts TS) error {
 	return nil
 }
 
-// pruneEvery is how many of a thread's updates share one scan of the
-// announcement slots.
-const pruneEvery = 64
-
-// PruneBoundOf is the structures' truncation bound: every successful
-// write truncates the chain it just extended against it. The scan behind
-// it — the watermark protocol when a ReadBound is wired, plain
-// MinActiveRQ when not — runs once per pruneEvery calls and is cached on
-// th (owner-only words, nothing shared is written per update).
-//
-// A cached bound is used after the scan that produced it, so it must
-// also hold for snapshots reserved since: it is capped by a source read
-// taken BEFORE the scan. A query the scan missed reserved after that
-// read and takes its timestamp later still, so its bound is >= the cap
-// and Truncate keeps the version it reads. Without the cap an idle
-// registry caches Pending, and the next 63 writes cut versions a query
-// started in between still needs.
-func PruneBoundOf(th *Thread, rb *ReadBound, src Source) TS {
-	if th.pruneLeft == 0 {
-		th.pruneLeft = pruneEvery
-		ceil := src.Peek()
-		if rb == nil {
-			th.pruneBound = min(ceil, th.reg.MinActiveRQ())
-		} else {
-			th.pruneBound = min(ceil, rb.PruneBound(th.reg))
-		}
+// TrimBound is the bound a history trim cuts against, taken fresh for
+// each batch of chains: the watermark protocol when rb is wired, plain
+// MinActiveRQ when not, capped by a source read taken BEFORE the scan. The
+// batch is cut after the scan, so the bound must also hold for snapshots
+// reserved in between: a query the scan missed reserved after the source
+// read and takes its timestamp later still, so its bound is >= the cap and
+// Truncate keeps the version it reads. Without the cap an idle registry
+// yields Pending, and a cut made after such a query started could drop
+// the version it needs.
+func TrimBound(src Source, reg *Registry, rb *ReadBound) TS {
+	ceil := src.Peek()
+	if rb == nil {
+		return min(ceil, reg.MinActiveRQ())
 	}
-	th.pruneLeft--
-	return th.pruneBound
+	return min(ceil, rb.PruneBound(reg))
 }

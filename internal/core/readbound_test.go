@@ -116,13 +116,14 @@ func TestReadBoundCheckAt(t *testing.T) {
 	}
 }
 
-// TestPruneBoundOfCachedBelowPreScanSource pins the three properties that
-// make a bound cached for pruneEvery updates safe to truncate against:
-// it never exceeds the source value read before the scan (an idle registry
-// must not cache Pending), a reservation made after a refresh is protected
-// (the cached bound is <= the snapshot that query takes later), and the
-// bound is 0 while any slot is reserved at refresh time.
-func TestPruneBoundOfCachedBelowPreScanSource(t *testing.T) {
+// TestTrimBoundBelowPreScanSource pins the three properties that make a
+// bound safe to cut a whole batch of chains against after the scan that
+// produced it: it never exceeds the source value read before the scan (an
+// idle registry must not yield Pending), a reservation made after the scan
+// is protected (the bound is <= the snapshot that query takes later) until
+// the next scan, which returns its announcement, and the bound is 0 while
+// any slot is reserved at scan time.
+func TestTrimBoundBelowPreScanSource(t *testing.T) {
 	for _, wired := range []bool{false, true} {
 		src := NewLogical()
 		for src.Peek() < 100 {
@@ -133,35 +134,33 @@ func TestPruneBoundOfCachedBelowPreScanSource(t *testing.T) {
 			rb = NewReadBound(src, 0)
 		}
 		reg := NewRegistry(2)
-		w, q := reg.MustRegister(), reg.MustRegister()
+		q := reg.MustRegister()
 
 		before := src.Peek()
-		b := PruneBoundOf(w, rb, src) // refresh over an idle registry
+		b := TrimBound(src, reg, rb) // a scan over an idle registry
 		if b > before {
 			t.Fatalf("wired=%v: idle bound %d exceeds the pre-scan source read %d", wired, b, before)
 		}
-		// A query reserving after the refresh is invisible to the cached
-		// bound for the next pruneEvery-1 calls; the cap protects it.
+		// A query reserving after the scan is invisible to the bound a
+		// batch is still being cut against; the cap protects it.
 		q.BeginRQ()
 		s := src.Snapshot()
 		q.AnnounceRQ(s)
-		for i := 1; i < pruneEvery; i++ {
-			if got := PruneBoundOf(w, rb, src); got != b || got > s {
-				t.Fatalf("wired=%v: call %d: cached bound %d (refresh gave %d) vs later snapshot %d", wired, i, got, b, s)
-			}
+		if b > s {
+			t.Fatalf("wired=%v: bound %d passes the snapshot %d a query took after the scan", wired, b, s)
 		}
-		// The next call rescans and sees the announcement.
-		if got := PruneBoundOf(w, rb, src); got != s {
+		for i := 0; i < 3; i++ {
+			src.Advance()
+		}
+		// The next scan, capped above s, sees the announcement.
+		if got := TrimBound(src, reg, rb); got != s {
 			t.Fatalf("wired=%v: bound after rescan = %d, want the announced %d", wired, got, s)
 		}
 		q.DoneRQ()
 
-		// A slot that is reserved but not yet announced holds every prune.
-		// (A new handle's first call scans.)
+		// A slot that is reserved but not yet announced holds every cut.
 		q.BeginRQ()
-		w.Release()
-		fresh := reg.MustRegister()
-		if got := PruneBoundOf(fresh, rb, src); got != ReservedRQ {
+		if got := TrimBound(src, reg, rb); got != ReservedRQ {
 			t.Fatalf("wired=%v: bound with a reserved slot = %d, want %d", wired, got, ReservedRQ)
 		}
 		q.DoneRQ()

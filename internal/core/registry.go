@@ -69,16 +69,12 @@ type Thread struct {
 	// reclamation invariant.
 	ID  int
 	reg *Registry
-	// pruneBound is the truncation bound PruneBoundOf cached for this
-	// thread, pruneLeft the number of calls it still serves.
-	pruneBound TS
-	pruneLeft  int
 	// point is PointBuf's storage.
 	point [1]KV
 	// The padding makes a Thread 128 bytes, a size class the allocator
 	// aligns to cache lines: no other object, written by another thread,
 	// shares a line with the fields every operation reads.
-	_ [80]byte
+	_ [96]byte
 }
 
 // PointBuf returns an empty buffer with room for one pair, owned by the

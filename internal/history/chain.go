@@ -6,7 +6,7 @@
 //
 // Both keep, per link, a newest-first Chain of (label, target) entries; a
 // range query at snapshot bound s follows the newest entry labeled <= s,
-// and a trim cuts what no bound at or above the prune bound can read. They
+// and a trim cuts what no bound at or above the trim bound can read. They
 // differ only in who labels an entry, the Rule: the labeling granularity
 // the paper finds decides the hardware-timestamp gain (§IV).
 //
@@ -93,23 +93,28 @@ func (c *Chain[V]) Len() int {
 }
 
 // Truncate cuts the chain below its newest entry labeled at or before
-// bound, the prune bound (core.PruneBoundOf): no current or future
-// snapshot reads anything older — a reader at a bound >= it stops at or
-// above the entry the cut is made at. It returns the number of entries
-// dropped (counted on the detached tail; concurrent truncators may count
-// the same tail twice — the count feeds metrics, not correctness).
+// bound, a trim bound (core.TrimBound): no current or future snapshot
+// reads anything older — a reader at a bound >= it stops at or above the
+// entry the cut is made at. It returns the number of entries it detached.
 //
-// What the cut may clear in the entries it detaches is r's:
+// Trims are deferred (Technique.Exit), so two threads may cut one chain at
+// once, at different bounds, beside a writer extending it. Each pointer
+// they follow into the detached tail is claimed with Swap(nil): the cut
+// itself, then every detached entry's link, so each entry is detached,
+// counted and cleared by exactly one of them, and a cut made inside a tail
+// another call detached finds it already claimed.
 //
-//   - Bundling clears each one's next and target and keeps its label: an
-//     entry embedded in a live node must not keep the history below it
+// What the cut may clear beyond the links is r's:
+//
+//   - Bundling clears each detached entry's target and keeps its label:
+//     an entry embedded in a live node must not keep what it recorded
 //     reachable, while its label may double as the node's own (the skip
-//     list's insertion timestamp). Its writers hold the link's lock, and
-//     no reader is inside the detached tail.
-//   - VCAS clears nothing: a lock-free Read or CompareAndSwap that loaded
-//     the old head may still read its value — on a logical source a trim
-//     whose cached bound equals the new version's label detaches the old
-//     head at once.
+//     list's insertion timestamp).
+//   - VCAS keeps targets: a lock-free Read or CompareAndSwap that loaded
+//     the old head may still read its value — on a logical source a bound
+//     equal to the new version's label detaches the old head at once. No
+//     reader follows a detached version's link: one that loaded it as the
+//     head reads at a bound at or above its label.
 func (c *Chain[V]) Truncate(bound core.TS, r Rule) int {
 	e := c.head.Load()
 	if e == nil || e.ts.Load() == core.Pending {
@@ -120,20 +125,16 @@ func (c *Chain[V]) Truncate(bound core.TS, r Rule) int {
 			return 0
 		}
 	}
-	tail := e.next.Load()
-	if tail == nil {
+	if e.next.Load() == nil {
 		return 0 // nothing to cut: leave the line clean
 	}
-	e.next.Store(nil)
 	n := 0
-	for ; tail != nil; n++ {
-		next := tail.next.Load()
+	for tail := e.next.Swap(nil); tail != nil; n++ {
 		if r == Bundling {
 			var zero V
-			tail.next.Store(nil)
 			tail.val = zero
 		}
-		tail = next
+		tail = tail.next.Swap(nil)
 	}
 	return n
 }

@@ -1,6 +1,9 @@
 package history
 
 import (
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tscds/internal/core"
@@ -71,6 +74,27 @@ func chainAt(t *testing.T, d rule, labels ...core.TS) (*Chain[*node], []*node) {
 		ns = append(ns, n)
 	}
 	return c, ns
+}
+
+// entryChain returns a chain whose entry i is labeled 2i, initialized with
+// a caller-owned entry and extended with n-1 more, every other one
+// caller-owned, as the structures' chains mix them, and its entries and
+// targets, oldest first.
+func entryChain(d rule, n int) (*Chain[*node], []*Entry[*node], []*node) {
+	c := new(Chain[*node])
+	first := new(Entry[*node])
+	c.InitWith(first, &node{0})
+	es, targets := []*Entry[*node]{first}, []*node{first.Value()}
+	for i := uint64(1); i < uint64(n); i++ {
+		var e *Entry[*node]
+		if i%2 == 1 {
+			e = new(Entry[*node])
+		}
+		t := &node{i}
+		d.put(c, t, core.TS(2*i), e)
+		es, targets = append(es, c.Head()), append(targets, t)
+	}
+	return c, es, targets
 }
 
 // Boundary tie-break regression: a hardware Source.Snapshot can return a
@@ -171,32 +195,23 @@ func TestTruncateNoActiveRQKeepsHeadOnly(t *testing.T) {
 	}
 }
 
-// What Truncate clears in the tail it detaches is the rule's. Under
-// Bundling every detached entry loses its link and its target — an entry
-// embedded in a live node would otherwise pin the history below it — and
-// keeps its label, which may be the embedding node's own. Under vCAS a
-// detached version keeps its value: a lock-free reader that loaded it as
-// the head may still read it. Under both, entries at and above the cut are
+// Under both rules every detached entry loses its link, claimed by the
+// one Truncate that detached it, and keeps its label, which may be the
+// embedding node's own. What else it clears is the rule's. Under Bundling
+// a detached entry loses its target — an entry embedded in a live node
+// would otherwise keep what it recorded reachable. Under vCAS a detached
+// version keeps its value: a lock-free reader that loaded it as the head
+// may still read it. Under both, entries at and above the cut are
 // untouched, and a read at any bound at or above the cut answers as
 // before. The chain mixes caller-owned and allocated entries, as the
 // structures' chains do.
 func TestTruncateReleasesDetachedTail(t *testing.T) {
 	for _, d := range rules() {
 		t.Run(d.name, func(t *testing.T) {
-			c := new(Chain[*node])
-			first := new(Entry[*node])
-			c.InitWith(first, &node{0})
-			entries := []*Entry[*node]{first}
-			labels := []core.TS{0}
-			wants := []*node{first.Value()}
-			for i := uint64(1); i <= 12; i++ {
-				var e *Entry[*node]
-				if i%2 == 1 {
-					e = new(Entry[*node])
-				}
-				n := &node{i}
-				d.put(c, n, core.TS(2*i), e)
-				entries, labels, wants = append(entries, c.Head()), append(labels, core.TS(2*i)), append(wants, n)
+			c, entries, wants := entryChain(d, 13)
+			labels := make([]core.TS, len(entries))
+			for i := range labels {
+				labels[i] = core.TS(2 * i)
 			}
 			const cut = 8 // entries[cut] is the newest labeled at or before the bound
 			if dropped := c.Truncate(labels[cut]+1, d.r); dropped != cut {
@@ -206,15 +221,12 @@ func TestTruncateReleasesDetachedTail(t *testing.T) {
 				if e.TS() != labels[i] {
 					t.Fatalf("entry %d: label %d became %d", i, labels[i], e.TS())
 				}
-				want, next := wants[i], (*Entry[*node])(nil)
-				if i > 0 && i < cut {
-					next = entries[i-1]
-				}
+				want := wants[i]
 				if i < cut && d.r == Bundling {
-					want, next = nil, nil
+					want = nil
 				}
-				if e.Value() != want || (i < cut && e.Next() != next) {
-					t.Fatalf("entry %d (cut at %d): target %v next %v, want %v and %v", i, cut, e.Value(), e.Next(), want, next)
+				if e.Value() != want || (i < cut && e.Next() != nil) {
+					t.Fatalf("entry %d (cut at %d): target %v next %v, want %v and no link", i, cut, e.Value(), e.Next(), want)
 				}
 			}
 			if entries[cut].Next() != nil || c.Len() != len(entries)-cut {
@@ -228,5 +240,71 @@ func TestTruncateReleasesDetachedTail(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// Trims are deferred, so two threads may cut one chain at once at
+// different bounds, the lower one inside the tail the higher one detaches.
+// Each detached entry must be claimed by exactly one of them: detached and
+// cleared once (a second clear of a Bundling target is a race under
+// -race), counted once (the two counts sum to what was detached), while
+// everything at and above the higher cut stays as it was. The interleaving
+// that would count twice is first made deterministic: the lower cut's walk
+// has passed the higher cut point when that cut claims and counts the
+// tail, and only then reaches its own cut point inside it.
+func TestConcurrentTruncate(t *testing.T) {
+	const entries, rounds = 1024, 200
+	for _, d := range rules() {
+		c, es, _ := entryChain(d, 64)
+		lo, hi := 3, 40
+		walk := new(Chain[*node]) // where the lower cut's walk stands
+		walk.head.Store(es[hi-1])
+		if got := c.Truncate(core.TS(2*hi+1), d.r); got != hi {
+			t.Fatalf("%s: the higher cut dropped %d entries, want %d", d.name, got, hi)
+		}
+		if got := walk.Truncate(core.TS(2*lo+1), d.r); got != 0 {
+			t.Fatalf("%s: a cut inside a detached tail dropped %d entries again", d.name, got)
+		}
+	}
+	for round := 0; round < rounds; round++ {
+		for _, d := range rules() {
+			c, es, targets := entryChain(d, entries)
+			// A bound of 2i+1 cuts below es[i], detaching i entries.
+			lo := 1 + round%(entries/2)
+			hi := lo + 1 + (round*7)%(entries/2-1)
+			var counts [2]int
+			var wg sync.WaitGroup
+			var ready atomic.Int32
+			for g, at := range []int{lo, hi} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for ready.Add(1); ready.Load() < 2; {
+						runtime.Gosched()
+					}
+					counts[g] = c.Truncate(core.TS(2*at+1), d.r)
+				}()
+			}
+			wg.Wait()
+			if got := counts[0] + counts[1]; got != hi {
+				t.Fatalf("%s round %d: cuts at %d and %d dropped %d and %d, want %d in all", d.name, round, lo, hi, counts[0], counts[1], hi)
+			}
+			for i, e := range es {
+				want, next := targets[i], (*Entry[*node])(nil)
+				switch {
+				case i < hi && d.r == Bundling:
+					want = nil
+				case i > hi:
+					next = es[i-1]
+				}
+				if e.TS() != core.TS(2*i) || e.Value() != want || e.Next() != next {
+					t.Fatalf("%s round %d: entry %d (cuts at %d and %d): label %d target %v next %v, want %d, %v and %v",
+						d.name, round, i, lo, hi, e.TS(), e.Value(), e.Next(), 2*i, want, next)
+				}
+			}
+			if c.Len() != entries-hi {
+				t.Fatalf("%s round %d: chain holds %d entries, want %d", d.name, round, c.Len(), entries-hi)
+			}
+		}
 	}
 }

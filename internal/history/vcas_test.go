@@ -351,7 +351,8 @@ func TestCallerOwnedVersions(t *testing.T) {
 
 // A helper replaying CompareAndSwapVersion after the operation finished
 // fails and leaves the installed version alone: not re-armed, and not
-// re-linked to the tail Truncate cut since.
+// re-linked to the tail Truncate cut since (a detached version's link is
+// claimed, nil).
 func TestCompareAndSwapVersionReplay(t *testing.T) {
 	src := core.New(core.Logical)
 	a, b, c := &cell{id: 1}, &cell{id: 2}, &cell{id: 3}
@@ -368,7 +369,7 @@ func TestCompareAndSwapVersionReplay(t *testing.T) {
 	if o.CompareAndSwapVersion(src, a, &b.ver) {
 		t.Fatal("a replayed CompareAndSwapVersion succeeded")
 	}
-	if b.ver.TS() != ts || b.ver.next.Load() != &a.ver || o.Head() != &c.ver || o.Len() != 1 {
+	if b.ver.TS() != ts || b.ver.next.Load() != nil || o.Head() != &c.ver || o.Len() != 1 {
 		t.Fatal("a replayed CompareAndSwapVersion changed the chain")
 	}
 }

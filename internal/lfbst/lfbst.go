@@ -135,7 +135,8 @@ func newTree[L any, P technique[L]](src core.Source, p P, rule core.Bound, h cor
 // Reader returns the tree's snapshot-read protocol.
 func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 
-// Drain eagerly prunes EBR-RQ's limbo lists. Quiescent use only, like Len.
+// Drain eagerly prunes EBR-RQ's limbo lists and the history trims vCAS
+// defers. Quiescent use only, like Len.
 func (t *tree[L, P]) Drain() { t.p.Drain() }
 
 // newNode acquires a node from the technique and initializes it.
@@ -401,7 +402,7 @@ type vcasTechnique struct {
 // registry, wired to the sinks of h (at most one; none wires nothing).
 func New(src core.Source, reg *core.Registry, h ...core.Hooks) *Tree {
 	hk := core.HooksOf(h)
-	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS, hk)}
+	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, reg, history.VCAS, hk)}
 	return newTree(src, p, core.QueryAdvances, hk)
 }
 
@@ -450,9 +451,11 @@ func (p *vcasTechnique) publish(parent, old, new *node[vlinks], fresh bool) bool
 	return edge.CompareAndSwap(p.Src, old, new)
 }
 
-// truncate bounds history to what active range queries can read. An insert
-// passes the node above too: what n's own version displaced there stays
-// reachable until that edge is written again — for most nodes, never.
+// truncate hands the edges an update wrote to the technique's deferred
+// trim, which cuts them to what active range queries can read. An insert
+// passes the edge above too: a cut made there while a query held history
+// back kept what n's own version displaced, and for most nodes that edge
+// is never written again.
 func (p *vcasTechnique) truncate(th *core.Thread, key uint64, n, above *node[vlinks]) {
 	if above == nil {
 		p.Trim(th, n.l.child(key, n.key))

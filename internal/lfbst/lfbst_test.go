@@ -573,56 +573,73 @@ func delayedHelperFailsItsCAS[L any, P technique[L]](t *testing.T, tr *tree[L, P
 
 // History is bounded by the oldest active query, not by run length: with
 // no query active the reachable edges hold a small constant number of
-// versions per live node after 200k updates over 1k keys, and with one
-// bound announced throughout, a read at that bound still returns exactly
-// what the tree held when it was taken.
+// versions per live node after 200k updates over 1k keys, and once Drain
+// has flushed the trims every thread deferred, exactly one: the version
+// each edge holds now (a trim bound older than the label it keeps leaves
+// the one it displaced, which a logical source no query advances hides
+// and a TSC source shows). With one bound announced throughout, a read at
+// that bound still returns exactly what the tree held when it was taken.
 func TestHistoryBounded(t *testing.T) {
-	for _, held := range []bool{false, true} {
-		reg := core.NewRegistry(2)
-		tr := New(core.New(core.Logical), reg)
-		w, q := reg.MustRegister(), reg.MustRegister()
-		rng := rand.New(rand.NewSource(15))
-		model := map[uint64]uint64{}
-		step := func(i int) {
-			k := uint64(rng.Intn(1000))
-			if rng.Intn(2) == 0 {
-				if tr.Insert(w, k, uint64(i)) {
-					model[k] = uint64(i)
-				}
-			} else if tr.Delete(w, k) {
-				delete(model, k)
+	for _, kind := range []core.Kind{core.Logical, core.TSC} {
+		t.Run(kind.String(), func(t *testing.T) {
+			for _, held := range []bool{false, true} {
+				historyBounded(t, kind, held)
 			}
-		}
-		for i := 0; i < 20000; i++ {
-			step(i)
-		}
-		var want []core.KV
-		var s core.TS
-		if held {
-			for k, v := range model {
-				want = append(want, core.KV{Key: k, Val: v})
+		})
+	}
+}
+
+func historyBounded(t *testing.T, kind core.Kind, held bool) {
+	t.Helper()
+	reg := core.NewRegistry(2)
+	tr := New(core.New(kind), reg)
+	w, q := reg.MustRegister(), reg.MustRegister()
+	rng := rand.New(rand.NewSource(15))
+	model := map[uint64]uint64{}
+	step := func(i int) {
+		k := uint64(rng.Intn(1000))
+		if rng.Intn(2) == 0 {
+			if tr.Insert(w, k, uint64(i)) {
+				model[k] = uint64(i)
 			}
-			core.SortKVs(want)
-			q.BeginRQ()
-			s = tr.p.Src.Snapshot()
-			q.AnnounceRQ(s)
+		} else if tr.Delete(w, k) {
+			delete(model, k)
 		}
-		for i := 20000; i < 200000; i++ {
-			step(i)
+	}
+	for i := 0; i < 20000; i++ {
+		step(i)
+	}
+	var want []core.KV
+	var s core.TS
+	if held {
+		for k, v := range model {
+			want = append(want, core.KV{Key: k, Val: v})
 		}
-		if held {
-			if got := tr.RangeQueryAt(q, 0, MaxKey, s, nil); !slices.Equal(got, want) {
-				t.Fatalf("read at the held bound %d: %d pairs, want the %d of the model at that time", s, len(got), len(want))
-			}
-			q.DoneRQ()
-			continue
+		core.SortKVs(want)
+		q.BeginRQ()
+		s = tr.p.Src.Snapshot()
+		q.AnnounceRQ(s)
+	}
+	for i := 20000; i < 200000; i++ {
+		step(i)
+	}
+	if held {
+		tr.Drain()
+		if got := tr.RangeQueryAt(q, 0, MaxKey, s, nil); !slices.Equal(got, want) {
+			t.Fatalf("read at the held bound %d: %d pairs, want the %d of the model at that time", s, len(got), len(want))
 		}
-		nodes, versions := chainStats(tr)
-		if versions > 3*nodes {
-			t.Fatalf("%d versions on the edges of %d reachable nodes after 200k updates with no active query", versions, nodes)
-		}
-		if got := tr.RangeQuery(w, 0, MaxKey, nil); len(got) != len(model) {
-			t.Fatalf("tree holds %d keys, model %d", len(got), len(model))
-		}
+		q.DoneRQ()
+		return
+	}
+	nodes, versions := chainStats(tr)
+	if versions > 3*nodes {
+		t.Fatalf("%d versions on the edges of %d reachable nodes after 200k updates with no active query", versions, nodes)
+	}
+	tr.Drain()
+	if nodes, versions = chainStats(tr); versions != nodes-1 {
+		t.Fatalf("%d versions on the %d edges of %d reachable nodes after Drain with no active query, want one per edge", versions, nodes-1, nodes)
+	}
+	if got := tr.RangeQuery(w, 0, MaxKey, nil); len(got) != len(model) {
+		t.Fatalf("tree holds %d keys, model %d", len(got), len(model))
 	}
 }

@@ -51,7 +51,7 @@ func NewLazyBundle(src core.Source, reg *core.Registry, h ...core.Hooks) *List {
 }
 
 func newBundle(src core.Source, reg *core.Registry, levels int, h core.Hooks) *List {
-	p := &bundleTechnique{history.NewTechnique[node[blinks]](src, history.Bundling, h)}
+	p := &bundleTechnique{history.NewTechnique[node[blinks]](src, reg, history.Bundling, h)}
 	t := newList(src, reg, p, levels, core.QueryReads, h)
 	t.head.l.bnd.InitWith(&t.head.l.out, nil) // the head is in every snapshot
 	return t

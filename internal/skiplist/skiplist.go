@@ -153,7 +153,8 @@ func newList[L any, P technique[L]](src core.Source, reg *core.Registry, p P, le
 func (t *list[L, P]) Reader() *core.Reader { return t.rd }
 
 // Drain eagerly prunes what deletes hold back for range queries (EBR-RQ's
-// limbo lists). Quiescent use only, like Len.
+// limbo lists) and the history trims vCAS and Bundling defer. Quiescent
+// use only, like Len.
 func (t *list[L, P]) Drain() { t.p.Drain() }
 
 // newNode acquires a node from the technique and initializes it.

@@ -459,29 +459,40 @@ func reachableNodes(l *List, owner map[*history.Entry[*node[blinks]]]*node[blink
 
 // What the list keeps reachable is bounded by what it holds, not by how
 // long it ran: after 200k single-threaded updates over 1k keys with no
-// query active, the dead nodes still reachable are those the live nodes'
-// chains — the newest entry and the one truncation keeps below it — and the
-// few bundles updated since the cached prune bound can lead to (723 nodes
-// for 521 held). A detached entry that kept its target (Chain.Truncate),
-// or a victim that kept its history (Delete), lets live nodes pin chains
-// of dead ones — 26,000 nodes either way — and fails this.
+// query active, the dead nodes still reachable are the few that the
+// bundles whose trims are still deferred lead to (535 nodes for 520
+// held), and once Drain has flushed them, none: every node reachable
+// from the head is a live one. A trim bound older than the label of the
+// entry it keeps leaves the one below it, and what that leads to (756
+// nodes). A detached entry that kept its target (Chain.Truncate), or a
+// victim that kept its history (Delete), lets live nodes pin chains of
+// dead ones — 26,000 nodes either way — and fails this.
 func TestBundleHeapBounded(t *testing.T) {
-	l, reg := newBundleList(core.Logical, 1)
-	th := reg.MustRegister()
-	rng := rand.New(rand.NewSource(15))
-	owner := map[*history.Entry[*node[blinks]]]*node[blinks]{}
-	for i := 0; i < 200000; i++ {
-		k := uint64(rng.Intn(1000) + 1)
-		if rng.Intn(2) == 1 {
-			l.Delete(th, k)
-		} else if l.Insert(th, k, uint64(i)) {
-			n := l.lookup(k)
-			owner[&n.l.in], owner[&n.l.out] = n, n
-		}
-	}
-	live := l.Len() + 1
-	if got := reachableNodes(l, owner); got > 2*live {
-		t.Fatalf("%d nodes reachable from the head of a list holding %d", got, live)
+	for _, kind := range []core.Kind{core.Logical, core.TSC} {
+		t.Run(kind.String(), func(t *testing.T) {
+			l, reg := newBundleList(kind, 1)
+			th := reg.MustRegister()
+			rng := rand.New(rand.NewSource(15))
+			owner := map[*history.Entry[*node[blinks]]]*node[blinks]{}
+			for i := 0; i < 200000; i++ {
+				k := uint64(rng.Intn(1000) + 1)
+				if rng.Intn(2) == 1 {
+					l.Delete(th, k)
+				} else if l.Insert(th, k, uint64(i)) {
+					n := l.lookup(k)
+					owner[&n.l.in], owner[&n.l.out] = n, n
+				}
+			}
+			live := l.Len() + 1
+			if got := reachableNodes(l, owner); got > 2*live {
+				t.Fatalf("%d nodes reachable from the head of a list holding %d", got, live)
+			}
+			l.Drain()
+			// reachableNodes counts the nodes besides the head.
+			if got := reachableNodes(l, owner); got != live-1 {
+				t.Fatalf("%d nodes reachable from the head after Drain, want the %d keys the list holds", got, live-1)
+			}
+		})
 	}
 }
 

@@ -40,7 +40,7 @@ func NewLazyVcas(src core.Source, reg *core.Registry, h ...core.Hooks) *VcasList
 }
 
 func newVcas(src core.Source, reg *core.Registry, levels int, h core.Hooks) *VcasList {
-	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, history.VCAS, h)}
+	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, reg, history.VCAS, h)}
 	t := newList(src, reg, p, levels, core.QueryAdvances, h)
 	t.head.l.dead.Init(false) // the head is in every snapshot
 	return t

@@ -320,8 +320,8 @@ type Map interface {
 	// Len counts keys; quiescent use only.
 	Len() int
 	// Drain eagerly releases memory retained for in-flight readers
-	// (EBR-RQ limbo lists); a no-op for techniques that reclaim inline
-	// (vCAS, bundles). Quiescent use only, like Len.
+	// (EBR-RQ limbo lists, and the history vCAS and bundles trim in
+	// batches). Quiescent use only, like Len.
 	Drain()
 	// Structure and Technique identify the composition.
 	Structure() Structure
@@ -528,8 +528,9 @@ type inner interface {
 	Delete(th *core.Thread, key uint64) bool
 	Get(th *core.Thread, key uint64) (uint64, bool)
 	Len() int
-	// Drain eagerly releases what deletes hold back for range queries
-	// (EBR-RQ's limbo lists); quiescent use only, like Len.
+	// Drain eagerly releases what deletes and updates hold back for range
+	// queries (EBR-RQ's limbo lists, the history trims vCAS and Bundling
+	// defer); quiescent use only, like Len.
 	Drain()
 	// Reader is the variant's snapshot-read protocol, carrying its bound
 	// rule and its collect-at-bound walk.
