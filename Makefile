@@ -54,6 +54,10 @@ loc:
 # holds the out-of-line labeling call and is over the inliner's budget
 # of 80, so it stays a call from search; its label check is what must not
 # be one, there and in the vCAS walk at a bound (ReadAt).
+# An EBR-RQ range query reads both labels of every node it collects: the
+# label accessor must be inlined into the collector's Add and AddLimbo,
+# so a label read is the one call into the one-word dcss.Word's Read,
+# whose helping path runs only on a marked word.
 # The skip list's tower accessor must be inlined wherever its generic frame
 # walks a level (the one-level lazy list shares the frame). deny FILE FUNC
 # fails if escape analysis reports a closure or a local moved to the heap
@@ -78,7 +82,7 @@ loc:
 # allocates nothing: the commit closure stays on its stack and the WAL
 # record is encoded in place.
 inline-check:
-	@out="$$($(GO) build -gcflags=-m . ./internal/obs/trace ./internal/history ./internal/lfbst ./internal/skiplist ./internal/wal 2>&1)"; ok=0; \
+	@out="$$($(GO) build -gcflags=-m . ./internal/obs/trace ./internal/history ./internal/ebrrq ./internal/lfbst ./internal/skiplist ./internal/wal 2>&1)"; ok=0; \
 	report() { s=$$(grep -n "^func $$2[([]" $$1 | cut -d: -f1); \
 		e=$$(awk -v s="$$s" 'NR > s && /^}/ { print NR; exit }' $$1); \
 		echo "$$out" | awk -F: -v f=$$1 -v s="$$s" -v e="$$e" -v c="$$3" -v d="$$4" \
@@ -89,6 +93,8 @@ inline-check:
 		|| { echo "inline-check: $$2 ($$1) allocates a closure or moves a local to the heap"; ok=1; }; }; \
 	need internal/history/vcas.go '(c \*Chain\[V\]) Read' 'history.label['; \
 	need internal/history/vcas.go '(c \*Chain\[V\]) ReadAt' 'history.label['; \
+	for fn in Add AddLimbo; do \
+		need internal/ebrrq/collect.go "(c \*Collector) $$fn" '(*Label).Get'; done; \
 	need internal/lfbst/lfbst.go '(p \*vcasTechnique) search' '(*vlinks).child'; \
 	need internal/lfbst/lfbst.go '(p \*vcasTechnique) search' '(*vlinks).leaf'; \
 	need internal/lfbst/lfbst.go '(p \*vcasTechnique) collectAt' '(*vlinks).leaf'; \

@@ -66,7 +66,7 @@ func TestNodeSizes(t *testing.T) {
 	for name, c := range map[string]struct{ got, want uintptr }{
 		"vcas":   {unsafe.Sizeof(node[vlinks]{}), 48},
 		"bundle": {unsafe.Sizeof(node[blinks]{}), 64},
-		"ebr":    {unsafe.Sizeof(node[elinks]{}), 96},
+		"ebr":    {unsafe.Sizeof(node[elinks]{}), 64},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s node is %d bytes, want %d", name, c.got, c.want)
@@ -555,12 +555,12 @@ func TestEBRPointReadsFollowLabels(t *testing.T) {
 	if tr.Insert(a, 7, 71) {
 		t.Fatal("Insert(7) succeeded beside a linked node holding 7")
 	}
-	if !seven.l.itime.Assigned() {
+	if seven.l.itime.Get() == core.Pending {
 		t.Fatal("Insert(7) failed against a node whose insertion it left unlabeled")
 	}
 	seven.l.itime.Init()
-	if v, ok := tr.Get(a, 7); !ok || v != 70 || !seven.l.itime.Assigned() {
-		t.Fatalf("Get(7) = (%d, %v) on an unlabeled node, labeled after: %v; want (70, true), true", v, ok, seven.l.itime.Assigned())
+	if v, ok := tr.Get(a, 7); !ok || v != 70 || seven.l.itime.Get() == core.Pending {
+		t.Fatalf("Get(7) = (%d, %v) on an unlabeled node, label after: %d; want (70, true), a label", v, ok, seven.l.itime.Get())
 	}
 
 	// Delete(3) relocates its successor 6: the copy replaces 3, the
@@ -576,7 +576,7 @@ func TestEBRPointReadsFollowLabels(t *testing.T) {
 	done := make(chan bool)
 	go func() { done <- tr.Delete(b, 3) }()
 	copy6 := tr.root.l.child[0].Load()
-	for copy6.key != 6 || !copy6.l.itime.Assigned() {
+	for copy6.key != 6 || copy6.l.itime.Get() == core.Pending {
 		runtime.Gosched()
 		copy6 = tr.root.l.child[0].Load()
 	}

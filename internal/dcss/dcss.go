@@ -10,23 +10,27 @@
 // *at an address*, it is the construct the paper identifies as
 // incompatible with hardware timestamps.
 //
-// A Word holds a 63-bit value: bit 63 is reserved to mark the word as
-// occupied by an in-flight DCSS descriptor. The marked representation
-// keeps the plain operations (Read, Store, CAS) allocation-free — they
-// are the per-update label traffic of the lock-based variant, where no
-// descriptor ever appears — while DCSS allocates one descriptor per
-// attempt, the price of a helping protocol whose descriptors may be held
-// by stalled helpers indefinitely.
+// A Word is one 64-bit word holding a 63-bit value: bit 63 marks the word
+// as occupied by an in-flight DCSS. The plain operations (Read, Store,
+// CAS) allocate nothing — they are the per-update label traffic of the
+// lock-based variant, where no mark ever appears — while DCSS allocates
+// one descriptor per attempt, the price of a helping protocol whose
+// descriptors may be held by stalled helpers indefinitely.
 //
-// Readers encountering a mark help the descriptor complete and retry, so
-// a stalled writer never blocks progress — with one caveat: a writer
-// preempted between installing its mark and publishing its descriptor
-// leaves helpers spinning for the duration of the preemption. The window
-// is one store wide; it trades the strict lock-freedom of a boxed-cell
-// representation for allocation-free plain operations.
+// A mark is markBit|seq, seq taken from one process-wide counter, so no
+// two attempts install the same mark. An attempt publishes its descriptor
+// in a process-wide slot table, at seq's low bits, before it installs the
+// mark, and clears its slot when it completes. A reader meeting a mark
+// helps the descriptor in the mark's slot complete and retries, so a
+// stalled writer never blocks progress — unless a later attempt has taken
+// the slot: then helpers yield until the owner, which completes right
+// after installing its mark, resolves the word.
 package dcss
 
-import "sync/atomic"
+import (
+	"runtime"
+	"sync/atomic"
+)
 
 // MaxValue is the largest value a Word can hold; bit 63 is reserved for
 // in-flight descriptor marks.
@@ -36,16 +40,23 @@ const markBit = uint64(1) << 63
 
 func marked(x uint64) bool { return x&markBit != 0 }
 
+// slots is the size of the descriptor table: a helper finds a mark's
+// descriptor unless this many attempts have started since its install.
+const slots = 1 << 10
+
+var (
+	seq   atomic.Uint64
+	table [slots]atomic.Pointer[descriptor]
+	// afterInstall, nil outside tests, runs between an attempt installing
+	// its mark and completing its descriptor.
+	afterInstall func(w *Word, mark uint64)
+)
+
 // Word is a 63-bit location supporting Read, CAS and DCSS with helping.
 // The zero value holds 0. Values with bit 63 set are reserved and must
 // not be stored.
 type Word struct {
 	v atomic.Uint64 // plain value, or markBit|seq while a DCSS is in flight
-	d atomic.Pointer[descriptor]
-	// seq makes every mark unique across the Word's lifetime, so a slow
-	// helper holding an old descriptor can never apply its outcome over a
-	// newer operation's mark.
-	seq atomic.Uint64
 }
 
 const (
@@ -66,23 +77,25 @@ type descriptor struct {
 // in the word. It returns when the word no longer holds x.
 func (w *Word) help(x uint64) {
 	for w.v.Load() == x {
-		d := w.d.Load()
+		d := table[x%slots].Load()
 		if d == nil || d.mark != x {
-			// The owner installed its mark but has not yet published the
-			// descriptor (or a stale descriptor from a completed operation
-			// lingers). Re-check the word; the publish is one store away.
+			// A later attempt took the slot (or cleared it on completing):
+			// the owner resolves x itself, right after installing it.
+			runtime.Gosched()
 			continue
 		}
-		w.complete(d)
+		w.complete(d, x)
 	}
 }
 
-// complete decides the descriptor's outcome exactly once (status CAS)
-// and removes its mark from the word. The decision is taken while the
-// word provably holds d.mark — i.e. while it is frozen at e2 — which is
-// the operation's linearization point. Safe to call from any helper.
-func (w *Word) complete(d *descriptor) {
-	if d.status.Load() == undecided && w.v.Load() == d.mark {
+// complete decides d's outcome exactly once (status CAS) and replaces the
+// mark x, which the caller installed for d or matched against d.mark, by
+// it. An undecided status proves the word still holds x, since the mark
+// leaves only after the decision: so the decision is taken while the word
+// is frozen at e2, which is the operation's linearization point. Safe to
+// call from any helper.
+func (w *Word) complete(d *descriptor, x uint64) {
+	if d.status.Load() == undecided {
 		if d.a1.Load() == d.e1 {
 			d.status.CompareAndSwap(undecided, succeeded)
 		} else {
@@ -93,8 +106,7 @@ func (w *Word) complete(d *descriptor) {
 	if d.status.Load() == succeeded {
 		out = d.n2
 	}
-	w.v.CompareAndSwap(d.mark, out)
-	w.d.CompareAndSwap(d, nil)
+	w.v.CompareAndSwap(x, out)
 }
 
 // Read returns the word's current value, helping any in-flight DCSS
@@ -149,7 +161,6 @@ func (w *Word) CAS(old, new uint64) bool {
 // swap took effect. A false return with cur == e2 means the first
 // comparand (a1) had moved — the retry signal EBR-RQ updates act on.
 func (w *Word) DCSS(a1 *atomic.Uint64, e1, e2, n2 uint64) (cur uint64, ok bool) {
-	d := &descriptor{a1: a1, e1: e1, e2: e2, n2: n2}
 	for {
 		x := w.v.Load()
 		if marked(x) {
@@ -159,14 +170,20 @@ func (w *Word) DCSS(a1 *atomic.Uint64, e1, e2, n2 uint64) (cur uint64, ok bool) 
 		if x != e2 {
 			return x, false
 		}
-		d.mark = markBit | (w.seq.Add(1) &^ markBit)
+		// A fresh descriptor per attempt: a helper that found an abandoned
+		// one in the slot may still be reading its mark.
+		d := &descriptor{a1: a1, e1: e1, e2: e2, n2: n2, mark: markBit | seq.Add(1)}
+		slot := &table[d.mark%slots]
+		slot.Store(d)
 		if !w.v.CompareAndSwap(e2, d.mark) {
+			slot.CompareAndSwap(d, nil)
 			continue // the word moved under us; re-validate
 		}
-		// The word is frozen at our mark; publish the descriptor so
-		// helpers can resolve it, then complete it ourselves.
-		w.d.Store(d)
-		w.complete(d)
+		if afterInstall != nil {
+			afterInstall(w, d.mark)
+		}
+		w.complete(d, d.mark)
+		slot.CompareAndSwap(d, nil)
 		return e2, d.status.Load() == succeeded
 	}
 }

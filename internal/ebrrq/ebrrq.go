@@ -83,9 +83,6 @@ func (l *Label) Get() core.TS {
 	return core.TS(v)
 }
 
-// Assigned reports whether the label has been set.
-func (l *Label) Assigned() bool { return l.Get() != core.Pending }
-
 // Provider labels nodes on behalf of updates and holds range queries'
 // side of the variant's atomicity discipline.
 type Provider struct {

@@ -32,12 +32,12 @@ func TestLockFreeRejectsHardwareSources(t *testing.T) {
 func TestLabelLifecycle(t *testing.T) {
 	var l Label
 	l.Init()
-	if l.Assigned() {
+	if l.Get() != core.Pending {
 		t.Fatal("fresh label reports assigned")
 	}
 	p := lockBased(core.New(core.Logical))
 	ts := p.Label(-1, &l)
-	if !l.Assigned() || l.Get() != ts {
+	if ts == core.Pending || l.Get() != ts {
 		t.Fatalf("label = %d, assigned ts = %d", l.Get(), ts)
 	}
 }

@@ -156,7 +156,7 @@ func TestEBRBSTLimboLabeledAtQuiescence(t *testing.T) {
 		limbotest.Churn(tr, reg, 6, 1000)
 		pending := 0
 		tr.p.VisitLimbo(func(_, _ uint64, _, dtime *ebrrq.Label) bool {
-			if !dtime.Assigned() {
+			if dtime.Get() == core.Pending {
 				pending++
 			}
 			return true
@@ -198,11 +198,11 @@ func TestEBRPointReadsFollowLabels(t *testing.T) {
 		if tr.Insert(a, 7, 71) {
 			t.Fatal("Insert(7) succeeded beside a linked leaf holding 7")
 		}
-		if !seven.l.life.itime.Assigned() {
+		if seven.l.life.itime.Get() == core.Pending {
 			t.Fatal("Insert(7) failed against a leaf whose insertion it left unlabeled")
 		}
 		seven.l.life.itime.Init()
-		if !tr.Contains(a, 7) || !seven.l.life.itime.Assigned() {
+		if !tr.Contains(a, 7) || seven.l.life.itime.Get() == core.Pending {
 			t.Fatalf("Contains(7) on an unlabeled leaf: want true, and the label helped in")
 		}
 	})

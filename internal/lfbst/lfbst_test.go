@@ -402,6 +402,14 @@ func TestNodeIsOneCacheLine(t *testing.T) {
 	}
 }
 
+// An EBR-RQ node is 72 bytes: the shared head, both edges, the lifetime
+// pointer, its own two one-word labels and the reference gate.
+func TestEBRNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node[elinks]{}); got != 72 {
+		t.Fatalf("unsafe.Sizeof(node[elinks]{}) = %d, want 72", got)
+	}
+}
+
 // reachable lists the nodes reachable from tr's root through the edges as
 // they are now, in preorder.
 func reachable[L any, P technique[L]](tr *tree[L, P]) []*node[L] {

@@ -367,14 +367,14 @@ func TestBundleHistoryBounded(t *testing.T) {
 // a search reads — key, tower, deletion label, and the entry that leads
 // here, whose label is the insertion label — comes first and is
 // contiguous, what only snapshots and updates read follows. The vCAS and
-// EBR-RQ nodes are 96 and 128 bytes, exact size classes: one field more
+// EBR-RQ nodes are 96 bytes each, an exact size class: one field more
 // moves a node to the next.
 func TestSkipNodeLayout(t *testing.T) {
 	var n node[blinks]
 	for name, c := range map[string]struct{ got, want uintptr }{
 		"bundle": {unsafe.Sizeof(n), 104 + 8*inlineLevels},
 		"vcas":   {unsafe.Sizeof(node[vlinks]{}), 56 + 8*inlineLevels},
-		"ebr":    {unsafe.Sizeof(node[elinks]{}), 88 + 8*inlineLevels},
+		"ebr":    {unsafe.Sizeof(node[elinks]{}), 56 + 8*inlineLevels},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s node is %d bytes with %d inline levels, want %d", name, c.got, inlineLevels, c.want)
