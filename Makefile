@@ -16,13 +16,12 @@ test:
 # flight-recorder tests (the sampling countdown and the lazily published
 # rings are shared state).
 # The ./internal/obs/... wildcard covers the telemetry pipeline too:
-# obs itself plus obs/promparse and obs/trace; ./cmd/tscstat/... serves a
-# map under load and checks every endpoint of it live.
+# obs itself plus obs/promparse and obs/trace.
 check: benchmark-smoke inline-check doc-check deps-check durable-race
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/history/... ./internal/lfbst/... ./internal/citrus/... ./internal/skiplist/... ./cmd/tscstat/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/history/... ./internal/lfbst/... ./internal/citrus/... ./internal/skiplist/...
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestSharded|TestReadPathsAgree' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .

@@ -71,18 +71,8 @@ func newNative(w io.Writer, o *options) (*native, error) {
 // serve starts the live endpoint.
 func (n *native) serve(addr string) error {
 	srv, err := obs.Serve(addr, map[string]obs.Var{
-		"metrics": obs.Live(func() obs.Var {
-			if reg := n.metrics.Load(); reg != nil {
-				return reg
-			}
-			return nil
-		}),
-		"trace": obs.Live(func() obs.Var {
-			if tr := n.tracer.Load(); tr != nil {
-				return tr
-			}
-			return nil
-		}),
+		"metrics":   obs.Live(func() obs.Var { return n.metrics.Load() }),
+		"trace":     obs.Live(func() obs.Var { return n.tracer.Load() }),
 		"tschealth": n.health,
 	})
 	if err != nil {
@@ -172,11 +162,10 @@ func (n *native) arm(spec string, src tscds.SourceKind, label string, wl bench.W
 		out = append(out, res)
 	}
 	if cfg.Metrics != nil {
-		fmt.Fprintf(n.w, "metrics %s: %s\n%s", label, cfg.Metrics, cfg.Metrics.Snapshot().Summary())
+		fmt.Fprintf(n.w, "metrics %s: %s\n", label, cfg.Metrics)
 	}
-	if m.Tracer() != nil {
-		snap := m.TraceSnapshot(false)
-		fmt.Fprintf(n.w, "trace %s:\n%strace-json %s\n", label, snap.Format(), snap.JSON())
+	if tr := m.Tracer(); tr != nil {
+		fmt.Fprintf(n.w, "trace %s: %s\n", label, tr)
 	}
 	return out, nil
 }

@@ -24,11 +24,9 @@ package obs
 import (
 	"cmp"
 	"encoding/json"
-	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -264,10 +262,11 @@ func (c OpClass) String() string {
 // fields that the instrumented paths write, and a snapshot one whose
 // uint64 (counter) and int64 (gauge) fields carry the JSON key and the
 // help text. The snapshot struct is the one declaration of a metric:
-// Snapshot fills it from the same-named live field, WriteProm exports it
-// as tscds_<block>_<json key> (with _total on a counter) and Summary
-// prints it. A string field tagged prom:"label" labels every family of its
-// block; the string fields are filled from the attached maps' Labels.
+// Snapshot fills it from the same-named live field, the JSON is
+// encoding/json over it, and WriteProm exports it as
+// tscds_<block>_<json key> (with _total on a counter). A string field
+// tagged prom:"label" labels every family of its block; the string fields
+// are filled from the attached maps' Labels.
 
 // SourceStats counts timestamp-source traffic. On a logical source every
 // Advance is one fetch-and-add on the shared counter, so Advances is a
@@ -519,32 +518,12 @@ func jsonKey(f reflect.StructField) string {
 	return key
 }
 
-// number renders a numeric field of block value v.
-func (f *field) number(v reflect.Value) string {
-	if f.kind == reflect.Int64 {
-		return strconv.FormatInt(v.Field(f.index).Int(), 10)
-	}
-	return strconv.FormatUint(v.Field(f.index).Uint(), 10)
-}
-
-// each calls fn with every block s holds; an absent Pool, WAL or History
-// is skipped.
-func (s *Snapshot) each(fn func(b *block, v reflect.Value)) {
-	sv := reflect.ValueOf(s).Elem()
-	for i := range blocks {
-		v := sv.Field(blocks[i].index)
-		if v.Kind() == reflect.Pointer {
-			if v.IsNil() {
-				continue
-			}
-			v = v.Elem()
-		}
-		fn(&blocks[i], v)
-	}
-}
-
-// Snapshot copies every instrument.
+// Snapshot copies every instrument. A nil registry yields the zero
+// Snapshot.
 func (r *Registry) Snapshot() Snapshot {
+	if r == nil {
+		return Snapshot{}
+	}
 	s := Snapshot{Ops: make(map[string]HistSnapshot, int(NumOpClasses))}
 	rv, sv := reflect.ValueOf(r).Elem(), reflect.ValueOf(&s).Elem()
 	for _, b := range blocks {
@@ -597,66 +576,15 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // String renders the snapshot as JSON, making *Registry an expvar.Var so
-// callers can expvar.Publish("tscds", registry) directly.
+// callers can expvar.Publish("tscds", registry) directly. A nil registry
+// renders as null.
 func (r *Registry) String() string {
+	if r == nil {
+		return "null"
+	}
 	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		return "{}"
 	}
 	return string(b)
-}
-
-// Summary renders the snapshot as a short human-readable table: one line
-// per active op class with count, mean, and the bucket-derived p50, p99
-// and max, one line per block with its nonzero fields, and the shards.
-func (s Snapshot) Summary() string {
-	var b strings.Builder
-	for c := OpClass(0); c < NumOpClasses; c++ {
-		op, ok := s.Ops[c.String()]
-		if !ok || op.Count == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  %-12s %10d ops  mean %s  p50 %s  p99 %s  max %s\n", c, op.Count,
-			FormatNS(float64(op.MeanNS)), FormatNS(float64(op.P50NS)), FormatNS(float64(op.P99NS)), FormatNS(float64(op.MaxNS)))
-	}
-	s.each(func(bl *block, v reflect.Value) {
-		var head, counts []string
-		for i := range bl.fields {
-			f := &bl.fields[i]
-			switch {
-			case f.kind == reflect.String && v.Field(f.index).String() != "":
-				head = append(head, f.key+"="+v.Field(f.index).String())
-			case f.kind != reflect.String && !v.Field(f.index).IsZero():
-				counts = append(counts, strings.ReplaceAll(f.key, "_", " ")+" "+f.number(v))
-			}
-		}
-		if len(counts) > 0 {
-			fmt.Fprintf(&b, "  %s: %s\n", strings.Join(append([]string{bl.name}, head...), " "), strings.Join(counts, ", "))
-		}
-	})
-	if len(s.Shards) > 0 {
-		fmt.Fprintf(&b, "  shards:")
-		for i, sh := range s.Shards {
-			fmt.Fprintf(&b, " [%d] %d ops / %d rq", i, sh.Ops, sh.RQs)
-		}
-		fmt.Fprintf(&b, "\n")
-	}
-	if b.Len() == 0 {
-		return "  (no activity recorded)\n"
-	}
-	return b.String()
-}
-
-// FormatNS renders a nanosecond quantity with an adaptive unit.
-func FormatNS(ns float64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", ns/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.2fms", ns/1e6)
-	case ns >= 1e3:
-		return fmt.Sprintf("%.2fµs", ns/1e3)
-	default:
-		return fmt.Sprintf("%.0fns", ns)
-	}
 }

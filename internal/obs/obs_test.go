@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -309,6 +310,18 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	}
 	if parsed.GC.BundleEntriesPruned != 2 || parsed.GC.LimboRetired != 1 || parsed.GC.LimboLen != 1 {
 		t.Errorf("gc snapshot = %+v", parsed.GC)
+	}
+}
+
+// A nil registry is served like a live one: its snapshot is the zero
+// Snapshot and it renders as JSON null.
+func TestNilRegistrySnapshotAndString(t *testing.T) {
+	var r *Registry
+	if s := r.Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
+		t.Errorf("nil registry snapshot = %+v, want the zero Snapshot", s)
+	}
+	if got := r.String(); got != "null" {
+		t.Errorf("nil registry String = %q, want null", got)
 	}
 }
 

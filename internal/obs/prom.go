@@ -130,7 +130,15 @@ func (r *Registry) WriteProm(w io.Writer) {
 	promHead(w, "tscds_source_info", "Requested and actually-serving timestamp source (value is always 1).", "gauge")
 	promU64(w, "tscds_source_info", with(with(base, "requested", s.Source.Kind), "actual", actual), 1)
 
-	s.each(func(b *block, v reflect.Value) {
+	sv := reflect.ValueOf(&s).Elem()
+	for _, b := range blocks {
+		v := sv.Field(b.index)
+		if v.Kind() == reflect.Pointer {
+			if v.IsNil() {
+				continue // an absent Pool, WAL or History
+			}
+			v = v.Elem()
+		}
 		ls := base
 		for _, f := range b.fields {
 			if f.label {
@@ -138,19 +146,18 @@ func (r *Registry) WriteProm(w io.Writer) {
 			}
 		}
 		lbl := promLabels(ls)
-		for i := range b.fields {
-			f := &b.fields[i]
-			name, typ := "tscds_"+b.name+"_"+f.key, "gauge"
+		for _, f := range b.fields {
+			name := "tscds_" + b.name + "_" + f.key
 			switch f.kind {
-			case reflect.String:
-				continue
 			case reflect.Uint64:
-				name, typ = name+"_total", "counter"
+				promHead(w, name+"_total", f.help, "counter")
+				fmt.Fprintf(w, "%s_total%s %d\n", name, lbl, v.Field(f.index).Uint())
+			case reflect.Int64:
+				promHead(w, name, f.help, "gauge")
+				fmt.Fprintf(w, "%s%s %d\n", name, lbl, v.Field(f.index).Int())
 			}
-			promHead(w, name, f.help, typ)
-			fmt.Fprintf(w, "%s%s %s\n", name, lbl, f.number(v))
 		}
-	})
+	}
 
 	if len(s.Shards) > 0 {
 		promHead(w, "tscds_shard_ops_total", "Point operations routed to each shard by the key partition.", "counter")

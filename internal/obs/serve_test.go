@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -140,23 +139,6 @@ func TestStringIsLive(t *testing.T) {
 	}
 }
 
-func TestSnapshotSummary(t *testing.T) {
-	reg := NewRegistry()
-	reg.Attach(Labels{Source: "RDTSCP"}, 0)
-	reg.ObserveOp(0, OpRange, uint64(3*time.Microsecond))
-	reg.Source.Snapshots.Inc()
-	reg.GC.LimboRetired.Inc()
-	out := reg.Snapshot().Summary()
-	for _, want := range []string{"range-query", "p50", "p99", "RDTSCP", "limbo retired"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Summary missing %q:\n%s", want, out)
-		}
-	}
-	if empty := (Snapshot{}).Summary(); !strings.Contains(empty, "no activity") {
-		t.Fatalf("empty summary = %q", empty)
-	}
-}
-
 // getFull returns body and status without failing on non-200 statuses.
 func getFull(t *testing.T, url string) ([]byte, int) {
 	t.Helper()
@@ -223,58 +205,5 @@ func TestServe404ListsRoutes(t *testing.T) {
 		if !strings.Contains(string(body), want) {
 			t.Fatalf("404 listing missing %s:\n%s", want, body)
 		}
-	}
-}
-
-// Live re-resolves its getter per use and forwards capabilities; a nil
-// current value renders as null without panicking.
-func TestLiveVar(t *testing.T) {
-	var curP atomic.Pointer[Var] // written here, read by server handlers
-	cur := func(v Var) {
-		if v == nil {
-			curP.Store(nil)
-			return
-		}
-		curP.Store(&v)
-	}
-	live := Live(func() Var {
-		if p := curP.Load(); p != nil {
-			return *p
-		}
-		return nil
-	})
-	if got := live.String(); got != "null" {
-		t.Fatalf("nil live String = %q", got)
-	}
-	var sb strings.Builder
-	live.(PromVar).WriteProm(&sb)
-	if sb.Len() != 0 {
-		t.Fatalf("nil live WriteProm wrote %q", sb.String())
-	}
-
-	reg := NewRegistry()
-	reg.ObserveOp(0, OpUpdate, uint64(time.Microsecond))
-	cur(reg)
-	if !strings.Contains(live.String(), `"update"`) {
-		t.Fatal("live String did not track the swapped-in registry")
-	}
-	sb.Reset()
-	live.(PromVar).WriteProm(&sb)
-	if !strings.Contains(sb.String(), "tscds_ops_total") {
-		t.Fatal("live WriteProm did not forward to the registry")
-	}
-
-	// Through Serve: the exposition follows the getter across swaps.
-	srv, err := Serve("127.0.0.1:0", map[string]Var{"metrics": live})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	reg2 := NewRegistry()
-	reg2.Attach(Labels{Structure: "swapped/arm"}, 0)
-	reg2.ObserveOp(0, OpRange, uint64(time.Microsecond))
-	cur(reg2)
-	if got := string(get(t, "http://"+srv.Addr()+"/metrics.prom")); !strings.Contains(got, `structure="swapped/arm"`) {
-		t.Fatalf("exposition did not follow the live swap:\n%s", got)
 	}
 }

@@ -2,9 +2,7 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
-	"strings"
 
 	"tscds/internal/obs"
 	"tscds/internal/tsc"
@@ -187,70 +185,4 @@ func (s Snapshot) JSON() string {
 		return "{}"
 	}
 	return string(b)
-}
-
-// Format renders a human-readable, flame-style phase summary: span
-// phases as horizontal bars scaled to the largest span's share of
-// recorded time, count phases as rates per operation.
-func (s Snapshot) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %d thread(s), ring %d, 1 op in %d sampled, %d event(s) recorded",
-		s.Threads, s.RingSize, s.SamplePeriod, s.Recorded)
-	if s.Dropped > 0 {
-		fmt.Fprintf(&b, " (%d dropped mid-snapshot)", s.Dropped)
-	}
-	b.WriteByte('\n')
-
-	var totalOps uint64
-	if len(s.Ops) > 0 {
-		b.WriteString("  ops:\n")
-		for _, o := range s.Ops {
-			totalOps += o.Count
-			fmt.Fprintf(&b, "    %-12s %10d ops  mean %s\n", o.Op, o.Count, obs.FormatNS(o.MeanNS))
-		}
-	}
-
-	var spans, counts []PhaseStatSnapshot
-	var maxSum uint64
-	for _, p := range s.Phases {
-		if p.Unit == "ns" {
-			spans = append(spans, p)
-			if p.Sum > maxSum {
-				maxSum = p.Sum
-			}
-		} else {
-			counts = append(counts, p)
-		}
-	}
-	if len(spans) > 0 {
-		b.WriteString("  phase spans (bar scaled to largest total):\n")
-		const width = 30
-		for _, p := range spans {
-			bar := 0
-			if maxSum > 0 {
-				bar = int(p.Sum * width / maxSum)
-			}
-			if bar == 0 && p.Sum > 0 {
-				bar = 1
-			}
-			fmt.Fprintf(&b, "    %-14s %-*s %10d× mean %s max %s\n",
-				p.Phase, width, strings.Repeat("█", bar), p.Count,
-				obs.FormatNS(p.Mean), obs.FormatNS(float64(p.Max)))
-		}
-	}
-	if len(counts) > 0 {
-		b.WriteString("  phase counts:\n")
-		for _, p := range counts {
-			rate := ""
-			if totalOps > 0 {
-				rate = fmt.Sprintf("  (%.3f/op)", float64(p.Sum)/float64(totalOps))
-			}
-			fmt.Fprintf(&b, "    %-14s %10d events in %d record(s), max %d%s\n",
-				p.Phase, p.Sum, p.Count, p.Max, rate)
-		}
-	}
-	if len(s.Ops) == 0 && len(s.Phases) == 0 {
-		b.WriteString("  (no activity recorded)\n")
-	}
-	return b.String()
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"math"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 
@@ -202,21 +201,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 	if err := json.Unmarshal([]byte(r.String()), &parsed); err != nil {
 		t.Fatalf("String JSON: %v", err)
-	}
-}
-
-// TestFormatMentionsPhases: the human rendering names active phases.
-func TestFormatMentionsPhases(t *testing.T) {
-	r := exact(1, 16)
-	open(r, 0)
-	r.Span(0, PhaseLockWait, r.Now(0))
-	r.Count(0, PhaseHelp, 5)
-	r.OpEnd(0, obs.OpUpdate, r.Now(0), 100)
-	out := r.Snapshot(false).Format()
-	for _, want := range []string{"update", "lock-wait", "help", "1 thread(s)"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("Format() missing %q:\n%s", want, out)
-		}
 	}
 }
 

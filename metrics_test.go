@@ -269,9 +269,11 @@ func TestSharedRegistry(t *testing.T) {
 }
 
 // TestAlertExpressionsNameServedFamilies reads the alert table of
-// EXPERIMENTS.md and requires each alert to be there, and to select only
-// families and label names that a fully wired /metrics.prom serves: the
-// registry with its pool and WAL blocks, plus the TSC health monitor.
+// EXPERIMENTS.md and the live-view table of the README's telemetry
+// section, and requires each row to be there, and to select only series
+// and label names that a fully wired /metrics.prom serves: the registry
+// with its pool and WAL blocks, plus the TSC health monitor. A label a
+// query groups by (by (...)) must be on a series the query selects.
 func TestAlertExpressionsNameServedFamilies(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Attach(obs.Labels{Structure: "bst/vcas", Source: "Adaptive", Alloc: "Pool", WAL: "sync"}, 0)
@@ -283,50 +285,91 @@ func TestAlertExpressionsNameServedFamilies(t *testing.T) {
 		t.Fatalf("strict parse diagnostics: %v", diags)
 	}
 
-	doc, err := os.ReadFile("EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
+	// rows maps each row of the table under heading in file, up to the
+	// next heading, from its name to its query.
+	rows := func(file, heading string, row *regexp.Regexp) map[string]string {
+		doc, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, table, ok := strings.Cut(string(doc), "\n"+heading+"\n")
+		if !ok {
+			t.Fatalf("%s has no %q section", file, heading)
+		}
+		table, _, _ = strings.Cut(table, "\n#")
+		out := map[string]string{}
+		for _, m := range row.FindAllStringSubmatch(table, -1) {
+			out[m[1]] = m[2]
+		}
+		return out
 	}
-	_, table, ok := strings.Cut(string(doc), "\n## Alert expressions\n")
-	if !ok {
-		t.Fatal(`EXPERIMENTS.md has no "## Alert expressions" section`)
-	}
-	table, _, _ = strings.Cut(table, "\n## ")
-	row := regexp.MustCompile("(?m)^\\| `([a-z-]+)` \\| (?:critical|warn) \\| (.*) \\|$")
-	exprs := map[string]string{}
-	for _, m := range row.FindAllStringSubmatch(table, -1) {
-		exprs[m[1]] = m[2]
-	}
+	alerts := rows("EXPERIMENTS.md", "## Alert expressions",
+		regexp.MustCompile("(?m)^\\| `([a-z-]+)` \\| (?:critical|warn) \\| (.*) \\|$"))
+	live := rows("README.md", "### Telemetry pipeline",
+		regexp.MustCompile("(?m)^\\| ([^|`]+) \\| `([^`]+)` \\|$"))
 
+	// series returns the first served sample named name (a histogram's
+	// _bucket, _sum or _count included), or nil.
+	series := func(name string) *promparse.Sample {
+		for _, f := range res.Families {
+			for i := range f.Samples {
+				if f.Samples[i].Name == name {
+					return &f.Samples[i]
+				}
+			}
+		}
+		return nil
+	}
 	family := regexp.MustCompile(`tscds_[a-z_]+`)
 	selector := regexp.MustCompile(`(tscds_[a-z_]+)\{([^}]*)\}`)
 	matcher := regexp.MustCompile(`([a-z_]+)\s*(?:=~|!~|!=|=)`)
+	grouping := regexp.MustCompile(`\bby\s*\(([^)]*)\)`)
+	check := func(t *testing.T, table map[string]string, name string) {
+		expr, ok := table[name]
+		if !ok {
+			t.Fatalf("no row for %s in the table", name)
+		}
+		for _, fam := range family.FindAllString(expr, -1) {
+			if series(fam) == nil {
+				t.Errorf("%s is not served", fam)
+			}
+		}
+		for _, sel := range selector.FindAllStringSubmatch(expr, -1) {
+			s := series(sel[1])
+			if s == nil {
+				continue // reported above
+			}
+			for _, lm := range matcher.FindAllStringSubmatch(sel[2], -1) {
+				if _, ok := s.Labels[lm[1]]; !ok {
+					t.Errorf("%s has no label %q", sel[1], lm[1])
+				}
+			}
+		}
+		for _, g := range grouping.FindAllStringSubmatch(expr, -1) {
+			for _, l := range strings.Split(g[1], ",") {
+				l, found := strings.TrimSpace(l), false
+				for _, fam := range family.FindAllString(expr, -1) {
+					if s := series(fam); s != nil {
+						_, ok := s.Labels[l]
+						found = found || ok
+					}
+				}
+				if !found {
+					t.Errorf("no series the query selects has the label %q it groups by", l)
+				}
+			}
+		}
+	}
 	for _, name := range []string{
 		"tsc-backstep", "source-degraded", "source-switch",
 		"snapshot-retry-spike", "limbo-growth", "wal-error", "pool-hit-collapse",
 	} {
-		t.Run(name, func(t *testing.T) {
-			expr, ok := exprs[name]
-			if !ok {
-				t.Fatalf("no row for %s in the alert table", name)
-			}
-			for _, fam := range family.FindAllString(expr, -1) {
-				if res.Family(fam) == nil {
-					t.Errorf("%s is not served", fam)
-				}
-			}
-			for _, sel := range selector.FindAllStringSubmatch(expr, -1) {
-				f := res.Family(sel[1])
-				if f == nil || len(f.Samples) == 0 {
-					continue // reported above
-				}
-				for _, lm := range matcher.FindAllStringSubmatch(sel[2], -1) {
-					if _, ok := f.Samples[0].Labels[lm[1]]; !ok {
-						t.Errorf("%s has no label %q", sel[1], lm[1])
-					}
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { check(t, alerts, name) })
+	}
+	for _, name := range []string{
+		"ops/s", "p99 by op class", "advances/s", "TSC state", "TSC backsteps", "limbo", "fsyncs/s",
+	} {
+		t.Run("live "+name, func(t *testing.T) { check(t, live, name) })
 	}
 }
 
