@@ -62,9 +62,14 @@ loc:
 # fails if escape analysis reports a closure or a local moved to the heap
 # inside FUNC: the list's update paths hold their lock arrays on the stack,
 # and the list and the EFRB tree hand the technique node pointers only,
-# never their addresses; the history techniques' per-update record (Trim)
-# copies the chains it is handed into the thread's buffer and keeps its
-# variadic argument on the caller's stack. Telemetry must cost what a counter read costs: the
+# never their addresses. noheap FILE FUNC is deny for any value escaping to
+# the heap: the EFRB frame's update and helping paths allocate nodes through
+# the technique only, never a descriptor or clean record (each thread slot
+# reuses one descriptor), and the decode of an update word into its slot's
+# descriptor and sequence is inlined into help. The history techniques'
+# per-update record (Trim) copies the chains it is handed into the thread's
+# buffer and keeps its variadic argument on the caller's stack. Telemetry
+# must cost what a counter read costs: the
 # telemetry clock, one atomic load once calibrated, and its reading are
 # inlined where the facade starts and ends an operation and where the
 # recorder ends a span or reads a mark, and no file on the facade's op
@@ -90,6 +95,8 @@ inline-check:
 		|| { echo "inline-check: $$3 is not inlined into $$2 ($$1)"; ok=1; }; }; \
 	deny() { ! report "$$1" "$$2" "func literal escapes to heap" "moved to heap" \
 		|| { echo "inline-check: $$2 ($$1) allocates a closure or moves a local to the heap"; ok=1; }; }; \
+	noheap() { ! report "$$1" "$$2" "escapes to heap" "moved to heap" \
+		|| { echo "inline-check: $$2 ($$1) allocates on the heap"; ok=1; }; }; \
 	need internal/history/vcas.go '(c \*Chain\[V\]) Read' 'history.label['; \
 	need internal/history/vcas.go '(c \*Chain\[V\]) ReadAt' 'history.label['; \
 	for fn in Add AddLimbo; do \
@@ -101,8 +108,9 @@ inline-check:
 		need internal/skiplist/skiplist.go "(t \*list\[L, P\]) $$fn" '(*tower['; done; \
 	for fn in lockPreds "(t \*list\[L, P\]) Insert" "(t \*list\[L, P\]) Delete"; do \
 		deny internal/skiplist/skiplist.go "$$fn"; done; \
-	for fn in Insert Delete helpMarked; do \
-		deny internal/lfbst/lfbst.go "(t \*tree\[L, P\]) $$fn"; done; \
+	for fn in Insert Delete helpInsert helpDelete helpMarked; do \
+		noheap internal/lfbst/lfbst.go "(t \*tree\[L, P\]) $$fn"; done; \
+	need internal/lfbst/lfbst.go '(t \*tree\[L, P\]) help' 'words.decode'; \
 	deny internal/history/technique.go '(t \*Technique\[T\]) Trim'; \
 	need ./tscds.go '(w \*wrap) observe' 'tsc.Clock.Now'; \
 	need internal/obs/trace/trace.go '(r \*Recorder) span' 'tsc.Clock.Now'; \

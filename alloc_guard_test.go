@@ -231,16 +231,17 @@ func TestRangeQueryAllocFree(t *testing.T) {
 }
 
 // TestBSTVcasUpdateAllocCeiling holds the GC-allocated update path of the
-// EFRB tree to what the algorithm needs. Under vCAS and EBR-RQ, a successful
-// insert allocates the new leaf, the copy of the displaced leaf, the internal
-// node over them (under vCAS each carrying its own version), the descriptor
-// and its clean record; a successful delete the descriptor, its clean record,
-// and a leaf sibling's copy or, under vCAS, an internal sibling's version,
-// and under EBR-RQ the limbo entry of the leaf it retires. The keys ascend,
-// so a deleted leaf's sibling is mostly internal. An insert of a present key
-// allocates nothing: the leaf is allocated once the key is known absent. A
-// per-edge seed version, a per-helper clean record, a separate flag or mark
-// record or an eager leaf coming back fails this test.
+// EFRB tree to its nodes. Under vCAS and EBR-RQ, a successful insert
+// allocates three objects: the new leaf, the copy of the displaced leaf and
+// the internal node over them (under vCAS each carrying its own version). A
+// successful delete allocates one: a leaf sibling's copy or, under vCAS, an
+// internal sibling's standalone version, and under EBR-RQ the limbo entry
+// of the leaf it retires. The keys ascend, so a deleted leaf's sibling is
+// mostly internal. An insert of a present key allocates nothing: the leaf
+// is allocated once the key is known absent. No update allocates a
+// descriptor or a clean record: each thread slot reuses one descriptor, and
+// a node's update field is one word. A per-attempt descriptor, a per-edge
+// seed version or an eager leaf coming back fails this test.
 func TestBSTVcasUpdateAllocCeiling(t *testing.T) {
 	for _, c := range []struct {
 		s tscds.Structure
@@ -280,8 +281,8 @@ func TestBSTVcasUpdateAllocCeiling(t *testing.T) {
 			}
 			key++
 		})
-		if ins > 5 || dup != 0 || del > 3 {
-			t.Errorf("%v/%v allocates %.2f objects per insert, %.2f per insert of a present key and %.2f per delete, want at most 5, 0 and 3",
+		if ins > 3 || dup != 0 || del > 1 {
+			t.Errorf("%v/%v allocates %.2f objects per insert, %.2f per insert of a present key and %.2f per delete, want at most 3, 0 and 1",
 				c.s, c.t, ins, dup, del)
 		}
 		th.Release()

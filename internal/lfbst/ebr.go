@@ -53,7 +53,8 @@ type ebrTechnique struct {
 
 // NewEBR builds an empty tree wired to the sinks of h (at most one); the
 // LockFree variant requires an addressable (logical) source and otherwise
-// returns ebrrq.ErrRequiresAddress. Pruned limbo leaves are recycled gated
+// returns ebrrq.ErrRequiresAddress; a registry of more than MaxThreads
+// slots is refused too. Pruned limbo leaves are recycled gated
 // by refs and replaced. Internal nodes never enter limbo: nothing proves
 // when the last helper drops one, so the GC does.
 func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant, h ...core.Hooks) (*EBRTree, error) {
@@ -64,7 +65,7 @@ func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant, h ...cor
 	if err != nil {
 		return nil, err
 	}
-	return newTree(src, &ebrTechnique{tq}, core.QueryAdvancesLocked(tq.Provider), hk), nil
+	return newTree(src, reg, &ebrTechnique{tq}, core.QueryAdvancesLocked(tq.Provider), hk)
 }
 
 // truncate: limbo holds deleted leaves, not history.

@@ -4,17 +4,22 @@
 // Figure 4).
 //
 // The EFRB algorithm — immutable leaves, routing internal nodes, flag/mark
-// descriptors with full helping — is written once, in this file, over a
-// technique: vCAS below, EBR-RQ in ebr.go. A child pointer never returns to
-// an old value: an insert links a new internal node over the new leaf and a
-// COPY of the displaced one (EFRB's newSibling), a delete promotes a copy of
-// a leaf sibling, so a helper delayed before its child CAS fails it. Every
-// node is then recorded once: a vCAS node carries the version that records
-// it in its parent edge, an EBR-RQ copy shares its original's labels
-// (DESIGN §7).
+// update words with full helping — is written once, in this file, over a
+// technique: vCAS below, EBR-RQ in ebr.go. An update allocates no
+// descriptor: each thread slot reuses one, and a node's update field is one
+// word naming (slot, sequence, state); a helper acts on a slot's fields
+// only while its sequence still matches the word's. A child pointer never
+// returns to an old value: an insert links a new internal node over the new
+// leaf and a COPY of the displaced one (EFRB's newSibling), a delete
+// promotes a copy of a leaf sibling, so a helper delayed before its child
+// CAS fails it. Every node is then recorded once: a vCAS node carries the
+// version that records it in its parent edge, an EBR-RQ copy shares its
+// original's labels (DESIGN §7).
 package lfbst
 
 import (
+	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"tscds/internal/core"
@@ -30,56 +35,73 @@ const (
 	MaxKey = ^uint64(0) - 2
 )
 
-// update-field states (EFRB).
+// An update word is an internal node's EFRB update field in one word: the
+// state in its low two bits, above them the thread slot and that slot's
+// sequence number of the attempt that wrote it. Every attempt has its own
+// (slot, sequence), so a word is never written twice and a CAS on it has
+// EFRB's ABA-safe (state, info) semantics. A leaf's word is 0. An internal
+// node no attempt has flagged yet holds fresh: clean, slot and sequence 0,
+// which no attempt writes, as a slot's sequences start at 1.
 const (
-	clean uint8 = iota
+	mark uint64 = iota
 	iflag
 	dflag
-	mark
+	clean
+	stateBits  = 2
+	stateMask  = 1<<stateBits - 1
+	fresh      = clean
+	minSeqBits = 44
+	// MaxThreads is the largest registry a tree takes: its slot numbers
+	// leave at least minSeqBits of the word to the sequence.
+	MaxThreads = 1 << (64 - stateBits - minSeqBits)
 )
 
-// updateRec is the (state, info) pair CAS'd in a node's update field.
-// Records have distinct addresses, so pointer-identity CAS gives exactly
-// EFRB's ABA-safe pair semantics; for the same reason no record is pooled.
-type updateRec[L any] struct {
-	state uint8
-	ins   *insertInfo[L]
-	del   *deleteInfo[L]
+// desc is a thread slot's one EFRB descriptor, reused by every update
+// attempt the slot makes (Arbel-Raviv and Brown, "Reuse, don't recycle").
+// The owner bumps seq, stores the attempt's fields — p, l and the new
+// internal node of an insert; gp, p, l and p's expected word of a delete —
+// and then CASes a word carrying (slot, seq) into a node. A helper holding
+// such a word loads the fields, then re-checks seq: the owner reuses the
+// descriptor only once the attempt is complete, so a moved sequence proves
+// there is nothing left to help. The sequence lives here, not in the
+// thread handle, so it keeps rising across Release and re-registration.
+// The descriptor is allocated at its slot's first update and fills one
+// cache line (TestDescIsOneCacheLine).
+type desc[L any] struct {
+	seq          atomic.Uint64
+	gp, p, l, ni atomic.Pointer[node[L]]
+	pupdate      atomic.Uint64
+	_            [16]byte
 }
 
-// A descriptor embeds the flag and mark records it installs and carries the
-// one clean record every helper unflags to. That one is its own small
-// allocation because a resting node's update field holds it: embedded, it
-// would keep the descriptor and the displaced leaf reachable.
-type insertInfo[L any] struct {
-	p, l, newInternal *node[L]
-	flag              updateRec[L]  // IFLAG on p
-	done              *updateRec[L] // then CLEAN
+// op is one attempt as its helpers run it: the fields, and its word with
+// the state cleared, whose flag, mark and clean words it CASes.
+type op[L any] struct {
+	gp, p, l, ni *node[L]
+	pupdate      uint64
+	w            uint64
 }
 
-type deleteInfo[L any] struct {
-	gp, p, l   *node[L]
-	pupdate    *updateRec[L]
-	flag, mark updateRec[L]  // DFLAG on gp, MARK on p
-	done       *updateRec[L] // CLEAN on gp
-}
+// afterLoad, nil outside tests, runs in a helper between loading the fields
+// of the attempt that wrote w and re-checking its slot's sequence.
+var afterLoad func(w uint64)
 
-// node is an EFRB node: key, value (leaves), update field (internal nodes)
+// node is an EFRB node: key, value (leaves), update word (internal nodes)
 // and l, the technique's part — the two edges, empty on a leaf, and
 // whatever else it keeps per node.
 type node[L any] struct {
 	key, val uint64
-	update   atomic.Pointer[updateRec[L]]
+	update   atomic.Uint64
 	l        L
 }
 
 // leaf tells a leaf without following an edge: only internal nodes are ever
-// flagged or marked, and each starts with a clean record.
-func (n *node[L]) leaf() bool { return n.update.Load() == nil }
+// flagged or marked, and each starts at fresh.
+func (n *node[L]) leaf() bool { return n.update.Load() == 0 }
 
 type searchResult[L any] struct {
 	gp, p, l          *node[L]
-	gpupdate, pupdate *updateRec[L]
+	gpupdate, pupdate uint64
 }
 
 // technique is what vCAS and EBR-RQ differ in on this tree; DESIGN.md "What
@@ -117,19 +139,51 @@ type tree[L any, P technique[L]] struct {
 	tr    *trace.Recorder
 	rd    *core.Reader
 	p     P
-	clean *updateRec[L] // what an internal node's update field starts at
 	root  *node[L]
+	descs []atomic.Pointer[desc[L]] // by thread slot
+	words words
 }
 
-// newTree builds the tree over p, which was built with h, and reports to
-// h's recorder. The sentinels come from the GC, not p's pool: they are not
-// pool traffic.
-func newTree[L any, P technique[L]](src core.Source, p P, rule core.Bound, h core.Hooks) *tree[L, P] {
-	t := &tree[L, P]{tr: h.Trace, p: p, clean: new(updateRec[L])}
+// newTree builds the tree over p, which was built with h, for reg's
+// threads, and reports to h's recorder. The sentinels come from the GC, not
+// p's pool: they are not pool traffic.
+func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, rule core.Bound, h core.Hooks) (*tree[L, P], error) {
+	ws, err := layout(reg.Cap())
+	if err != nil {
+		return nil, err
+	}
+	t := &tree[L, P]{tr: h.Trace, p: p, descs: make([]atomic.Pointer[desc[L]], reg.Cap()), words: ws}
 	leaf := func(key uint64) *node[L] { return t.initNode(new(node[L]), key, 0, nil, nil, nil) }
 	t.root = t.initNode(new(node[L]), inf2, 0, leaf(inf1), leaf(inf2), nil)
 	t.rd = core.NewReader(src, rule, t, h)
-	return t
+	return t, nil
+}
+
+// words is where a tree's update words hold the slot and the sequence.
+type words struct {
+	slotMask uint64 // of a word shifted right by stateBits
+	seqShift uint
+}
+
+// layout places the slot and the sequence in the update words of a tree
+// for threads slots: the slot in as few bits as name them all, the
+// sequence in the rest, which must be at least minSeqBits.
+func layout(threads int) (words, error) {
+	if threads > MaxThreads {
+		return words{}, fmt.Errorf("lfbst: %d threads leave an update word under %d bits of sequence; at most %d", threads, minSeqBits, MaxThreads)
+	}
+	slotBits := uint(bits.Len(uint(threads - 1)))
+	return words{slotMask: 1<<slotBits - 1, seqShift: stateBits + slotBits}, nil
+}
+
+// encode returns the word of slot's attempt seq, state clear.
+func (ws words) encode(slot int, seq uint64) uint64 {
+	return seq<<ws.seqShift | uint64(slot)<<stateBits
+}
+
+// decode returns the slot and sequence of the attempt that wrote w.
+func (ws words) decode(w uint64) (slot, seq uint64) {
+	return w >> stateBits & ws.slotMask, w >> ws.seqShift
 }
 
 // Reader returns the tree's snapshot-read protocol.
@@ -149,7 +203,7 @@ func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right, of *node[L])
 func (t *tree[L, P]) initNode(n *node[L], key, val uint64, left, right, of *node[L]) *node[L] {
 	*n = node[L]{key: key, val: val}
 	if left != nil {
-		n.update.Store(t.clean)
+		n.update.Store(fresh)
 	}
 	t.p.seed(n, left, right, of)
 	return n
@@ -192,25 +246,25 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 				t.p.Free(th.ID, nl) // never published, if allocated
 				break
 			}
-		} else if r.pupdate.state == clean {
+		} else if r.pupdate&stateMask == clean {
 			if nl == nil {
 				am := t.tr.Now(th.ID)
 				nl = t.newNode(th.ID, key, val, nil, nil, nil)
 				t.tr.Span(th.ID, trace.PhaseAlloc, am)
 			}
-			op, sib := t.newInsert(th.ID, r.p, r.l, nl)
-			if r.p.update.CompareAndSwap(r.pupdate, &op.flag) {
-				t.helpInsert(op, th.ID)
+			o, sib := t.newInsert(th.ID, r.p, r.l, nl)
+			if r.p.update.CompareAndSwap(r.pupdate, o.w|iflag) {
+				t.helpInsert(o, th.ID)
 				t.p.present(nl) // labeled before returning, whoever made the CAS
 				t.p.truncate(th, key, r.p, r.gp)
 				inserted = true
 				break
 			}
-			t.p.Free(th.ID, op.newInternal)
+			t.p.Free(th.ID, o.ni)
 			t.p.Free(th.ID, sib)
 		}
 		// The parent is busy, or holds a deleted leaf: help, then retry.
-		if u := r.p.update.Load(); u.state != clean {
+		if u := r.p.update.Load(); u&stateMask != clean {
 			t.help(u, th.ID)
 			helps++
 		}
@@ -237,21 +291,19 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 			break
 		}
 		u := r.gpupdate
-		if u.state == clean {
+		if u&stateMask == clean {
 			u = r.pupdate
 		}
-		if u.state == clean {
+		if u&stateMask == clean {
 			// Retired before any helper can splice it out; a retry meeting
 			// another leaf (a copy, or the key re-inserted) retires that too.
 			if retired != r.l {
 				t.p.retire(th, r.l)
 				retired = r.l
 			}
-			op := &deleteInfo[L]{gp: r.gp, p: r.p, l: r.l, pupdate: r.pupdate, done: new(updateRec[L])}
-			op.flag = updateRec[L]{state: dflag, del: op}
-			op.mark = updateRec[L]{state: mark, del: op}
-			if r.gp.update.CompareAndSwap(r.gpupdate, &op.flag) {
-				if deleted = t.helpDelete(op, th.ID); deleted {
+			o := t.attempt(th.ID, r.gp, r.p, r.l, nil, r.pupdate)
+			if r.gp.update.CompareAndSwap(r.gpupdate, o.w|dflag) {
+				if deleted = t.helpDelete(o, th.ID); deleted {
 					t.p.truncate(th, key, r.gp, nil)
 					break
 				}
@@ -271,9 +323,9 @@ func (t *tree[L, P]) Delete(th *core.Thread, key uint64) bool {
 }
 
 // newInsert prepares inserting nl beside leaf l, p's child: a new internal
-// node over nl and a copy of l, and the descriptor. It returns the copy
-// too, for the pool if the flag CAS fails.
-func (t *tree[L, P]) newInsert(tid int, p, l, nl *node[L]) (*insertInfo[L], *node[L]) {
+// node over nl and a copy of l, and the attempt. It returns the copy too,
+// for the pool if the flag CAS fails.
+func (t *tree[L, P]) newInsert(tid int, p, l, nl *node[L]) (op[L], *node[L]) {
 	sib := t.newNode(tid, l.key, l.val, nil, nil, l)
 	var ni *node[L]
 	if nl.key < sib.key {
@@ -281,56 +333,88 @@ func (t *tree[L, P]) newInsert(tid int, p, l, nl *node[L]) (*insertInfo[L], *nod
 	} else {
 		ni = t.newNode(tid, nl.key, 0, sib, nl, nil)
 	}
-	op := &insertInfo[L]{p: p, l: l, newInternal: ni, done: new(updateRec[L])}
-	op.flag = updateRec[L]{state: iflag, ins: op}
-	return op, sib
+	return t.attempt(tid, nil, p, l, ni, 0), sib
 }
 
+// attempt starts slot tid's next update attempt in its descriptor, before
+// the CAS that publishes it: an insert passes ni, a delete gp and pupdate.
+func (t *tree[L, P]) attempt(tid int, gp, p, l, ni *node[L], pupdate uint64) op[L] {
+	d := t.descs[tid].Load()
+	if d == nil {
+		d = new(desc[L])
+		t.descs[tid].Store(d)
+	}
+	seq := d.seq.Add(1)
+	if ni != nil {
+		d.ni.Store(ni)
+	} else {
+		d.gp.Store(gp)
+		d.pupdate.Store(pupdate)
+	}
+	d.p.Store(p)
+	d.l.Store(l)
+	return op[L]{gp: gp, p: p, l: l, ni: ni, pupdate: pupdate, w: t.words.encode(tid, seq)}
+}
+
+// help completes the attempt that wrote w, if it is not complete already.
 // tid in the helping functions is the helping thread's slot and only routes
 // the node pool; -1 is valid for callers without a slot.
-func (t *tree[L, P]) help(u *updateRec[L], tid int) {
-	switch u.state {
+func (t *tree[L, P]) help(w uint64, tid int) {
+	state := w & stateMask
+	if state == clean {
+		return
+	}
+	slot, seq := t.words.decode(w)
+	d := t.descs[slot].Load()
+	o := op[L]{gp: d.gp.Load(), p: d.p.Load(), l: d.l.Load(), ni: d.ni.Load(), pupdate: d.pupdate.Load(), w: w &^ stateMask}
+	if afterLoad != nil {
+		afterLoad(w)
+	}
+	if d.seq.Load() != seq {
+		return // the owner has moved on: the fields may be a later attempt's
+	}
+	switch state {
 	case iflag:
-		t.helpInsert(u.ins, tid)
+		t.helpInsert(o, tid)
 	case dflag:
-		t.helpDelete(u.del, tid)
+		t.helpDelete(o, tid)
 	case mark:
-		t.helpMarked(u.del, tid)
+		t.helpMarked(o, tid)
 	}
 }
 
-func (t *tree[L, P]) helpInsert(op *insertInfo[L], tid int) {
-	t.p.publish(op.p, op.l, op.newInternal, true)
-	op.p.update.CompareAndSwap(&op.flag, op.done)
+func (t *tree[L, P]) helpInsert(o op[L], tid int) {
+	t.p.publish(o.p, o.l, o.ni, true)
+	o.p.update.CompareAndSwap(o.w|iflag, o.w|clean)
 }
 
-func (t *tree[L, P]) helpDelete(op *deleteInfo[L], tid int) bool {
-	if op.p.update.CompareAndSwap(op.pupdate, &op.mark) || op.p.update.Load() == &op.mark {
-		t.helpMarked(op, tid) // marked, by this call or another helper
+func (t *tree[L, P]) helpDelete(o op[L], tid int) bool {
+	if o.p.update.CompareAndSwap(o.pupdate, o.w|mark) || o.p.update.Load() == o.w|mark {
+		t.helpMarked(o, tid) // marked, by this call or another helper
 		return true
 	}
 	// The parent changed under us: unflag the grandparent so the deleter
 	// retries.
-	t.help(op.p.update.Load(), tid)
-	op.gp.update.CompareAndSwap(&op.flag, op.done)
+	t.help(o.p.update.Load(), tid)
+	o.gp.update.CompareAndSwap(o.w|dflag, o.w|clean)
 	return false
 }
 
 // helpMarked splices the sibling of the deleted leaf, frozen under the
 // marked parent, into the grandparent: a leaf as a copy, an internal node
 // as itself.
-func (t *tree[L, P]) helpMarked(op *deleteInfo[L], tid int) {
-	t.p.marked(tid, op.l)
-	other, right := t.p.children(op.p)
-	if other == op.l {
+func (t *tree[L, P]) helpMarked(o op[L], tid int) {
+	t.p.marked(tid, o.l)
+	other, right := t.p.children(o.p)
+	if other == o.l {
 		other = right
 	}
 	if !other.leaf() {
-		t.p.publish(op.gp, op.p, other, false)
-	} else if c := t.newNode(tid, other.key, other.val, nil, nil, other); !t.p.publish(op.gp, op.p, c, true) {
+		t.p.publish(o.gp, o.p, other, false)
+	} else if c := t.newNode(tid, other.key, other.val, nil, nil, other); !t.p.publish(o.gp, o.p, c, true) {
 		t.p.Free(tid, c)
 	}
-	op.gp.update.CompareAndSwap(&op.flag, op.done)
+	o.gp.update.CompareAndSwap(o.w|dflag, o.w|clean)
 }
 
 // RangeQuery appends every pair with lo <= key <= hi as of one
@@ -399,11 +483,17 @@ type vcasTechnique struct {
 }
 
 // New creates an empty tree over the given timestamp source and thread
-// registry, wired to the sinks of h (at most one; none wires nothing).
+// registry, wired to the sinks of h (at most one; none wires nothing). It
+// panics if reg has more than MaxThreads slots, which tscds.New refuses
+// with an error first.
 func New(src core.Source, reg *core.Registry, h ...core.Hooks) *Tree {
 	hk := core.HooksOf(h)
 	p := &vcasTechnique{history.NewTechnique[node[vlinks]](src, reg, history.VCAS, hk)}
-	return newTree(src, p, core.QueryAdvances, hk)
+	t, err := newTree(src, reg, p, core.QueryAdvances, hk)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 func (*vcasTechnique) present(l *node[vlinks]) (uint64, bool) { return l.val, true }

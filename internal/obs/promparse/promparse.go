@@ -1,6 +1,6 @@
 // Package promparse is a strict parser for the Prometheus text
-// exposition format 0.0.4, used by tests and the tscstat -check mode to
-// validate everything the obs layer exports. It is deliberately
+// exposition format 0.0.4, used by tests to validate everything the obs
+// layer exports. It is deliberately
 // stricter than a real scraper: besides syntax it checks that every
 // family carries # HELP and # TYPE metadata before its samples, that
 // metric and label names are legal, that no series is duplicated, and

@@ -388,8 +388,9 @@ func (e *ConfigError) Error() string { return "tscds: invalid " + e.Field + ": "
 // quietly (an unknown Alloc ran as AllocGC under its bogus name; a TSC
 // read other than the paper's RDTSCP;LFENCE, which only Figure 1
 // measures, labeled a map, bare RDTSC included) or from deep inside
-// construction (an unknown Source panicked in core.New).
-func validate(cfg Config) error {
+// construction (an unknown Source panicked in core.New, a BST over more
+// threads than its update words can name panics in lfbst.New).
+func validate(s Structure, cfg Config) error {
 	switch cfg.Source {
 	case Logical, TSC, Monotonic, Adaptive:
 	default:
@@ -397,6 +398,9 @@ func validate(cfg Config) error {
 	}
 	if cfg.MaxThreads < 0 {
 		return &ConfigError{"MaxThreads", fmt.Sprintf("%d is negative", cfg.MaxThreads)}
+	}
+	if s == BST && cfg.MaxThreads > lfbst.MaxThreads {
+		return &ConfigError{"MaxThreads", fmt.Sprintf("%d is more than the %d thread slots a BST can name", cfg.MaxThreads, lfbst.MaxThreads)}
 	}
 	if cfg.Alloc != AllocGC && cfg.Alloc != AllocPool {
 		return &ConfigError{"Alloc", fmt.Sprintf("unknown mode %d", int(cfg.Alloc))}
@@ -427,7 +431,7 @@ func New(s Structure, t Technique, cfg Config) (Map, error) {
 // fan-out when sharded), then arm durability, one WAL stream per part.
 // shards is 0 for a flat map, which has one part.
 func (w *wrap) init(s Structure, t Technique, cfg Config, shards int) error {
-	if err := validate(cfg); err != nil {
+	if err := validate(s, cfg); err != nil {
 		return err
 	}
 	reg := core.NewRegistry(cfg.MaxThreads)

@@ -11,6 +11,7 @@ import (
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
+	"tscds/internal/lfbst"
 )
 
 // combo is a (structure, technique) pair.
@@ -205,7 +206,8 @@ func TestWrapLayout(t *testing.T) {
 // mode) used to run as AllocGC while reporting the bogus mode, an unknown
 // Source to panic inside core.New, a TSC read Figure 1 alone measures
 // (bare RDTSC among them) to label a map, a negative MaxThreads to become the
-// default. NewSharded refuses a shard count below 1, which it used to round
+// default, a BST over more threads than its update words name to panic.
+// NewSharded refuses a shard count below 1, which it used to round
 // up, the same way. Each constructor reports whether it built anything.
 func TestConstructorsRejectInvalidConfig(t *testing.T) {
 	// New and NewSharded close what they build: a row may open a WAL.
@@ -267,8 +269,15 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 			t.Errorf("NewSharded(shards %d) = %v, %v; want a *ConfigError for shards", n, m, err)
 		}
 	}
-	// An unsupported combination is not a Config fault.
+	// A BST's update words name at most lfbst.MaxThreads slots, under
+	// either technique; the registry is refused before it is built.
 	var ce *ConfigError
+	for _, tech := range []Technique{VCAS, EBRRQ} {
+		if m, err := New(BST, tech, Config{MaxThreads: lfbst.MaxThreads + 1}); !errors.As(err, &ce) || ce.Field != "MaxThreads" || m != nil {
+			t.Errorf("New(BST, %v, MaxThreads %d) = %v, %v; want a *ConfigError for MaxThreads", tech, lfbst.MaxThreads+1, m, err)
+		}
+	}
+	// An unsupported combination is not a Config fault.
 	if _, err := New(BST, Bundle, Config{}); err == nil || errors.As(err, &ce) {
 		t.Errorf("New(BST, Bundle) = %v, want an error that is no *ConfigError", err)
 	}
