@@ -178,8 +178,12 @@ doc-check:
 # managers and Readers take their sinks as constructor arguments and a map
 # attaches to its metrics registry in one Attach call, so no non-test Go
 # file outside benchmark/ may declare a method under the name of one of the
-# post-construction setters this replaced (WIRING_SETTERS).
+# post-construction setters this replaced (WIRING_SETTERS), and
+# internal/core may not declare a package-level function under the name of
+# one (WIRING_FUNCS): a timestamp source gets its stats and health monitor
+# from core.NewSource.
 WIRING_SETTERS = SetHooks|RecycleIf|SetGC|SetTrace|SetRecycle|SetSourceKind|SetSourceActual|SetStructure|SetAllocMode|SetWALMode|EnsureShards
+WIRING_FUNCS = Count
 deps-check:
 	@if $(GO) list -deps ./internal/history | grep -qx 'tscds/internal/pool'; then \
 		echo "deps-check: internal/history depends on internal/pool"; exit 1; fi
@@ -188,6 +192,8 @@ deps-check:
 			echo "deps-check: internal/$$d imports internal/epoch or internal/pool; go through ebrrq.Technique"; exit 1; fi; done
 	@if grep -rnE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmark '^func \([^)]*\) ($(WIRING_SETTERS))\(' .; then \
 		echo "deps-check: a post-construction setter is declared above; take the sinks at construction"; exit 1; fi
+	@if grep -nE '^func ($(WIRING_FUNCS))\(' $$(ls internal/core/*.go | grep -v _test.go); then \
+		echo "deps-check: a post-construction wiring function is declared above; core.NewSource takes a source's stats and health"; exit 1; fi
 
 # benchmark-smoke compiles and runs the repository benchmark's own tests.
 # benchmark/ is a separate module, so `go test ./...` at the root never

@@ -93,16 +93,14 @@ func benchMap(b *testing.B, s tscds.Structure, t tscds.Technique, src tscds.Sour
 // each source, bare (top panel) and with interleaved local work (bottom
 // panel).
 func BenchmarkFig1Timestamp(b *testing.B) {
-	kinds := []tscds.SourceKind{tscds.Logical, tscds.TSC, core.TSCCPUID, core.TSCUnfenced, core.TSCRaw}
 	for _, panel := range []string{"top", "bottom"} {
-		for _, k := range kinds {
-			b.Run(fmt.Sprintf("%s/%s", panel, k), func(b *testing.B) {
-				src := tscds.NewTimestampSource(k)
+		for _, r := range bench.Fig1Reads {
+			b.Run(fmt.Sprintf("%s/%s", panel, r.Name), func(b *testing.B) {
 				work := panel == "bottom"
 				b.RunParallel(func(pb *testing.PB) {
 					sink := uint64(0)
 					for pb.Next() {
-						sink += src.Advance()
+						sink += r.Read()
 						if work {
 							for i := 0; i < 100; i++ {
 								sink = sink*2862933555777941757 + 3037000493

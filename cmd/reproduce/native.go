@@ -34,9 +34,6 @@ type native struct {
 // sources are the two columns of every data-structure figure.
 var sources = []tscds.SourceKind{tscds.Logical, tscds.TSC}
 
-// fig1Kinds are Figure 1's series, in the simulated panels' order.
-var fig1Kinds = []core.Kind{core.Logical, core.TSC, core.TSCCPUID, core.TSCUnfenced, core.TSCRaw}
-
 // newNative parses the native flags and prints the run's fingerprint: the
 // host, the toolchain, and which source actually serves each requested
 // one (a host without an invariant TSC serves RDTSCP from the monotonic
@@ -178,14 +175,14 @@ func (n *native) figure1() {
 		work bool
 	}{{"top: bare acquisition", false}, {"bottom: acquisition + local work", true}} {
 		fmt.Fprintf(n.w, "Figure 1 (%s), native, %v/point\n%8s", panel.name, n.o.duration, "threads")
-		for _, k := range fig1Kinds {
-			fmt.Fprintf(n.w, " %16s", k)
+		for _, r := range bench.Fig1Reads {
+			fmt.Fprintf(n.w, " %16s", r.Name)
 		}
 		fmt.Fprintln(n.w)
 		for _, threads := range n.threads {
 			fmt.Fprintf(n.w, "%8d", threads)
-			for _, k := range fig1Kinds {
-				fmt.Fprintf(n.w, " %11.2f Mops", acquire(core.New(k), threads, n.o.duration, panel.work))
+			for _, r := range bench.Fig1Reads {
+				fmt.Fprintf(n.w, " %11.2f Mops", acquire(r.Read, threads, n.o.duration, panel.work))
 			}
 			fmt.Fprintln(n.w)
 		}
@@ -193,10 +190,10 @@ func (n *native) figure1() {
 	}
 }
 
-// acquire is Figure 1's loop: threads pinned workers advance src for d,
+// acquire is Figure 1's loop: threads pinned workers call read for d,
 // optionally doing 100 multiply-adds of local work per acquisition, and
 // the total rate comes back in Mops/s.
-func acquire(src core.Source, threads int, d time.Duration, work bool) float64 {
+func acquire(read func() uint64, threads int, d time.Duration, work bool) float64 {
 	var stop core.PaddedBool
 	counts := make([]struct {
 		n int64
@@ -215,7 +212,7 @@ func acquire(src core.Source, threads int, d time.Duration, work bool) float64 {
 			start.Wait()
 			sink := uint64(0)
 			for !stop.Load() {
-				sink += src.Advance()
+				sink += read()
 				if work {
 					for j := 0; j < 100; j++ {
 						sink = sink*2862933555777941757 + 3037000493

@@ -6,6 +6,8 @@ import (
 	"strings"
 
 	"tscds"
+	"tscds/internal/core"
+	"tscds/internal/tsc"
 )
 
 // The names an arm is spelled with on a command line and in the figure
@@ -45,4 +47,19 @@ func Arms() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Fig1Reads are Figure 1's series in the simulated panels' order: the
+// shared logical counter's Advance and the four TSC read sequences, named
+// as the paper's legend names them. Only the first two are map sources
+// (core.Logical, core.TSC); the other three reads are measured bare.
+var Fig1Reads = []struct {
+	Name string
+	Read func() uint64
+}{
+	{core.Logical.String(), core.New(core.Logical).Advance},
+	{core.TSC.String(), tsc.ReadFenced},
+	{"RDTSC-CPUID", tsc.ReadCPUID},
+	{"RDTSCP-nofence", tsc.ReadP},
+	{"RDTSC-nofence", tsc.Read},
 }

@@ -199,3 +199,24 @@ func TestArmsEnumeratesWhatNewAccepts(t *testing.T) {
 		t.Fatal("ParseArm accepted an unknown technique")
 	}
 }
+
+// Figure 1's native read table: the simulation models every read under
+// the same name (TimestampOps panics on a name it does not know), and each
+// read moves forward over a window of reads.
+func TestFig1Reads(t *testing.T) {
+	m := sim.PaperMachine()
+	for _, r := range Fig1Reads {
+		t.Run(r.Name, func(t *testing.T) {
+			if len(sim.TimestampOps(m, r.Name, 0)) == 0 {
+				t.Fatalf("the simulation models %s with no operation", r.Name)
+			}
+			a := r.Read()
+			for j := 0; j < 10_000; j++ {
+				r.Read()
+			}
+			if b := r.Read(); b <= a {
+				t.Fatalf("%s read %d, then %d after 10,000 reads", r.Name, a, b)
+			}
+		})
+	}
+}

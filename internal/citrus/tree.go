@@ -111,9 +111,13 @@ func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 // use only, like Len.
 func (t *tree[L, P]) Drain() { t.p.Drain() }
 
-// newNode acquires a node from the technique and initializes it.
+// newNode acquires a node from the technique and initializes it, timed as
+// tid's alloc phase: an insert's node and a delete's relocation copy.
 func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right *node[L]) *node[L] {
-	return t.initNode(t.p.Alloc(tid), key, val, left, right)
+	am := t.tr.Now(tid)
+	n := t.initNode(t.p.Alloc(tid), key, val, left, right)
+	t.tr.Span(tid, trace.PhaseAlloc, am)
+	return n
 }
 
 // initNode re-initializes all of n but the tag, which only ever grows.
@@ -202,9 +206,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 		dir := dirOf(key, prev.key)
 		prev.mu.Lock()
 		if t.validateInsert(prev, dir, tag) {
-			am := t.tr.Now(th.ID)
 			n := t.newNode(th.ID, key, val, nil, nil)
-			t.tr.Span(th.ID, trace.PhaseAlloc, am)
 			t.p.publish(th, prev, dir, n)
 			prev.mu.Unlock()
 			inserted = true

@@ -49,7 +49,7 @@ func PayloadOf(ts TS) TS { return ts & PayloadMask }
 // caller must discard what it collected, take a fresh bound and re-run —
 // the pre-switch bound orders correctly against pre-switch labels only, so
 // a result assembled across the switch could tear the snapshot. A counted
-// AdaptiveSource counts the retry (see Count).
+// AdaptiveSource counts the retry (see NewSource).
 func SnapshotValid(src Source, bound TS) bool {
 	a, ok := src.(*AdaptiveSource)
 	if !ok || a.Generation() == GenOf(bound) {
@@ -67,10 +67,12 @@ func SnapshotValid(src Source, bound TS) bool {
 const DefaultFailbackAfter = 4096
 
 // AdaptiveSource starts on the hardware counter and fails over to a
-// shared logical counter when Health reports the hardware degraded —
-// the control loop that makes hardware timestamps safe on machines
+// shared logical counter when Health records a fault the source has not
+// seen — the control loop that makes hardware timestamps safe on machines
 // where the invariant-TSC assumption can break at runtime. After a
-// fault-free stretch it fails back.
+// fault-free stretch it fails back. The source alone decides: it keeps
+// the Health.FaultSeq it last trusted (seen), so sources sharing one
+// Health each fail over on a fault, whatever the others have done since.
 //
 // Every timestamp carries the source generation in its high bits (see
 // GenBits); on a switch the generation increments, so post-switch
@@ -81,7 +83,7 @@ const DefaultFailbackAfter = 4096
 // switch via SnapshotValid and retry against a fresh bound.
 //
 // Hot-path cost over the plain hardware source: one atomic load of the
-// generation and one of the degraded flag per timestamp.
+// generation and two that compare FaultSeq with seen per timestamp.
 type AdaptiveSource struct {
 	health *tsc.Health
 	read   func() uint64 // fenced RDTSCP in even generations
@@ -92,25 +94,10 @@ type AdaptiveSource struct {
 	logical PaddedUint64 // payload counter for odd (logical) generations
 
 	failbackAfter int           // DefaultFailbackAfter; a test may shorten it, or disable failback (< 0)
-	lastSeq       atomic.Uint64 // Health.FaultSeq at last observation
+	seen          atomic.Uint64 // the Health.FaultSeq last trusted; stored under mu only
 	quiet         atomic.Uint64 // consecutive clean logical-mode snapshots
 
-	mu sync.Mutex // serializes switches
-}
-
-// NewAdaptive builds an adaptive source over health, which supplies the
-// degraded signal and receives switch telemetry. With a nil health the
-// source never observes faults and stays on hardware (still
-// generation-encoded, so instrumentation works).
-func NewAdaptive(health *tsc.Health) *AdaptiveSource {
-	s := &AdaptiveSource{
-		health:        health,
-		read:          tsc.ReadFenced,
-		baseHW:        tsc.ReadFenced(),
-		failbackAfter: DefaultFailbackAfter,
-	}
-	s.logical.Store(0)
-	return s
+	mu sync.Mutex // serializes switches and stores to seen
 }
 
 // hwPayload returns the current hardware reading as a payload: offset
@@ -147,7 +134,7 @@ func (s *AdaptiveSource) Advance() TS {
 		if g&1 == 1 {
 			return g<<GenShift | s.logical.Add(1)&PayloadMask
 		}
-		if s.health.Degraded() && s.failover(g) {
+		if s.faulted() && s.failover(g) {
 			continue
 		}
 		return g<<GenShift | s.hwPayload()
@@ -162,7 +149,7 @@ func (s *AdaptiveSource) Peek() TS {
 		if g&1 == 1 {
 			return g<<GenShift | s.logical.Load()&PayloadMask
 		}
-		if s.health.Degraded() && s.failover(g) {
+		if s.faulted() && s.failover(g) {
 			continue
 		}
 		return g<<GenShift | s.hwPayload()
@@ -184,7 +171,7 @@ func (s *AdaptiveSource) Snapshot() TS {
 			s.maybeFailback(g)
 			return ts
 		}
-		if s.health.Degraded() && s.failover(g) {
+		if s.faulted() && s.failover(g) {
 			continue
 		}
 		return g<<GenShift | s.hwPayload()
@@ -193,6 +180,9 @@ func (s *AdaptiveSource) Snapshot() TS {
 
 // Kind reports Adaptive.
 func (s *AdaptiveSource) Kind() Kind { return Adaptive }
+
+// faulted reports whether health recorded a fault s has not seen.
+func (s *AdaptiveSource) faulted() bool { return s.health.FaultSeq() != s.seen.Load() }
 
 // failover switches generation g (even, hardware) to g+1 (odd,
 // logical). Returns true if the caller should re-read the generation
@@ -219,7 +209,7 @@ func (s *AdaptiveSource) failover(g uint64) bool {
 			break
 		}
 	}
-	s.lastSeq.Store(s.health.FaultSeq())
+	s.seen.Store(s.health.FaultSeq())
 	s.quiet.Store(0)
 	s.gen.Store(g + 1)
 	s.health.NoteSourceSwitch(false, time.Since(start))
@@ -229,16 +219,23 @@ func (s *AdaptiveSource) failover(g uint64) bool {
 // maybeFailback runs the failback hysteresis from a logical-mode
 // snapshot: count consecutive snapshots during which Health observed no
 // new fault, and after failbackAfter of them switch back to hardware.
-// The counters are racy by design — hysteresis is a heuristic, and any
-// thread observing a fault resets the run.
+// The quiet count is racy by design — hysteresis is a heuristic, and any
+// thread observing a fault resets the run. seen is not: it moves only
+// under mu, and only while g is current, so a thread that noticed a fault
+// before a failback cannot mark a fault after it as seen, which would
+// keep the hardware generation from failing over.
 func (s *AdaptiveSource) maybeFailback(g uint64) {
 	if s.failbackAfter < 0 || s.health == nil {
 		return
 	}
 	seq := s.health.FaultSeq()
-	if seq != s.lastSeq.Load() {
-		s.lastSeq.Store(seq)
+	if seq != s.seen.Load() {
 		s.quiet.Store(0)
+		s.mu.Lock()
+		if s.gen.Load() == g {
+			s.seen.Store(s.health.FaultSeq())
+		}
+		s.mu.Unlock()
 		return
 	}
 	if s.quiet.Add(1) < uint64(s.failbackAfter) {
@@ -252,16 +249,10 @@ func (s *AdaptiveSource) maybeFailback(g uint64) {
 	if s.health.FaultSeq() != seq {
 		return // a fault landed while we acquired the lock
 	}
+	// seen == seq: a fault from here on differs from it, so the hardware
+	// generation fails over on its next timestamp.
 	start := time.Now()
-	s.gen.Store(g + 1)
 	s.quiet.Store(0)
-	// Clear the flag so hardware-mode hot paths stop failing over; if a
-	// fault raced with the clear, the sequence number exposes it and the
-	// flag is re-raised (atomics are sequentially consistent, so a fault
-	// ordered before our re-check is visible to it).
-	s.health.ClearDegraded()
-	if s.health.FaultSeq() != seq {
-		s.health.RaiseDegraded()
-	}
+	s.gen.Store(g + 1)
 	s.health.NoteSourceSwitch(true, time.Since(start))
 }

@@ -28,7 +28,7 @@ func TestGenEncoding(t *testing.T) {
 }
 
 func TestAdaptiveNoHealthStaysHardware(t *testing.T) {
-	s := NewAdaptive(nil)
+	s := AdaptiveOver(nil, nil)
 	if s.Kind() != Adaptive {
 		t.Fatalf("Kind = %v", s.Kind())
 	}
@@ -53,7 +53,7 @@ func TestAdaptiveNoHealthStaysHardware(t *testing.T) {
 
 func TestAdaptiveFailoverOnDegraded(t *testing.T) {
 	h := tsc.NewHealth(2)
-	s := NewAdaptive(h)
+	s := AdaptiveOver(h, nil)
 	s.SetFailbackAfter(-1)
 	before := s.Advance()
 	if GenOf(before) != 0 {
@@ -97,7 +97,7 @@ func TestAdaptiveFailoverOnDegraded(t *testing.T) {
 
 func TestAdaptiveFailbackAfterQuiet(t *testing.T) {
 	h := tsc.NewHealth(2)
-	s := NewAdaptive(h)
+	s := AdaptiveOver(h, nil)
 	s.SetFailbackAfter(8)
 	h.InjectBackstep(1 << 30)
 	if got := GenOf(s.Advance()); got != 1 {
@@ -118,8 +118,8 @@ func TestAdaptiveFailbackAfterQuiet(t *testing.T) {
 	if now <= last {
 		t.Fatalf("timestamp moved backwards across failback: %d -> %d", last, now)
 	}
-	if h.Degraded() {
-		t.Fatal("degraded flag still set after failback")
+	if got := GenOf(s.Peek()); got != 2 {
+		t.Fatalf("generation after a fault-free failback = %d, want 2", got)
 	}
 	snap := h.Snapshot()
 	if snap.SourceSwitches != 1 || snap.SourceFailbacks != 1 {
@@ -132,9 +132,38 @@ func TestAdaptiveFailbackAfterQuiet(t *testing.T) {
 	}
 }
 
+// Sources sharing one Health each decide for themselves: A fails over on
+// a fault and back after its quiet stretch, and B, which ran nothing since
+// the fault, still fails over at its next read. A, back on hardware, stays
+// there: the fault is one it has seen.
+func TestAdaptiveSharedHealthEachFailsOver(t *testing.T) {
+	h := tsc.NewHealth(2)
+	a, b := AdaptiveOver(h, nil), AdaptiveOver(h, nil)
+	a.SetFailbackAfter(8)
+	if GenOf(a.Advance()) != 0 || GenOf(b.Advance()) != 0 {
+		t.Fatal("fresh sources not in hardware generation 0")
+	}
+	h.InjectBackstep(1 << 30)
+	if got := GenOf(a.Advance()); got != 1 {
+		t.Fatalf("A's generation after the fault = %d, want 1", got)
+	}
+	for i := 0; i < 20 && a.Degraded(); i++ {
+		a.Snapshot()
+	}
+	if got := a.Generation(); got != 2 {
+		t.Fatalf("A's generation after its quiet stretch = %d, want 2 (failed back)", got)
+	}
+	if got := GenOf(b.Peek()); got != 1 {
+		t.Fatalf("B's generation at its first read since the fault = %d, want 1 (failed over)", got)
+	}
+	if got := GenOf(a.Advance()); got != 2 {
+		t.Fatalf("A's generation after failback = %d, want 2", got)
+	}
+}
+
 func TestAdaptiveFailbackDisabled(t *testing.T) {
 	h := tsc.NewHealth(1)
-	s := NewAdaptive(h)
+	s := AdaptiveOver(h, nil)
 	s.SetFailbackAfter(-1)
 	h.InjectBackstep(1 << 30)
 	s.Advance()
@@ -148,11 +177,11 @@ func TestAdaptiveFailbackDisabled(t *testing.T) {
 
 func TestSnapshotValid(t *testing.T) {
 	// Non-generational sources never invalidate.
-	if !SnapshotValid(NewLogical(), 0) || !SnapshotValid(New(TSC), Pending) {
+	if !SnapshotValid(New(Logical), 0) || !SnapshotValid(New(TSC), Pending) {
 		t.Fatal("non-generational source invalidated a bound")
 	}
 	h := tsc.NewHealth(1)
-	s := NewAdaptive(h)
+	s := AdaptiveOver(h, nil)
 	s.SetFailbackAfter(-1)
 	bound := s.Snapshot()
 	if !SnapshotValid(s, bound) {
@@ -170,7 +199,7 @@ func TestSnapshotValid(t *testing.T) {
 
 func TestAdaptiveConcurrentSwitches(t *testing.T) {
 	h := tsc.NewHealth(8)
-	s := NewAdaptive(h)
+	s := AdaptiveOver(h, nil)
 	s.SetFailbackAfter(64)
 	// One synchronous fault before the workers start guarantees at least
 	// one failover regardless of scheduling.
@@ -237,21 +266,17 @@ func TestAdaptiveConcurrentSwitches(t *testing.T) {
 }
 
 func TestActualDisclosesFallback(t *testing.T) {
-	for _, k := range []Kind{TSC, TSCUnfenced, TSCCPUID, TSCRaw, Monotonic} {
-		s := New(k)
-		got := Actual(s)
-		if tsc.Supported() && tsc.HasCounter() {
-			if got != k {
-				t.Errorf("Actual(%v) = %v on a supported host", k, got)
-			}
-		} else if !tsc.HasCounter() && k != Monotonic {
-			if got != Monotonic {
-				t.Errorf("Actual(%v) = %v without a hardware counter, want Monotonic", k, got)
-			}
-		}
+	want := Monotonic
+	if tsc.Supported() {
+		want = TSC
 	}
-	// Logical sources are always exactly what they claim.
-	if got := Actual(NewLogical()); got != Logical {
-		t.Errorf("Actual(Logical) = %v", got)
+	if got := Actual(New(TSC)); got != want {
+		t.Errorf("Actual(TSC) = %v, want %v (RDTSCP supported: %v)", got, want, tsc.Supported())
+	}
+	// Logical and monotonic sources are always exactly what they claim.
+	for _, k := range []Kind{Logical, Monotonic} {
+		if got := Actual(New(k)); got != k {
+			t.Errorf("Actual(%v) = %v", k, got)
+		}
 	}
 }

@@ -45,7 +45,9 @@ func SortKVs(kvs []KV) {
 	slices.SortFunc(kvs, func(a, b KV) int { return cmp.Compare(a.Key, b.Key) })
 }
 
-// Kind identifies a timestamp source implementation.
+// Kind identifies a timestamp source implementation: the sources a map
+// can run on. Figure 1's other TSC reads are measured as bare reads (see
+// internal/bench's Fig1Reads) and are not sources.
 type Kind int
 
 const (
@@ -54,13 +56,6 @@ const (
 	Logical Kind = iota
 	// TSC is RDTSCP;LFENCE — the paper's recommended hardware source.
 	TSC
-	// TSCUnfenced is a bare RDTSCP (pseudo-serializing only); shown in
-	// Figure 1 to bound fence overhead.
-	TSCUnfenced
-	// TSCCPUID is CPUID;RDTSC — fully serialized but ~200+ cycles.
-	TSCCPUID
-	// TSCRaw is a bare RDTSC with no ordering guarantees.
-	TSCRaw
 	// Monotonic is the portable monotonic-clock source, used where TSC
 	// is unavailable (non-amd64, or non-invariant TSC).
 	Monotonic
@@ -79,12 +74,6 @@ func (k Kind) String() string {
 		return "Logical"
 	case TSC:
 		return "RDTSCP"
-	case TSCUnfenced:
-		return "RDTSCP-nofence"
-	case TSCCPUID:
-		return "RDTSC-CPUID"
-	case TSCRaw:
-		return "RDTSC-nofence"
 	case Monotonic:
 		return "Monotonic"
 	case Adaptive:

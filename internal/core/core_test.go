@@ -9,14 +9,11 @@ import (
 
 func TestKindString(t *testing.T) {
 	cases := map[Kind]string{
-		Logical:     "Logical",
-		TSC:         "RDTSCP",
-		TSCUnfenced: "RDTSCP-nofence",
-		TSCCPUID:    "RDTSC-CPUID",
-		TSCRaw:      "RDTSC-nofence",
-		Monotonic:   "Monotonic",
-		Adaptive:    "Adaptive",
-		Kind(99):    "Unknown",
+		Logical:   "Logical",
+		TSC:       "RDTSCP",
+		Monotonic: "Monotonic",
+		Adaptive:  "Adaptive",
+		Kind(99):  "Unknown",
 	}
 	for k, want := range cases {
 		if got := k.String(); got != want {
@@ -26,7 +23,7 @@ func TestKindString(t *testing.T) {
 }
 
 func TestLogicalSourceSequential(t *testing.T) {
-	s := NewLogical()
+	s := New(Logical)
 	first := s.Peek()
 	if first != 1 {
 		t.Fatalf("fresh logical source Peek = %d, want 1", first)
@@ -41,7 +38,7 @@ func TestLogicalSourceSequential(t *testing.T) {
 }
 
 func TestLogicalSourceConcurrentUnique(t *testing.T) {
-	s := NewLogical()
+	s := New(Logical)
 	const gs = 8
 	const per = 10000
 	results := make([][]TS, gs)
@@ -73,14 +70,14 @@ func TestLogicalSourceConcurrentUnique(t *testing.T) {
 }
 
 func TestAllKindsConstructAndAdvance(t *testing.T) {
-	for _, k := range []Kind{Logical, TSC, TSCUnfenced, TSCCPUID, TSCRaw, Monotonic, Adaptive} {
+	for _, k := range []Kind{Logical, TSC, Monotonic, Adaptive} {
 		s := New(k)
 		if s.Kind() != k {
 			t.Errorf("New(%v).Kind() = %v", k, s.Kind())
 		}
 		a := s.Advance()
 		b := s.Advance()
-		if b < a && k != TSCRaw && k != TSCUnfenced {
+		if b < a {
 			t.Errorf("%v: Advance went backwards %d -> %d", k, a, b)
 		}
 		if s.Peek() == Pending {
@@ -244,7 +241,7 @@ func TestMinActiveRQProperty(t *testing.T) {
 // Property: logical Advance values observed by one goroutine strictly
 // increase regardless of interleaving with another advancing goroutine.
 func TestLogicalMonotoneUnderConcurrencyProperty(t *testing.T) {
-	s := NewLogical()
+	s := New(Logical)
 	stop := make(chan struct{})
 	go func() {
 		for {
@@ -268,7 +265,7 @@ func TestLogicalMonotoneUnderConcurrencyProperty(t *testing.T) {
 }
 
 func BenchmarkLogicalAdvance(b *testing.B) {
-	s := NewLogical()
+	s := New(Logical)
 	for i := 0; i < b.N; i++ {
 		s.Advance()
 	}
@@ -293,7 +290,7 @@ func TestTSCSourceUsableImmediately(t *testing.T) {
 }
 
 func TestSnapshotStrictlyBelowLaterLabelsLogical(t *testing.T) {
-	s := NewLogical()
+	s := New(Logical)
 	for i := 0; i < 1000; i++ {
 		snap := s.Snapshot()
 		label := s.Peek()

@@ -27,31 +27,36 @@ func (c *switchOnce) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 	return out
 }
 
-// Every source core builds counts its own calls once Count wires its
-// stats, and a counted source behaves like an uncounted one: same Actual,
-// same address for lock-free EBR-RQ's DCSS, same refusal of a hardware
-// counter there.
+// Every source NewSource builds counts its own calls in the stats it was
+// built with, and a counted source behaves like an uncounted one: same
+// Actual, same address for lock-free EBR-RQ's DCSS, same refusal of a
+// hardware counter there.
 func TestCountEverySource(t *testing.T) {
 	type row struct {
-		name string
-		new  func(h *tsc.Health) core.Source
+		name   string
+		kind   core.Kind
+		health bool // built over the test's Health
 		// retries is how many times a failover under a collected bound
 		// sends the query back: once when the source fails over on h.
 		retries uint64
 	}
-	var rows []row
-	for _, k := range []core.Kind{core.Logical, core.TSC, core.TSCUnfenced, core.TSCCPUID, core.TSCRaw, core.Monotonic, core.Adaptive} {
-		rows = append(rows, row{name: k.String(), new: func(*tsc.Health) core.Source { return core.New(k) }})
+	rows := []row{
+		{name: "Logical", kind: core.Logical},
+		{name: "RDTSCP", kind: core.TSC},
+		{name: "Monotonic", kind: core.Monotonic},
+		{name: "Adaptive", kind: core.Adaptive},
+		{name: "NewAdaptive", kind: core.Adaptive, health: true, retries: 1},
 	}
-	rows = append(rows, row{name: "NewAdaptive", retries: 1, new: func(h *tsc.Health) core.Source {
-		s := core.NewAdaptive(h)
-		s.SetFailbackAfter(-1)
-		return s
-	}})
 
 	counted := func(r row, h *tsc.Health) (core.Source, *obs.SourceStats) {
-		src, st := r.new(h), &obs.SourceStats{}
-		core.Count(src, st)
+		if !r.health {
+			h = nil
+		}
+		st := &obs.SourceStats{}
+		src := core.NewSource(r.kind, h, st)
+		if a, ok := src.(*core.AdaptiveSource); ok {
+			a.SetFailbackAfter(-1)
+		}
 		return src, st
 	}
 	for _, r := range rows {
@@ -71,7 +76,7 @@ func TestCountEverySource(t *testing.T) {
 			})
 			t.Run("actual", func(t *testing.T) {
 				src, _ := counted(r, nil)
-				if got, want := core.Actual(src), core.Actual(r.new(nil)); got != want {
+				if got, want := core.Actual(src), core.Actual(core.New(r.kind)); got != want {
 					t.Fatalf("Actual counted = %v, uncounted = %v", got, want)
 				}
 			})

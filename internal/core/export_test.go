@@ -1,5 +1,10 @@
 package core
 
+import (
+	"tscds/internal/obs"
+	"tscds/internal/tsc"
+)
+
 // SetGeneration moves s to generation g as if it had switched there:
 // tests reach the end of the generation space without 2^GenBits
 // switches.
@@ -14,3 +19,9 @@ func (s *AdaptiveSource) FailoverFrom(g uint64) bool { return s.failover(g) }
 // fault-free snapshots; a negative n disables failback. Call it before s
 // is shared.
 func (s *AdaptiveSource) SetFailbackAfter(n int) { s.failbackAfter = n }
+
+// AdaptiveOver builds an Adaptive source over h counting in st, as
+// NewSource does, typed for the tests that drive its switches.
+func AdaptiveOver(h *tsc.Health, st *obs.SourceStats) *AdaptiveSource {
+	return NewSource(Adaptive, h, st).(*AdaptiveSource)
+}

@@ -7,7 +7,7 @@ import (
 )
 
 func TestReadBoundWindowArithmetic(t *testing.T) {
-	src := NewLogical()
+	src := New(Logical)
 	for src.Peek() < 100 {
 		src.Advance()
 	}
@@ -35,7 +35,7 @@ func TestReadBoundWindowArithmetic(t *testing.T) {
 }
 
 func TestReadBoundAnnouncedQueryLowersBound(t *testing.T) {
-	src := NewLogical()
+	src := New(Logical)
 	for src.Peek() < 100 {
 		src.Advance()
 	}
@@ -66,7 +66,7 @@ func TestReadBoundAnnouncedQueryLowersBound(t *testing.T) {
 }
 
 func TestReadBoundWatermarkIsMonotonic(t *testing.T) {
-	src := NewLogical()
+	src := New(Logical)
 	for src.Peek() < 100 {
 		src.Advance()
 	}
@@ -85,7 +85,7 @@ func TestReadBoundWatermarkIsMonotonic(t *testing.T) {
 }
 
 func TestReadBoundCheckAt(t *testing.T) {
-	src := NewLogical()
+	src := New(Logical)
 	for src.Peek() < 100 {
 		src.Advance()
 	}
@@ -125,7 +125,7 @@ func TestReadBoundCheckAt(t *testing.T) {
 // any slot is reserved at scan time.
 func TestTrimBoundBelowPreScanSource(t *testing.T) {
 	for _, wired := range []bool{false, true} {
-		src := NewLogical()
+		src := New(Logical)
 		for src.Peek() < 100 {
 			src.Advance()
 		}
@@ -175,7 +175,7 @@ func TestTrimBoundBelowPreScanSource(t *testing.T) {
 // PruneBound result must be <= every announced ts that passed CheckAt,
 // or the reader must have refused.
 func TestReadBoundPublishBeforeScan(t *testing.T) {
-	src := NewLogical()
+	src := New(Logical)
 	reg := NewRegistry(4)
 	rb := NewReadBound(src, 8)
 

@@ -20,10 +20,9 @@ import (
 // fault injected halfway, which no longer switches it.
 func TestAdaptiveSaturates(t *testing.T) {
 	h := tsc.NewHealth(2)
-	s := core.NewAdaptive(h)
-	s.SetFailbackAfter(8)
 	var st obs.SourceStats
-	core.Count(s, &st)
+	s := core.AdaptiveOver(h, &st)
+	s.SetFailbackAfter(8)
 	quiet := func() {
 		for i := 0; i < 32; i++ {
 			s.Snapshot()

@@ -126,7 +126,7 @@ func TestReaderRetriesAcrossGenerationSwitch(t *testing.T) {
 	// In hardware mode this one reads the fake's counter, so its bounds
 	// are logged like the fake's, and a failover and a failback under the
 	// first attempt's bound take it to generation 2.
-	a := NewAdaptive(nil)
+	a := AdaptiveOver(nil, nil)
 	a.read, a.baseHW = func() uint64 { src.bound("snapshot"); src.now++; return src.now }, 0
 	r.src = a
 	var bounds []TS

@@ -7,9 +7,9 @@ import (
 	"tscds/internal/tsc"
 )
 
-// counts is the SourceStats a source counts its own calls in. A nil st
-// (the default) leaves the source uncounted: each call then pays one
-// pointer test. Count sets it.
+// counts is the SourceStats a source counts its own calls in, fixed when
+// NewSource builds it. A nil st leaves the source uncounted: each call
+// then pays one pointer test.
 type counts struct{ st *obs.SourceStats }
 
 func (c *counts) countAdvance() {
@@ -30,50 +30,12 @@ func (c *counts) countSnapshot() {
 	}
 }
 
-// Count makes src count every Advance, Peek and Snapshot in st and, on an
-// AdaptiveSource, every range query SnapshotValid sends back for a retry.
-// On a logical source the Advance count is a direct proxy for fetch-and-add
-// contention on the shared timestamp line, the effect the paper's figures
-// measure; on hardware sources the counts describe the workload's
-// timestamp appetite.
-// Lock-free EBR-RQ's DCSS reads a logical counter at its address and is
-// not counted: it is the algorithm's validation read, not a timestamp
-// acquisition. Call Count before src serves traffic; src must come from
-// New or NewAdaptive.
-func Count(src Source, st *obs.SourceStats) {
-	c := countsOf(src)
-	if c == nil {
-		panic("core: Count on a source New did not build")
-	}
-	c.st = st
-}
-
-func countsOf(src Source) *counts {
-	switch s := src.(type) {
-	case *LogicalSource:
-		return &s.counts
-	case *hwSource:
-		return &s.counts
-	case *AdaptiveSource:
-		return &s.counts
-	}
-	return nil
-}
-
 // LogicalSource is the baseline: a single shared counter on its own cache
 // line. Advance is a fetch-and-add — the single point of contention the
 // paper identifies — and Peek is an atomic load.
 type LogicalSource struct {
 	c PaddedUint64
 	counts
-}
-
-// NewLogical returns a logical source starting at 1 (0 is reserved as
-// "before all snapshots" by the data structures).
-func NewLogical() *LogicalSource {
-	s := &LogicalSource{}
-	s.c.Store(1)
-	return s
 }
 
 // Advance increments the counter and returns the new value.
@@ -129,41 +91,21 @@ func (s *hwSource) Snapshot() TS {
 
 func (s *hwSource) Kind() Kind { return s.kind }
 
-// actualFor maps a requested hardware kind to the kind whose semantics
-// the tsc accessors really deliver on this host. Mirrors the fallback
-// chains in tsc's per-arch files.
+// actualFor maps a requested hardware kind to the kind the tsc
+// accessors really deliver on this host: ReadFenced needs RDTSCP, and
+// without it serves the monotonic clock.
 func actualFor(k Kind) Kind {
-	switch k {
-	case TSC:
-		// ReadFenced needs RDTSCP; without it the accessor serves the
-		// monotonic clock.
-		if !tsc.Supported() {
-			return Monotonic
-		}
-	case TSCUnfenced:
-		// ReadP degrades to bare RDTSC without RDTSCP, and to the
-		// monotonic clock without any counter.
-		if !tsc.HasCounter() {
-			return Monotonic
-		}
-		if !tsc.Supported() {
-			return TSCRaw
-		}
-	case TSCCPUID, TSCRaw:
-		// Real whenever the architecture has a counter at all.
-		if !tsc.HasCounter() {
-			return Monotonic
-		}
+	if k == TSC && !tsc.Supported() {
+		return Monotonic
 	}
 	return k
 }
 
-// Actual reports the kind actually serving s's reads. For hardware
-// kinds on hosts missing the needed instructions this differs from
-// s.Kind() — the silent-fallback case that used to mislabel monotonic
-// numbers as RDTSCP in benchmark output. An AdaptiveSource reports
-// Logical while failed over and its fenced RDTSCP read otherwise. Other
-// sources are taken at their word.
+// Actual reports the kind actually serving s's reads. For TSC on hosts
+// missing RDTSCP this differs from s.Kind() — the silent-fallback case
+// that used to mislabel monotonic numbers as RDTSCP in benchmark output.
+// An AdaptiveSource reports Logical while failed over and its fenced
+// RDTSCP read otherwise. Other sources are taken at their word.
 func Actual(s Source) Kind {
 	switch s := s.(type) {
 	case *hwSource:
@@ -177,28 +119,41 @@ func Actual(s Source) Kind {
 	return s.Kind()
 }
 
-// New returns a Source of the requested kind. Hardware kinds use the
-// monotonic fallback when the host lacks the needed instructions (the
-// tsc package handles that), so callers can always construct any kind —
-// but the substitution is disclosed via Actual, never silent.
-// New(Adaptive) builds an AdaptiveSource with no health monitor (it
-// stays on hardware); use NewAdaptive to wire one.
-func New(k Kind) Source {
+// NewSource builds a timestamp source of kind k, counting its calls in st
+// (nil: uncounted). On a logical source the Advance count is a direct
+// proxy for fetch-and-add contention on the shared timestamp line, the
+// effect the paper's figures measure; on hardware sources the counts
+// describe the workload's timestamp appetite. Lock-free EBR-RQ's DCSS
+// reads a logical counter at its address and is not counted: it is the
+// algorithm's validation read, not a timestamp acquisition. An Adaptive
+// source fails over on, and reports its switches to, health; with a nil
+// health it never observes a fault and stays on hardware. The hardware
+// kinds use the monotonic fallback when the host lacks the needed
+// instructions (the tsc package handles that), disclosed via Actual,
+// never silent. An unknown kind panics.
+func NewSource(k Kind, health *tsc.Health, st *obs.SourceStats) Source {
+	c := counts{st}
 	switch k {
 	case Logical:
-		return NewLogical()
+		s := &LogicalSource{counts: c}
+		s.c.Store(1) // 0 is "before all snapshots" to the data structures
+		return s
 	case TSC:
-		return &hwSource{kind: k, read: tsc.ReadFenced}
-	case TSCUnfenced:
-		return &hwSource{kind: k, read: tsc.ReadP}
-	case TSCCPUID:
-		return &hwSource{kind: k, read: tsc.ReadCPUID}
-	case TSCRaw:
-		return &hwSource{kind: k, read: tsc.Read}
+		return &hwSource{kind: k, read: tsc.ReadFenced, counts: c}
 	case Monotonic:
-		return &hwSource{kind: k, read: tsc.Monotonic}
+		return &hwSource{kind: k, read: tsc.Monotonic, counts: c}
 	case Adaptive:
-		return NewAdaptive(nil)
+		return &AdaptiveSource{
+			health:        health,
+			read:          tsc.ReadFenced,
+			baseHW:        tsc.ReadFenced(),
+			counts:        c,
+			failbackAfter: DefaultFailbackAfter,
+		}
 	}
 	panic("core: unknown source kind")
 }
+
+// New returns an uncounted Source of kind k; an Adaptive one has no
+// health monitor.
+func New(k Kind) Source { return NewSource(k, nil, nil) }

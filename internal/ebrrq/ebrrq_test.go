@@ -16,7 +16,7 @@ func lockBased(src core.Source) *Provider {
 }
 
 func TestLockFreeRejectsHardwareSources(t *testing.T) {
-	for _, k := range []core.Kind{core.TSC, core.TSCUnfenced, core.TSCCPUID, core.TSCRaw, core.Monotonic} {
+	for _, k := range []core.Kind{core.TSC, core.Monotonic, core.Adaptive} {
 		if _, err := New(core.New(k), LockFree); !errors.Is(err, ErrRequiresAddress) {
 			t.Errorf("New(%v, LockFree) err = %v, want ErrRequiresAddress", k, err)
 		}

@@ -25,7 +25,7 @@ type rule struct {
 // rules returns a fresh driver per rule. vCAS labels a write with the
 // source's Peek, so its driver advances a logical source to ts first.
 func rules() []rule {
-	src := core.NewLogical()
+	src := core.New(core.Logical)
 	return []rule{
 		{"vcas", VCAS,
 			func(c *Chain[*node], n *node, ts core.TS, e *Entry[*node]) {

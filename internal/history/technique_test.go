@@ -16,7 +16,7 @@ import (
 // A query reserved before the flush holds what it reads; Drain cuts what
 // every thread recorded since its last flush.
 func TestTrimDefersToOperationEnd(t *testing.T) {
-	src := core.NewLogical()
+	src := core.New(core.Logical)
 	reg := core.NewRegistry(2)
 	gc := new(obs.GC)
 	tq := NewTechnique[node](src, reg, Bundling, core.Hooks{GC: gc})
@@ -78,7 +78,7 @@ func TestTrimDefersToOperationEnd(t *testing.T) {
 // Drain leaves each chain its newest entry.
 func TestDrainBesideTrims(t *testing.T) {
 	const workers, chains, updates = 2, 8, 4000
-	src := core.NewLogical()
+	src := core.New(core.Logical)
 	reg := core.NewRegistry(workers)
 	gc := new(obs.GC)
 	tq := NewTechnique[node](src, reg, Bundling, core.Hooks{GC: gc})

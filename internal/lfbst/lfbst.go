@@ -193,9 +193,13 @@ func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 // defers. Quiescent use only, like Len.
 func (t *tree[L, P]) Drain() { t.p.Drain() }
 
-// newNode acquires a node from the technique and initializes it.
+// newNode acquires a node from the technique and initializes it, timed as
+// tid's alloc phase: every node an update or a helper makes.
 func (t *tree[L, P]) newNode(tid int, key, val uint64, left, right, of *node[L]) *node[L] {
-	return t.initNode(t.p.Alloc(tid), key, val, left, right, of)
+	am := t.tr.Now(tid)
+	n := t.initNode(t.p.Alloc(tid), key, val, left, right, of)
+	t.tr.Span(tid, trace.PhaseAlloc, am)
+	return n
 }
 
 // initNode initializes all of n, from zero: internal over left and right,
@@ -248,9 +252,7 @@ func (t *tree[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 			}
 		} else if r.pupdate&stateMask == clean {
 			if nl == nil {
-				am := t.tr.Now(th.ID)
 				nl = t.newNode(th.ID, key, val, nil, nil, nil)
-				t.tr.Span(th.ID, trace.PhaseAlloc, am)
 			}
 			o, sib := t.newInsert(th.ID, r.p, r.l, nl)
 			if r.p.update.CompareAndSwap(r.pupdate, o.w|iflag) {

@@ -120,7 +120,8 @@ func sweep(m *Machine, build func() []OpSpec) []float64 {
 // RDTSCP advantage at 192 threads.
 const Fig1WorkNs = 5000
 
-// fig1Kinds are Figure 1's series, named as core.Kind prints them.
+// fig1Kinds are Figure 1's series, named as the native read table
+// (internal/bench's Fig1Reads) names them.
 var fig1Kinds = []string{"Logical", "RDTSCP", "RDTSC-CPUID", "RDTSCP-nofence", "RDTSC-nofence"}
 
 // figure1 regenerates both panels of Figure 1.

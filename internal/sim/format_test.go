@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -70,5 +71,20 @@ func TestFormatChart(t *testing.T) {
 	}
 	if got := FormatChart(Panel{Threads: []int{1}, Series: []Series{{Name: "x", Mops: []float64{0}}}}, 5); got != "(no data)\n" {
 		t.Fatalf("empty chart = %q", got)
+	}
+}
+
+// A mix prints the way the paper writes it, U-RQ-C, every share in full.
+func TestWorkloadString(t *testing.T) {
+	for _, want := range []string{"10-10-80", "0-0-100", "100-0-0"} {
+		t.Run(want, func(t *testing.T) {
+			var w Workload
+			if _, err := fmt.Sscanf(want, "%d-%d-%d", &w.U, &w.RQ, &w.C); err != nil {
+				t.Fatal(err)
+			}
+			if got := w.String(); got != want {
+				t.Fatalf("Workload%+v.String() = %q, want %q", w, got, want)
+			}
+		})
 	}
 }

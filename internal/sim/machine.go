@@ -17,9 +17,9 @@ type Machine struct {
 	LineCrossZone float64 // ownership transfer across zones
 
 	// Timestamp instruction costs.
-	TSCFenced   float64 // RDTSCP;LFENCE
-	TSCUnfenced float64 // bare RDTSCP / RDTSC
-	TSCCpuid    float64 // CPUID;RDTSC
+	TSCFenced float64 // RDTSCP;LFENCE
+	TSCBare   float64 // bare RDTSCP / RDTSC
+	TSCCpuid  float64 // CPUID;RDTSC
 
 	// Execution multipliers.
 	SMTPenalty  float64 // work slowdown when the core's sibling is active
@@ -38,7 +38,7 @@ func PaperMachine() *Machine {
 		LineIntraZone: 45,
 		LineCrossZone: 120,
 		TSCFenced:     25,
-		TSCUnfenced:   7,
+		TSCBare:       7,
 		TSCCpuid:      110,
 		SMTPenalty:    1.45,
 		NUMAPenalty:   1.08,
@@ -78,15 +78,12 @@ func (m *Machine) workFactor(i, totalThreads int) float64 {
 	// The sibling hyperthread of core c in zone z is the worker at the
 	// mirrored SMT slot; with cores-first placement, sibling pairs are
 	// i and i +/- CoresPerZone within the zone block.
-	perZone := m.CoresPerZone * m.SMTPerCore
-	within := i % perZone
 	var sibling int
 	if p.smt == 0 {
 		sibling = i + m.CoresPerZone
 	} else {
 		sibling = i - m.CoresPerZone
 	}
-	_ = within
 	if sibling < totalThreads && sibling >= 0 {
 		f *= m.SMTPenalty
 	}

@@ -1,5 +1,7 @@
 package sim
 
+import "fmt"
+
 // Structure and technique cost constants (nanoseconds of core-local
 // work), chosen for a half-full 1M key range as in the paper's setup.
 // They set absolute levels only; the paper-relevant *shapes* come from
@@ -55,21 +57,7 @@ type Workload struct {
 
 // String formats the mix the way the paper writes it, e.g. "10-10-80".
 func (w Workload) String() string {
-	return itoa(w.U) + "-" + itoa(w.RQ) + "-" + itoa(w.C)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return fmt.Sprintf("%d-%d-%d", w.U, w.RQ, w.C)
 }
 
 // rqCost returns the range-query work for the paper's 100-key queries.
@@ -149,9 +137,9 @@ func TimestampOps(m *Machine, kind string, workNs float64) []OpSpec {
 	case "RDTSC-CPUID":
 		acquire = TSCRead(m.TSCCpuid)
 	case "RDTSCP-nofence":
-		acquire = TSCRead(m.TSCUnfenced)
+		acquire = TSCRead(m.TSCBare)
 	case "RDTSC-nofence":
-		acquire = TSCRead(m.TSCUnfenced)
+		acquire = TSCRead(m.TSCBare)
 	default:
 		panic("sim: unknown timestamp kind " + kind)
 	}

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"testing"
+
+	"tscds/internal/bench"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -375,5 +377,18 @@ func TestHalfTheCoresTakeaway(t *testing.T) {
 	if tscHalf <= logicalFull {
 		t.Fatalf("vCAS-TSC at 96 threads (%.1f Mops) should beat vCAS-Logical at 192 (%.1f Mops)",
 			tscHalf, logicalFull)
+	}
+}
+
+// Figure 1's simulated series are the native read table's, in its order,
+// so `reproduce fig 1` prints the same five series in either mode.
+func TestFig1KindsMatchNative(t *testing.T) {
+	if len(fig1Kinds) != len(bench.Fig1Reads) {
+		t.Fatalf("simulated series %v, native table holds %d reads", fig1Kinds, len(bench.Fig1Reads))
+	}
+	for i, r := range bench.Fig1Reads {
+		if fig1Kinds[i] != r.Name {
+			t.Errorf("series %d simulated as %s, read natively as %s", i, fig1Kinds[i], r.Name)
+		}
 	}
 }

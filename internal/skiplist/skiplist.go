@@ -157,9 +157,13 @@ func (t *list[L, P]) Reader() *core.Reader { return t.rd }
 // use only, like Len.
 func (t *list[L, P]) Drain() { t.p.Drain() }
 
-// newNode acquires a node from the technique and initializes it.
+// newNode acquires a node from the technique and initializes it, timed as
+// tid's alloc phase.
 func (t *list[L, P]) newNode(tid int, key, val uint64, top int, succ *node[L]) *node[L] {
-	return t.initNode(t.p.Alloc(tid), key, val, top, succ)
+	am := t.tr.Now(tid)
+	n := t.initNode(t.p.Alloc(tid), key, val, top, succ)
+	t.tr.Span(tid, trace.PhaseAlloc, am)
+	return n
 }
 
 // initNode re-initializes all of n. fullyLinked=false is load-bearing on
@@ -323,9 +327,7 @@ func (t *list[L, P]) Insert(th *core.Thread, key, val uint64) bool {
 			retries++
 			continue
 		}
-		am := t.tr.Now(th.ID)
 		n := t.newNode(th.ID, key, val, top, succs[0])
-		t.tr.Span(th.ID, trace.PhaseAlloc, am)
 		for l := 1; l < top; l++ {
 			n.next.at(l).Store(succs[l])
 		}

@@ -32,13 +32,9 @@ type Health struct {
 	maxBack   atomic.Uint64 // worst regression magnitude (ticks)
 	samples   atomic.Uint64
 
-	// degraded is the fast-path flag consumed by adaptive timestamp
-	// sources on their hot paths: one relaxed load answers "has any
-	// fault been observed since the flag was last cleared". faultSeq
-	// counts every observed fault (real or injected) and never
-	// resets, so failback hysteresis can distinguish "flag cleared" from
-	// "no new faults".
-	degraded atomic.Uint32
+	// faultSeq counts every observed fault (real or injected) and never
+	// resets: an adaptive source compares it with the value it last
+	// trusted, on its hot paths and in its failback hysteresis.
 	faultSeq atomic.Uint64
 	injected atomic.Uint64 // synthetic faults from InjectBackstep
 
@@ -126,7 +122,7 @@ func (h *Health) Sample(tid int) {
 }
 
 func (h *Health) noteBack(delta uint64) {
-	h.noteFault()
+	h.faultSeq.Add(1)
 	for {
 		cur := h.maxBack.Load()
 		if delta <= cur || h.maxBack.CompareAndSwap(cur, delta) {
@@ -135,43 +131,10 @@ func (h *Health) noteBack(delta uint64) {
 	}
 }
 
-// noteFault bumps the fault sequence and raises the degraded flag. The
-// sequence is bumped first so a failback that observes the new sequence
-// number can re-raise the flag it is about to clear.
-func (h *Health) noteFault() {
-	h.faultSeq.Add(1)
-	h.degraded.Store(1)
-}
-
-// Degraded reports whether any fault — a cross-thread or same-thread
-// regression or an injected backstep — has been observed since the flag
-// was last cleared. One atomic load; adaptive sources consult it on their
-// timestamp hot paths. Nil-safe (false).
-func (h *Health) Degraded() bool {
-	return h != nil && h.degraded.Load() != 0
-}
-
-// ClearDegraded lowers the fast-path flag, typically after a failback
-// once the fault hysteresis has elapsed. Cumulative fault counters and
-// FaultSeq are untouched; any new fault re-raises the flag. Nil-safe.
-func (h *Health) ClearDegraded() {
-	if h != nil {
-		h.degraded.Store(0)
-	}
-}
-
-// RaiseDegraded re-raises the fast-path flag without recording a new
-// fault. Adaptive sources use it to undo a ClearDegraded that raced
-// with a concurrent fault (detected via FaultSeq). Nil-safe.
-func (h *Health) RaiseDegraded() {
-	if h != nil {
-		h.degraded.Store(1)
-	}
-}
-
-// FaultSeq returns a counter incremented on every observed fault. It
-// never resets, so callers can detect "no new faults since I last
-// looked" regardless of the degraded flag's state. Nil yields 0.
+// FaultSeq returns a counter incremented on every observed fault — a
+// cross-thread or same-thread regression or an injected backstep. It
+// never resets, so a caller that keeps the value it last saw detects
+// "a fault since I last looked" with one load. Nil yields 0.
 func (h *Health) FaultSeq() uint64 {
 	if h == nil {
 		return 0
@@ -182,8 +145,8 @@ func (h *Health) FaultSeq() uint64 {
 // InjectBackstep is the injectable fault hook: it simulates a TSC that
 // jumped back by delta ticks by publishing a maximum delta above the
 // current reading. The next genuine Sample on any thread then observes
-// a real cross-thread regression, and the degraded flag is raised
-// immediately so adaptive sources react without waiting for a sample.
+// a real cross-thread regression, and the fault is counted at once
+// (FaultSeq) so adaptive sources react without waiting for a sample.
 // Test- and chaos-harness-only; nil-safe.
 func (h *Health) InjectBackstep(delta uint64) {
 	if h == nil {

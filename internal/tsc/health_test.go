@@ -134,8 +134,8 @@ func TestHealthHandoffSamplesAgree(t *testing.T) {
 			t.Fatalf("thread %d: samples %d, self regressions %d", th.Thread, th.Samples, th.SelfBack)
 		}
 	}
-	if h.Degraded() {
-		t.Fatal("degraded flag raised without a regression")
+	if got := h.FaultSeq(); got != 0 {
+		t.Fatalf("FaultSeq = %d without a regression, want 0", got)
 	}
 	if Supported() && Invariant() && s.State != StateHealthy {
 		t.Fatalf("state = %q on an invariant TSC, want healthy", s.State)
@@ -158,33 +158,18 @@ func TestHealthJSON(t *testing.T) {
 	}
 }
 
-func TestHealthDegradedFlag(t *testing.T) {
+// Every fault moves FaultSeq, and nothing resets it.
+func TestHealthFaultSeq(t *testing.T) {
 	h := NewHealth(2)
-	if h.Degraded() {
-		t.Fatal("fresh monitor reports degraded")
-	}
 	if got := h.FaultSeq(); got != 0 {
 		t.Fatalf("fresh FaultSeq = %d, want 0", got)
 	}
 	h.InjectBackstep(1_000_000)
-	if !h.Degraded() {
-		t.Fatal("InjectBackstep did not raise the degraded flag")
-	}
 	seq := h.FaultSeq()
 	if seq == 0 {
 		t.Fatal("InjectBackstep did not bump FaultSeq")
 	}
-	h.ClearDegraded()
-	if h.Degraded() {
-		t.Fatal("ClearDegraded did not lower the flag")
-	}
-	if got := h.FaultSeq(); got != seq {
-		t.Fatalf("ClearDegraded changed FaultSeq %d -> %d", seq, got)
-	}
 	h.InjectBackstep(1_000_000)
-	if !h.Degraded() {
-		t.Fatal("a second InjectBackstep did not re-raise the degraded flag")
-	}
 	if got := h.FaultSeq(); got <= seq {
 		t.Fatalf("a second InjectBackstep did not bump FaultSeq (%d -> %d)", seq, got)
 	}
@@ -192,9 +177,8 @@ func TestHealthDegradedFlag(t *testing.T) {
 	// Nil receivers are inert.
 	var nilH *Health
 	nilH.InjectBackstep(1)
-	nilH.ClearDegraded()
 	nilH.NoteSourceSwitch(false, time.Microsecond)
-	if nilH.Degraded() || nilH.FaultSeq() != 0 {
+	if nilH.FaultSeq() != 0 {
 		t.Fatal("nil Health not inert")
 	}
 }
@@ -244,8 +228,8 @@ func TestHealthSourceSwitchTelemetry(t *testing.T) {
 		t.Fatalf("MaxSwitchNS = %d, want 2000", s.MaxSwitchNS)
 	}
 	// Switch telemetry alone is not a fault.
-	if h.Degraded() {
-		t.Fatal("NoteSourceSwitch raised the degraded flag")
+	if got := h.FaultSeq(); got != 0 {
+		t.Fatalf("NoteSourceSwitch moved FaultSeq to %d", got)
 	}
 }
 

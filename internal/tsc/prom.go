@@ -24,13 +24,6 @@ func (h *Health) WriteProm(w io.Writer) {
 	fmt.Fprintf(w, "tscds_tsc_info{state=%q,supported=%q,invariant=%q} 1\n",
 		s.State, fmt.Sprintf("%t", s.Supported), fmt.Sprintf("%t", s.Invariant))
 
-	head("tscds_tsc_degraded", "1 while the fast-path degraded flag is raised (adaptive sources fail over on it).", "gauge")
-	deg := 0
-	if h.Degraded() {
-		deg = 1
-	}
-	fmt.Fprintf(w, "tscds_tsc_degraded %d\n", deg)
-
 	head("tscds_tsc_samples_total", "Cross-thread monotonicity samples taken.", "counter")
 	fmt.Fprintf(w, "tscds_tsc_samples_total %d\n", s.Samples)
 

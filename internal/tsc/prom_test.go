@@ -28,7 +28,7 @@ func TestHealthWritePromStrictParse(t *testing.T) {
 	}
 
 	for _, fam := range []string{
-		"tscds_tsc_info", "tscds_tsc_degraded",
+		"tscds_tsc_info",
 		"tscds_tsc_samples_total", "tscds_tsc_cross_regressions_total",
 		"tscds_tsc_self_regressions_total", "tscds_tsc_max_backstep_ns",
 		"tscds_tsc_injected_faults_total",
@@ -48,10 +48,6 @@ func TestHealthWritePromStrictParse(t *testing.T) {
 	}
 	if v, ok := res.Value("tscds_tsc_source_failbacks_total", nil); !ok || v != 1 {
 		t.Errorf("failbacks = %v, %v; want 1", v, ok)
-	}
-	// The injected fault degrades the source; the gauge must reflect it.
-	if v, ok := res.Value("tscds_tsc_degraded", nil); !ok || v != 1 {
-		t.Errorf("degraded = %v, %v; want 1", v, ok)
 	}
 	// tscds_tsc_info carries the state as a label with value 1.
 	info := res.Family("tscds_tsc_info")

@@ -23,7 +23,7 @@ var start = time.Now()
 // Monotonic returns nanoseconds from an arbitrary process-local origin
 // using the runtime's monotonic clock. It is the portable fallback for
 // every TSC accessor and is also exposed directly so callers can choose
-// it explicitly (core.SourceMonotonic).
+// it explicitly (core.Monotonic).
 func Monotonic() uint64 {
 	return uint64(time.Since(start))
 }

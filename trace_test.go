@@ -94,6 +94,59 @@ func TestTraceSmoke(t *testing.T) {
 	}
 }
 
+// TestAllocSpanPerNode checks that the alloc phase times every node an
+// update makes, not only its first: a BST insert into a non-empty tree
+// makes the new leaf, a copy of the leaf it splits and the internal node
+// over both (3 spans), and a Citrus delete of a node with two children
+// makes the successor's relocation copy (1 span), a leaf delete none.
+func TestAllocSpanPerNode(t *testing.T) {
+	allocs := func(m Map) uint64 {
+		for _, p := range m.TraceSnapshot(false).Phases {
+			if p.Phase == "alloc" {
+				return p.Count
+			}
+		}
+		return 0
+	}
+	for _, c := range allCombos() {
+		if c.S != BST && c.S != Citrus {
+			continue
+		}
+		t.Run(fmt.Sprintf("%v-%v", c.S, c.T), func(t *testing.T) {
+			m, err := New(c.S, c.T, Config{Source: Logical, MaxThreads: 2, Trace: &TraceConfig{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace.RecordEveryOp(m.Tracer())
+			th, err := m.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer th.Release()
+			m.Insert(th, 50, 50)
+			before := allocs(m)
+			for _, k := range []uint64{25, 75, 60, 90} {
+				m.Insert(th, k, k)
+			}
+			if c.S == BST {
+				if got := allocs(m) - before; got != 3*4 {
+					t.Fatalf("4 inserts into a non-empty tree recorded %d alloc spans, want 12", got)
+				}
+				return
+			}
+			before = allocs(m)
+			m.Delete(th, 90) // a leaf
+			if got := allocs(m) - before; got != 0 {
+				t.Fatalf("a leaf delete recorded %d alloc spans, want 0", got)
+			}
+			m.Delete(th, 50) // two children: 60 is relocated
+			if got := allocs(m) - before; got != 1 {
+				t.Fatalf("a two-child delete recorded %d alloc spans, want 1", got)
+			}
+		})
+	}
+}
+
 // TestTraceEvents checks the event ring survives a live decode: events
 // come back time-ordered with valid kinds.
 func TestTraceEvents(t *testing.T) {

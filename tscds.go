@@ -54,7 +54,8 @@ type KV = core.KV
 // goroutine from Map.RegisterThread and Release it when done.
 type Thread = core.Thread
 
-// SourceKind selects the timestamp implementation.
+// SourceKind selects the timestamp implementation: one of the four
+// kinds below, the sources a map runs on.
 type SourceKind = core.Kind
 
 // Timestamp source kinds.
@@ -67,12 +68,12 @@ const (
 	// Monotonic is the portable fallback clock.
 	Monotonic = core.Monotonic
 	// Adaptive starts on TSC and fails over to the logical counter when
-	// the health monitor (Config.Health) reports the hardware degraded,
-	// failing back after a fault-free stretch. Timestamps carry a source
-	// generation in their high bits; range queries revalidate their bound
-	// against it and retry across a switch, keeping snapshots
-	// linearizable. Without Config.Health it behaves like TSC (plus the
-	// generation encoding).
+	// the health monitor (Config.Health) records a fault the source has
+	// not yet seen, failing back after a fault-free stretch. Timestamps
+	// carry a source generation in their high bits; range queries
+	// revalidate their bound against it and retry across a switch,
+	// keeping snapshots linearizable. Without Config.Health it behaves
+	// like TSC (plus the generation encoding).
 	Adaptive = core.Adaptive
 )
 
@@ -195,11 +196,11 @@ type Config struct {
 	// effect (they allocate through the GC, and their snapshots carry no
 	// pool block), as Retention has none on EBR-RQ.
 	Alloc AllocMode
-	// Health wires a TSC health monitor into an Adaptive source: its
-	// Degraded flag drives failover, and it receives switch telemetry
-	// (visible on its JSON snapshot / a /tschealth endpoint). Ignored by
-	// non-Adaptive sources. A nil Health leaves an Adaptive source
-	// pinned to hardware.
+	// Health wires a TSC health monitor into an Adaptive source: a fault
+	// it records (FaultSeq moves) fails the source over, and it receives
+	// switch telemetry (visible on its JSON snapshot / a /tschealth
+	// endpoint). Ignored by non-Adaptive sources. A nil Health leaves an
+	// Adaptive source pinned to hardware.
 	Health *TSCHealth
 	// Durability, when non-nil, makes the Map crash-safe: every
 	// successful update is appended to a per-shard write-ahead log
@@ -229,8 +230,8 @@ type Config struct {
 }
 
 // TSCHealth monitors whether the hardware timestamp counter actually
-// delivers monotonicity and cross-core agreement, and carries the
-// degraded signal an Adaptive source acts on; see internal/tsc.Health.
+// delivers monotonicity and cross-core agreement, and counts the faults
+// an Adaptive source acts on; see internal/tsc.Health.
 // Its String method renders a JSON snapshot for stats endpoints.
 type TSCHealth = tsc.Health
 
@@ -239,7 +240,7 @@ type TSCHealthSnapshot = tsc.HealthSnapshot
 
 // NewTSCHealth builds a health monitor for thread IDs in
 // [0, maxThreads). Pass it in Config.Health and call its Sample from the
-// workload; adaptive sources also report faults into it on their own.
+// workload; adaptive sources report their switches into it.
 func NewTSCHealth(maxThreads int) *TSCHealth { return tsc.NewHealth(maxThreads) }
 
 // TraceConfig switches on the flight recorder (Config.Trace). It has no
@@ -364,15 +365,6 @@ func NewTimestampSource(k SourceKind) TimestampSource { return core.New(k) }
 // TSC, the property required to compare timestamps across cores.
 func HardwareTimestampSupported() bool { return tsc.Supported() && tsc.Invariant() }
 
-// newSource builds cfg's timestamp source. An Adaptive one fails over on,
-// and reports its switches to, cfg.Health.
-func newSource(cfg Config) core.Source {
-	if cfg.Source == Adaptive {
-		return core.NewAdaptive(cfg.Health)
-	}
-	return core.New(cfg.Source)
-}
-
 // ConfigError is the error New and NewSharded return for a
 // Config or an argument they cannot honour; errors.As against it tells a
 // misconfiguration from an unsupported (structure, technique, source)
@@ -385,11 +377,10 @@ type ConfigError struct {
 func (e *ConfigError) Error() string { return "tscds: invalid " + e.Field + ": " + e.Reason }
 
 // validate rejects the Config values that would otherwise misbehave
-// quietly (an unknown Alloc ran as AllocGC under its bogus name; a TSC
-// read other than the paper's RDTSCP;LFENCE, which only Figure 1
-// measures, labeled a map, bare RDTSC included) or from deep inside
-// construction (an unknown Source panicked in core.New, a BST over more
-// threads than its update words can name panics in lfbst.New).
+// quietly (an unknown Alloc ran as AllocGC under its bogus name) or from
+// deep inside construction (an unknown Source panics in core.NewSource, a
+// BST over more threads than its update words can name panics in
+// lfbst.New).
 func validate(s Structure, cfg Config) error {
 	switch cfg.Source {
 	case Logical, TSC, Monotonic, Adaptive:
@@ -435,7 +426,11 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int) error {
 		return err
 	}
 	reg := core.NewRegistry(cfg.MaxThreads)
-	src := newSource(cfg)
+	var st *obs.SourceStats
+	if cfg.Metrics != nil {
+		st = &cfg.Metrics.Source
+	}
+	src := core.NewSource(cfg.Source, cfg.Health, st)
 	// GC and pool counters aggregate across parts, and the one retention
 	// watermark and the one recorder are shared like the source: a single
 	// prune intent covers every part's truncation, one CheckAt validates a
@@ -448,7 +443,6 @@ func (w *wrap) init(s Structure, t Technique, cfg Config, shards int) error {
 	var stats []*obs.ShardStats
 	if mt := cfg.Metrics; mt != nil {
 		tsc.TelemetryClock() // calibrated here, not in the first timed operation
-		core.Count(src, &mt.Source)
 		h.GC, h.PoolStats = &mt.GC, &mt.Pool
 		l := obs.Labels{Structure: s.String() + "/" + t.String(), Source: cfg.Source.String(),
 			Actual: func() string { return core.Actual(src).String() }}

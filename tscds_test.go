@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/lfbst"
 )
@@ -235,9 +234,6 @@ func TestConstructorsRejectInvalidConfig(t *testing.T) {
 		{"Alloc", Config{Alloc: -1, Metrics: NewMetrics()}},
 		{"Source", Config{Source: Adaptive + 1}},
 		{"Source", Config{Source: -1}},
-		{"Source", Config{Source: core.TSCRaw}},
-		{"Source", Config{Source: core.TSCUnfenced}},
-		{"Source", Config{Source: core.TSCCPUID}},
 		{"Durability", Config{Durability: &Durability{}}},
 		{"MaxThreads", Config{MaxThreads: -1}},
 		{"MaxThreads", Config{MaxThreads: 1, Durability: &Durability{Dir: t.TempDir()}}},
