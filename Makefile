@@ -9,7 +9,8 @@ test:
 	$(GO) test ./...
 
 # check is the pre-commit gate: static checks, race-enabled tests on the
-# concurrency-sensitive packages, and the short-mode linearizability
+# concurrency-sensitive packages (the native harness among them: its
+# workers pin themselves concurrently), and the short-mode linearizability
 # matrix (a pairwise cover holding every supported structure x technique x
 # source combination), plus the sharded-map tests and the read-path agreement test, which run
 # one handle across every shard outside that matrix, and the facade's
@@ -21,7 +22,7 @@ check: benchmark-smoke inline-check doc-check deps-check durable-race
 	$(GO) vet ./...
 	@fmtout="$$(gofmt -l .)"; if [ -n "$$fmtout" ]; then \
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
-	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/history/... ./internal/lfbst/... ./internal/citrus/... ./internal/skiplist/...
+	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/history/... ./internal/lfbst/... ./internal/citrus/... ./internal/skiplist/... ./internal/bench/... ./internal/affinity/...
 	$(GO) test -race -short -run TestLinearizability .
 	$(GO) test -race -short -run 'TestSharded|TestReadPathsAgree' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .

@@ -11,7 +11,8 @@
 // The figures (arms, U-RQ-C mixes, paper claims) are declared once, in
 // internal/sim's table. Native runs follow the paper's setup: structures
 // prefilled to half of the key range, 100-key range queries, uniform
-// keys, mean and coefficient of variation of the trials in Mops/s.
+// keys, pinned workers, mean and coefficient of variation of the trials
+// in Mops/s. Both modes print the same panels through one renderer.
 package main
 
 import (
@@ -83,7 +84,7 @@ func run(args []string, w io.Writer) error {
 			return fmt.Errorf("fig: unknown figure %q", args[0])
 		}
 		fs.StringVar(&o.mode, "mode", "native", "native or sim")
-		fs.StringVar(&o.format, "format", "table", "sim output: table, csv or chart")
+		fs.StringVar(&o.format, "format", "table", "output: table, csv or chart")
 		fs.StringVar(&o.arm, "arm", "", "native: run the figure's mixes on this structure/technique instead of its own arms")
 		o.nativeFlags(fs, "", 500*time.Millisecond, 3, 1_000_000)
 		fs.Parse(args[1:])
@@ -132,9 +133,7 @@ func report(w io.Writer, o *options) error {
 		}
 		printPanels(w, sim.Panels(m, shown), "table")
 		if n != nil {
-			spot := f
-			spot.Mixes = []sim.Workload{f.Spot}
-			if err := n.figure(spot); err != nil {
+			if err := n.figure(f, []sim.Workload{f.Spot}); err != nil {
 				return err
 			}
 		}
@@ -163,14 +162,14 @@ func figure(w io.Writer, f sim.Figure, o *options) error {
 			return err
 		}
 		defer n.close()
-		return n.figure(f)
+		return n.figure(f, f.Mixes)
 	}
 	return fmt.Errorf("unknown mode %q", o.mode)
 }
 
-// printPanels renders simulated panels; tables carry the speedup of each
-// -RDTSCP series over its logical twin (Figure 1: of RDTSCP over Logical)
-// at the highest thread count — the number the paper quotes per figure.
+// printPanels renders simulated and measured panels alike; tables carry
+// the speedup of each -RDTSCP series over its logical twin (Figure 1: of
+// RDTSCP over Logical) at the highest thread count, as the paper quotes it.
 func printPanels(w io.Writer, panels []sim.Panel, format string) {
 	for _, p := range panels {
 		switch format {

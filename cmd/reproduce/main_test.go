@@ -5,11 +5,17 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"tscds/internal/affinity"
+	"tscds/internal/bench"
 	"tscds/internal/obs"
 	"tscds/internal/obs/trace"
+	"tscds/internal/sim"
 )
 
 // run dispatches each subcommand to the code behind it, and refuses what
@@ -21,7 +27,9 @@ func TestRunDispatch(t *testing.T) {
 	}{
 		{[]string{"fig", "lazy", "-mode", "sim"}, "Figure La  (workload 10-10-80)"},
 		{[]string{"fig", "lazy", "-mode", "sim", "-format", "csv"}, "threads,vCAS,vCAS-RDTSCP,Bundle,Bundle-RDTSCP"},
-		{[]string{"fig", "lazy", "-threads", "1", "-duration", "20ms", "-trials", "2"}, "Figure lazy, workload 10-10-80, native (2 trials x 20ms)"},
+		{[]string{"fig", "lazy", "-threads", "1", "-duration", "20ms", "-trials", "2"}, "Figure La  (workload 10-10-80; native, 2 trials x 20ms)"},
+		{[]string{"fig", "lazy", "-threads", "1", "-duration", "20ms", "-trials", "1"}, "  La Bundle-RDTSCP: "},
+		{[]string{"fig", "lazy", "-threads", "1", "-duration", "20ms", "-trials", "1", "-format", "csv"}, "threads,vCAS,vCAS-RDTSCP,Bundle,Bundle-RDTSCP\n1,"},
 		{[]string{"fig", "5", "-threads", "1", "-duration", "20ms", "-trials", "1", "-keyrange", "2000", "-arm", "citrus/vcas"}, "citrus/vcas-RDTSCP"},
 		{[]string{"fig"}, ""},
 		{[]string{"fig", "6"}, ""},
@@ -43,6 +51,87 @@ func TestRunDispatch(t *testing.T) {
 			t.Errorf("reproduce %v: output lacks %q:\n%s", c.args, c.want, out.String())
 		}
 	}
+}
+
+// A native figure is the simulated one measured: on each figure's spot mix
+// (Figure 1: both panels) the native panels carry the simulated panels'
+// IDs and series names, in their order, and a mean and a CV per thread
+// count.
+func TestNativeMatchesSimShape(t *testing.T) {
+	defer func(counts []int) { sim.ThreadCounts = counts }(sim.ThreadCounts)
+	sim.ThreadCounts = []int{1} // the shape does not depend on the sweep
+	n, err := newNative(io.Discard, &options{threads: "1", duration: 10 * time.Millisecond, trials: 1, keyRange: 2000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.close()
+	m := sim.PaperMachine()
+	for _, f := range sim.Figures {
+		t.Run(f.ID, func(t *testing.T) {
+			var native, want []sim.Panel
+			if len(f.Arms) == 0 {
+				if native, err = n.figure1(); err != nil {
+					t.Fatal(err)
+				}
+				want = sim.Panels(m, f)
+			} else {
+				p, err := n.panel(f, f.Spot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				native = []sim.Panel{p}
+				upTo := f
+				upTo.Mixes = f.Mixes[:slices.Index(f.Mixes, f.Spot)+1]
+				all := sim.Panels(m, upTo)
+				want = all[len(all)-1:]
+			}
+			if len(native) != len(want) {
+				t.Fatalf("%d native panels, %d simulated", len(native), len(want))
+			}
+			for i, p := range native {
+				if p.ID != want[i].ID || !reflect.DeepEqual(names(p), names(want[i])) {
+					t.Errorf("native panel %s %v, simulated %s %v", p.ID, names(p), want[i].ID, names(want[i]))
+				}
+				for _, s := range p.Series {
+					if len(s.Mops) != 1 || len(s.CV) != 1 || s.Mops[0] <= 0 {
+						t.Errorf("panel %s series %s: Mops %v, CV %v; want one positive mean and one CV", p.ID, s.Name, s.Mops, s.CV)
+					}
+				}
+			}
+		})
+	}
+}
+
+// A pinning failure is reported once per run, as a host line, however many
+// measurements it spoils; the measurements themselves still count.
+func TestPinFailurePrintedOnce(t *testing.T) {
+	var out bytes.Buffer
+	n, err := newNative(&out, &options{threads: "1,2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.close()
+	unpinned := func(bench.Options) (bench.Result, error) {
+		return bench.Result{Mean: 1, PinErr: affinity.ErrUnsupported}, nil
+	}
+	for i := 0; i < 2; i++ {
+		if s, err := n.sweep("x", unpinned); err != nil || len(s.Mops) != 2 {
+			t.Fatalf("sweep: %v, %v", s, err)
+		}
+	}
+	want := "host: pinning failed, workers ran unpinned: " + affinity.ErrUnsupported.Error()
+	if got := strings.Count(out.String(), want); got != 1 {
+		t.Fatalf("%d pinning lines, want 1:\n%s", got, out.String())
+	}
+}
+
+// names lists a panel's series names in order.
+func names(p sim.Panel) []string {
+	var out []string
+	for _, s := range p.Series {
+		out = append(out, s.Name)
+	}
+	return out
 }
 
 // With -metrics and -trace every arm prints one JSON line per sink:

@@ -5,12 +5,10 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
+	"slices"
 	"sync/atomic"
-	"time"
 
 	"tscds"
-	"tscds/internal/affinity"
 	"tscds/internal/bench"
 	"tscds/internal/core"
 	"tscds/internal/obs"
@@ -29,6 +27,8 @@ type native struct {
 	metrics atomic.Pointer[tscds.Metrics]
 	tracer  atomic.Pointer[tscds.Tracer]
 	stop    func() // shuts the -serve endpoint down
+	// pinReported is set once the run's first pinning failure is printed.
+	pinReported bool
 }
 
 // sources are the two columns of every data-structure figure.
@@ -36,8 +36,9 @@ var sources = []tscds.SourceKind{tscds.Logical, tscds.TSC}
 
 // newNative parses the native flags and prints the run's fingerprint: the
 // host, the toolchain, and which source actually serves each requested
-// one (a host without an invariant TSC serves RDTSCP from the monotonic
-// clock, and numbers labeled RDTSCP would otherwise silently be its).
+// one (a host without RDTSCP or an invariant TSC serves RDTSCP from the
+// monotonic clock, and numbers labeled RDTSCP would otherwise silently be
+// its).
 func newNative(w io.Writer, o *options) (*native, error) {
 	threads, err := bench.ParseThreads(o.threads)
 	if err != nil {
@@ -88,46 +89,66 @@ func (n *native) close() {
 	n.stop()
 }
 
-// figure measures every arm on every mix of f, on both sources, at each
-// thread count, and prints one table per mix.
-func (n *native) figure(f sim.Figure) error {
+// figure measures f on each of mixes (mixes of f's own table) and prints
+// a panel per mix, under the simulated panel's ID and series names.
+func (n *native) figure(f sim.Figure, mixes []sim.Workload) error {
 	if len(f.Arms) == 0 {
-		n.figure1()
+		panels, err := n.figure1()
+		if err != nil {
+			return err
+		}
+		printPanels(n.w, panels, n.o.format)
 		return nil
 	}
-	for _, mix := range f.Mixes {
-		wl := bench.PaperWorkload(mix.U, mix.RQ, mix.C)
-		wl.KeyRange = n.o.keyRange
-		if f.KeyRange != 0 {
-			wl.KeyRange = f.KeyRange
+	for _, mix := range mixes {
+		p, err := n.panel(f, mix)
+		if err != nil {
+			return err
 		}
-		results := map[string][]bench.Result{}
-		for _, a := range f.Arms {
-			for _, src := range sources {
-				name := a.Name
-				if src == tscds.TSC {
-					name += "-RDTSCP"
-				}
-				res, err := n.arm(a.Spec, src, name+" "+wl.Label(), wl)
-				if err != nil {
-					return err
-				}
-				results[name] = res
-			}
-		}
-		fmt.Fprintln(n.w, bench.Table(
-			fmt.Sprintf("Figure %s, workload %s, native (%d trials x %v)", f.ID, wl.Label(), n.o.trials, n.o.duration),
-			n.threads, results))
+		printPanels(n.w, []sim.Panel{p}, n.o.format)
 	}
 	return nil
 }
 
+// panel measures every arm of f on one mix, on both sources, at each
+// thread count: the arm's series, then its -RDTSCP twin.
+func (n *native) panel(f sim.Figure, mix sim.Workload) (sim.Panel, error) {
+	wl := bench.PaperWorkload(mix.U, mix.RQ, mix.C)
+	wl.KeyRange = n.o.keyRange
+	if f.KeyRange != 0 {
+		wl.KeyRange = f.KeyRange
+	}
+	p := n.newPanel(f.PanelID(slices.Index(f.Mixes, mix)), wl.Label())
+	for _, a := range f.Arms {
+		for _, src := range sources {
+			name := a.Name
+			if src == tscds.TSC {
+				name += "-RDTSCP"
+			}
+			s, err := n.arm(a.Spec, src, name, wl)
+			if err != nil {
+				return sim.Panel{}, err
+			}
+			p.Series = append(p.Series, s)
+		}
+	}
+	return p, nil
+}
+
+// newPanel starts a native panel; its workload line names the mode, the
+// trials and their duration.
+func (n *native) newPanel(id, workload string) sim.Panel {
+	return sim.Panel{ID: id, Threads: n.threads,
+		Workload: fmt.Sprintf("%s; native, %d trials x %v", workload, n.o.trials, n.o.duration)}
+}
+
 // arm builds one map, prefills it and runs the workload at each thread
-// count; with -metrics and -trace it prints the arm's snapshots after.
-func (n *native) arm(spec string, src tscds.SourceKind, label string, wl bench.Workload) ([]bench.Result, error) {
+// count into the series name; with -metrics and -trace it prints the arm's
+// snapshots after.
+func (n *native) arm(spec string, src tscds.SourceKind, name string, wl bench.Workload) (sim.Series, error) {
 	s, t, err := bench.ParseArm(spec)
 	if err != nil {
-		return nil, err
+		return sim.Series{}, err
 	}
 	cfg := tscds.Config{Source: src, MaxThreads: 512}
 	if n.o.metrics {
@@ -138,101 +159,68 @@ func (n *native) arm(spec string, src tscds.SourceKind, label string, wl bench.W
 	}
 	m, err := tscds.New(s, t, cfg)
 	if err != nil {
-		return nil, err
+		return sim.Series{}, err
 	}
 	n.metrics.Store(cfg.Metrics)
 	n.tracer.Store(m.Tracer())
-	if err := bench.Prefill(m, m, wl.KeyRange); err != nil {
-		return nil, err
+	if err := bench.Prefill(m, wl.KeyRange); err != nil {
+		return sim.Series{}, err
 	}
-	opts := bench.Options{Duration: n.o.duration, Trials: n.o.trials, Pin: true, Seed: 7}
-	if n.health != nil {
-		opts.Sample = n.health.Sample
+	series, err := n.sweep(name, func(opts bench.Options) (bench.Result, error) { return bench.Run(m, wl, opts) })
+	if err != nil {
+		return sim.Series{}, err
 	}
-	var out []bench.Result
-	for _, threads := range n.threads {
-		opts.Threads = threads
-		res, err := bench.Run(m, m, wl, opts)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res)
-	}
+	label := name + " " + wl.Label()
 	if cfg.Metrics != nil {
 		fmt.Fprintf(n.w, "metrics %s: %s\n", label, cfg.Metrics)
 	}
 	if tr := m.Tracer(); tr != nil {
 		fmt.Fprintf(n.w, "trace %s: %s\n", label, tr)
 	}
-	return out, nil
+	return series, nil
 }
 
-// figure1 measures timestamp acquisition from each source, bare (the
-// paper's top panel) and with interleaved local work (bottom).
-func (n *native) figure1() {
+// figure1 measures timestamp acquisition with each of Figure 1's reads,
+// bare (the paper's top panel) and with interleaved local work (bottom).
+func (n *native) figure1() ([]sim.Panel, error) {
+	var panels []sim.Panel
 	for _, panel := range []struct {
-		name string
-		work bool
-	}{{"top: bare acquisition", false}, {"bottom: acquisition + local work", true}} {
-		fmt.Fprintf(n.w, "Figure 1 (%s), native, %v/point\n%8s", panel.name, n.o.duration, "threads")
+		id, workload string
+		work         bool
+	}{{"1-top", "timestamp acquisition", false}, {"1-bottom", "acquisition + local work", true}} {
+		p := n.newPanel(panel.id, panel.workload)
 		for _, r := range bench.Fig1Reads {
-			fmt.Fprintf(n.w, " %16s", r.Name)
-		}
-		fmt.Fprintln(n.w)
-		for _, threads := range n.threads {
-			fmt.Fprintf(n.w, "%8d", threads)
-			for _, r := range bench.Fig1Reads {
-				fmt.Fprintf(n.w, " %11.2f Mops", acquire(r.Read, threads, n.o.duration, panel.work))
+			s, err := n.sweep(r.Name, func(opts bench.Options) (bench.Result, error) { return bench.RunRead(r.Read, panel.work, opts), nil })
+			if err != nil {
+				return nil, err
 			}
-			fmt.Fprintln(n.w)
+			p.Series = append(p.Series, s)
 		}
-		fmt.Fprintln(n.w)
+		panels = append(panels, p)
 	}
+	return panels, nil
 }
 
-// acquire is Figure 1's loop: threads pinned workers call read for d,
-// optionally doing 100 multiply-adds of local work per acquisition, and
-// the total rate comes back in Mops/s.
-func acquire(read func() uint64, threads int, d time.Duration, work bool) float64 {
-	var stop core.PaddedBool
-	counts := make([]struct {
-		n int64
-		_ [56]byte
-	}, threads)
-	pinner := affinity.NewPinner()
-	var ready, start, done sync.WaitGroup
-	start.Add(1)
-	for i := 0; i < threads; i++ {
-		ready.Add(1)
-		done.Add(1)
-		go func() {
-			defer done.Done()
-			defer pinner.Pin(i)()
-			ready.Done()
-			start.Wait()
-			sink := uint64(0)
-			for !stop.Load() {
-				sink += read()
-				if work {
-					for j := 0; j < 100; j++ {
-						sink = sink*2862933555777941757 + 3037000493
-					}
-				}
-				counts[i].n++
-			}
-			_ = sink
-		}()
+// sweep runs measure at each thread count into the series name: a mean
+// and a CV per count. It prints the run's first pinning failure once.
+func (n *native) sweep(name string, measure func(bench.Options) (bench.Result, error)) (sim.Series, error) {
+	s := sim.Series{Name: name}
+	opts := bench.Options{Duration: n.o.duration, Trials: n.o.trials, Seed: 7}
+	if n.health != nil {
+		opts.Sample = n.health.Sample
 	}
-	ready.Wait()
-	begin := time.Now()
-	start.Done()
-	time.Sleep(d)
-	stop.Store(true)
-	done.Wait()
-	elapsed := time.Since(begin).Seconds()
-	var total int64
-	for i := range counts {
-		total += counts[i].n
+	for _, threads := range n.threads {
+		opts.Threads = threads
+		res, err := measure(opts)
+		if err != nil {
+			return sim.Series{}, err
+		}
+		if res.PinErr != nil && !n.pinReported {
+			n.pinReported = true
+			fmt.Fprintf(n.w, "host: pinning failed, workers ran unpinned: %v\n", res.PinErr)
+		}
+		s.Mops = append(s.Mops, res.Mean)
+		s.CV = append(s.CV, res.CV)
 	}
-	return float64(total) / elapsed / 1e6
+	return s, nil
 }

@@ -3,15 +3,16 @@
 // next, and within a zone place each pair of hyperthreads on their shared
 // physical core consecutively. Topology is read from /sys on Linux; on
 // other platforms (or restricted containers) pinning degrades to
-// runtime.LockOSThread only, which is reported rather than hidden.
+// runtime.LockOSThread only, and Pin returns the error that says so.
 package affinity
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -29,20 +30,6 @@ type CPU struct {
 // Topology is the set of online logical CPUs.
 type Topology struct {
 	CPUs []CPU
-}
-
-// Nodes returns the distinct NUMA node ids in ascending order.
-func (t *Topology) Nodes() []int {
-	seen := map[int]bool{}
-	var nodes []int
-	for _, c := range t.CPUs {
-		if !seen[c.Node] {
-			seen[c.Node] = true
-			nodes = append(nodes, c.Node)
-		}
-	}
-	sort.Ints(nodes)
-	return nodes
 }
 
 // Detect reads the host topology from /sys. When /sys is unavailable it
@@ -71,84 +58,28 @@ func DetectAt(sysRoot string) *Topology {
 	return t
 }
 
-// PaperTopology returns the topology of the paper's machine: four NUMA
-// zones, 24 physical cores per zone, two hyperthreads per core (192
-// logical CPUs). Used by the simulator and by tests of the pin policy.
-func PaperTopology() *Topology {
-	t := &Topology{}
-	id := 0
-	for node := 0; node < 4; node++ {
-		for core := 0; core < 24; core++ {
-			t.CPUs = append(t.CPUs, CPU{ID: id, Core: core, Node: node})
-			id++
-		}
-	}
-	// Second hyperthread of every core, in the same order.
-	for node := 0; node < 4; node++ {
-		for core := 0; core < 24; core++ {
-			t.CPUs = append(t.CPUs, CPU{ID: id, Core: core, Node: node})
-			id++
-		}
-	}
-	return t
-}
-
 // PinOrder returns logical CPU ids in the paper's pin order: fill a NUMA
 // zone completely (each core's hyperthreads consecutively) before moving
 // to the next zone.
 func PinOrder(t *Topology) []int {
-	type key struct{ node, core int }
-	groups := map[key][]int{}
-	for _, c := range t.CPUs {
-		k := key{c.Node, c.Core}
-		groups[k] = append(groups[k], c.ID)
-	}
-	var keys []key
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].node != keys[j].node {
-			return keys[i].node < keys[j].node
-		}
-		return keys[i].core < keys[j].core
+	cpus := slices.Clone(t.CPUs)
+	slices.SortFunc(cpus, func(a, b CPU) int {
+		return cmp.Or(cmp.Compare(a.Node, b.Node), cmp.Compare(a.Core, b.Core), cmp.Compare(a.ID, b.ID))
 	})
-	var order []int
-	for _, k := range keys {
-		ids := groups[k]
-		sort.Ints(ids)
-		order = append(order, ids...)
+	order := make([]int, len(cpus))
+	for i, c := range cpus {
+		order[i] = c.ID
 	}
 	return order
 }
 
-// Pinner assigns worker indices to CPUs following the pin order and
-// applies the assignment to the calling goroutine's OS thread.
-type Pinner struct {
-	order []int
-	// Applied counts successful affinity calls; tests and the harness
-	// report whether pinning actually took effect.
-	Applied int
-	// LastErr holds the most recent pinning failure, if any.
-	LastErr error
-}
-
-// NewPinner builds a pinner over the detected host topology.
-func NewPinner() *Pinner { return &Pinner{order: PinOrder(Detect())} }
-
-// Pin locks the calling goroutine to an OS thread and binds that thread
-// to the CPU assigned to worker i. The caller must invoke the returned
-// function to unlock the thread when done. Pinning failures are recorded,
-// not fatal: the benchmark still runs, just unpinned.
-func (p *Pinner) Pin(i int) (unpin func()) {
+// Pin locks the calling goroutine to its OS thread and binds that thread
+// to the CPU order assigns worker i (wrapping around past its end). The
+// caller runs unpin when done, whatever err is: a pinning failure is not
+// fatal, the worker just runs unpinned.
+func Pin(order []int, i int) (unpin func(), err error) {
 	runtime.LockOSThread()
-	cpu := p.order[i%len(p.order)]
-	if err := setAffinity(cpu); err != nil {
-		p.LastErr = err
-	} else {
-		p.Applied++
-	}
-	return runtime.UnlockOSThread
+	return runtime.UnlockOSThread, setAffinity(order[i%len(order)])
 }
 
 func readSys(path string) string {

@@ -1,12 +1,39 @@
 package affinity
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 )
+
+// paperTopology is the topology of the paper's machine: four NUMA zones,
+// 24 physical cores per zone, two hyperthreads per core (192 logical
+// CPUs), the first hyperthread of every core numbered before any second.
+func paperTopology() *Topology {
+	t := &Topology{}
+	id := 0
+	for ht := 0; ht < 2; ht++ {
+		for node := 0; node < 4; node++ {
+			for core := 0; core < 24; core++ {
+				t.CPUs = append(t.CPUs, CPU{ID: id, Core: core, Node: node})
+				id++
+			}
+		}
+	}
+	return t
+}
+
+// nodes counts the logical CPUs of each NUMA node of t.
+func nodes(t *Topology) map[int]int {
+	n := map[int]int{}
+	for _, c := range t.CPUs {
+		n[c.Node]++
+	}
+	return n
+}
 
 func TestParseCPUList(t *testing.T) {
 	cases := []struct {
@@ -40,23 +67,19 @@ func TestDetectNonEmpty(t *testing.T) {
 	if len(topo.CPUs) == 0 {
 		t.Fatal("Detect returned no CPUs")
 	}
-	if len(topo.Nodes()) == 0 {
+	if len(nodes(topo)) == 0 {
 		t.Fatal("Detect returned no NUMA nodes")
 	}
 }
 
 func TestPaperTopologyShape(t *testing.T) {
-	topo := PaperTopology()
+	topo := paperTopology()
 	if len(topo.CPUs) != 192 {
 		t.Fatalf("paper topology has %d CPUs, want 192", len(topo.CPUs))
 	}
-	nodes := topo.Nodes()
-	if len(nodes) != 4 {
-		t.Fatalf("paper topology has %d nodes, want 4", len(nodes))
-	}
-	perNode := map[int]int{}
-	for _, c := range topo.CPUs {
-		perNode[c.Node]++
+	perNode := nodes(topo)
+	if len(perNode) != 4 {
+		t.Fatalf("paper topology has %d nodes, want 4", len(perNode))
 	}
 	for n, cnt := range perNode {
 		if cnt != 48 {
@@ -68,7 +91,7 @@ func TestPaperTopologyShape(t *testing.T) {
 // The paper's pin order: the first 48 workers all land in NUMA zone 0,
 // and hyperthread siblings (same node+core) are adjacent.
 func TestPinOrderPaperPolicy(t *testing.T) {
-	topo := PaperTopology()
+	topo := paperTopology()
 	order := PinOrder(topo)
 	if len(order) != 192 {
 		t.Fatalf("pin order has %d entries, want 192", len(order))
@@ -97,7 +120,7 @@ func TestPinOrderPaperPolicy(t *testing.T) {
 }
 
 func TestPinOrderCoversAllCPUsOnce(t *testing.T) {
-	for _, topo := range []*Topology{Detect(), PaperTopology()} {
+	for _, topo := range []*Topology{Detect(), paperTopology()} {
 		order := PinOrder(topo)
 		if len(order) != len(topo.CPUs) {
 			t.Fatalf("pin order length %d != topology size %d", len(order), len(topo.CPUs))
@@ -112,14 +135,23 @@ func TestPinOrderCoversAllCPUsOnce(t *testing.T) {
 	}
 }
 
-func TestPinnerPinsWithoutPanic(t *testing.T) {
-	p := NewPinner()
-	unpin := p.Pin(0)
-	unpin()
-	// Wrap-around beyond available CPUs must not panic.
-	unpin = p.Pin(10_000)
-	unpin()
-	t.Logf("applied=%d lastErr=%v", p.Applied, p.LastErr)
+func TestPinWrapsAround(t *testing.T) {
+	order := PinOrder(Detect())
+	for _, i := range []int{0, 10_000} {
+		unpin, err := Pin(order, i)
+		unpin()
+		t.Logf("Pin(worker %d): %v", i, err)
+	}
+}
+
+// A CPU no affinity mask can name is an error Pin returns, not one it
+// swallows, and the goroutine still gets its OS thread.
+func TestPinReportsFailure(t *testing.T) {
+	unpin, err := Pin([]int{-1}, 0)
+	defer unpin()
+	if !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Pin to CPU -1: err = %v, want ErrUnsupported", err)
+	}
 }
 
 // DetectAt against a synthetic sysfs: 2 packages x 2 cores x 2 SMT.
@@ -146,9 +178,8 @@ func TestDetectAtSyntheticSysfs(t *testing.T) {
 	if len(topo.CPUs) != 8 {
 		t.Fatalf("detected %d CPUs", len(topo.CPUs))
 	}
-	nodes := topo.Nodes()
-	if len(nodes) != 2 || nodes[0] != 0 || nodes[1] != 1 {
-		t.Fatalf("nodes = %v", nodes)
+	if n := nodes(topo); len(n) != 2 || n[0] != 4 || n[1] != 4 {
+		t.Fatalf("CPUs per node = %v, want 4 on each of nodes 0 and 1", n)
 	}
 	order := PinOrder(topo)
 	// Zone 0 (CPUs 0..3) must be fully pinned before zone 1.

@@ -2,37 +2,26 @@
 // experimental setup (§III-B): mixed U-RQ-C workloads over uniformly
 // random keys in a 1,000,000-key range, structures prefilled to half,
 // 100-key range queries, timed trials averaged with their coefficient of
-// variation reported. Worker goroutines are pinned to OS threads and, on
-// Linux, to CPUs in the paper's NUMA-zone-saturating order.
+// variation reported. One timed loop (runTrial) runs both measurements: a
+// map under a mix (Run) and Figure 1's timestamp reads (RunRead). Every
+// worker goroutine is pinned to its OS thread and, on Linux, to a CPU in
+// the paper's NUMA-zone-saturating order; a worker that cannot be pinned
+// runs unpinned, and Result.PinErr says so.
 package bench
 
 import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"tscds"
 	"tscds/internal/affinity"
 	"tscds/internal/core"
 )
-
-// Target is the data structure surface the harness drives.
-type Target interface {
-	Insert(th *core.Thread, key, val uint64) bool
-	Delete(th *core.Thread, key uint64) bool
-	Contains(th *core.Thread, key uint64) bool
-	RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV
-}
-
-// Registrar hands out thread handles (implemented by the facade maps and
-// by raw registries).
-type Registrar interface {
-	RegisterThread() (*core.Thread, error)
-}
 
 // Workload is the paper's U-RQ-C mix plus its key-space parameters.
 type Workload struct {
@@ -59,11 +48,11 @@ type Options struct {
 	Threads  int
 	Duration time.Duration
 	Trials   int
-	Pin      bool // pin workers to CPUs (paper policy)
 	Seed     uint64
-	// Sample, when non-nil, is invoked by each worker every sampleEvery
-	// operations with the worker's thread ID — the hook the drivers use
-	// for TSC health cross-checks. Nil costs one pointer test per op.
+	// Sample, when non-nil, is invoked by each of Run's workers every
+	// sampleEvery operations with the worker's thread ID — the hook the
+	// drivers use for TSC health cross-checks. Nil costs one pointer test
+	// per op.
 	Sample func(tid int)
 }
 
@@ -73,26 +62,27 @@ const sampleEvery = 64
 
 // Result summarizes one measurement.
 type Result struct {
-	Threads  int
-	Trials   []float64 // Mops/s per trial
-	Mean     float64   // Mops/s
-	CV       float64   // coefficient of variation, percent
-	OpSplit  [3]int64  // completed updates, range queries, contains
-	Workload Workload
+	Trials  []float64 // Mops/s per trial
+	Mean    float64   // Mops/s
+	CV      float64   // coefficient of variation, percent
+	OpSplit [3]int64  // completed updates, range queries, contains
+	// PinErr is the first pinning failure of any worker in any trial;
+	// the workers it names ran unpinned.
+	PinErr error
 }
 
 // Prefill inserts half the key range in uniformly random order, as in
 // the paper's setup; balanced insert/delete mixes then keep the size
 // stable. Random order matters beyond fidelity: the BSTs are unbalanced,
 // so sorted insertion would degenerate them into linked lists.
-func Prefill(t Target, r Registrar, keyRange uint64) error {
-	th, err := r.RegisterThread()
+func Prefill(m tscds.Map, keyRange uint64) error {
+	th, err := m.RegisterThread()
 	if err != nil {
 		return err
 	}
 	defer th.Release()
 	for _, k := range PrefillKeys(keyRange) {
-		t.Insert(th, k, k)
+		m.Insert(th, k, k)
 	}
 	return nil
 }
@@ -121,122 +111,159 @@ func (r *rng) next() uint64 {
 	return r.s
 }
 
-// Run measures throughput of target under the workload.
-func Run(target Target, reg Registrar, wl Workload, opts Options) (Result, error) {
+// Run measures the throughput of m under the workload. Each worker keeps
+// one thread handle of m for every trial.
+func Run(m tscds.Map, wl Workload, opts Options) (Result, error) {
 	if !wl.Valid() {
 		return Result{}, fmt.Errorf("bench: workload %s does not sum to 100", wl.Label())
 	}
 	if wl.KeyRange == 0 {
 		return Result{}, fmt.Errorf("bench: workload %s has zero key range", wl.Label())
 	}
-	if opts.Trials <= 0 {
-		opts.Trials = 1
-	}
-	res := Result{Threads: opts.Threads, Workload: wl}
-	var pinner *affinity.Pinner
-	if opts.Pin {
-		pinner = affinity.NewPinner()
-	}
-	for trial := 0; trial < opts.Trials; trial++ {
-		mops, split, err := runTrial(target, reg, wl, opts, pinner, trial)
+	var threads []*core.Thread
+	defer func() {
+		for _, th := range threads {
+			th.Release()
+		}
+	}()
+	for range opts.Threads {
+		th, err := m.RegisterThread()
 		if err != nil {
 			return Result{}, err
 		}
-		res.Trials = append(res.Trials, mops)
-		for i := range split {
-			res.OpSplit[i] += split[i]
-		}
+		threads = append(threads, th)
 	}
-	res.Mean, res.CV = meanCV(res.Trials)
-	return res, nil
+	return measure(opts, func(trial int) []worker {
+		workers := make([]worker, len(threads))
+		for i, th := range threads {
+			r := rng{s: opts.Seed + uint64(i)*0x9E3779B97F4A7C15 + uint64(trial)*0x100000001B3 + 1}
+			workers[i] = func(stop *core.PaddedBool, ops *[3]int64) { mix(m, th, wl, r, opts.Sample, stop, ops) }
+		}
+		return workers
+	}), nil
 }
 
-func runTrial(target Target, reg Registrar, wl Workload, opts Options,
-	pinner *affinity.Pinner, trial int) (float64, [3]int64, error) {
-
-	type counts struct {
-		ops [3]int64
-		_   [40]byte
-	}
-	perWorker := make([]counts, opts.Threads)
-	var stop core.PaddedBool
-	var start sync.WaitGroup
-	var ready, done sync.WaitGroup
-	start.Add(1)
-
-	threads := make([]*core.Thread, opts.Threads)
-	for i := 0; i < opts.Threads; i++ {
-		th, err := reg.RegisterThread()
-		if err != nil {
-			return 0, [3]int64{}, err
+// mix is a worker of Run: the paper's U-RQ-C mix over uniform keys.
+func mix(m tscds.Map, th *core.Thread, wl Workload, r rng, sample func(int), stop *core.PaddedBool, ops *[3]int64) {
+	buf := make([]core.KV, 0, wl.RQLen+16)
+	var n uint64
+	for !stop.Load() {
+		x := r.next()
+		op := int(x % 100)
+		key := (x >> 8) % wl.KeyRange
+		switch {
+		case op < wl.U:
+			// Half inserts, half deletes, to keep size stable.
+			if x&(1<<63) != 0 {
+				m.Insert(th, key, key)
+			} else {
+				m.Delete(th, key)
+			}
+			ops[0]++
+		case op < wl.U+wl.RQ:
+			buf = m.RangeQuery(th, key, key+wl.RQLen-1, buf[:0])
+			ops[1]++
+		default:
+			m.Contains(th, key)
+			ops[2]++
 		}
-		threads[i] = th
+		n++
+		if sample != nil && n%sampleEvery == 0 {
+			sample(th.ID)
+		}
 	}
+}
 
-	for i := 0; i < opts.Threads; i++ {
+// RunRead measures Figure 1 on one timestamp read: each worker calls read
+// back to back and, with work, does 100 multiply-adds of local work after
+// each call (the bottom panel). A read counts as a contains.
+func RunRead(read func() uint64, work bool, opts Options) Result {
+	w := func(stop *core.PaddedBool, ops *[3]int64) {
+		sink := uint64(0)
+		for !stop.Load() {
+			sink += read()
+			if work {
+				for j := 0; j < 100; j++ {
+					sink = sink*2862933555777941757 + 3037000493
+				}
+			}
+			ops[2]++
+		}
+		_ = sink
+	}
+	return measure(opts, func(int) []worker {
+		workers := make([]worker, opts.Threads)
+		for i := range workers {
+			workers[i] = w
+		}
+		return workers
+	})
+}
+
+// A worker is one goroutine's part of a trial: it runs operations until
+// stop is set and counts each completed one in ops by class (update,
+// range query, contains).
+type worker func(stop *core.PaddedBool, ops *[3]int64)
+
+// measure runs opts.Trials trials; workers builds each trial's workers,
+// one per thread.
+func measure(opts Options, workers func(trial int) []worker) Result {
+	order := affinity.PinOrder(affinity.Detect())
+	var res Result
+	for trial := 0; trial < max(opts.Trials, 1); trial++ {
+		runTrial(&res, workers(trial), order, opts.Duration)
+	}
+	res.Mean, res.CV = meanCV(res.Trials)
+	return res
+}
+
+// runTrial is the harness's one timed loop: it starts one goroutine per
+// worker, pinned to the next CPU of order, releases them together and
+// lets them run for d. It adds the trial to res: the workers' total rate
+// in Mops/s, their operations by class and the first pinning failure.
+// Each worker counts in and reports through its own cache line.
+func runTrial(res *Result, workers []worker, order []int, d time.Duration) {
+	type slot struct {
+		ops [3]int64
+		err error
+		_   [24]byte
+	}
+	slots := make([]slot, len(workers))
+	var stop core.PaddedBool
+	var ready, start, done sync.WaitGroup
+	start.Add(1)
+	for i, w := range workers {
 		ready.Add(1)
 		done.Add(1)
-		go func(i int) {
+		go func() {
 			defer done.Done()
-			if pinner != nil {
-				unpin := pinner.Pin(i)
-				defer unpin()
-			}
-			th := threads[i]
-			r := rng{s: opts.Seed + uint64(i)*0x9E3779B97F4A7C15 + uint64(trial)*0x100000001B3 + 1}
-			buf := make([]core.KV, 0, wl.RQLen+16)
-			var n uint64
+			unpin, err := affinity.Pin(order, i)
+			defer unpin()
+			slots[i].err = err
 			ready.Done()
 			start.Wait()
-			for !stop.Load() {
-				x := r.next()
-				op := int(x % 100)
-				key := (x >> 8) % wl.KeyRange
-				switch {
-				case op < wl.U:
-					// Half inserts, half deletes, to keep size stable.
-					if x&(1<<63) != 0 {
-						target.Insert(th, key, key)
-					} else {
-						target.Delete(th, key)
-					}
-					perWorker[i].ops[0]++
-				case op < wl.U+wl.RQ:
-					lo := key
-					hi := lo + wl.RQLen - 1
-					buf = target.RangeQuery(th, lo, hi, buf[:0])
-					perWorker[i].ops[1]++
-				default:
-					target.Contains(th, key)
-					perWorker[i].ops[2]++
-				}
-				n++
-				if opts.Sample != nil && n%sampleEvery == 0 {
-					opts.Sample(th.ID)
-				}
-			}
-		}(i)
+			w(&stop, &slots[i].ops)
+		}()
 	}
 	ready.Wait()
 	begin := time.Now()
 	start.Done()
-	time.Sleep(opts.Duration)
+	time.Sleep(d)
 	stop.Store(true)
 	done.Wait()
 	elapsed := time.Since(begin).Seconds()
-	for _, th := range threads {
-		th.Release()
-	}
 
-	var split [3]int64
 	var total int64
-	for i := range perWorker {
-		for j := 0; j < 3; j++ {
-			split[j] += perWorker[i].ops[j]
-			total += perWorker[i].ops[j]
+	for i := range slots {
+		for j, n := range slots[i].ops {
+			res.OpSplit[j] += n
+			total += n
+		}
+		if res.PinErr == nil {
+			res.PinErr = slots[i].err
 		}
 	}
-	return float64(total) / elapsed / 1e6, split, nil
+	res.Trials = append(res.Trials, float64(total)/elapsed/1e6)
 }
 
 func meanCV(xs []float64) (mean, cv float64) {
@@ -256,36 +283,6 @@ func meanCV(xs []float64) (mean, cv float64) {
 		ss += d * d
 	}
 	return mean, math.Sqrt(ss/float64(len(xs)-1)) / mean * 100
-}
-
-// Table renders results as an aligned text table, one row per thread
-// count, one column per series; each cell is the mean of the trials and
-// their coefficient of variation, as the paper reports its points (§III).
-func Table(title string, threads []int, series map[string][]Result) string {
-	var names []string
-	for name := range series {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", title)
-	fmt.Fprintf(&b, "%8s", "threads")
-	for _, n := range names {
-		fmt.Fprintf(&b, " %22s", n)
-	}
-	b.WriteString("\n")
-	for i, t := range threads {
-		fmt.Fprintf(&b, "%8d", t)
-		for _, n := range names {
-			cell := "-"
-			if rs := series[n]; i < len(rs) {
-				cell = fmt.Sprintf("%.2f Mops ±%4.1f%%", rs[i].Mean, rs[i].CV)
-			}
-			fmt.Fprintf(&b, " %22s", cell)
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
 }
 
 // ParseThreads parses a comma-separated thread-count list ("1,2,4").

@@ -4,19 +4,13 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
-	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tscds"
-	"tscds/internal/core"
-	"tscds/internal/lfbst"
 	"tscds/internal/sim"
 )
-
-type reg struct{ r *core.Registry }
-
-func (r reg) RegisterThread() (*core.Thread, error) { return r.r.Register() }
 
 func TestWorkloadValidation(t *testing.T) {
 	if !PaperWorkload(10, 10, 80).Valid() {
@@ -28,7 +22,7 @@ func TestWorkloadValidation(t *testing.T) {
 	if got := PaperWorkload(2, 10, 88).Label(); got != "2-10-88" {
 		t.Fatalf("label = %q", got)
 	}
-	if _, err := Run(nil, nil, Workload{U: 1, RQ: 1, C: 1}, Options{}); err == nil {
+	if _, err := Run(nil, Workload{U: 1, RQ: 1, C: 1}, Options{}); err == nil {
 		t.Fatal("invalid workload accepted by Run")
 	}
 }
@@ -36,30 +30,36 @@ func TestWorkloadValidation(t *testing.T) {
 func TestZeroKeyRangeRejected(t *testing.T) {
 	// A valid mix with KeyRange 0 used to divide by zero in the key draw.
 	wl := Workload{U: 10, RQ: 10, C: 80}
-	if _, err := Run(nil, nil, wl, Options{Threads: 1}); err == nil {
+	if _, err := Run(nil, wl, Options{Threads: 1}); err == nil {
 		t.Fatal("Run accepted zero key range")
 	}
 }
 
 func TestPrefillHalf(t *testing.T) {
-	r := core.NewRegistry(4)
-	tr := lfbst.New(core.New(core.Logical), r)
-	if err := Prefill(tr, reg{r}, 1000); err != nil {
+	m, err := tscds.New(tscds.BST, tscds.VCAS, tscds.Config{Source: tscds.Logical})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Len(); got != 500 {
+	if err := Prefill(m, 1000); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Len(); got != 500 {
 		t.Fatalf("prefill produced %d keys, want 500", got)
 	}
 }
 
+// Two workers, each pinned: under -race this is also the check that
+// pinning shares no state between workers.
 func TestRunMeasuresAllOpClasses(t *testing.T) {
-	r := core.NewRegistry(8)
-	tr := lfbst.New(core.New(core.TSC), r)
-	if err := Prefill(tr, reg{r}, 10_000); err != nil {
+	m, err := tscds.New(tscds.BST, tscds.VCAS, tscds.Config{Source: tscds.TSC})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Prefill(m, 10_000); err != nil {
 		t.Fatal(err)
 	}
 	wl := Workload{U: 20, RQ: 20, C: 60, KeyRange: 10_000, RQLen: 50}
-	res, err := Run(tr, reg{r}, wl, Options{
+	res, err := Run(m, wl, Options{
 		Threads: 2, Duration: 60 * time.Millisecond, Trials: 2, Seed: 3,
 	})
 	if err != nil {
@@ -87,15 +87,18 @@ func TestRunMeasuresAllOpClasses(t *testing.T) {
 	}
 }
 
-func TestTableRendering(t *testing.T) {
-	series := map[string][]Result{
-		"Logical": {{Mean: 1.5}, {Mean: 2.5, CV: 4.3}},
-		"RDTSCP":  {{Mean: 3.5}},
-	}
-	out := Table("Fig X", []int{1, 2}, series)
-	for _, want := range []string{"Fig X", "threads", "Logical", "RDTSCP", "1.50 Mops ± 0.0%", "2.50 Mops ± 4.3%", "3.50", " -\n"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %q:\n%s", want, out)
+// Figure 1's body: every read is one counted operation, bare and with
+// local work, and the rate is what the counts say.
+func TestRunReadCountsEveryRead(t *testing.T) {
+	for _, work := range []bool{false, true} {
+		var calls atomic.Int64
+		read := func() uint64 { return uint64(calls.Add(1)) }
+		res := RunRead(read, work, Options{Threads: 2, Duration: 20 * time.Millisecond, Trials: 2})
+		if got := res.OpSplit[2]; got == 0 || got != calls.Load() {
+			t.Fatalf("work=%v: %d reads counted, %d made", work, got, calls.Load())
+		}
+		if len(res.Trials) != 2 || res.Mean <= 0 {
+			t.Fatalf("work=%v: trials %v, mean %v", work, res.Trials, res.Mean)
 		}
 	}
 }

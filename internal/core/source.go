@@ -92,8 +92,9 @@ func (s *hwSource) Snapshot() TS {
 func (s *hwSource) Kind() Kind { return s.kind }
 
 // actualFor maps a requested hardware kind to the kind the tsc
-// accessors really deliver on this host: ReadFenced needs RDTSCP, and
-// without it serves the monotonic clock.
+// accessors really deliver on this host: ReadFenced needs a trusted TSC
+// (tsc.Supported: RDTSCP and invariant), and without one serves the
+// monotonic clock.
 func actualFor(k Kind) Kind {
 	if k == TSC && !tsc.Supported() {
 		return Monotonic
@@ -101,8 +102,8 @@ func actualFor(k Kind) Kind {
 	return k
 }
 
-// Actual reports the kind actually serving s's reads. For TSC on hosts
-// missing RDTSCP this differs from s.Kind() — the silent-fallback case
+// Actual reports the kind actually serving s's reads. For TSC on a host
+// whose TSC is not trusted (tsc.Supported) this differs from s.Kind() — the silent-fallback case
 // that used to mislabel monotonic numbers as RDTSCP in benchmark output.
 // An AdaptiveSource reports Logical while failed over and its fenced
 // RDTSCP read otherwise. Other sources are taken at their word.

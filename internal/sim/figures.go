@@ -2,10 +2,12 @@ package sim
 
 import "strings"
 
-// Series is one curve in a panel: throughput (Mops/s) per thread count.
+// Series is one curve in a panel: throughput (Mops/s) per thread count,
+// and for a measured one the trials' coefficient of variation (percent).
 type Series struct {
 	Name string
 	Mops []float64
+	CV   []float64 // nil when simulated
 }
 
 // Panel is one subplot of a paper figure.
@@ -148,8 +150,11 @@ func (f Figure) Ops(m *Machine, a Arm, hw bool, wl Workload) []OpSpec {
 	return BuildOps(m, a.Tech, hw, f.Cost, wl, f.HotLines)
 }
 
-// Panels regenerates a figure on machine m: one panel per mix (2a, 2b, …;
-// the lazy list's is La) holding a logical and an -RDTSCP series per arm.
+// PanelID names the panel of f's i-th mix: 2a, 2b, …; the lazy list's is La.
+func (f Figure) PanelID(i int) string { return strings.ToUpper(f.ID[:1]) + string(rune('a'+i)) }
+
+// Panels regenerates a figure on machine m: one panel per mix holding a
+// logical and an -RDTSCP series per arm.
 func Panels(m *Machine, f Figure) []Panel {
 	if len(f.Arms) == 0 {
 		return figure1(m)
@@ -157,7 +162,7 @@ func Panels(m *Machine, f Figure) []Panel {
 	panels := make([]Panel, 0, len(f.Mixes))
 	for i, wl := range f.Mixes {
 		p := Panel{
-			ID:       strings.ToUpper(f.ID[:1]) + string(rune('a'+i)),
+			ID:       f.PanelID(i),
 			Workload: wl.String(),
 			Threads:  ThreadCounts,
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 // FormatPanel renders a panel as an aligned text table (threads down,
-// series across, Mops/s cells).
+// series across, Mops/s cells, ± the CV of a measured series).
 func FormatPanel(p Panel) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure %s  (workload %s)\n", p.ID, p.Workload)
@@ -18,7 +18,11 @@ func FormatPanel(p Panel) string {
 	for i, t := range p.Threads {
 		fmt.Fprintf(&b, "%8d", t)
 		for _, s := range p.Series {
-			fmt.Fprintf(&b, " %16.2f", s.Mops[i])
+			cell := fmt.Sprintf("%.2f", s.Mops[i])
+			if s.CV != nil {
+				cell += fmt.Sprintf(" ±%4.1f%%", s.CV[i])
+			}
+			fmt.Fprintf(&b, " %16s", cell)
 		}
 		b.WriteString("\n")
 	}

@@ -28,6 +28,18 @@ func TestFormatPanel(t *testing.T) {
 	if got := strings.Count(out, "\n"); got != 5 { // header x2 + 3 rows
 		t.Fatalf("panel has %d lines:\n%s", got, out)
 	}
+	if strings.Contains(out, "±") {
+		t.Fatalf("a simulated panel prints a CV:\n%s", out)
+	}
+	// A measured series carries its trials' CV, printed beside each mean.
+	p := samplePanel()
+	p.Series[1].CV = []float64{0, 12.5, 4.3}
+	out = FormatPanel(p)
+	for _, want := range []string{"1.00 ± 0.0%", "3.00 ±12.5%", "9.00 ± 4.3%"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("measured panel missing %q:\n%s", want, out)
+		}
+	}
 }
 
 func TestPanelSummary(t *testing.T) {

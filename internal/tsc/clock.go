@@ -9,8 +9,8 @@ import (
 // Clock is the library's telemetry clock: the unfenced counter (Read)
 // scaled to nanoseconds by a ratio calibrated once per process. Telemetry
 // measures intervals and orders nothing, so the fence ReadFenced pays buys
-// it nothing. Where the counter is absent or not invariant the clock
-// serves Monotonic instead.
+// it nothing. Where the counter is not trusted (Supported is false) the
+// clock serves Monotonic instead.
 type Clock struct {
 	read func() uint64 // Read, or Monotonic
 	mult uint64        // nanoseconds per tick, 32.32 fixed point
@@ -34,7 +34,7 @@ func TelemetryClock() *Clock {
 // calibrateTelemetry builds and publishes the telemetry clock; of racing
 // first calls, one clock wins.
 func calibrateTelemetry() *Clock {
-	c := newClock(HasCounter() && Invariant())
+	c := newClock(Supported())
 	telemetryClock.CompareAndSwap(nil, &c)
 	return telemetryClock.Load()
 }

@@ -198,8 +198,10 @@ const (
 	// StateDegraded: hardware TSC in use but regressions were observed;
 	// timestamps may mis-order operations across cores.
 	StateDegraded = "degraded"
-	// StateFallback: no usable hardware TSC; accessors serve the
-	// monotonic clock (correct, but with none of TSC's cost advantage).
+	// StateFallback: the TSC is not trusted (Supported is false: no
+	// RDTSCP, or not invariant); ReadFenced, a TSC source and the
+	// telemetry clock serve the monotonic clock (correct, but with none
+	// of TSC's cost advantage).
 	StateFallback = "fallback"
 )
 
@@ -275,13 +277,9 @@ func (h *Health) Snapshot() HealthSnapshot {
 		s.Threads = append(s.Threads, th)
 	}
 	switch {
-	case !Supported() || !Invariant():
+	case !Supported():
 		s.State = StateFallback
-		if !Supported() {
-			s.Warnings = append(s.Warnings, "no RDTSCP on this platform; accessors serve the monotonic clock")
-		} else {
-			s.Warnings = append(s.Warnings, "TSC is not invariant; accessors serve the monotonic clock")
-		}
+		s.Warnings = append(s.Warnings, "no RDTSCP with an invariant TSC; fenced reads, TSC sources and the telemetry clock serve the monotonic clock")
 	case s.CrossRegressions > 0 || selfBack > 0 || s.InjectedFaults > 0:
 		s.State = StateDegraded
 		if s.CrossRegressions > 0 {

@@ -57,7 +57,7 @@ func TestHealthSampleAndSnapshot(t *testing.T) {
 	}
 	// The fallback monotonic clock can never regress; a real invariant
 	// TSC on healthy hardware should not either.
-	if !Supported() || !Invariant() {
+	if !Supported() {
 		if s.State != StateFallback {
 			t.Fatalf("state = %q without hardware TSC, want fallback", s.State)
 		}
@@ -137,7 +137,7 @@ func TestHealthHandoffSamplesAgree(t *testing.T) {
 	if got := h.FaultSeq(); got != 0 {
 		t.Fatalf("FaultSeq = %d without a regression, want 0", got)
 	}
-	if Supported() && Invariant() && s.State != StateHealthy {
+	if Supported() && s.State != StateHealthy {
 		t.Fatalf("state = %q on an invariant TSC, want healthy", s.State)
 	}
 }

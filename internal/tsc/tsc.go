@@ -1,6 +1,7 @@
 // Package tsc provides low-level access to the CPU's timestamp counter
 // (TSC) via the RDTSC and RDTSCP instructions, together with the fence
-// variants studied in the paper and feature detection for invariant TSC.
+// variants studied in the paper and the one test of whether the counter
+// is trusted (Supported).
 //
 // On amd64 the four accessors map to real instruction sequences
 // (implemented in tsc_amd64.s):
@@ -10,10 +11,13 @@
 //	Read              RDTSC                  (no ordering guarantees)
 //	ReadP             RDTSCP                 (pseudo-serializing only)
 //
-// On other architectures, or when invariant TSC is unavailable, all
-// accessors fall back to a monotonic nanosecond clock, which preserves the
-// two properties the algorithms need (monotonicity and cross-core
-// agreement) at a higher per-read cost.
+// Where Supported is false — no RDTSCP, or a TSC that is not invariant —
+// ReadFenced, and with it a TSC source and the telemetry clock, serves a
+// monotonic nanosecond clock, which preserves the two properties the
+// algorithms need (monotonicity and cross-core agreement) at a higher
+// per-read cost. The three bare reads, which only Figure 1 measures, still
+// run their instructions on amd64 (ReadP runs RDTSC without RDTSCP); on an
+// architecture with no counter every accessor serves the monotonic clock.
 package tsc
 
 import "time"
@@ -28,19 +32,13 @@ func Monotonic() uint64 {
 	return uint64(time.Since(start))
 }
 
-// Supported reports whether the running CPU exposes a usable timestamp
-// counter: amd64 with the RDTSCP instruction available. Invariance is
-// reported separately by Invariant, since a constant-rate TSC is what
-// makes cross-core timestamp comparison sound.
+// Supported reports whether the counter is trusted to label operations:
+// on amd64, RDTSCP is available and the TSC is invariant (a constant-rate
+// TSC is what makes cross-core comparison sound); on arm64 the generic
+// timer always is. It is the one predicate: ReadFenced's fallback, the
+// source a TSC map actually runs on, the telemetry clock and the health
+// monitor's fallback state all follow it.
 func Supported() bool { return supported() }
-
-// HasCounter reports whether the architecture has any hardware cycle
-// counter at all (RDTSC on amd64, CNTVCT on arm64), independent of
-// RDTSCP availability or invariance. When false, every accessor —
-// including the "raw" and "CPUID" variants — serves the monotonic
-// clock, so no hardware-timestamp configuration can be honest about
-// its label.
-func HasCounter() bool { return hasCounter() }
 
 // Invariant reports whether the CPU advertises invariant TSC
 // (CPUID.80000007H:EDX[8]), i.e. the counter increments at a constant

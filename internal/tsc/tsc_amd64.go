@@ -12,6 +12,7 @@ func rdtscpRaw() uint64
 var (
 	hasRDTSCP    bool
 	hasInvariant bool
+	trusted      bool // hasRDTSCP && hasInvariant: Supported
 )
 
 func init() {
@@ -24,16 +25,14 @@ func init() {
 		_, _, _, edx := cpuidAsm(0x80000007, 0)
 		hasInvariant = edx&(1<<8) != 0
 	}
+	trusted = hasRDTSCP && hasInvariant
 }
 
-func supported() bool { return hasRDTSCP }
+func supported() bool { return trusted }
 func invariant() bool { return hasInvariant }
 
-// RDTSC itself is baseline amd64; only RDTSCP is feature-gated.
-func hasCounter() bool { return true }
-
 func readFenced() uint64 {
-	if hasRDTSCP {
+	if trusted {
 		return rdtscpFenced()
 	}
 	return Monotonic()

@@ -13,8 +13,6 @@ func cntvctRaw() uint64
 func supported() bool { return true }
 func invariant() bool { return true }
 
-func hasCounter() bool { return true }
-
 func readFenced() uint64 { return cntvct() }
 func readCPUID() uint64  { return cntvct() } // no CPUID analogue; fully ordered read
 func read() uint64       { return cntvctRaw() }

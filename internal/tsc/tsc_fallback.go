@@ -9,8 +9,6 @@ package tsc
 func supported() bool { return false }
 func invariant() bool { return false }
 
-func hasCounter() bool { return false }
-
 func readFenced() uint64 { return Monotonic() }
 func readCPUID() uint64  { return Monotonic() }
 func read() uint64       { return Monotonic() }

@@ -361,9 +361,11 @@ type TimestampSource = core.Source
 // NewTimestampSource builds a timestamp source of the given kind.
 func NewTimestampSource(k SourceKind) TimestampSource { return core.New(k) }
 
-// HardwareTimestampSupported reports whether this host has an invariant
-// TSC, the property required to compare timestamps across cores.
-func HardwareTimestampSupported() bool { return tsc.Supported() && tsc.Invariant() }
+// HardwareTimestampSupported reports whether this host has RDTSCP and an
+// invariant TSC, the property required to compare timestamps across cores:
+// exactly when a TSC source reads the hardware rather than the monotonic
+// clock.
+func HardwareTimestampSupported() bool { return tsc.Supported() }
 
 // ConfigError is the error New and NewSharded return for a
 // Config or an argument they cannot honour; errors.As against it tells a

@@ -9,8 +9,10 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"tscds/internal/core"
 	"tscds/internal/ebrrq"
 	"tscds/internal/lfbst"
+	"tscds/internal/tsc"
 )
 
 // combo is a (structure, technique) pair.
@@ -411,6 +413,19 @@ func TestNowMonotone(t *testing.T) {
 		prev = now
 	}
 	t.Logf("HardwareTimestampSupported = %v", HardwareTimestampSupported())
+}
+
+// One predicate says whether the TSC is trusted, on any host: a TSC source
+// reads the hardware exactly when HardwareTimestampSupported says so, and
+// exactly when the health monitor is out of its fallback state.
+func TestOneTSCPredicate(t *testing.T) {
+	hw := HardwareTimestampSupported()
+	if onTSC := core.Actual(core.New(core.TSC)) == core.TSC; onTSC != hw {
+		t.Errorf("a TSC source reads the TSC: %v; HardwareTimestampSupported: %v", onTSC, hw)
+	}
+	if state := NewTSCHealth(1).Snapshot().State; (state != tsc.StateFallback) != hw {
+		t.Errorf("health state %q; HardwareTimestampSupported: %v", state, hw)
+	}
 }
 
 // Property: facade range queries agree with a model map, across combos.
