@@ -69,7 +69,11 @@ loc:
 # reuses one descriptor), and the decode of an update word into its slot's
 # descriptor and sequence is inlined into help. The history techniques'
 # per-update record (Trim) copies the chains it is handed into the thread's
-# buffer and keeps its variadic argument on the caller's stack. Telemetry
+# buffer and keeps its variadic argument on the caller's stack. An EBR-RQ
+# retire takes its limbo shell from the thread's spare list or slab: the
+# epoch manager's Retire allocates nothing, and the slab refill that does
+# stays out of line (the structures that instantiate the manager report its
+# escapes at epoch.go's lines). Telemetry
 # must cost what a counter read costs: the
 # telemetry clock, one atomic load once calibrated, and its reading are
 # inlined where the facade starts and ends an operation and where the
@@ -87,7 +91,7 @@ loc:
 # allocates nothing: the commit closure stays on its stack and the WAL
 # record is encoded in place.
 inline-check:
-	@out="$$($(GO) build -gcflags=-m . ./internal/obs/trace ./internal/history ./internal/ebrrq ./internal/lfbst ./internal/skiplist ./internal/wal 2>&1)"; ok=0; \
+	@out="$$($(GO) build -gcflags=-m . ./internal/obs/trace ./internal/history ./internal/epoch ./internal/ebrrq ./internal/lfbst ./internal/skiplist ./internal/wal 2>&1)"; ok=0; \
 	report() { s=$$(grep -n "^func $$2[([]" $$1 | cut -d: -f1); \
 		e=$$(awk -v s="$$s" 'NR > s && /^}/ { print NR; exit }' $$1); \
 		echo "$$out" | awk -F: -v f=$$1 -v s="$$s" -v e="$$e" -v c="$$3" -v d="$$4" \
@@ -113,6 +117,7 @@ inline-check:
 		noheap internal/lfbst/lfbst.go "(t \*tree\[L, P\]) $$fn"; done; \
 	need internal/lfbst/lfbst.go '(t \*tree\[L, P\]) help' 'words.decode'; \
 	deny internal/history/technique.go '(t \*Technique\[T\]) Trim'; \
+	noheap internal/epoch/epoch.go '(m \*Manager\[T\]) Retire'; \
 	need ./tscds.go '(w \*wrap) observe' 'tsc.Clock.Now'; \
 	need internal/obs/trace/trace.go '(r \*Recorder) span' 'tsc.Clock.Now'; \
 	need internal/obs/trace/trace.go '(r \*Recorder) now' 'tsc.Clock.Now'; \

@@ -3,6 +3,7 @@ package tscds_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 // Config.Alloc = AllocPool, a steady-state insert+delete churn on the EBR
 // skip list performs ZERO heap allocations per operation — nodes come from
 // the epoch-fed free lists (the registry counts the hits and the recycled
-// nodes), limbo wrappers from the manager's wrapper pool, and the label
-// machinery is allocation-free. The durable rows hold the WAL to the same
+// nodes), limbo shells from the thread's spare list of recycled ones, and
+// the label machinery is allocation-free. The durable rows hold the WAL to the same
 // claim on 4 shards at both acknowledgment modes: the commit closure stays
 // on the stack and each record is encoded into the stream's reused buffer.
 // Any new allocation on the update path (a closure, a boxed value, a
@@ -58,8 +59,8 @@ func TestPooledUpdatePathAllocFree(t *testing.T) {
 			defer th.Release()
 
 			// GC off for the measurement: a collection mid-run would not
-			// change the alloc count but could steal sync.Pool contents
-			// and force refill misses.
+			// change the alloc count but could steal the node pool's
+			// shared sync.Pool contents and force refill misses.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 
 			// Warm up: churn enough keys that the free lists are primed
@@ -235,9 +236,10 @@ func TestRangeQueryAllocFree(t *testing.T) {
 // allocates three objects: the new leaf, the copy of the displaced leaf and
 // the internal node over them (under vCAS each carrying its own version). A
 // successful delete allocates one: a leaf sibling's copy or, under vCAS, an
-// internal sibling's standalone version, and under EBR-RQ the limbo entry
-// of the leaf it retires. The keys ascend, so a deleted leaf's sibling is
-// mostly internal. An insert of a present key allocates nothing: the leaf
+// internal sibling's standalone version; under EBR-RQ the limbo entry of
+// the leaf it retires costs a 64th of one, its share of the thread's shell
+// slab (TestEBRRQDeleteAllocCeiling). The keys ascend, so a deleted leaf's
+// sibling is mostly internal. An insert of a present key allocates nothing: the leaf
 // is allocated once the key is known absent. No update allocates a
 // descriptor or a clean record: each thread slot reuses one descriptor, and
 // a node's update field is one word. A per-attempt descriptor, a per-edge
@@ -346,5 +348,54 @@ func TestBundleSkipListUpdateAllocCeiling(t *testing.T) {
 			t.Fatalf("%v/Bundle allocates %.2f objects per insert and %.2f per delete, want at most %.2f and 1", c.s, ins/runs, del, c.insMax)
 		}
 		th.Release()
+	}
+}
+
+// TestEBRRQDeleteAllocCeiling holds a GC-mode EBR-RQ delete that copies no
+// node to its limbo entry's share of a shell slab: the manager hands out
+// limbo entries from per-thread slabs of 64, so a mean over many deletes
+// stays at or under 1/32 allocations, where a per-retire entry reads 1.
+// testing.AllocsPerRun truncates its mean to an integer and cannot see a
+// 1/64, so the test counts every allocation with runtime.MemStats. The
+// keys are deleted so that no delete copies a node: in the EFRB tree keys
+// inserted ascending hang as leaves off a right spine, so a leaf deleted
+// from the low end has an internal sibling, which is spliced in as itself;
+// in the Citrus tree the largest key has no right child, so deleting from
+// the high end never relocates a successor.
+func TestEBRRQDeleteAllocCeiling(t *testing.T) {
+	const n = 1500
+	for _, c := range []struct {
+		s    tscds.Structure
+		keys func(i uint64) uint64 // the i-th key deleted, of 1..n+2
+	}{
+		{tscds.BST, func(i uint64) uint64 { return 1 + i }},
+		{tscds.Citrus, func(i uint64) uint64 { return n + 2 - i }},
+		{tscds.SkipList, func(i uint64) uint64 { return 1 + i*7919%n }},
+	} {
+		t.Run(c.s.String(), func(t *testing.T) {
+			m, err := tscds.New(c.s, tscds.EBRRQ, tscds.Config{Source: tscds.Logical, MaxThreads: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			th, err := m.RegisterThread()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer th.Release()
+			for k := uint64(1); k <= n+2; k++ {
+				m.Insert(th, k, k)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := uint64(0); i < n; i++ {
+				if !m.Delete(th, c.keys(i)) {
+					t.Fatalf("delete of present key %d failed", c.keys(i))
+				}
+			}
+			runtime.ReadMemStats(&after)
+			if per := float64(after.Mallocs-before.Mallocs) / n; per > 1.0/32 {
+				t.Errorf("%v/EBR-RQ allocates %.4f objects per delete, want at most 1/32", c.s, per)
+			}
+		})
 	}
 }

@@ -43,10 +43,23 @@
 //     therefore never observe an item after it reached the pool. A
 //     manager built without the hook recycles nothing, so its walks
 //     skip the count and write nothing shared.
+//
+// Retire allocates nothing. Each list entry is a shell (limboNode) taken
+// first from the owner's spare list — shells its own prunes recycled —
+// and otherwise from the owner's current slab of slabSize shells, one
+// allocation per slabSize retires. A thread's shells live FIFO (retired
+// in order, pruned as an oldest suffix), so a slab holds no shell long
+// after its neighbours are gone. With a Recycle hook a pruned shell goes
+// back to the pruner's spare list (DrainAll, which owns no slot, drops
+// it); without one it is never reused, and release cuts the next link of
+// every shell it detaches, so one live shell keeps only its own slab
+// reachable, not the chain of pruned shells behind it back through the
+// thread's limbo history. A walker that meets a cut link ends that list
+// early, which is safe: every item past the cut failed the retention
+// predicate the prune checked.
 package epoch
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"tscds/internal/core"
@@ -72,6 +85,9 @@ const drainInterval = 64
 // round only mops up items retired mid-drain.
 const drainRounds = 4
 
+// slabSize is how many limbo shells one slab allocation provides.
+const slabSize = 64
+
 type limboNode[T any] struct {
 	item  T
 	epoch uint64
@@ -84,9 +100,10 @@ const cacheLine = 64
 // slot is one thread's epoch state, laid out by who writes what, each
 // half on its own cache-line pair.
 //
-// The owner's line — the published epoch and the two amortization
-// counters — is written by the owner on every Pin, Unpin and Retire and
-// read by others only when an advance is attempted. The list line is
+// The owner's line — the published epoch, the two amortization counters
+// and the shell supply — is written by the owner on every Pin, Unpin and
+// Retire and read by others only when an advance is attempted (the shell
+// supply never). The list line is
 // written on a retirement or a prune and read by every limbo walk, so
 // it must not hold anything the owner writes per operation: with the
 // counters beside head, as they used to be, each range query missed on
@@ -97,7 +114,12 @@ type slot[T any] struct {
 	local   atomic.Uint64 // epoch observed while pinned; quiescent otherwise
 	retires int           // owner-local counter
 	unpins  int           // owner-local counter
-	_       [cacheLine - 24]byte
+	// spare chains, through next, the shells this thread's prunes
+	// recycled; slab holds the unused shells of its current slab. Retire
+	// takes from spare first. Both are owner-local.
+	spare *limboNode[T]
+	slab  []limboNode[T]
+	_     [cacheLine - 56]byte
 
 	head atomic.Pointer[limboNode[T]]
 	// claim serializes pruners of this slot: the owner's amortized
@@ -127,7 +149,10 @@ type Manager[T any] struct {
 	// recycle, when set, receives every pruned item exactly once, on the
 	// pruning thread, after the scan guard proves no limbo scan can
 	// still observe it. tid is the pruning thread's slot id, or -1 when
-	// the pruner has no slot (DrainAll from an unregistered caller).
+	// the pruner has no slot (DrainAll from an unregistered caller). Its
+	// presence also decides the shells' fate: with it, each pruned shell
+	// goes to the pruner's spare list; without it, release cuts the
+	// detached shells' links and leaves their slabs to the GC.
 	recycle func(item T, tid int)
 	// gc, when set, receives limbo-list churn (retired/pruned counts and
 	// the current population). Nil disables reporting.
@@ -137,11 +162,9 @@ type Manager[T any] struct {
 	tr *trace.Recorder
 	// scans counts in-flight WalkLimbo walks; see release.
 	scans atomic.Int64
-	// wrappers recycles limboNode shells when the manager has a Recycle hook, so
-	// pooled mode does not trade one allocation per retire (the node)
-	// for another (its limbo wrapper).
-	wrappers sync.Pool
-	slots    []slot[T]
+	// slots holds each thread's epoch, limbo list and shell supply
+	// (spare list and slab), indexed by core.Thread.ID.
+	slots []slot[T]
 	// pinHook, when set, runs inside Pin between reading the global
 	// epoch and publishing it — the window in which concurrent
 	// tryAdvance passes cannot see the thread. Tests use it to provoke
@@ -264,15 +287,20 @@ func (m *Manager[T]) GlobalEpoch() uint64 { return m.global.Load() }
 // a CAS loop rather than a plain store: a concurrent DrainAll may
 // detach the list between the head load and the publication, and a
 // plain store would resurrect the detached — possibly already recycled
-// — suffix through the new node's next pointer.
+// — suffix through the new node's next pointer. The entry's shell comes
+// from the owner's spare list or slab, so Retire itself allocates
+// nothing; refill does, once per slabSize retires.
 func (m *Manager[T]) Retire(tid int, item T) {
 	s := &m.slots[tid]
-	var n *limboNode[T]
-	if m.recycle != nil {
-		n, _ = m.wrappers.Get().(*limboNode[T])
-	}
-	if n == nil {
-		n = &limboNode[T]{}
+	n := s.spare
+	if n != nil {
+		s.spare = n.next.Load()
+	} else {
+		if len(s.slab) == 0 {
+			s.refill()
+		}
+		n = &s.slab[0]
+		s.slab = s.slab[1:]
 	}
 	n.item = item
 	n.epoch = m.global.Load()
@@ -293,6 +321,12 @@ func (m *Manager[T]) Retire(tid int, item T) {
 		m.prune(tid, tid)
 	}
 }
+
+// refill gives the slot a fresh slab of shells. It stays out of line so
+// that Retire's body holds no allocation (make inline-check's noheap).
+//
+//go:noinline
+func (s *slot[T]) refill() { s.slab = make([]limboNode[T], slabSize) }
 
 // tryAdvance bumps the global epoch if every pinned thread has observed
 // the current one.
@@ -392,7 +426,17 @@ retry:
 func (m *Manager[T]) release(s *slot[T], chain *limboNode[T], ctx int) {
 	if m.recycle == nil {
 		// No hook: pruning means dropping for the GC, which a scanner
-		// may safely keep reading until the chain is unreachable.
+		// may safely keep reading until the chain is unreachable. Cut
+		// every link, so a shell still live in the list, or still being
+		// walked, keeps its own slab reachable and not, through the
+		// detached shells, every slab this thread filled before it. A
+		// walker that meets a cut link ends the list early: every item
+		// past it failed the retention predicate.
+		for n := chain; n != nil; {
+			next := n.next.Load()
+			n.next.Store(nil)
+			n = next
+		}
 		return
 	}
 	if m.scans.Load() != 0 {
@@ -423,8 +467,9 @@ func (m *Manager[T]) flushDeferred(s *slot[T], ctx int) {
 }
 
 // recycleChain walks a detached chain invoking the Recycle hook once
-// per item and returning the limbo wrappers to the shell pool. Without
-// a hook the chain is simply dropped for the GC.
+// per item and pushing each cleared shell onto the pruning thread's
+// spare list; a pruner without a slot (ctx == -1, DrainAll) drops the
+// shells. Without a hook the chain is simply dropped for the GC.
 func (m *Manager[T]) recycleChain(chain *limboNode[T], ctx int) {
 	if m.recycle == nil {
 		return
@@ -435,8 +480,13 @@ func (m *Manager[T]) recycleChain(chain *limboNode[T], ctx int) {
 		m.recycle(n.item, ctx)
 		n.item = zero
 		n.epoch = 0
-		n.next.Store(nil)
-		m.wrappers.Put(n)
+		if ctx >= 0 {
+			s := &m.slots[ctx]
+			n.next.Store(s.spare)
+			s.spare = n
+		} else {
+			n.next.Store(nil)
+		}
 		n = next
 	}
 }

@@ -47,6 +47,7 @@ func TestSlotLayout(t *testing.T) {
 	list := line(unsafe.Offsetof(s.head))
 	for name, off := range map[string]uintptr{
 		"retires": unsafe.Offsetof(s.retires), "unpins": unsafe.Offsetof(s.unpins),
+		"spare": unsafe.Offsetof(s.spare), "slab": unsafe.Offsetof(s.slab),
 	} {
 		if line(off) != owner {
 			t.Errorf("%s is on line %d, the owner's is %d", name, line(off), owner)

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -38,6 +39,35 @@ func TestFormatPanel(t *testing.T) {
 	for _, want := range []string{"1.00 ± 0.0%", "3.00 ±12.5%", "9.00 ± 4.3%"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("measured panel missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// A series name longer than the default column, as a native -arm run
+// prints (structure/technique-RDTSCP), widens its column: the header and
+// every row end their columns at the same offsets.
+func TestFormatPanelAlignsLongNames(t *testing.T) {
+	p := samplePanel()
+	p.Series[0].Name = "citrus/vcas"
+	p.Series[1].Name = "citrus/vcas-RDTSCP"
+	lines := strings.Split(strings.TrimSuffix(FormatPanel(p), "\n"), "\n")[1:]
+	ends := func(line string) []int { // rune offsets where a field ends
+		var out []int
+		r := []rune(line)
+		for i := range r {
+			if r[i] != ' ' && (i+1 == len(r) || r[i+1] == ' ') {
+				out = append(out, i+1)
+			}
+		}
+		return out
+	}
+	want := ends(lines[0])
+	if len(want) != 3 {
+		t.Fatalf("header %q has %d fields, want 3", lines[0], len(want))
+	}
+	for _, l := range lines[1:] {
+		if got := ends(l); !slices.Equal(got, want) {
+			t.Errorf("row %q ends its columns at %v, the header at %v:\n%s", l, got, want, strings.Join(lines, "\n"))
 		}
 	}
 }

@@ -394,6 +394,9 @@ type watchFile struct {
 	fs              *watchFS
 	busy            atomic.Int32
 	written, synced atomic.Int64
+	// beforeSync, when set, runs at the start of every Sync with the
+	// bytes it will cover.
+	beforeSync func(covered int64)
 }
 
 func (w *watchFS) Create(path string) (wal.File, error) {
@@ -438,6 +441,9 @@ func (f *watchFile) Sync() error {
 	f.enter()
 	defer f.busy.Add(-1)
 	covered := f.written.Load()
+	if f.beforeSync != nil {
+		f.beforeSync(covered)
+	}
 	err := f.File.Sync()
 	if err == nil {
 		f.synced.Store(covered)
@@ -453,8 +459,17 @@ func (f *watchFile) Sync() error {
 // committers share fsyncs; and neither Open nor Close changes the
 // goroutine count. A record's place in its stream is counted in apply,
 // which runs under the stream lock.
+//
+// On the in-memory FS a Sync is so short that the appenders might never
+// overlap, and no fsync would be shared. So while every appender of a
+// stream is still running, a Sync that covers one new record waits until
+// each of the stream's other appenders has applied one more, and the next
+// flush writes them in one batch. Each of them can apply: it is not in
+// the syncing batch, and nothing else holds it. A wait that outlasts
+// syncWait fails the test.
 func TestLeaderFollowerCommit(t *testing.T) {
 	const shards, appenders, each = 2, 6, 200
+	const perShard, syncWait = appenders / shards, 10 * time.Second
 	for _, syncEvery := range []int{1, 64} {
 		fs := &watchFS{FS: faultfs.New(faultfs.Fault{})}
 		var stats obs.WALStats
@@ -472,18 +487,37 @@ func TestLeaderFollowerCommit(t *testing.T) {
 				t.Fatalf("no first segment for shard %d", sh)
 			}
 		}
+		applied := make([]atomic.Int64, shards) // records per stream; counted under its lock
+		running := make([]atomic.Int32, shards) // appenders still in their loop
+		var stalled atomic.Bool
+		for sh, f := range segs {
+			running[sh].Store(perShard)
+			f.beforeSync = func(covered int64) {
+				recs := (covered - segHdrSize) / recordSize
+				if syncEvery > 1 || recs-max(f.synced.Load()-segHdrSize, 0)/recordSize > 1 {
+					return
+				}
+				deadline := time.Now().Add(syncWait)
+				for applied[sh].Load() < recs+perShard-1 && running[sh].Load() == perShard {
+					if time.Now().After(deadline) {
+						stalled.Store(true)
+						return
+					}
+					runtime.Gosched()
+				}
+			}
+		}
 		var wg sync.WaitGroup
-		applied := make([]uint64, shards) // records per stream; under its lock
 		for a := 0; a < appenders; a++ {
 			wg.Add(1)
 			go func(a int) {
 				defer wg.Done()
 				sh := a % shards
+				defer running[sh].Add(-1)
 				for i := 0; i < each; i++ {
 					var n uint64
 					if _, err := l.Commit(sh, func() (wal.Record, bool) {
-						applied[sh]++
-						n = applied[sh]
+						n = uint64(applied[sh].Add(1))
 						return wal.Record{TS: uint64(i + 1), Op: wal.OpInsert, Key: uint64(a), Val: uint64(i)}, true
 					}); err != nil {
 						t.Errorf("Commit: %v", err)
@@ -500,6 +534,9 @@ func TestLeaderFollowerCommit(t *testing.T) {
 			}(a)
 		}
 		wg.Wait()
+		if stalled.Load() {
+			t.Fatalf("SyncEvery %d: a Sync covering one record waited %v for the stream's other appenders to apply theirs", syncEvery, syncWait)
+		}
 		if err := l.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
