@@ -12,7 +12,9 @@ test:
 # concurrency-sensitive packages (the native harness among them: its
 # workers pin themselves concurrently), and the short-mode linearizability
 # matrix (a pairwise cover holding every supported structure x technique x
-# source combination), plus the sharded-map tests and the read-path agreement test, which run
+# source combination), the conformance table (TestFrameConformance: every
+# arm's frame under one table of rows, which the structure packages' own
+# tests no longer repeat), plus the sharded-map tests and the read-path agreement test, which run
 # one handle across every shard outside that matrix, and the facade's
 # flight-recorder tests (the sampling countdown and the lazily published
 # rings are shared state).
@@ -24,6 +26,7 @@ check: benchmark-smoke inline-check doc-check deps-check durable-race
 		echo "gofmt needed on:"; echo "$$fmtout"; exit 1; fi
 	$(GO) test -race ./internal/core/... ./internal/obs/... ./internal/epoch/... ./internal/pool/... ./internal/dcss/... ./internal/linearize/... ./internal/tsc/... ./internal/wal/... ./internal/rcu/... ./internal/ebrrq/... ./internal/history/... ./internal/lfbst/... ./internal/citrus/... ./internal/skiplist/... ./internal/bench/... ./internal/affinity/...
 	$(GO) test -race -short -run TestLinearizability .
+	$(GO) test -race -run TestFrameConformance .
 	$(GO) test -race -short -run 'TestSharded|TestReadPathsAgree' .
 	$(GO) test -race -short -run 'TestTimeTravel|TestCheckpointAt' .
 	$(GO) test -race -short -run 'TestTrace|TestPhasesSumToOp' .

@@ -165,6 +165,7 @@ func recoverAndCheck(t *testing.T, fs *faultfs.FS, a crashArm, out crashOutcome)
 		rec := m.LastRecovery()
 		t.Fatalf("recovered state inconsistent with acknowledged history\nrecovery: %+v\n%v", rec, err)
 	}
+	requireShape(t, m, false)
 }
 
 // TestCrashMatrix is the acceptance gate: on every arm tscds.New accepts,
@@ -380,6 +381,9 @@ func TestMaxKeyBoundaryShiftedStructures(t *testing.T) {
 				th, _ := m.RegisterThread()
 				if !m.Insert(th, 0, 1) || !m.Insert(th, top, 2) || m.Insert(th, 0, 3) || !m.Contains(th, top) {
 					t.Fatal("insert semantics at the key space's ends")
+				}
+				if m.Insert(th, top+1, 1) || m.Contains(th, top+1) {
+					t.Fatal("a key above MaxKey was taken")
 				}
 				expect(m, th, 0, 0, tscds.KV{Key: 0, Val: 1})
 				expect(m, th, top-1, top, tscds.KV{Key: top, Val: 2})

@@ -96,6 +96,9 @@ func checkFinal(t *testing.T, label string, m Map, th *Thread, model map[uint64]
 	if m.Len() != len(model) {
 		t.Fatalf("%s final: Len=%d model=%d", label, m.Len(), len(model))
 	}
+	if _, _, err := Shape(m); err != nil {
+		t.Fatalf("%s final: %v", label, err)
+	}
 }
 
 // FuzzMapAgainstModel feeds arbitrary operation tapes through every

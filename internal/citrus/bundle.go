@@ -38,6 +38,10 @@ func NewBundle(src core.Source, reg *core.Registry, h ...core.Hooks) *BundleTree
 func (*bundleTechnique) present(n *node[blinks]) (uint64, bool) { return n.val, true }
 func (*bundleTechnique) retire(*core.Thread, *node[blinks])     {}
 
+func (p *bundleTechnique) shape(n *node[blinks]) error {
+	return p.Check(&n.l.bnd[0], &n.l.bnd[1])
+}
+
 func (p *bundleTechnique) load(n *node[blinks], dir int) *node[blinks] {
 	return n.l.child[dir].Load()
 }

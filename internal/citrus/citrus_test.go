@@ -1,64 +1,15 @@
 package citrus
 
 import (
-	"math/rand"
 	"runtime"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"unsafe"
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
-	"tscds/internal/ebrrq/limbotest"
 )
-
-// mapLike is the common surface of the three variants.
-type mapLike interface {
-	Insert(th *core.Thread, key, val uint64) bool
-	Delete(th *core.Thread, key uint64) bool
-	Contains(th *core.Thread, key uint64) bool
-	Get(th *core.Thread, key uint64) (uint64, bool)
-	RangeQuery(th *core.Thread, lo, hi uint64, out []core.KV) []core.KV
-	Len() int
-}
-
-type variant struct {
-	name string
-	make func(kind core.Kind, threads int) (mapLike, *core.Registry)
-}
-
-func variants(t *testing.T) []variant {
-	t.Helper()
-	return []variant{
-		{"vcas", func(k core.Kind, n int) (mapLike, *core.Registry) {
-			reg := core.NewRegistry(n)
-			return NewVcas(core.New(k), reg), reg
-		}},
-		{"bundle", func(k core.Kind, n int) (mapLike, *core.Registry) {
-			reg := core.NewRegistry(n)
-			return NewBundle(core.New(k), reg), reg
-		}},
-		{"ebr-lock", func(k core.Kind, n int) (mapLike, *core.Registry) {
-			reg := core.NewRegistry(n)
-			tr, err := NewEBR(core.New(k), reg, ebrrq.LockBased)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr, reg
-		}},
-		{"ebr-lockfree", func(k core.Kind, n int) (mapLike, *core.Registry) {
-			reg := core.NewRegistry(n)
-			// Lock-free EBR-RQ only exists for logical sources.
-			tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockFree)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return tr, reg
-		}},
-	}
-}
 
 // Node sizes are exact Go size classes; one field more moves a node to the
 // next class (the repository benchmark bounds heap_bytes_per_key at 10 %).
@@ -74,302 +25,49 @@ func TestNodeSizes(t *testing.T) {
 	}
 }
 
-func TestBasicOps(t *testing.T) {
-	for _, v := range variants(t) {
-		t.Run(v.name, func(t *testing.T) {
-			m, reg := v.make(core.Logical, 2)
-			th := reg.MustRegister()
-			if m.Contains(th, 7) || m.Delete(th, 7) {
-				t.Fatal("empty tree misbehaved")
-			}
-			if !m.Insert(th, 7, 70) || m.Insert(th, 7, 71) {
-				t.Fatal("insert semantics broken")
-			}
-			if got, ok := m.Get(th, 7); !ok || got != 70 {
-				t.Fatalf("Get = (%d,%v)", got, ok)
-			}
-			if !m.Delete(th, 7) || m.Contains(th, 7) || m.Len() != 0 {
-				t.Fatal("delete semantics broken")
-			}
-		})
-	}
-}
-
-func TestSentinelRejected(t *testing.T) {
-	for _, v := range variants(t) {
-		m, reg := v.make(core.Logical, 1)
-		th := reg.MustRegister()
-		if m.Insert(th, MaxKey+1, 0) {
-			t.Fatalf("%s: sentinel key insertable", v.name)
-		}
-		if !m.Insert(th, MaxKey, 0) {
-			t.Fatalf("%s: MaxKey not insertable", v.name)
-		}
-	}
-}
-
-// Exercise every delete shape: leaf, one child, two children (successor
-// adjacent and distant).
+// Every delete shape — a leaf, one child, two children with the successor
+// distant and adjacent — on every technique, leaving the tree in shape.
 func TestDeleteShapes(t *testing.T) {
-	for _, v := range variants(t) {
-		t.Run(v.name, func(t *testing.T) {
-			m, reg := v.make(core.TSC, 2)
-			th := reg.MustRegister()
-			// Build:        50
-			//            30      70
-			//          20  40  60  90
-			//                     80
-			for _, k := range []uint64{50, 30, 70, 20, 40, 60, 90, 80} {
-				m.Insert(th, k, k)
-			}
-			if !m.Delete(th, 20) { // leaf
-				t.Fatal("leaf delete failed")
-			}
-			if !m.Delete(th, 90) { // one child (80)
-				t.Fatal("one-child delete failed")
-			}
-			if !m.Delete(th, 70) { // two children, successor 80 distant
-				t.Fatal("two-children delete failed")
-			}
-			if !m.Delete(th, 50) { // two children, successor 60 via right child
-				t.Fatal("root-ish two-children delete failed")
-			}
-			want := []uint64{30, 40, 60, 80}
-			got := m.RangeQuery(th, 0, MaxKey, nil)
-			keys := make([]uint64, len(got))
-			for i, kv := range got {
-				keys[i] = kv.Key
-			}
-			sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-			if len(keys) != len(want) {
-				t.Fatalf("post-delete keys = %v, want %v", keys, want)
-			}
-			for i := range want {
-				if keys[i] != want[i] {
-					t.Fatalf("post-delete keys = %v, want %v", keys, want)
-				}
-				if !m.Contains(th, want[i]) {
-					t.Fatalf("Contains(%d) false", want[i])
-				}
-			}
-		})
-	}
-}
-
-func TestSequentialAgainstModel(t *testing.T) {
-	for _, v := range variants(t) {
-		t.Run(v.name, func(t *testing.T) {
-			m, reg := v.make(core.TSC, 2)
-			th := reg.MustRegister()
-			model := map[uint64]uint64{}
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 15000; i++ {
-				k := uint64(rng.Intn(300))
-				switch rng.Intn(4) {
-				case 0, 1:
-					_, exists := model[k]
-					if got := m.Insert(th, k, k*3); got == exists {
-						t.Fatalf("op %d: Insert(%d)=%v, exists=%v", i, k, got, exists)
-					}
-					if !exists {
-						model[k] = k * 3
-					}
-				case 2:
-					_, exists := model[k]
-					if got := m.Delete(th, k); got != exists {
-						t.Fatalf("op %d: Delete(%d)=%v, exists=%v", i, k, got, exists)
-					}
-					delete(model, k)
-				default:
-					_, exists := model[k]
-					if got := m.Contains(th, k); got != exists {
-						t.Fatalf("op %d: Contains(%d)=%v, want %v", i, k, got, exists)
-					}
-				}
-			}
-			if m.Len() != len(model) {
-				t.Fatalf("Len=%d model=%d", m.Len(), len(model))
-			}
-			got := m.RangeQuery(th, 0, MaxKey, nil)
-			if len(got) != len(model) {
-				t.Fatalf("range len=%d model=%d", len(got), len(model))
-			}
-			for _, kv := range got {
-				if mv, ok := model[kv.Key]; !ok || mv != kv.Val {
-					t.Fatalf("kv %v vs model (%d,%v)", kv, mv, ok)
-				}
-			}
-		})
-	}
-}
-
-func TestConcurrentStripedOps(t *testing.T) {
-	for _, v := range variants(t) {
-		t.Run(v.name, func(t *testing.T) {
-			m, reg := v.make(core.TSC, 8)
-			const gs = 4
-			const per = 800
-			var wg sync.WaitGroup
-			for g := 0; g < gs; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					th := reg.MustRegister()
-					defer th.Release()
-					base := uint64(g * 100_000)
-					for i := uint64(0); i < per; i++ {
-						if !m.Insert(th, base+i, i) {
-							t.Errorf("insert %d failed", base+i)
-							return
-						}
-					}
-					for i := uint64(0); i < per; i += 2 {
-						if !m.Delete(th, base+i) {
-							t.Errorf("delete %d failed", base+i)
-							return
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			if n := m.Len(); n != gs*per/2 {
-				t.Fatalf("Len=%d want %d", n, gs*per/2)
-			}
-		})
-	}
-}
-
-// Random contended mix across overlapping keys, then validate against
-// successful-op accounting.
-func TestConcurrentContendedAccounting(t *testing.T) {
-	for _, v := range variants(t) {
-		t.Run(v.name, func(t *testing.T) {
-			m, reg := v.make(core.TSC, 8)
-			const gs = 4
-			var ins, del [gs]int
-			var wg sync.WaitGroup
-			for g := 0; g < gs; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					th := reg.MustRegister()
-					defer th.Release()
-					rng := rand.New(rand.NewSource(int64(g * 13)))
-					for i := 0; i < 1500; i++ {
-						k := uint64(rng.Intn(40))
-						if rng.Intn(2) == 0 {
-							if m.Insert(th, k, k) {
-								ins[g]++
-							}
-						} else if m.Delete(th, k) {
-							del[g]++
-						}
-					}
-				}(g)
-			}
-			wg.Wait()
-			totalIns, totalDel := 0, 0
-			for g := 0; g < gs; g++ {
-				totalIns += ins[g]
-				totalDel += del[g]
-			}
-			if got := m.Len(); got != totalIns-totalDel {
-				t.Fatalf("Len=%d, inserts-deletes=%d", got, totalIns-totalDel)
-			}
-		})
-	}
-}
-
-// Range snapshots never contain duplicate keys even while two-child
-// deletes relocate successors.
-func TestNoDuplicateKeysUnderRelocation(t *testing.T) {
-	for _, v := range variants(t) {
-		t.Run(v.name, func(t *testing.T) {
-			m, reg := v.make(core.TSC, 4)
-			th0 := reg.MustRegister()
-			const n = 300
-			for k := uint64(1); k <= n; k++ {
-				m.Insert(th0, k, k)
-			}
-			th0.Release()
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				rng := rand.New(rand.NewSource(5))
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					k := uint64(rng.Intn(n) + 1)
-					// Churn: delete (often a two-child node) and reinsert.
-					if m.Delete(th, k) {
-						m.Insert(th, k, k)
-					}
-				}
-			}()
-			th := reg.MustRegister()
-			for round := 0; round < 150; round++ {
-				got := m.RangeQuery(th, 1, n, nil)
-				seen := map[uint64]bool{}
-				for _, kv := range got {
-					if seen[kv.Key] {
-						t.Fatalf("duplicate key %d in snapshot", kv.Key)
-					}
-					seen[kv.Key] = true
-				}
-			}
-			th.Release()
-			close(stop)
-			wg.Wait()
-		})
-	}
-}
-
-// EBR-specific: limbo lists must not grow without bound when no range
-// queries are active.
-func TestEBRLimboBounded(t *testing.T) {
-	reg := core.NewRegistry(2)
-	tr, err := NewEBR(core.New(core.Logical), reg, ebrrq.LockBased)
-	if err != nil {
-		t.Fatal(err)
-	}
-	th := reg.MustRegister()
-	for i := 0; i < 20000; i++ {
-		k := uint64(i % 50)
-		tr.Insert(th, k, k)
-		tr.Delete(th, k)
-	}
-	if n := tr.p.LimboLen(); n > 5000 {
-		t.Fatalf("limbo grew unbounded: %d nodes", n)
-	}
-}
-
-// The early exit of the limbo walk (ebrrq.Collector.AddLimbo) rests on
-// deletion labels never increasing down a thread's limbo list. Check it
-// on the lists a contended run leaves behind, for both labeling
-// variants: no bound may exist at which the early exit loses a node the
-// full walk finds.
-func TestEBRLimboListsOrdered(t *testing.T) {
-	for _, variant := range []ebrrq.Variant{ebrrq.LockBased, ebrrq.LockFree} {
-		reg := core.NewRegistry(8)
+	reg := core.NewRegistry(1)
+	deleteShapes(t, "vcas", NewVcas(core.New(core.TSC), reg), reg)
+	reg = core.NewRegistry(1)
+	deleteShapes(t, "bundle", NewBundle(core.New(core.TSC), reg), reg)
+	for name, variant := range map[string]ebrrq.Variant{"ebr-lock": ebrrq.LockBased, "ebr-lockfree": ebrrq.LockFree} {
+		reg = core.NewRegistry(1)
 		tr, err := NewEBR(core.New(core.Logical), reg, variant)
 		if err != nil {
 			t.Fatal(err)
 		}
-		limbotest.Churn(tr, reg, 4, 1500)
-		if n := tr.p.LimboLen(); n < 500 {
-			t.Fatalf("variant %v: only %d limbo nodes; the reservation should have kept them all", variant, n)
+		deleteShapes(t, name, tr, reg)
+	}
+}
+
+func deleteShapes[L any, P technique[L]](t *testing.T, name string, tr *tree[L, P], reg *core.Registry) {
+	th := reg.MustRegister()
+	// Build:        50
+	//            30      70
+	//          20  40  60  90
+	//                     80
+	for _, k := range []uint64{50, 30, 70, 20, 40, 60, 90, 80} {
+		tr.Insert(th, k, k)
+	}
+	for _, k := range []uint64{20, 90, 70, 50} { // leaf, one child, successor 80 distant, successor 60 adjacent
+		if !tr.Delete(th, k) {
+			t.Fatalf("%s: Delete(%d) failed", name, k)
 		}
-		lost := limbotest.Lost(tr.p.Technique)
-		if len(lost) != 0 {
-			t.Fatalf("variant %v: limbo lists are not ordered, %d losses, first: %s", variant, len(lost), lost[0])
+	}
+	want := []core.KV{{Key: 30, Val: 30}, {Key: 40, Val: 40}, {Key: 60, Val: 60}, {Key: 80, Val: 80}}
+	if got := tr.RangeQuery(th, 0, MaxKey, nil); !slices.Equal(got, want) {
+		t.Fatalf("%s: after the deletes the tree holds %v, want %v", name, got, want)
+	}
+	for _, kv := range want {
+		if !tr.Contains(th, kv.Key) {
+			t.Fatalf("%s: Contains(%d) false after the deletes", name, kv.Key)
 		}
+	}
+	tr.Drain()
+	if n, _, err := tr.Shape(); n != len(want) || err != nil {
+		t.Fatalf("%s: Shape after the deletes: %d keys, %v", name, n, err)
 	}
 }
 
@@ -419,7 +117,8 @@ func staleInsert[L any, P technique[L]](t *testing.T, name string, tr *tree[L, P
 	if !tr.Insert(b, 72, 72) || !tr.Delete(b, 50) {
 		t.Fatalf("%s: interference failed", name)
 	}
-	if !tr.Contains(a, 72) || tr.Len() != 3 {
+	tr.Drain()
+	if n, _, err := tr.Shape(); !tr.Contains(a, 72) || n != 3 || err != nil {
 		t.Fatalf("%s: after the relocation the tree must hold 30, 72, 90", name)
 	}
 	if validate() {

@@ -63,6 +63,15 @@ func (p *ebrTechnique) present(n *node[elinks]) (uint64, bool) {
 	return n.val, n.l.dtime.Get() == core.Pending
 }
 
+// shape: a node the tree reaches, the root sentinel aside, is inserted and
+// not deleted.
+func (*ebrTechnique) shape(n *node[elinks]) error {
+	if n.key <= MaxKey {
+		return ebrrq.Live(&n.l.itime, &n.l.dtime)
+	}
+	return nil
+}
+
 // seed resets the labels too: stale ones in a recycled node would corrupt
 // snapshot visibility.
 func (p *ebrTechnique) seed(l *elinks, left, right *node[elinks]) {

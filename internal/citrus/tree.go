@@ -1,6 +1,8 @@
 package citrus
 
 import (
+	"cmp"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -56,6 +58,10 @@ type technique[L any] interface {
 	// counter or collector handed through this interface by address would
 	// escape to the heap.
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
+	// shape checks n's part as tree.Shape meets it; Shape, after the
+	// walk, what the lifecycle holds beyond the tree.
+	shape(n *node[L]) error
+	Shape() error
 	Enter(tid int) // Enter and Exit bracket every operation that dereferences nodes
 	Exit(tid int)
 	Drain() // prunes whatever retire holds back; quiescent use only
@@ -336,14 +342,28 @@ func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 	return out
 }
 
-// Len counts present keys; quiescent use only (tests).
-func (t *tree[L, P]) Len() int {
-	var count func(*node[L]) int
-	count = func(n *node[L]) int {
-		if n == nil {
-			return 0
+// Shape walks the tree as Drain left it, quiescent: the keys, the deepest
+// node and the first broken property — keys not strictly ascending in order
+// (out of BST order, or twice), a marked node — or the technique's.
+func (t *tree[L, P]) Shape() (n, depth int, err error) {
+	var last uint64
+	var walk func(x *node[L], d int)
+	walk = func(x *node[L], d int) {
+		if x == nil {
+			return
 		}
-		return 1 + count(t.p.load(n, 0)) + count(t.p.load(n, 1))
+		if e := t.p.shape(x); e != nil {
+			err = cmp.Or(err, fmt.Errorf("citrus: key %d: %w", x.key, e))
+		}
+		walk(t.p.load(x, 0), d+1)
+		if x != t.root {
+			if x.marked || n > 0 && last >= x.key {
+				err = cmp.Or(err, fmt.Errorf("citrus: key %d follows key %d in order, marked %v", x.key, last, x.marked))
+			}
+			n, last, depth = n+1, x.key, max(depth, d)
+		}
+		walk(t.p.load(x, 1), d+1)
 	}
-	return count(t.p.load(t.root, 0))
+	walk(t.root, 0)
+	return n, depth, cmp.Or(err, t.p.Shape())
 }

@@ -34,6 +34,10 @@ func NewVcas(src core.Source, reg *core.Registry, h ...core.Hooks) *VcasTree {
 func (*vcasTechnique) present(n *node[vlinks]) (uint64, bool) { return n.val, true }
 func (*vcasTechnique) retire(*core.Thread, *node[vlinks])     {}
 
+func (p *vcasTechnique) shape(n *node[vlinks]) error {
+	return p.Check(&n.l.child[0], &n.l.child[1])
+}
+
 // load is Chain.Read with the label check pulled in front of the call:
 // Read is too big to inline, and a search pays for load once per edge
 // already. A labeled head is returned as it is; a pending one goes to

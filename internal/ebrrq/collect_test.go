@@ -3,12 +3,12 @@ package ebrrq_test
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
-	"tscds/internal/ebrrq/limbotest"
 )
 
 // clock is a source whose reading the test sets, so labels can be given
@@ -39,11 +39,15 @@ type node struct {
 }
 
 // newTechnique is the EBR-RQ lifecycle over reg's threads and stand-in
-// nodes; the test retires fewer nodes per thread than a prune waits for.
-func newTechnique(t *testing.T, reg *core.Registry) *ebrrq.Technique[node] {
+// nodes, counting in visits every node a limbo walk reads; the test retires
+// fewer nodes per thread than a prune waits for.
+func newTechnique(t *testing.T, reg *core.Registry, visits *int) *ebrrq.Technique[node] {
 	t.Helper()
 	tq, err := ebrrq.NewTechnique(core.New(core.Logical), reg, ebrrq.LockBased,
-		func(n *node) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) { return n.key, n.val, &n.itime, &n.dtime }, nil, core.Hooks{})
+		func(n *node) (uint64, uint64, *ebrrq.Label, *ebrrq.Label) {
+			*visits++
+			return n.key, n.val, &n.itime, &n.dtime
+		}, nil, core.Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +87,8 @@ func TestAddLimboEarlyExitMatchesFullWalk(t *testing.T) {
 		for i := 0; i < threads; i++ {
 			reg.MustRegister()
 		}
-		tq := newTechnique(t, reg)
+		visited := 0
+		tq := newTechnique(t, reg, &visited)
 		var all []*node
 		maxTS := core.TS(1)
 		key := uint64(0)
@@ -111,35 +116,32 @@ func TestAddLimboEarlyExitMatchesFullWalk(t *testing.T) {
 				}
 			}
 			c := ebrrq.NewCollector(nil, 0, ^uint64(0), s)
-			visited := 0
-			tq.VisitLimbo(func(key, val uint64, itime, dtime *ebrrq.Label) bool {
-				visited++
-				return c.AddLimbo(key, val, itime, dtime)
-			})
-			if got := c.Finish(); !slices.Equal(got, want) {
+			visited = 0
+			if got := tq.Finish(0, &c, 0); !slices.Equal(got, want) {
 				t.Fatalf("round %d bound %d: early-exit walk collected %v, full predicate accepts %v", round, s, got, want)
 			}
 			if s == maxTS+1 && visited > 2*threads {
 				t.Fatalf("round %d: a bound past every label visited %d nodes; the exit should stop each list at its first labeled node", round, visited)
 			}
 		}
-		if lost := limbotest.Lost(tq); len(lost) != 0 {
-			t.Fatalf("round %d: limbotest.Lost on ordered lists: %v", round, lost)
-		}
 	}
 }
 
 // An out-of-order list — a newer entry deleted before an older one — is
-// what the early exit cannot take, and what limbotest.Lost reports.
+// what the early exit cannot take, and what Shape reports.
 func TestAddLimboEarlyExitLosesOnUnorderedList(t *testing.T) {
 	lab := newLabeler()
 	reg := core.NewRegistry(1)
-	reg.MustRegister()
-	tq := newTechnique(t, reg)
+	reg.MustRegister().BeginRQ() // a reservation keeps both nodes: Shape judges their order alone
+	tq := newTechnique(t, reg, new(int))
 	tq.Retire(0, lab.newNode(3, 1, 100)) // older entry, later label
 	tq.Retire(0, lab.newNode(7, 1, 90))  // newer entry, earlier label
-	if lost := limbotest.Lost(tq); len(lost) == 0 {
-		t.Fatal("no loss reported for a list ordered [90, 100] newest first")
+	c := ebrrq.NewCollector(nil, 0, ^uint64(0), 95)
+	if got := tq.Finish(0, &c, 0); len(got) != 0 {
+		t.Fatalf("the early exit at bound 95 kept %v; the list's order should have hidden key 3", got)
+	}
+	if err := tq.Shape(); err == nil || !strings.Contains(err.Error(), "key 3") {
+		t.Fatalf("Shape on a list ordered [90, 100] newest first: %v, want key 3 named", err)
 	}
 }
 

@@ -1,6 +1,8 @@
 package ebrrq
 
 import (
+	"fmt"
+
 	"tscds/internal/core"
 	"tscds/internal/epoch"
 	"tscds/internal/obs/trace"
@@ -16,6 +18,7 @@ import (
 // with the structure, where it inlines.
 type Technique[T any] struct {
 	*Provider
+	reg    *core.Registry
 	em     *epoch.Manager[*T]
 	np     *pool.Pool[T] // nil: the GC
 	fields func(n *T) (key, val uint64, itime, dtime *Label)
@@ -35,7 +38,7 @@ func NewTechnique[T any](src core.Source, reg *core.Registry, variant Variant,
 		return nil, err
 	}
 	p.tr = h.Trace
-	t := &Technique[T]{Provider: p, np: pool.New[T](reg.Cap(), h.Alloc, h.PoolStats), fields: fields}
+	t := &Technique[T]{Provider: p, reg: reg, np: pool.New[T](reg.Cap(), h.Alloc, h.PoolStats), fields: fields}
 	var recycle func(n *T, tid int)
 	if t.np != nil {
 		recycle = func(n *T, tid int) {
@@ -76,10 +79,38 @@ func (t *Technique[T]) Finish(tid int, c *Collector, mark uint64) []core.KV {
 	return c.Finish()
 }
 
-// VisitLimbo offers the fields of every retired node to fn, each thread's
-// list newest first; false ends the current list (epoch.Manager).
-func (t *Technique[T]) VisitLimbo(fn func(key, val uint64, itime, dtime *Label) bool) {
-	t.em.WalkLimbo(func(n *T) bool { return fn(t.fields(n)) })
+// Shape checks the limbo lists as a quiescent walk after Drain meets them:
+// every node labeled, itime <= dtime (Label stamps with Peek, so the two may
+// tie), deletion labels never rising down a thread's list, as AddLimbo's
+// early exit assumes, and no node a prune releases: none while no range
+// query is active.
+func (t *Technique[T]) Shape() error {
+	min := t.reg.MinActiveRQ()
+	for _, list := range t.em.Lists() {
+		last := core.Pending
+		for _, n := range list {
+			key, _, it, dt := t.fields(n)
+			switch i, d := it.Get(), dt.Get(); {
+			case d == core.Pending || i > d:
+				return fmt.Errorf("ebrrq: key %d is in limbo labeled (%d, %d)", key, i, d)
+			case d > last:
+				return fmt.Errorf("ebrrq: key %d, deleted at %d, is older in limbo than one deleted at %d", key, d, last)
+			case d < min:
+				return fmt.Errorf("ebrrq: key %d, deleted at %d, is in limbo below every range query's bound", key, d)
+			}
+			last = dt.Get()
+		}
+	}
+	return nil
+}
+
+// Live checks the labels of a node a quiescent walk reaches: inserted, and
+// not deleted.
+func Live(itime, dtime *Label) error {
+	if i, d := itime.Get(), dtime.Get(); i == core.Pending || d != core.Pending {
+		return fmt.Errorf("ebrrq: a reachable node is labeled (%d, %d)", i, d)
+	}
+	return nil
 }
 
 // LimboLen counts the retired nodes not yet pruned (tests).

@@ -518,6 +518,19 @@ func (m *Manager[T]) WalkLimbo(fn func(item T) bool) {
 	}
 }
 
+// Lists copies every registered thread's limbo list, newest first
+// (quiescent shape checks).
+func (m *Manager[T]) Lists() [][]T {
+	live := m.live()
+	lists := make([][]T, len(live))
+	for i := range live {
+		for n := live[i].head.Load(); n != nil; n = n.next.Load() {
+			lists[i] = append(lists[i], n.item)
+		}
+	}
+	return lists
+}
+
 // LimboLen reports the total number of items across all limbo lists
 // (tests and heap-boundedness checks).
 func (m *Manager[T]) LimboLen() int {

@@ -1,6 +1,8 @@
 package history
 
 import (
+	"errors"
+	"fmt"
 	"sync/atomic"
 
 	"tscds/internal/core"
@@ -38,6 +40,8 @@ type Technique[T any] struct {
 	reg    *core.Registry
 	rb     *core.ReadBound
 	pruned *obs.Counter // the GC counter the rule's trims feed; nil without one
+	// untrimmed is Check's note for Shape, quiescent walks only.
+	untrimmed error
 	// bufs holds one buffer per registry slot, allocated at the slot's
 	// first Trim.
 	bufs []atomic.Pointer[trimBuf[T]]
@@ -108,6 +112,40 @@ func (t *Technique[T]) Drain() {
 			t.truncate(b.chains[:])
 		}
 	}
+}
+
+// ErrUntrimmed is Shape's finding of a chain holding more than one entry
+// at or below the trim bound: what a trim now would cut. Drain reaches only
+// the chains each thread recorded last, so a chain cut while a reader or
+// the retention window held history back keeps it until its next write.
+var ErrUntrimmed = errors.New("history: more than one entry at or below the trim bound")
+
+// Check checks chains as a quiescent walk after Drain meets them: no entry
+// Pending, and labels never rising from the head (vCAS labels with Peek, so
+// two may tie). It notes the first chain a trim at a bound taken now would
+// cut, for Shape.
+func (t *Technique[T]) Check(chains ...*Chain[*T]) error {
+	bound := core.TrimBound(t.Src, t.reg, t.rb)
+	for _, c := range chains {
+		last := core.Pending
+		for e := c.head.Load(); e != nil; last, e = e.ts.Load(), e.next.Load() {
+			switch ts := e.ts.Load(); {
+			case ts == core.Pending:
+				return errors.New("history: a Pending entry")
+			case ts > last:
+				return fmt.Errorf("history: label %d below label %d", ts, last)
+			case ts <= bound && e.next.Load() != nil && t.untrimmed == nil:
+				t.untrimmed = fmt.Errorf("%w %d: %d entries", ErrUntrimmed, bound, c.Len())
+			}
+		}
+	}
+	return nil
+}
+
+// Shape returns, once, the first untrimmed chain Check noted.
+func (t *Technique[T]) Shape() (err error) {
+	err, t.untrimmed = t.untrimmed, nil
+	return err
 }
 
 // truncate cuts chains against a bound taken now (core.TrimBound) and

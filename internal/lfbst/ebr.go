@@ -68,6 +68,15 @@ func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant, h ...cor
 	return newTree(src, reg, &ebrTechnique{tq}, core.QueryAdvancesLocked(tq.Provider), hk)
 }
 
+// shape: a leaf the tree reaches, the sentinels aside, is inserted and
+// not deleted.
+func (*ebrTechnique) shape(n *node[elinks]) error {
+	if n.l.leaf() && n.key <= MaxKey {
+		return ebrrq.Live(&n.l.life.itime, &n.l.life.dtime)
+	}
+	return nil
+}
+
 // truncate: limbo holds deleted leaves, not history.
 func (*ebrTechnique) truncate(*core.Thread, uint64, *node[elinks], *node[elinks]) {}
 

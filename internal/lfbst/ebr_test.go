@@ -8,167 +8,8 @@ import (
 
 	"tscds/internal/core"
 	"tscds/internal/ebrrq"
-	"tscds/internal/ebrrq/limbotest"
 	"tscds/internal/obs"
 )
-
-// ebrTree builds v's tree, which must be an EBR-RQ row.
-func ebrTree(t *testing.T, v variant, threads int) (*EBRTree, *core.Registry) {
-	t.Helper()
-	m, reg := v.build(t, threads)
-	return m.(*EBRTree), reg
-}
-
-func TestEBRBSTBasicOps(t *testing.T) {
-	forEach(t, nil, func(t *testing.T, v variant) {
-		tr, reg := v.build(t, 2)
-		th := reg.MustRegister()
-		if tr.Contains(th, 5) || tr.Delete(th, 5) {
-			t.Fatal("empty tree misbehaved")
-		}
-		if !tr.Insert(th, 5, 50) || tr.Insert(th, 5, 51) {
-			t.Fatal("insert semantics")
-		}
-		if v, ok := tr.Get(th, 5); !ok || v != 50 {
-			t.Fatalf("Get = (%d,%v)", v, ok)
-		}
-		if !tr.Delete(th, 5) || tr.Contains(th, 5) || tr.Delete(th, 5) {
-			t.Fatal("delete semantics")
-		}
-		// Reinsertion after deletion must work (fresh leaf).
-		if !tr.Insert(th, 5, 52) {
-			t.Fatal("reinsert failed")
-		}
-		if v, _ := tr.Get(th, 5); v != 52 {
-			t.Fatalf("reinserted value = %d", v)
-		}
-	})
-}
-
-func TestEBRBSTSequentialModel(t *testing.T) {
-	forEach(t, nil, func(t *testing.T, v variant) {
-		tr, reg := v.build(t, 2)
-		th := reg.MustRegister()
-		model := map[uint64]uint64{}
-		rng := rand.New(rand.NewSource(77))
-		for i := 0; i < 12000; i++ {
-			k := uint64(rng.Intn(250))
-			switch rng.Intn(4) {
-			case 0, 1:
-				_, exists := model[k]
-				if got := tr.Insert(th, k, k+9); got == exists {
-					t.Fatalf("op %d: Insert(%d)=%v exists=%v", i, k, got, exists)
-				}
-				if !exists {
-					model[k] = k + 9
-				}
-			case 2:
-				_, exists := model[k]
-				if got := tr.Delete(th, k); got != exists {
-					t.Fatalf("op %d: Delete(%d)=%v exists=%v", i, k, got, exists)
-				}
-				delete(model, k)
-			default:
-				_, exists := model[k]
-				if got := tr.Contains(th, k); got != exists {
-					t.Fatalf("op %d: Contains(%d)=%v want %v", i, k, got, exists)
-				}
-			}
-		}
-		if tr.Len() != len(model) {
-			t.Fatalf("Len=%d model=%d", tr.Len(), len(model))
-		}
-		got := tr.RangeQuery(th, 0, MaxKey, nil)
-		if len(got) != len(model) {
-			t.Fatalf("range=%d model=%d", len(got), len(model))
-		}
-		for _, kv := range got {
-			if v, ok := model[kv.Key]; !ok || v != kv.Val {
-				t.Fatalf("kv %v vs model (%d,%v)", kv, v, ok)
-			}
-		}
-	})
-}
-
-func TestEBRBSTConcurrentStriped(t *testing.T) {
-	forEach(t, nil, func(t *testing.T, v variant) {
-		tr, reg := v.build(t, 8)
-		const gs = 4
-		const per = 1000
-		var wg sync.WaitGroup
-		for g := 0; g < gs; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				th := reg.MustRegister()
-				defer th.Release()
-				base := uint64(g * 100_000)
-				for i := uint64(0); i < per; i++ {
-					if !tr.Insert(th, base+i, i) {
-						t.Errorf("insert %d failed", base+i)
-						return
-					}
-				}
-				for i := uint64(0); i < per; i += 2 {
-					if !tr.Delete(th, base+i) {
-						t.Errorf("delete %d failed", base+i)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		if n := tr.Len(); n != gs*per/2 {
-			t.Fatalf("Len=%d want %d", n, gs*per/2)
-		}
-	})
-}
-
-func TestEBRBSTLimboBounded(t *testing.T) {
-	forEach(t, isEBR, func(t *testing.T, v variant) {
-		tr, reg := ebrTree(t, v, 2)
-		th := reg.MustRegister()
-		for i := 0; i < 20000; i++ {
-			k := uint64(i % 40)
-			tr.Insert(th, k, k)
-			tr.Delete(th, k)
-		}
-		if n := tr.p.LimboLen(); n > 5000 {
-			t.Fatalf("limbo grew unbounded: %d", n)
-		}
-	})
-}
-
-// The failed-delete-attempt case, under contention: Delete retires its
-// leaf before the flag CAS, the attempt fails, the leaf survives in the
-// tree — or is replaced by a neighbour's copy — with an entry in limbo. The
-// early exit of the limbo walk (ebrrq.Collector.AddLimbo) and epoch's
-// suffix pruning need deletion labels that never increase down a list all
-// the same, and here helpers on other threads write many of them. What
-// keeps the order is checked: by the time a Delete call returns, the
-// lifetime of every leaf it retired has its deletion label (failed attempts
-// retry until someone labels it, through the leaf or a copy), so no Pending
-// entry survives in limbo at quiescence, and at no bound does the early
-// exit lose a leaf the full walk finds.
-func TestEBRBSTLimboLabeledAtQuiescence(t *testing.T) {
-	for name, mk := range map[string]ebrrq.Variant{"lock": ebrrq.LockBased, "lockfree": ebrrq.LockFree} {
-		tr, reg := ebrTree(t, variant{kind: core.Logical, ebr: true, labels: mk}, 12)
-		limbotest.Churn(tr, reg, 6, 1000)
-		pending := 0
-		tr.p.VisitLimbo(func(_, _ uint64, _, dtime *ebrrq.Label) bool {
-			if dtime.Get() == core.Pending {
-				pending++
-			}
-			return true
-		})
-		if pending != 0 {
-			t.Fatalf("%s: %d limbo leaves still unlabeled after every Delete returned", name, pending)
-		}
-		if lost := limbotest.Lost(tr.p.Technique); len(lost) != 0 {
-			t.Fatalf("%s: logical-source limbo lists out of order, %d losses, first: %s", name, len(lost), lost[0])
-		}
-	}
-}
 
 // Point reads follow the labels, not reachability. A leaf whose deletion is
 // labeled but not yet spliced out (the mark's label, then the splice) is
@@ -177,8 +18,7 @@ func TestEBRBSTLimboLabeledAtQuiescence(t *testing.T) {
 // label) counts once labeled: a point read or a failing Insert helps the
 // label in first.
 func TestEBRPointReadsFollowLabels(t *testing.T) {
-	forEach(t, isEBR, func(t *testing.T, v variant) {
-		tr, reg := ebrTree(t, v, 2)
+	eachTree(t, 2, nil, func(t *testing.T, tr *EBRTree, reg *core.Registry) {
 		a := reg.MustRegister()
 		tr.Insert(a, 5, 50)
 		tr.Insert(a, 7, 70)

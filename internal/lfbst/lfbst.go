@@ -18,6 +18,7 @@
 package lfbst
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -127,6 +128,10 @@ type technique[L any] interface {
 	retire(th *core.Thread, l *node[L]) // before the flag CAS of a delete attempt
 	truncate(th *core.Thread, key uint64, n, above *node[L])
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
+	// shape checks n's part as tree.Shape meets it; Shape, after the
+	// walk, what the lifecycle holds beyond the tree.
+	shape(n *node[L]) error
+	Shape() error
 	Enter(tid int)
 	Exit(tid int)
 	Drain()
@@ -439,20 +444,35 @@ func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 	return out
 }
 
-// Len counts present keys; quiescent use only (tests).
-func (t *tree[L, P]) Len() int {
-	var count func(*node[L]) int
-	count = func(n *node[L]) int {
-		if !n.leaf() {
-			left, right := t.p.children(n)
-			return count(left) + count(right)
+// Shape walks the tree as Drain left it, quiescent: the present keys, the
+// deepest leaf and the first broken property — routing order, or an internal
+// node flagged, marked or short of a child — or the technique's.
+func (t *tree[L, P]) Shape() (n, depth int, err error) {
+	var walk func(x *node[L], lo, hi uint64, d int)
+	walk = func(x *node[L], lo, hi uint64, d int) {
+		if x.key < lo || x.key > hi {
+			err = cmp.Or(err, fmt.Errorf("lfbst: key %d is routed to [%d, %d]", x.key, lo, hi))
 		}
-		if _, ok := t.p.present(n); ok && n.key <= MaxKey {
-			return 1
+		if e := t.p.shape(x); e != nil {
+			err = cmp.Or(err, fmt.Errorf("lfbst: key %d: %w", x.key, e))
 		}
-		return 0
+		if x.leaf() {
+			if _, ok := t.p.present(x); ok && x.key <= MaxKey {
+				n++
+			}
+			depth = max(depth, d)
+			return
+		}
+		left, right := t.p.children(x)
+		if x.update.Load()&stateMask != clean || left == nil || right == nil {
+			err = cmp.Or(err, fmt.Errorf("lfbst: internal node %d is flagged, marked or short of a child", x.key))
+			return
+		}
+		walk(left, lo, x.key-1, d+1)
+		walk(right, x.key, hi, d+1)
 	}
-	return count(t.root)
+	walk(t.root, 0, inf2, 0)
+	return n, depth, cmp.Or(err, t.p.Shape())
 }
 
 // vlinks are the edges as vCAS objects and the version that records the
@@ -501,6 +521,13 @@ func New(src core.Source, reg *core.Registry, h ...core.Hooks) *Tree {
 func (*vcasTechnique) present(l *node[vlinks]) (uint64, bool) { return l.val, true }
 func (*vcasTechnique) marked(int, *node[vlinks])              {}
 func (*vcasTechnique) retire(*core.Thread, *node[vlinks])     {}
+
+func (p *vcasTechnique) shape(n *node[vlinks]) error {
+	if n.l.leaf() {
+		return nil
+	}
+	return p.Check(&n.l.left, &n.l.right)
+}
 
 func (p *vcasTechnique) search(root *node[vlinks], key uint64) searchResult[vlinks] {
 	var r searchResult[vlinks]

@@ -88,6 +88,8 @@ func (p *bundleTechnique) link(th *core.Thread, pred, n *node[blinks]) {
 	p.Trim(th, &pred.l.bnd)
 }
 
+func (p *bundleTechnique) shape(n *node[blinks]) error { return p.Check(&n.l.bnd) }
+
 func (p *bundleTechnique) claim(_ *core.Thread, victim *node[blinks]) {
 	victim.l.dts.Store(core.Pending) // not yet linearized
 }

@@ -34,7 +34,9 @@ func NewEBR(src core.Source, reg *core.Registry, variant ebrrq.Variant, h ...cor
 	if err != nil {
 		return nil, err
 	}
-	return newList(src, reg, &ebrTechnique{tq}, maxLevel, core.QueryAdvancesLocked(tq.Provider), hk), nil
+	t := newList(src, reg, &ebrTechnique{tq}, maxLevel, core.QueryAdvancesLocked(tq.Provider), hk)
+	tq.Label(-1, &t.head.l.itime) // the head is in every snapshot
+	return t, nil
 }
 
 func (p *ebrTechnique) load(n *node[elinks]) *node[elinks] { return n.next.at(0).Load() }
@@ -58,6 +60,8 @@ func (p *ebrTechnique) seed(n *node[elinks], val uint64, succ *node[elinks]) {
 	n.l.itime.Init()
 	n.l.dtime.Init()
 }
+
+func (p *ebrTechnique) shape(n *node[elinks]) error { return ebrrq.Live(&n.l.itime, &n.l.dtime) }
 
 // link stores, then labels: (read timestamp, write label) is atomic under
 // the provider, the insert's linearization.

@@ -14,6 +14,8 @@
 package skiplist
 
 import (
+	"cmp"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -116,6 +118,10 @@ type technique[L any] interface {
 	// key order, starting after pred, a node below lo reached through the
 	// raw index (head if none). mark is when the query began.
 	collect(th *core.Thread, head, pred *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
+	// shape checks n's part as list.Shape meets it; Shape, after the
+	// walk, what the lifecycle holds beyond the list.
+	shape(n *node[L]) error
+	Shape() error
 	Enter(tid int) // Enter and Exit bracket every operation that dereferences nodes
 	Exit(tid int)
 	Drain() // prunes what deletes hold back; quiescent use only
@@ -436,13 +442,42 @@ func (t *list[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 	return out
 }
 
-// Len counts present keys; quiescent use only (tests).
-func (t *list[L, P]) Len() int {
-	n := 0
-	for cur := t.p.load(t.head); cur != nil; cur = t.p.load(cur) {
-		if _, ok := t.p.present(cur); ok {
-			n++
+// Shape walks the list as Drain left it, quiescent: the keys, the levels in
+// use and the first broken property — a node not fully linked, or a level
+// out of key order, not a sublist of the one below (SNIPPETS.md Snippet 1)
+// or not holding exactly the nodes whose towers reach it — or the
+// technique's.
+func (t *list[L, P]) Shape() (n, depth int, err error) {
+	var towers [maxLevel]int // the nodes on level 0 whose towers reach each level
+	for cur := t.head; cur != nil; cur = t.p.load(cur) {
+		if !cur.fullyLinked.Load() {
+			err = cmp.Or(err, fmt.Errorf("skiplist: key %d is reachable but not fully linked", cur.key))
+		}
+		if e := t.p.shape(cur); e != nil {
+			err = cmp.Or(err, fmt.Errorf("skiplist: key %d: %w", cur.key, e))
+		}
+		for l := range min(int(cur.topLevel), t.levels) {
+			towers[l]++
 		}
 	}
-	return n
+	for l := range t.levels {
+		towers[l]-- // the head
+		got, below := 0, t.head
+		for prev, cur := t.head, t.next(t.head, l); cur != nil; prev, cur = cur, t.next(cur, l) {
+			for l > 0 && below != nil && below != cur {
+				below = t.next(below, l-1)
+			}
+			if prev != t.head && prev.key >= cur.key || below == nil || int(cur.topLevel) <= l {
+				err = cmp.Or(err, fmt.Errorf("skiplist: level %d holds key %d after key %d, off the level below or above its tower", l, cur.key, prev.key))
+			}
+			got++
+		}
+		if got != towers[l] {
+			err = cmp.Or(err, fmt.Errorf("skiplist: level %d holds %d nodes, and %d towers reach it", l, got, towers[l]))
+		}
+		if got > 0 {
+			depth = l + 1
+		}
+	}
+	return towers[0], depth, cmp.Or(err, t.p.Shape())
 }

@@ -77,6 +77,8 @@ func (p *vcasTechnique) link(th *core.Thread, pred, n *node[vlinks]) {
 	p.Trim(th, &pred.l.next0)
 }
 
+func (p *vcasTechnique) shape(n *node[vlinks]) error { return p.Check(&n.l.next0) }
+
 func (p *vcasTechnique) claim(_ *core.Thread, victim *node[vlinks]) {
 	victim.l.dead.Write(p.Src, true) // linearization of the delete
 }

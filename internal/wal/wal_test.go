@@ -540,7 +540,13 @@ func TestLeaderFollowerCommit(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
-		if n := runtime.NumGoroutine(); n > before {
+		// An appender that has called wg.Done is still counted until it
+		// exits, so the count is polled until it settles.
+		n := runtime.NumGoroutine()
+		for deadline := time.Now().Add(5 * time.Second); n > before && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+			time.Sleep(time.Millisecond)
+		}
+		if n > before {
 			t.Fatalf("SyncEvery %d: goroutine count %d after Close, %d before Open", syncEvery, n, before)
 		}
 		total := int64(segHdrSize + appenders/shards*each*recordSize)

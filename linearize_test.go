@@ -12,6 +12,7 @@ import (
 
 	"tscds"
 	"tscds/internal/bench"
+	"tscds/internal/history"
 	"tscds/internal/linearize"
 	"tscds/internal/wal/faultfs"
 )
@@ -163,8 +164,20 @@ func TestLinearizability(t *testing.T) {
 			for _, check := range c.checks {
 				check(t, c)
 			}
+			requireShape(t, c.m, true)
 			t.Logf("%s", c.h.Summary())
 		})
+	}
+}
+
+// requireShape fails t unless m's shape holds once its workers have joined
+// (tscds.Shape). loose tolerates history.ErrUntrimmed: a chain cut while a
+// concurrent reader or the retention window held history back keeps it
+// until its edge is written again, out of Drain's reach.
+func requireShape(t *testing.T, m tscds.Map, loose bool) {
+	t.Helper()
+	if _, _, err := tscds.Shape(m); err != nil && !(loose && errors.Is(err, history.ErrUntrimmed)) {
+		t.Errorf("shape: %v", err)
 	}
 }
 

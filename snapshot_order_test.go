@@ -182,6 +182,7 @@ func TestSnapshotOrder(t *testing.T) {
 						t.Fatal(err)
 					}
 					raceOrder(t, m, sh, sh.n(arm))
+					requireShape(t, m, true)
 				})
 			}
 		}

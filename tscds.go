@@ -521,34 +521,26 @@ func buildInner(s Structure, t Technique, kind SourceKind, src core.Source, reg 
 }
 
 // inner is the facade's contract with a structure variant, one part of a
-// map, built with its sinks (buildInner): point operations and the
-// snapshot-read protocol every range-shaped read goes through.
+// map, built with its sinks (buildInner, whose assignments fail the build
+// for a variant that lacks a piece of it): point operations, the shape walk
+// and the snapshot-read protocol every range-shaped read goes through.
 type inner interface {
 	Insert(th *core.Thread, key, val uint64) bool
 	Delete(th *core.Thread, key uint64) bool
 	Get(th *core.Thread, key uint64) (uint64, bool)
-	Len() int
+	// Shape walks the part as Drain left it: it counts the keys, measures
+	// the depth (the deepest leaf or node of a tree, a list's levels in
+	// use) and names the first broken property of the frame, its history
+	// chains or its limbo lists. Quiescent use only.
+	Shape() (n, depth int, err error)
 	// Drain eagerly releases what deletes and updates hold back for range
 	// queries (EBR-RQ's limbo lists, the history trims vCAS and Bundling
-	// defer); quiescent use only, like Len.
+	// defer); quiescent use only, like Shape.
 	Drain()
 	// Reader is the variant's snapshot-read protocol, carrying its bound
 	// rule and its collect-at-bound walk.
 	Reader() *core.Reader
 }
-
-// A variant that lacks a piece of the contract fails the build here, not
-// by running unwired.
-var (
-	_ inner = (*lfbst.Tree)(nil)
-	_ inner = (*lfbst.EBRTree)(nil)
-	_ inner = (*citrus.VcasTree)(nil)
-	_ inner = (*citrus.BundleTree)(nil)
-	_ inner = (*citrus.EBRTree)(nil)
-	_ inner = (*skiplist.List)(nil)
-	_ inner = (*skiplist.VcasList)(nil)
-	_ inner = (*skiplist.EBRList)(nil)
-)
 
 // wrap adapts internal structures to Map: a flat map is one part, a
 // sharded one a part per shard, and a user key is its part's key. obs and
@@ -749,7 +741,8 @@ func (w *wrap) Len() int {
 	w.Drain()
 	n := 0
 	for _, m := range w.parts {
-		n += m.Len()
+		k, _, _ := m.Shape()
+		n += k
 	}
 	return n
 }

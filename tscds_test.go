@@ -3,10 +3,7 @@ package tscds
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"testing"
-	"testing/quick"
 	"unsafe"
 
 	"tscds/internal/core"
@@ -301,108 +298,6 @@ func TestLockFreeEBRRQRejectsTSC(t *testing.T) {
 	}
 }
 
-func TestBasicSemanticsEveryCombo(t *testing.T) {
-	for _, c := range allCombos() {
-		t.Run(fmt.Sprintf("%v-%v", c.S, c.T), func(t *testing.T) {
-			m, err := New(c.S, c.T, Config{Source: TSC, MaxThreads: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			th, err := m.RegisterThread()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer th.Release()
-			// Key 0 must work through the facade even for structures
-			// with a 0-key sentinel internally.
-			if !m.Insert(th, 0, 7) || !m.Contains(th, 0) {
-				t.Fatal("key 0 broken")
-			}
-			if v, ok := m.Get(th, 0); !ok || v != 7 {
-				t.Fatalf("Get(0) = (%d,%v)", v, ok)
-			}
-			if !m.Insert(th, 10, 100) || m.Insert(th, 10, 200) {
-				t.Fatal("insert semantics")
-			}
-			got := m.RangeQuery(th, 0, 20, nil)
-			if len(got) != 2 || got[0].Key > got[1].Key {
-				// BST/EBR results may be unsorted; sort before checking.
-				sort.Slice(got, func(i, j int) bool { return got[i].Key < got[j].Key })
-			}
-			if len(got) != 2 || got[0].Key != 0 || got[1].Key != 10 {
-				t.Fatalf("range = %v", got)
-			}
-			if !m.Delete(th, 0) || m.Contains(th, 0) {
-				t.Fatal("delete semantics")
-			}
-			if m.Len() != 1 {
-				t.Fatalf("Len = %d", m.Len())
-			}
-			// Out-of-range keys are rejected, not wrapped.
-			if m.Insert(th, MaxKey+1, 1) || m.Contains(th, MaxKey+1) {
-				t.Fatal("key above MaxKey accepted")
-			}
-		})
-	}
-}
-
-func TestConcurrentSmokeEveryCombo(t *testing.T) {
-	for _, c := range allCombos() {
-		c := c
-		t.Run(fmt.Sprintf("%v-%v", c.S, c.T), func(t *testing.T) {
-			n := 600
-			if c.S == LazyList {
-				n = 150 // O(n) traversals
-			}
-			m, err := New(c.S, c.T, Config{Source: TSC, MaxThreads: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wg sync.WaitGroup
-			for g := 0; g < 3; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					th, err := m.RegisterThread()
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					defer th.Release()
-					base := uint64(g * 10_000)
-					for i := uint64(0); i < uint64(n); i++ {
-						m.Insert(th, base+i, i)
-					}
-					for i := uint64(0); i < uint64(n); i += 2 {
-						m.Delete(th, base+i)
-					}
-				}(g)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				th, _ := m.RegisterThread()
-				defer th.Release()
-				for r := 0; r < 30; r++ {
-					kvs := m.RangeQuery(th, 0, 30_000, nil)
-					seen := map[uint64]bool{}
-					for _, kv := range kvs {
-						if seen[kv.Key] {
-							t.Errorf("duplicate key %d in snapshot", kv.Key)
-							return
-						}
-						seen[kv.Key] = true
-					}
-				}
-			}()
-			wg.Wait()
-			if got := m.Len(); got != 3*n/2 {
-				t.Fatalf("Len = %d, want %d", got, 3*n/2)
-			}
-		})
-	}
-}
-
 func TestNowMonotone(t *testing.T) {
 	prev := Now()
 	for i := 0; i < 10000; i++ {
@@ -425,55 +320,6 @@ func TestOneTSCPredicate(t *testing.T) {
 	}
 	if state := NewTSCHealth(1).Snapshot().State; (state != tsc.StateFallback) != hw {
 		t.Errorf("health state %q; HardwareTimestampSupported: %v", state, hw)
-	}
-}
-
-// Property: facade range queries agree with a model map, across combos.
-func TestRangeAgainstModelProperty(t *testing.T) {
-	for _, c := range allCombos() {
-		c := c
-		f := func(keys []uint16, lo16, span16 uint16) bool {
-			m, err := New(c.S, c.T, Config{Source: Logical, MaxThreads: 2})
-			if err != nil {
-				return false
-			}
-			th, _ := m.RegisterThread()
-			model := map[uint64]bool{}
-			for i, k16 := range keys {
-				if i > 60 {
-					break
-				}
-				k := uint64(k16 % 512)
-				if model[k] {
-					m.Delete(th, k)
-					delete(model, k)
-				} else {
-					m.Insert(th, k, k)
-					model[k] = true
-				}
-			}
-			lo := uint64(lo16 % 512)
-			hi := lo + uint64(span16%64)
-			got := m.RangeQuery(th, lo, hi, nil)
-			want := 0
-			for k := range model {
-				if k >= lo && k <= hi {
-					want++
-				}
-			}
-			if len(got) != want {
-				return false
-			}
-			for _, kv := range got {
-				if !model[kv.Key] || kv.Key < lo || kv.Key > hi {
-					return false
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-			t.Errorf("%v/%v: %v", c.S, c.T, err)
-		}
 	}
 }
 
