@@ -72,8 +72,9 @@ loc:
 # reuses one descriptor), and the decode of an update word into its slot's
 # descriptor and sequence is inlined into help. The history techniques'
 # per-update record (Trim) copies the chains it is handed into the thread's
-# buffer and keeps its variadic argument on the caller's stack. An EBR-RQ
-# retire takes its limbo shell from the thread's spare list or slab: the
+# buffer, keeps its variadic argument on the caller's stack and allocates
+# nothing: the buffer's first-use allocation (newBuf) stays out of line. An
+# EBR-RQ retire takes its limbo shell from the thread's spare list or slab: the
 # epoch manager's Retire allocates nothing, and the slab refill that does
 # stays out of line (the structures that instantiate the manager report its
 # escapes at epoch.go's lines). Telemetry
@@ -119,7 +120,7 @@ inline-check:
 	for fn in Insert Delete helpInsert helpDelete helpMarked; do \
 		noheap internal/lfbst/lfbst.go "(t \*tree\[L, P\]) $$fn"; done; \
 	need internal/lfbst/lfbst.go '(t \*tree\[L, P\]) help' 'words.decode'; \
-	deny internal/history/technique.go '(t \*Technique\[T\]) Trim'; \
+	noheap internal/history/technique.go '(t \*Technique\[T\]) Trim'; \
 	noheap internal/epoch/epoch.go '(m \*Manager\[T\]) Retire'; \
 	need ./tscds.go '(w \*wrap) observe' 'tsc.Clock.Now'; \
 	need internal/obs/trace/trace.go '(r \*Recorder) span' 'tsc.Clock.Now'; \

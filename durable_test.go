@@ -165,7 +165,7 @@ func recoverAndCheck(t *testing.T, fs *faultfs.FS, a crashArm, out crashOutcome)
 		rec := m.LastRecovery()
 		t.Fatalf("recovered state inconsistent with acknowledged history\nrecovery: %+v\n%v", rec, err)
 	}
-	requireShape(t, m, false)
+	requireShape(t, m)
 }
 
 // TestCrashMatrix is the acceptance gate: on every arm tscds.New accepts,

@@ -1,7 +1,6 @@
 package tscds
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -11,7 +10,6 @@ import (
 
 	"tscds/internal/citrus"
 	"tscds/internal/core"
-	"tscds/internal/history"
 	"tscds/internal/lfbst"
 	"tscds/internal/obs"
 	"tscds/internal/skiplist"
@@ -95,15 +93,11 @@ func TestFrameConformance(t *testing.T) {
 }
 
 // checkShape drains m and requires its Shape to hold with want keys (any
-// number when negative), returning the depth. loose tolerates
-// history.ErrUntrimmed, what a trim a concurrent reader held back leaves.
-func checkShape(t *testing.T, m inner, want int, loose bool) int {
+// number when negative), returning the depth.
+func checkShape(t *testing.T, m inner, want int) int {
 	t.Helper()
 	m.Drain()
 	n, depth, err := m.Shape()
-	if loose && errors.Is(err, history.ErrUntrimmed) {
-		err = nil
-	}
 	if err != nil || want >= 0 && n != want {
 		t.Fatalf("Shape: %d keys (want %d), depth %d: %v", n, want, depth, err)
 	}
@@ -166,7 +160,7 @@ func rowModel(t *testing.T, fc frameCell) {
 			}
 		}
 	}
-	checkShape(t, m, len(model), false)
+	checkShape(t, m, len(model))
 	if got, want := rd.Live(th, 0, MaxKey, nil), modelRange(model, 0, MaxKey); !slices.Equal(got, want) {
 		t.Fatalf("the whole key space holds %d pairs, the model %d", len(got), len(want))
 	}
@@ -187,7 +181,7 @@ func rowBounds(t *testing.T, fc frameCell) {
 	if _, ok := m.Get(th, 5); ok || m.Delete(th, 5) || len(rd.Live(th, 0, ^uint64(0), nil)) != 0 {
 		t.Fatal("an empty part holds key 5 or a pair")
 	}
-	checkShape(t, m, 0, false)
+	checkShape(t, m, 0)
 	top := frameMax[fc.S]
 	want := []KV{{Key: 0, Val: 7}}
 	for k := uint64(10); k <= 100; k += 10 {
@@ -219,7 +213,7 @@ func rowBounds(t *testing.T, fc frameCell) {
 	if got := rd.Live(th, 20, 40, buf[:0]); !slices.Equal(got, want[2:5]) || &got[0] != &buf[0] {
 		t.Fatalf("range [20, 40] into the emptied buffer = %v", got)
 	}
-	checkShape(t, m, len(want), false)
+	checkShape(t, m, len(want))
 }
 
 // rowStriped: four threads insert stripes of 1,500 keys each (150 on the
@@ -273,7 +267,7 @@ func rowStriped(t *testing.T, fc frameCell) {
 		}
 	}()
 	wg.Wait()
-	if depth := checkShape(t, m, gs*per/2, true); depth > 100 {
+	if depth := checkShape(t, m, gs*per/2); depth > 100 {
 		t.Errorf("depth %d after shuffled inserts of %d keys", depth, gs*per)
 	}
 	th := reg.MustRegister()
@@ -317,7 +311,7 @@ func rowContended(t *testing.T, fc frameCell) {
 	for g := range gs {
 		n += ins[g] - del[g]
 	}
-	checkShape(t, m, n, false)
+	checkShape(t, m, n)
 }
 
 // rowChurn: 300 range queries of 101 keys at moving offsets over keys
@@ -366,7 +360,7 @@ func rowChurn(t *testing.T, fc frameCell) {
 	}
 	stop.Store(true)
 	wg.Wait()
-	checkShape(t, m, n, true)
+	checkShape(t, m, n)
 }
 
 // stoppingSource parks the first Peek after armed is set until the test
@@ -429,17 +423,17 @@ func rowLabels(t *testing.T, fc frameCell) {
 	if _, ok := m.Get(a, 5); ok {
 		t.Error("Get(5) after the delete: present")
 	}
-	checkShape(t, m, 2, false)
+	checkShape(t, m, 2)
 }
 
 // rowHistory: history is bounded by the oldest reader, not by run length.
 // One thread makes 60,000 updates over 1,000 keys (200,000 on the BST, the
 // size of the test this row took over; 100 keys on the lazy list, whose
 // every operation walks the list); the trims they batch have detached
-// at least one entry for every two successful updates before Drain, and
-// after it every edge holds one entry. With a range query's bound announced
-// after the first tenth, a read at that bound still returns what the part
-// held then, and no edge keeps more than one entry at or below it.
+// at least one entry for every two successful updates before Shape cuts
+// the rest. With a range query's bound announced after the first tenth, a
+// read at that bound after Shape's cut still returns what the part held
+// then.
 func rowHistory(t *testing.T, fc frameCell) {
 	steps, keys := 60_000, 1000
 	switch fc.S {
@@ -478,9 +472,9 @@ func rowHistory(t *testing.T, fc frameCell) {
 				}
 			}
 			if pruned := gc.VcasVersionsPruned.Load() + gc.BundleEntriesPruned.Load(); !held && pruned < uint64(updates/2) {
-				t.Fatalf("%d updates, and their trims detached %d entries before Drain", updates, pruned)
+				t.Fatalf("%d updates, and their trims detached %d entries before Shape", updates, pruned)
 			}
-			checkShape(t, m, len(model), false)
+			checkShape(t, m, len(model))
 			if !held {
 				return
 			}
@@ -511,7 +505,7 @@ func rowLimbo(t *testing.T, fc frameCell) {
 		if n := gc.LimboLen.Load(); n > 5000 {
 			t.Fatalf("%d nodes in limbo with no range query active", n)
 		}
-		checkShape(t, m, 0, false)
+		checkShape(t, m, 0)
 	})
 	t.Run("ordered", func(t *testing.T) {
 		var gc obs.GC
@@ -542,9 +536,9 @@ func rowLimbo(t *testing.T, fc frameCell) {
 		if n := gc.LimboLen.Load(); n < 500 {
 			t.Fatalf("%d nodes in limbo; the reservation should have kept every one retired", n)
 		}
-		checkShape(t, m, -1, false)
+		checkShape(t, m, -1)
 		th.DoneRQ()
-		checkShape(t, m, -1, false)
+		checkShape(t, m, -1)
 		if n := gc.LimboLen.Load(); n != 0 {
 			t.Fatalf("%d nodes in limbo after Drain with no range query", n)
 		}

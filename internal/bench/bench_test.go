@@ -80,7 +80,7 @@ func TestRunMeasuresAllOpClasses(t *testing.T) {
 			t.Fatalf("no %s executed", name)
 		}
 	}
-	// Mix roughly honored (within very loose bounds).
+	// Mix roughly honored (within wide bounds).
 	fu := float64(res.OpSplit[0]) / float64(total)
 	if fu < 0.1 || fu > 0.3 {
 		t.Fatalf("update fraction = %.2f, want ~0.2", fu)

@@ -39,7 +39,7 @@ func (*bundleTechnique) present(n *node[blinks]) (uint64, bool) { return n.val, 
 func (*bundleTechnique) retire(*core.Thread, *node[blinks])     {}
 
 func (p *bundleTechnique) shape(n *node[blinks]) error {
-	return p.Check(&n.l.bnd[0], &n.l.bnd[1])
+	return p.Cut(&n.l.bnd[0], &n.l.bnd[1])
 }
 
 func (p *bundleTechnique) load(n *node[blinks], dir int) *node[blinks] {

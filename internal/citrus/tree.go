@@ -58,7 +58,8 @@ type technique[L any] interface {
 	// counter or collector handed through this interface by address would
 	// escape to the heap.
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	// shape checks n's part as tree.Shape meets it; Shape, after the
+	// shape checks n's part as tree.Shape meets it, a history technique
+	// cutting n's chains first (history.Technique.Cut); Shape, after the
 	// walk, what the lifecycle holds beyond the tree.
 	shape(n *node[L]) error
 	Shape() error
@@ -113,8 +114,8 @@ func newTree[L any, P technique[L]](src core.Source, reg *core.Registry, p P, ru
 func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 
 // Drain eagerly prunes what deletes hold back for range queries (EBR-RQ's
-// limbo lists) and the history trims vCAS and Bundling defer. Quiescent
-// use only, like Len.
+// limbo lists). vCAS and Bundling history is cut by the writers' flushes
+// and by Shape.
 func (t *tree[L, P]) Drain() { t.p.Drain() }
 
 // newNode acquires a node from the technique and initializes it, timed as
@@ -342,9 +343,10 @@ func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 	return out
 }
 
-// Shape walks the tree as Drain left it, quiescent: the keys, the deepest
-// node and the first broken property — keys not strictly ascending in order
-// (out of BST order, or twice), a marked node — or the technique's.
+// Shape walks the tree, quiescent, cutting each history edge it meets: the
+// keys, the deepest node and the first broken property — keys not strictly
+// ascending in order (out of BST order, or twice), a marked node — or the
+// technique's.
 func (t *tree[L, P]) Shape() (n, depth int, err error) {
 	var last uint64
 	var walk func(x *node[L], d int)

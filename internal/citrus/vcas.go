@@ -35,7 +35,7 @@ func (*vcasTechnique) present(n *node[vlinks]) (uint64, bool) { return n.val, tr
 func (*vcasTechnique) retire(*core.Thread, *node[vlinks])     {}
 
 func (p *vcasTechnique) shape(n *node[vlinks]) error {
-	return p.Check(&n.l.child[0], &n.l.child[1])
+	return p.Cut(&n.l.child[0], &n.l.child[1])
 }
 
 // load is Chain.Read with the label check pulled in front of the call:

@@ -1,8 +1,8 @@
 package history
 
 import (
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"tscds/internal/core"
@@ -13,8 +13,8 @@ import (
 // operation ends with trimBatch chains recorded, and that flush cuts them
 // all against a bound taken then, so every chain keeps exactly its newest
 // entry when no query is active, and the GC counter sees each drop once.
-// A query reserved before the flush holds what it reads; Drain cuts what
-// every thread recorded since its last flush.
+// A query reserved before the flush holds what it reads; Cut cuts what a
+// flush has not reached yet, and counts it too.
 func TestTrimDefersToOperationEnd(t *testing.T) {
 	src := core.New(core.Logical)
 	reg := core.NewRegistry(2)
@@ -59,63 +59,68 @@ func TestTrimDefersToOperationEnd(t *testing.T) {
 	}
 	q.DoneRQ()
 
-	// Fewer than trimBatch records wait for Drain.
+	// Fewer than trimBatch records wait for the next flush; Cut cuts them.
 	update(chains[0], 3)
 	if chains[0].Len() != 3 {
 		t.Fatalf("an unflushed record was cut: %d entries", chains[0].Len())
 	}
-	tq.Drain()
 	for i, c := range chains {
-		if c.Len() != 1 {
-			t.Fatalf("chain %d holds %d entries after Drain, want 1", i, c.Len())
+		if err := tq.Cut(c); err != nil || c.Len() != 1 {
+			t.Fatalf("chain %d holds %d entries after Cut (%v), want 1", i, c.Len(), err)
 		}
+	}
+	if got, want := gc.BundleEntriesPruned.Load(), uint64(2*trimBatch+1); got != want {
+		t.Fatalf("pruned counter %d after Cut, want %d", got, want)
 	}
 }
 
-// Drain may run beside updates (the facade's Len drains, and so do tests
-// that poll it): it cuts the chains a buffer's owner is still recording
-// and flushing. Every drop is counted once, whoever cut it, and a final
-// Drain leaves each chain its newest entry.
-func TestDrainBesideTrims(t *testing.T) {
-	const workers, chains, updates = 2, 8, 4000
+// A slot's trim buffer has one owner at a time and passes with the slot:
+// goroutine A records fewer than trimBatch chains and releases its slot;
+// goroutine B, which shares nothing with A but the registry, registers the
+// same slot, and its flush cuts A's records with its own. Under -race this
+// shows that Release and Register order the owner-only buffer.
+func TestTrimBufferHandoff(t *testing.T) {
 	src := core.New(core.Logical)
-	reg := core.NewRegistry(workers)
+	reg := core.NewRegistry(1)
 	gc := new(obs.GC)
 	tq := NewTechnique[node](src, reg, Bundling, core.Hooks{GC: gc})
-	var cs [workers][chains]Chain[*node]
+	var chains [trimBatch]Chain[*node]
+	for i := range chains {
+		chains[i].Init(&node{0})
+	}
+	record := func(th *core.Thread, cs []Chain[*node]) {
+		for i := range cs {
+			c := &cs[i]
+			tq.Enter(th.ID)
+			c.Finalize(c.Prepare(&node{1}), src.Advance())
+			tq.Trim(th, c)
+			tq.Exit(th.ID)
+		}
+	}
+	a := reg.MustRegister()
 	var wg sync.WaitGroup
-	var done atomic.Int32
-	for w := range workers {
-		th := reg.MustRegister()
-		for i := range cs[w] {
-			cs[w][i].Init(&node{0})
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		record(a, chains[:trimBatch/2])
+		a.Release()
+	}()
+	go func() {
+		defer wg.Done()
+		b, err := reg.Register()
+		for ; err != nil; b, err = reg.Register() {
+			runtime.Gosched()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer done.Add(1)
-			for i := range updates {
-				c := &cs[w][i%chains] // one writer per chain, as a lock gives
-				tq.Enter(th.ID)
-				c.Finalize(c.Prepare(&node{uint64(i)}), src.Advance())
-				tq.Trim(th, c)
-				tq.Exit(th.ID)
-			}
-		}()
-	}
-	for done.Load() < workers {
-		tq.Drain()
-	}
+		defer b.Release()
+		record(b, chains[trimBatch/2:])
+	}()
 	wg.Wait()
-	tq.Drain()
-	for w := range cs {
-		for i := range cs[w] {
-			if n := cs[w][i].Len(); n != 1 {
-				t.Fatalf("chain %d of worker %d holds %d entries after the final Drain", i, w, n)
-			}
+	for i := range chains {
+		if n := chains[i].Len(); n != 1 {
+			t.Fatalf("chain %d holds %d entries after the flush, want 1", i, n)
 		}
 	}
-	if got := gc.BundleEntriesPruned.Load(); got != workers*updates {
-		t.Fatalf("pruned counter %d, want one per update (%d)", got, workers*updates)
+	if got := gc.BundleEntriesPruned.Load(); got != trimBatch {
+		t.Fatalf("pruned counter %d, want %d", got, trimBatch)
 	}
 }

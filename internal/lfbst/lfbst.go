@@ -128,7 +128,8 @@ type technique[L any] interface {
 	retire(th *core.Thread, l *node[L]) // before the flag CAS of a delete attempt
 	truncate(th *core.Thread, key uint64, n, above *node[L])
 	collect(th *core.Thread, root *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	// shape checks n's part as tree.Shape meets it; Shape, after the
+	// shape checks n's part as tree.Shape meets it, a history technique
+	// cutting n's chains first (history.Technique.Cut); Shape, after the
 	// walk, what the lifecycle holds beyond the tree.
 	shape(n *node[L]) error
 	Shape() error
@@ -194,8 +195,8 @@ func (ws words) decode(w uint64) (slot, seq uint64) {
 // Reader returns the tree's snapshot-read protocol.
 func (t *tree[L, P]) Reader() *core.Reader { return t.rd }
 
-// Drain eagerly prunes EBR-RQ's limbo lists and the history trims vCAS
-// defers. Quiescent use only, like Len.
+// Drain eagerly prunes EBR-RQ's limbo lists. vCAS history is cut by the
+// writers' flushes and by Shape.
 func (t *tree[L, P]) Drain() { t.p.Drain() }
 
 // newNode acquires a node from the technique and initializes it, timed as
@@ -444,9 +445,10 @@ func (t *tree[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 	return out
 }
 
-// Shape walks the tree as Drain left it, quiescent: the present keys, the
-// deepest leaf and the first broken property — routing order, or an internal
-// node flagged, marked or short of a child — or the technique's.
+// Shape walks the tree, quiescent, cutting each history edge it meets: the
+// present keys, the deepest leaf and the first broken property — routing
+// order, or an internal node flagged, marked or short of a child — or the
+// technique's.
 func (t *tree[L, P]) Shape() (n, depth int, err error) {
 	var walk func(x *node[L], lo, hi uint64, d int)
 	walk = func(x *node[L], lo, hi uint64, d int) {
@@ -526,7 +528,7 @@ func (p *vcasTechnique) shape(n *node[vlinks]) error {
 	if n.l.leaf() {
 		return nil
 	}
-	return p.Check(&n.l.left, &n.l.right)
+	return p.Cut(&n.l.left, &n.l.right)
 }
 
 func (p *vcasTechnique) search(root *node[vlinks], key uint64) searchResult[vlinks] {

@@ -118,7 +118,8 @@ type technique[L any] interface {
 	// key order, starting after pred, a node below lo reached through the
 	// raw index (head if none). mark is when the query began.
 	collect(th *core.Thread, head, pred *node[L], lo, hi uint64, s core.TS, mark uint64, out []core.KV) []core.KV
-	// shape checks n's part as list.Shape meets it; Shape, after the
+	// shape checks n's part as list.Shape meets it, a history technique
+	// cutting n's chains first (history.Technique.Cut); Shape, after the
 	// walk, what the lifecycle holds beyond the list.
 	shape(n *node[L]) error
 	Shape() error
@@ -159,8 +160,8 @@ func newList[L any, P technique[L]](src core.Source, reg *core.Registry, p P, le
 func (t *list[L, P]) Reader() *core.Reader { return t.rd }
 
 // Drain eagerly prunes what deletes hold back for range queries (EBR-RQ's
-// limbo lists) and the history trims vCAS and Bundling defer. Quiescent
-// use only, like Len.
+// limbo lists). vCAS and Bundling history is cut by the writers' flushes
+// and by Shape.
 func (t *list[L, P]) Drain() { t.p.Drain() }
 
 // newNode acquires a node from the technique and initializes it, timed as
@@ -442,11 +443,11 @@ func (t *list[L, P]) RangeQueryAt(th *core.Thread, lo, hi uint64, s core.TS, out
 	return out
 }
 
-// Shape walks the list as Drain left it, quiescent: the keys, the levels in
-// use and the first broken property — a node not fully linked, or a level
-// out of key order, not a sublist of the one below (SNIPPETS.md Snippet 1)
-// or not holding exactly the nodes whose towers reach it — or the
-// technique's.
+// Shape walks the list, quiescent, cutting each history edge it meets: the
+// keys, the levels in use and the first broken property — a node not fully
+// linked, or a level out of key order, not a sublist of the one below
+// (SNIPPETS.md Snippet 1) or not holding exactly the nodes whose towers
+// reach it — or the technique's.
 func (t *list[L, P]) Shape() (n, depth int, err error) {
 	var towers [maxLevel]int // the nodes on level 0 whose towers reach each level
 	for cur := t.head; cur != nil; cur = t.p.load(cur) {

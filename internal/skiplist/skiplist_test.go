@@ -170,7 +170,7 @@ func reachableNodes(l *List, owner map[*history.Entry[*node[blinks]]]*node[blink
 // long it ran: after 200k single-threaded updates over 1k keys with no
 // query active, the dead nodes still reachable are the few that the
 // bundles whose trims are still deferred lead to (535 nodes for 520
-// held), and once Drain has flushed them, none: every node reachable
+// held), and once Shape has cut them, none: every node reachable
 // from the head is a live one. A trim bound older than the label of the
 // entry it keeps leaves the one below it, and what that leads to (756
 // nodes). A detached entry that kept its target (Chain.Truncate), or a
@@ -183,27 +183,29 @@ func TestBundleHeapBounded(t *testing.T) {
 			th := reg.MustRegister()
 			rng := rand.New(rand.NewSource(15))
 			owner := map[*history.Entry[*node[blinks]]]*node[blinks]{}
+			keys := 0 // the tally of successful inserts less deletes
 			for i := 0; i < 200000; i++ {
 				k := uint64(rng.Intn(1000) + 1)
 				if rng.Intn(2) == 1 {
-					l.Delete(th, k)
+					if l.Delete(th, k) {
+						keys--
+					}
 				} else if l.Insert(th, k, uint64(i)) {
+					keys++
 					n := l.lookup(k)
 					owner[&n.l.in], owner[&n.l.out] = n, n
 				}
 			}
-			n, _, _ := l.Shape() // before Drain, only its count holds
-			live := n + 1
+			live := keys + 1 // and the head
 			if got := reachableNodes(l, owner); got > 2*live {
 				t.Fatalf("%d nodes reachable from the head of a list holding %d", got, live)
 			}
-			l.Drain()
+			if n, _, err := l.Shape(); n != keys || err != nil {
+				t.Fatalf("Shape: %d keys (want %d): %v", n, keys, err)
+			}
 			// reachableNodes counts the nodes besides the head.
 			if got := reachableNodes(l, owner); got != live-1 {
-				t.Fatalf("%d nodes reachable from the head after Drain, want the %d keys the list holds", got, live-1)
-			}
-			if _, _, err := l.Shape(); err != nil {
-				t.Fatal(err)
+				t.Fatalf("%d nodes reachable from the head after Shape, want the %d keys the list holds", got, live-1)
 			}
 		})
 	}

@@ -318,11 +318,13 @@ type Map interface {
 	// before the first call to fn. Error semantics as GetAt; fn is
 	// never called when an error is returned.
 	ScanAt(th *Thread, lo, hi, ts uint64, fn func(KV) bool) error
-	// Len counts keys; quiescent use only.
+	// Len counts keys; quiescent use only. On the way it drains, and
+	// cuts every vCAS or Bundle history edge at a fresh trim bound,
+	// publishing the time-travel prune watermark.
 	Len() int
-	// Drain eagerly releases memory retained for in-flight readers
-	// (EBR-RQ limbo lists, and the history vCAS and bundles trim in
-	// batches). Quiescent use only, like Len.
+	// Drain eagerly releases the EBR-RQ limbo lists retained for
+	// in-flight readers; it is safe beside operations. vCAS and Bundle
+	// history is cut by the writers' batched flushes and by Len.
 	Drain()
 	// Structure and Technique identify the composition.
 	Structure() Structure
@@ -528,14 +530,14 @@ type inner interface {
 	Insert(th *core.Thread, key, val uint64) bool
 	Delete(th *core.Thread, key uint64) bool
 	Get(th *core.Thread, key uint64) (uint64, bool)
-	// Shape walks the part as Drain left it: it counts the keys, measures
-	// the depth (the deepest leaf or node of a tree, a list's levels in
-	// use) and names the first broken property of the frame, its history
-	// chains or its limbo lists. Quiescent use only.
+	// Shape walks the part, cutting every history edge it meets at a
+	// fresh trim bound: it counts the keys, measures the depth (the
+	// deepest leaf or node of a tree, a list's levels in use) and names
+	// the first broken property of the frame, its history chains or its
+	// limbo lists. Quiescent use only.
 	Shape() (n, depth int, err error)
-	// Drain eagerly releases what deletes and updates hold back for range
-	// queries (EBR-RQ's limbo lists, the history trims vCAS and Bundling
-	// defer); quiescent use only, like Shape.
+	// Drain eagerly releases what deletes hold back for range queries
+	// (EBR-RQ's limbo lists).
 	Drain()
 	// Reader is the variant's snapshot-read protocol, carrying its bound
 	// rule and its collect-at-bound walk.
@@ -735,8 +737,9 @@ func emit(kvs []KV, fn func(KV) bool) {
 }
 
 // Len counts keys across the parts. As a quiescent path it also drains
-// retained limbo memory, so long-running callers polling Len keep the heap
-// bounded even when updates have ceased.
+// retained limbo memory and cuts every history edge (inner.Shape), so
+// long-running callers polling Len keep the heap bounded even when updates
+// have ceased.
 func (w *wrap) Len() int {
 	w.Drain()
 	n := 0
