@@ -60,7 +60,10 @@ loc:
 # An EBR-RQ range query reads both labels of every node it collects: the
 # label accessor must be inlined into the collector's Add and AddLimbo,
 # so a label read is the one call into the one-word dcss.Word's Read,
-# whose helping path runs only on a marked word.
+# whose helping path runs only on a marked word. A lock-based EBR-RQ label
+# holds the label lock shared: its uncontended entry (one atomic add) and
+# exit must be inlined into the provider's Label, and only the wait for a
+# writer's phase to end stays a call.
 # The skip list's tower accessor must be inlined wherever its generic frame
 # walks a level (the one-level lazy list shares the frame). deny FILE FUNC
 # fails if escape analysis reports a closure or a local moved to the heap
@@ -110,6 +113,8 @@ inline-check:
 	need internal/history/vcas.go '(c \*Chain\[V\]) ReadAt' 'history.label['; \
 	for fn in Add AddLimbo; do \
 		need internal/ebrrq/collect.go "(c \*Collector) $$fn" '(*Label).Get'; done; \
+	for fn in rlock runlock; do \
+		need internal/ebrrq/ebrrq.go '(p \*Provider) Label' "(*rwLock).$$fn"; done; \
 	need internal/lfbst/lfbst.go '(p \*vcasTechnique) search' '(*vlinks).child'; \
 	need internal/lfbst/lfbst.go '(p \*vcasTechnique) search' '(*vlinks).leaf'; \
 	need internal/lfbst/lfbst.go '(p \*vcasTechnique) collectAt' '(*vlinks).leaf'; \

@@ -333,7 +333,8 @@ func TestBundleSkipListUpdateAllocCeiling(t *testing.T) {
 				key++
 			})
 			if n > 2 {
-				t.Fatalf("%v: an insert allocated %.0f objects, want the node and at most its overflow array", c.s, n)
+				t.Fatalf("%v: an insert allocated %.0f objects, want the node and at most its overflow array; "+
+					"AllocsPerRun counts the whole process, and %s", c.s, n, goroutines())
 			}
 			ins += n
 		}
@@ -345,10 +346,18 @@ func TestBundleSkipListUpdateAllocCeiling(t *testing.T) {
 			key++
 		})
 		if ins > c.insMax*runs || del > 1 {
-			t.Fatalf("%v/Bundle allocates %.2f objects per insert and %.2f per delete, want at most %.2f and 1", c.s, ins/runs, del, c.insMax)
+			t.Fatalf("%v/Bundle allocates %.2f objects per insert and %.2f per delete, want at most %.2f and 1; %s",
+				c.s, ins/runs, del, c.insMax, goroutines())
 		}
 		th.Release()
 	}
+}
+
+// goroutines names what else was running, for a failure of an allocation
+// count that may be some other goroutine's: the count and every stack.
+func goroutines() string {
+	buf := make([]byte, 1<<20)
+	return fmt.Sprintf("%d goroutines were running:\n%s", runtime.NumGoroutine(), buf[:runtime.Stack(buf, true)])
 }
 
 // TestEBRRQDeleteAllocCeiling holds a GC-mode EBR-RQ delete that copies no

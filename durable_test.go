@@ -215,8 +215,11 @@ func crashMatrix(t *testing.T, a crashArm) {
 			// Evenly spaced over the dry run's I/O trace. Concurrency
 			// makes other runs' traces differ slightly; a point past the
 			// end simply never fires, which is still a valid (clean) run.
+			// The subtest is named by the point's index, which every run
+			// shares, and logs the op it fires at, which may differ.
 			at := 1 + p*(total-1)/(points-1)
-			t.Run(fmt.Sprintf("%s/op%03d", k.name, at), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/p%02d", k.name, p), func(t *testing.T) {
+				t.Logf("fault at I/O op %d of the dry run's %d", at, total)
 				fs := faultfs.New(faultfs.Fault{AtOp: at, Kind: k.kind})
 				out := runCrashWorkload(t, fs, a)
 				if k.kind == faultfs.KindWriteErr && fs.Crashed() {

@@ -13,7 +13,10 @@
 //     to advance the timestamp and linearize. Porting to TSC replaces the
 //     counter accesses with RDTSCP reads but must RETAIN the lock — so
 //     the lock, not the counter, remains the bottleneck, which is the
-//     paper's central negative result.
+//     paper's central negative result. The lock is a phase-fair spin
+//     lock (rwLock) alone on its cache line: a waiter spins and yields
+//     but never parks, so what a contended update pays is the lock's
+//     line and its turn, not a sleep and a wake-up by the scheduler.
 //
 //   - The lock-free variant uses DCSS: the label write succeeds only if
 //     the global timestamp still holds the value read. Because DCSS
@@ -29,7 +32,6 @@ package ebrrq
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"tscds/internal/core"
@@ -86,9 +88,9 @@ func (l *Label) Get() core.TS {
 // Provider labels nodes on behalf of updates and holds range queries'
 // side of the variant's atomicity discipline.
 type Provider struct {
+	mu      rwLock // lock-based only; alone on its cache line
 	variant Variant
 	src     core.Source
-	mu      sync.RWMutex
 	addr    *atomic.Uint64 // lock-free only
 	// tr is the flight recorder, nil (the default) for none. Label and
 	// RQLock record their lock-wait and label spans and DCSS retry counts
@@ -96,6 +98,9 @@ type Provider struct {
 	// label, which has no thread identity in hand (tid -1), records
 	// nothing.
 	tr *trace.Recorder
+	// Rounds Provider to 192 bytes, a size class whose objects the
+	// allocator places on 64-byte boundaries, so mu's line is a real one.
+	_ [cacheLine - 40]byte
 }
 
 // New returns the labeling discipline variant selects over src. With a
@@ -134,7 +139,7 @@ func (p *Provider) RQLock(tid int) {
 		return
 	}
 	w := p.tr.Now(tid)
-	p.mu.Lock()
+	p.mu.lock()
 	p.tr.Span(tid, trace.PhaseLockWait, w)
 }
 
@@ -144,7 +149,7 @@ func (p *Provider) RQUnlock() {
 	if p.variant != LockBased {
 		return
 	}
-	p.mu.Unlock()
+	p.mu.unlock()
 }
 
 // Label assigns the current timestamp to l atomically with reading it,
@@ -160,14 +165,14 @@ func (p *Provider) Label(tid int, l *Label) core.TS {
 		// The pair splits for the recorder: time to get into the lock's
 		// shared section (the paper's bottleneck) vs. the labeling itself.
 		w := p.tr.Now(tid)
-		p.mu.RLock()
+		p.mu.rlock()
 		p.tr.Span(tid, trace.PhaseLockWait, w)
 		lb := p.tr.Now(tid)
 		t := p.src.Peek()
 		if !l.w.CAS(pendingWord, uint64(t)) {
 			t = l.Get()
 		}
-		p.mu.RUnlock()
+		p.mu.runlock()
 		p.tr.Span(tid, trace.PhaseLabel, lb)
 		return t
 	}

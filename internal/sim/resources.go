@@ -96,6 +96,8 @@ func (l *Line) grant(e *Engine, m *Machine) {
 // RWLock models a fair readers-writer lock whose lock word is itself a
 // contended line: every acquire and release pays a line access, and
 // exclusive holders serialize everyone — the EBR-RQ bottleneck of §IV.
+// Its native counterpart is the lock-based ebrrq.Provider's phase-fair
+// spin lock, whose waiters spin on that line and never sleep.
 type RWLock struct {
 	word    *Line
 	readers int
